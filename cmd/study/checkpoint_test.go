@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -100,5 +101,25 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	}
 	if _, err := runWithCheckpoint(opts, file, 0); err == nil {
 		t.Error("non-positive -warmup did not error")
+	}
+
+	// -resume takes a user path: a damaged file is one error line, never a
+	// panic (which would print a stack trace) or a hang.
+	good, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.snap")
+	for name, data := range map[string][]byte{
+		"truncated": good[:len(good)/3],
+		"junk":      []byte("not a snapshot\n"),
+		"empty":     nil,
+	} {
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runResumed(bad); err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("resuming a %s file: want a one-line error, got %v", name, err)
+		}
 	}
 }

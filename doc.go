@@ -92,13 +92,19 @@
 //
 // A running world is also snapshottable: World.Checkpoint serializes the
 // complete simulation state — simclock time and pending timers (through a
-// typed-event registry whose codecs persist each registered event kind;
-// closures on the heap are drained first or rejected loudly), in-flight
+// typed-event registry; each registered event kind is re-armed by its one
+// owner, closures on the heap are drained first or rejected loudly), in-flight
 // packets and per-path weather, TCP connections mid-transfer with
 // segment-object sharing preserved for live senders, server sessions and
 // free-lists, arrival-cell cursors, and every RNG stream's draw count —
 // version-stamped with a hash of the world's Options so a mismatched
-// resume fails loudly. The contract is byte-identity: study.Resume on a
+// resume fails loudly. Each checkpointed type describes its state once, as
+// a Sync(*snap.Codec) walk that both writes and restores it: to add state
+// to a checkpointed type, add one line to its Sync, and
+// TestSyncCoversEveryField tells you if you forgot. A snapshot file is
+// hostile input: study.Resume returns a world or an error, never a panic,
+// a hang or a runaway allocation (FuzzResume in CI). The contract is
+// byte-identity: study.Resume on a
 // snapshot cut at any instant completes with records byte-identical to
 // the straight-through run (TestCheckpointResumeByteIdentical, under
 // -race in CI). A named study.Fork instead re-derives every RNG stream

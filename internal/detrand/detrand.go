@@ -1,8 +1,8 @@
 // Package detrand wraps math/rand in a draw-counting source so a running
 // simulation's RNG streams can be checkpointed and replayed byte-exactly
 // without reaching into math/rand internals. A Rand records its seed and
-// counts every Int63 the underlying source serves; restoring replays that
-// many draws from a fresh source of the same seed, leaving the stream
+// counts every Int63 the underlying source serves; restoring (Sync) replays
+// that many draws from a fresh source of the same seed, leaving the stream
 // positioned exactly where the checkpoint left it.
 //
 // The counting source deliberately implements only rand.Source — not
@@ -16,7 +16,11 @@
 // a detrand.Rand draws the same values as rand.New(rand.NewSource(seed)).
 package detrand
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"realtracer/internal/snap"
+)
 
 // source counts Int63 draws against the wrapped math/rand source.
 type source struct {
@@ -52,14 +56,6 @@ func New(seed int64) *Rand {
 	return &Rand{Rand: rand.New(src), seed: seed, src: src}
 }
 
-// Restore returns a counting stream positioned count draws into the stream
-// of seed — the inverse of State.
-func Restore(seed int64, count uint64) *Rand {
-	r := New(seed)
-	r.Skip(count)
-	return r
-}
-
 // State returns the seed and the number of Int63 draws served so far.
 func (r *Rand) State() (seed int64, count uint64) { return r.seed, r.src.count }
 
@@ -77,4 +73,25 @@ func (r *Rand) Skip(n uint64) {
 		r.src.src.Int63()
 	}
 	r.src.count += n
+}
+
+// Sync walks the stream position as (seed, draw count). Decoding positions
+// the stream in place — every pointer handed out to the embedded Rand stays
+// valid — by re-seeding and replaying the count, which the codec has
+// already checked against what the snapshot can justify. A non-nil fork
+// instead restarts the stream at the seed it derives from the decoded
+// position: the divergent-scenario path, which replays nothing.
+func (r *Rand) Sync(c *snap.Codec, fork func(seed int64, count uint64) int64) {
+	seed, count := r.State()
+	c.I64(&seed)
+	c.DrawCount(&count)
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	if fork != nil {
+		r.Seed(fork(seed, count))
+		return
+	}
+	r.Seed(seed)
+	r.Skip(count)
 }

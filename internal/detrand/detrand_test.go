@@ -1,8 +1,11 @@
 package detrand
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+
+	"realtracer/internal/snap"
 )
 
 // drawMix exercises every method class the simulation uses and returns a
@@ -41,7 +44,14 @@ func TestStateRestoreRoundTrip(t *testing.T) {
 	if seed != 77 || count == 0 {
 		t.Fatalf("State() = (%d, %d)", seed, count)
 	}
-	rest := Restore(seed, count)
+	var buf bytes.Buffer
+	r.Sync(snap.NewEncoder(&buf), nil)
+	rest := New(0)
+	dec := snap.NewDecoder(buf.Bytes())
+	rest.Sync(dec, nil)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 500; i++ {
 		if a, b := r.Int63(), rest.Int63(); a != b {
 			t.Fatalf("draw %d after restore: %d != %d", i, a, b)

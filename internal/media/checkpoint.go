@@ -1,31 +1,26 @@
 package media
 
-import "realtracer/internal/snap"
+import (
+	"fmt"
 
-// Persist writes the source's playout position for a world checkpoint. The
-// scene layout and RNG are not serialized: both are pure functions of
-// (clip.Seed, encoding), so the restore side rebuilds them with Reset and
-// overlays only the cursor fields. sizeCredit is always zero (reserved) and
-// is not persisted.
-func (fs *FrameSource) Persist(sw *snap.Writer) {
-	sw.Tag("fsrc")
-	sw.Int(fs.sceneIdx)
-	sw.Int(fs.videoIdx)
-	sw.Int(fs.audioIdx)
-	sw.Dur(fs.videoAt)
-	sw.Dur(fs.audioAt)
-}
+	"realtracer/internal/snap"
+)
 
-// RestoreState rebuilds the source for clip at enc and overlays the cursor
-// written by Persist. The result is frame-for-frame identical to the source
-// the checkpointed world held: Reset replays the scene-construction draws
-// from clip.Seed, and no draws happen after construction.
-func (fs *FrameSource) RestoreState(clip *Clip, enc Encoding, sr *snap.Reader) {
-	fs.Reset(clip, enc)
-	sr.Tag("fsrc")
-	fs.sceneIdx = sr.Int()
-	fs.videoIdx = sr.Int()
-	fs.audioIdx = sr.Int()
-	fs.videoAt = sr.Dur()
-	fs.audioAt = sr.Dur()
+// Sync walks the source's playout position for a world checkpoint. The
+// scene layout and RNG are not part of the snapshot: both are pure functions
+// of (clip.Seed, encoding), so the restoring owner first rebuilds them with
+// Reset — frame-for-frame identical to the source the checkpointed world
+// held, since no draws happen after construction — and Sync overlays only
+// the cursor fields. sizeCredit is always zero (reserved) and is not walked.
+func (fs *FrameSource) Sync(c *snap.Codec) {
+	c.Tag("fsrc")
+	c.Int(&fs.sceneIdx)
+	c.Int(&fs.videoIdx)
+	c.Int(&fs.audioIdx)
+	c.Dur(&fs.videoAt)
+	c.Dur(&fs.audioAt)
+	if c.Reading() && c.Err() == nil && (fs.sceneIdx < 0 || fs.sceneIdx >= len(fs.scenes)) {
+		c.Fail(fmt.Errorf("media: snapshot scene cursor %d outside the clip's %d scenes", fs.sceneIdx, len(fs.scenes)))
+		fs.sceneIdx = 0
+	}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"realtracer/internal/detrand"
 	"realtracer/internal/simclock"
@@ -16,19 +17,16 @@ import (
 // fluid-queue state, each path's dynamic fields (the route itself comes back
 // from the RouteTable), every in-flight packet with its original (At, seq),
 // and the draw counts of the two RNG streams. Packet payloads are opaque to
-// netsim — the transport layer injects the payload codec.
+// netsim — the transport layer injects the payload walk.
 
 func init() {
 	simclock.RegisterEventKind("netsim.packet", &Packet{})
 }
 
-// PayloadCodec serializes the opaque packet payloads netsim carries by
-// reference. The transport layer provides the implementation; netsim cannot
-// depend on it.
-type PayloadCodec struct {
-	Encode func(*snap.Writer, any) error
-	Decode func(*snap.Reader) (any, error)
-}
+// PayloadSync walks one opaque packet payload netsim carries by reference:
+// it encodes *payload, or decodes into it. The transport layer provides the
+// implementation; netsim cannot depend on it.
+type PayloadSync func(c *snap.Codec, payload *any)
 
 // pathEntry pairs an ordered host pair with its path state for a
 // deterministic checkpoint walk.
@@ -63,274 +61,244 @@ func (n *Network) sortedPaths() []pathEntry {
 	return out
 }
 
-// Checkpoint writes the network's core dynamic state: RNG positions,
-// counters, the interning table, attached hosts and path state. In-flight
-// packets are written separately by CheckpointPackets — their payloads may
-// reference transport connections, which the world serializes between the
-// two calls so packet payload references can resolve against restored conns.
-func (n *Network) Checkpoint(sw *snap.Writer) error {
+// Sync walks the network's core dynamic state: RNG positions, counters, the
+// interning table, attached hosts and path state. In-flight packets are
+// walked separately by SyncPackets — their payloads may reference transport
+// connections, which the world walks between the two calls so packet
+// payload references can resolve against restored conns.
+//
+// Decoding overlays onto a freshly rebuilt network: the caller must already
+// have rebuilt the static world (build-time hosts attached, dynamics
+// schedule reinstalled when applicable) and restored the clock; Sync
+// re-interns the name table, re-attaches runtime hosts and overlays path and
+// queue state.
+//
+// keepDynamics matters only when decoding and must be false when the
+// restored world runs a different dynamics schedule than the checkpointed
+// one (a fork): the per-path event indices and chain state then refer to the
+// old schedule and are discarded, along with the old dynamics draw stream.
+func (n *Network) Sync(c *snap.Codec, keepDynamics bool) {
 	if n.fab != nil {
-		return fmt.Errorf("netsim: sharded networks cannot be checkpointed")
+		c.Fail(fmt.Errorf("netsim: sharded networks cannot be checkpointed"))
+		return
 	}
-	sw.Tag("netsim")
+	keepDynamics = n.dyn != nil && (keepDynamics || !c.Reading())
+	c.Tag("netsim")
 
-	seed, count := n.drng.State()
-	sw.I64(seed)
-	sw.U64(count)
-	sw.Bool(n.dyn != nil)
-	if n.dyn != nil {
-		dseed, dcount := n.dyn.drng.State()
-		sw.I64(dseed)
-		sw.U64(dcount)
+	n.drng.Sync(c, nil)
+	hasDyn := n.dyn != nil
+	c.Bool(&hasDyn)
+	if hasDyn {
+		if keepDynamics {
+			n.dyn.drng.Sync(c, nil)
+		} else {
+			detrand.New(0).Sync(c, nil) // a discarded stream decodes into scratch
+		}
 	}
-	sw.U64(n.sent)
-	sw.U64(n.delivered)
-	sw.U64(n.dropped)
+	c.U64(&n.sent)
+	c.U64(&n.delivered)
+	c.U64(&n.dropped)
 
-	// Interning table, in ID order. Restore replays it through Intern so a
+	// Interning table, in ID order. Decoding replays it through Intern so a
 	// rebuilt world's name->ID assignment matches the snapshot exactly.
-	sw.Tag("hosts")
-	sw.U32(uint32(len(n.names) - 1))
-	for _, name := range n.names[1:] {
-		sw.Str(name)
+	c.Tag("hosts")
+	var names []string
+	if !c.Reading() {
+		names = n.names[1:]
 	}
-	attached := 0
-	for _, h := range n.hostTab {
-		if h != nil {
-			attached++
+	snap.Slice(c, &names, (*snap.Codec).Str)
+	if c.Reading() && c.Err() == nil {
+		for i, name := range names {
+			if id := n.Intern(name); id != HostID(i+1) {
+				c.Fail(fmt.Errorf("netsim: restore interning mismatch: %q got ID %d, want %d (world rebuilt differently than checkpointed)", name, id, i+1))
+				return
+			}
 		}
-	}
-	sw.U32(uint32(attached))
-	for id := 1; id < len(n.hostTab); id++ {
-		h := n.hostTab[id]
-		if h == nil {
-			continue
-		}
-		sw.I64(int64(id))
-		sw.F64(h.cfg.Access.DownKbps)
-		sw.F64(h.cfg.Access.UpKbps)
-		sw.Dur(h.cfg.Access.QueueDelayMax)
-		sw.Dur(h.cfg.Access.BaseDelay)
-		sw.Dur(h.upBusyUntil)
-		sw.Dur(h.downBusyUntil)
 	}
 
-	sw.Tag("paths")
-	paths := n.sortedPaths()
-	sw.U32(uint32(len(paths)))
-	for _, pe := range paths {
+	var hosts []*host // the attached ones, in ID order
+	if !c.Reading() {
+		for _, h := range n.hostTab {
+			if h != nil {
+				hosts = append(hosts, h)
+			}
+		}
+	}
+	snap.Slice(c, &hosts, func(c *snap.Codec, hp **host) {
+		var id HostID
+		var access AccessProfile
+		if h := *hp; h != nil {
+			id, access = h.id, h.cfg.Access
+		}
+		snap.I64As(c, &id)
+		c.F64(&access.DownKbps)
+		c.F64(&access.UpKbps)
+		c.Dur(&access.QueueDelayMax)
+		c.Dur(&access.BaseDelay)
+		if c.Reading() {
+			if *hp = n.restoreHost(c, id, access); *hp == nil {
+				return
+			}
+		}
+		c.Dur(&(*hp).upBusyUntil)
+		c.Dur(&(*hp).downBusyUntil)
+	})
+
+	c.Tag("paths")
+	var paths []pathEntry
+	if !c.Reading() {
+		paths = n.sortedPaths()
+	}
+	now := n.Clock.Now()
+	snap.Slice(c, &paths, func(c *snap.Codec, pe *pathEntry) {
+		snap.I64As(c, &pe.from)
+		snap.I64As(c, &pe.to)
+		if c.Reading() {
+			if c.Err() != nil {
+				return
+			}
+			if n.lookupName(pe.from) == "" || n.lookupName(pe.to) == "" {
+				c.Fail(fmt.Errorf("netsim: restore path (%d,%d) out of range", pe.from, pe.to))
+				return
+			}
+			pe.p = n.path(pe.from, pe.to)
+		}
 		p := pe.p
-		sw.I64(int64(pe.from))
-		sw.I64(int64(pe.to))
-		sw.Dur(p.busyUntil)
+		c.Dur(&p.busyUntil)
 		// CongestionMean/Var can be overridden after path creation
 		// (SetCongestionMean); everything else in the route is rederived
 		// from the RouteTable.
-		sw.F64(p.route.CongestionMean)
-		sw.F64(p.route.CongestionVar)
-		sw.F64(p.congestion)
-		sw.Dur(p.lastResample)
-		sw.Bool(p.dynMatched)
-		sw.U32(uint32(len(p.dynEvents)))
-		for _, i := range p.dynEvents {
-			sw.Int(i)
+		c.F64(&p.route.CongestionMean)
+		c.F64(&p.route.CongestionVar)
+		c.F64(&p.congestion)
+		syncPast(c, &p.lastResample, now)
+
+		// Dynamics-layer state decodes into scratch unless it is kept.
+		var dyn pathState
+		if !c.Reading() {
+			dyn = *p
 		}
-		sw.U32(uint32(len(p.ge)))
-		for _, g := range p.ge {
-			sw.Bool(g.bad)
-			sw.Dur(g.last)
+		c.Bool(&dyn.dynMatched)
+		snap.Slice(c, &dyn.dynEvents, (*snap.Codec).Int)
+		snap.Slice(c, &dyn.ge, func(c *snap.Codec, g *geState) {
+			c.Bool(&g.bad)
+			syncPast(c, &g.last, now)
+		})
+		if !c.Reading() || !keepDynamics || c.Err() != nil {
+			return
 		}
-	}
-	return sw.Err()
+		for _, i := range dyn.dynEvents {
+			if i < 0 || i >= len(n.dyn.compiled) {
+				c.Fail(fmt.Errorf("netsim: restore path (%d,%d) references dynamics event %d of %d", pe.from, pe.to, i, len(n.dyn.compiled)))
+				return
+			}
+		}
+		if len(dyn.ge) != len(dyn.dynEvents) {
+			c.Fail(fmt.Errorf("netsim: restore path (%d,%d) holds %d chain states for %d dynamics events", pe.from, pe.to, len(dyn.ge), len(dyn.dynEvents)))
+			return
+		}
+		p.dynMatched, p.dynEvents, p.ge = dyn.dynMatched, dyn.dynEvents, dyn.ge
+	})
 }
 
-// CheckpointPackets writes every in-flight packet of this network with its
-// scheduled (At, seq); see Checkpoint for why this is a separate section.
-func (n *Network) CheckpointPackets(sw *snap.Writer, pc PayloadCodec) error {
-	sw.Tag("packets")
+// syncPast walks an instant that the simulation catches up to now in fixed
+// steps (congestion resampling, loss-chain ticks). Decoding rejects a value
+// outside [0, now]: a hostile one would turn the catch-up loop into a spin.
+func syncPast(c *snap.Codec, t *time.Duration, now time.Duration) {
+	c.Dur(t)
+	if c.Reading() && c.Err() == nil && (*t < 0 || *t > now) {
+		c.Fail(fmt.Errorf("netsim: restore instant %v outside [0, %v]", *t, now))
+		*t = 0
+	}
+}
+
+// lookupName returns the interned name for id, or "" when out of range.
+func (n *Network) lookupName(id HostID) string {
+	if id <= 0 || int(id) >= len(n.names) {
+		return ""
+	}
+	return n.names[id]
+}
+
+// restoreHost resolves a decoded attached-host record: a host the rebuilt
+// world already attached must carry the same access profile; a runtime host
+// (an open-loop client attached after build) is re-attached. A record the
+// network cannot hold fails the codec and returns nil.
+func (n *Network) restoreHost(c *snap.Codec, id HostID, access AccessProfile) *host {
+	if c.Err() != nil {
+		return nil
+	}
+	name := n.lookupName(id)
+	if name == "" {
+		c.Fail(fmt.Errorf("netsim: restore host ID %d out of range", id))
+		return nil
+	}
+	if h := n.lookup(id); h != nil {
+		if h.cfg.Access != access {
+			c.Fail(fmt.Errorf("netsim: restore host %q access profile mismatch", name))
+			return nil
+		}
+		return h
+	}
+	// The link rates divide packet sizes on every send; the comparisons are
+	// written so NaN fails them.
+	if !(access.DownKbps > 0 && access.UpKbps > 0) || access.QueueDelayMax < 0 || access.BaseDelay < 0 {
+		c.Fail(fmt.Errorf("netsim: restore host %q has an impossible access profile %+v", name, access))
+		return nil
+	}
+	n.AddHost(HostConfig{Name: name, Access: access})
+	return n.hostTab[id]
+}
+
+// SyncPackets walks every in-flight packet of this network with its
+// scheduled (At, seq); see Sync for why this is a separate section. Decoding
+// re-injects each packet, re-armed at its original slot. Call after the
+// world's transport connections are restored: the payload walk may resolve
+// segment references against them.
+func (n *Network) SyncPackets(c *snap.Codec, payload PayloadSync) {
+	c.Tag("packets")
 	var pkts []simclock.PendingEvent
-	for _, pe := range n.Clock.Pendings() {
-		if pkt, ok := pe.Handler.(*Packet); ok && pkt.net == n {
-			if pkt.edge {
-				return fmt.Errorf("netsim: edge-scheduled packet in classic checkpoint")
-			}
-			pkts = append(pkts, pe)
-		}
-	}
-	sw.U32(uint32(len(pkts)))
-	for _, pe := range pkts {
-		pkt := pe.Handler.(*Packet)
-		sw.Dur(pe.At)
-		sw.U64(pe.Seq)
-		sw.Str(string(pkt.From))
-		sw.Str(string(pkt.To))
-		sw.I64(int64(pkt.FromID))
-		sw.I64(int64(pkt.ToID))
-		sw.I64(int64(pkt.FromPort))
-		sw.I64(int64(pkt.ToPort))
-		sw.Int(pkt.Size)
-		if err := pc.Encode(sw, pkt.Payload); err != nil {
-			return fmt.Errorf("netsim: packet payload: %w", err)
-		}
-	}
-	return sw.Err()
-}
-
-// Restore overlays checkpointed state onto a freshly rebuilt network. The
-// caller must already have rebuilt the static world (build-time hosts
-// attached, dynamics schedule reinstalled when applicable) and Reset the
-// clock to the snapshot's scalars; Restore re-interns the name table,
-// re-attaches runtime hosts, overlays path and queue state, and re-arms
-// in-flight packets with their original (At, seq).
-//
-// restoreDynamics must be false when the restored world runs a different
-// dynamics schedule than the checkpointed one (a fork): the per-path event
-// indices and chain state then refer to the old schedule and are discarded,
-// along with the old dynamics draw stream.
-func (n *Network) Restore(sr *snap.Reader, restoreDynamics bool) error {
-	if n.fab != nil {
-		return fmt.Errorf("netsim: sharded networks cannot be restored")
-	}
-	sr.Tag("netsim")
-
-	seed := sr.I64()
-	count := sr.U64()
-	if sr.Err() == nil {
-		n.drng = detrand.Restore(seed, count)
-		n.rng = n.drng.Rand
-	}
-	if sr.Bool() {
-		dseed := sr.I64()
-		dcount := sr.U64()
-		if restoreDynamics && n.dyn != nil && sr.Err() == nil {
-			n.dyn.drng = detrand.Restore(dseed, dcount)
-			n.dyn.rng = n.dyn.drng.Rand
-		}
-	}
-	n.sent = sr.U64()
-	n.delivered = sr.U64()
-	n.dropped = sr.U64()
-
-	sr.Tag("hosts")
-	names := int(sr.U32())
-	for i := 0; i < names; i++ {
-		name := sr.Str()
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		if id := n.Intern(name); id != HostID(i+1) {
-			return fmt.Errorf("netsim: restore interning mismatch: %q got ID %d, want %d (world rebuilt differently than checkpointed)", name, id, i+1)
-		}
-	}
-	attached := int(sr.U32())
-	for i := 0; i < attached; i++ {
-		id := HostID(sr.I64())
-		var prof AccessProfile
-		prof.DownKbps = sr.F64()
-		prof.UpKbps = sr.F64()
-		prof.QueueDelayMax = sr.Dur()
-		prof.BaseDelay = sr.Dur()
-		up := sr.Dur()
-		down := sr.Dur()
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		if id <= 0 || int(id) >= len(n.hostTab) {
-			return fmt.Errorf("netsim: restore host ID %d out of range", id)
-		}
-		h := n.lookup(id)
-		if h == nil {
-			n.AddHost(HostConfig{Name: n.names[id], Access: prof})
-			h = n.hostTab[id]
-		} else if h.cfg.Access != prof {
-			return fmt.Errorf("netsim: restore host %q access profile mismatch", n.names[id])
-		}
-		h.upBusyUntil, h.downBusyUntil = up, down
-	}
-
-	sr.Tag("paths")
-	paths := int(sr.U32())
-	for i := 0; i < paths; i++ {
-		from := HostID(sr.I64())
-		to := HostID(sr.I64())
-		busy := sr.Dur()
-		congMean := sr.F64()
-		congVar := sr.F64()
-		cong := sr.F64()
-		last := sr.Dur()
-		dynMatched := sr.Bool()
-		events := make([]int, int(sr.U32()))
-		for j := range events {
-			events[j] = sr.Int()
-		}
-		ge := make([]geState, int(sr.U32()))
-		for j := range ge {
-			ge[j].bad = sr.Bool()
-			ge[j].last = sr.Dur()
-		}
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		if int(from) >= len(n.names) || int(to) >= len(n.names) || from <= 0 || to <= 0 {
-			return fmt.Errorf("netsim: restore path (%d,%d) out of range", from, to)
-		}
-		p := n.path(from, to)
-		p.busyUntil = busy
-		p.route.CongestionMean = congMean
-		p.route.CongestionVar = congVar
-		p.congestion = cong
-		p.lastResample = last
-		if restoreDynamics && n.dyn != nil {
-			p.dynMatched = dynMatched
-			if len(events) > 0 {
-				p.dynEvents = events
-			}
-			if len(ge) > 0 {
-				p.ge = ge
+	if !c.Reading() {
+		for _, pe := range n.Clock.Pendings() {
+			if pkt, ok := pe.Handler.(*Packet); ok && pkt.net == n {
+				if pkt.edge {
+					c.Fail(fmt.Errorf("netsim: edge-scheduled packet in classic checkpoint"))
+					return
+				}
+				pkts = append(pkts, pe)
 			}
 		}
 	}
-	return sr.Err()
-}
-
-// RestorePackets re-injects the in-flight packets written by
-// CheckpointPackets, re-arming each with its original (At, seq). Call after
-// the world's transport connections are restored: the payload codec may
-// resolve segment references against them.
-func (n *Network) RestorePackets(sr *snap.Reader, pc PayloadCodec) error {
-	sr.Tag("packets")
-	pkts := int(sr.U32())
-	for i := 0; i < pkts; i++ {
-		at := sr.Dur()
-		seq := sr.U64()
-		from := Addr(sr.Str())
-		to := Addr(sr.Str())
-		fromID := HostID(sr.I64())
-		toID := HostID(sr.I64())
-		fromPort := int32(sr.I64())
-		toPort := int32(sr.I64())
-		size := sr.Int()
-		payload, err := pc.Decode(sr)
-		if err != nil {
-			return fmt.Errorf("netsim: packet payload: %w", err)
+	count := len(pkts)
+	c.Len(&count)
+	for i := 0; i < count && c.Err() == nil; i++ {
+		var pe simclock.PendingEvent
+		var pkt *Packet
+		if c.Reading() {
+			pkt = n.Obtain()
+			pkt.net = n
+		} else {
+			pe = pkts[i]
+			pkt = pe.Handler.(*Packet)
 		}
-		if sr.Err() != nil {
-			return sr.Err()
+		c.Dur(&pe.At)
+		c.U64(&pe.Seq)
+		snap.StrAs(c, &pkt.From)
+		snap.StrAs(c, &pkt.To)
+		snap.I64As(c, &pkt.FromID)
+		snap.I64As(c, &pkt.ToID)
+		snap.I64As(c, &pkt.FromPort)
+		snap.I64As(c, &pkt.ToPort)
+		c.Int(&pkt.Size)
+		payload(c, &pkt.Payload)
+		if c.Reading() {
+			n.Clock.Rearm(c, pe.At, pe.Seq, pkt)
+			if c.Err() != nil {
+				n.release(pkt)
+			}
 		}
-		pkt := n.Obtain()
-		pkt.From, pkt.To = from, to
-		pkt.FromID, pkt.ToID = fromID, toID
-		pkt.FromPort, pkt.ToPort = fromPort, toPort
-		pkt.Size = size
-		pkt.Payload = payload
-		pkt.net = n
-		n.Clock.Arm(at, seq, pkt)
 	}
-	return sr.Err()
 }
-
-// RNGState exposes the base draw stream's position for tests.
-func (n *Network) RNGState() (seed int64, count uint64) { return n.drng.State() }
 
 // ReseedRNGs re-derives the network's draw streams from fresh seeds — the
 // fork path: a named fork of a checkpoint diverges from its siblings by
@@ -338,10 +306,8 @@ func (n *Network) RNGState() (seed int64, count uint64) { return n.drng.State() 
 // checkpointed draw counts. dynSeed is ignored when no dynamics schedule is
 // installed.
 func (n *Network) ReseedRNGs(seed, dynSeed int64) {
-	n.drng = detrand.New(seed)
-	n.rng = n.drng.Rand
+	n.drng.Seed(seed)
 	if n.dyn != nil {
-		n.dyn.drng = detrand.New(dynSeed)
-		n.dyn.rng = n.dyn.drng.Rand
+		n.dyn.drng.Seed(dynSeed)
 	}
 }

@@ -17,15 +17,11 @@ type delivery struct {
 	size    int
 }
 
-// i64Codec persists the test's int64 payloads.
-var i64Codec = PayloadCodec{
-	Encode: func(sw *snap.Writer, v any) error {
-		sw.I64(v.(int64))
-		return sw.Err()
-	},
-	Decode: func(sr *snap.Reader) (any, error) {
-		return sr.I64(), sr.Err()
-	},
+// syncI64 walks the test's int64 payloads.
+func syncI64(c *snap.Codec, payload *any) {
+	v, _ := (*payload).(int64)
+	c.I64(&v)
+	*payload = v
 }
 
 // ckptWorld is a tiny two-host world with loss, jitter, a capacity
@@ -82,12 +78,12 @@ func (w *ckptWorld) drive(from, to int) {
 func checkpointNet(t *testing.T, n *Network) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
-	if err := n.Checkpoint(sw); err != nil {
+	c := snap.NewEncoder(&buf)
+	n.Clock.Sync(c)
+	n.Sync(c, true)
+	n.SyncPackets(c, syncI64)
+	if err := c.Err(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
-	}
-	if err := n.CheckpointPackets(sw, i64Codec); err != nil {
-		t.Fatalf("checkpoint packets: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -108,13 +104,12 @@ func TestNetworkCheckpointRoundTrip(t *testing.T) {
 
 	// Rebuild the static world exactly as a fresh build would, then overlay.
 	w2 := newCkptWorld()
-	w2.clock.Reset(w1.clock.Now(), w1.clock.Seq(), w1.clock.Fired())
-	sr := snap.NewReader(bytes.NewReader(snapBytes))
-	if err := w2.net.Restore(sr, true); err != nil {
+	c := snap.NewDecoder(snapBytes)
+	w2.clock.Sync(c)
+	w2.net.Sync(c, true)
+	w2.net.SyncPackets(c, syncI64)
+	if err := c.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
-	}
-	if err := w2.net.RestorePackets(sr, i64Codec); err != nil {
-		t.Fatalf("restore packets: %v", err)
 	}
 	if got, want := w2.clock.Pending(), w1.clock.Pending(); got != want {
 		t.Fatalf("restored %d in-flight packets, original holds %d", got, want)
@@ -158,8 +153,10 @@ func TestNetworkRestoreRejectsInterningMismatch(t *testing.T) {
 	clock := simclock.New()
 	n2 := New(clock, StaticRoute{}, 42)
 	n2.AddHost(HostConfig{Name: "z", Access: DefaultAccessProfile(AccessServer)})
-	clock.Reset(w1.clock.Now(), w1.clock.Seq(), w1.clock.Fired())
-	err := n2.Restore(snap.NewReader(bytes.NewReader(snapBytes)), false)
+	c := snap.NewDecoder(snapBytes)
+	clock.Sync(c)
+	n2.Sync(c, false)
+	err := c.Err()
 	if err == nil {
 		t.Fatal("restore into a mismatched world succeeded")
 	}

@@ -1,9 +1,7 @@
 package player
 
 import (
-	"sort"
-
-	"realtracer/internal/session"
+	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
@@ -22,341 +20,152 @@ func init() {
 	simclock.RegisterEventKind("player.timeup", (*timeUpArm)(nil))
 }
 
-// PersistState writes the complete mid-session player: the handshake state
-// machine (plain-data pending kinds), both connections, the frame buffer and
+// Sync walks the complete mid-session player: the handshake state machine
+// (plain-data pending kinds), both connections, the frame buffer and
 // reassembly set, the FEC window and NACK ledger, every timer, and the
-// accumulated Stats. The player persists the Config scalars that were drawn
-// from its owner's RNG at session start (URL, addresses, protocol, bandwidth
-// cap, durations); the owner re-supplies the environment (clock, net, CPU
-// profile, RNG, arena, callbacks) on restore.
-func (p *Player) PersistState(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("player")
-	sw.Str(p.cfg.URL)
-	sw.Str(p.cfg.ControlAddr)
-	sw.Str(p.cfg.ServerUDPAddr)
-	sw.U8(uint8(p.cfg.Protocol))
-	sw.F64(p.cfg.MaxBandwidthKbps)
-	sw.Dur(p.cfg.PlayFor)
-	sw.Dur(p.cfg.Preroll)
+// accumulated Stats. The snapshot carries the Config scalars that were drawn
+// from the owner's RNG at session start (URL, addresses, protocol, bandwidth
+// cap, durations).
+//
+// Decoding rebuilds the session onto p, which must be fresh from New or
+// Reset with the owner-supplied environment (Clock, Net, CPU, Rand, Arena,
+// OnDone, DisableScalableVideo); the snapshot supplies the session-scoped
+// Config scalars and all mutable state. Connections restore through the
+// host's stack and register in x for segment references.
+func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
+	cfg := p.cfg
+	c.Tag("player")
+	c.Str(&cfg.URL)
+	c.Str(&cfg.ControlAddr)
+	c.Str(&cfg.ServerUDPAddr)
+	snap.U8As(c, &cfg.Protocol)
+	c.F64(&cfg.MaxBandwidthKbps)
+	c.Dur(&cfg.PlayFor)
+	c.Dur(&cfg.Preroll)
+	if c.Reading() {
+		if c.Err() != nil {
+			return
+		}
+		p.init(cfg)
+	}
 
-	sw.Bool(p.ctl != nil)
-	if p.ctl != nil {
-		if err := transport.PersistConn(sw, p.ctl, app); err != nil {
-			return err
+	transport.SyncOptConn(c, &p.ctl, stack, x)
+	transport.SyncOptConn(c, &p.data, stack, x)
+	if c.Reading() && c.Err() == nil {
+		if p.ctl != nil {
+			p.ctl.SetReceiver(p.onControl)
+		}
+		if p.data != nil {
+			p.data.SetReceiver(p.onData)
 		}
 	}
-	sw.Bool(p.data != nil)
-	if p.data != nil {
-		if err := transport.PersistConn(sw, p.data, app); err != nil {
-			return err
-		}
-	}
-	sw.Bool(p.dataIsMe)
+	c.Bool(&p.dataIsMe)
 
-	sw.Str(p.sessID)
-	p.desc.Persist(sw)
-	sw.Int(p.cseq)
-	cseqs := make([]int, 0, len(p.pending))
-	for c := range p.pending {
-		cseqs = append(cseqs, c)
-	}
-	sort.Ints(cseqs)
-	sw.U32(uint32(len(cseqs)))
-	for _, c := range cseqs {
-		sw.Int(c)
-		sw.U8(p.pending[c])
-	}
+	c.Str(&p.sessID)
+	p.desc.Sync(c)
+	c.Int(&p.cseq)
+	snap.Map(c, &p.pending, (*snap.Codec).Int, (*snap.Codec).U8)
 
-	sw.Str(p.state)
-	sw.Dur(p.playStart)
-	sw.Dur(p.mediaBase)
-	sw.Dur(p.playPos)
-	p.endAt.Persist(sw)
-	p.frameTimer.Persist(sw)
-	p.graceTimer.Persist(sw)
-	p.idle.Persist(sw)
-	p.reportTick.Persist(sw)
-	p.nackTimer.Persist(sw)
-	sw.U32(p.epoch)
+	c.Str(&p.state)
+	c.Dur(&p.playStart)
+	c.Dur(&p.mediaBase)
+	c.Dur(&p.playPos)
+	clk := p.cfg.Clock
+	vclock.SyncHandle(c, clk, &p.endAt, (*timeUpArm)(p))
+	vclock.SyncHandle(c, clk, &p.frameTimer, (*frameArm)(p))
+	vclock.SyncHandle(c, clk, &p.graceTimer, (*underrunArm)(p))
+	vclock.SyncHandle(c, clk, &p.idle, (*idleArm)(p))
+	vclock.SyncHandle(c, clk, &p.reportTick, (*reportArm)(p))
+	vclock.SyncHandle(c, clk, &p.nackTimer, (*nackArm)(p))
+	c.U32(&p.epoch)
 
-	// The frame heap persists in raw array order: restoring the identical
+	// The frame heap walks in raw array order: restoring the identical
 	// slice reproduces the identical heap layout, hence identical pop order.
-	sw.U32(uint32(len(p.frames)))
-	for _, f := range p.frames {
-		sw.Dur(f.mediaTime)
-		sw.Dur(f.arrived)
-		sw.Bool(f.video)
-		sw.Bool(f.keyframe)
-		sw.F64(f.encRate)
-		sw.U32(f.index)
-		sw.Int(f.size)
-	}
-	sw.U32(uint32(len(p.partials)))
-	for _, pa := range p.partials {
-		sw.U64(pa.key)
-		sw.Dur(pa.mediaTime)
-		sw.Bool(pa.video)
-		sw.Bool(pa.keyframe)
-		sw.F64(pa.encRate)
-		sw.U32(pa.index)
-		sw.U8(pa.count)
-		sw.U32(uint32(pa.got))
-		sw.U8(pa.need)
-		sw.Int(pa.size)
-	}
+	snap.Slice(c, (*[]bufFrame)(&p.frames), func(c *snap.Codec, f *bufFrame) {
+		c.Dur(&f.mediaTime)
+		c.Dur(&f.arrived)
+		c.Bool(&f.video)
+		c.Bool(&f.keyframe)
+		c.F64(&f.encRate)
+		c.U32(&f.index)
+		c.Int(&f.size)
+	})
+	snap.Slice(c, &p.partials, func(c *snap.Codec, pa *partial) {
+		c.U64(&pa.key)
+		c.Dur(&pa.mediaTime)
+		c.Bool(&pa.video)
+		c.Bool(&pa.keyframe)
+		c.F64(&pa.encRate)
+		c.U32(&pa.index)
+		c.U8(&pa.count)
+		snap.U32As(c, &pa.got)
+		c.U8(&pa.need)
+		c.Int(&pa.size)
+	})
 
-	sw.U32(p.nextVideoIdx)
-	sw.Bool(p.videoIdxSeen)
-	sw.Bool(p.chainBroken)
-	sw.Dur(p.bufEnd)
-	sw.Bool(p.eos)
-	sw.Dur(p.firstRecvAt)
-	sw.Dur(p.lastRecvAt)
-	sw.Int(p.bytesRecv)
+	c.U32(&p.nextVideoIdx)
+	c.Bool(&p.videoIdxSeen)
+	c.Bool(&p.chainBroken)
+	c.Dur(&p.bufEnd)
+	c.Bool(&p.eos)
+	c.Dur(&p.firstRecvAt)
+	c.Dur(&p.lastRecvAt)
+	c.Int(&p.bytesRecv)
 
 	// haveSeq values are only ever membership-tested after insertion, so the
-	// window persists as its sorted key set and restores with nil values.
-	sw.U32(p.highestSeq)
-	seqs := make([]uint32, 0, len(p.haveSeq))
-	for s := range p.haveSeq {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	sw.U32(uint32(len(seqs)))
-	for _, s := range seqs {
-		sw.U32(s)
-	}
-	sw.U32(p.seqFloor)
-	sw.U32(uint32(len(p.lowSeqs)))
-	for _, s := range p.lowSeqs {
-		sw.U32(s)
-	}
-	sw.Int(p.recvSeqCount)
-	sw.Int(p.recovered)
-	sw.U32(p.lastRepHighest)
-	sw.Int(p.lastRepLost)
+	// window walks as its sorted key set and restores with nil values.
+	c.U32(&p.highestSeq)
+	snap.Map(c, &p.haveSeq, (*snap.Codec).U32, func(*snap.Codec, **rdt.Data) {})
+	c.U32(&p.seqFloor)
+	snap.Slice(c, &p.lowSeqs, (*snap.Codec).U32)
+	c.Int(&p.recvSeqCount)
+	c.Int(&p.recovered)
+	c.U32(&p.lastRepHighest)
+	c.Int(&p.lastRepLost)
+	snap.Map(c, &p.nackOutstanding, (*snap.Codec).U32, (*snap.Codec).Int)
 
-	nacks := make([]uint32, 0, len(p.nackOutstanding))
-	for s := range p.nackOutstanding {
-		nacks = append(nacks, s)
-	}
-	sort.Slice(nacks, func(i, j int) bool { return nacks[i] < nacks[j] })
-	sw.U32(uint32(len(nacks)))
-	for _, s := range nacks {
-		sw.U32(s)
-		sw.Int(p.nackOutstanding[s])
-	}
+	snap.Slice(c, &p.playTimes, (*snap.Codec).Dur)
+	c.Int(&p.intBytes)
+	c.Int(&p.lastTickFrames)
+	c.Int(&p.decim)
+	c.Int(&p.decimCount)
+	c.F64(&p.curEncRate)
+	c.Dur(&p.buffStart)
+	c.Dur(&p.rebufStart)
+	c.Bool(&p.doneCalled)
+	c.Dur(&p.idleDeadline)
 
-	sw.U32(uint32(len(p.playTimes)))
-	for _, t := range p.playTimes {
-		sw.Dur(t)
-	}
-	sw.Int(p.intBytes)
-	sw.Int(p.lastTickFrames)
-	sw.Int(p.decim)
-	sw.Int(p.decimCount)
-	sw.F64(p.curEncRate)
-	sw.Dur(p.buffStart)
-	sw.Dur(p.rebufStart)
-	sw.Bool(p.doneCalled)
-	sw.Dur(p.idleDeadline)
-
-	persistStats(sw, &p.stats)
-	return sw.Err()
+	p.stats.sync(c)
 }
 
-// RestoreState rebuilds a checkpointed session onto p, which must be fresh
-// from New or Reset with the owner-supplied environment (Clock, Net, CPU,
-// Rand, Arena, OnDone, DisableScalableVideo); the snapshot supplies the
-// session-scoped Config scalars and all mutable state. Connections restore
-// through the host's stack and re-register in tbl for segment references.
-func (p *Player) RestoreState(sr *snap.Reader, owner Config, stack *transport.Stack, app transport.AppCodec, tbl *transport.ConnTable) error {
-	cfg := owner
-	sr.Tag("player")
-	cfg.URL = sr.Str()
-	cfg.ControlAddr = sr.Str()
-	cfg.ServerUDPAddr = sr.Str()
-	cfg.Protocol = transport.Protocol(sr.U8())
-	cfg.MaxBandwidthKbps = sr.F64()
-	cfg.PlayFor = sr.Dur()
-	cfg.Preroll = sr.Dur()
-	if sr.Err() != nil {
-		return sr.Err()
-	}
-	p.init(cfg)
-
-	if sr.Bool() {
-		c, err := transport.RestoreConn(sr, stack, app, tbl)
-		if err != nil {
-			return err
-		}
-		p.ctl = c
-		c.SetReceiver(p.onControl)
-	}
-	if sr.Bool() {
-		c, err := transport.RestoreConn(sr, stack, app, tbl)
-		if err != nil {
-			return err
-		}
-		p.data = c
-		c.SetReceiver(p.onData)
-	}
-	p.dataIsMe = sr.Bool()
-
-	p.sessID = sr.Str()
-	p.desc = session.RestoreClipDesc(sr)
-	p.cseq = sr.Int()
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		c := sr.Int()
-		p.pending[c] = sr.U8()
-	}
-
-	p.state = sr.Str()
-	p.playStart = sr.Dur()
-	p.mediaBase = sr.Dur()
-	p.playPos = sr.Dur()
-	p.endAt = vclock.RestoreHandle(sr, p.cfg.Clock, (*timeUpArm)(p))
-	p.frameTimer = vclock.RestoreHandle(sr, p.cfg.Clock, (*frameArm)(p))
-	p.graceTimer = vclock.RestoreHandle(sr, p.cfg.Clock, (*underrunArm)(p))
-	p.idle = vclock.RestoreHandle(sr, p.cfg.Clock, (*idleArm)(p))
-	p.reportTick = vclock.RestoreHandle(sr, p.cfg.Clock, (*reportArm)(p))
-	p.nackTimer = vclock.RestoreHandle(sr, p.cfg.Clock, (*nackArm)(p))
-	p.epoch = sr.U32()
-
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		p.frames = append(p.frames, bufFrame{
-			mediaTime: sr.Dur(),
-			arrived:   sr.Dur(),
-			video:     sr.Bool(),
-			keyframe:  sr.Bool(),
-			encRate:   sr.F64(),
-			index:     sr.U32(),
-			size:      sr.Int(),
-		})
-	}
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		p.partials = append(p.partials, partial{
-			key:       sr.U64(),
-			mediaTime: sr.Dur(),
-			video:     sr.Bool(),
-			keyframe:  sr.Bool(),
-			encRate:   sr.F64(),
-			index:     sr.U32(),
-			count:     sr.U8(),
-			got:       uint16(sr.U32()),
-			need:      sr.U8(),
-			size:      sr.Int(),
-		})
-	}
-
-	p.nextVideoIdx = sr.U32()
-	p.videoIdxSeen = sr.Bool()
-	p.chainBroken = sr.Bool()
-	p.bufEnd = sr.Dur()
-	p.eos = sr.Bool()
-	p.firstRecvAt = sr.Dur()
-	p.lastRecvAt = sr.Dur()
-	p.bytesRecv = sr.Int()
-
-	p.highestSeq = sr.U32()
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		p.haveSeq[sr.U32()] = nil
-	}
-	p.seqFloor = sr.U32()
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		p.lowSeqs = append(p.lowSeqs, sr.U32())
-	}
-	p.recvSeqCount = sr.Int()
-	p.recovered = sr.Int()
-	p.lastRepHighest = sr.U32()
-	p.lastRepLost = sr.Int()
-
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		s := sr.U32()
-		p.nackOutstanding[s] = sr.Int()
-	}
-
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		p.playTimes = append(p.playTimes, sr.Dur())
-	}
-	p.intBytes = sr.Int()
-	p.lastTickFrames = sr.Int()
-	p.decim = sr.Int()
-	p.decimCount = sr.Int()
-	p.curEncRate = sr.F64()
-	p.buffStart = sr.Dur()
-	p.rebufStart = sr.Dur()
-	p.doneCalled = sr.Bool()
-	p.idleDeadline = sr.Dur()
-
-	restoreStats(sr, &p.stats)
-	return sr.Err()
-}
-
-func persistStats(sw *snap.Writer, s *Stats) {
-	sw.Tag("pstat")
-	sw.Str(s.URL)
-	sw.Str(s.Server)
-	sw.U8(uint8(s.Protocol))
-	sw.F64(s.EncodedKbps)
-	sw.F64(s.EncodedFPS)
-	sw.F64(s.MeasuredKbps)
-	sw.F64(s.MeasuredFPS)
-	sw.F64(s.JitterMs)
-	sw.Int(s.FramesPlayed)
-	sw.Int(s.FramesDroppedLate)
-	sw.Int(s.FramesDroppedCPU)
-	sw.Int(s.FramesLost)
-	sw.Int(s.FramesCorrupted)
-	sw.Int(s.Rebuffers)
-	sw.Dur(s.RebufferTime)
-	sw.Dur(s.BufferingTime)
-	sw.F64(s.CPUUtilization)
-	sw.Int(s.Switches)
-	sw.Bool(s.Unavailable)
-	sw.Bool(s.Failed)
-	sw.Str(s.FailReason)
-	sw.Dur(s.PlayDuration)
-	sw.U32(uint32(len(s.PlayoutGaps)))
-	for _, g := range s.PlayoutGaps {
-		sw.F64(g)
-	}
-	sw.U32(uint32(len(s.Timeline)))
-	for _, tp := range s.Timeline {
-		sw.Dur(tp.T)
-		sw.F64(tp.Kbps)
-		sw.F64(tp.FPS)
-	}
-}
-
-func restoreStats(sr *snap.Reader, s *Stats) {
-	sr.Tag("pstat")
-	s.URL = sr.Str()
-	s.Server = sr.Str()
-	s.Protocol = transport.Protocol(sr.U8())
-	s.EncodedKbps = sr.F64()
-	s.EncodedFPS = sr.F64()
-	s.MeasuredKbps = sr.F64()
-	s.MeasuredFPS = sr.F64()
-	s.JitterMs = sr.F64()
-	s.FramesPlayed = sr.Int()
-	s.FramesDroppedLate = sr.Int()
-	s.FramesDroppedCPU = sr.Int()
-	s.FramesLost = sr.Int()
-	s.FramesCorrupted = sr.Int()
-	s.Rebuffers = sr.Int()
-	s.RebufferTime = sr.Dur()
-	s.BufferingTime = sr.Dur()
-	s.CPUUtilization = sr.F64()
-	s.Switches = sr.Int()
-	s.Unavailable = sr.Bool()
-	s.Failed = sr.Bool()
-	s.FailReason = sr.Str()
-	s.PlayDuration = sr.Dur()
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		s.PlayoutGaps = append(s.PlayoutGaps, sr.F64())
-	}
-	for n := int(sr.U32()); n > 0 && sr.Err() == nil; n-- {
-		s.Timeline = append(s.Timeline, TimePoint{T: sr.Dur(), Kbps: sr.F64(), FPS: sr.F64()})
-	}
+func (s *Stats) sync(c *snap.Codec) {
+	c.Tag("pstat")
+	c.Str(&s.URL)
+	c.Str(&s.Server)
+	snap.U8As(c, &s.Protocol)
+	c.F64(&s.EncodedKbps)
+	c.F64(&s.EncodedFPS)
+	c.F64(&s.MeasuredKbps)
+	c.F64(&s.MeasuredFPS)
+	c.F64(&s.JitterMs)
+	c.Int(&s.FramesPlayed)
+	c.Int(&s.FramesDroppedLate)
+	c.Int(&s.FramesDroppedCPU)
+	c.Int(&s.FramesLost)
+	c.Int(&s.FramesCorrupted)
+	c.Int(&s.Rebuffers)
+	c.Dur(&s.RebufferTime)
+	c.Dur(&s.BufferingTime)
+	c.F64(&s.CPUUtilization)
+	c.Int(&s.Switches)
+	c.Bool(&s.Unavailable)
+	c.Bool(&s.Failed)
+	c.Str(&s.FailReason)
+	c.Dur(&s.PlayDuration)
+	snap.Slice(c, &s.PlayoutGaps, (*snap.Codec).F64)
+	snap.Slice(c, &s.Timeline, func(c *snap.Codec, tp *TimePoint) {
+		c.Dur(&tp.T)
+		c.F64(&tp.Kbps)
+		c.F64(&tp.FPS)
+	})
 }

@@ -13,67 +13,55 @@ const (
 	ctlUnresponsive = 3
 )
 
-// Persist writes a controller's full state for a world checkpoint, tagged by
-// concrete type so Restore rebuilds the same controller mid-trajectory.
-func Persist(sw *snap.Writer, c Controller) error {
-	switch t := c.(type) {
+// Sync walks a controller's full state for a world checkpoint, tagged by
+// concrete type so decoding rebuilds the same controller mid-trajectory
+// into *ctl.
+func Sync(c *snap.Codec, ctl *Controller) {
+	var tag uint8
+	switch (*ctl).(type) {
 	case *AIMD:
-		sw.U8(ctlAIMD)
-		sw.F64(t.lim.MinKbps)
-		sw.F64(t.lim.MaxKbps)
-		sw.F64(t.rate)
-		sw.F64(t.IncKbps)
-		sw.F64(t.DecMult)
+		tag = ctlAIMD
 	case *TFRC:
-		sw.U8(ctlTFRC)
-		sw.F64(t.lim.MinKbps)
-		sw.F64(t.lim.MaxKbps)
-		sw.F64(t.rate)
-		sw.Int(t.PacketSize)
-		sw.F64(t.lossEMA)
-		sw.F64(t.rttEMA)
-		sw.Bool(t.seen)
-		sw.Bool(t.everLost)
-		sw.Int(t.cleanStreak)
+		tag = ctlTFRC
 	case *Unresponsive:
-		sw.U8(ctlUnresponsive)
-		sw.F64(t.Kbps)
-	default:
-		return fmt.Errorf("ratecontrol: cannot snapshot controller type %T", c)
+		tag = ctlUnresponsive
 	}
-	return sw.Err()
+	c.U8(&tag)
+	if c.Reading() {
+		switch tag {
+		case ctlAIMD:
+			*ctl = &AIMD{}
+		case ctlTFRC:
+			*ctl = &TFRC{}
+		case ctlUnresponsive:
+			*ctl = &Unresponsive{}
+		default:
+			*ctl = nil
+		}
+	}
+	switch t := (*ctl).(type) {
+	case *AIMD:
+		t.lim.sync(c)
+		c.F64(&t.rate)
+		c.F64(&t.IncKbps)
+		c.F64(&t.DecMult)
+	case *TFRC:
+		t.lim.sync(c)
+		c.F64(&t.rate)
+		c.Int(&t.PacketSize)
+		c.F64(&t.lossEMA)
+		c.F64(&t.rttEMA)
+		c.Bool(&t.seen)
+		c.Bool(&t.everLost)
+		c.Int(&t.cleanStreak)
+	case *Unresponsive:
+		c.F64(&t.Kbps)
+	default:
+		c.Fail(fmt.Errorf("ratecontrol: cannot checkpoint controller type %T (tag %d)", *ctl, tag))
+	}
 }
 
-// Restore reads a controller written by Persist.
-func Restore(sr *snap.Reader) (Controller, error) {
-	switch tag := sr.U8(); tag {
-	case ctlAIMD:
-		a := &AIMD{}
-		a.lim.MinKbps = sr.F64()
-		a.lim.MaxKbps = sr.F64()
-		a.rate = sr.F64()
-		a.IncKbps = sr.F64()
-		a.DecMult = sr.F64()
-		return a, sr.Err()
-	case ctlTFRC:
-		t := &TFRC{}
-		t.lim.MinKbps = sr.F64()
-		t.lim.MaxKbps = sr.F64()
-		t.rate = sr.F64()
-		t.PacketSize = sr.Int()
-		t.lossEMA = sr.F64()
-		t.rttEMA = sr.F64()
-		t.seen = sr.Bool()
-		t.everLost = sr.Bool()
-		t.cleanStreak = sr.Int()
-		return t, sr.Err()
-	case ctlUnresponsive:
-		u := &Unresponsive{Kbps: sr.F64()}
-		return u, sr.Err()
-	default:
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		return nil, fmt.Errorf("ratecontrol: unknown controller tag %d", tag)
-	}
+func (l *Limits) sync(c *snap.Codec) {
+	c.F64(&l.MinKbps)
+	c.F64(&l.MaxKbps)
 }

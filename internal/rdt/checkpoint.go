@@ -6,174 +6,107 @@ import (
 	"realtracer/internal/snap"
 )
 
-// Persist writes the packet field-exactly for a world checkpoint. The wire
+// Sync walks the packet field-exactly for a world checkpoint. The wire
 // codec (Encode/Decode) is deliberately not reused: it materializes the
 // simulation's Payload==nil/PadLen representation into real zero bytes, and
 // a restored world must keep the allocation-free representation the
-// straight-through run carries.
-func (p *Packet) Persist(sw *snap.Writer) {
-	sw.Tag("rdt")
-	sw.U8(uint8(p.Kind))
+// straight-through run carries. Decoding allocates the body Kind selects.
+func (p *Packet) Sync(c *snap.Codec) {
+	c.Tag("rdt")
+	snap.U8As(c, &p.Kind)
+	if c.Err() != nil {
+		return
+	}
 	switch p.Kind {
 	case TypeData:
-		p.Data.Persist(sw)
+		if c.Reading() {
+			p.Data = &Data{}
+		}
+		p.Data.Sync(c)
 	case TypeReport:
-		p.Report.Persist(sw)
+		if c.Reading() {
+			p.Report = &Report{}
+		}
+		p.Report.Sync(c)
 	case TypeRepair:
+		if c.Reading() {
+			p.Repair = &Repair{}
+		}
 		r := p.Repair
-		sw.U8(uint8(r.Stream))
-		sw.U32(r.BaseSeq)
-		sw.U8(r.Group)
-		sw.U32(uint32(len(r.Meta)))
-		for i := range r.Meta {
-			r.Meta[i].Persist(sw)
-		}
-		sw.Bool(r.Parity != nil)
-		if r.Parity != nil {
-			sw.Bytes(r.Parity)
-		} else {
-			sw.Int(r.PadLen)
-		}
+		snap.U8As(c, &r.Stream)
+		c.U32(&r.BaseSeq)
+		c.U8(&r.Group)
+		snap.Slice(c, &r.Meta, func(c *snap.Codec, m *RepairMeta) { m.Sync(c) })
+		syncBody(c, &r.Parity, &r.PadLen)
 	case TypeBufferState:
-		sw.U32(p.BufferState.Ms)
-		sw.U32(p.BufferState.Target)
+		if c.Reading() {
+			p.BufferState = &BufferState{}
+		}
+		c.U32(&p.BufferState.Ms)
+		c.U32(&p.BufferState.Target)
 	case TypeEndOfStream:
-		sw.U32(p.EOS.FinalSeq)
+		if c.Reading() {
+			p.EOS = &EndOfStream{}
+		}
+		c.U32(&p.EOS.FinalSeq)
 	case TypeNack:
-		sw.U8(uint8(p.Nack.Stream))
-		sw.U32(uint32(len(p.Nack.Seqs)))
-		for _, s := range p.Nack.Seqs {
-			sw.U32(s)
+		if c.Reading() {
+			p.Nack = &Nack{}
 		}
-	}
-}
-
-// Persist writes one media Data field-exactly, preserving the
-// Payload-nil/PadLen distinction.
-func (d *Data) Persist(sw *snap.Writer) {
-	sw.U8(uint8(d.Stream))
-	sw.U32(d.Seq)
-	sw.U32(d.MediaTime)
-	sw.U8(d.Flags)
-	sw.U64(uint64(d.EncRate))
-	sw.U32(d.FrameIndex)
-	sw.U8(d.FragIndex)
-	sw.U8(d.FragCount)
-	sw.Bool(d.Payload != nil)
-	if d.Payload != nil {
-		sw.Bytes(d.Payload)
-	} else {
-		sw.Int(d.PadLen)
-	}
-}
-
-// RestoreDataInto overlays a Data written by Persist onto d (typically an
-// arena cell owned by the restoring session).
-func RestoreDataInto(sr *snap.Reader, d *Data) {
-	d.Stream = StreamID(sr.U8())
-	d.Seq = sr.U32()
-	d.MediaTime = sr.U32()
-	d.Flags = sr.U8()
-	d.EncRate = uint16(sr.U64())
-	d.FrameIndex = sr.U32()
-	d.FragIndex = sr.U8()
-	d.FragCount = sr.U8()
-	if sr.Bool() {
-		d.Payload = sr.Bytes()
-	} else {
-		d.PadLen = sr.Int()
-	}
-}
-
-// Persist writes one receiver Report.
-func (r *Report) Persist(sw *snap.Writer) {
-	sw.U32(r.Expected)
-	sw.U32(r.Lost)
-	sw.U64(uint64(r.RateKbps))
-	sw.U64(uint64(r.JitterMs))
-	sw.U64(uint64(r.BufferMs))
-	sw.U64(uint64(r.RTTMs))
-}
-
-// RestoreReportInto overlays a Report written by Persist onto r.
-func RestoreReportInto(sr *snap.Reader, r *Report) {
-	r.Expected = sr.U32()
-	r.Lost = sr.U32()
-	r.RateKbps = uint16(sr.U64())
-	r.JitterMs = uint16(sr.U64())
-	r.BufferMs = uint16(sr.U64())
-	r.RTTMs = uint16(sr.U64())
-}
-
-// Persist writes one FEC group-member record.
-func (m *RepairMeta) Persist(sw *snap.Writer) {
-	sw.U32(m.Seq)
-	sw.U32(m.FrameIndex)
-	sw.U32(m.MediaTime)
-	sw.U8(m.FragIndex)
-	sw.U8(m.FragCount)
-	sw.U8(m.Flags)
-	sw.U64(uint64(m.EncRate))
-	sw.U64(uint64(m.Size))
-}
-
-// RestoreRepairMeta reads a RepairMeta written by Persist.
-func RestoreRepairMeta(sr *snap.Reader) RepairMeta {
-	var m RepairMeta
-	m.Seq = sr.U32()
-	m.FrameIndex = sr.U32()
-	m.MediaTime = sr.U32()
-	m.FragIndex = sr.U8()
-	m.FragCount = sr.U8()
-	m.Flags = sr.U8()
-	m.EncRate = uint16(sr.U64())
-	m.Size = uint16(sr.U64())
-	return m
-}
-
-// RestorePacket reads a packet written by Persist.
-func RestorePacket(sr *snap.Reader) (*Packet, error) {
-	sr.Tag("rdt")
-	p := &Packet{Kind: Type(sr.U8())}
-	switch p.Kind {
-	case TypeData:
-		d := &Data{}
-		RestoreDataInto(sr, d)
-		p.Data = d
-	case TypeReport:
-		r := &Report{}
-		RestoreReportInto(sr, r)
-		p.Report = r
-	case TypeRepair:
-		r := &Repair{}
-		r.Stream = StreamID(sr.U8())
-		r.BaseSeq = sr.U32()
-		r.Group = sr.U8()
-		n := int(sr.U32())
-		for i := 0; i < n; i++ {
-			r.Meta = append(r.Meta, RestoreRepairMeta(sr))
-		}
-		if sr.Bool() {
-			r.Parity = sr.Bytes()
-		} else {
-			r.PadLen = sr.Int()
-		}
-		p.Repair = r
-	case TypeBufferState:
-		p.BufferState = &BufferState{Ms: sr.U32(), Target: sr.U32()}
-	case TypeEndOfStream:
-		p.EOS = &EndOfStream{FinalSeq: sr.U32()}
-	case TypeNack:
-		nk := &Nack{Stream: StreamID(sr.U8())}
-		n := int(sr.U32())
-		for i := 0; i < n; i++ {
-			nk.Seqs = append(nk.Seqs, sr.U32())
-		}
-		p.Nack = nk
+		snap.U8As(c, &p.Nack.Stream)
+		snap.Slice(c, &p.Nack.Seqs, (*snap.Codec).U32)
 	default:
-		if sr.Err() == nil {
-			return nil, fmt.Errorf("rdt: restore of unknown packet kind %d", p.Kind)
-		}
+		c.Fail(fmt.Errorf("rdt: checkpoint of unknown packet kind %d", p.Kind))
 	}
-	return p, sr.Err()
+}
+
+// syncBody walks a payload that is either real bytes or — the simulation's
+// allocation-free form, body == nil — only a length.
+func syncBody(c *snap.Codec, body *[]byte, padLen *int) {
+	carried := *body != nil
+	c.Bool(&carried)
+	if !carried {
+		c.Int(padLen)
+		return
+	}
+	c.Bytes(body)
+	if *body == nil {
+		*body = []byte{} // a carried empty body decodes as carried, not padded
+	}
+}
+
+// Sync walks one media Data field-exactly, preserving the
+// Payload-nil/PadLen distinction.
+func (d *Data) Sync(c *snap.Codec) {
+	snap.U8As(c, &d.Stream)
+	c.U32(&d.Seq)
+	c.U32(&d.MediaTime)
+	c.U8(&d.Flags)
+	snap.U64As(c, &d.EncRate)
+	c.U32(&d.FrameIndex)
+	c.U8(&d.FragIndex)
+	c.U8(&d.FragCount)
+	syncBody(c, &d.Payload, &d.PadLen)
+}
+
+// Sync walks one receiver Report.
+func (r *Report) Sync(c *snap.Codec) {
+	c.U32(&r.Expected)
+	c.U32(&r.Lost)
+	snap.U64As(c, &r.RateKbps)
+	snap.U64As(c, &r.JitterMs)
+	snap.U64As(c, &r.BufferMs)
+	snap.U64As(c, &r.RTTMs)
+}
+
+// Sync walks one FEC group-member record.
+func (m *RepairMeta) Sync(c *snap.Codec) {
+	c.U32(&m.Seq)
+	c.U32(&m.FrameIndex)
+	c.U32(&m.MediaTime)
+	c.U8(&m.FragIndex)
+	c.U8(&m.FragCount)
+	c.U8(&m.Flags)
+	snap.U64As(c, &m.EncRate)
+	snap.U64As(c, &m.Size)
 }

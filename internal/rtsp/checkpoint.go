@@ -1,55 +1,23 @@
 package rtsp
 
-import (
-	"sort"
+import "realtracer/internal/snap"
 
-	"realtracer/internal/snap"
-)
-
-// Persist writes the message field-exactly for a world checkpoint. The wire
+// Sync walks the message field-exactly for a world checkpoint. The wire
 // codec (Marshal/Parse) is deliberately not reused here: it normalizes empty
 // reason phrases and trims malformed headers, and a checkpoint must
 // reproduce the in-memory message a receiver would have seen, not its
 // canonicalized wire form.
-func (m *Message) Persist(sw *snap.Writer) {
-	sw.Tag("rtsp")
-	sw.Bool(m.Request)
-	sw.Str(m.Method)
-	sw.Str(m.URL)
-	sw.Int(m.Status)
-	sw.Str(m.Reason)
-	sw.Int(m.CSeq)
-	keys := make([]string, 0, len(m.Header))
-	for k := range m.Header {
-		keys = append(keys, k)
+func (m *Message) Sync(c *snap.Codec) {
+	c.Tag("rtsp")
+	c.Bool(&m.Request)
+	c.Str(&m.Method)
+	c.Str(&m.URL)
+	c.Int(&m.Status)
+	c.Str(&m.Reason)
+	c.Int(&m.CSeq)
+	if c.Reading() {
+		m.Header = make(map[string]string) // receivers index it unguarded
 	}
-	sort.Strings(keys)
-	sw.U32(uint32(len(keys)))
-	for _, k := range keys {
-		sw.Str(k)
-		sw.Str(m.Header[k])
-	}
-	sw.Bytes(m.Body)
-}
-
-// RestoreMessage reads a message written by Persist.
-func RestoreMessage(sr *snap.Reader) *Message {
-	sr.Tag("rtsp")
-	m := &Message{}
-	m.Request = sr.Bool()
-	m.Method = sr.Str()
-	m.URL = sr.Str()
-	m.Status = sr.Int()
-	m.Reason = sr.Str()
-	m.CSeq = sr.Int()
-	n := int(sr.U32())
-	m.Header = make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := sr.Str()
-		m.Header[k] = sr.Str()
-	}
-	if b := sr.Bytes(); len(b) > 0 {
-		m.Body = b
-	}
-	return m
+	snap.Map(c, &m.Header, (*snap.Codec).Str, (*snap.Codec).Str)
+	c.Bytes(&m.Body)
 }

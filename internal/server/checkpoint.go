@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,6 +30,10 @@ import (
 // The availability RNG (cfg.Rand) is owned by whoever built the Config — in
 // a study world that is the world itself, which persists the draw count in
 // its own section and hands the restored Server an already-positioned Rand.
+//
+// Decoding overlays onto a freshly started server (Start must have run: the
+// restore re-seeds the live listeners and rebuilds UDP conn views from the
+// bound data port), building conns on the server host's stack.
 
 func init() {
 	simclock.RegisterEventKind("server.pace", (*paceArm)(nil))
@@ -46,358 +51,236 @@ func sessOrder(id string) int {
 	return n
 }
 
-// Checkpoint writes the server's full state. app encodes application
-// payloads queued inside the server's TCP conns.
-func (s *Server) Checkpoint(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("server")
-	sw.U64(s.describes)
-	sw.U64(s.unavailable)
-	sw.U64(s.played)
-	sw.U64(s.tornDown)
-	sw.Int(s.nextID)
+// Sync walks the server's full state. stack is the server host's transport
+// stack (decoding only); x carries the application-payload walk and indexes
+// restored TCP conns so in-flight wire segments can resolve against them.
+func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
+	c.Tag("server")
+	c.U64(&s.describes)
+	c.U64(&s.unavailable)
+	c.U64(&s.played)
+	c.U64(&s.tornDown)
+	c.Int(&s.nextID)
 
 	// Control connections: open ones, plus closed ones a session still
 	// references (DropClient matches on the control conn's remote address, so
-	// losing the link would change churn behavior after a resume).
-	referenced := make(map[*controlConn]bool, len(s.sessions))
-	for _, sess := range s.sessions {
-		if sess.cc != nil {
-			referenced[sess.cc] = true
+	// losing the link would change churn behavior after a resume). Each
+	// carries the ID of the session it most recently SETUP, linked once the
+	// sessions exist.
+	var ccs []*controlConn
+	if !c.Reading() {
+		referenced := make(map[*controlConn]bool, len(s.sessions))
+		for _, sess := range s.sessions {
+			if sess.cc != nil {
+				referenced[sess.cc] = true
+			}
 		}
+		for _, cc := range s.ctlConns {
+			if !transport.ConnClosed(cc.conn) || referenced[cc] {
+				ccs = append(ccs, cc)
+			}
+		}
+		sort.Slice(ccs, func(i, j int) bool { return ccs[i].conn.LocalAddr() < ccs[j].conn.LocalAddr() })
 	}
-	ccs := make([]*controlConn, 0, len(s.ctlConns))
-	for _, cc := range s.ctlConns {
-		if !transport.ConnClosed(cc.conn) || referenced[cc] {
-			ccs = append(ccs, cc)
+	var ccSess []string
+	snap.Slice(c, &ccs, func(c *snap.Codec, ccp **controlConn) {
+		if c.Reading() {
+			*ccp = &controlConn{srv: s}
 		}
-	}
-	sort.Slice(ccs, func(i, j int) bool { return ccs[i].conn.LocalAddr() < ccs[j].conn.LocalAddr() })
-	ccIdx := make(map[*controlConn]int, len(ccs))
-	sw.U32(uint32(len(ccs)))
-	for i, cc := range ccs {
-		ccIdx[cc] = i
-		if err := transport.PersistConn(sw, cc.conn, app); err != nil {
-			return err
-		}
+		cc := *ccp
+		transport.SyncConn(c, &cc.conn, stack, x)
 		id := ""
 		if cc.sess != nil {
 			id = cc.sess.id
 		}
-		sw.Str(id)
-	}
+		c.Str(&id)
+		if !c.Reading() || c.Err() != nil {
+			return
+		}
+		ccSess = append(ccSess, id)
+		s.ctlConns = append(s.ctlConns, cc)
+		if !transport.ConnClosed(cc.conn) {
+			cc.conn.SetReceiver(cc.onMessage)
+			c.Fail(stack.RestoreAccepted(s.cfg.ControlPort, cc.conn))
+		}
+	})
 
 	// Data connections still waiting for their hello.
-	pend := make([]transport.Conn, 0, len(s.pendingData))
-	for _, c := range s.pendingData {
-		if !transport.ConnClosed(c) {
-			pend = append(pend, c)
-		}
-	}
-	sort.Slice(pend, func(i, j int) bool { return pend[i].LocalAddr() < pend[j].LocalAddr() })
-	sw.U32(uint32(len(pend)))
-	for _, c := range pend {
-		if err := transport.PersistConn(sw, c, app); err != nil {
-			return err
-		}
-	}
-
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return sessOrder(ids[i]) < sessOrder(ids[j]) })
-	sw.U32(uint32(len(ids)))
-	for _, id := range ids {
-		if err := s.sessions[id].persist(sw, app, ccIdx); err != nil {
-			return err
-		}
-	}
-	return sw.Err()
-}
-
-// Restore overlays a checkpoint written by Checkpoint onto a freshly started
-// server (Start must have run: the restore re-seeds the live listeners and
-// rebuilds UDP conn views from the bound data port). Restored TCP conns are
-// registered into tbl so in-flight wire segments can resolve against them.
-func (s *Server) Restore(sr *snap.Reader, stack *transport.Stack, app transport.AppCodec, tbl *transport.ConnTable) error {
-	sr.Tag("server")
-	s.describes = sr.U64()
-	s.unavailable = sr.U64()
-	s.played = sr.U64()
-	s.tornDown = sr.U64()
-	s.nextID = sr.Int()
-
-	ncc := int(sr.U32())
-	ccs := make([]*controlConn, 0, ncc)
-	ccSess := make([]string, 0, ncc)
-	for i := 0; i < ncc; i++ {
-		c, err := transport.RestoreConn(sr, stack, app, tbl)
-		if err != nil {
-			return err
-		}
-		cc := &controlConn{srv: s, conn: c}
-		if !transport.ConnClosed(c) {
-			c.SetReceiver(cc.onMessage)
-			if err := stack.RestoreAccepted(s.cfg.ControlPort, c); err != nil {
-				return err
+	var pend []transport.Conn
+	if !c.Reading() {
+		for _, conn := range s.pendingData {
+			if !transport.ConnClosed(conn) {
+				pend = append(pend, conn)
 			}
 		}
-		s.ctlConns = append(s.ctlConns, cc)
-		ccs = append(ccs, cc)
-		ccSess = append(ccSess, sr.Str())
+		sort.Slice(pend, func(i, j int) bool { return pend[i].LocalAddr() < pend[j].LocalAddr() })
 	}
+	snap.Slice(c, &pend, func(c *snap.Codec, conn *transport.Conn) {
+		transport.SyncConn(c, conn, stack, x)
+		if c.Reading() && c.Err() == nil {
+			s.watchPendingData(*conn)
+			c.Fail(stack.RestoreAccepted(s.cfg.DataTCPPort, *conn))
+		}
+	})
 
-	npd := int(sr.U32())
-	for i := 0; i < npd; i++ {
-		c, err := transport.RestoreConn(sr, stack, app, tbl)
-		if err != nil {
-			return err
+	// Sessions walk in creation order, so on restore the latest SETUP for a
+	// data address wins — the same overwrite order the live run produced.
+	var sessions []*streamSession
+	if !c.Reading() {
+		for _, sess := range s.sessions {
+			sessions = append(sessions, sess)
 		}
-		s.watchPendingData(c)
-		if err := stack.RestoreAccepted(s.cfg.DataTCPPort, c); err != nil {
-			return err
-		}
+		sort.Slice(sessions, func(i, j int) bool { return sessOrder(sessions[i].id) < sessOrder(sessions[j].id) })
 	}
-
-	ns := int(sr.U32())
-	for i := 0; i < ns; i++ {
-		sess, err := s.restoreSession(sr, stack, app, tbl, ccs)
-		if err != nil {
-			return err
+	snap.Slice(c, &sessions, func(c *snap.Codec, sp **streamSession) {
+		if c.Reading() {
+			*sp = &streamSession{srv: s, sentVideo: make(map[uint32]*rdt.Data), failedRungs: make(map[int]int)}
+		}
+		sess := *sp
+		sess.sync(c, stack, x, ccs)
+		if !c.Reading() || c.Err() != nil {
+			return
 		}
 		s.sessions[sess.id] = sess
-		// Sessions arrive in creation order, so the latest SETUP for a data
-		// address wins — the same overwrite order the live run produced.
 		if sess.spec.Protocol == "udp" && sess.spec.ClientDataAddr != "" {
 			s.byDataAddr[sess.spec.ClientDataAddr] = sess
 		}
-	}
-	for i, cc := range ccs {
-		if id := ccSess[i]; id != "" {
-			cc.sess = s.sessions[id]
-		}
-	}
-	return sr.Err()
-}
-
-func (sess *streamSession) persist(sw *snap.Writer, app transport.AppCodec, ccIdx map[*controlConn]int) error {
-	sw.Tag("sess")
-	sw.Str(sess.id)
-	sw.Str(sess.clip.URL)
-	sw.Str(sess.spec.Protocol)
-	sw.Str(sess.spec.ClientDataAddr)
-	sw.Str(sess.spec.ServerDataAddr)
-	sw.F64(sess.maxKbps)
-	idx := -1
-	if sess.cc != nil {
-		if i, ok := ccIdx[sess.cc]; ok {
-			idx = i
-		}
-	}
-	sw.Int(idx)
-
-	if sess.dataTCP != nil {
-		sw.Bool(true)
-		if err := transport.PersistConn(sw, sess.dataTCP, app); err != nil {
-			return err
-		}
-	} else {
-		sw.Bool(false)
-	}
-	if sess.ctrl != nil {
-		sw.Bool(true)
-		if err := ratecontrol.Persist(sw, sess.ctrl); err != nil {
-			return err
-		}
-	} else {
-		sw.Bool(false)
-	}
-
-	sw.Int(sess.encIdx)
-	sw.Bool(sess.playing)
-	sw.Bool(sess.stopped)
-	sw.Dur(sess.startAt)
-	sw.Dur(sess.mediaPos)
-	sw.Bool(sess.src != nil)
-	if sess.src != nil {
-		sess.src.Persist(sw)
-	}
-	sess.paceTimer.Persist(sw)
-	sess.checkTimer.Persist(sw)
-
-	sw.U32(sess.videoSeq)
-	sw.U32(sess.audioSeq)
-	sw.F64(sess.budget)
-	sw.U32(uint32(len(sess.fecMeta)))
-	for i := range sess.fecMeta {
-		sess.fecMeta[i].Persist(sw)
-	}
-	sw.U32(sess.fecBase)
-	sess.lastReport.Persist(sw)
-	sw.Bool(sess.haveReport)
-	sw.Int(sess.healthyChecks)
-
-	seqs := make([]uint32, 0, len(sess.sentVideo))
-	for seq := range sess.sentVideo {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	sw.U32(uint32(len(seqs)))
-	for _, seq := range seqs {
-		sess.sentVideo[seq].Persist(sw)
-	}
-	sw.U32(sess.sentFloor)
-	sw.U32(sess.videoFrameCtr)
-	sw.U32(sess.audioFrameCtr)
-
-	sw.Bool(sess.hasPending)
-	if sess.hasPending {
-		persistFrame(sw, sess.pending)
-	}
-
-	sw.Dur(sess.lastUpswitchAt)
-	sw.Dur(sess.nextUpswitchOK)
-	sw.Dur(sess.upswitchHold)
-	sw.Int(sess.upswitchTo)
-	rungs := make([]int, 0, len(sess.failedRungs))
-	for r := range sess.failedRungs {
-		rungs = append(rungs, r)
-	}
-	sort.Ints(rungs)
-	sw.U32(uint32(len(rungs)))
-	for _, r := range rungs {
-		sw.Int(r)
-		sw.Int(sess.failedRungs[r])
-	}
-	sw.Int(sess.switches)
-	return sw.Err()
-}
-
-func (s *Server) restoreSession(sr *snap.Reader, stack *transport.Stack, app transport.AppCodec, tbl *transport.ConnTable, ccs []*controlConn) (*streamSession, error) {
-	sr.Tag("sess")
-	sess := &streamSession{
-		srv:         s,
-		sentVideo:   make(map[uint32]*rdt.Data),
-		failedRungs: make(map[int]int),
-	}
-	sess.id = sr.Str()
-	url := sr.Str()
-	sess.clip = s.cfg.Library.Lookup(url)
-	if sess.clip == nil && sr.Err() == nil {
-		return nil, fmt.Errorf("server: restore: unknown clip %q", url)
-	}
-	sess.spec.Protocol = sr.Str()
-	sess.spec.ClientDataAddr = sr.Str()
-	sess.spec.ServerDataAddr = sr.Str()
-	sess.maxKbps = sr.F64()
-	if idx := sr.Int(); idx >= 0 && idx < len(ccs) {
-		sess.cc = ccs[idx]
-	}
-
-	if sr.Bool() {
-		c, err := transport.RestoreConn(sr, stack, app, tbl)
-		if err != nil {
-			return nil, err
-		}
-		// bindTCPData minus maybeStart: streaming position is overlaid below,
-		// not restarted.
-		sess.dataTCP = c
-		sess.backlogProbe, _ = c.(interface{ QueueDepth() int })
-		if !transport.ConnClosed(c) {
-			c.SetReceiver(func(payload any, _ int) {
-				pkt, ok := payload.(*rdt.Packet)
-				if !ok {
-					return
-				}
-				sess.onFeedback(pkt)
-			})
-			if err := stack.RestoreAccepted(s.cfg.DataTCPPort, c); err != nil {
-				return nil, err
+	})
+	if c.Reading() && c.Err() == nil {
+		for i, cc := range ccs {
+			if id := ccSess[i]; id != "" {
+				cc.sess = s.sessions[id]
 			}
 		}
 	}
-	if sr.Bool() {
-		ctrl, err := ratecontrol.Restore(sr)
-		if err != nil {
-			return nil, err
+}
+
+// sync walks one streaming session; ccs is the control-connection walk
+// order the session's link indexes into.
+func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx, ccs []*controlConn) {
+	s := sess.srv
+	c.Tag("sess")
+	c.Str(&sess.id)
+	url := ""
+	if sess.clip != nil {
+		url = sess.clip.URL
+	}
+	c.Str(&url)
+	if c.Reading() {
+		if c.Err() != nil {
+			return
 		}
-		sess.ctrl = ctrl
-	}
-
-	sess.encIdx = sr.Int()
-	sess.playing = sr.Bool()
-	sess.stopped = sr.Bool()
-	sess.startAt = sr.Dur()
-	sess.mediaPos = sr.Dur()
-	if sr.Bool() {
-		if sr.Err() != nil {
-			return nil, sr.Err()
+		if sess.clip = s.cfg.Library.Lookup(url); sess.clip == nil {
+			c.Fail(fmt.Errorf("server: restore: unknown clip %q", url))
+			return
 		}
-		sess.srcStore = &media.FrameSource{}
-		sess.srcStore.RestoreState(sess.clip, sess.clip.Encodings[sess.encIdx], sr)
-		sess.src = sess.srcStore
 	}
-	sess.paceTimer = vclock.RestoreHandle(sr, s.cfg.Clock, (*paceArm)(sess))
-	sess.checkTimer = vclock.RestoreHandle(sr, s.cfg.Clock, (*checkArm)(sess))
-
-	sess.videoSeq = sr.U32()
-	sess.audioSeq = sr.U32()
-	sess.budget = sr.F64()
-	nf := int(sr.U32())
-	for i := 0; i < nf && sr.Err() == nil; i++ {
-		sess.fecMeta = append(sess.fecMeta, rdt.RestoreRepairMeta(sr))
+	c.Str(&sess.spec.Protocol)
+	c.Str(&sess.spec.ClientDataAddr)
+	c.Str(&sess.spec.ServerDataAddr)
+	c.F64(&sess.maxKbps)
+	idx := slices.Index(ccs, sess.cc)
+	c.Int(&idx)
+	if c.Reading() && idx >= 0 && idx < len(ccs) {
+		sess.cc = ccs[idx]
 	}
-	sess.fecBase = sr.U32()
-	rdt.RestoreReportInto(sr, &sess.lastReport)
-	sess.haveReport = sr.Bool()
-	sess.healthyChecks = sr.Int()
 
-	nsv := int(sr.U32())
-	for i := 0; i < nsv && sr.Err() == nil; i++ {
-		d := sess.arena.NewData()
-		rdt.RestoreDataInto(sr, d)
-		sess.sentVideo[d.Seq] = d
+	transport.SyncOptConn(c, &sess.dataTCP, stack, x)
+	if c.Reading() && c.Err() == nil && sess.dataTCP != nil {
+		// bindTCPData minus maybeStart: the streaming position is overlaid
+		// below, not restarted.
+		sess.backlogProbe, _ = sess.dataTCP.(interface{ QueueDepth() int })
+		if !transport.ConnClosed(sess.dataTCP) {
+			sess.dataTCP.SetReceiver(sess.onTCPData)
+			c.Fail(stack.RestoreAccepted(s.cfg.DataTCPPort, sess.dataTCP))
+		}
 	}
-	sess.sentFloor = sr.U32()
-	sess.videoFrameCtr = sr.U32()
-	sess.audioFrameCtr = sr.U32()
+	hasCtrl := sess.ctrl != nil
+	c.Bool(&hasCtrl)
+	if hasCtrl {
+		ratecontrol.Sync(c, &sess.ctrl)
+	}
 
-	sess.hasPending = sr.Bool()
+	c.Int(&sess.encIdx)
+	if c.Reading() && c.Err() == nil && (sess.encIdx < 0 || sess.encIdx >= len(sess.clip.Encodings)) {
+		c.Fail(fmt.Errorf("server: restore: session %s streams encoding %d of %d", sess.id, sess.encIdx, len(sess.clip.Encodings)))
+		return
+	}
+	c.Bool(&sess.playing)
+	c.Bool(&sess.stopped)
+	c.Dur(&sess.startAt)
+	c.Dur(&sess.mediaPos)
+	streaming := sess.src != nil
+	c.Bool(&streaming)
+	if streaming {
+		if c.Reading() {
+			sess.srcStore = &media.FrameSource{}
+			sess.srcStore.Reset(sess.clip, sess.clip.Encodings[sess.encIdx])
+			sess.src = sess.srcStore
+		}
+		sess.src.Sync(c)
+	}
+	vclock.SyncHandle(c, s.cfg.Clock, &sess.paceTimer, (*paceArm)(sess))
+	vclock.SyncHandle(c, s.cfg.Clock, &sess.checkTimer, (*checkArm)(sess))
+
+	c.U32(&sess.videoSeq)
+	c.U32(&sess.audioSeq)
+	c.F64(&sess.budget)
+	snap.Slice(c, &sess.fecMeta, func(c *snap.Codec, m *rdt.RepairMeta) { m.Sync(c) })
+	c.U32(&sess.fecBase)
+	sess.lastReport.Sync(c)
+	c.Bool(&sess.haveReport)
+	c.Int(&sess.healthyChecks)
+
+	// The retransmit window walks as its packets in seq order; the key of
+	// each is its own Seq.
+	var sent []*rdt.Data
+	if !c.Reading() {
+		for _, d := range sess.sentVideo {
+			sent = append(sent, d)
+		}
+		sort.Slice(sent, func(i, j int) bool { return sent[i].Seq < sent[j].Seq })
+	}
+	snap.Slice(c, &sent, func(c *snap.Codec, d **rdt.Data) {
+		if c.Reading() {
+			*d = sess.arena.NewData()
+		}
+		(*d).Sync(c)
+	})
+	c.U32(&sess.sentFloor)
+	if c.Reading() && c.Err() == nil {
+		for _, d := range sent {
+			sess.sentVideo[d.Seq] = d
+		}
+		// Every video seq from the floor up is retained, so the window's
+		// size pins the floor; a floor a hostile snapshot moved away would
+		// turn rememberVideo's expiry sweep into a 2^32-step spin.
+		if n := len(sess.sentVideo); n > 0 && sess.videoSeq-sess.sentFloor != uint32(n) {
+			c.Fail(fmt.Errorf("server: restore: session %s retransmit window holds %d packets for seqs [%d,%d)", sess.id, n, sess.sentFloor, sess.videoSeq))
+			return
+		}
+	}
+	c.U32(&sess.videoFrameCtr)
+	c.U32(&sess.audioFrameCtr)
+
+	c.Bool(&sess.hasPending)
 	if sess.hasPending {
-		sess.pending = restoreFrame(sr)
+		f := &sess.pending
+		c.Bool(&f.Video)
+		c.Int(&f.Index)
+		c.Dur(&f.MediaTime)
+		c.Int(&f.Size)
+		c.Bool(&f.Keyframe)
 	}
 
-	sess.lastUpswitchAt = sr.Dur()
-	sess.nextUpswitchOK = sr.Dur()
-	sess.upswitchHold = sr.Dur()
-	sess.upswitchTo = sr.Int()
-	nr := int(sr.U32())
-	for i := 0; i < nr && sr.Err() == nil; i++ {
-		r := sr.Int()
-		sess.failedRungs[r] = sr.Int()
-	}
-	sess.switches = sr.Int()
+	c.Dur(&sess.lastUpswitchAt)
+	c.Dur(&sess.nextUpswitchOK)
+	c.Dur(&sess.upswitchHold)
+	c.Int(&sess.upswitchTo)
+	snap.Map(c, &sess.failedRungs, (*snap.Codec).Int, (*snap.Codec).Int)
+	c.Int(&sess.switches)
 
-	if sess.spec.Protocol == "udp" {
+	if c.Reading() && sess.spec.Protocol == "udp" {
 		sess.dataUDP = s.udpPort.ConnFor(sess.spec.ClientDataAddr)
 	}
-	return sess, sr.Err()
-}
-
-func persistFrame(sw *snap.Writer, f media.Frame) {
-	sw.Bool(f.Video)
-	sw.Int(f.Index)
-	sw.Dur(f.MediaTime)
-	sw.Int(f.Size)
-	sw.Bool(f.Keyframe)
-}
-
-func restoreFrame(sr *snap.Reader) media.Frame {
-	var f media.Frame
-	f.Video = sr.Bool()
-	f.Index = sr.Int()
-	f.MediaTime = sr.Dur()
-	f.Size = sr.Int()
-	f.Keyframe = sr.Bool()
-	return f
 }

@@ -184,14 +184,15 @@ func (x *checkArm) Fire(time.Duration) { (*streamSession)(x).check() }
 func (sess *streamSession) bindTCPData(conn transport.Conn) {
 	sess.dataTCP = conn
 	sess.backlogProbe, _ = conn.(interface{ QueueDepth() int })
-	conn.SetReceiver(func(payload any, _ int) {
-		pkt, ok := payload.(*rdt.Packet)
-		if !ok {
-			return
-		}
-		sess.onFeedback(pkt)
-	})
+	conn.SetReceiver(sess.onTCPData)
 	sess.maybeStart()
+}
+
+// onTCPData receives the client's feedback on the TCP data connection.
+func (sess *streamSession) onTCPData(payload any, _ int) {
+	if pkt, ok := payload.(*rdt.Packet); ok {
+		sess.onFeedback(pkt)
+	}
 }
 
 func (sess *streamSession) play() {

@@ -6,7 +6,6 @@ import (
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 	"realtracer/internal/snap"
-	"realtracer/internal/transport"
 )
 
 // Snapshot tags for the application payloads a checkpoint can encounter on
@@ -17,80 +16,56 @@ const (
 	snapHello = 3
 )
 
-// SnapCodec returns the application-payload codec for world checkpoints:
-// the three session-level payload types, each serialized field-exactly by
-// its own package.
-func SnapCodec() transport.AppCodec {
-	return transport.AppCodec{
-		Encode: func(sw *snap.Writer, payload any) error {
-			switch m := payload.(type) {
-			case *rtsp.Message:
-				sw.U8(snapRTSP)
-				m.Persist(sw)
-			case *rdt.Packet:
-				sw.U8(snapRDT)
-				m.Persist(sw)
-			case *DataHello:
-				sw.U8(snapHello)
-				sw.Str(m.SessionID)
-			default:
-				return fmt.Errorf("session: cannot snapshot payload type %T", payload)
-			}
-			return sw.Err()
-		},
-		Decode: func(sr *snap.Reader) (any, error) {
-			switch tag := sr.U8(); tag {
-			case snapRTSP:
-				return rtsp.RestoreMessage(sr), sr.Err()
-			case snapRDT:
-				return rdt.RestorePacket(sr)
-			case snapHello:
-				return &DataHello{SessionID: sr.Str()}, sr.Err()
-			default:
-				if sr.Err() != nil {
-					return nil, sr.Err()
-				}
-				return nil, fmt.Errorf("session: unknown snapshot payload tag %d", tag)
-			}
-		},
+// SnapSync is the application-payload walk for world checkpoints (a
+// transport.AppSync): the three session-level payload types, each walked
+// field-exactly by its own package.
+func SnapSync(c *snap.Codec, payload *any) {
+	var tag uint8
+	switch (*payload).(type) {
+	case *rtsp.Message:
+		tag = snapRTSP
+	case *rdt.Packet:
+		tag = snapRDT
+	case *DataHello:
+		tag = snapHello
+	}
+	c.U8(&tag)
+	if c.Reading() {
+		switch tag {
+		case snapRTSP:
+			*payload = &rtsp.Message{}
+		case snapRDT:
+			*payload = &rdt.Packet{}
+		case snapHello:
+			*payload = &DataHello{}
+		default:
+			*payload = nil
+		}
+	}
+	switch m := (*payload).(type) {
+	case *rtsp.Message:
+		m.Sync(c)
+	case *rdt.Packet:
+		m.Sync(c)
+	case *DataHello:
+		c.Str(&m.SessionID)
+	default:
+		c.Fail(fmt.Errorf("session: cannot checkpoint payload type %T (tag %d)", *payload, tag))
 	}
 }
 
-// Persist writes the clip description field-exactly.
-func (d *ClipDesc) Persist(sw *snap.Writer) {
-	sw.Tag("desc")
-	sw.Str(d.Title)
-	sw.Dur(d.Duration)
-	sw.Bool(d.Scalable)
-	sw.Bool(d.Live)
-	sw.U32(uint32(len(d.Encodings)))
-	for _, e := range d.Encodings {
-		sw.F64(e.TotalKbps)
-		sw.F64(e.AudioKbps)
-		sw.F64(e.FrameRate)
-		sw.Int(e.Width)
-		sw.Int(e.Height)
-	}
-}
-
-// RestoreClipDesc reads a record written by ClipDesc.Persist.
-func RestoreClipDesc(sr *snap.Reader) ClipDesc {
-	sr.Tag("desc")
-	d := ClipDesc{
-		Title:    sr.Str(),
-		Duration: sr.Dur(),
-		Scalable: sr.Bool(),
-		Live:     sr.Bool(),
-	}
-	n := int(sr.U32())
-	for i := 0; i < n && sr.Err() == nil; i++ {
-		d.Encodings = append(d.Encodings, EncodingDesc{
-			TotalKbps: sr.F64(),
-			AudioKbps: sr.F64(),
-			FrameRate: sr.F64(),
-			Width:     sr.Int(),
-			Height:    sr.Int(),
-		})
-	}
-	return d
+// Sync walks the clip description field-exactly.
+func (d *ClipDesc) Sync(c *snap.Codec) {
+	c.Tag("desc")
+	c.Str(&d.Title)
+	c.Dur(&d.Duration)
+	c.Bool(&d.Scalable)
+	c.Bool(&d.Live)
+	snap.Slice(c, &d.Encodings, func(c *snap.Codec, e *EncodingDesc) {
+		c.F64(&e.TotalKbps)
+		c.F64(&e.AudioKbps)
+		c.F64(&e.FrameRate)
+		c.Int(&e.Width)
+		c.Int(&e.Height)
+	})
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"time"
+
+	"realtracer/internal/snap"
 )
 
 // This file is the scheduler half of the world-checkpoint seam: the clock's
@@ -16,8 +18,8 @@ import (
 // The contract: every pending event at checkpoint time must be a pooled
 // handler event of a registered type. Each registered type has exactly one
 // owner in the serialized world state (a connection's RTO, a session's pace
-// tick, an in-flight packet, ...); the owner persists the event's (At, seq)
-// alongside its own fields and re-arms it with Arm on restore. Closure
+// tick, an in-flight packet, ...); the owner walks the event's (At, seq)
+// alongside its own fields with SyncTimer, which re-arms it on restore. Closure
 // events (At/After) carry unserializable captured state — callers drain the
 // clock until PendingClosures reaches zero before checkpointing, or fail
 // with a clear error.
@@ -43,20 +45,9 @@ func RegisterEventKind(name string, proto EventHandler) {
 	eventKinds[t] = name
 }
 
-// EventKindOf returns the registered kind name for a handler's concrete
-// type, or "", false when the type was never registered.
-func EventKindOf(h EventHandler) (string, bool) {
-	name, ok := eventKinds[reflect.TypeOf(h)]
-	return name, ok
-}
-
 // PendingClosures reports how many live pending closure (At/After) events
 // the clock holds. A checkpoint requires zero: closures cannot round-trip.
 func (c *Clock) PendingClosures() int { return c.closures }
-
-// Seq returns the scheduling sequence counter (the seq the next scheduled
-// event will receive).
-func (c *Clock) Seq() uint64 { return c.seq }
 
 // PendingEvent is one live scheduled event as seen by a checkpoint walk.
 type PendingEvent struct {
@@ -108,19 +99,31 @@ func (c *Clock) CheckPersistable() error {
 		if p.Handler == nil {
 			return fmt.Errorf("simclock: pending closure event at %v (seq %d) cannot be checkpointed", p.At, p.Seq)
 		}
-		if _, ok := EventKindOf(p.Handler); !ok {
+		if _, ok := eventKinds[reflect.TypeOf(p.Handler)]; !ok {
 			return fmt.Errorf("simclock: pending event at %v (seq %d) has unregistered handler type %T", p.At, p.Seq, p.Handler)
 		}
 	}
 	return nil
 }
 
-// Reset wipes every pending event and positions the clock at the restored
-// scalar state: virtual time now, sequence counter seq, fired events fired.
-// The queue structures come back as an empty wheel; the caller re-arms the
-// checkpointed events with Arm.
-func (c *Clock) Reset(now time.Duration, seq, fired uint64) {
-	c.now, c.seq, c.fired = now, seq, fired
+// Sync walks the clock's scalar state — virtual time, the scheduling
+// sequence counter, the fired-event count — under the "clock" tag. Decoding
+// wipes every pending event and positions the clock at the snapshot's
+// instant with an empty wheel; each owner then re-arms its own events
+// through SyncTimer.
+func (c *Clock) Sync(sc *snap.Codec) {
+	now := c.now
+	sc.Tag("clock")
+	sc.Dur(&now)
+	if sc.Reading() && sc.Err() == nil && now < 0 {
+		sc.Fail(fmt.Errorf("simclock: snapshot clock at negative time %v", now))
+	}
+	c.now = now
+	sc.U64(&c.seq)
+	sc.U64(&c.fired)
+	if !sc.Reading() {
+		return
+	}
 	c.live, c.closures = 0, 0
 	c.firing = nil
 	c.free = c.free[:0]
@@ -134,6 +137,42 @@ func (c *Clock) Reset(now time.Duration, seq, fired uint64) {
 		}
 		c.occ[lvl] = 0
 	}
+}
+
+// SyncTimer walks one owner-held timer as an (armed, At, seq) record.
+// Fired, cancelled and zero timers encode as unarmed — exactly the states in
+// which re-arming would be wrong. Decoding re-arms h.Fire at the original
+// (At, seq) slot, so the restored event fires in the exact order the
+// original would have.
+func (c *Clock) SyncTimer(sc *snap.Codec, t *Timer, h EventHandler) {
+	at, seq, armed := t.When()
+	sc.Bool(&armed)
+	if sc.Reading() {
+		*t = Timer{}
+	}
+	if !armed {
+		return
+	}
+	sc.Dur(&at)
+	sc.U64(&seq)
+	if sc.Reading() {
+		*t = c.Rearm(sc, at, seq, h)
+	}
+}
+
+// Rearm is Arm for an (At, seq) pair decoded from a snapshot: a slot the
+// restored clock cannot hold (in the past, or a seq the clock has not
+// issued yet) fails the codec instead of reaching Arm's panics, which stay
+// reserved for programmer misuse.
+func (c *Clock) Rearm(sc *snap.Codec, at time.Duration, seq uint64, h EventHandler) Timer {
+	if sc.Err() != nil {
+		return Timer{}
+	}
+	if at < c.now || seq >= c.seq {
+		sc.Fail(fmt.Errorf("simclock: snapshot event (at %v, seq %d) outside the restored clock (now %v, seq %d)", at, seq, c.now, c.seq))
+		return Timer{}
+	}
+	return c.Arm(at, seq, h)
 }
 
 // Arm schedules h.Fire at absolute time at with an explicit sequence number

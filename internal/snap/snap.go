@@ -1,195 +1,330 @@
-// Package snap is the binary codec substrate for world checkpoints: a
-// Writer/Reader pair over primitive little-endian fields with section tags
-// for structural validation. The format favours debuggability over size —
-// fixed-width integers, length-prefixed byte strings, and a tag byte
-// sequence that makes a reader desynchronized from its writer fail fast
-// with the section names of both sides, instead of decoding garbage.
+// Package snap is the binary codec substrate for world checkpoints: one
+// direction-carrying Codec over primitive little-endian fields, with section
+// tags for structural validation. A checkpointed type describes its state
+// once, as a Sync(c *snap.Codec) walk of c.U32(&p.Seq)-style calls; the
+// same walk writes the snapshot when c was built by NewEncoder and restores
+// it when c was built by NewDecoder, so the field order exists in exactly
+// one place and a reader cannot drift from its writer. Where restoring
+// genuinely differs from persisting — allocating the owner object,
+// re-arming a timer, resolving a reference — the walk branches on
+// c.Reading().
 //
-// Errors are sticky: after the first failure every Read returns zero values
-// and Err reports the original cause, so codec code reads whole sections
-// without per-field error plumbing and checks once at the end.
+// The format favours debuggability over size: fixed-width integers,
+// length-prefixed byte strings, and a tag sequence that makes a decoder
+// desynchronized from the encoder fail fast with the section names of both
+// sides instead of decoding garbage.
+//
+// Errors are sticky in both directions: after the first failure every call
+// is a no-op (a decode leaves its target untouched) and Err reports the
+// original cause, so a walk covers whole sections without per-field error
+// plumbing and checks once at the end.
+//
+// A decoder treats its input as hostile. It works on a buffered byte slice,
+// so every length and element count read off the wire is checked against
+// the bytes that remain before anything is allocated, and the one restore
+// cost that a field's value (not the input's length) sets — replaying RNG
+// draws — is charged against a budget proportional to the input.
 package snap
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"slices"
 	"time"
 )
 
-// Writer serializes primitive fields to an io.Writer. Errors are sticky;
-// check Err (or Flush) once after writing.
-type Writer struct {
-	w   io.Writer
-	buf [8]byte
-	err error
+// Codec encodes fields to an io.Writer or decodes them from a byte slice,
+// depending on how it was built. Every field method takes a pointer: it
+// writes the pointed-to value when encoding and overwrites it when decoding.
+type Codec struct {
+	w       io.Writer // non-nil: encoding
+	in      []byte    // decoding: the unread input
+	draws   uint64    // decoding: RNG replay budget left, see DrawCount
+	reading bool
+	buf     [8]byte
+	err     error
 }
 
-// NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+// Replay budget: a snapshot of n bytes justifies at most
+// drawsBase + drawsPerByte*n RNG draws across all of its streams. Real
+// snapshots carry a few draws per byte (the records of every completed
+// session ride along), so the bound is three orders of magnitude above
+// need while keeping a hostile draw count from spinning for years.
+const (
+	drawsBase    = 1 << 20
+	drawsPerByte = 1 << 12
+)
 
-// Err returns the first write error, or nil.
-func (w *Writer) Err() error { return w.err }
+// NewEncoder returns a Codec that writes fields to w.
+func NewEncoder(w io.Writer) *Codec { return &Codec{w: w} }
 
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(b)
+// NewDecoder returns a Codec that reads fields from b.
+func NewDecoder(b []byte) *Codec {
+	return &Codec{in: b, reading: true, draws: drawsBase + drawsPerByte*uint64(len(b))}
 }
 
-// Tag writes a section marker. Readers consume it with Tag and fail loudly
-// on mismatch — the checkpoint format's structural checksum.
-func (w *Writer) Tag(name string) { w.Str(name) }
+// Reading reports whether the codec decodes (true) or encodes (false).
+func (c *Codec) Reading() bool { return c.reading }
 
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
+// Err returns the first error, or nil.
+func (c *Codec) Err() error { return c.err }
 
-// Bool writes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U32 writes a fixed-width uint32.
-func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
-}
-
-// U64 writes a fixed-width uint64.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
-}
-
-// I64 writes a fixed-width int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes a float64 bit pattern — bit-exact round-trip, including NaN
-// payloads and signed zeros.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Dur writes a time.Duration as its int64 nanosecond count.
-func (w *Writer) Dur(v time.Duration) { w.I64(int64(v)) }
-
-// Bytes writes a length-prefixed byte string.
-func (w *Writer) Bytes(b []byte) {
-	w.U32(uint32(len(b)))
-	w.write(b)
-}
-
-// Str writes a length-prefixed string.
-func (w *Writer) Str(s string) { w.Bytes([]byte(s)) }
-
-// Reader deserializes fields written by Writer. Errors are sticky: after
-// the first failure every read returns the zero value and Err reports the
-// cause.
-type Reader struct {
-	r   io.Reader
-	buf [8]byte
-	err error
-}
-
-// NewReader returns a Reader over r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// Err returns the first read error, or nil.
-func (r *Reader) Err() error { return r.err }
-
-// Fail records err (if none is recorded yet) and poisons further reads.
-func (r *Reader) Fail(err error) {
-	if r.err == nil && err != nil {
-		r.err = err
+// Fail records err (if none is recorded yet) and turns every further call
+// into a no-op.
+func (c *Codec) Fail(err error) {
+	if c.err == nil && err != nil {
+		c.err = err
 	}
 }
 
-func (r *Reader) read(b []byte) bool {
-	if r.err != nil {
+// Remaining returns the number of undecoded input bytes (0 when encoding).
+func (c *Codec) Remaining() int { return len(c.in) }
+
+// raw moves len(b) bytes between b and the stream; false means the codec
+// has failed and b is untouched.
+func (c *Codec) raw(b []byte) bool {
+	if c.err != nil {
 		return false
 	}
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = fmt.Errorf("snap: short read: %w", err)
+	if !c.reading {
+		_, c.err = c.w.Write(b)
+		return c.err == nil
+	}
+	if len(b) > len(c.in) {
+		c.err = fmt.Errorf("snap: short read: %w", io.ErrUnexpectedEOF)
 		return false
 	}
+	copy(b, c.in)
+	c.in = c.in[len(b):]
 	return true
 }
 
-// Tag consumes a section marker and fails the reader when it does not
-// match name.
-func (r *Reader) Tag(name string) {
-	got := r.Str()
-	if r.err == nil && got != name {
-		r.err = fmt.Errorf("snap: section %q, want %q (snapshot and reader disagree on layout)", got, name)
+// U8 syncs one byte.
+func (c *Codec) U8(v *uint8) {
+	c.buf[0] = *v
+	if c.raw(c.buf[:1]) {
+		*v = c.buf[0]
 	}
 }
 
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	if !r.read(r.buf[:1]) {
-		return 0
+// Bool syncs a boolean as one byte; any non-zero byte decodes as true.
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
 	}
-	return r.buf[0]
+	c.U8(&b)
+	if c.reading && c.err == nil {
+		*v = b != 0
+	}
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U32 reads a fixed-width uint32.
-func (r *Reader) U32() uint32 {
-	if !r.read(r.buf[:4]) {
-		return 0
+// U32 syncs a fixed-width uint32.
+func (c *Codec) U32(v *uint32) {
+	binary.LittleEndian.PutUint32(c.buf[:4], *v)
+	if c.raw(c.buf[:4]) {
+		*v = binary.LittleEndian.Uint32(c.buf[:4])
 	}
-	return binary.LittleEndian.Uint32(r.buf[:4])
 }
 
-// U64 reads a fixed-width uint64.
-func (r *Reader) U64() uint64 {
-	if !r.read(r.buf[:8]) {
-		return 0
+// U64 syncs a fixed-width uint64.
+func (c *Codec) U64(v *uint64) {
+	binary.LittleEndian.PutUint64(c.buf[:8], *v)
+	if c.raw(c.buf[:8]) {
+		*v = binary.LittleEndian.Uint64(c.buf[:8])
 	}
-	return binary.LittleEndian.Uint64(r.buf[:8])
 }
 
-// I64 reads a fixed-width int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
+// I64 syncs a fixed-width int64.
+func (c *Codec) I64(v *int64) { I64As(c, v) }
 
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
+// Int syncs an int as int64.
+func (c *Codec) Int(v *int) { I64As(c, v) }
 
-// F64 reads a float64 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+// Dur syncs a time.Duration as its int64 nanosecond count.
+func (c *Codec) Dur(v *time.Duration) { I64As(c, v) }
 
-// Dur reads a time.Duration.
-func (r *Reader) Dur() time.Duration { return time.Duration(r.I64()) }
-
-// maxBytes bounds one length-prefixed field; a corrupt length fails the
-// read instead of attempting a multi-gigabyte allocation.
-const maxBytes = 1 << 30
-
-// Bytes reads a length-prefixed byte string.
-func (r *Reader) Bytes() []byte {
-	n := r.U32()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxBytes {
-		r.err = fmt.Errorf("snap: field length %d exceeds limit", n)
-		return nil
-	}
-	b := make([]byte, n)
-	if n > 0 && !r.read(b) {
-		return nil
-	}
-	return b
+// F64 syncs a float64 bit pattern — bit-exact, including NaN payloads and
+// signed zeros.
+func (c *Codec) F64(v *float64) {
+	u := math.Float64bits(*v)
+	c.U64(&u)
+	*v = math.Float64frombits(u)
 }
 
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string { return string(r.Bytes()) }
+// I64As syncs any signed integer type as a fixed-width int64.
+func I64As[T ~int | ~int8 | ~int16 | ~int32 | ~int64](c *Codec, v *T) {
+	u := uint64(int64(*v))
+	c.U64(&u)
+	*v = T(int64(u))
+}
+
+// U64As syncs any unsigned integer type as a fixed-width uint64.
+func U64As[T ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64](c *Codec, v *T) {
+	u := uint64(*v)
+	c.U64(&u)
+	*v = T(u)
+}
+
+// U32As syncs a narrower unsigned type as a fixed-width uint32.
+func U32As[T ~uint8 | ~uint16 | ~uint32](c *Codec, v *T) {
+	u := uint32(*v)
+	c.U32(&u)
+	*v = T(u)
+}
+
+// U8As syncs a small enum of any integer type as one byte.
+func U8As[T ~int | ~uint8](c *Codec, v *T) {
+	u := uint8(*v)
+	c.U8(&u)
+	*v = T(u)
+}
+
+// Len syncs an element count or byte length as a uint32. Every element
+// occupies at least one byte on the wire, so a decoded count larger than
+// the remaining input fails the codec instead of sizing an allocation.
+func (c *Codec) Len(n *int) {
+	u := uint32(*n)
+	if !c.reading && (*n < 0 || int(u) != *n) {
+		c.Fail(fmt.Errorf("snap: length %d does not fit the format", *n))
+		return
+	}
+	c.U32(&u)
+	if !c.reading || c.err != nil {
+		return
+	}
+	if uint64(u) > uint64(len(c.in)) {
+		c.err = fmt.Errorf("snap: length %d exceeds the %d bytes remaining", u, len(c.in))
+		return
+	}
+	*n = int(u)
+}
+
+// Bytes syncs a length-prefixed byte string. The wire does not distinguish
+// nil from empty: both encode as length 0, which decodes as nil.
+func (c *Codec) Bytes(b *[]byte) {
+	n := len(*b)
+	c.Len(&n)
+	if c.err != nil {
+		return
+	}
+	if !c.reading {
+		c.raw(*b)
+		return
+	}
+	*b = nil
+	if n > 0 {
+		*b = slices.Clone(c.in[:n])
+		c.in = c.in[n:]
+	}
+}
+
+// Str syncs a length-prefixed string.
+func (c *Codec) Str(s *string) { StrAs(c, s) }
+
+// StrAs syncs any string type as a length-prefixed string.
+func StrAs[T ~string](c *Codec, s *T) {
+	n := len(*s)
+	c.Len(&n)
+	if c.err != nil {
+		return
+	}
+	if !c.reading {
+		c.raw([]byte(*s))
+		return
+	}
+	*s = T(c.in[:n])
+	c.in = c.in[n:]
+}
+
+// Tag syncs a section marker: encoded as a string, and on decode compared
+// against name — the format's structural checksum. A mismatch fails the
+// codec naming both sections.
+func (c *Codec) Tag(name string) {
+	got := name
+	c.Str(&got)
+	if c.err == nil && got != name {
+		c.err = fmt.Errorf("snap: section %q, want %q (snapshot and reader disagree on layout)", got, name)
+	}
+}
+
+// DrawCount syncs an RNG stream's draw count. Replaying draws is the one
+// restore step whose cost is set by a field's value rather than by the
+// input's length, so decoding charges the count against a budget
+// proportional to the input and fails the codec when the snapshot cannot
+// justify it.
+func (c *Codec) DrawCount(n *uint64) {
+	c.U64(n)
+	if !c.reading || c.err != nil {
+		return
+	}
+	if *n > c.draws {
+		c.err = fmt.Errorf("snap: RNG draw count %d exceeds what a snapshot of this size can justify", *n)
+		*n = 0
+		return
+	}
+	c.draws -= *n
+}
+
+// Slice syncs a counted sequence, walking every element with each. Decoding
+// replaces the contents of *s, reusing its capacity; a zero count leaves a
+// nil slice nil. The slice is sized up front only when that costs no more
+// than the input still unread, and otherwise grows as elements actually
+// decode, so a hostile count cannot allocate beyond what backs it.
+func Slice[T any](c *Codec, s *[]T, each func(*Codec, *T)) {
+	n := len(*s)
+	c.Len(&n)
+	if !c.reading {
+		for i := range *s {
+			each(c, &(*s)[i])
+		}
+		return
+	}
+	*s = (*s)[:0]
+	if c.err == nil && n > cap(*s) && n*int(reflect.TypeFor[T]().Size()) <= len(c.in) {
+		*s = make([]T, 0, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		var zero T
+		*s = append(*s, zero)
+		each(c, &(*s)[i]) // in place: no per-element heap cell
+	}
+}
+
+// Map syncs a map as a counted sequence of (key, value) pairs in sorted key
+// order, so the bytes of a given map state are deterministic. Decoding
+// inserts into *m, allocating it only when there is something to insert.
+func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, key func(*Codec, *K), val func(*Codec, *V)) {
+	n := len(*m)
+	c.Len(&n)
+	var k K // one cell each for the whole walk, not one per entry
+	var v V
+	if !c.reading {
+		keys := make([]K, 0, n)
+		for mk := range *m {
+			keys = append(keys, mk)
+		}
+		slices.Sort(keys)
+		for _, mk := range keys {
+			k, v = mk, (*m)[mk]
+			key(c, &k)
+			val(c, &v)
+		}
+		return
+	}
+	if n > 0 && *m == nil {
+		*m = make(map[K]V)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		k, v = *new(K), *new(V)
+		key(c, &k)
+		val(c, &v)
+		if c.err == nil {
+			(*m)[k] = v
+		}
+	}
+}

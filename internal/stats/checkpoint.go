@@ -2,180 +2,86 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"realtracer/internal/snap"
 )
 
-// Binary round-trip codecs for the streaming accumulators, so partial
-// figure aggregates can ride along in a world checkpoint and merge
-// identically after a resume. Every codec is field-exact: floats persist as
-// bit patterns, the Sketch's exact path keeps its insertion order, and map
-// contents serialize in sorted key order so the bytes of a given
-// accumulator state are deterministic.
+// Binary round-trip walks for the streaming accumulators, so partial figure
+// aggregates can ride along in a world checkpoint and merge identically
+// after a resume. Every walk is field-exact: floats travel as bit patterns,
+// the Sketch's exact path keeps its insertion order, and map contents walk
+// in sorted key order so the bytes of a given accumulator state are
+// deterministic. Decoding overwrites the receiver.
 
-// Persist writes the accumulator's state.
-func (w *Welford) Persist(sw *snap.Writer) {
-	sw.Tag("welford")
-	sw.U64(w.n)
-	sw.F64(w.mean)
-	sw.F64(w.m2)
-	sw.F64(w.min)
-	sw.F64(w.max)
+// Sync walks the accumulator's state.
+func (w *Welford) Sync(c *snap.Codec) {
+	c.Tag("welford")
+	c.U64(&w.n)
+	c.F64(&w.mean)
+	c.F64(&w.m2)
+	c.F64(&w.min)
+	c.F64(&w.max)
 }
 
-// Restore overwrites the accumulator with persisted state.
-func (w *Welford) Restore(sr *snap.Reader) {
-	sr.Tag("welford")
-	w.n = sr.U64()
-	w.mean = sr.F64()
-	w.m2 = sr.F64()
-	w.min = sr.F64()
-	w.max = sr.F64()
+// syncBins walks one sign's bin map.
+func syncBins(c *snap.Codec, m *map[int]uint64) {
+	snap.Map(c, m, (*snap.Codec).Int, (*snap.Codec).U64)
 }
 
-// persistBins writes one sign's bin map in sorted key order.
-func persistBins(sw *snap.Writer, m map[int]uint64) {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// Sync walks the sketch's state: construction parameters plus either the
+// raw exact-path sample (in insertion order) or the bin maps.
+func (s *Sketch) Sync(c *snap.Codec) {
+	c.Tag("sketch")
+	c.F64(&s.alpha)
+	c.Int(&s.exactCap)
+	if c.Reading() {
+		*s = *NewSketchAccuracy(s.alpha, s.exactCap) // rederives gamma
 	}
-	sort.Ints(keys)
-	sw.U32(uint32(len(keys)))
-	for _, k := range keys {
-		sw.I64(int64(k))
-		sw.U64(m[k])
-	}
-}
-
-func restoreBins(sr *snap.Reader) map[int]uint64 {
-	n := sr.U32()
-	if n == 0 {
-		return nil
-	}
-	m := make(map[int]uint64, n)
-	for i := uint32(0); i < n; i++ {
-		k := int(sr.I64())
-		m[k] = sr.U64()
-	}
-	return m
-}
-
-// Persist writes the sketch's state: construction parameters plus either
-// the raw exact-path sample (in insertion order) or the bin maps.
-func (s *Sketch) Persist(sw *snap.Writer) {
-	sw.Tag("sketch")
-	sw.F64(s.alpha)
-	sw.Int(s.exactCap)
-	sw.Bool(s.binned)
+	c.Bool(&s.binned)
 	if s.binned {
-		persistBins(sw, s.pos)
-		persistBins(sw, s.neg)
-		sw.U64(s.zero)
+		syncBins(c, &s.pos)
+		syncBins(c, &s.neg)
+		c.U64(&s.zero)
 	} else {
-		sw.U32(uint32(len(s.exact)))
-		for _, v := range s.exact {
-			sw.F64(v)
+		snap.Slice(c, &s.exact, (*snap.Codec).F64)
+	}
+	c.U64(&s.n)
+	c.F64(&s.min)
+	c.F64(&s.max)
+	if c.Reading() && c.Err() == nil && !s.binned && len(s.exact) != int(s.n) {
+		c.Fail(fmt.Errorf("stats: sketch exact path holds %d values for n=%d", len(s.exact), s.n))
+	}
+}
+
+// Sync walks the distribution's paired accumulators.
+func (d *Dist) Sync(c *snap.Codec) {
+	c.Tag("dist")
+	d.W.Sync(c)
+	if c.Reading() {
+		d.S = &Sketch{}
+	}
+	d.S.Sync(c)
+}
+
+// Sync walks the grouped distributions.
+func (g *Grouped) Sync(c *snap.Codec) {
+	c.Tag("grouped")
+	if c.Reading() {
+		g.m = nil
+	}
+	snap.Map(c, &g.m, (*snap.Codec).Str, func(c *snap.Codec, d **Dist) {
+		if c.Reading() {
+			*d = &Dist{}
 		}
-	}
-	sw.U64(s.n)
-	sw.F64(s.min)
-	sw.F64(s.max)
+		(*d).Sync(c)
+	})
 }
 
-// RestoreSketch reads a sketch persisted with Persist.
-func RestoreSketch(sr *snap.Reader) *Sketch {
-	sr.Tag("sketch")
-	alpha := sr.F64()
-	exactCap := sr.Int()
-	s := NewSketchAccuracy(alpha, exactCap)
-	s.binned = sr.Bool()
-	if s.binned {
-		s.pos = restoreBins(sr)
-		s.neg = restoreBins(sr)
-		s.zero = sr.U64()
-	} else {
-		n := sr.U32()
-		if n > 0 {
-			s.exact = make([]float64, n)
-			for i := range s.exact {
-				s.exact[i] = sr.F64()
-			}
-		}
+// Sync walks the tally.
+func (t *Counter) Sync(c *snap.Codec) {
+	c.Tag("counter")
+	if c.Reading() {
+		t.m = nil
 	}
-	s.n = sr.U64()
-	s.min = sr.F64()
-	s.max = sr.F64()
-	if sr.Err() == nil && !s.binned && len(s.exact) != int(s.n) {
-		sr.Fail(fmt.Errorf("stats: sketch exact path holds %d values for n=%d", len(s.exact), s.n))
-	}
-	return s
-}
-
-// Persist writes the distribution's paired accumulators.
-func (d *Dist) Persist(sw *snap.Writer) {
-	sw.Tag("dist")
-	d.W.Persist(sw)
-	d.S.Persist(sw)
-}
-
-// RestoreDist reads a distribution persisted with Persist.
-func RestoreDist(sr *snap.Reader) *Dist {
-	sr.Tag("dist")
-	d := &Dist{}
-	d.W.Restore(sr)
-	d.S = RestoreSketch(sr)
-	return d
-}
-
-// Persist writes the grouped distributions in sorted key order.
-func (g *Grouped) Persist(sw *snap.Writer) {
-	sw.Tag("grouped")
-	keys := g.Keys()
-	sw.U32(uint32(len(keys)))
-	for _, k := range keys {
-		sw.Str(k)
-		g.m[k].Persist(sw)
-	}
-}
-
-// Restore overwrites the group set with persisted state.
-func (g *Grouped) Restore(sr *snap.Reader) {
-	sr.Tag("grouped")
-	n := sr.U32()
-	g.m = nil
-	if n == 0 {
-		return
-	}
-	g.m = make(map[string]*Dist, n)
-	for i := uint32(0); i < n; i++ {
-		k := sr.Str()
-		g.m[k] = RestoreDist(sr)
-	}
-}
-
-// Persist writes the tally in sorted key order.
-func (c *Counter) Persist(sw *snap.Writer) {
-	sw.Tag("counter")
-	keys := c.Keys()
-	sw.U32(uint32(len(keys)))
-	for _, k := range keys {
-		sw.Str(k)
-		sw.Int(c.m[k])
-	}
-}
-
-// Restore overwrites the tally with persisted state.
-func (c *Counter) Restore(sr *snap.Reader) {
-	sr.Tag("counter")
-	n := sr.U32()
-	c.m = nil
-	if n == 0 {
-		return
-	}
-	c.m = make(map[string]int, n)
-	for i := uint32(0); i < n; i++ {
-		k := sr.Str()
-		c.m[k] = sr.Int()
-	}
+	snap.Map(c, &t.m, (*snap.Codec).Str, (*snap.Codec).Int)
 }

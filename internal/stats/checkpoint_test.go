@@ -11,21 +11,38 @@ import (
 	"realtracer/internal/snap"
 )
 
-// roundTripSketch persists and restores a sketch, failing the test on any
-// codec error.
-func roundTripSketch(t *testing.T, s *Sketch) *Sketch {
+// syncer is any accumulator with a Sync walk.
+type syncer interface{ Sync(*snap.Codec) }
+
+// roundTrip encodes each src and decodes it into the matching dst, failing
+// the test on any codec error.
+func roundTrip(t *testing.T, pairs ...[2]syncer) {
 	t.Helper()
 	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
-	s.Persist(sw)
-	if err := sw.Err(); err != nil {
-		t.Fatalf("persist: %v", err)
+	enc := snap.NewEncoder(&buf)
+	for _, p := range pairs {
+		p[0].Sync(enc)
 	}
-	sr := snap.NewReader(&buf)
-	got := RestoreSketch(sr)
-	if err := sr.Err(); err != nil {
-		t.Fatalf("restore: %v", err)
+	if err := enc.Err(); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
+	dec := snap.NewDecoder(buf.Bytes())
+	for _, p := range pairs {
+		p[1].Sync(dec)
+	}
+	if err := dec.Err(); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if dec.Remaining() != 0 {
+		t.Fatalf("decode left %d bytes unread", dec.Remaining())
+	}
+}
+
+// roundTripSketch encodes and decodes a sketch.
+func roundTripSketch(t *testing.T, s *Sketch) *Sketch {
+	t.Helper()
+	got := &Sketch{}
+	roundTrip(t, [2]syncer{s, got})
 	return got
 }
 
@@ -65,18 +82,8 @@ func TestWelfordRoundTripProperty(t *testing.T) {
 		for _, v := range vals[:cut] {
 			prefix.Add(v)
 		}
-		var buf bytes.Buffer
-		sw := snap.NewWriter(&buf)
-		prefix.Persist(sw)
-		if err := sw.Err(); err != nil {
-			t.Fatalf("persist: %v", err)
-		}
 		var resumed Welford
-		sr := snap.NewReader(&buf)
-		resumed.Restore(sr)
-		if err := sr.Err(); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
+		roundTrip(t, [2]syncer{&prefix, &resumed})
 		for _, v := range vals[cut:] {
 			resumed.Add(v)
 		}
@@ -166,21 +173,9 @@ func TestCounterGroupedRoundTrip(t *testing.T) {
 			}
 		}
 
-		var buf bytes.Buffer
-		sw := snap.NewWriter(&buf)
-		c.Persist(sw)
-		g.Persist(sw)
-		if err := sw.Err(); err != nil {
-			t.Fatalf("persist: %v", err)
-		}
 		var c2 Counter
 		var g2 Grouped
-		sr := snap.NewReader(&buf)
-		c2.Restore(sr)
-		g2.Restore(sr)
-		if err := sr.Err(); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
+		roundTrip(t, [2]syncer{&c, &c2}, [2]syncer{&g, &g2})
 		if !reflect.DeepEqual(c, c2) {
 			t.Fatalf("trial %d: counter diverged: %+v != %+v", trial, c2, c)
 		}
@@ -205,14 +200,13 @@ func TestSketchRestoreRejectsInconsistentExactCount(t *testing.T) {
 	s.Add(1)
 	s.Add(2)
 	var buf bytes.Buffer
-	sw := snap.NewWriter(&buf)
-	s.Persist(sw)
+	s.Sync(snap.NewEncoder(&buf))
 	raw := buf.Bytes()
 	// n is the third-from-last U64 triplet (n, min, max); bump it.
 	raw[len(raw)-24]++
-	sr := snap.NewReader(bytes.NewReader(raw))
-	RestoreSketch(sr)
-	if sr.Err() == nil {
+	dec := snap.NewDecoder(raw)
+	(&Sketch{}).Sync(dec)
+	if dec.Err() == nil {
 		t.Fatal("restore accepted inconsistent exact-path count")
 	}
 }

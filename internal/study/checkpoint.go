@@ -23,7 +23,6 @@ import (
 	"io"
 	"time"
 
-	"realtracer/internal/detrand"
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
@@ -122,95 +121,75 @@ func forkSeed(seed int64, count uint64, name, label string) int64 {
 	return s
 }
 
-// applyRNG positions a rebuilt world's RNG stream: an exact resume replays
-// the checkpointed draw count; a named fork reseeds from the derived fork
-// seed. The stream object is mutated in place so every pointer the built
-// world handed out (server configs, tracer configs, raters) stays valid.
-func applyRNG(r *detrand.Rand, seed int64, count uint64, forkName, label string) {
-	if forkName == "" {
-		r.Seed(seed)
-		r.Skip(count)
+// reseed returns the RNG-stream walk's fork hook for the stream labelled
+// label: nil for an exact resume (the stream replays its checkpointed draw
+// count), and for a named fork the derivation of the stream's private
+// restart seed.
+func (f *Fork) reseed(label string) func(seed int64, count uint64) int64 {
+	if f == nil || f.Name == "" {
+		return nil
+	}
+	return func(seed int64, count uint64) int64 { return forkSeed(seed, count, f.Name, label) }
+}
+
+// sync walks every Options field. The encoding doubles as the version
+// stamp: the bytes are hashed into the snapshot, so a build whose Options
+// shape changed fails the hash (or leaves trailing bytes) instead of
+// silently rebuilding a different world.
+func (o *Options) sync(c *snap.Codec) {
+	c.Tag("options")
+	c.I64(&o.Seed)
+	c.Int(&o.MaxUsers)
+	c.Int(&o.ClipCap)
+	c.Dur(&o.PlayFor)
+	c.Bool(&o.DisableSureStream)
+	c.Bool(&o.DisableFEC)
+	c.Dur(&o.Preroll)
+	c.Str(&o.Controller)
+	c.F64(&o.CongestionScale)
+	c.Str(&o.Dynamics)
+	c.F64(&o.DynamicsIntensity)
+	c.I64(&o.DynamicsSeed)
+	c.Str(&o.Workload)
+	c.F64(&o.WorkloadIntensity)
+	c.I64(&o.WorkloadSeed)
+	c.Int(&o.Arrivals)
+	c.Str(&o.Selection)
+	c.Int(&o.Shards)
+	c.Dur(&o.StaggerWindow)
+	c.F64(&o.ServerUplinkKbps)
+}
+
+// syncHeader walks the snapshot's preamble: the format magic, then the
+// world's Options as a hashed block, so Resume can rebuild the world before
+// it reads any state.
+func syncHeader(c *snap.Codec, opt *Options) {
+	magic := snapMagic
+	c.Str(&magic)
+	if c.Err() == nil && magic != snapMagic {
+		c.Fail(fmt.Errorf("magic %q, want %q (snapshot from an incompatible build)", magic, snapMagic))
+	}
+	var block bytes.Buffer
+	if !c.Reading() {
+		opt.sync(snap.NewEncoder(&block))
+	}
+	optBytes := block.Bytes()
+	c.Bytes(&optBytes)
+	hash := hashBytes(optBytes)
+	c.U64(&hash)
+	if !c.Reading() || c.Err() != nil {
 		return
 	}
-	r.Seed(forkSeed(seed, count, forkName, label))
-}
-
-// persistTimer writes an armed simclock.Timer as (armed, at, seq);
-// restoreTimer re-arms it at the same slot so the restored event fires in
-// the exact order the original would have.
-func persistTimer(sw *snap.Writer, t simclock.Timer) {
-	if at, seq, ok := t.When(); ok {
-		sw.Bool(true)
-		sw.Dur(at)
-		sw.U64(seq)
+	if h := hashBytes(optBytes); h != hash {
+		c.Fail(fmt.Errorf("options hash mismatch (got %x, want %x): snapshot corrupted or from an incompatible build", h, hash))
 		return
 	}
-	sw.Bool(false)
-}
-
-func restoreTimer(sr *snap.Reader, c *simclock.Clock, h simclock.EventHandler) simclock.Timer {
-	if !sr.Bool() {
-		return simclock.Timer{}
-	}
-	at := sr.Dur()
-	seq := sr.U64()
-	if sr.Err() != nil {
-		return simclock.Timer{}
-	}
-	return c.Arm(at, seq, h)
-}
-
-// persistOptions writes every Options field. The encoding doubles as the
-// version stamp: the serialized bytes are hashed into the snapshot, so a
-// build whose Options shape changed fails the hash (or leaves trailing
-// bytes) instead of silently rebuilding a different world.
-func persistOptions(sw *snap.Writer, o Options) {
-	sw.Tag("options")
-	sw.I64(o.Seed)
-	sw.Int(o.MaxUsers)
-	sw.Int(o.ClipCap)
-	sw.Dur(o.PlayFor)
-	sw.Bool(o.DisableSureStream)
-	sw.Bool(o.DisableFEC)
-	sw.Dur(o.Preroll)
-	sw.Str(o.Controller)
-	sw.F64(o.CongestionScale)
-	sw.Str(o.Dynamics)
-	sw.F64(o.DynamicsIntensity)
-	sw.I64(o.DynamicsSeed)
-	sw.Str(o.Workload)
-	sw.F64(o.WorkloadIntensity)
-	sw.I64(o.WorkloadSeed)
-	sw.Int(o.Arrivals)
-	sw.Str(o.Selection)
-	sw.Int(o.Shards)
-	sw.Dur(o.StaggerWindow)
-	sw.F64(o.ServerUplinkKbps)
-}
-
-func restoreOptions(sr *snap.Reader) Options {
-	sr.Tag("options")
-	return Options{
-		Seed:              sr.I64(),
-		MaxUsers:          sr.Int(),
-		ClipCap:           sr.Int(),
-		PlayFor:           sr.Dur(),
-		DisableSureStream: sr.Bool(),
-		DisableFEC:        sr.Bool(),
-		Preroll:           sr.Dur(),
-		Controller:        sr.Str(),
-		CongestionScale:   sr.F64(),
-		Dynamics:          sr.Str(),
-		DynamicsIntensity: sr.F64(),
-		DynamicsSeed:      sr.I64(),
-		Workload:          sr.Str(),
-		WorkloadIntensity: sr.F64(),
-		WorkloadSeed:      sr.I64(),
-		Arrivals:          sr.Int(),
-		Selection:         sr.Str(),
-		Shards:            sr.Int(),
-		StaggerWindow:     sr.Dur(),
-		ServerUplinkKbps:  sr.F64(),
+	oc := snap.NewDecoder(optBytes)
+	opt.sync(oc)
+	if err := oc.Err(); err != nil {
+		c.Fail(fmt.Errorf("options: %w", err))
+	} else if oc.Remaining() > 0 {
+		c.Fail(fmt.Errorf("options carry %d trailing byte(s): snapshot from an incompatible build", oc.Remaining()))
 	}
 }
 
@@ -260,132 +239,193 @@ func (w *World) Checkpoint(out io.Writer) error {
 		return err
 	}
 
-	sw := snap.NewWriter(out)
-	sw.Str(snapMagic)
-	var optBuf bytes.Buffer
-	persistOptions(snap.NewWriter(&optBuf), w.Options)
-	sw.Bytes(optBuf.Bytes())
-	sw.U64(hashBytes(optBuf.Bytes()))
+	c := snap.NewEncoder(out)
+	syncHeader(c, &w.Options)
+	w.sync(c, nil, true)
+	return c.Err()
+}
 
-	sw.Tag("clock")
-	sw.Dur(w.Clock.Now())
-	sw.U64(w.Clock.Seq())
-	sw.U64(w.Clock.Fired())
-
-	if err := w.Net.Checkpoint(sw); err != nil {
-		return err
+// sync is the one walk of a world's simulation state, in snapshot order:
+// clock, network core, servers, the panel or open-loop population, the
+// collected records, and last the in-flight packets — their payloads may
+// reference TCP conns walked before them, and decoding resolves those
+// references against the conns it has already rebuilt.
+//
+// Decoding overlays onto a world NewWorld just rebuilt from the snapshot's
+// Options. fork (decoding only) selects exact replay or per-stream reseeding
+// of every RNG; keepDynamics is false when the fork changed the dynamics
+// schedule, which invalidates checkpointed per-path chain state.
+func (w *World) sync(c *snap.Codec, fork *Fork, keepDynamics bool) {
+	// Restoring the clock wipes every build-time event (panel start timers,
+	// the first arrival); each owner below re-arms its own events at their
+	// original slots.
+	w.Clock.Sync(c)
+	w.Net.Sync(c, keepDynamics)
+	if c.Reading() && fork != nil && fork.Name != "" {
+		opt := w.Options
+		dseed := opt.DynamicsSeed
+		if dseed == 0 {
+			dseed = opt.Seed + 4
+		}
+		w.Net.ReseedRNGs(forkSeed(opt.Seed+3, 0, fork.Name, "net"), forkSeed(dseed, 0, fork.Name, "dynamics"))
 	}
 
-	app := session.SnapCodec()
-	sw.Tag("servers")
-	sw.U32(uint32(len(w.Servers)))
+	x := transport.NewSnapCtx(session.SnapSync)
+	c.Tag("servers")
+	if !syncCount(c, len(w.Servers), "servers") {
+		return
+	}
 	for i, srv := range w.Servers {
-		seed, count := w.serverRNGs[i].State()
-		sw.I64(seed)
-		sw.U64(count)
-		w.serverStacks[i].Persist(sw)
-		if err := srv.Checkpoint(sw, app); err != nil {
-			return err
-		}
+		w.serverRNGs[i].Sync(c, fork.reseed("server:"+w.ActiveSites[i].Host))
+		w.serverStacks[i].Sync(c)
+		srv.Sync(c, w.serverStacks[i], x)
 	}
 
-	if w.open != nil {
-		sw.Bool(true)
-		if err := w.persistOpenLoop(sw, app); err != nil {
-			return err
-		}
-	} else {
-		sw.Bool(false)
-		if err := w.persistPanel(sw, app); err != nil {
-			return err
-		}
+	open := w.open != nil
+	c.Bool(&open)
+	switch {
+	case c.Err() != nil:
+		return
+	case open != (w.open != nil):
+		c.Fail(fmt.Errorf("study: checkpoint open-loop=%v but the rebuilt world's is %v", open, w.open != nil))
+		return
+	case open:
+		w.syncOpenLoop(c, x, fork)
+	default:
+		w.syncPanel(c, x, fork)
 	}
 
-	sw.Tag("records")
+	c.Tag("records")
 	var recBuf bytes.Buffer
-	if err := trace.WriteJSON(&recBuf, w.collector.Records()); err != nil {
-		return err
+	if !c.Reading() {
+		c.Fail(trace.WriteJSON(&recBuf, w.collector.Records()))
 	}
-	sw.Bytes(recBuf.Bytes())
+	recBytes := recBuf.Bytes()
+	c.Bytes(&recBytes)
+	if c.Reading() && c.Err() == nil {
+		recs, err := trace.ReadJSON(bytes.NewReader(recBytes))
+		if err != nil {
+			c.Fail(fmt.Errorf("study: checkpoint records: %w", err))
+			return
+		}
+		for _, rec := range recs {
+			w.collector.Observe(rec)
+		}
+	}
 
-	// Packets go last: their payloads may reference TCP conns serialized
-	// above, and the restore resolves those references against the conns
-	// it has already rebuilt.
-	if err := w.Net.CheckpointPackets(sw, transport.PayloadCodec(app, nil)); err != nil {
-		return err
-	}
-	sw.Tag("endsnap")
-	return sw.Err()
+	w.Net.SyncPackets(c, x.PayloadSync)
+	c.Tag("endsnap")
 }
 
-func (w *World) persistPanel(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("panel")
-	sw.Int(w.remaining)
-	sw.U32(uint32(len(w.Users)))
+// syncCount walks the size of a population the rebuilt world must match
+// exactly (servers, panel users, templates), failing the codec when the
+// snapshot disagrees with what NewWorld built.
+func syncCount(c *snap.Codec, built int, what string) bool {
+	n := built
+	c.Len(&n)
+	if c.Err() == nil && n != built {
+		c.Fail(fmt.Errorf("study: checkpoint holds %d %s, world built %d", n, what, built))
+	}
+	return c.Err() == nil
+}
+
+// trackedStack returns the transport stack NewWorld tracked for a user
+// template, failing the codec when there is none.
+func (w *World) trackedStack(c *snap.Codec, name string) *transport.Stack {
+	st := w.stacks[name]
+	if st == nil {
+		c.Fail(fmt.Errorf("study: no tracked stack for user %s", name))
+	}
+	return st
+}
+
+func (w *World) syncPanel(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
+	c.Tag("panel")
+	c.Int(&w.remaining)
+	if !syncCount(c, len(w.Users), "panel users") {
+		return
+	}
 	for i, u := range w.Users {
-		seed, count := w.userRNGs[i].State()
-		sw.I64(seed)
-		sw.U64(count)
-		st := w.stacks[u.Name]
+		w.userRNGs[i].Sync(c, fork.reseed("user:"+u.Name))
+		st := w.trackedStack(c, u.Name)
 		if st == nil {
-			return fmt.Errorf("study: no tracked stack for panel user %s", u.Name)
+			return
 		}
-		st.Persist(sw)
-		persistTimer(sw, w.startTimers[i])
-		if err := w.tracers[i].PersistState(sw, app); err != nil {
-			return err
-		}
+		st.Sync(c)
+		w.Clock.SyncTimer(c, &w.startTimers[i], w.tracers[i])
+		w.tracers[i].Sync(c, st, x)
 	}
-	return sw.Err()
 }
 
-func (w *World) persistOpenLoop(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("openloop")
-	c := w.open.cells[0] // the classic open loop is a single cell
-	sw.Int(c.arrivalsLeft)
-	sw.Int(c.active)
-	sw.Int(c.sessions)
-	sw.Int(c.balked)
-	sw.Int(c.departed)
-	sw.Int(c.cursor)
-	seed, count := c.rng.State()
-	sw.I64(seed)
-	sw.U64(count)
-	cursor := 0
-	if sp, ok := c.policy.(interface{ PolicyState() int }); ok {
-		cursor = sp.PolicyState()
+func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
+	c.Tag("openloop")
+	cell := w.open.cells[0] // the classic open loop is a single cell
+	c.Int(&cell.arrivalsLeft)
+	c.Int(&cell.active)
+	c.Int(&cell.sessions)
+	c.Int(&cell.balked)
+	c.Int(&cell.departed)
+	c.Int(&cell.cursor)
+	if c.Reading() && c.Err() == nil && (cell.arrivalsLeft < 0 || cell.arrivalsLeft > w.Options.Arrivals ||
+		cell.active < 0 || cell.active > len(cell.busy) || cell.cursor < 0 || cell.cursor > len(cell.busy)) {
+		c.Fail(fmt.Errorf("study: checkpoint arrival state (%d arrivals left, %d active, scan cursor %d) outside the world's %d arrivals over %d templates",
+			cell.arrivalsLeft, cell.active, cell.cursor, w.Options.Arrivals, len(cell.busy)))
+		return
 	}
-	sw.Int(cursor)
-	persistTimer(sw, c.arrivalTimer)
-	sw.U32(uint32(len(c.bundles)))
-	for mi, b := range c.bundles {
-		sw.Bool(c.busy[mi])
-		if b == nil {
-			sw.Bool(false)
+	cell.rng.Sync(c, fork.reseed("arrivals"))
+	// Only stateful selection policies walk a cursor; the rest leave a zero.
+	// A fork onto another policy reads past the old one's.
+	if p, ok := cell.policy.(interface{ Sync(*snap.Codec) }); ok {
+		p.Sync(c)
+	} else {
+		var none int
+		c.Int(&none)
+	}
+	w.Clock.SyncTimer(c, &cell.arrivalTimer, (*arriveArm)(cell))
+	if !syncCount(c, len(cell.bundles), "templates") {
+		return
+	}
+	for mi := range cell.bundles {
+		c.Bool(&cell.busy[mi])
+		built := cell.bundles[mi] != nil
+		c.Bool(&built)
+		if !built {
 			continue
 		}
-		sw.Bool(true)
-		seed, count := b.rng.State()
-		sw.I64(seed)
-		sw.U64(count)
-		st := w.stacks[w.Users[b.idx].Name]
+		if c.Reading() {
+			if c.Err() != nil {
+				return
+			}
+			cell.bundles[mi] = cell.newBundle(mi, 0)
+		}
+		b := cell.bundles[mi]
+		name := w.Users[b.idx].Name
+		b.rng.Sync(c, fork.reseed("session:"+name))
+		st := w.trackedStack(c, name)
 		if st == nil {
-			return fmt.Errorf("study: no tracked stack for template %s", w.Users[b.idx].Name)
+			return
 		}
-		st.Persist(sw)
-		sw.Bool(b.done)
-		sw.Bool(b.departed)
-		sw.I64(b.ordinal)
-		sw.U32(uint32(len(b.clips)))
-		for _, ci := range b.clips {
-			sw.Int(ci)
+		st.Sync(c)
+		c.Bool(&b.done)
+		c.Bool(&b.departed)
+		c.I64(&b.ordinal)
+		snap.Slice(c, &b.clips, (*snap.Codec).Int)
+		if c.Reading() {
+			b.playlist = b.playlist[:0]
+			for _, ci := range b.clips {
+				if ci < 0 || ci >= len(w.Playlist) {
+					c.Fail(fmt.Errorf("study: checkpoint clip index %d out of playlist range", ci))
+					return
+				}
+				b.playlist = append(b.playlist, w.Playlist[ci])
+			}
+			// Reset installs the playlist (and clears walk state) before the
+			// tracer overlay repositions the walk.
+			b.tr.Reset(b.playlist)
 		}
-		persistTimer(sw, b.departTimer)
-		if err := b.tr.PersistState(sw, app); err != nil {
-			return err
-		}
+		w.Clock.SyncTimer(c, &b.departTimer, (*departArm)(b))
+		b.tr.Sync(c, st, x)
 	}
-	return sw.Err()
 }
 
 // Resume rebuilds a world from a snapshot written by Checkpoint and
@@ -394,218 +434,37 @@ func (w *World) persistOpenLoop(sw *snap.Writer, app transport.AppCodec) error {
 // resume (nil, byte-identical to never stopping) and a named divergent
 // scenario; see Fork.
 func Resume(r io.Reader, fork *Fork) (*World, error) {
-	sr := snap.NewReader(r)
-	if magic := sr.Str(); magic != snapMagic {
-		if sr.Err() != nil {
-			return nil, fmt.Errorf("study: not a checkpoint: %w", sr.Err())
-		}
-		return nil, fmt.Errorf("study: checkpoint magic %q, want %q (snapshot from an incompatible build)", magic, snapMagic)
+	// The whole snapshot is buffered so every length and count in it can be
+	// checked against the bytes that actually remain.
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("study: reading checkpoint: %w", err)
 	}
-	optBytes := sr.Bytes()
-	wantHash := sr.U64()
-	if sr.Err() != nil {
-		return nil, sr.Err()
+	c := snap.NewDecoder(data)
+	var opt Options
+	syncHeader(c, &opt)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("study: not a usable checkpoint: %w", err)
 	}
-	if h := hashBytes(optBytes); h != wantHash {
-		return nil, fmt.Errorf("study: checkpoint options hash mismatch (got %x, want %x): snapshot corrupted or from an incompatible build", h, wantHash)
-	}
-	optReader := snap.NewReader(bytes.NewReader(optBytes))
-	opt := restoreOptions(optReader)
-	if err := optReader.Err(); err != nil {
-		return nil, fmt.Errorf("study: checkpoint options: %w", err)
-	}
-	if extra := optReader.U8(); optReader.Err() == nil {
-		return nil, fmt.Errorf("study: checkpoint options carry %d trailing byte(s) starting %#x: snapshot from an incompatible build", len(optBytes), extra)
-	}
-
 	dynChanged := fork.apply(&opt)
-	forkName := ""
-	if fork != nil {
-		forkName = fork.Name
+	// A snapshot spends bytes on every user or template it carries; options
+	// claiming a larger world — or a sharded one, which is never
+	// checkpointed — are rejected before NewWorld builds anything.
+	if opt.MaxUsers > len(data) || opt.Shards != 0 {
+		return nil, fmt.Errorf("study: checkpoint options (%d users, %d shards) describe a world this snapshot cannot hold", opt.MaxUsers, opt.Shards)
 	}
 
-	// Deterministic rebuild: NewWorld replays exactly the build-time draws
-	// the original made, so the static world (hosts, libraries, playlist,
-	// route table) matches the snapshot and the overlay below only has to
-	// carry the dynamic state.
+	// Deterministic rebuild: NewWorld validates the options, then replays
+	// exactly the build-time draws the original made, so the static world
+	// (hosts, libraries, playlist, route table) matches the snapshot and the
+	// overlay only has to carry the dynamic state.
 	w, err := NewWorld(opt)
 	if err != nil {
 		return nil, err
 	}
-	if w.fab != nil {
-		return nil, fmt.Errorf("study: sharded worlds cannot be restored")
-	}
-
-	sr.Tag("clock")
-	now := sr.Dur()
-	seq := sr.U64()
-	fired := sr.U64()
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
-	// Reset wipes every build-time event (panel start timers, the first
-	// arrival); each owner below re-arms its own events at their original
-	// slots.
-	w.Clock.Reset(now, seq, fired)
-
-	if err := w.Net.Restore(sr, !dynChanged); err != nil {
+	w.sync(c, fork, !dynChanged)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	if forkName != "" {
-		dseed := opt.DynamicsSeed
-		if dseed == 0 {
-			dseed = opt.Seed + 4
-		}
-		w.Net.ReseedRNGs(forkSeed(opt.Seed+3, 0, forkName, "net"), forkSeed(dseed, 0, forkName, "dynamics"))
-	}
-
-	app := session.SnapCodec()
-	tbl := transport.NewConnTable()
-
-	sr.Tag("servers")
-	if n := int(sr.U32()); n != len(w.Servers) {
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		return nil, fmt.Errorf("study: checkpoint holds %d servers, world built %d", n, len(w.Servers))
-	}
-	for i, srv := range w.Servers {
-		seed := sr.I64()
-		count := sr.U64()
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		applyRNG(w.serverRNGs[i], seed, count, forkName, "server:"+w.ActiveSites[i].Host)
-		w.serverStacks[i].RestoreState(sr)
-		if err := srv.Restore(sr, w.serverStacks[i], app, tbl); err != nil {
-			return nil, err
-		}
-	}
-
-	if sr.Bool() {
-		if w.open == nil {
-			return nil, fmt.Errorf("study: open-loop checkpoint but the rebuilt world is a panel")
-		}
-		if err := w.restoreOpenLoop(sr, app, tbl, forkName); err != nil {
-			return nil, err
-		}
-	} else {
-		if w.open != nil {
-			return nil, fmt.Errorf("study: panel checkpoint but the rebuilt world is open-loop")
-		}
-		if err := w.restorePanel(sr, app, tbl, forkName); err != nil {
-			return nil, err
-		}
-	}
-
-	sr.Tag("records")
-	recs, err := trace.ReadJSON(bytes.NewReader(sr.Bytes()))
-	if err != nil {
-		return nil, fmt.Errorf("study: checkpoint records: %w", err)
-	}
-	for _, rec := range recs {
-		w.collector.Observe(rec)
-	}
-
-	if err := w.Net.RestorePackets(sr, transport.PayloadCodec(app, tbl)); err != nil {
-		return nil, err
-	}
-	sr.Tag("endsnap")
-	return w, sr.Err()
-}
-
-func (w *World) restorePanel(sr *snap.Reader, app transport.AppCodec, tbl *transport.ConnTable, forkName string) error {
-	sr.Tag("panel")
-	w.remaining = sr.Int()
-	if n := int(sr.U32()); n != len(w.Users) {
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		return fmt.Errorf("study: checkpoint holds %d panel users, world built %d", n, len(w.Users))
-	}
-	for i, u := range w.Users {
-		seed := sr.I64()
-		count := sr.U64()
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		applyRNG(w.userRNGs[i], seed, count, forkName, "user:"+u.Name)
-		st := w.stacks[u.Name]
-		st.RestoreState(sr)
-		w.startTimers[i] = restoreTimer(sr, w.Clock, w.tracers[i])
-		if err := w.tracers[i].RestoreState(sr, st, app, tbl); err != nil {
-			return err
-		}
-	}
-	return sr.Err()
-}
-
-func (w *World) restoreOpenLoop(sr *snap.Reader, app transport.AppCodec, tbl *transport.ConnTable, forkName string) error {
-	sr.Tag("openloop")
-	c := w.open.cells[0]
-	c.arrivalsLeft = sr.Int()
-	c.active = sr.Int()
-	c.sessions = sr.Int()
-	c.balked = sr.Int()
-	c.departed = sr.Int()
-	c.cursor = sr.Int()
-	seed := sr.I64()
-	count := sr.U64()
-	if sr.Err() != nil {
-		return sr.Err()
-	}
-	applyRNG(c.rng, seed, count, forkName, "arrivals")
-	polCursor := sr.Int()
-	if sp, ok := c.policy.(interface{ SetPolicyState(int) }); ok {
-		sp.SetPolicyState(polCursor)
-	}
-	c.arrivalTimer = restoreTimer(sr, w.Clock, (*arriveArm)(c))
-	if n := int(sr.U32()); n != len(c.bundles) {
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		return fmt.Errorf("study: checkpoint holds %d templates, world built %d", n, len(c.bundles))
-	}
-	for mi := range c.bundles {
-		c.busy[mi] = sr.Bool()
-		if !sr.Bool() {
-			continue
-		}
-		bseed := sr.I64()
-		bcount := sr.U64()
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		b := c.newBundle(mi, bseed)
-		c.bundles[mi] = b
-		applyRNG(b.rng, bseed, bcount, forkName, "session:"+w.Users[b.idx].Name)
-		st := w.stacks[w.Users[b.idx].Name]
-		st.RestoreState(sr)
-		b.done = sr.Bool()
-		b.departed = sr.Bool()
-		b.ordinal = sr.I64()
-		nc := int(sr.U32())
-		if sr.Err() != nil {
-			return sr.Err()
-		}
-		b.clips = make([]int, nc)
-		for j := range b.clips {
-			b.clips[j] = sr.Int()
-		}
-		b.playlist = b.playlist[:0]
-		for _, ci := range b.clips {
-			if ci < 0 || ci >= len(w.Playlist) {
-				return fmt.Errorf("study: checkpoint clip index %d out of playlist range", ci)
-			}
-			b.playlist = append(b.playlist, w.Playlist[ci])
-		}
-		// Reset installs the playlist (and clears walk state) before the
-		// tracer overlay repositions the walk.
-		b.tr.Reset(b.playlist)
-		b.departTimer = restoreTimer(sr, w.Clock, (*departArm)(b))
-		if err := b.tr.RestoreState(sr, st, app, tbl); err != nil {
-			return err
-		}
-	}
-	return sr.Err()
+	return w, nil
 }

@@ -1,7 +1,8 @@
 package tracer
 
 import (
-	"realtracer/internal/geo"
+	"fmt"
+
 	"realtracer/internal/player"
 	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
@@ -18,81 +19,56 @@ func init() {
 	simclock.RegisterEventKind("tracer.pause", (*tracerArm)(nil))
 }
 
-// PersistState writes the tracer's session progress. The playlist, user and
-// hooks are template state the world rebuilds deterministically from its
-// Options; only the walk position, the in-flight clip's identity (which
-// SelectServer may have re-homed) and the player engine persist.
-func (t *Tracer) PersistState(sw *snap.Writer, app transport.AppCodec) error {
-	sw.Tag("tracer")
-	sw.Int(t.idx)
-	sw.Int(t.played)
-	sw.Int(t.rated)
-	sw.Bool(t.stopped)
-	sw.Int(t.ai)
-	persistEntry(sw, t.curEntry)
-	sw.Dur(t.curStarted)
-	t.pause.Persist(sw)
-	sw.Bool(t.pl != nil)
-	if t.pl != nil {
-		return t.pl.PersistState(sw, app)
+// Sync walks the tracer's session progress. The playlist, user and hooks
+// are template state the world rebuilds deterministically from its Options;
+// only the walk position, the in-flight clip's identity (which SelectServer
+// may have re-homed) and the player engine are in the snapshot.
+//
+// Decoding overlays the walk onto a template-built Tracer (fresh from New
+// with the same Config the original had, playlist installed). The arenas
+// restore empty: checkpointed packets and frames are carried by value
+// elsewhere, so arena cells hold no restored state and refill as the session
+// proceeds.
+func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
+	c.Tag("tracer")
+	c.Int(&t.idx)
+	c.Int(&t.played)
+	c.Int(&t.rated)
+	c.Bool(&t.stopped)
+	c.Int(&t.ai)
+	if c.Reading() && c.Err() == nil && (t.idx < 0 || t.idx > len(t.cfg.Playlist) || t.ai < 0 || t.ai >= len(t.arenas)) {
+		c.Fail(fmt.Errorf("tracer: snapshot walk position (clip %d of %d, arena %d) out of range", t.idx, len(t.cfg.Playlist), t.ai))
+		t.idx, t.ai = 0, 0
+		return
 	}
-	return sw.Err()
-}
-
-// RestoreState overlays a checkpointed walk onto a template-built Tracer
-// (fresh from New with the same Config the original had). The arenas restore
-// empty: checkpointed packets and frames are carried by value elsewhere, so
-// arena cells hold no restored state and refill as the session proceeds.
-func (t *Tracer) RestoreState(sr *snap.Reader, stack *transport.Stack, app transport.AppCodec, tbl *transport.ConnTable) error {
-	sr.Tag("tracer")
-	t.idx = sr.Int()
-	t.played = sr.Int()
-	t.rated = sr.Int()
-	t.stopped = sr.Bool()
-	t.ai = sr.Int()
-	t.curEntry = restoreEntry(sr)
-	t.curStarted = sr.Dur()
-	t.pause = vclock.RestoreHandle(sr, t.cfg.Clock, (*tracerArm)(t))
-	if !sr.Bool() {
-		return sr.Err()
+	e := &t.curEntry
+	c.Str(&e.URL)
+	c.Str(&e.ControlAddr)
+	c.Str(&e.Site.Name)
+	c.Str(&e.Site.Host)
+	c.Str(&e.Site.Country)
+	snap.I64As(c, &e.Site.Region)
+	c.F64(&e.Site.Unavailability)
+	c.Int(&e.Site.Clips)
+	c.Dur(&t.curStarted)
+	vclock.SyncHandle(c, t.cfg.Clock, &t.pause, (*tracerArm)(t))
+	engine := t.pl != nil
+	c.Bool(&engine)
+	if !engine {
+		return
 	}
-	if t.arenas[t.ai] == nil {
-		t.arenas[t.ai] = &rdt.Arena{}
+	if c.Reading() {
+		if t.arenas[t.ai] == nil {
+			t.arenas[t.ai] = &rdt.Arena{}
+		}
+		t.pl = player.New(player.Config{
+			Clock:  t.cfg.Clock,
+			Net:    t.cfg.Net,
+			CPU:    player.PCClasses()[t.cfg.User.PCClass],
+			Rand:   t.cfg.Rand,
+			Arena:  t.arenas[t.ai],
+			OnDone: t.onDone,
+		})
 	}
-	owner := player.Config{
-		Clock:  t.cfg.Clock,
-		Net:    t.cfg.Net,
-		CPU:    player.PCClasses()[t.cfg.User.PCClass],
-		Rand:   t.cfg.Rand,
-		Arena:  t.arenas[t.ai],
-		OnDone: t.onDone,
-	}
-	t.pl = player.New(owner)
-	return t.pl.RestoreState(sr, owner, stack, app, tbl)
-}
-
-func persistEntry(sw *snap.Writer, e Entry) {
-	sw.Str(e.URL)
-	sw.Str(e.ControlAddr)
-	sw.Str(e.Site.Name)
-	sw.Str(e.Site.Host)
-	sw.Str(e.Site.Country)
-	sw.Int(int(e.Site.Region))
-	sw.F64(e.Site.Unavailability)
-	sw.Int(e.Site.Clips)
-}
-
-func restoreEntry(sr *snap.Reader) Entry {
-	return Entry{
-		URL:         sr.Str(),
-		ControlAddr: sr.Str(),
-		Site: geo.ServerSite{
-			Name:           sr.Str(),
-			Host:           sr.Str(),
-			Country:        sr.Str(),
-			Region:         geo.Region(sr.Int()),
-			Unavailability: sr.F64(),
-			Clips:          sr.Int(),
-		},
-	}
+	t.pl.Sync(c, stack, x)
 }

@@ -2,8 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"realtracer/internal/netsim"
 	"realtracer/internal/simclock"
@@ -23,33 +21,36 @@ import (
 //     segments (handshakes, closed conns) serialize by value.
 //
 //   - The RTO timer's handler is the conn itself (pooled event discipline),
-//     so each conn persists its timer as (At, seq) and re-arms it with the
+//     so each conn walks its timer as (At, seq) and re-arms it with the
 //     original sequence number on restore.
 //
 // Application payloads nested in segments and datagrams are opaque here; the
-// session layer supplies the AppCodec.
+// session layer supplies the AppSync.
 
 func init() {
 	simclock.RegisterEventKind("transport.tcp-rto", &simTCP{})
 }
 
-// AppCodec serializes the application payloads carried inside transport
-// frames (RTSP messages, RDT packets, data hellos). nil payloads are handled
-// by the transport layer before the codec is consulted.
-type AppCodec struct {
-	Encode func(*snap.Writer, any) error
-	Decode func(*snap.Reader) (any, error)
+// AppSync walks one application payload carried inside a transport frame
+// (RTSP messages, RDT packets, data hellos): it encodes *payload, or decodes
+// into it. nil payloads are handled by the transport layer before the walk
+// is consulted.
+type AppSync func(c *snap.Codec, payload *any)
+
+// SnapCtx is the per-world context every conn and packet walk shares: the
+// application-payload walk, and — filled while decoding — an index of
+// restored simulated TCP conns by local address, so wire segment references
+// can resolve to the owning conn's live segment. One per checkpoint or
+// restore.
+type SnapCtx struct {
+	app   AppSync
+	conns map[netsim.Addr]*simTCP
 }
 
-// ConnTable indexes restored simulated TCP conns by local address so wire
-// segment references can resolve to the owning conn's live segment. One
-// table per world restore; every RestoreConn registers into it.
-type ConnTable struct {
-	m map[netsim.Addr]*simTCP
+// NewSnapCtx returns a context whose application payloads walk through app.
+func NewSnapCtx(app AppSync) *SnapCtx {
+	return &SnapCtx{app: app, conns: make(map[netsim.Addr]*simTCP)}
 }
-
-// NewConnTable returns an empty table.
-func NewConnTable() *ConnTable { return &ConnTable{m: make(map[netsim.Addr]*simTCP)} }
 
 // Payload type tags in the snapshot.
 const (
@@ -60,82 +61,91 @@ const (
 	paySegRef = 4
 )
 
-// PayloadCodec returns the netsim payload codec for this world's in-flight
-// packets: transport frames are handled here, anything else delegates to
-// app. tbl must be the table the world's conns were (or will be) restored
-// into.
-func PayloadCodec(app AppCodec, tbl *ConnTable) netsim.PayloadCodec {
-	return netsim.PayloadCodec{
-		Encode: func(sw *snap.Writer, payload any) error {
-			switch m := payload.(type) {
-			case nil:
-				sw.U8(payNil)
-			case *tcpSeg:
-				// Reference only segments a live conn still owns: an open
-				// sender may mutate its inflight seg while a wire copy is
-				// mid-hop, so the copy must restore as the same object. A
-				// closed conn (torn-down session — possibly absent from the
-				// snapshot entirely) never mutates again; its wire copies
-				// serialize by value.
-				if c := m.conn; c != nil && !c.closed && c.ownsSeg(m) {
-					sw.U8(paySegRef)
-					sw.Str(string(c.laddr))
-					sw.U64(m.seq)
-					return sw.Err()
-				}
-				sw.U8(paySeg)
-				return persistSeg(sw, m, app)
-			case *tcpAck:
-				sw.U8(payAck)
-				sw.U64(m.cumAck)
-				sw.Dur(m.ts)
-				sw.Bool(m.echoOK)
-			default:
-				sw.U8(payApp)
-				return app.Encode(sw, payload)
-			}
-			return sw.Err()
-		},
-		Decode: func(sr *snap.Reader) (any, error) {
-			switch tag := sr.U8(); tag {
-			case payNil:
-				return nil, sr.Err()
-			case paySegRef:
-				laddr := netsim.Addr(sr.Str())
-				seq := sr.U64()
-				if sr.Err() != nil {
-					return nil, sr.Err()
-				}
-				c := tbl.m[laddr]
-				if c == nil {
-					return nil, fmt.Errorf("transport: wire segment references unknown conn %s", laddr)
-				}
-				seg := c.findSeg(seq)
-				if seg == nil {
-					return nil, fmt.Errorf("transport: wire segment references conn %s seq %d, which holds no such segment", laddr, seq)
-				}
-				return seg, nil
-			case paySeg:
-				return restoreSeg(sr, nil, app)
-			case payAck:
-				a := &tcpAck{}
-				a.cumAck = sr.U64()
-				a.ts = sr.Dur()
-				a.echoOK = sr.Bool()
-				return a, sr.Err()
-			case payApp:
-				return app.Decode(sr)
-			default:
-				return nil, fmt.Errorf("transport: unknown payload tag %d", tag)
-			}
-		},
+// payloadTag classifies an in-flight packet payload for encoding.
+func payloadTag(payload any) uint8 {
+	switch m := payload.(type) {
+	case nil:
+		return payNil
+	case *tcpSeg:
+		// Reference only segments a live conn still owns: an open sender may
+		// mutate its inflight seg while a wire copy is mid-hop, so the copy
+		// must restore as the same object. A closed conn (torn-down session
+		// — possibly absent from the snapshot entirely) never mutates again;
+		// its wire copies encode by value.
+		if c := m.conn; c != nil && !c.closed && c.ownsSeg(m) {
+			return paySegRef
+		}
+		return paySeg
+	case *tcpAck:
+		return payAck
+	default:
+		return payApp
 	}
+}
+
+// PayloadSync is the netsim payload walk for this world's in-flight packets:
+// transport frames are handled here, anything else delegates to the
+// application walk. Decoding resolves segment references against the conns
+// already restored through x.
+func (x *SnapCtx) PayloadSync(c *snap.Codec, payload *any) {
+	tag := payloadTag(*payload)
+	c.U8(&tag)
+	if c.Err() != nil {
+		return
+	}
+	switch tag {
+	case payNil:
+	case paySegRef:
+		var laddr netsim.Addr
+		var seq uint64
+		if seg, ok := (*payload).(*tcpSeg); ok {
+			laddr, seq = seg.conn.laddr, seg.seq
+		}
+		snap.StrAs(c, &laddr)
+		c.U64(&seq)
+		if c.Reading() && c.Err() == nil {
+			*payload = x.resolve(c, laddr, seq)
+		}
+	case paySeg:
+		if c.Reading() {
+			*payload = &tcpSeg{} // an orphan: free-standing, no owning conn
+		}
+		(*payload).(*tcpSeg).sync(c, x.app)
+	case payAck:
+		if c.Reading() {
+			*payload = &tcpAck{}
+		}
+		a := (*payload).(*tcpAck)
+		c.U64(&a.cumAck)
+		c.Dur(&a.ts)
+		c.Bool(&a.echoOK)
+	case payApp:
+		x.app(c, payload)
+	default:
+		c.Fail(fmt.Errorf("transport: unknown payload tag %d", tag))
+	}
+}
+
+// resolve turns a decoded (conn, seq) wire reference into the restored
+// conn's live segment, failing the codec when the snapshot holds no such
+// segment.
+func (x *SnapCtx) resolve(c *snap.Codec, laddr netsim.Addr, seq uint64) any {
+	conn := x.conns[laddr]
+	if conn == nil {
+		c.Fail(fmt.Errorf("transport: wire segment references unknown conn %s", laddr))
+		return nil
+	}
+	seg := conn.findSeg(seq)
+	if seg == nil {
+		c.Fail(fmt.Errorf("transport: wire segment references conn %s seq %d, which holds no such segment", laddr, seq))
+		return nil
+	}
+	return seg
 }
 
 // ownsSeg reports whether seg is live sender-side state of c: in the
 // inflight set or the unconsumed region of the send queue. Wire copies of
-// owned segments serialize by reference to preserve shared-mutation
-// semantics.
+// owned segments encode by reference to preserve shared-mutation semantics.
 func (c *simTCP) ownsSeg(seg *tcpSeg) bool {
 	if s, ok := c.inflight[seg.seq]; ok && s == seg {
 		return true
@@ -162,84 +172,42 @@ func (c *simTCP) findSeg(seq uint64) *tcpSeg {
 	return nil
 }
 
-// persistSeg writes one segment by value.
-func persistSeg(sw *snap.Writer, seg *tcpSeg, app AppCodec) error {
+// sync walks one segment by value.
+func (seg *tcpSeg) sync(c *snap.Codec, app AppSync) {
 	var flags uint8
-	if seg.syn {
-		flags |= 1
-	}
-	if seg.synAck {
-		flags |= 2
-	}
-	if seg.fin {
-		flags |= 4
-	}
-	if seg.rexmit {
-		flags |= 8
-	}
-	sw.U8(flags)
-	sw.U64(seg.seq)
-	sw.Int(seg.size)
-	sw.Dur(seg.ts)
-	if seg.payload == nil {
-		sw.Bool(false)
-		return sw.Err()
-	}
-	sw.Bool(true)
-	return app.Encode(sw, seg.payload)
-}
-
-// restoreSeg reads one segment written by persistSeg. When c is non-nil the
-// segment is carved from its slab and back-pointed to it; a nil c yields a
-// free-standing segment (an orphaned wire copy).
-func restoreSeg(sr *snap.Reader, c *simTCP, app AppCodec) (*tcpSeg, error) {
-	var seg *tcpSeg
-	if c != nil {
-		seg = c.newSeg()
-		seg.conn = c
-	} else {
-		seg = &tcpSeg{}
-	}
-	flags := sr.U8()
-	seg.syn = flags&1 != 0
-	seg.synAck = flags&2 != 0
-	seg.fin = flags&4 != 0
-	seg.rexmit = flags&8 != 0
-	seg.seq = sr.U64()
-	seg.size = sr.Int()
-	seg.ts = sr.Dur()
-	if sr.Bool() {
-		payload, err := app.Decode(sr)
-		if err != nil {
-			return nil, err
+	for i, on := range [...]bool{seg.syn, seg.synAck, seg.fin, seg.rexmit} {
+		if on {
+			flags |= 1 << i
 		}
-		seg.payload = payload
 	}
-	return seg, sr.Err()
+	c.U8(&flags)
+	seg.syn, seg.synAck, seg.fin, seg.rexmit = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+	c.U64(&seg.seq)
+	c.Int(&seg.size)
+	c.Dur(&seg.ts)
+	has := seg.payload != nil
+	c.Bool(&has)
+	if has {
+		app(c, &seg.payload)
+	}
 }
 
-// Persist writes the stack's own state (the ephemeral port cursor). The ACK
-// free-list is a pure allocation cache and is not persisted.
-func (s *Stack) Persist(sw *snap.Writer) {
-	sw.Tag("stack")
-	sw.Int(s.next)
-}
-
-// RestoreState overlays persisted stack state.
-func (s *Stack) RestoreState(sr *snap.Reader) {
-	sr.Tag("stack")
-	s.next = sr.Int()
+// Sync walks the stack's own state (the ephemeral port cursor). The ACK
+// free-list is a pure allocation cache and is not part of the snapshot.
+func (s *Stack) Sync(c *snap.Codec) {
+	c.Tag("stack")
+	c.Int(&s.next)
 }
 
 // RestoreAccepted re-seeds a listener's SYN-dedup map with a restored
 // server-side conn: a duplicate SYN still in flight from before the
 // checkpoint must find the existing conn, exactly as it would have in the
 // straight-through run. port is the listening port the conn was accepted on;
-// c must be a conn produced by RestoreConn.
-func (s *Stack) RestoreAccepted(port int, c Conn) error {
-	tc, ok := c.(*simTCP)
+// conn must have been decoded by SyncConn.
+func (s *Stack) RestoreAccepted(port int, conn Conn) error {
+	tc, ok := conn.(*simTCP)
 	if !ok {
-		return fmt.Errorf("transport: RestoreAccepted with %T", c)
+		return fmt.Errorf("transport: RestoreAccepted with %T", conn)
 	}
 	l := s.listeners[port]
 	if l == nil {
@@ -269,205 +237,163 @@ const (
 	connUDP = 2
 )
 
-// PersistConn writes a simulated conn owned by a session or player. Supported
+// SyncConn walks a simulated conn owned by a session or player. Supported
 // types: *simTCP (TCP control/data conns) and *simUDP (client-side connected
 // UDP). Server-side UDP conn views (UDPPort.ConnFor) carry no state and are
 // rebuilt by their owner instead.
-func PersistConn(sw *snap.Writer, c Conn, app AppCodec) error {
-	switch m := c.(type) {
+//
+// Decoding builds the conn on s, re-registering it with the network and (for
+// TCP) into x; the owner re-installs its receiver afterwards, exactly as it
+// did when the conn was first created. Encoding ignores s.
+func SyncConn(c *snap.Codec, conn *Conn, s *Stack, x *SnapCtx) {
+	var tag uint8
+	switch (*conn).(type) {
 	case *simTCP:
-		sw.U8(connTCP)
-		return m.persist(sw, app)
+		tag = connTCP
 	case *simUDP:
-		sw.U8(connUDP)
-		sw.Str(string(m.laddr))
-		sw.Str(string(m.raddr))
-		sw.Bool(m.closed)
-		return sw.Err()
+		tag = connUDP
 	default:
-		return fmt.Errorf("transport: cannot persist conn type %T", c)
+		if !c.Reading() {
+			c.Fail(fmt.Errorf("transport: cannot checkpoint conn type %T", *conn))
+			return
+		}
 	}
-}
-
-// RestoreConn reads a conn written by PersistConn, re-registering it with
-// the network and (for TCP) into tbl. The owner re-installs its receiver
-// afterwards, exactly as it did when the conn was first created.
-func RestoreConn(sr *snap.Reader, s *Stack, app AppCodec, tbl *ConnTable) (Conn, error) {
-	switch tag := sr.U8(); tag {
+	c.U8(&tag)
+	if c.Err() != nil {
+		return
+	}
+	switch tag {
 	case connTCP:
-		return restoreSimTCP(sr, s, app, tbl)
+		tc, _ := (*conn).(*simTCP)
+		if tc = s.syncTCP(c, tc, x); tc != nil {
+			*conn = tc
+		}
 	case connUDP:
-		laddr := netsim.Addr(sr.Str())
-		raddr := netsim.Addr(sr.Str())
-		closed := sr.Bool()
-		if sr.Err() != nil {
-			return nil, sr.Err()
+		uc, _ := (*conn).(*simUDP)
+		if uc = s.syncUDP(c, uc); uc != nil {
+			*conn = uc
 		}
-		if closed {
-			// Closed at checkpoint time: already unregistered in the live
-			// run, and the host may be detached (a departed client) — build
-			// the dead shell without touching the network.
-			c := &simUDP{stack: s, laddr: laddr, raddr: raddr, raddrID: s.net.Intern(raddr.Host()), closed: true}
-			c.lport, c.rport = laddr.Port(), raddr.Port()
-			return c, nil
-		}
-		return s.newSimUDP(laddr, raddr), nil
 	default:
-		if sr.Err() != nil {
-			return nil, sr.Err()
-		}
-		return nil, fmt.Errorf("transport: unknown conn tag %d", tag)
+		c.Fail(fmt.Errorf("transport: unknown conn tag %d", tag))
 	}
 }
 
-// persist writes the full simTCP state.
-func (c *simTCP) persist(sw *snap.Writer, app AppCodec) error {
-	sw.Tag("tcp")
-	sw.Str(string(c.laddr))
-	sw.Str(string(c.raddr))
-	sw.Bool(c.established)
-	sw.Bool(c.closed)
-
-	sw.U64(c.nextSeq)
-	sw.U64(c.sendBase)
-	sw.F64(c.cwnd)
-	sw.F64(c.ssthresh)
-	sw.Int(c.dupAcks)
-	sw.U64(c.lastAck)
-	sw.Dur(c.srtt)
-	sw.Dur(c.rttvar)
-	sw.Dur(c.rto)
-	if at, seq, ok := c.rtoTimer.When(); ok {
-		sw.Bool(true)
-		sw.Dur(at)
-		sw.U64(seq)
-	} else {
-		sw.Bool(false)
+// SyncOptConn walks a conn field that may be nil: a presence flag, then the
+// conn.
+func SyncOptConn(c *snap.Codec, conn *Conn, s *Stack, x *SnapCtx) {
+	has := *conn != nil
+	c.Bool(&has)
+	if has {
+		SyncConn(c, conn, s, x)
 	}
-	sw.U64(c.rcvNext)
-
-	live := c.queue[c.qhead:]
-	sw.U32(uint32(len(live)))
-	for _, seg := range live {
-		if err := persistSeg(sw, seg, app); err != nil {
-			return err
-		}
-	}
-	if err := persistSegMap(sw, c.inflight, app); err != nil {
-		return err
-	}
-	if err := persistSegMap(sw, c.reorder, app); err != nil {
-		return err
-	}
-
-	sw.U64(c.retransmits)
-	sw.U64(c.fastRexmits)
-	sw.U64(c.timeouts)
-	sw.U64(c.segsSent)
-	sw.U64(c.segsDelivered)
-	sw.Int(c.consecutiveRTOs)
-	return sw.Err()
 }
 
-// persistSegMap writes a seq-keyed segment map in seq order.
-func persistSegMap(sw *snap.Writer, m map[uint64]*tcpSeg, app AppCodec) error {
-	seqs := make([]uint64, 0, len(m))
-	for seq := range m {
-		seqs = append(seqs, seq)
+// registrable reports whether an open conn decoded for laddr can re-register
+// its packet handler — the host must be attached — failing the codec when it
+// cannot. Register's own panic stays reserved for programmer misuse.
+func (s *Stack) registrable(c *snap.Codec, laddr netsim.Addr) bool {
+	if c.Err() != nil {
+		return false
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	sw.U32(uint32(len(seqs)))
-	for _, seq := range seqs {
-		sw.U64(seq)
-		if err := persistSeg(sw, m[seq], app); err != nil {
-			return err
-		}
+	if !s.net.Attached(laddr.Host()) {
+		c.Fail(fmt.Errorf("transport: snapshot conn %s is open on a host that is not attached", laddr))
+		return false
 	}
-	return sw.Err()
+	return true
 }
 
-func restoreSegMap(sr *snap.Reader, c *simTCP, app AppCodec) (map[uint64]*tcpSeg, error) {
-	n := int(sr.U32())
-	m := make(map[uint64]*tcpSeg)
-	for i := 0; i < n; i++ {
-		seq := sr.U64()
-		seg, err := restoreSeg(sr, c, app)
-		if err != nil {
-			return nil, err
-		}
-		m[seq] = seg
+// syncUDP walks a client-side connected UDP conn; decoding (uc ignored)
+// returns the rebuilt conn, or nil on failure.
+func (s *Stack) syncUDP(c *snap.Codec, uc *simUDP) *simUDP {
+	if c.Reading() {
+		uc = &simUDP{stack: s}
 	}
-	return m, sr.Err()
+	snap.StrAs(c, &uc.laddr)
+	snap.StrAs(c, &uc.raddr)
+	c.Bool(&uc.closed)
+	if !c.Reading() || c.Err() != nil {
+		return nil
+	}
+	if uc.closed {
+		// Closed at checkpoint time: already unregistered in the live run,
+		// and the host may be detached (a departed client) — build the dead
+		// shell without touching the network.
+		uc.raddrID = s.net.Intern(uc.raddr.Host())
+		uc.lport, uc.rport = uc.laddr.Port(), uc.raddr.Port()
+		return uc
+	}
+	if !s.registrable(c, uc.laddr) {
+		return nil
+	}
+	return s.newSimUDP(uc.laddr, uc.raddr)
 }
 
-func restoreSimTCP(sr *snap.Reader, s *Stack, app AppCodec, tbl *ConnTable) (*simTCP, error) {
-	sr.Tag("tcp")
-	laddr := netsim.Addr(sr.Str())
-	raddr := netsim.Addr(sr.Str())
-	established := sr.Bool()
-	closed := sr.Bool()
-	if sr.Err() != nil {
-		return nil, sr.Err()
+// syncTCP walks the full simTCP state; decoding (tc ignored) returns the
+// rebuilt conn, or nil on failure.
+func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx) *simTCP {
+	if c.Reading() {
+		tc = &simTCP{} // scratch for the header; the real conn follows it
 	}
-	// A conn closed at checkpoint time was already unregistered from the
-	// network — and for a departed open-loop client the host itself is
-	// gone — so only open conns re-register their packet handler.
-	c := newSimTCPConn(s, laddr, raddr)
-	if !closed {
-		s.net.Register(laddr, c.onPacket)
-	}
-	c.established = established
-	c.closed = closed
-
-	c.nextSeq = sr.U64()
-	c.sendBase = sr.U64()
-	c.cwnd = sr.F64()
-	c.ssthresh = sr.F64()
-	c.dupAcks = sr.Int()
-	c.lastAck = sr.U64()
-	c.srtt = sr.Dur()
-	c.rttvar = sr.Dur()
-	c.rto = sr.Dur()
-	rtoArmed := sr.Bool()
-	var rtoAt time.Duration
-	var rtoSeq uint64
-	if rtoArmed {
-		rtoAt = sr.Dur()
-		rtoSeq = sr.U64()
-	}
-	c.rcvNext = sr.U64()
-
-	nq := int(sr.U32())
-	for i := 0; i < nq; i++ {
-		seg, err := restoreSeg(sr, c, app)
-		if err != nil {
-			return nil, err
+	c.Tag("tcp")
+	snap.StrAs(c, &tc.laddr)
+	snap.StrAs(c, &tc.raddr)
+	c.Bool(&tc.established)
+	c.Bool(&tc.closed)
+	if c.Reading() {
+		// A conn closed at checkpoint time was already unregistered from the
+		// network — and for a departed open-loop client the host itself is
+		// gone — so only open conns re-register their packet handler.
+		if c.Err() != nil || (!tc.closed && !s.registrable(c, tc.laddr)) {
+			return nil
 		}
-		c.queue = append(c.queue, seg)
-	}
-	var err error
-	if c.inflight, err = restoreSegMap(sr, c, app); err != nil {
-		return nil, err
-	}
-	if c.reorder, err = restoreSegMap(sr, c, app); err != nil {
-		return nil, err
+		hdr := tc
+		tc = newSimTCPConn(s, hdr.laddr, hdr.raddr)
+		tc.established, tc.closed = hdr.established, hdr.closed
+		if !tc.closed {
+			s.net.Register(tc.laddr, tc.onPacket)
+		}
 	}
 
-	c.retransmits = sr.U64()
-	c.fastRexmits = sr.U64()
-	c.timeouts = sr.U64()
-	c.segsSent = sr.U64()
-	c.segsDelivered = sr.U64()
-	c.consecutiveRTOs = sr.Int()
-	if sr.Err() != nil {
-		return nil, sr.Err()
-	}
+	c.U64(&tc.nextSeq)
+	c.U64(&tc.sendBase)
+	c.F64(&tc.cwnd)
+	c.F64(&tc.ssthresh)
+	c.Int(&tc.dupAcks)
+	c.U64(&tc.lastAck)
+	c.Dur(&tc.srtt)
+	c.Dur(&tc.rttvar)
+	c.Dur(&tc.rto)
+	tc.stack.clock.SyncTimer(c, &tc.rtoTimer, tc)
+	c.U64(&tc.rcvNext)
 
-	if rtoArmed {
-		c.rtoTimer = s.clock.Arm(rtoAt, rtoSeq, c)
+	// Decoded segments are carved from the conn's slab and back-pointed to
+	// it, like the originals.
+	ownSeg := func(c *snap.Codec, seg **tcpSeg) {
+		if c.Reading() {
+			*seg = tc.newSeg()
+			(*seg).conn = tc
+		}
+		(*seg).sync(c, x.app)
+	}
+	live := tc.queue[tc.qhead:]
+	snap.Slice(c, &live, ownSeg)
+	if c.Reading() {
+		tc.queue = live
+	}
+	snap.Map(c, &tc.inflight, (*snap.Codec).U64, ownSeg)
+	snap.Map(c, &tc.reorder, (*snap.Codec).U64, ownSeg)
+
+	c.U64(&tc.retransmits)
+	c.U64(&tc.fastRexmits)
+	c.U64(&tc.timeouts)
+	c.U64(&tc.segsSent)
+	c.U64(&tc.segsDelivered)
+	c.Int(&tc.consecutiveRTOs)
+	if !c.Reading() || c.Err() != nil {
+		return nil
 	}
 	// Closed conns enter the table too: an in-flight packet snapshotted
 	// mid-hop may still reference a just-closed conn's segment storage.
-	tbl.m[c.laddr] = c
-	return c, nil
+	x.conns[tc.laddr] = tc
+	return tc
 }

@@ -7,37 +7,23 @@ import (
 	"realtracer/internal/snap"
 )
 
-// Persist writes the handle's pending-event identity as an
-// (armed, At, seq) record. Fired, cancelled, zero and real-clock handles all
-// persist as unarmed — exactly the states in which re-arming on restore
-// would be wrong.
-func (h Handle) Persist(sw *snap.Writer) {
-	if at, seq, ok := h.When(); ok {
-		sw.Bool(true)
-		sw.Dur(at)
-		sw.U64(seq)
-	} else {
-		sw.Bool(false)
-	}
-}
-
-// RestoreHandle reads a record written by Persist and, when it was armed,
-// re-arms h.Fire on the simulated clock with the original (At, seq) pair.
-// Restoring an armed handle onto a non-simulated clock fails the reader:
-// checkpoints only exist in simulation.
-func RestoreHandle(sr *snap.Reader, c Clock, h simclock.EventHandler) Handle {
-	if !sr.Bool() {
-		return Handle{}
-	}
-	at := sr.Dur()
-	seq := sr.U64()
-	if sr.Err() != nil {
-		return Handle{}
-	}
+// SyncHandle walks a handle's pending-event identity as an (armed, At, seq)
+// record; see simclock.Clock.SyncTimer. Real-clock handles encode as
+// unarmed, and decoding an armed record onto a non-simulated clock fails
+// the codec: checkpoints only exist in simulation.
+func SyncHandle(sc *snap.Codec, c Clock, hd *Handle, h simclock.EventHandler) {
 	sim, ok := c.(Sim)
 	if !ok {
-		sr.Fail(fmt.Errorf("vclock: restore of an armed timer onto non-simulated clock %T", c))
-		return Handle{}
+		armed := false
+		sc.Bool(&armed)
+		if armed {
+			sc.Fail(fmt.Errorf("vclock: restore of an armed timer onto non-simulated clock %T", c))
+		}
+		return
 	}
-	return Handle{sim: sim.C.Arm(at, seq, h)}
+	t := hd.sim
+	sim.C.SyncTimer(sc, &t, h)
+	if sc.Reading() {
+		*hd = Handle{sim: t}
+	}
 }

@@ -69,22 +69,6 @@ func (h Handle) Armed() bool {
 	return h.sim.Active()
 }
 
-// When reports the scheduled (At, seq) of a simulated handle's pending
-// event, with ok false for real-clock, fired, cancelled or zero handles.
-// Engines persist their armed timers through this accessor when a world is
-// checkpointed.
-func (h Handle) When() (at time.Duration, seq uint64, ok bool) {
-	if h.rt != nil {
-		return 0, 0, false
-	}
-	return h.sim.When()
-}
-
-// SimHandle wraps a simulator timer in a Handle — the restore-side
-// counterpart of When, used when re-arming checkpointed timers through
-// simclock.Clock.Arm.
-func SimHandle(t simclock.Timer) Handle { return Handle{sim: t} }
-
 // Sim adapts a *simclock.Clock to the Clock interface.
 type Sim struct{ C *simclock.Clock }
 

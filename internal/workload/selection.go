@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"fmt"
 	"sort"
 	"time"
+
+	"realtracer/internal/snap"
 )
 
 // Candidate is one mirror site offering a requested clip, as seen by a
@@ -84,12 +87,15 @@ func (p *RoundRobin) Pick(user string, cands []Candidate) int {
 	return i
 }
 
-// PolicyState exposes the rotation cursor so a world checkpoint can carry
-// it; SetPolicyState restores it. RoundRobin is the only stateful policy.
-func (p *RoundRobin) PolicyState() int { return p.next }
-
-// SetPolicyState restores a checkpointed rotation cursor.
-func (p *RoundRobin) SetPolicyState(n int) { p.next = n }
+// Sync walks the rotation cursor so a world checkpoint can carry it.
+// RoundRobin is the only stateful policy.
+func (p *RoundRobin) Sync(c *snap.Codec) {
+	c.Int(&p.next)
+	if c.Reading() && p.next < 0 {
+		c.Fail(fmt.Errorf("workload: snapshot round-robin cursor %d is negative", p.next))
+		p.next = 0
+	}
+}
 
 // LeastLoaded picks the server with the fewest active sessions, breaking
 // ties by lower RTT and then site order — the load-probe policy.
