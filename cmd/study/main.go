@@ -44,9 +44,10 @@
 // composes with every -dynamics profile and every -selection policy
 // (leastloaded selections read lookahead-delayed load gossip).
 //
-// -checkpoint FILE -warmup DUR snapshots the full simulation state at the
-// warm-up instant (simulated time), then continues to completion — the run
-// produces its normal output and leaves a reusable warm-start artifact.
+// -checkpoint FILE -warmup DUR snapshots the full simulation state at
+// exactly the warm-up instant (simulated time; taking the snapshot does not
+// advance the world), then continues to completion — the run produces its
+// normal output and leaves a reusable warm-start artifact.
 // -resume FILE replays a snapshot to completion under the options it was
 // written with; its records are byte-identical to the straight-through run.
 // Snapshots are version-stamped with an options hash, so resuming under a

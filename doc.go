@@ -28,8 +28,8 @@
 // (six levels of 64 slots at a ~131µs tick) with a small 4-ary near heap
 // preserving exact (time, sequence) firing order, so arming is O(1) and a
 // recurring timer re-armed from inside Fire reuses the just-fired event
-// slot; the old 4-ary heap remains compiled-in as a differential oracle
-// that CI replays random traces against under -race. One delivered UDP
+// slot; a test-only reference scheduler is the differential oracle that CI
+// replays random traces against under -race. One delivered UDP
 // datagram costs ~45ns and zero allocations (BenchmarkPacketHopUDP,
 // guarded by the alloc-budget test in internal/transport). Everything
 // stays bit-for-bit deterministic — RNG draw order, FIFO tie-breaking and
@@ -93,8 +93,10 @@
 // A running world is also snapshottable: World.Checkpoint serializes the
 // complete simulation state — simclock time and pending timers (through a
 // typed-event registry; each registered event kind is re-armed by its one
-// owner, closures on the heap are drained first or rejected loudly), in-flight
-// packets and per-path weather, TCP connections mid-transfer with
+// owner, and every event the engine schedules is one, so the snapshot is
+// cut at exactly the instant asked for and Checkpoint does not advance the
+// world), in-flight packets and per-path weather, TCP dials in flight and
+// connections mid-transfer with
 // segment-object sharing preserved for live senders, server sessions and
 // free-lists, arrival-cell cursors, and every RNG stream's draw count —
 // version-stamped with a hash of the world's Options so a mismatched

@@ -23,6 +23,19 @@ import (
 	"realtracer/internal/vclock"
 )
 
+// crossTraffic is a scheduled change of the server-to-client path's cross
+// traffic: the clock runs typed handlers, not closures.
+type crossTraffic struct {
+	n    *netsim.Network
+	mean float64
+	note string
+}
+
+func (x *crossTraffic) Fire(time.Duration) {
+	x.n.SetCongestionMean("server", "client", x.mean, 0.05)
+	fmt.Println(x.note)
+}
+
 func main() {
 	clock := simclock.New()
 	route := netsim.Route{
@@ -53,14 +66,8 @@ func main() {
 	}
 
 	// A congestion epoch from t=40s to t=80s squeezes the path hard.
-	clock.At(40*time.Second, func() {
-		n.SetCongestionMean("server", "client", 0.85, 0.05)
-		fmt.Println("t=40s: heavy cross traffic begins")
-	})
-	clock.At(80*time.Second, func() {
-		n.SetCongestionMean("server", "client", 0.1, 0.05)
-		fmt.Println("t=80s: cross traffic clears")
-	})
+	clock.AtHandler(40*time.Second, &crossTraffic{n, 0.85, "t=40s: heavy cross traffic begins"})
+	clock.AtHandler(80*time.Second, &crossTraffic{n, 0.1, "t=80s: cross traffic clears"})
 
 	var got *player.Stats
 	p := player.New(player.Config{

@@ -443,12 +443,6 @@ func GenerateLibrary(host string, n int, seed int64) *Library {
 	return NewLibrary(clips)
 }
 
-// BitsForDuration returns the approximate number of payload bits an
-// encoding emits over d — used in capacity planning and tests.
-func BitsForDuration(e Encoding, d time.Duration) float64 {
-	return e.TotalKbps * 1000 * d.Seconds()
-}
-
 // FullMotionFPS and friends: the perceptual frame-rate thresholds the paper
 // analyzes against (Section V).
 const (

@@ -30,9 +30,9 @@ func newRig(route Route, spec *Dynamics, seed int64) *rig {
 func (r *rig) sendEvery(interval, horizon time.Duration) int {
 	n := 0
 	for t := time.Duration(0); t < horizon; t += interval {
-		r.clock.At(t, func() {
+		r.clock.AtHandler(t, fireFunc(func(time.Duration) {
 			r.net.Send(&Packet{From: "src:9", To: "dst:1", Size: 200})
-		})
+		}))
 		n++
 	}
 	r.clock.Run()
@@ -94,7 +94,7 @@ func TestDelayShiftMovesDeliveries(t *testing.T) {
 	r := newRig(Route{}, spec, 1)
 	for _, at := range []time.Duration{time.Second, 20 * time.Second, 40 * time.Second} {
 		at := at
-		r.clock.At(at, func() { r.net.Send(&Packet{From: "src:9", To: "dst:1", Size: 100}) })
+		r.clock.AtHandler(at, fireFunc(func(time.Duration) { r.net.Send(&Packet{From: "src:9", To: "dst:1", Size: 100}) }))
 	}
 	r.clock.Run()
 	if len(r.got) != 3 {
@@ -114,8 +114,8 @@ func TestDelayShiftMovesDeliveries(t *testing.T) {
 func TestDelayShiftPermanentWhenOpenEnded(t *testing.T) {
 	spec := NewDynamics().DelayShift("src", "*", 10*time.Second, 0, 200*time.Millisecond)
 	r := newRig(Route{}, spec, 1)
-	r.clock.At(time.Second, func() { r.net.Send(&Packet{From: "src:9", To: "dst:1", Size: 100}) })
-	r.clock.At(time.Hour, func() { r.net.Send(&Packet{From: "src:9", To: "dst:1", Size: 100}) })
+	r.clock.AtHandler(time.Second, fireFunc(func(time.Duration) { r.net.Send(&Packet{From: "src:9", To: "dst:1", Size: 100}) }))
+	r.clock.AtHandler(time.Hour, fireFunc(func(time.Duration) { r.net.Send(&Packet{From: "src:9", To: "dst:1", Size: 100}) }))
 	r.clock.Run()
 	if len(r.got) != 2 {
 		t.Fatalf("deliveries=%d want 2", len(r.got))

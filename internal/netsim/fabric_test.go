@@ -162,9 +162,9 @@ func TestFabricCrossShardDelivery(t *testing.T) {
 	const sends = 10
 	for i := 0; i < sends; i++ {
 		i := i
-		fab.Clock(0).After(time.Duration(i)*time.Millisecond, func() {
+		fab.Clock(0).AfterHandler(time.Duration(i)*time.Millisecond, fireFunc(func(time.Duration) {
 			fab.Net(0).Send(&Packet{From: "a:9", To: "b:1", Size: 500, Payload: "ping"})
-		})
+		}))
 	}
 	fab.Run(nil)
 	if got != sends {
@@ -275,9 +275,9 @@ func TestFabricShardCountInvariance(t *testing.T) {
 		})
 		for i := 0; i < 200; i++ {
 			i := i
-			fab.Clock(0).After(time.Duration(i)*5*time.Millisecond, func() {
+			fab.Clock(0).AfterHandler(time.Duration(i)*5*time.Millisecond, fireFunc(func(time.Duration) {
 				fab.Net(0).Send(&Packet{From: "a:9", To: "b:1", Size: 400, Payload: "x"})
-			})
+			}))
 		}
 		fab.Run(nil)
 		return out

@@ -519,6 +519,13 @@ func (n *Network) Unregister(addr Addr) {
 	}
 }
 
+// Registered reports whether addr has a packet handler: its host is attached
+// and nothing has unregistered the address — or removed the host — since.
+func (n *Network) Registered(addr Addr) bool {
+	hst := n.hostByAddr(addr)
+	return hst != nil && hst.handlers[addr] != nil
+}
+
 // Stats reports cumulative packet counts: sent (offered to the network),
 // delivered and dropped (loss or queue overflow).
 func (n *Network) Stats() (sent, delivered, dropped uint64) {

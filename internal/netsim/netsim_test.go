@@ -39,9 +39,9 @@ func TestRandomLossRate(t *testing.T) {
 	const total = 2000
 	for i := 0; i < total; i++ {
 		i := i
-		clock.After(time.Duration(i)*10*time.Millisecond, func() {
+		clock.AfterHandler(time.Duration(i)*10*time.Millisecond, fireFunc(func(time.Duration) {
 			n.Send(&Packet{From: "a:9", To: "b:1", Size: 200})
-		})
+		}))
 	}
 	clock.Run()
 	frac := float64(got) / total
@@ -57,9 +57,9 @@ func TestCapacityLimitsThroughput(t *testing.T) {
 	n.Register("b:1", func(pkt *Packet) { bytes += pkt.Size })
 	for i := 0; i < 1000; i++ {
 		i := i
-		clock.After(time.Duration(i)*10*time.Millisecond, func() { // 1000B every 10ms = 800 Kbps
+		clock.AfterHandler(time.Duration(i)*10*time.Millisecond, fireFunc(func(time.Duration) { // 1000B every 10ms = 800 Kbps
 			n.Send(&Packet{From: "a:9", To: "b:1", Size: 1000})
-		})
+		}))
 	}
 	clock.RunUntil(10 * time.Second)
 	kbps := float64(bytes) * 8 / 1000 / 10
@@ -82,9 +82,9 @@ func TestAccessLinkQueueOverflowDrops(t *testing.T) {
 	// Offer 500 Kbps to a 50 Kbps modem for 5 seconds.
 	for i := 0; i < 300; i++ {
 		i := i
-		clock.After(time.Duration(i)*10*time.Millisecond, func() {
+		clock.AfterHandler(time.Duration(i)*10*time.Millisecond, fireFunc(func(time.Duration) {
 			n.Send(&Packet{From: "a:9", To: "m:1", Size: 625})
-		})
+		}))
 	}
 	clock.Run()
 	_, _, dropped := n.Stats()
@@ -152,12 +152,12 @@ func TestRegisterUnknownHostPanics(t *testing.T) {
 func TestCongestionStaysBounded(t *testing.T) {
 	clock, n := newNet(Route{CapacityKbps: 500, CongestionMean: 0.5, CongestionVar: 0.3})
 	for i := 0; i < 300; i++ {
-		clock.After(time.Duration(i)*time.Second, func() {
+		clock.AfterHandler(time.Duration(i)*time.Second, fireFunc(func(time.Duration) {
 			c := n.Congestion("a", "b")
 			if c < 0 || c > 0.95 {
 				t.Errorf("congestion out of bounds: %v", c)
 			}
-		})
+		}))
 	}
 	clock.Run()
 }
@@ -198,9 +198,9 @@ func TestJitterSpreadsDelivery(t *testing.T) {
 	base := time.Duration(0)
 	for i := 0; i < 50; i++ {
 		i := i
-		clock.After(base+time.Duration(i)*100*time.Millisecond, func() {
+		clock.AfterHandler(base+time.Duration(i)*100*time.Millisecond, fireFunc(func(time.Duration) {
 			n.Send(&Packet{From: "a:1", To: "b:1", Size: 100})
-		})
+		}))
 	}
 	clock.Run()
 	if len(times) != 50 {

@@ -130,11 +130,11 @@ func TestConservationAndFIFOUnderRandomDynamics(t *testing.T) {
 				key := [2]string{from, to}
 				size := 40 + rng.Intn(1400)
 				at := time.Duration(rng.Intn(90_000)) * time.Millisecond
-				clock.At(at, func() {
+				clock.AtHandler(at, fireFunc(func(time.Duration) {
 					seq := nextSeq[key]
 					nextSeq[key] = seq + 1
 					n.Send(&Packet{From: Addr(from + ":1"), To: Addr(to + ":1"), Size: size, Payload: seq})
-				})
+				}))
 				sent++
 			}
 			clock.Run()

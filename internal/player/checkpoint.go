@@ -1,6 +1,8 @@
 package player
 
 import (
+	"fmt"
+
 	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
@@ -21,7 +23,8 @@ func init() {
 }
 
 // Sync walks the complete mid-session player: the handshake state machine
-// (plain-data pending kinds), both connections, the frame buffer and
+// (plain-data pending kinds, and which dial it is waiting on — the dial
+// itself is walked by the stack), both connections, the frame buffer and
 // reassembly set, the FEC window and NACK ledger, every timer, and the
 // accumulated Stats. The snapshot carries the Config scalars that were drawn
 // from the owner's RNG at session start (URL, addresses, protocol, bandwidth
@@ -78,6 +81,16 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	vclock.SyncHandle(c, clk, &p.reportTick, (*reportArm)(p))
 	vclock.SyncHandle(c, clk, &p.nackTimer, (*nackArm)(p))
 	c.U32(&p.epoch)
+	// After the epoch: the re-attached continuation binds the restored one.
+	c.U8(&p.dialing)
+	c.Str(&p.dialAddr)
+	if c.Reading() && c.Err() == nil && p.dialing != 0 {
+		if p.dialing > dialData {
+			c.Fail(fmt.Errorf("player: snapshot dial kind %d out of range", p.dialing))
+		} else if err := stack.ReattachDial(p.dialAddr, p.dialDone(p.dialing)); err != nil {
+			c.Fail(err)
+		}
+	}
 
 	// The frame heap walks in raw array order: restoring the identical
 	// slice reproduces the identical heap layout, hence identical pop order.

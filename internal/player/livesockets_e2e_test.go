@@ -100,10 +100,10 @@ func TestLiveSocketsEndToEnd(t *testing.T) {
 				if finish(sessionOutcome{proto: proto, stats: st, err: err}) {
 					// OnDone fires as soon as playout ends; give the final
 					// TEARDOWN a beat to cross the kernel before shutdown.
-					clock.After(500*time.Millisecond, func() {
+					clock.AfterHandler(500*time.Millisecond, fireFunc(func() {
 						srv.Stop()
 						loop.Close()
-					})
+					}))
 				}
 			},
 		})

@@ -176,6 +176,12 @@ type Player struct {
 	// handshake completing after the player moved on to another session
 	// cannot install its connection into the recycled player.
 	epoch uint32
+	// dialing is the dial this session is waiting on (dialControl, dialData,
+	// or 0 for none) and dialAddr the local address Net.DialTCP returned for
+	// it — plain data, so a world checkpoint can persist the wait and hand
+	// the restored dial its continuation back.
+	dialing  uint8
+	dialAddr string
 
 	// arena backs sent packets (reports, buffer state, NACKs) and FEC-
 	// reconstructed Data cells. ownArena is the lazily-created fallback
@@ -363,6 +369,7 @@ func (p *Player) cancelTimers() {
 // safe to Reset.
 func (p *Player) Abort() {
 	p.epoch++ // disarm in-flight dial callbacks
+	p.dialing, p.dialAddr = 0, ""
 	p.cancelTimers()
 	if p.doneCalled {
 		return
@@ -380,8 +387,25 @@ func (p *Player) Abort() {
 // Start begins the session: dial control, DESCRIBE, SETUP, PLAY.
 func (p *Player) Start() {
 	p.touchIdle()
+	p.dial(dialControl, p.cfg.ControlAddr)
+}
+
+// Dial kinds: which connection a pending dial opens.
+const (
+	dialControl = 1
+	dialData    = 2
+)
+
+func (p *Player) dial(kind uint8, addr string) {
+	p.dialing = kind
+	p.dialAddr = p.cfg.Net.DialTCP(addr, p.dialDone(kind))
+}
+
+// dialDone builds the continuation of a dial of the given kind, bound to the
+// current epoch.
+func (p *Player) dialDone(kind uint8) func(transport.Conn, error) {
 	epoch := p.epoch
-	p.cfg.Net.DialTCP(p.cfg.ControlAddr, func(c transport.Conn, err error) {
+	return func(c transport.Conn, err error) {
 		if p.epoch != epoch {
 			// The player was recycled while the handshake was in flight; the
 			// connection (if any) belongs to nobody.
@@ -390,14 +414,25 @@ func (p *Player) Start() {
 			}
 			return
 		}
-		if err != nil {
+		p.dialing, p.dialAddr = 0, ""
+		switch {
+		case err != nil && kind == dialControl:
 			p.finish(fmt.Errorf("player: control dial: %w", err))
-			return
+		case err != nil:
+			p.finish(err)
+		case kind == dialControl:
+			p.ctl = c
+			c.SetReceiver(p.onControl)
+			p.describe()
+		default:
+			p.data = c
+			p.dataIsMe = true
+			c.SetReceiver(p.onData)
+			hello := &session.DataHello{SessionID: p.sessID}
+			c.Send(hello, len(p.sessID)+1)
+			p.play()
 		}
-		p.ctl = c
-		c.SetReceiver(p.onControl)
-		p.describe()
-	})
+	}
 }
 
 // Pending-request kinds: which continuation a response dispatches to.
@@ -506,25 +541,7 @@ func (p *Player) onSetupResp(resp *rtsp.Message) {
 		return
 	}
 	if p.cfg.Protocol == transport.TCP {
-		epoch := p.epoch
-		p.cfg.Net.DialTCP(srvSpec.ServerDataAddr, func(c transport.Conn, err error) {
-			if p.epoch != epoch {
-				if c != nil {
-					c.Close()
-				}
-				return
-			}
-			if err != nil {
-				p.finish(err)
-				return
-			}
-			p.data = c
-			p.dataIsMe = true
-			c.SetReceiver(p.onData)
-			hello := &session.DataHello{SessionID: p.sessID}
-			c.Send(hello, len(p.sessID)+1)
-			p.play()
-		})
+		p.dial(dialData, srvSpec.ServerDataAddr)
 		return
 	}
 	p.play()
@@ -656,7 +673,8 @@ func (p *Player) onDataPacket(d *rdt.Data) {
 		if _, dup := p.haveSeq[d.Seq]; dup {
 			return // retransmission of something FEC already rebuilt
 		}
-		if d.Seq > p.highestSeq+1 && p.data != nil && p.data.Protocol() == transport.UDP {
+		if gap := d.Seq - p.highestSeq - 1; d.Seq > p.highestSeq+1 && gap <= nackMaxGap &&
+			p.data != nil && p.data.Protocol() == transport.UDP {
 			// Sequence gap: queue NACKs for the missing packets.
 			for seq := p.highestSeq + 1; seq < d.Seq; seq++ {
 				if _, ok := p.nackOutstanding[seq]; !ok {
@@ -685,6 +703,11 @@ const (
 	nackDelay    = 120 * time.Millisecond
 	nackRetry    = 350 * time.Millisecond
 	nackMaxTries = 4
+	// nackMaxGap is the widest sequence gap worth NACKing. A clip is a few
+	// thousand video packets, so a wider gap is a corrupt or hostile sequence
+	// number, and walking it would spin for up to 2^32 iterations and grow
+	// the NACK ledger without bound.
+	nackMaxGap = 1 << 16
 )
 
 func (p *Player) armNack() {
@@ -746,6 +769,16 @@ func (p *Player) gcSeqs() {
 	cut := uint32(0)
 	if p.highestSeq > window {
 		cut = p.highestSeq - window
+	}
+	if cut-p.seqFloor > nackMaxGap {
+		// The same hostile jump, seen from the expiry side: visit the window's
+		// few entries instead of every sequence number up to the cut.
+		for s := range p.haveSeq {
+			if s < cut {
+				delete(p.haveSeq, s)
+			}
+		}
+		p.seqFloor = cut
 	}
 	for ; p.seqFloor < cut; p.seqFloor++ {
 		delete(p.haveSeq, p.seqFloor)

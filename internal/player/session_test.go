@@ -16,6 +16,12 @@ import (
 	"realtracer/internal/vclock"
 )
 
+// fireFunc adapts a closure to a simclock.EventHandler. Its type is not a
+// registered event kind, so a world holding one is not checkpointable.
+type fireFunc func()
+
+func (f fireFunc) Fire(time.Duration) { f() }
+
 // fullRig is a richer variant of the basic test rig with server knobs.
 type fullRig struct {
 	clock *simclock.Clock
@@ -183,7 +189,7 @@ func TestRebufferOnCongestionEpoch(t *testing.T) {
 	r := newFullRig(t, server.Config{SureStream: false}, netsim.AccessDSLCable,
 		netsim.Route{OneWayDelay: 40 * time.Millisecond, CapacityKbps: 500, CongestionMean: 0.05, CongestionVar: 0.02})
 	// Throttle the path to a trickle mid-clip.
-	r.clock.At(20*time.Second, func() { r.net.SetCongestionMean("srv", "cli", 0.93, 0.01) })
+	r.clock.AtHandler(20*time.Second, fireFunc(func() { r.net.SetCongestionMean("srv", "cli", 0.93, 0.01) }))
 	st, err := r.play(t, player.Config{Protocol: transport.UDP, PlayFor: 50 * time.Second})
 	if err != nil {
 		t.Fatalf("session error: %v", err)

@@ -37,7 +37,7 @@ func (n RealNet) ListenUDP(port int, recv func(string, any, int)) (DataPort, err
 
 // DialTCP implements Net. Dialing happens on a fresh goroutine; the callback
 // is posted to the loop.
-func (n RealNet) DialTCP(addr string, cb func(transport.Conn, error)) {
+func (n RealNet) DialTCP(addr string, cb func(transport.Conn, error)) string {
 	go func() {
 		c, err := transport.DialRealTCP(addr, Codec{}, n.Loop)
 		n.Loop.Post(func() {
@@ -48,6 +48,7 @@ func (n RealNet) DialTCP(addr string, cb func(transport.Conn, error)) {
 			cb(c, nil)
 		})
 	}()
+	return ""
 }
 
 // DialUDP implements Net.

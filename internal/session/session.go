@@ -278,8 +278,11 @@ type Net interface {
 	ListenTCP(port int, accept func(transport.Conn)) (stop func(), err error)
 	// ListenUDP binds a datagram port, delivering (sender, payload, size).
 	ListenUDP(port int, recv func(from string, payload any, size int)) (DataPort, error)
-	// DialTCP opens a message connection; cb fires exactly once.
-	DialTCP(addr string, cb func(transport.Conn, error))
+	// DialTCP opens a message connection; cb fires exactly once. It returns
+	// the dialing socket's local address where that is known before the
+	// handshake (the simulator, whose checkpoints name a pending dial by it),
+	// else "".
+	DialTCP(addr string, cb func(transport.Conn, error)) (laddr string)
 	// DialUDP returns a connected datagram Conn (usable immediately).
 	DialUDP(addr string) (transport.Conn, error)
 	// Addr renders "this host, that port" for advertisement to the peer.
@@ -300,7 +303,9 @@ func (n SimNet) ListenUDP(port int, recv func(string, any, int)) (DataPort, erro
 }
 
 // DialTCP implements Net.
-func (n SimNet) DialTCP(addr string, cb func(transport.Conn, error)) { n.Stack.DialTCP(addr, cb) }
+func (n SimNet) DialTCP(addr string, cb func(transport.Conn, error)) string {
+	return n.Stack.DialTCP(addr, cb)
+}
 
 // DialUDP implements Net.
 func (n SimNet) DialUDP(addr string) (transport.Conn, error) { return n.Stack.DialUDP(addr), nil }

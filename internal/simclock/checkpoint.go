@@ -15,14 +15,13 @@ import (
 // the original sequence numbers, and a registry of EventHandler types
 // declares which handlers a checkpoint knows how to persist.
 //
-// The contract: every pending event at checkpoint time must be a pooled
-// handler event of a registered type. Each registered type has exactly one
-// owner in the serialized world state (a connection's RTO, a session's pace
-// tick, an in-flight packet, ...); the owner walks the event's (At, seq)
-// alongside its own fields with SyncTimer, which re-arms it on restore. Closure
-// events (At/After) carry unserializable captured state — callers drain the
-// clock until PendingClosures reaches zero before checkpointing, or fail
-// with a clear error.
+// The contract: every pending event at checkpoint time must have a handler
+// of a registered type. Each registered type has exactly one owner in the
+// serialized world state (a connection's RTO, a dial's timeout, a session's
+// pace tick, an in-flight packet, ...); the owner walks the event's (At, seq)
+// alongside its own fields with SyncTimer, which re-arms it on restore. A
+// handler type nobody registered — a test's func-typed handler, say — is
+// refused by CheckPersistable.
 //
 // Restored events keep their original (At, seq) pairs and the clock's seq
 // counter resumes from the checkpointed value, so the firing order after a
@@ -45,15 +44,10 @@ func RegisterEventKind(name string, proto EventHandler) {
 	eventKinds[t] = name
 }
 
-// PendingClosures reports how many live pending closure (At/After) events
-// the clock holds. A checkpoint requires zero: closures cannot round-trip.
-func (c *Clock) PendingClosures() int { return c.closures }
-
 // PendingEvent is one live scheduled event as seen by a checkpoint walk.
 type PendingEvent struct {
-	At  time.Duration
-	Seq uint64
-	// Handler is the pooled event's handler; nil for a closure event.
+	At      time.Duration
+	Seq     uint64
 	Handler EventHandler
 }
 
@@ -74,9 +68,6 @@ func (c *Clock) Pendings() []PendingEvent {
 	for _, e := range c.over {
 		add(e)
 	}
-	for _, e := range c.events {
-		add(e)
-	}
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		for idx := 0; idx < wheelSlots; idx++ {
 			for e := c.slot[lvl][idx]; e != nil; e = e.nxt {
@@ -88,17 +79,11 @@ func (c *Clock) Pendings() []PendingEvent {
 	return out
 }
 
-// CheckPersistable verifies the clock is in a checkpointable state: no live
-// closure events, and every pending handler's concrete type registered via
-// RegisterEventKind. The error names the first offender.
+// CheckPersistable verifies the clock is in a checkpointable state: every
+// pending handler's concrete type registered via RegisterEventKind. The
+// error names the first offender. It reads the queue and changes nothing.
 func (c *Clock) CheckPersistable() error {
-	if c.closures > 0 {
-		return fmt.Errorf("simclock: %d closure event(s) pending; closures cannot be checkpointed (drain the clock first)", c.closures)
-	}
 	for _, p := range c.Pendings() {
-		if p.Handler == nil {
-			return fmt.Errorf("simclock: pending closure event at %v (seq %d) cannot be checkpointed", p.At, p.Seq)
-		}
 		if _, ok := eventKinds[reflect.TypeOf(p.Handler)]; !ok {
 			return fmt.Errorf("simclock: pending event at %v (seq %d) has unregistered handler type %T", p.At, p.Seq, p.Handler)
 		}
@@ -124,12 +109,11 @@ func (c *Clock) Sync(sc *snap.Codec) {
 	if !sc.Reading() {
 		return
 	}
-	c.live, c.closures = 0, 0
+	c.live = 0
 	c.firing = nil
 	c.free = c.free[:0]
 	c.near = c.near[:0]
 	c.over = c.over[:0]
-	c.events = c.events[:0]
 	c.nearEnd, c.cur = 0, 0
 	for lvl := range c.slot {
 		for idx := range c.slot[lvl] {
@@ -190,26 +174,14 @@ func (c *Clock) Arm(at time.Duration, seq uint64, h EventHandler) Timer {
 	if seq >= c.seq {
 		panic(fmt.Sprintf("simclock: Arm seq %d not below clock seq %d", seq, c.seq))
 	}
-	var e *Event
-	if k := len(c.free); k > 0 {
-		e = c.free[k-1]
-		c.free = c.free[:k-1]
-	} else {
-		e = &Event{}
-	}
+	e := c.obtain()
 	e.At = at
-	e.Fn = nil
 	e.h = h
 	e.clk = c
 	e.seq = seq
 	e.off = false
-	e.pooled = true
 	c.live++
-	if c.heapMode {
-		c.heapPush(e)
-	} else {
-		c.wheelAdd(e)
-	}
+	c.wheelAdd(e)
 	return Timer{e: e, gen: e.gen}
 }
 

@@ -3,24 +3,144 @@ package simclock
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
-// The timing wheel's correctness contract is bit-exact equivalence with the
-// 4-ary heap it replaced: same firing sequence, same Fired/Pending counters,
-// same Now, for any trace of arms, cancels, re-arms and run calls. The heap
-// stays compiled-in behind NewHeap as the oracle; these tests replay random
-// traces through both engines in lockstep.
+// The timing wheel's correctness contract is bit-exact equivalence with a
+// plain priority queue ordered by (At, seq): same firing sequence, same
+// Fired/Pending counters, same Now, for any trace of arms, cancels, re-arms
+// and run calls. refClock is that reference — an independent model that
+// shares no scheduling code with Clock; these tests replay random traces
+// through both in lockstep.
 
-// tracePair drives one wheel clock and one heap clock with identical inputs
-// and records each engine's firing log as (label, time) strings.
+// refClock is the reference scheduler: an unordered set of pending events,
+// the next one found by scanning for the least (at, seq). Cancel removes the
+// event at once and events are never recycled, so there are no tombstones,
+// generations or free-lists to get wrong.
+type refClock struct {
+	now        time.Duration
+	seq, fired uint64
+	pending    []*refEvent
+}
+
+type refEvent struct {
+	at   time.Duration
+	seq  uint64
+	h    EventHandler
+	done bool // fired or cancelled
+}
+
+// refTimer mirrors Timer's Cancel/Active contract.
+type refTimer struct {
+	c *refClock
+	e *refEvent
+}
+
+func (t refTimer) Active() bool { return t.e != nil && !t.e.done }
+
+func (t refTimer) Cancel() {
+	if !t.Active() {
+		return
+	}
+	t.e.done = true
+	i := slices.Index(t.c.pending, t.e)
+	t.c.pending = slices.Delete(t.c.pending, i, i+1)
+}
+
+func (r *refClock) Now() time.Duration { return r.now }
+func (r *refClock) Fired() uint64      { return r.fired }
+func (r *refClock) Pending() int       { return len(r.pending) }
+
+func (r *refClock) AtHandler(t time.Duration, h EventHandler) refTimer {
+	if t < r.now {
+		t = r.now
+	}
+	e := &refEvent{at: t, seq: r.seq, h: h}
+	r.seq++
+	r.pending = append(r.pending, e)
+	return refTimer{c: r, e: e}
+}
+
+func (r *refClock) AfterHandler(d time.Duration, h EventHandler) refTimer {
+	if d < 0 {
+		d = 0
+	}
+	return r.AtHandler(r.now+d, h)
+}
+
+// next returns the index of the earliest pending event, or -1.
+func (r *refClock) next() int {
+	best := -1
+	for i, e := range r.pending {
+		if best < 0 || e.at < r.pending[best].at || e.at == r.pending[best].at && e.seq < r.pending[best].seq {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refClock) NextAt() (time.Duration, bool) {
+	i := r.next()
+	if i < 0 {
+		return 0, false
+	}
+	return r.pending[i].at, true
+}
+
+func (r *refClock) Step() bool {
+	i := r.next()
+	if i < 0 {
+		return false
+	}
+	e := r.pending[i]
+	r.pending = slices.Delete(r.pending, i, i+1)
+	e.done = true
+	r.now = e.at
+	r.fired++
+	e.h.Fire(r.now)
+	return true
+}
+
+func (r *refClock) Run() {
+	for r.Step() {
+	}
+}
+
+func (r *refClock) RunFor(d time.Duration) {
+	t := r.now + d
+	for {
+		at, ok := r.NextAt()
+		if !ok || at > t {
+			break
+		}
+		r.Step()
+	}
+	if t > r.now {
+		r.now = t
+	}
+}
+
+func (r *refClock) RunBefore(h time.Duration) {
+	for {
+		at, ok := r.NextAt()
+		if !ok || at >= h {
+			return
+		}
+		r.Step()
+	}
+}
+
+// tracePair drives one wheel clock and the reference with identical inputs
+// and records each one's firing log as (label, time) strings.
 type tracePair struct {
-	w, h       *Clock
+	w          *Clock
+	h          *refClock
 	wlog, hlog []string
 }
 
-func newTracePair() *tracePair { return &tracePair{w: New(), h: NewHeap()} }
+func newTracePair() *tracePair { return &tracePair{w: New(), h: &refClock{}} }
 
 func (p *tracePair) handlers(label int) (wh, hh EventHandler) {
 	wh = &funcHandler{fn: func(now time.Duration) { p.wlog = append(p.wlog, fmt.Sprintf("%d@%d", label, now)) }}
@@ -31,11 +151,11 @@ func (p *tracePair) handlers(label int) (wh, hh EventHandler) {
 func (p *tracePair) check(t *testing.T, tag string) {
 	t.Helper()
 	if len(p.wlog) != len(p.hlog) {
-		t.Fatalf("%s: wheel fired %d events, heap %d", tag, len(p.wlog), len(p.hlog))
+		t.Fatalf("%s: wheel fired %d events, reference %d", tag, len(p.wlog), len(p.hlog))
 	}
 	for i := range p.wlog {
 		if p.wlog[i] != p.hlog[i] {
-			t.Fatalf("%s: firing sequence diverges at %d: wheel %q vs heap %q", tag, i, p.wlog[i], p.hlog[i])
+			t.Fatalf("%s: firing sequence diverges at %d: wheel %q vs reference %q", tag, i, p.wlog[i], p.hlog[i])
 		}
 	}
 	if p.w.Fired() != p.h.Fired() {
@@ -75,7 +195,7 @@ func randomDelay(rng *rand.Rand) time.Duration {
 }
 
 // TestWheelMatchesHeap replays random arm/cancel/re-arm/Step/Run traces
-// through the wheel and the heap oracle and requires identical firing
+// through the wheel and the reference model and requires identical firing
 // sequences and counters at every checkpoint.
 func TestWheelMatchesHeap(t *testing.T) {
 	traces := 60
@@ -86,22 +206,25 @@ func TestWheelMatchesHeap(t *testing.T) {
 	for seed := int64(0); seed < int64(traces); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := newTracePair()
-		type pair struct{ w, h Timer }
+		type pair struct {
+			w Timer
+			h refTimer
+		}
 		var timers []pair
 		label := 0
 		for i := 0; i < ops; i++ {
 			switch rng.Intn(10) {
-			case 0, 1, 2: // pooled handler arm
+			case 0, 1, 2: // relative arm
 				d := randomDelay(rng)
 				wh, hh := p.handlers(label)
 				label++
 				timers = append(timers, pair{p.w.AfterHandler(d, wh), p.h.AfterHandler(d, hh)})
-			case 3: // closure arm at an absolute time, possibly in the past
+			case 3: // arm at an absolute time, possibly in the past
 				at := p.w.Now() + randomDelay(rng) - 50*time.Millisecond
 				wl, hl := p.handlers(label)
 				label++
-				p.w.At(at, func() { wl.Fire(p.w.Now()) })
-				p.h.At(at, func() { hl.Fire(p.h.Now()) })
+				p.w.AtHandler(at, wl)
+				p.h.AtHandler(at, hl)
 			case 4: // cancel a random handle (live, stale, or already cancelled)
 				if len(timers) == 0 {
 					continue
@@ -132,11 +255,8 @@ func TestWheelMatchesHeap(t *testing.T) {
 				tick := time.Duration(rng.Intn(200)+1) * time.Millisecond
 				wl, hl := p.handlers(label)
 				label++
-				var wr, hr *rearmTick
-				wr = &rearmTick{c: p.w, log: wl, left: reps, tick: tick}
-				hr = &rearmTick{c: p.h, log: hl, left: reps, tick: tick}
-				p.w.AfterHandler(d, wr)
-				p.h.AfterHandler(d, hr)
+				p.w.AfterHandler(d, &rearmTick{log: wl, left: reps, rearm: func(h EventHandler) { p.w.AfterHandler(tick, h) }})
+				p.h.AfterHandler(d, &rearmTick{log: hl, left: reps, rearm: func(h EventHandler) { p.h.AfterHandler(tick, h) }})
 			}
 			if i%50 == 0 {
 				p.check(t, fmt.Sprintf("seed %d op %d", seed, i))
@@ -152,19 +272,17 @@ func TestWheelMatchesHeap(t *testing.T) {
 }
 
 // rearmTick re-arms itself a fixed number of times from inside Fire,
-// exercising the firing-slot reuse path on the wheel and the plain
-// release/obtain path on the heap oracle.
+// exercising the firing-slot reuse path on the wheel.
 type rearmTick struct {
-	c    *Clock
-	log  EventHandler
-	left int
-	tick time.Duration
+	log   EventHandler
+	left  int
+	rearm func(EventHandler) // schedules the next tick on the owning scheduler
 }
 
 func (r *rearmTick) Fire(now time.Duration) {
 	r.log.Fire(now)
 	if r.left--; r.left > 0 {
-		r.c.AfterHandler(r.tick, r)
+		r.rearm(r)
 	}
 }
 

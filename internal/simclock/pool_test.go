@@ -13,15 +13,15 @@ type countHandler struct {
 
 func (h *countHandler) Fire(now time.Duration) { h.fires = append(h.fires, now) }
 
-// TestHandlerEventsFireInOrder checks that pooled handler events respect the
-// same (At, seq) discipline as closure events, interleaved with them.
+// TestHandlerEventsFireInOrder checks that handlers of different types
+// scheduled for one instant interleave in scheduling order.
 func TestHandlerEventsFireInOrder(t *testing.T) {
 	c := New()
 	var order []string
 	h := &countHandler{}
-	c.At(time.Second, func() { order = append(order, "closure") })
+	c.AtHandler(time.Second, fireFunc(func() { order = append(order, "closure") }))
 	c.AtHandler(time.Second, h)
-	c.At(time.Second, func() { order = append(order, "closure2") })
+	c.AtHandler(time.Second, fireFunc(func() { order = append(order, "closure2") }))
 	c.Run()
 	if len(h.fires) != 1 || h.fires[0] != time.Second {
 		t.Fatalf("handler fires = %v, want one at 1s", h.fires)

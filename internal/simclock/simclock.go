@@ -6,22 +6,21 @@
 // wall clock, which makes an 11-day measurement study reproducible in
 // milliseconds of real time.
 //
-// The scheduler is built for the zero-allocation hot path of the network
-// simulator: events live on a free-list and are recycled after they fire or
-// are reaped, and hot callers schedule an EventHandler — a reusable object
-// with a Fire method — instead of a fresh closure. The closure API
-// (At/After) remains for cold paths; closure events are never pooled, so
-// their *Event handles stay valid forever.
+// There is one kind of event: an EventHandler — a reusable object with a
+// Fire method — scheduled on a pooled Event. Events live on a free-list and
+// are recycled after they fire or are reaped, so steady-state scheduling
+// allocates nothing, and because a handler is a typed object rather than a
+// closure, every pending event of a registered kind can be written into a
+// world checkpoint and re-armed from one (checkpoint.go).
 //
 // The pending-event queue is a hierarchical timing wheel (calendar-queue
 // style): insertion and re-arm are O(1) slot appends instead of heap sifts,
 // and exact (At, seq) order is restored by draining one 131µs slot at a
-// time through a tiny "near" heap. The 4-ary heap the wheel replaced stays
-// compiled in behind NewHeap as a differential oracle: the property tests
-// replay random arm/cancel/re-arm/Step traces through both engines and
-// require identical firing sequences, so the wheel cannot drift from the
-// reference semantics. Firing order is part of the determinism contract —
-// swapping engines changes no output byte.
+// time through a tiny "near" heap. The wheel is the only scheduler compiled
+// into the package; its reference semantics live in differential_test.go as
+// an independent model, and TestWheelMatchesHeap replays random
+// arm/cancel/re-arm/Step traces through both and requires identical firing
+// sequences. Firing order is part of the determinism contract.
 package simclock
 
 import (
@@ -31,59 +30,31 @@ import (
 	"time"
 )
 
-// EventHandler is the allocation-free alternative to a closure: hot-path
-// components implement Fire once and schedule themselves (or a reusable
-// sub-object) with AtHandler/AfterHandler, so nothing is captured per event.
+// EventHandler is what the clock schedules: components implement Fire once
+// and schedule themselves (or a reusable sub-object) with
+// AtHandler/AfterHandler, so nothing is captured per event.
 type EventHandler interface {
 	// Fire runs the event's action at virtual time now.
 	Fire(now time.Duration)
 }
 
-// Event is a scheduled callback. Events fire in (At, seq) order so that two
+// Event is a scheduled handler. Events fire in (At, seq) order so that two
 // events scheduled for the same instant run in scheduling order.
 //
-// Events returned by At/After are owned by the caller and never recycled.
-// Events backing AtHandler/AfterHandler come from the clock's free-list and
-// are returned to it after firing or reaping; cancel those only through the
-// generation-checked Timer handle.
+// Events come from the clock's free-list and are returned to it after firing
+// or reaping; the generation-checked Timer handle is the only way to cancel
+// one.
 type Event struct {
 	At  time.Duration // virtual time at which the event fires
-	Fn  func()
 	h   EventHandler
 	nxt *Event // intrusive link while chained in a wheel slot
 	clk *Clock // owning clock while scheduled and live; nil once fired/reaped
 	seq uint64
 	gen uint32 // incremented on every recycle; Timer handles check it
 	off bool   // cancelled
-	// pooled marks free-list events (handler API); closure events are not
-	// recycled because their *Event handle escapes to the caller.
-	pooled bool
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op (it still marks the event, so
-// Cancelled reports true afterwards).
-func (e *Event) Cancel() {
-	if e == nil || e.off {
-		return
-	}
-	e.off = true
-	if e.clk != nil {
-		// Still scheduled: it leaves the live count now and is reaped from
-		// whichever queue structure holds it when the scheduler next touches
-		// that slot.
-		e.clk.live--
-		if !e.pooled {
-			e.clk.closures--
-		}
-		e.clk = nil
-	}
-}
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e != nil && e.off }
-
-// Timer is a cancellable handle to a pooled handler event. It carries the
+// Timer is a cancellable handle to a scheduled event. It carries the
 // event's generation at scheduling time, so a stale handle — one whose event
 // has already fired and been recycled for a different purpose — cancels
 // nothing. The zero Timer is inert.
@@ -93,10 +64,20 @@ type Timer struct {
 }
 
 // Cancel prevents the event from firing, if this handle still refers to the
-// live generation. Cancelling a fired, reaped, or zero Timer is a no-op.
+// live generation. Cancelling a fired, reaped, cancelled or zero Timer is a
+// no-op.
 func (t Timer) Cancel() {
-	if t.e != nil && t.e.gen == t.gen {
-		t.e.Cancel()
+	e := t.e
+	if e == nil || e.gen != t.gen || e.off {
+		return
+	}
+	e.off = true
+	if e.clk != nil {
+		// Still scheduled: it leaves the live count now and is reaped from
+		// whichever queue structure holds it when the scheduler next touches
+		// that slot.
+		e.clk.live--
+		e.clk = nil
 	}
 }
 
@@ -127,19 +108,15 @@ type Clock struct {
 	now   time.Duration
 	seq   uint64
 	fired uint64
-	live  int // scheduled, uncancelled, not-yet-fired events
-	// closures counts the live pending closure (At/After) events. Typed
-	// handler events round-trip through a checkpoint; closures cannot, so
-	// Checkpoint drains the clock until this reaches zero (checkpoint.go).
-	closures int
-	free     []*Event // recycled pooled events
-	// firing holds the pooled event currently executing its handler: if the
+	live  int      // scheduled, uncancelled, not-yet-fired events
+	free  []*Event // recycled events
+	// firing holds the event currently executing its handler: if the
 	// handler re-arms (the recurring-timer pattern: pace ticks, switch
 	// checks, RTO, gossip), the schedule reuses this slot directly instead
 	// of a free-list release/obtain round-trip.
 	firing *Event
 
-	// Timing wheel (the default engine). Exact order within the active
+	// Timing wheel. Exact order within the active
 	// 131µs window comes from the near heap; everything at or beyond
 	// nearEnd lives in the wheel slots (or the overflow heap) and is
 	// strictly later than every near event.
@@ -149,22 +126,11 @@ type Clock struct {
 	slot    [wheelLevels][wheelSlots]*Event
 	occ     [wheelLevels]uint64 // per-level slot occupancy bitmaps
 	over    []*Event            // 4-ary min-heap of beyond-top-span events
-
-	// 4-ary heap engine, kept compiled-in as the differential oracle for
-	// the wheel (see NewHeap).
-	heapMode bool
-	events   []*Event
 }
 
 // New returns a Clock positioned at virtual time zero with no pending
 // events, scheduling through the timing wheel.
 func New() *Clock { return &Clock{} }
-
-// NewHeap returns a Clock backed by the 4-ary heap the timing wheel
-// replaced. It exists as a differential oracle: the heap's ordering
-// semantics are the reference, and the property tests replay identical
-// traces through both engines. Production code uses New.
-func NewHeap() *Clock { return &Clock{heapMode: true} }
 
 // Now returns the current virtual time as an offset from the start of the
 // simulation.
@@ -182,98 +148,59 @@ func (c *Clock) Pending() int { return c.live }
 // FreeListLen reports the size of the event free-list, for pool tests.
 func (c *Clock) FreeListLen() int { return len(c.free) }
 
-// schedule enqueues an event at absolute time t (clamped to now). Pooled
-// events are drawn from the re-arm slot or the free-list.
-func (c *Clock) schedule(t time.Duration, fn func(), h EventHandler, pooled bool) *Event {
-	if pooled && h == nil {
-		// Checked here rather than in AtHandler to keep that wrapper under
-		// the inlining budget — it sits on the per-packet schedule path.
+// AtHandler schedules h.Fire at absolute virtual time t (clamped to now, so
+// an event never fires before Now). The event comes from the re-arm slot or
+// the free-list and is recycled after it fires or is reaped, so steady-state
+// scheduling allocates nothing. The returned Timer is the only way to cancel
+// it.
+func (c *Clock) AtHandler(t time.Duration, h EventHandler) Timer {
+	if h == nil {
 		panic("simclock: AtHandler called with nil handler")
 	}
 	if t < c.now {
 		t = c.now
 	}
 	var e *Event
-	if pooled {
-		if c.firing != nil {
-			e = c.firing
-			c.firing = nil
-		} else if k := len(c.free); k > 0 {
-			e = c.free[k-1]
-			c.free = c.free[:k-1]
-		} else {
-			e = &Event{}
-		}
+	if c.firing != nil {
+		e = c.firing
+		c.firing = nil
 	} else {
-		e = &Event{}
+		e = c.obtain()
 	}
 	e.At = t
-	e.Fn = fn
 	e.h = h
 	e.clk = c
 	e.seq = c.seq
 	e.off = false
-	e.pooled = pooled
 	c.seq++
 	c.live++
-	if !pooled {
-		c.closures++
-	}
-	if c.heapMode {
-		c.heapPush(e)
-	} else {
-		c.wheelAdd(e)
-	}
-	return e
+	c.wheelAdd(e)
+	return Timer{e: e, gen: e.gen}
 }
 
-// release retires a reaped or fired event: pooled events go back to the
-// free-list with their generation bumped so stale Timer handles become
-// inert; closure events are just unlinked (their *Event stays with the
-// caller).
+// obtain draws an event from the free-list.
+func (c *Clock) obtain() *Event {
+	if k := len(c.free); k > 0 {
+		e := c.free[k-1]
+		c.free = c.free[:k-1]
+		return e
+	}
+	return &Event{}
+}
+
+// release retires a reaped event to the free-list with its generation
+// bumped, so stale Timer handles become inert.
 func (c *Clock) release(e *Event) {
 	e.clk = nil
 	e.nxt = nil
-	if !e.pooled {
-		return
-	}
 	e.gen++
-	e.Fn = nil
 	e.h = nil
 	c.free = append(c.free, e)
 }
 
-// At schedules fn to run at absolute virtual time t. If t is in the past the
-// event fires at the current time (never before Now). The returned Event may
-// be used to cancel the callback.
-func (c *Clock) At(t time.Duration, fn func()) *Event {
-	if fn == nil {
-		panic("simclock: At called with nil func")
-	}
-	return c.schedule(t, fn, nil, false)
-}
-
-// After schedules fn to run d after the current virtual time. Negative
-// durations are clamped to zero.
-func (c *Clock) After(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return c.At(c.now+d, fn)
-}
-
-// AtHandler schedules h.Fire at absolute virtual time t on a pooled event:
-// after the event fires or is reaped it is recycled, so steady-state
-// scheduling allocates nothing. The returned Timer is the only safe way to
-// cancel it.
-func (c *Clock) AtHandler(t time.Duration, h EventHandler) Timer {
-	e := c.schedule(t, nil, h, true)
-	return Timer{e: e, gen: e.gen}
-}
-
-// AfterHandler schedules h.Fire d after the current virtual time on a pooled
-// event. Negative durations are clamped to zero. Re-arming from inside Fire
-// is the O(1) fast path: the just-fired event slot is reused in place.
+// AfterHandler schedules h.Fire d after the current virtual time. Negative
+// durations are clamped to zero. Re-arming from inside Fire is the O(1) fast
+// path: the just-fired event slot is reused in place.
 func (c *Clock) AfterHandler(d time.Duration, h EventHandler) Timer {
 	if d < 0 {
 		d = 0
@@ -287,26 +214,10 @@ func (c *Clock) AfterHandler(d time.Duration, h EventHandler) Timer {
 // events filed while the near window stood are at or beyond nearEnd), so the
 // per-event common case never leaves the caller's frame.
 func (c *Clock) peek() *Event {
-	if !c.heapMode {
-		if len(c.near) > 0 && !c.near[0].off {
-			return c.near[0]
-		}
-		return c.wheelPeek()
+	if len(c.near) > 0 && !c.near[0].off {
+		return c.near[0]
 	}
-	return c.heapPeek()
-}
-
-func (c *Clock) heapPeek() *Event {
-	for len(c.events) > 0 {
-		e := c.events[0]
-		if e.off {
-			c.heapPop()
-			c.release(e)
-			continue
-		}
-		return e
-	}
-	return nil
+	return c.wheelPeek()
 }
 
 // popNext removes and returns the earliest pending live event, or nil when
@@ -314,19 +225,13 @@ func (c *Clock) heapPeek() *Event {
 // Step runs once per event, and the extra call layer plus the re-load of the
 // near top showed up in the packet-hop profile.
 func (c *Clock) popNext() *Event {
-	if !c.heapMode {
-		if len(c.near) > 0 && !c.near[0].off {
-			return popEvent(&c.near)
-		}
-		if c.wheelPeek() == nil {
-			return nil
-		}
+	if len(c.near) > 0 && !c.near[0].off {
 		return popEvent(&c.near)
 	}
-	if c.heapPeek() == nil {
+	if c.wheelPeek() == nil {
 		return nil
 	}
-	return c.heapPop()
+	return popEvent(&c.near)
 }
 
 // Step runs the single next pending event, advancing the clock to its
@@ -343,27 +248,18 @@ func (c *Clock) Step() bool {
 	c.fired++
 	c.live--
 	e.clk = nil
-	if e.pooled {
-		// Bump the generation before running: any Timer held for this event
-		// is already stale by the time user code runs again. The slot parks
-		// in c.firing so an immediate re-arm reuses it without touching the
-		// free-list; if the handler does not re-arm, it is flushed there.
-		h := e.h
-		e.gen++
-		e.Fn, e.h, e.nxt = nil, nil, nil
-		c.firing = e
-		h.Fire(c.now)
-		if c.firing == e {
-			c.firing = nil
-			c.free = append(c.free, e)
-		}
-		return true
-	}
-	c.closures--
-	if e.h != nil {
-		e.h.Fire(c.now)
-	} else {
-		e.Fn()
+	// Bump the generation before running: any Timer held for this event is
+	// already stale by the time user code runs again. The slot parks in
+	// c.firing so an immediate re-arm reuses it without touching the
+	// free-list; if the handler does not re-arm, it is flushed there.
+	h := e.h
+	e.gen++
+	e.h, e.nxt = nil, nil
+	c.firing = e
+	h.Fire(c.now)
+	if c.firing == e {
+		c.firing = nil
+		c.free = append(c.free, e)
 	}
 	return true
 }
@@ -427,8 +323,8 @@ const MaxDuration = time.Duration(math.MaxInt64)
 
 // --- hierarchical timing wheel ---
 //
-// Invariants, maintained by construction and checked against the heap
-// oracle by TestWheelMatchesHeap:
+// Invariants, maintained by construction and checked against the reference
+// model by TestWheelMatchesHeap:
 //
 //   - near holds exactly the events with At < nearEnd; everything in the
 //     wheel slots or the overflow heap is at or beyond nearEnd, so the near
@@ -625,10 +521,9 @@ func (c *Clock) wheelAdvance() bool {
 
 // --- 4-ary min-heap ---
 //
-// Shared by the near/overflow heaps of the wheel engine and by the whole
-// queue of the oracle engine. A 4-ary heap halves the tree depth of a
-// binary heap and keeps the four children of a node on one cache line of
-// pointers; the concrete element type avoids `any` boxing.
+// Backs the wheel's near and overflow heaps. A 4-ary heap halves the tree
+// depth of a binary heap and keeps the four children of a node on one cache
+// line of pointers; the concrete element type avoids `any` boxing.
 
 func eventLess(a, b *Event) bool {
 	if a.At != b.At {
@@ -688,6 +583,3 @@ func popEvent(hp *[]*Event) *Event {
 	*hp = h
 	return top
 }
-
-func (c *Clock) heapPush(e *Event) { pushEvent(&c.events, e) }
-func (c *Clock) heapPop() *Event   { return popEvent(&c.events) }

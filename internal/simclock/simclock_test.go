@@ -7,12 +7,18 @@ import (
 	"time"
 )
 
+// fireFunc adapts a closure to an EventHandler. Its type is not a registered
+// event kind, so a clock holding one is not checkpointable.
+type fireFunc func()
+
+func (f fireFunc) Fire(time.Duration) { f() }
+
 func TestEventsFireInTimestampOrder(t *testing.T) {
 	c := New()
 	var got []int
-	c.After(30*time.Millisecond, func() { got = append(got, 3) })
-	c.After(10*time.Millisecond, func() { got = append(got, 1) })
-	c.After(20*time.Millisecond, func() { got = append(got, 2) })
+	c.AfterHandler(30*time.Millisecond, fireFunc(func() { got = append(got, 3) }))
+	c.AfterHandler(10*time.Millisecond, fireFunc(func() { got = append(got, 1) }))
+	c.AfterHandler(20*time.Millisecond, fireFunc(func() { got = append(got, 2) }))
 	c.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("fired out of order: %v", got)
@@ -24,7 +30,7 @@ func TestEqualTimestampsFireFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		c.At(time.Second, func() { got = append(got, i) })
+		c.AtHandler(time.Second, fireFunc(func() { got = append(got, i) }))
 	}
 	c.Run()
 	for i, v := range got {
@@ -37,7 +43,7 @@ func TestEqualTimestampsFireFIFO(t *testing.T) {
 func TestNowAdvancesToEventTime(t *testing.T) {
 	c := New()
 	var at time.Duration
-	c.At(42*time.Millisecond, func() { at = c.Now() })
+	c.AtHandler(42*time.Millisecond, fireFunc(func() { at = c.Now() }))
 	c.Run()
 	if at != 42*time.Millisecond {
 		t.Fatalf("Now inside event = %v, want 42ms", at)
@@ -50,28 +56,28 @@ func TestNowAdvancesToEventTime(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	c := New()
 	fired := false
-	e := c.After(time.Second, func() { fired = true })
+	e := c.AfterHandler(time.Second, fireFunc(func() { fired = true }))
 	e.Cancel()
 	c.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() should report true")
+	if e.Active() {
+		t.Fatal("Active() should report false after Cancel")
 	}
 	e.Cancel() // idempotent
 }
 
 func TestPastEventsClampToNow(t *testing.T) {
 	c := New()
-	c.At(time.Second, func() {
+	c.AtHandler(time.Second, fireFunc(func() {
 		// Scheduling in the past must not move time backwards.
-		c.At(0, func() {
+		c.AtHandler(0, fireFunc(func() {
 			if c.Now() != time.Second {
 				t.Errorf("past event ran at %v", c.Now())
 			}
-		})
-	})
+		}))
+	}))
 	c.Run()
 }
 
@@ -80,7 +86,7 @@ func TestRunUntilHorizon(t *testing.T) {
 	var fired []time.Duration
 	for _, d := range []time.Duration{1, 2, 3, 4, 5} {
 		d := d * time.Second
-		c.At(d, func() { fired = append(fired, d) })
+		c.AtHandler(d, fireFunc(func() { fired = append(fired, d) }))
 	}
 	c.RunUntil(3 * time.Second)
 	if len(fired) != 3 {
@@ -101,10 +107,10 @@ func TestRunUntilHorizon(t *testing.T) {
 func TestRunUntilHonorsNewlyScheduledEvents(t *testing.T) {
 	c := New()
 	var got []string
-	c.At(time.Second, func() {
+	c.AtHandler(time.Second, fireFunc(func() {
 		got = append(got, "a")
-		c.After(500*time.Millisecond, func() { got = append(got, "b") })
-	})
+		c.AfterHandler(500*time.Millisecond, fireFunc(func() { got = append(got, "b") }))
+	}))
 	c.RunUntil(2 * time.Second)
 	if len(got) != 2 || got[1] != "b" {
 		t.Fatalf("chained event within horizon missed: %v", got)
@@ -113,10 +119,10 @@ func TestRunUntilHonorsNewlyScheduledEvents(t *testing.T) {
 
 func TestRunForIsRelative(t *testing.T) {
 	c := New()
-	c.At(time.Second, func() {})
+	c.AtHandler(time.Second, fireFunc(func() {}))
 	c.Run()
 	n := 0
-	c.After(500*time.Millisecond, func() { n++ })
+	c.AfterHandler(500*time.Millisecond, fireFunc(func() { n++ }))
 	c.RunFor(time.Second)
 	if n != 1 {
 		t.Fatalf("RunFor missed relative event")
@@ -129,7 +135,7 @@ func TestRunForIsRelative(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	c := New()
 	for i := 0; i < 7; i++ {
-		c.After(time.Duration(i)*time.Millisecond, func() {})
+		c.AfterHandler(time.Duration(i)*time.Millisecond, fireFunc(func() {}))
 	}
 	c.Run()
 	if c.Fired() != 7 {
@@ -140,10 +146,10 @@ func TestFiredCounter(t *testing.T) {
 func TestNilFuncPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("At(nil) should panic")
+			t.Fatal("AtHandler(nil) should panic")
 		}
 	}()
-	New().At(0, nil)
+	New().AtHandler(0, nil)
 }
 
 // Property: for any random schedule, events fire in non-decreasing time
@@ -156,12 +162,12 @@ func TestPropertyOrderedExecution(t *testing.T) {
 		var last time.Duration = -1
 		ok := true
 		for i := 0; i < count; i++ {
-			c.At(time.Duration(rng.Intn(1000))*time.Millisecond, func() {
+			c.AtHandler(time.Duration(rng.Intn(1000))*time.Millisecond, fireFunc(func() {
 				if c.Now() < last {
 					ok = false
 				}
 				last = c.Now()
-			})
+			}))
 		}
 		c.Run()
 		return ok
@@ -179,8 +185,8 @@ func TestPropertyOrderedExecution(t *testing.T) {
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	c := New()
 	fired := false
-	e := c.At(time.Second, func() { fired = true })
-	far := c.At(5*time.Second, func() {})
+	e := c.AtHandler(time.Second, fireFunc(func() { fired = true }))
+	far := c.AtHandler(5*time.Second, fireFunc(func() {}))
 	if c.Pending() != 2 {
 		t.Fatalf("pending=%d want 2", c.Pending())
 	}
@@ -217,15 +223,15 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 func TestPendingExcludesCancelledBehindLiveEvents(t *testing.T) {
 	c := New()
 	var order []string
-	c.At(3*time.Second, func() { order = append(order, "live") })
-	e := c.At(5*time.Second, func() { order = append(order, "cancelled") })
+	c.AtHandler(3*time.Second, fireFunc(func() { order = append(order, "live") }))
+	e := c.AtHandler(5*time.Second, fireFunc(func() { order = append(order, "cancelled") }))
 	e.Cancel()
 	c.RunUntil(time.Second)
 	if c.Pending() != 1 {
 		t.Fatalf("pending=%d want 1 (buried tombstone excluded)", c.Pending())
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() lost the flag while queued")
+	if e.Active() {
+		t.Fatal("a cancelled timer reports Active while its tombstone is queued")
 	}
 	c.RunUntil(10 * time.Second)
 	if len(order) != 1 || order[0] != "live" {
@@ -247,8 +253,8 @@ func TestPendingExcludesCancelledBehindLiveEvents(t *testing.T) {
 // definition) must not decrement the live count of unrelated events.
 func TestCancelAfterFireLeavesPendingIntact(t *testing.T) {
 	c := New()
-	e := c.After(time.Millisecond, func() {})
-	c.After(time.Second, func() {})
+	e := c.AfterHandler(time.Millisecond, fireFunc(func() {}))
+	c.AfterHandler(time.Second, fireFunc(func() {}))
 	c.RunUntil(10 * time.Millisecond)
 	if c.Pending() != 1 {
 		t.Fatalf("pending=%d want 1", c.Pending())
@@ -264,10 +270,10 @@ func TestCancelAfterFireLeavesPendingIntact(t *testing.T) {
 func TestStepSkipsCancelledRuns(t *testing.T) {
 	c := New()
 	for i := 0; i < 5; i++ {
-		c.After(time.Duration(i)*time.Millisecond, func() {}).Cancel()
+		c.AfterHandler(time.Duration(i)*time.Millisecond, fireFunc(func() {})).Cancel()
 	}
 	live := 0
-	c.After(10*time.Millisecond, func() { live++ })
+	c.AfterHandler(10*time.Millisecond, fireFunc(func() { live++ }))
 	if !c.Step() {
 		t.Fatal("Step found no live event behind the cancelled run")
 	}
@@ -276,7 +282,7 @@ func TestStepSkipsCancelledRuns(t *testing.T) {
 	}
 	// All-cancelled queue: Step reaps everything and reports false.
 	for i := 0; i < 3; i++ {
-		c.After(time.Millisecond, func() {}).Cancel()
+		c.AfterHandler(time.Millisecond, fireFunc(func() {})).Cancel()
 	}
 	if c.Step() {
 		t.Fatal("Step fired from an all-cancelled queue")
@@ -291,26 +297,26 @@ func TestStepSkipsCancelledRuns(t *testing.T) {
 func TestCancelAfterFireIsNoOp(t *testing.T) {
 	c := New()
 	n := 0
-	e := c.After(time.Millisecond, func() { n++ })
+	e := c.AfterHandler(time.Millisecond, fireFunc(func() { n++ }))
 	c.Run()
 	e.Cancel()
 	if n != 1 {
 		t.Fatalf("fired %d times", n)
 	}
-	if !e.Cancelled() {
-		t.Fatal("post-fire Cancel should still mark the event")
+	if e.Active() {
+		t.Fatal("a fired timer reports Active")
 	}
-	var nilEvent *Event
-	nilEvent.Cancel() // nil-safe
-	if nilEvent.Cancelled() {
-		t.Fatal("nil event reports cancelled")
+	var zero Timer
+	zero.Cancel() // the zero Timer is inert
+	if zero.Active() {
+		t.Fatal("zero Timer reports Active")
 	}
 }
 
 func TestNegativeAfterClampsToZero(t *testing.T) {
 	c := New()
 	fired := false
-	c.After(-time.Second, func() { fired = true })
+	c.AfterHandler(-time.Second, fireFunc(func() { fired = true }))
 	c.Run()
 	if !fired || c.Now() != 0 {
 		t.Fatalf("negative After mishandled: fired=%v now=%v", fired, c.Now())

@@ -257,49 +257,6 @@ func (c CDF) Points(n int) (xs, fs []float64) {
 	return xs, fs
 }
 
-// Histogram bins xs into nbins equal-width bins over [lo, hi). Values outside
-// the range are clamped into the first/last bin. Counts[i] is the number of
-// samples in bin i.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram. nbins must be positive and hi > lo.
-func NewHistogram(xs []float64, lo, hi float64, nbins int) (Histogram, error) {
-	if nbins <= 0 || hi <= lo {
-		return Histogram{}, errors.New("stats: invalid histogram bounds")
-	}
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		h.Counts[i]++
-	}
-	return h, nil
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
-}
-
-// Total returns the number of samples in the histogram.
-func (h Histogram) Total() int {
-	var n int
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // Pearson returns the Pearson product-moment correlation coefficient of the
 // paired samples xs, ys. It returns 0 when the inputs are degenerate (empty,
 // mismatched length, or zero variance).
@@ -319,27 +276,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// LinearFit returns the least-squares line y = a + b*x for the paired sample.
-// Degenerate inputs yield a flat line through the mean of ys.
-func LinearFit(xs, ys []float64) (a, b float64) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0, 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return my, 0
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b
 }
 
 // ScatterBin groups the paired sample (xs, ys) into nbins equal-width x bins

@@ -145,35 +145,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-5, 0, 1, 2, 3, 9, 15}, 0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total=%d", h.Total())
-	}
-	// -5 clamps into bin 0; 15 clamps into bin 4.
-	if h.Counts[0] != 3 { // -5, 0, 1
-		t.Fatalf("bin0=%d want 3 (%v)", h.Counts[0], h.Counts)
-	}
-	if h.Counts[4] != 2 { // 9, 15
-		t.Fatalf("bin4=%d want 2 (%v)", h.Counts[4], h.Counts)
-	}
-	if !almost(h.BinCenter(0), 1, 1e-9) {
-		t.Fatalf("center0=%v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 0, 5); err == nil {
-		t.Fatal("hi<=lo accepted")
-	}
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Fatal("nbins<=0 accepted")
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
@@ -192,13 +163,6 @@ func TestPearsonDegenerate(t *testing.T) {
 	}
 	if Pearson([]float64{1, 1}, []float64{2, 3}) != 0 {
 		t.Fatal("zero variance should give 0")
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	a, b := LinearFit([]float64{0, 1, 2}, []float64{1, 3, 5})
-	if !almost(a, 1, 1e-9) || !almost(b, 2, 1e-9) {
-		t.Fatalf("fit=(%v,%v) want (1,2)", a, b)
 	}
 }
 

@@ -2,9 +2,11 @@
 // snapshot.
 //
 // Checkpoint serializes a running classic (unsharded) world — clock
-// scalars, every pending typed event, the network core, server sessions,
-// tracer/player bundles, workload cursors, the collected records and the
-// position of every RNG stream — into a version-stamped snapshot. Resume
+// scalars, every pending event, the network core, server sessions, dials in
+// flight, tracer/player bundles, workload cursors, the collected records and
+// the position of every RNG stream — into a version-stamped snapshot. It is
+// a read-only walk: the snapshot is cut at exactly the instant the world
+// stands at, and the world is unchanged by it. Resume
 // rebuilds the world deterministically from the snapshot's Options (the
 // build path replays exactly the draws the original build made), resets
 // the clock, overlays the persisted state and re-arms every event at its
@@ -17,11 +19,11 @@
 package study
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"time"
 
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
@@ -38,13 +40,7 @@ func init() {
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
 // before misreading a single field.
-const snapMagic = "RTSNAP1"
-
-// drainCap bounds the virtual time Checkpoint may burn draining closure
-// events (in-flight TCP dial callbacks, the one cold path still scheduled
-// as a closure). Live dials resolve within a round-trip, so a drain that
-// needs more than this is a leak, not a wait.
-const drainCap = 30 * time.Second
+const snapMagic = "RTSNAP2"
 
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays
@@ -199,28 +195,10 @@ func hashBytes(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// drainClosures steps the clock until no closure events remain pending.
-// The only closures a running world schedules are TCP dial timeouts and
-// retries, which the dial path cancels at establishment — so at any
-// instant the live closure count is the number of dials in flight, each
-// gone within a round-trip of stepping. The cap turns a leak into a loud
-// error instead of an unbounded fast-forward.
-func (w *World) drainClosures() error {
-	limit := w.Clock.Now() + drainCap
-	for w.Clock.PendingClosures() > 0 {
-		if w.Clock.Now() > limit || !w.Clock.Step() {
-			return fmt.Errorf("study: %d closure event(s) still pending after draining %v of virtual time; checkpoint aborted",
-				w.Clock.PendingClosures(), drainCap)
-		}
-	}
-	return nil
-}
-
-// Checkpoint serializes the world's full simulation state into out. The
-// world stays runnable afterwards — checkpointing mid-run and continuing
-// is exactly the warm-fork producer loop. Draining in-flight dial
-// closures may advance virtual time slightly (bounded by drainCap); the
-// snapshot captures the post-drain instant.
+// Checkpoint serializes the world's full simulation state into out, cut at
+// the instant the clock stands at. It fires no event and changes nothing, so
+// the world stays runnable afterwards — checkpointing mid-run and continuing
+// is exactly the warm-fork producer loop. Writes to out are buffered here.
 //
 // Only the classic engine with the default collector sink is
 // checkpointable: sharded worlds spread their state across goroutines,
@@ -232,17 +210,18 @@ func (w *World) Checkpoint(out io.Writer) error {
 	if w.collector == nil {
 		return fmt.Errorf("study: checkpoint requires the default collector sink (SetSink disables checkpointing)")
 	}
-	if err := w.drainClosures(); err != nil {
-		return err
-	}
 	if err := w.Clock.CheckPersistable(); err != nil {
 		return err
 	}
 
-	c := snap.NewEncoder(out)
+	buf := bufio.NewWriter(out)
+	c := snap.NewEncoder(buf)
 	syncHeader(c, &w.Options)
 	w.sync(c, nil, true)
-	return c.Err()
+	if err := c.Err(); err != nil {
+		return err
+	}
+	return buf.Flush()
 }
 
 // sync is the one walk of a world's simulation state, in snapshot order:
@@ -277,7 +256,7 @@ func (w *World) sync(c *snap.Codec, fork *Fork, keepDynamics bool) {
 	}
 	for i, srv := range w.Servers {
 		w.serverRNGs[i].Sync(c, fork.reseed("server:"+w.ActiveSites[i].Host))
-		w.serverStacks[i].Sync(c)
+		w.serverStacks[i].Sync(c, x)
 		srv.Sync(c, w.serverStacks[i], x)
 	}
 
@@ -351,7 +330,7 @@ func (w *World) syncPanel(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 		if st == nil {
 			return
 		}
-		st.Sync(c)
+		st.Sync(c, x)
 		w.Clock.SyncTimer(c, &w.startTimers[i], w.tracers[i])
 		w.tracers[i].Sync(c, st, x)
 	}
@@ -405,7 +384,7 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 		if st == nil {
 			return
 		}
-		st.Sync(c)
+		st.Sync(c, x)
 		c.Bool(&b.done)
 		c.Bool(&b.departed)
 		c.I64(&b.ordinal)

@@ -3,6 +3,8 @@ package study
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,9 +22,8 @@ func recordsBytes(t *testing.T, recs []*trace.Record) []byte {
 	return buf.Bytes()
 }
 
-// checkpointAt drives a fresh world for opt to the cut instant and
-// snapshots it.
-func checkpointAt(t testing.TB, opt Options, cut time.Duration) []byte {
+// worldAt drives a fresh world for opt to the cut instant.
+func worldAt(t testing.TB, opt Options, cut time.Duration) *World {
 	t.Helper()
 	w, err := NewWorld(opt)
 	if err != nil {
@@ -31,11 +32,23 @@ func checkpointAt(t testing.TB, opt Options, cut time.Duration) []byte {
 	if err := w.RunUntil(cut); err != nil {
 		t.Fatal(err)
 	}
+	return w
+}
+
+func checkpoint(t testing.TB, w *World) []byte {
+	t.Helper()
 	var snap bytes.Buffer
 	if err := w.Checkpoint(&snap); err != nil {
-		t.Fatalf("checkpoint at %v: %v", cut, err)
+		t.Fatalf("checkpoint at %v: %v", w.Clock.Now(), err)
 	}
 	return snap.Bytes()
+}
+
+// checkpointAt drives a fresh world for opt to the cut instant and
+// snapshots it.
+func checkpointAt(t testing.TB, opt Options, cut time.Duration) []byte {
+	t.Helper()
+	return checkpoint(t, worldAt(t, opt, cut))
 }
 
 func resumeAndRun(t *testing.T, snap []byte, fork *Fork) *Result {
@@ -88,26 +101,29 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"ae48ff744a9a55b964d98065b8858f455f98f75e74a5a71719ab21d90c867fde"},
+		"ae2dd4eafddb6285ddf002a46676747abd8a858064b08db1c316d3f3e9db2dff"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "e0d3d80813b3b2174293dd494e7a58bc58ecdab405caca4f0aa87f9ac074ad1a"},
+	}, "428c4e739ca9cfe655926e43aec5240d6d714332ee3b14694711e4d38e4a6f82"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "ac6d9e1ec7d61bbf212a2d62cece71e0aaf3c69c61dd854afc9bb6e1c23584ba"},
+	}, "878beae6baa47a30b10e7b8ba0dd7ee55d6b39e58433dbccb7a78865afa43fee"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", Options{
-		Seed: 17, MaxUsers: 6, ClipCap: 2,
-		Workload: "poisson", Arrivals: 64, WorkloadIntensity: 2,
-	}, "5b9b61e09b84e4d2679550cbed8dd712abdb9dae05ff449d535b9d75f41a5825"},
+	{"churnheavy", churnHeavy, "234a39db60f5122f8c44d981bf86a05b32508806777b6fe516e8bac8ca7686de"},
+}
+
+// churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
+var churnHeavy = Options{
+	Seed: 17, MaxUsers: 6, ClipCap: 2,
+	Workload: "poisson", Arrivals: 64, WorkloadIntensity: 2,
 }
 
 func TestCheckpointResumeByteIdentical(t *testing.T) {
@@ -116,21 +132,53 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// fenceSnapshot is the snapshot a fence world writes at its 55% cut.
-func fenceSnapshot(t testing.TB, opt Options) []byte {
+// fenceWorld is a fence world driven to its 55% cut.
+func fenceWorld(t testing.TB, opt Options) *World {
 	t.Helper()
 	straight, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return checkpointAt(t, opt, time.Duration(float64(straight.SimDuration)*0.55))
+	return worldAt(t, opt, time.Duration(float64(straight.SimDuration)*0.55))
+}
+
+// fenceSnapshot is the snapshot a fence world writes at its 55% cut.
+func fenceSnapshot(t testing.TB, opt Options) []byte {
+	t.Helper()
+	return checkpoint(t, fenceWorld(t, opt))
+}
+
+// midDialWorld is the churn-heavy fence world stopped at the first whole
+// second past its midpoint at which a TCP dial is in flight — the state the
+// fixed 55% cuts land on only by luck.
+func midDialWorld(t testing.TB) *World {
+	t.Helper()
+	straight, err := Run(churnHeavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorld(churnHeavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := straight.SimDuration / 2; cut < straight.SimDuration; cut += time.Second {
+		if err := w.RunUntil(cut); err != nil {
+			t.Fatal(err)
+		}
+		if dialsInFlight(w) > 0 {
+			return w
+		}
+	}
+	t.Fatal("no whole second in the second half of the churn-heavy world has a dial in flight")
+	return nil
 }
 
 // TestSnapshotBytesStable pins the wire format: each fence world's 55%
 // snapshot must hash to the digest recorded when the format was last
-// changed on purpose (RTSNAP1: taken from the paired Persist/Restore codecs
-// the Sync walks replaced). A refactor of the walks must leave these alone;
-// a deliberate format change bumps snapMagic and updates them here.
+// changed on purpose (RTSNAP2: stacks gained their in-flight dials, players
+// the dial they wait on, and the cut is the exact instant instead of the
+// end of a drain). A refactor of the walks must leave these alone; a
+// deliberate format change bumps snapMagic and updates them here.
 func TestSnapshotBytesStable(t *testing.T) {
 	for _, fw := range fenceWorlds {
 		t.Run(fw.name, func(t *testing.T) {
@@ -213,33 +261,52 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatal("want error resuming junk bytes")
 	}
 
-	// The three single-field corruptions that used to hang or panic Resume,
-	// as fixed inputs. Each locates its field from the section tag before it.
+	// Single-field corruptions as fixed inputs: the first three used to hang
+	// or panic Resume. Each locates its field from the section tag before it.
+	marker := func(tag string) []byte { return append([]byte{byte(len(tag)), 0, 0, 0}, tag...) }
 	field := func(tag string, skip int) int {
 		t.Helper()
-		marker := append([]byte{byte(len(tag)), 0, 0, 0}, tag...)
-		i := bytes.Index(snap, marker)
+		i := bytes.Index(snap, marker(tag))
 		if i < 0 {
 			t.Fatalf("snapshot has no %q section", tag)
 		}
-		return i + len(marker) + skip
+		return i + len(marker(tag)) + skip
 	}
+	// A stack with one dial in flight walks a count of 1, the dial's deaf flag
+	// (clear: the host is there) and then the dialing conn under its "tcp"
+	// tag, led by the local address that names the dial; the player waiting on
+	// it walks (dial kind, that same address) later on.
+	mid := checkpoint(t, midDialWorld(t))
+	dialAt := bytes.Index(mid, append([]byte{1, 0, 0, 0, 0}, marker("tcp")...))
+	if dialAt < 0 {
+		t.Fatal("mid-dial snapshot has no stack with exactly one dial in flight")
+	}
+	addrAt := dialAt + 5 + len(marker("tcp"))
+	addrEnd := addrAt + 4 + int(binary.LittleEndian.Uint32(mid[addrAt:]))
+	waitAt := bytes.Index(mid[addrEnd:], mid[addrAt:addrEnd])
+	if waitAt < 0 {
+		t.Fatalf("no player waits on the dial from %s", mid[addrAt+4:addrEnd])
+	}
+	waitAt += addrEnd
 	for _, tc := range []struct {
 		name   string
+		snap   []byte
 		mutate func(b []byte)
 		want   string
 	}{
 		// netsim: seed(8) then the base stream's draw count; 2^55 draws used
 		// to spin in detrand.Skip for years.
-		{"rng draw count 2^55", func(b []byte) { b[field("netsim", 8)+6] = 0x80 }, "draw count"},
+		{"rng draw count 2^55", snap, func(b []byte) { b[field("netsim", 8)+6] = 0x80 }, "draw count"},
 		// clock: now(8) then seq; a clock seq of zero puts every armed
 		// timer's seq at or above it, which used to panic in Clock.Arm.
-		{"timer seq not below clock seq", func(b []byte) { clear(b[field("clock", 8):][:8]) }, "outside the restored clock"},
+		{"timer seq not below clock seq", snap, func(b []byte) { clear(b[field("clock", 8):][:8]) }, "outside the restored clock"},
 		// tcp: the conn's local address follows its tag; an address on a
 		// host the world never attached used to panic in Network.Register.
-		{"conn on an unknown host", func(b []byte) { b[field("tcp", 4)] ^= 0x20 }, "not attached"},
+		{"conn on an unknown host", snap, func(b []byte) { b[field("tcp", 4)] ^= 0x20 }, "not attached"},
+		{"dial kind out of range", mid, func(b []byte) { b[waitAt-1] = 9 }, "dial kind 9"},
+		{"waiting on a dial nobody issued", mid, func(b []byte) { b[waitAt+4] ^= 1 }, "no in-flight dial"},
 	} {
-		bad := append([]byte(nil), snap...)
+		bad := append([]byte(nil), tc.snap...)
 		tc.mutate(bad)
 		done := make(chan error, 1)
 		go func() {
@@ -254,6 +321,14 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		case <-time.After(20 * time.Second):
 			t.Fatalf("%s: Resume hung", tc.name)
 		}
+	}
+
+	// A snapshot from before the format gained dial state is refused on its
+	// magic, before any field is misread.
+	old := append([]byte(nil), snap...)
+	copy(old[4:], "RTSNAP1")
+	if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {
+		t.Fatalf("want an RTSNAP1 header refused as an incompatible build, got %v", err)
 	}
 }
 
@@ -276,5 +351,169 @@ func TestCheckpointRejectsUnsupportedWorlds(t *testing.T) {
 	}
 	if err := sw.Checkpoint(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "sharded") {
 		t.Fatalf("want sharded-world error, got %v", err)
+	}
+}
+
+// dialsInFlight counts the TCP dials in flight anywhere in w. Only user
+// stacks dial.
+func dialsInFlight(w *World) int {
+	n := 0
+	for _, st := range w.stacks {
+		n += st.DialsInFlight()
+	}
+	return n
+}
+
+// TestCheckpointIsExactAndReadOnly pins what deleting closure events bought:
+// on a busy open-loop world — where a TCP dial is in flight at about a third
+// of all instants — Checkpoint succeeds at every cut, is cut at exactly the
+// instant asked for, fires no event, and leaves the world it walked
+// unchanged. One world is driven through every cut and checkpointed at each,
+// so its own final records prove the walks were read-only; every snapshot
+// resumes to the same records.
+func TestCheckpointIsExactAndReadOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("resumes a 2M-event world from 20 cuts")
+	}
+	opt := Options{Seed: 1, MaxUsers: 200, ClipCap: 2, Workload: "poisson", Arrivals: 400}
+	straight, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := recordsBytes(t, straight.Records)
+
+	w, err := NewWorld(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cuts = 20
+	midDial := 0
+	for i := 1; i <= cuts; i++ {
+		cut := straight.SimDuration * time.Duration(i) / (cuts + 1)
+		if err := w.RunUntil(cut); err != nil {
+			t.Fatal(err)
+		}
+		fired, pending, dials := w.Clock.Fired(), w.Clock.Pending(), dialsInFlight(w)
+		var snap bytes.Buffer
+		if err := w.Checkpoint(&snap); err != nil {
+			t.Fatalf("cut %d at %v (%d dials in flight): %v", i, cut, dials, err)
+		}
+		if now := w.Clock.Now(); now != cut {
+			t.Fatalf("cut %d: checkpoint moved the clock from %v to %v", i, cut, now)
+		}
+		if f, p := w.Clock.Fired(), w.Clock.Pending(); f != fired || p != pending {
+			t.Fatalf("cut %d: checkpoint changed the clock: fired %d -> %d, pending %d -> %d", i, fired, f, pending, p)
+		}
+		if dials > 0 {
+			midDial++
+		}
+		if got := recordsBytes(t, resumeAndRun(t, snap.Bytes(), nil).Records); !bytes.Equal(got, want) {
+			t.Fatalf("cut %d at %v (%d dials in flight): records after resume differ from the straight-through run", i, cut, dials)
+		}
+	}
+	if midDial == 0 {
+		t.Fatal("no cut landed on a dial in flight: the test no longer exercises mid-dial checkpoints")
+	}
+	t.Logf("%d of %d cuts had a dial in flight", midDial, cuts)
+
+	res, err := w.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recordsBytes(t, res.Records), want) {
+		t.Fatal("the world checkpointed 20 times finished with different records than one never checkpointed")
+	}
+}
+
+// orphanDialWorld is a small pool under heavy churn in which user02.us hangs
+// up 77 ms into a control dial (at 11m57.4s) and the same template arrives
+// again 6 s later, 4 s before the orphaned dial times out.
+var orphanDialWorld = Options{
+	Seed: 4, MaxUsers: 4, ClipCap: 2,
+	Workload: "poisson", Arrivals: 150, WorkloadIntensity: 8,
+}
+
+// TestCheckpointAcrossDepartureMidDial cuts a world at the two instants a
+// mid-dial departure makes special. RemoveHost drops the dialing conn's packet
+// handler but nothing cancels the dial: until its timeout it sits on the
+// stack's list, open, first on a host that is not attached and then — deaf —
+// on the host's next incarnation. Both snapshots must resume to the
+// straight-through records; restoring the conn listening would be refused at
+// the first cut and would let a late SYN-ACK establish it after the second.
+func TestCheckpointAcrossDepartureMidDial(t *testing.T) {
+	opt := orphanDialWorld
+	straight, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := recordsBytes(t, straight.Records)
+
+	// Scout for the instants: the first departure that leaves a dial behind
+	// and is followed by the template's next arrival before the dial resolves.
+	scout, err := NewWorld(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var host string
+	var gone, back time.Duration
+	for back == 0 && scout.Clock.Step() {
+		now := scout.Clock.Now()
+		switch {
+		case host == "":
+			for name, st := range scout.stacks {
+				if st.DialsInFlight() > 0 && !scout.Net.Attached(name) {
+					host, gone = name, now
+				}
+			}
+		case scout.stacks[host].DialsInFlight() == 0:
+			host = "" // timed out with the host still away; keep looking
+		case scout.Net.Attached(host):
+			back = now
+		}
+	}
+	if back == 0 {
+		t.Fatal("no departure mid-dial is followed by the same template's arrival while the dial is in flight: the test no longer exercises orphaned dials")
+	}
+	t.Logf("%s left mid-dial at %v and came back at %v", host, gone, back)
+
+	for _, cut := range []time.Duration{gone, back + time.Second} {
+		w := worldAt(t, opt, cut)
+		if dials, attached := w.stacks[host].DialsInFlight(), w.Net.Attached(host); dials == 0 || attached != (cut > gone) {
+			t.Fatalf("at %v %s has %d dials in flight and attached=%v: the cut missed the orphaned dial", cut, host, dials, attached)
+		}
+		if got := recordsBytes(t, resumeAndRun(t, checkpoint(t, w), nil).Records); !bytes.Equal(got, want) {
+			t.Fatalf("records after resume from %v differ from the straight-through run", cut)
+		}
+	}
+}
+
+// countingWriter counts Write calls and can be told to fail them.
+type countingWriter struct {
+	writes, bytes int
+	err           error
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), w.err
+}
+
+// TestCheckpointBuffersItsWrites: the codec emits one Write per field (about
+// 7 bytes each), so Checkpoint buffers them itself — a caller handing it a
+// bare *os.File must not pay a syscall per field — and reports a write error
+// the buffer only sees at flush time.
+func TestCheckpointBuffersItsWrites(t *testing.T) {
+	w := fenceWorld(t, fenceWorlds[0].opt)
+	var out countingWriter
+	if err := w.Checkpoint(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.writes*1024 > out.bytes {
+		t.Fatalf("%d writes for a %d-byte snapshot: writes are not buffered", out.writes, out.bytes)
+	}
+	full := countingWriter{err: errors.New("disk full")}
+	if err := w.Checkpoint(&full); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("want the writer's error back, got %v", err)
 	}
 }

@@ -7,14 +7,14 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"realtracer/internal/snap"
 )
 
 // TestSyncCoversEveryField is the drift fence for the one-walk rule. It
-// drives each fence world to its mid-run cut, then reflects over every
+// drives each fence world to its mid-run cut (and one more world to an
+// instant with a TCP dial in flight), then reflects over every
 // object reachable from the World and perturbs each scalar field in place:
 // a field is covered when some perturbation of it changes the bytes the
 // Sync walk writes. A field that never does must be named in syncExempt
@@ -32,31 +32,19 @@ func TestSyncCoversEveryField(t *testing.T) {
 		types: map[string]bool{},
 		used:  map[string]bool{},
 	}
+	inputs := map[string]*World{"middial": midDialWorld(t)}
 	for _, fw := range fenceWorlds {
-		straight, err := Run(fw.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := NewWorld(fw.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.RunUntil(time.Duration(float64(straight.SimDuration) * 0.55)); err != nil {
-			t.Fatal(err)
-		}
-		// The first checkpoint drains in-flight dial closures; every later
-		// walk of this world then encodes the same instant.
-		if err := w.Checkpoint(&bytes.Buffer{}); err != nil {
-			t.Fatal(err)
-		}
+		inputs[fw.name] = fenceWorld(t, fw.opt)
+	}
+	for name, w := range inputs {
 		cw.w, cw.visited, cw.tries = w, map[visit]bool{}, map[string]int{}
 		cw.base = cw.encode()
 		if cw.base == nil {
-			t.Fatalf("%s: baseline walk failed", fw.name)
+			t.Fatalf("%s: baseline walk failed", name)
 		}
 		cw.walk(reflect.ValueOf(w))
 		if !bytes.Equal(cw.encode(), cw.base) {
-			t.Fatalf("%s: the world does not encode to its baseline after every perturbation was undone", fw.name)
+			t.Fatalf("%s: the world does not encode to its baseline after every perturbation was undone", name)
 		}
 	}
 
@@ -292,16 +280,13 @@ var syncExempt = map[string]string{
 	"player.Player.gapScratch":  "jitter scratch",
 	"player.Player.ownArena":    "fallback packet storage",
 	"netsim.Packet.pooled":      "allocation provenance; restored packets come from the pool",
-	"simclock.Event.pooled":     "allocation provenance; Arm always pools",
 	"transport.tcpAck.origin":   "free-list provenance; a restored ACK is garbage-collected instead",
 
 	// Derived values: recomputed from walked state by the restore path.
 	"simclock.Clock.live":                "count of armed events, rebuilt by re-arming",
-	"simclock.Clock.closures":            "must be zero to checkpoint (CheckPersistable)",
 	"simclock.Clock.cur":                 "wheel cursor, rebuilt by re-arming into an empty wheel",
 	"simclock.Clock.nearEnd":             "near-heap horizon, rebuilt by re-arming",
 	"simclock.Clock.occ":                 "wheel occupancy bitmaps, rebuilt by re-arming",
-	"simclock.Clock.heapMode":            "test-oracle scheduler switch, fixed at construction",
 	"netsim.Network.ids":                 "inverse of the walked names table",
 	"netsim.Network.frozen":              "sharded worlds only",
 	"netsim.Network.pathSeed":            "sharded worlds only",

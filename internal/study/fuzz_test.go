@@ -55,10 +55,14 @@ func finished(w *World) bool {
 }
 
 // FuzzResume feeds Resume mutated snapshots. The corpus is seeded with real
-// mid-run snapshots of the four fence worlds plus truncations of each.
+// mid-run snapshots of the four fence worlds and of one world with a TCP
+// dial in flight, plus truncations of each.
 func FuzzResume(f *testing.F) {
+	snaps := [][]byte{checkpoint(f, midDialWorld(f))}
 	for _, fw := range fenceWorlds {
-		snap := fenceSnapshot(f, fw.opt)
+		snaps = append(snaps, fenceSnapshot(f, fw.opt))
+	}
+	for _, snap := range snaps {
 		f.Add(snap)
 		f.Add(snap[:len(snap)-1])
 		f.Add(snap[:len(snap)/2])

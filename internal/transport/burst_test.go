@@ -46,9 +46,9 @@ func TestTCPRetransmitsAcrossLossBursts(t *testing.T) {
 		// fresh data and retransmissions.
 		for i := 0; i < msgs; i++ {
 			i := i
-			clock.After(time.Duration(i)*200*time.Millisecond, func() {
+			clock.AfterHandler(time.Duration(i)*200*time.Millisecond, fireFunc(func() {
 				c.Send(i, 900)
-			})
+			}))
 		}
 	})
 	clock.RunUntil(10 * time.Minute)
@@ -87,7 +87,7 @@ func TestUDPLosesWholeBurstsButKeepsOrder(t *testing.T) {
 	const msgs = 600
 	for i := 0; i < msgs; i++ {
 		i := i
-		clock.After(time.Duration(i)*100*time.Millisecond, func() { c.Send(i, 500) })
+		clock.AfterHandler(time.Duration(i)*100*time.Millisecond, fireFunc(func() { c.Send(i, 500) }))
 	}
 	clock.Run()
 

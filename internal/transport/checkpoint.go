@@ -24,11 +24,18 @@ import (
 //     so each conn walks its timer as (At, seq) and re-arms it with the
 //     original sequence number on restore.
 //
+//   - A dial in flight belongs to the stack that issued it, not to whoever
+//     asked for it: the stack walks the dialing conn and the dial's three
+//     timers, and the caller — if it is still waiting — persists the dial's
+//     local address and hands its continuation back with ReattachDial.
+//
 // Application payloads nested in segments and datagrams are opaque here; the
 // session layer supplies the AppSync.
 
 func init() {
 	simclock.RegisterEventKind("transport.tcp-rto", &simTCP{})
+	simclock.RegisterEventKind("transport.dial-timeout", (*dialTimeoutArm)(nil))
+	simclock.RegisterEventKind("transport.dial-retry", (*dialRetryArm)(nil))
 }
 
 // AppSync walks one application payload carried inside a transport frame
@@ -192,11 +199,53 @@ func (seg *tcpSeg) sync(c *snap.Codec, app AppSync) {
 	}
 }
 
-// Sync walks the stack's own state (the ephemeral port cursor). The ACK
-// free-list is a pure allocation cache and is not part of the snapshot.
-func (s *Stack) Sync(c *snap.Codec) {
+// Sync walks the stack's own state: the ephemeral port cursor and the dials
+// in flight, each as its dialing conn plus its timers. Decoded dials carry no
+// continuation until their owner calls ReattachDial. The ACK free-list is a
+// pure allocation cache and is not part of the snapshot.
+func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 	c.Tag("stack")
 	c.Int(&s.next)
+	snap.Slice(c, &s.dials, func(c *snap.Codec, dp **tcpDial) {
+		if c.Reading() {
+			*dp = &tcpDial{}
+		}
+		d := *dp
+		// A host that departs mid-handshake takes the dialing conn's packet
+		// handler with it, while the dial's timers tick on — through a
+		// re-arrival under the same name, if one comes. The conn restores as
+		// deaf as it was.
+		deaf := !c.Reading() && !s.net.Registered(d.conn.laddr)
+		c.Bool(&deaf)
+		if tc := s.syncTCP(c, d.conn, x, !deaf); tc != nil {
+			d.conn = tc
+			tc.dial = d
+		}
+		if c.Err() != nil {
+			return
+		}
+		s.clock.SyncTimer(c, &d.timeout, (*dialTimeoutArm)(d))
+		for i := range d.retries {
+			s.clock.SyncTimer(c, &d.retries[i], (*dialRetryArm)(d))
+		}
+	})
+}
+
+// ReattachDial gives a dial restored by Sync its continuation back: laddr is
+// what DialTCP returned when the dial was issued. A restored dial nobody
+// re-attaches stays abandoned (see tcpDial.cb).
+func (s *Stack) ReattachDial(laddr string, cb func(Conn, error)) error {
+	for _, d := range s.dials {
+		if string(d.conn.laddr) != laddr {
+			continue
+		}
+		if d.cb != nil {
+			return fmt.Errorf("transport: dial from %s re-attached twice", laddr)
+		}
+		d.cb = cb
+		return nil
+	}
+	return fmt.Errorf("transport: snapshot holds no in-flight dial from %s", laddr)
 }
 
 // RestoreAccepted re-seeds a listener's SYN-dedup map with a restored
@@ -265,7 +314,7 @@ func SyncConn(c *snap.Codec, conn *Conn, s *Stack, x *SnapCtx) {
 	switch tag {
 	case connTCP:
 		tc, _ := (*conn).(*simTCP)
-		if tc = s.syncTCP(c, tc, x); tc != nil {
+		if tc = s.syncTCP(c, tc, x, true); tc != nil {
 			*conn = tc
 		}
 	case connUDP:
@@ -329,8 +378,10 @@ func (s *Stack) syncUDP(c *snap.Codec, uc *simUDP) *simUDP {
 }
 
 // syncTCP walks the full simTCP state; decoding (tc ignored) returns the
-// rebuilt conn, or nil on failure.
-func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx) *simTCP {
+// rebuilt conn, or nil on failure. listening is whether a decoded open conn
+// re-registers its packet handler: true for every conn but a dialing one
+// whose host left (Stack.Sync).
+func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *simTCP {
 	if c.Reading() {
 		tc = &simTCP{} // scratch for the header; the real conn follows it
 	}
@@ -343,13 +394,14 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx) *simTCP {
 		// A conn closed at checkpoint time was already unregistered from the
 		// network — and for a departed open-loop client the host itself is
 		// gone — so only open conns re-register their packet handler.
-		if c.Err() != nil || (!tc.closed && !s.registrable(c, tc.laddr)) {
+		listening = listening && !tc.closed
+		if c.Err() != nil || (listening && !s.registrable(c, tc.laddr)) {
 			return nil
 		}
 		hdr := tc
 		tc = newSimTCPConn(s, hdr.laddr, hdr.raddr)
 		tc.established, tc.closed = hdr.established, hdr.closed
-		if !tc.closed {
+		if listening {
 			s.net.Register(tc.laddr, tc.onPacket)
 		}
 	}

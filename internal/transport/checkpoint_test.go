@@ -1,0 +1,133 @@
+package transport
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"time"
+
+	"realtracer/internal/netsim"
+	"realtracer/internal/simclock"
+	"realtracer/internal/snap"
+)
+
+// midDial dials a:100 from b, stops 1 ms in — SYN on the wire, timeout and
+// both retries armed — and returns the dial's local address with the clock
+// and the dialing stack each walked into its own snapshot.
+func midDial(t *testing.T) (laddr string, clockSnap, stackSnap []byte) {
+	t.Helper()
+	clock, _, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	laddr = sb.DialTCP("a:100", func(Conn, error) { t.Error("the original dial's continuation ran") })
+	clock.RunUntil(time.Millisecond)
+	clockSnap, stackSnap = snapshot(t, clock, sb)
+	return laddr, clockSnap, stackSnap
+}
+
+// snapshot walks the clock and one stack each into its own snapshot.
+func snapshot(t *testing.T, clock *simclock.Clock, s *Stack) (clockSnap, stackSnap []byte) {
+	t.Helper()
+	var cbuf, sbuf bytes.Buffer
+	clock.Sync(snap.NewEncoder(&cbuf))
+	enc := snap.NewEncoder(&sbuf)
+	s.Sync(enc, NewSnapCtx(nil))
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return cbuf.Bytes(), sbuf.Bytes()
+}
+
+// restoreMidDial rebuilds the pair and overlays the snapshots; the SYN that
+// was on the wire is not restored, so the dial completes on its first retry.
+func restoreMidDial(t *testing.T, clockSnap, stackSnap []byte) (*simclock.Clock, *Stack, *Stack) {
+	t.Helper()
+	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	clock.Sync(snap.NewDecoder(clockSnap))
+	dec := snap.NewDecoder(stackSnap)
+	sb.Sync(dec, NewSnapCtx(nil))
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return clock, sa, sb
+}
+
+func TestRestoredDialRunsItsReattachedContinuation(t *testing.T) {
+	laddr, clockSnap, stackSnap := midDial(t)
+	clock, sa, sb := restoreMidDial(t, clockSnap, stackSnap)
+	sa.Listen(100, func(Conn) {})
+
+	if err := sb.ReattachDial("b:1", func(Conn, error) {}); err == nil || !strings.Contains(err.Error(), "no in-flight dial") {
+		t.Fatalf("re-attaching a dial the snapshot does not hold: %v", err)
+	}
+	var got Conn
+	if err := sb.ReattachDial(laddr, func(c Conn, err error) { got = c }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.ReattachDial(laddr, func(Conn, error) {}); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("re-attaching one dial twice: %v", err)
+	}
+	clock.RunUntil(3 * time.Second)
+	if got == nil || got.LocalAddr() != laddr {
+		t.Fatalf("re-attached continuation got %v, want the conn dialed from %s", got, laddr)
+	}
+	if n := clock.Pending(); n != 0 {
+		t.Fatalf("%d events still pending after the dial resolved; its timers were not cancelled", n)
+	}
+}
+
+// A restored dial nobody re-attaches was abandoned before the checkpoint:
+// the conn is closed as soon as it establishes.
+func TestRestoredDialWithoutOwnerClosesOnEstablish(t *testing.T) {
+	_, clockSnap, stackSnap := midDial(t)
+	clock, sa, _ := restoreMidDial(t, clockSnap, stackSnap)
+	var accepted Conn
+	sa.Listen(100, func(c Conn) { accepted = c })
+	clock.RunUntil(3 * time.Second)
+	if accepted == nil || !ConnClosed(accepted) {
+		t.Fatalf("server side of the abandoned dial: %v, want accepted and then closed by the dialer's FIN", accepted)
+	}
+}
+
+// A dialer whose host leaves mid-handshake loses the conn's packet handler
+// with the host, but nothing cancels the dial. It restores as it was: onto the
+// still-absent host without complaint, and — once the same name is attached
+// again — sending its SYN retries while deaf to the SYN-ACKs they draw, until
+// the timeout ends it.
+func TestOrphanedDialRestoresDeaf(t *testing.T) {
+	route := netsim.Route{OneWayDelay: 20 * time.Millisecond}
+	clock, _, sb := newPair(t, route)
+	sb.DialTCP("a:100", func(Conn, error) {})
+	clock.RunUntil(time.Millisecond)
+	sb.net.RemoveHost("b")
+	clockSnap, stackSnap := snapshot(t, clock, sb)
+
+	clock, sa, sb := newPair(t, route)
+	sb.net.RemoveHost("b")
+	clock.Sync(snap.NewDecoder(clockSnap))
+	dec := snap.NewDecoder(stackSnap)
+	sb.Sync(dec, NewSnapCtx(nil))
+	if err := dec.Err(); err != nil {
+		t.Fatalf("restoring a dial onto its departed host: %v", err)
+	}
+	var accepted Conn
+	sa.Listen(100, func(c Conn) { accepted = c })
+	sb.net.AddHost(netsim.HostConfig{Name: "b", Access: netsim.DefaultAccessProfile(netsim.AccessDSLCable)})
+	clock.RunUntil(dialTimeout + time.Second)
+	if accepted == nil || ConnClosed(accepted) {
+		t.Fatalf("server side of the orphaned dial: accepted=%v, want accepted off a retried SYN and never closed — the dialer must not hear the SYN-ACK", accepted != nil)
+	}
+	if n := sb.DialsInFlight(); n != 0 {
+		t.Fatalf("%d dials in flight after the timeout", n)
+	}
+}
+
+// A dial's timers restore through Clock.Rearm: a slot the clock cannot hold
+// fails the codec instead of reaching Arm's panic.
+func TestDialRestoreRejectsTimerOutsideClock(t *testing.T) {
+	_, _, stackSnap := midDial(t)
+	_, _, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	dec := snap.NewDecoder(stackSnap) // onto a clock that has issued no seq yet
+	sb.Sync(dec, NewSnapCtx(nil))
+	if err := dec.Err(); err == nil || !strings.Contains(err.Error(), "outside the restored clock") {
+		t.Fatalf("want the dial's timeout slot refused, got %v", err)
+	}
+}

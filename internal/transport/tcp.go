@@ -28,10 +28,10 @@ type simTCP struct {
 	lport   int32         // pre-parsed port of laddr
 	rport   int32         // pre-parsed port of raddr; refreshed with raddr
 
-	established   bool
-	closed        bool
-	onEstablished func()
-	recv          func(any, int)
+	established bool
+	closed      bool
+	dial        *tcpDial // the DialTCP still waiting on this conn's handshake
+	recv        func(any, int)
 
 	// Sender state.
 	nextSeq  uint64    // next sequence to assign
@@ -334,8 +334,8 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 			c.rport = pkt.From.Port()
 		}
 		c.established = true
-		if c.onEstablished != nil {
-			c.onEstablished()
+		if c.dial != nil {
+			c.dial.finish(nil)
 		}
 		c.pump()
 		c.stack.net.ReleaseTransit(seg)

@@ -16,6 +16,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"realtracer/internal/netsim"
@@ -93,6 +94,10 @@ type Stack struct {
 	// listeners tracks live TCP listeners by port so a world restore can
 	// re-seed their SYN-dedup maps with the accepted conns (checkpoint.go).
 	listeners map[int]*tcpListener
+	// dials holds the in-flight DialTCP handshakes in issue order. The stack
+	// is their owner in a world checkpoint: the caller that asked for a dial
+	// may have moved on (an aborted player), but its timers still fire.
+	dials []*tcpDial
 }
 
 // tcpListener is the per-port accept state: the SYN-dedup map that makes a
@@ -152,6 +157,10 @@ func (s *Stack) sendPooled(from, to netsim.Addr, fromID, toID netsim.HostID, fro
 
 // Host returns the host name the stack is bound to.
 func (s *Stack) Host() string { return s.host }
+
+// DialsInFlight reports how many DialTCP handshakes are neither established
+// nor timed out yet.
+func (s *Stack) DialsInFlight() int { return len(s.dials) }
 
 func (s *Stack) ephemeral() netsim.Addr {
 	s.next++
@@ -222,40 +231,76 @@ func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
 	}
 }
 
+// tcpDial is one in-flight DialTCP: the dialing conn, the caller's
+// continuation, and the timers armed at dial time. It stays on the stack's
+// dial list until the handshake completes or times out.
+type tcpDial struct {
+	conn *simTCP
+	// cb receives the outcome. It is nil only on a dial restored from a
+	// checkpoint that no owner re-attached (ReattachDial): the caller had
+	// abandoned it before the checkpoint, so an established conn is closed
+	// and a timeout is silent.
+	cb      func(Conn, error)
+	timeout simclock.Timer
+	retries [len(dialRetryAfter)]simclock.Timer
+}
+
+// dialRetryAfter is when, after the dial, a SYN is sent again in case the
+// first was lost.
+var dialRetryAfter = [...]time.Duration{2 * time.Second, 5 * time.Second}
+
+// The dial's timer handlers are the tcpDial itself under distinct named
+// types, like the conn's RTO: arming boxes nothing, and each is its own
+// checkpointable event kind.
+type (
+	dialTimeoutArm tcpDial
+	dialRetryArm   tcpDial
+)
+
+func (x *dialTimeoutArm) Fire(time.Duration) { (*tcpDial)(x).finish(ErrTimeout) }
+func (x *dialRetryArm) Fire(time.Duration)   { x.conn.sendSyn() }
+
 // DialTCP opens a connection to raddr. cb receives the Conn once the
 // handshake completes, or an error on timeout. Lost SYNs are retried twice
-// before the dial gives up.
-func (s *Stack) DialTCP(raddr string, cb func(Conn, error)) {
+// before the dial gives up. It returns the dialing socket's local address,
+// which names the dial to ReattachDial after a checkpoint restore.
+func (s *Stack) DialTCP(raddr string, cb func(Conn, error)) (laddr string) {
 	c := newSimTCP(s, s.ephemeral(), netsim.Addr(raddr))
-	done := false
-	var retries []*simclock.Event
-	timeout := s.clock.After(dialTimeout, func() {
-		if done {
-			return
-		}
-		done = true
-		c.teardown()
-		cb(nil, ErrTimeout)
-	})
-	for _, after := range []time.Duration{2 * time.Second, 5 * time.Second} {
-		retries = append(retries, s.clock.After(after, func() {
-			if !done {
-				c.sendSyn()
-			}
-		}))
+	d := &tcpDial{conn: c, cb: cb}
+	// Timeout first, then the retries: the order fixes the events' seqs.
+	d.timeout = s.clock.AfterHandler(dialTimeout, (*dialTimeoutArm)(d))
+	for i, after := range dialRetryAfter {
+		d.retries[i] = s.clock.AfterHandler(after, (*dialRetryArm)(d))
 	}
-	c.onEstablished = func() {
-		if done {
-			return
-		}
-		done = true
-		timeout.Cancel()
-		for _, r := range retries {
-			r.Cancel()
-		}
-		cb(c, nil)
-	}
+	c.dial = d
+	s.dials = append(s.dials, d)
 	c.sendSyn()
+	return string(c.laddr)
+}
+
+// finish resolves the dial: established when err is nil, timed out
+// otherwise. Cancelling every timer and unlisting the dial makes it final.
+func (d *tcpDial) finish(err error) {
+	c := d.conn
+	s := c.stack
+	c.dial = nil
+	i := slices.Index(s.dials, d)
+	s.dials = slices.Delete(s.dials, i, i+1)
+	d.timeout.Cancel()
+	for _, r := range d.retries {
+		r.Cancel()
+	}
+	switch {
+	case err != nil:
+		c.teardown()
+		if d.cb != nil {
+			d.cb(nil, err)
+		}
+	case d.cb != nil:
+		d.cb(c, nil)
+	default:
+		c.Close()
+	}
 }
 
 // ListenUDP binds a UDP port. recv is invoked for every datagram with the

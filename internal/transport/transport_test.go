@@ -8,6 +8,12 @@ import (
 	"realtracer/internal/simclock"
 )
 
+// fireFunc adapts a closure to a simclock.EventHandler. Its type is not a
+// registered event kind, so a world holding one is not checkpointable.
+type fireFunc func()
+
+func (f fireFunc) Fire(time.Duration) { f() }
+
 func newPair(t *testing.T, route netsim.Route) (*simclock.Clock, *Stack, *Stack) {
 	t.Helper()
 	clock := simclock.New()
@@ -70,7 +76,7 @@ func TestTCPRecoversFromLoss(t *testing.T) {
 			c.Send(i, 1000)
 		}
 		tc := c.(*simTCP)
-		clock.After(5*time.Minute, func() { rexmit, _, _ = tc.Counters() })
+		clock.AfterHandler(5*time.Minute, fireFunc(func() { rexmit, _, _ = tc.Counters() }))
 	})
 	clock.RunUntil(6 * time.Minute)
 
@@ -108,7 +114,7 @@ func TestTCPSustainedStream(t *testing.T) {
 				sent++
 			}
 			if sent < 1800 { // 60 s at 30 msg/s
-				clock.After(100*time.Millisecond, tick)
+				clock.AfterHandler(100*time.Millisecond, fireFunc(tick))
 			}
 		}
 		tick()
@@ -130,9 +136,9 @@ func TestUDPDeliveryAndLoss(t *testing.T) {
 	c := sb.DialUDP("a:200")
 	for i := 0; i < 1000; i++ {
 		final := i
-		clock.After(time.Duration(final)*50*time.Millisecond, func() {
+		clock.AfterHandler(time.Duration(final)*50*time.Millisecond, fireFunc(func() {
 			c.Send(final, 500)
-		})
+		}))
 	}
 	clock.RunUntil(2 * time.Minute)
 
@@ -160,9 +166,9 @@ func TestUDPConnectedFilterIgnoresStrangers(t *testing.T) {
 	var got []string
 	c.SetReceiver(func(payload any, _ int) { got = append(got, payload.(string)) })
 	c.Send("hi", 100)
-	clock.After(10*time.Millisecond, func() {
+	clock.AfterHandler(10*time.Millisecond, fireFunc(func() {
 		other.SendTo(c.LocalAddr(), "stranger", 100)
-	})
+	}))
 	clock.RunUntil(time.Second)
 
 	if len(got) != 1 || got[0] != "reply" {

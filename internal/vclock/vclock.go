@@ -14,34 +14,25 @@ import (
 	"realtracer/internal/simclock"
 )
 
-// Timer is a cancellable pending callback.
-type Timer interface {
-	// Cancel prevents the callback from firing. Idempotent; cancelling an
-	// already-fired timer is a no-op.
-	Cancel()
-}
-
 // Clock schedules callbacks. Implementations guarantee callbacks never run
 // concurrently with each other.
 type Clock interface {
 	// Now returns elapsed time since the clock's origin.
 	Now() time.Duration
-	// After schedules fn to run once, d from now.
-	After(d time.Duration, fn func()) Timer
-	// AfterHandler schedules h.Fire to run once, d from now. Unlike After,
-	// the simulated implementation allocates nothing: the pending event is
-	// pooled and the returned Handle is a value type, so engines that re-arm
-	// timers on every packet (players, pacers) stay allocation-free. Re-arming
-	// from inside Fire is the cheapest path of all — the simulator's timing
-	// wheel reuses the just-fired event slot, making a recurring timer an O(1)
-	// wheel insert with no heap traffic. Handler identity is the caller's:
-	// pass a pointer to long-lived state, never a fresh closure-like box.
+	// AfterHandler schedules h.Fire to run once, d from now. The simulated
+	// implementation allocates nothing: the pending event is pooled and the
+	// returned Handle is a value type, so engines that re-arm timers on every
+	// packet (players, pacers) stay allocation-free. Re-arming from inside
+	// Fire is the cheapest path of all — the simulator's timing wheel reuses
+	// the just-fired event slot, making a recurring timer an O(1) wheel insert
+	// with no heap traffic. Handler identity is the caller's: pass a pointer
+	// to long-lived state, never a fresh closure-like box.
 	AfterHandler(d time.Duration, h simclock.EventHandler) Handle
 }
 
-// Handle is a cancellable pending handler callback, the allocation-free
-// counterpart of Timer. The zero Handle is inert: Cancel is a no-op and
-// Armed reports false, so "not scheduled" needs no sentinel.
+// Handle is a cancellable pending handler callback. The zero Handle is
+// inert: Cancel is a no-op and Armed reports false, so "not scheduled" needs
+// no sentinel.
 type Handle struct {
 	sim simclock.Timer
 	rt  *realHandle
@@ -60,8 +51,7 @@ func (h Handle) Cancel() {
 }
 
 // Armed reports whether the callback is still pending. A fired, cancelled,
-// or zero Handle reports false — engines use this where they previously
-// nil-checked a Timer field.
+// or zero Handle reports false.
 func (h Handle) Armed() bool {
 	if h.rt != nil {
 		return h.rt.armed()
@@ -74,9 +64,6 @@ type Sim struct{ C *simclock.Clock }
 
 // Now implements Clock.
 func (s Sim) Now() time.Duration { return s.C.Now() }
-
-// After implements Clock.
-func (s Sim) After(d time.Duration, fn func()) Timer { return s.C.After(d, fn) }
 
 // AfterHandler implements Clock by delegating to the simulator's pooled
 // event path.
@@ -158,37 +145,10 @@ func NewReal(loop *Loop) *Real { return &Real{Base: time.Now(), Loop: loop} }
 // Now implements Clock.
 func (r *Real) Now() time.Duration { return time.Since(r.Base) }
 
-// After implements Clock. The callback is posted to the loop, never run on
-// the timer goroutine.
-func (r *Real) After(d time.Duration, fn func()) Timer {
-	var cancelled sync.Once
-	stopped := false
-	var mu sync.Mutex
-	t := time.AfterFunc(d, func() {
-		mu.Lock()
-		dead := stopped
-		mu.Unlock()
-		if !dead {
-			r.Loop.Post(fn)
-		}
-	})
-	return realTimer{stop: func() {
-		cancelled.Do(func() {
-			mu.Lock()
-			stopped = true
-			mu.Unlock()
-			t.Stop()
-		})
-	}}
-}
-
-type realTimer struct{ stop func() }
-
-func (t realTimer) Cancel() { t.stop() }
-
-// AfterHandler implements Clock. Live mode has no event pool, so this path
-// allocates like After does; the zero-alloc guarantee only matters under the
-// simulator, where session churn is measured in millions.
+// AfterHandler implements Clock. The callback is posted to the loop, never
+// run on the timer goroutine. Live mode has no event pool, so this path
+// allocates; the zero-alloc guarantee only matters under the simulator,
+// where session churn is measured in millions.
 func (r *Real) AfterHandler(d time.Duration, h simclock.EventHandler) Handle {
 	rh := &realHandle{loop: r.Loop, clock: r, h: h}
 	rh.t = time.AfterFunc(d, rh.fired)

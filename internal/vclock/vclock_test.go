@@ -8,11 +8,16 @@ import (
 	"realtracer/internal/simclock"
 )
 
+// fireFunc adapts a closure to a simclock.EventHandler.
+type fireFunc func()
+
+func (f fireFunc) Fire(time.Duration) { f() }
+
 func TestSimAdapter(t *testing.T) {
 	sc := simclock.New()
 	var c Clock = Sim{C: sc}
 	fired := false
-	timer := c.After(time.Second, func() { fired = true })
+	timer := c.AfterHandler(time.Second, fireFunc(func() { fired = true }))
 	if c.Now() != 0 {
 		t.Fatal("origin not zero")
 	}
@@ -27,7 +32,7 @@ func TestSimTimerCancel(t *testing.T) {
 	sc := simclock.New()
 	var c Clock = Sim{C: sc}
 	fired := false
-	timer := c.After(time.Second, func() { fired = true })
+	timer := c.AfterHandler(time.Second, fireFunc(func() { fired = true }))
 	timer.Cancel()
 	sc.Run()
 	if fired {
@@ -80,13 +85,13 @@ func TestRealTimerFires(t *testing.T) {
 	loop := NewLoop()
 	clock := NewReal(loop)
 	done := make(chan struct{})
-	clock.After(5*time.Millisecond, func() {
+	clock.AfterHandler(5*time.Millisecond, fireFunc(func() {
 		if clock.Now() < 4*time.Millisecond {
 			t.Error("fired too early")
 		}
 		loop.Close()
 		close(done)
-	})
+	}))
 	go loop.Run()
 	select {
 	case <-done:
@@ -99,7 +104,7 @@ func TestRealTimerCancel(t *testing.T) {
 	loop := NewLoop()
 	clock := NewReal(loop)
 	fired := make(chan struct{}, 1)
-	timer := clock.After(10*time.Millisecond, func() { fired <- struct{}{} })
+	timer := clock.AfterHandler(10*time.Millisecond, fireFunc(func() { fired <- struct{}{} }))
 	timer.Cancel()
 	timer.Cancel() // idempotent
 	go loop.Run()
