@@ -347,14 +347,19 @@ func printStreamSummary(agg *figures.Aggregates, res *core.StudyResult) {
 	fmt.Println("run with -figures (or -figure figNN) for the full evaluation output")
 }
 
-// printOpenLoopLine summarizes the session lifecycle of an open-loop run;
-// closed-loop results print nothing.
+// printOpenLoopLine summarizes the session lifecycle of an open-loop run
+// that admitted anyone and, for a sharded run, what the window protocol did.
+// The two are independent: a sharded world that admitted no session still
+// ran windows. The closed panel prints nothing (it admits no sessions, and
+// Options refuses to shard it).
 func printOpenLoopLine(res *core.StudyResult) {
-	if res.Sessions == 0 {
-		return
+	if res.Sessions > 0 {
+		fmt.Printf("  open-loop: %d sessions admitted, %d balked, %d departed mid-stream\n",
+			res.Sessions, res.Balked, res.Departed)
 	}
-	fmt.Printf("  open-loop: %d sessions admitted, %d balked, %d departed mid-stream\n",
-		res.Sessions, res.Balked, res.Departed)
+	if res.Windows.Windows > 0 {
+		fmt.Printf("  sharded: %v\n", res.Windows)
+	}
 }
 
 // runSweep executes one registered campaign sweep across the worker pool

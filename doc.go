@@ -86,9 +86,18 @@
 // the record stream is byte-identical for every shard count N >= 1
 // (TestShardEquivalence, run under -race in CI). Shards=0 remains the
 // classic zero-copy single-threaded engine and the default; the sharded
-// engine trades single-core overhead (copy-at-send, window barriers) for
-// multi-core wall-clock scaling (BENCH_pr7.json,
-// TestShardedWorkloadSpeedup).
+// engine trades single-core overhead (copy-at-send, a second delivery
+// event) for multi-core wall-clock scaling. The goroutine that calls
+// Fabric.Run executes shard 0 itself and the other shards' workers wait for
+// each window by polling an atomic before they park, because a window is
+// tens of microseconds of work and a scheduler wake-up costs as much:
+// measured on the 2-vCPU build box, cmd/bench's sharded2 world went from
+// 2.01 s to 0.92 s of wall when the channel hand-off was replaced (two
+// shards from 0.94-0.99x of one shard's speed to 1.49x, from 0.53-0.56x of
+// the classic engine's to 1.07-1.10x). Fabric.WindowStats says what bounds
+// it now: the busiest shard of each window executes 60.1% of that world's
+// events, a ceiling of 1.66x for the partition (TestShardedWorkloadSpeedup,
+// BenchmarkWorkloadSharded).
 //
 // A running world is also snapshottable: World.Checkpoint serializes the
 // complete simulation state — simclock time and pending timers (through a

@@ -13,6 +13,19 @@
 // timestamped messages on per-pair outboxes, drained single-threaded between
 // windows.
 //
+// Who runs what: the goroutine that calls Run is the control goroutine — it
+// drains the outboxes, picks the horizon, keeps WindowStats — and it is also
+// shard 0's executor, so a one-shard fabric is a plain single-threaded loop.
+// Each further shard has a worker goroutine for the length of the Run. A
+// window of this kind of world is tens of microseconds of work per shard,
+// less than it costs to put a goroutine to sleep and wake it again, so the
+// hand-off at the window boundary does not sleep: a worker waits for its
+// next window by polling an atomic generation counter, the control goroutine
+// waits for the workers by polling an atomic count of those still running,
+// and either one parks only after a fixed spin budget (see spinBudget,
+// barrier). A shard with no event below a window's horizon is not woken
+// for it.
+//
 // Determinism contract: for a fixed seed, the output of a sharded world is
 // byte-identical for every shard count. The mechanisms behind that guarantee:
 //
@@ -38,6 +51,10 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"realtracer/internal/simclock"
@@ -66,18 +83,14 @@ type Fabric struct {
 	frozen    bool
 
 	// out[src][dst] is the outbox for messages generated by shard src for
-	// shard dst. Only shard src's worker appends during a window; only the
-	// single-threaded control loop drains between windows (the barrier
+	// shard dst. Only shard src's executor appends during a window; only
+	// the single-threaded control loop drains between windows (the barrier
 	// orders the two).
 	out [][][]shardMsg
 
-	work []chan time.Duration
-	done chan workerDone
-}
-
-type workerDone struct {
-	shard int
-	err   any
+	// stats is kept by the control goroutine between windows. The state of
+	// the window hand-off itself is not here: it lives in a per-Run barrier.
+	stats WindowStats
 }
 
 // NewFabric creates an N-shard fabric over a shared route table. Every shard
@@ -372,66 +385,346 @@ func (f *Fabric) rebalancePools() {
 // Run executes the window protocol until every shard's heap and every outbox
 // is empty, or until stop (checked once per window, between windows, with
 // all shards quiescent) returns true. stop may be nil.
+//
+// The calling goroutine is the control goroutine and also shard 0's
+// executor: each window it releases the other shards' workers, runs shard
+// 0's events itself, and then waits for the workers. A one-shard fabric
+// therefore starts no goroutine and crosses no barrier — Run is a plain loop
+// over drain and RunBefore. A shard with no event below a window's horizon
+// is not released for it: RunBefore would fire nothing and leave the
+// shard's Now where it was, so letting its worker sleep is invisible to the
+// simulation.
+//
+// Run may be called again on the same fabric (after a stop, or once new
+// events have been scheduled). The workers and everything they wait on
+// belong to one call (see barrier), and every worker has exited before Run
+// returns or panics.
+//
+// A panic inside a shard's event does not tear the window: it is caught on
+// the goroutine that ran the shard, the other shards finish the window, and
+// Run then panics on the calling goroutine with a ShardPanic for the
+// lowest-numbered shard that failed.
 func (f *Fabric) Run(stop func() bool) {
 	if !f.frozen {
 		panic("netsim: Fabric.Run before Freeze")
 	}
-	shards := len(f.nets)
-	f.work = make([]chan time.Duration, shards)
-	f.done = make(chan workerDone, shards)
-	for i := 0; i < shards; i++ {
-		f.work[i] = make(chan time.Duration)
-		go f.worker(i)
-	}
+	b := f.newBarrier()
+	defer b.close()
+	b.run(stop)
+}
+
+// ShardPanic is what Run panics with when a shard's event panicked: the
+// shard, the event's own panic value, and the stack of the goroutine that
+// was running the shard, captured before it unwound.
+type ShardPanic struct {
+	Shard int
+	Value any
+	Stack []byte
+}
+
+func (p ShardPanic) Error() string {
+	return fmt.Sprintf("netsim: shard %d panicked: %v\n\n%s", p.Shard, p.Value, p.Stack)
+}
+
+func (p ShardPanic) String() string { return p.Error() }
+
+// runWindow runs shard i's events below h and returns the panic that cut
+// the window short, if one did.
+func (f *Fabric) runWindow(i int, h time.Duration) (failed *ShardPanic) {
 	defer func() {
-		for _, w := range f.work {
-			close(w)
+		if v := recover(); v != nil {
+			failed = &ShardPanic{Shard: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
+	f.clocks[i].RunBefore(h)
+	return nil
+}
+
+// spinBudget is how many times a waiter polls before it parks on a channel;
+// on the way it yields the processor (runtime.Gosched) every spinYield
+// polls. It is a constant and not a knob because no property of a world
+// changes what it should be, and being wrong either way is cheap. Measured
+// on the 2-vCPU build box with the sharded2 benchmark world (25,228 windows
+// of ~110 events): one shard's share of a window is ~50 µs of work, and
+// waking a parked goroutine costs ~36 µs (runtime.futex) — which every
+// window paid twice per shard while the hand-off was a pair of unbuffered
+// channels, more than the window's own work. The budget is ~200 µs of
+// polling there, four windows' worth: long enough that a worker whose peers
+// are merely busier than it is almost never parks (a few dozen of that
+// world's 25,228 windows find it parked); short enough that a shard with
+// nothing to do for a stretch, or one whose thread a runnable goroutine
+// wants (the yields let it in), stops burning a core and falls back to the
+// blocking hand-off.
+const (
+	spinBudget = 1 << 17
+	spinYield  = 256
+)
+
+// parker is the waiting half of one hand-off. The waiter polls an atomic
+// word for a value and blocks on wake only once the spin budget is spent;
+// whoever changes the word calls unpark afterwards, which costs one atomic
+// load unless the waiter really is blocked. One waiter per parker.
+//
+// An unpark is not tied to the store it follows: the writer's thread can be
+// descheduled between the two for longer than the spin budget, by which time
+// the waiter has seen the store by polling, gone round, and parked on its
+// next wait. The late unpark then wakes that wait. So a wake-up is a hint to
+// look again and never the answer: await returns only on having read want.
+type parker struct {
+	parked atomic.Bool
+	wake   chan struct{} // capacity 1: unpark never blocks
+}
+
+func newParker() parker { return parker{wake: make(chan struct{}, 1)} }
+
+// await returns once it has read want from w.
+func (p *parker) await(w *atomic.Int32, want int32) {
+	for i := 1; i <= spinBudget; i++ {
+		if w.Load() == want {
+			return
+		}
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	for {
+		// Announce, then look once more. A writer that stored before it
+		// could see parked does not send, so this look is what catches its
+		// store. Whoever does see parked takes the flag and sends: exactly
+		// one send per flag taken, and the waiter receives it before it
+		// raises the flag again, so the channel never holds more than one
+		// token and is empty whenever await returns.
+		p.parked.Store(true)
+		if w.Load() == want {
+			if !p.parked.CompareAndSwap(true, false) {
+				<-p.wake
+			}
+			return
+		}
+		<-p.wake
+		if w.Load() == want {
+			return
+		}
+	}
+}
+
+// unpark wakes the waiter if it has parked and reports whether it had.
+// Call it after the store the waiter is waiting for.
+func (p *parker) unpark() bool {
+	if p.parked.Load() && p.parked.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+		return true
+	}
+	return false
+}
+
+// worker is the barrier's state for one shard other than shard 0, padded so
+// that two workers polling their own gen do not share a cache line.
+type worker struct {
+	parker
+	gen    atomic.Int32 // windows released to this worker so far (wraps)
+	failed *ShardPanic  // its last window's panic; read once pending drains
+	_      [64]byte
+}
+
+// barrier is the hand-off state of one Run call. The control goroutine
+// releases a window to shard i by bumping workers[i-1].gen; each released
+// worker runs its shard to the horizon published with the bump and reports
+// by decrementing pending; the control goroutine, having run shard 0
+// meanwhile, waits for pending to reach zero. Both waits poll before they
+// park (parker.await), so with a core per shard a window crosses no futex.
+//
+// This state is per Run, not on the Fabric, because Run is re-entered on
+// one fabric: a worker of the previous call that has been told to quit but
+// has not looked yet would read the next call's generation and quit flag,
+// and either run a window nobody released to it or exit from under a call
+// that counts on it. With a fresh barrier per call a worker can only ever
+// see the call that started it.
+type barrier struct {
+	f       *Fabric
+	next    []time.Duration // per shard: NextAt ahead of this window, -1 = none
+	fired   []uint64        // per shard: Clock.Fired after the last window
+	horizon time.Duration   // of the window being released; written before any gen moves
+	quit    atomic.Bool     // set before the last gen bump
+	workers []worker        // workers[i-1] executes shard i
+	pending atomic.Int32    // released workers still inside the window
+	ctl     parker          // the control goroutine, waiting on pending
+	exited  sync.WaitGroup
+}
+
+func (f *Fabric) newBarrier() *barrier {
+	b := &barrier{
+		f:       f,
+		next:    make([]time.Duration, len(f.nets)),
+		fired:   make([]uint64, len(f.nets)),
+		workers: make([]worker, len(f.nets)-1),
+		ctl:     newParker(),
+	}
+	for i, c := range f.clocks {
+		b.fired[i] = c.Fired()
+	}
+	b.exited.Add(len(b.workers))
+	for i := range b.workers {
+		b.workers[i].parker = newParker()
+		go b.work(i + 1)
+	}
+	return b
+}
+
+// close tells every worker to exit and waits until each has, so no
+// goroutine of a Run outlives it, whether it returns or panics.
+func (b *barrier) close() {
+	b.quit.Store(true)
+	for i := range b.workers {
+		b.workers[i].release()
+	}
+	b.exited.Wait()
+}
+
+// release moves the worker's generation, wakes it if it had parked, and
+// reports whether it had.
+func (w *worker) release() (wasParked bool) {
+	w.gen.Add(1)
+	return w.unpark()
+}
+
+// run is the window loop of one Run call.
+func (b *barrier) run(stop func() bool) {
+	f := b.f
 	for {
 		f.drain()
 		if stop != nil && stop() {
 			return
 		}
 		tmin := time.Duration(-1)
-		for _, c := range f.clocks {
-			if t, ok := c.NextAt(); ok && (tmin < 0 || t < tmin) {
+		for i, c := range f.clocks {
+			t, ok := c.NextAt()
+			if !ok {
+				t = -1
+			} else if tmin < 0 || t < tmin {
 				tmin = t
 			}
+			b.next[i] = t
 		}
 		if tmin < 0 {
 			return
 		}
-		h := tmin + f.lookahead
-		for i := 0; i < shards; i++ {
-			f.work[i] <- h
+		b.window(tmin + f.lookahead)
+	}
+}
+
+// work is shard i's executor goroutine for one Run: wait for the next
+// generation, run the shard to the horizon, report, repeat until quit.
+func (b *barrier) work(i int) {
+	defer b.exited.Done()
+	w := &b.workers[i-1]
+	for gen := int32(1); ; gen++ {
+		w.await(&w.gen, gen)
+		if b.quit.Load() {
+			return
 		}
-		var failure any
-		for i := 0; i < shards; i++ {
-			if d := <-f.done; d.err != nil && failure == nil {
-				failure = d.err
+		w.failed = b.f.runWindow(i, b.horizon)
+		if b.pending.Add(-1) == 0 {
+			b.ctl.unpark()
+		}
+	}
+}
+
+// due reports whether shard i has an event below the current horizon.
+func (b *barrier) due(i int) bool {
+	return b.next[i] >= 0 && b.next[i] < b.horizon
+}
+
+// window runs every shard that has an event below h up to h — shard 0 on
+// the calling goroutine — and returns once all of them are quiescent again.
+// It keeps the fabric's WindowStats and re-raises a shard's panic.
+func (b *barrier) window(h time.Duration) {
+	f, st := b.f, &b.f.stats
+	b.horizon = h
+	for i := 1; i < len(b.next); i++ {
+		if b.due(i) {
+			// Counted before it is released, so pending cannot be read
+			// as zero while a released worker is still running. (It may
+			// touch zero between two releases; nobody is waiting yet.)
+			b.pending.Add(1)
+			if b.workers[i-1].release() {
+				st.ParkedWakes++
 			}
 		}
-		if failure != nil {
-			panic(failure)
+	}
+	var failed *ShardPanic
+	if b.due(0) {
+		failed = f.runWindow(0, h)
+	}
+	b.ctl.await(&b.pending, 0)
+
+	var total, busiest uint64
+	for i, c := range f.clocks {
+		if !b.due(i) {
+			st.Skipped++
+			continue
+		}
+		d := c.Fired() - b.fired[i]
+		b.fired[i] += d
+		total += d
+		if d > busiest {
+			busiest = d
 		}
 	}
-}
+	st.Windows++
+	st.Fired += total
+	st.Critical += busiest
+	if busiest == total {
+		st.Solo++
+	}
 
-// worker is one shard's executor goroutine: it runs the shard's events up to
-// each horizon the control loop hands it. A panic inside an event is caught
-// and re-raised on the control goroutine, so a broken handler fails the run
-// instead of deadlocking the barrier.
-func (f *Fabric) worker(i int) {
-	for h := range f.work[i] {
-		f.done <- workerDone{shard: i, err: f.runWindow(i, h)}
+	for i := 0; failed == nil && i < len(b.workers); i++ {
+		failed = b.workers[i].failed
+	}
+	if failed != nil {
+		panic(*failed)
 	}
 }
 
-func (f *Fabric) runWindow(i int, h time.Duration) (err any) {
-	defer func() { err = recover() }()
-	f.clocks[i].RunBefore(h)
-	return nil
+// WindowStats counts what the window protocol did, cumulatively over every
+// Run of a fabric. The control goroutine keeps the counts between windows,
+// so they cost the shards nothing and reading them changes nothing. All but
+// ParkedWakes are exact functions of the world and its seed (and, for
+// Critical, Solo and Skipped, of the shard count); ParkedWakes depends on
+// the host's scheduling.
+type WindowStats struct {
+	// Windows is the number of windows run.
+	Windows uint64
+	// Fired is the number of events executed inside windows.
+	Fired uint64
+	// Critical sums, over windows, the events executed by the window's
+	// busiest shard: the events on the critical path. Fired/Critical is the
+	// speedup the partition allows if waiting were free; with one shard the
+	// two are equal.
+	Critical uint64
+	// Solo counts windows in which a single shard had all the events.
+	Solo uint64
+	// Skipped counts shard-windows not run because the shard had no event
+	// below the horizon.
+	Skipped uint64
+	// ParkedWakes counts window releases that found the worker parked
+	// rather than polling, and so paid a scheduler wake-up.
+	ParkedWakes uint64
+}
+
+// WindowStats returns the fabric's window counters. Call it from the
+// goroutine that calls Run, between runs.
+func (f *Fabric) WindowStats() WindowStats { return f.stats }
+
+// String prints the counts on one line, the critical path as its share of
+// the events and as the speedup ceiling that share implies.
+func (s WindowStats) String() string {
+	share := 1.0
+	if s.Fired > 0 {
+		share = float64(s.Critical) / float64(s.Fired)
+	}
+	return fmt.Sprintf("windows=%d critical=%.1f%% (ceiling %.2fx) solo=%d skipped=%d parked-wakes=%d",
+		s.Windows, 100*share, 1/share, s.Solo, s.Skipped, s.ParkedWakes)
 }
 
 // Stats sums the per-shard packet counters.

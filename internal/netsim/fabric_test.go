@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -238,27 +239,62 @@ func TestFabricPostLookaheadViolation(t *testing.T) {
 	fab.Post(0, 1, fab.lookahead-time.Nanosecond, fireFunc(func(time.Duration) {}))
 }
 
+// explodingHandler is the packet handler the panic test registers; the
+// test looks for its name in the re-raised stack.
+func explodingHandler(*Packet) { panic("handler exploded") }
+
 // TestFabricWorkerPanicReraised pins the failure path of the window
 // barrier: a panic inside a shard event must surface as a panic from Run on
-// the control goroutine — carrying the original panic value — rather than
-// crash the worker goroutine and deadlock the remaining shards at the
-// barrier.
+// the control goroutine — as a ShardPanic carrying the original value, the
+// shard it happened on and the stack of the event that raised it — rather
+// than crash a worker goroutine and deadlock the remaining shards at the
+// barrier. Shard 0 runs on the control goroutine itself and must take the
+// same path: the other shards finish their window before Run panics.
 func TestFabricWorkerPanicReraised(t *testing.T) {
-	fab := fabricRig(2, Route{OneWayDelay: 100 * time.Millisecond})
-	fab.Net(1).Register("b:1", func(*Packet) { panic("handler exploded") })
-	fab.Net(0).Send(&Packet{From: "a:9", To: "b:1", Size: 100, Payload: "x"})
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		fab.Run(nil)
-	}()
-	select {
-	case got := <-done:
-		if got != "handler exploded" {
-			t.Fatalf("Run panicked with %v, want the handler's own panic value", got)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run neither returned nor panicked: the barrier deadlocked on the dead worker")
+	for _, tc := range []struct {
+		shard    int
+		from, to Addr
+	}{
+		{shard: 0, from: "b:9", to: "a:1"},
+		{shard: 1, from: "a:9", to: "b:1"},
+	} {
+		t.Run(fmt.Sprintf("shard=%d", tc.shard), func(t *testing.T) {
+			fab := fabricRig(2, Route{OneWayDelay: 100 * time.Millisecond})
+			fab.Net(tc.shard).Register(tc.to, explodingHandler)
+			// The other shard has work in the same window, which it must be
+			// allowed to finish.
+			other, finished := 1-tc.shard, false
+			fab.Clock(other).AtHandler(100*time.Millisecond, fireFunc(func(time.Duration) { finished = true }))
+			fab.Net(other).Send(&Packet{From: tc.from, To: tc.to, Size: 100, Payload: "x"})
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				fab.Run(nil)
+			}()
+			select {
+			case got := <-done:
+				p, ok := got.(ShardPanic)
+				if !ok {
+					t.Fatalf("Run panicked with %T %v, want a ShardPanic", got, got)
+				}
+				if p.Value != "handler exploded" || p.Shard != tc.shard {
+					t.Errorf("ShardPanic{Shard: %d, Value: %v}, want shard %d and the handler's own panic value", p.Shard, p.Value, tc.shard)
+				}
+				if !strings.Contains(string(p.Stack), "explodingHandler") {
+					t.Errorf("stack does not name the handler that panicked:\n%s", p.Stack)
+				}
+				for _, want := range []string{fmt.Sprintf("shard %d", tc.shard), "handler exploded", "explodingHandler"} {
+					if !strings.Contains(p.Error(), want) || p.String() != p.Error() {
+						t.Errorf("Error()/String() do not print %q:\n%s", want, p.Error())
+					}
+				}
+				if !finished {
+					t.Error("the healthy shard's window was torn by the other shard's panic")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run neither returned nor panicked: the barrier deadlocked on the dead worker")
+			}
+		})
 	}
 }
 

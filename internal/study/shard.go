@@ -293,6 +293,7 @@ func (w *World) runSharded() (*Result, error) {
 		Sessions:    o.sessionsN(),
 		Balked:      o.balkedN(),
 		Departed:    o.departedN(),
+		Windows:     w.fab.WindowStats(),
 	}
 	if w.collector != nil {
 		res.Records = w.collector.Records()

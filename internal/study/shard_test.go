@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/netsim"
 	"realtracer/internal/trace"
 )
 
@@ -286,38 +287,76 @@ func TestReplaceHostPanicsWithoutPort(t *testing.T) {
 	replaceHost("a.example.com", "b.example.com")
 }
 
-// TestShardedWorkloadSpeedup is the parallelism payoff fence: on a
-// multi-core host, a sharded open-loop run must finish at least 2x faster
-// (records per wall second) than the identical single-shard run. Skipped
-// below 4 cores — the container lanes that run tier-1 tests on one core
-// cannot observe a speedup.
+// TestShardedWorkloadSpeedup is the parallelism payoff fence: a sharded
+// open-loop run must finish faster (records per wall second, best of three)
+// than the identical single-shard run — at least 2x at four shards on a
+// host with four or more cores. On a host with two or three it measures two
+// shards against a 1.15x bar, well below what the partition allows (the
+// critical path of this world is ~60% of its events, a ceiling of ~1.65x)
+// and well above what the fabric delivered while every window cost two
+// scheduler wake-ups per shard (0.8-1.0x) — but there it only logs: the
+// 2-vCPU build box reads 1.4-1.9x in 18 runs of 20 and 1.13x in the other
+// two, when the hypervisor withholds the second core for the ten seconds
+// the two-shard arm runs. Skipped on one core, where no speedup can be
+// observed.
 func TestShardedWorkloadSpeedup(t *testing.T) {
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >= 4 CPUs for a speedup measurement, have %d", runtime.NumCPU())
+	shards, want, fail := 4, 2.0, t.Errorf
+	switch cpus := runtime.NumCPU(); {
+	case cpus < 2:
+		t.Skipf("need >= 2 CPUs for a speedup measurement, have %d", cpus)
+	case cpus < 4:
+		shards, want, fail = 2, 1.15, t.Logf
 	}
 	if testing.Short() {
 		t.Skip("speedup measurement is a long test")
 	}
 	opt := Options{Seed: 3, ClipCap: 2, Workload: "poisson", Arrivals: 1000, MaxUsers: 256}
-	rate := func(shards int) (float64, int) {
+	rate := func(shards int) (best float64, records int) {
 		o := opt
 		o.Shards = shards
-		start := time.Now()
-		res, err := Run(o)
+		for try := 0; try < 3; try++ {
+			start := time.Now()
+			res, err := Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = len(res.Records)
+			if r := float64(records) / time.Since(start).Seconds(); r > best {
+				best = r
+			}
+		}
+		return best, records
+	}
+	base, n1 := rate(1)
+	par, nN := rate(shards)
+	if n1 != nN {
+		t.Fatalf("record counts diverged: shards=1 %d, shards=%d %d", n1, shards, nN)
+	}
+	speedup := par / base
+	t.Logf("shards=1: %.0f rec/s; shards=%d: %.0f rec/s; speedup %.2fx (%d records)", base, shards, par, speedup, n1)
+	if speedup < want {
+		fail("shards=%d speedup %.2fx, want >= %.2fx", shards, speedup, want)
+	}
+}
+
+// TestShardedWindowStats checks what only this layer can see of the window
+// counters: a sharded Result carries the fabric's, they account for every
+// event of the run, and the classic engine reports none. The counters
+// themselves (exact, partition-invariant where the protocol is, inert when
+// read every window) are pinned by netsim's TestFabricWindowStats.
+func TestShardedWindowStats(t *testing.T) {
+	for _, shards := range []int{0, 1, 2} {
+		res, err := Run(shardOpts(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(len(res.Records)) / time.Since(start).Seconds(), len(res.Records)
-	}
-	base, n1 := rate(1)
-	par, n4 := rate(4)
-	if n1 != n4 {
-		t.Fatalf("record counts diverged: shards=1 %d, shards=4 %d", n1, n4)
-	}
-	speedup := par / base
-	t.Logf("shards=1: %.0f rec/s; shards=4: %.0f rec/s; speedup %.2fx (%d records)", base, par, speedup, n1)
-	if speedup < 2 {
-		t.Errorf("shards=4 speedup %.2fx, want >= 2x", speedup)
+		st := res.Windows
+		switch {
+		case shards == 0 && st != (netsim.WindowStats{}):
+			t.Errorf("classic engine reports window counters: %+v", st)
+		case shards > 0 && (st.Windows == 0 || st.Fired != res.Events):
+			t.Errorf("shards=%d: %d windows fired %d events, the run %d", shards, st.Windows, st.Fired, res.Events)
+		}
 	}
 }
 

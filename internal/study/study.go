@@ -15,6 +15,7 @@ import (
 
 	"realtracer/internal/geo"
 	"realtracer/internal/media"
+	"realtracer/internal/netsim"
 	"realtracer/internal/ratecontrol"
 	"realtracer/internal/trace"
 	"realtracer/internal/workload"
@@ -197,6 +198,10 @@ type Result struct {
 	Sessions int
 	Balked   int
 	Departed int
+	// Windows is what the fabric's window protocol did over a sharded run
+	// (Options.Shards >= 1): windows, events on the critical path, skipped
+	// and parked hand-offs. Zero for the classic engine.
+	Windows netsim.WindowStats
 }
 
 // Run executes the campaign and returns its records. It is a thin wrapper
