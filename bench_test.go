@@ -67,7 +67,7 @@ func benchFigure(b *testing.B, id string) {
 	var fig figures.Figure
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig = g.Build(recs)
+		fig = g.Agg(figures.Aggregate(recs))
 	}
 	b.StopTimer()
 	renderFigure(id, fig)
@@ -138,6 +138,33 @@ func BenchmarkAllFiguresShared(b *testing.B) {
 
 // --- Streaming pipeline (population scale) ---
 
+// streamStudy runs one study with a fresh figures.Aggregates as its world's
+// sink, so no record outlives its clip.
+func streamStudy(b *testing.B, opt core.StudyOptions) (*figures.Aggregates, *core.StudyResult) {
+	w, err := study.NewWorld(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	agg := figures.NewAggregates()
+	w.SetSink(agg)
+	res, err := w.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return agg, res
+}
+
+// udpPlayed returns the records of clips that streamed data over UDP.
+func udpPlayed(recs []*trace.Record) []*trace.Record {
+	var out []*trace.Record
+	for _, r := range recs {
+		if r.Protocol == "UDP" && !r.Unavailable && !r.Failed {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // benchPopulationStream streams a population-scale study through the
 // aggregate pipeline, reporting record throughput alongside the allocation
 // counters — the ceiling this PR removes is records retained per run.
@@ -145,10 +172,7 @@ func benchPopulationStream(b *testing.B, users, clips int) {
 	b.ReportAllocs()
 	var records int
 	for i := 0; i < b.N; i++ {
-		agg, _, err := core.RunStudyAggregates(core.StudyOptions{Seed: 1, MaxUsers: users, ClipCap: clips})
-		if err != nil {
-			b.Fatal(err)
-		}
+		agg, _ := streamStudy(b, core.StudyOptions{Seed: 1, MaxUsers: users, ClipCap: clips})
 		if agg.Total() == 0 {
 			b.Fatal("no records streamed")
 		}
@@ -193,14 +217,10 @@ func BenchmarkWorkloadPoisson1k(b *testing.B) {
 	b.ReportAllocs()
 	var records, sessions int
 	for i := 0; i < b.N; i++ {
-		agg := figures.NewAggregates()
-		res, err := core.RunStudyStream(core.StudyOptions{
+		agg, res := streamStudy(b, core.StudyOptions{
 			Seed: 1, MaxUsers: 200, ClipCap: 2,
 			Workload: "poisson", Arrivals: 1000,
-		}, agg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		})
 		if agg.Total() == 0 || res.Sessions == 0 {
 			b.Fatal("no open-loop records streamed")
 		}
@@ -220,14 +240,10 @@ func BenchmarkWorkloadChurn2x(b *testing.B) {
 	b.ReportAllocs()
 	var records, sessions, departed int
 	for i := 0; i < b.N; i++ {
-		agg := figures.NewAggregates()
-		res, err := core.RunStudyStream(core.StudyOptions{
+		agg, res := streamStudy(b, core.StudyOptions{
 			Seed: 1, MaxUsers: 200, ClipCap: 2,
 			Workload: "poisson", Arrivals: 1000, WorkloadIntensity: 2,
-		}, agg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		})
 		if agg.Total() == 0 || res.Sessions == 0 {
 			b.Fatal("no open-loop records streamed")
 		}
@@ -264,8 +280,7 @@ func BenchmarkMultiSeedStability(b *testing.B) {
 	b.StopTimer()
 	var means []float64
 	for _, r := range sum.Results {
-		fps := trace.Values(trace.Played(r.Result.Records), func(rec *trace.Record) float64 { return rec.MeasuredFPS })
-		means = append(means, stats.Mean(fps))
+		means = append(means, figures.Aggregate(r.Result.Records).FrameRate().Mean())
 	}
 	s, _ := stats.Summarize(means)
 	ablationPrintf("stability",
@@ -347,8 +362,8 @@ func warmForkCalibrate(b *testing.B, base core.StudyOptions) time.Duration {
 }
 
 // BenchmarkCampaignWarmFork is the checkpoint/fork amortization pair
-// (BENCH_pr10.json): an 8-scenario sweep of the reduced study, cold
-// (every scenario pays the full horizon) vs warm-started (one shared
+// (README benchmark history, PR 10): an 8-scenario sweep of the reduced
+// study, cold (every scenario pays the full horizon) vs warm-started (one shared
 // prefix to 60% of the horizon, checkpointed once, 8 named forks resumed
 // from the snapshot). Workers is pinned to 1 on both arms so the ratio
 // measures prefix amortization, not parallelism; the theoretical ceiling
@@ -429,8 +444,7 @@ func runAblation(b *testing.B, sweepName string, report func(r campaign.Scenario
 func BenchmarkAblationBuffer(b *testing.B) {
 	runAblation(b, "preroll", func(r campaign.ScenarioResult) {
 		preroll := r.Scenario.Options.Preroll
-		jit := trace.Values(trace.Played(r.Result.Records), func(rec *trace.Record) float64 { return rec.JitterMs })
-		c, _ := stats.NewCDF(jit)
+		c, _ := figures.Aggregate(r.Result.Records).Jitter().CDF()
 		ablationPrintf(fmt.Sprintf("buffer-%v", preroll),
 			"ablation buffer preroll=%-4v jitter<=50ms %.0f%%  jitter>=300ms %.0f%%\n",
 			preroll, 100*c.At(50), 100*c.FractionAtLeast(300))
@@ -443,10 +457,11 @@ func BenchmarkAblationBuffer(b *testing.B) {
 func BenchmarkAblationRateControl(b *testing.B) {
 	runAblation(b, "controller", func(r campaign.ScenarioResult) {
 		ctrl := r.Scenario.Options.Controller
-		udp := trace.Filter(trace.Played(r.Result.Records), func(rec *trace.Record) bool { return rec.Protocol == "UDP" })
-		kbps := trace.Values(udp, func(rec *trace.Record) float64 { return rec.MeasuredKbps })
+		udp := udpPlayed(r.Result.Records)
+		var kbps []float64
 		lost := 0
 		for _, rec := range udp {
+			kbps = append(kbps, rec.MeasuredKbps)
 			lost += rec.FramesLost
 		}
 		ablationPrintf("rc-"+ctrl,
@@ -458,23 +473,22 @@ func BenchmarkAblationRateControl(b *testing.B) {
 // BenchmarkAblationSureStream toggles mid-playout stream switching.
 func BenchmarkAblationSureStream(b *testing.B) {
 	runAblation(b, "surestream", func(r campaign.ScenarioResult) {
-		played := trace.Played(r.Result.Records)
-		fps := trace.Values(played, func(rec *trace.Record) float64 { return rec.MeasuredFPS })
-		c, _ := stats.NewCDF(fps)
+		fps := figures.Aggregate(r.Result.Records).FrameRate()
+		c, _ := fps.CDF()
 		label := "on"
 		if r.Scenario.Options.DisableSureStream {
 			label = "off"
 		}
 		ablationPrintf("ss-"+label,
 			"ablation surestream=%-3s below 3 fps %.0f%%  mean %.1f fps\n",
-			label, 100*c.FractionBelow(3), stats.Mean(fps))
+			label, 100*c.FractionBelow(3), fps.Mean())
 	})
 }
 
 // BenchmarkAblationFEC toggles repair packets under a lossy path.
 func BenchmarkAblationFEC(b *testing.B) {
 	runAblation(b, "fec", func(r campaign.ScenarioResult) {
-		udp := trace.Filter(trace.Played(r.Result.Records), func(rec *trace.Record) bool { return rec.Protocol == "UDP" })
+		udp := udpPlayed(r.Result.Records)
 		var corrupted, lost int
 		for _, rec := range udp {
 			corrupted += rec.FramesCorrupted
@@ -571,15 +585,11 @@ func BenchmarkWorkloadSharded(b *testing.B) {
 			b.ReportAllocs()
 			var records int
 			for i := 0; i < b.N; i++ {
-				agg := figures.NewAggregates()
-				res, err := core.RunStudyStream(core.StudyOptions{
+				agg, res := streamStudy(b, core.StudyOptions{
 					Seed: 1, MaxUsers: 256, ClipCap: 2,
 					Workload: "poisson", Arrivals: 1000,
 					Shards: shards,
-				}, agg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				})
 				if agg.Total() == 0 || res.Sessions == 0 {
 					b.Fatal("no open-loop records streamed")
 				}

@@ -15,7 +15,7 @@ import (
 	"strings"
 
 	"realtracer/internal/core"
-	"realtracer/internal/stats"
+	"realtracer/internal/figures"
 	"realtracer/internal/trace"
 )
 
@@ -45,29 +45,23 @@ func main() {
 	if len(recs) == 0 {
 		fatalf("no records in %s", *in)
 	}
+	agg := figures.Aggregate(recs)
 	switch {
 	case *figure != "":
-		fig, err := core.RunFigure(*figure, recs)
+		fig, err := core.RunFigure(*figure, agg)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		fig.Render(os.Stdout)
 	case *summary:
-		printSummary(recs)
+		s, _ := agg.FrameRate().Summary()
+		j, _ := agg.Jitter().Summary()
+		fmt.Printf("records=%d played=%d rated=%d\n", agg.Total(), agg.Played(), agg.Rated())
+		fmt.Printf("frame rate: mean=%.1f median=%.1f\n", s.Mean, s.Median)
+		fmt.Printf("jitter: mean=%.0fms median=%.0fms\n", j.Mean, j.Median)
 	default:
-		core.RenderAll(os.Stdout, recs)
+		core.RenderAll(os.Stdout, agg)
 	}
-}
-
-func printSummary(recs []*trace.Record) {
-	played := trace.Played(recs)
-	fps := trace.Values(played, func(r *trace.Record) float64 { return r.MeasuredFPS })
-	jit := trace.Values(played, func(r *trace.Record) float64 { return r.JitterMs })
-	s, _ := stats.Summarize(fps)
-	j, _ := stats.Summarize(jit)
-	fmt.Printf("records=%d played=%d rated=%d\n", len(recs), len(played), len(trace.Rated(recs)))
-	fmt.Printf("frame rate: mean=%.1f median=%.1f\n", s.Mean, s.Median)
-	fmt.Printf("jitter: mean=%.0fms median=%.0fms\n", j.Mean, j.Median)
 }
 
 func fatalf(format string, args ...any) {

@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"realtracer/internal/core"
 	"realtracer/internal/study"
 )
 
@@ -40,16 +39,13 @@ func checkpointFlagError(set map[string]bool) string {
 				return fmt.Sprintf("-%s would override the snapshot's own options; -resume replays them exactly (fork via the campaign API instead)", dep)
 			}
 		}
-		for _, mode := range []string{"sweep", "stream", "timeline"} {
+		for _, mode := range []string{"sweep", "timeline"} {
 			if set[mode] {
-				return fmt.Sprintf("-resume is incompatible with -%s: a snapshot replays one retained-records study", mode)
+				return fmt.Sprintf("-resume is incompatible with -%s: a snapshot replays one full study world", mode)
 			}
 		}
 	}
 	if set["checkpoint"] {
-		if set["stream"] {
-			return "-checkpoint needs the retained-records collector (the snapshot carries the prefix's records); drop -stream"
-		}
 		if set["shards"] {
 			return "-checkpoint cannot snapshot a sharded world; drop -shards"
 		}
@@ -62,45 +58,41 @@ func checkpointFlagError(set map[string]bool) string {
 	return ""
 }
 
-// runWithCheckpoint drives one study to the warm-up instant, writes the
-// snapshot to file, then continues the same world to completion.
-func runWithCheckpoint(opts core.StudyOptions, file string, warmup time.Duration) (*core.StudyResult, error) {
+// writeCheckpoint drives w to the warm-up instant and writes its snapshot
+// to file; the caller then continues the same world to completion.
+func writeCheckpoint(w *study.World, file string, warmup time.Duration) error {
 	if warmup <= 0 {
-		return nil, fmt.Errorf("-warmup must be positive simulated time, got %v", warmup)
-	}
-	w, err := study.NewWorld(opts)
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("-warmup must be positive simulated time, got %v", warmup)
 	}
 	if err := w.RunUntil(warmup); err != nil {
-		return nil, err
+		return err
 	}
 	f, err := os.Create(file)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := w.Checkpoint(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint at %v: %w", warmup, err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
+	if err := closeOutput(f, w.Checkpoint(f)); err != nil {
+		return err
 	}
 	fmt.Printf("checkpoint: warm state at %v written to %s (resume with -resume %s)\n", warmup, file, file)
-	return w.Run()
+	return nil
 }
 
-// runResumed replays a snapshot file to completion under the options it
-// was checkpointed with.
-func runResumed(file string) (*core.StudyResult, error) {
-	f, err := os.Open(file)
+// world builds the run's world: fresh from its options, or — with resume
+// set — replayed from a snapshot file under the options it was
+// checkpointed with.
+func (r studyRun) world() (*study.World, error) {
+	if r.resume == "" {
+		return study.NewWorld(r.opts)
+	}
+	f, err := os.Open(r.resume)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	w, err := study.Resume(f, nil)
 	if err != nil {
-		return nil, fmt.Errorf("resume %s: %w", file, err)
+		return nil, fmt.Errorf("resume %s: %w", r.resume, err)
 	}
-	return w.Run()
+	return w, nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"realtracer/internal/core"
-	"realtracer/internal/trace"
 )
 
 // TestCheckpointFlagValidation pins the dependent-flag rule for the
@@ -39,8 +38,6 @@ func TestCheckpointFlagValidation(t *testing.T) {
 		{"resume with workload", setOf("resume", "workload"), "snapshot's own options"},
 		{"resume with shards", setOf("resume", "shards"), "snapshot's own options"},
 		{"resume with sweep", setOf("resume", "sweep"), "-sweep"},
-		{"resume with stream", setOf("resume", "stream"), "-stream"},
-		{"checkpoint with stream", setOf("checkpoint", "warmup", "stream"), "-stream"},
 		{"checkpoint with shards", setOf("checkpoint", "warmup", "shards", "workload"), "sharded"},
 		{"checkpoint with sweep", setOf("checkpoint", "warmup", "sweep"), "-sweep"},
 	}
@@ -60,47 +57,77 @@ func TestCheckpointFlagValidation(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeRoundTrip drives the command-level helpers end to
-// end: a checkpointed run finishes with the same records as a
-// straight-through run, and resuming the written file reproduces them
-// byte-for-byte.
+// TestCheckpointResumeRoundTrip drives the command's one pipeline end to
+// end, the way `-out a.csv`, `-checkpoint warm.snap -warmup DUR -out b.csv`
+// and `-resume warm.snap -out c.csv` do: the checkpointed run and the
+// resumed one must write the straight-through run's CSV byte for byte, and
+// reach the same aggregates.
 func TestCheckpointResumeRoundTrip(t *testing.T) {
+	dir := t.TempDir()
 	opts := core.StudyOptions{Seed: 11, MaxUsers: 4, ClipCap: 2}
-	straight, err := core.RunStudy(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonBytes := func(res *core.StudyResult) []byte {
-		var buf bytes.Buffer
-		if err := trace.WriteJSON(&buf, res.Records); err != nil {
+	figs := func(r studyRun) []byte {
+		t.Helper()
+		agg, _, err := r.run()
+		if err != nil {
 			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		core.RenderAll(&buf, agg)
 		return buf.Bytes()
 	}
-	want := jsonBytes(straight)
+	csv := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 
-	file := filepath.Join(t.TempDir(), "warm.snap")
-	res, err := runWithCheckpoint(opts, file, straight.SimDuration/2)
+	_, straight, err := studyRun{opts: opts}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jsonBytes(res), want) {
-		t.Error("checkpointed run's records differ from the straight-through run")
+	if straight.Records != nil {
+		t.Error("a run that needs no record set retained one")
+	}
+	want := figs(studyRun{opts: opts, out: filepath.Join(dir, "a.csv")})
+	if len(csv("a.csv")) == 0 {
+		t.Fatal("straight-through run wrote an empty CSV")
 	}
 
-	resumed, err := runResumed(file)
-	if err != nil {
-		t.Fatal(err)
+	file := filepath.Join(dir, "warm.snap")
+	if got := figs(studyRun{opts: opts, out: filepath.Join(dir, "b.csv"), checkpoint: file, warmup: straight.SimDuration / 2}); !bytes.Equal(got, want) {
+		t.Error("checkpointed run's figures differ from the straight-through run's")
 	}
-	if !bytes.Equal(jsonBytes(resumed), want) {
-		t.Error("resumed run's records differ from the straight-through run")
+	if !bytes.Equal(csv("b.csv"), csv("a.csv")) {
+		t.Error("checkpointed run's CSV differs from the straight-through run's")
+	}
+	if got := figs(studyRun{resume: file, out: filepath.Join(dir, "c.csv")}); !bytes.Equal(got, want) {
+		t.Error("resumed run's figures differ from the straight-through run's")
+	}
+	if !bytes.Equal(csv("c.csv"), csv("a.csv")) {
+		t.Error("resumed run's CSV differs from the straight-through run's")
 	}
 
-	if _, err := runResumed(filepath.Join(t.TempDir(), "missing.snap")); err == nil {
+	if _, _, err := (studyRun{resume: filepath.Join(dir, "missing.snap")}).run(); err == nil {
 		t.Error("resuming a missing file did not error")
 	}
-	if _, err := runWithCheckpoint(opts, file, 0); err == nil {
+	if _, _, err := (studyRun{opts: opts, checkpoint: file}).run(); err == nil {
 		t.Error("non-positive -warmup did not error")
+	}
+	// One output path: a write, flush or close that fails is reported once,
+	// as "write FILE: ...", instead of "wrote N records" and exit 0.
+	closed, err := os.Create(filepath.Join(dir, "closed.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if err := closeOutput(closed, nil); err == nil || !strings.HasPrefix(err.Error(), "write "+closed.Name()+": ") {
+		t.Errorf("failed close: got %v", err)
+	}
+	if _, _, err := (studyRun{opts: opts, jsonOut: filepath.Join(dir, "no-such-dir", "t.json")}).run(); err == nil || !strings.Contains(err.Error(), "t.json") {
+		t.Errorf("unwritable -json file: got %v", err)
 	}
 
 	// -resume takes a user path: a damaged file is one error line, never a
@@ -109,7 +136,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(t.TempDir(), "bad.snap")
+	bad := filepath.Join(dir, "bad.snap")
 	for name, data := range map[string][]byte{
 		"truncated": good[:len(good)/3],
 		"junk":      []byte("not a snapshot\n"),
@@ -118,7 +145,7 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 		if err := os.WriteFile(bad, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runResumed(bad); err == nil || strings.Contains(err.Error(), "\n") {
+		if _, _, err := (studyRun{resume: bad}).run(); err == nil || strings.Contains(err.Error(), "\n") {
 			t.Errorf("resuming a %s file: want a one-line error, got %v", name, err)
 		}
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	study [-seed N] [-users N] [-clips N] [-stream] [-out trace.csv]
+//	study [-seed N] [-users N] [-clips N] [-out trace.csv]
 //	      [-json trace.json] [-figure figNN | -figures] [-sites] [-timeline]
 //	      [-sweep NAME|list] [-parallel N] [-dynamics NAME|list] [-intensity K]
 //	      [-workload NAME|list] [-load K] [-arrivals N] [-selection NAME|list]
@@ -17,6 +17,19 @@
 // multi-scenario campaign (seed replicas or an ablation) through the
 // parallel campaign engine; -parallel bounds its worker pool (0 = all
 // cores). `-sweep list` enumerates the registered sweeps.
+//
+// There is one record pipeline. Every record leaves the world through its
+// sink, and the sink here is a mergeable figure-aggregate build (plus, with
+// -out, a CSV writer that streams rows as clips complete): the summary and
+// every figure are computed from the aggregates, so memory is bounded by
+// aggregate size, not by record count, and -users may exceed the paper's 63
+// (the population is scaled proportionally):
+//
+//	study -users 1000 -clips 5 -figures
+//
+// The record set itself is retained only when something needs it: -json
+// writes it out after the run, and a -checkpoint snapshot carries the
+// prefix's records so that -resume ... -out reproduces the whole trace.
 //
 // -dynamics applies a named network-dynamics profile (time-varying weather:
 // outages, flash crowds, loss bursts, diurnal cycles, route flaps) to the
@@ -53,23 +66,15 @@
 // Snapshots are version-stamped with an options hash, so resuming under a
 // mismatched build fails loudly, and world-shaping flags (-seed, -workload,
 // ...) alongside -resume are hard errors: the snapshot's options win. A
-// checkpoint needs the retained-records collector and a classic engine, so
-// -stream and -shards refuse to combine with it. Divergent-scenario forks
-// from one snapshot are the campaign API's job (campaign.RunWarmForks).
+// checkpoint needs a classic engine, so -shards refuses to combine with it.
+// Divergent-scenario forks from one snapshot are the campaign API's job
+// (campaign.RunWarmForks).
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, so hot-path work
 // (the zero-allocation discrete-event core) can keep attacking the profile:
 //
-//	study -stream -users 1000 -clips 3 -cpuprofile cpu.out -memprofile mem.out
+//	study -users 1000 -clips 3 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out
-//
-// -stream switches to the population-scale pipeline: records flow straight
-// into mergeable figure aggregates (and, with -out, a streaming CSV writer)
-// as clips complete, so memory is bounded by aggregate size instead of
-// record count. -users may exceed the paper's 63 — the population is
-// scaled proportionally — e.g.:
-//
-//	study -stream -users 1000 -clips 5 -figures
 package main
 
 import (
@@ -78,12 +83,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"time"
 
 	"realtracer/internal/campaign"
 	"realtracer/internal/core"
 	"realtracer/internal/figures"
 	"realtracer/internal/geo"
-	"realtracer/internal/stats"
 	"realtracer/internal/study"
 	"realtracer/internal/trace"
 	"realtracer/internal/workload"
@@ -93,9 +99,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "study random seed (one seed = one reproducible campaign)")
 	users := flag.Int("users", 0, "number of users (0 = the paper's 63; above 63 scales the population proportionally)")
 	clips := flag.Int("clips", 0, "limit clips per user (0 = each user's own playlist progress)")
-	stream := flag.Bool("stream", false, "stream records into mergeable aggregates instead of retaining them (population-scale mode)")
-	out := flag.String("out", "", "write the trace as CSV to this file")
-	jsonOut := flag.String("json", "", "write the trace as JSON to this file")
+	out := flag.String("out", "", "write the trace as CSV to this file, streamed as clips complete")
+	jsonOut := flag.String("json", "", "write the trace as JSON to this file (retains every record until the run ends)")
 	figure := flag.String("figure", "", "regenerate one figure (fig01..fig28)")
 	figuresAll := flag.Bool("figures", false, "regenerate every figure")
 	sites := flag.Bool("sites", false, "print server sites and user population, then exit")
@@ -205,7 +210,7 @@ func main() {
 		if set["seed"] {
 			sweepSeed = *seed
 		}
-		runSweep(*sweep, sweepSeed, *users, *clips, *parallel, *stream)
+		runSweep(*sweep, sweepSeed, *users, *clips, *parallel)
 		return
 	}
 	if *timeline || *figure == "fig01" {
@@ -220,117 +225,120 @@ func main() {
 		return
 	}
 
-	opts := core.StudyOptions{Seed: *seed, MaxUsers: *users, ClipCap: *clips,
-		Dynamics: *dynamics, DynamicsIntensity: *intensity,
-		Workload: *workloadName, WorkloadIntensity: *load,
-		Arrivals: *arrivals, Selection: *selection, Shards: *shards}
-	if *stream {
-		if *jsonOut != "" {
-			fatalf("-json needs the retained-records path; use -out for a streaming CSV")
-		}
-		runStreaming(opts, *out, *figure, *figuresAll)
-		return
-	}
-	if *users > geo.PopulationSize {
-		fmt.Fprintf(os.Stderr, "note: retaining every record of a %d-user study; -stream bounds memory by aggregate size\n", *users)
-	}
-
-	var res *core.StudyResult
-	var err error
-	switch {
-	case *resumeFile != "":
-		res, err = runResumed(*resumeFile)
-	case *checkpointFile != "":
-		res, err = runWithCheckpoint(opts, *checkpointFile, *warmup)
-	default:
-		res, err = core.RunStudy(opts)
-	}
+	agg, res, err := studyRun{
+		opts: core.StudyOptions{Seed: *seed, MaxUsers: *users, ClipCap: *clips,
+			Dynamics: *dynamics, DynamicsIntensity: *intensity,
+			Workload: *workloadName, WorkloadIntensity: *load,
+			Arrivals: *arrivals, Selection: *selection, Shards: *shards},
+		out: *out, jsonOut: *jsonOut,
+		checkpoint: *checkpointFile, warmup: *warmup, resume: *resumeFile,
+	}.run()
 	if err != nil {
-		fatalf("study: %v", err)
+		fatalf("%v", err)
 	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("create %s: %v", *out, err)
-		}
-		if err := trace.WriteCSV(f, res.Records); err != nil {
-			fatalf("write csv: %v", err)
-		}
-		f.Close()
-		fmt.Printf("wrote %d records to %s\n", len(res.Records), *out)
-	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatalf("create %s: %v", *jsonOut, err)
-		}
-		if err := trace.WriteJSON(f, res.Records); err != nil {
-			fatalf("write json: %v", err)
-		}
-		f.Close()
-		fmt.Printf("wrote %d records to %s\n", len(res.Records), *jsonOut)
-	}
-
 	switch {
 	case *figure != "":
-		fig, err := core.RunFigure(*figure, res.Records)
+		fig, err := core.RunFigure(*figure, agg)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		fig.Render(os.Stdout)
 	case *figuresAll:
-		core.RenderAll(os.Stdout, res.Records)
+		core.RenderAll(os.Stdout, agg)
 	default:
-		printSummary(res)
+		printSummary(agg, res)
 	}
 }
 
-// runStreaming executes one study through the streaming pipeline: records
-// flow into a figure-aggregate build (and optionally a CSV file) as clips
-// complete, and nothing is retained.
-func runStreaming(opts core.StudyOptions, out, figure string, figuresAll bool) {
+// studyRun is one single-study invocation: the world to run (built from
+// opts, or resumed from a snapshot) and where its records go.
+type studyRun struct {
+	opts       core.StudyOptions
+	out        string // CSV file, streamed as clips complete
+	jsonOut    string // JSON file, written after the run
+	checkpoint string // snapshot file, written at the warmup instant
+	warmup     time.Duration
+	resume     string // snapshot file to replay instead of building from opts
+}
+
+// run executes the study through the one record pipeline: every record
+// flows into a figure-aggregate build and, with out set, a streaming CSV
+// writer. The world streams straight into those sinks and retains nothing —
+// unless the record set itself is needed (jsonOut writes it; a checkpoint
+// snapshot carries the prefix's records so that a resume can reproduce the
+// whole trace), in which case the world keeps its default collector and
+// the records are replayed into the sinks after the run.
+func (r studyRun) run() (*figures.Aggregates, *core.StudyResult, error) {
 	agg := figures.NewAggregates()
 	sink := trace.MultiSink{agg}
-	var csvSink *trace.CSVSink
 	var csvFile *os.File
-	if out != "" {
-		f, err := os.Create(out)
+	var csvSink *trace.CSVSink
+	if r.out != "" {
+		f, err := os.Create(r.out)
 		if err != nil {
-			fatalf("create %s: %v", out, err)
+			return nil, nil, err
 		}
-		csvFile = f
-		csvSink = trace.NewCSVSink(f)
+		defer f.Close() // error paths; closeOutput checks the one that matters
+		csvFile, csvSink = f, trace.NewCSVSink(f)
 		sink = append(sink, csvSink)
 	}
-	res, err := core.RunStudyStream(opts, sink)
+
+	w, err := r.world()
 	if err != nil {
-		fatalf("study: %v", err)
+		return nil, nil, fmt.Errorf("study: %w", err)
 	}
+	if r.jsonOut == "" && r.checkpoint == "" && r.resume == "" {
+		w.SetSink(sink)
+	} else if _, ok := w.Sink().(*trace.Collector); !ok {
+		return nil, nil, fmt.Errorf("study: resume %s: snapshot carries a %T sink, not the records -checkpoint writes", r.resume, w.Sink())
+	}
+	if r.checkpoint != "" {
+		if err := writeCheckpoint(w, r.checkpoint, r.warmup); err != nil {
+			return nil, nil, fmt.Errorf("study: %w", err)
+		}
+	}
+	res, err := w.Run()
+	if err != nil {
+		return nil, nil, fmt.Errorf("study: %w", err)
+	}
+	for _, rec := range res.Records { // nil unless the world retained them
+		sink.Observe(rec)
+	}
+
 	if csvSink != nil {
-		if err := csvSink.Flush(); err != nil {
-			fatalf("write csv: %v", err)
+		if err := closeOutput(csvFile, csvSink.Flush()); err != nil {
+			return nil, nil, err
 		}
-		csvFile.Close()
-		fmt.Printf("streamed %d records to %s\n", csvSink.Count(), out)
+		fmt.Printf("wrote %d records to %s\n", csvSink.Count(), r.out)
 	}
-	switch {
-	case figure != "":
-		fig, err := core.RunFigureAgg(figure, agg)
+	if r.jsonOut != "" {
+		f, err := os.Create(r.jsonOut)
 		if err != nil {
-			fatalf("%v", err)
+			return nil, nil, err
 		}
-		fig.Render(os.Stdout)
-	case figuresAll:
-		core.RenderAllAgg(os.Stdout, agg)
-	default:
-		printStreamSummary(agg, res)
+		if err := closeOutput(f, trace.WriteJSON(f, res.Records)); err != nil {
+			return nil, nil, err
+		}
+		fmt.Printf("wrote %d records to %s\n", len(res.Records), r.jsonOut)
 	}
+	return agg, res, nil
 }
 
-// printStreamSummary prints the headline numbers straight from the
-// aggregates — the streamed twin of printSummary.
-func printStreamSummary(agg *figures.Aggregates, res *core.StudyResult) {
-	fmt.Printf("study complete (streamed): %d users, %d clip attempts over %v of virtual time (%d events)\n",
+// closeOutput closes an output file after its last write and reports the
+// first failure of the write, its flush or the close as "write FILE: ...".
+func closeOutput(f *os.File, err error) error {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", f.Name(), err)
+	}
+	return nil
+}
+
+// printSummary prints the headline numbers from the aggregates.
+func printSummary(agg *figures.Aggregates, res *core.StudyResult) {
+	fmt.Printf("study complete: %d users, %d clip attempts over %v of virtual time (%d events)\n",
 		len(res.Users), agg.Total(), res.SimDuration.Round(1e9), res.Events)
 	printOpenLoopLine(res)
 	fmt.Printf("  played=%d unavailable=%d (%.1f%%) rated=%d\n",
@@ -363,10 +371,10 @@ func printOpenLoopLine(res *core.StudyResult) {
 }
 
 // runSweep executes one registered campaign sweep across the worker pool
-// and prints a per-scenario summary plus the campaign wall-clock. In
-// streaming mode each scenario aggregates in place and the partials merge
-// deterministically in input order.
-func runSweep(name string, seed int64, users, clips, workers int, stream bool) {
+// and prints a per-scenario summary plus the campaign wall-clock. Each
+// scenario aggregates in place and the partials merge deterministically in
+// input order.
+func runSweep(name string, seed int64, users, clips, workers int) {
 	if name == "list" {
 		fmt.Println("registered sweeps:")
 		for _, sw := range campaign.Sweeps() {
@@ -388,39 +396,20 @@ func runSweep(name string, seed int64, users, clips, workers int, stream bool) {
 	scenarios := sw.Scenarios(base)
 	fmt.Printf("sweep %s: base study %d users x %d clips (seed %d); -users/-clips resize it\n",
 		sw.Name, base.MaxUsers, base.ClipCap, base.Seed)
-	cfg := core.CampaignConfig{Workers: workers, BaseSeed: base.Seed}
-	var merged *figures.Aggregates
-	var sum *core.CampaignSummary
-	if stream {
-		merged, sum = core.RunCampaignAggregates(scenarios, cfg)
-	} else {
-		sum = core.RunCampaign(scenarios, cfg)
-	}
+	merged, sum := core.RunCampaignAggregates(scenarios, core.CampaignConfig{Workers: workers, BaseSeed: base.Seed})
 	for _, r := range sum.Results {
 		if r.Err != nil {
 			fmt.Printf("  %-16s FAILED: %v\n", r.Scenario.Name, r.Err)
 			continue
 		}
-		if stream {
-			part := r.Sink.(*figures.Aggregates)
-			jcdf, _ := part.Jitter().CDF()
-			printScenarioLine(r, part.Total(), part.Played(), part.FrameRate().Mean(), jcdf)
-		} else {
-			played := trace.Played(r.Result.Records)
-			fps := trace.Values(played, func(rec *trace.Record) float64 { return rec.MeasuredFPS })
-			jit := trace.Values(played, func(rec *trace.Record) float64 { return rec.JitterMs })
-			jcdf, _ := stats.NewCDF(jit)
-			printScenarioLine(r, len(r.Result.Records), len(played), stats.Mean(fps), jcdf)
-		}
+		part := r.Sink.(*figures.Aggregates)
+		jcdf, _ := part.Jitter().CDF()
+		fmt.Printf("  %-16s seed=%-20d attempts=%-4d played=%-4d mean %.1f fps  jitter<=50ms %.0f%%  [%v]\n",
+			r.Scenario.Name, r.Scenario.Options.Seed, part.Total(), part.Played(),
+			part.FrameRate().Mean(), 100*jcdf.At(50), r.Elapsed.Round(1e6))
 	}
-	if merged == nil {
-		// Retained mode: fold the records into aggregates anyway so the
-		// robustness breakdown prints either way.
-		merged = figures.Aggregate(sum.Records())
-	} else {
-		fmt.Printf("  merged: attempts=%d played=%d rated=%d mean %.1f fps across the sweep\n",
-			merged.Total(), merged.Played(), merged.Rated(), merged.FrameRate().Mean())
-	}
+	fmt.Printf("  merged: attempts=%d played=%d rated=%d mean %.1f fps across the sweep\n",
+		merged.Total(), merged.Played(), merged.Rated(), merged.FrameRate().Mean())
 	printRobustness(merged)
 	printWorkloadRows(merged)
 	fmt.Printf("sweep %s: %d scenarios on %d workers in %v\n",
@@ -463,45 +452,6 @@ func printRobustness(agg *figures.Aggregates) {
 	}
 }
 
-// printScenarioLine prints one sweep scenario's summary — the same line
-// whether the stats came from retained records or streamed aggregates.
-func printScenarioLine(r campaign.ScenarioResult, attempts, played int, meanFPS float64, jcdf stats.CDF) {
-	fmt.Printf("  %-16s seed=%-20d attempts=%-4d played=%-4d mean %.1f fps  jitter<=50ms %.0f%%  [%v]\n",
-		r.Scenario.Name, r.Scenario.Options.Seed, attempts, played,
-		meanFPS, 100*jcdf.At(50), r.Elapsed.Round(1e6))
-}
-
-func printSummary(res *core.StudyResult) {
-	played := trace.Played(res.Records)
-	rated := trace.Rated(res.Records)
-	var unavailable int
-	protos := map[string]int{}
-	for _, r := range res.Records {
-		if r.Unavailable {
-			unavailable++
-		}
-	}
-	var fps, jit []float64
-	for _, r := range played {
-		protos[r.Protocol]++
-		fps = append(fps, r.MeasuredFPS)
-		jit = append(jit, r.JitterMs)
-	}
-	sfps, _ := stats.Summarize(fps)
-	cdf, _ := stats.NewCDF(fps)
-	jcdf, _ := stats.NewCDF(jit)
-	fmt.Printf("study complete: %d users, %d clip attempts over %v of virtual time (%d events)\n",
-		len(res.Users), len(res.Records), res.SimDuration.Round(1e9), res.Events)
-	printOpenLoopLine(res)
-	fmt.Printf("  played=%d unavailable=%d (%.1f%%) rated=%d\n",
-		len(played), unavailable, 100*float64(unavailable)/float64(len(res.Records)), len(rated))
-	fmt.Printf("  transport: TCP=%d UDP=%d\n", protos["TCP"], protos["UDP"])
-	fmt.Printf("  frame rate: mean=%.1f fps, below 3 fps %.0f%%, 15+ fps %.0f%%\n",
-		sfps.Mean, 100*cdf.FractionBelow(3), 100*cdf.FractionAtLeast(15))
-	fmt.Printf("  jitter: <=50ms %.0f%%, >=300ms %.0f%%\n", 100*jcdf.At(50), 100*jcdf.FractionAtLeast(300))
-	fmt.Println("run with -figures (or -figure figNN) for the full evaluation output")
-}
-
 func printSites(seed int64) {
 	fmt.Println("RealServer sites (Figures 3, 8, 10):")
 	for _, s := range geo.Sites() {
@@ -514,8 +464,19 @@ func printSites(seed int64) {
 		byCountry[u.Country]++
 	}
 	fmt.Printf("User population (Figures 4, 7): %d users\n", len(users))
-	for c, n := range byCountry {
-		fmt.Printf("  %-12s %d\n", c, n)
+	countries := make([]string, 0, len(byCountry))
+	for c := range byCountry {
+		countries = append(countries, c)
+	}
+	sort.Slice(countries, func(i, j int) bool { // by count, then name
+		a, b := countries[i], countries[j]
+		if byCountry[a] != byCountry[b] {
+			return byCountry[a] > byCountry[b]
+		}
+		return a < b
+	})
+	for _, c := range countries {
+		fmt.Printf("  %-12s %d\n", c, byCountry[c])
 	}
 }
 

@@ -36,12 +36,12 @@
 // every floating-point expression on the packet path are part of the
 // contract, pinned by the golden figures snapshot — so hot-path changes
 // must keep output byte-identical, not merely statistically equivalent.
-// Profile with `study -cpuprofile/-memprofile`; the perf trajectory lives
-// in the BENCH_pr*.json files.
+// Profile with `study -cpuprofile/-memprofile`; the perf trajectory is the
+// history table in README's benchmark section and cmd/bench's record.
 //
 // The session lifecycle is pooled one level above the packet path: each
 // open-loop user template owns a session bundle — tracer, player, packet
-// arenas, transport stack, plan/playlist scratch, record storage — built on
+// arenas, transport stack, plan/playlist scratch — built on
 // the template's first arrival and leased on every arrival after it, with
 // Reset methods walking the contract down the stack (tracer, player,
 // media.FrameSource, the server's streamSession free-list, netsim's
@@ -124,18 +124,30 @@
 // builds the shared warm prefix once and fans N forks across the worker
 // pool from one read-only snapshot — an 8-fork sweep warm-started at 60%
 // of the horizon runs >=2x faster than cold (BenchmarkCampaignWarmFork,
-// BENCH_pr10.json, fenced by TestWarmForkSpeedup).
+// fenced by TestWarmForkSpeedup).
 //
-// Entry points: internal/core (run the study via RunStudy, stream it into
-// mergeable figure aggregates via RunStudyAggregates, fan multi-scenario
-// sweeps across a worker pool via RunCampaign / RunCampaignAggregates,
-// regenerate figures), internal/campaign (the parallel campaign engine:
-// named scenarios, deterministic per-scenario seeds, sweep registry,
-// per-scenario streaming sinks), cmd/study and cmd/realdata (collection
-// and analysis tools — `study -sweep NAME -parallel N` runs a registered
-// campaign sweep; `study -dynamics NAME` applies a weather profile;
-// `study -stream -users N` runs a population-scale study with memory
-// bounded by aggregate size), cmd/realserver and cmd/realtracer (live
+// There is one way out for records: the world's sink (trace.Sink). A record
+// handed to a sink is the sink's to keep; the default sink is a
+// trace.Collector (the only one that fills Result.Records), World.SetSink
+// installs any other — figures.Aggregates, the mergeable single-pass build
+// every figure and summary is computed from, a trace.CSVSink, a MultiSink of
+// several — and memory is bounded by what the sink keeps, so -users may run
+// far past the paper's 63. The snapshot walks the sink too: a Collector
+// world's checkpoint carries its records, an Aggregates world's carries the
+// aggregates' own Sync walk, and Resume rebuilds whichever kind the section
+// tag names (trace.RegisterSnapSink); a sink that cannot walk itself makes
+// Checkpoint fail naming its type.
+//
+// Entry points: internal/core (run the study via RunStudy, fan
+// multi-scenario sweeps across a worker pool via RunCampaign /
+// RunCampaignAggregates, regenerate figures from aggregates), internal/study
+// (NewWorld + SetSink + Run for any other sink), internal/campaign (the
+// parallel campaign engine: named scenarios, deterministic per-scenario
+// seeds, sweep registry, per-scenario sinks), cmd/study and cmd/realdata
+// (collection and analysis tools — `study -sweep NAME -parallel N` runs a
+// registered campaign sweep; `study -dynamics NAME` applies a weather
+// profile; `study -users N` above 63 runs a population-scale study with
+// memory bounded by aggregate size), cmd/realserver and cmd/realtracer (live
 // operation over OS sockets). bench_test.go in this directory holds one
 // benchmark per paper figure plus the design ablations, the
 // population-scale streaming benchmarks, and the dynamics-campaign

@@ -41,12 +41,12 @@ type Config struct {
 	// Two campaigns with the same scenarios and BaseSeed produce identical
 	// records regardless of worker count.
 	BaseSeed int64
-	// NewSink, when set, switches the campaign to streaming mode: each
-	// scenario runs with its own freshly-built sink and retains no records
-	// (ScenarioResult.Result.Records is nil; the sink is returned in
-	// ScenarioResult.Sink). Per-scenario sinks make the fan-out race-free
-	// without locks, and merging the partials in input order afterwards is
-	// deterministic no matter how many workers ran — see
+	// NewSink, when set, gives each scenario's world its own freshly-built
+	// sink in place of the default collector (ScenarioResult.Result.Records
+	// is then nil unless that sink is a trace.Collector; the sink is
+	// returned in ScenarioResult.Sink). Per-scenario sinks make the fan-out
+	// race-free without locks, and merging the partials in input order
+	// afterwards is deterministic no matter how many workers ran — see
 	// core.RunCampaignAggregates.
 	NewSink func() trace.Sink
 }
@@ -60,8 +60,8 @@ type ScenarioResult struct {
 	// Err is the scenario's failure, if any. One failed scenario does not
 	// abort the others.
 	Err error
-	// Sink is the scenario's record sink in streaming mode (Config.NewSink
-	// set), nil otherwise.
+	// Sink is the scenario's record sink when Config.NewSink is set, nil
+	// otherwise.
 	Sink trace.Sink
 	// Elapsed is the scenario's wall-clock run time.
 	Elapsed time.Duration
@@ -115,19 +115,24 @@ func DeriveSeed(base int64, name string) int64 {
 // merged summary. Results line up with the input slice index-for-index no
 // matter which worker finished first.
 func Run(scenarios []Scenario, cfg Config) *Summary {
-	workers := cfg.Workers
+	start := time.Now()
+	sum := &Summary{Results: make([]ScenarioResult, len(scenarios))}
+	sum.Workers = runPool(len(scenarios), cfg.Workers, func(i int) {
+		sum.Results[i] = runScenario(scenarios[i], cfg)
+	})
+	sum.Elapsed = time.Since(start)
+	return sum
+}
+
+// runPool calls do(0..n-1) across a bounded pool of goroutines (workers <= 0
+// means runtime.NumCPU(), never more than n, at least 1) and returns the
+// pool size it ran with. Each index runs exactly once; do must confine its
+// writes to state owned by its index.
+func runPool(n, workers int, do func(i int)) int {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	start := time.Now()
-	sum := &Summary{Results: make([]ScenarioResult, len(scenarios)), Workers: workers}
+	workers = max(1, min(workers, n))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -135,22 +140,20 @@ func Run(scenarios []Scenario, cfg Config) *Summary {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				sum.Results[i] = runScenario(scenarios[i], cfg)
+				do(i)
 			}
 		}()
 	}
-	for i := range scenarios {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	sum.Elapsed = time.Since(start)
-	return sum
+	return workers
 }
 
-// runScenario executes one scenario in its own private world. In streaming
-// mode the scenario gets its own sink, so no two workers ever share
-// mutable aggregation state.
+// runScenario executes one scenario in its own private world, under its
+// own sink, so no two workers ever share mutable aggregation state.
 func runScenario(sc Scenario, cfg Config) ScenarioResult {
 	if sc.Options.Seed == 0 {
 		sc.Options.Seed = DeriveSeed(cfg.BaseSeed, sc.Name)
@@ -170,20 +173,15 @@ func runScenario(sc Scenario, cfg Config) ScenarioResult {
 		sc.Options.WorkloadSeed = DeriveSeed(cfg.BaseSeed, sc.Name+"|workload")
 	}
 	start := time.Now()
-	var res *study.Result
-	var err error
-	var sink trace.Sink
-	if cfg.NewSink != nil {
-		sink = cfg.NewSink()
-		res, err = study.RunStream(sc.Options, sink)
-	} else {
-		res, err = study.Run(sc.Options)
+	out := ScenarioResult{Scenario: sc}
+	w, err := study.NewWorld(sc.Options)
+	if err == nil {
+		if cfg.NewSink != nil {
+			out.Sink = cfg.NewSink()
+			w.SetSink(out.Sink)
+		}
+		out.Result, err = w.Run()
 	}
-	return ScenarioResult{
-		Scenario: sc,
-		Result:   res,
-		Err:      err,
-		Sink:     sink,
-		Elapsed:  time.Since(start),
-	}
+	out.Err, out.Elapsed = err, time.Since(start)
+	return out
 }

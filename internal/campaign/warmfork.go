@@ -3,8 +3,6 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"realtracer/internal/study"
@@ -15,8 +13,8 @@ import (
 // share a long steady-state prefix pays for that prefix once instead of
 // once per scenario — with an 8-fork sweep warmed 60% of the way through
 // the horizon, the cold control simulates 8.0 horizons of virtual time and
-// the warm path 0.6 + 8×0.4 = 3.8, a ~2.1x amortization (recorded per PR
-// in BENCH_pr10.json by BenchmarkCampaignWarmFork).
+// the warm path 0.6 + 8×0.4 = 3.8, a ~2.1x amortization (measured by
+// BenchmarkCampaignWarmFork; README's benchmark history has the numbers).
 //
 // Forks diverge by name (deterministic per-fork RNG re-derivation) and by
 // the scenario deltas a study.Fork can carry — dynamics profile and
@@ -55,9 +53,11 @@ type WarmForkResult struct {
 // cfg.BaseSeed exactly like a zero-seed Scenario, so a warm sweep and a
 // cold Run of the same names stay comparable.
 //
-// Warm forks run in retained-records mode only: a checkpoint needs the
-// default collector sink (the snapshot carries the prefix's records), so
-// cfg.NewSink must be nil.
+// With cfg.NewSink set the prefix world runs under cfg.NewSink(), the
+// snapshot carries that sink's state in place of the prefix's records, and
+// every fork resumes under a sink of the same kind already holding it
+// (ScenarioResult.Sink); the sink must be a trace.SnapSink, or the
+// checkpoint fails naming its type.
 func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, cfg Config) (*WarmForkResult, error) {
 	if len(forks) == 0 {
 		return nil, fmt.Errorf("campaign: warm-fork sweep has no forks")
@@ -66,9 +66,6 @@ func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, 
 		if forks[i].Name == "" {
 			return nil, fmt.Errorf("campaign: fork %d has no name (names drive per-fork RNG re-derivation)", i)
 		}
-	}
-	if cfg.NewSink != nil {
-		return nil, fmt.Errorf("campaign: warm forks need the retained-records path (a checkpoint carries the prefix's records through the default collector); leave Config.NewSink nil")
 	}
 	if warmup <= 0 {
 		return nil, fmt.Errorf("campaign: warm-fork warmup must be positive, got %v", warmup)
@@ -88,6 +85,9 @@ func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, 
 	if err != nil {
 		return nil, fmt.Errorf("campaign: warm-fork base: %w", err)
 	}
+	if cfg.NewSink != nil {
+		w.SetSink(cfg.NewSink())
+	}
 	if err := w.RunUntil(warmup); err != nil {
 		return nil, fmt.Errorf("campaign: warm-up prefix: %w", err)
 	}
@@ -97,59 +97,34 @@ func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, 
 	}
 	warmElapsed := time.Since(start)
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(forks) {
-		workers = len(forks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	out := &WarmForkResult{
-		Summary:       Summary{Results: make([]ScenarioResult, len(forks)), Workers: workers},
+		Summary:       Summary{Results: make([]ScenarioResult, len(forks))},
 		Base:          base,
 		Warmup:        warmup,
 		WarmupElapsed: warmElapsed,
 		SnapshotBytes: snap.Len(),
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out.Results[i] = runFork(snap.Bytes(), base, &forks[i])
-			}
-		}()
-	}
-	for i := range forks {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	out.Workers = runPool(len(forks), cfg.Workers, func(i int) {
+		out.Results[i] = runFork(snap.Bytes(), base, &forks[i], cfg.NewSink != nil)
+	})
 	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
 // runFork resumes one fork from the shared snapshot and drives it to
 // completion in its own private world; snapshot bytes are read-only, so
-// workers share them without copies.
-func runFork(snap []byte, base study.Options, fork *study.Fork) ScenarioResult {
+// workers share them without copies. streamed reports the fork's restored
+// sink in the result, as Run does for a scenario under Config.NewSink.
+func runFork(snap []byte, base study.Options, fork *study.Fork, streamed bool) ScenarioResult {
 	start := time.Now()
-	sc := Scenario{Name: fork.Name, Options: fork.Applied(base)}
+	out := ScenarioResult{Scenario: Scenario{Name: fork.Name, Options: fork.Applied(base)}}
 	w, err := study.Resume(bytes.NewReader(snap), fork)
-	var res *study.Result
 	if err == nil {
-		res, err = w.Run()
+		if streamed {
+			out.Sink = w.Sink()
+		}
+		out.Result, err = w.Run()
 	}
-	return ScenarioResult{
-		Scenario: sc,
-		Result:   res,
-		Err:      err,
-		Elapsed:  time.Since(start),
-	}
+	out.Err, out.Elapsed = err, time.Since(start)
+	return out
 }

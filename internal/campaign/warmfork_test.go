@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/figures"
 	"realtracer/internal/study"
 	"realtracer/internal/trace"
 )
@@ -131,6 +132,56 @@ func TestRunWarmForksSharedPrefix(t *testing.T) {
 	}
 }
 
+// TestRunWarmForksStreamed: a warm sweep whose worlds stream into aggregates
+// (the snapshot carries the prefix's aggregates, never a record) must hand
+// back, fork by fork and at any worker count, exactly the aggregates of the
+// records the same sweep retains by default.
+func TestRunWarmForksStreamed(t *testing.T) {
+	base := warmForkBase()
+	warmup := horizonOf(t, base) / 2
+	dyn, k := "lossburst", 2.0
+	forks := []study.Fork{{Name: "a"}, {Name: "b"}, {Name: "hot", WorkloadIntensity: &k}, {Name: "weather", Dynamics: &dyn}}
+
+	retained, err := RunWarmForks(base, warmup, forks, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		streamed, err := RunWarmForks(base, warmup, forks, Config{
+			Workers: workers,
+			NewSink: func() trace.Sink { return figures.NewAggregates() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := streamed.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range streamed.Results {
+			want := retained.Results[i]
+			agg, ok := r.Sink.(*figures.Aggregates)
+			if !ok || r.Result.Records != nil || want.Sink != nil {
+				t.Fatalf("workers=%d fork %s: sink %T with %d records retained (default sweep's sink: %T)",
+					workers, r.Scenario.Name, r.Sink, len(r.Result.Records), want.Sink)
+			}
+			if agg.Total() == 0 || !bytes.Equal(renderAgg(agg), renderAgg(figures.Aggregate(want.Result.Records))) {
+				t.Errorf("workers=%d fork %s: streamed aggregates (%d attempts) differ from the aggregates of the %d retained records",
+					workers, r.Scenario.Name, agg.Total(), len(want.Result.Records))
+			}
+		}
+	}
+}
+
+// renderAgg renders every figure plus the workload and robustness rows.
+func renderAgg(a *figures.Aggregates) []byte {
+	var buf bytes.Buffer
+	for _, g := range figures.All() {
+		g.Agg(a).Render(&buf)
+	}
+	fmt.Fprintf(&buf, "%+v\n%+v\n", a.Workload(), a.Robustness())
+	return buf.Bytes()
+}
+
 // TestRunWarmForksValidation pins the loud-failure contract for malformed
 // warm sweeps.
 func TestRunWarmForksValidation(t *testing.T) {
@@ -145,8 +196,11 @@ func TestRunWarmForksValidation(t *testing.T) {
 		{"no forks", nil, time.Minute, Config{}, "no forks"},
 		{"unnamed fork", []study.Fork{{}}, time.Minute, Config{}, "no name"},
 		{"zero warmup", []study.Fork{{Name: "a"}}, 0, Config{}, "warmup"},
+		// A sink that cannot walk itself into the snapshot has already let the
+		// prefix's records go.
 		{"streaming sink", []study.Fork{{Name: "a"}}, time.Minute,
-			Config{NewSink: func() trace.Sink { return &trace.Collector{} }}, "NewSink"},
+			Config{NewSink: func() trace.Sink { return trace.SinkFunc(func(*trace.Record) {}) }},
+			"sink of type trace.SinkFunc cannot be snapshotted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,8 +212,8 @@ func TestRunWarmForksValidation(t *testing.T) {
 	}
 }
 
-// TestWarmForkSpeedup is the amortization fence behind BENCH_pr10.json: an
-// 8-fork sweep warmed 60% of the way through the horizon simulates
+// TestWarmForkSpeedup is the amortization fence behind README's PR 10
+// benchmark-history row: an 8-fork sweep warmed 60% of the way through the horizon simulates
 // 0.6 + 8×0.4 = 3.8 horizons instead of 8, so even on a loaded runner it
 // must beat the cold control comfortably. Workers is pinned to 1 on both
 // arms — the contrast is prefix amortization, not parallelism.

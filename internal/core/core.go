@@ -32,24 +32,10 @@ type StudyOptions = study.Options
 type StudyResult = study.Result
 
 // RunStudy executes the full measurement campaign (63 users, 98 clips, 11
-// servers by default) and returns its per-clip records.
+// servers by default) and returns its per-clip records. To stream the
+// records into another sink instead (aggregates, a CSV file), build the
+// world with study.NewWorld and call SetSink before Run.
 func RunStudy(opt StudyOptions) (*StudyResult, error) { return study.Run(opt) }
-
-// RunStudyStream executes the campaign streaming every record into sink as
-// it is produced, retaining none of them — the population-scale path. Set
-// opt.MaxUsers past 63 to run a proportionally scaled population.
-func RunStudyStream(opt StudyOptions, sink trace.Sink) (*StudyResult, error) {
-	return study.RunStream(opt, sink)
-}
-
-// RunStudyAggregates streams one study straight into a figure-aggregate
-// build and returns it alongside the run metadata: every figure and
-// headline statistic without ever materializing the record set.
-func RunStudyAggregates(opt StudyOptions) (*figures.Aggregates, *StudyResult, error) {
-	agg := figures.NewAggregates()
-	res, err := study.RunStream(opt, agg)
-	return agg, res, err
-}
 
 // Scenario is one named study configuration inside a campaign; see
 // campaign.Scenario.
@@ -69,9 +55,9 @@ func RunCampaign(scenarios []Scenario, cfg CampaignConfig) *CampaignSummary {
 	return campaign.Run(scenarios, cfg)
 }
 
-// RunCampaignAggregates executes the campaign in streaming mode: each
-// scenario streams its records into a private figures.Aggregates (no
-// records retained anywhere), and the per-scenario partials are merged in
+// RunCampaignAggregates executes the campaign with a private
+// figures.Aggregates as each scenario's sink (no records retained
+// anywhere), and the per-scenario partials are merged in
 // scenario input order — so the merged aggregates are identical no matter
 // how many workers the campaign ran on. The per-scenario partials remain
 // available via the summary's ScenarioResult.Sink fields.
@@ -91,12 +77,7 @@ func RunCampaignAggregates(scenarios []Scenario, cfg CampaignConfig) (*figures.A
 // one aggregate pass over the records, then every generator off the shared
 // aggregates.
 func AllFigures(recs []*trace.Record) []figures.Figure {
-	return AllFiguresAgg(figures.Aggregate(recs))
-}
-
-// AllFiguresAgg regenerates every record-driven figure from a completed
-// aggregate build — the streaming path, where no record slice ever existed.
-func AllFiguresAgg(agg *figures.Aggregates) []figures.Figure {
+	agg := figures.Aggregate(recs)
 	gens := figures.All()
 	out := make([]figures.Figure, 0, len(gens))
 	for _, g := range gens {
@@ -105,18 +86,10 @@ func AllFiguresAgg(agg *figures.Aggregates) []figures.Figure {
 	return out
 }
 
-// RunFigure regenerates one figure by id ("fig05" ... "fig28").
-func RunFigure(id string, recs []*trace.Record) (figures.Figure, error) {
-	g, ok := figures.ByID(id)
-	if !ok {
-		return figures.Figure{}, fmt.Errorf("core: unknown figure %q", id)
-	}
-	return g.Build(recs), nil
-}
-
-// RunFigureAgg regenerates one figure by id from a completed aggregate
-// build.
-func RunFigureAgg(id string, agg *figures.Aggregates) (figures.Figure, error) {
+// RunFigure regenerates one figure by id ("fig05" ... "fig28") from a
+// completed aggregate build (a world's sink, or figures.Aggregate of a
+// trace file's records).
+func RunFigure(id string, agg *figures.Aggregates) (figures.Figure, error) {
 	g, ok := figures.ByID(id)
 	if !ok {
 		return figures.Figure{}, fmt.Errorf("core: unknown figure %q", id)
@@ -124,17 +97,10 @@ func RunFigureAgg(id string, agg *figures.Aggregates) (figures.Figure, error) {
 	return g.Agg(agg), nil
 }
 
-// RenderAll writes every figure to w.
-func RenderAll(w io.Writer, recs []*trace.Record) {
-	for _, f := range AllFigures(recs) {
-		f.Render(w)
-	}
-}
-
-// RenderAllAgg writes every figure computed from an aggregate build to w.
-func RenderAllAgg(w io.Writer, agg *figures.Aggregates) {
-	for _, f := range AllFiguresAgg(agg) {
-		f.Render(w)
+// RenderAll writes every figure computed from an aggregate build to w.
+func RenderAll(w io.Writer, agg *figures.Aggregates) {
+	for _, g := range figures.All() {
+		g.Agg(agg).Render(w)
 	}
 }
 

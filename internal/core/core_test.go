@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/figures"
 	"realtracer/internal/netsim"
+	"realtracer/internal/study"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
 )
@@ -73,8 +75,14 @@ func TestAllFiguresFromReducedStudy(t *testing.T) {
 	if len(figs) != 24 {
 		t.Fatalf("figures=%d want 24", len(figs))
 	}
-	var buf bytes.Buffer
-	RenderAll(&buf, res.Records)
+	var buf, want bytes.Buffer
+	RenderAll(&buf, figures.Aggregate(res.Records))
+	for _, f := range figs {
+		f.Render(&want)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("RenderAll differs from rendering AllFigures")
+	}
 	if buf.Len() < 1000 {
 		t.Fatalf("render suspiciously small: %d bytes", buf.Len())
 	}
@@ -120,21 +128,28 @@ func TestStudyRecordsFeedRealdataPath(t *testing.T) {
 	if len(got) != len(res.Records) {
 		t.Fatalf("round trip lost records: %d vs %d", len(got), len(res.Records))
 	}
-	if _, err := RunFigure("fig11", got); err != nil {
+	if _, err := RunFigure("fig11", figures.Aggregate(got)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRunStudyAggregates: the streaming front door produces the same
-// figures as the batch front door, without retaining records.
-func TestRunStudyAggregates(t *testing.T) {
+// TestStudyIntoAggregates: a world whose sink is an Aggregates produces the
+// same figures as aggregating the retained records afterwards, without
+// retaining any.
+func TestStudyIntoAggregates(t *testing.T) {
 	opt := StudyOptions{Seed: 4, MaxUsers: 4, ClipCap: 3}
-	agg, res, err := RunStudyAggregates(opt)
+	w, err := study.NewWorld(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := figures.NewAggregates()
+	w.SetSink(agg)
+	res, err := w.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Records != nil {
-		t.Fatal("streaming study retained records")
+		t.Fatal("study under an aggregates sink retained records")
 	}
 	if agg.Total() == 0 || agg.Played() == 0 {
 		t.Fatal("aggregates observed nothing")
@@ -147,19 +162,19 @@ func TestRunStudyAggregates(t *testing.T) {
 		t.Fatalf("aggregate total %d vs %d batch records", agg.Total(), len(batch.Records))
 	}
 	var a, b bytes.Buffer
-	RenderAllAgg(&a, agg)
-	RenderAll(&b, batch.Records)
+	RenderAll(&a, agg)
+	RenderAll(&b, figures.Aggregate(batch.Records))
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("streamed figures differ from batch figures")
 	}
-	fig, err := RunFigureAgg("fig11", agg)
+	fig, err := RunFigure("fig11", agg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fig.ID != "fig11" || len(fig.Series) == 0 {
-		t.Fatal("RunFigureAgg produced an empty figure")
+		t.Fatal("RunFigure produced an empty figure")
 	}
-	if _, err := RunFigureAgg("fig99", agg); err == nil {
+	if _, err := RunFigure("fig99", agg); err == nil {
 		t.Fatal("unknown figure id accepted")
 	}
 }
@@ -185,8 +200,8 @@ func TestRunCampaignAggregatesWorkerInvariant(t *testing.T) {
 		t.Fatalf("totals differ: %d vs %d", agg1.Total(), agg4.Total())
 	}
 	var a, b bytes.Buffer
-	RenderAllAgg(&a, agg1)
-	RenderAllAgg(&b, agg4)
+	RenderAll(&a, agg1)
+	RenderAll(&b, agg4)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("merged aggregates differ across worker counts")
 	}

@@ -110,6 +110,25 @@ func NewAggregates() *Aggregates {
 	}
 }
 
+// counters, dists and groups list every accumulator field once, for the
+// walks that treat them alike (Merge and Sync).
+func (a *Aggregates) counters() []*stats.Counter {
+	return []*stats.Counter{&a.countryAll, &a.serverCountryAll, &a.usStateAll, &a.serverAttempts,
+		&a.serverUnavail, &a.protoPlayed, &a.failedByDynamics, &a.playedByDynamics,
+		&a.playedByPolicy, &a.failedByPolicy, &a.policyServer}
+}
+
+func (a *Aggregates) dists() []*stats.Dist {
+	return []*stats.Dist{a.fpsAll, a.jitAll, a.ratingAll}
+}
+
+func (a *Aggregates) groups() []*stats.Grouped {
+	return []*stats.Grouped{&a.fpsByAccess, &a.fpsByServerRegion, &a.fpsByUserRegion, &a.fpsByProtocol,
+		&a.fpsByPC, &a.kbpsByAccess, &a.kbpsByProtocol, &a.jitByAccess, &a.jitByServerRegion,
+		&a.jitByUserRegion, &a.jitByProtocol, &a.jitByBand, &a.ratingByAccess,
+		&a.rebufByDynamics, &a.switchByDynamics, &a.fpsByDynamics, &a.startupByPolicy, &a.rebufByPolicy}
+}
+
 // Aggregate builds the aggregates from an in-memory record slice — the
 // compatibility path for small studies and the trace-file analysis tool.
 func Aggregate(recs []*trace.Record) *Aggregates {
@@ -244,40 +263,18 @@ func (a *Aggregates) Merge(b *Aggregates) {
 		t.plays += bt.plays
 		t.rated += bt.rated
 	}
-	a.countryAll.Merge(&b.countryAll)
-	a.serverCountryAll.Merge(&b.serverCountryAll)
-	a.usStateAll.Merge(&b.usStateAll)
-	a.serverAttempts.Merge(&b.serverAttempts)
-	a.serverUnavail.Merge(&b.serverUnavail)
-	a.protoPlayed.Merge(&b.protoPlayed)
-	a.fpsAll.Merge(b.fpsAll)
-	a.jitAll.Merge(b.jitAll)
-	a.ratingAll.Merge(b.ratingAll)
-	a.fpsByAccess.Merge(&b.fpsByAccess)
-	a.fpsByServerRegion.Merge(&b.fpsByServerRegion)
-	a.fpsByUserRegion.Merge(&b.fpsByUserRegion)
-	a.fpsByProtocol.Merge(&b.fpsByProtocol)
-	a.fpsByPC.Merge(&b.fpsByPC)
-	a.kbpsByAccess.Merge(&b.kbpsByAccess)
-	a.kbpsByProtocol.Merge(&b.kbpsByProtocol)
-	a.jitByAccess.Merge(&b.jitByAccess)
-	a.jitByServerRegion.Merge(&b.jitByServerRegion)
-	a.jitByUserRegion.Merge(&b.jitByUserRegion)
-	a.jitByProtocol.Merge(&b.jitByProtocol)
-	a.jitByBand.Merge(&b.jitByBand)
-	a.ratingByAccess.Merge(&b.ratingByAccess)
+	ac, ad, ag := a.counters(), a.dists(), a.groups()
+	for i, t := range b.counters() {
+		ac[i].Merge(t)
+	}
+	for i, d := range b.dists() {
+		ad[i].Merge(d)
+	}
+	for i, g := range b.groups() {
+		ag[i].Merge(g)
+	}
 	a.ratedCorr.Merge(b.ratedCorr)
 	a.lowRatedHighBW += b.lowRatedHighBW
-	a.rebufByDynamics.Merge(&b.rebufByDynamics)
-	a.switchByDynamics.Merge(&b.switchByDynamics)
-	a.fpsByDynamics.Merge(&b.fpsByDynamics)
-	a.failedByDynamics.Merge(&b.failedByDynamics)
-	a.playedByDynamics.Merge(&b.playedByDynamics)
-	a.startupByPolicy.Merge(&b.startupByPolicy)
-	a.rebufByPolicy.Merge(&b.rebufByPolicy)
-	a.playedByPolicy.Merge(&b.playedByPolicy)
-	a.failedByPolicy.Merge(&b.failedByPolicy)
-	a.policyServer.Merge(&b.policyServer)
 	for m, d := range b.concurDelta {
 		if a.concurDelta == nil {
 			a.concurDelta = make(map[int]int)

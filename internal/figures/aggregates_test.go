@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"realtracer/internal/snap"
 	"realtracer/internal/trace"
 )
 
@@ -30,14 +31,6 @@ func TestStreamedAggregatesMatchBatch(t *testing.T) {
 	batch := renderFromAgg(Aggregate(recs))
 	if got := renderFromAgg(streamed); !bytes.Equal(got, batch) {
 		t.Fatal("streamed aggregates render differently from batch aggregates")
-	}
-	// And both must match the classic Build path.
-	var classic bytes.Buffer
-	for _, g := range All() {
-		g.Build(recs).Render(&classic)
-	}
-	if !bytes.Equal(classic.Bytes(), batch) {
-		t.Fatal("Build(recs) renders differently from shared-aggregate path")
 	}
 }
 
@@ -76,7 +69,8 @@ func TestAggregatesCounts(t *testing.T) {
 	a.Observe(&trace.Record{User: "u1", Country: "US", State: "MA", Unavailable: true, Server: "s"})
 	a.Observe(&trace.Record{User: "u2", Country: "UK", Protocol: "UDP", MeasuredFPS: 5,
 		MeasuredKbps: 300, Rated: true, Rating: 8, Access: "T1/LAN"})
-	a.Observe(&trace.Record{User: "u3", Country: "UK", Failed: true})
+	// A failed session's rating, had one been recorded, must not count.
+	a.Observe(&trace.Record{User: "u3", Country: "UK", Failed: true, Rated: true, Rating: 9})
 	if a.Total() != 4 || a.Played() != 2 || a.Rated() != 1 ||
 		a.Unavailable() != 1 || a.Failed() != 1 || a.Users() != 3 {
 		t.Fatalf("counts wrong: total=%d played=%d rated=%d unavail=%d failed=%d users=%d",
@@ -147,5 +141,38 @@ func TestAggregatesEmpty(t *testing.T) {
 	a.Merge(b) // merging empties must not panic
 	if a.Total() != 0 {
 		t.Fatal("empty merge produced records")
+	}
+}
+
+// TestAggregatesSyncRoundTrip: aggregates restored mid-stream from their
+// snapshot walk and fed the rest of the records must render exactly what an
+// uninterrupted build renders, and must re-encode to the bytes they were
+// restored from — the property a world checkpoint relies on when its sink is
+// an Aggregates.
+func TestAggregatesSyncRoundTrip(t *testing.T) {
+	recs := synthetic()
+	want := renderFromAgg(Aggregate(recs))
+	for _, cut := range []int{0, 1, len(recs) / 2, len(recs)} {
+		var snapBytes bytes.Buffer
+		var sink trace.Sink = Aggregate(recs[:cut])
+		trace.SyncSink(snap.NewEncoder(&snapBytes), &sink)
+
+		dec := snap.NewDecoder(snapBytes.Bytes())
+		trace.SyncSink(dec, &sink) // replaces sink with what the section rebuilds
+		if err := dec.Err(); err != nil || dec.Remaining() != 0 {
+			t.Fatalf("cut %d: decode: %v (%d bytes left)", cut, err, dec.Remaining())
+		}
+		restored := sink.(*Aggregates)
+		var again bytes.Buffer
+		restored.Sync(snap.NewEncoder(&again))
+		if !bytes.HasSuffix(snapBytes.Bytes(), again.Bytes()) {
+			t.Fatalf("cut %d: restored aggregates do not re-encode to their snapshot", cut)
+		}
+		for _, r := range recs[cut:] {
+			restored.Observe(r)
+		}
+		if !bytes.Equal(renderFromAgg(restored), want) {
+			t.Fatalf("cut %d: figures after restore differ from the uninterrupted build's", cut)
+		}
 	}
 }

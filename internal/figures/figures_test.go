@@ -59,7 +59,7 @@ func synthetic() []*trace.Record {
 func TestAllGeneratorsProduceFigures(t *testing.T) {
 	recs := synthetic()
 	for _, g := range All() {
-		fig := g.Build(recs)
+		fig := g.Agg(Aggregate(recs))
 		if fig.ID != g.ID {
 			t.Errorf("%s: ID mismatch %q", g.ID, fig.ID)
 		}
@@ -101,7 +101,7 @@ func TestFig10UsesAllAttempts(t *testing.T) {
 		{Server: "A"},
 		{Server: "B"},
 	}
-	f := Fig10Unavailable(recs)
+	f := Aggregate(recs).Fig10Unavailable()
 	s := f.Series[0]
 	if len(s.Labels) != 2 {
 		t.Fatalf("servers=%v", s.Labels)
@@ -118,7 +118,7 @@ func TestFig16Fractions(t *testing.T) {
 	recs := []*trace.Record{
 		{Protocol: "TCP"}, {Protocol: "UDP"}, {Protocol: "UDP"}, {Protocol: "UDP"},
 	}
-	f := Fig16ProtocolMix(recs)
+	f := Aggregate(recs).Fig16ProtocolMix()
 	s := f.Series[0]
 	if s.Y[0] != 0.25 || s.Y[1] != 0.75 {
 		t.Fatalf("mix=%v", s.Y)
@@ -130,7 +130,7 @@ func TestFig05CountsPerUser(t *testing.T) {
 		{User: "a"}, {User: "a"}, {User: "a"},
 		{User: "b"},
 	}
-	f := Fig05ClipsPerUser(recs)
+	f := Aggregate(recs).Fig05ClipsPerUser()
 	s := f.Series[0]
 	// CDF over {3, 1}: values 1 and 3 present.
 	if len(s.X) == 0 {
@@ -150,7 +150,7 @@ func TestFig28FindsCorrelationDirection(t *testing.T) {
 			Rating:       float64(i%3) + float64(i)/10, // upward trend + noise
 		})
 	}
-	f := Fig28QualityVsBandwidth(recs)
+	f := Aggregate(recs).Fig28QualityVsBandwidth()
 	if len(f.Series) != 2 {
 		t.Fatalf("series=%d want scatter + binned", len(f.Series))
 	}
@@ -166,7 +166,7 @@ func TestSplitCDFSkipsEmptyGroups(t *testing.T) {
 		{Access: "56k Modem", MeasuredFPS: 2},
 		{Access: "56k Modem", MeasuredFPS: 4},
 	}
-	f := Fig12FrameRateByAccess(recs)
+	f := Aggregate(recs).Fig12FrameRateByAccess()
 	for _, s := range f.Series {
 		if s.Label != "56k Modem" && len(s.X) > 0 {
 			t.Fatalf("unexpected non-empty series %q", s.Label)
@@ -189,7 +189,7 @@ func TestBandwidthBands(t *testing.T) {
 func TestRenderHandlesEmptyRecords(t *testing.T) {
 	for _, g := range All() {
 		var buf bytes.Buffer
-		g.Build(nil).Render(&buf) // must not panic
+		g.Agg(Aggregate(nil)).Render(&buf) // must not panic
 	}
 }
 
@@ -205,7 +205,7 @@ func TestFigureNotesMentionPaper(t *testing.T) {
 	// Spot-check that key figures carry their paper-claim annotations.
 	for _, id := range []string{"fig11", "fig12", "fig20", "fig26"} {
 		g, _ := ByID(id)
-		fig := g.Build(recs)
+		fig := g.Agg(Aggregate(recs))
 		found := false
 		for _, n := range fig.Notes {
 			if bytes.Contains([]byte(n), []byte("paper")) {

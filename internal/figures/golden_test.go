@@ -23,11 +23,7 @@ func goldenOptions() study.Options {
 // renderAll renders every record-driven figure, in paper order, to one
 // buffer — the exact text a study consumer sees.
 func renderAll(recs []*trace.Record) []byte {
-	var buf bytes.Buffer
-	for _, g := range All() {
-		g.Build(recs).Render(&buf)
-	}
-	return buf.Bytes()
+	return renderFromAgg(Aggregate(recs))
 }
 
 // TestGoldenFigures runs the reduced seed study and diffs every rendered

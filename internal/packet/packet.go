@@ -1,7 +1,6 @@
 // Package packet provides the low-level wire primitives shared by the RDT
 // data codec and the RTSP control codec: a bounds-checked big-endian
-// reader/writer pair, a 16-bit Internet-style checksum, and gopacket-style
-// Endpoint/Flow identities for classifying traffic.
+// reader/writer pair and a 16-bit Internet-style checksum.
 package packet
 
 import (
@@ -187,58 +186,3 @@ func Checksum(b []byte) uint16 {
 	}
 	return ^uint16(sum)
 }
-
-// EndpointType distinguishes address families, mirroring gopacket's
-// Endpoint/Flow design in miniature.
-type EndpointType uint8
-
-const (
-	EndpointInvalid EndpointType = iota
-	EndpointHostPort
-)
-
-// Endpoint is a hashable representation of one side of a flow.
-type Endpoint struct {
-	Type EndpointType
-	Addr string
-}
-
-// NewEndpoint builds a host:port endpoint.
-func NewEndpoint(addr string) Endpoint { return Endpoint{Type: EndpointHostPort, Addr: addr} }
-
-// String implements fmt.Stringer.
-func (e Endpoint) String() string { return e.Addr }
-
-// LessThan orders endpoints lexically, for canonicalizing flows.
-func (e Endpoint) LessThan(o Endpoint) bool {
-	if e.Type != o.Type {
-		return e.Type < o.Type
-	}
-	return e.Addr < o.Addr
-}
-
-// Flow is an ordered (src, dst) endpoint pair. Flows are comparable and can
-// be used as map keys to group a session's packets.
-type Flow struct {
-	Src, Dst Endpoint
-}
-
-// NewFlow builds a flow between two host:port addresses.
-func NewFlow(src, dst string) Flow {
-	return Flow{Src: NewEndpoint(src), Dst: NewEndpoint(dst)}
-}
-
-// Reverse returns the flow in the opposite direction.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
-// Canonical returns the flow with endpoints ordered so that A->B and B->A
-// map to the same value, for bidirectional accounting.
-func (f Flow) Canonical() Flow {
-	if f.Dst.LessThan(f.Src) {
-		return f.Reverse()
-	}
-	return f
-}
-
-// String implements fmt.Stringer.
-func (f Flow) String() string { return f.Src.Addr + "->" + f.Dst.Addr }

@@ -129,36 +129,3 @@ func TestPropertyChecksumDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFlowCanonicalSymmetric(t *testing.T) {
-	f := NewFlow("a:1", "b:2")
-	r := f.Reverse()
-	if f.Canonical() != r.Canonical() {
-		t.Fatal("canonical flow should be direction independent")
-	}
-	if r.Src.Addr != "b:2" || r.Dst.Addr != "a:1" {
-		t.Fatal("reverse wrong")
-	}
-}
-
-func TestFlowAsMapKey(t *testing.T) {
-	m := map[Flow]int{}
-	m[NewFlow("a:1", "b:2").Canonical()]++
-	m[NewFlow("b:2", "a:1").Canonical()]++
-	if len(m) != 1 {
-		t.Fatal("bidirectional flows should share a canonical key")
-	}
-}
-
-func TestEndpointOrdering(t *testing.T) {
-	a, b := NewEndpoint("a"), NewEndpoint("b")
-	if !a.LessThan(b) || b.LessThan(a) {
-		t.Fatal("lexical ordering broken")
-	}
-}
-
-func TestFlowString(t *testing.T) {
-	if s := NewFlow("x:1", "y:2").String(); s != "x:1->y:2" {
-		t.Fatalf("String()=%q", s)
-	}
-}

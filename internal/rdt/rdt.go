@@ -471,36 +471,3 @@ func WireSize(p *Packet) int {
 	}
 	return n
 }
-
-// XORParity computes the XOR parity of the payloads, padded to the longest,
-// as carried by a Repair packet.
-func XORParity(payloads [][]byte) []byte {
-	maxLen := 0
-	for _, pl := range payloads {
-		if len(pl) > maxLen {
-			maxLen = len(pl)
-		}
-	}
-	parity := make([]byte, maxLen)
-	for _, pl := range payloads {
-		for i, b := range pl {
-			parity[i] ^= b
-		}
-	}
-	return parity
-}
-
-// Reconstruct recovers the single missing payload of a repair group given
-// the parity and the other payloads. The caller trims the result to the
-// original length if it tracked one.
-func Reconstruct(parity []byte, present [][]byte) []byte {
-	out := append([]byte(nil), parity...)
-	for _, pl := range present {
-		for i, b := range pl {
-			if i < len(out) {
-				out[i] ^= b
-			}
-		}
-	}
-	return out
-}

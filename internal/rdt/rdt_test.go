@@ -195,43 +195,6 @@ func TestPropertyDataRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: XOR parity reconstructs any single missing payload.
-func TestPropertyXORReconstruct(t *testing.T) {
-	f := func(seed int64, missingIdx uint8) bool {
-		payloads := [][]byte{
-			{byte(seed), 2, 3},
-			{4, 5},
-			{6, 7, 8, byte(seed >> 8)},
-			{9},
-		}
-		missing := int(missingIdx) % len(payloads)
-		parity := XORParity(payloads)
-		var present [][]byte
-		for i, pl := range payloads {
-			if i != missing {
-				present = append(present, pl)
-			}
-		}
-		rec := Reconstruct(parity, present)
-		want := payloads[missing]
-		for i, b := range want {
-			if rec[i] != b {
-				return false
-			}
-		}
-		// Bytes beyond the original length must be zero.
-		for i := len(want); i < len(rec); i++ {
-			if rec[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTypeStrings(t *testing.T) {
 	for typ, want := range map[Type]string{
 		TypeData: "DATA", TypeReport: "REPORT", TypeRepair: "REPAIR",

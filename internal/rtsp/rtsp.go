@@ -4,9 +4,6 @@
 // responses, in the standard text wire format. The control connection always
 // runs over TCP (paper Section II.A); the negotiated data connection is TCP
 // or UDP.
-//
-// A minimal PNA (Progressive Networks Audio) request stub is included for
-// the backward-compatibility path older RealServers kept alive.
 package rtsp
 
 import (

@@ -140,23 +140,6 @@ func TestTransportSpecErrors(t *testing.T) {
 	}
 }
 
-func TestPNARoundTrip(t *testing.T) {
-	req := &PNARequest{ClipURL: "pnm://srv/old.rm", ClientID: "player8", Bandwidth: 56}
-	got, err := ParsePNA(MarshalPNA(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *req {
-		t.Fatalf("pna mismatch: %+v", got)
-	}
-}
-
-func TestPNARejectsRTSP(t *testing.T) {
-	if _, err := ParsePNA([]byte("DESCRIBE u RTSP/1.0\r\n\r\n")); err != ErrNotPNA {
-		t.Fatalf("want ErrNotPNA, got %v", err)
-	}
-}
-
 func TestWireSizeMatchesMarshal(t *testing.T) {
 	m := NewRequest(MethodPlay, "rtsp://h/c", 2)
 	m.Set("Session", "sess-1")

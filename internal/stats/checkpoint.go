@@ -28,23 +28,26 @@ func syncBins(c *snap.Codec, m *map[int]uint64) {
 	snap.Map(c, m, (*snap.Codec).Int, (*snap.Codec).U64)
 }
 
-// Sync walks the sketch's state: construction parameters plus either the
-// raw exact-path sample (in insertion order) or the bin maps.
+// Sync walks the sketch's state: construction parameters (the constants
+// derived from alpha travel too — field-exact, like everything here) plus
+// either the raw exact-path sample (in insertion order) or the bin maps.
 func (s *Sketch) Sync(c *snap.Codec) {
 	c.Tag("sketch")
-	c.F64(&s.alpha)
-	c.Int(&s.exactCap)
 	if c.Reading() {
-		*s = *NewSketchAccuracy(s.alpha, s.exactCap) // rederives gamma
+		*s = Sketch{}
 	}
+	c.F64(&s.alpha)
+	c.F64(&s.gamma)
+	c.F64(&s.invLgG)
+	c.Int(&s.exactCap)
 	c.Bool(&s.binned)
 	if s.binned {
 		syncBins(c, &s.pos)
 		syncBins(c, &s.neg)
-		c.U64(&s.zero)
 	} else {
 		snap.Slice(c, &s.exact, (*snap.Codec).F64)
 	}
+	c.U64(&s.zero)
 	c.U64(&s.n)
 	c.F64(&s.min)
 	c.F64(&s.max)
@@ -84,4 +87,15 @@ func (t *Counter) Sync(c *snap.Codec) {
 		t.m = nil
 	}
 	snap.Map(c, &t.m, (*snap.Codec).Str, (*snap.Codec).Int)
+}
+
+// Sync walks the co-moment accumulator's state.
+func (r *Corr) Sync(c *snap.Codec) {
+	c.Tag("corr")
+	c.U64(&r.n)
+	c.F64(&r.mx)
+	c.F64(&r.my)
+	c.F64(&r.sxx)
+	c.F64(&r.syy)
+	c.F64(&r.sxy)
 }

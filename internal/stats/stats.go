@@ -195,7 +195,7 @@ func NewCDF(xs []float64) (CDF, error) {
 	n := float64(len(sorted))
 	var cdf CDF
 	for i := 0; i < len(sorted); {
-		j := i
+		j := i + 1 // not i: a NaN equals nothing, itself included
 		for j < len(sorted) && sorted[j] == sorted[i] {
 			j++
 		}
@@ -301,10 +301,7 @@ func ScatterBin(xs, ys []float64, nbins int) (centers, meanY []float64) {
 	sums := make([]float64, nbins)
 	counts := make([]int, nbins)
 	for i := range xs {
-		b := int((xs[i] - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
+		b := max(0, min(int((xs[i]-lo)/width), nbins-1)) // NaN and ±Inf land on an edge
 		sums[b] += ys[i]
 		counts[b]++
 	}

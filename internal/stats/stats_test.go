@@ -178,6 +178,21 @@ func TestScatterBin(t *testing.T) {
 	}
 }
 
+// TestNonFiniteSamplesTerminate: a trace file or a snapshot can carry NaN and
+// ±Inf; the builders must return, not spin (NewCDF used to append forever on
+// a NaN, which equals nothing) or index out of range (ScatterBin's bin of a
+// NaN is the most negative int).
+func TestNonFiniteSamplesTerminate(t *testing.T) {
+	xs := []float64{1, math.NaN(), 2, math.Inf(1), math.NaN(), math.Inf(-1)}
+	c, err := NewCDF(xs)
+	if err != nil || len(c.X) != len(xs) || c.F[len(c.F)-1] != 1 {
+		t.Fatalf("NewCDF over non-finite samples: %v, %d points", err, len(c.X))
+	}
+	for _, in := range [][]float64{xs, {1, 2, math.NaN()}, {math.NaN(), 1, 2}, {1, math.Inf(1)}} {
+		ScatterBin(in, make([]float64, len(in)), 4) // must not panic
+	}
+}
+
 // Property: StdDev is translation invariant and scales with the data.
 func TestPropertyStdDevAffine(t *testing.T) {
 	f := func(seed int64) bool {

@@ -3,7 +3,7 @@
 //
 // Checkpoint serializes a running classic (unsharded) world — clock
 // scalars, every pending event, the network core, server sessions, dials in
-// flight, tracer/player bundles, workload cursors, the collected records and
+// flight, tracer/player bundles, workload cursors, the record sink's state and
 // the position of every RNG stream — into a version-stamped snapshot. It is
 // a read-only walk: the snapshot is cut at exactly the instant the world
 // stands at, and the world is unchanged by it. Resume
@@ -200,15 +200,17 @@ func hashBytes(b []byte) uint64 {
 // the world stays runnable afterwards — checkpointing mid-run and continuing
 // is exactly the warm-fork producer loop. Writes to out are buffered here.
 //
-// Only the classic engine with the default collector sink is
-// checkpointable: sharded worlds spread their state across goroutines,
-// and a streaming sink has already let records go.
+// Only the classic engine is checkpointable (sharded worlds spread their
+// state across goroutines), and only under a sink that walks itself into the
+// snapshot (trace.SnapSink: a Collector its records, figures.Aggregates its
+// accumulators). A sink that cannot — a CSV writer or a SinkFunc has already
+// let the prefix's records go — is an error naming its type.
 func (w *World) Checkpoint(out io.Writer) error {
 	if w.fab != nil {
 		return fmt.Errorf("study: sharded worlds cannot be checkpointed")
 	}
-	if w.collector == nil {
-		return fmt.Errorf("study: checkpoint requires the default collector sink (SetSink disables checkpointing)")
+	if _, ok := w.sink.(trace.SnapSink); !ok {
+		return fmt.Errorf("study: sink of type %T cannot be snapshotted", w.sink)
 	}
 	if err := w.Clock.CheckPersistable(); err != nil {
 		return err
@@ -226,7 +228,8 @@ func (w *World) Checkpoint(out io.Writer) error {
 
 // sync is the one walk of a world's simulation state, in snapshot order:
 // clock, network core, servers, the panel or open-loop population, the
-// collected records, and last the in-flight packets — their payloads may
+// record sink (rebuilt on decode from its section tag), and last the
+// in-flight packets — their payloads may
 // reference TCP conns walked before them, and decoding resolves those
 // references against the conns it has already rebuilt.
 //
@@ -274,23 +277,7 @@ func (w *World) sync(c *snap.Codec, fork *Fork, keepDynamics bool) {
 		w.syncPanel(c, x, fork)
 	}
 
-	c.Tag("records")
-	var recBuf bytes.Buffer
-	if !c.Reading() {
-		c.Fail(trace.WriteJSON(&recBuf, w.collector.Records()))
-	}
-	recBytes := recBuf.Bytes()
-	c.Bytes(&recBytes)
-	if c.Reading() && c.Err() == nil {
-		recs, err := trace.ReadJSON(bytes.NewReader(recBytes))
-		if err != nil {
-			c.Fail(fmt.Errorf("study: checkpoint records: %w", err))
-			return
-		}
-		for _, rec := range recs {
-			w.collector.Observe(rec)
-		}
-	}
+	trace.SyncSink(c, &w.sink)
 
 	w.Net.SyncPackets(c, x.PayloadSync)
 	c.Tag("endsnap")

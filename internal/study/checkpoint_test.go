@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/figures"
 	"realtracer/internal/trace"
 )
 
@@ -128,8 +129,69 @@ var churnHeavy = Options{
 
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	for _, fw := range fenceWorlds {
-		t.Run(fw.name, func(t *testing.T) { checkpointResumeArm(t, fw.opt) })
+		t.Run(fw.name, func(t *testing.T) {
+			checkpointResumeArm(t, fw.opt)
+			t.Run("streamed", func(t *testing.T) { streamedResumeArm(t, fw.opt) })
+		})
 	}
+}
+
+// streamedResumeArm is checkpointResumeArm for a world that never kept a
+// record: its sink is a figures.Aggregates, the snapshot carries the
+// aggregates' own walk in place of the records, and the resumed world's
+// restored sink must finish equal — every rendered figure, the workload and
+// robustness rows — to the straight-through streamed run's.
+func streamedResumeArm(t *testing.T, opt Options) {
+	straight := figures.NewAggregates()
+	res := runWithSink(t, opt, straight)
+	if straight.Total() == 0 {
+		t.Fatal("straight-through streamed run observed no records")
+	}
+	want := renderAggregates(straight)
+	for _, frac := range []float64{0.25, 0.55, 0.85} {
+		t.Run(fmt.Sprintf("cut%02.0f", frac*100), func(t *testing.T) {
+			w, err := NewWorld(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := figures.NewAggregates()
+			w.SetSink(prefix)
+			cut := time.Duration(float64(res.SimDuration) * frac)
+			if err := w.RunUntil(cut); err != nil {
+				t.Fatal(err)
+			}
+			rw, err := Resume(bytes.NewReader(checkpoint(t, w)), nil)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			got, ok := rw.Sink().(*figures.Aggregates)
+			if !ok || got == prefix {
+				t.Fatalf("resumed world's sink is %T, want a fresh *figures.Aggregates", rw.Sink())
+			}
+			if rres, err := rw.Run(); err != nil {
+				t.Fatal(err)
+			} else if rres.Records != nil || rres.Events != res.Events {
+				t.Fatalf("resumed streamed run: %d records retained, %d events (straight-through %d)",
+					len(rres.Records), rres.Events, res.Events)
+			}
+			if !bytes.Equal(renderAggregates(got), want) {
+				t.Fatalf("aggregates after resume from %v (%d of %d records in the prefix) differ from the straight-through streamed run's",
+					cut, prefix.Total(), straight.Total())
+			}
+		})
+	}
+}
+
+// renderAggregates is everything a caller can read off an aggregate build:
+// the 24 rendered figures plus the workload and robustness rows.
+func renderAggregates(a *figures.Aggregates) []byte {
+	var buf bytes.Buffer
+	for _, g := range figures.All() {
+		g.Agg(a).Render(&buf)
+	}
+	peak, at := a.PeakConcurrency()
+	fmt.Fprintf(&buf, "%+v\n%+v\npeak %d at %d\n", a.Workload(), a.Robustness(), peak, at)
+	return buf.Bytes()
 }
 
 // fenceWorld is a fence world driven to its 55% cut.
@@ -332,17 +394,26 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 	}
 }
 
-// TestCheckpointRejectsUnsupportedWorlds pins the two hard preconditions:
-// a streaming sink has already let records go, and a sharded world's state
-// is spread across goroutines.
+// TestCheckpointRejectsUnsupportedWorlds pins the two hard preconditions: the
+// sink must be able to walk itself into the snapshot (one that cannot has
+// already let the prefix's records go), and a sharded world's state is
+// spread across goroutines. Both fail before a byte is written.
 func TestCheckpointRejectsUnsupportedWorlds(t *testing.T) {
-	w, err := NewWorld(Options{Seed: 1, MaxUsers: 2, ClipCap: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetSink(trace.SinkFunc(func(*trace.Record) {}))
-	if err := w.Checkpoint(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "collector") {
-		t.Fatalf("want collector-sink error, got %v", err)
+	for _, sink := range []trace.Sink{
+		trace.SinkFunc(func(*trace.Record) {}),
+		trace.NewCSVSink(&bytes.Buffer{}),
+		trace.MultiSink{figures.NewAggregates()},
+	} {
+		w, err := NewWorld(Options{Seed: 1, MaxUsers: 2, ClipCap: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetSink(sink)
+		var out bytes.Buffer
+		want := fmt.Sprintf("sink of type %T cannot be snapshotted", sink)
+		if err := w.Checkpoint(&out); err == nil || !strings.Contains(err.Error(), want) || out.Len() != 0 {
+			t.Fatalf("want %q and nothing written, got %v and %d bytes", want, err, out.Len())
+		}
 	}
 
 	sw, err := NewWorld(Options{Seed: 1, MaxUsers: 8, ClipCap: 1, Workload: "poisson", Arrivals: 8, Shards: 2})

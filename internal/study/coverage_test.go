@@ -9,11 +9,13 @@ import (
 	"testing"
 	"unsafe"
 
+	"realtracer/internal/figures"
 	"realtracer/internal/snap"
 )
 
 // TestSyncCoversEveryField is the drift fence for the one-walk rule. It
-// drives each fence world to its mid-run cut (and one more world to an
+// drives each fence world to its mid-run cut — once retaining records, once
+// streaming into figures.Aggregates — (and one more world to an
 // instant with a TCP dial in flight), then reflects over every
 // object reachable from the World and perturbs each scalar field in place:
 // a field is covered when some perturbation of it changes the bytes the
@@ -35,6 +37,17 @@ func TestSyncCoversEveryField(t *testing.T) {
 	inputs := map[string]*World{"middial": midDialWorld(t)}
 	for _, fw := range fenceWorlds {
 		inputs[fw.name] = fenceWorld(t, fw.opt)
+		// The same cut of a world streaming into aggregates: the walk reaches
+		// them (and every stats accumulator under them) through World.sink.
+		sw, err := NewWorld(fw.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.SetSink(figures.NewAggregates())
+		if err := sw.RunUntil(inputs[fw.name].Clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		inputs[fw.name+"/streamed"] = sw
 	}
 	for name, w := range inputs {
 		cw.w, cw.visited, cw.tries = w, map[visit]bool{}, map[string]int{}
@@ -275,7 +288,6 @@ var syncExempt = map[string]string{
 	"transport.simTCP.requeue":  "onRTO scratch",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
-	"tracer.Tracer.rec":         "record scratch, valid only inside OnRecord",
 	"player.Player.nackScratch": "per-flush scratch",
 	"player.Player.gapScratch":  "jitter scratch",
 	"player.Player.ownArena":    "fallback packet storage",

@@ -21,20 +21,20 @@ func TestPaperShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := res.Records
-	played := trace.Played(recs)
-	rated := trace.Rated(recs)
+	played := playedRecs(recs)
+	rated := ratedRecs(recs)
 
 	fps := func(rs []*trace.Record) []float64 {
-		return trace.Values(rs, func(r *trace.Record) float64 { return r.MeasuredFPS })
+		return recValues(rs, func(r *trace.Record) float64 { return r.MeasuredFPS })
 	}
 	jit := func(rs []*trace.Record) []float64 {
-		return trace.Values(rs, func(r *trace.Record) float64 { return r.JitterMs })
+		return recValues(rs, func(r *trace.Record) float64 { return r.JitterMs })
 	}
 	byAccess := func(acc string) []*trace.Record {
-		return trace.Filter(played, func(r *trace.Record) bool { return r.Access == acc })
+		return filterRecs(played, func(r *trace.Record) bool { return r.Access == acc })
 	}
 	byProto := func(p string) []*trace.Record {
-		return trace.Filter(played, func(r *trace.Record) bool { return r.Protocol == p })
+		return filterRecs(played, func(r *trace.Record) bool { return r.Protocol == p })
 	}
 	cdf := func(vals []float64) stats.CDF {
 		c, err := stats.NewCDF(vals)
@@ -104,7 +104,7 @@ func TestPaperShapes(t *testing.T) {
 
 	t.Run("fig13 bandwidth by access", func(t *testing.T) {
 		kbps := func(rs []*trace.Record) []float64 {
-			return trace.Values(rs, func(r *trace.Record) float64 { return r.MeasuredKbps })
+			return recValues(rs, func(r *trace.Record) float64 { return r.MeasuredKbps })
 		}
 		modem := cdf(kbps(byAccess("56k Modem")))
 		dsl := cdf(kbps(byAccess("DSL/Cable")))
@@ -120,7 +120,7 @@ func TestPaperShapes(t *testing.T) {
 	t.Run("fig14 server regions similar", func(t *testing.T) {
 		var means []float64
 		for _, reg := range []string{"Asia", "Brazil", "US/Canada", "Australia", "Europe"} {
-			rs := trace.Filter(played, func(r *trace.Record) bool { return r.ServerRegion == reg })
+			rs := filterRecs(played, func(r *trace.Record) bool { return r.ServerRegion == reg })
 			if len(rs) == 0 {
 				t.Fatalf("no records for server region %s", reg)
 			}
@@ -143,7 +143,7 @@ func TestPaperShapes(t *testing.T) {
 
 	t.Run("fig15 user regions differentiate", func(t *testing.T) {
 		region := func(name string) []*trace.Record {
-			return trace.Filter(played, func(r *trace.Record) bool { return r.Region == name })
+			return filterRecs(played, func(r *trace.Record) bool { return r.Region == name })
 		}
 		aus := cdf(fps(region("Australia")))
 		eu := cdf(fps(region("Europe")))
@@ -171,7 +171,7 @@ func TestPaperShapes(t *testing.T) {
 			t.Errorf("protocol below-3 gap too wide: TCP %.2f UDP %.2f (paper: 0.28 vs 0.22)", dTCP, dUDP)
 		}
 		kbps := func(rs []*trace.Record) []float64 {
-			return trace.Values(rs, func(r *trace.Record) float64 { return r.MeasuredKbps })
+			return recValues(rs, func(r *trace.Record) float64 { return r.MeasuredKbps })
 		}
 		mTCP, mUDP := stats.Mean(kbps(byProto("TCP"))), stats.Mean(kbps(byProto("UDP")))
 		if mUDP < 0.6*mTCP || mUDP > 1.7*mTCP {
@@ -180,8 +180,8 @@ func TestPaperShapes(t *testing.T) {
 	})
 
 	t.Run("fig19 only oldest PCs bottleneck", func(t *testing.T) {
-		mmx := trace.Filter(played, func(r *trace.Record) bool { return r.PCClass == "Intel Pentium MMX / 24MB" })
-		piii := trace.Filter(played, func(r *trace.Record) bool { return r.PCClass == "Pentium III / 256-512MB" })
+		mmx := filterRecs(played, func(r *trace.Record) bool { return r.PCClass == "Intel Pentium MMX / 24MB" })
+		piii := filterRecs(played, func(r *trace.Record) bool { return r.PCClass == "Pentium III / 256-512MB" })
 		if len(mmx) == 0 || len(piii) == 0 {
 			t.Skip("PC classes under-sampled at this seed")
 		}
@@ -212,8 +212,8 @@ func TestPaperShapes(t *testing.T) {
 	})
 
 	t.Run("fig25 jitter tracks bandwidth", func(t *testing.T) {
-		low := trace.Filter(played, func(r *trace.Record) bool { return r.MeasuredKbps <= 100 && r.MeasuredKbps >= 10 })
-		high := trace.Filter(played, func(r *trace.Record) bool { return r.MeasuredKbps > 100 })
+		low := filterRecs(played, func(r *trace.Record) bool { return r.MeasuredKbps <= 100 && r.MeasuredKbps >= 10 })
+		high := filterRecs(played, func(r *trace.Record) bool { return r.MeasuredKbps > 100 })
 		if len(low) == 0 || len(high) == 0 {
 			t.Skip("bands under-sampled")
 		}
@@ -224,7 +224,7 @@ func TestPaperShapes(t *testing.T) {
 	})
 
 	t.Run("fig26 ratings near uniform mean 5", func(t *testing.T) {
-		ratings := trace.Values(rated, func(r *trace.Record) float64 { return r.Rating })
+		ratings := recValues(rated, func(r *trace.Record) float64 { return r.Rating })
 		s, _ := stats.Summarize(ratings)
 		if s.Mean < 4 || s.Mean > 6.2 {
 			t.Errorf("rating mean %.1f, paper ~5", s.Mean)
@@ -236,7 +236,7 @@ func TestPaperShapes(t *testing.T) {
 
 	t.Run("fig27 quality ordering by access", func(t *testing.T) {
 		ratingsFor := func(acc string) []float64 {
-			return trace.Values(trace.Filter(rated, func(r *trace.Record) bool { return r.Access == acc }),
+			return recValues(filterRecs(rated, func(r *trace.Record) bool { return r.Access == acc }),
 				func(r *trace.Record) float64 { return r.Rating })
 		}
 		modem, dsl := ratingsFor("56k Modem"), ratingsFor("DSL/Cable")
@@ -249,8 +249,8 @@ func TestPaperShapes(t *testing.T) {
 	})
 
 	t.Run("fig28 weak correlation, no low ratings at high bandwidth", func(t *testing.T) {
-		xs := trace.Values(rated, func(r *trace.Record) float64 { return r.MeasuredKbps })
-		ys := trace.Values(rated, func(r *trace.Record) float64 { return r.Rating })
+		xs := recValues(rated, func(r *trace.Record) float64 { return r.MeasuredKbps })
+		ys := recValues(rated, func(r *trace.Record) float64 { return r.Rating })
 		r := stats.Pearson(xs, ys)
 		if r < 0.02 || r > 0.7 {
 			t.Errorf("pearson %.2f, paper: slight upward trend only", r)
@@ -272,4 +272,37 @@ func TestPaperShapes(t *testing.T) {
 	s, _ := stats.Summarize(fps(played))
 	fmt.Printf("[eval] attempts=%d played=%d rated=%d meanfps=%.1f below3=%.2f ge15=%.2f jit50=%.2f jit300=%.2f\n",
 		len(recs), len(played), len(rated), s.Mean, c.FractionBelow(3), c.FractionAtLeast(15), j.At(50), j.FractionAtLeast(300))
+}
+
+// Record-slice helpers for the shape assertions (the production pipeline
+// computes everything from figures.Aggregates; these tests read the raw
+// records on purpose, as an independent check).
+
+func filterRecs(recs []*trace.Record, pred func(*trace.Record) bool) []*trace.Record {
+	var out []*trace.Record
+	for _, r := range recs {
+		if pred(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// playedRecs is the denominator of the performance figures: sessions that
+// streamed data.
+func playedRecs(recs []*trace.Record) []*trace.Record {
+	return filterRecs(recs, func(r *trace.Record) bool { return !r.Unavailable && !r.Failed })
+}
+
+// ratedRecs is the watched-and-rated subset (Figures 26-28).
+func ratedRecs(recs []*trace.Record) []*trace.Record {
+	return filterRecs(playedRecs(recs), func(r *trace.Record) bool { return r.Rated })
+}
+
+func recValues(recs []*trace.Record, get func(*trace.Record) float64) []float64 {
+	out := make([]float64, 0, len(recs))
+	for _, r := range recs {
+		out = append(out, get(r))
+	}
+	return out
 }

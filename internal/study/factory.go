@@ -68,41 +68,26 @@ func (f *SessionFactory) observe(rec *trace.Record) {
 	f.w.sink.Observe(rec)
 }
 
-// newTracer builds the user's RealTracer session over the given playlist.
+// newTracer builds a RealTracer session for u over the given playlist.
 // selectServer, onRecord and onFinished let the open-loop path install its
 // per-clip mirror selection and session-lifecycle bookkeeping; the panel
-// passes nil selection and the plain observe/remaining pair.
+// passes nil selection and the plain observe/remaining pair. An open-loop
+// template bundle passes a nil playlist: everything bound here — the
+// template's transport stack, RNG, rater and lifecycle hooks — is created
+// once and survives every session the bundle serves, and Tracer.Reset
+// installs each arrival's playlist.
+//
+// The transport stack is bound to the user's host name, not to a host
+// incarnation: interned host IDs are permanent and ephemeral ports advance
+// monotonically, so the same stack serves every re-arrival of a pooled
+// template.
 func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []tracer.Entry,
 	selectServer func(tracer.Entry) tracer.Entry,
 	onRecord func(*trace.Record), onFinished func()) *tracer.Tracer {
-	return tracer.New(f.config(u, rng, playlist, selectServer, onRecord, onFinished, false))
-}
-
-// bundleTracer builds the reusable tracer for one open-loop template
-// bundle. Everything the config binds — the template's transport stack,
-// RNG, rater and lifecycle hooks — is created once here and survives every
-// session the bundle serves; per-session state (the playlist) is installed
-// by Tracer.Reset on each arrival. Record storage is reused across clips
-// exactly when nothing downstream retains records: a world collector or a
-// per-shard sink both hold on to the pointer past the clip.
-func (f *SessionFactory) bundleTracer(u *geo.User, rng *rand.Rand,
-	selectServer func(tracer.Entry) tracer.Entry,
-	onRecord func(*trace.Record), onFinished func()) *tracer.Tracer {
-	reuse := f.w.collector == nil && f.sink == nil
-	return tracer.New(f.config(u, rng, nil, selectServer, onRecord, onFinished, reuse))
-}
-
-// config assembles one tracer.Config. The transport stack created here is
-// bound to the user's host name, not to a host incarnation: interned host
-// IDs are permanent and ephemeral ports advance monotonically, so the same
-// stack serves every re-arrival of a pooled template.
-func (f *SessionFactory) config(u *geo.User, rng *rand.Rand, playlist []tracer.Entry,
-	selectServer func(tracer.Entry) tracer.Entry,
-	onRecord func(*trace.Record), onFinished func(), reuseRecord bool) tracer.Config {
 	rater := newRater(u, rng)
 	stack := transport.NewStack(f.net, u.Name)
 	f.w.trackStack(u.Name, stack)
-	return tracer.Config{
+	return tracer.New(tracer.Config{
 		Clock:        vclock.Sim{C: f.clock},
 		Net:          session.SimNet{Stack: stack},
 		User:         u,
@@ -114,6 +99,5 @@ func (f *SessionFactory) config(u *geo.User, rng *rand.Rand, playlist []tracer.E
 		SelectServer: selectServer,
 		OnRecord:     onRecord,
 		OnFinished:   onFinished,
-		ReuseRecord:  reuseRecord,
-	}
+	})
 }

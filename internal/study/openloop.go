@@ -290,7 +290,7 @@ func (c *arrivalCell) newBundle(mi int, seed int64) *sessionBundle {
 	idx := c.members[mi]
 	u := w.Users[idx]
 	b := &sessionBundle{cell: c, mi: mi, idx: idx, rng: detrand.New(seed)}
-	b.tr = w.factoryFor(c.shard).bundleTracer(u, b.rng.Rand, c.selectFor(u.Name), b.onRecord, b.finish)
+	b.tr = w.factoryFor(c.shard).newTracer(u, b.rng.Rand, nil, c.selectFor(u.Name), b.onRecord, b.finish)
 	return b
 }
 

@@ -285,7 +285,8 @@ func (w *World) runSharded() (*Result, error) {
 			sim = t
 		}
 	}
-	res := &Result{
+	return &Result{
+		Records:     w.records(),
 		Users:       w.Users,
 		Sites:       w.Sites,
 		SimDuration: sim,
@@ -294,9 +295,5 @@ func (w *World) runSharded() (*Result, error) {
 		Balked:      o.balkedN(),
 		Departed:    o.departedN(),
 		Windows:     w.fab.WindowStats(),
-	}
-	if w.collector != nil {
-		res.Records = w.collector.Records()
-	}
-	return res, nil
+	}, nil
 }

@@ -185,6 +185,8 @@ func (o Options) validate() error {
 
 // Result is a completed study.
 type Result struct {
+	// Records is the run's per-clip records when the world's sink was a
+	// trace.Collector (the default); nil under any other sink.
 	Records []*trace.Record
 	Users   []*geo.User
 	Sites   []geo.ServerSite
@@ -211,20 +213,6 @@ func Run(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return w.Run()
-}
-
-// RunStream executes the campaign streaming every record into sink as its
-// clip completes, retaining nothing: the run's memory footprint is bounded
-// by the sink's own state (aggregates, a file buffer) rather than the
-// record count — the path that scales the study to arbitrary populations.
-// The returned Result carries the run's metadata but a nil Records slice.
-func RunStream(opt Options, sink trace.Sink) (*Result, error) {
-	w, err := NewWorld(opt)
-	if err != nil {
-		return nil, err
-	}
-	w.SetSink(sink)
 	return w.Run()
 }
 

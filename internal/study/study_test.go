@@ -15,7 +15,7 @@ func TestReducedStudyRuns(t *testing.T) {
 	if len(res.Records) == 0 {
 		t.Fatal("no records")
 	}
-	played := trace.Played(res.Records)
+	played := playedRecs(res.Records)
 	if len(played) < len(res.Records)/2 {
 		t.Fatalf("only %d of %d attempts played", len(played), len(res.Records))
 	}
@@ -133,7 +133,7 @@ func TestPrerollOptionShiftsBuffering(t *testing.T) {
 	avg := func(recs []*trace.Record) float64 {
 		var sum float64
 		n := 0
-		for _, r := range trace.Played(recs) {
+		for _, r := range playedRecs(recs) {
 			sum += r.BufferingTime.Seconds()
 			n++
 		}

@@ -58,10 +58,11 @@ type World struct {
 	// ActiveSites are the sites that serve clips (the mirror set).
 	ActiveSites []geo.ServerSite
 
-	factory   *SessionFactory
-	open      *openLoop // nil in closed-loop panel mode
+	factory *SessionFactory
+	open    *openLoop // nil in closed-loop panel mode
+	// sink is the only way a record leaves the world: a trace.Collector
+	// unless SetSink (or a resumed snapshot's sink section) replaced it.
 	sink      trace.Sink
-	collector *trace.Collector
 	remaining int
 	ran       bool
 
@@ -136,9 +137,8 @@ func NewWorld(opt Options) (*World, error) {
 		Options: opt,
 		Sites:   geo.Sites(),
 		stacks:  make(map[string]*transport.Stack),
+		sink:    &trace.Collector{},
 	}
-	w.collector = &trace.Collector{}
-	w.sink = w.collector
 	masterRNG := rand.New(rand.NewSource(opt.Seed))
 
 	if opt.MaxUsers > geo.PopulationSize {
@@ -347,20 +347,29 @@ func (w *World) RunUntil(t time.Duration) error {
 	return nil
 }
 
-// SetSink redirects the world's record stream into s: each record is
-// handed to the sink as its clip completes and is NOT retained, so the
-// run's memory is bounded by the sink's own state instead of the record
-// count. Call before Run; the returned Result then carries a nil Records
-// slice. The default sink is a trace.Collector, which preserves the
-// classic retain-everything Result. A sharded world still buffers records
-// per shard until the run ends (the deterministic merge needs them), then
-// streams the merged order into s.
+// SetSink replaces the world's record sink: each record is handed to s as
+// its clip completes and is s's to keep, so the run's memory is bounded by
+// what s keeps instead of by the record count. Call before Run. The default
+// sink is a trace.Collector, the only sink that fills Result.Records. A
+// sharded world still buffers records per shard until the run ends (the
+// deterministic merge needs them), then streams the merged order into s.
 func (w *World) SetSink(s trace.Sink) {
-	if s == nil {
-		return
+	if s != nil {
+		w.sink = s
 	}
-	w.sink = s
-	w.collector = nil
+}
+
+// Sink returns the world's record sink — after Resume, the sink the
+// snapshot's sink section rebuilt, already holding the prefix's state.
+func (w *World) Sink() trace.Sink { return w.sink }
+
+// records is what the sink retained: the run's records under a
+// trace.Collector, nil under any other sink.
+func (w *World) records() []*trace.Record {
+	if col, ok := w.sink.(*trace.Collector); ok {
+		return col.Records()
+	}
+	return nil
 }
 
 // Run drives the clock to completion and returns the study result. The
@@ -392,6 +401,7 @@ func (w *World) Run() (*Result, error) {
 		}
 	}
 	res := &Result{
+		Records:     w.records(),
 		Users:       w.Users,
 		Sites:       w.Sites,
 		SimDuration: w.Clock.Now(),
@@ -401,9 +411,6 @@ func (w *World) Run() (*Result, error) {
 		res.Sessions = w.open.sessionsN()
 		res.Balked = w.open.balkedN()
 		res.Departed = w.open.departedN()
-	}
-	if w.collector != nil {
-		res.Records = w.collector.Records()
 	}
 	return res, nil
 }

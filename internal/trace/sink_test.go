@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"realtracer/internal/snap"
 )
 
 func sampleRecords() []*Record {
@@ -96,5 +99,46 @@ func TestSinkFunc(t *testing.T) {
 	s.Observe(&Record{})
 	if n != 1 {
 		t.Fatal("SinkFunc not invoked")
+	}
+}
+
+// TestSyncSink: the sink section round-trips a Collector into a fresh one,
+// refuses to encode a sink that cannot walk itself, and refuses to decode a
+// section no registered kind wrote.
+func TestSyncSink(t *testing.T) {
+	var src Collector
+	for _, r := range sampleRecords() {
+		src.Observe(r)
+	}
+	var buf bytes.Buffer
+	var sink Sink = &src
+	enc := snap.NewEncoder(&buf)
+	SyncSink(enc, &sink)
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	sink = SinkFunc(func(*Record) {}) // decoding replaces whatever was there
+	dec := snap.NewDecoder(buf.Bytes())
+	SyncSink(dec, &sink)
+	got, ok := sink.(*Collector)
+	if err := dec.Err(); err != nil || !ok || got == &src || len(got.Records()) != len(src.Records()) {
+		t.Fatalf("decoded sink %T, err %v", sink, err)
+	}
+	if *got.Records()[1] != *src.Records()[1] {
+		t.Fatalf("record 1 restored as %+v", got.Records()[1])
+	}
+
+	enc = snap.NewEncoder(&bytes.Buffer{})
+	sink = MultiSink{&src}
+	if SyncSink(enc, &sink); enc.Err() == nil || !strings.Contains(enc.Err().Error(), "trace.MultiSink cannot be snapshotted") {
+		t.Fatalf("encoding a MultiSink: %v", enc.Err())
+	}
+	var unknown bytes.Buffer
+	name := "nosuchsink"
+	snap.NewEncoder(&unknown).Str(&name)
+	dec = snap.NewDecoder(unknown.Bytes())
+	if SyncSink(dec, &sink); dec.Err() == nil || !strings.Contains(dec.Err().Error(), "nosuchsink") {
+		t.Fatalf("decoding an unregistered section: %v", dec.Err())
 	}
 }

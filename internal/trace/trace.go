@@ -124,17 +124,11 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', 6, 64) }
 
 // WriteCSV writes records with a header row.
 func WriteCSV(w io.Writer, records []*Record) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(Header); err != nil {
-		return err
-	}
+	s := NewCSVSink(w)
 	for _, r := range records {
-		if err := cw.Write(r.row()); err != nil {
-			return err
-		}
+		s.Observe(r)
 	}
-	cw.Flush()
-	return cw.Error()
+	return s.Flush()
 }
 
 // ReadCSV reads records written by WriteCSV.
@@ -240,35 +234,4 @@ func ReadJSON(r io.Reader) ([]*Record, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Filter returns the records matching pred.
-func Filter(records []*Record, pred func(*Record) bool) []*Record {
-	var out []*Record
-	for _, r := range records {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Played returns records of sessions that streamed data (the denominator of
-// the performance figures): not unavailable, not failed.
-func Played(records []*Record) []*Record {
-	return Filter(records, func(r *Record) bool { return !r.Unavailable && !r.Failed })
-}
-
-// Rated returns the watched-and-rated subset (Figures 26-28).
-func Rated(records []*Record) []*Record {
-	return Filter(records, func(r *Record) bool { return r.Rated && !r.Unavailable && !r.Failed })
-}
-
-// Values extracts a float column.
-func Values(records []*Record, get func(*Record) float64) []float64 {
-	out := make([]float64, 0, len(records))
-	for _, r := range records {
-		out = append(out, get(r))
-	}
-	return out
 }

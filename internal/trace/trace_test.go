@@ -138,30 +138,6 @@ func TestReadCSVEmpty(t *testing.T) {
 	}
 }
 
-func TestFilters(t *testing.T) {
-	recs := sample()
-	if n := len(Played(recs)); n != 1 {
-		t.Fatalf("Played=%d want 1", n)
-	}
-	if n := len(Rated(recs)); n != 1 {
-		t.Fatalf("Rated=%d want 1", n)
-	}
-	vals := Values(Played(recs), func(r *Record) float64 { return r.MeasuredFPS })
-	if len(vals) != 1 || vals[0] != 16.2 {
-		t.Fatalf("Values=%v", vals)
-	}
-}
-
-func TestRatedExcludesFailed(t *testing.T) {
-	recs := sample()
-	recs[2].Rated = true
-	recs[2].Rating = 5
-	if n := len(Rated(recs)); n != 1 {
-		t.Fatal("failed sessions must not count as rated")
-	}
-}
-
-// Property: numeric fields survive the CSV round trip for arbitrary values.
 func TestPropertyCSVNumericRoundTrip(t *testing.T) {
 	f := func(kbpsRaw, fpsRaw, jitRaw uint32, played, lost uint16, rated bool, rating uint8) bool {
 		// Constrain to the measurement domain: non-negative, bounded.

@@ -49,16 +49,11 @@ type Config struct {
 	// clip, return the user's 0-10 score. Called only for clips the user
 	// chooses to rate.
 	Rate func(rec *trace.Record) float64
-	// OnRecord receives every per-clip record as it is produced.
+	// OnRecord receives every per-clip record as it is produced; the record
+	// is freshly allocated and the receiver's to keep.
 	OnRecord func(rec *trace.Record)
 	// OnFinished fires after the final clip.
 	OnFinished func()
-	// ReuseRecord, when true, hands OnRecord the same Record storage for
-	// every clip: the record is valid only for the duration of the call,
-	// so it is safe only for sinks that do not retain (aggregating sinks).
-	// False (the default) allocates a fresh Record per clip, which the
-	// retain-everything trace.Collector requires.
-	ReuseRecord bool
 }
 
 // Tracer runs one user's session. A Tracer owns a single player engine and
@@ -93,8 +88,6 @@ type Tracer struct {
 	// (fields instead of a fresh closure environment per clip).
 	curEntry   Entry
 	curStarted time.Duration
-
-	rec trace.Record // record scratch, used when cfg.ReuseRecord
 }
 
 // New builds a Tracer.
@@ -245,14 +238,8 @@ func (t *Tracer) clipDone(st *player.Stats, err error) {
 }
 
 func (t *Tracer) recordFor(entry Entry, st *player.Stats) *trace.Record {
-	var rec *trace.Record
-	if t.cfg.ReuseRecord {
-		rec = &t.rec
-	} else {
-		rec = new(trace.Record)
-	}
 	u := t.cfg.User
-	*rec = trace.Record{
+	return &trace.Record{
 		User:    u.Name,
 		Country: u.Country,
 		State:   u.State,
@@ -289,7 +276,6 @@ func (t *Tracer) recordFor(entry Entry, st *player.Stats) *trace.Record {
 		CPUUtilization: st.CPUUtilization,
 		Switches:       st.Switches,
 	}
-	return rec
 }
 
 // maybeRate applies the user's rating budget: users were asked to watch and
