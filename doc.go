@@ -29,7 +29,11 @@
 // preserving exact (time, sequence) firing order, so arming is O(1) and a
 // recurring timer re-armed from inside Fire reuses the just-fired event
 // slot; a test-only reference scheduler is the differential oracle that CI
-// replays random traces against under -race. One delivered UDP
+// replays random traces against under -race. The per-packet state keyed by
+// a dense sequence number — TCP's flight and reorder buffer, the server's
+// retransmit window, the player's FEC window — lives in internal/seqwin's
+// ring (an index and a compare per packet, span bounded whatever a peer or
+// a snapshot claims) rather than in hash maps. One delivered UDP
 // datagram costs ~45ns and zero allocations (BenchmarkPacketHopUDP,
 // guarded by the alloc-budget test in internal/transport). Everything
 // stays bit-for-bit deterministic — RNG draw order, FIFO tie-breaking and

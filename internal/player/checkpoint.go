@@ -3,7 +3,6 @@ package player
 import (
 	"fmt"
 
-	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
@@ -125,10 +124,13 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	c.Dur(&p.lastRecvAt)
 	c.Int(&p.bytesRecv)
 
-	// haveSeq values are only ever membership-tested after insertion, so the
-	// window walks as its sorted key set and restores with nil values.
+	// The FEC window is presence only, so it walks as its ascending seqs.
 	c.U32(&p.highestSeq)
-	snap.Map(c, &p.haveSeq, (*snap.Codec).U32, func(*snap.Codec, **rdt.Data) {})
+	p.haveSeq.Sync(c, "FEC window", cfg.URL, func(c *snap.Codec, seq *uint64, have *bool) {
+		s := uint32(*seq)
+		c.U32(&s)
+		*seq, *have = uint64(s), true
+	})
 	c.U32(&p.seqFloor)
 	snap.Slice(c, &p.lowSeqs, (*snap.Codec).U32)
 	c.Int(&p.recvSeqCount)

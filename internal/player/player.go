@@ -19,6 +19,7 @@ import (
 
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/session"
 	"realtracer/internal/stats"
 	"realtracer/internal/transport"
@@ -208,11 +209,13 @@ type Player struct {
 
 	// Video-stream loss tracking (UDP).
 	highestSeq uint32
-	haveSeq    map[uint32]*rdt.Data // recent video packets for FEC
-	// seqFloor is the lowest seq possibly still in haveSeq: expiry sweeps
-	// forward from it (amortized O(1) per packet) instead of scanning the
-	// whole window per packet. lowSeqs records the rare re-insertions below
-	// the floor (late retransmissions) so they expire identically.
+	// haveSeq is the FEC window: which recent video seqs have arrived.
+	// Presence only — FEC repair, NACK retirement and duplicate
+	// suppression never look at the packet again.
+	haveSeq seqwin.Window[bool]
+	// seqFloor is the cut of the last expiry sweep, the lowest seq possibly
+	// still in haveSeq; lowSeqs lists the rare arrivals below it since (late
+	// retransmissions), which the next sweep takes with the rest.
 	seqFloor     uint32
 	lowSeqs      []uint32
 	recvSeqCount int
@@ -283,7 +286,6 @@ func (x *timeUpArm) Fire(time.Duration)    { (*Player)(x).timeUp() }
 func New(cfg Config) *Player {
 	p := &Player{
 		pending:         make(map[int]uint8),
-		haveSeq:         make(map[uint32]*rdt.Data),
 		nackOutstanding: make(map[uint32]int),
 	}
 	p.init(cfg)
@@ -291,11 +293,12 @@ func New(cfg Config) *Player {
 }
 
 // Reset rewires a finished player for a new session, reusing every piece of
-// grown storage: the maps keep their buckets, the frame heap, partial set,
-// playout record and scratch slices keep their backing arrays, and the
-// Stats record is cleared in place. Stale state cannot leak across the
-// reset: timers are cancelled (and generation checks make any already-
-// recycled handle inert), the epoch bump disarms in-flight dial callbacks,
+// grown storage: the maps keep their buckets, the emptied FEC window its
+// ring, the frame heap, partial set, playout record and scratch slices keep
+// their backing arrays, and the Stats record is cleared in place. Stale
+// state cannot leak across the reset: timers are cancelled (and generation
+// checks make any already-recycled handle inert), the epoch bump disarms
+// in-flight dial callbacks,
 // and every other field is rebuilt through the struct literal, so a
 // recycled player can never observe its predecessor's FEC window, NACK
 // ledger or decode-chain state. The caller must not Reset a player whose
@@ -303,7 +306,7 @@ func New(cfg Config) *Player {
 func (p *Player) Reset(cfg Config) {
 	p.cancelTimers()
 	clear(p.pending)
-	clear(p.haveSeq)
+	p.haveSeq.Reset()
 	clear(p.nackOutstanding)
 	gaps := p.stats.PlayoutGaps[:0]
 	timeline := p.stats.Timeline[:0]
@@ -670,7 +673,7 @@ func (p *Player) onData(payload any, size int) {
 
 func (p *Player) onDataPacket(d *rdt.Data) {
 	if d.Stream == rdt.StreamVideo {
-		if _, dup := p.haveSeq[d.Seq]; dup {
+		if p.haveSeq.Get(uint64(d.Seq)) {
 			return // retransmission of something FEC already rebuilt
 		}
 		if gap := d.Seq - p.highestSeq - 1; d.Seq > p.highestSeq+1 && gap <= nackMaxGap &&
@@ -690,7 +693,7 @@ func (p *Player) onDataPacket(d *rdt.Data) {
 		if d.Seq < p.seqFloor {
 			p.lowSeqs = append(p.lowSeqs, d.Seq)
 		}
-		p.haveSeq[d.Seq] = d
+		p.haveSeq.Put(uint64(d.Seq), true)
 		p.gcSeqs()
 	}
 	p.assemble(d)
@@ -723,7 +726,7 @@ func (p *Player) flushNacks() {
 	}
 	missing := p.nackScratch[:0]
 	for seq, tries := range p.nackOutstanding {
-		if _, arrived := p.haveSeq[seq]; arrived || tries >= nackMaxTries {
+		if p.haveSeq.Get(uint64(seq)) || tries >= nackMaxTries {
 			delete(p.nackOutstanding, seq)
 			continue
 		}
@@ -756,41 +759,27 @@ func (p *Player) flushNacks() {
 	p.nackTimer = p.cfg.Clock.AfterHandler(nackRetry, (*nackArm)(p))
 }
 
-// gcSeqs bounds the FEC window memory. Seqs arrive (nearly) monotonically,
-// so expiry is a forward sweep from seqFloor rather than a whole-map scan
-// per packet; the occasional late retransmission below the floor is tracked
-// in lowSeqs and expired on the same sweep. The resulting set is identical
-// to the old full scan's at every step.
+// gcSeqs bounds the FEC window. Expiry is triggered by the window's size,
+// not a packet's age: once more than window seqs are held, everything below
+// highestSeq-window goes — the low arrivals recorded since the last sweep
+// with it — and seqFloor follows the cut. Under loss the window therefore
+// reaches well below highestSeq-window between sweeps, and which old seqs
+// are still members decides what onRepair can rebuild and which NACKs
+// retire.
 func (p *Player) gcSeqs() {
 	const window = 512
-	if len(p.haveSeq) <= window {
+	if p.haveSeq.Len() <= window {
 		return
 	}
 	cut := uint32(0)
 	if p.highestSeq > window {
 		cut = p.highestSeq - window
 	}
-	if cut-p.seqFloor > nackMaxGap {
-		// The same hostile jump, seen from the expiry side: visit the window's
-		// few entries instead of every sequence number up to the cut.
-		for s := range p.haveSeq {
-			if s < cut {
-				delete(p.haveSeq, s)
-			}
-		}
+	p.haveSeq.DropBelow(uint64(cut))
+	if p.seqFloor < cut {
 		p.seqFloor = cut
 	}
-	for ; p.seqFloor < cut; p.seqFloor++ {
-		delete(p.haveSeq, p.seqFloor)
-	}
-	if len(p.lowSeqs) > 0 {
-		// Every recorded low seq is below some earlier floor, hence below
-		// the current cut.
-		for _, s := range p.lowSeqs {
-			delete(p.haveSeq, s)
-		}
-		p.lowSeqs = p.lowSeqs[:0]
-	}
+	p.lowSeqs = p.lowSeqs[:0]
 }
 
 func (p *Player) assemble(d *rdt.Data) {
@@ -903,7 +892,7 @@ func (p *Player) onRepair(r *rdt.Repair) {
 	var seq uint32
 	nMissing := 0
 	for s := r.BaseSeq; s < r.BaseSeq+uint32(r.Group); s++ {
-		if _, ok := p.haveSeq[s]; !ok {
+		if !p.haveSeq.Get(uint64(s)) {
 			seq = s
 			if nMissing++; nMissing > 1 {
 				return // >1 missing: unrecoverable by XOR

@@ -11,11 +11,10 @@ import "realtracer/internal/netsim"
 // backing slices, leased from the sending shard's transit pool and released
 // by the receiving transport once the delivery callback has consumed it.
 //
-// Receivers may retain pointers INTO a released copy only as map keys /
-// presence markers, never for a later dereference — the same staleness
-// contract the arena-backed originals already impose (player.haveSeq keeps
-// *Data pointers purely as a seen-set; the server snapshots Report values
-// before its check timer reads them).
+// Receivers keep no pointer into a released copy — the same rule the
+// arena-backed originals already impose: the player's FEC window records a
+// packet's sequence number, not the packet, and the server copies a Report
+// by value before its check timer reads it.
 
 // transitClass is the pool slot for RDT transit snapshots.
 var transitClass = netsim.RegisterTransitClass()

@@ -134,7 +134,7 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	}
 	snap.Slice(c, &sessions, func(c *snap.Codec, sp **streamSession) {
 		if c.Reading() {
-			*sp = &streamSession{srv: s, sentVideo: make(map[uint32]*rdt.Data), failedRungs: make(map[int]int)}
+			*sp = &streamSession{srv: s, failedRungs: make(map[int]int)}
 		}
 		sess := *sp
 		sess.sync(c, stack, x, ccs)
@@ -234,28 +234,18 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 
 	// The retransmit window walks as its packets in seq order; the key of
 	// each is its own Seq.
-	var sent []*rdt.Data
-	if !c.Reading() {
-		for _, d := range sess.sentVideo {
-			sent = append(sent, d)
-		}
-		sort.Slice(sent, func(i, j int) bool { return sent[i].Seq < sent[j].Seq })
-	}
-	snap.Slice(c, &sent, func(c *snap.Codec, d **rdt.Data) {
+	sess.sentVideo.Sync(c, "retransmit window", sess.id, func(c *snap.Codec, seq *uint64, d **rdt.Data) {
 		if c.Reading() {
 			*d = sess.arena.NewData()
 		}
 		(*d).Sync(c)
+		*seq = uint64((*d).Seq)
 	})
 	c.U32(&sess.sentFloor)
 	if c.Reading() && c.Err() == nil {
-		for _, d := range sent {
-			sess.sentVideo[d.Seq] = d
-		}
 		// Every video seq from the floor up is retained, so the window's
-		// size pins the floor; a floor a hostile snapshot moved away would
-		// turn rememberVideo's expiry sweep into a 2^32-step spin.
-		if n := len(sess.sentVideo); n > 0 && sess.videoSeq-sess.sentFloor != uint32(n) {
+		// size pins the floor.
+		if n := sess.sentVideo.Len(); n > 0 && sess.videoSeq-sess.sentFloor != uint32(n) {
 			c.Fail(fmt.Errorf("server: restore: session %s retransmit window holds %d packets for seqs [%d,%d)", sess.id, n, sess.sentFloor, sess.videoSeq))
 			return
 		}

@@ -50,9 +50,14 @@ func TestSessionRecycleClearsState(t *testing.T) {
 	// The first session must be visibly dirty or the recycle proves nothing:
 	// UDP streaming populates the NACK retransmit window and advances the
 	// sequence counters and media clock.
-	if len(sess1.sentVideo) == 0 || sess1.videoSeq == 0 || sess1.mediaPos == 0 {
+	held, lastSeq := sess1.sentVideo.Len(), uint64(sess1.videoSeq-1)
+	if held == 0 || sess1.videoSeq == 0 || sess1.mediaPos == 0 {
 		t.Fatalf("first session streamed nothing (sentVideo=%d videoSeq=%d mediaPos=%v)",
-			len(sess1.sentVideo), sess1.videoSeq, sess1.mediaPos)
+			held, sess1.videoSeq, sess1.mediaPos)
+	}
+	lastSent := sess1.sentVideo.Get(lastSeq)
+	if lastSent == nil {
+		t.Fatalf("first session does not hold its newest video packet, seq %d", lastSeq)
 	}
 	teardown(id1)
 	if len(r.srv.sessFree) != 1 || r.srv.sessFree[0] != sess1 {
@@ -70,8 +75,19 @@ func TestSessionRecycleClearsState(t *testing.T) {
 		t.Fatalf("recycled session kept its predecessor's ID %q", id2)
 	}
 	// At lease time — before PLAY — the recycled object must be clean.
-	if n := len(sess2.sentVideo); n != 0 {
-		t.Fatalf("recycled session inherited %d retransmit-window packets", n)
+	if n := sess2.sentVideo.Len(); n != 0 || sess2.sentVideo.Get(lastSeq) != nil {
+		t.Fatalf("recycled session inherited %d retransmit-window packets (seq %d present: %v)",
+			n, lastSeq, sess2.sentVideo.Get(lastSeq) != nil)
+	}
+	// What it does inherit is the window's storage: holding as many packets
+	// as its predecessor did allocates nothing.
+	if allocs := testing.AllocsPerRun(1, func() {
+		for seq := range uint64(held) {
+			sess2.sentVideo.Put(seq, lastSent)
+		}
+		sess2.sentVideo.Reset()
+	}); allocs != 0 {
+		t.Fatalf("refilling the recycled retransmit window to %d packets allocated %v times", held, allocs)
 	}
 	if sess2.videoSeq != 0 || sess2.audioSeq != 0 || sess2.mediaPos != 0 {
 		t.Fatalf("recycled session inherited counters: videoSeq=%d audioSeq=%d mediaPos=%v",

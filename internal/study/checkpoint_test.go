@@ -302,6 +302,44 @@ func TestForkScenarioDeltas(t *testing.T) {
 	}
 }
 
+// stretchFECWindow returns a copy of snap in which one player's FEC window
+// claims two sequence numbers 2^16 apart, or nil when no player in snap holds
+// two. The window is found by its shape — the player walks highestSeq, then
+// the window as a count and that many ascending seqs, the last of which is
+// highestSeq again — and its last seq is pushed a whole window above the
+// first.
+func stretchFECWindow(snap []byte) []byte {
+	u32 := func(at int) uint32 { return binary.LittleEndian.Uint32(snap[at:]) }
+next:
+	for at := 0; at+16 <= len(snap); at++ {
+		highest, n := u32(at), int(u32(at+4))
+		if n < 2 || n > 1024 || at+8+4*n > len(snap) || u32(at+4+4*n) != highest {
+			continue
+		}
+		for i := 1; i < n; i++ {
+			if u32(at+8+4*i) <= u32(at+4+4*i) {
+				continue next
+			}
+		}
+		bad := bytes.Clone(snap)
+		binary.LittleEndian.PutUint32(bad[at+4+4*n:], u32(at+8)+1<<16)
+		return bad
+	}
+	return nil
+}
+
+// farApartSnapshot is the first fence snapshot stretchFECWindow can doctor.
+func farApartSnapshot(t testing.TB) []byte {
+	t.Helper()
+	for _, fw := range fenceWorlds {
+		if bad := stretchFECWindow(fenceSnapshot(t, fw.opt)); bad != nil {
+			return bad
+		}
+	}
+	t.Fatal("no fence snapshot holds a player with two seqs in its FEC window")
+	return nil
+}
+
 // TestResumeRejectsCorruptSnapshot pins the loud-failure contract for a
 // snapshot whose options section was tampered with (a stand-in for a
 // mismatched build).
@@ -350,6 +388,7 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		t.Fatalf("no player waits on the dial from %s", mid[addrAt+4:addrEnd])
 	}
 	waitAt += addrEnd
+	farApart := farApartSnapshot(t)
 	for _, tc := range []struct {
 		name   string
 		snap   []byte
@@ -365,6 +404,10 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		// tcp: the conn's local address follows its tag; an address on a
 		// host the world never attached used to panic in Network.Register.
 		{"conn on an unknown host", snap, func(b []byte) { b[field("tcp", 4)] ^= 0x20 }, "not attached"},
+		// A window's ring is as wide as the seqs it holds: two a whole window
+		// apart are refused before either sizes one.
+		{"far-apart seqs in one FEC window: whose", farApart, func([]byte) {}, "seqwin: FEC window of rtsp://"},
+		{"far-apart seqs in one FEC window: what", farApart, func([]byte) {}, "are too far apart for one window (limit 65536)"},
 		{"dial kind out of range", mid, func(b []byte) { b[waitAt-1] = 9 }, "dial kind 9"},
 		{"waiting on a dial nobody issued", mid, func(b []byte) { b[waitAt+4] ^= 1 }, "no in-flight dial"},
 	} {

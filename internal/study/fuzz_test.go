@@ -56,12 +56,16 @@ func finished(w *World) bool {
 
 // FuzzResume feeds Resume mutated snapshots. The corpus is seeded with real
 // mid-run snapshots of the four fence worlds and of one world with a TCP
-// dial in flight, plus truncations of each.
+// dial in flight, plus truncations of each, and one doctored window.
 func FuzzResume(f *testing.F) {
 	snaps := [][]byte{checkpoint(f, midDialWorld(f))}
 	for _, fw := range fenceWorlds {
 		snaps = append(snaps, fenceSnapshot(f, fw.opt))
 	}
+	// One seed no mutation of the others finds quickly: a well-formed
+	// snapshot whose one defect is two sequence numbers a whole window apart
+	// in one FEC window.
+	f.Add(farApartSnapshot(f))
 	for _, snap := range snaps {
 		f.Add(snap)
 		f.Add(snap[:len(snap)-1])

@@ -154,7 +154,7 @@ func (x *SnapCtx) resolve(c *snap.Codec, laddr netsim.Addr, seq uint64) any {
 // inflight set or the unconsumed region of the send queue. Wire copies of
 // owned segments encode by reference to preserve shared-mutation semantics.
 func (c *simTCP) ownsSeg(seg *tcpSeg) bool {
-	if s, ok := c.inflight[seg.seq]; ok && s == seg {
+	if c.inflight.Get(seg.seq) == seg {
 		return true
 	}
 	for _, s := range c.queue[c.qhead:] {
@@ -168,7 +168,7 @@ func (c *simTCP) ownsSeg(seg *tcpSeg) bool {
 // findSeg is ownsSeg's restore-side mirror: resolve a (conn, seq) reference
 // to the conn's live segment.
 func (c *simTCP) findSeg(seq uint64) *tcpSeg {
-	if s, ok := c.inflight[seq]; ok {
+	if s := c.inflight.Get(seq); s != nil {
 		return s
 	}
 	for _, s := range c.queue[c.qhead:] {
@@ -432,8 +432,22 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	if c.Reading() {
 		tc.queue = live
 	}
-	snap.Map(c, &tc.inflight, (*snap.Codec).U64, ownSeg)
-	snap.Map(c, &tc.reorder, (*snap.Codec).U64, ownSeg)
+	// Both windows walk as (seq, segment) pairs; a decoded seq must sit where
+	// the conn's counters say such a segment can be.
+	tc.inflight.Sync(c, "flight", string(tc.laddr), func(c *snap.Codec, seq *uint64, seg **tcpSeg) {
+		c.U64(seq)
+		ownSeg(c, seg)
+		if c.Reading() && c.Err() == nil && (*seq < tc.sendBase || *seq >= tc.nextSeq) {
+			c.Fail(fmt.Errorf("transport: conn %s has seq %d in flight outside its unacknowledged range [%d,%d)", tc.laddr, *seq, tc.sendBase, tc.nextSeq))
+		}
+	})
+	tc.reorder.Sync(c, "reorder buffer", string(tc.laddr), func(c *snap.Codec, seq *uint64, seg **tcpSeg) {
+		c.U64(seq)
+		ownSeg(c, seg)
+		if c.Reading() && c.Err() == nil && *seq < tc.rcvNext {
+			c.Fail(fmt.Errorf("transport: conn %s buffers seq %d below the %d it delivers next", tc.laddr, *seq, tc.rcvNext))
+		}
+	})
 
 	c.U64(&tc.retransmits)
 	c.U64(&tc.fastRexmits)

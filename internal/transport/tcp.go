@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"realtracer/internal/netsim"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/simclock"
 )
 
@@ -38,7 +39,7 @@ type simTCP struct {
 	sendBase uint64    // oldest unacked
 	queue    []*tcpSeg // send queue; live region is queue[qhead:]
 	qhead    int       // consumed prefix — see pump (head index, not re-slice)
-	inflight map[uint64]*tcpSeg
+	inflight seqwin.Window[*tcpSeg]
 	cwnd     float64 // congestion window, segments
 	ssthresh float64
 	dupAcks  int
@@ -51,7 +52,7 @@ type simTCP struct {
 
 	// Receiver state.
 	rcvNext uint64
-	reorder map[uint64]*tcpSeg
+	reorder seqwin.Window[*tcpSeg] // arrived ahead of rcvNext
 
 	// Segment slab: segments are carved out of chunked backing arrays, one
 	// chunk allocation per segChunk segments instead of one per Send. Slab
@@ -62,7 +63,6 @@ type simTCP struct {
 	// when the whole slab becomes garbage together.
 	segSlab []tcpSeg
 	segUsed int
-	requeue []*tcpSeg // scratch for onRTO's go-back-N sweep
 
 	// Counters for tests and diagnostics.
 	retransmits     uint64
@@ -95,8 +95,6 @@ func newSimTCPConn(s *Stack, laddr, raddr netsim.Addr) *simTCP {
 		raddrID:  s.net.Intern(raddr.Host()),
 		lport:    laddr.Port(),
 		rport:    raddr.Port(),
-		inflight: make(map[uint64]*tcpSeg),
-		reorder:  make(map[uint64]*tcpSeg),
 		cwnd:     2,
 		ssthresh: 64,
 		rto:      initialRTO,
@@ -166,7 +164,7 @@ func (c *simTCP) RTT() time.Duration { return c.srtt }
 // QueueDepth reports how many messages are waiting or in flight — the
 // sender-side backlog a streaming server watches to detect that TCP cannot
 // sustain the media rate.
-func (c *simTCP) QueueDepth() int { return len(c.queue) - c.qhead + len(c.inflight) }
+func (c *simTCP) QueueDepth() int { return len(c.queue) - c.qhead + c.inflight.Len() }
 
 // Counters returns (retransmits, fastRetransmits, timeouts).
 func (c *simTCP) Counters() (uint64, uint64, uint64) {
@@ -182,7 +180,7 @@ func (c *simTCP) pump() {
 	if limit > rwndSegs {
 		limit = rwndSegs
 	}
-	for c.qhead < len(c.queue) && len(c.inflight) < limit {
+	for c.qhead < len(c.queue) && c.inflight.Len() < limit {
 		seg := c.queue[c.qhead]
 		c.qhead++
 		if seg.seq < c.sendBase {
@@ -195,7 +193,7 @@ func (c *simTCP) pump() {
 func (c *simTCP) transmit(seg *tcpSeg, rexmit bool) {
 	seg.ts = c.stack.clock.Now()
 	seg.rexmit = seg.rexmit || rexmit
-	c.inflight[seg.seq] = seg
+	c.inflight.Put(seg.seq, seg)
 	c.segsSent++
 	if rexmit {
 		c.retransmits++
@@ -227,7 +225,7 @@ func (c *simTCP) Fire(time.Duration) { c.onRTO() }
 
 func (c *simTCP) armRTO() {
 	c.rtoTimer.Cancel()
-	if len(c.inflight) == 0 {
+	if c.inflight.Len() == 0 {
 		c.rtoTimer = simclock.Timer{}
 		return
 	}
@@ -235,7 +233,7 @@ func (c *simTCP) armRTO() {
 }
 
 func (c *simTCP) onRTO() {
-	if c.closed || len(c.inflight) == 0 {
+	if c.closed || c.inflight.Len() == 0 {
 		return
 	}
 	c.timeouts++
@@ -255,44 +253,23 @@ func (c *simTCP) onRTO() {
 	c.cwnd = 1
 	c.dupAcks = 0
 	c.rto = minDur(c.rto*2, maxRTO)
-	oldest := c.oldestInflight()
-	requeue := c.requeue[:0]
-	for seq, seg := range c.inflight {
-		if seg == oldest {
-			continue
-		}
-		seg.rexmit = true // Karn: never RTT-sample these again
-		requeue = append(requeue, seg)
-		delete(c.inflight, seq)
-	}
-	// Insertion sort into seq order: flights are at most rwndSegs segments,
-	// and a named sort here (unlike sort.Slice) costs no closure.
-	for i := 1; i < len(requeue); i++ {
-		for j := i; j > 0 && requeue[j-1].seq > requeue[j].seq; j-- {
-			requeue[j-1], requeue[j] = requeue[j], requeue[j-1]
-		}
-	}
 	// Prepend in place: grow the queue, shift the existing tail right, and
-	// copy the sorted retransmit batch to the front. The scratch slice keeps
-	// its storage for the next timeout.
-	n := len(requeue)
-	c.queue = append(c.queue, requeue...)
+	// lay the rest of the flight in front of it — the window walks in seq
+	// order, oldest first.
+	_, oldest := c.inflight.Min()
+	n := c.inflight.Len() - 1
+	c.queue = append(c.queue, make([]*tcpSeg, n)...)
 	copy(c.queue[c.qhead+n:], c.queue[c.qhead:len(c.queue)-n])
-	copy(c.queue[c.qhead:c.qhead+n], requeue)
-	c.requeue = requeue[:0]
-	if oldest != nil {
-		c.transmit(oldest, true)
-	}
-}
-
-func (c *simTCP) oldestInflight() *tcpSeg {
-	var oldest *tcpSeg
-	for _, seg := range c.inflight {
-		if oldest == nil || seg.seq < oldest.seq {
-			oldest = seg
+	at := c.qhead
+	for _, seg := range c.inflight.Each {
+		if seg != oldest {
+			seg.rexmit = true // Karn: never RTT-sample these again
+			c.queue[at] = seg
+			at++
 		}
 	}
-	return oldest
+	c.inflight.Reset()
+	c.transmit(oldest, true)
 }
 
 // onPacket handles every arrival addressed to this conn: segments from the
@@ -361,8 +338,8 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 	// Old and duplicate segments are dropped — and, as with every drop on
 	// the receive path, a shard-transit copy goes straight back to the pool.
 	if seg.seq >= c.rcvNext {
-		if _, dup := c.reorder[seg.seq]; !dup {
-			c.reorder[seg.seq] = seg
+		if c.reorder.Get(seg.seq) == nil {
+			c.reorder.Put(seg.seq, seg)
 		} else {
 			c.stack.net.ReleaseTransit(seg)
 		}
@@ -370,11 +347,11 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 		c.stack.net.ReleaseTransit(seg)
 	}
 	for {
-		next, ok := c.reorder[c.rcvNext]
-		if !ok {
+		next := c.reorder.Get(c.rcvNext)
+		if next == nil {
 			break
 		}
-		delete(c.reorder, c.rcvNext)
+		c.reorder.Delete(c.rcvNext)
 		c.rcvNext++
 		c.segsDelivered++
 		if c.recv != nil {
@@ -385,6 +362,7 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 		// recycle the segment snapshot and its nested payload snapshot.
 		c.stack.net.ReleaseTransit(next)
 	}
+	c.reorder.DropBelow(c.rcvNext) // nothing is left there; the window's edge keeps up
 	ack := c.stack.getAck()
 	ack.cumAck, ack.ts, ack.echoOK = c.rcvNext, ackTS, ackEchoOK
 	c.stack.sendPooled(c.laddr, pkt.From, c.stack.hostID, pkt.FromID, c.lport, pkt.FromPort, ackSize, ack)
@@ -399,16 +377,9 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 
 func (c *simTCP) onAck(a *tcpAck) {
 	if a.cumAck > c.sendBase {
-		// New data acknowledged. Sweep everything below the cumulative ACK
-		// out of the inflight set (it may contain pre-timeout stragglers
-		// below sendBase too).
-		acked := 0
-		for seq := range c.inflight {
-			if seq < a.cumAck {
-				delete(c.inflight, seq)
-				acked++
-			}
-		}
+		// New data acknowledged: everything below the cumulative ACK leaves
+		// the flight.
+		acked := c.inflight.DropBelow(a.cumAck)
 		c.sendBase = a.cumAck
 		c.dupAcks = 0
 		c.consecutiveRTOs = 0
@@ -433,14 +404,14 @@ func (c *simTCP) onAck(a *tcpAck) {
 		c.pump()
 		return
 	}
-	if a.cumAck == c.sendBase && len(c.inflight) > 0 {
+	if a.cumAck == c.sendBase && c.inflight.Len() > 0 {
 		c.dupAcks++
 		if c.dupAcks == 3 {
 			// Fast retransmit + multiplicative decrease.
 			c.fastRexmits++
 			c.ssthresh = maxF(c.cwnd/2, 2)
 			c.cwnd = c.ssthresh
-			if seg, ok := c.inflight[c.sendBase]; ok {
+			if seg := c.inflight.Get(c.sendBase); seg != nil {
 				c.transmit(seg, true)
 			}
 		}
