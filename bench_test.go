@@ -37,7 +37,7 @@ var (
 func sharedTrace(b *testing.B) []*trace.Record {
 	b.Helper()
 	studyOnce.Do(func() {
-		res, err := core.RunStudy(core.StudyOptions{Seed: 1})
+		res, err := study.Run(core.StudyOptions{Seed: 1})
 		if err != nil {
 			studyErr = err
 			return
@@ -117,7 +117,7 @@ func BenchmarkFig28QualityVsBandwidth(b *testing.B)      { benchFigure(b, "fig28
 // clips each) — the macro cost of the whole apparatus.
 func BenchmarkStudyEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunStudy(core.StudyOptions{Seed: int64(i + 2), MaxUsers: 12, ClipCap: 10}); err != nil {
+		if _, err := study.Run(core.StudyOptions{Seed: int64(i + 2), MaxUsers: 12, ClipCap: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func BenchmarkPopulationRetain250(b *testing.B) {
 	b.ReportAllocs()
 	var records int
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunStudy(core.StudyOptions{Seed: 1, MaxUsers: 250, ClipCap: 2})
+		res, err := study.Run(core.StudyOptions{Seed: 1, MaxUsers: 250, ClipCap: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,12 +267,12 @@ func stabilityScenarios(n int) []core.Scenario {
 // BenchmarkMultiSeedStability fans a 20-seed stability campaign out across
 // every core and reports the cross-seed spread of the headline frame-rate
 // number — the replication study that would otherwise cost 20 sequential
-// RunStudy calls.
+// study.Run calls.
 func BenchmarkMultiSeedStability(b *testing.B) {
 	scs := stabilityScenarios(20)
 	var sum *core.CampaignSummary
 	for i := 0; i < b.N; i++ {
-		sum = core.RunCampaign(scs, core.CampaignConfig{})
+		sum = campaign.Run(scs, core.CampaignConfig{})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func BenchmarkMultiSeedStability(b *testing.B) {
 func benchCampaignWorkers(b *testing.B, workers int) {
 	scs := stabilityScenarios(8)
 	for i := 0; i < b.N; i++ {
-		sum := core.RunCampaign(scs, core.CampaignConfig{Workers: workers})
+		sum := campaign.Run(scs, core.CampaignConfig{Workers: workers})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -348,7 +348,7 @@ var (
 func warmForkCalibrate(b *testing.B, base core.StudyOptions) time.Duration {
 	b.Helper()
 	warmForkOnce.Do(func() {
-		res, err := core.RunStudy(base)
+		res, err := study.Run(base)
 		if err != nil {
 			warmForkErr = err
 			return
@@ -427,7 +427,7 @@ func runAblation(b *testing.B, sweepName string, report func(r campaign.Scenario
 	scs := sw.Scenarios(campaign.ReducedBase(9))
 	var sum *core.CampaignSummary
 	for i := 0; i < b.N; i++ {
-		sum = core.RunCampaign(scs, core.CampaignConfig{})
+		sum = campaign.Run(scs, core.CampaignConfig{})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}

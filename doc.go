@@ -19,10 +19,14 @@
 // With dynamics off, output is byte-identical to a build without the layer.
 //
 // The discrete-event core is zero-allocation in steady state: host names
-// intern to dense IDs with path state in an ID-indexed grid and each host
-// carrying a dense port table (no per-packet map lookups), link and
-// bottleneck rates precompute to bits/sec at configuration time, and
-// packets and clock events recycle through free-lists (delivery is
+// intern to dense IDs with path state in per-source rows indexed by the
+// destination ID (O(servers x users) slots at any size, each row written only
+// by its source's owner) and each host carrying a dense port table (no
+// per-packet map lookups); a packet crosses three link stages written once
+// each (uplink, wan, downlink) and leaves, when undeliverable, through one
+// drop exit; link and bottleneck rates precompute to bits/sec at
+// configuration time, and packets and clock events recycle through
+// free-lists (delivery is
 // scheduled as the Packet itself implementing simclock.EventHandler — no
 // closures on the hot path). The scheduler is a hierarchical timing wheel
 // (six levels of 64 slots at a ~131µs tick) with a small 4-ary near heap
@@ -142,12 +146,12 @@
 // tag names (trace.RegisterSnapSink); a sink that cannot walk itself makes
 // Checkpoint fail naming its type.
 //
-// Entry points: internal/core (run the study via RunStudy, fan
-// multi-scenario sweeps across a worker pool via RunCampaign /
-// RunCampaignAggregates, regenerate figures from aggregates), internal/study
-// (NewWorld + SetSink + Run for any other sink), internal/campaign (the
-// parallel campaign engine: named scenarios, deterministic per-scenario
-// seeds, sweep registry, per-scenario sinks), cmd/study and cmd/realdata
+// Entry points: internal/study (Run for one study; NewWorld + SetSink + Run
+// for any other sink), internal/campaign (the parallel campaign engine: Run
+// fans named scenarios across a worker pool with deterministic per-scenario
+// seeds, a sweep registry and per-scenario sinks), internal/core
+// (RunCampaignAggregates, figure regeneration from aggregates, single-session
+// experiments), cmd/study and cmd/realdata
 // (collection and analysis tools — `study -sweep NAME -parallel N` runs a
 // registered campaign sweep; `study -dynamics NAME` applies a weather
 // profile; `study -users N` above 63 runs a population-scale study with

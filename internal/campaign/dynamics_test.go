@@ -15,6 +15,10 @@ var dynamicsFamilies = []string{"outage", "flashcrowd", "lossburst", "diurnal"}
 // TestDynamicsSweepsRegistered pins the registry surface: every family
 // resolves by name and includes a dynamics-off control arm.
 func TestDynamicsSweepsRegistered(t *testing.T) {
+	catalog := map[string]bool{}
+	for _, p := range study.DynamicsProfiles() {
+		catalog[p.Name] = true
+	}
 	for _, name := range dynamicsFamilies {
 		sw, ok := SweepByName(name)
 		if !ok {
@@ -31,7 +35,7 @@ func TestDynamicsSweepsRegistered(t *testing.T) {
 			if sc.Options.Dynamics != name {
 				t.Fatalf("sweep %q scenario %q uses profile %q", name, sc.Name, sc.Options.Dynamics)
 			}
-			if _, ok := study.DynamicsProfileByName(sc.Options.Dynamics); !ok {
+			if !catalog[sc.Options.Dynamics] {
 				t.Fatalf("sweep %q references unknown dynamics profile %q", name, sc.Options.Dynamics)
 			}
 		}

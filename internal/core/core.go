@@ -31,12 +31,6 @@ type StudyOptions = study.Options
 // StudyResult is a completed campaign.
 type StudyResult = study.Result
 
-// RunStudy executes the full measurement campaign (63 users, 98 clips, 11
-// servers by default) and returns its per-clip records. To stream the
-// records into another sink instead (aggregates, a CSV file), build the
-// world with study.NewWorld and call SetSink before Run.
-func RunStudy(opt StudyOptions) (*StudyResult, error) { return study.Run(opt) }
-
 // Scenario is one named study configuration inside a campaign; see
 // campaign.Scenario.
 type Scenario = campaign.Scenario
@@ -46,14 +40,6 @@ type CampaignConfig = campaign.Config
 
 // CampaignSummary is a completed multi-scenario campaign.
 type CampaignSummary = campaign.Summary
-
-// RunCampaign executes a set of named scenarios across a bounded worker
-// pool (cfg.Workers, default NumCPU) and returns the merged per-scenario
-// results in input order. Each scenario runs in its own private simulated
-// world, so records are identical whatever the worker count.
-func RunCampaign(scenarios []Scenario, cfg CampaignConfig) *CampaignSummary {
-	return campaign.Run(scenarios, cfg)
-}
 
 // RunCampaignAggregates executes the campaign with a private
 // figures.Aggregates as each scenario's sink (no records retained

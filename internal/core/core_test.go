@@ -67,7 +67,7 @@ func TestRunFigureUnknownID(t *testing.T) {
 }
 
 func TestAllFiguresFromReducedStudy(t *testing.T) {
-	res, err := RunStudy(StudyOptions{Seed: 2, MaxUsers: 8, ClipCap: 6})
+	res, err := study.Run(StudyOptions{Seed: 2, MaxUsers: 8, ClipCap: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRunSessionAblationsDiffer(t *testing.T) {
 
 func TestStudyRecordsFeedRealdataPath(t *testing.T) {
 	// The CSV written by the study must round-trip for the realdata tool.
-	res, err := RunStudy(StudyOptions{Seed: 4, MaxUsers: 4, ClipCap: 3})
+	res, err := study.Run(StudyOptions{Seed: 4, MaxUsers: 4, ClipCap: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestStudyIntoAggregates(t *testing.T) {
 	if agg.Total() == 0 || agg.Played() == 0 {
 		t.Fatal("aggregates observed nothing")
 	}
-	batch, err := RunStudy(opt)
+	batch, err := study.Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,17 +45,6 @@ func (r Region) String() string {
 	}
 }
 
-// ServerRegions lists the 5 server-side analysis buckets of Figure 14 (the
-// paper folds Japan's FujiTV into Asia for the regional analysis).
-func ServerRegions() []Region {
-	return []Region{RegionAsia, RegionSouthAmerica, RegionNorthAmerica, RegionAustralia, RegionEurope}
-}
-
-// UserRegions lists the 4 user-side analysis buckets of Figure 15.
-func UserRegions() []Region {
-	return []Region{RegionAustralia, RegionNorthAmerica, RegionAsia, RegionEurope}
-}
-
 // AnalysisServerRegion maps a server's region to its Figure-14 bucket.
 func AnalysisServerRegion(r Region) Region {
 	if r == RegionJapan {

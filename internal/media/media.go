@@ -84,20 +84,10 @@ type Clip struct {
 	Seed int64
 }
 
-// EncodingFor selects the best SureStream encoding not exceeding maxKbps,
-// falling back to the lowest. This is the server's stream-selection rule at
-// session start and at every mid-playout switch.
-func (c *Clip) EncodingFor(maxKbps float64) Encoding {
-	best := c.Encodings[0]
-	for _, e := range c.Encodings {
-		if e.TotalKbps <= maxKbps {
-			best = e
-		}
-	}
-	return best
-}
-
-// EncodingIndexFor is EncodingFor returning the index.
+// EncodingIndexFor selects the best SureStream encoding not exceeding
+// maxKbps, falling back to the lowest, and returns its index in Encodings.
+// This is the server's stream-selection rule at session start and at every
+// mid-playout switch.
 func (c *Clip) EncodingIndexFor(maxKbps float64) int {
 	idx := 0
 	for i, e := range c.Encodings {
@@ -155,14 +145,6 @@ const audioPacketInterval = 250 * time.Millisecond
 func NewFrameSource(clip *Clip, enc Encoding) *FrameSource {
 	fs := &FrameSource{}
 	fs.Reset(clip, enc)
-	return fs
-}
-
-// NewFrameSourceAt builds a source fast-forwarded to media time t — used
-// when SureStream switches encodings mid-playout.
-func NewFrameSourceAt(clip *Clip, enc Encoding, t time.Duration) *FrameSource {
-	fs := &FrameSource{}
-	fs.ResetAt(clip, enc, t)
 	return fs
 }
 

@@ -10,18 +10,23 @@ func testClip(min, max float64) *Clip {
 	return GenerateClip("rtsp://h/c.rm", "t", ContentNews, 2*time.Minute, min, max, 42)
 }
 
+// encodingFor is the rung the server would pick for a maxKbps request.
+func encodingFor(c *Clip, maxKbps float64) Encoding {
+	return c.Encodings[c.EncodingIndexFor(maxKbps)]
+}
+
 func TestLadderSelection(t *testing.T) {
 	c := testClip(20, 350)
 	if len(c.Encodings) != 6 {
 		t.Fatalf("full ladder should have 6 rungs, got %d", len(c.Encodings))
 	}
-	if c.EncodingFor(100).TotalKbps != 80 {
-		t.Fatalf("EncodingFor(100)=%v want 80", c.EncodingFor(100).TotalKbps)
+	if encodingFor(c, 100).TotalKbps != 80 {
+		t.Fatalf("EncodingIndexFor(100) picks %v want 80", encodingFor(c, 100).TotalKbps)
 	}
-	if c.EncodingFor(5).TotalKbps != 20 {
+	if encodingFor(c, 5).TotalKbps != 20 {
 		t.Fatal("below-minimum request should fall back to lowest rung")
 	}
-	if c.EncodingFor(9999).TotalKbps != 350 {
+	if encodingFor(c, 9999).TotalKbps != 350 {
 		t.Fatal("above-maximum request should pick top rung")
 	}
 	if c.MaxEncoding().TotalKbps != 350 {
@@ -36,7 +41,7 @@ func TestLadderFloor(t *testing.T) {
 	}
 	// A modem asking for 34 Kbps still gets the 80 Kbps rung — the
 	// broadband-only-clip situation behind the slideshow playouts.
-	if c.EncodingFor(34).TotalKbps != 80 {
+	if encodingFor(c, 34).TotalKbps != 80 {
 		t.Fatal("sub-floor request should serve lowest available rung")
 	}
 }
@@ -45,16 +50,6 @@ func TestDegenerateRange(t *testing.T) {
 	c := GenerateClip("u", "t", ContentNews, time.Minute, 500, 600, 1)
 	if len(c.Encodings) != 1 {
 		t.Fatalf("degenerate range should carry one rung, got %d", len(c.Encodings))
-	}
-}
-
-func TestEncodingIndexForMatchesEncodingFor(t *testing.T) {
-	c := testClip(20, 350)
-	for _, kbps := range []float64{0, 21, 34, 79, 150, 226, 500} {
-		i := c.EncodingIndexFor(kbps)
-		if c.Encodings[i] != c.EncodingFor(kbps) {
-			t.Fatalf("index/selector disagree at %v", kbps)
-		}
 	}
 }
 
@@ -171,7 +166,8 @@ func TestFrameSourceDeterministic(t *testing.T) {
 func TestNewFrameSourceAtResumes(t *testing.T) {
 	clip := testClip(20, 350)
 	enc := clip.Encodings[4]
-	fs := NewFrameSourceAt(clip, enc, 30*time.Second)
+	fs := &FrameSource{}
+	fs.ResetAt(clip, enc, 30*time.Second)
 	f, ok := fs.Next()
 	if !ok {
 		t.Fatal("resumed source empty")
@@ -276,12 +272,12 @@ func TestGenerateLibraryDeterministic(t *testing.T) {
 	}
 }
 
-// Property: EncodingFor never exceeds the request unless the request is
-// below the clip floor.
+// Property: the selected encoding never exceeds the request unless the
+// request is below the clip floor.
 func TestPropertyEncodingForBound(t *testing.T) {
 	f := func(req uint16) bool {
 		c := testClip(20, 350)
-		e := c.EncodingFor(float64(req))
+		e := encodingFor(c, float64(req))
 		if float64(req) >= 20 {
 			return e.TotalKbps <= float64(req)
 		}

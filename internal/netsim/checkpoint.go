@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"realtracer/internal/detrand"
@@ -12,7 +11,7 @@ import (
 
 // Checkpoint/restore for the network layer. The snapshot holds only what a
 // rebuilt world cannot rederive: the interning table (ID order is
-// load-bearing — persisted HostIDs and grid indices stay valid only if the
+// load-bearing — persisted HostIDs and path-row indices stay valid only if the
 // restored table assigns the same IDs), attached hosts' access configs and
 // fluid-queue state, each path's dynamic fields (the route itself comes back
 // from the RouteTable), every in-flight packet with its original (At, seq),
@@ -28,37 +27,11 @@ func init() {
 // implementation; netsim cannot depend on it.
 type PayloadSync func(c *snap.Codec, payload *any)
 
-// pathEntry pairs an ordered host pair with its path state for a
-// deterministic checkpoint walk.
+// pathEntry pairs an ordered host pair with its path state for the
+// checkpoint walk.
 type pathEntry struct {
 	from, to HostID
 	p        *pathState
-}
-
-// sortedPaths returns every existing pathState with its pair, ordered by
-// (from, to) so the snapshot bytes do not depend on map iteration.
-func (n *Network) sortedPaths() []pathEntry {
-	var out []pathEntry
-	if n.grid != nil {
-		for f := 1; f <= n.stride; f++ {
-			for t := 1; t <= n.stride; t++ {
-				if p := n.grid[(f-1)*n.stride+(t-1)]; p != nil {
-					out = append(out, pathEntry{HostID(f), HostID(t), p})
-				}
-			}
-		}
-		return out
-	}
-	for k, p := range n.overflow {
-		out = append(out, pathEntry{k.from, k.to, p})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].from != out[j].from {
-			return out[i].from < out[j].from
-		}
-		return out[i].to < out[j].to
-	})
-	return out
 }
 
 // Sync walks the network's core dynamic state: RNG positions, counters, the
@@ -84,6 +57,13 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool) {
 	}
 	keepDynamics = n.dyn != nil && (keepDynamics || !c.Reading())
 	c.Tag("netsim")
+	// Restoring a path grows its source's row out to the destination ID: an
+	// allocation sized by a field's value, not by the input's length. Like
+	// RNG replay (snap.Codec.DrawCount) it is charged against a budget
+	// proportional to the input from here on, names included — far above
+	// what a real world holds (a 3,000-user panel has ~70k slots), far below
+	// the names x paths a hostile list of (from, to) pairs could ask for.
+	slots := 1<<20 + 16*c.Remaining()
 
 	n.drng.Sync(c, nil)
 	hasDyn := n.dyn != nil
@@ -147,7 +127,10 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool) {
 	c.Tag("paths")
 	var paths []pathEntry
 	if !c.Reading() {
-		paths = n.sortedPaths()
+		// Rows iterate in (from, to) order, so the bytes are deterministic.
+		n.forEachPath(func(from, to HostID, p *pathState) {
+			paths = append(paths, pathEntry{from, to, p})
+		})
 	}
 	now := n.Clock.Now()
 	snap.Slice(c, &paths, func(c *snap.Codec, pe *pathEntry) {
@@ -160,6 +143,12 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool) {
 			if n.lookupName(pe.from) == "" || n.lookupName(pe.to) == "" {
 				c.Fail(fmt.Errorf("netsim: restore path (%d,%d) out of range", pe.from, pe.to))
 				return
+			}
+			if grow := int(pe.to) + 1 - len(n.rows[pe.from]); grow > 0 {
+				if slots -= grow; slots < 0 {
+					c.Fail(fmt.Errorf("netsim: restore path table is larger than a snapshot of this size can justify"))
+					return
+				}
 			}
 			pe.p = n.path(pe.from, pe.to)
 		}
@@ -261,8 +250,8 @@ func (n *Network) SyncPackets(c *snap.Codec, payload PayloadSync) {
 	if !c.Reading() {
 		for _, pe := range n.Clock.Pendings() {
 			if pkt, ok := pe.Handler.(*Packet); ok && pkt.net == n {
-				if pkt.edge {
-					c.Fail(fmt.Errorf("netsim: edge-scheduled packet in classic checkpoint"))
+				if pkt.edge || pkt.transit {
+					c.Fail(fmt.Errorf("netsim: sharded-world packet (at the WAN edge, or carrying a transit snapshot) in classic checkpoint"))
 					return
 				}
 				pkts = append(pkts, pe)

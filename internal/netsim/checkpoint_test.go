@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,5 +164,34 @@ func TestNetworkRestoreRejectsInterningMismatch(t *testing.T) {
 	}
 	if want := "interning mismatch"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestNetworkRestoreBoundsPathTable pins the hostile-input bound on the one
+// restore allocation a field's value sizes: a snapshot whose path list names
+// 600 sources, each with a path to host 5,000, asks for 3M row slots on the
+// strength of ~130 KB of input, and must be refused rather than obeyed.
+func TestNetworkRestoreBoundsPathTable(t *testing.T) {
+	const names, sources = 5000, 600
+	build := func() *Network {
+		n := New(simclock.New(), nil, 1)
+		for i := 0; i < names; i++ {
+			n.Intern(fmt.Sprintf("h%d", i))
+		}
+		return n
+	}
+	// The encoder's rows share one backing array, so writing the snapshot
+	// does not itself cost what reading it would.
+	n1 := build()
+	n1.path(1, names)
+	for from := 2; from <= sources; from++ {
+		n1.rows[from] = n1.rows[1]
+	}
+	n2 := build()
+	c := snap.NewDecoder(checkpointNet(t, n1))
+	n2.Clock.Sync(c)
+	n2.Sync(c, false)
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "path table") {
+		t.Fatalf("restore error = %v, want the path-table budget to refuse it", err)
 	}
 }

@@ -262,7 +262,7 @@ func (n *Network) SetDynamics(spec *Dynamics, seed int64) {
 		drng := detrand.New(seed)
 		n.dyn = &dynState{spec: spec, compiled: compiled, rng: drng.Rand, drng: drng}
 	}
-	n.forEachPath(func(p *pathState) {
+	n.forEachPath(func(_, _ HostID, p *pathState) {
 		p.dynEvents = nil
 		p.dynMatched = false
 		p.ge = nil
@@ -296,31 +296,25 @@ func (n *Network) dynEventsFor(p *pathState, from, to HostID) []int {
 }
 
 // dynApply folds every matching active event into one effect for a packet
-// offered on the path at virtual time now. pathRng is the path's private
-// draw stream; the sharded engine draws Gilbert–Elliott transitions from it
-// (per-path streams advanced in source-shard event order are partition-
-// invariant where a global dynamics RNG would not be), while the classic
-// engine keeps the dedicated dynamics RNG and may pass pathRng nil.
-// dynApply returns nil when no schedule is installed — the common case and
-// the per-packet hot path, where the caller pays one inlined branch instead
-// of a call plus a 40-byte effect copy. A non-nil result points at
-// per-network scratch and is valid only until the next dynApply call.
-func (n *Network) dynApply(p *pathState, from, to HostID, pathRng *rand.Rand) *dynEffect {
+// offered on the path at virtual time now. rng is the dynamics draw stream
+// Network.streams chose — Gilbert–Elliott transitions draw from it — and may
+// be nil when no schedule is installed. dynApply then returns nil — the
+// common case and the per-packet hot path, where the caller pays one inlined
+// branch instead of a call plus a 40-byte effect copy. A non-nil result
+// points at per-network scratch and is valid only until the next dynApply
+// call.
+func (n *Network) dynApply(p *pathState, from, to HostID, rng *rand.Rand) *dynEffect {
 	if n.dyn == nil {
 		return nil
 	}
-	n.dynScratch = n.dynApplyActive(p, from, to, pathRng)
+	n.dynScratch = n.dynApplyActive(p, from, to, rng)
 	return &n.dynScratch
 }
 
 // dynApplyActive is the non-inert half of dynApply: at least one dynamics
 // event is installed.
-func (n *Network) dynApplyActive(p *pathState, from, to HostID, pathRng *rand.Rand) dynEffect {
+func (n *Network) dynApplyActive(p *pathState, from, to HostID, rng *rand.Rand) dynEffect {
 	eff := dynEffect{capFactor: 1}
-	drawRng := n.dyn.rng
-	if n.fab != nil {
-		drawRng = pathRng
-	}
 	now := n.Clock.Now()
 	for gi, i := range n.dynEventsFor(p, from, to) {
 		e := &n.dyn.spec.Events[i]
@@ -350,7 +344,7 @@ func (n *Network) dynApplyActive(p *pathState, from, to HostID, pathRng *rand.Ra
 		case EventFlashCrowd:
 			eff.congAdd += e.Amplitude * flashShape(t, e.RampUp, e.Decay)
 		case EventLossBurst:
-			advanceGE(&p.ge[gi], e, now, drawRng)
+			advanceGE(&p.ge[gi], e, now, rng)
 			if p.ge[gi].bad {
 				eff.lossExtra = combineLoss(eff.lossExtra, e.BadLoss)
 			}

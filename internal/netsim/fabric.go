@@ -41,10 +41,11 @@
 //     still mutate. Snapshot storage is leased from the source shard's
 //     transit pool and recycled by the receiving shard (transit.go), so
 //     the copy semantics cost no steady-state allocation.
-//   - Packet delivery is split in two phases: the source shard applies the
-//     uplink and wide-area stages and timestamps the packet's WAN-edge
-//     arrival; the destination shard applies the access downlink queue in
-//     its own event order at that edge time.
+//   - Packet delivery is split in two phases: the source shard runs the
+//     uplink and wide-area stages (Send) and timestamps the packet's
+//     WAN-edge arrival; the destination shard runs the same downlink stage
+//     the classic engine runs at send time, but in its own event order at
+//     that edge time (deliver).
 //   - The window sequence itself is partition-invariant: T is the global
 //     minimum over all shards, which is just the world's next event time.
 package netsim
@@ -131,14 +132,6 @@ func (f *Fabric) Clock(i int) *simclock.Clock { return f.clocks[i] }
 // Lookahead returns the frozen synchronization lookahead.
 func (f *Fabric) Lookahead() time.Duration { return f.lookahead }
 
-// ShardOf returns the owner shard of an interned host, or -1.
-func (f *Fabric) ShardOf(id HostID) int {
-	if id <= 0 || int(id) >= len(f.shardOf) {
-		return -1
-	}
-	return int(f.shardOf[id])
-}
-
 func (f *Fabric) checkShard(i int) {
 	if i < 0 || i >= len(f.nets) {
 		panic(fmt.Sprintf("netsim: shard %d out of range [0,%d)", i, len(f.nets)))
@@ -188,23 +181,18 @@ func (f *Fabric) Freeze(lookahead time.Duration) {
 	if b.dyn != nil {
 		panic("netsim: install dynamics on a sharded world via Fabric.SetDynamics, after Freeze")
 	}
-	if b.overflow != nil {
-		panic(fmt.Sprintf("netsim: sharded worlds are limited to %d hosts (path grid)", maxGridHosts))
-	}
 	for id := 1; id < len(b.hostTab); id++ {
 		if f.shardOf[id] < 0 {
 			panic("netsim: host " + b.names[id] + " was interned outside the fabric")
 		}
 	}
-	// Pre-size the path grid to the full host range so no shard ever
-	// reallocates the shared backing array at runtime.
-	if hosts := len(b.hostTab) - 1; hosts > 0 {
-		b.growGrid(hosts)
-	}
+	// Interning is closed from here on, so the tables indexed by HostID —
+	// the path rows' outer slice among them — are at their final size and no
+	// shard ever reallocates a shared backing array at runtime. A row itself
+	// grows, but only under Send from its source host: on one shard.
 	f.lookahead = lookahead
 	for _, n := range f.nets {
-		n.ids, n.names, n.hostTab = b.ids, b.names, b.hostTab
-		n.grid, n.stride = b.grid, b.stride
+		n.ids, n.names, n.hostTab, n.rows = b.ids, b.names, b.hostTab, b.rows
 		n.frozen = true
 	}
 	f.frozen = true
@@ -224,9 +212,9 @@ func (f *Fabric) SetDynamics(spec *Dynamics, seed int64) {
 	if !f.frozen {
 		panic("netsim: Fabric.SetDynamics before Freeze")
 	}
-	// Compile once against the frozen name table; the grid (and so every
-	// path's dynamics state) is shared, so the base network's reset covers
-	// all shards.
+	// Compile once against the frozen name table; the path rows (and so
+	// every path's dynamics state) are shared, so the base network's reset
+	// covers all shards.
 	b := f.nets[0]
 	b.SetDynamics(spec, seed)
 	for _, n := range f.nets[1:] {
@@ -234,29 +222,33 @@ func (f *Fabric) SetDynamics(spec *Dynamics, seed int64) {
 	}
 }
 
-// forward hands a packet leaving shard src's wide-area stage to the shard
-// that owns its destination, timestamped with its WAN-edge arrival. Called
-// by Send during a window; at is always at or beyond the window horizon.
-func (f *Fabric) forward(src int, at time.Duration, pkt *Packet) {
-	var dst int = -1
+// forward is what Send does in a sharded world instead of the downlink
+// stage: it hands a packet that reaches the far edge of the wide area at at
+// — at least OneWayDelay, and therefore at least the lookahead, after now,
+// so at or beyond the window horizon — to the shard that owns its
+// destination, which runs the downlink at that time in its own event order.
+// The payload is snapshotted here (value semantics at the wire, like real
+// serialization), uniformly, so no shard ever reads memory another shard may
+// still mutate and a send's observable content is fixed at send time for
+// every shard count. Snapshot storage is leased from this shard's transit
+// pool and recycled by the receiving side (transit.go).
+func (n *Network) forward(at time.Duration, pkt *Packet) {
+	pkt.Payload = CopyPayload(&n.transit, pkt.Payload)
+	pkt.edge, pkt.transit = true, true
+	f, dst := n.fab, -1
 	if int(pkt.ToID) < len(f.shardOf) {
 		dst = int(f.shardOf[pkt.ToID])
 	}
-	if dst < 0 {
+	switch dst {
+	case -1:
 		// Unknown destination name: nobody owns it, nobody can deliver it.
-		n := f.nets[src]
-		n.dropped++
-		n.releaseTransitPayload(pkt)
-		n.release(pkt)
-		return
-	}
-	if dst == src {
-		n := f.nets[src]
+		n.drop(pkt)
+	case n.shardIdx:
 		pkt.net = n
 		n.Clock.AtHandler(at, pkt)
-		return
+	default:
+		f.out[n.shardIdx][dst] = append(f.out[n.shardIdx][dst], shardMsg{at: at, pkt: pkt})
 	}
-	f.out[src][dst] = append(f.out[src][dst], shardMsg{at: at, pkt: pkt})
 }
 
 // Post schedules a control event on shard dst's clock at time at, from code

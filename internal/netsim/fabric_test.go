@@ -5,13 +5,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"realtracer/internal/simclock"
 )
 
 // TestInspectionDoesNotIntern pins the read-only contract of the name-based
 // inspection APIs: probing a pair the network has never seen must not grow
 // the host table. These queries used to route through Intern, so a typo'd
-// or speculative probe permanently allocated a host ID — and enough of them
-// could push a world over the path-grid budget into overflow mode.
+// or speculative probe permanently allocated a host ID, and with it one
+// entry in every table indexed by HostID.
 func TestInspectionDoesNotIntern(t *testing.T) {
 	clock, n := newNet(Route{OneWayDelay: 40 * time.Millisecond, CongestionMean: 0.25})
 	hosts, interned := len(n.hostTab), len(n.ids)
@@ -56,19 +58,23 @@ func TestInspectionDoesNotIntern(t *testing.T) {
 	}
 }
 
-// internPast pushes the network's interned-name count beyond the path-grid
-// budget so the next structural operation sees overflow mode.
-func internPast(n *Network, count int) {
-	for i := 0; len(n.hostTab)-1 <= count; i++ {
-		n.Intern(fmt.Sprintf("filler%d", i))
+// oldGridLimit is where path state used to leave a flat grid for a map (and
+// where a sharded world used to be refused). The row table has no such bound;
+// the tests below cross the old one to keep it that way.
+const oldGridLimit = 1024
+
+// internPast grows the interned-name table beyond count names.
+func internPast(intern func(string) HostID, count int) {
+	for i := 0; int(intern(fmt.Sprintf("filler%d", i))) <= count; i++ {
 	}
 }
 
-// TestGridToOverflowMigration crosses the maxGridHosts boundary mid-run:
-// path state built on the grid (a bottleneck queue extending into the
-// future, a packet still in flight) must survive the migration to the map
-// fallback byte-for-byte, and traffic must keep flowing afterwards.
-func TestGridToOverflowMigration(t *testing.T) {
+// TestPathStateSurvivesTableGrowth grows the name table past 1,100 entries
+// mid-run: path state built while it was small (a bottleneck queue extending
+// into the future, a packet still in flight) must survive untouched, and
+// traffic must keep flowing afterwards — to old hosts and, growing the
+// sender's row a thousand slots at once, to one interned after the growth.
+func TestPathStateSurvivesTableGrowth(t *testing.T) {
 	clock, n := newNet(Route{CapacityKbps: 100, OneWayDelay: 50 * time.Millisecond})
 	delivered := 0
 	n.Register("b:1", func(*Packet) { delivered++ })
@@ -77,62 +83,118 @@ func TestGridToOverflowMigration(t *testing.T) {
 	}
 	p := n.path(n.Intern("a"), n.Intern("b"))
 	if p.busyUntil == 0 {
-		t.Fatal("bottleneck queue did not build up before migration")
+		t.Fatal("bottleneck queue did not build up before the table grew")
 	}
 	busy := p.busyUntil
 
-	internPast(n, maxGridHosts)
-	if n.overflow == nil || n.grid != nil {
-		t.Fatalf("crossing %d hosts did not migrate the grid to overflow", maxGridHosts)
+	internPast(n.Intern, 1100)
+	n.AddHost(HostConfig{Name: "late", Access: DefaultAccessProfile(AccessT1LAN)})
+	if id := n.HostIDOf("late"); id <= 1100 {
+		t.Fatalf("late host got ID %d, want one past 1100", id)
 	}
-	if got := n.pathLookup(n.Intern("a"), n.Intern("b")); got != p {
-		t.Fatalf("migration rebuilt the a->b path state (lost %v of queue)", busy)
+	n.Register("late:1", func(*Packet) { delivered++ })
+	n.Register("a:9", func(*Packet) { delivered++ })
+	n.Send(&Packet{From: "a:9", To: "late:1", Size: 500})
+	n.Send(&Packet{From: "late:1", To: "a:9", Size: 500})
+	if got := n.pathLookup(n.Intern("a"), n.Intern("b")); got != p || got.busyUntil != busy {
+		t.Fatalf("growing the table rebuilt the a->b path state (lost %v of queue)", busy)
 	}
 
 	clock.Run()
-	if delivered == 0 {
-		t.Fatal("no packet in flight across the migration was delivered")
+	if delivered != 22 {
+		t.Fatalf("delivered %d packets, want the 20 in flight across the growth and 2 after it", delivered)
 	}
-	// The network keeps working in overflow mode.
 	n.Send(&Packet{From: "a:9", To: "b:1", Size: 500})
 	clock.Run()
-	if _, del, _ := n.Stats(); del != uint64(delivered) {
-		t.Fatalf("post-migration delivery count skewed: stats %d vs handler %d", del, delivered)
+	if _, del, _ := n.Stats(); del != 23 || delivered != 23 {
+		t.Fatalf("delivery count skewed after the growth: stats %d, handlers %d, want 23", del, delivered)
 	}
 }
 
-// TestOverflowRemoveHostPurges is RemoveHost's overflow-mode mirror of
-// TestRemoveHostPurgesPathState: once the world has migrated off the grid,
-// detaching a host must still purge both directions of its path state, and
-// a host re-added under the same name must start fresh and reachable.
-func TestOverflowRemoveHostPurges(t *testing.T) {
-	clock, n := newNet(Route{CapacityKbps: 100})
-	internPast(n, maxGridHosts)
-	n.Register("b:1", func(*Packet) {})
-	for i := 0; i < 50; i++ {
-		n.Send(&Packet{From: "a:9", To: "b:1", Size: 1000})
-	}
-	n.Send(&Packet{From: "b:1", To: "a:9", Size: 1000})
-	if p := n.pathLookup(n.Intern("a"), n.Intern("b")); p == nil || p.busyUntil == 0 {
-		t.Fatal("bottleneck queue did not build up in overflow mode")
-	}
-	clock.Run()
+// TestRemoveHostPurgesLargeTable is TestRemoveHostPurgesPathState on a
+// network of more than 1,024 names, for both engines: the classic one purges
+// both directions of the departed host's path state, a shard of a fabric
+// only the host's own row (the column belongs to other sources' shards), and
+// either way a host re-added under the same name is reachable again and
+// sends over fresh state. Freezing a fabric this large used to panic.
+func TestRemoveHostPurgesLargeTable(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sharded=%v", sharded), func(t *testing.T) {
+			var n *Network
+			var run func()
+			if sharded {
+				fab := NewFabric(1, StaticRoute{CapacityKbps: 100, OneWayDelay: 30 * time.Millisecond}, 42)
+				internPast(func(name string) HostID { return fab.Intern(0, name) }, oldGridLimit)
+				fab.AddHost(0, HostConfig{Name: "a", Access: DefaultAccessProfile(AccessServer)})
+				fab.AddHost(0, HostConfig{Name: "b", Access: DefaultAccessProfile(AccessT1LAN)})
+				fab.Freeze(25 * time.Millisecond)
+				n, run = fab.Net(0), func() { fab.Run(nil) }
+			} else {
+				var clock *simclock.Clock
+				clock, n = newNet(Route{CapacityKbps: 100})
+				internPast(n.Intern, oldGridLimit)
+				run = clock.Run
+			}
+			a, b := n.HostIDOf("a"), n.HostIDOf("b")
+			n.Register("b:1", func(*Packet) {})
+			for i := 0; i < 50; i++ {
+				n.Send(&Packet{From: "a:9", To: "b:1", Size: 1000})
+			}
+			n.Send(&Packet{From: "b:1", To: "a:9", Size: 1000})
+			if p := n.pathLookup(a, b); p == nil || p.busyUntil == 0 {
+				t.Fatal("bottleneck queue did not build up")
+			}
+			run()
 
-	n.RemoveHost("b")
-	if p := n.pathLookup(n.Intern("a"), n.Intern("b")); p != nil {
-		t.Fatal("RemoveHost left a->b overflow state behind")
-	}
-	if p := n.pathLookup(n.Intern("b"), n.Intern("a")); p != nil {
-		t.Fatal("RemoveHost left b->a overflow state behind")
-	}
+			n.RemoveHost("b")
+			if p := n.pathLookup(b, a); p != nil {
+				t.Fatal("RemoveHost left the departed host's own row (b->a) behind")
+			}
+			if p := n.pathLookup(a, b); (p != nil) != sharded {
+				t.Fatalf("a->b state after RemoveHost: present=%v, want purged on the classic engine and kept on a shard", p != nil)
+			}
 
-	n.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessT1LAN)})
-	got := 0
-	n.Register("b:1", func(*Packet) { got++ })
-	n.Send(&Packet{From: "a:9", To: "b:1", Size: 100})
-	clock.Run()
-	if got != 1 {
-		t.Fatalf("re-added host received %d packets, want 1", got)
+			n.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessT1LAN)})
+			if got := n.path(b, a).busyUntil; got != 0 {
+				t.Fatalf("re-added host inherited b->a busyUntil=%v, want fresh state", got)
+			}
+			got := 0
+			n.Register("b:1", func(*Packet) { got++ })
+			n.Send(&Packet{From: "a:9", To: "b:1", Size: 100})
+			run()
+			if got != 1 {
+				t.Fatalf("re-added host received %d packets, want 1", got)
+			}
+		})
+	}
+}
+
+// TestPathTableIsSparse pins what the row table costs: 5,000 users each
+// talking to 11 servers, both directions, hold a few slots per (server,
+// user) pair — not the 25 million of a users x users grid.
+func TestPathTableIsSparse(t *testing.T) {
+	const servers, users = 11, 5000
+	n := New(simclock.New(), nil, 1)
+	for i := 0; i < servers; i++ {
+		n.Intern(fmt.Sprintf("server%d", i))
+	}
+	for u := 0; u < users; u++ {
+		user := n.Intern(fmt.Sprintf("user%d", u))
+		for s := 1; s <= servers; s++ {
+			n.path(user, HostID(s))
+			n.path(HostID(s), user)
+		}
+	}
+	slots, paths := 0, 0
+	for _, row := range n.rows {
+		slots += cap(row)
+	}
+	n.forEachPath(func(_, _ HostID, _ *pathState) { paths++ })
+	if paths != 2*servers*users {
+		t.Fatalf("%d paths, want %d", paths, 2*servers*users)
+	}
+	if limit := 4 * servers * users; slots > limit {
+		t.Fatalf("path table holds %d slots for %d paths, want at most %d (O(servers x users))", slots, paths, limit)
 	}
 }
 

@@ -10,12 +10,21 @@
 // The simulator delivers opaque packets between registered handlers; the
 // transport layer (internal/transport) builds TCP and UDP semantics on top.
 //
+// A packet crosses three link stages, each written once: the source host's
+// uplink, the wide-area path (wan) and the destination host's downlink. Send
+// composes all three on the classic engine; in a sharded world (fabric.go) it
+// stops after the wide area and the shard that owns the destination runs the
+// same downlink when the packet reaches the WAN edge. Every packet the
+// network will not deliver leaves through one exit, drop.
+//
 // The per-packet path is allocation-free in steady state: host names are
 // interned to dense HostIDs (Intern/AddHost), the per-ordered-pair path
-// state lives in a flat grid indexed by ID pair (with a map fallback for
-// very large topologies), packets come from a free-list (Obtain) and are
-// released back on delivery or drop, and delivery is scheduled through the
-// clock's pooled handler events — the Packet itself is the EventHandler.
+// state lives in one table of per-source rows indexed rows[from][to] — a row
+// is as long as the highest destination its source has sent to, so the table
+// costs O(servers x users) slots at any size — packets come from a free-list
+// (Obtain) and are released back on delivery or drop, and delivery is
+// scheduled through the clock's pooled handler events — the Packet itself is
+// the EventHandler.
 package netsim
 
 import (
@@ -108,6 +117,10 @@ type Packet struct {
 	// shard that owns the destination host does that — see Fabric). Always
 	// false on the classic single-shard path.
 	edge bool
+	// transit marks Payload as the snapshot forward took at the WAN edge
+	// (CopyPayload): the network owns it until the destination handler
+	// runs, so drop releases it. Until then the payload is the caller's.
+	transit bool
 }
 
 // Fire implements simclock.EventHandler: a scheduled Packet delivers itself.
@@ -274,8 +287,6 @@ func (h *host) clearPort(p int32) {
 	}
 }
 
-type pairKey struct{ from, to HostID }
-
 // pathState carries the per-ordered-pair wide-area state.
 type pathState struct {
 	route     Route
@@ -303,12 +314,6 @@ type pathState struct {
 	rng *rand.Rand
 }
 
-// maxGridHosts bounds the flat pathState grid: beyond this many interned
-// names the quadratic grid would dominate memory, so path state falls back
-// to a map keyed by the ID pair (still no string keys). The study's worlds
-// are far below the bound; only very large dynamic topologies cross it.
-const maxGridHosts = 1024
-
 // Network simulates packet delivery between hosts. Not safe for concurrent
 // use: it shares the single-threaded simclock discipline.
 type Network struct {
@@ -325,11 +330,12 @@ type Network struct {
 	hostTab []*host           // indexed by HostID; entry nil when detached
 	names   []string          // indexed by HostID; interned name
 
-	// Path state: a flat (stride x stride) grid indexed by ordered ID pair
-	// while the topology is small, a pairKey map beyond maxGridHosts.
-	grid     []*pathState
-	stride   int
-	overflow map[pairKey]*pathState
+	// Path state, one row per source host: rows[from][to], nil for a pair
+	// that has carried no traffic. The outer slice grows with the interned
+	// names (one entry each, like hostTab); a row grows to the highest
+	// destination ID its source has sent to, and only Send from that source
+	// — so, in a sharded world, only the source's shard — writes it.
+	rows [][]*pathState
 
 	free     []*Packet   // packet free-list
 	hostFree []*host     // detached host objects recycled by AddHost
@@ -342,9 +348,9 @@ type Network struct {
 
 	// Sharded execution (fabric.go). fab is nil on the classic path. When a
 	// Network belongs to a Fabric it shares the frozen interning tables and
-	// the path grid with its sibling shards — every entry of those tables is
-	// touched by exactly one shard — and owns its clock, packet pool and
-	// draw streams privately.
+	// the path rows with its sibling shards — every entry of those tables is
+	// touched by exactly one shard, the one that owns the (source) host — and
+	// owns its clock, packet pool and draw streams privately.
 	fab      *Fabric
 	shardIdx int
 	frozen   bool  // interning closed: Intern of an unknown name panics
@@ -370,6 +376,7 @@ func New(clock *simclock.Clock, routes RouteTable, seed int64) *Network {
 		ids:     make(map[string]HostID),
 		hostTab: make([]*host, 1), // index 0 = HostID zero, unused
 		names:   make([]string, 1),
+		rows:    make([][]*pathState, 1),
 	}
 }
 
@@ -392,42 +399,13 @@ func (n *Network) Intern(name string) HostID {
 	n.ids[name] = id
 	n.hostTab = append(n.hostTab, nil)
 	n.names = append(n.names, name)
-	if n.overflow == nil && len(n.hostTab)-1 > maxGridHosts {
-		// The grid would outgrow its budget: migrate to the map fallback.
-		n.overflow = make(map[pairKey]*pathState)
-		for f := 1; f <= n.stride; f++ {
-			for t := 1; t <= n.stride; t++ {
-				if p := n.grid[(f-1)*n.stride+(t-1)]; p != nil {
-					n.overflow[pairKey{HostID(f), HostID(t)}] = p
-				}
-			}
-		}
-		n.grid, n.stride = nil, 0
-	}
+	n.rows = append(n.rows, nil)
 	return id
 }
 
 // HostIDOf returns the interned ID for name, or zero when the name has never
 // been interned.
 func (n *Network) HostIDOf(name string) HostID { return n.ids[name] }
-
-// growGrid re-lays the path grid so it covers IDs 1..want.
-func (n *Network) growGrid(want int) {
-	stride := n.stride
-	if stride == 0 {
-		stride = 8
-	}
-	for stride < want {
-		stride *= 2
-	}
-	grid := make([]*pathState, stride*stride)
-	for f := 1; f <= n.stride; f++ {
-		for t := 1; t <= n.stride; t++ {
-			grid[(f-1)*stride+(t-1)] = n.grid[(f-1)*n.stride+(t-1)]
-		}
-	}
-	n.grid, n.stride = grid, stride
-}
 
 // AddHost attaches a host. Adding the same name twice panics: host identity
 // is load-bearing for path state.
@@ -466,27 +444,17 @@ func (n *Network) RemoveHost(name string) {
 	h.ports = h.ports[:0]
 	h.portBase = 0
 	n.hostFree = append(n.hostFree, h)
-	if n.grid != nil {
-		if int(id) <= n.stride {
-			row := (int(id) - 1) * n.stride
-			for t := 0; t < n.stride; t++ {
-				n.grid[row+t] = nil
+	clear(n.rows[id])
+	// The column holds paths whose *source* is some other host. In sharded
+	// mode those entries belong to the source hosts' shards and purging them
+	// here would race; wide-area path state instead survives host churn
+	// uniformly across every shard count. The classic path keeps the full
+	// both-direction purge.
+	if n.fab == nil {
+		for _, row := range n.rows {
+			if int(id) < len(row) {
+				row[id] = nil
 			}
-			// The column holds paths whose *source* is some other host. In
-			// sharded mode those entries belong to the source hosts' shards
-			// and purging them here would race; wide-area path state instead
-			// survives host churn uniformly across every shard count. The
-			// classic path keeps the full both-direction purge.
-			if n.fab == nil {
-				for f := 0; f < n.stride; f++ {
-					n.grid[f*n.stride+int(id)-1] = nil
-				}
-			}
-		}
-	}
-	for k := range n.overflow {
-		if k.from == id || k.to == id {
-			delete(n.overflow, k)
 		}
 	}
 }
@@ -556,42 +524,23 @@ func (n *Network) release(pkt *Packet) {
 	pkt.Size = 0
 	pkt.Payload = nil
 	pkt.net = nil
-	pkt.edge = false
+	pkt.edge, pkt.transit = false, false
 	n.free = append(n.free, pkt)
 }
 
-// path returns (creating if needed) the ordered-pair path state. The warm
-// grid hit — every packet after a pair's first — inlines into the caller;
-// creation and the overflow map stay behind pathSlow.
+// path returns (creating if needed) the ordered-pair path state, growing
+// the source's row to reach the destination.
 func (n *Network) path(from, to HostID) *pathState {
-	if n.overflow == nil && int(from) <= n.stride && int(to) <= n.stride {
-		if p := n.grid[(int(from)-1)*n.stride+(int(to)-1)]; p != nil {
-			return p
-		}
+	row := n.rows[from]
+	if int(to) >= len(row) {
+		row = append(row, make([]*pathState, int(to)+1-len(row))...)
+		n.rows[from] = row
 	}
-	return n.pathSlow(from, to)
-}
-
-func (n *Network) pathSlow(from, to HostID) *pathState {
-	if n.overflow != nil {
-		k := pairKey{from, to}
-		p, ok := n.overflow[k]
-		if !ok {
-			r := n.routes.Route(n.names[from], n.names[to])
-			p = &pathState{route: r, capBps: kbpsToBitsPerSec(r.CapacityKbps), congestion: clamp01(r.CongestionMean)}
-			n.overflow[k] = p
-		}
-		return p
-	}
-	if int(from) > n.stride || int(to) > n.stride {
-		n.growGrid(len(n.hostTab) - 1)
-	}
-	i := (int(from)-1)*n.stride + (int(to) - 1)
-	p := n.grid[i]
+	p := row[to]
 	if p == nil {
 		r := n.routes.Route(n.names[from], n.names[to])
 		p = &pathState{route: r, capBps: kbpsToBitsPerSec(r.CapacityKbps), congestion: clamp01(r.CongestionMean)}
-		n.grid[i] = p
+		row[to] = p
 	}
 	return p
 }
@@ -599,24 +548,18 @@ func (n *Network) pathSlow(from, to HostID) *pathState {
 // pathLookup returns the existing path state for an ordered pair, or nil.
 // Unlike path it never creates state, so inspection stays read-only.
 func (n *Network) pathLookup(from, to HostID) *pathState {
-	if from == 0 || to == 0 {
+	if int(from) >= len(n.rows) || int(to) >= len(n.rows[from]) {
 		return nil
 	}
-	if n.overflow != nil {
-		return n.overflow[pairKey{from, to}]
-	}
-	if int(from) > n.stride || int(to) > n.stride {
-		return nil
-	}
-	return n.grid[(int(from)-1)*n.stride+(int(to)-1)]
+	return n.rows[from][to]
 }
 
 // routeByName resolves the wide-area route between two host names without
 // creating or mutating any state: never-interned names get the zero Route
 // (a name the network has not seen has no route worth reporting), known
-// names resolve through the route table. Inspection queries used to intern
-// their arguments, permanently growing the host table — a typo'd probe
-// could even push a large world over the grid budget.
+// names resolve through the route table. Inspection must not intern its
+// arguments: an interned name is permanent, and every table indexed by
+// HostID would grow by one entry per typo'd probe.
 func (n *Network) routeByName(from, to string) Route {
 	if n.HostIDOf(from) == 0 || n.HostIDOf(to) == 0 {
 		return Route{}
@@ -624,15 +567,14 @@ func (n *Network) routeByName(from, to string) Route {
 	return n.routes.Route(from, to)
 }
 
-// forEachPath visits every existing pathState.
-func (n *Network) forEachPath(fn func(*pathState)) {
-	for _, p := range n.grid {
-		if p != nil {
-			fn(p)
+// forEachPath visits every existing pathState in (from, to) order.
+func (n *Network) forEachPath(fn func(from, to HostID, p *pathState)) {
+	for from, row := range n.rows {
+		for to, p := range row {
+			if p != nil {
+				fn(HostID(from), HostID(to), p)
+			}
 		}
-	}
-	for _, p := range n.overflow {
-		fn(p)
 	}
 }
 
@@ -673,6 +615,24 @@ func (n *Network) pathRand(p *pathState, from, to HostID) *rand.Rand {
 	return p.rng
 }
 
+// streams picks the two draw streams a packet on path p consumes: path draws
+// (congestion innovations, route loss, jitter) and dynamics draws
+// (Gilbert–Elliott transitions, dynamics loss). The classic engine takes
+// them from two network-wide generators, the global RNG and the installed
+// schedule's dedicated one (nil without a schedule, when nothing draws from
+// it). A sharded world takes both from the path's private stream. The two
+// engines' rules meet here and nowhere else.
+func (n *Network) streams(p *pathState, from, to HostID) (pathRng, dynRng *rand.Rand) {
+	if n.fab != nil {
+		rng := n.pathRand(p, from, to)
+		return rng, rng
+	}
+	if n.dyn != nil {
+		return n.rng, n.dyn.rng
+	}
+	return n.rng, nil
+}
+
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0
@@ -683,94 +643,38 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// Send offers pkt to the network. Delivery (or silent drop) is scheduled on
-// the clock; the call itself does not advance time. Sending from or to an
-// unknown host drops the packet. Send consumes pooled packets: after the
-// call the caller must not touch pkt again.
-func (n *Network) Send(pkt *Packet) {
-	n.sent++
-	if pkt.FromID == 0 {
-		pkt.FromID = n.ids[pkt.From.Host()]
+// uplink is the first link stage, the source access link: a fluid drop-tail
+// queue. It takes a packet of the given size offered at now and returns when
+// the packet has cleared the link, or false when the queue is full.
+func (h *host) uplink(now time.Duration, bits float64) (time.Duration, bool) {
+	start := maxDur(now, h.upBusyUntil)
+	if start-now > h.cfg.Access.QueueDelayMax {
+		return 0, false
 	}
-	src := n.lookup(pkt.FromID)
-	if src == nil {
-		n.dropped++
-		n.release(pkt)
-		return
-	}
-	if pkt.ToID == 0 {
-		pkt.ToID = n.ids[pkt.To.Host()]
-	}
-	var dst *host
-	if n.fab == nil {
-		// Classic path: the destination is resolved at send time so its
-		// downlink queue can be applied inline. In sharded mode the
-		// destination may belong to another shard; only the shard that owns
-		// it may touch it, at the packet's WAN-edge arrival time.
-		dst = n.lookup(pkt.ToID)
-		if dst == nil {
-			n.dropped++
-			n.release(pkt)
-			return
-		}
-	}
-	p := n.path(pkt.FromID, pkt.ToID)
-	rng := n.rng
-	if n.fab != nil {
-		rng = n.pathRand(p, pkt.FromID, pkt.ToID)
-	}
-	n.resampleCongestion(p, rng)
-	// The dynamics layer (dynamics.go) folds every active scheduled event —
-	// outages, ramps, traffic profiles, loss bursts, delay shifts — into one
-	// effect. With no schedule installed this is inert and draw-free: eff is
-	// nil and every eff-guarded branch below reduces to the identity (a 1.0
-	// capacity factor multiplies exactly, a zero delay adds exactly, so the
-	// nil path is float-for-float the same as an inert effect struct). The
-	// endpoints go by ID: in sharded mode the destination may live on
-	// another shard (dst == nil here), but every interned ID resolves
-	// through the frozen name table on every shard.
-	eff := n.dynApply(p, pkt.FromID, pkt.ToID, rng)
-	if eff != nil && eff.drop {
-		n.dropped++
-		n.release(pkt)
-		return
-	}
-	now := n.Clock.Now()
-	bits := float64(pkt.Size) * 8
+	h.upBusyUntil = start + durationFromSeconds(bits/h.upBps)
+	return h.upBusyUntil + h.cfg.Access.BaseDelay, true
+}
 
-	// 1. Source access link uplink: fluid drop-tail queue. upBps is the
-	// hoisted kbpsToBitsPerSec(src.cfg.Access.UpKbps).
-	txUp := durationFromSeconds(bits / src.upBps)
-	start := maxDur(now, src.upBusyUntil)
-	if start-now > src.cfg.Access.QueueDelayMax {
-		n.dropped++
-		n.release(pkt)
-		return
-	}
-	src.upBusyUntil = start + txUp
-	t := src.upBusyUntil + src.cfg.Access.BaseDelay
+// routeQueueMax is the bottleneck buffer: route buffers are generous, and
+// overflow is expressed as time at line rate.
+const routeQueueMax = 2 * time.Second
 
-	// 2. Wide-area route: bottleneck service (if capacity-constrained by the
-	// route), propagation, random loss and jitter.
+// wan is the second link stage, the wide-area route, for a packet that
+// cleared the uplink at t: random loss, dynamics loss, bottleneck service (if
+// the route constrains capacity), propagation and jitter, in that draw
+// order. eff is the folded dynamics effect, nil when no schedule is
+// installed: every eff-guarded branch then reduces to the identity (a 1.0
+// capacity factor multiplies exactly, a zero delay adds exactly, so the nil
+// path is float-for-float the same as an inert effect struct). It returns
+// the packet's arrival at the far edge of the wide area, or false when the
+// packet is lost or the bottleneck queue is full.
+func (p *pathState) wan(eff *dynEffect, rng, dynRng *rand.Rand, t time.Duration, bits float64) (time.Duration, bool) {
 	r := &p.route
 	if r.LossRate > 0 && rng.Float64() < r.LossRate {
-		n.dropped++
-		n.release(pkt)
-		return
+		return 0, false
 	}
-	if eff != nil && eff.lossExtra > 0 {
-		// Dynamics loss draws come from the dedicated dynamics RNG on the
-		// classic path and from the path's private stream in sharded mode,
-		// mirroring the Gilbert–Elliott transition draws in dynApply.
-		dynRng := n.dyn.rng
-		if n.fab != nil {
-			dynRng = rng
-		}
-		if dynRng.Float64() < eff.lossExtra {
-			n.dropped++
-			n.release(pkt)
-			return
-		}
+	if eff != nil && eff.lossExtra > 0 && dynRng.Float64() < eff.lossExtra {
+		return 0, false
 	}
 	if r.CapacityKbps > 0 {
 		cong := p.congestion
@@ -779,21 +683,15 @@ func (n *Network) Send(pkt *Packet) {
 			cong = clamp01(cong + eff.congAdd)
 			capFactor = eff.capFactor
 		}
-		// capBps is the hoisted kbpsToBitsPerSec(r.CapacityKbps).
 		avail := p.capBps * capFactor * (1 - cong)
 		if avail < 1 {
 			avail = 1 // a ramped-to-zero bottleneck is a dead link
 		}
-		tx := durationFromSeconds(bits / avail)
 		s := maxDur(t, p.busyUntil)
-		// Route buffers are generous; express overflow as time at line rate.
-		const routeQueueMax = 2 * time.Second
 		if s-t > routeQueueMax {
-			n.dropped++
-			n.release(pkt)
-			return
+			return 0, false
 		}
-		p.busyUntil = s + tx
+		p.busyUntil = s + durationFromSeconds(bits/avail)
 		t = p.busyUntil
 	}
 	t += r.OneWayDelay
@@ -803,38 +701,96 @@ func (n *Network) Send(pkt *Packet) {
 	if r.Jitter > 0 {
 		t += time.Duration(rng.Float64() * float64(r.Jitter))
 	}
+	return t, true
+}
 
-	if n.fab != nil {
-		// Sharded: t is the WAN-edge arrival, which is at least OneWayDelay
-		// — and therefore at least the fabric's lookahead — after now. Hand
-		// the packet to the shard that owns the destination; it applies the
-		// downlink queue at the edge time, in its own event order. The
-		// payload is snapshotted here (value semantics at the wire, like
-		// real serialization), so no shard ever reads memory another shard
-		// may still mutate, and a send's observable content is fixed at
-		// send time for every shard count. Snapshot storage is leased from
-		// this shard's transit pool and recycled by the receiving side
-		// (transit.go).
-		pkt.Payload = CopyPayload(&n.transit, pkt.Payload)
-		pkt.edge = true
-		n.fab.forward(n.shardIdx, t, pkt)
+// downlink is the third link stage, the destination access link — where
+// modems actually hurt — for a packet that reaches it at t. It returns the
+// delivery time, or false when the queue is full. Whoever owns the
+// destination host calls it: Send on the classic engine, deliver at the
+// WAN-edge arrival in a sharded world.
+func (h *host) downlink(t time.Duration, bits float64) (time.Duration, bool) {
+	arrive := maxDur(t, h.downBusyUntil)
+	if arrive-t > h.cfg.Access.QueueDelayMax {
+		return 0, false
+	}
+	h.downBusyUntil = arrive + durationFromSeconds(bits/h.downBps)
+	return h.downBusyUntil + h.cfg.Access.BaseDelay, true
+}
+
+// drop is the one exit for a packet the network will not deliver, whatever
+// the cause and whichever stage found it. A payload is released only when it
+// is the network's own transit snapshot; before that copy is taken (every
+// send-side drop) the payload is the caller's and may still be in use.
+func (n *Network) drop(pkt *Packet) {
+	n.dropped++
+	if pkt.transit {
+		ReleaseTransit(&n.transit, pkt.Payload)
+	}
+	n.release(pkt)
+}
+
+// Send offers pkt to the network. Delivery (or silent drop) is scheduled on
+// the clock; the call itself does not advance time. Sending from or to an
+// unknown host drops the packet. Send consumes pooled packets: after the
+// call the caller must not touch pkt again.
+//
+// The draw order — congestion resample, dynamics chains, route loss,
+// dynamics loss, jitter — is part of the byte-identity contract.
+func (n *Network) Send(pkt *Packet) {
+	n.sent++
+	if pkt.FromID == 0 {
+		pkt.FromID = n.ids[pkt.From.Host()]
+	}
+	src := n.lookup(pkt.FromID)
+	if src == nil {
+		n.drop(pkt)
 		return
 	}
-
-	// 3. Destination access link downlink: where modems actually hurt.
-	// downBps is the hoisted kbpsToBitsPerSec(dst.cfg.Access.DownKbps).
-	txDown := durationFromSeconds(bits / dst.downBps)
-	arrive := maxDur(t, dst.downBusyUntil)
-	if arrive-t > dst.cfg.Access.QueueDelayMax {
-		n.dropped++
-		n.release(pkt)
+	if pkt.ToID == 0 {
+		pkt.ToID = n.ids[pkt.To.Host()]
+	}
+	// The classic engine resolves the destination at send time and prices
+	// its downlink below. In a sharded world the destination may belong to
+	// another shard, and only that shard may touch it: dst stays nil and
+	// the packet is forwarded at its WAN-edge arrival instead.
+	var dst *host
+	if n.fab == nil {
+		if dst = n.lookup(pkt.ToID); dst == nil {
+			n.drop(pkt)
+			return
+		}
+	}
+	p := n.path(pkt.FromID, pkt.ToID)
+	rng, dynRng := n.streams(p, pkt.FromID, pkt.ToID)
+	n.resampleCongestion(p, rng)
+	// The dynamics layer (dynamics.go) folds every active scheduled event —
+	// outages, ramps, traffic profiles, loss bursts, delay shifts — into one
+	// effect; nil, and draw-free, with no schedule installed. The endpoints
+	// go by ID: every interned ID resolves through the frozen name table on
+	// every shard, wherever the host lives.
+	eff := n.dynApply(p, pkt.FromID, pkt.ToID, dynRng)
+	if eff != nil && eff.drop {
+		n.drop(pkt)
 		return
 	}
-	dst.downBusyUntil = arrive + txDown
-	deliverAt := dst.downBusyUntil + dst.cfg.Access.BaseDelay
-
-	pkt.net = n
-	n.Clock.AtHandler(deliverAt, pkt)
+	bits := float64(pkt.Size) * 8
+	t, ok := src.uplink(n.Clock.Now(), bits)
+	if ok {
+		t, ok = p.wan(eff, rng, dynRng, t, bits)
+	}
+	if ok && dst != nil {
+		t, ok = dst.downlink(t, bits)
+	}
+	switch {
+	case !ok:
+		n.drop(pkt)
+	case dst == nil:
+		n.forward(t, pkt)
+	default:
+		pkt.net = n
+		n.Clock.AtHandler(t, pkt)
+	}
 }
 
 // lookup returns the attached host for id, or nil.
@@ -851,30 +807,21 @@ func (n *Network) lookup(id HostID) *host {
 func (n *Network) deliver(pkt *Packet) {
 	hst := n.lookup(pkt.ToID)
 	if hst == nil {
-		n.dropped++
-		n.releaseTransitPayload(pkt)
-		n.release(pkt)
+		n.drop(pkt)
 		return
 	}
 	if pkt.edge {
-		// Sharded stage 3: the packet has just crossed the wide area and n
-		// is the shard that owns the destination. Apply the access downlink
-		// queue now — destination-local queue order is this shard's event
-		// order, identical for every partition — and reschedule the final
-		// delivery.
+		// The packet has just crossed the wide area and n is the shard that
+		// owns the destination. Run the downlink now — destination-local
+		// queue order is this shard's event order, identical for every
+		// partition — and reschedule the final delivery.
 		pkt.edge = false
-		t := n.Clock.Now()
-		bits := float64(pkt.Size) * 8
-		txDown := durationFromSeconds(bits / hst.downBps)
-		arrive := maxDur(t, hst.downBusyUntil)
-		if arrive-t > hst.cfg.Access.QueueDelayMax {
-			n.dropped++
-			n.releaseTransitPayload(pkt)
-			n.release(pkt)
+		at, ok := hst.downlink(n.Clock.Now(), float64(pkt.Size)*8)
+		if !ok {
+			n.drop(pkt)
 			return
 		}
-		hst.downBusyUntil = arrive + txDown
-		n.Clock.AtHandler(hst.downBusyUntil+hst.cfg.Access.BaseDelay, pkt)
+		n.Clock.AtHandler(at, pkt)
 		return
 	}
 	// Fast path: conns pre-parse their ports, so the dense per-host table
@@ -888,12 +835,8 @@ func (n *Network) deliver(pkt *Packet) {
 		}
 	}
 	if h == nil {
-		var ok bool
-		h, ok = hst.handlers[pkt.To]
-		if !ok {
-			n.dropped++
-			n.releaseTransitPayload(pkt)
-			n.release(pkt)
+		if h = hst.handlers[pkt.To]; h == nil {
+			n.drop(pkt)
 			return
 		}
 	}
@@ -911,7 +854,7 @@ func (n *Network) Attached(name string) bool {
 // BaseRTT returns the static round-trip estimate between two hosts: both
 // ends' access base delays plus the route's propagation delay in each
 // direction. It ignores queueing, jitter and cross-traffic, draws no
-// randomness and mutates nothing — not the host table, not the path grid —
+// randomness and mutates nothing — not the host table, not the path rows —
 // so server-selection probes cannot perturb a run and cannot grow the
 // world. Never-interned names contribute the zero Route. In sharded mode
 // this read-only discipline is also what makes cross-shard selection
@@ -938,10 +881,7 @@ func (n *Network) Congestion(from, to string) float64 {
 	if p == nil {
 		return clamp01(n.routeByName(from, to).CongestionMean)
 	}
-	rng := n.rng
-	if n.fab != nil {
-		rng = n.pathRand(p, n.HostIDOf(from), n.HostIDOf(to))
-	}
+	rng, _ := n.streams(p, n.HostIDOf(from), n.HostIDOf(to))
 	n.resampleCongestion(p, rng)
 	return p.congestion
 }

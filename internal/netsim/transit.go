@@ -20,13 +20,14 @@ import (
 // Ownership rule: a transit copy belongs to the network until the
 // destination handler runs, then to the receiving transport layer. The
 // network releases copies it drops itself (unknown destination, detached
-// host, edge-queue overflow, missing handler); the transport releases them
-// at every consume and drop point of its receive path. Releases go to the
-// RECEIVING shard's pool — only that shard's worker (or the single-threaded
-// control loop between windows) touches it, exactly like the Packet
-// free-list — and Fabric.drain rebalances the pools between windows so
-// one-directional flows (a server shard streaming to a client shard) do
-// not starve the sender's pool while the receiver's overflows.
+// host, edge-queue overflow, missing handler — all through Network.drop,
+// which tells a copy from a caller's original by Packet.transit); the
+// transport releases them at every consume and drop point of its receive
+// path. Releases go to the RECEIVING shard's pool — only that shard's worker
+// (or the single-threaded control loop between windows) touches it, exactly
+// like the Packet free-list — and Fabric.drain rebalances the pools between
+// windows so one-directional flows (a server shard streaming to a client
+// shard) do not starve the sender's pool while the receiver's overflows.
 //
 // On the classic path no copies exist and every release call is a no-op:
 // implementations guard on their own leased marker, so transport code calls
@@ -152,11 +153,3 @@ func (n *Network) ReleaseTransit(p any) { ReleaseTransit(&n.transit, p) }
 // code uses it for the few ownership decisions that differ between the
 // classic reference-passing engine and the sharded copy-at-the-wire one.
 func (n *Network) Sharded() bool { return n.fab != nil }
-
-// releaseTransitPayload recycles pkt's payload on a network-side drop. The
-// payload slot is left intact; the caller's release(pkt) clears it.
-func (n *Network) releaseTransitPayload(pkt *Packet) {
-	if pkt.Payload != nil {
-		ReleaseTransit(&n.transit, pkt.Payload)
-	}
-}

@@ -208,9 +208,6 @@ func NewSketchAccuracy(alpha float64, exactCap int) *Sketch {
 	}
 }
 
-// Alpha returns the sketch's relative accuracy on the binned path.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // N returns the sample count.
 func (s *Sketch) N() int { return int(s.n) }
 

@@ -175,7 +175,7 @@ func TestPropertySketchQuantileTolerance(t *testing.T) {
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
 		for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-			lo, hi := sketchBracket(sorted, q, 2*s.Alpha())
+			lo, hi := sketchBracket(sorted, q, 2*DefaultSketchAlpha)
 			got := s.Quantile(q)
 			if got < lo || got > hi {
 				t.Logf("seed=%d shape=%d q=%v got=%v want [%v, %v]", seed, shape, q, got, lo, hi)

@@ -119,12 +119,6 @@ func DynamicsProfiles() []DynamicsProfile {
 	return out
 }
 
-// DynamicsProfileByName looks up one catalog entry.
-func DynamicsProfileByName(name string) (DynamicsProfile, bool) {
-	p, ok := dynamicsProfiles[name]
-	return p, ok
-}
-
 // DynamicsLabel is the condition label stamped on the run's records: the
 // profile name, suffixed with the intensity when it is not the calibrated
 // 1x ("lossburst", "lossburst-2x"). Distinct labels keep a fault-injection

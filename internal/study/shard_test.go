@@ -132,6 +132,24 @@ func TestShardedWorldRuns(t *testing.T) {
 	}
 }
 
+// TestShardedWorldPastOldGridLimit builds a sharded world of 1,100 user
+// templates — more hosts than the 1,024 the network's path table used to hold
+// before a sharded build was refused with a panic — and holds it to the same
+// contract as any other: a handful of arrivals, shards 2 record-for-record
+// equal to shards 1.
+func TestShardedWorldPastOldGridLimit(t *testing.T) {
+	opts := func(shards int) Options {
+		return Options{Seed: 3, MaxUsers: 1100, ClipCap: 1, Workload: "poisson", Arrivals: 20, Shards: shards}
+	}
+	one, oneCSV := runCSV(t, opts(1))
+	if one.Sessions+one.Balked != 20 || len(one.Records) == 0 {
+		t.Fatalf("degenerate baseline: %d sessions, %d balked, %d records", one.Sessions, one.Balked, len(one.Records))
+	}
+	if _, twoCSV := runCSV(t, opts(2)); !bytes.Equal(twoCSV, oneCSV) {
+		t.Error("shards=2 records differ from shards=1")
+	}
+}
+
 // TestShardOptionValidation pins the compatibility matrix: sharding is an
 // open-loop engine, and everything the open-loop engine runs now shards —
 // including the dynamics layer and every selection policy, which earlier

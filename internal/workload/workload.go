@@ -49,7 +49,7 @@ type Spec struct {
 	AbandonProb float64
 
 	// zipf is the lazily-built popularity table (zipfN entries), cached
-	// so NextPlan does not rebuild the inverse CDF on every session.
+	// so NextPlanInto does not rebuild the inverse CDF on every session.
 	zipf  *Zipf
 	zipfN int
 }
@@ -112,18 +112,13 @@ type Plan struct {
 	DepartAfter time.Duration
 }
 
-// NextPlan draws one session: a geometric clip count with mean MeanClips,
-// each clip chosen by Zipf popularity over playlistLen entries, plus the
-// mid-stream abandonment draw. clipTime is the nominal per-clip wall time
-// used to place the departure deadline inside the session's span.
-func (s *Spec) NextPlan(rng *rand.Rand, playlistLen int, clipTime time.Duration) Plan {
-	return s.NextPlanInto(rng, playlistLen, clipTime, nil)
-}
-
-// NextPlanInto is NextPlan with caller-owned clip storage: the drawn clip
-// indices land in clips[:0] (grown as needed), so a session pool that keeps
-// the returned Plan.Clips as its scratch draws plan after plan without
-// allocating. The draw order is identical to NextPlan's.
+// NextPlanInto draws one session: a geometric clip count with mean
+// MeanClips, each clip chosen by Zipf popularity over playlistLen entries,
+// plus the mid-stream abandonment draw. clipTime is the nominal per-clip
+// wall time used to place the departure deadline inside the session's span.
+// The drawn clip indices land in clips[:0] (grown as needed; nil is fine), so
+// a session pool that keeps the returned Plan.Clips as its scratch draws
+// plan after plan without allocating.
 func (s *Spec) NextPlanInto(rng *rand.Rand, playlistLen int, clipTime time.Duration, clips []int) Plan {
 	max := s.MaxClips
 	if max <= 0 || max > playlistLen {

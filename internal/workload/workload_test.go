@@ -155,7 +155,7 @@ func TestPlanShapes(t *testing.T) {
 	const sessions = 4000
 	clipTime := time.Minute
 	for i := 0; i < sessions; i++ {
-		plan := spec.NextPlan(rng, 98, clipTime)
+		plan := spec.NextPlanInto(rng, 98, clipTime, nil)
 		if len(plan.Clips) < 1 || len(plan.Clips) > 98 {
 			t.Fatalf("plan has %d clips", len(plan.Clips))
 		}
