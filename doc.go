@@ -39,7 +39,15 @@
 // ring (an index and a compare per packet, span bounded whatever a peer or
 // a snapshot claims) rather than in hash maps. One delivered UDP
 // datagram costs ~45ns and zero allocations (BenchmarkPacketHopUDP,
-// guarded by the alloc-budget test in internal/transport). Everything
+// guarded by the alloc-budget test in internal/transport). The packet
+// structs themselves — rdt's Data, Report, NACK and repair cells, transport's
+// segments and ACKs — are leased, not carved: every Send ends in exactly one
+// release of the payload it was handed, by whoever reads it last (the network
+// at a drop or at a sharded world's WAN-edge copy, the receiving transport
+// after its callback), and the release returns each cell to the free-list of
+// the arena or stack it came from, so memory follows the sessions alive, not
+// the packets ever sent (rdt.Arena, netsim/transit.go; audited per world by
+// TestConservation's lease half). Everything
 // stays bit-for-bit deterministic — RNG draw order, FIFO tie-breaking and
 // every floating-point expression on the packet path are part of the
 // contract, pinned by the golden figures snapshot — so hot-path changes

@@ -250,8 +250,8 @@ func (n *Network) SyncPackets(c *snap.Codec, payload PayloadSync) {
 	if !c.Reading() {
 		for _, pe := range n.Clock.Pendings() {
 			if pkt, ok := pe.Handler.(*Packet); ok && pkt.net == n {
-				if pkt.edge || pkt.transit {
-					c.Fail(fmt.Errorf("netsim: sharded-world packet (at the WAN edge, or carrying a transit snapshot) in classic checkpoint"))
+				if pkt.edge {
+					c.Fail(fmt.Errorf("netsim: sharded-world packet (at the WAN edge) in classic checkpoint"))
 					return
 				}
 				pkts = append(pkts, pe)

@@ -7,16 +7,26 @@ import (
 	"realtracer/internal/simclock"
 )
 
-// dropPayload is a pooled transit payload that keeps the books the drop
-// table audits: how many snapshots were taken and how many of those needed
-// fresh storage, how many came back, and whether anything was released that
-// was not a live snapshot.
+// dropPayload is a pooled payload that keeps the books the drop table audits.
+// An original is what a caller hands to Send; a snapshot is the copy a
+// sharded world takes of it at the WAN edge, leased from a transit pool.
 type dropPayload struct {
-	leased bool
-	books  *dropBooks
+	snapshot bool
+	leased   bool // on lease: set when an original is offered or a snapshot taken, cleared by its one release
+	books    *dropBooks
 }
 
-type dropBooks struct{ copies, fresh, releases, strays int }
+// dropBooks counts, per kind, the leases taken and ended, the releases of
+// something not on lease (a second release), and — the rule that lets a
+// sharded world pool originals at all — the originals released anywhere but
+// inside their own Send, on the sending shard.
+type dropBooks struct {
+	originals, originalReleases int
+	copies, fresh, copyReleases int
+	doubles                     int
+	inSend                      bool
+	originalsOutsideSend        int
+}
 
 var dropPayloadClass = RegisterTransitClass()
 
@@ -26,19 +36,27 @@ func (p *dropPayload) TransitCopy(tp *TransitPool) any {
 		c = new(dropPayload)
 		p.books.fresh++
 	}
-	*c = dropPayload{leased: true, books: p.books}
+	*c = dropPayload{snapshot: true, leased: true, books: p.books}
 	p.books.copies++
 	return c
 }
 
 func (p *dropPayload) TransitRelease(tp *TransitPool) {
-	if !p.leased {
-		p.books.strays++ // an original, or a snapshot released twice
-		return
+	b := p.books
+	switch {
+	case !p.leased:
+		b.doubles++
+	case p.snapshot:
+		p.leased = false
+		b.copyReleases++
+		tp.Put(dropPayloadClass, p)
+	default:
+		p.leased = false
+		b.originalReleases++
+		if !b.inSend {
+			b.originalsOutsideSend++
+		}
 	}
-	p.leased = false
-	p.books.releases++
-	tp.Put(dropPayloadClass, p)
 }
 
 // dropRig is one two-host world, "a" (a server) and "b", on either engine.
@@ -48,11 +66,6 @@ type dropRig struct {
 	bClock *simclock.Clock
 	run    func()
 	books  dropBooks
-	// relayed makes every offered payload a live snapshot its sender still
-	// owns — what a host passing on a packet it received would hand to Send
-	// — so that a release the network has no right to make is not a no-op
-	// on an original but that payload turning up in a free-list.
-	relayed bool
 }
 
 func newDropRig(sharded bool, route Route, bAccess AccessClass, dyn *Dynamics) *dropRig {
@@ -77,14 +90,11 @@ func newDropRig(sharded bool, route Route, bAccess AccessClass, dyn *Dynamics) *
 		r.bClock, r.run = clock, clock.Run
 	}
 	r.a, r.b = r.nets[0], r.nets[len(r.nets)-1]
-	// Whoever receives a snapshot owns it from then on. (The classic engine
-	// delivers the original, which stays the sender's.)
+	// Whoever is handed a payload releases it once the handler is done with
+	// it, as a transport does: the original on the classic engine, the
+	// snapshot in a sharded world.
 	receive := func(n *Network) Handler {
-		return func(p *Packet) {
-			if pl := p.Payload.(*dropPayload); pl.leased {
-				n.ReleaseTransit(pl)
-			}
-		}
+		return func(p *Packet) { n.ReleaseTransit(p.Payload) }
 	}
 	r.a.Register("a:9", receive(r.a))
 	r.b.Register("b:1", receive(r.b))
@@ -95,13 +105,17 @@ func newDropRig(sharded bool, route Route, bAccess AccessClass, dyn *Dynamics) *
 func (r *dropRig) offer(n *Network, from, to Addr, size int) *Packet {
 	pkt := n.Obtain()
 	pkt.From, pkt.To, pkt.Size = from, to, size
-	pkt.Payload = &dropPayload{leased: r.relayed, books: &r.books}
+	pkt.Payload = &dropPayload{leased: true, books: &r.books}
+	r.books.originals++
 	return pkt
 }
 
 func (r *dropRig) send(n *Network, from, to Addr, size, count int) {
 	for i := 0; i < count; i++ {
-		n.Send(r.offer(n, from, to, size))
+		pkt := r.offer(n, from, to, size)
+		r.books.inSend = true
+		n.Send(pkt)
+		r.books.inSend = false
 	}
 }
 
@@ -115,11 +129,12 @@ func (r *dropRig) freePackets() (total int) {
 // TestEveryDropReleases is the conservation table for Network.drop, the one
 // exit for packets the network will not deliver: one row per cause, on both
 // engines. Whatever the cause, every packet offered is delivered or counted
-// dropped, every pooled packet is back on a free-list, and a payload
-// snapshot taken at the WAN edge (sharded worlds only) went back to a
-// transit pool exactly once — while a payload the network never snapshotted
-// is never released, because it is still the sender's (the rows where no
-// packet gets as far as the WAN edge offer relayed payloads, see dropRig).
+// dropped, every pooled packet is back on a free-list, and every Send ended
+// in exactly one release of the payload it was handed: the caller's original
+// once — at the drop, at the WAN-edge copy, or after the handler returned —
+// and a snapshot taken at the WAN edge (sharded worlds only) once, back into
+// a transit pool. In a sharded world no original is released outside its own
+// Send: whatever the receiving side releases is a copy.
 func TestEveryDropReleases(t *testing.T) {
 	const hour = time.Hour
 	calm := Route{OneWayDelay: 100 * time.Millisecond}
@@ -179,7 +194,9 @@ func TestEveryDropReleases(t *testing.T) {
 					pkt := r.offer(r.a, "a:9", "b:1", 500)
 					pkt.ToID = HostID(len(r.a.fab.shardOf)) // past every host the fabric assigned
 					r.a.sent++                              // forward is Send's tail
+					r.books.inSend = true
 					r.a.forward(calm.OneWayDelay, pkt)
+					r.books.inSend = false
 				}
 			}},
 	}
@@ -194,7 +211,6 @@ func TestEveryDropReleases(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				r := newDropRig(sharded, row.route, row.bAccess, row.dyn)
-				r.relayed = row.edge == 0
 				// Start from stocked free-lists, so "back where it started"
 				// is not trivially "everything was allocated fresh".
 				for _, n := range r.nets {
@@ -229,9 +245,12 @@ func TestEveryDropReleases(t *testing.T) {
 					wantCopies = row.edge
 				}
 				b := r.books
-				if b.copies != wantCopies || b.releases != wantCopies || transitFree != b.fresh || b.strays != 0 {
-					t.Errorf("payload snapshots: %d taken (%d fresh), %d released, %d on transit free-lists, %d stray releases; want %d taken and released, every fresh one on a free-list, no strays",
-						b.copies, b.fresh, b.releases, transitFree, b.strays, wantCopies)
+				if b.originalReleases != b.originals || b.copies != wantCopies || b.copyReleases != wantCopies || transitFree != b.fresh || b.doubles != 0 {
+					t.Errorf("payloads: %d originals offered, %d released; %d snapshots taken (%d fresh), %d released, %d on transit free-lists; %d second releases; want every original released once, %d snapshots taken and released, every fresh one on a free-list",
+						b.originals, b.originalReleases, b.copies, b.fresh, b.copyReleases, transitFree, b.doubles, wantCopies)
+				}
+				if sharded && b.originalsOutsideSend != 0 {
+					t.Errorf("%d originals were released outside their Send: in a sharded world the receiving side may only see copies", b.originalsOutsideSend)
 				}
 			})
 		}

@@ -40,7 +40,8 @@
 //     fixed at send time and no shard ever reads memory another shard may
 //     still mutate. Snapshot storage is leased from the source shard's
 //     transit pool and recycled by the receiving shard (transit.go), so
-//     the copy semantics cost no steady-state allocation.
+//     the copy semantics cost no steady-state allocation; the original is
+//     released as soon as it has been copied, on the shard that sent it.
 //   - Packet delivery is split in two phases: the source shard runs the
 //     uplink and wide-area stages (Send) and timestamps the packet's
 //     WAN-edge arrival; the destination shard runs the same downlink stage
@@ -231,10 +232,14 @@ func (f *Fabric) SetDynamics(spec *Dynamics, seed int64) {
 // serialization), uniformly, so no shard ever reads memory another shard may
 // still mutate and a send's observable content is fixed at send time for
 // every shard count. Snapshot storage is leased from this shard's transit
-// pool and recycled by the receiving side (transit.go).
+// pool and recycled by the receiving side (transit.go). The network's lease
+// on the original ends here, on the shard that sent it: an original never
+// crosses a thread.
 func (n *Network) forward(at time.Duration, pkt *Packet) {
-	pkt.Payload = CopyPayload(&n.transit, pkt.Payload)
-	pkt.edge, pkt.transit = true, true
+	orig := pkt.Payload
+	pkt.Payload = CopyPayload(&n.transit, orig)
+	ReleaseTransit(&n.transit, orig)
+	pkt.edge = true
 	f, dst := n.fab, -1
 	if int(pkt.ToID) < len(f.shardOf) {
 		dst = int(f.shardOf[pkt.ToID])

@@ -92,7 +92,9 @@ type HostID int32
 // back to the free-list after the destination handler returns (or on drop),
 // so handlers must not retain a *Packet past the callback — copy the fields
 // they need. Caller-constructed Packets (struct literals, as in tests) are
-// never recycled.
+// never recycled. The Payload is on lease too, by one rule for every Send
+// (transit.go): the network releases it when it drops the packet or has
+// snapshotted it for another shard, the handler releases what it is handed.
 //
 // FromID/ToID are optional pre-resolved host identities (see Intern); the
 // transport layer fills them once per connection so the per-packet path skips
@@ -117,10 +119,6 @@ type Packet struct {
 	// shard that owns the destination host does that — see Fabric). Always
 	// false on the classic single-shard path.
 	edge bool
-	// transit marks Payload as the snapshot forward took at the WAN edge
-	// (CopyPayload): the network owns it until the destination handler
-	// runs, so drop releases it. Until then the payload is the caller's.
-	transit bool
 }
 
 // Fire implements simclock.EventHandler: a scheduled Packet delivers itself.
@@ -524,7 +522,7 @@ func (n *Network) release(pkt *Packet) {
 	pkt.Size = 0
 	pkt.Payload = nil
 	pkt.net = nil
-	pkt.edge, pkt.transit = false, false
+	pkt.edge = false
 	n.free = append(n.free, pkt)
 }
 
@@ -719,21 +717,22 @@ func (h *host) downlink(t time.Duration, bits float64) (time.Duration, bool) {
 }
 
 // drop is the one exit for a packet the network will not deliver, whatever
-// the cause and whichever stage found it. A payload is released only when it
-// is the network's own transit snapshot; before that copy is taken (every
-// send-side drop) the payload is the caller's and may still be in use.
+// the cause and whichever stage found it, and it ends the packet's lease on
+// its payload: the caller's original when the drop is inside Send — which is
+// why a sender that reads a payload after Send holds its own reference first
+// — or the snapshot forward took at the WAN edge.
 func (n *Network) drop(pkt *Packet) {
 	n.dropped++
-	if pkt.transit {
-		ReleaseTransit(&n.transit, pkt.Payload)
-	}
+	ReleaseTransit(&n.transit, pkt.Payload)
 	n.release(pkt)
 }
 
 // Send offers pkt to the network. Delivery (or silent drop) is scheduled on
 // the clock; the call itself does not advance time. Sending from or to an
-// unknown host drops the packet. Send consumes pooled packets: after the
-// call the caller must not touch pkt again.
+// unknown host drops the packet. Send consumes pooled packets, and the
+// payload with them: after the call the caller must not touch pkt again, nor
+// a payload it holds no reference of its own on — every Send ends in exactly
+// one release of the payload it was handed (transit.go).
 //
 // The draw order — congestion resample, dynamics chains, route loss,
 // dynamics loss, jitter — is part of the byte-identity contract.

@@ -17,21 +17,28 @@ import (
 // TransitCopy, and returns it in TransitRelease once the receiving side is
 // done with the copy.
 //
-// Ownership rule: a transit copy belongs to the network until the
-// destination handler runs, then to the receiving transport layer. The
-// network releases copies it drops itself (unknown destination, detached
-// host, edge-queue overflow, missing handler — all through Network.drop,
-// which tells a copy from a caller's original by Packet.transit); the
-// transport releases them at every consume and drop point of its receive
-// path. Releases go to the RECEIVING shard's pool — only that shard's worker
-// (or the single-threaded control loop between windows) touches it, exactly
-// like the Packet free-list — and Fabric.drain rebalances the pools between
-// windows so one-directional flows (a server shard streaming to a client
-// shard) do not starve the sender's pool while the receiver's overflows.
+// Ownership rule, one for every payload on both engines: each Send ends in
+// exactly one release of the payload it was handed, made by whoever reads the
+// payload last. That is the network when it drops the packet (unknown
+// endpoint, a full queue, loss, a detached host, no handler — every cause
+// goes through Network.drop) and when forward has snapshotted it for the
+// destination's shard: the lease on the original ends there, on the sending
+// shard, and the snapshot is released in its turn by the same rule. Otherwise
+// it is the receiving transport, at every consume and drop point of its
+// receive path, once the destination handler has the packet. What a release
+// does is the payload's business: an original hands its cells back to the
+// pool they were leased from (an rdt arena, a transport stack's segment or
+// ACK free-list), a snapshot goes to the RECEIVING shard's transit pool —
+// only that shard's worker (or the single-threaded control loop between
+// windows) touches it, exactly like the Packet free-list — and Fabric.drain
+// rebalances the pools between windows so one-directional flows (a server
+// shard streaming to a client shard) do not starve the sender's pool while
+// the receiver's overflows. A payload type with nothing to give back simply
+// does not implement TransitRelease.
 //
-// On the classic path no copies exist and every release call is a no-op:
-// implementations guard on their own leased marker, so transport code calls
-// release unconditionally, without caring which engine it runs under.
+// A sender that reads a payload after Send — to retransmit it, say — takes a
+// reference of its own BEFORE the call: a send-side drop releases
+// synchronously.
 
 // TransitClass identifies one pooled transit payload type. Payload packages
 // allocate one per wire type at init time via RegisterTransitClass.
@@ -103,10 +110,11 @@ type Transferable interface {
 	TransitCopy(tp *TransitPool) any
 }
 
-// TransitReleasable is implemented by transit copies that recycle their
-// snapshot storage. TransitRelease must be a no-op on objects that are not
-// leased transit copies (originals, double releases), so receive paths can
-// release every payload unconditionally.
+// TransitReleasable is implemented by payloads that live in a pool: a
+// snapshot recycles its storage into tp, an original goes back to the pool it
+// was leased from and ignores tp. It is called once per Send (see the
+// ownership rule above); a payload that is in no pool — decoded from a
+// socket, restored from a snapshot — makes it a no-op.
 type TransitReleasable interface {
 	TransitRelease(tp *TransitPool)
 }
@@ -132,24 +140,14 @@ func CopyPayload(tp *TransitPool, p any) any {
 	}
 }
 
-// ReleaseTransit returns a transit-copy payload to tp. Safe on any payload:
-// non-copies (and nil) are ignored.
+// ReleaseTransit ends one reader's lease on payload p; tp takes it if it is a
+// snapshot. Safe on any payload: unpooled types (and nil) are ignored.
 func ReleaseTransit(tp *TransitPool, p any) {
 	if r, ok := p.(TransitReleasable); ok {
 		r.TransitRelease(tp)
 	}
 }
 
-// TransitPool returns the network's transit free-lists — the pool payload
-// snapshots on this shard lease from and are released to.
-func (n *Network) TransitPool() *TransitPool { return &n.transit }
-
-// ReleaseTransit recycles a transit-copy payload into this network's pool.
-// A no-op for originals (the classic path) and for payload types without
-// pooled snapshots, so receive paths call it unconditionally.
+// ReleaseTransit ends this network's — or the receiving transport's — lease on
+// a payload; receive paths call it on every exit, consumed or dropped.
 func (n *Network) ReleaseTransit(p any) { ReleaseTransit(&n.transit, p) }
-
-// Sharded reports whether the network is one shard of a Fabric. Transport
-// code uses it for the few ownership decisions that differ between the
-// classic reference-passing engine and the sharded copy-at-the-wire one.
-func (n *Network) Sharded() bool { return n.fab != nil }

@@ -138,3 +138,39 @@ func TestFECWindowEvictsByCount(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairAllocatesNothing: the packet onRepair rebuilds from a parity
+// group is consumed before onRepair returns, so it lives on the stack — a
+// recovered packet costs exactly the allocations of one that arrived.
+func TestRepairAllocatesNothing(t *testing.T) {
+	const group, runs = 8, 200
+	run := func(lose bool) float64 {
+		p := New(Config{Clock: vclock.Sim{C: simclock.New()}})
+		p.data = tcpStub{}
+		base := uint32(0)
+		allocs := testing.AllocsPerRun(runs, func() {
+			rep := rdt.Repair{Stream: rdt.StreamVideo, BaseSeq: base, Group: group}
+			var meta [group]rdt.RepairMeta
+			for i := range meta {
+				seq := base + uint32(i)
+				meta[i] = rdt.RepairMeta{Seq: seq, FrameIndex: seq, FragCount: 1}
+				if !lose || i != 3 {
+					p.onDataPacket(&rdt.Data{Stream: rdt.StreamVideo, Seq: seq, FrameIndex: seq, FragCount: 1})
+				}
+			}
+			rep.Meta = meta[:]
+			p.onRepair(&rep)
+			base += group
+		})
+		if lose && p.recovered != runs+1 || !lose && p.recovered != 0 {
+			t.Fatalf("lose=%v: %d packets recovered in %d groups", lose, p.recovered, runs+1)
+		}
+		if p.recvSeqCount != (runs+1)*group {
+			t.Fatalf("lose=%v: the player took %d packets of %d", lose, p.recvSeqCount, (runs+1)*group)
+		}
+		return allocs
+	}
+	if arrived, recovered := run(false), run(true); recovered > arrived {
+		t.Errorf("a group with one packet recovered allocates %.2f times, one that arrived whole %.2f", recovered, arrived)
+	}
+}

@@ -84,11 +84,9 @@ type Config struct {
 	DisableScalableVideo bool
 	// Rand drives decode-time noise; a default source is used when nil.
 	Rand *rand.Rand
-	// Arena backs the packets the player sends and the Data cells FEC
-	// reconstruction mints. When nil the player owns one internally. A
-	// caller that pools players across clips passes the arena explicitly
-	// and resets it only when no packet from a previous clip can still be
-	// referenced (see rdt.Arena).
+	// Arena backs the packets the player sends; each comes back to it when
+	// its last reader releases it (see rdt.Arena). When nil the player owns
+	// one internally.
 	Arena *rdt.Arena
 	// OnDone receives the final statistics (always non-nil) and an error
 	// for sessions that failed outright. The *Stats is owned by the player
@@ -184,9 +182,8 @@ type Player struct {
 	dialing  uint8
 	dialAddr string
 
-	// arena backs sent packets (reports, buffer state, NACKs) and FEC-
-	// reconstructed Data cells. ownArena is the lazily-created fallback
-	// when the Config does not supply one.
+	// arena backs sent packets (reports, buffer state, NACKs). ownArena is
+	// the lazily-created fallback when the Config does not supply one.
 	arena    *rdt.Arena
 	ownArena *rdt.Arena
 
@@ -305,6 +302,7 @@ func New(cfg Config) *Player {
 // session is still live — finish or Abort it first.
 func (p *Player) Reset(cfg Config) {
 	p.cancelTimers()
+	p.Release()
 	clear(p.pending)
 	p.haveSeq.Reset()
 	clear(p.nackOutstanding)
@@ -325,6 +323,14 @@ func (p *Player) Reset(cfg Config) {
 	}
 	p.stats = Stats{PlayoutGaps: gaps, Timeline: timeline}
 	p.init(cfg)
+}
+
+// Release lets go of the finished session's closed connections, and with
+// them of the packets they still held. Its owner calls it — Reset does — when
+// it recycles the player: until then a snapshot may walk those connections.
+func (p *Player) Release() {
+	transport.Discard(p.ctl)
+	transport.Discard(p.data)
 }
 
 func (p *Player) init(cfg Config) {
@@ -906,7 +912,11 @@ func (p *Player) onRepair(r *rdt.Repair) {
 	if !ok {
 		return
 	}
-	rec := p.arena.NewData()
+	// The rebuilt packet is consumed before onDataPacket returns, like one
+	// off the wire, so it needs no cell: it lives on this frame (the
+	// compiler's escape analysis agrees, and TestRepairAllocatesNothing
+	// holds it to that).
+	var rec rdt.Data
 	rec.Stream = rdt.StreamVideo
 	rec.Seq = seq
 	rec.MediaTime = m.MediaTime
@@ -917,7 +927,7 @@ func (p *Player) onRepair(r *rdt.Repair) {
 	rec.FragCount = m.FragCount
 	rec.PadLen = int(m.Size)
 	p.recovered++
-	p.onDataPacket(rec)
+	p.onDataPacket(&rec)
 }
 
 // --- playout engine ---

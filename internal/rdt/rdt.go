@@ -93,6 +93,10 @@ type Data struct {
 	// synthetic allocation; Encode emits PadLen zero bytes in that case.
 	Payload []byte
 	PadLen  int
+
+	// holds counts who still reads an arena-backed cell (arena.go); zero on
+	// a Data no arena leased.
+	holds int32
 }
 
 // PayloadLen returns the logical payload length regardless of
@@ -145,6 +149,8 @@ type Repair struct {
 	// PadLen mirrors Data.PadLen: in simulation the parity is PadLen zero
 	// bytes instead of a real slice.
 	PadLen int
+
+	cell *repairCell // the arena cell Meta is backed by; nil outside an arena
 }
 
 // MetaFor returns the group member metadata for seq, if covered.
@@ -186,6 +192,8 @@ const MaxNackSeqs = 64
 type Nack struct {
 	Stream StreamID
 	Seqs   []uint32
+
+	cell *nackCell // the arena cell Seqs is backed by; nil outside an arena
 }
 
 // Packet is the decoded union. Exactly one pointer field is non-nil,
@@ -199,8 +207,12 @@ type Packet struct {
 	EOS         *EndOfStream
 	Nack        *Nack
 
-	// transit points back to the pooled shard-transit snapshot this packet
-	// is the head of (transit.go); nil on every original.
+	// Where the packet goes when its last reader releases it (transit.go):
+	// home is the arena an original was leased from, transit the pooled
+	// shard-transit snapshot a copy is the head of. Both are nil on a packet
+	// that is neither (decoded from a socket, restored from a snapshot), and
+	// releasing that one is a no-op.
+	home    *Arena
 	transit *transitPacket
 }
 

@@ -2,27 +2,28 @@ package rdt
 
 import "realtracer/internal/netsim"
 
-// Shard-transit snapshots for RDT packets (netsim.Transferable /
-// TransitReleasable, matched structurally). RDT packets in the simulator
-// are arena-backed and rewritten in place across cells, so a packet
-// crossing a shard boundary must carry its own copy of the active variant
-// and every slice it references. The copies are pooled: one transitPacket
-// holds the Packet head, inline storage for every variant and reusable
-// backing slices, leased from the sending shard's transit pool and released
-// by the receiving transport once the delivery callback has consumed it.
+// The release half of an RDT packet's life, and the shard-transit snapshots
+// that share it (netsim.Transferable / TransitReleasable, matched
+// structurally). A packet handed to a transport Send is released exactly
+// once, by whoever reads it last: the network when it drops the packet or
+// has snapshotted it for another shard, the receiving transport once the
+// delivery callback has returned. What the release does depends only on what
+// the packet is. An original goes back to the arena it was leased from
+// (arena.go). A snapshot — a packet crossing a shard boundary carries its own
+// copy of the active variant and every slice it references, in one pooled
+// transitPacket leased from the sending shard's transit pool — goes to the
+// receiving shard's pool.
 //
-// Receivers keep no pointer into a released copy — the same rule the
-// arena-backed originals already impose: the player's FEC window records a
-// packet's sequence number, not the packet, and the server copies a Report
-// by value before its check timer reads it.
+// Receivers therefore keep no pointer into a packet past their callback: the
+// player's FEC window records a packet's sequence number, not the packet,
+// and the server copies a Report by value before its check timer reads it.
 
 // transitClass is the pool slot for RDT transit snapshots.
 var transitClass = netsim.RegisterTransitClass()
 
 // transitPacket is the pooled snapshot storage: the Packet head plus
 // inline variants and reusable slice backings. Packet.transit points back
-// here on a leased copy and is nil on every original, which is what makes
-// TransitRelease a safe no-op outside sharded runs.
+// here on a leased copy and is nil on every original.
 type transitPacket struct {
 	pkt    Packet
 	leased bool
@@ -94,10 +95,14 @@ func (p *Packet) TransitCopy(tp *netsim.TransitPool) any {
 	return cp
 }
 
-// TransitRelease implements netsim.TransitReleasable: a leased copy goes
-// back to the receiving shard's pool; originals (and double releases) are
-// no-ops.
+// TransitRelease implements netsim.TransitReleasable: an original's cells go
+// back to its arena, a leased copy to the receiving shard's pool. Releasing
+// a copy twice, or a packet that is neither, does nothing.
 func (p *Packet) TransitRelease(tp *netsim.TransitPool) {
+	if p.home != nil {
+		p.home.release(p)
+		return
+	}
 	t := p.transit
 	if t == nil || !t.leased {
 		return

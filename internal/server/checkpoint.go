@@ -233,7 +233,7 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	c.Int(&sess.healthyChecks)
 
 	// The retransmit window walks as its packets in seq order; the key of
-	// each is its own Seq.
+	// each is its own Seq. A restored packet's one holder is the window.
 	sess.sentVideo.Sync(c, "retransmit window", sess.id, func(c *snap.Codec, seq *uint64, d **rdt.Data) {
 		if c.Reading() {
 			*d = sess.arena.NewData()

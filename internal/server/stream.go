@@ -64,11 +64,11 @@ type streamSession struct {
 	checkTimer vclock.Handle
 
 	// arena backs every packet struct this session sends (Data, Repair,
-	// EOS, retransmit wrappers). It is rewound when the session object is
-	// leased from the server's free-list for a new SETUP — the only point
-	// where no reference into it can remain (the previous client's host is
-	// gone or its data port closed, so in-flight packets drop unread, and
-	// the player never dereferences stale receive-side pointers).
+	// EOS, retransmit wrappers). Each cell comes back when its last reader
+	// releases it (rdt.Arena), whichever session the recycled object is
+	// serving by then; the session's own references — the retransmit
+	// window's hold on every Data in it, whatever its closed data conn still
+	// has parked — end when the session is reaped (Server.removeSession).
 	arena rdt.Arena
 
 	videoSeq uint32
@@ -82,17 +82,18 @@ type streamSession struct {
 	fecBase uint32
 
 	// Feedback snapshots. The report is kept by value: the *rdt.Report the
-	// feedback callback sees lives in pooled storage (an arena packet on the
-	// classic path, a shard-transit snapshot on the sharded one) that is
-	// recycled as soon as the callback returns, so retaining the pointer
-	// until the next check tick would read reused memory.
+	// feedback callback sees lives in pooled storage (the player's arena
+	// packet on the classic path, a shard-transit snapshot on the sharded
+	// one) that is released as soon as the callback returns, so retaining
+	// the pointer until the next check tick would read reused memory.
 	lastReport    rdt.Report
 	haveReport    bool
 	healthyChecks int
 
 	// sentVideo retains recently sent video packets for NACK retransmission
 	// (UDP only): exactly the seqs [sentFloor, videoSeq), since video seqs
-	// are handed out monotonically and expire from the bottom.
+	// are handed out monotonically and expire from the bottom. It holds a
+	// reference on each (rdt.Arena.Hold), dropped when the packet expires.
 	sentVideo seqwin.Window[*rdt.Data]
 	sentFloor uint32
 
@@ -134,7 +135,6 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 	if k := len(s.sessFree); k > 0 {
 		sess = s.sessFree[k-1]
 		s.sessFree = s.sessFree[:k-1]
-		sess.sentVideo.Reset()
 		clear(sess.failedRungs)
 	} else {
 		sess = &streamSession{failedRungs: make(map[int]int)}
@@ -152,7 +152,6 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 		arena:       sess.arena,
 		srcStore:    sess.srcStore,
 	}
-	sess.arena.Reset()
 	sess.encIdx = clip.EncodingIndexFor(maxKbps)
 	if spec.Protocol == "udp" {
 		// Pace from the client's stated connection speed, not the encoding:
@@ -362,12 +361,15 @@ func (sess *streamSession) sendFrame(f media.Frame) {
 			d.Seq = sess.audioSeq
 			sess.audioSeq++
 		}
-		sess.sendData(pkt)
-		if f.Video && sess.spec.Protocol == "udp" {
+		// The window takes its reference before the send: a packet dropped
+		// at the uplink is released inside Send, and d is read again below.
+		retain := f.Video && sess.spec.Protocol == "udp"
+		if retain {
 			sess.rememberVideo(d)
-			if sess.srv.cfg.FEC {
-				sess.accumulateFEC(d)
-			}
+		}
+		sess.sendData(pkt)
+		if retain && sess.srv.cfg.FEC {
+			sess.accumulateFEC(d)
 		}
 	}
 }
@@ -583,15 +585,19 @@ func (sess *streamSession) onFeedback(pkt *rdt.Packet) {
 
 // rememberVideo retains a sent video packet for possible retransmission,
 // bounded to the recent window: once more than window packets are held,
-// everything below d.Seq-window goes, and sentFloor follows the cut.
+// everything below d.Seq-window goes — the window's hold on each with it —
+// and sentFloor follows the cut.
 func (sess *streamSession) rememberVideo(d *rdt.Data) {
 	const window = 512
-	sess.sentVideo.Put(uint64(d.Seq), d)
-	if sess.sentVideo.Len() > window {
-		if cut := d.Seq - window; sess.sentFloor < cut {
-			sess.sentFloor = cut
+	sess.sentVideo.Put(uint64(d.Seq), sess.arena.Hold(d))
+	if cut := d.Seq - window; sess.sentVideo.Len() > window && sess.sentFloor < cut {
+		for seq := sess.sentFloor; seq != cut; seq++ {
+			if old := sess.sentVideo.Get(uint64(seq)); old != nil {
+				sess.arena.Drop(old)
+			}
 		}
-		sess.sentVideo.DropBelow(uint64(sess.sentFloor))
+		sess.sentFloor = cut
+		sess.sentVideo.DropBelow(uint64(cut))
 	}
 }
 

@@ -2,6 +2,7 @@ package study
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"realtracer/internal/trace"
@@ -16,6 +17,15 @@ import (
 // is ~410, and the budget sits ~2x above it so a regression back toward
 // per-arrival construction fails loudly while dial/RTSP noise does not.
 const sessionAllocBudget = 900
+
+// sessionBytesBudget bounds the bytes (MemStats.TotalAlloc) a steady-state
+// session allocates: the size fence beside the count fence. While packet
+// cells were carved once per packet a session read 195,066 bytes on this
+// window; leased from free-lists it reads 24,479, and the budget is 60 % of
+// the old reading, so carving per packet again — in an arena slab or the
+// segment pool — fails here even though it is only one allocation per 64
+// cells and barely moves the count above.
+const sessionBytesBudget = 117_000
 
 // churnOpts is the high-intensity open-loop study the recycle tests share:
 // a small template pool driven hard enough that mid-stream abandonment and
@@ -63,6 +73,17 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 	if perSession > sessionAllocBudget {
 		t.Errorf("steady-state churn allocates %.0f objects per session, budget %d — the session free-list has regressed",
 			perSession, sessionAllocBudget)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runSessions(3 * window)
+	runtime.ReadMemStats(&after)
+	bytesPerSession := (after.TotalAlloc - before.TotalAlloc) / (3 * window)
+	t.Logf("steady-state bytes allocated per session: %d (budget %d)", bytesPerSession, sessionBytesBudget)
+	if bytesPerSession > sessionBytesBudget {
+		t.Errorf("steady-state churn allocates %d bytes per session, budget %d — packet cells are being carved, not leased",
+			bytesPerSession, sessionBytesBudget)
 	}
 }
 

@@ -3,12 +3,15 @@ package study
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"realtracer/internal/figures"
 	"realtracer/internal/netsim"
 	"realtracer/internal/trace"
+	"realtracer/internal/tracer"
 )
 
 // TestConservation is the first slice of the invariant oracle: every fence
@@ -37,6 +40,8 @@ func TestConservation(t *testing.T) {
 //   - sessions: every admitted session ended, by finishing its playlist or
 //     by departing mid-stream, so the sessions that reported a record number
 //     at least finished = sessions − departed and at most sessions;
+//   - leases (checkLeases): every pooled packet cell and segment is back in
+//     its pool once whoever could still read it has let go;
 //
 // and across the two: the same events, and streamed aggregates equal to
 // figures.Aggregate of the retained records.
@@ -77,6 +82,7 @@ func checkConservation(t *testing.T, opt Options) {
 			t.Fatal(err)
 		}
 		packets("at the end")
+		checkLeases(t, w)
 
 		if !opt.OpenLoop() {
 			if res.Sessions+res.Balked+res.Departed != 0 {
@@ -115,4 +121,213 @@ func checkConservation(t *testing.T, opt Options) {
 	if !bytes.Equal(renderAggregates(streamed), renderAggregates(figures.Aggregate(retained.Records))) {
 		t.Error("streamed aggregates differ from figures.Aggregate of the retained records")
 	}
+}
+
+// worldTracers returns every tracer the world has built: the panel's, or one
+// per open-loop template that has arrived at least once.
+func worldTracers(w *World) []*tracer.Tracer {
+	trs := append([]*tracer.Tracer(nil), w.tracers...)
+	if w.open != nil {
+		for _, c := range w.open.cells {
+			for _, b := range c.bundles {
+				if b != nil {
+					trs = append(trs, b.tr)
+				}
+			}
+		}
+	}
+	return trs
+}
+
+// leasePools finds every lease.Pool reachable from w through pointers,
+// interfaces, slices, arrays, maps and struct fields, exported or not — the
+// cell pools of every rdt.Arena (server sessions live and pooled, both arenas
+// of every tracer) and the segment pool of every transport.Stack — keyed by
+// its address, with the path it was first reached by.
+func leasePools(w *World) map[uintptr]leasePool {
+	pools := map[uintptr]leasePool{}
+	seen := map[visit]bool{}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if k := (visit{v.Pointer(), v.Type()}); !v.IsNil() && !seen[k] {
+				seen[k] = true
+				walk(v.Elem(), path)
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem(), path)
+			}
+		case reflect.Struct:
+			if !v.CanAddr() {
+				return // a value boxed in an interface or a map: no pool lives in one
+			}
+			if t := v.Type(); t.PkgPath() == "realtracer/internal/lease" && strings.HasPrefix(t.Name(), "Pool[") {
+				if _, dup := pools[v.UnsafeAddr()]; !dup {
+					pools[v.UnsafeAddr()] = leasePool{v, path}
+				}
+				return
+			}
+			for i := 0; i < v.NumField(); i++ {
+				walk(peek(v, v.Type().Field(i).Name), path+"."+v.Type().Field(i).Name)
+			}
+		case reflect.Slice, reflect.Array:
+			if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Interface || k == reflect.Struct || k == reflect.Slice || k == reflect.Array || k == reflect.Map {
+				for i := 0; i < v.Len(); i++ {
+					walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+				}
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key()))
+			}
+		}
+	}
+	walk(reflect.ValueOf(w), "World")
+	return pools
+}
+
+type leasePool struct {
+	pool reflect.Value
+	path string
+}
+
+// checkLeases is the lease half of the conservation oracle, for a world at
+// quiescence: nothing is on the wire, so a pooled cell — a packet struct of
+// some session's rdt arena, a segment of some host's transport stack — is
+// out of its pool only if somebody still holds it. Who legitimately may is a
+// short list: a live server session's retransmit window, and the closed
+// connections a snapshot could still walk, whose owners let go of them when
+// they are recycled. The check recycles them the way the world would — every
+// tracer is reset as for its next arrival, every server drops every client
+// and stops — and then every pool reachable from the world must have nothing
+// on lease. A conn owner that drops a closed conn without discarding it shows
+// up here as the segments it stranded; a release that found a cell already
+// released would have panicked on the way here.
+func checkLeases(t *testing.T, w *World) {
+	t.Helper()
+	trs := worldTracers(w)
+	for _, tr := range trs {
+		tr.Reset(nil)
+	}
+	for _, srv := range w.Servers {
+		for _, u := range w.Users {
+			srv.DropClient(u.Name)
+		}
+	}
+	// A reaped session says goodbye on its data conn; let the FINs land, and
+	// every conn still talking to a host that left give up, before the
+	// servers stop.
+	if w.fab != nil {
+		w.fab.Run(nil)
+	} else {
+		w.Clock.Run()
+	}
+	for _, srv := range w.Servers {
+		srv.Stop()
+		if n := srv.ActiveSessions(); n != 0 {
+			t.Errorf("leases: a server has %d sessions left after every client was dropped", n)
+		}
+	}
+
+	// Per cell type: pools found, cells ever carved.
+	found, carved := map[string]int{}, map[string]int{}
+	for _, p := range leasePools(w) {
+		cells, free := int(peek(p.pool, "carved").Int()), peek(p.pool, "free").Len()
+		if cells != free {
+			t.Errorf("leases: %s has %d of %d cells on lease, want none", p.path, cells-free, cells)
+		}
+		kind := p.pool.Type().Name()
+		found[kind]++
+		carved[kind] += cells
+	}
+	// Every server and every tracer has a stack; every tracer has two arenas,
+	// and the servers' sessions have more. Fewer pools than that, or none
+	// ever used, and the audit is not looking at what the run ran on.
+	const segs, packets = "Pool[realtracer/internal/transport.tcpSeg]", "Pool[realtracer/internal/rdt.Packet]"
+	if found[segs] < len(w.Servers)+len(trs) || found[packets] <= 2*len(trs) ||
+		w.ran && (carved[segs] == 0 || carved[packets] == 0) {
+		t.Errorf("leases: the audit reached %d segment pools (%d cells carved) and %d arenas (%d packets carved) in a world of %d servers and %d tracers",
+			found[segs], carved[segs], found[packets], carved[packets], len(w.Servers), len(trs))
+	}
+}
+
+// TestResumedWorldConservesLeases is the resume half of the lease oracle.
+// Holder counts and home pointers are not in a snapshot: a resume rebuilds
+// them from who holds each restored cell (a session's retransmit window, a
+// conn's queue, flight and reorder buffer, each segment reference on the
+// wire), and what it cannot give a home — packets restored by value off the
+// wire — it leaves to the garbage collector. Every fence world is cut at six
+// instants, resumed, run to the end with the restored cells recycling
+// beside fresh ones, and must then pass the same audit as a world that never
+// stopped; at least one cut of each world must have landed mid-flight, with
+// sessions streaming and packets on the wire.
+func TestResumedWorldConservesLeases(t *testing.T) {
+	for _, fw := range fenceWorlds {
+		t.Run(fw.name, func(t *testing.T) {
+			straight, err := Run(fw.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			midFlight := 0
+			for _, frac := range []float64{0.1, 0.25, 0.4, 0.55, 0.7, 0.85} {
+				at := worldAt(t, fw.opt, time.Duration(float64(straight.SimDuration)*frac))
+				sessions, wire := 0, 0
+				for _, srv := range at.Servers {
+					sessions += srv.ActiveSessions()
+				}
+				for _, pe := range at.Clock.Pendings() {
+					if _, ok := pe.Handler.(*netsim.Packet); ok {
+						wire++
+					}
+				}
+				if sessions > 0 && wire > 0 {
+					midFlight++
+				}
+				w, err := Resume(bytes.NewReader(checkpoint(t, at)), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w.Run(); err != nil {
+					t.Fatal(err)
+				}
+				checkLeases(t, w)
+			}
+			if midFlight == 0 {
+				t.Error("no cut landed mid-flight (sessions streaming, packets on the wire)")
+			}
+		})
+	}
+}
+
+// TestLazySweepsDiscardWhatTheyDrop runs the lease audit over a world that
+// turns over enough sessions per server for the server's lazy sweep of closed
+// control conns to run — it waits for 64 of them, and no fence world gets
+// there. Most of those conns closed with the reply to TEARDOWN still in
+// flight, so a sweep that dropped them without discarding them would strand
+// one segment each.
+func TestLazySweepsDiscardWhatTheyDrop(t *testing.T) {
+	w, err := NewWorld(Options{
+		Seed: 3, MaxUsers: 16, ClipCap: 3,
+		Workload: "poisson", Arrivals: 120, WorkloadIntensity: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	swept := 0
+	for _, srv := range w.Servers {
+		// Every control conn carries one DESCRIBE; the ones the server no
+		// longer tracks were swept.
+		describes, _, _, _ := srv.Counters()
+		swept += int(describes) - peek(reflect.ValueOf(srv), "ctlConns").Len()
+	}
+	if swept == 0 {
+		t.Fatal("no server swept a closed control conn: the world no longer exercises the sweep")
+	}
+	t.Logf("%d control conns swept", swept)
+	checkLeases(t, w)
 }

@@ -289,8 +289,7 @@ var syncExempt = map[string]string{
 	"netsim.Network.hostFree":   "recycled host objects",
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
-	"transport.simTCP.segSlab":  "segment storage; live segments are walked through queue, inflight, reorder and the wire",
-	"transport.simTCP.segUsed":  "slab cursor",
+	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through queue, inflight, reorder and the wire",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
 	"player.Player.nackScratch": "per-flush scratch",
@@ -298,6 +297,15 @@ var syncExempt = map[string]string{
 	"player.Player.ownArena":    "fallback packet storage",
 	"netsim.Packet.pooled":      "allocation provenance; restored packets come from the pool",
 	"transport.tcpAck.origin":   "free-list provenance; a restored ACK is garbage-collected instead",
+
+	// Lease bookkeeping: where a pooled cell goes back to and who still reads
+	// it. None of it is in a snapshot.
+	"rdt.Packet.home":         "rebuilt on restore from who holds the cell: a restored packet is in no arena and is garbage-collected",
+	"rdt.Data.holds":          "rebuilt on restore from who holds the cell: the retransmit-window walk",
+	"rdt.Nack.cell":           "rebuilt on restore from who holds the cell: a restored NACK is in no arena",
+	"rdt.Repair.cell":         "rebuilt on restore from who holds the cell: a restored repair packet is in no arena",
+	"transport.tcpSeg.holds":  "rebuilt on restore from who holds the cell: queue or flight, reorder buffer, each reference on the wire",
+	"transport.tcpAck.leased": "rebuilt on restore from who holds the cell: a restored ACK is in no free-list",
 
 	// Derived values: recomputed from walked state by the restore path.
 	"simclock.Clock.live":                "count of armed events, rebuilt by re-arming",

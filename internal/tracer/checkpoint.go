@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"realtracer/internal/player"
-	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
@@ -58,15 +57,12 @@ func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 		return
 	}
 	if c.Reading() {
-		if t.arenas[t.ai] == nil {
-			t.arenas[t.ai] = &rdt.Arena{}
-		}
 		t.pl = player.New(player.Config{
 			Clock:  t.cfg.Clock,
 			Net:    t.cfg.Net,
 			CPU:    player.PCClasses()[t.cfg.User.PCClass],
 			Rand:   t.cfg.Rand,
-			Arena:  t.arenas[t.ai],
+			Arena:  &t.arenas[t.ai],
 			OnDone: t.onDone,
 		})
 	}

@@ -73,11 +73,11 @@ type Tracer struct {
 	pl     *player.Player
 	onDone func(*player.Stats, error)
 
-	// arenas ping-pong between clips: the incoming clip resets and uses
-	// one while packets minted by the previous clip — in flight for at
-	// most a few seconds of virtual time — stay valid in the other until
-	// the clip after next.
-	arenas [2]*rdt.Arena
+	// arenas alternate between clips (ai is part of a snapshot). Nothing
+	// depends on the alternation any more: a packet minted by an earlier
+	// clip stays valid until its last reader releases it, then goes back
+	// to whichever arena leased it (rdt.Arena).
+	arenas [2]rdt.Arena
 	ai     int
 
 	// pause is the armed inter-clip think-time timer; Abort cancels it so
@@ -104,9 +104,13 @@ func New(cfg Config) *Tracer {
 // the arenas and the session's config. Only the playlist changes between
 // the sessions a pooled Tracer serves; everything else in Config — clock,
 // net, user, RNG, hooks — is template-bound and stays. The caller must
-// have stopped the previous pass first (Abort, or natural completion).
+// have stopped the previous pass first (Abort, or natural completion): what
+// its last clip's closed connections still held is let go of here.
 func (t *Tracer) Reset(playlist []Entry) {
 	t.pause.Cancel()
+	if t.pl != nil {
+		t.pl.Release()
+	}
 	t.cfg.Playlist = playlist
 	t.idx, t.played, t.rated = 0, 0, 0
 	t.stopped = false
@@ -189,15 +193,7 @@ func (t *Tracer) next() {
 	t.curEntry = entry
 	t.curStarted = t.cfg.Clock.Now()
 
-	// Swap to the arena the previous clip did NOT use and rewind it. Any
-	// packet from the last clip still crossing the network dereferences
-	// the other arena, whose cells stay intact until the clip after this
-	// one — far longer than any packet lives in flight.
-	t.ai ^= 1
-	if t.arenas[t.ai] == nil {
-		t.arenas[t.ai] = &rdt.Arena{}
-	}
-	t.arenas[t.ai].Reset()
+	t.ai ^= 1 // the arena the previous clip did not use
 
 	cfg := player.Config{
 		Clock:            t.cfg.Clock,
@@ -210,7 +206,7 @@ func (t *Tracer) next() {
 		Preroll:          t.cfg.Preroll,
 		CPU:              player.PCClasses()[t.cfg.User.PCClass],
 		Rand:             t.cfg.Rand,
-		Arena:            t.arenas[t.ai],
+		Arena:            &t.arenas[t.ai],
 		OnDone:           t.onDone,
 	}
 	if t.pl == nil {

@@ -18,7 +18,9 @@ import (
 //     restore must reproduce. Wire segments still owned by a live conn are
 //     therefore serialized as references (conn local address + seq) and
 //     resolved against the restored conn's own segment; only orphaned
-//     segments (handshakes, closed conns) serialize by value.
+//     segments (handshakes, closed conns) serialize by value. A segment's
+//     holder count is not serialized: decoding gives each restored segment
+//     one holder per place it is restored into (transit.go).
 //
 //   - The RTO timer's handler is the conn itself (pooled event discipline),
 //     so each conn walks its timer as (At, seq) and re-arms it with the
@@ -115,7 +117,7 @@ func (x *SnapCtx) PayloadSync(c *snap.Codec, payload *any) {
 		}
 	case paySeg:
 		if c.Reading() {
-			*payload = &tcpSeg{} // an orphan: free-standing, no owning conn
+			*payload = &tcpSeg{holds: 1} // an orphan: free-standing, no owning conn, the wire its one holder
 		}
 		(*payload).(*tcpSeg).sync(c, x.app)
 	case payAck:
@@ -147,6 +149,7 @@ func (x *SnapCtx) resolve(c *snap.Codec, laddr netsim.Addr, seq uint64) any {
 		c.Fail(fmt.Errorf("transport: wire segment references conn %s seq %d, which holds no such segment", laddr, seq))
 		return nil
 	}
+	seg.holds++
 	return seg
 }
 
@@ -201,8 +204,8 @@ func (seg *tcpSeg) sync(c *snap.Codec, app AppSync) {
 
 // Sync walks the stack's own state: the ephemeral port cursor and the dials
 // in flight, each as its dialing conn plus its timers. Decoded dials carry no
-// continuation until their owner calls ReattachDial. The ACK free-list is a
-// pure allocation cache and is not part of the snapshot.
+// continuation until their owner calls ReattachDial. The ACK and segment
+// free-lists are pure allocation caches and are not part of the snapshot.
 func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 	c.Tag("stack")
 	c.Int(&s.next)
@@ -418,12 +421,13 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	tc.stack.clock.SyncTimer(c, &tc.rtoTimer, tc)
 	c.U64(&tc.rcvNext)
 
-	// Decoded segments are carved from the conn's slab and back-pointed to
-	// it, like the originals.
+	// Decoded segments are leased from the stack's pool and back-pointed to
+	// the conn, like the originals, with the place they are decoded into —
+	// queue, flight or reorder buffer — as their one holder so far.
 	ownSeg := func(c *snap.Codec, seg **tcpSeg) {
 		if c.Reading() {
 			*seg = tc.newSeg()
-			(*seg).conn = tc
+			(*seg).holds = 1
 		}
 		(*seg).sync(c, x.app)
 	}

@@ -1,0 +1,223 @@
+package transport
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+	"time"
+
+	"realtracer/internal/lease"
+	"realtracer/internal/netsim"
+	"realtracer/internal/simclock"
+	"realtracer/internal/snap"
+)
+
+// TestTCPLateDuplicateSeesItsOwnSegment is the recycle-too-early hazard of
+// the segment pool: a segment is lost to a stall, retransmitted on timeout
+// and acknowledged, the sender goes on to send several pools' worth of new
+// data — and only then does the first copy arrive. On the classic engine that
+// copy is the sender's own segment object, so it must still be that segment:
+// the receiver reads the old sequence number, drops a duplicate, delivers
+// nothing twice and echoes in its ACK what the retransmission stamped on the
+// shared object. Had the ACK that freed the sender's reference also freed the
+// cell, the late copy would read whatever message reused it.
+func TestTCPLateDuplicateSeesItsOwnSegment(t *testing.T) {
+	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	tc := newSimTCP(sb, "b:5000", "a:100")
+	rc := newSimTCPConn(sa, "a:100", "b:5000")
+	tc.established, rc.established = true, true
+	var got []int
+	rc.SetReceiver(func(payload any, _ int) { got = append(got, payload.(int)) })
+
+	// The receiver's front door holds back the first copy of seq 0 — it
+	// stays "in flight", reference and all — and lets everything else in.
+	var late *tcpSeg
+	var rexmitTS time.Duration
+	sa.net.Register("a:100", func(pkt *netsim.Packet) {
+		if seg, ok := pkt.Payload.(*tcpSeg); ok && seg.seq == 0 {
+			if late == nil {
+				late = seg
+				return
+			}
+			rexmitTS = seg.ts
+		}
+		rc.onPacket(pkt)
+	})
+	// The sender's front door notes the last ACK on its way in.
+	var lastAck tcpAck
+	sb.net.Register("b:5000", func(pkt *netsim.Packet) {
+		if a, ok := pkt.Payload.(*tcpAck); ok {
+			lastAck = *a
+		}
+		tc.onPacket(pkt)
+	})
+
+	const rounds, more = 3, 3 * lease.Chunk
+	tc.Send(0, 500)
+	clock.RunUntil(2 * initialRTO) // stall, timeout, retransmission, ACK
+	if late == nil || rexmitTS == 0 || tc.QueueDepth() != 0 {
+		t.Fatalf("set-up: first copy held=%v, retransmitted at %v, sender backlog %d", late != nil, rexmitTS, tc.QueueDepth())
+	}
+	for i := 1; i <= more; i++ {
+		tc.Send(i, 500)
+		if i%(more/rounds) == 0 {
+			clock.RunUntil(clock.Now() + 20*time.Second)
+		}
+	}
+	if len(got) != more+1 || tc.QueueDepth() != 0 {
+		t.Fatalf("delivered %d of %d messages, sender backlog %d", len(got), more+1, tc.QueueDepth())
+	}
+	if leased := sb.segs.Leased(); leased != 1 {
+		t.Fatalf("%d segments on lease with one copy still in flight, want that one", leased)
+	}
+	if carved := sb.segs.Carved(); carved > more/rounds+1 {
+		t.Errorf("sender carved %d segments for %d messages acknowledged %d at a time: cells are not being reused", carved, more+1, more/rounds)
+	}
+
+	// The first copy finally arrives.
+	if late.seq != 0 || late.payload != 0 || late.conn != tc || !late.rexmit || late.ts != rexmitTS {
+		t.Fatalf("the copy in flight no longer reads as seq 0: %+v", *late)
+	}
+	rc.onPacket(&netsim.Packet{From: "b:5000", To: "a:100", FromID: sb.hostID, FromPort: 5000, Payload: late})
+	clock.RunUntil(clock.Now() + time.Second)
+	if len(got) != more+1 || rc.segsDelivered != more+1 {
+		t.Errorf("the late duplicate was delivered: %d messages, segsDelivered %d, want %d", len(got), rc.segsDelivered, more+1)
+	}
+	if lastAck.cumAck != more+1 || lastAck.ts != rexmitTS || lastAck.echoOK {
+		t.Errorf("ACK for the late duplicate = {cumAck %d ts %v echoOK %v}, want {%d %v false}: the retransmission's stamp on the shared segment",
+			lastAck.cumAck, lastAck.ts, lastAck.echoOK, more+1, rexmitTS)
+	}
+	if leased := sb.segs.Leased(); leased != 0 {
+		t.Errorf("%d segments on lease after the last copy was dropped, want 0", leased)
+	}
+	if (*late != tcpSeg{}) {
+		t.Errorf("the released segment reads %+v, want zero", *late)
+	}
+}
+
+// TestSegmentSecondReleasePanics: a segment nobody holds is on the
+// free-list, or leased to another message; releasing it must not pass.
+func TestSegmentSecondReleasePanics(t *testing.T) {
+	_, _, sb := newPair(t, netsim.Route{})
+	tc := newSimTCPConn(sb, "b:5000", "a:100")
+	seg := tc.newSeg()
+	seg.holds = 1
+	sb.net.ReleaseTransit(seg)
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing a segment twice did not panic")
+		}
+	}()
+	sb.net.ReleaseTransit(seg)
+}
+
+// TestDiscardReleasesWhatAClosedConnHolds: a conn that closes with a backlog
+// parks it — QueueDepth, which a pacing server still reads, does not move —
+// until its owner discards the conn; then every segment goes back to the
+// pool, the sender's and, on the receiving side, the reorder buffer's.
+func TestDiscardReleasesWhatAClosedConnHolds(t *testing.T) {
+	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	tc := newSimTCP(sb, "b:5000", "a:100")
+	rc := newSimTCP(sa, "a:100", "b:5000")
+	tc.established, rc.established = true, true
+	tc.cwnd = 4
+	// Lose seq 0 on the way in, so 1..3 wait in the receiver's reorder buffer,
+	// and every ACK on the way back, so the sender learns nothing.
+	sb.net.Register("b:5000", func(pkt *netsim.Packet) { sb.net.ReleaseTransit(pkt.Payload) })
+	sa.net.Register("a:100", func(pkt *netsim.Packet) {
+		if seg, ok := pkt.Payload.(*tcpSeg); ok && seg.seq == 0 && !seg.rexmit {
+			sa.net.ReleaseTransit(seg)
+			return
+		}
+		rc.onPacket(pkt)
+	})
+	for i := 0; i < 10; i++ {
+		tc.Send(i, 500)
+	}
+	clock.RunUntil(initialRTO / 2)
+	if tc.QueueDepth() != 10 || rc.reorder.Len() != 3 {
+		t.Fatalf("set-up: sender backlog %d, receiver buffers %d", tc.QueueDepth(), rc.reorder.Len())
+	}
+	tc.closed, rc.closed = true, true // both ends die without a word
+	tc.teardown()
+	rc.teardown()
+	clock.Run()
+	if leased := sb.segs.Leased(); tc.QueueDepth() != 10 || leased != 10 {
+		t.Fatalf("closed sender: QueueDepth %d, %d leased, want 10 each", tc.QueueDepth(), leased)
+	}
+	Discard(rc)
+	Discard(tc)
+	Discard(tc)
+	if leased := sb.segs.Leased(); leased != 0 || tc.QueueDepth() != 0 {
+		t.Errorf("after Discard: %d leased, QueueDepth %d, want 0", leased, tc.QueueDepth())
+	}
+}
+
+// TestRestoreRebuildsSegmentHolds: holder counts are not in a snapshot, so a
+// restore must give every segment it rebuilds one holder per place it is
+// restored into — the sender's flight or queue, and each reference on the
+// wire (a wire segment of a live conn restores as a reference to the conn's
+// own segment, so the two stay one object). The restored world then runs to
+// the end with restored cells recycling: everything delivered once, in order,
+// and both pools whole.
+func TestRestoreRebuildsSegmentHolds(t *testing.T) {
+	route := netsim.Route{OneWayDelay: 20 * time.Millisecond}
+	intSync := func(c *snap.Codec, payload *any) {
+		v, _ := (*payload).(int)
+		c.Int(&v)
+		*payload = v
+	}
+	// walk is the whole world's Sync in both directions: clock, network,
+	// the two conns, then the packets that reference them.
+	walk := func(c *snap.Codec, clock *simclock.Clock, sa, sb *Stack, rc, tc *Conn) {
+		x := NewSnapCtx(intSync)
+		clock.Sync(c)
+		sa.net.Sync(c, false)
+		SyncConn(c, rc, sa, x)
+		SyncConn(c, tc, sb, x)
+		sa.net.SyncPackets(c, x.PayloadSync)
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	clock, sa, sb := newPair(t, route)
+	var rc, tc Conn = newSimTCP(sa, "a:100", "b:5000"), newSimTCP(sb, "b:5000", "a:100")
+	rc.(*simTCP).established, tc.(*simTCP).established = true, true
+	tc.(*simTCP).cwnd = 4
+	for i := 0; i < 6; i++ {
+		tc.Send(i, 500)
+	}
+	clock.RunUntil(5 * time.Millisecond) // four on the wire, two queued, nothing acknowledged
+	var buf bytes.Buffer
+	walk(snap.NewEncoder(&buf), clock, sa, sb, &rc, &tc)
+
+	clock, sa, sb = newPair(t, route)
+	rc, tc = nil, nil
+	walk(snap.NewDecoder(buf.Bytes()), clock, sa, sb, &rc, &tc)
+	sender := tc.(*simTCP)
+	if sender.inflight.Len() != 4 || len(sender.queue)-sender.qhead != 2 {
+		t.Fatalf("restored sender has %d in flight and %d queued, want 4 and 2", sender.inflight.Len(), len(sender.queue)-sender.qhead)
+	}
+	for seq, seg := range sender.inflight.Each {
+		if seg.holds != 2 {
+			t.Errorf("restored segment %d in flight has %d holders, want the sender and its copy on the wire", seq, seg.holds)
+		}
+	}
+	for _, seg := range sender.queue[sender.qhead:] {
+		if seg.holds != 1 {
+			t.Errorf("restored queued segment %d has %d holders, want the sender alone", seg.seq, seg.holds)
+		}
+	}
+	var got []int
+	rc.SetReceiver(func(payload any, _ int) { got = append(got, payload.(int)) })
+	clock.Run()
+	if !slices.Equal(got, []int{0, 1, 2, 3, 4, 5}) {
+		t.Errorf("the restored world delivered %v", got)
+	}
+	for _, s := range []*Stack{sa, sb} {
+		if carved, leased := s.segs.Carved(), s.segs.Leased(); leased != 0 {
+			t.Errorf("%s: %d of %d segments still on lease after the restored world drained", s.Host(), leased, carved)
+		}
+	}
+}

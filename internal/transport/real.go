@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"realtracer/internal/netsim"
 	"realtracer/internal/packet"
 	"realtracer/internal/vclock"
 )
@@ -160,8 +161,10 @@ func (rc *RealTCPConn) readLoop() {
 }
 
 // Send implements Conn. The declared size is ignored; the encoded length is
-// authoritative on a real wire.
+// authoritative on a real wire — where the encoded frame is the payload's last
+// reader, so a pooled payload's lease ends when Send returns.
 func (rc *RealTCPConn) Send(payload any, _ int) error {
+	defer netsim.ReleaseTransit(nil, payload)
 	rc.mu.Lock()
 	closed := rc.closed
 	rc.mu.Unlock()
@@ -258,6 +261,7 @@ func (p *RealUDPPort) LocalAddr() string { return p.pc.LocalAddr().String() }
 
 // SendTo transmits one datagram.
 func (p *RealUDPPort) SendTo(addr string, payload any, _ int) error {
+	defer netsim.ReleaseTransit(nil, payload)
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
@@ -359,6 +363,7 @@ func DialRealUDP(addr string, codec Codec, loop *vclock.Loop) (*RealUDPConn, err
 
 // Send implements Conn.
 func (rc *RealUDPConn) Send(payload any, _ int) error {
+	defer netsim.ReleaseTransit(nil, payload)
 	rc.mu.Lock()
 	closed := rc.closed
 	rc.mu.Unlock()

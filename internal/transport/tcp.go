@@ -54,16 +54,6 @@ type simTCP struct {
 	rcvNext uint64
 	reorder seqwin.Window[*tcpSeg] // arrived ahead of rcvNext
 
-	// Segment slab: segments are carved out of chunked backing arrays, one
-	// chunk allocation per segChunk segments instead of one per Send. Slab
-	// segments are never recycled within a connection — a segment can be
-	// referenced by the send queue, the inflight set, in-flight network
-	// copies (retransmits clone nothing) and the peer's reorder buffer all
-	// at once, so the only safe reclaim point is the connection's death,
-	// when the whole slab becomes garbage together.
-	segSlab []tcpSeg
-	segUsed int
-
 	// Counters for tests and diagnostics.
 	retransmits     uint64
 	fastRexmits     uint64
@@ -105,10 +95,12 @@ func newSimTCPConn(s *Stack, laddr, raddr netsim.Addr) *simTCP {
 
 func (c *simTCP) Send(payload any, size int) error {
 	if c.closed {
+		c.stack.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
 	seg := c.newSeg()
-	seg.conn, seg.seq, seg.payload, seg.size = c, c.nextSeq, payload, size
+	seg.seq, seg.payload, seg.size = c.nextSeq, payload, size
+	seg.holds = 1 // the sender's, for as long as the segment is queued or in flight
 	c.nextSeq++
 	if c.qhead == len(c.queue) {
 		// Drained: rewind so the append below reuses the backing array
@@ -120,19 +112,11 @@ func (c *simTCP) Send(payload any, size int) error {
 	return nil
 }
 
-// segChunk sizes the slab chunks newSeg carves segments from.
-const segChunk = 64
-
-// newSeg returns a zeroed segment backed by the connection's slab. Earlier
-// chunks stay alive exactly as long as some queue, inflight set, network
-// hop or reorder buffer still points into them.
+// newSeg leases a zeroed segment from the stack's pool (transit.go has the
+// other half of its life) and stamps it with the conn that sends it.
 func (c *simTCP) newSeg() *tcpSeg {
-	if c.segUsed == len(c.segSlab) {
-		c.segSlab = make([]tcpSeg, segChunk)
-		c.segUsed = 0
-	}
-	seg := &c.segSlab[c.segUsed]
-	c.segUsed++
+	seg := c.stack.segs.Get()
+	seg.conn = c
 	return seg
 }
 
@@ -144,16 +128,43 @@ func (c *simTCP) Close() error {
 	}
 	c.closed = true
 	fin := c.newSeg()
-	fin.conn, fin.fin = c, true
+	fin.fin = true
 	c.sendRaw(fin, 0)
 	c.teardown()
 	return nil
 }
 
+// teardown takes the conn off the clock and the network. What it still holds
+// — its queue and flight, the peer's segments in its reorder buffer — stays
+// where it is, parked: a snapshot walks a closed conn like an open one, and a
+// server paces against a dead conn's QueueDepth until the session is reaped.
+// The owner lets go of it with Discard when it lets go of the conn.
 func (c *simTCP) teardown() {
 	c.rtoTimer.Cancel()
 	c.rtoTimer = simclock.Timer{}
 	c.stack.net.Unregister(c.laddr)
+}
+
+// Discard releases what a closed simulated TCP conn still holds: the sender's
+// reference on every segment queued or in flight, and the segments waiting
+// in its reorder buffer. The conn's owner calls it when it recycles whatever
+// pointed at the conn — from then on nothing reads the conn again, and until
+// then a snapshot may. Any other conn, and a second call, is a no-op.
+func Discard(conn Conn) {
+	c, ok := conn.(*simTCP)
+	if !ok || !c.closed {
+		return
+	}
+	for _, seg := range c.queue[c.qhead:] {
+		c.stack.net.ReleaseTransit(seg)
+	}
+	c.queue, c.qhead = nil, 0
+	for _, w := range []*seqwin.Window[*tcpSeg]{&c.inflight, &c.reorder} {
+		for _, seg := range w.Each {
+			c.stack.net.ReleaseTransit(seg)
+		}
+		w.Reset()
+	}
 }
 
 func (c *simTCP) Protocol() Protocol { return TCP }
@@ -184,7 +195,10 @@ func (c *simTCP) pump() {
 		seg := c.queue[c.qhead]
 		c.qhead++
 		if seg.seq < c.sendBase {
-			continue // requeued after a timeout but since acknowledged
+			// Requeued after a timeout but since acknowledged: the sender is
+			// done with it here, not in onAck, which only sees the flight.
+			c.stack.net.ReleaseTransit(seg)
+			continue
 		}
 		c.transmit(seg, false)
 	}
@@ -202,20 +216,23 @@ func (c *simTCP) transmit(seg *tcpSeg, rexmit bool) {
 	c.armRTO()
 }
 
+// sendRaw puts one more reference to seg on the wire — taken before Send, which
+// may drop and release synchronously. A handshake or FIN segment has no other.
 func (c *simTCP) sendRaw(seg *tcpSeg, size int) {
+	seg.holds++
 	c.stack.sendPooled(c.laddr, c.raddr, c.stack.hostID, c.raddrID, c.lport, c.rport, size+segHeader, seg)
 }
 
-// sendSyn and sendSynAck emit slab-backed handshake segments.
+// sendSyn and sendSynAck emit pooled handshake segments.
 func (c *simTCP) sendSyn() {
 	seg := c.newSeg()
-	seg.conn, seg.syn = c, true
+	seg.syn = true
 	c.sendRaw(seg, 0)
 }
 
 func (c *simTCP) sendSynAck() {
 	seg := c.newSeg()
-	seg.conn, seg.synAck = c, true
+	seg.synAck = true
 	c.sendRaw(seg, 0)
 }
 
@@ -273,30 +290,19 @@ func (c *simTCP) onRTO() {
 }
 
 // onPacket handles every arrival addressed to this conn: segments from the
-// peer and ACKs for our own segments.
+// peer and ACKs for our own segments. Whatever arrives is released on every
+// exit, consumed or not (a closed conn consumes nothing).
 func (c *simTCP) onPacket(pkt *netsim.Packet) {
-	if c.closed {
-		// A closed conn consumes nothing; shard-transit copies still must go
-		// back to the pool (a no-op for classic originals).
-		c.stack.net.ReleaseTransit(pkt.Payload)
-		return
-	}
-	switch m := pkt.Payload.(type) {
-	case *tcpSeg:
-		c.onSegment(m, pkt)
-	case *tcpAck:
-		c.onAck(m)
-		// The ACK has been fully consumed; recycle it to the stack that
-		// created it. A shard-transit copy has a nil origin — it was never
-		// part of any ACK pool — and recycles through the transit pool
-		// instead. ACKs from another world (cross-net tests) just get
-		// collected.
-		if m.origin != nil && m.origin.net == c.stack.net {
-			putAck(m)
-		} else {
-			c.stack.net.ReleaseTransit(m)
+	if !c.closed {
+		switch m := pkt.Payload.(type) {
+		case *tcpSeg:
+			c.onSegment(m, pkt)
+			return
+		case *tcpAck:
+			c.onAck(m)
 		}
 	}
+	c.stack.net.ReleaseTransit(pkt.Payload)
 }
 
 func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
@@ -333,10 +339,11 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 	// Data segment: buffer, deliver in order, and ACK cumulatively. The ACK
 	// echo fields are captured up front: once the segment is released (or
 	// delivered — an application callback may itself send, re-leasing the
-	// pooled snapshot), its fields are no longer ours to read.
+	// pooled cell), its fields are no longer ours to read.
 	ackTS, ackEchoOK := seg.ts, !seg.rexmit
-	// Old and duplicate segments are dropped — and, as with every drop on
-	// the receive path, a shard-transit copy goes straight back to the pool.
+	// Old and duplicate segments are dropped — and released, as on every
+	// exit of the receive path. A buffered one keeps the reference it arrived
+	// with until it is delivered in order.
 	if seg.seq >= c.rcvNext {
 		if c.reorder.Get(seg.seq) == nil {
 			c.reorder.Put(seg.seq, seg)
@@ -358,27 +365,25 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 			c.recv(next.payload, next.size)
 		}
 		// The application callback has consumed the payload synchronously
-		// (the receiver contract in each payload package's transit.go);
-		// recycle the segment snapshot and its nested payload snapshot.
+		// (the receiver contract in each payload package's transit.go): the
+		// receiver is done with the segment, and with it the nested payload.
 		c.stack.net.ReleaseTransit(next)
 	}
 	c.reorder.DropBelow(c.rcvNext) // nothing is left there; the window's edge keeps up
 	ack := c.stack.getAck()
 	ack.cumAck, ack.ts, ack.echoOK = c.rcvNext, ackTS, ackEchoOK
 	c.stack.sendPooled(c.laddr, pkt.From, c.stack.hostID, pkt.FromID, c.lport, pkt.FromPort, ackSize, ack)
-	if c.stack.net.Sharded() {
-		// Sharded sends snapshot the payload synchronously inside Send, so
-		// the original never travels: recycle it now. (Classic keeps the
-		// recycle-at-consumer path in onPacket, where the original itself
-		// is what arrives.)
-		putAck(ack)
-	}
 }
 
 func (c *simTCP) onAck(a *tcpAck) {
 	if a.cumAck > c.sendBase {
 		// New data acknowledged: everything below the cumulative ACK leaves
-		// the flight.
+		// the flight, and the sender lets go of it.
+		for seq := c.sendBase; seq < min(a.cumAck, c.nextSeq); seq++ {
+			if seg := c.inflight.Get(seq); seg != nil {
+				c.stack.net.ReleaseTransit(seg)
+			}
+		}
 		acked := c.inflight.DropBelow(a.cumAck)
 		c.sendBase = a.cumAck
 		c.dupAcks = 0

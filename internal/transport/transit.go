@@ -2,20 +2,38 @@ package transport
 
 import "realtracer/internal/netsim"
 
-// Shard-transit snapshots (netsim.Transferable / TransitReleasable). In a
-// sharded world every packet payload is deep-copied at the WAN edge — value
-// semantics standing in for real serialization — so no shard reads memory
-// another shard mutates. The TCP wire types carry two pieces of
-// sender-private state that must not travel: seg.conn (the sender's conn
-// identity, written for routing and never read by the receive path) and
-// ack.origin (the free-list the ACK recycles to; a copy is not that pooled
-// object, so its origin is nil and onPacket recycles it through the transit
-// pool instead).
+// The release half of a segment's and an ACK's life, and their shard-transit
+// snapshots (netsim.Transferable / TransitReleasable). One rule covers
+// originals and copies (netsim/transit.go): whoever reads a payload last
+// releases it, once per Send.
 //
+// An original segment counts its readers in holds: one for the sender from
+// Send until onAck's cumulative ACK passes it, pump skips it as already
+// acknowledged, or the conn's owner Discards the closed conn; one per sendRaw,
+// released by the network (a drop, or the WAN-edge snapshot of a sharded
+// world) or by the receiving conn — which, on the classic engine, reads the
+// live ts/rexmit of the very segment the sender retransmits, and whose
+// reorder buffer simply keeps the reference a segment arrived with until it
+// is delivered in order. The last release clears the segment, releases the
+// payload nested in it and returns the cell to the free-list of the stack
+// that sent it. A handshake or FIN segment has only the wire's reference; a
+// segment restored by value from a snapshot (its conn was closed) has that
+// one too and no pool to go back to. Releasing a segment nobody holds panics.
+// Holder counts are not in a snapshot: a restore rebuilds them from who holds
+// the restored segment — the conn's queue or flight, its reorder buffer, each
+// reference on the wire.
+//
+// An original ACK has one reader and goes back to origin.ackFree; one a
+// snapshot restored has no origin and is collected.
+//
+// In a sharded world every packet payload is deep-copied at the WAN edge —
+// value semantics standing in for real serialization — so no shard reads
+// memory another shard mutates, and the original is released there, on the
+// sending shard. The TCP wire types carry two pieces of sender-private state
+// that must not travel: seg.conn (the sender's conn identity, which names the
+// segment's home and is never read by the receive path) and ack.origin.
 // Snapshots are leased from the sending shard's transit pool and released
-// by the receiving conn at every consume and drop point of its segment
-// machinery; the transit flag is false on every original, which makes the
-// release calls no-ops on the classic path.
+// into the receiving shard's.
 
 var (
 	segTransitClass = netsim.RegisterTransitClass()
@@ -38,18 +56,25 @@ func (s *tcpSeg) TransitCopy(tp *netsim.TransitPool) any {
 	return cp
 }
 
-// TransitRelease implements netsim.TransitReleasable, releasing the nested
-// payload snapshot along with the segment.
+// TransitRelease implements netsim.TransitReleasable: one reader of the
+// segment is done. A copy has one reader; an original goes back to its pool,
+// nested payload released, when the last of its holders lets go.
 func (s *tcpSeg) TransitRelease(tp *netsim.TransitPool) {
 	if !s.transit {
-		return
+		if s.holds <= 0 {
+			panic("transport: segment released twice")
+		}
+		if s.holds--; s.holds > 0 {
+			return
+		}
 	}
-	s.transit = false
-	if s.payload != nil {
-		netsim.ReleaseTransit(tp, s.payload)
-		s.payload = nil
+	netsim.ReleaseTransit(tp, s.payload)
+	if s.transit {
+		s.transit, s.payload = false, nil
+		tp.Put(segTransitClass, s)
+	} else if c := s.conn; c != nil {
+		c.stack.segs.Put(s)
 	}
-	tp.Put(segTransitClass, s)
 }
 
 // TransitCopy implements netsim.Transferable.
@@ -61,16 +86,28 @@ func (a *tcpAck) TransitCopy(tp *netsim.TransitPool) any {
 		cp = &tcpAck{}
 	}
 	*cp = *a
-	cp.origin = nil
+	cp.origin, cp.leased = nil, false
 	cp.transit = true
 	return cp
 }
 
-// TransitRelease implements netsim.TransitReleasable.
+// TransitRelease implements netsim.TransitReleasable: a copy goes to the
+// receiving shard's pool, an original back to the stack that sent it.
 func (a *tcpAck) TransitRelease(tp *netsim.TransitPool) {
-	if !a.transit {
+	if a.transit {
+		a.transit = false
+		tp.Put(ackTransitClass, a)
 		return
 	}
-	a.transit = false
-	tp.Put(ackTransitClass, a)
+	s := a.origin
+	if s == nil {
+		return
+	}
+	if !a.leased {
+		panic("transport: ACK released twice")
+	}
+	a.leased = false
+	if len(s.ackFree) < ackFreeMax {
+		s.ackFree = append(s.ackFree, a)
+	}
 }

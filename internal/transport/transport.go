@@ -19,6 +19,7 @@ import (
 	"slices"
 	"time"
 
+	"realtracer/internal/lease"
 	"realtracer/internal/netsim"
 	"realtracer/internal/simclock"
 )
@@ -45,7 +46,10 @@ func (p Protocol) String() string {
 // meaning (RTSP control or RDT data).
 type Conn interface {
 	// Send queues payload for transmission; size is the payload's wire size
-	// in bytes (transport framing overhead is added internally).
+	// in bytes (transport framing overhead is added internally). Send takes
+	// over the caller's lease on a pooled payload, error or not: the
+	// transport releases it when its last reader is done (transit.go), so a
+	// caller that reads it afterwards holds a reference of its own first.
 	Send(payload any, size int) error
 	// SetReceiver installs the delivery callback. Must be set before data
 	// arrives; replacing it is allowed.
@@ -90,7 +94,10 @@ type Stack struct {
 	host    string
 	hostID  netsim.HostID
 	next    int       // next ephemeral port
-	ackFree []*tcpAck // recycled ACKs (released after the peer consumes them)
+	ackFree []*tcpAck // recycled ACKs (released by whoever reads them last)
+	// segs is the segment pool every conn of this host leases from
+	// (transit.go).
+	segs lease.Pool[tcpSeg]
 	// listeners tracks live TCP listeners by port so a world restore can
 	// re-seed their SYN-dedup maps with the accepted conns (checkpoint.go).
 	listeners map[int]*tcpListener
@@ -118,7 +125,7 @@ func NewStack(n *netsim.Network, host string) *Stack {
 const ackFreeMax = 256
 
 // getAck draws an ACK from the stack free-list. The ACK remembers its
-// origin so the consuming peer can hand it back to the pool it came from —
+// origin so its last reader can hand it back to the pool it came from —
 // recycling into the consumer's own pool would grow the data sender's
 // free-list by one ACK per delivered segment while the ACK-sending side
 // never got a single one back.
@@ -126,19 +133,10 @@ func (s *Stack) getAck() *tcpAck {
 	if k := len(s.ackFree); k > 0 {
 		a := s.ackFree[k-1]
 		s.ackFree = s.ackFree[:k-1]
+		a.leased = true
 		return a
 	}
-	return &tcpAck{origin: s}
-}
-
-// putAck recycles an ACK to its originating stack once its receiver is done
-// with it. Safe cross-stack: all stacks of one world share the
-// single-threaded clock. ACKs dropped by the network are simply garbage
-// collected.
-func putAck(a *tcpAck) {
-	if len(a.origin.ackFree) < ackFreeMax {
-		a.origin.ackFree = append(a.origin.ackFree, a)
-	}
+	return &tcpAck{origin: s, leased: true}
 }
 
 // sendPooled ships one pooled packet with pre-resolved endpoints. fromPort
@@ -183,14 +181,19 @@ type tcpSeg struct {
 	ts      time.Duration // sender timestamp for RTT sampling
 	rexmit  bool
 	transit bool // true on a leased shard-transit copy; false on originals
+	// holds counts the readers an original still has (transit.go): the
+	// sender, while the segment is queued or in flight, and one per copy on
+	// the wire or in the peer's reorder buffer.
+	holds int32
 }
 
 type tcpAck struct {
 	cumAck  uint64 // next expected seq
 	ts      time.Duration
 	echoOK  bool
-	origin  *Stack // free-list this ACK recycles to
+	origin  *Stack // free-list this ACK recycles to; nil on a copy or a restored ACK
 	transit bool   // true on a leased shard-transit copy; false on originals
+	leased  bool   // an original out of its free-list: releasing it twice panics
 }
 
 // Listen installs a TCP listener on port. For every handshake the accept
@@ -205,9 +208,9 @@ func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
 	s.listeners[port] = l
 	seen := l.seen
 	s.net.Register(laddr, func(pkt *netsim.Packet) {
-		// The listener consumes everything it receives synchronously, so a
-		// shard-transit copy can be recycled on every exit (a no-op for
-		// classic originals and for stray non-SYN payloads that are none).
+		// The listener consumes everything it receives synchronously, so it
+		// is released on every exit: a SYN carries no reference but the
+		// wire's, and this frees it.
 		defer s.net.ReleaseTransit(pkt.Payload)
 		seg, ok := pkt.Payload.(*tcpSeg)
 		if !ok || !seg.syn {
@@ -310,10 +313,10 @@ func (s *Stack) ListenUDP(port int, recv func(from string, payload any, size int
 	p := &UDPPort{stack: s, laddr: s.addr(port), lport: int32(port)}
 	s.net.Register(p.laddr, func(pkt *netsim.Packet) {
 		// recv consumes the datagram synchronously (the receiver contract in
-		// each payload package's transit.go), so a shard-transit copy is
-		// recycled as soon as it returns — and on the closed-port drop too.
-		// Released explicitly on each exit: this closure runs once per
-		// delivered datagram, and a defer is measurable there.
+		// each payload package's transit.go), so it is released as soon as
+		// recv returns — and on the closed-port drop too. Released
+		// explicitly on each exit: this closure runs once per delivered
+		// datagram, and a defer is measurable there.
 		if !p.closed && recv != nil {
 			recv(string(pkt.From), pkt.Payload, pkt.Size-udpHeader)
 		}
@@ -334,9 +337,9 @@ func (s *Stack) newSimUDP(laddr, ra netsim.Addr) *simUDP {
 	c := &simUDP{stack: s, laddr: laddr, raddr: ra, raddrID: s.net.Intern(ra.Host())}
 	c.lport, c.rport = c.laddr.Port(), ra.Port()
 	s.net.Register(c.laddr, func(pkt *netsim.Packet) {
-		// Same synchronous-consumption contract as ListenUDP: recycle the
-		// shard-transit copy on every exit, consumed or dropped (explicit,
-		// not deferred — per-datagram path).
+		// Same synchronous-consumption contract as ListenUDP: released on
+		// every exit, consumed or dropped (explicit, not deferred —
+		// per-datagram path).
 		if !c.closed && c.recv != nil && pkt.From == c.raddr {
 			c.recv(pkt.Payload, pkt.Size-udpHeader)
 		}
@@ -360,6 +363,7 @@ func (p *UDPPort) LocalAddr() string { return string(p.laddr) }
 // prefer ConnFor, which resolves the destination host once.
 func (p *UDPPort) SendTo(addr string, payload any, size int) error {
 	if p.closed {
+		p.stack.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
 	to := netsim.Addr(addr)
@@ -395,10 +399,11 @@ type udpPortConn struct {
 }
 
 func (c *udpPortConn) Send(payload any, size int) error {
+	s := c.port.stack
 	if c.port.closed {
+		s.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
-	s := c.port.stack
 	s.sendPooled(c.port.laddr, c.to, s.hostID, c.toID, c.port.lport, c.toPort, size+udpHeader, payload)
 	return nil
 }
@@ -425,6 +430,7 @@ type simUDP struct {
 
 func (c *simUDP) Send(payload any, size int) error {
 	if c.closed {
+		c.stack.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
 	c.stack.sendPooled(c.laddr, c.raddr, c.stack.hostID, c.raddrID, c.lport, c.rport, size+udpHeader, payload)
