@@ -62,17 +62,17 @@ func checkpointFlagError(set map[string]bool) string {
 // to file; the caller then continues the same world to completion.
 func writeCheckpoint(w *study.World, file string, warmup time.Duration) error {
 	if warmup <= 0 {
-		return fmt.Errorf("-warmup must be positive simulated time, got %v", warmup)
+		return fmt.Errorf("study: -warmup must be positive simulated time, got %v", warmup)
 	}
 	if err := w.RunUntil(warmup); err != nil {
 		return err
 	}
 	f, err := os.Create(file)
 	if err != nil {
-		return err
+		return fmt.Errorf("study: %w", err)
 	}
 	if err := closeOutput(f, w.Checkpoint(f)); err != nil {
-		return err
+		return fmt.Errorf("study: %w", err)
 	}
 	fmt.Printf("checkpoint: warm state at %v written to %s (resume with -resume %s)\n", warmup, file, file)
 	return nil
@@ -87,12 +87,12 @@ func (r studyRun) world() (*study.World, error) {
 	}
 	f, err := os.Open(r.resume)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("study: %w", err)
 	}
 	defer f.Close()
 	w, err := study.Resume(f, nil)
 	if err != nil {
-		return nil, fmt.Errorf("resume %s: %w", r.resume, err)
+		return nil, fmt.Errorf("study: resume %s: %w", r.resume, err)
 	}
 	return w, nil
 }

@@ -285,7 +285,7 @@ func (r studyRun) run() (*figures.Aggregates, *core.StudyResult, error) {
 
 	w, err := r.world()
 	if err != nil {
-		return nil, nil, fmt.Errorf("study: %w", err)
+		return nil, nil, err
 	}
 	if r.jsonOut == "" && r.checkpoint == "" && r.resume == "" {
 		w.SetSink(sink)
@@ -294,12 +294,12 @@ func (r studyRun) run() (*figures.Aggregates, *core.StudyResult, error) {
 	}
 	if r.checkpoint != "" {
 		if err := writeCheckpoint(w, r.checkpoint, r.warmup); err != nil {
-			return nil, nil, fmt.Errorf("study: %w", err)
+			return nil, nil, err
 		}
 	}
 	res, err := w.Run()
 	if err != nil {
-		return nil, nil, fmt.Errorf("study: %w", err)
+		return nil, nil, err
 	}
 	for _, rec := range res.Records { // nil unless the world retained them
 		sink.Observe(rec)

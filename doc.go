@@ -103,8 +103,17 @@
 // (TestShardEquivalence, run under -race in CI). Shards=0 remains the
 // classic zero-copy single-threaded engine and the default; the sharded
 // engine trades single-core overhead (copy-at-send, a second delivery
-// event) for multi-core wall-clock scaling. The goroutine that calls
-// Fabric.Run executes shard 0 itself and the other shards' workers wait for
+// event) for multi-core wall-clock scaling. The study layer builds and runs
+// both the same way: study.NewWorld is one sequence (population, routes,
+// the engine with one SessionFactory per shard, server plans, arrival cells,
+// on a fabric intern and Freeze, dynamics, servers, load gossip, first
+// arrivals or the panel's start timers) in which a classic world is the
+// one-shard world without a fabric — one arrival cell over the whole pool on
+// the workload seed itself — and World.Run is one loop (Fabric.Run's windows
+// or Clock.Step until the work is finished), one stall check, the shard merge
+// and one Result summed over the shards' clocks. The places the two engines
+// still differ are tests of World.fab, listed on that field. The goroutine that
+// calls Fabric.Run executes shard 0 itself and the other shards' workers wait for
 // each window by polling an atomic before they park, because a window is
 // tens of microseconds of work and a scheduler wake-up costs as much:
 // measured on the 2-vCPU build box, cmd/bench's sharded2 world went from

@@ -245,11 +245,7 @@ func (w *World) sync(c *snap.Codec, fork *Fork, keepDynamics bool) {
 	w.Net.Sync(c, keepDynamics)
 	if c.Reading() && fork != nil && fork.Name != "" {
 		opt := w.Options
-		dseed := opt.DynamicsSeed
-		if dseed == 0 {
-			dseed = opt.Seed + 4
-		}
-		w.Net.ReseedRNGs(forkSeed(opt.Seed+3, 0, fork.Name, "net"), forkSeed(dseed, 0, fork.Name, "dynamics"))
+		w.Net.ReseedRNGs(forkSeed(opt.Seed+3, 0, fork.Name, "net"), forkSeed(opt.dynamicsSeed(), 0, fork.Name, "dynamics"))
 	}
 
 	x := transport.NewSnapCtx(session.SnapSync)
@@ -295,16 +291,6 @@ func syncCount(c *snap.Codec, built int, what string) bool {
 	return c.Err() == nil
 }
 
-// trackedStack returns the transport stack NewWorld tracked for a user
-// template, failing the codec when there is none.
-func (w *World) trackedStack(c *snap.Codec, name string) *transport.Stack {
-	st := w.stacks[name]
-	if st == nil {
-		c.Fail(fmt.Errorf("study: no tracked stack for user %s", name))
-	}
-	return st
-}
-
 func (w *World) syncPanel(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 	c.Tag("panel")
 	c.Int(&w.remaining)
@@ -312,14 +298,11 @@ func (w *World) syncPanel(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 		return
 	}
 	for i, u := range w.Users {
-		w.userRNGs[i].Sync(c, fork.reseed("user:"+u.Name))
-		st := w.trackedStack(c, u.Name)
-		if st == nil {
-			return
-		}
-		st.Sync(c, x)
-		w.Clock.SyncTimer(c, &w.startTimers[i], w.tracers[i])
-		w.tracers[i].Sync(c, st, x)
+		p := &w.panel[i]
+		p.rng.Sync(c, fork.reseed("user:"+u.Name))
+		p.stack.Sync(c, x)
+		w.Clock.SyncTimer(c, &p.start, p.tr)
+		p.tr.Sync(c, p.stack, x)
 	}
 }
 
@@ -367,11 +350,7 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 		b := cell.bundles[mi]
 		name := w.Users[b.idx].Name
 		b.rng.Sync(c, fork.reseed("session:"+name))
-		st := w.trackedStack(c, name)
-		if st == nil {
-			return
-		}
-		st.Sync(c, x)
+		b.stack.Sync(c, x)
 		c.Bool(&b.done)
 		c.Bool(&b.departed)
 		c.I64(&b.ordinal)
@@ -390,7 +369,7 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 			b.tr.Reset(b.playlist)
 		}
 		w.Clock.SyncTimer(c, &b.departTimer, (*departArm)(b))
-		b.tr.Sync(c, st, x)
+		b.tr.Sync(c, b.stack, x)
 	}
 }
 

@@ -472,7 +472,7 @@ func TestCheckpointRejectsUnsupportedWorlds(t *testing.T) {
 // stacks dial.
 func dialsInFlight(w *World) int {
 	n := 0
-	for _, st := range w.stacks {
+	for _, st := range userStacks(w) {
 		n += st.DialsInFlight()
 	}
 	return n
@@ -574,12 +574,12 @@ func TestCheckpointAcrossDepartureMidDial(t *testing.T) {
 		now := scout.Clock.Now()
 		switch {
 		case host == "":
-			for name, st := range scout.stacks {
+			for name, st := range userStacks(scout) {
 				if st.DialsInFlight() > 0 && !scout.Net.Attached(name) {
 					host, gone = name, now
 				}
 			}
-		case scout.stacks[host].DialsInFlight() == 0:
+		case userStacks(scout)[host].DialsInFlight() == 0:
 			host = "" // timed out with the host still away; keep looking
 		case scout.Net.Attached(host):
 			back = now
@@ -592,7 +592,7 @@ func TestCheckpointAcrossDepartureMidDial(t *testing.T) {
 
 	for _, cut := range []time.Duration{gone, back + time.Second} {
 		w := worldAt(t, opt, cut)
-		if dials, attached := w.stacks[host].DialsInFlight(), w.Net.Attached(host); dials == 0 || attached != (cut > gone) {
+		if dials, attached := userStacks(w)[host].DialsInFlight(), w.Net.Attached(host); dials == 0 || attached != (cut > gone) {
 			t.Fatalf("at %v %s has %d dials in flight and attached=%v: the cut missed the orphaned dial", cut, host, dials, attached)
 		}
 		if got := recordsBytes(t, resumeAndRun(t, checkpoint(t, w), nil).Records); !bytes.Equal(got, want) {

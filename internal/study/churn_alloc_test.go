@@ -110,7 +110,7 @@ func TestShardedChurnAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := w.open
-	completed := func() int { return o.sessionsN() - o.activeN() }
+	completed := func() int { n := o.totals(); return n.sessions - n.active }
 	runSessions := func(n int) {
 		target := completed() + n
 		w.fab.Run(func() bool { return completed() >= target })

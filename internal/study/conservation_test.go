@@ -12,6 +12,7 @@ import (
 	"realtracer/internal/netsim"
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
+	"realtracer/internal/transport"
 )
 
 // TestConservation is the first slice of the invariant oracle: every fence
@@ -60,8 +61,8 @@ func checkConservation(t *testing.T, opt Options) {
 				sent, delivered, dropped = w.fab.Stats()
 			}
 			var scheduled uint64
-			for s := 0; s < max(1, opt.Shards); s++ {
-				for _, pe := range w.clockFor(s).Pendings() {
+			for _, f := range w.factories {
+				for _, pe := range f.clock.Pendings() {
 					if _, ok := pe.Handler.(*netsim.Packet); ok {
 						scheduled++
 					}
@@ -93,7 +94,7 @@ func checkConservation(t *testing.T, opt Options) {
 		if res.Sessions+res.Balked != w.Options.Arrivals {
 			t.Errorf("arrivals: %d sessions + %d balked != %d arrivals", res.Sessions, res.Balked, w.Options.Arrivals)
 		}
-		if active := w.open.activeN(); active != 0 || res.Departed > res.Sessions {
+		if active := w.open.totals().active; active != 0 || res.Departed > res.Sessions {
 			t.Errorf("sessions: %d admitted, %d departed, %d still active at the end", res.Sessions, res.Departed, active)
 		}
 		return res
@@ -126,7 +127,10 @@ func checkConservation(t *testing.T, opt Options) {
 // worldTracers returns every tracer the world has built: the panel's, or one
 // per open-loop template that has arrived at least once.
 func worldTracers(w *World) []*tracer.Tracer {
-	trs := append([]*tracer.Tracer(nil), w.tracers...)
+	var trs []*tracer.Tracer
+	for _, p := range w.panel {
+		trs = append(trs, p.tr)
+	}
 	if w.open != nil {
 		for _, c := range w.open.cells {
 			for _, b := range c.bundles {
@@ -137,6 +141,25 @@ func worldTracers(w *World) []*tracer.Tracer {
 		}
 	}
 	return trs
+}
+
+// userStacks returns the transport stack of every tracer worldTracers
+// returns, by the user's host name.
+func userStacks(w *World) map[string]*transport.Stack {
+	stacks := map[string]*transport.Stack{}
+	for i, p := range w.panel {
+		stacks[w.Users[i].Name] = p.stack
+	}
+	if w.open != nil {
+		for _, c := range w.open.cells {
+			for _, b := range c.bundles {
+				if b != nil {
+					stacks[w.Users[b.idx].Name] = b.stack
+				}
+			}
+		}
+	}
+	return stacks
 }
 
 // leasePools finds every lease.Pool reachable from w through pointers,

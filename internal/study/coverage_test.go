@@ -364,7 +364,9 @@ var syncExempt = map[string]string{
 	"study.World.Users":                  "static",
 	"study.World.Playlist":               "static",
 	"study.World.ActiveSites":            "static",
-	"study.World.factory":                "wiring",
+	"study.World.factories":              "wiring",
+	"study.SessionFactory.dynLabel":      "rebuilt from Options",
+	"study.SessionFactory.policyLabel":   "rebuilt from Options",
 	"study.World.ran":                    "set by Run; a resumed world has not run yet",
 	"study.arrivalCell.shard":            "fixed at build",
 	"study.arrivalCell.ord":              "fixed at build",

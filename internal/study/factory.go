@@ -14,25 +14,25 @@ import (
 )
 
 // SessionFactory turns a user — a pre-scheduled panel participant or an
-// open-loop arrival — into an attached host and a configured RealTracer.
-// It is the seam the monolithic launchUsers split along: the closed panel
-// drives it once per user at build time, the workload generator drives it
-// once per arrival on the simclock. Both paths share the same attach /
-// tracer construction, so a clip played under either mode is measured
-// identically.
+// open-loop arrival — into an attached host and a configured RealTracer on
+// one shard's clock and network. The closed panel drives it once per user
+// at build time, an arrival cell drives its shard's once per arrival on the
+// simclock. Both paths share the same attach / tracer construction, so a
+// clip played under either mode is measured identically.
 //
-// A sharded world builds one factory per shard, each bound to its shard's
-// clock, Network and record sink, so every session a shard owns touches
-// only that shard's mutable state.
+// A world has one factory per shard (World.factories; the classic world is
+// one shard), and everything that runs on a shard reaches the shard's clock,
+// network and record path through its factory, so every session a shard
+// owns touches only that shard's mutable state.
 type SessionFactory struct {
 	w     *World
 	clock *simclock.Clock
 	net   *netsim.Network
-	// sink, when non-nil, overrides the world sink: a sharded factory
-	// collects its shard's records locally (merged deterministically after
-	// the run). Nil routes through w.sink, which SetSink may replace after
-	// the factory is built.
-	sink trace.Sink
+	// records, on a fabric, buffers the shard's records until Run merges the
+	// shards' streams into the world sink in a partition-invariant order.
+	// Nil on the classic engine, whose records go straight to w.sink — which
+	// SetSink may replace after the factory is built.
+	records *trace.Collector
 	// dynLabel and policyLabel are the world-constant condition labels
 	// stamped on every record (stamping from one string instead of
 	// reformatting per record).
@@ -57,12 +57,12 @@ func (f *SessionFactory) attach(u *geo.User, rng *rand.Rand) {
 }
 
 // observe stamps the world-constant condition labels on a record and hands
-// it to the factory's sink — the default OnRecord path.
+// it to the shard's buffer or the world sink — the default OnRecord path.
 func (f *SessionFactory) observe(rec *trace.Record) {
 	rec.Dynamics = f.dynLabel
 	rec.Policy = f.policyLabel
-	if f.sink != nil {
-		f.sink.Observe(rec)
+	if f.records != nil {
+		f.records.Observe(rec)
 		return
 	}
 	f.w.sink.Observe(rec)
@@ -75,7 +75,8 @@ func (f *SessionFactory) observe(rec *trace.Record) {
 // template bundle passes a nil playlist: everything bound here — the
 // template's transport stack, RNG, rater and lifecycle hooks — is created
 // once and survives every session the bundle serves, and Tracer.Reset
-// installs each arrival's playlist.
+// installs each arrival's playlist. The tracer comes back with the transport
+// stack built for it, which its owner keeps for the snapshot walk.
 //
 // The transport stack is bound to the user's host name, not to a host
 // incarnation: interned host IDs are permanent and ephemeral ports advance
@@ -83,10 +84,9 @@ func (f *SessionFactory) observe(rec *trace.Record) {
 // template.
 func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []tracer.Entry,
 	selectServer func(tracer.Entry) tracer.Entry,
-	onRecord func(*trace.Record), onFinished func()) *tracer.Tracer {
+	onRecord func(*trace.Record), onFinished func()) (*tracer.Tracer, *transport.Stack) {
 	rater := newRater(u, rng)
 	stack := transport.NewStack(f.net, u.Name)
-	f.w.trackStack(u.Name, stack)
 	return tracer.New(tracer.Config{
 		Clock:        vclock.Sim{C: f.clock},
 		Net:          session.SimNet{Stack: stack},
@@ -99,5 +99,5 @@ func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []trace
 		SelectServer: selectServer,
 		OnRecord:     onRecord,
 		OnFinished:   onFinished,
-	})
+	}), stack
 }

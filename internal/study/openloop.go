@@ -9,69 +9,48 @@ import (
 	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
+	"realtracer/internal/transport"
 	"realtracer/internal/workload"
 )
 
-// openLoop is the workload generator's run state: one or more arrival
-// cells, each owning a disjoint slice of the template pool and a private
-// arrival stream. The classic single-threaded world runs exactly one cell
-// over the whole pool — byte-identical to the pre-cell engine. A sharded
-// world runs one cell per user block, pinned to the shard that owns the
-// block's hosts, and relies on Poisson splitting to keep the aggregate
-// arrival process identical in distribution.
+// openLoop is the workload generator's run state: the arrival cells, each
+// owning a disjoint slice of the template pool and a private arrival
+// stream. A sharded world runs one cell per user block, pinned to the shard
+// that owns the block's hosts, and relies on Poisson splitting to keep the
+// aggregate arrival process identical in distribution; the classic world
+// runs exactly one cell over the whole pool (buildCells).
 type openLoop struct {
 	cells []*arrivalCell
 }
 
-func (o *openLoop) pending() int {
-	n := 0
-	for _, c := range o.cells {
-		n += c.arrivalsLeft
-	}
-	return n
+// cellTotals is the session accounting summed over the cells: what the
+// run's termination condition and its Result read.
+type cellTotals struct {
+	arrivalsLeft, active, sessions, balked, departed int
 }
 
-func (o *openLoop) activeN() int {
-	n := 0
+func (o *openLoop) totals() (t cellTotals) {
 	for _, c := range o.cells {
-		n += c.active
+		t.arrivalsLeft += c.arrivalsLeft
+		t.active += c.active
+		t.sessions += c.sessions
+		t.balked += c.balked
+		t.departed += c.departed
 	}
-	return n
-}
-
-func (o *openLoop) sessionsN() int {
-	n := 0
-	for _, c := range o.cells {
-		n += c.sessions
-	}
-	return n
-}
-
-func (o *openLoop) balkedN() int {
-	n := 0
-	for _, c := range o.cells {
-		n += c.balked
-	}
-	return n
-}
-
-func (o *openLoop) departedN() int {
-	n := 0
-	for _, c := range o.cells {
-		n += c.departed
-	}
-	return n
+	return t
 }
 
 // arrivalCell is one arrival stream over a disjoint slice of the template
 // pool: the (possibly split) arrival spec, the selection policy instance,
 // the cell's private RNG, the occupancy of its members, and the session
-// accounting the run's termination condition sums. Everything a cell
-// mutates at runtime belongs to its shard, so cells never race.
+// accounting the run's termination condition sums. A cell runs on one shard
+// and reaches that shard's clock, network and record path through the
+// shard's factory; everything a cell mutates at runtime belongs to its
+// shard, so cells never race.
 type arrivalCell struct {
-	w     *World
-	shard int // -1 = classic single-threaded world
-	ord   int // cell ordinal in build order; partition-invariant
+	shard int             // the owning shard, an index into World.factories
+	f     *SessionFactory // that shard's factory; f.w is the world
+	ord   int             // cell ordinal in build order; partition-invariant
 	spec  workload.Spec
 	// policy is this cell's private selection-policy instance (stateful
 	// policies like round-robin advance per cell); nil = pinned, no
@@ -102,8 +81,6 @@ type arrivalCell struct {
 
 	cands []workload.Candidate // per-pick scratch (single-owner state)
 }
-
-func (c *arrivalCell) clock() *simclock.Clock { return c.w.clockFor(c.shard) }
 
 // sessionClipCycle is the nominal wall time one clip occupies: playout
 // plus the inter-clip think/rating pause. Arrival-rate calibration and
@@ -171,35 +148,6 @@ func policyInstance(name string) workload.Policy {
 	return pol
 }
 
-// startWorkload builds the classic single-cell workload generator and
-// schedules its first arrival: one arrival stream over the whole template
-// pool, drawing from the legacy seed in the legacy order.
-func (w *World) startWorkload() error {
-	spec, polName, seed, err := w.resolveWorkloadSpec()
-	if err != nil {
-		return err
-	}
-	pool := len(w.Users)
-	members := make([]int, pool)
-	for i := range members {
-		members[i] = i
-	}
-	c := &arrivalCell{
-		w:            w,
-		shard:        -1,
-		spec:         spec,
-		policy:       policyInstance(polName),
-		rng:          detrand.New(seed),
-		arrivalsLeft: w.Options.Arrivals,
-		members:      members,
-		busy:         make([]bool, pool),
-		bundles:      make([]*sessionBundle, pool),
-	}
-	w.open = &openLoop{cells: []*arrivalCell{c}}
-	c.scheduleArrival()
-	return nil
-}
-
 // arriveArm is the pooled handler behind every arrival event: a
 // pointer-conversion view of the cell, so sustaining the arrival train
 // schedules nothing but recycled clock events.
@@ -214,9 +162,8 @@ func (c *arrivalCell) scheduleArrival() {
 	if c.arrivalsLeft <= 0 {
 		return
 	}
-	clk := c.clock()
-	gap := c.spec.NextGap(clk.Now(), c.rng.Rand)
-	c.arrivalTimer = clk.AfterHandler(gap, (*arriveArm)(c))
+	gap := c.spec.NextGap(c.f.clock.Now(), c.rng.Rand)
+	c.arrivalTimer = c.f.clock.AfterHandler(gap, (*arriveArm)(c))
 }
 
 // arrive admits one session: pick an idle member template (round-robin
@@ -243,10 +190,11 @@ func (c *arrivalCell) arrive() {
 }
 
 // sessionBundle is one template's reusable session machinery: the tracer
-// (with its player engine, packet arenas and transport stack), the session
-// RNG, and the plan/playlist scratch. It is built on the template's first
-// arrival and leased — never rebuilt — on every arrival after that: the
-// RNG is reseeded, the tracer Reset, and the scratch rewritten in place.
+// (with its player engine and packet arenas), the transport stack the tracer
+// was built on, the session RNG, and the plan/playlist scratch. It is built
+// on the template's first arrival and leased — never rebuilt — on every
+// arrival after that: the RNG is reseeded, the tracer Reset, and the scratch
+// rewritten in place.
 // finish and depart both converge on endSession exactly once: finish is
 // the tracer walking off the end of its drawn playlist, depart is the
 // mid-stream hangup that tears the host out from under in-flight packets.
@@ -257,6 +205,7 @@ type sessionBundle struct {
 
 	rng      *detrand.Rand
 	tr       *tracer.Tracer
+	stack    *transport.Stack
 	clips    []int          // NextPlanInto scratch, holds the drawn plan
 	playlist []tracer.Entry // per-session playlist storage, reused
 
@@ -286,11 +235,11 @@ func (x *departArm) Fire(time.Duration) { (*sessionBundle)(x).depart() }
 // method values and the selection closure here are the bundle's only
 // closure allocations, paid once per template for the run's lifetime.
 func (c *arrivalCell) newBundle(mi int, seed int64) *sessionBundle {
-	w := c.w
+	w := c.f.w
 	idx := c.members[mi]
 	u := w.Users[idx]
 	b := &sessionBundle{cell: c, mi: mi, idx: idx, rng: detrand.New(seed)}
-	b.tr = w.factoryFor(c.shard).newTracer(u, b.rng.Rand, nil, c.selectFor(u.Name), b.onRecord, b.finish)
+	b.tr, b.stack = c.f.newTracer(u, b.rng.Rand, nil, c.selectFor(u.Name), b.onRecord, b.finish)
 	return b
 }
 
@@ -301,7 +250,7 @@ func (c *arrivalCell) newBundle(mi int, seed int64) *sessionBundle {
 // exact draw stream a freshly-constructed RNG would give, so the records
 // are byte-identical to the unpooled lifecycle's.
 func (c *arrivalCell) launchSession(mi int) {
-	w := c.w
+	w := c.f.w
 	idx := c.members[mi]
 	u := w.Users[idx]
 	c.busy[mi] = true
@@ -325,11 +274,11 @@ func (c *arrivalCell) launchSession(mi int) {
 	for _, ci := range plan.Clips {
 		b.playlist = append(b.playlist, w.Playlist[ci])
 	}
-	w.factoryFor(c.shard).attach(u, b.rng.Rand)
+	c.f.attach(u, b.rng.Rand)
 	b.tr.Reset(b.playlist)
 	b.departTimer = simclock.Timer{}
 	if plan.DepartAfter > 0 {
-		b.departTimer = c.clock().AfterHandler(plan.DepartAfter, (*departArm)(b))
+		b.departTimer = c.f.clock.AfterHandler(plan.DepartAfter, (*departArm)(b))
 	}
 	b.tr.Run()
 }
@@ -344,12 +293,12 @@ func (c *arrivalCell) selectFor(userName string) func(tracer.Entry) tracer.Entry
 	if c.policy == nil {
 		return nil
 	}
-	w := c.w
+	w := c.f.w
 	return func(e tracer.Entry) tracer.Entry {
 		cands := c.cands[:0]
 		for i, site := range w.ActiveSites {
 			load := 0
-			if c.shard < 0 {
+			if w.fab == nil {
 				load = w.Servers[i].ActiveSessions()
 			} else if w.loads != nil {
 				load = w.loads[c.shard][i]
@@ -357,7 +306,7 @@ func (c *arrivalCell) selectFor(userName string) func(tracer.Entry) tracer.Entry
 			cands = append(cands, workload.Candidate{
 				Host: site.Host,
 				Home: site.Host == e.Site.Host,
-				RTT:  w.netFor(c.shard).BaseRTT(userName, site.Host),
+				RTT:  c.f.net.BaseRTT(userName, site.Host),
 				Load: load,
 			})
 		}
@@ -394,8 +343,7 @@ func (b *sessionBundle) onRecord(rec *trace.Record) {
 		return
 	}
 	rec.Ordinal = b.ordinal
-	c := b.cell
-	c.w.factoryFor(c.shard).observe(rec)
+	b.cell.f.observe(rec)
 }
 
 // finish is the tracer's natural end of session.
@@ -446,20 +394,18 @@ func (b *sessionBundle) depart() {
 // timestamps are partition-invariant because L is computed from the route
 // table, never from the partition.
 func (c *arrivalCell) endSession(b *sessionBundle) {
-	w := c.w
+	w := c.f.w
 	name := w.Users[b.idx].Name
-	if c.shard < 0 {
-		w.Net.RemoveHost(name)
+	c.f.net.RemoveHost(name)
+	c.active--
+	if w.fab == nil {
 		for _, srv := range w.Servers {
 			srv.DropClient(name)
 		}
 		c.busy[b.mi] = false
-		c.active--
 		return
 	}
-	w.netFor(c.shard).RemoveHost(name)
-	c.active--
-	now := c.clock().Now()
+	now := c.f.clock.Now()
 	L := w.fab.Lookahead()
 	if b.drops == nil {
 		b.drops = make([]*dropArm, 0, len(w.Servers))
@@ -470,7 +416,7 @@ func (c *arrivalCell) endSession(b *sessionBundle) {
 	for si, d := range b.drops {
 		w.fab.Post(c.shard, w.siteShard(si), now+L, d)
 	}
-	c.clock().AfterHandler(2*L, (*freeArm)(b))
+	c.f.clock.AfterHandler(2*L, (*freeArm)(b))
 }
 
 // freeArm is the pooled handler that returns a sharded template to the

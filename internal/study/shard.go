@@ -1,10 +1,14 @@
-// Sharded world construction and execution: Options.Shards > 0 partitions
-// one world's hosts across N netsim.Fabric shards and runs them in
-// parallel under conservative-lookahead windows. The contract is the
+// The sharded engine's share of the study layer: Options.Shards > 0
+// partitions one world's hosts across N netsim.Fabric shards and runs them
+// in parallel under conservative-lookahead windows. The contract is the
 // fabric's: for a fixed seed, the merged record stream is byte-identical
-// for every shard count N >= 1.
+// for every shard count N >= 1. Such a world is built by the same NewWorld
+// sequence and run by the same World.Run as the classic one (world.go; the
+// World.fab field lists every point where the two differ); this file holds
+// what that sequence calls on the way: the arrival-cell partition, the
+// packing of cells onto shards, and the record merge.
 //
-// The study layer's own contribution to that contract is the arrival-cell
+// The study layer's own contribution to the contract is the arrival-cell
 // partition. Users are grouped into cells — country blocks of at most
 // cellBlockSize templates — BEFORE any shard assignment, so the cell set,
 // each cell's spec (the full arrival process Poisson-split by member
@@ -17,16 +21,12 @@ package study
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
 	"realtracer/internal/detrand"
-	"realtracer/internal/geo"
-	"realtracer/internal/netsim"
 	"realtracer/internal/server"
 	"realtracer/internal/trace"
-	"realtracer/internal/workload"
 )
 
 // cellBlockSize caps an arrival cell's template count. Small cells exist
@@ -34,129 +34,71 @@ import (
 // its block lets the packer spread the dominant country across shards.
 const cellBlockSize = 8
 
-// buildSharded is NewWorld's Shards > 0 tail: fabric up, hosts interned
-// into their owning shards, interning frozen, servers started on their
-// shards, per-shard factories and sinks built, and every cell's first
-// arrival scheduled.
-func (w *World) buildSharded(routes *geo.RouteTable, masterRNG *rand.Rand) error {
-	opt := w.Options
-	w.fab = netsim.NewFabric(opt.Shards, routes, opt.Seed+3)
-	w.Net = w.fab.Net(0)
-	w.Clock = w.fab.Clock(0)
-
-	plans, err := w.planServers(masterRNG)
-	if err != nil {
-		return err
-	}
-
+// buildCells partitions the template pool into arrival cells and packs them
+// onto the shards. On a fabric: users grouped by country in first-appearance
+// order, countries split into blocks of at most cellBlockSize. Each cell
+// runs a Poisson split of the full arrival process (rate scaled by member
+// share, so superposing the cells reproduces the aggregate intensity), its
+// own RNG stream derived from the workload seed and the cell ordinal, its
+// own selection-policy instance, and a largest-remainder share of the
+// arrival budget. None of this depends on the shard count.
+//
+// The classic world is the degenerate partition: one cell over the whole
+// pool, drawing from the workload seed itself. A share of 1 scales the spec
+// by exactly 1 and apportions the whole budget to the one cell, so its draw
+// stream is the one the single-cell engine always drew.
+func (w *World) buildCells() ([]*arrivalCell, error) {
 	spec, polName, seed, err := w.resolveWorkloadSpec()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cells := w.buildCells(spec, polName, seed)
-	assignShards(cells, opt.Shards)
-	w.open = &openLoop{cells: cells}
-
-	// Intern every template host up front, in population order, so HostIDs
-	// are independent of both the partition and the arrival order.
-	cellOf := make([]int, len(w.Users))
-	for ci, c := range cells {
-		for _, ui := range c.members {
-			cellOf[ui] = ci
-		}
-	}
-	for i, u := range w.Users {
-		w.fab.Intern(cells[cellOf[i]].shard, u.Name)
-	}
-
-	w.fab.Freeze(geo.MinOneWayDelay())
-
-	// Dynamics install after Freeze: exact patterns compile against the
-	// frozen name table, and the compiled schedule is shared read-only
-	// across the shards (each shard advances chain state only for paths it
-	// owns; draws come from the per-path streams).
-	if opt.Dynamics != "" {
-		spec, err := buildDynamics(opt, w.Sites)
-		if err != nil {
-			return err
-		}
-		dseed := opt.DynamicsSeed
-		if dseed == 0 {
-			dseed = opt.Seed + 4
-		}
-		w.fab.SetDynamics(spec, dseed)
-	}
-
-	if err := w.startServers(plans); err != nil {
-		return err
-	}
-	if opt.Selection == "leastloaded" {
-		w.startLoadGossip()
-	}
-
-	w.shardSinks = make([]*trace.Collector, opt.Shards)
-	w.factories = make([]*SessionFactory, opt.Shards)
-	for s := 0; s < opt.Shards; s++ {
-		w.shardSinks[s] = &trace.Collector{}
-		w.factories[s] = &SessionFactory{
-			w:           w,
-			clock:       w.fab.Clock(s),
-			net:         w.fab.Net(s),
-			sink:        w.shardSinks[s],
-			dynLabel:    opt.DynamicsLabel(),
-			policyLabel: opt.PolicyLabel(),
-		}
-	}
-	for _, c := range cells {
-		c.scheduleArrival()
-	}
-	return nil
-}
-
-// buildCells partitions the template pool into arrival cells: users
-// grouped by country in first-appearance order, countries split into
-// blocks of at most cellBlockSize. Each cell runs a Poisson split of the
-// full arrival process (rate scaled by member share, so superposing the
-// cells reproduces the aggregate intensity), its own RNG stream derived
-// from the workload seed and the cell ordinal, its own selection-policy
-// instance, and a largest-remainder share of the arrival budget. None of
-// this depends on the shard count.
-func (w *World) buildCells(spec workload.Spec, polName string, seed int64) []*arrivalCell {
-	groups := make(map[string][]int)
-	var order []string
-	for i, u := range w.Users {
-		if _, ok := groups[u.Country]; !ok {
-			order = append(order, u.Country)
-		}
-		groups[u.Country] = append(groups[u.Country], i)
-	}
-	var memberSets [][]int
-	for _, country := range order {
-		m := groups[country]
-		for len(m) > cellBlockSize {
-			memberSets = append(memberSets, m[:cellBlockSize])
-			m = m[cellBlockSize:]
-		}
-		memberSets = append(memberSets, m)
-	}
-
 	pool := len(w.Users)
+	var memberSets [][]int
+	stride := int64(100003) // cell ci draws from seed + stride·(ci+1)
+	if w.fab == nil {
+		whole := make([]int, pool)
+		for i := range whole {
+			whole[i] = i
+		}
+		memberSets, stride = [][]int{whole}, 0
+	} else {
+		groups := make(map[string][]int)
+		var order []string
+		for i, u := range w.Users {
+			if _, ok := groups[u.Country]; !ok {
+				order = append(order, u.Country)
+			}
+			groups[u.Country] = append(groups[u.Country], i)
+		}
+		for _, country := range order {
+			m := groups[country]
+			for len(m) > cellBlockSize {
+				memberSets = append(memberSets, m[:cellBlockSize])
+				m = m[cellBlockSize:]
+			}
+			memberSets = append(memberSets, m)
+		}
+	}
+
 	budgets := apportionArrivals(w.Options.Arrivals, memberSets, pool)
 	cells := make([]*arrivalCell, 0, len(memberSets))
 	for ci, members := range memberSets {
 		cells = append(cells, &arrivalCell{
-			w:            w,
 			ord:          ci,
 			spec:         spec.Scaled(float64(len(members)) / float64(pool)),
 			policy:       policyInstance(polName),
-			rng:          detrand.New(seed + 100003*int64(ci+1)),
+			rng:          detrand.New(seed + stride*int64(ci+1)),
 			arrivalsLeft: budgets[ci],
 			members:      members,
 			busy:         make([]bool, len(members)),
 			bundles:      make([]*sessionBundle, len(members)),
 		})
 	}
-	return cells
+	assignShards(cells, len(w.factories))
+	for _, c := range cells {
+		c.f = w.factories[c.shard]
+	}
+	return cells, nil
 }
 
 // apportionArrivals divides the arrival budget across cells in proportion
@@ -253,47 +195,4 @@ func mergeShardRecords(all []*trace.Record) {
 		}
 		return a.Ordinal < b.Ordinal
 	})
-}
-
-// runSharded drives the fabric's window protocol until the arrival budget
-// is spent and the last session has departed, then merges the per-shard
-// record streams into the world sink in a partition-invariant order.
-func (w *World) runSharded() (*Result, error) {
-	o := w.open
-	// stop runs on the control goroutine between windows, with every
-	// shard quiescent behind the barrier — the cell counters are stable
-	// and the check happens at the same (partition-invariant) window
-	// boundaries for every shard count.
-	w.fab.Run(func() bool { return o.pending() == 0 && o.activeN() == 0 })
-	if o.pending() != 0 || o.activeN() != 0 {
-		return nil, fmt.Errorf("study: open-loop run stalled with %d arrivals pending, %d sessions active",
-			o.pending(), o.activeN())
-	}
-
-	var all []*trace.Record
-	for _, c := range w.shardSinks {
-		all = append(all, c.Records()...)
-	}
-	mergeShardRecords(all)
-	for _, rec := range all {
-		w.sink.Observe(rec)
-	}
-
-	var sim time.Duration
-	for i := 0; i < w.fab.NumShards(); i++ {
-		if t := w.fab.Clock(i).Now(); t > sim {
-			sim = t
-		}
-	}
-	return &Result{
-		Records:     w.records(),
-		Users:       w.Users,
-		Sites:       w.Sites,
-		SimDuration: sim,
-		Events:      w.fab.Fired(),
-		Sessions:    o.sessionsN(),
-		Balked:      o.balkedN(),
-		Departed:    o.departedN(),
-		Windows:     w.fab.WindowStats(),
-	}, nil
 }

@@ -3,7 +3,9 @@ package study
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,36 +152,113 @@ func TestShardedWorldPastOldGridLimit(t *testing.T) {
 	}
 }
 
-// TestShardOptionValidation pins the compatibility matrix: sharding is an
-// open-loop engine, and everything the open-loop engine runs now shards —
+// TestShardOptionValidation is the whole table of Options.validate: one row
+// per refusal, each an error that names the offending field and a world that
+// was never built, then the rows that must be accepted. The name is from
+// when the table had only the two Shards rows; sharding is still the larger
+// part of the compatibility matrix: it is an open-loop engine, it is bounded
+// by the template pool, and everything the open-loop engine runs shards —
 // including the dynamics layer and every selection policy, which earlier
 // revisions refused.
 func TestShardOptionValidation(t *testing.T) {
-	cases := []struct {
+	nan, inf := math.NaN(), math.Inf(1)
+	open := Options{Seed: 1, MaxUsers: 16, ClipCap: 1, Workload: "poisson", Arrivals: 4}
+	with := func(edit func(*Options)) Options {
+		o := open
+		edit(&o)
+		return o
+	}
+	refused := []struct {
+		name string
+		opt  Options
+		want []string // the field, and any number the message must carry
+	}{
+		{"negative MaxUsers", Options{MaxUsers: -1}, []string{"MaxUsers", "-1"}},
+		{"negative ClipCap", Options{ClipCap: -1}, []string{"ClipCap", "-1"}},
+		{"negative Arrivals", with(func(o *Options) { o.Arrivals = -1 }), []string{"Arrivals", "-1"}},
+		{"negative DynamicsIntensity", Options{Dynamics: "outage", DynamicsIntensity: -1}, []string{"DynamicsIntensity", "-1"}},
+		{"NaN DynamicsIntensity", Options{Dynamics: "lossburst", DynamicsIntensity: nan}, []string{"DynamicsIntensity", "NaN"}},
+		{"infinite DynamicsIntensity", Options{Dynamics: "outage", DynamicsIntensity: inf}, []string{"DynamicsIntensity", "+Inf"}},
+		{"negative WorkloadIntensity", with(func(o *Options) { o.WorkloadIntensity = -2 }), []string{"WorkloadIntensity", "-2"}},
+		{"NaN WorkloadIntensity", with(func(o *Options) { o.WorkloadIntensity = nan }), []string{"WorkloadIntensity", "NaN"}},
+		{"infinite WorkloadIntensity", with(func(o *Options) { o.WorkloadIntensity = inf }), []string{"WorkloadIntensity", "+Inf"}},
+		{"negative CongestionScale", Options{CongestionScale: -1}, []string{"CongestionScale", "-1"}},
+		{"NaN CongestionScale", Options{CongestionScale: nan}, []string{"CongestionScale", "NaN"}},
+		{"infinite CongestionScale", Options{CongestionScale: math.Inf(-1)}, []string{"CongestionScale", "-Inf"}},
+		{"NaN ServerUplinkKbps", Options{ServerUplinkKbps: nan}, []string{"ServerUplinkKbps", "NaN"}},
+		{"infinite ServerUplinkKbps", Options{ServerUplinkKbps: inf}, []string{"ServerUplinkKbps", "+Inf"}},
+		{"negative Shards", Options{Shards: -1}, []string{"Shards", "-1"}},
+		{"Shards on the panel", Options{Shards: 2}, []string{"Shards", "Workload"}},
+		{"Shards past MaxUsers", with(func(o *Options) { o.Shards = 17 }), []string{"Shards", "17", "16"}},
+		{"Shards past the default pool", Options{Workload: "poisson", Shards: 20000}, []string{"Shards", "20000", "63"}},
+		{"Selection on the panel", Options{Selection: "rtt"}, []string{"Selection", "rtt"}},
+		{"WorkloadIntensity on the panel", Options{Workload: "panel", WorkloadIntensity: 2}, []string{"WorkloadIntensity", "2"}},
+		{"Arrivals on the panel", Options{Arrivals: 5}, []string{"Arrivals", "5"}},
+		{"WorkloadSeed on the panel", Options{WorkloadSeed: 9}, []string{"WorkloadSeed", "9"}},
+	}
+	for _, tc := range refused {
+		w, err := NewWorld(tc.opt)
+		if err == nil || w != nil {
+			t.Errorf("%s: NewWorld built %v with error %v, want no world and an error", tc.name, w != nil, err)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
+	}
+
+	accepted := []struct {
 		name string
 		opt  Options
 	}{
-		{"negative", Options{Seed: 1, Shards: -1}},
-		{"panel", Options{Seed: 1, Shards: 2}},
+		{"every zero value", Options{}},
+		{"the panel by name", Options{Workload: "panel", MaxUsers: 4}},
+		{"a negative uplink is fill's default", Options{MaxUsers: 4, ServerUplinkKbps: -1}},
+		{"Shards equal to the pool", with(func(o *Options) { o.Shards = 16 })},
+		{"Shards equal to the default pool", Options{Workload: "poisson", Shards: 63}},
+		{"sharded dynamics", with(func(o *Options) { o.Shards = 2; o.Dynamics = "outage" })},
 	}
-	for _, tc := range cases {
-		if _, err := NewWorld(tc.opt); err == nil {
-			t.Errorf("%s: NewWorld accepted %+v, want error", tc.name, tc.opt)
-		}
-	}
-	// Every selection policy shards, including the load-probing one
-	// (served by gossip), as does the dynamics layer.
+	// Every selection policy shards, including the load-probing one (served
+	// by gossip).
 	for _, sel := range []string{"", "rtt", "roundrobin", "leastloaded"} {
-		opt := shardOpts(2)
-		opt.Selection = sel
-		if _, err := NewWorld(opt); err != nil {
-			t.Errorf("Selection %q: %v", sel, err)
+		accepted = append(accepted, struct {
+			name string
+			opt  Options
+		}{"sharded Selection " + sel, with(func(o *Options) { o.Shards = 2; o.Selection = sel })})
+	}
+	for _, tc := range accepted {
+		if w, err := NewWorld(tc.opt); err != nil || w == nil {
+			t.Errorf("%s: NewWorld refused %+v: %v", tc.name, tc.opt, err)
 		}
 	}
-	dyn := shardOpts(2)
-	dyn.Dynamics = "outage"
-	if _, err := NewWorld(dyn); err != nil {
-		t.Errorf("Dynamics %q: %v", dyn.Dynamics, err)
+}
+
+// TestResultSumsTheShards pins what the one Result literal reads off the
+// factories' clocks: the events are the sum over the shards (every one of
+// them fired inside a fabric window), the virtual duration their maximum,
+// and both the duration and the session accounting are the same run for
+// every shard count.
+func TestResultSumsTheShards(t *testing.T) {
+	var base *Result
+	for _, shards := range []int{1, 2, 4} {
+		res, err := Run(shardOpts(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Events == 0 || res.Events != res.Windows.Fired {
+			t.Errorf("shards=%d: Result.Events %d, the fabric's windows fired %d", shards, res.Events, res.Windows.Fired)
+		}
+		if base == nil {
+			base = res
+			continue
+		}
+		if res.SimDuration != base.SimDuration || res.Sessions != base.Sessions || res.Balked != base.Balked || res.Departed != base.Departed {
+			t.Errorf("shards=%d ran %v with sessions %d/%d/%d, shards=1 %v with %d/%d/%d", shards,
+				res.SimDuration, res.Sessions, res.Balked, res.Departed,
+				base.SimDuration, base.Sessions, base.Balked, base.Departed)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package study
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -109,12 +110,17 @@ func (o *Options) fill() {
 		o.ServerUplinkKbps = 8000
 	}
 	if o.OpenLoop() && o.Arrivals == 0 {
-		pool := o.MaxUsers
-		if pool <= 0 {
-			pool = geo.PopulationSize
-		}
-		o.Arrivals = 2 * pool
+		o.Arrivals = 2 * o.pool()
 	}
+}
+
+// pool is the size of the population the options build: the panel, or an
+// open-loop world's template pool.
+func (o Options) pool() int {
+	if o.MaxUsers <= 0 {
+		return geo.PopulationSize
+	}
+	return o.MaxUsers
 }
 
 // OpenLoop reports whether the options select the open-loop session
@@ -136,6 +142,14 @@ func (o Options) PolicyLabel() string {
 	return o.Selection
 }
 
+// dynamicsSeed is the seed the dynamics schedule's own randomness runs on.
+func (o Options) dynamicsSeed() int64 {
+	if o.DynamicsSeed != 0 {
+		return o.DynamicsSeed
+	}
+	return o.Seed + 4
+}
+
 // validate rejects options that would silently build an empty or nonsense
 // world. It runs before fill, so zero values (which fill resolves to
 // defaults) are still fine.
@@ -149,17 +163,29 @@ func (o Options) validate() error {
 	if o.Arrivals < 0 {
 		return fmt.Errorf("study: Arrivals must be >= 0, got %d", o.Arrivals)
 	}
-	if o.DynamicsIntensity < 0 {
-		return fmt.Errorf("study: DynamicsIntensity must be >= 0, got %g", o.DynamicsIntensity)
-	}
-	if o.WorkloadIntensity < 0 {
-		return fmt.Errorf("study: WorkloadIntensity must be >= 0, got %g", o.WorkloadIntensity)
-	}
-	if o.CongestionScale < 0 {
-		return fmt.Errorf("study: CongestionScale must be >= 0, got %g", o.CongestionScale)
+	for _, k := range []struct {
+		name  string
+		v     float64
+		negOK bool // a negative value is fill's "use the default"
+	}{
+		{"DynamicsIntensity", o.DynamicsIntensity, false},
+		{"WorkloadIntensity", o.WorkloadIntensity, false},
+		{"CongestionScale", o.CongestionScale, false},
+		{"ServerUplinkKbps", o.ServerUplinkKbps, true},
+	} {
+		// NaN passes every ordered comparison, and an infinite scale builds
+		// a world that runs and measures nothing.
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) || k.v < 0 && !k.negOK {
+			return fmt.Errorf("study: %s must be a finite number >= 0, got %g", k.name, k.v)
+		}
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("study: Shards must be >= 0, got %d", o.Shards)
+	}
+	// A shard with no template can own no cell, and a fabric's outbox matrix
+	// is Shards² however few hosts there are to put in it.
+	if pool := o.pool(); o.Shards > pool {
+		return fmt.Errorf("study: Shards %d exceeds the template pool of %d users; a shard with no template can own no cell", o.Shards, pool)
 	}
 	if o.Shards > 0 && !o.OpenLoop() {
 		return fmt.Errorf("study: Shards %d needs an open-loop Workload; the closed panel runs single-threaded", o.Shards)

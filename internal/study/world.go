@@ -18,28 +18,37 @@ import (
 	"realtracer/internal/vclock"
 )
 
-// World is one fully-constructed simulated Internet: the discrete-event
-// clock, the wide-area network, the RealServers with their clip libraries,
-// and the 98-entry playlist. In the default closed-loop panel mode every
-// user's RealTracer session is already scheduled across the stagger window
-// at build time, exactly as the paper ran; in open-loop mode (see
-// Options.Workload) nothing is pre-scheduled — a workload generator admits
-// sessions over virtual time through the SessionFactory, attaching each
-// arrival's host and removing it again on departure. A World is
-// single-use: build it with NewWorld, drive it with Run.
+// World is one fully-constructed simulated Internet: the RealServers with
+// their clip libraries, the 98-entry playlist, the user population, and the
+// engine that moves packets between them. A World is single-use: build it
+// with NewWorld, drive it with Run.
 //
-// Each World owns a private clock and network, so independent Worlds can
-// run concurrently on separate goroutines — the property the campaign
-// engine (internal/campaign) exploits to fan scenario sweeps out across
-// workers. Options.Shards instead parallelizes a single world: hosts are
-// partitioned across per-shard clocks and networks under a netsim.Fabric,
-// and Clock/Net then alias shard 0 — build-time code paths that touch them
-// run before the shards start.
+// There is one build sequence and one run loop. NewWorld draws the
+// population and the route table, brings up the engine, plans the servers,
+// cuts an open-loop world's template pool into arrival cells, starts the
+// servers and schedules the first events: every panel user's start (the
+// paper's closed loop, Options.Workload "" or "panel"), or each cell's first
+// arrival — an open-loop generator then sustains itself through its
+// SessionFactory, attaching each arrival's host and removing it again on
+// departure. Run steps the engine until finished reports the work done.
+//
+// The engine is the one thing that comes in two kinds. Options.Shards > 0
+// partitions the hosts across the per-shard clocks and networks of a
+// netsim.Fabric, run in parallel under conservative-lookahead windows; the
+// classic engine is one clock and one network, which is that world with one
+// shard and no fabric. Either way there is one SessionFactory per shard in
+// factories — the classic world's being its only one — and Clock and Net are
+// factories[0]'s (build-time code that touches them runs before the shards
+// start). What still differs between the two is listed on the fab field.
+//
+// Each World owns its clocks and networks, so independent Worlds run
+// concurrently on separate goroutines — the property the campaign engine
+// (internal/campaign) exploits to fan scenario sweeps out across workers.
 type World struct {
 	// Options is the (filled) configuration the world was built from.
 	Options Options
-	// Clock is the world's private discrete-event clock (shard 0's clock
-	// in a sharded world).
+	// Clock is the world's discrete-event clock (shard 0's in a sharded
+	// world).
 	Clock *simclock.Clock
 	// Net is the simulated wide-area network connecting servers and users
 	// (shard 0's view in a sharded world).
@@ -58,76 +67,75 @@ type World struct {
 	// ActiveSites are the sites that serve clips (the mirror set).
 	ActiveSites []geo.ServerSite
 
-	factory *SessionFactory
-	open    *openLoop // nil in closed-loop panel mode
+	// fab is the sharded engine's fabric, nil on the classic engine. Every
+	// test of it in this package stands for one real difference between the
+	// engines, and this is the whole list:
+	//
+	//   - engine construction (NewWorld): a Fabric's N clocks and networks
+	//     with a record buffer per shard, or one clock and one network;
+	//   - dynamics install point (NewWorld): before any host exists, or
+	//     after Freeze — see installDynamics;
+	//   - Fabric.AddHost (planServers): a sharded host is interned into its
+	//     owning shard;
+	//   - cell partition and seed (buildCells): country blocks on derived
+	//     seeds, or one cell over the whole pool on the workload seed;
+	//   - freeze (NewWorld): template hosts interned up front, then the
+	//     tables frozen and shared;
+	//   - load gossip (NewWorld) and selectFor's load source: a cell reads
+	//     its shard's gossiped view, the classic cell the live counter;
+	//   - endSession's teardown: DropClient posted at now+L and the slot
+	//     freed at now+2L, or both done on the spot;
+	//   - the run loop (Run): Fabric.Run's windows, or Clock.Step;
+	//   - the record merge and Result.Windows (Run): per-shard buffers
+	//     sorted into the sink, the fabric's window counters reported;
+	//   - the RunUntil and Checkpoint refusals: a sharded world can be
+	//     neither partially driven nor snapshotted yet (ROADMAP item 3b).
+	fab *netsim.Fabric
+	// factories holds one SessionFactory per shard; the classic world's
+	// only one is factories[0].
+	factories []*SessionFactory
+	open      *openLoop // nil in closed-loop panel mode
 	// sink is the only way a record leaves the world: a trace.Collector
 	// unless SetSink (or a resumed snapshot's sink section) replaced it.
 	sink      trace.Sink
-	remaining int
+	remaining int // panel users still to finish
 	ran       bool
 
 	// Checkpoint wiring (checkpoint.go): the counting RNGs, transport
 	// stacks, tracers and start timers NewWorld creates, kept addressable
 	// so a snapshot can persist their positions and a restore can overlay
-	// them. Server slices align with Servers/ActiveSites; the panel slices
-	// align with Users. stacks maps a user host name to its template's
-	// transport stack (tracked only on the classic unsharded engine —
-	// sharded worlds are not checkpointable).
+	// them. The server slices align with Servers/ActiveSites, panel with
+	// Users; an open-loop template's are on its sessionBundle.
 	serverRNGs   []*detrand.Rand
 	serverStacks []*transport.Stack
-	userRNGs     []*detrand.Rand
-	tracers      []*tracer.Tracer
-	startTimers  []simclock.Timer
-	stacks       map[string]*transport.Stack
+	panel        []panelUser
 
-	// Sharded-execution state (Options.Shards > 0): the fabric, one
-	// factory and one record sink per shard.
-	fab        *netsim.Fabric
-	factories  []*SessionFactory
-	shardSinks []*trace.Collector
 	// loads[s][ai] is shard s's gossip-delayed view of server ai's session
-	// count (gossip.go); nil unless the selection policy reads load.
+	// count (gossip.go); nil unless a sharded world's selection policy
+	// reads load.
 	loads [][]int
 }
 
-// clockFor returns the clock driving shard's events; shard -1 is the
-// classic single-threaded world.
-func (w *World) clockFor(shard int) *simclock.Clock {
-	if shard < 0 || w.fab == nil {
-		return w.Clock
-	}
-	return w.fab.Clock(shard)
-}
-
-// netFor returns shard's Network view; shard -1 is the classic world.
-func (w *World) netFor(shard int) *netsim.Network {
-	if shard < 0 || w.fab == nil {
-		return w.Net
-	}
-	return w.fab.Net(shard)
-}
-
-// factoryFor returns shard's session factory; shard -1 is the classic
-// world's single factory.
-func (w *World) factoryFor(shard int) *SessionFactory {
-	if shard < 0 || w.fab == nil {
-		return w.factory
-	}
-	return w.factories[shard]
+// panelUser is one closed-panel participant's checkpoint wiring.
+type panelUser struct {
+	rng   *detrand.Rand
+	tr    *tracer.Tracer
+	stack *transport.Stack
+	start simclock.Timer
 }
 
 // siteShard maps an active-site ordinal (an index into ActiveSites /
 // Servers) to its owning shard. Round-robin by ordinal: the mirror set is
 // fixed at build time, so the assignment is trivially partition-stable.
 func (w *World) siteShard(ai int) int {
-	return ai % w.Options.Shards
+	return ai % len(w.factories)
 }
 
 // NewWorld builds the simulated Internet for opt: servers brought up, the
 // playlist assembled, and — in panel mode — every user's tracer scheduled
-// on the clock. In open-loop mode only the first arrival is scheduled; the
-// generator sustains itself from there. The returned World has not
-// consumed any virtual time yet; call Run to drive it to completion.
+// on the clock. In open-loop mode only each cell's first arrival is
+// scheduled; the generator sustains itself from there. The returned World
+// has not consumed any virtual time yet; call Run to drive it to completion.
 func NewWorld(opt Options) (*World, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -136,7 +144,6 @@ func NewWorld(opt Options) (*World, error) {
 	w := &World{
 		Options: opt,
 		Sites:   geo.Sites(),
-		stacks:  make(map[string]*transport.Stack),
 		sink:    &trace.Collector{},
 	}
 	masterRNG := rand.New(rand.NewSource(opt.Seed))
@@ -156,49 +163,100 @@ func NewWorld(opt Options) (*World, error) {
 	routes.CongestionScale = opt.CongestionScale
 
 	if opt.Shards > 0 {
-		if err := w.buildSharded(routes, masterRNG); err != nil {
-			return nil, err
+		w.fab = netsim.NewFabric(opt.Shards, routes, opt.Seed+3)
+		for s := 0; s < opt.Shards; s++ {
+			w.addFactory(w.fab.Clock(s), w.fab.Net(s), &trace.Collector{})
 		}
-		return w, nil
+	} else {
+		clock := simclock.New()
+		w.addFactory(clock, netsim.New(clock, routes, opt.Seed+3), nil)
 	}
-
-	w.Clock = simclock.New()
-	w.Net = netsim.New(w.Clock, routes, opt.Seed+3)
-
-	if opt.Dynamics != "" {
-		spec, err := buildDynamics(opt, w.Sites)
-		if err != nil {
+	w.Clock, w.Net = w.factories[0].clock, w.factories[0].net
+	if w.fab == nil {
+		if err := w.installDynamics(w.Net.SetDynamics); err != nil {
 			return nil, err
 		}
-		dseed := opt.DynamicsSeed
-		if dseed == 0 {
-			dseed = opt.Seed + 4
-		}
-		w.Net.SetDynamics(spec, dseed)
 	}
 
 	plans, err := w.planServers(masterRNG)
 	if err != nil {
 		return nil, err
 	}
+	if opt.OpenLoop() {
+		cells, err := w.buildCells()
+		if err != nil {
+			return nil, err
+		}
+		w.open = &openLoop{cells: cells}
+	}
+	if w.fab != nil {
+		if err := w.freeze(); err != nil {
+			return nil, err
+		}
+	}
 	if err := w.startServers(plans); err != nil {
 		return nil, err
 	}
-	w.factory = &SessionFactory{
-		w:           w,
-		clock:       w.Clock,
-		net:         w.Net,
-		dynLabel:    opt.DynamicsLabel(),
-		policyLabel: opt.PolicyLabel(),
+	if w.fab != nil && opt.Selection == "leastloaded" {
+		w.startLoadGossip()
 	}
-	if opt.OpenLoop() {
-		if err := w.startWorkload(); err != nil {
-			return nil, err
-		}
-	} else {
+	if w.open == nil {
 		w.launchUsers(masterRNG)
+	} else {
+		for _, c := range w.open.cells {
+			c.scheduleArrival()
+		}
 	}
 	return w, nil
+}
+
+// addFactory appends the next shard's SessionFactory.
+func (w *World) addFactory(clock *simclock.Clock, net *netsim.Network, records *trace.Collector) {
+	w.factories = append(w.factories, &SessionFactory{
+		w:           w,
+		clock:       clock,
+		net:         net,
+		records:     records,
+		dynLabel:    w.Options.DynamicsLabel(),
+		policyLabel: w.Options.PolicyLabel(),
+	})
+}
+
+// installDynamics compiles the options' dynamics schedule, if any, into the
+// engine through set. It is called at the one point of the build where the
+// engines must differ: the classic network compiles a schedule's exact host
+// patterns by interning them, so it installs before any host exists —
+// interning order is snapshot bytes — while a fabric compiles against the
+// frozen name table, after Freeze, into one schedule shared read-only across
+// the shards (each shard advances chain state only for paths it owns; draws
+// come from the per-path streams).
+func (w *World) installDynamics(set func(*netsim.Dynamics, int64)) error {
+	if w.Options.Dynamics == "" {
+		return nil
+	}
+	spec, err := buildDynamics(w.Options, w.Sites)
+	if err != nil {
+		return err
+	}
+	set(spec, w.Options.dynamicsSeed())
+	return nil
+}
+
+// freeze interns every template host into its cell's shard — up front, in
+// population order, so HostIDs are independent of both the partition and the
+// arrival order — freezes the fabric's tables and installs the dynamics.
+func (w *World) freeze() error {
+	shardOf := make([]int, len(w.Users))
+	for _, c := range w.open.cells {
+		for _, ui := range c.members {
+			shardOf[ui] = c.shard
+		}
+	}
+	for i, u := range w.Users {
+		w.fab.Intern(shardOf[i], u.Name)
+	}
+	w.fab.Freeze(geo.MinOneWayDelay())
+	return w.installDynamics(w.fab.SetDynamics)
 }
 
 // sitePlan is one active site's build-time plan: its generated library and
@@ -230,7 +288,7 @@ func (w *World) planServers(masterRNG *rand.Rand) ([]sitePlan, error) {
 		}
 		cfg := netsim.HostConfig{Name: site.Host, Access: serverAccess}
 		if w.fab != nil {
-			w.fab.AddHost(len(plans)%opt.Shards, cfg)
+			w.fab.AddHost(w.siteShard(len(plans)), cfg)
 		} else {
 			w.Net.AddHost(cfg)
 		}
@@ -266,14 +324,11 @@ func (w *World) startServers(plans []sitePlan) error {
 		if opt.OpenLoop() {
 			lib = media.NewLibrary(allClips)
 		}
-		shard := -1
-		if w.fab != nil {
-			shard = w.siteShard(ai)
-		}
+		f := w.factories[w.siteShard(ai)]
 		drng := detrand.New(p.seed)
-		stack := transport.NewStack(w.netFor(shard), p.site.Host)
+		stack := transport.NewStack(f.net, p.site.Host)
 		srv := server.New(server.Config{
-			Clock:          vclock.Sim{C: w.clockFor(shard)},
+			Clock:          vclock.Sim{C: f.clock},
 			Net:            session.SimNet{Stack: stack},
 			Library:        lib,
 			Rand:           drng.Rand,
@@ -295,40 +350,28 @@ func (w *World) startServers(plans []sitePlan) error {
 
 // launchUsers schedules the closed-loop panel: every user's RealTracer
 // run, staggered across the window — the paper's fixed 63-user campaign.
-// It is now a thin driver over the SessionFactory; the byte-identical rule
+// It is a thin driver over the SessionFactory; the byte-identical rule
 // pins its RNG draw order (one Int63 per user, then the modem and stagger
 // draws from the user's own RNG).
 func (w *World) launchUsers(masterRNG *rand.Rand) {
 	opt := w.Options
+	f := w.factories[0]
 	w.remaining = len(w.Users)
 	for _, u := range w.Users {
 		userRNG := detrand.New(masterRNG.Int63())
-		w.factory.attach(u, userRNG.Rand)
+		f.attach(u, userRNG.Rand)
 		n := u.ClipsToPlay
 		if opt.ClipCap > 0 && n > opt.ClipCap {
 			n = opt.ClipCap
 		}
-		tr := w.factory.newTracer(u, userRNG.Rand, w.Playlist[:n], nil,
-			w.factory.observe,
+		tr, stack := f.newTracer(u, userRNG.Rand, w.Playlist[:n], nil,
+			f.observe,
 			func() { w.remaining-- })
 		start := time.Duration(userRNG.Int63n(int64(opt.StaggerWindow)))
 		// The start event is a pooled handler (the Tracer itself), not a
 		// closure, so a checkpoint taken before the user starts can carry it.
-		w.userRNGs = append(w.userRNGs, userRNG)
-		w.tracers = append(w.tracers, tr)
-		w.startTimers = append(w.startTimers, w.Clock.AtHandler(start, tr))
+		w.panel = append(w.panel, panelUser{rng: userRNG, tr: tr, stack: stack, start: w.Clock.AtHandler(start, tr)})
 	}
-}
-
-// trackStack records a user template's transport stack for checkpointing.
-// Sharded factories build stacks concurrently on shard goroutines — and a
-// sharded world is not checkpointable anyway — so only the classic engine
-// tracks them.
-func (w *World) trackStack(name string, st *transport.Stack) {
-	if w.fab != nil || w.stacks == nil {
-		return
-	}
-	w.stacks[name] = st
 }
 
 // RunUntil drives the world's clock to virtual time t without completing
@@ -372,45 +415,67 @@ func (w *World) records() []*trace.Record {
 	return nil
 }
 
-// Run drives the clock to completion and returns the study result. The
+// finished reports whether the run's work is done: every panel user has
+// finished, or the arrival budget is spent and the last session has
+// departed. On a fabric it runs on the control goroutine between windows,
+// with every shard quiescent behind the barrier — the cell counters are
+// stable and the check happens at the same (partition-invariant) window
+// boundaries for every shard count.
+func (w *World) finished() bool {
+	if w.open == nil {
+		return w.remaining == 0
+	}
+	t := w.open.totals()
+	return t.arrivalsLeft == 0 && t.active == 0
+}
+
+// Run drives the engine to completion and returns the study result. The
 // panel stops when every user finishes; an open-loop run stops when the
 // arrival budget is spent and the last session has departed. Stopping on
 // completion (rather than on queue exhaustion) keeps lingering per-session
-// timers from extending the run. A World can only be run once.
+// timers from extending the run; an engine that runs dry first has stalled,
+// which is an error, not a hang. A sharded world's records, buffered per
+// shard, are then merged into the sink in a partition-invariant order. A
+// World can only be run once.
 func (w *World) Run() (*Result, error) {
 	if w.ran {
 		return nil, fmt.Errorf("study: world already run")
 	}
 	w.ran = true
 	if w.fab != nil {
-		return w.runSharded()
-	}
-	if w.open != nil {
-		c := w.open.cells[0] // the classic open loop is a single cell
-		for (c.arrivalsLeft > 0 || c.active > 0) && w.Clock.Step() {
-		}
-		if c.arrivalsLeft != 0 || c.active != 0 {
-			return nil, fmt.Errorf("study: open-loop run stalled with %d arrivals pending, %d sessions active",
-				c.arrivalsLeft, c.active)
-		}
+		w.fab.Run(w.finished)
 	} else {
-		for w.remaining > 0 && w.Clock.Step() {
+		for !w.finished() && w.Clock.Step() {
 		}
-		if w.remaining != 0 {
+	}
+	if !w.finished() {
+		if w.open == nil {
 			return nil, fmt.Errorf("study: %d users never finished", w.remaining)
 		}
+		t := w.open.totals()
+		return nil, fmt.Errorf("study: open-loop run stalled with %d arrivals pending, %d sessions active",
+			t.arrivalsLeft, t.active)
 	}
-	res := &Result{
-		Records:     w.records(),
-		Users:       w.Users,
-		Sites:       w.Sites,
-		SimDuration: w.Clock.Now(),
-		Events:      w.Clock.Fired(),
+	res := &Result{Users: w.Users, Sites: w.Sites}
+	if w.fab != nil {
+		var all []*trace.Record
+		for _, f := range w.factories {
+			all = append(all, f.records.Records()...)
+		}
+		mergeShardRecords(all)
+		for _, rec := range all {
+			w.sink.Observe(rec)
+		}
+		res.Windows = w.fab.WindowStats()
 	}
+	res.Records = w.records()
 	if w.open != nil {
-		res.Sessions = w.open.sessionsN()
-		res.Balked = w.open.balkedN()
-		res.Departed = w.open.departedN()
+		t := w.open.totals()
+		res.Sessions, res.Balked, res.Departed = t.sessions, t.balked, t.departed
+	}
+	for _, f := range w.factories {
+		res.SimDuration = max(res.SimDuration, f.clock.Now())
+		res.Events += f.clock.Fired()
 	}
 	return res, nil
 }
