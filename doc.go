@@ -44,7 +44,8 @@
 // segments and ACKs — are leased, not carved: every Send ends in exactly one
 // release of the payload it was handed, by whoever reads it last (the network
 // at a drop or at a sharded world's WAN-edge copy, the receiving transport
-// after its callback), and the release returns each cell to the free-list of
+// after its callback or when its conn closes — a closed conn holds nothing),
+// and the release returns each cell to the free-list of
 // the arena or stack it came from, so memory follows the sessions alive, not
 // the packets ever sent (rdt.Arena, netsim/transit.go; audited per world by
 // TestConservation's lease half). Everything
@@ -57,7 +58,7 @@
 //
 // The session lifecycle is pooled one level above the packet path: each
 // open-loop user template owns a session bundle — tracer, player, packet
-// arenas, transport stack, plan/playlist scratch — built on
+// arena, transport stack, plan/playlist scratch — built on
 // the template's first arrival and leased on every arrival after it, with
 // Reset methods walking the contract down the stack (tracer, player,
 // media.FrameSource, the server's streamSession free-list, netsim's

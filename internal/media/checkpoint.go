@@ -11,7 +11,7 @@ import (
 // of (clip.Seed, encoding), so the restoring owner first rebuilds them with
 // Reset — frame-for-frame identical to the source the checkpointed world
 // held, since no draws happen after construction — and Sync overlays only
-// the cursor fields. sizeCredit is always zero (reserved) and is not walked.
+// the cursor fields.
 func (fs *FrameSource) Sync(c *snap.Codec) {
 	c.Tag("fsrc")
 	c.Int(&fs.sceneIdx)

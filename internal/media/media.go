@@ -129,13 +129,12 @@ type FrameSource struct {
 	enc  Encoding
 	rng  *rand.Rand
 
-	scenes     []scene
-	sceneIdx   int
-	videoIdx   int
-	audioIdx   int
-	videoAt    time.Duration
-	audioAt    time.Duration
-	sizeCredit float64 // rolling bit budget so mean rate matches VideoKbps
+	scenes   []scene
+	sceneIdx int
+	videoIdx int
+	audioIdx int
+	videoAt  time.Duration
+	audioAt  time.Duration
 }
 
 // audioPacketInterval is how often audio packets are emitted.
@@ -161,7 +160,7 @@ func (fs *FrameSource) Reset(clip *Clip, enc Encoding) {
 	}
 	fs.scenes = fs.scenes[:0]
 	fs.sceneIdx, fs.videoIdx, fs.audioIdx = 0, 0, 0
-	fs.videoAt, fs.audioAt, fs.sizeCredit = 0, 0, 0
+	fs.videoAt, fs.audioAt = 0, 0
 	fs.buildScenes()
 }
 

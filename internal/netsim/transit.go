@@ -25,9 +25,10 @@ import (
 // destination's shard: the lease on the original ends there, on the sending
 // shard, and the snapshot is released in its turn by the same rule. Otherwise
 // it is the receiving transport, at every consume and drop point of its
-// receive path, once the destination handler has the packet. What a release
-// does is the payload's business: an original hands its cells back to the
-// pool they were leased from (an rdt arena, a transport stack's segment or
+// receive path — a conn's close among them: a closed conn holds nothing —
+// once the destination handler has the packet. What a release does is the
+// payload's business: an original hands its cells back to the pool they
+// were leased from (an rdt arena, a transport stack's segment or
 // ACK free-list), a snapshot goes to the RECEIVING shard's transit pool —
 // only that shard's worker (or the single-threaded control loop between
 // windows) touches it, exactly like the Packet free-list — and Fabric.drain

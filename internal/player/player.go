@@ -302,7 +302,6 @@ func New(cfg Config) *Player {
 // session is still live — finish or Abort it first.
 func (p *Player) Reset(cfg Config) {
 	p.cancelTimers()
-	p.Release()
 	clear(p.pending)
 	p.haveSeq.Reset()
 	clear(p.nackOutstanding)
@@ -323,14 +322,6 @@ func (p *Player) Reset(cfg Config) {
 	}
 	p.stats = Stats{PlayoutGaps: gaps, Timeline: timeline}
 	p.init(cfg)
-}
-
-// Release lets go of the finished session's closed connections, and with
-// them of the packets they still held. Its owner calls it — Reset does — when
-// it recycles the player: until then a snapshot may walk those connections.
-func (p *Player) Release() {
-	transport.Discard(p.ctl)
-	transport.Discard(p.data)
 }
 
 func (p *Player) init(cfg Config) {

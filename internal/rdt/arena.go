@@ -15,8 +15,9 @@ import "realtracer/internal/lease"
 // a shard-transit copy (transit.go): a packet handed to a transport Send is
 // released exactly once, by TransitRelease — when the network drops it, when
 // a sharded world has snapshotted it at the WAN edge, or when the receiving
-// transport's callback has returned — and the release hands every cell back
-// to the arena it was leased from. Three things keep that safe:
+// transport's callback has returned or its conn has closed with the packet
+// still buffered — and the release hands every cell back to the arena it was
+// leased from. Three things keep that safe:
 //
 //   - A sender that wants a packet's Data after the send takes its own
 //     reference (Hold) BEFORE Send: a send-side drop releases synchronously.

@@ -144,9 +144,7 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// Stop tears everything down. Nothing walks a stopped server's connections
-// again, so the closed ones it was still tracking for a checkpoint are
-// discarded here rather than at their next lazy sweep.
+// Stop tears everything down.
 func (s *Server) Stop() {
 	for _, stop := range s.stops {
 		stop()
@@ -154,12 +152,6 @@ func (s *Server) Stop() {
 	s.stops = nil
 	for _, sess := range s.sessions {
 		sess.stop()
-	}
-	for _, cc := range s.ctlConns {
-		transport.Discard(cc.conn)
-	}
-	for _, conn := range s.pendingData {
-		transport.Discard(conn)
 	}
 }
 
@@ -238,8 +230,6 @@ func (s *Server) trackControl(cc *controlConn) {
 		for _, old := range s.ctlConns {
 			if !transport.ConnClosed(old.conn) || referenced[old] {
 				kept = append(kept, old)
-			} else {
-				transport.Discard(old.conn)
 			}
 		}
 		for i := len(kept); i < len(s.ctlConns); i++ {
@@ -378,13 +368,12 @@ func (s *Server) removeSession(sess *streamSession) {
 		sess.cc.sess = nil
 	}
 	// Nothing reads the session after this — no NACK reaches it, no snapshot
-	// walks it — so its own references on pooled packets end here: the
-	// retransmit window's, and whatever its closed data conn still holds.
+	// walks it — so the retransmit window's references on pooled packets end
+	// here.
 	for _, d := range sess.sentVideo.Each {
 		sess.arena.Drop(d)
 	}
 	sess.sentVideo.Reset()
-	transport.Discard(sess.dataTCP)
 	s.sessFree = append(s.sessFree, sess)
 }
 
@@ -402,8 +391,6 @@ func (s *Server) watchPendingData(conn transport.Conn) {
 	for _, c := range s.pendingData {
 		if !transport.ConnClosed(c) {
 			kept = append(kept, c)
-		} else {
-			transport.Discard(c)
 		}
 	}
 	for i := len(kept); i < len(s.pendingData); i++ {
@@ -417,7 +404,6 @@ func (s *Server) watchPendingData(conn transport.Conn) {
 			sess, ok := s.sessions[m.SessionID]
 			if !ok {
 				conn.Close()
-				transport.Discard(conn) // untracked above: nobody else will
 				return
 			}
 			sess.bindTCPData(conn)

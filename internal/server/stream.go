@@ -67,8 +67,8 @@ type streamSession struct {
 	// EOS, retransmit wrappers). Each cell comes back when its last reader
 	// releases it (rdt.Arena), whichever session the recycled object is
 	// serving by then; the session's own references — the retransmit
-	// window's hold on every Data in it, whatever its closed data conn still
-	// has parked — end when the session is reaped (Server.removeSession).
+	// window's hold on every Data in it — end when the session is reaped
+	// (Server.removeSession).
 	arena rdt.Arena
 
 	videoSeq uint32

@@ -237,9 +237,9 @@ func midDialWorld(t testing.TB) *World {
 
 // TestSnapshotBytesStable pins the wire format: each fence world's 55%
 // snapshot must hash to the digest recorded when the format was last
-// changed on purpose (RTSNAP2: stacks gained their in-flight dials, players
-// the dial they wait on, and the cut is the exact instant instead of the
-// end of a drain). A refactor of the walks must leave these alone; a
+// changed on purpose (RTSNAP3: a closed conn walks the backlog it froze and
+// empty windows instead of the segments it used to keep, and a tracer has one
+// arena, so no arena index). A refactor of the walks must leave these alone; a
 // deliberate format change bumps snapMagic and updates them here.
 func TestSnapshotBytesStable(t *testing.T) {
 	for _, fw := range fenceWorlds {
@@ -428,12 +428,15 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		}
 	}
 
-	// A snapshot from before the format gained dial state is refused on its
-	// magic, before any field is misread.
-	old := append([]byte(nil), snap...)
-	copy(old[4:], "RTSNAP1")
-	if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {
-		t.Fatalf("want an RTSNAP1 header refused as an incompatible build, got %v", err)
+	// A snapshot in an earlier format — before dial state, before closed conns
+	// froze their backlog — is refused on its magic, before any field is
+	// misread.
+	for _, magic := range []string{"RTSNAP1", "RTSNAP2"} {
+		old := append([]byte(nil), snap...)
+		copy(old[4:], magic)
+		if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {
+			t.Errorf("want an %s header refused as an incompatible build, got %v", magic, err)
+		}
 	}
 }
 

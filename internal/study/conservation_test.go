@@ -162,13 +162,11 @@ func userStacks(w *World) map[string]*transport.Stack {
 	return stacks
 }
 
-// leasePools finds every lease.Pool reachable from w through pointers,
-// interfaces, slices, arrays, maps and struct fields, exported or not — the
-// cell pools of every rdt.Arena (server sessions live and pooled, both arenas
-// of every tracer) and the segment pool of every transport.Stack — keyed by
-// its address, with the path it was first reached by.
-func leasePools(w *World) map[uintptr]leasePool {
-	pools := map[uintptr]leasePool{}
+// worldStructs calls enter with every addressable struct reachable from w
+// through pointers, interfaces, slices, arrays, maps and struct fields,
+// exported or not, and the path it was first reached by; enter returns false
+// to keep the walk out of the struct's fields.
+func worldStructs(w *World, enter func(v reflect.Value, path string) bool) {
 	seen := map[visit]bool{}
 	var walk func(v reflect.Value, path string)
 	walk = func(v reflect.Value, path string) {
@@ -183,17 +181,12 @@ func leasePools(w *World) map[uintptr]leasePool {
 				walk(v.Elem(), path)
 			}
 		case reflect.Struct:
-			if !v.CanAddr() {
-				return // a value boxed in an interface or a map: no pool lives in one
-			}
-			if t := v.Type(); t.PkgPath() == "realtracer/internal/lease" && strings.HasPrefix(t.Name(), "Pool[") {
-				if _, dup := pools[v.UnsafeAddr()]; !dup {
-					pools[v.UnsafeAddr()] = leasePool{v, path}
+			// A value boxed in an interface or a map is not addressable: no
+			// pool and no conn lives in one.
+			if v.CanAddr() && enter(v, path) {
+				for i := 0; i < v.NumField(); i++ {
+					walk(peek(v, v.Type().Field(i).Name), path+"."+v.Type().Field(i).Name)
 				}
-				return
-			}
-			for i := 0; i < v.NumField(); i++ {
-				walk(peek(v, v.Type().Field(i).Name), path+"."+v.Type().Field(i).Name)
 			}
 		case reflect.Slice, reflect.Array:
 			if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Interface || k == reflect.Struct || k == reflect.Slice || k == reflect.Array || k == reflect.Map {
@@ -208,6 +201,23 @@ func leasePools(w *World) map[uintptr]leasePool {
 		}
 	}
 	walk(reflect.ValueOf(w), "World")
+}
+
+// leasePools finds every lease.Pool reachable from w — the cell pools of every
+// rdt.Arena (server sessions live and pooled, every tracer's) and the segment
+// pool of every transport.Stack — keyed by its address, with the path it was
+// first reached by.
+func leasePools(w *World) map[uintptr]leasePool {
+	pools := map[uintptr]leasePool{}
+	worldStructs(w, func(v reflect.Value, path string) bool {
+		if t := v.Type(); t.PkgPath() != "realtracer/internal/lease" || !strings.HasPrefix(t.Name(), "Pool[") {
+			return true
+		}
+		if _, dup := pools[v.UnsafeAddr()]; !dup {
+			pools[v.UnsafeAddr()] = leasePool{v, path}
+		}
+		return false
+	})
 	return pools
 }
 
@@ -216,39 +226,58 @@ type leasePool struct {
 	path string
 }
 
+// checkClosedConns asserts that a closed conn holds nothing, at any instant:
+// every closed simulated TCP conn reachable from w — a player's, a session's,
+// the ones a server tracks for its checkpoint walk, a listener's accept table,
+// an RTO handler on the clock — has an empty queue, flight and reorder buffer.
+// It returns how many it found and how many of them froze a backlog, so a
+// caller can tell the walk was not vacuous.
+func checkClosedConns(t *testing.T, w *World) (closed, backlogged int) {
+	t.Helper()
+	worldStructs(w, func(v reflect.Value, path string) bool {
+		if typ := v.Type(); typ.PkgPath() != "realtracer/internal/transport" || typ.Name() != "simTCP" || !peek(v, "closed").Bool() {
+			return true
+		}
+		closed++
+		if peek(v, "depth").Int() > 0 {
+			backlogged++
+		}
+		queued := peek(v, "queue").Len() - int(peek(v, "qhead").Int())
+		flight, buffered := peek(peek(v, "inflight"), "n").Int(), peek(peek(v, "reorder"), "n").Int()
+		if queued != 0 || flight != 0 || buffered != 0 {
+			t.Errorf("leases: the closed conn %s (%v) holds %d segments queued, %d in flight, %d buffered: teardown released nothing",
+				path, peek(v, "laddr"), queued, flight, buffered)
+		}
+		return true
+	})
+	return closed, backlogged
+}
+
 // checkLeases is the lease half of the conservation oracle, for a world at
 // quiescence: nothing is on the wire, so a pooled cell — a packet struct of
 // some session's rdt arena, a segment of some host's transport stack — is
-// out of its pool only if somebody still holds it. Who legitimately may is a
-// short list: a live server session's retransmit window, and the closed
-// connections a snapshot could still walk, whose owners let go of them when
-// they are recycled. The check recycles them the way the world would — every
-// tracer is reset as for its next arrival, every server drops every client
-// and stops — and then every pool reachable from the world must have nothing
-// on lease. A conn owner that drops a closed conn without discarding it shows
-// up here as the segments it stranded; a release that found a cell already
-// released would have panicked on the way here.
+// out of its pool only if somebody still holds it. A conn that closed holds
+// nothing (checkClosedConns), so the one legitimate holder left is a live
+// server session's retransmit window: every server drops every client, the
+// goodbyes land, and then every pool reachable from the world must have
+// nothing on lease. A release that found a cell already released would have
+// panicked on the way here.
 func checkLeases(t *testing.T, w *World) {
 	t.Helper()
-	trs := worldTracers(w)
-	for _, tr := range trs {
-		tr.Reset(nil)
-	}
+	checkClosedConns(t, w)
 	for _, srv := range w.Servers {
 		for _, u := range w.Users {
 			srv.DropClient(u.Name)
 		}
 	}
 	// A reaped session says goodbye on its data conn; let the FINs land, and
-	// every conn still talking to a host that left give up, before the
-	// servers stop.
+	// every conn still talking to a host that left give up.
 	if w.fab != nil {
 		w.fab.Run(nil)
 	} else {
 		w.Clock.Run()
 	}
 	for _, srv := range w.Servers {
-		srv.Stop()
 		if n := srv.ActiveSessions(); n != 0 {
 			t.Errorf("leases: a server has %d sessions left after every client was dropped", n)
 		}
@@ -265,14 +294,15 @@ func checkLeases(t *testing.T, w *World) {
 		found[kind]++
 		carved[kind] += cells
 	}
-	// Every server and every tracer has a stack; every tracer has two arenas,
+	// Every server and every tracer has a stack; every tracer has an arena,
 	// and the servers' sessions have more. Fewer pools than that, or none
 	// ever used, and the audit is not looking at what the run ran on.
+	trs := len(worldTracers(w))
 	const segs, packets = "Pool[realtracer/internal/transport.tcpSeg]", "Pool[realtracer/internal/rdt.Packet]"
-	if found[segs] < len(w.Servers)+len(trs) || found[packets] <= 2*len(trs) ||
+	if found[segs] < len(w.Servers)+trs || found[packets] <= trs ||
 		w.ran && (carved[segs] == 0 || carved[packets] == 0) {
 		t.Errorf("leases: the audit reached %d segment pools (%d cells carved) and %d arenas (%d packets carved) in a world of %d servers and %d tracers",
-			found[segs], carved[segs], found[packets], carved[packets], len(w.Servers), len(trs))
+			found[segs], carved[segs], found[packets], carved[packets], len(w.Servers), trs)
 	}
 }
 
@@ -322,35 +352,4 @@ func TestResumedWorldConservesLeases(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestLazySweepsDiscardWhatTheyDrop runs the lease audit over a world that
-// turns over enough sessions per server for the server's lazy sweep of closed
-// control conns to run — it waits for 64 of them, and no fence world gets
-// there. Most of those conns closed with the reply to TEARDOWN still in
-// flight, so a sweep that dropped them without discarding them would strand
-// one segment each.
-func TestLazySweepsDiscardWhatTheyDrop(t *testing.T) {
-	w, err := NewWorld(Options{
-		Seed: 3, MaxUsers: 16, ClipCap: 3,
-		Workload: "poisson", Arrivals: 120, WorkloadIntensity: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	swept := 0
-	for _, srv := range w.Servers {
-		// Every control conn carries one DESCRIBE; the ones the server no
-		// longer tracks were swept.
-		describes, _, _, _ := srv.Counters()
-		swept += int(describes) - peek(reflect.ValueOf(srv), "ctlConns").Len()
-	}
-	if swept == 0 {
-		t.Fatal("no server swept a closed control conn: the world no longer exercises the sweep")
-	}
-	t.Logf("%d control conns swept", swept)
-	checkLeases(t, w)
 }

@@ -289,7 +289,7 @@ var syncExempt = map[string]string{
 	"netsim.Network.hostFree":   "recycled host objects",
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
-	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through queue, inflight, reorder and the wire",
+	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's queue, inflight and reorder, and the wire",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
 	"player.Player.nackScratch": "per-flush scratch",
@@ -350,7 +350,6 @@ var syncExempt = map[string]string{
 	"media.FrameSource.enc":              "rebuilt by Reset",
 	"media.FrameSource.rng":              "rebuilt by Reset; no draws happen after construction",
 	"media.FrameSource.scenes":           "rebuilt by Reset",
-	"media.FrameSource.sizeCredit":       "reserved, always zero",
 	"player.Player.arena":                "packet storage supplied by the owner",
 	"player.Config.Clock":                "owner-supplied environment",
 	"player.Config.Net":                  "owner-supplied environment",
@@ -359,7 +358,7 @@ var syncExempt = map[string]string{
 	"player.Config.CPU":                  "owner-supplied environment",
 	"player.Config.DisableScalableVideo": "ablation knob the tracer never sets",
 	"tracer.Tracer.cfg":                  "template wiring, see tracer.Config",
-	"tracer.Tracer.arenas":               "packet storage; restore starts them empty",
+	"tracer.Tracer.arena":                "packet storage; restore starts it empty",
 	"study.World.Sites":                  "static",
 	"study.World.Users":                  "static",
 	"study.World.Playlist":               "static",

@@ -190,7 +190,7 @@ func (c *arrivalCell) arrive() {
 }
 
 // sessionBundle is one template's reusable session machinery: the tracer
-// (with its player engine and packet arenas), the transport stack the tracer
+// (with its player engine and packet arena), the transport stack the tracer
 // was built on, the session RNG, and the plan/playlist scratch. It is built
 // on the template's first arrival and leased — never rebuilt — on every
 // arrival after that: the RNG is reseeded, the tracer Reset, and the scratch

@@ -7,9 +7,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"realtracer/internal/rdt"
-	"realtracer/internal/snap"
 )
 
 // peek returns the named field of the struct v is, points to or holds,
@@ -26,145 +23,30 @@ func peek(v reflect.Value, name string) reflect.Value {
 	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 }
 
-// parkedPackets finds what nothing but a snapshot reads: the rdt packets in
-// the reorder buffer of every finished player's closed TCP data conn, parked
-// there until the player is recycled. Keyed by conn address and segment seq.
-func parkedPackets(w *World) map[string]*rdt.Packet {
-	out := map[string]*rdt.Packet{}
-	for _, tr := range worldTracers(w) {
-		pl := peek(reflect.ValueOf(tr), "pl")
-		if pl.IsNil() {
-			continue
-		}
-		conn := peek(pl, "data")
-		if conn.IsNil() || conn.Elem().Type().Elem().Name() != "simTCP" || !peek(conn, "closed").Bool() {
-			continue
-		}
-		ring := peek(peek(conn, "reorder"), "ring")
-		for i := 0; i < ring.Len(); i++ {
-			if seg := ring.Index(i); !seg.IsNil() {
-				if pkt, ok := peek(seg, "payload").Interface().(*rdt.Packet); ok {
-					out[fmt.Sprintf("%v/%d", peek(conn, "laddr"), peek(seg, "seq").Uint())] = pkt
-				}
-			}
-		}
-	}
-	return out
-}
-
-// walked is what a snapshot writes for pkt.
-func walked(t *testing.T, pkt *rdt.Packet) string {
-	t.Helper()
-	var buf bytes.Buffer
-	c := snap.NewEncoder(&buf)
-	pkt.Sync(c)
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-// arenaTenants maps every server session arena in w, live or pooled, to the
-// session it serves now and how many media packets that session has minted.
-func arenaTenants(w *World) map[uintptr]arenaTenant {
-	out := map[uintptr]arenaTenant{}
-	for _, srv := range w.Servers {
-		add := func(sess reflect.Value) {
-			out[peek(sess, "arena").UnsafeAddr()] = arenaTenant{
-				peek(sess, "id").String(), peek(sess, "videoSeq").Uint() + peek(sess, "audioSeq").Uint()}
-		}
-		for it := peek(reflect.ValueOf(srv), "sessions").MapRange(); it.Next(); {
-			add(it.Value())
-		}
-		for free, i := peek(reflect.ValueOf(srv), "sessFree"), 0; i < free.Len(); i++ {
-			add(free.Index(i))
-		}
-	}
-	return out
-}
-
-type arenaTenant struct {
-	id     string
-	minted uint64
-}
-
-// TestParkedReorderBufferOutlivesItsSession cuts a world at the one place a
-// snapshot reads packet memory nothing else does. A player that finishes a
-// TCP clip with a hole in its stream closes its data conn with the segments
-// past the hole still in the reorder buffer, and keeps the conn — a snapshot
-// walks it — until the player is recycled for its next clip. Long before
-// that the server has reaped the session that sent them and leased the
-// session object, arena and all, to another client. While an arena was
-// rewound at that point the parked segments' payloads were the new tenant's
-// packets, or zeros, and a snapshot wrote those; now a parked segment keeps
-// the reference it arrived with, so the cells stay out of the free-list and
-// the snapshot writes the packets that were sent. The world is stepped to the
-// first instant at which a parked packet's arena has a new tenant that has
-// already minted more packets than the sender ever did (a rewound arena would
-// have reused the cell by then), and there: every parked packet still walks
-// to the bytes it walked to when it was parked, the resumed world's copy of
-// it walks to the same bytes, and the resumed world finishes with the
-// straight-through records.
+// TestParkedReorderBufferOutlivesItsSession cuts a world where closed conns
+// would have the most to hold: at 3m40s of this world, players have finished
+// TCP clips with a hole in the stream — their data conns closed with the
+// segments past the hole still in the reorder buffer — and servers have reaped
+// sessions with a backlog unsent and leased their arenas to other clients. A
+// closed conn holds nothing, so a snapshot has no dead conn's packet memory to
+// read: every closed conn reachable from the world at the cut is empty (some
+// having frozen a backlog, which a server still paces against), so is every
+// one the snapshot restores, and the resumed world finishes with the
+// straight-through records and every cell back in its pool.
 func TestParkedReorderBufferOutlivesItsSession(t *testing.T) {
 	opt := Options{Seed: 7, MaxUsers: 64, ClipCap: 2, Workload: "poisson", Arrivals: 128}
-	w, err := NewWorld(opt)
+	w := worldAt(t, opt, 3*time.Minute+40*time.Second)
+	closed, backlogged := checkClosedConns(t, w)
+	if closed == 0 || backlogged == 0 {
+		t.Fatalf("%d closed conns at the cut, %d with a frozen backlog: the cut no longer lands where conns close mid-stream", closed, backlogged)
+	}
+	resumed, err := Resume(bytes.NewReader(checkpoint(t, w)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type parked struct {
-		bytes  string
-		arena  uintptr
-		sender arenaTenant
-	}
-	seen := map[string]*parked{}
-	outlived := 0
-	for at := time.Minute; outlived == 0; at += 10 * time.Second {
-		if at > 30*time.Minute {
-			t.Fatal("no parked reorder buffer outlived its sender session's recycle in 30 minutes")
-		}
-		if err := w.RunUntil(at); err != nil {
-			t.Fatal(err)
-		}
-		tenants, now := arenaTenants(w), parkedPackets(w)
-		for key := range seen {
-			if now[key] == nil {
-				delete(seen, key) // its player moved on
-			}
-		}
-		for key, pkt := range now {
-			p := seen[key]
-			if p == nil {
-				p = &parked{bytes: walked(t, pkt), arena: peek(reflect.ValueOf(pkt), "home").Pointer()}
-				p.sender = tenants[p.arena]
-				seen[key] = p
-			}
-			switch tenant := tenants[p.arena]; {
-			case tenant.id == p.sender.id:
-				p.sender = tenant // still sending
-			case tenant.minted > p.sender.minted:
-				outlived++
-			}
-		}
-	}
-	t.Logf("at %v: %d packets parked in closed conns, %d of them in an arena its next tenant has outgrown", w.Clock.Now(), len(seen), outlived)
-
-	for key, pkt := range parkedPackets(w) {
-		if got := walked(t, pkt); got != seen[key].bytes {
-			t.Errorf("parked packet %s walks to %x, it was parked as %x: its cell was recycled under the reorder buffer", key, got, seen[key].bytes)
-		}
-	}
-	cut := checkpoint(t, w)
-	resumed, err := Resume(bytes.NewReader(cut), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := parkedPackets(resumed)
-	for key, p := range seen {
-		if pkt := restored[key]; pkt == nil {
-			t.Errorf("parked packet %s is not in the resumed world", key)
-		} else if got := walked(t, pkt); got != p.bytes {
-			t.Errorf("parked packet %s was restored as %x, it was sent as %x", key, got, p.bytes)
-		}
+	// Fewer than at the cut: only the conns somebody walks are in a snapshot.
+	if c, b := checkClosedConns(t, resumed); c == 0 || b == 0 {
+		t.Errorf("the resumed world has %d closed conns, %d with a frozen backlog; the cut had %d and %d", c, b, closed, backlogged)
 	}
 	res, err := resumed.Run()
 	if err != nil {

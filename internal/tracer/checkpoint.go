@@ -24,8 +24,8 @@ func init() {
 // may have re-homed) and the player engine are in the snapshot.
 //
 // Decoding overlays the walk onto a template-built Tracer (fresh from New
-// with the same Config the original had, playlist installed). The arenas
-// restore empty: checkpointed packets and frames are carried by value
+// with the same Config the original had, playlist installed). The arena
+// restores empty: checkpointed packets and frames are carried by value
 // elsewhere, so arena cells hold no restored state and refill as the session
 // proceeds.
 func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
@@ -34,10 +34,9 @@ func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	c.Int(&t.played)
 	c.Int(&t.rated)
 	c.Bool(&t.stopped)
-	c.Int(&t.ai)
-	if c.Reading() && c.Err() == nil && (t.idx < 0 || t.idx > len(t.cfg.Playlist) || t.ai < 0 || t.ai >= len(t.arenas)) {
-		c.Fail(fmt.Errorf("tracer: snapshot walk position (clip %d of %d, arena %d) out of range", t.idx, len(t.cfg.Playlist), t.ai))
-		t.idx, t.ai = 0, 0
+	if c.Reading() && c.Err() == nil && (t.idx < 0 || t.idx > len(t.cfg.Playlist)) {
+		c.Fail(fmt.Errorf("tracer: snapshot walk position (clip %d of %d) out of range", t.idx, len(t.cfg.Playlist)))
+		t.idx = 0
 		return
 	}
 	e := &t.curEntry
@@ -62,7 +61,7 @@ func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 			Net:    t.cfg.Net,
 			CPU:    player.PCClasses()[t.cfg.User.PCClass],
 			Rand:   t.cfg.Rand,
-			Arena:  &t.arenas[t.ai],
+			Arena:  &t.arena,
 			OnDone: t.onDone,
 		})
 	}

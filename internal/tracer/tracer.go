@@ -57,7 +57,7 @@ type Config struct {
 }
 
 // Tracer runs one user's session. A Tracer owns a single player engine and
-// a pair of packet arenas that it recycles clip after clip — and, via
+// a packet arena that it recycles clip after clip — and, via
 // Reset, session after session — so a long churn of sessions through one
 // Tracer stops allocating once its working set has grown.
 type Tracer struct {
@@ -73,12 +73,9 @@ type Tracer struct {
 	pl     *player.Player
 	onDone func(*player.Stats, error)
 
-	// arenas alternate between clips (ai is part of a snapshot). Nothing
-	// depends on the alternation any more: a packet minted by an earlier
-	// clip stays valid until its last reader releases it, then goes back
-	// to whichever arena leased it (rdt.Arena).
-	arenas [2]rdt.Arena
-	ai     int
+	// arena backs the packets every clip's player mints: one minted by an
+	// earlier clip stays valid until its last reader releases it (rdt.Arena).
+	arena rdt.Arena
 
 	// pause is the armed inter-clip think-time timer; Abort cancels it so
 	// a recycled Tracer leaves nothing behind on the clock.
@@ -101,16 +98,12 @@ func New(cfg Config) *Tracer {
 }
 
 // Reset rewires the Tracer for a fresh playlist pass, reusing the player,
-// the arenas and the session's config. Only the playlist changes between
+// the arena and the session's config. Only the playlist changes between
 // the sessions a pooled Tracer serves; everything else in Config — clock,
 // net, user, RNG, hooks — is template-bound and stays. The caller must
-// have stopped the previous pass first (Abort, or natural completion): what
-// its last clip's closed connections still held is let go of here.
+// have stopped the previous pass first (Abort, or natural completion).
 func (t *Tracer) Reset(playlist []Entry) {
 	t.pause.Cancel()
-	if t.pl != nil {
-		t.pl.Release()
-	}
 	t.cfg.Playlist = playlist
 	t.idx, t.played, t.rated = 0, 0, 0
 	t.stopped = false
@@ -193,8 +186,6 @@ func (t *Tracer) next() {
 	t.curEntry = entry
 	t.curStarted = t.cfg.Clock.Now()
 
-	t.ai ^= 1 // the arena the previous clip did not use
-
 	cfg := player.Config{
 		Clock:            t.cfg.Clock,
 		Net:              t.cfg.Net,
@@ -206,7 +197,7 @@ func (t *Tracer) next() {
 		Preroll:          t.cfg.Preroll,
 		CPU:              player.PCClasses()[t.cfg.User.PCClass],
 		Rand:             t.cfg.Rand,
-		Arena:            &t.arenas[t.ai],
+		Arena:            &t.arena,
 		OnDone:           t.onDone,
 	}
 	if t.pl == nil {

@@ -76,12 +76,12 @@ func payloadTag(payload any) uint8 {
 	case nil:
 		return payNil
 	case *tcpSeg:
-		// Reference only segments a live conn still owns: an open sender may
+		// Reference only segments a conn still owns: an open sender may
 		// mutate its inflight seg while a wire copy is mid-hop, so the copy
 		// must restore as the same object. A closed conn (torn-down session
-		// — possibly absent from the snapshot entirely) never mutates again;
-		// its wire copies encode by value.
-		if c := m.conn; c != nil && !c.closed && c.ownsSeg(m) {
+		// — possibly absent from the snapshot entirely) owns nothing; its
+		// wire copies encode by value.
+		if c := m.conn; c != nil && c.ownsSeg(m) {
 			return paySegRef
 		}
 		return paySeg
@@ -420,12 +420,23 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	c.Dur(&tc.rto)
 	tc.stack.clock.SyncTimer(c, &tc.rtoTimer, tc)
 	c.U64(&tc.rcvNext)
+	// A closed conn walks through the same code as an open one: the backlog it
+	// froze (teardown), then a queue, a flight and a reorder buffer that are
+	// empty. A file that says otherwise would lease cells nobody releases.
+	c.Int(&tc.depth)
+	if c.Reading() && c.Err() == nil && tc.closed && tc.depth < 0 {
+		c.Fail(fmt.Errorf("transport: conn %s is closed but holds a backlog of %d", tc.laddr, tc.depth))
+	}
 
 	// Decoded segments are leased from the stack's pool and back-pointed to
 	// the conn, like the originals, with the place they are decoded into —
 	// queue, flight or reorder buffer — as their one holder so far.
 	ownSeg := func(c *snap.Codec, seg **tcpSeg) {
 		if c.Reading() {
+			if tc.closed {
+				c.Fail(fmt.Errorf("transport: conn %s is closed but holds a segment", tc.laddr))
+				return
+			}
 			*seg = tc.newSeg()
 			(*seg).holds = 1
 		}
@@ -462,8 +473,8 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	if !c.Reading() || c.Err() != nil {
 		return nil
 	}
-	// Closed conns enter the table too: an in-flight packet snapshotted
-	// mid-hop may still reference a just-closed conn's segment storage.
+	// Closed conns enter the table too, and resolve nothing: a wire segment
+	// naming one is refused as a reference to a segment the conn does not hold.
 	x.conns[tc.laddr] = tc
 	return tc
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"realtracer/internal/netsim"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 )
@@ -129,5 +130,45 @@ func TestDialRestoreRejectsTimerOutsideClock(t *testing.T) {
 	sb.Sync(dec, NewSnapCtx(nil))
 	if err := dec.Err(); err == nil || !strings.Contains(err.Error(), "outside the restored clock") {
 		t.Fatalf("want the dial's timeout slot refused, got %v", err)
+	}
+}
+
+// A closed conn holds nothing, so a snapshot that shows one with a segment
+// queued, in flight or buffered — or a backlog frozen below zero — was not
+// written by this walk: restoring it would lease cells that no close will ever
+// release. Each is refused before a cell is leased.
+func TestRestoreRejectsClosedConnThatHolds(t *testing.T) {
+	var none seqwin.Window[*tcpSeg]
+	for _, tt := range []struct {
+		holds  string
+		doctor func(tc *simTCP) // what a loaded conn keeps as it is marked closed
+	}{
+		{"a segment", func(tc *simTCP) { tc.inflight, tc.reorder = none, none }},           // its queue
+		{"a segment", func(tc *simTCP) { tc.queue, tc.qhead, tc.reorder = nil, 0, none }},  // its flight
+		{"a segment", func(tc *simTCP) { tc.queue, tc.qhead, tc.inflight = nil, 0, none }}, // its reorder buffer
+		{"a backlog of -1", func(tc *simTCP) { tc.teardown(); tc.depth = -1 }},
+	} {
+		clock, _, _, _, tc := loadedPair(t)
+		tt.doctor(tc)
+		tc.closed = true
+		var buf bytes.Buffer
+		enc := snap.NewEncoder(&buf)
+		clock.Sync(enc)
+		var conn Conn = tc
+		SyncConn(enc, &conn, nil, NewSnapCtx(intSync))
+		if err := enc.Err(); err != nil {
+			t.Fatal(err)
+		}
+
+		clock, _, sb := newPair(t, netsim.Route{})
+		dec := snap.NewDecoder(buf.Bytes())
+		clock.Sync(dec)
+		SyncConn(dec, &conn, sb, NewSnapCtx(intSync))
+		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), "conn b:5000 is closed but holds "+tt.holds) {
+			t.Errorf("closed conn holding %s: restore said %v", tt.holds, err)
+		}
+		if n := sb.segs.Leased(); n != 0 {
+			t.Errorf("closed conn holding %s: the refused restore left %d segments on lease", tt.holds, n)
+		}
 	}
 }

@@ -111,46 +111,130 @@ func TestSegmentSecondReleasePanics(t *testing.T) {
 	sb.net.ReleaseTransit(seg)
 }
 
-// TestDiscardReleasesWhatAClosedConnHolds: a conn that closes with a backlog
-// parks it — QueueDepth, which a pacing server still reads, does not move —
-// until its owner discards the conn; then every segment goes back to the
-// pool, the sender's and, on the receiving side, the reorder buffer's.
-func TestDiscardReleasesWhatAClosedConnHolds(t *testing.T) {
-	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
-	tc := newSimTCP(sb, "b:5000", "a:100")
-	rc := newSimTCP(sa, "a:100", "b:5000")
-	tc.established, rc.established = true, true
-	tc.cwnd = 4
-	// Lose seq 0 on the way in, so 1..3 wait in the receiver's reorder buffer,
-	// and every ACK on the way back, so the sender learns nothing.
-	sb.net.Register("b:5000", func(pkt *netsim.Packet) { sb.net.ReleaseTransit(pkt.Payload) })
-	sa.net.Register("a:100", func(pkt *netsim.Packet) {
-		if seg, ok := pkt.Payload.(*tcpSeg); ok && seg.seq == 0 && !seg.rexmit {
-			sa.net.ReleaseTransit(seg)
-			return
-		}
-		rc.onPacket(pkt)
-	})
+// loadedPair builds two established conns that each hold all three things a
+// conn can: ten messages go each way with the first copy of seq 0 lost on the
+// way in (so 1..3 wait in the peer's reorder buffer) and every ACK lost on the
+// way back (so the sender learns nothing: four in flight, six queued). It
+// stops with nothing on the wire.
+func loadedPair(t *testing.T) (clock *simclock.Clock, sa, sb *Stack, rc, tc *simTCP) {
+	t.Helper()
+	clock, sa, sb = newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	rc, tc = newSimTCP(sa, "a:100", "b:5000"), newSimTCP(sb, "b:5000", "a:100")
+	for _, c := range []*simTCP{rc, tc} {
+		c.established, c.cwnd = true, 4
+		c.stack.net.Register(c.laddr, func(pkt *netsim.Packet) {
+			if seg, ok := pkt.Payload.(*tcpSeg); !ok || !seg.fin && seg.seq == 0 && !seg.rexmit {
+				c.stack.net.ReleaseTransit(pkt.Payload)
+				return
+			}
+			c.onPacket(pkt)
+		})
+	}
 	for i := 0; i < 10; i++ {
+		rc.Send(i, 500)
 		tc.Send(i, 500)
 	}
 	clock.RunUntil(initialRTO / 2)
-	if tc.QueueDepth() != 10 || rc.reorder.Len() != 3 {
-		t.Fatalf("set-up: sender backlog %d, receiver buffers %d", tc.QueueDepth(), rc.reorder.Len())
+	for _, c := range []*simTCP{rc, tc} {
+		if c.QueueDepth() != 10 || c.inflight.Len() != 4 || c.reorder.Len() != 3 || c.stack.segs.Leased() != 10 {
+			t.Fatalf("set-up: %s has backlog %d, %d in flight, buffers %d, %d segments leased",
+				c.laddr, c.QueueDepth(), c.inflight.Len(), c.reorder.Len(), c.stack.segs.Leased())
+		}
 	}
-	tc.closed, rc.closed = true, true // both ends die without a word
-	tc.teardown()
-	rc.teardown()
-	clock.Run()
-	if leased := sb.segs.Leased(); tc.QueueDepth() != 10 || leased != 10 {
-		t.Fatalf("closed sender: QueueDepth %d, %d leased, want 10 each", tc.QueueDepth(), leased)
+	return clock, sa, sb, rc, tc
+}
+
+// TestTeardownReleasesWhatTheConnHolds: a closed conn holds nothing, whichever
+// of the ways a conn ends closed it. Every route releases the sender's
+// reference on what is queued and in flight and the segments waiting in the
+// reorder buffer, there and then; QueueDepth, which a pacing server still
+// reads, answers what it answered before; closing again does nothing. The last
+// row closes from inside the receive callback with segments still buffered
+// behind the one being delivered: that one is released by the delivery loop,
+// the rest by teardown, none twice (a second release panics).
+func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
+	routes := []struct {
+		name  string
+		close func(tc, rc *simTCP)
+	}{
+		{"Close", func(tc, _ *simTCP) { tc.Close() }},
+		{"peer FIN", func(tc, rc *simTCP) {
+			fin := rc.newSeg()
+			fin.fin, fin.holds = true, 1
+			tc.onPacket(&netsim.Packet{From: rc.laddr, To: tc.laddr, Payload: fin})
+		}},
+		{"RTO abort", func(tc, _ *simTCP) {
+			tc.consecutiveRTOs = maxConsecutiveRTOs
+			tc.onRTO()
+		}},
+		{"failed dial", func(tc, _ *simTCP) {
+			tc.dial = &tcpDial{conn: tc}
+			tc.stack.dials = append(tc.stack.dials, tc.dial)
+			tc.dial.finish(ErrTimeout)
+		}},
+		{"Close inside the receive callback", func(tc, rc *simTCP) {
+			delivered := 0
+			tc.SetReceiver(func(any, int) {
+				delivered++
+				tc.Close()
+			})
+			seg := rc.inflight.Get(0) // the retransmission of the lost seq 0 arrives
+			seg.holds++
+			tc.onPacket(&netsim.Packet{From: rc.laddr, To: tc.laddr, FromID: rc.stack.hostID, FromPort: rc.lport, Payload: seg})
+			if delivered != 1 || tc.rcvNext != 1 {
+				t.Errorf("%d messages delivered, next expected seq %d: want seq 0 alone, the conn having closed under 1..3", delivered, tc.rcvNext)
+			}
+		}},
 	}
-	Discard(rc)
-	Discard(tc)
-	Discard(tc)
-	if leased := sb.segs.Leased(); leased != 0 || tc.QueueDepth() != 0 {
-		t.Errorf("after Discard: %d leased, QueueDepth %d, want 0", leased, tc.QueueDepth())
+	for _, route := range routes {
+		t.Run(route.name, func(t *testing.T) {
+			clock, sa, sb, rc, tc := loadedPair(t)
+			// Segments on the wire: a FIN, if the route sent one.
+			wire := func() (n int) {
+				for _, pe := range clock.Pendings() {
+					if pkt, ok := pe.Handler.(*netsim.Packet); ok {
+						if _, ok := pkt.Payload.(*tcpSeg); ok {
+							n++
+						}
+					}
+				}
+				return n
+			}
+			route.close(tc, rc)
+			if !tc.closed || tc.QueueDepth() != 10 {
+				t.Fatalf("closed=%v, QueueDepth %d: want closed with the backlog of 10 it had", tc.closed, tc.QueueDepth())
+			}
+			if q, f, r := len(tc.queue)-tc.qhead, tc.inflight.Len(), tc.reorder.Len(); q+f+r != 0 {
+				t.Errorf("the closed conn still holds %d queued, %d in flight, %d buffered", q, f, r)
+			}
+			// Of what tc sent, only what the peer buffers is still out, and the
+			// peer has its own ten back to itself.
+			if got, want := sb.segs.Leased()+sa.segs.Leased(), 3+10+wire(); got != want {
+				t.Errorf("%d segments on lease after the close, want %d", got, want)
+			}
+			rc.teardown()
+			if got, want := sb.segs.Leased()+sa.segs.Leased(), wire(); got != want {
+				t.Errorf("%d segments on lease with both ends closed, want the %d on the wire", got, want)
+			}
+			pending := clock.Pending()
+			tc.Close()
+			tc.teardown()
+			if tc.QueueDepth() != 10 || clock.Pending() != pending {
+				t.Errorf("closing again: QueueDepth %d, %d events pending (was %d)", tc.QueueDepth(), clock.Pending(), pending)
+			}
+			clock.Run()
+			if a, b := sa.segs.Leased(), sb.segs.Leased(); a+b != 0 {
+				t.Errorf("%d and %d segments on lease after the clock ran dry", a, b)
+			}
+		})
 	}
+}
+
+// intSync is the application walk of these tests' payloads: an int.
+func intSync(c *snap.Codec, payload *any) {
+	v, _ := (*payload).(int)
+	c.Int(&v)
+	*payload = v
 }
 
 // TestRestoreRebuildsSegmentHolds: holder counts are not in a snapshot, so a
@@ -162,11 +246,6 @@ func TestDiscardReleasesWhatAClosedConnHolds(t *testing.T) {
 // and both pools whole.
 func TestRestoreRebuildsSegmentHolds(t *testing.T) {
 	route := netsim.Route{OneWayDelay: 20 * time.Millisecond}
-	intSync := func(c *snap.Codec, payload *any) {
-		v, _ := (*payload).(int)
-		c.Int(&v)
-		*payload = v
-	}
 	// walk is the whole world's Sync in both directions: clock, network,
 	// the two conns, then the packets that reference them.
 	walk := func(c *snap.Codec, clock *simclock.Clock, sa, sb *Stack, rc, tc *Conn) {

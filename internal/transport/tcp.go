@@ -31,6 +31,7 @@ type simTCP struct {
 
 	established bool
 	closed      bool
+	depth       int      // QueueDepth as teardown froze it; read only once closed
 	dial        *tcpDial // the DialTCP still waiting on this conn's handshake
 	recv        func(any, int)
 
@@ -126,7 +127,6 @@ func (c *simTCP) Close() error {
 	if c.closed {
 		return nil
 	}
-	c.closed = true
 	fin := c.newSeg()
 	fin.fin = true
 	c.sendRaw(fin, 0)
@@ -134,27 +134,22 @@ func (c *simTCP) Close() error {
 	return nil
 }
 
-// teardown takes the conn off the clock and the network. What it still holds
-// — its queue and flight, the peer's segments in its reorder buffer — stays
-// where it is, parked: a snapshot walks a closed conn like an open one, and a
-// server paces against a dead conn's QueueDepth until the session is reaped.
-// The owner lets go of it with Discard when it lets go of the conn.
+// teardown is where every way a conn ends meets — Close, the peer's FIN, the
+// RTO abort, a dial that timed out — and a closed conn holds nothing: it is
+// off the clock and the network, and the sender's reference on every segment
+// queued or in flight and the segments waiting in its reorder buffer are
+// released here, by whoever closes. All that outlives the close is the
+// backlog QueueDepth answered at that instant, frozen, because a server paces
+// against a dead conn's QueueDepth until the session is reaped. When an
+// application callback closes the conn from inside onSegment's delivery loop,
+// the segment being delivered has already left the reorder buffer: the loop
+// releases it, teardown what is still buffered behind it.
 func (c *simTCP) teardown() {
 	c.rtoTimer.Cancel()
 	c.rtoTimer = simclock.Timer{}
 	c.stack.net.Unregister(c.laddr)
-}
-
-// Discard releases what a closed simulated TCP conn still holds: the sender's
-// reference on every segment queued or in flight, and the segments waiting
-// in its reorder buffer. The conn's owner calls it when it recycles whatever
-// pointed at the conn — from then on nothing reads the conn again, and until
-// then a snapshot may. Any other conn, and a second call, is a no-op.
-func Discard(conn Conn) {
-	c, ok := conn.(*simTCP)
-	if !ok || !c.closed {
-		return
-	}
+	c.depth = c.QueueDepth()
+	c.closed = true
 	for _, seg := range c.queue[c.qhead:] {
 		c.stack.net.ReleaseTransit(seg)
 	}
@@ -175,7 +170,12 @@ func (c *simTCP) RTT() time.Duration { return c.srtt }
 // QueueDepth reports how many messages are waiting or in flight — the
 // sender-side backlog a streaming server watches to detect that TCP cannot
 // sustain the media rate.
-func (c *simTCP) QueueDepth() int { return len(c.queue) - c.qhead + c.inflight.Len() }
+func (c *simTCP) QueueDepth() int {
+	if c.closed {
+		return c.depth
+	}
+	return len(c.queue) - c.qhead + c.inflight.Len()
+}
 
 // Counters returns (retransmits, fastRetransmits, timeouts).
 func (c *simTCP) Counters() (uint64, uint64, uint64) {
@@ -258,7 +258,6 @@ func (c *simTCP) onRTO() {
 	if c.consecutiveRTOs > maxConsecutiveRTOs {
 		// The peer is unreachable or gone; abort like a real TCP would
 		// after exhausting its retries.
-		c.closed = true
 		c.teardown()
 		return
 	}
@@ -330,7 +329,6 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 	case seg.fin:
 		// Peer closed: release our resources too, or an abandoned
 		// server-side conn would retransmit into the void forever.
-		c.closed = true
 		c.teardown()
 		c.stack.net.ReleaseTransit(seg)
 		return

@@ -9,16 +9,17 @@ import "realtracer/internal/netsim"
 //
 // An original segment counts its readers in holds: one for the sender from
 // Send until onAck's cumulative ACK passes it, pump skips it as already
-// acknowledged, or the conn's owner Discards the closed conn; one per sendRaw,
-// released by the network (a drop, or the WAN-edge snapshot of a sharded
-// world) or by the receiving conn — which, on the classic engine, reads the
-// live ts/rexmit of the very segment the sender retransmits, and whose
-// reorder buffer simply keeps the reference a segment arrived with until it
-// is delivered in order. The last release clears the segment, releases the
-// payload nested in it and returns the cell to the free-list of the stack
-// that sent it. A handshake or FIN segment has only the wire's reference; a
-// segment restored by value from a snapshot (its conn was closed) has that
-// one too and no pool to go back to. Releasing a segment nobody holds panics.
+// acknowledged, or the conn closes (teardown: whoever closes releases); one
+// per sendRaw, released by the network (a drop, or the WAN-edge snapshot of a
+// sharded world) or by the receiving conn — which, on the classic engine,
+// reads the live ts/rexmit of the very segment the sender retransmits, and
+// whose reorder buffer simply keeps the reference a segment arrived with until
+// it is delivered in order or the conn closes. The last release clears the
+// segment, releases the payload nested in it and returns the cell to the
+// free-list of the stack that sent it. A handshake or FIN segment has only the
+// wire's reference; a segment restored by value from a snapshot (its conn was
+// closed) has that one too and no pool to go back to. Releasing a segment
+// nobody holds panics.
 // Holder counts are not in a snapshot: a restore rebuilds them from who holds
 // the restored segment — the conn's queue or flight, its reorder buffer, each
 // reference on the wire.
