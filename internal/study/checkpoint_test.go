@@ -102,23 +102,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"ae2dd4eafddb6285ddf002a46676747abd8a858064b08db1c316d3f3e9db2dff"},
+		"d7095c2217abd806597243f3817ce82974af89690cfb3212af77dc891af7c590"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "428c4e739ca9cfe655926e43aec5240d6d714332ee3b14694711e4d38e4a6f82"},
+	}, "34bf0cbc790b224ab9f44ab12c99c44605a771f885d29458643124e2d96368bb"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "878beae6baa47a30b10e7b8ba0dd7ee55d6b39e58433dbccb7a78865afa43fee"},
+	}, "e98463be529eef989f7cf1859141ea009e2aaf3a05a05c43e8659b4a108020f2"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "234a39db60f5122f8c44d981bf86a05b32508806777b6fe516e8bac8ca7686de"},
+	{"churnheavy", churnHeavy, "63d8923db5efaacf1bd07e03da5a576c29d8bc47f58977f01f76cd490dbf5073"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
