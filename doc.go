@@ -48,12 +48,19 @@
 // and the release returns each cell to the free-list of
 // the arena or stack it came from, so memory follows the sessions alive, not
 // the packets ever sent (rdt.Arena, netsim/transit.go; audited per world by
-// TestConservation's lease half). Everything
+// TestConservation's lease half). The control plane costs what it models:
+// an RTSP message crosses the simulator as the *rtsp.Message and is charged
+// its WireSize, which is arithmetic pinned equal to len(Marshal()) — the text
+// is rendered only for real sockets; a server renders each immutable clip's
+// DESCRIBE body once and every response shares it read-only; and a closed
+// conn's queue array and window rings go, cleared, to its stack's free-list
+// for the host's next conn. Everything
 // stays bit-for-bit deterministic — RNG draw order, FIFO tie-breaking and
 // every floating-point expression on the packet path are part of the
 // contract, pinned by the golden figures snapshot — so hot-path changes
 // must keep output byte-identical, not merely statistically equivalent.
-// Profile with `study -cpuprofile/-memprofile`; the perf trajectory is the
+// Profile with `study -cpuprofile/-memprofile` (the latter records every
+// allocation, so its object counts are exact); the perf trajectory is the
 // history table in README's benchmark section and cmd/bench's record.
 //
 // The session lifecycle is pooled one level above the packet path: each
@@ -68,9 +75,10 @@
 // fresh one's draw stream, so pooling changes no record. The recycle
 // invariant: a recycled session is indistinguishable from a fresh one and
 // can never observe its predecessor's FEC window, retransmit ledger or
-// decode state. Steady-state churn costs ~410 allocations per session
-// (down from ~10,000), pinned by TestSessionChurnAllocBudget alongside the
-// transport alloc budget.
+// decode state. Steady-state churn costs ~99 allocations per session
+// (down from ~10,000 before the free-lists and ~308 before the control plane
+// stopped rendering text), pinned by TestSessionChurnAllocBudget alongside
+// the transport alloc budget.
 //
 // The session engine is open-loop as well as closed: the paper's fixed
 // 63-user panel is one workload ("panel", the default) in internal/workload's

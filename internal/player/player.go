@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"realtracer/internal/rdt"
@@ -509,7 +510,7 @@ func (p *Player) setup() {
 		// the well-known port on the control host unless overridden.
 		udpAddr := p.cfg.ServerUDPAddr
 		if udpAddr == "" {
-			udpAddr = fmt.Sprintf("%s:%d", hostOf(p.cfg.ControlAddr), session.DataUDPPort)
+			udpAddr = hostOf(p.cfg.ControlAddr) + ":" + strconv.Itoa(session.DataUDPPort)
 		}
 		conn, err := p.cfg.Net.DialUDP(udpAddr)
 		if err != nil {
@@ -525,7 +526,7 @@ func (p *Player) setup() {
 	}
 	req := rtsp.NewRequest(rtsp.MethodSetup, p.cfg.URL, 0)
 	req.Set("Transport", spec.Format())
-	req.Set("Bandwidth", fmt.Sprintf("%d", int(p.cfg.MaxBandwidthKbps)))
+	req.Set("Bandwidth", strconv.Itoa(int(p.cfg.MaxBandwidthKbps)))
 	p.request(req, pendSetup)
 }
 

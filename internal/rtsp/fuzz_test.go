@@ -2,6 +2,9 @@ package rtsp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -42,8 +45,9 @@ func corpusMessages() []*Message {
 // FuzzParseRequest fuzzes the RTSP text parser with real exchanges as the
 // seed corpus. Any accepted input must marshal back to a stable wire form:
 // Marshal(Parse(b)) must itself parse, and one round of normalization must
-// reach a fixpoint. Parsing must never panic or allocate beyond the input
-// (a hostile Content-Length used to reserve arbitrary memory).
+// reach a fixpoint, and WireSize must be the length of what Marshal writes.
+// Parsing must never panic or allocate beyond the input (a hostile
+// Content-Length used to reserve arbitrary memory).
 func FuzzParseRequest(f *testing.F) {
 	for _, m := range corpusMessages() {
 		f.Add(m.Marshal())
@@ -63,6 +67,9 @@ func FuzzParseRequest(f *testing.F) {
 			return // rejected input is fine; panics are not
 		}
 		b1 := m.Marshal()
+		if m.WireSize() != len(b1) {
+			t.Fatalf("WireSize %d, Marshal wrote %d bytes: %q", m.WireSize(), len(b1), b1)
+		}
 		m1, err := Parse(b1)
 		if err != nil {
 			t.Fatalf("re-parse of marshaled message failed: %v\nwire: %q", err, b1)
@@ -77,16 +84,53 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
+// parseTransportRef is ParseTransport as it stood while it split the header
+// with strings.Split, kept verbatim as the oracle the walking parser is
+// checked against.
+func parseTransportRef(v string) (TransportSpec, error) {
+	var t TransportSpec
+	if v == "" {
+		return t, errors.New("rtsp: empty Transport header")
+	}
+	for _, part := range strings.Split(v, ";") {
+		kv := strings.SplitN(part, "=", 2)
+		if len(kv) != 2 {
+			return t, fmt.Errorf("rtsp: bad Transport item %q", part)
+		}
+		switch kv[0] {
+		case "proto":
+			t.Protocol = kv[1]
+		case "client_addr":
+			t.ClientDataAddr = kv[1]
+		case "server_addr":
+			t.ServerDataAddr = kv[1]
+		}
+	}
+	if t.Protocol != "tcp" && t.Protocol != "udp" {
+		return t, fmt.Errorf("rtsp: unknown data protocol %q", t.Protocol)
+	}
+	return t, nil
+}
+
 // FuzzParseTransport fuzzes the SETUP Transport header parser the same
-// way: accepted specs must format/parse to a fixpoint.
+// way: accepted specs must format/parse to a fixpoint. Every input, accepted
+// or not, must get from ParseTransport the value and the error the reference
+// parser gives it.
 func FuzzParseTransport(f *testing.F) {
 	f.Add("proto=udp;client_addr=user00.us:10001")
 	f.Add("proto=tcp;server_addr=cnn.us:5540")
 	f.Add("proto=udp")
 	f.Add("proto=rtp/avp;unicast")
 	f.Add("")
+	f.Add("proto=udp;")
+	f.Add(";proto=tcp;;client_addr=a=b;proto")
+	f.Add("client_addr=x;server_addr=y")
 	f.Fuzz(func(t *testing.T, v string) {
 		spec, err := ParseTransport(v)
+		want, wantErr := parseTransportRef(v)
+		if spec != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseTransport(%q) = %+v, %v; the reference parser says %+v, %v", v, spec, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}

@@ -79,12 +79,12 @@ type Message struct {
 
 // NewRequest builds a request message.
 func NewRequest(method, url string, cseq int) *Message {
-	return &Message{Request: true, Method: method, URL: url, CSeq: cseq, Header: map[string]string{}}
+	return &Message{Request: true, Method: method, URL: url, CSeq: cseq}
 }
 
 // NewResponse builds a response to req with the given status.
 func NewResponse(req *Message, status int) *Message {
-	return &Message{Status: status, Reason: StatusText(status), CSeq: req.CSeq, Header: map[string]string{}}
+	return &Message{Status: status, Reason: StatusText(status), CSeq: req.CSeq}
 }
 
 // Set sets a header value.
@@ -238,8 +238,41 @@ func Parse(data []byte) (*Message, error) {
 	return m, nil
 }
 
-// WireSize returns the marshaled size without retaining the encoding.
-func (m *Message) WireSize() int { return len(m.Marshal()) }
+// WireSize returns how many bytes Marshal would write, without rendering
+// them: the simulator sends the message itself and charges the network its
+// size, so the terms below are Marshal's lines in Marshal's order.
+// TestWireSizeMatchesMarshal and FuzzParseRequest hold the two equal.
+func (m *Message) WireSize() int {
+	n := len(Version) + len("  \r\n") // the start line's fixed part
+	switch {
+	case m.Request:
+		n += len(m.Method) + len(m.URL)
+	case m.Reason == "":
+		n += decWidth(m.Status) + len(StatusText(m.Status))
+	default:
+		n += decWidth(m.Status) + len(m.Reason)
+	}
+	n += len("CSeq: \r\n") + decWidth(m.CSeq)
+	if len(m.Body) > 0 {
+		n += len("Content-Length: \r\n") + decWidth(len(m.Body))
+	}
+	for k, v := range m.Header {
+		n += len(k) + len(": \r\n") + len(v)
+	}
+	return n + len("\r\n") + len(m.Body)
+}
+
+// decWidth is len(strconv.Itoa(n)).
+func decWidth(n int) int {
+	w, u := 1, uint64(n)
+	if n < 0 {
+		w, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		w++
+	}
+	return w
+}
 
 // Transport header helpers: the SETUP exchange negotiates the data channel.
 
@@ -255,15 +288,14 @@ type TransportSpec struct {
 
 // Format renders the spec as a Transport header value.
 func (t TransportSpec) Format() string {
-	var parts []string
-	parts = append(parts, "proto="+t.Protocol)
+	var client, server string
 	if t.ClientDataAddr != "" {
-		parts = append(parts, "client_addr="+t.ClientDataAddr)
+		client = ";client_addr="
 	}
 	if t.ServerDataAddr != "" {
-		parts = append(parts, "server_addr="+t.ServerDataAddr)
+		server = ";server_addr="
 	}
-	return strings.Join(parts, ";")
+	return "proto=" + t.Protocol + client + t.ClientDataAddr + server + t.ServerDataAddr
 }
 
 // ParseTransport parses a Transport header value.
@@ -272,18 +304,20 @@ func ParseTransport(v string) (TransportSpec, error) {
 	if v == "" {
 		return t, errors.New("rtsp: empty Transport header")
 	}
-	for _, part := range strings.Split(v, ";") {
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
+	for more := true; more; {
+		var part string
+		part, v, more = strings.Cut(v, ";")
+		key, val, ok := strings.Cut(part, "=")
+		if !ok {
 			return t, fmt.Errorf("rtsp: bad Transport item %q", part)
 		}
-		switch kv[0] {
+		switch key {
 		case "proto":
-			t.Protocol = kv[1]
+			t.Protocol = val
 		case "client_addr":
-			t.ClientDataAddr = kv[1]
+			t.ClientDataAddr = val
 		case "server_addr":
-			t.ServerDataAddr = kv[1]
+			t.ServerDataAddr = val
 		}
 	}
 	if t.Protocol != "tcp" && t.Protocol != "udp" {

@@ -2,6 +2,7 @@ package rtsp
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,11 +141,35 @@ func TestTransportSpecErrors(t *testing.T) {
 	}
 }
 
+// TestWireSizeMatchesMarshal: the simulator charges the network WireSize
+// and never renders the text, so the arithmetic must agree with Marshal on
+// every shape a message takes — either kind, with and without a body, a
+// reason phrase left for Marshal to fill in, a CSeq of any width or sign,
+// any number of headers.
 func TestWireSizeMatchesMarshal(t *testing.T) {
-	m := NewRequest(MethodPlay, "rtsp://h/c", 2)
-	m.Set("Session", "sess-1")
-	if m.WireSize() != len(m.Marshal()) {
-		t.Fatal("WireSize disagrees with Marshal")
+	var cases []*Message
+	for _, cseq := range []int{0, 7, -1, 99999, -12345, math.MaxInt, math.MinInt} {
+		for headers := 0; headers <= 3; headers++ {
+			req := NewRequest(MethodSetup, "rtsp://cnn.us/clip000.rm", cseq)
+			resp := NewResponse(req, StatusOK)
+			body := NewResponse(req, StatusUnavailable)
+			body.Body = bytes.Repeat([]byte("x"), []int{9, 10, 999, 1000}[headers]) // Content-Length of every width
+			bare := &Message{Status: StatusNotFound, CSeq: cseq}                    // no reason: Marshal writes StatusText
+			odd := &Message{Status: -40, Reason: "", CSeq: cseq, Body: []byte("x")}
+			for _, m := range []*Message{req, resp, body, bare, odd} {
+				for _, kv := range [][2]string{{"Session", "sess-1"}, {"transport", "proto=udp;client_addr=user00.us:10001"}, {"X-Empty", ""}}[:headers] {
+					m.Set(kv[0], kv[1])
+				}
+				cases = append(cases, m)
+			}
+		}
+	}
+	cases = append(cases, &Message{Request: true}, &Message{})
+	cases = append(cases, corpusMessages()...)
+	for _, m := range cases {
+		if wire := m.Marshal(); m.WireSize() != len(wire) {
+			t.Errorf("WireSize %d, Marshal wrote %d bytes: %q", m.WireSize(), len(wire), wire)
+		}
 	}
 }
 

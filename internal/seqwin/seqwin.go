@@ -158,3 +158,22 @@ func (w *Window[V]) Reset() {
 	}
 	w.lo, w.n = 0, 0
 }
+
+// Yield empties the window and gives its ring up, cleared, for another
+// window of the same V to Adopt; this one is left as the zero Window.
+func (w *Window[V]) Yield() []V {
+	w.Reset()
+	ring := w.ring
+	w.ring = nil
+	return ring
+}
+
+// Adopt makes a ring some window yielded the storage of w, which must be
+// empty. Only the first allocations are saved: w holds, evicts and walks
+// exactly what a zero Window would.
+func (w *Window[V]) Adopt(ring []V) {
+	if w.n != 0 {
+		panic("seqwin: Adopt into a window that holds entries")
+	}
+	w.ring, w.lo = ring, 0
+}

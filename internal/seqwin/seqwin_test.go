@@ -155,8 +155,20 @@ func TestWindowMatchesMap(t *testing.T) {
 				}
 			default:
 				// A ring never shrinks, so alternate a recycled window with a
-				// fresh one or every trace ends up on a wide ring.
-				if w.Reset(); step%2 == 0 {
+				// fresh one or every trace ends up on a wide ring. The recycled
+				// one is by turns this window Reset and a new one that Adopts
+				// the ring this one Yields: from here on the oracle must not be
+				// able to tell either from the fresh one.
+				switch step % 4 {
+				case 1:
+					w.Reset()
+				case 3:
+					ring := w.Yield()
+					if w.ring != nil || w.lo != 0 || w.n != 0 || slices.ContainsFunc(ring, func(v int) bool { return v != 0 }) {
+						t.Fatalf("seed %d step %d: Yield left %+v and a ring holding %v", seed, step, w, ring)
+					}
+					w.Adopt(ring)
+				default:
 					w = Window[int]{}
 				}
 				clear(ref)
@@ -194,6 +206,19 @@ func TestWindowGrowsWhileWrapped(t *testing.T) {
 	if w.Get(5+minRing) != 99 || w.Len() != minRing+1 {
 		t.Fatalf("newcomer = %d, Len = %d", w.Get(5+minRing), w.Len())
 	}
+}
+
+// TestAdoptRefusesAWindowInUse: a ring laid over entries would lose them.
+func TestAdoptRefusesAWindowInUse(t *testing.T) {
+	var donor, w Window[int]
+	donor.Put(3, 1)
+	w.Put(7, 1)
+	defer func() {
+		if recover() == nil || w.Get(7) != 1 {
+			t.Errorf("Adopt into a window holding an entry did not panic (Get(7) = %d)", w.Get(7))
+		}
+	}()
+	w.Adopt(donor.Yield())
 }
 
 // TestSyncRoundTripAndHostileInput: a window decodes to what was encoded, and

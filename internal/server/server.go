@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"realtracer/internal/media"
@@ -95,6 +96,12 @@ type Server struct {
 	// packets of its last playout still on the wire find the arena there.
 	sessFree []*streamSession
 
+	// descBody is each clip's DESCRIBE body, rendered once by New: a clip is
+	// immutable, so every response to a DESCRIBE of it shares these bytes,
+	// and nothing downstream may write through Message.Body (the player and a
+	// shard-transit copy both copy it out).
+	descBody map[*media.Clip][]byte
+
 	// ctlConns tracks every accepted control connection so a world checkpoint
 	// can enumerate them — a control connection between sessions (after a
 	// DESCRIBE, or between playlist entries) is reachable from nowhere else.
@@ -116,11 +123,16 @@ type Server struct {
 // turned them off explicitly after construction via the Config it passed.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
-	return &Server{
+	s := &Server{
 		cfg:        cfg,
 		sessions:   make(map[string]*streamSession),
 		byDataAddr: make(map[string]*streamSession),
+		descBody:   make(map[*media.Clip][]byte, len(cfg.Library.Clips)),
 	}
+	for _, clip := range cfg.Library.Clips {
+		s.descBody[clip] = session.DescFromClip(clip).Marshal()
+	}
+	return s
 }
 
 // Start binds the control and data ports.
@@ -275,7 +287,7 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 			return
 		}
 		resp := rtsp.NewResponse(req, rtsp.StatusOK)
-		resp.Body = session.DescFromClip(clip).Marshal()
+		resp.Body = s.descBody[clip]
 		cc.reply(resp)
 
 	case rtsp.MethodSetup:
@@ -291,7 +303,7 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 		}
 		maxKbps := float64(req.GetInt("Bandwidth", 300))
 		s.nextID++
-		id := fmt.Sprintf("sess-%d", s.nextID)
+		id := "sess-" + strconv.Itoa(s.nextID)
 		sess := newStreamSession(s, id, clip, spec, maxKbps, cc)
 		s.sessions[id] = sess
 		cc.sess = sess

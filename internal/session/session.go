@@ -49,7 +49,8 @@ type ClipDesc struct {
 
 // DescFromClip converts a media clip to its advertised description.
 func DescFromClip(c *media.Clip) ClipDesc {
-	d := ClipDesc{Title: c.Title, Duration: c.Duration, Scalable: c.ScalableVideo, Live: c.Live}
+	d := ClipDesc{Title: c.Title, Duration: c.Duration, Scalable: c.ScalableVideo, Live: c.Live,
+		Encodings: make([]EncodingDesc, 0, len(c.Encodings))}
 	for _, e := range c.Encodings {
 		d.Encodings = append(d.Encodings, EncodingDesc{
 			TotalKbps: e.TotalKbps, AudioKbps: e.AudioKbps,
@@ -72,17 +73,21 @@ func (d ClipDesc) FrameRateFor(kbps float64) float64 {
 }
 
 // Marshal renders the description as the DESCRIBE body (a compact SDP-like
-// text form).
+// text form: one key=value line each, floats in their shortest form).
 func (d ClipDesc) Marshal() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "title=%s\n", d.Title)
-	fmt.Fprintf(&b, "duration_ms=%d\n", d.Duration.Milliseconds())
-	fmt.Fprintf(&b, "scalable=%t\n", d.Scalable)
-	fmt.Fprintf(&b, "live=%t\n", d.Live)
+	b := make([]byte, 0, 64+len(d.Title)+32*len(d.Encodings))
+	b = append(append(b, "title="...), d.Title...)
+	b = strconv.AppendInt(append(b, "\nduration_ms="...), d.Duration.Milliseconds(), 10)
+	b = strconv.AppendBool(append(b, "\nscalable="...), d.Scalable)
+	b = strconv.AppendBool(append(b, "\nlive="...), d.Live)
 	for _, e := range d.Encodings {
-		fmt.Fprintf(&b, "enc=%g/%g/%g/%dx%d\n", e.TotalKbps, e.AudioKbps, e.FrameRate, e.Width, e.Height)
+		b = strconv.AppendFloat(append(b, "\nenc="...), e.TotalKbps, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, '/'), e.AudioKbps, 'g', -1, 64)
+		b = strconv.AppendFloat(append(b, '/'), e.FrameRate, 'g', -1, 64)
+		b = strconv.AppendInt(append(b, '/'), int64(e.Width), 10)
+		b = strconv.AppendInt(append(b, 'x'), int64(e.Height), 10)
 	}
-	return []byte(b.String())
+	return append(b, '\n')
 }
 
 // ErrBadDesc reports an unparseable DESCRIBE body.
@@ -91,54 +96,33 @@ var ErrBadDesc = errors.New("session: malformed clip description")
 // ParseClipDesc parses a DESCRIBE body.
 func ParseClipDesc(body []byte) (ClipDesc, error) {
 	var d ClipDesc
-	for _, line := range strings.Split(string(body), "\n") {
+	for rest, more := string(body), true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
-		kv := strings.SplitN(line, "=", 2)
-		if len(kv) != 2 {
+		key, val, ok := strings.Cut(line, "=")
+		if !ok {
 			return d, ErrBadDesc
 		}
-		switch kv[0] {
+		switch key {
 		case "title":
-			d.Title = kv[1]
+			d.Title = val
 		case "duration_ms":
-			ms, err := strconv.ParseInt(kv[1], 10, 64)
+			ms, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
 				return d, ErrBadDesc
 			}
 			d.Duration = time.Duration(ms) * time.Millisecond
 		case "scalable":
-			d.Scalable = kv[1] == "true"
+			d.Scalable = val == "true"
 		case "live":
-			d.Live = kv[1] == "true"
+			d.Live = val == "true"
 		case "enc":
-			var e EncodingDesc
-			var dims string
-			parts := strings.Split(kv[1], "/")
-			if len(parts) != 4 {
-				return d, ErrBadDesc
-			}
-			var err error
-			if e.TotalKbps, err = strconv.ParseFloat(parts[0], 64); err != nil {
-				return d, ErrBadDesc
-			}
-			if e.AudioKbps, err = strconv.ParseFloat(parts[1], 64); err != nil {
-				return d, ErrBadDesc
-			}
-			if e.FrameRate, err = strconv.ParseFloat(parts[2], 64); err != nil {
-				return d, ErrBadDesc
-			}
-			dims = parts[3]
-			wh := strings.SplitN(dims, "x", 2)
-			if len(wh) != 2 {
-				return d, ErrBadDesc
-			}
-			if e.Width, err = strconv.Atoi(wh[0]); err != nil {
-				return d, ErrBadDesc
-			}
-			if e.Height, err = strconv.Atoi(wh[1]); err != nil {
+			e, ok := parseEncoding(val)
+			if !ok {
 				return d, ErrBadDesc
 			}
 			d.Encodings = append(d.Encodings, e)
@@ -148,6 +132,25 @@ func ParseClipDesc(body []byte) (ClipDesc, error) {
 		return d, ErrBadDesc
 	}
 	return d, nil
+}
+
+// parseEncoding parses one enc= value, "total/audio/fps/WxH": exactly four
+// '/' fields, the last split at its first 'x'.
+func parseEncoding(v string) (e EncodingDesc, ok bool) {
+	total, v, ok1 := strings.Cut(v, "/")
+	audio, v, ok2 := strings.Cut(v, "/")
+	fps, dims, ok3 := strings.Cut(v, "/")
+	w, h, ok4 := strings.Cut(dims, "x")
+	if !ok1 || !ok2 || !ok3 || !ok4 || strings.Contains(dims, "/") {
+		return e, false
+	}
+	var errs [5]error
+	e.TotalKbps, errs[0] = strconv.ParseFloat(total, 64)
+	e.AudioKbps, errs[1] = strconv.ParseFloat(audio, 64)
+	e.FrameRate, errs[2] = strconv.ParseFloat(fps, 64)
+	e.Width, errs[3] = strconv.Atoi(w)
+	e.Height, errs[4] = strconv.Atoi(h)
+	return e, errs == [5]error{}
 }
 
 // DataHello is the first message on a TCP data connection, binding it to the
@@ -311,4 +314,4 @@ func (n SimNet) DialTCP(addr string, cb func(transport.Conn, error)) string {
 func (n SimNet) DialUDP(addr string) (transport.Conn, error) { return n.Stack.DialUDP(addr), nil }
 
 // Addr implements Net.
-func (n SimNet) Addr(port int) string { return fmt.Sprintf("%s:%d", n.Stack.Host(), port) }
+func (n SimNet) Addr(port int) string { return n.Stack.Host() + ":" + strconv.Itoa(port) }

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"realtracer/internal/figures"
+	"realtracer/internal/netsim"
+	"realtracer/internal/rdt"
 	"realtracer/internal/trace"
 )
 
@@ -232,6 +234,27 @@ func midDialWorld(t testing.TB) *World {
 		}
 	}
 	t.Fatal("no whole second in the second half of the churn-heavy world has a dial in flight")
+	return nil
+}
+
+// midNackWorld is the lossburst fence world stepped on from its 55% cut to the
+// first instant a NACK is on the wire. A NACK lives for one client-to-server
+// trip, so the fixed cuts never catch one: without this world nothing
+// reachable from a cut World is an rdt.Nack, and neither its Sync walk nor
+// its syncExempt row is ever judged.
+func midNackWorld(t testing.TB) *World {
+	t.Helper()
+	w := fenceWorld(t, fenceWorlds[2].opt)
+	for w.Clock.Step() {
+		for _, pe := range w.Clock.Pendings() {
+			if pkt, ok := pe.Handler.(*netsim.Packet); ok {
+				if p, ok := pkt.Payload.(*rdt.Packet); ok && p.Nack != nil {
+					return w
+				}
+			}
+		}
+	}
+	t.Fatalf("the %s fence world sends no NACK after its cut", fenceWorlds[2].name)
 	return nil
 }
 

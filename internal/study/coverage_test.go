@@ -17,11 +17,11 @@ import (
 
 // TestSyncCoversEveryField is the drift fence for the one-walk rule. It
 // drives each fence world to its mid-run cut — once retaining records, once
-// streaming into figures.Aggregates — (and one more world to an
-// instant with a TCP dial in flight), then reflects over every
-// object reachable from the World and perturbs each scalar field in place:
-// a field is covered when some perturbation of it changes the bytes the
-// Sync walk writes. A field that never does must be named in syncExempt
+// streaming into figures.Aggregates — and one more world each to an instant
+// with a TCP dial in flight and to one with a NACK on the wire, then reflects
+// over every object reachable from the World and perturbs each scalar field
+// in place: a field is covered when some perturbation of it changes the bytes
+// the Sync walk writes. A field that never does must be named in syncExempt
 // with the reason it needs no place in a snapshot — so forgetting to add a
 // new field to its type's Sync fails here, by name, instead of as a silently
 // divergent resume. The exemption list is kept honest the same way: an
@@ -29,14 +29,14 @@ import (
 // fails too.
 func TestSyncCoversEveryField(t *testing.T) {
 	if testing.Short() {
-		t.Skip("perturbs every reachable field of four mid-run worlds")
+		t.Skip("perturbs every reachable field of the mid-run fence worlds")
 	}
 	cw := &coverage{
 		state: map[string]int{},
 		types: map[string]bool{},
 		used:  map[string]bool{},
 	}
-	inputs := map[string]*World{"middial": midDialWorld(t)}
+	inputs := map[string]*World{"middial": midDialWorld(t), "midnack": midNackWorld(t)}
 	for _, fw := range fenceWorlds {
 		inputs[fw.name] = fenceWorld(t, fw.opt)
 		// The same cut of a world streaming into aggregates: the walk reaches
@@ -190,7 +190,10 @@ func (cw *coverage) walk(v reflect.Value) {
 			}
 		}
 	case reflect.Slice, reflect.Array:
-		if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Interface || k == reflect.Struct || k == reflect.Slice || k == reflect.Map {
+		// Arrays of arrays too: the clock's timing wheel is one, and every
+		// event more than a near-heap window away — a packet on a WAN hop —
+		// hangs off it.
+		if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Interface || k == reflect.Struct || k == reflect.Slice || k == reflect.Array || k == reflect.Map {
 			for i := 0; i < v.Len(); i++ {
 				cw.walk(v.Index(i))
 			}
@@ -290,6 +293,7 @@ var syncExempt = map[string]string{
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
 	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's queue, inflight and reorder, and the wire",
+	"transport.Stack.connFree":  "recycled conn storage: cleared queue arrays and window rings, capacity only; a restored stack starts without any",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
 	"player.Player.nackScratch": "per-flush scratch",
@@ -342,6 +346,7 @@ var syncExempt = map[string]string{
 	"transport.udpPortConn":              "stateless view, rebuilt by ConnFor from the session's walked ClientDataAddr",
 	"server.Server.cfg":                  "rebuilt from Options",
 	"server.Server.byDataAddr":           "index of sessions by walked ClientDataAddr",
+	"server.Server.descBody":             "each library clip's DESCRIBE body, rendered by New from the static library",
 	"server.Server.udpPort":              "rebuilt by Server.Start",
 	"server.streamSession.clip":          "looked up from the walked URL",
 	"server.streamSession.srcStore":      "storage behind src",

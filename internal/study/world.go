@@ -425,8 +425,12 @@ func (w *World) finished() bool {
 	if w.open == nil {
 		return w.remaining == 0
 	}
-	t := w.open.totals()
-	return t.arrivalsLeft == 0 && t.active == 0
+	for _, c := range w.open.cells {
+		if c.arrivalsLeft != 0 || c.active != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Run drives the engine to completion and returns the study result. The

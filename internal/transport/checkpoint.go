@@ -204,8 +204,9 @@ func (seg *tcpSeg) sync(c *snap.Codec, app AppSync) {
 
 // Sync walks the stack's own state: the ephemeral port cursor and the dials
 // in flight, each as its dialing conn plus its timers. Decoded dials carry no
-// continuation until their owner calls ReattachDial. The ACK and segment
-// free-lists are pure allocation caches and are not part of the snapshot.
+// continuation until their owner calls ReattachDial. The ACK, segment and
+// conn-storage free-lists are pure allocation caches and are not part of the
+// snapshot.
 func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 	c.Tag("stack")
 	c.Int(&s.next)

@@ -230,6 +230,63 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 	}
 }
 
+// TestTeardownRecyclesConnStorage: a conn's send-queue array and its flight
+// and reorder rings outlive it on its stack's free-list, so a host that dials,
+// talks and hangs up over and over — every open-loop client, every server —
+// grows them once. A cycle on warm stacks must cost at least the six
+// allocations (two conns, three arrays each) fewer than the same cycle with
+// the free-lists emptied first; and what waits on a free-list is capacity
+// alone: no slot of it, the queue's consumed prefix included, still points at
+// a segment that has since been leased to someone else.
+func TestTeardownRecyclesConnStorage(t *testing.T) {
+	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	var srv Conn
+	sa.Listen(554, func(c Conn) {
+		srv = c
+		c.SetReceiver(func(any, int) {})
+	})
+	cycle := func() {
+		var cli Conn
+		sb.DialTCP("a:554", func(c Conn, err error) { cli = c })
+		clock.Run()
+		if cli == nil {
+			t.Fatal("dial failed")
+		}
+		cli.SetReceiver(func(any, int) {})
+		for i := 0; i < 24; i++ { // more than a slow-start window: a backlog queues and drains
+			cli.Send(nil, 500)
+			srv.Send(nil, 500)
+		}
+		clock.Run()
+		cli.Close()
+		clock.Run() // the FIN closes the server's side
+	}
+	cycle()
+	steady := testing.AllocsPerRun(20, cycle)
+	fresh := testing.AllocsPerRun(20, func() {
+		sa.connFree, sb.connFree = nil, nil
+		cycle()
+	})
+	t.Logf("allocations per dial-exchange-close cycle: %.0f on recycled storage, %.0f growing it afresh", steady, fresh)
+	if fresh-steady < 6 {
+		t.Errorf("a cycle allocates %.0f on recycled conn storage and %.0f without it: want the queue and both rings of both conns saved", steady, fresh)
+	}
+	for _, s := range []*Stack{sa, sb} {
+		if len(s.connFree) != 1 || s.segs.Leased() != 0 {
+			t.Fatalf("%s: %d conns' storage on the free-list with every conn closed, %d segments on lease; want 1 and 0", s.host, len(s.connFree), s.segs.Leased())
+		}
+		st := s.connFree[0]
+		if cap(st.queue) == 0 || len(st.flight) == 0 || len(st.reorder) == 0 {
+			t.Errorf("%s: the recycled storage is a queue of %d and rings of %d and %d slots: the cycle did not use all three", s.host, cap(st.queue), len(st.flight), len(st.reorder))
+		}
+		for _, arr := range [][]*tcpSeg{st.queue[:cap(st.queue)], st.flight, st.reorder} {
+			if i := slices.IndexFunc(arr, func(seg *tcpSeg) bool { return seg != nil }); i >= 0 {
+				t.Errorf("%s: slot %d of a recycled array still points at a segment", s.host, i)
+			}
+		}
+	}
+}
+
 // intSync is the application walk of these tests' payloads: an int.
 func intSync(c *snap.Codec, payload *any) {
 	v, _ := (*payload).(int)

@@ -79,7 +79,7 @@ func newSimTCP(s *Stack, laddr, raddr netsim.Addr) *simTCP {
 // checkpoint time: a closed conn was already unregistered in the live run,
 // and its host may be detached entirely (a departed open-loop client).
 func newSimTCPConn(s *Stack, laddr, raddr netsim.Addr) *simTCP {
-	return &simTCP{
+	c := &simTCP{
 		stack:    s,
 		laddr:    laddr,
 		raddr:    raddr,
@@ -90,6 +90,15 @@ func newSimTCPConn(s *Stack, laddr, raddr netsim.Addr) *simTCP {
 		ssthresh: 64,
 		rto:      initialRTO,
 	}
+	if k := len(s.connFree) - 1; k >= 0 {
+		st := s.connFree[k]
+		s.connFree[k] = tcpStore{}
+		s.connFree = s.connFree[:k]
+		c.queue = st.queue
+		c.inflight.Adopt(st.flight)
+		c.reorder.Adopt(st.reorder)
+	}
+	return c
 }
 
 // Conn interface.
@@ -144,7 +153,15 @@ func (c *simTCP) Close() error {
 // application callback closes the conn from inside onSegment's delivery loop,
 // the segment being delivered has already left the reorder buffer: the loop
 // releases it, teardown what is still buffered behind it.
+//
+// The storage goes too: the send queue's array and both rings, cleared of
+// every segment pointer (the queue's consumed and rewound slots included),
+// are left on the stack's free-list, where the host's next conn starts on them
+// instead of growing its own. Tearing down a closed conn does nothing.
 func (c *simTCP) teardown() {
+	if c.closed {
+		return
+	}
 	c.rtoTimer.Cancel()
 	c.rtoTimer = simclock.Timer{}
 	c.stack.net.Unregister(c.laddr)
@@ -153,13 +170,14 @@ func (c *simTCP) teardown() {
 	for _, seg := range c.queue[c.qhead:] {
 		c.stack.net.ReleaseTransit(seg)
 	}
-	c.queue, c.qhead = nil, 0
 	for _, w := range []*seqwin.Window[*tcpSeg]{&c.inflight, &c.reorder} {
 		for _, seg := range w.Each {
 			c.stack.net.ReleaseTransit(seg)
 		}
-		w.Reset()
 	}
+	clear(c.queue[:cap(c.queue)])
+	c.stack.connFree = append(c.stack.connFree, tcpStore{c.queue[:0], c.inflight.Yield(), c.reorder.Yield()})
+	c.queue, c.qhead = nil, 0
 }
 
 func (c *simTCP) Protocol() Protocol { return TCP }

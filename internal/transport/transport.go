@@ -15,8 +15,8 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"realtracer/internal/lease"
@@ -98,6 +98,9 @@ type Stack struct {
 	// segs is the segment pool every conn of this host leases from
 	// (transit.go).
 	segs lease.Pool[tcpSeg]
+	// connFree is the storage closed conns of this host left behind
+	// (simTCP.teardown) for the next ones to start on (newSimTCPConn).
+	connFree []tcpStore
 	// listeners tracks live TCP listeners by port so a world restore can
 	// re-seed their SYN-dedup maps with the accepted conns (checkpoint.go).
 	listeners map[int]*tcpListener
@@ -105,6 +108,12 @@ type Stack struct {
 	// is their owner in a world checkpoint: the caller that asked for a dial
 	// may have moved on (an aborted player), but its timers still fire.
 	dials []*tcpDial
+}
+
+// tcpStore is a closed conn's send-queue array and flight and reorder rings,
+// every slot cleared: capacity, nothing else.
+type tcpStore struct {
+	queue, flight, reorder []*tcpSeg
 }
 
 // tcpListener is the per-port accept state: the SYN-dedup map that makes a
@@ -162,11 +171,15 @@ func (s *Stack) DialsInFlight() int { return len(s.dials) }
 
 func (s *Stack) ephemeral() netsim.Addr {
 	s.next++
-	return netsim.Addr(fmt.Sprintf("%s:%d", s.host, s.next))
+	return s.addr(s.next)
 }
 
+// addr renders "host:port" in a stack buffer, so the address costs the one
+// allocation that keeps it.
 func (s *Stack) addr(port int) netsim.Addr {
-	return netsim.Addr(fmt.Sprintf("%s:%d", s.host, port))
+	var buf [64]byte
+	b := append(append(buf[:0], s.host...), ':')
+	return netsim.Addr(strconv.AppendInt(b, int64(port), 10))
 }
 
 // control messages exchanged by the simulated TCP machinery.
