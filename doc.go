@@ -34,8 +34,10 @@
 // recurring timer re-armed from inside Fire reuses the just-fired event
 // slot; a test-only reference scheduler is the differential oracle that CI
 // replays random traces against under -race. The per-packet state keyed by
-// a dense sequence number — TCP's flight and reorder buffer, the server's
-// retransmit window, the player's FEC window — lives in internal/seqwin's
+// a dense sequence number — TCP's send buffer (one window between the oldest
+// unacknowledged segment and the next to assign, the flight being what lies
+// below its cursor) and reorder buffer, the server's retransmit window, the
+// player's FEC window and NACK ledger — lives in internal/seqwin's
 // ring (an index and a compare per packet, span bounded whatever a peer or
 // a snapshot claims) rather than in hash maps. One delivered UDP
 // datagram costs ~45ns and zero allocations (BenchmarkPacketHopUDP,
@@ -53,7 +55,7 @@
 // its WireSize, which is arithmetic pinned equal to len(Marshal()) — the text
 // is rendered only for real sockets; a server renders each immutable clip's
 // DESCRIBE body once and every response shares it read-only; and a closed
-// conn's queue array and window rings go, cleared, to its stack's free-list
+// conn's two window rings go, cleared, to its stack's free-list
 // for the host's next conn. Everything
 // stays bit-for-bit deterministic — RNG draw order, FIFO tie-breaking and
 // every floating-point expression on the packet path are part of the

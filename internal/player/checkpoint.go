@@ -137,7 +137,13 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	c.Int(&p.recovered)
 	c.U32(&p.lastRepHighest)
 	c.Int(&p.lastRepLost)
-	snap.Map(c, &p.nackOutstanding, (*snap.Codec).U32, (*snap.Codec).Int)
+	// The ledger walks as the map it was: each seq, then its tries so far.
+	p.nackOutstanding.Sync(c, "NACK ledger", cfg.URL, func(c *snap.Codec, seq *uint64, asked *int) {
+		s, tries := uint32(*seq), *asked-1
+		c.U32(&s)
+		c.Int(&tries)
+		*seq, *asked = uint64(s), max(tries+1, 0) // a negative count reads as no value, which Sync refuses
+	})
 
 	snap.Slice(c, &p.playTimes, (*snap.Codec).Dur)
 	c.Int(&p.intBytes)

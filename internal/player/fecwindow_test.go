@@ -20,10 +20,10 @@ func (tcpStub) Send(any, int) error          { return nil }
 // of the window's own consumers: a NACK flush retires an outstanding request
 // exactly when its packet is a member. The window itself is left untouched.
 func fecMember(p *Player, seq uint32) bool {
-	p.nackOutstanding[seq] = 0
+	p.nackOutstanding.Put(uint64(seq), 1)
 	p.flushNacks()
-	_, missing := p.nackOutstanding[seq]
-	delete(p.nackOutstanding, seq)
+	missing := p.nackOutstanding.Get(uint64(seq)) != 0
+	p.nackOutstanding.Delete(uint64(seq))
 	return !missing
 }
 

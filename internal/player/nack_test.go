@@ -34,7 +34,7 @@ func TestHostileSequenceJumpIsBounded(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("one packet with Seq 1<<31 took %v", took)
 	}
-	if n := len(p.nackOutstanding); n != 0 {
+	if n := p.nackOutstanding.Len(); n != 0 {
 		t.Fatalf("%d NACKs queued for a 2^31-packet gap, want none", n)
 	}
 	if n := p.haveSeq.Len(); n != 1 {
@@ -46,7 +46,7 @@ func TestHostileSequenceJumpIsBounded(t *testing.T) {
 
 	// An ordinary gap is still NACKed.
 	p.onDataPacket(&rdt.Data{Stream: rdt.StreamVideo, Seq: 1<<31 + 4, FragCount: 1})
-	if n := len(p.nackOutstanding); n != 3 {
+	if n := p.nackOutstanding.Len(); n != 3 {
 		t.Fatalf("%d NACKs queued for a 3-packet gap, want 3", n)
 	}
 

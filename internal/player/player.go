@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -223,9 +224,10 @@ type Player struct {
 	lastRepHighest uint32
 	lastRepLost    int
 
-	// NACK state: outstanding sequence gaps and how many times each has
-	// been requested (up to nackMaxTries, like RDT's bounded NAKs).
-	nackOutstanding map[uint32]int
+	// NACK state: outstanding sequence gaps, each under one more than the
+	// times it has been requested (up to nackMaxTries, like RDT's bounded
+	// NAKs) — the window's zero value means absent.
+	nackOutstanding seqwin.Window[int]
 	nackTimer       vclock.Handle
 	nackScratch     []uint32 // reused per-flush missing list
 
@@ -282,18 +284,15 @@ func (x *timeUpArm) Fire(time.Duration)    { (*Player)(x).timeUp() }
 
 // New builds a Player; Start launches it.
 func New(cfg Config) *Player {
-	p := &Player{
-		pending:         make(map[int]uint8),
-		nackOutstanding: make(map[uint32]int),
-	}
+	p := &Player{pending: make(map[int]uint8)}
 	p.init(cfg)
 	return p
 }
 
 // Reset rewires a finished player for a new session, reusing every piece of
-// grown storage: the maps keep their buckets, the emptied FEC window its
-// ring, the frame heap, partial set, playout record and scratch slices keep
-// their backing arrays, and the Stats record is cleared in place. Stale
+// grown storage: the map keeps its buckets, the emptied FEC window and NACK
+// ledger their rings, the frame heap, partial set, playout record and scratch
+// slices keep their backing arrays, and the Stats record is cleared in place. Stale
 // state cannot leak across the reset: timers are cancelled (and generation
 // checks make any already-recycled handle inert), the epoch bump disarms
 // in-flight dial callbacks,
@@ -305,7 +304,7 @@ func (p *Player) Reset(cfg Config) {
 	p.cancelTimers()
 	clear(p.pending)
 	p.haveSeq.Reset()
-	clear(p.nackOutstanding)
+	p.nackOutstanding.Reset()
 	gaps := p.stats.PlayoutGaps[:0]
 	timeline := p.stats.Timeline[:0]
 	*p = Player{
@@ -678,8 +677,8 @@ func (p *Player) onDataPacket(d *rdt.Data) {
 			p.data != nil && p.data.Protocol() == transport.UDP {
 			// Sequence gap: queue NACKs for the missing packets.
 			for seq := p.highestSeq + 1; seq < d.Seq; seq++ {
-				if _, ok := p.nackOutstanding[seq]; !ok {
-					p.nackOutstanding[seq] = 0
+				if p.nackOutstanding.Get(uint64(seq)) == 0 {
+					p.nackOutstanding.Put(uint64(seq), 1)
 				}
 			}
 			p.armNack()
@@ -722,25 +721,31 @@ func (p *Player) flushNacks() {
 	if p.state == "done" || p.data == nil {
 		return
 	}
-	missing := p.nackScratch[:0]
-	for seq, tries := range p.nackOutstanding {
-		if p.haveSeq.Get(uint64(seq)) || tries >= nackMaxTries {
-			delete(p.nackOutstanding, seq)
-			continue
+	// The ledger walks in ascending seq order, and must not change under the
+	// walk: one scratch takes the seqs to ask for again from its front, in
+	// that order, and the ones to retire from its back.
+	n := p.nackOutstanding.Len()
+	walked := slices.Grow(p.nackScratch[:0], n)[:n]
+	p.nackScratch = walked[:0]
+	ask, retire := 0, n
+	for seq, asked := range p.nackOutstanding.Each {
+		if p.haveSeq.Get(seq) || asked > nackMaxTries {
+			retire--
+			walked[retire] = uint32(seq)
+		} else {
+			walked[ask] = uint32(seq)
+			ask++
 		}
-		p.nackOutstanding[seq] = tries + 1
-		missing = append(missing, seq)
 	}
-	p.nackScratch = missing[:0]
+	for _, seq := range walked[retire:] {
+		p.nackOutstanding.Delete(uint64(seq))
+	}
+	missing := walked[:ask]
+	for _, seq := range missing {
+		p.nackOutstanding.Put(uint64(seq), p.nackOutstanding.Get(uint64(seq))+1)
+	}
 	if len(missing) == 0 {
 		return
-	}
-	// Insertion sort: missing lists are short, and a named sort (unlike
-	// sort.Slice) costs no closure.
-	for i := 1; i < len(missing); i++ {
-		for j := i; j > 0 && missing[j-1] > missing[j]; j-- {
-			missing[j-1], missing[j] = missing[j], missing[j-1]
-		}
 	}
 	for off := 0; off < len(missing); off += rdt.MaxNackSeqs {
 		end := off + rdt.MaxNackSeqs

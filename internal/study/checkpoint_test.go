@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,18 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			t.Run("streamed", func(t *testing.T) { streamedResumeArm(t, fw.opt) })
 		})
 	}
+	// One cut no fraction of a run lands on: a sender gone back N.
+	t.Run("midrto", func(t *testing.T) {
+		straight, err := Run(fenceWorlds[2].opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := resumeAndRun(t, checkpoint(t, midRTOWorld(t)), nil)
+		if !bytes.Equal(recordsBytes(t, res.Records), recordsBytes(t, straight.Records)) || res.Events != straight.Events {
+			t.Fatalf("resumed with a timed-out flight waiting: %d records and %d events, straight through %d and %d, or the records differ",
+				len(res.Records), res.Events, len(straight.Records), straight.Events)
+		}
+	})
 }
 
 // streamedResumeArm is checkpointResumeArm for a world that never kept a
@@ -255,6 +268,37 @@ func midNackWorld(t testing.TB) *World {
 		}
 	}
 	t.Fatalf("the %s fence world sends no NACK after its cut", fenceWorlds[2].name)
+	return nil
+}
+
+// midRTOWorld is the lossburst fence world stepped from its start to the
+// first instant a TCP sender has gone back N: its cursor stands below nextSeq
+// and the segment under it is marked as a retransmission — a timed-out flight
+// waiting, with whatever was never sent behind it, for the ACK clock. The
+// state lasts one round trip and needs a flight of two or more to time out, so
+// the fixed cuts do not land on it: without this world no snapshot's unsent
+// run starts with a retransmission, and nothing tells a cursor that restores
+// to where it was from one that restores to the end of the old flight.
+func midRTOWorld(t testing.TB) *World {
+	t.Helper()
+	w, err := NewWorld(fenceWorlds[2].opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w.Clock.Step() {
+		// A sender with anything in flight has its RTO armed, itself the handler.
+		for _, pe := range w.Clock.Pendings() {
+			c := reflect.ValueOf(pe.Handler)
+			if c.Kind() != reflect.Pointer || c.Type().Elem().Name() != "simTCP" {
+				continue
+			}
+			ring, at := peek(peek(c, "send"), "ring"), peek(c, "sndNxt").Uint()
+			if at < peek(c, "nextSeq").Uint() && peek(ring.Index(int(at)&(ring.Len()-1)), "rexmit").Bool() {
+				return w
+			}
+		}
+	}
+	t.Fatalf("no TCP sender of the %s fence world ever goes back N", fenceWorlds[2].name)
 	return nil
 }
 

@@ -227,11 +227,13 @@ type leasePool struct {
 }
 
 // checkClosedConns asserts that a closed conn holds nothing, at any instant:
-// every closed simulated TCP conn reachable from w — a player's, a session's,
-// the ones a server tracks for its checkpoint walk, a listener's accept table,
-// an RTO handler on the clock — has an empty queue, flight and reorder buffer.
-// It returns how many it found and how many of them froze a backlog, so a
-// caller can tell the walk was not vacuous.
+// every closed simulated TCP conn reachable from w has an empty send buffer
+// and reorder buffer. A listener's accept table drops a conn as it closes, so
+// the closed ones are found where something still names them: a player's
+// control and data conn, the control conns a server tracks for its checkpoint
+// walk (Server.ctlConns), and the control and data conn of a session, live or
+// waiting on the server's free-list. It returns how many it found and how
+// many of them froze a backlog, so a caller can tell the walk was not vacuous.
 func checkClosedConns(t *testing.T, w *World) (closed, backlogged int) {
 	t.Helper()
 	worldStructs(w, func(v reflect.Value, path string) bool {
@@ -242,11 +244,10 @@ func checkClosedConns(t *testing.T, w *World) (closed, backlogged int) {
 		if peek(v, "depth").Int() > 0 {
 			backlogged++
 		}
-		queued := peek(v, "queue").Len() - int(peek(v, "qhead").Int())
-		flight, buffered := peek(peek(v, "inflight"), "n").Int(), peek(peek(v, "reorder"), "n").Int()
-		if queued != 0 || flight != 0 || buffered != 0 {
-			t.Errorf("leases: the closed conn %s (%v) holds %d segments queued, %d in flight, %d buffered: teardown released nothing",
-				path, peek(v, "laddr"), queued, flight, buffered)
+		held, buffered := peek(peek(v, "send"), "n").Int(), peek(peek(v, "reorder"), "n").Int()
+		if held != 0 || buffered != 0 {
+			t.Errorf("leases: the closed conn %s (%v) holds %d segments to send and %d buffered: teardown released nothing",
+				path, peek(peek(v, "local"), "addr"), held, buffered)
 		}
 		return true
 	})
@@ -309,7 +310,7 @@ func checkLeases(t *testing.T, w *World) {
 // TestResumedWorldConservesLeases is the resume half of the lease oracle.
 // Holder counts and home pointers are not in a snapshot: a resume rebuilds
 // them from who holds each restored cell (a session's retransmit window, a
-// conn's queue, flight and reorder buffer, each segment reference on the
+// conn's send and reorder buffers, each segment reference on the
 // wire), and what it cannot give a home — packets restored by value off the
 // wire — it leaves to the garbage collector. Every fence world is cut at six
 // instants, resumed, run to the end with the restored cells recycling
@@ -352,4 +353,16 @@ func TestResumedWorldConservesLeases(t *testing.T) {
 			}
 		})
 	}
+	// A send buffer restored with its cursor gone back: the segments behind it
+	// already have copies on the wire, and are sent — and released — again.
+	t.Run("midrto", func(t *testing.T) {
+		w, err := Resume(bytes.NewReader(checkpoint(t, midRTOWorld(t))), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		checkLeases(t, w)
+	})
 }

@@ -18,7 +18,8 @@ import (
 // TestSyncCoversEveryField is the drift fence for the one-walk rule. It
 // drives each fence world to its mid-run cut — once retaining records, once
 // streaming into figures.Aggregates — and one more world each to an instant
-// with a TCP dial in flight and to one with a NACK on the wire, then reflects
+// with a TCP dial in flight, to one with a NACK on the wire and to one with a
+// timed-out TCP flight waiting to be sent again, then reflects
 // over every object reachable from the World and perturbs each scalar field
 // in place: a field is covered when some perturbation of it changes the bytes
 // the Sync walk writes. A field that never does must be named in syncExempt
@@ -36,7 +37,7 @@ func TestSyncCoversEveryField(t *testing.T) {
 		types: map[string]bool{},
 		used:  map[string]bool{},
 	}
-	inputs := map[string]*World{"middial": midDialWorld(t), "midnack": midNackWorld(t)}
+	inputs := map[string]*World{"middial": midDialWorld(t), "midnack": midNackWorld(t), "midrto": midRTOWorld(t)}
 	for _, fw := range fenceWorlds {
 		inputs[fw.name] = fenceWorld(t, fw.opt)
 		// The same cut of a world streaming into aggregates: the walk reaches
@@ -292,8 +293,8 @@ var syncExempt = map[string]string{
 	"netsim.Network.hostFree":   "recycled host objects",
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
-	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's queue, inflight and reorder, and the wire",
-	"transport.Stack.connFree":  "recycled conn storage: cleared queue arrays and window rings, capacity only; a restored stack starts without any",
+	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's send and reorder buffers, and the wire",
+	"transport.Stack.connFree":  "recycled conn storage: cleared window rings, capacity only; a restored stack starts without any",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
 	"player.Player.nackScratch": "per-flush scratch",
@@ -308,7 +309,7 @@ var syncExempt = map[string]string{
 	"rdt.Data.holds":          "rebuilt on restore from who holds the cell: the retransmit-window walk",
 	"rdt.Nack.cell":           "rebuilt on restore from who holds the cell: a restored NACK is in no arena",
 	"rdt.Repair.cell":         "rebuilt on restore from who holds the cell: a restored repair packet is in no arena",
-	"transport.tcpSeg.holds":  "rebuilt on restore from who holds the cell: queue or flight, reorder buffer, each reference on the wire",
+	"transport.tcpSeg.holds":  "rebuilt on restore from who holds the cell: send buffer, reorder buffer, each reference on the wire",
 	"transport.tcpAck.leased": "rebuilt on restore from who holds the cell: a restored ACK is in no free-list",
 
 	// Derived values: recomputed from walked state by the restore path.
@@ -335,12 +336,9 @@ var syncExempt = map[string]string{
 	"transport.Stack.host":               "static: the stack is rebuilt for the same host",
 	"transport.Stack.hostID":             "interned from host",
 	"transport.Stack.listeners":          "rebuilt by Server.Start, re-seeded by RestoreAccepted",
-	"transport.simTCP.raddrID":           "interned from the walked raddr",
-	"transport.simTCP.lport":             "parsed from the walked laddr",
-	"transport.simTCP.rport":             "parsed from the walked raddr",
-	"transport.simUDP.raddrID":           "interned from the walked raddr",
-	"transport.simUDP.lport":             "parsed from the walked laddr",
-	"transport.simUDP.rport":             "parsed from the walked raddr",
+	"transport.endpoint.id":              "interned from the walked addr",
+	"transport.endpoint.port":            "parsed from the walked addr",
+	"transport.simTCP.accepted":          "the listener's accept table the conn is in: set by Listen, re-seeded by RestoreAccepted",
 	"transport.tcpSeg.transit":           "sharded worlds only",
 	"transport.tcpAck.transit":           "sharded worlds only",
 	"transport.udpPortConn":              "stateless view, rebuilt by ConnFor from the session's walked ClientDataAddr",

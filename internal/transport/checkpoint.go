@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"realtracer/internal/netsim"
+	"realtracer/internal/seqwin"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 )
@@ -12,15 +13,22 @@ import (
 // layer subtle:
 //
 //   - A *tcpSeg on the wire is usually the SAME object as the entry in the
-//     sender's inflight set (or, after a timeout requeue, its send queue).
-//     Retransmits mutate ts/rexmit on that shared object, and the mutation
-//     is visible to copies already in flight — the reference behavior a
-//     restore must reproduce. Wire segments still owned by a live conn are
-//     therefore serialized as references (conn local address + seq) and
-//     resolved against the restored conn's own segment; only orphaned
-//     segments (handshakes, closed conns) serialize by value. A segment's
-//     holder count is not serialized: decoding gives each restored segment
-//     one holder per place it is restored into (transit.go).
+//     sender's send buffer. Retransmits mutate ts/rexmit on that shared
+//     object, and the mutation is visible to copies already in flight — the
+//     reference behavior a restore must reproduce. Wire segments still in a
+//     live conn's send buffer are therefore serialized as references (conn
+//     local address + seq) and resolved against the restored conn's own
+//     segment; only orphaned segments (handshakes, acknowledged ones, closed
+//     conns) serialize by value. A segment's holder count is not serialized:
+//     decoding gives each restored segment one holder per place it is
+//     restored into (transit.go).
+//
+//   - The send buffer is one window split by a cursor the snapshot does not
+//     name. It walks as the two runs it always has — the unsent [sndNxt,
+//     nextSeq) as a counted sequence of segments, then the flight [sendBase,
+//     sndNxt) as (seq, segment) pairs — and decoding puts the cursor where the
+//     counts say, refusing runs that are not consecutive, not adjacent or do
+//     not end at nextSeq.
 //
 //   - The RTO timer's handler is the conn itself (pooled event discipline),
 //     so each conn walks its timer as (At, seq) and re-arms it with the
@@ -77,10 +85,10 @@ func payloadTag(payload any) uint8 {
 		return payNil
 	case *tcpSeg:
 		// Reference only segments a conn still owns: an open sender may
-		// mutate its inflight seg while a wire copy is mid-hop, so the copy
-		// must restore as the same object. A closed conn (torn-down session
-		// — possibly absent from the snapshot entirely) owns nothing; its
-		// wire copies encode by value.
+		// mutate a segment in its send buffer while a wire copy is mid-hop, so
+		// the copy must restore as the same object. A closed conn (torn-down
+		// session — possibly absent from the snapshot entirely) owns nothing;
+		// its wire copies encode by value.
 		if c := m.conn; c != nil && c.ownsSeg(m) {
 			return paySegRef
 		}
@@ -108,7 +116,7 @@ func (x *SnapCtx) PayloadSync(c *snap.Codec, payload *any) {
 		var laddr netsim.Addr
 		var seq uint64
 		if seg, ok := (*payload).(*tcpSeg); ok {
-			laddr, seq = seg.conn.laddr, seg.seq
+			laddr, seq = seg.conn.local.addr, seg.seq
 		}
 		snap.StrAs(c, &laddr)
 		c.U64(&seq)
@@ -144,7 +152,7 @@ func (x *SnapCtx) resolve(c *snap.Codec, laddr netsim.Addr, seq uint64) any {
 		c.Fail(fmt.Errorf("transport: wire segment references unknown conn %s", laddr))
 		return nil
 	}
-	seg := conn.findSeg(seq)
+	seg := conn.send.Get(seq)
 	if seg == nil {
 		c.Fail(fmt.Errorf("transport: wire segment references conn %s seq %d, which holds no such segment", laddr, seq))
 		return nil
@@ -153,34 +161,11 @@ func (x *SnapCtx) resolve(c *snap.Codec, laddr netsim.Addr, seq uint64) any {
 	return seg
 }
 
-// ownsSeg reports whether seg is live sender-side state of c: in the
-// inflight set or the unconsumed region of the send queue. Wire copies of
-// owned segments encode by reference to preserve shared-mutation semantics.
-func (c *simTCP) ownsSeg(seg *tcpSeg) bool {
-	if c.inflight.Get(seg.seq) == seg {
-		return true
-	}
-	for _, s := range c.queue[c.qhead:] {
-		if s == seg {
-			return true
-		}
-	}
-	return false
-}
-
-// findSeg is ownsSeg's restore-side mirror: resolve a (conn, seq) reference
-// to the conn's live segment.
-func (c *simTCP) findSeg(seq uint64) *tcpSeg {
-	if s := c.inflight.Get(seq); s != nil {
-		return s
-	}
-	for _, s := range c.queue[c.qhead:] {
-		if s.seq == seq && !s.syn && !s.synAck && !s.fin {
-			return s
-		}
-	}
-	return nil
-}
+// ownsSeg reports whether seg is live sender-side state of c: in its send
+// buffer. Wire copies of owned segments encode by reference to preserve
+// shared-mutation semantics. A handshake or FIN segment has a seq of zero and
+// is not the data segment under it.
+func (c *simTCP) ownsSeg(seg *tcpSeg) bool { return c.send.Get(seg.seq) == seg }
 
 // sync walks one segment by value.
 func (seg *tcpSeg) sync(c *snap.Codec, app AppSync) {
@@ -219,7 +204,7 @@ func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 		// handler with it, while the dial's timers tick on — through a
 		// re-arrival under the same name, if one comes. The conn restores as
 		// deaf as it was.
-		deaf := !c.Reading() && !s.net.Registered(d.conn.laddr)
+		deaf := !c.Reading() && !s.net.Registered(d.conn.local.addr)
 		c.Bool(&deaf)
 		if tc := s.syncTCP(c, d.conn, x, !deaf); tc != nil {
 			d.conn = tc
@@ -240,7 +225,7 @@ func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 // re-attaches stays abandoned (see tcpDial.cb).
 func (s *Stack) ReattachDial(laddr string, cb func(Conn, error)) error {
 	for _, d := range s.dials {
-		if string(d.conn.laddr) != laddr {
+		if string(d.conn.local.addr) != laddr {
 			continue
 		}
 		if d.cb != nil {
@@ -266,7 +251,8 @@ func (s *Stack) RestoreAccepted(port int, conn Conn) error {
 	if l == nil {
 		return fmt.Errorf("transport: RestoreAccepted on port %d with no listener", port)
 	}
-	l.seen[tc.raddr] = tc
+	l.seen[tc.peer.addr] = tc
+	tc.accepted = l
 	return nil
 }
 
@@ -361,24 +347,23 @@ func (s *Stack) syncUDP(c *snap.Codec, uc *simUDP) *simUDP {
 	if c.Reading() {
 		uc = &simUDP{stack: s}
 	}
-	snap.StrAs(c, &uc.laddr)
-	snap.StrAs(c, &uc.raddr)
+	snap.StrAs(c, &uc.local.addr)
+	snap.StrAs(c, &uc.peer.addr)
 	c.Bool(&uc.closed)
 	if !c.Reading() || c.Err() != nil {
 		return nil
 	}
+	uc.local, uc.peer = s.endpoint(uc.local.addr), s.endpoint(uc.peer.addr)
 	if uc.closed {
 		// Closed at checkpoint time: already unregistered in the live run,
-		// and the host may be detached (a departed client) — build the dead
-		// shell without touching the network.
-		uc.raddrID = s.net.Intern(uc.raddr.Host())
-		uc.lport, uc.rport = uc.laddr.Port(), uc.raddr.Port()
+		// and the host may be detached (a departed client) — the dead shell
+		// is built without touching the network.
 		return uc
 	}
-	if !s.registrable(c, uc.laddr) {
+	if !s.registrable(c, uc.local.addr) {
 		return nil
 	}
-	return s.newSimUDP(uc.laddr, uc.raddr)
+	return s.newSimUDP(uc.local, uc.peer)
 }
 
 // syncTCP walks the full simTCP state; decoding (tc ignored) returns the
@@ -390,8 +375,8 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 		tc = &simTCP{} // scratch for the header; the real conn follows it
 	}
 	c.Tag("tcp")
-	snap.StrAs(c, &tc.laddr)
-	snap.StrAs(c, &tc.raddr)
+	snap.StrAs(c, &tc.local.addr)
+	snap.StrAs(c, &tc.peer.addr)
 	c.Bool(&tc.established)
 	c.Bool(&tc.closed)
 	if c.Reading() {
@@ -399,14 +384,14 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 		// network — and for a departed open-loop client the host itself is
 		// gone — so only open conns re-register their packet handler.
 		listening = listening && !tc.closed
-		if c.Err() != nil || (listening && !s.registrable(c, tc.laddr)) {
+		if c.Err() != nil || (listening && !s.registrable(c, tc.local.addr)) {
 			return nil
 		}
 		hdr := tc
-		tc = newSimTCPConn(s, hdr.laddr, hdr.raddr)
+		tc = newSimTCPConn(s, s.endpoint(hdr.local.addr), s.endpoint(hdr.peer.addr))
 		tc.established, tc.closed = hdr.established, hdr.closed
 		if listening {
-			s.net.Register(tc.laddr, tc.onPacket)
+			s.net.Register(tc.local.addr, tc.onPacket)
 		}
 	}
 
@@ -422,20 +407,20 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	tc.stack.clock.SyncTimer(c, &tc.rtoTimer, tc)
 	c.U64(&tc.rcvNext)
 	// A closed conn walks through the same code as an open one: the backlog it
-	// froze (teardown), then a queue, a flight and a reorder buffer that are
-	// empty. A file that says otherwise would lease cells nobody releases.
+	// froze (teardown), then a send buffer and a reorder buffer that are empty.
+	// A file that says otherwise would lease cells nobody releases.
 	c.Int(&tc.depth)
 	if c.Reading() && c.Err() == nil && tc.closed && tc.depth < 0 {
-		c.Fail(fmt.Errorf("transport: conn %s is closed but holds a backlog of %d", tc.laddr, tc.depth))
+		c.Fail(fmt.Errorf("transport: conn %s is closed but holds a backlog of %d", tc.local.addr, tc.depth))
 	}
 
 	// Decoded segments are leased from the stack's pool and back-pointed to
 	// the conn, like the originals, with the place they are decoded into —
-	// queue, flight or reorder buffer — as their one holder so far.
+	// send buffer or reorder buffer — as their one holder so far.
 	ownSeg := func(c *snap.Codec, seg **tcpSeg) {
 		if c.Reading() {
 			if tc.closed {
-				c.Fail(fmt.Errorf("transport: conn %s is closed but holds a segment", tc.laddr))
+				c.Fail(fmt.Errorf("transport: conn %s is closed but holds a segment", tc.local.addr))
 				return
 			}
 			*seg = tc.newSeg()
@@ -443,25 +428,51 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 		}
 		(*seg).sync(c, x.app)
 	}
-	live := tc.queue[tc.qhead:]
-	snap.Slice(c, &live, ownSeg)
-	if c.Reading() {
-		tc.queue = live
-	}
-	// Both windows walk as (seq, segment) pairs; a decoded seq must sit where
-	// the conn's counters say such a segment can be.
-	tc.inflight.Sync(c, "flight", string(tc.laddr), func(c *snap.Codec, seq *uint64, seg **tcpSeg) {
-		c.U64(seq)
-		ownSeg(c, seg)
-		if c.Reading() && c.Err() == nil && (*seq < tc.sendBase || *seq >= tc.nextSeq) {
-			c.Fail(fmt.Errorf("transport: conn %s has seq %d in flight outside its unacknowledged range [%d,%d)", tc.laddr, *seq, tc.sendBase, tc.nextSeq))
+	// run walks the n segments of the send buffer that end below hi, bare or —
+	// as the window the flight used to be wrote them — each keyed by its seq,
+	// and returns where they start. Decoding takes n from the file and wants
+	// the run inside an open conn's unacknowledged range and consecutive.
+	run := func(what string, hi uint64, n int, keyed bool) uint64 {
+		c.Len(&n)
+		lo := hi - uint64(n)
+		if c.Reading() && c.Err() == nil && !tc.closed && (lo > hi || lo < tc.sendBase || n > seqwin.MaxSpan) {
+			c.Fail(fmt.Errorf("transport: conn %s has %d segments %s below seq %d, more than its unacknowledged range [%d,%d) holds", tc.local.addr, n, what, hi, tc.sendBase, tc.nextSeq))
 		}
-	})
-	tc.reorder.Sync(c, "reorder buffer", string(tc.laddr), func(c *snap.Codec, seq *uint64, seg **tcpSeg) {
+		for seq := lo; seq != hi && c.Err() == nil; seq++ {
+			key, seg := seq, tc.send.Get(seq)
+			if keyed {
+				c.U64(&key)
+			}
+			ownSeg(c, &seg)
+			if !c.Reading() || c.Err() != nil {
+				continue
+			}
+			if key != seq || seg.seq != seq {
+				c.Fail(fmt.Errorf("transport: conn %s has seq %d %s where the run [%d,%d) wants seq %d", tc.local.addr, max(key, seg.seq), what, lo, hi, seq))
+			}
+			tc.send.Put(seq, seg)
+		}
+		return lo
+	}
+	// The unsent run ends at nextSeq and the flight at the cursor, which is
+	// where the unsent run starts; a closed conn's buffer is empty (teardown),
+	// so both its counts are zero whatever its counters say.
+	flight := tc.flight()
+	cursor := run("unsent", tc.nextSeq, tc.send.Len()-flight, false)
+	base := run("in flight", cursor, flight, true)
+	if c.Reading() && c.Err() == nil {
+		tc.sndNxt = cursor
+		if tc.closed {
+			tc.sndNxt = tc.sendBase
+		} else if base != tc.sendBase {
+			c.Fail(fmt.Errorf("transport: conn %s has its flight start at seq %d, not at the %d it has acknowledged up to", tc.local.addr, base, tc.sendBase))
+		}
+	}
+	tc.reorder.Sync(c, "reorder buffer", string(tc.local.addr), func(c *snap.Codec, seq *uint64, seg **tcpSeg) {
 		c.U64(seq)
 		ownSeg(c, seg)
 		if c.Reading() && c.Err() == nil && *seq < tc.rcvNext {
-			c.Fail(fmt.Errorf("transport: conn %s buffers seq %d below the %d it delivers next", tc.laddr, *seq, tc.rcvNext))
+			c.Fail(fmt.Errorf("transport: conn %s buffers seq %d below the %d it delivers next", tc.local.addr, *seq, tc.rcvNext))
 		}
 	})
 
@@ -476,6 +487,6 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	}
 	// Closed conns enter the table too, and resolve nothing: a wire segment
 	// naming one is refused as a reference to a segment the conn does not hold.
-	x.conns[tc.laddr] = tc
+	x.conns[tc.local.addr] = tc
 	return tc
 }

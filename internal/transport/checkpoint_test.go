@@ -133,8 +133,31 @@ func TestDialRestoreRejectsTimerOutsideClock(t *testing.T) {
 	}
 }
 
+// restoreDoctored snapshots a loaded conn (ten messages taken, four of them in
+// flight, three segments buffered) as doctor leaves it and restores that onto
+// a fresh pair: the error, and what the attempt left on lease.
+func restoreDoctored(t *testing.T, doctor func(tc *simTCP)) (err error, leased int) {
+	t.Helper()
+	clock, _, _, _, tc := loadedPair(t)
+	doctor(tc)
+	var buf bytes.Buffer
+	enc := snap.NewEncoder(&buf)
+	clock.Sync(enc)
+	var conn Conn = tc
+	SyncConn(enc, &conn, nil, NewSnapCtx(intSync))
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	clock, _, sb := newPair(t, netsim.Route{})
+	dec := snap.NewDecoder(buf.Bytes())
+	clock.Sync(dec)
+	SyncConn(dec, &conn, sb, NewSnapCtx(intSync))
+	return dec.Err(), sb.segs.Leased()
+}
+
 // A closed conn holds nothing, so a snapshot that shows one with a segment
-// queued, in flight or buffered — or a backlog frozen below zero — was not
+// unsent, in flight or buffered — or a backlog frozen below zero — was not
 // written by this walk: restoring it would lease cells that no close will ever
 // release. Each is refused before a cell is leased.
 func TestRestoreRejectsClosedConnThatHolds(t *testing.T) {
@@ -143,32 +166,59 @@ func TestRestoreRejectsClosedConnThatHolds(t *testing.T) {
 		holds  string
 		doctor func(tc *simTCP) // what a loaded conn keeps as it is marked closed
 	}{
-		{"a segment", func(tc *simTCP) { tc.inflight, tc.reorder = none, none }},           // its queue
-		{"a segment", func(tc *simTCP) { tc.queue, tc.qhead, tc.reorder = nil, 0, none }},  // its flight
-		{"a segment", func(tc *simTCP) { tc.queue, tc.qhead, tc.inflight = nil, 0, none }}, // its reorder buffer
+		{"a segment", func(tc *simTCP) { // what it has not sent
+			tc.send.DropBelow(tc.sndNxt)
+			tc.sendBase, tc.reorder = tc.sndNxt, none
+		}},
+		{"a segment", func(tc *simTCP) { // its flight
+			for seq := tc.sndNxt; seq < tc.nextSeq; seq++ {
+				tc.send.Delete(seq)
+			}
+			tc.nextSeq, tc.reorder = tc.sndNxt, none
+		}},
+		{"a segment", func(tc *simTCP) { tc.send, tc.sndNxt = none, tc.sendBase }}, // its reorder buffer
 		{"a backlog of -1", func(tc *simTCP) { tc.teardown(); tc.depth = -1 }},
 	} {
-		clock, _, _, _, tc := loadedPair(t)
-		tt.doctor(tc)
-		tc.closed = true
-		var buf bytes.Buffer
-		enc := snap.NewEncoder(&buf)
-		clock.Sync(enc)
-		var conn Conn = tc
-		SyncConn(enc, &conn, nil, NewSnapCtx(intSync))
-		if err := enc.Err(); err != nil {
-			t.Fatal(err)
-		}
-
-		clock, _, sb := newPair(t, netsim.Route{})
-		dec := snap.NewDecoder(buf.Bytes())
-		clock.Sync(dec)
-		SyncConn(dec, &conn, sb, NewSnapCtx(intSync))
-		if err := dec.Err(); err == nil || !strings.Contains(err.Error(), "conn b:5000 is closed but holds "+tt.holds) {
+		err, leased := restoreDoctored(t, func(tc *simTCP) {
+			tt.doctor(tc)
+			tc.closed = true
+		})
+		if err == nil || !strings.Contains(err.Error(), "conn b:5000 is closed but holds "+tt.holds) {
 			t.Errorf("closed conn holding %s: restore said %v", tt.holds, err)
 		}
-		if n := sb.segs.Leased(); n != 0 {
-			t.Errorf("closed conn holding %s: the refused restore left %d segments on lease", tt.holds, n)
+		if leased != 0 {
+			t.Errorf("closed conn holding %s: the refused restore left %d segments on lease", tt.holds, leased)
 		}
+	}
+}
+
+// An open conn's send buffer is the unsent run behind the flight, consecutive,
+// adjacent and ending at nextSeq, and a snapshot says where one stops and the
+// other starts only through its two counts. A file whose counts and seqs do
+// not add up to the conn's counters is refused on one line, never restored
+// with a hole the sender would later step into.
+func TestRestoreRejectsSendBufferThatDoesNotAddUp(t *testing.T) {
+	for _, tt := range []struct {
+		name, want string
+		doctor     func(tc *simTCP) // the loaded conn has sendBase 0, sndNxt 4, nextSeq 10
+	}{
+		{"a gap inside the unsent run", "has seq 70 unsent where the run [4,10) wants seq 7",
+			func(tc *simTCP) { tc.send.Get(7).seq = 70 }},
+		{"a flight keyed out of order", "has seq 2 in flight where the run [0,4) wants seq 1",
+			func(tc *simTCP) { tc.send.Put(1, tc.send.Get(2)) }},
+		{"a flight count that disagrees with the counters", "has its flight start at seq 1, not at the 0 it has acknowledged up to",
+			func(tc *simTCP) { tc.send.Delete(0); tc.sndNxt = 3 }},
+		{"an unsent run longer than the unacknowledged range", "has 10 segments unsent below seq 10, more than its unacknowledged range [6,10) holds",
+			func(tc *simTCP) { tc.sendBase, tc.sndNxt = 6, 6 }},
+		{"a flight that reaches below what was acknowledged", "has 3 segments in flight below seq 3, more than its unacknowledged range [1,10) holds",
+			func(tc *simTCP) { tc.sendBase = 1 }},
+	} {
+		err, _ := restoreDoctored(t, tt.doctor)
+		if err == nil || !strings.HasPrefix(err.Error(), "transport: conn b:5000 ") || !strings.Contains(err.Error(), tt.want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: restore said %v, want one line saying it %s", tt.name, err, tt.want)
+		}
+	}
+	if err, leased := restoreDoctored(t, func(*simTCP) {}); err != nil || leased != 13 {
+		t.Errorf("the loaded conn undoctored: restore said %v and leased %d segments, want the 10 it sends and the 3 it buffers", err, leased)
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 // TestTCPGoBackNOrder pins what a retransmission timeout does to a
 // multi-segment flight: the oldest unacknowledged segment goes back on the
-// wire first, and every other segment of the flight re-enters the send queue
-// ahead of unsent data in ascending sequence order, so the ACK clock then
-// releases them oldest first. The peer is a mute packet handler, so nothing
+// wire first, and every other segment of the flight waits again behind the
+// cursor, ahead of unsent data in ascending sequence order, so the ACK clock
+// then releases them oldest first. The peer is a mute packet handler, so nothing
 // is acknowledged until the test says so.
 func TestTCPGoBackNOrder(t *testing.T) {
 	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
@@ -22,7 +22,7 @@ func TestTCPGoBackNOrder(t *testing.T) {
 			wire = append(wire, seg.seq)
 		}
 	})
-	tc := newSimTCP(sb, "b:5000", "a:100")
+	tc := connOn(sb, "b:5000", "a:100")
 	tc.established = true
 	tc.cwnd = 8
 	const flight, backlog = 8, 4
@@ -44,14 +44,15 @@ func TestTCPGoBackNOrder(t *testing.T) {
 		t.Fatalf("wire after the timeout = %v, want the oldest segment alone %v", wire, want)
 	}
 	var queued []uint64
-	for _, seg := range tc.queue[tc.qhead:] {
+	for seq := tc.sndNxt; seq < tc.nextSeq; seq++ {
+		seg := tc.send.Get(seq)
 		queued = append(queued, seg.seq)
 		if seg.seq < flight && !seg.rexmit {
 			t.Errorf("requeued segment %d is not marked as a retransmission (Karn)", seg.seq)
 		}
 	}
 	if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}; !slices.Equal(queued, want) {
-		t.Fatalf("send queue after the timeout = %v, want the rest of the flight in seq order ahead of unsent data %v", queued, want)
+		t.Fatalf("waiting behind the cursor after the timeout = %v, want the rest of the flight in seq order ahead of unsent data %v", queued, want)
 	}
 	if depth := tc.QueueDepth(); depth != flight+backlog {
 		t.Fatalf("QueueDepth = %d after the timeout, want %d (one in flight, the rest queued)", depth, flight+backlog)

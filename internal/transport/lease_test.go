@@ -23,8 +23,8 @@ import (
 // cell, the late copy would read whatever message reused it.
 func TestTCPLateDuplicateSeesItsOwnSegment(t *testing.T) {
 	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
-	tc := newSimTCP(sb, "b:5000", "a:100")
-	rc := newSimTCPConn(sa, "a:100", "b:5000")
+	tc := connOn(sb, "b:5000", "a:100")
+	rc := newSimTCPConn(sa, sa.endpoint("a:100"), sa.endpoint("b:5000"))
 	tc.established, rc.established = true, true
 	var got []int
 	rc.SetReceiver(func(payload any, _ int) { got = append(got, payload.(int)) })
@@ -99,7 +99,7 @@ func TestTCPLateDuplicateSeesItsOwnSegment(t *testing.T) {
 // free-list, or leased to another message; releasing it must not pass.
 func TestSegmentSecondReleasePanics(t *testing.T) {
 	_, _, sb := newPair(t, netsim.Route{})
-	tc := newSimTCPConn(sb, "b:5000", "a:100")
+	tc := newSimTCPConn(sb, sb.endpoint("b:5000"), sb.endpoint("a:100"))
 	seg := tc.newSeg()
 	seg.holds = 1
 	sb.net.ReleaseTransit(seg)
@@ -119,10 +119,10 @@ func TestSegmentSecondReleasePanics(t *testing.T) {
 func loadedPair(t *testing.T) (clock *simclock.Clock, sa, sb *Stack, rc, tc *simTCP) {
 	t.Helper()
 	clock, sa, sb = newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
-	rc, tc = newSimTCP(sa, "a:100", "b:5000"), newSimTCP(sb, "b:5000", "a:100")
+	rc, tc = connOn(sa, "a:100", "b:5000"), connOn(sb, "b:5000", "a:100")
 	for _, c := range []*simTCP{rc, tc} {
 		c.established, c.cwnd = true, 4
-		c.stack.net.Register(c.laddr, func(pkt *netsim.Packet) {
+		c.stack.net.Register(c.local.addr, func(pkt *netsim.Packet) {
 			if seg, ok := pkt.Payload.(*tcpSeg); !ok || !seg.fin && seg.seq == 0 && !seg.rexmit {
 				c.stack.net.ReleaseTransit(pkt.Payload)
 				return
@@ -136,9 +136,9 @@ func loadedPair(t *testing.T) (clock *simclock.Clock, sa, sb *Stack, rc, tc *sim
 	}
 	clock.RunUntil(initialRTO / 2)
 	for _, c := range []*simTCP{rc, tc} {
-		if c.QueueDepth() != 10 || c.inflight.Len() != 4 || c.reorder.Len() != 3 || c.stack.segs.Leased() != 10 {
+		if c.QueueDepth() != 10 || c.flight() != 4 || c.reorder.Len() != 3 || c.stack.segs.Leased() != 10 {
 			t.Fatalf("set-up: %s has backlog %d, %d in flight, buffers %d, %d segments leased",
-				c.laddr, c.QueueDepth(), c.inflight.Len(), c.reorder.Len(), c.stack.segs.Leased())
+				c.local.addr, c.QueueDepth(), c.flight(), c.reorder.Len(), c.stack.segs.Leased())
 		}
 	}
 	return clock, sa, sb, rc, tc
@@ -161,7 +161,7 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 		{"peer FIN", func(tc, rc *simTCP) {
 			fin := rc.newSeg()
 			fin.fin, fin.holds = true, 1
-			tc.onPacket(&netsim.Packet{From: rc.laddr, To: tc.laddr, Payload: fin})
+			tc.onPacket(&netsim.Packet{From: rc.local.addr, To: tc.local.addr, Payload: fin})
 		}},
 		{"RTO abort", func(tc, _ *simTCP) {
 			tc.consecutiveRTOs = maxConsecutiveRTOs
@@ -178,9 +178,9 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 				delivered++
 				tc.Close()
 			})
-			seg := rc.inflight.Get(0) // the retransmission of the lost seq 0 arrives
+			seg := rc.send.Get(0) // the retransmission of the lost seq 0 arrives
 			seg.holds++
-			tc.onPacket(&netsim.Packet{From: rc.laddr, To: tc.laddr, FromID: rc.stack.hostID, FromPort: rc.lport, Payload: seg})
+			tc.onPacket(&netsim.Packet{From: rc.local.addr, To: tc.local.addr, FromID: rc.local.id, FromPort: rc.local.port, Payload: seg})
 			if delivered != 1 || tc.rcvNext != 1 {
 				t.Errorf("%d messages delivered, next expected seq %d: want seq 0 alone, the conn having closed under 1..3", delivered, tc.rcvNext)
 			}
@@ -204,8 +204,8 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 			if !tc.closed || tc.QueueDepth() != 10 {
 				t.Fatalf("closed=%v, QueueDepth %d: want closed with the backlog of 10 it had", tc.closed, tc.QueueDepth())
 			}
-			if q, f, r := len(tc.queue)-tc.qhead, tc.inflight.Len(), tc.reorder.Len(); q+f+r != 0 {
-				t.Errorf("the closed conn still holds %d queued, %d in flight, %d buffered", q, f, r)
+			if b, f, r := tc.send.Len(), tc.flight(), tc.reorder.Len(); b+f+r != 0 {
+				t.Errorf("the closed conn still holds %d to send, counts %d in flight, buffers %d", b, f, r)
 			}
 			// Of what tc sent, only what the peer buffers is still out, and the
 			// peer has its own ten back to itself.
@@ -230,14 +230,13 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 	}
 }
 
-// TestTeardownRecyclesConnStorage: a conn's send-queue array and its flight
-// and reorder rings outlive it on its stack's free-list, so a host that dials,
-// talks and hangs up over and over — every open-loop client, every server —
-// grows them once. A cycle on warm stacks must cost at least the six
-// allocations (two conns, three arrays each) fewer than the same cycle with
-// the free-lists emptied first; and what waits on a free-list is capacity
-// alone: no slot of it, the queue's consumed prefix included, still points at
-// a segment that has since been leased to someone else.
+// TestTeardownRecyclesConnStorage: a conn's send and reorder rings outlive it
+// on its stack's free-list, so a host that dials, talks and hangs up over and
+// over — every open-loop client, every server — grows them once. A cycle on
+// warm stacks must cost at least the four allocations (two conns, two rings
+// each) fewer than the same cycle with the free-lists emptied first; and what
+// waits on a free-list is capacity alone: no slot of it still points at a
+// segment that has since been leased to someone else.
 func TestTeardownRecyclesConnStorage(t *testing.T) {
 	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
 	var srv Conn
@@ -268,18 +267,18 @@ func TestTeardownRecyclesConnStorage(t *testing.T) {
 		cycle()
 	})
 	t.Logf("allocations per dial-exchange-close cycle: %.0f on recycled storage, %.0f growing it afresh", steady, fresh)
-	if fresh-steady < 6 {
-		t.Errorf("a cycle allocates %.0f on recycled conn storage and %.0f without it: want the queue and both rings of both conns saved", steady, fresh)
+	if fresh-steady < 4 {
+		t.Errorf("a cycle allocates %.0f on recycled conn storage and %.0f without it: want both rings of both conns saved", steady, fresh)
 	}
 	for _, s := range []*Stack{sa, sb} {
 		if len(s.connFree) != 1 || s.segs.Leased() != 0 {
 			t.Fatalf("%s: %d conns' storage on the free-list with every conn closed, %d segments on lease; want 1 and 0", s.host, len(s.connFree), s.segs.Leased())
 		}
 		st := s.connFree[0]
-		if cap(st.queue) == 0 || len(st.flight) == 0 || len(st.reorder) == 0 {
-			t.Errorf("%s: the recycled storage is a queue of %d and rings of %d and %d slots: the cycle did not use all three", s.host, cap(st.queue), len(st.flight), len(st.reorder))
+		if len(st.send) == 0 || len(st.reorder) == 0 {
+			t.Errorf("%s: the recycled storage is rings of %d and %d slots: the cycle did not use both", s.host, len(st.send), len(st.reorder))
 		}
-		for _, arr := range [][]*tcpSeg{st.queue[:cap(st.queue)], st.flight, st.reorder} {
+		for _, arr := range [][]*tcpSeg{st.send, st.reorder} {
 			if i := slices.IndexFunc(arr, func(seg *tcpSeg) bool { return seg != nil }); i >= 0 {
 				t.Errorf("%s: slot %d of a recycled array still points at a segment", s.host, i)
 			}
@@ -296,7 +295,7 @@ func intSync(c *snap.Codec, payload *any) {
 
 // TestRestoreRebuildsSegmentHolds: holder counts are not in a snapshot, so a
 // restore must give every segment it rebuilds one holder per place it is
-// restored into — the sender's flight or queue, and each reference on the
+// restored into — the sender's send buffer, and each reference on the
 // wire (a wire segment of a live conn restores as a reference to the conn's
 // own segment, so the two stay one object). The restored world then runs to
 // the end with restored cells recycling: everything delivered once, in order,
@@ -318,7 +317,7 @@ func TestRestoreRebuildsSegmentHolds(t *testing.T) {
 	}
 
 	clock, sa, sb := newPair(t, route)
-	var rc, tc Conn = newSimTCP(sa, "a:100", "b:5000"), newSimTCP(sb, "b:5000", "a:100")
+	var rc, tc Conn = connOn(sa, "a:100", "b:5000"), connOn(sb, "b:5000", "a:100")
 	rc.(*simTCP).established, tc.(*simTCP).established = true, true
 	tc.(*simTCP).cwnd = 4
 	for i := 0; i < 6; i++ {
@@ -332,17 +331,15 @@ func TestRestoreRebuildsSegmentHolds(t *testing.T) {
 	rc, tc = nil, nil
 	walk(snap.NewDecoder(buf.Bytes()), clock, sa, sb, &rc, &tc)
 	sender := tc.(*simTCP)
-	if sender.inflight.Len() != 4 || len(sender.queue)-sender.qhead != 2 {
-		t.Fatalf("restored sender has %d in flight and %d queued, want 4 and 2", sender.inflight.Len(), len(sender.queue)-sender.qhead)
+	if sender.flight() != 4 || sender.send.Len() != 6 {
+		t.Fatalf("restored sender has %d in flight of %d to send, want 4 of 6", sender.flight(), sender.send.Len())
 	}
-	for seq, seg := range sender.inflight.Each {
-		if seg.holds != 2 {
+	for seq, seg := range sender.send.Each {
+		if seq < sender.sndNxt && seg.holds != 2 {
 			t.Errorf("restored segment %d in flight has %d holders, want the sender and its copy on the wire", seq, seg.holds)
 		}
-	}
-	for _, seg := range sender.queue[sender.qhead:] {
-		if seg.holds != 1 {
-			t.Errorf("restored queued segment %d has %d holders, want the sender alone", seg.seq, seg.holds)
+		if seq >= sender.sndNxt && seg.holds != 1 {
+			t.Errorf("restored unsent segment %d has %d holders, want the sender alone", seg.seq, seg.holds)
 		}
 	}
 	var got []int

@@ -19,28 +19,33 @@ import (
 //   - strictly in-order delivery, so a loss stalls everything behind it
 //     (head-of-line blocking — the cause of TCP's occasional jitter spikes)
 //
+// The sender keeps what TCP keeps: one send buffer of everything between
+// snd.una (sendBase) and the next sequence to assign, and snd.nxt (sndNxt)
+// within it. The buffer holds a segment until the cumulative ACK passes it or
+// the conn closes; go-back-N is the cursor moving back.
+//
 // It deliberately omits byte-granularity sequence space, SACK, Nagle and
 // flow-control negotiation; none of those change the study's observables.
 type simTCP struct {
-	stack   *Stack
-	laddr   netsim.Addr
-	raddr   netsim.Addr
-	raddrID netsim.HostID // resolved once; refreshed when raddr changes
-	lport   int32         // pre-parsed port of laddr
-	rport   int32         // pre-parsed port of raddr; refreshed with raddr
+	stack *Stack
+	local endpoint
+	peer  endpoint // a dialing conn's is the listener until the SYN-ACK names the conn that answered
 
 	established bool
 	closed      bool
-	depth       int      // QueueDepth as teardown froze it; read only once closed
-	dial        *tcpDial // the DialTCP still waiting on this conn's handshake
+	depth       int          // QueueDepth as teardown froze it; read only once closed
+	dial        *tcpDial     // the DialTCP still waiting on this conn's handshake
+	accepted    *tcpListener // the accept table an accepted conn is in until it closes
 	recv        func(any, int)
 
-	// Sender state.
-	nextSeq  uint64    // next sequence to assign
-	sendBase uint64    // oldest unacked
-	queue    []*tcpSeg // send queue; live region is queue[qhead:]
-	qhead    int       // consumed prefix — see pump (head index, not re-slice)
-	inflight seqwin.Window[*tcpSeg]
+	// Sender state, as TCP keeps it: one buffer holds every segment Send has
+	// taken and no cumulative ACK has passed, [sendBase, nextSeq), and a cursor
+	// splits it into the flight [sendBase, sndNxt) and what waits for the
+	// window to open. A timeout moves the cursor back; no segment moves.
+	nextSeq  uint64 // next sequence to assign
+	sendBase uint64 // oldest unacked
+	sndNxt   uint64 // next sequence to put on the wire
+	send     seqwin.Window[*tcpSeg]
 	cwnd     float64 // congestion window, segments
 	ssthresh float64
 	dupAcks  int
@@ -68,9 +73,9 @@ type simTCP struct {
 // aborts (the peer is presumed gone).
 const maxConsecutiveRTOs = 8
 
-func newSimTCP(s *Stack, laddr, raddr netsim.Addr) *simTCP {
-	c := newSimTCPConn(s, laddr, raddr)
-	s.net.Register(laddr, c.onPacket)
+func newSimTCP(s *Stack, local, peer endpoint) *simTCP {
+	c := newSimTCPConn(s, local, peer)
+	s.net.Register(local.addr, c.onPacket)
 	return c
 }
 
@@ -78,14 +83,11 @@ func newSimTCP(s *Stack, laddr, raddr netsim.Addr) *simTCP {
 // The restore path uses it directly for conns that were closed at
 // checkpoint time: a closed conn was already unregistered in the live run,
 // and its host may be detached entirely (a departed open-loop client).
-func newSimTCPConn(s *Stack, laddr, raddr netsim.Addr) *simTCP {
+func newSimTCPConn(s *Stack, local, peer endpoint) *simTCP {
 	c := &simTCP{
 		stack:    s,
-		laddr:    laddr,
-		raddr:    raddr,
-		raddrID:  s.net.Intern(raddr.Host()),
-		lport:    laddr.Port(),
-		rport:    raddr.Port(),
+		local:    local,
+		peer:     peer,
 		cwnd:     2,
 		ssthresh: 64,
 		rto:      initialRTO,
@@ -94,8 +96,7 @@ func newSimTCPConn(s *Stack, laddr, raddr netsim.Addr) *simTCP {
 		st := s.connFree[k]
 		s.connFree[k] = tcpStore{}
 		s.connFree = s.connFree[:k]
-		c.queue = st.queue
-		c.inflight.Adopt(st.flight)
+		c.send.Adopt(st.send)
 		c.reorder.Adopt(st.reorder)
 	}
 	return c
@@ -108,16 +109,17 @@ func (c *simTCP) Send(payload any, size int) error {
 		c.stack.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
+	if c.send.Len() >= seqwin.MaxSpan {
+		// A full socket: one more and the window would make room by evicting
+		// the oldest unacknowledged segment.
+		c.stack.net.ReleaseTransit(payload)
+		return ErrSendBufferFull
+	}
 	seg := c.newSeg()
 	seg.seq, seg.payload, seg.size = c.nextSeq, payload, size
-	seg.holds = 1 // the sender's, for as long as the segment is queued or in flight
+	seg.holds = 1 // the send buffer's, until the cumulative ACK passes it or the conn closes
+	c.send.Put(c.nextSeq, seg)
 	c.nextSeq++
-	if c.qhead == len(c.queue) {
-		// Drained: rewind so the append below reuses the backing array
-		// from the front instead of growing it forever.
-		c.queue, c.qhead = c.queue[:0], 0
-	}
-	c.queue = append(c.queue, seg)
 	c.pump()
 	return nil
 }
@@ -145,44 +147,43 @@ func (c *simTCP) Close() error {
 
 // teardown is where every way a conn ends meets — Close, the peer's FIN, the
 // RTO abort, a dial that timed out — and a closed conn holds nothing: it is
-// off the clock and the network, and the sender's reference on every segment
-// queued or in flight and the segments waiting in its reorder buffer are
-// released here, by whoever closes. All that outlives the close is the
-// backlog QueueDepth answered at that instant, frozen, because a server paces
-// against a dead conn's QueueDepth until the session is reaped. When an
-// application callback closes the conn from inside onSegment's delivery loop,
-// the segment being delivered has already left the reorder buffer: the loop
-// releases it, teardown what is still buffered behind it.
+// off the clock, the network and the accept table of the listener that took
+// it, and the send buffer's reference on every segment in it, sent or not, and
+// the segments waiting in the reorder buffer are released here, by whoever
+// closes. All that outlives the close is the backlog QueueDepth answered at
+// that instant, frozen, because a server paces against a dead conn's
+// QueueDepth until the session is reaped. When an application callback closes
+// the conn from inside onSegment's delivery loop, the segment being delivered
+// has already left the reorder buffer: the loop releases it, teardown what is
+// still buffered behind it.
 //
-// The storage goes too: the send queue's array and both rings, cleared of
-// every segment pointer (the queue's consumed and rewound slots included),
-// are left on the stack's free-list, where the host's next conn starts on them
-// instead of growing its own. Tearing down a closed conn does nothing.
+// The storage goes too: both rings, cleared of every segment pointer, are left
+// on the stack's free-list, where the host's next conn starts on them instead
+// of growing its own. Tearing down a closed conn does nothing.
 func (c *simTCP) teardown() {
 	if c.closed {
 		return
 	}
 	c.rtoTimer.Cancel()
 	c.rtoTimer = simclock.Timer{}
-	c.stack.net.Unregister(c.laddr)
+	c.stack.net.Unregister(c.local.addr)
+	if l := c.accepted; l != nil && l.seen[c.peer.addr] == c {
+		delete(l.seen, c.peer.addr)
+	}
 	c.depth = c.QueueDepth()
 	c.closed = true
-	for _, seg := range c.queue[c.qhead:] {
-		c.stack.net.ReleaseTransit(seg)
-	}
-	for _, w := range []*seqwin.Window[*tcpSeg]{&c.inflight, &c.reorder} {
+	for _, w := range []*seqwin.Window[*tcpSeg]{&c.send, &c.reorder} {
 		for _, seg := range w.Each {
 			c.stack.net.ReleaseTransit(seg)
 		}
 	}
-	clear(c.queue[:cap(c.queue)])
-	c.stack.connFree = append(c.stack.connFree, tcpStore{c.queue[:0], c.inflight.Yield(), c.reorder.Yield()})
-	c.queue, c.qhead = nil, 0
+	c.stack.connFree = append(c.stack.connFree, tcpStore{c.send.Yield(), c.reorder.Yield()})
+	c.sndNxt = c.sendBase // nothing of a closed conn's is in flight
 }
 
 func (c *simTCP) Protocol() Protocol { return TCP }
-func (c *simTCP) LocalAddr() string  { return string(c.laddr) }
-func (c *simTCP) RemoteAddr() string { return string(c.raddr) }
+func (c *simTCP) LocalAddr() string  { return string(c.local.addr) }
+func (c *simTCP) RemoteAddr() string { return string(c.peer.addr) }
 func (c *simTCP) RTT() time.Duration { return c.srtt }
 
 // QueueDepth reports how many messages are waiting or in flight — the
@@ -192,15 +193,18 @@ func (c *simTCP) QueueDepth() int {
 	if c.closed {
 		return c.depth
 	}
-	return len(c.queue) - c.qhead + c.inflight.Len()
+	return c.send.Len()
 }
+
+// flight is how many segments are on the wire or lost: [sendBase, sndNxt).
+func (c *simTCP) flight() int { return int(c.sndNxt - c.sendBase) }
 
 // Counters returns (retransmits, fastRetransmits, timeouts).
 func (c *simTCP) Counters() (uint64, uint64, uint64) {
 	return c.retransmits, c.fastRexmits, c.timeouts
 }
 
-// pump transmits queued segments while the congestion window allows.
+// pump transmits from the cursor while the congestion window allows.
 func (c *simTCP) pump() {
 	if !c.established || c.closed {
 		return
@@ -209,15 +213,9 @@ func (c *simTCP) pump() {
 	if limit > rwndSegs {
 		limit = rwndSegs
 	}
-	for c.qhead < len(c.queue) && c.inflight.Len() < limit {
-		seg := c.queue[c.qhead]
-		c.qhead++
-		if seg.seq < c.sendBase {
-			// Requeued after a timeout but since acknowledged: the sender is
-			// done with it here, not in onAck, which only sees the flight.
-			c.stack.net.ReleaseTransit(seg)
-			continue
-		}
+	for c.sndNxt < c.nextSeq && c.flight() < limit {
+		seg := c.send.Get(c.sndNxt)
+		c.sndNxt++
 		c.transmit(seg, false)
 	}
 }
@@ -225,7 +223,6 @@ func (c *simTCP) pump() {
 func (c *simTCP) transmit(seg *tcpSeg, rexmit bool) {
 	seg.ts = c.stack.clock.Now()
 	seg.rexmit = seg.rexmit || rexmit
-	c.inflight.Put(seg.seq, seg)
 	c.segsSent++
 	if rexmit {
 		c.retransmits++
@@ -238,7 +235,7 @@ func (c *simTCP) transmit(seg *tcpSeg, rexmit bool) {
 // may drop and release synchronously. A handshake or FIN segment has no other.
 func (c *simTCP) sendRaw(seg *tcpSeg, size int) {
 	seg.holds++
-	c.stack.sendPooled(c.laddr, c.raddr, c.stack.hostID, c.raddrID, c.lport, c.rport, size+segHeader, seg)
+	c.stack.sendPooled(c.local, c.peer, size+segHeader, seg)
 }
 
 // sendSyn and sendSynAck emit pooled handshake segments.
@@ -260,7 +257,7 @@ func (c *simTCP) Fire(time.Duration) { c.onRTO() }
 
 func (c *simTCP) armRTO() {
 	c.rtoTimer.Cancel()
-	if c.inflight.Len() == 0 {
+	if c.flight() == 0 {
 		c.rtoTimer = simclock.Timer{}
 		return
 	}
@@ -268,7 +265,7 @@ func (c *simTCP) armRTO() {
 }
 
 func (c *simTCP) onRTO() {
-	if c.closed || c.inflight.Len() == 0 {
+	if c.closed || c.flight() == 0 {
 		return
 	}
 	c.timeouts++
@@ -279,31 +276,19 @@ func (c *simTCP) onRTO() {
 		c.teardown()
 		return
 	}
-	// Collapse the window, retransmit the oldest unacked segment, and put
-	// every other unacked segment back at the head of the send queue
-	// (go-back-N): a timeout usually means the whole flight is gone, and
-	// leaving stale entries in the inflight set would wedge the window.
+	// Collapse the window and go back N: a timeout usually means the whole
+	// flight is gone, so the cursor returns to just past the oldest unacked
+	// segment, which is retransmitted now; the rest of the old flight goes out
+	// again, oldest first, as the ACK clock reopens the window.
 	c.ssthresh = maxF(c.cwnd/2, 2)
 	c.cwnd = 1
 	c.dupAcks = 0
 	c.rto = minDur(c.rto*2, maxRTO)
-	// Prepend in place: grow the queue, shift the existing tail right, and
-	// lay the rest of the flight in front of it — the window walks in seq
-	// order, oldest first.
-	_, oldest := c.inflight.Min()
-	n := c.inflight.Len() - 1
-	c.queue = append(c.queue, make([]*tcpSeg, n)...)
-	copy(c.queue[c.qhead+n:], c.queue[c.qhead:len(c.queue)-n])
-	at := c.qhead
-	for _, seg := range c.inflight.Each {
-		if seg != oldest {
-			seg.rexmit = true // Karn: never RTT-sample these again
-			c.queue[at] = seg
-			at++
-		}
+	for seq := c.sendBase + 1; seq < c.sndNxt; seq++ {
+		c.send.Get(seq).rexmit = true // Karn: never RTT-sample these again
 	}
-	c.inflight.Reset()
-	c.transmit(oldest, true)
+	c.sndNxt = c.sendBase + 1
+	c.transmit(c.send.Get(c.sendBase), true)
 }
 
 // onPacket handles every arrival addressed to this conn: segments from the
@@ -327,12 +312,7 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 	case seg.synAck:
 		// Our SYN was answered; the peer's data address is the SYN-ACK's
 		// source (the listener accepted on an ephemeral port).
-		c.raddr = pkt.From
-		c.raddrID = pkt.FromID
-		c.rport = pkt.FromPort
-		if c.rport == 0 {
-			c.rport = pkt.From.Port()
-		}
+		c.peer = peerOf(pkt)
 		c.established = true
 		if c.dial != nil {
 			c.dial.finish(nil)
@@ -388,20 +368,22 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 	c.reorder.DropBelow(c.rcvNext) // nothing is left there; the window's edge keeps up
 	ack := c.stack.getAck()
 	ack.cumAck, ack.ts, ack.echoOK = c.rcvNext, ackTS, ackEchoOK
-	c.stack.sendPooled(c.laddr, pkt.From, c.stack.hostID, pkt.FromID, c.lport, pkt.FromPort, ackSize, ack)
+	c.stack.sendPooled(c.local, peerOf(pkt), ackSize, ack)
 }
 
 func (c *simTCP) onAck(a *tcpAck) {
 	if a.cumAck > c.sendBase {
 		// New data acknowledged: everything below the cumulative ACK leaves
-		// the flight, and the sender lets go of it.
-		for seq := c.sendBase; seq < min(a.cumAck, c.nextSeq); seq++ {
-			if seg := c.inflight.Get(seq); seg != nil {
-				c.stack.net.ReleaseTransit(seg)
-			}
+		// the buffer and the sender lets go of it — sent or not, for after a
+		// timeout the peer may acknowledge, out of what it had buffered, past
+		// where the cursor went back to; the cursor then starts from there.
+		acked := int(min(a.cumAck, c.sndNxt) - c.sendBase) // what left the flight
+		for seq, cut := c.sendBase, min(a.cumAck, c.nextSeq); seq < cut; seq++ {
+			c.stack.net.ReleaseTransit(c.send.Get(seq))
 		}
-		acked := c.inflight.DropBelow(a.cumAck)
+		c.send.DropBelow(a.cumAck)
 		c.sendBase = a.cumAck
+		c.sndNxt = max(c.sndNxt, c.sendBase)
 		c.dupAcks = 0
 		c.consecutiveRTOs = 0
 		// Karn's algorithm: only sample RTT from segments never
@@ -425,16 +407,14 @@ func (c *simTCP) onAck(a *tcpAck) {
 		c.pump()
 		return
 	}
-	if a.cumAck == c.sendBase && c.inflight.Len() > 0 {
+	if a.cumAck == c.sendBase && c.flight() > 0 {
 		c.dupAcks++
 		if c.dupAcks == 3 {
 			// Fast retransmit + multiplicative decrease.
 			c.fastRexmits++
 			c.ssthresh = maxF(c.cwnd/2, 2)
 			c.cwnd = c.ssthresh
-			if seg := c.inflight.Get(c.sendBase); seg != nil {
-				c.transmit(seg, true)
-			}
+			c.transmit(c.send.Get(c.sendBase), true)
 		}
 	}
 }

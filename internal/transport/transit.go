@@ -7,10 +7,10 @@ import "realtracer/internal/netsim"
 // originals and copies (netsim/transit.go): whoever reads a payload last
 // releases it, once per Send.
 //
-// An original segment counts its readers in holds: one for the sender from
-// Send until onAck's cumulative ACK passes it, pump skips it as already
-// acknowledged, or the conn closes (teardown: whoever closes releases); one
-// per sendRaw, released by the network (a drop, or the WAN-edge snapshot of a
+// An original segment counts its readers in holds: one for the conn's send
+// buffer, from Send until the cumulative ACK passes it (onAck) — sent or not —
+// or the conn closes (teardown: whoever closes releases); one per sendRaw,
+// each copy on the wire, released by the network (a drop, or the WAN-edge snapshot of a
 // sharded world) or by the receiving conn — which, on the classic engine,
 // reads the live ts/rexmit of the very segment the sender retransmits, and
 // whose reorder buffer simply keeps the reference a segment arrived with until
@@ -21,7 +21,7 @@ import "realtracer/internal/netsim"
 // closed) has that one too and no pool to go back to. Releasing a segment
 // nobody holds panics.
 // Holder counts are not in a snapshot: a restore rebuilds them from who holds
-// the restored segment — the conn's queue or flight, its reorder buffer, each
+// the restored segment — the conn's send buffer, its reorder buffer, each
 // reference on the wire.
 //
 // An original ACK has one reader and goes back to origin.ackFree; one a

@@ -69,6 +69,10 @@ type Conn interface {
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("transport: connection closed")
 
+// ErrSendBufferFull is returned by a simulated TCP conn's Send when the conn
+// already holds seqwin.MaxSpan unacknowledged messages: a full socket.
+var ErrSendBufferFull = errors.New("transport: send buffer full")
+
 // ErrTimeout is reported to Dial callbacks when the peer never answers.
 var ErrTimeout = errors.New("transport: connect timeout")
 
@@ -110,15 +114,40 @@ type Stack struct {
 	dials []*tcpDial
 }
 
-// tcpStore is a closed conn's send-queue array and flight and reorder rings,
-// every slot cleared: capacity, nothing else.
+// tcpStore is a closed conn's send and reorder rings, every slot cleared:
+// capacity, nothing else.
 type tcpStore struct {
-	queue, flight, reorder []*tcpSeg
+	send, reorder []*tcpSeg
+}
+
+// endpoint is one end of a conn, resolved once so the per-packet path hands
+// netsim IDs and ports instead of strings: the address, its host's interned ID
+// (zero: netsim resolves it by name) and its port, pre-parsed (zero: delivery
+// falls back from the dense port table to the address map).
+type endpoint struct {
+	addr netsim.Addr
+	id   netsim.HostID
+	port int32
+}
+
+// endpoint resolves addr, interning its host.
+func (s *Stack) endpoint(addr netsim.Addr) endpoint {
+	return endpoint{addr, s.net.Intern(addr.Host()), addr.Port()}
+}
+
+// peerOf is the endpoint a delivered packet came from, as netsim resolved it.
+func peerOf(pkt *netsim.Packet) endpoint {
+	e := endpoint{pkt.From, pkt.FromID, pkt.FromPort}
+	if e.port == 0 {
+		e.port = pkt.From.Port()
+	}
+	return e
 }
 
 // tcpListener is the per-port accept state: the SYN-dedup map that makes a
 // retried SYN from the same client reuse the existing conn instead of
-// forking a fresh server-side session.
+// forking a fresh server-side session. A conn leaves it when it closes
+// (simTCP.teardown): client ports never repeat, so nothing else would.
 type tcpListener struct {
 	seen map[netsim.Addr]*simTCP
 }
@@ -148,15 +177,12 @@ func (s *Stack) getAck() *tcpAck {
 	return &tcpAck{origin: s, leased: true}
 }
 
-// sendPooled ships one pooled packet with pre-resolved endpoints. fromPort
-// and toPort are the pre-parsed port components of from/to (zero when
-// unknown); a nonzero toPort lets delivery resolve the destination handler
-// through the dense per-host port table instead of the address map.
-func (s *Stack) sendPooled(from, to netsim.Addr, fromID, toID netsim.HostID, fromPort, toPort int32, size int, payload any) {
+// sendPooled ships one pooled packet between pre-resolved endpoints.
+func (s *Stack) sendPooled(from, to endpoint, size int, payload any) {
 	pkt := s.net.Obtain()
-	pkt.From, pkt.To = from, to
-	pkt.FromID, pkt.ToID = fromID, toID
-	pkt.FromPort, pkt.ToPort = fromPort, toPort
+	pkt.From, pkt.To = from.addr, to.addr
+	pkt.FromID, pkt.ToID = from.id, to.id
+	pkt.FromPort, pkt.ToPort = from.port, to.port
 	pkt.Size = size
 	pkt.Payload = payload
 	s.net.Send(pkt)
@@ -169,17 +195,17 @@ func (s *Stack) Host() string { return s.host }
 // nor timed out yet.
 func (s *Stack) DialsInFlight() int { return len(s.dials) }
 
-func (s *Stack) ephemeral() netsim.Addr {
+func (s *Stack) ephemeral() endpoint {
 	s.next++
 	return s.addr(s.next)
 }
 
-// addr renders "host:port" in a stack buffer, so the address costs the one
-// allocation that keeps it.
-func (s *Stack) addr(port int) netsim.Addr {
+// addr is the stack's own endpoint on port: "host:port" rendered in a stack
+// buffer, so the address costs the one allocation that keeps it.
+func (s *Stack) addr(port int) endpoint {
 	var buf [64]byte
 	b := append(append(buf[:0], s.host...), ':')
-	return netsim.Addr(strconv.AppendInt(b, int64(port), 10))
+	return endpoint{netsim.Addr(strconv.AppendInt(b, int64(port), 10)), s.hostID, int32(port)}
 }
 
 // control messages exchanged by the simulated TCP machinery.
@@ -194,9 +220,9 @@ type tcpSeg struct {
 	ts      time.Duration // sender timestamp for RTT sampling
 	rexmit  bool
 	transit bool // true on a leased shard-transit copy; false on originals
-	// holds counts the readers an original still has (transit.go): the
-	// sender, while the segment is queued or in flight, and one per copy on
-	// the wire or in the peer's reorder buffer.
+	// holds counts the readers an original still has (transit.go): the send
+	// buffer, until the cumulative ACK passes the segment or the conn closes,
+	// and one per copy on the wire or in the peer's reorder buffer.
 	holds int32
 }
 
@@ -214,7 +240,7 @@ type tcpAck struct {
 // session layer can attach its receiver before any data flows. It returns a
 // function that stops the listener.
 func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
-	laddr := s.addr(port)
+	laddr := s.addr(port).addr
 	// Retried SYNs from the same client must reuse the existing conn, or
 	// each retry would fork a fresh server-side session.
 	l := &tcpListener{seen: make(map[netsim.Addr]*simTCP)}
@@ -235,8 +261,9 @@ func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
 		}
 		// The server side answers from a fresh ephemeral port; the client
 		// learns the connection's address from the SYN-ACK source.
-		c := newSimTCP(s, s.ephemeral(), pkt.From)
+		c := newSimTCP(s, s.ephemeral(), peerOf(pkt))
 		c.established = true
+		c.accepted = l
 		seen[pkt.From] = c
 		accept(c)
 		c.sendSynAck()
@@ -281,7 +308,7 @@ func (x *dialRetryArm) Fire(time.Duration)   { x.conn.sendSyn() }
 // before the dial gives up. It returns the dialing socket's local address,
 // which names the dial to ReattachDial after a checkpoint restore.
 func (s *Stack) DialTCP(raddr string, cb func(Conn, error)) (laddr string) {
-	c := newSimTCP(s, s.ephemeral(), netsim.Addr(raddr))
+	c := newSimTCP(s, s.ephemeral(), s.endpoint(netsim.Addr(raddr)))
 	d := &tcpDial{conn: c, cb: cb}
 	// Timeout first, then the retries: the order fixes the events' seqs.
 	d.timeout = s.clock.AfterHandler(dialTimeout, (*dialTimeoutArm)(d))
@@ -291,7 +318,7 @@ func (s *Stack) DialTCP(raddr string, cb func(Conn, error)) (laddr string) {
 	c.dial = d
 	s.dials = append(s.dials, d)
 	c.sendSyn()
-	return string(c.laddr)
+	return string(c.local.addr)
 }
 
 // finish resolves the dial: established when err is nil, timed out
@@ -323,8 +350,8 @@ func (d *tcpDial) finish(err error) {
 // sender's address. The returned port object sends datagrams and can be
 // closed.
 func (s *Stack) ListenUDP(port int, recv func(from string, payload any, size int)) *UDPPort {
-	p := &UDPPort{stack: s, laddr: s.addr(port), lport: int32(port)}
-	s.net.Register(p.laddr, func(pkt *netsim.Packet) {
+	p := &UDPPort{stack: s, local: s.addr(port)}
+	s.net.Register(p.local.addr, func(pkt *netsim.Packet) {
 		// recv consumes the datagram synchronously (the receiver contract in
 		// each payload package's transit.go), so it is released as soon as
 		// recv returns — and on the closed-port drop too. Released
@@ -341,19 +368,18 @@ func (s *Stack) ListenUDP(port int, recv func(from string, payload any, size int
 // DialUDP returns a connected UDP Conn bound to an ephemeral local port.
 // There is no handshake; the conn is usable immediately.
 func (s *Stack) DialUDP(raddr string) Conn {
-	return s.newSimUDP(s.ephemeral(), netsim.Addr(raddr))
+	return s.newSimUDP(s.ephemeral(), s.endpoint(netsim.Addr(raddr)))
 }
 
 // newSimUDP builds a connected UDP conn on an explicit local address — the
 // shared path of DialUDP and conn restore.
-func (s *Stack) newSimUDP(laddr, ra netsim.Addr) *simUDP {
-	c := &simUDP{stack: s, laddr: laddr, raddr: ra, raddrID: s.net.Intern(ra.Host())}
-	c.lport, c.rport = c.laddr.Port(), ra.Port()
-	s.net.Register(c.laddr, func(pkt *netsim.Packet) {
+func (s *Stack) newSimUDP(local, peer endpoint) *simUDP {
+	c := &simUDP{stack: s, local: local, peer: peer}
+	s.net.Register(local.addr, func(pkt *netsim.Packet) {
 		// Same synchronous-consumption contract as ListenUDP: released on
 		// every exit, consumed or dropped (explicit, not deferred —
 		// per-datagram path).
-		if !c.closed && c.recv != nil && pkt.From == c.raddr {
+		if !c.closed && c.recv != nil && pkt.From == c.peer.addr {
 			c.recv(pkt.Payload, pkt.Size-udpHeader)
 		}
 		s.net.ReleaseTransit(pkt.Payload)
@@ -364,13 +390,12 @@ func (s *Stack) newSimUDP(laddr, ra netsim.Addr) *simUDP {
 // UDPPort is an unconnected UDP endpoint (the server's data port).
 type UDPPort struct {
 	stack  *Stack
-	laddr  netsim.Addr
-	lport  int32 // pre-parsed port of laddr
+	local  endpoint
 	closed bool
 }
 
 // LocalAddr returns the bound address.
-func (p *UDPPort) LocalAddr() string { return string(p.laddr) }
+func (p *UDPPort) LocalAddr() string { return string(p.local.addr) }
 
 // SendTo transmits one datagram to addr. Senders with a stable peer should
 // prefer ConnFor, which resolves the destination host once.
@@ -379,8 +404,10 @@ func (p *UDPPort) SendTo(addr string, payload any, size int) error {
 		p.stack.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
+	// The host ID stays zero and netsim finds the host by name: a one-off
+	// datagram does not intern it.
 	to := netsim.Addr(addr)
-	p.stack.sendPooled(p.laddr, to, p.stack.hostID, 0, p.lport, to.Port(), size+udpHeader, payload)
+	p.stack.sendPooled(p.local, endpoint{addr: to, port: to.Port()}, size+udpHeader, payload)
 	return nil
 }
 
@@ -388,7 +415,7 @@ func (p *UDPPort) SendTo(addr string, payload any, size int) error {
 func (p *UDPPort) Close() error {
 	if !p.closed {
 		p.closed = true
-		p.stack.net.Unregister(p.laddr)
+		p.stack.net.Unregister(p.local.addr)
 	}
 	return nil
 }
@@ -399,16 +426,12 @@ func (p *UDPPort) Close() error {
 // still happens through the port's recv callback, so SetReceiver on the
 // returned Conn panics; servers demultiplex by sender address instead.
 func (p *UDPPort) ConnFor(raddr string) Conn {
-	ra := netsim.Addr(raddr)
-	return &udpPortConn{port: p, raddr: raddr, to: ra, toID: p.stack.net.Intern(ra.Host()), toPort: ra.Port()}
+	return &udpPortConn{port: p, peer: p.stack.endpoint(netsim.Addr(raddr))}
 }
 
 type udpPortConn struct {
-	port   *UDPPort
-	raddr  string
-	to     netsim.Addr
-	toID   netsim.HostID
-	toPort int32 // pre-parsed port of to
+	port *UDPPort
+	peer endpoint
 }
 
 func (c *udpPortConn) Send(payload any, size int) error {
@@ -417,7 +440,7 @@ func (c *udpPortConn) Send(payload any, size int) error {
 		s.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
-	s.sendPooled(c.port.laddr, c.to, s.hostID, c.toID, c.port.lport, c.toPort, size+udpHeader, payload)
+	s.sendPooled(c.port.local, c.peer, size+udpHeader, payload)
 	return nil
 }
 func (c *udpPortConn) SetReceiver(func(any, int)) {
@@ -425,20 +448,17 @@ func (c *udpPortConn) SetReceiver(func(any, int)) {
 }
 func (c *udpPortConn) Close() error       { return nil }
 func (c *udpPortConn) Protocol() Protocol { return UDP }
-func (c *udpPortConn) LocalAddr() string  { return string(c.port.laddr) }
-func (c *udpPortConn) RemoteAddr() string { return c.raddr }
+func (c *udpPortConn) LocalAddr() string  { return string(c.port.local.addr) }
+func (c *udpPortConn) RemoteAddr() string { return string(c.peer.addr) }
 func (c *udpPortConn) RTT() time.Duration { return 0 }
 
 // simUDP is the client-side connected UDP conn.
 type simUDP struct {
-	stack   *Stack
-	laddr   netsim.Addr
-	raddr   netsim.Addr
-	raddrID netsim.HostID
-	lport   int32 // pre-parsed port of laddr
-	rport   int32 // pre-parsed port of raddr
-	recv    func(any, int)
-	closed  bool
+	stack  *Stack
+	local  endpoint
+	peer   endpoint
+	recv   func(any, int)
+	closed bool
 }
 
 func (c *simUDP) Send(payload any, size int) error {
@@ -446,18 +466,18 @@ func (c *simUDP) Send(payload any, size int) error {
 		c.stack.net.ReleaseTransit(payload)
 		return ErrClosed
 	}
-	c.stack.sendPooled(c.laddr, c.raddr, c.stack.hostID, c.raddrID, c.lport, c.rport, size+udpHeader, payload)
+	c.stack.sendPooled(c.local, c.peer, size+udpHeader, payload)
 	return nil
 }
 func (c *simUDP) SetReceiver(fn func(any, int)) { c.recv = fn }
 func (c *simUDP) Close() error {
 	if !c.closed {
 		c.closed = true
-		c.stack.net.Unregister(c.laddr)
+		c.stack.net.Unregister(c.local.addr)
 	}
 	return nil
 }
 func (c *simUDP) Protocol() Protocol { return UDP }
-func (c *simUDP) LocalAddr() string  { return string(c.laddr) }
-func (c *simUDP) RemoteAddr() string { return string(c.raddr) }
+func (c *simUDP) LocalAddr() string  { return string(c.local.addr) }
+func (c *simUDP) RemoteAddr() string { return string(c.peer.addr) }
 func (c *simUDP) RTT() time.Duration { return 0 }

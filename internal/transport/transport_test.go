@@ -23,6 +23,11 @@ func newPair(t *testing.T, route netsim.Route) (*simclock.Clock, *Stack, *Stack)
 	return clock, NewStack(n, "a"), NewStack(n, "b")
 }
 
+// connOn opens a registered simulated TCP conn on s without a handshake.
+func connOn(s *Stack, local, peer netsim.Addr) *simTCP {
+	return newSimTCP(s, s.endpoint(local), s.endpoint(peer))
+}
+
 func TestTCPConnectAndDeliverInOrder(t *testing.T) {
 	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 30 * time.Millisecond})
 
