@@ -53,10 +53,14 @@
 // TestConservation's lease half). The control plane costs what it models:
 // an RTSP message crosses the simulator as the *rtsp.Message and is charged
 // its WireSize, which is arithmetic pinned equal to len(Marshal()) — the text
-// is rendered only for real sockets; a server renders each immutable clip's
-// DESCRIBE body once and every response shares it read-only; and a closed
-// conn's two window rings go, cleared, to its stack's free-list
-// for the host's next conn. Everything
+// is rendered only for real sockets; a message's headers are a sorted list
+// held inline in the message, so setting one allocates nothing; a server
+// renders each immutable clip's DESCRIBE body once and every response shares
+// it read-only, and the player parses it in place into a description it
+// keeps; owners that outlive what they serve (player, server session, the
+// server's hello watchers) bind their receivers once; and a closed conn's two
+// window rings go, cleared, to its stack's free-list for the host's next
+// conn. Everything
 // stays bit-for-bit deterministic — RNG draw order, FIFO tie-breaking and
 // every floating-point expression on the packet path are part of the
 // contract, pinned by the golden figures snapshot — so hot-path changes
@@ -71,16 +75,19 @@
 // the template's first arrival and leased on every arrival after it, with
 // Reset methods walking the contract down the stack (tracer, player,
 // media.FrameSource, the server's streamSession free-list, netsim's
-// recycled host slots). Reset cancels timers (generation-checked handles
-// make stale ones inert), clears storage in place, rebuilds the rest by
-// struct literal, and reseeds RNGs — a reseeded rand.Rand reproduces a
-// fresh one's draw stream, so pooling changes no record. The recycle
-// invariant: a recycled session is indistinguishable from a fresh one and
-// can never observe its predecessor's FEC window, retransmit ledger or
-// decode state. Steady-state churn costs ~99 allocations per session
-// (down from ~10,000 before the free-lists and ~308 before the control plane
-// stopped rendering text), pinned by TestSessionChurnAllocBudget alongside
-// the transport alloc budget.
+// recycled host slots and path states). Reset cancels timers
+// (generation-checked handles make stale ones inert), clears storage in
+// place, rebuilds the rest by struct literal, and reseeds RNGs — a reseeded
+// rand.Rand reproduces a fresh one's draw stream, so pooling changes no
+// record; a frame source needs no RNG at all, since each clip lays its scene
+// profile out once, on its first playout. The player sizes a clip's scratch
+// once, from the clip's length and the top frame rate it can be served. The
+// recycle invariant: a recycled session is indistinguishable from a fresh
+// one and can never observe its predecessor's FEC window, retransmit ledger
+// or decode state. Steady-state churn costs 65 allocations per session (down
+// from ~10,000 before the free-lists, ~308 before the control plane stopped
+// rendering text and ~99 before headers went inline), pinned by
+// TestSessionChurnAllocBudget alongside the transport alloc budget.
 //
 // The session engine is open-loop as well as closed: the paper's fixed
 // 63-user panel is one workload ("panel", the default) in internal/workload's

@@ -92,6 +92,9 @@ type Aggregates struct {
 	playedByPolicy  stats.Counter
 	failedByPolicy  stats.Counter
 	policyServer    stats.Counter // "policy|server" play counts
+	// psKeys interns policyServer's labels by (policy, server), so a play
+	// of a pair already seen is counted without building its label again.
+	psKeys map[[2]string]string
 	// concurDelta is the concurrent-clip time-series sketch: +1 at each
 	// clip's start minute, −1 at its end minute (virtual time). The
 	// prefix sum over sorted minutes is the concurrency level; memory is
@@ -215,7 +218,7 @@ func (a *Aggregates) Observe(r *trace.Record) {
 		a.playedByPolicy.Add(r.Policy, 1)
 		a.startupByPolicy.Add(r.Policy, r.BufferingTime.Seconds())
 		a.rebufByPolicy.Add(r.Policy, float64(r.Rebuffers))
-		a.policyServer.Add(r.Policy+"|"+r.Server, 1)
+		a.policyServer.Add(a.policyServerKey(r.Policy, r.Server), 1)
 	}
 	cond := dynCondition(r)
 	a.playedByDynamics.Add(cond, 1)
@@ -241,6 +244,20 @@ func (a *Aggregates) Observe(r *trace.Record) {
 	} else {
 		a.ratedPairsDropped++
 	}
+}
+
+// policyServerKey returns policyServer's "policy|server" label for the pair.
+func (a *Aggregates) policyServerKey(policy, server string) string {
+	pair := [2]string{policy, server}
+	key, ok := a.psKeys[pair]
+	if !ok {
+		if a.psKeys == nil {
+			a.psKeys = make(map[[2]string]string)
+		}
+		key = policy + "|" + server
+		a.psKeys[pair] = key
+	}
+	return key
 }
 
 // Merge folds b into a; b is unchanged. Merging partials in a fixed input

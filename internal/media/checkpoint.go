@@ -7,11 +7,11 @@ import (
 )
 
 // Sync walks the source's playout position for a world checkpoint. The
-// scene layout and RNG are not part of the snapshot: both are pure functions
-// of (clip.Seed, encoding), so the restoring owner first rebuilds them with
-// Reset — frame-for-frame identical to the source the checkpointed world
-// held, since no draws happen after construction — and Sync overlays only
-// the cursor fields.
+// scene layout is not part of the snapshot: it is the clip's, a pure
+// function of clip.Seed laid out on the clip's first playout, so the
+// restoring owner first points a source at the clip and encoding with Reset
+// — frame-for-frame identical to the source the checkpointed world held —
+// and Sync overlays only the cursor fields.
 func (fs *FrameSource) Sync(c *snap.Codec) {
 	c.Tag("fsrc")
 	c.Int(&fs.sceneIdx)

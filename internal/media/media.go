@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -82,6 +83,20 @@ type Clip struct {
 	Live bool
 	// Seed makes the clip's frame-size and scene randomness reproducible.
 	Seed int64
+
+	// scenes is the clip's action profile, a pure function of Content,
+	// Duration and Seed, laid out on the clip's first playout (layout) and
+	// only read after that — by every FrameSource playing the clip, on
+	// whichever server: an open-loop world replicates one clip object to
+	// every mirror, whatever shard each runs on.
+	scenes     []scene
+	scenesOnce sync.Once
+}
+
+// layout returns the clip's scenes, laying them out on first use.
+func (c *Clip) layout() []scene {
+	c.scenesOnce.Do(c.layScenes)
+	return c.scenes
 }
 
 // EncodingIndexFor selects the best SureStream encoding not exceeding
@@ -127,9 +142,8 @@ type scene struct {
 type FrameSource struct {
 	clip *Clip
 	enc  Encoding
-	rng  *rand.Rand
 
-	scenes   []scene
+	scenes   []scene // the clip's, read-only
 	sceneIdx int
 	videoIdx int
 	audioIdx int
@@ -147,21 +161,11 @@ func NewFrameSource(clip *Clip, enc Encoding) *FrameSource {
 	return fs
 }
 
-// Reset repositions the source at media time zero for clip at enc, reusing
-// the source's RNG and scene storage. Reseeding the pooled RNG reproduces
-// exactly the draw stream a fresh source would make, so a recycled source
-// is frame-for-frame identical to a new one.
+// Reset repositions the source at media time zero for clip at enc. The
+// source holds nothing of its own but the cursor: a recycled source is
+// frame-for-frame identical to a new one.
 func (fs *FrameSource) Reset(clip *Clip, enc Encoding) {
-	fs.clip, fs.enc = clip, enc
-	if fs.rng == nil {
-		fs.rng = rand.New(rand.NewSource(clip.Seed))
-	} else {
-		fs.rng.Seed(clip.Seed)
-	}
-	fs.scenes = fs.scenes[:0]
-	fs.sceneIdx, fs.videoIdx, fs.audioIdx = 0, 0, 0
-	fs.videoAt, fs.audioAt = 0, 0
-	fs.buildScenes()
+	*fs = FrameSource{clip: clip, enc: enc, scenes: clip.layout()}
 }
 
 // ResetAt is Reset fast-forwarded to media time t — the SureStream
@@ -177,27 +181,28 @@ func (fs *FrameSource) ResetAt(clip *Clip, enc Encoding, t time.Duration) {
 	}
 }
 
-// buildScenes lays out the clip's action profile. Genre sets the mean
-// action: sports and movies run hot, news runs cold.
-func (fs *FrameSource) buildScenes() {
+// layScenes lays out the clip's action profile from its own seeded stream.
+// Genre sets the mean action: sports and movies run hot, news runs cold.
+func (c *Clip) layScenes() {
 	meanAction := map[ContentType]float64{
 		ContentNews:   0.30,
 		ContentSports: 0.75,
 		ContentMusic:  0.55,
 		ContentMovie:  0.65,
-	}[fs.clip.Content]
+	}[c.Content]
+	rng := rand.New(rand.NewSource(c.Seed))
 	var t time.Duration
-	for t < fs.clip.Duration {
-		length := time.Duration(3+fs.rng.Intn(10)) * time.Second
+	for t < c.Duration {
+		length := time.Duration(3+rng.Intn(10)) * time.Second
 		t += length
-		action := meanAction + fs.rng.NormFloat64()*0.2
+		action := meanAction + rng.NormFloat64()*0.2
 		if action < 0.05 {
 			action = 0.05
 		}
 		if action > 1 {
 			action = 1
 		}
-		fs.scenes = append(fs.scenes, scene{until: t, action: action})
+		c.scenes = append(c.scenes, scene{until: t, action: action})
 	}
 }
 

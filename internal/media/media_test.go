@@ -1,6 +1,7 @@
 package media
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -301,6 +302,88 @@ func TestCeil(t *testing.T) {
 	for _, c := range cases {
 		if got := Ceil(c.a, c.b); got != c.want {
 			t.Errorf("Ceil(%d,%d)=%d want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// reseedingSource is FrameSource as it stood while every Reset reseeded a
+// math/rand source from the clip's seed and laid the scenes out again, kept
+// as the oracle for the source that reads the clip's scenes.
+type reseedingSource struct {
+	FrameSource
+	rng *rand.Rand
+}
+
+func (fs *reseedingSource) Reset(clip *Clip, enc Encoding) {
+	fs.clip, fs.enc = clip, enc
+	if fs.rng == nil {
+		fs.rng = rand.New(rand.NewSource(clip.Seed))
+	} else {
+		fs.rng.Seed(clip.Seed)
+	}
+	fs.scenes = fs.scenes[:0]
+	fs.sceneIdx, fs.videoIdx, fs.audioIdx = 0, 0, 0
+	fs.videoAt, fs.audioAt = 0, 0
+	meanAction := map[ContentType]float64{
+		ContentNews:   0.30,
+		ContentSports: 0.75,
+		ContentMusic:  0.55,
+		ContentMovie:  0.65,
+	}[clip.Content]
+	var t time.Duration
+	for t < clip.Duration {
+		length := time.Duration(3+fs.rng.Intn(10)) * time.Second
+		t += length
+		action := meanAction + fs.rng.NormFloat64()*0.2
+		if action < 0.05 {
+			action = 0.05
+		}
+		if action > 1 {
+			action = 1
+		}
+		fs.scenes = append(fs.scenes, scene{until: t, action: action})
+	}
+}
+
+func (fs *reseedingSource) ResetAt(clip *Clip, enc Encoding, t time.Duration) {
+	fs.Reset(clip, enc)
+	for {
+		f, ok := fs.Peek()
+		if !ok || f.MediaTime >= t {
+			break
+		}
+		fs.Next()
+	}
+}
+
+// TestFrameSourceMatchesReseedingSource: laying a clip's scenes out once,
+// when the clip is generated, must leave every frame where reseeding on
+// every Reset put it — for every clip of a library, at every encoding,
+// resumed anywhere from the start to past the end, on a source recycled
+// across all of them as a server's pooled one is.
+func TestFrameSourceMatchesReseedingSource(t *testing.T) {
+	var got FrameSource
+	var want reseedingSource
+	clips := GenerateLibrary("cnn.us", 40, 7).Clips
+	clips = append(clips, GenerateLiveClip("rtsp://cnn.us/live.rm", "live", ContentSports, 90*time.Second, 20, 350, 3))
+	for _, clip := range clips {
+		for _, enc := range clip.Encodings {
+			for _, at := range []time.Duration{0, 1, 250 * time.Millisecond, 7 * time.Second, 33333 * time.Millisecond,
+				clip.Duration / 2, clip.Duration - time.Second, clip.Duration, clip.Duration + time.Minute} {
+				got.ResetAt(clip, enc, at)
+				want.ResetAt(clip, enc, at)
+				for n := 0; ; n++ {
+					g, gok := got.Next()
+					w, wok := want.Next()
+					if g != w || gok != wok {
+						t.Fatalf("%s at %v kbps, resumed at %v: frame %d is %+v (%v), the reseeding source's %+v (%v)",
+							clip.URL, enc.TotalKbps, at, n, g, gok, w, wok)
+					}
+					if !gok {
+						break
+					}
+				}
+			}
 		}
 	}
 }

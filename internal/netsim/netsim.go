@@ -335,9 +335,10 @@ type Network struct {
 	// — so, in a sharded world, only the source's shard — writes it.
 	rows [][]*pathState
 
-	free     []*Packet   // packet free-list
-	hostFree []*host     // detached host objects recycled by AddHost
-	transit  TransitPool // shard-transit payload free-lists (transit.go)
+	free     []*Packet    // packet free-list
+	hostFree []*host      // detached host objects recycled by AddHost
+	pathFree []*pathState // purged path states recycled by path
+	transit  TransitPool  // shard-transit payload free-lists (transit.go)
 
 	dyn *dynState // nil unless SetDynamics installed a schedule
 	// dynScratch backs dynApply's pointer return; single-threaded per
@@ -429,7 +430,8 @@ func (n *Network) AddHost(cfg HostConfig) {
 // RemoveHost detaches a host and all its handlers, and purges every piece of
 // per-path state touching it — both directions — so a host re-added under
 // the same name starts with fresh congestion and queue state instead of
-// silently inheriting the dead host's. Unknown names are a no-op.
+// silently inheriting the dead host's. A purged path's state object goes to
+// the free-list path draws from. Unknown names are a no-op.
 func (n *Network) RemoveHost(name string) {
 	id, ok := n.ids[name]
 	if !ok || n.hostTab[id] == nil {
@@ -442,7 +444,10 @@ func (n *Network) RemoveHost(name string) {
 	h.ports = h.ports[:0]
 	h.portBase = 0
 	n.hostFree = append(n.hostFree, h)
-	clear(n.rows[id])
+	row := n.rows[id]
+	for to := range row {
+		n.purgePath(row, to)
+	}
 	// The column holds paths whose *source* is some other host. In sharded
 	// mode those entries belong to the source hosts' shards and purging them
 	// here would race; wide-area path state instead survives host churn
@@ -451,9 +456,17 @@ func (n *Network) RemoveHost(name string) {
 	if n.fab == nil {
 		for _, row := range n.rows {
 			if int(id) < len(row) {
-				row[id] = nil
+				n.purgePath(row, int(id))
 			}
 		}
+	}
+}
+
+// purgePath empties row[to], recycling the state it held.
+func (n *Network) purgePath(row []*pathState, to int) {
+	if p := row[to]; p != nil {
+		row[to] = nil
+		n.pathFree = append(n.pathFree, p)
 	}
 }
 
@@ -527,7 +540,8 @@ func (n *Network) release(pkt *Packet) {
 }
 
 // path returns (creating if needed) the ordered-pair path state, growing
-// the source's row to reach the destination.
+// the source's row to reach the destination. A state RemoveHost purged is
+// reused, overwritten whole with what a new one starts as.
 func (n *Network) path(from, to HostID) *pathState {
 	row := n.rows[from]
 	if int(to) >= len(row) {
@@ -536,8 +550,13 @@ func (n *Network) path(from, to HostID) *pathState {
 	}
 	p := row[to]
 	if p == nil {
+		if k := len(n.pathFree) - 1; k >= 0 {
+			p, n.pathFree = n.pathFree[k], n.pathFree[:k]
+		} else {
+			p = new(pathState)
+		}
 		r := n.routes.Route(n.names[from], n.names[to])
-		p = &pathState{route: r, capBps: kbpsToBitsPerSec(r.CapacityKbps), congestion: clamp01(r.CongestionMean)}
+		*p = pathState{route: r, capBps: kbpsToBitsPerSec(r.CapacityKbps), congestion: clamp01(r.CongestionMean)}
 		row[to] = p
 	}
 	return p

@@ -55,10 +55,10 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	transport.SyncOptConn(c, &p.data, stack, x)
 	if c.Reading() && c.Err() == nil {
 		if p.ctl != nil {
-			p.ctl.SetReceiver(p.onControl)
+			p.ctl.SetReceiver(p.recvControl)
 		}
 		if p.data != nil {
-			p.data.SetReceiver(p.onData)
+			p.data.SetReceiver(p.recvData)
 		}
 	}
 	c.Bool(&p.dataIsMe)

@@ -101,8 +101,8 @@ func TestLivePacingNeverRunsAhead(t *testing.T) {
 func TestLiveFlagAdvertisedInDescribe(t *testing.T) {
 	liveClip := media.GenerateLiveClip("u", "live", media.ContentNews, time.Minute, 20, 80, 1)
 	d := session.DescFromClip(liveClip)
-	got, err := session.ParseClipDesc(d.Marshal())
-	if err != nil {
+	var got session.ClipDesc
+	if err := session.ParseClipDesc(d.Marshal(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Live {

@@ -13,17 +13,17 @@ package player
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
+	"realtracer/internal/media"
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 	"realtracer/internal/seqwin"
 	"realtracer/internal/session"
-	"realtracer/internal/stats"
 	"realtracer/internal/transport"
 	"realtracer/internal/vclock"
 )
@@ -55,6 +55,8 @@ const (
 	// FEC/NACK recoveries of slightly-older packets can land before their
 	// playout slots even when the buffer is running dry.
 	recoveryLag = 500 * time.Millisecond
+	// minPlayoutGap is the shortest inter-frame gap Stats.PlayoutGaps lists.
+	minPlayoutGap = 500 * time.Millisecond
 )
 
 // Config parameterizes one clip playout.
@@ -130,8 +132,8 @@ type Stats struct {
 
 	PlayDuration time.Duration // wall time spent in playing/rebuffering
 
-	// PlayoutGaps lists the inter-frame playout gaps exceeding 500 ms, in
-	// milliseconds — diagnostic detail behind the jitter number.
+	// PlayoutGaps lists the inter-frame playout gaps exceeding minPlayoutGap,
+	// in milliseconds — diagnostic detail behind the jitter number.
 	PlayoutGaps []float64
 
 	// Timeline holds one sample per second: the Figure-1 view of a session
@@ -158,6 +160,16 @@ type Player struct {
 	sessID   string
 	desc     session.ClipDesc
 	cseq     int
+
+	// recvControl and recvData are onControl and onData, bound once in New:
+	// every conn the player opens gets one of them as its receiver.
+	recvControl, recvData func(any, int)
+	// descBuf is what ParseClipDesc parses into; desc takes it once a body
+	// parses. Its storage — the encodings, and a title equal to the last —
+	// serves every clip the player describes.
+	descBuf session.ClipDesc
+	// waits are the dial continuations not in use (see dialWait).
+	waits []*dialWait
 	// pending maps an outstanding request's CSeq to the kind of continuation
 	// its response runs. Kinds instead of callbacks: the handshake state
 	// machine is then plain data, which a world checkpoint can serialize.
@@ -257,9 +269,6 @@ type Player struct {
 	// stats is the backing storage st points at, reused across Reset so a
 	// pooled player's per-clip record costs no allocation.
 	stats Stats
-
-	// gapScratch is reused by the jitter computation.
-	gapScratch []float64
 }
 
 // The six timer handlers are the Player itself under distinct named types:
@@ -285,6 +294,8 @@ func (x *timeUpArm) Fire(time.Duration)    { (*Player)(x).timeUp() }
 // New builds a Player; Start launches it.
 func New(cfg Config) *Player {
 	p := &Player{pending: make(map[int]uint8)}
+	p.recvControl, p.recvData = p.onControl, p.onData
+	p.descBuf.Encodings = make([]session.EncodingDesc, 0, len(media.SureStreamLadder()))
 	p.init(cfg)
 	return p
 }
@@ -292,7 +303,8 @@ func New(cfg Config) *Player {
 // Reset rewires a finished player for a new session, reusing every piece of
 // grown storage: the map keeps its buckets, the emptied FEC window and NACK
 // ledger their rings, the frame heap, partial set, playout record and scratch
-// slices keep their backing arrays, and the Stats record is cleared in place. Stale
+// slices keep their backing arrays, the Stats record is cleared in place, and
+// the bound receivers, parse scratch and idle dial continuations stay. Stale
 // state cannot leak across the reset: timers are cancelled (and generation
 // checks make any already-recycled handle inert), the epoch bump disarms
 // in-flight dial callbacks,
@@ -310,6 +322,10 @@ func (p *Player) Reset(cfg Config) {
 	*p = Player{
 		epoch:           p.epoch + 1,
 		pending:         p.pending,
+		recvControl:     p.recvControl,
+		recvData:        p.recvData,
+		descBuf:         p.descBuf,
+		waits:           p.waits,
 		haveSeq:         p.haveSeq,
 		nackOutstanding: p.nackOutstanding,
 		partials:        p.partials[:0],
@@ -317,7 +333,6 @@ func (p *Player) Reset(cfg Config) {
 		playTimes:       p.playTimes[:0],
 		lowSeqs:         p.lowSeqs[:0],
 		nackScratch:     p.nackScratch[:0],
-		gapScratch:      p.gapScratch[:0],
 		ownArena:        p.ownArena,
 	}
 	p.stats = Stats{PlayoutGaps: gaps, Timeline: timeline}
@@ -401,37 +416,62 @@ func (p *Player) dial(kind uint8, addr string) {
 	p.dialAddr = p.cfg.Net.DialTCP(addr, p.dialDone(kind))
 }
 
-// dialDone builds the continuation of a dial of the given kind, bound to the
+// dialWait is the continuation of one dial: the kind of conn it opens and
+// the epoch it was issued in, so a handshake that completes after the player
+// moved on cannot install its conn. The stack calls a continuation exactly
+// once, so each wait goes back on its player's free-list when called, with
+// its method value bound once: a player that has dialled before dials without
+// allocating.
+type dialWait struct {
+	p     *Player
+	kind  uint8
+	epoch uint32
+	done  func(transport.Conn, error) // w.finish
+}
+
+// dialDone leases the continuation of a dial of the given kind, bound to the
 // current epoch.
 func (p *Player) dialDone(kind uint8) func(transport.Conn, error) {
-	epoch := p.epoch
-	return func(c transport.Conn, err error) {
-		if p.epoch != epoch {
-			// The player was recycled while the handshake was in flight; the
-			// connection (if any) belongs to nobody.
-			if c != nil {
-				c.Close()
-			}
-			return
+	var w *dialWait
+	if k := len(p.waits) - 1; k >= 0 {
+		w, p.waits = p.waits[k], p.waits[:k]
+	} else {
+		w = &dialWait{p: p}
+		w.done = w.finish
+	}
+	w.kind, w.epoch = kind, p.epoch
+	return w.done
+}
+
+func (w *dialWait) finish(c transport.Conn, err error) {
+	p, kind := w.p, w.kind
+	stale := p.epoch != w.epoch
+	p.waits = append(p.waits, w)
+	if stale {
+		// The player was recycled while the handshake was in flight; the
+		// connection (if any) belongs to nobody.
+		if c != nil {
+			c.Close()
 		}
-		p.dialing, p.dialAddr = 0, ""
-		switch {
-		case err != nil && kind == dialControl:
-			p.finish(fmt.Errorf("player: control dial: %w", err))
-		case err != nil:
-			p.finish(err)
-		case kind == dialControl:
-			p.ctl = c
-			c.SetReceiver(p.onControl)
-			p.describe()
-		default:
-			p.data = c
-			p.dataIsMe = true
-			c.SetReceiver(p.onData)
-			hello := &session.DataHello{SessionID: p.sessID}
-			c.Send(hello, len(p.sessID)+1)
-			p.play()
-		}
+		return
+	}
+	p.dialing, p.dialAddr = 0, ""
+	switch {
+	case err != nil && kind == dialControl:
+		p.finish(fmt.Errorf("player: control dial: %w", err))
+	case err != nil:
+		p.finish(err)
+	case kind == dialControl:
+		p.ctl = c
+		c.SetReceiver(p.recvControl)
+		p.describe()
+	default:
+		p.data = c
+		p.dataIsMe = true
+		c.SetReceiver(p.recvData)
+		hello := &session.DataHello{SessionID: p.sessID}
+		c.Send(hello, len(p.sessID)+1)
+		p.play()
 	}
 }
 
@@ -488,13 +528,39 @@ func (p *Player) onDescribeResp(resp *rtsp.Message) {
 		p.finish(fmt.Errorf("player: DESCRIBE failed: %d %s", resp.Status, resp.Reason))
 		return
 	}
-	desc, err := session.ParseClipDesc(resp.Body)
-	if err != nil {
+	if err := session.ParseClipDesc(resp.Body, &p.descBuf); err != nil {
 		p.finish(err)
 		return
 	}
-	p.desc = desc
+	p.desc = p.descBuf
+	p.presize()
 	p.setup()
+}
+
+// presize grows the per-clip scratch, before any of it fills, to what this
+// clip can fill: a pooled player then allocates for a clip once, on the first
+// that needs that much, instead of doubling its way up clip after clip. The
+// bound is the frame rate of the highest rung the server may stream (it picks,
+// and switches at or below, the rung the bandwidth cap selects) over the
+// media the session can play. Stats keeps its ownership: the timeline and
+// playout gaps are the player's, reused on Reset like the rest.
+func (p *Player) presize() {
+	var fps float64
+	for i, e := range p.desc.Encodings {
+		if i == 0 || e.TotalKbps <= p.cfg.MaxBandwidthKbps {
+			fps = max(fps, e.FrameRate)
+		}
+	}
+	span := min(p.desc.Duration, p.cfg.PlayFor).Seconds()
+	played := int(fps*span) + 1
+	p.playTimes = slices.Grow(p.playTimes, played)
+	// The heap holds at least a preroll's worth before playout starts, audio
+	// at four packets a second included; a deeper buffer grows it further.
+	p.frames = slices.Grow(p.frames, int((fps+4)*p.cfg.Preroll.Seconds()))
+	p.partials = slices.Grow(p.partials, 8) // a handful mid-assembly at once
+	st := &p.stats
+	st.Timeline = slices.Grow(st.Timeline, int((p.cfg.PlayFor+p.cfg.Preroll+maxRebuffer)/reportInterval)+1)
+	st.PlayoutGaps = slices.Grow(st.PlayoutGaps, int(span/minPlayoutGap.Seconds())+1)
 }
 
 // ErrUnavailable marks the clip-temporarily-unavailable outcome of Fig. 10.
@@ -518,7 +584,7 @@ func (p *Player) setup() {
 		}
 		p.data = conn
 		p.dataIsMe = true
-		conn.SetReceiver(p.onData)
+		conn.SetReceiver(p.recvData)
 		spec.ClientDataAddr = conn.LocalAddr()
 	} else {
 		spec.Protocol = "tcp"
@@ -1221,34 +1287,30 @@ func (p *Player) currentJitterMs() float64 {
 	if n > 40 {
 		window = p.playTimes[n-40:]
 	}
-	return p.jitterInto(window)
+	return jitterMs(window)
 }
 
-// jitterInto is jitterOf on the player's reused gap scratch — the per-
-// report jitter computation allocates nothing once the scratch has grown.
-func (p *Player) jitterInto(times []time.Duration) float64 {
+// jitterMs is the paper's jitter metric: the population standard deviation
+// of the inter-frame playout gaps in times, in milliseconds. It is
+// stats.StdDev of the gap list, term for term and in the same order, with
+// each gap recomputed where StdDev would read it instead of kept in a slice.
+func jitterMs(times []time.Duration) float64 {
 	if len(times) < 3 {
 		return 0
 	}
-	gaps := p.gapScratch[:0]
+	gap := func(i int) float64 { return float64((times[i] - times[i-1]).Microseconds()) / 1000 }
+	n := float64(len(times) - 1)
+	var sum float64
 	for i := 1; i < len(times); i++ {
-		gaps = append(gaps, float64((times[i]-times[i-1]).Microseconds())/1000)
+		sum += gap(i)
 	}
-	p.gapScratch = gaps[:0]
-	return stats.StdDev(gaps)
-}
-
-// jitterOf computes the standard deviation of inter-frame playout gaps in
-// milliseconds — the paper's jitter metric.
-func jitterOf(times []time.Duration) float64 {
-	if len(times) < 3 {
-		return 0
-	}
-	gaps := make([]float64, 0, len(times)-1)
+	mean := sum / n
+	var ss float64
 	for i := 1; i < len(times); i++ {
-		gaps = append(gaps, float64((times[i]-times[i-1]).Microseconds())/1000)
+		d := gap(i) - mean
+		ss += d * d
 	}
-	return stats.StdDev(gaps)
+	return math.Sqrt(ss / n)
 }
 
 // --- session end ---
@@ -1331,9 +1393,9 @@ func (p *Player) finalizeStats(now time.Duration, err error) {
 	if p.lastRecvAt > p.firstRecvAt {
 		st.MeasuredKbps = float64(p.bytesRecv) * 8 / 1000 / (p.lastRecvAt - p.firstRecvAt).Seconds()
 	}
-	st.JitterMs = p.jitterInto(p.playTimes)
+	st.JitterMs = jitterMs(p.playTimes)
 	for i := 1; i < len(p.playTimes); i++ {
-		if gap := p.playTimes[i] - p.playTimes[i-1]; gap > 500*time.Millisecond {
+		if gap := p.playTimes[i] - p.playTimes[i-1]; gap > minPlayoutGap {
 			st.PlayoutGaps = append(st.PlayoutGaps, float64(gap.Milliseconds()))
 		}
 	}
@@ -1347,5 +1409,5 @@ func (p *Player) finalizeStats(now time.Duration, err error) {
 	st.CPUUtilization = util
 	// Keep the frame list from growing without bound for long sessions; the
 	// stats are final now.
-	sort.Slice(p.playTimes, func(i, j int) bool { return p.playTimes[i] < p.playTimes[j] })
+	slices.Sort(p.playTimes)
 }

@@ -47,7 +47,10 @@ func corpusMessages() []*Message {
 // Marshal(Parse(b)) must itself parse, and one round of normalization must
 // reach a fixpoint, and WireSize must be the length of what Marshal writes.
 // Parsing must never panic or allocate beyond the input (a hostile
-// Content-Length used to reserve arbitrary memory).
+// Content-Length used to reserve arbitrary memory). And on every input the
+// header list must agree with the map-based message it replaced (refMessage,
+// header_test.go): the same error, and for an accepted input the same wire
+// bytes, size, header count and value for every key.
 func FuzzParseRequest(f *testing.F) {
 	for _, m := range corpusMessages() {
 		f.Add(m.Marshal())
@@ -60,12 +63,21 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte("DESCRIBE u RTSP/1.0\r\nCSeq: 2\r\nContent-Length: -3\r\n\r\n"))
 	f.Add([]byte("SETUP u RTSP/1.0\r\nCSeq: 3\r\nContent-Length: 5\r\n\r\nab"))
 	f.Add([]byte("GET u HTTP/1.0\r\n\r\n"))
+	// Header lists the map took in its stride: a key repeated in other
+	// spellings (the last wins), more keys than fit inline, out of order.
+	f.Add([]byte("PLAY u RTSP/1.0\r\nCSeq: 1\r\nsession: a\r\nRange: x\r\nSESSION: b\r\n\r\n"))
+	f.Add([]byte("SETUP u RTSP/1.0\r\nCSeq: 2\r\nZ: 1\r\nA: 2\r\nm: 3\r\nB: 4\r\ny: \r\nA: 5\r\n\r\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Parse(data)
+		ref, refErr := parseRef(data)
+		if err != refErr {
+			t.Fatalf("Parse(%q): error %v, the map-based parser says %v", data, err, refErr)
+		}
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
+		sameHeaders(t, fmt.Sprintf("Parse(%q)", data), m, ref)
 		b1 := m.Marshal()
 		if m.WireSize() != len(b1) {
 			t.Fatalf("WireSize %d, Marshal wrote %d bytes: %q", m.WireSize(), len(b1), b1)

@@ -12,7 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net/textproto"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -67,14 +67,57 @@ type Message struct {
 	Reason string
 	// CSeq pairs responses with requests.
 	CSeq int
-	// Header holds the remaining headers (canonicalized keys).
-	Header map[string]string
+	// hdr holds the remaining headers; Set, Get and GetInt reach them.
+	hdr header
 	// Body is the optional payload (e.g. a clip description).
 	Body []byte
 
 	// transit points back to the pooled snapshot storage on a leased
 	// shard-transit copy; nil on every original.
 	transit *transitMessage
+}
+
+// field is one header: its canonical key and its value.
+type field struct{ key, value string }
+
+// inlineFields is how many headers a message holds without a heap slice: no
+// message the simulator builds carries more than three.
+const inlineFields = 3
+
+// header is a message's header list, sorted by key, each key at most once.
+// Up to inlineFields of them live in the fixed array, so copying a Message
+// copies its headers; past that every field moves to spill, a heap slice a
+// copy would share — TransitCopy, the package's one copy, clones it.
+type header struct {
+	inline [inlineFields]field
+	n      int // fields in inline; unused once spill holds them
+	spill  []field
+}
+
+// list returns the fields in key order.
+func (h *header) list() []field {
+	if h.spill != nil {
+		return h.spill
+	}
+	return h.inline[:h.n]
+}
+
+// set replaces key's value, or inserts the field in key order.
+func (h *header) set(key, value string) {
+	fs := h.list()
+	i, found := slices.BinarySearchFunc(fs, key, func(f field, k string) int { return strings.Compare(f.key, k) })
+	switch {
+	case found:
+		fs[i].value = value
+	case h.spill == nil && h.n < inlineFields:
+		copy(h.inline[i+1:h.n+1], h.inline[i:h.n])
+		h.inline[i] = field{key, value}
+		h.n++
+	default:
+		// A full inline list is as long as its array, so the insert that
+		// spills it always lands in a fresh one.
+		h.spill = slices.Insert(fs, i, field{key, value})
+	}
 }
 
 // NewRequest builds a request message.
@@ -87,16 +130,19 @@ func NewResponse(req *Message, status int) *Message {
 	return &Message{Status: status, Reason: StatusText(status), CSeq: req.CSeq}
 }
 
-// Set sets a header value.
-func (m *Message) Set(key, value string) {
-	if m.Header == nil {
-		m.Header = map[string]string{}
-	}
-	m.Header[canonical(key)] = value
-}
+// Set sets a header value; setting a key again replaces its value.
+func (m *Message) Set(key, value string) { m.hdr.set(canonical(key), value) }
 
 // Get returns a header value or "".
-func (m *Message) Get(key string) string { return m.Header[canonical(key)] }
+func (m *Message) Get(key string) string {
+	key = canonical(key)
+	for _, f := range m.hdr.list() {
+		if f.key == key {
+			return f.value
+		}
+	}
+	return ""
+}
 
 // GetInt parses a header as an integer, returning def when absent or
 // malformed.
@@ -135,13 +181,8 @@ func (m *Message) Marshal() []byte {
 	if len(m.Body) > 0 {
 		fmt.Fprintf(&b, "Content-Length: %d\r\n", len(m.Body))
 	}
-	keys := make([]string, 0, len(m.Header))
-	for k := range m.Header {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, m.Header[k])
+	for _, f := range m.hdr.list() {
+		fmt.Fprintf(&b, "%s: %s\r\n", f.key, f.value)
 	}
 	b.WriteString("\r\n")
 	b.Write(m.Body)
@@ -163,7 +204,7 @@ func Parse(data []byte) (*Message, error) {
 		return nil, ErrMalformed
 	}
 	line = strings.TrimRight(line, "\r\n")
-	m := &Message{Header: map[string]string{}}
+	m := &Message{}
 	parts := strings.SplitN(line, " ", 3)
 	if len(parts) < 3 {
 		return nil, ErrMalformed
@@ -214,7 +255,7 @@ func Parse(data []byte) (*Message, error) {
 			}
 			contentLength = n
 		default:
-			m.Header[key] = val
+			m.hdr.set(key, val)
 		}
 	}
 	if contentLength > 0 {
@@ -256,8 +297,8 @@ func (m *Message) WireSize() int {
 	if len(m.Body) > 0 {
 		n += len("Content-Length: \r\n") + decWidth(len(m.Body))
 	}
-	for k, v := range m.Header {
-		n += len(k) + len(": \r\n") + len(v)
+	for _, f := range m.hdr.list() {
+		n += len(f.key) + len(": \r\n") + len(f.value)
 	}
 	return n + len("\r\n") + len(m.Body)
 }

@@ -174,7 +174,7 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 }
 
 func TestHeaderCanonicalization(t *testing.T) {
-	m := &Message{Header: map[string]string{}}
+	m := &Message{}
 	m.Set("content-TYPE", "text/plain")
 	if m.Get("Content-Type") != "text/plain" {
 		t.Fatal("canonicalization failed")

@@ -7,24 +7,26 @@ import "realtracer/internal/netsim"
 // synchronously by their receive callbacks — the server parses the method
 // and headers, the player copies what it keeps (session id string, clip
 // description via ParseClipDesc) — so the snapshot can be recycled by the
-// receiving transport as soon as the callback returns. The header map and
-// body backing are reused across leases.
+// receiving transport as soon as the callback returns. The spilled header
+// list and body backing are reused across leases.
 
 // transitClass is the pool slot for RTSP transit snapshots.
 var transitClass = netsim.RegisterTransitClass()
 
-// transitMessage is the pooled snapshot storage: a Message head plus a
-// reusable header map and body backing. Message.transit points back here on
-// a leased copy and is nil on every original, making TransitRelease a safe
-// no-op outside sharded runs.
+// transitMessage is the pooled snapshot storage: a Message head plus
+// reusable backing for a spilled header list and the body. Message.transit
+// points back here on a leased copy and is nil on every original, making
+// TransitRelease a safe no-op outside sharded runs.
 type transitMessage struct {
 	msg    Message
 	leased bool
-	hdr    map[string]string
+	spill  []field
 	body   []byte
 }
 
-// TransitCopy implements netsim.Transferable.
+// TransitCopy implements netsim.Transferable. Copying the head copies the
+// inline headers; a spilled list and the body are copied into the
+// snapshot's own backing, so the copy shares no storage with m.
 func (m *Message) TransitCopy(tp *netsim.TransitPool) any {
 	var t *transitMessage
 	if v := tp.Get(transitClass); v != nil {
@@ -35,18 +37,9 @@ func (m *Message) TransitCopy(tp *netsim.TransitPool) any {
 	t.leased = true
 	t.msg = *m
 	t.msg.transit = t
-	if m.Header != nil {
-		if t.hdr == nil {
-			t.hdr = make(map[string]string, len(m.Header))
-		} else {
-			clear(t.hdr)
-		}
-		for k, v := range m.Header {
-			t.hdr[k] = v
-		}
-		t.msg.Header = t.hdr
-	} else {
-		t.msg.Header = nil
+	if m.hdr.spill != nil {
+		t.spill = append(t.spill[:0], m.hdr.spill...)
+		t.msg.hdr.spill = t.spill
 	}
 	if m.Body != nil {
 		t.body = append(t.body[:0], m.Body...)

@@ -69,14 +69,9 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	// sessions exist.
 	var ccs []*controlConn
 	if !c.Reading() {
-		referenced := make(map[*controlConn]bool, len(s.sessions))
-		for _, sess := range s.sessions {
-			if sess.cc != nil {
-				referenced[sess.cc] = true
-			}
-		}
+		s.markReferenced()
 		for _, cc := range s.ctlConns {
-			if !transport.ConnClosed(cc.conn) || referenced[cc] {
+			if cc.needed(s.sweep) {
 				ccs = append(ccs, cc)
 			}
 		}
@@ -108,9 +103,9 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	// Data connections still waiting for their hello.
 	var pend []transport.Conn
 	if !c.Reading() {
-		for _, conn := range s.pendingData {
-			if !transport.ConnClosed(conn) {
-				pend = append(pend, conn)
+		for _, w := range s.pendingData {
+			if !transport.ConnClosed(w.conn) {
+				pend = append(pend, w.conn)
 			}
 		}
 		sort.Slice(pend, func(i, j int) bool { return pend[i].LocalAddr() < pend[j].LocalAddr() })
@@ -134,7 +129,7 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	}
 	snap.Slice(c, &sessions, func(c *snap.Codec, sp **streamSession) {
 		if c.Reading() {
-			*sp = &streamSession{srv: s, failedRungs: make(map[int]int)}
+			*sp = s.allocSession()
 		}
 		sess := *sp
 		sess.sync(c, stack, x, ccs)
@@ -191,7 +186,7 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 		// below, not restarted.
 		sess.backlogProbe, _ = sess.dataTCP.(interface{ QueueDepth() int })
 		if !transport.ConnClosed(sess.dataTCP) {
-			sess.dataTCP.SetReceiver(sess.onTCPData)
+			sess.dataTCP.SetReceiver(sess.recvTCP)
 			c.Fail(stack.RestoreAccepted(s.cfg.DataTCPPort, sess.dataTCP))
 		}
 	}

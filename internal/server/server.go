@@ -22,8 +22,9 @@ package server
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"realtracer/internal/media"
@@ -107,10 +108,18 @@ type Server struct {
 	// DESCRIBE, or between playlist entries) is reachable from nowhere else.
 	// Closed, unreferenced entries are swept lazily as the list grows.
 	ctlConns []*controlConn
+	// sweep is the generation markReferenced last stamped on the control
+	// connections a session references.
+	sweep uint64
 
 	// pendingData tracks accepted TCP data connections whose DataHello has
 	// not arrived yet: no session references them until the hello binds them.
-	pendingData []transport.Conn
+	// watchFree holds the watchers no connection is using.
+	pendingData []*dataWatcher
+	watchFree   []*dataWatcher
+
+	// doomed is DropClient's scratch.
+	doomed []*streamSession
 
 	// Counters for Figure 10 and diagnostics.
 	describes   uint64
@@ -179,26 +188,22 @@ func (s *Server) ActiveSessions() int { return len(s.sessions) }
 // would pace frames at a dead address forever and permanently inflate the
 // ActiveSessions load probe. Returns how many sessions were reaped.
 func (s *Server) DropClient(clientHost string) int {
-	var doomed []*streamSession
+	doomed := s.doomed[:0]
 	for _, sess := range s.sessions {
 		if addrHost(sess.spec.ClientDataAddr) == clientHost ||
 			(sess.cc != nil && addrHost(sess.cc.conn.RemoteAddr()) == clientHost) {
 			doomed = append(doomed, sess)
 		}
 	}
-	if len(doomed) == 0 {
-		// The common churn case: the departing client tore all its sessions
-		// down cleanly. Skip the sort so the per-departure sweep stays
-		// allocation-free.
-		return 0
-	}
 	// Stable reap order: stop() can close connections (which sends), and
 	// map iteration order must not leak into the packet stream.
-	sort.Slice(doomed, func(i, j int) bool { return doomed[i].id < doomed[j].id })
+	slices.SortFunc(doomed, func(a, b *streamSession) int { return strings.Compare(a.id, b.id) })
 	for _, sess := range doomed {
 		sess.stop()
 		s.removeSession(sess)
 	}
+	clear(doomed)
+	s.doomed = doomed[:0]
 	return len(doomed)
 }
 
@@ -232,30 +237,41 @@ func (s *Server) acceptControl(conn transport.Conn) {
 // whether a checkpoint is ever taken cannot perturb the run.
 func (s *Server) trackControl(cc *controlConn) {
 	if len(s.ctlConns) >= 2*len(s.sessions)+64 {
-		referenced := make(map[*controlConn]bool, len(s.sessions))
-		for _, sess := range s.sessions {
-			if sess.cc != nil {
-				referenced[sess.cc] = true
-			}
-		}
+		s.markReferenced()
 		kept := s.ctlConns[:0]
 		for _, old := range s.ctlConns {
-			if !transport.ConnClosed(old.conn) || referenced[old] {
+			if old.needed(s.sweep) {
 				kept = append(kept, old)
 			}
 		}
-		for i := len(kept); i < len(s.ctlConns); i++ {
-			s.ctlConns[i] = nil
-		}
+		clear(s.ctlConns[len(kept):])
 		s.ctlConns = kept
 	}
 	s.ctlConns = append(s.ctlConns, cc)
+}
+
+// markReferenced stamps every control connection a session references with
+// a fresh sweep generation, s.sweep.
+func (s *Server) markReferenced() {
+	s.sweep++
+	for _, sess := range s.sessions {
+		if sess.cc != nil {
+			sess.cc.mark = s.sweep
+		}
+	}
+}
+
+// needed reports whether a tracked control connection must stay tracked: it
+// is open, or the sweep that just marked it found a session referencing it.
+func (cc *controlConn) needed(sweep uint64) bool {
+	return !transport.ConnClosed(cc.conn) || cc.mark == sweep
 }
 
 type controlConn struct {
 	srv  *Server
 	conn transport.Conn
 	sess *streamSession // session most recently SETUP on this connection
+	mark uint64         // Server.sweep when a session last referenced it
 }
 
 func (cc *controlConn) reply(m *rtsp.Message) {
@@ -395,45 +411,69 @@ func (s *Server) acceptDataTCP(conn transport.Conn) {
 	s.watchPendingData(conn)
 }
 
+// dataWatcher waits on one accepted TCP data connection for the DataHello
+// that binds it to its session. Watchers are leased from the server's
+// free-list with their receiver bound once, and go back when their
+// connection is bound, refused, or found closed.
+type dataWatcher struct {
+	srv  *Server
+	conn transport.Conn
+	recv func(any, int) // w.onHello
+}
+
 // watchPendingData installs the hello-waiting receiver on a data connection
 // and tracks it until the hello binds it to a session — the shared path of
 // accept and checkpoint restore.
 func (s *Server) watchPendingData(conn transport.Conn) {
 	kept := s.pendingData[:0]
-	for _, c := range s.pendingData {
-		if !transport.ConnClosed(c) {
-			kept = append(kept, c)
+	for _, w := range s.pendingData {
+		if transport.ConnClosed(w.conn) {
+			s.freeWatcher(w)
+		} else {
+			kept = append(kept, w)
 		}
 	}
-	for i := len(kept); i < len(s.pendingData); i++ {
-		s.pendingData[i] = nil
+	clear(s.pendingData[len(kept):])
+	var w *dataWatcher
+	if k := len(s.watchFree) - 1; k >= 0 {
+		w, s.watchFree = s.watchFree[k], s.watchFree[:k]
+	} else {
+		w = &dataWatcher{srv: s}
+		w.recv = w.onHello
 	}
-	s.pendingData = append(kept, conn)
-	conn.SetReceiver(func(payload any, size int) {
-		switch m := payload.(type) {
-		case *session.DataHello:
-			s.untrackPendingData(conn)
-			sess, ok := s.sessions[m.SessionID]
-			if !ok {
-				conn.Close()
-				return
-			}
-			sess.bindTCPData(conn)
-		case *rdt.Packet:
-			// Feedback on an already-bound connection is routed by the
-			// receiver installed in bindTCPData; a packet here means the
-			// hello never arrived.
-		}
-	})
+	w.conn = conn
+	s.pendingData = append(kept, w)
+	conn.SetReceiver(w.recv)
 }
 
-func (s *Server) untrackPendingData(conn transport.Conn) {
-	for i, c := range s.pendingData {
-		if c == conn {
-			s.pendingData = append(s.pendingData[:i], s.pendingData[i+1:]...)
-			return
-		}
+// freeWatcher returns w to the free-list. Its connection stops delivering to
+// it first: a real socket's reads already queued for the loop must find no
+// receiver, not the watcher's next connection.
+func (s *Server) freeWatcher(w *dataWatcher) {
+	w.conn.SetReceiver(nil)
+	w.conn = nil
+	s.watchFree = append(s.watchFree, w)
+}
+
+// onHello binds the watched connection to the session its hello names, or
+// closes it when there is none. Anything else arriving first — feedback,
+// which bindTCPData's receiver routes once the hello is in — is ignored.
+func (w *dataWatcher) onHello(payload any, _ int) {
+	m, ok := payload.(*session.DataHello)
+	if !ok {
+		return
 	}
+	s, conn := w.srv, w.conn
+	if i := slices.Index(s.pendingData, w); i >= 0 {
+		s.pendingData = slices.Delete(s.pendingData, i, i+1)
+	}
+	s.freeWatcher(w)
+	sess, ok := s.sessions[m.SessionID]
+	if !ok {
+		conn.Close()
+		return
+	}
+	sess.bindTCPData(conn)
 }
 
 // onUDPData demultiplexes datagrams from clients (reports, buffer state) to

@@ -95,8 +95,8 @@ func TestDescribeReturnsParseableBody(t *testing.T) {
 	if resp.Status != rtsp.StatusOK {
 		t.Fatalf("status=%d", resp.Status)
 	}
-	desc, err := session.ParseClipDesc(resp.Body)
-	if err != nil {
+	var desc session.ClipDesc
+	if err := session.ParseClipDesc(resp.Body, &desc); err != nil {
 		t.Fatalf("body unparseable: %v", err)
 	}
 	if len(desc.Encodings) != 6 {

@@ -43,6 +43,9 @@ type streamSession struct {
 	maxKbps float64 // client's configured maximum bit rate
 	ctrl    ratecontrol.Controller
 	dataTCP transport.Conn
+	// recvTCP is onTCPData, bound once when the session object is built and
+	// kept across recycling: the receiver of every data conn it binds.
+	recvTCP func(any, int)
 	dataUDP transport.Conn // port-backed view for UDP sends, peer resolved once
 	// backlogProbe is dataTCP's QueueDepth view, resolved once at bind time:
 	// pace() consults it per frame, and an interface type assertion in that
@@ -123,13 +126,21 @@ type streamSession struct {
 	switches int
 }
 
+// allocSession builds a session object for the pool: its map, and its
+// receiver bound to it.
+func (s *Server) allocSession() *streamSession {
+	sess := &streamSession{srv: s, failedRungs: make(map[int]int)}
+	sess.recvTCP = sess.onTCPData
+	return sess
+}
+
 // newStreamSession leases a session object from the server's free-list (or
 // allocates the pool's first instances) and reinitializes it for one clip
 // playout. Recycled sessions keep their storage — the emptied retransmit
-// window's ring, the failed-rung map, FEC scratch and packet arena;
-// everything else is reset field-by-field through the struct literal, so a
-// recycled session can never observe its predecessor's retransmit window,
-// feedback snapshot or timer state.
+// window's ring, the failed-rung map, FEC scratch, packet arena and bound
+// receiver; everything else is reset field-by-field through the struct
+// literal, so a recycled session can never observe its predecessor's
+// retransmit window, feedback snapshot or timer state.
 func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.TransportSpec, maxKbps float64, cc *controlConn) *streamSession {
 	var sess *streamSession
 	if k := len(s.sessFree); k > 0 {
@@ -137,7 +148,7 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 		s.sessFree = s.sessFree[:k-1]
 		clear(sess.failedRungs)
 	} else {
-		sess = &streamSession{failedRungs: make(map[int]int)}
+		sess = s.allocSession()
 	}
 	*sess = streamSession{
 		srv:         s,
@@ -146,6 +157,7 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 		spec:        spec,
 		cc:          cc,
 		maxKbps:     maxKbps,
+		recvTCP:     sess.recvTCP,
 		sentVideo:   sess.sentVideo,
 		failedRungs: sess.failedRungs,
 		fecMeta:     sess.fecMeta[:0],
@@ -181,7 +193,7 @@ func (x *checkArm) Fire(time.Duration) { (*streamSession)(x).check() }
 func (sess *streamSession) bindTCPData(conn transport.Conn) {
 	sess.dataTCP = conn
 	sess.backlogProbe, _ = conn.(interface{ QueueDepth() int })
-	conn.SetReceiver(sess.onTCPData)
+	conn.SetReceiver(sess.recvTCP)
 	sess.maybeStart()
 }
 

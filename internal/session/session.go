@@ -6,10 +6,10 @@
 package session
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"realtracer/internal/media"
@@ -93,63 +93,71 @@ func (d ClipDesc) Marshal() []byte {
 // ErrBadDesc reports an unparseable DESCRIBE body.
 var ErrBadDesc = errors.New("session: malformed clip description")
 
-// ParseClipDesc parses a DESCRIBE body.
-func ParseClipDesc(body []byte) (ClipDesc, error) {
-	var d ClipDesc
-	for rest, more := string(body), true; more; {
-		var line string
-		line, rest, more = strings.Cut(rest, "\n")
-		line = strings.TrimSpace(line)
-		if line == "" {
+// ParseClipDesc parses a DESCRIBE body into d, replacing every field; on an
+// error d holds what was parsed before it. The body is read in place, and
+// the encodings are appended into d.Encodings' storage, so a caller that
+// keeps one ClipDesc parses without allocating once that storage has grown —
+// except for a title, which is copied out of the body unless it equals d's
+// current one.
+func ParseClipDesc(body []byte, d *ClipDesc) error {
+	title := d.Title
+	*d = ClipDesc{Encodings: d.Encodings[:0]}
+	for rest, more := body, true; more; {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, []byte("\n"))
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
-		key, val, ok := strings.Cut(line, "=")
+		key, val, ok := bytes.Cut(line, []byte("="))
 		if !ok {
-			return d, ErrBadDesc
+			return ErrBadDesc
 		}
-		switch key {
+		switch string(key) {
 		case "title":
-			d.Title = val
+			if d.Title = title; string(val) != title {
+				d.Title = string(val)
+			}
 		case "duration_ms":
-			ms, err := strconv.ParseInt(val, 10, 64)
+			ms, err := strconv.ParseInt(string(val), 10, 64)
 			if err != nil {
-				return d, ErrBadDesc
+				return ErrBadDesc
 			}
 			d.Duration = time.Duration(ms) * time.Millisecond
 		case "scalable":
-			d.Scalable = val == "true"
+			d.Scalable = string(val) == "true"
 		case "live":
-			d.Live = val == "true"
+			d.Live = string(val) == "true"
 		case "enc":
 			e, ok := parseEncoding(val)
 			if !ok {
-				return d, ErrBadDesc
+				return ErrBadDesc
 			}
 			d.Encodings = append(d.Encodings, e)
 		}
 	}
 	if len(d.Encodings) == 0 || d.Duration <= 0 {
-		return d, ErrBadDesc
+		return ErrBadDesc
 	}
-	return d, nil
+	return nil
 }
 
 // parseEncoding parses one enc= value, "total/audio/fps/WxH": exactly four
 // '/' fields, the last split at its first 'x'.
-func parseEncoding(v string) (e EncodingDesc, ok bool) {
-	total, v, ok1 := strings.Cut(v, "/")
-	audio, v, ok2 := strings.Cut(v, "/")
-	fps, dims, ok3 := strings.Cut(v, "/")
-	w, h, ok4 := strings.Cut(dims, "x")
-	if !ok1 || !ok2 || !ok3 || !ok4 || strings.Contains(dims, "/") {
+func parseEncoding(v []byte) (e EncodingDesc, ok bool) {
+	total, v, ok1 := bytes.Cut(v, []byte("/"))
+	audio, v, ok2 := bytes.Cut(v, []byte("/"))
+	fps, dims, ok3 := bytes.Cut(v, []byte("/"))
+	w, h, ok4 := bytes.Cut(dims, []byte("x"))
+	if !ok1 || !ok2 || !ok3 || !ok4 || bytes.IndexByte(dims, '/') >= 0 {
 		return e, false
 	}
 	var errs [5]error
-	e.TotalKbps, errs[0] = strconv.ParseFloat(total, 64)
-	e.AudioKbps, errs[1] = strconv.ParseFloat(audio, 64)
-	e.FrameRate, errs[2] = strconv.ParseFloat(fps, 64)
-	e.Width, errs[3] = strconv.Atoi(w)
-	e.Height, errs[4] = strconv.Atoi(h)
+	e.TotalKbps, errs[0] = strconv.ParseFloat(string(total), 64)
+	e.AudioKbps, errs[1] = strconv.ParseFloat(string(audio), 64)
+	e.FrameRate, errs[2] = strconv.ParseFloat(string(fps), 64)
+	e.Width, errs[3] = strconv.Atoi(string(w))
+	e.Height, errs[4] = strconv.Atoi(string(h))
 	return e, errs == [5]error{}
 }
 

@@ -23,8 +23,8 @@ func roundTripClip() *media.Clip {
 
 func TestClipDescRoundTrip(t *testing.T) {
 	d := DescFromClip(roundTripClip())
-	got, err := ParseClipDesc(d.Marshal())
-	if err != nil {
+	var got ClipDesc
+	if err := ParseClipDesc(d.Marshal(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Title != d.Title || got.Duration != d.Duration || got.Scalable != d.Scalable {
@@ -101,7 +101,7 @@ func TestParseClipDescErrors(t *testing.T) {
 		"duration_ms=1000\nenc=1/2/3/nox\n",
 	}
 	for _, c := range cases {
-		if _, err := ParseClipDesc([]byte(c)); err == nil {
+		if err := ParseClipDesc([]byte(c), &ClipDesc{}); err == nil {
 			t.Errorf("accepted %q", c)
 		}
 	}
@@ -172,10 +172,11 @@ func parseClipDescRef(body []byte) (ClipDesc, error) {
 }
 
 // FuzzParseClipDesc is the differential check of the DESCRIBE body parser:
-// on every input, accepted or refused, ParseClipDesc must return the value
-// and the error the reference parser returns. Seeded with a real body, the
-// refusals of TestParseClipDescErrors and the shapes the two ways of
-// splitting could disagree on.
+// on every input, accepted or refused, ParseClipDesc must leave the value
+// and return the error the reference parser returns — parsing into a fresh
+// ClipDesc, and into one still holding another clip's title and encodings.
+// Seeded with a real body, the refusals of TestParseClipDescErrors and the
+// shapes the two ways of splitting could disagree on.
 func FuzzParseClipDesc(f *testing.F) {
 	f.Add(DescFromClip(roundTripClip()).Marshal())
 	for _, body := range []string{
@@ -188,16 +189,48 @@ func FuzzParseClipDesc(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, err := ParseClipDesc(body)
 		want, wantErr := parseClipDescRef(body)
-		if err != wantErr {
-			t.Fatalf("ParseClipDesc(%q): error %v, the reference parser says %v", body, err, wantErr)
-		}
-		// NaN != NaN, so compare what the floats print as.
-		if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w || len(got.Encodings) != len(want.Encodings) {
-			t.Fatalf("ParseClipDesc(%q) = %s, the reference parser says %s", body, g, w)
+		for _, dst := range []ClipDesc{{}, DescFromClip(roundTripClip())} {
+			got := dst
+			if err := ParseClipDesc(body, &got); err != wantErr {
+				t.Fatalf("ParseClipDesc(%q): error %v, the reference parser says %v", body, err, wantErr)
+			}
+			// NaN != NaN, so compare what the floats print as.
+			if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w || len(got.Encodings) != len(want.Encodings) {
+				t.Fatalf("ParseClipDesc(%q) into %q = %s, the reference parser says %s", body, dst.Title, g, w)
+			}
 		}
 	})
+}
+
+// TestControlMessageAllocBudget: what a session's control exchange costs per
+// message. A SETUP request with its two headers, a Session header set on it
+// and its size cost one allocation, the *Message — the headers are inline —
+// and a library clip's DESCRIBE body parses into a ClipDesc that has parsed
+// it before with none: the body is read in place, the encodings go into the
+// storage the last parse grew, and the title equals the last.
+func TestControlMessageAllocBudget(t *testing.T) {
+	const transportValue = "proto=udp;client_addr=user00.us:10001"
+	var size int
+	if n := testing.AllocsPerRun(100, func() {
+		req := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://cnn.us/clip000.rm", 2)
+		req.Set("Transport", transportValue)
+		req.Set("Bandwidth", "350")
+		req.Set("Session", "sess-1")
+		size += req.WireSize()
+	}); n > 1 {
+		t.Errorf("building and sizing a SETUP request allocates %v times, want at most 1", n)
+	}
+	for _, clip := range media.GenerateLibrary("cnn.us", 40, 7).Clips {
+		body := DescFromClip(clip).Marshal()
+		var d ClipDesc
+		if err := ParseClipDesc(body, &d); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { ParseClipDesc(body, &d) }); n != 0 {
+			t.Errorf("parsing %s's DESCRIBE body into a warm ClipDesc allocates %v times, want 0", clip.URL, n)
+		}
+	}
 }
 
 func TestCodecRoundTripRTSP(t *testing.T) {
@@ -275,8 +308,8 @@ func TestPropertyClipDescRoundTrip(t *testing.T) {
 				Width: e.Width, Height: e.Height,
 			})
 		}
-		got, err := ParseClipDesc(d.Marshal())
-		if err != nil || got.Duration != d.Duration || len(got.Encodings) != n {
+		var got ClipDesc
+		if err := ParseClipDesc(d.Marshal(), &got); err != nil || got.Duration != d.Duration || len(got.Encodings) != n {
 			return false
 		}
 		return got.Scalable == scalable

@@ -14,6 +14,7 @@ import (
 	"realtracer/internal/figures"
 	"realtracer/internal/netsim"
 	"realtracer/internal/rdt"
+	"realtracer/internal/rtsp"
 	"realtracer/internal/trace"
 )
 
@@ -299,6 +300,34 @@ func midRTOWorld(t testing.TB) *World {
 		}
 	}
 	t.Fatalf("no TCP sender of the %s fence world ever goes back N", fenceWorlds[2].name)
+	return nil
+}
+
+// midSetupWorld is the churn-heavy fence world stepped from its start to the
+// first instant a SETUP request is on the wire: a message carrying a header
+// list, in a segment a snapshot walks, which a cut lands on only inside one
+// client-to-server trip. It seeds FuzzResume, so mutations reach the header
+// walk and its refusals.
+func midSetupWorld(t testing.TB) *World {
+	t.Helper()
+	w, err := NewWorld(churnHeavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w.Clock.Step() {
+		for _, pe := range w.Clock.Pendings() {
+			pkt, ok := pe.Handler.(*netsim.Packet)
+			if !ok {
+				continue
+			}
+			if seg := reflect.ValueOf(pkt.Payload); seg.Kind() == reflect.Pointer && seg.Type().Elem().Name() == "tcpSeg" {
+				if m, ok := peek(seg, "payload").Interface().(*rtsp.Message); ok && m.Method == rtsp.MethodSetup {
+					return w
+				}
+			}
+		}
+	}
+	t.Fatal("the churn-heavy fence world sends no SETUP")
 	return nil
 }
 

@@ -14,18 +14,21 @@ import (
 // bundle free-list keeps the per-session object graph (tracer, player,
 // arenas, record storage, plan scratch) out of the count, and the control
 // plane sizes its messages instead of rendering them, shares each clip's
-// DESCRIBE body and recycles conn storage. Before the free-list a session
-// cost ~10,000 allocations; with it ~410, ~308 once packet cells were leased,
-// and the measured steady state is now ~99 (101 under -race). The budget sits
-// ~2x above it so a regression back toward per-arrival construction — or per-
-// message rendering — fails loudly while dial/RTSP noise does not.
-const sessionAllocBudget = 200
+// DESCRIBE body, recycles conn storage, keeps headers inline, parses into
+// the player's own description and binds every long-lived receiver once.
+// Before the free-list a session cost ~10,000 allocations; with it ~410, ~308
+// once packet cells were leased, ~99 once RTSP text was sized, and the
+// measured steady state is now 65 (65 under -race). The budget sits ~1.5x
+// above it so a regression back toward per-message or per-dial binding fails
+// loudly while dial/RTSP noise does not.
+const sessionAllocBudget = 95
 
 // sessionBytesBudget bounds the bytes (MemStats.TotalAlloc) a steady-state
 // session allocates: the size fence beside the count fence. While packet
 // cells were carved once per packet a session read 195,066 bytes on this
-// window; leased from free-lists it read 24,479 (11,321 now that RTSP text
-// is sized, not rendered), and the budget is 60 % of the old reading, so
+// window; leased from free-lists it read 24,479 (11,321 once RTSP text was
+// sized, not rendered; ~8,400 now that headers are inline and a description
+// parses in place), and the budget is 60 % of the old reading, so
 // carving per packet again — in an arena slab or the segment pool — fails
 // here even though it is only one allocation per 64 cells and barely moves
 // the count above.
@@ -98,11 +101,12 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 // goroutines per measured Run call, and pays queue-growth noise on the
 // cross-shard outboxes — but the transit snapshots themselves are pooled,
 // so the per-packet copy tax that once made a sharded session cost tens of
-// thousands of allocations must stay gone. Measured steady state is ~101
-// (104 under -race; ~308 before the control plane stopped rendering what it
-// only measures); the budget sits ~2x above it, matching the classic fence's
+// thousands of allocations must stay gone. Measured steady state is 69
+// (69 under -race; ~101 before headers went inline and receivers were bound
+// once, ~308 before the control plane stopped rendering what it only
+// measures); the budget sits ~1.5x above it, matching the classic fence's
 // convention.
-const shardedSessionAllocBudget = 200
+const shardedSessionAllocBudget = 100
 
 // TestShardedChurnAllocBudget is the sharded mirror of
 // TestSessionChurnAllocBudget: once the transit pools and bundle free-lists

@@ -18,8 +18,9 @@ import (
 // TestSyncCoversEveryField is the drift fence for the one-walk rule. It
 // drives each fence world to its mid-run cut — once retaining records, once
 // streaming into figures.Aggregates — and one more world each to an instant
-// with a TCP dial in flight, to one with a NACK on the wire and to one with a
-// timed-out TCP flight waiting to be sent again, then reflects
+// with a TCP dial in flight, to one with a NACK on the wire, to one with a
+// timed-out TCP flight waiting to be sent again and to one with a SETUP
+// request (a header list) on the wire, then reflects
 // over every object reachable from the World and perturbs each scalar field
 // in place: a field is covered when some perturbation of it changes the bytes
 // the Sync walk writes. A field that never does must be named in syncExempt
@@ -37,7 +38,7 @@ func TestSyncCoversEveryField(t *testing.T) {
 		types: map[string]bool{},
 		used:  map[string]bool{},
 	}
-	inputs := map[string]*World{"middial": midDialWorld(t), "midnack": midNackWorld(t), "midrto": midRTOWorld(t)}
+	inputs := map[string]*World{"middial": midDialWorld(t), "midnack": midNackWorld(t), "midrto": midRTOWorld(t), "midsetup": midSetupWorld(t)}
 	for _, fw := range fenceWorlds {
 		inputs[fw.name] = fenceWorld(t, fw.opt)
 		// The same cut of a world streaming into aggregates: the walk reaches
@@ -291,6 +292,7 @@ var syncExempt = map[string]string{
 	"simclock.Clock.free":       "recycled events",
 	"netsim.Network.free":       "recycled packets",
 	"netsim.Network.hostFree":   "recycled host objects",
+	"netsim.Network.pathFree":   "recycled path states",
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
 	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's send and reorder buffers, and the wire",
@@ -298,7 +300,8 @@ var syncExempt = map[string]string{
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
 	"player.Player.nackScratch": "per-flush scratch",
-	"player.Player.gapScratch":  "jitter scratch",
+	"player.Player.descBuf":     "DESCRIBE parse scratch; the session's description is the walked desc",
+	"player.Player.waits":       "idle dial continuations; a dial in flight is walked by its stack and re-attached by the player",
 	"player.Player.ownArena":    "fallback packet storage",
 	"netsim.Packet.pooled":      "allocation provenance; restored packets come from the pool",
 	"transport.tcpAck.origin":   "free-list provenance; a restored ACK is garbage-collected instead",
@@ -345,14 +348,16 @@ var syncExempt = map[string]string{
 	"server.Server.cfg":                  "rebuilt from Options",
 	"server.Server.byDataAddr":           "index of sessions by walked ClientDataAddr",
 	"server.Server.descBody":             "each library clip's DESCRIBE body, rendered by New from the static library",
+	"server.Server.sweep":                "generation of the last referenced-conn mark, stamped afresh by every sweep and walk",
+	"server.controlConn.mark":            "sweep mark, stamped afresh by every sweep and walk",
+	"figures.Aggregates.psKeys":          "interned policyServer labels, rebuilt as records arrive",
 	"server.Server.udpPort":              "rebuilt by Server.Start",
 	"server.streamSession.clip":          "looked up from the walked URL",
 	"server.streamSession.srcStore":      "storage behind src",
 	"server.streamSession.arena":         "packet storage",
 	"media.FrameSource.clip":             "rebuilt by Reset from the session's clip and walked encIdx",
 	"media.FrameSource.enc":              "rebuilt by Reset",
-	"media.FrameSource.rng":              "rebuilt by Reset; no draws happen after construction",
-	"media.FrameSource.scenes":           "rebuilt by Reset",
+	"media.FrameSource.scenes":           "the clip's, laid out on its first playout; pointed at by Reset",
 	"player.Player.arena":                "packet storage supplied by the owner",
 	"player.Config.Clock":                "owner-supplied environment",
 	"player.Config.Net":                  "owner-supplied environment",

@@ -56,10 +56,11 @@ func finished(w *World) bool {
 
 // FuzzResume feeds Resume mutated snapshots. The corpus is seeded with real
 // mid-run snapshots of the four fence worlds, of one world with a TCP dial in
-// flight and of one with a timed-out TCP flight waiting to be sent again,
-// plus truncations of each, and one doctored window.
+// flight, of one with a timed-out TCP flight waiting to be sent again and of
+// one with a SETUP request on the wire, plus truncations of each, and one
+// doctored window.
 func FuzzResume(f *testing.F) {
-	snaps := [][]byte{checkpoint(f, midDialWorld(f)), checkpoint(f, midRTOWorld(f))}
+	snaps := [][]byte{checkpoint(f, midDialWorld(f)), checkpoint(f, midRTOWorld(f)), checkpoint(f, midSetupWorld(f))}
 	for _, fw := range fenceWorlds {
 		snaps = append(snaps, fenceSnapshot(f, fw.opt))
 	}
