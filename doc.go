@@ -55,8 +55,10 @@
 // its WireSize, which is arithmetic pinned equal to len(Marshal()) — the text
 // is rendered only for real sockets; a message's headers are a sorted list
 // held inline in the message, so setting one allocates nothing; a server
-// renders each immutable clip's DESCRIBE body once and every response shares
-// it read-only, and the player parses it in place into a description it
+// renders an immutable clip's DESCRIBE body the first time the clip is
+// described there and every later response shares it read-only (under pinned
+// selection most of a replicated library never is), and the player parses it
+// in place into a description it
 // keeps; owners that outlive what they serve (player, server session, the
 // server's hello watchers) bind their receivers once; and a closed conn's two
 // window rings go, cleared, to its stack's free-list for the host's next
@@ -161,13 +163,18 @@
 // byte-identity: study.Resume on a
 // snapshot cut at any instant completes with records byte-identical to
 // the straight-through run (TestCheckpointResumeByteIdentical, under
-// -race in CI). A named study.Fork instead re-derives every RNG stream
-// from the fork name and may override divergent-phase conditions
-// (dynamics, controller, selection, intensities); campaign.RunWarmForks
-// builds the shared warm prefix once and fans N forks across the worker
-// pool from one read-only snapshot — an 8-fork sweep warm-started at 60%
-// of the horizon runs >=2x faster than cold (BenchmarkCampaignWarmFork,
-// fenced by TestWarmForkSpeedup).
+// -race in CI). A named study.Fork instead restarts every RNG stream at a
+// seed derived from the fork name — replaying none of them — and may
+// override divergent-phase conditions (dynamics, controller, selection,
+// intensities); the records the forks of two fence worlds finish with are
+// pinned (TestForkRecordsGolden). campaign.RunWarmForks builds the shared
+// warm prefix once and fans N forks across the worker pool from one
+// read-only snapshot — an 8-fork sweep warm-started at 60% of the horizon
+// runs >=2x faster than cold (BenchmarkCampaignWarmFork, fenced by
+// TestWarmForkSpeedup) — and a fork's resume reads its bytes into one exactly
+// sized buffer, decodes retained records field by field with each distinct
+// string built once, and renders no DESCRIBE body until one is asked for
+// (TestForkResumeAllocBudget).
 //
 // There is one way out for records: the world's sink (trace.Sink). A record
 // handed to a sink is the sink's to keep; the default sink is a
@@ -176,7 +183,8 @@
 // every figure and summary is computed from, a trace.CSVSink, a MultiSink of
 // several — and memory is bounded by what the sink keeps, so -users may run
 // far past the paper's 63. The snapshot walks the sink too: a Collector
-// world's checkpoint carries its records, an Aggregates world's carries the
+// world's checkpoint carries its records (trace.Record.Sync, every field), an
+// Aggregates world's carries the
 // aggregates' own Sync walk, and Resume rebuilds whichever kind the section
 // tag names (trace.RegisterSnapSink); a sink that cannot walk itself makes
 // Checkpoint fail naming its type.

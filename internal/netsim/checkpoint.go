@@ -49,8 +49,15 @@ type pathEntry struct {
 // keepDynamics matters only when decoding and must be false when the
 // restored world runs a different dynamics schedule than the checkpointed
 // one (a fork): the per-path event indices and chain state then refer to the
-// old schedule and are discarded, along with the old dynamics draw stream.
-func (n *Network) Sync(c *snap.Codec, keepDynamics bool) {
+// old schedule and are discarded, along with the old dynamics draw stream,
+// which is read but not replayed.
+//
+// netFork and dynFork are the fork hooks of the base and dynamics streams
+// (see detrand.Rand.Sync): nil replays the checkpointed position, non-nil
+// restarts the stream at the seed the hook derives. When the snapshot's
+// dynamics stream is not kept, dynFork restarts the rebuilt world's own
+// stream, from the position NewWorld left it at.
+func (n *Network) Sync(c *snap.Codec, keepDynamics bool, netFork, dynFork func(seed int64, count uint64) int64) {
 	if n.fab != nil {
 		c.Fail(fmt.Errorf("netsim: sharded networks cannot be checkpointed"))
 		return
@@ -65,14 +72,17 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool) {
 	// the names x paths a hostile list of (from, to) pairs could ask for.
 	slots := 1<<20 + 16*c.Remaining()
 
-	n.drng.Sync(c, nil)
+	n.drng.Sync(c, netFork)
 	hasDyn := n.dyn != nil
 	c.Bool(&hasDyn)
-	if hasDyn {
-		if keepDynamics {
-			n.dyn.drng.Sync(c, nil)
-		} else {
-			detrand.New(0).Sync(c, nil) // a discarded stream decodes into scratch
+	if hasDyn && keepDynamics {
+		n.dyn.drng.Sync(c, dynFork)
+	} else {
+		if hasDyn {
+			detrand.Discard(c)
+		}
+		if c.Reading() && c.Err() == nil && n.dyn != nil && dynFork != nil {
+			n.dyn.drng.Seed(dynFork(n.dyn.drng.State()))
 		}
 	}
 	c.U64(&n.sent)
@@ -286,17 +296,5 @@ func (n *Network) SyncPackets(c *snap.Codec, payload PayloadSync) {
 				n.release(pkt)
 			}
 		}
-	}
-}
-
-// ReseedRNGs re-derives the network's draw streams from fresh seeds — the
-// fork path: a named fork of a checkpoint diverges from its siblings by
-// reseeding every stream deterministically instead of replaying the
-// checkpointed draw counts. dynSeed is ignored when no dynamics schedule is
-// installed.
-func (n *Network) ReseedRNGs(seed, dynSeed int64) {
-	n.drng.Seed(seed)
-	if n.dyn != nil {
-		n.dyn.drng.Seed(dynSeed)
 	}
 }

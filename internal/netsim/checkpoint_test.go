@@ -82,7 +82,7 @@ func checkpointNet(t *testing.T, n *Network) []byte {
 	var buf bytes.Buffer
 	c := snap.NewEncoder(&buf)
 	n.Clock.Sync(c)
-	n.Sync(c, true)
+	n.Sync(c, true, nil, nil)
 	n.SyncPackets(c, syncI64)
 	if err := c.Err(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -108,7 +108,7 @@ func TestNetworkCheckpointRoundTrip(t *testing.T) {
 	w2 := newCkptWorld()
 	c := snap.NewDecoder(snapBytes)
 	w2.clock.Sync(c)
-	w2.net.Sync(c, true)
+	w2.net.Sync(c, true, nil, nil)
 	w2.net.SyncPackets(c, syncI64)
 	if err := c.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -157,7 +157,7 @@ func TestNetworkRestoreRejectsInterningMismatch(t *testing.T) {
 	n2.AddHost(HostConfig{Name: "z", Access: DefaultAccessProfile(AccessServer)})
 	c := snap.NewDecoder(snapBytes)
 	clock.Sync(c)
-	n2.Sync(c, false)
+	n2.Sync(c, false, nil, nil)
 	err := c.Err()
 	if err == nil {
 		t.Fatal("restore into a mismatched world succeeded")
@@ -190,7 +190,7 @@ func TestNetworkRestoreBoundsPathTable(t *testing.T) {
 	n2 := build()
 	c := snap.NewDecoder(checkpointNet(t, n1))
 	n2.Clock.Sync(c)
-	n2.Sync(c, false)
+	n2.Sync(c, false, nil, nil)
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "path table") {
 		t.Fatalf("restore error = %v, want the path-table budget to refuse it", err)
 	}

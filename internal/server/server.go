@@ -97,10 +97,11 @@ type Server struct {
 	// packets of its last playout still on the wire find the arena there.
 	sessFree []*streamSession
 
-	// descBody is each clip's DESCRIBE body, rendered once by New: a clip is
-	// immutable, so every response to a DESCRIBE of it shares these bytes,
-	// and nothing downstream may write through Message.Body (the player and a
-	// shard-transit copy both copy it out).
+	// descBody is each clip's DESCRIBE body, rendered the first time the clip
+	// is described here (under pinned selection most of a replicated library
+	// never is): a clip is immutable, so every response to a DESCRIBE of it
+	// shares these bytes, and nothing downstream may write through
+	// Message.Body (the player and a shard-transit copy both copy it out).
 	descBody map[*media.Clip][]byte
 
 	// ctlConns tracks every accepted control connection so a world checkpoint
@@ -132,16 +133,12 @@ type Server struct {
 // turned them off explicitly after construction via the Config it passed.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
-	s := &Server{
+	return &Server{
 		cfg:        cfg,
 		sessions:   make(map[string]*streamSession),
 		byDataAddr: make(map[string]*streamSession),
-		descBody:   make(map[*media.Clip][]byte, len(cfg.Library.Clips)),
+		descBody:   make(map[*media.Clip][]byte),
 	}
-	for _, clip := range cfg.Library.Clips {
-		s.descBody[clip] = session.DescFromClip(clip).Marshal()
-	}
-	return s
 }
 
 // Start binds the control and data ports.
@@ -302,8 +299,13 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 			cc.reply(rtsp.NewResponse(req, rtsp.StatusUnavailable))
 			return
 		}
+		body, ok := s.descBody[clip]
+		if !ok {
+			body = session.DescFromClip(clip).Marshal()
+			s.descBody[clip] = body
+		}
 		resp := rtsp.NewResponse(req, rtsp.StatusOK)
-		resp.Body = s.descBody[clip]
+		resp.Body = body
 		cc.reply(resp)
 
 	case rtsp.MethodSetup:

@@ -41,9 +41,10 @@ import (
 // depending on how it was built. Every field method takes a pointer: it
 // writes the pointed-to value when encoding and overwrites it when decoding.
 type Codec struct {
-	w       io.Writer // non-nil: encoding
-	in      []byte    // decoding: the unread input
-	draws   uint64    // decoding: RNG replay budget left, see DrawCount
+	w       io.Writer         // non-nil: encoding
+	in      []byte            // decoding: the unread input
+	draws   uint64            // decoding: RNG replay budget left, see DrawCount
+	strs    map[string]string // decoding: the values Interned has built
 	reading bool
 	buf     [8]byte
 	err     error
@@ -239,6 +240,34 @@ func StrAs[T ~string](c *Codec, s *T) {
 	}
 	*s = T(c.in[:n])
 	c.in = c.in[n:]
+}
+
+// Interned syncs a length-prefixed string exactly like Str, for values that
+// repeat across many objects of one snapshot (a user name, a clip URL on every
+// record). Decoding builds each distinct value once and shares it with every
+// later occurrence; the table lives as long as this decoder, so nothing is
+// shared between two decodes.
+func (c *Codec) Interned(s *string) {
+	if !c.reading {
+		c.Str(s)
+		return
+	}
+	n := 0
+	c.Len(&n)
+	if c.err != nil {
+		return
+	}
+	b := c.in[:n]
+	c.in = c.in[n:]
+	v, ok := c.strs[string(b)]
+	if !ok {
+		if c.strs == nil {
+			c.strs = make(map[string]string)
+		}
+		v = string(b)
+		c.strs[v] = v
+	}
+	*s = v
 }
 
 // Tag syncs a section marker: encoded as a string, and on decode compared

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strconv"
 
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
@@ -40,7 +41,7 @@ func init() {
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
 // before misreading a single field.
-const snapMagic = "RTSNAP3"
+const snapMagic = "RTSNAP4"
 
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays
@@ -106,15 +107,17 @@ func (f *Fork) Applied(base Options) Options {
 
 // forkSeed derives the seed a named fork's RNG stream restarts from: the
 // checkpointed stream position hashed with the fork name and the stream's
-// role label, so every fork gets a private, reproducible stream.
+// role label ("seed|count|name|label" in decimal), so every fork gets a
+// private, reproducible stream.
 func forkSeed(seed int64, count uint64, name, label string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%s", seed, count, name, label)
-	s := int64(h.Sum64())
-	if s == 0 {
-		s = 1
+	b := strconv.AppendInt(make([]byte, 0, 64), seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, count, 10)
+	b = append(append(append(append(b, '|'), name...), '|'), label...)
+	if s := int64(hashBytes(b)); s != 0 {
+		return s
 	}
-	return s
+	return 1
 }
 
 // reseed returns the RNG-stream walk's fork hook for the stream labelled
@@ -126,6 +129,18 @@ func (f *Fork) reseed(label string) func(seed int64, count uint64) int64 {
 		return nil
 	}
 	return func(seed int64, count uint64) int64 { return forkSeed(seed, count, f.Name, label) }
+}
+
+// restart is reseed for the network's two streams, which a named fork
+// restarts from base, the seed the world was built with, ignoring the
+// position the snapshot holds; the dynamics stream restarts so whether or
+// not the fork changed the schedule.
+func (f *Fork) restart(base int64, label string) func(seed int64, count uint64) int64 {
+	if f == nil || f.Name == "" {
+		return nil
+	}
+	seed := forkSeed(base, 0, f.Name, label)
+	return func(int64, uint64) int64 { return seed }
 }
 
 // sync walks every Options field. The encoding doubles as the version
@@ -152,8 +167,6 @@ func (o *Options) sync(c *snap.Codec) {
 	c.Int(&o.Arrivals)
 	c.Str(&o.Selection)
 	c.Int(&o.Shards)
-	c.Dur(&o.StaggerWindow)
-	c.F64(&o.ServerUplinkKbps)
 }
 
 // syncHeader walks the snapshot's preamble: the format magic, then the
@@ -242,11 +255,7 @@ func (w *World) sync(c *snap.Codec, fork *Fork, keepDynamics bool) {
 	// the first arrival); each owner below re-arms its own events at their
 	// original slots.
 	w.Clock.Sync(c)
-	w.Net.Sync(c, keepDynamics)
-	if c.Reading() && fork != nil && fork.Name != "" {
-		opt := w.Options
-		w.Net.ReseedRNGs(forkSeed(opt.Seed+3, 0, fork.Name, "net"), forkSeed(opt.dynamicsSeed(), 0, fork.Name, "dynamics"))
-	}
+	w.Net.Sync(c, keepDynamics, fork.restart(w.Options.Seed+3, "net"), fork.restart(w.Options.dynamicsSeed(), "dynamics"))
 
 	x := transport.NewSnapCtx(session.SnapSync)
 	c.Tag("servers")
@@ -381,7 +390,7 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 func Resume(r io.Reader, fork *Fork) (*World, error) {
 	// The whole snapshot is buffered so every length and count in it can be
 	// checked against the bytes that actually remain.
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("study: reading checkpoint: %w", err)
 	}
@@ -412,4 +421,18 @@ func Resume(r io.Reader, fork *Fork) (*World, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// readAll reads r to its end, into a buffer of exactly the right size when r
+// reports how many bytes it holds (a bytes.Reader does) instead of growing one.
+func readAll(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, sized.Len())
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

@@ -333,10 +333,10 @@ func midSetupWorld(t testing.TB) *World {
 
 // TestSnapshotBytesStable pins the wire format: each fence world's 55%
 // snapshot must hash to the digest recorded when the format was last
-// changed on purpose (RTSNAP3: a closed conn walks the backlog it froze and
-// empty windows instead of the segments it used to keep, and a tracer has one
-// arena, so no arena index). A refactor of the walks must leave these alone; a
-// deliberate format change bumps snapMagic and updates them here.
+// changed on purpose (RTSNAP4: the retained records walk field by field
+// instead of riding as one JSON string, and the Options block and a TCP conn
+// lost the fields nothing set). A refactor of the walks must leave these
+// alone; a deliberate format change bumps snapMagic and updates them here.
 func TestSnapshotBytesStable(t *testing.T) {
 	for _, fw := range fenceWorlds {
 		t.Run(fw.name, func(t *testing.T) {
@@ -525,9 +525,9 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 	}
 
 	// A snapshot in an earlier format — before dial state, before closed conns
-	// froze their backlog — is refused on its magic, before any field is
-	// misread.
-	for _, magic := range []string{"RTSNAP1", "RTSNAP2"} {
+	// froze their backlog, before records were walked field by field — is
+	// refused on its magic, before any field is misread.
+	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3"} {
 		old := append([]byte(nil), snap...)
 		copy(old[4:], magic)
 		if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {

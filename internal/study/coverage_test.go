@@ -347,7 +347,7 @@ var syncExempt = map[string]string{
 	"transport.udpPortConn":              "stateless view, rebuilt by ConnFor from the session's walked ClientDataAddr",
 	"server.Server.cfg":                  "rebuilt from Options",
 	"server.Server.byDataAddr":           "index of sessions by walked ClientDataAddr",
-	"server.Server.descBody":             "each library clip's DESCRIBE body, rendered by New from the static library",
+	"server.Server.descBody":             "rendered on first DESCRIBE",
 	"server.Server.sweep":                "generation of the last referenced-conn mark, stamped afresh by every sweep and walk",
 	"server.controlConn.mark":            "sweep mark, stamped afresh by every sweep and walk",
 	"figures.Aggregates.psKeys":          "interned policyServer labels, rebuilt as records arrive",
@@ -381,5 +381,4 @@ var syncExempt = map[string]string{
 	"study.arrivalCell.members":          "fixed at build",
 	"study.sessionBundle.mi":             "the bundle's position in the walked bundle list",
 	"study.sessionBundle.playlist":       "re-derived from the walked clip indices",
-	"trace.Record.Ordinal":               "merge tiebreak for sharded worlds only; never serialized (json:\"-\")",
 }

@@ -27,16 +27,14 @@ type DynamicsProfile struct {
 
 // studyHorizon estimates how much virtual time the bulk of a study spans:
 // the stagger window plus a generous tail for the last user's playlist.
-func studyHorizon(opt Options) time.Duration {
-	return opt.StaggerWindow + 20*time.Minute
-}
+const studyHorizon = staggerWindow + 20*time.Minute
 
 var dynamicsProfiles = map[string]DynamicsProfile{
 	"outage": {
 		Name:        "outage",
 		Description: "rolling server-link outages: each site goes dark once, staggered through the run, with brief degradation shoulders",
 		Build: func(opt Options, k float64, hosts []string) *netsim.Dynamics {
-			h := studyHorizon(opt)
+			h := studyHorizon
 			d := netsim.NewDynamics()
 			dur := time.Duration(k * float64(90*time.Second))
 			for i, host := range hosts {
@@ -57,7 +55,7 @@ var dynamicsProfiles = map[string]DynamicsProfile{
 		Name:        "flashcrowd",
 		Description: "two global flash-crowd congestion spikes (sharp rise, slow decay) at one and two thirds of the run",
 		Build: func(opt Options, k float64, hosts []string) *netsim.Dynamics {
-			h := studyHorizon(opt)
+			h := studyHorizon
 			amp := 0.45 * k
 			if amp > 0.9 {
 				amp = 0.9
@@ -86,7 +84,7 @@ var dynamicsProfiles = map[string]DynamicsProfile{
 		Name:        "diurnal",
 		Description: "diurnal cross-traffic cycle: congestion swells and ebbs twice over the run on every path",
 		Build: func(opt Options, k float64, hosts []string) *netsim.Dynamics {
-			h := studyHorizon(opt)
+			h := studyHorizon
 			amp := 0.30 * k
 			if amp > 0.9 {
 				amp = 0.9
@@ -99,7 +97,7 @@ var dynamicsProfiles = map[string]DynamicsProfile{
 		Name:        "routeflap",
 		Description: "mid-session route changes: every path shifts to a longer route partway through, with capacity ramping down, then partially recovers",
 		Build: func(opt Options, k float64, hosts []string) *netsim.Dynamics {
-			h := studyHorizon(opt)
+			h := studyHorizon
 			delta := time.Duration(k * float64(120*time.Millisecond))
 			return netsim.NewDynamics().
 				DelayShift("*", "*", h/3, h/3, delta).

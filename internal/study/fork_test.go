@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -54,5 +55,30 @@ func TestForkRecordsGolden(t *testing.T) {
 				t.Errorf("%s world resumed %s: records digest %s, want %s", g.name, f.name, got, g.digests[i])
 			}
 		}
+	}
+}
+
+// forkResumeAllocBudget bounds what one named-fork Resume of the warm-fork
+// benchmark's world allocates. Until forks stopped replaying the network's
+// streams, records travelled as JSON and every server rendered every clip's
+// DESCRIBE body while NewWorld built it, a resume cost 17,555 objects; it
+// costs 11,397 now (11,791 under -race), and the budget sits ~1.15x above.
+const forkResumeAllocBudget = 13_000
+
+// TestForkResumeAllocBudget resumes a named fork of cmd/bench's warmfork16
+// world (seed 1, world 0) from its warm-up cut, where 333 records ride in the
+// snapshot, and bounds the allocations.
+func TestForkResumeAllocBudget(t *testing.T) {
+	opt := Options{Seed: 1008, WorkloadSeed: 1013, MaxUsers: 64, ClipCap: 2, Workload: "poisson", Arrivals: 256}
+	snap := checkpoint(t, worldAt(t, opt, 19*time.Minute+52290*time.Millisecond))
+	fork := &Fork{Name: "fork-01"}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Resume(bytes.NewReader(snap), fork); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a named-fork resume of a %d-byte snapshot allocates %.0f objects (budget %d)", len(snap), allocs, forkResumeAllocBudget)
+	if allocs > forkResumeAllocBudget {
+		t.Errorf("a named-fork resume allocates %.0f objects, budget %d: a fork replays, parses or renders again", allocs, forkResumeAllocBudget)
 	}
 }

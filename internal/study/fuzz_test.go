@@ -10,6 +10,9 @@ import (
 // resumeHostile is the hostile-input property Resume must hold for any
 // bytes: it returns a world or an error — never a panic — within bounded
 // time and allocation, and a world it does return runs without panicking.
+// It holds for an exact resume, a named fork and a named fork onto another
+// dynamics schedule alike: a fork restarts streams and discards chain state
+// the exact resume replays and keeps.
 //
 // A snapshot that decodes cleanly after mutation is simply a different
 // world: a timer moved an hour out, a counter bumped. Such a world may run
@@ -17,6 +20,13 @@ import (
 // therefore driven under an event budget well above what any seed world
 // needs, and only a world that finishes inside it is handed to Run.
 func resumeHostile(t *testing.T, data []byte) {
+	outage, three := "outage", 3.0
+	for _, fork := range []*Fork{nil, {Name: "fuzz"}, {Name: "fuzz", Dynamics: &outage, DynamicsIntensity: &three}} {
+		resumeHostileAs(t, data, fork)
+	}
+}
+
+func resumeHostileAs(t *testing.T, data []byte, fork *Fork) {
 	const (
 		resumeLimit = 5 * time.Second
 		allocLimit  = 64 << 20
@@ -25,13 +35,13 @@ func resumeHostile(t *testing.T, data []byte) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	w, err := Resume(bytes.NewReader(data), nil)
+	w, err := Resume(bytes.NewReader(data), fork)
 	if took := time.Since(start); took > resumeLimit {
-		t.Fatalf("Resume took %v on %d bytes", took, len(data))
+		t.Fatalf("Resume as %+v took %v on %d bytes", fork, took, len(data))
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > allocLimit+64*uint64(len(data)) {
-		t.Fatalf("Resume allocated %d bytes on %d bytes of input", grew, len(data))
+		t.Fatalf("Resume as %+v allocated %d bytes on %d bytes of input", fork, grew, len(data))
 	}
 	if err != nil {
 		return
@@ -54,13 +64,24 @@ func finished(w *World) bool {
 	return w.remaining <= 0
 }
 
+// manyRecords is an open-loop world that has retained 195 records by 90% of
+// its run, where FuzzResume cuts it.
+var manyRecords = Options{Seed: 17, MaxUsers: 6, ClipCap: 2, Workload: "poisson", Arrivals: 160, WorkloadIntensity: 2}
+
 // FuzzResume feeds Resume mutated snapshots. The corpus is seeded with real
 // mid-run snapshots of the four fence worlds, of one world with a TCP dial in
-// flight, of one with a timed-out TCP flight waiting to be sent again and of
-// one with a SETUP request on the wire, plus truncations of each, and one
-// doctored window.
+// flight, of one with a timed-out TCP flight waiting to be sent again, of one
+// with a SETUP request on the wire and of one carrying many records, plus
+// truncations of each, and one doctored window.
 func FuzzResume(f *testing.F) {
-	snaps := [][]byte{checkpoint(f, midDialWorld(f)), checkpoint(f, midRTOWorld(f)), checkpoint(f, midSetupWorld(f))}
+	straight, err := Run(manyRecords)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snaps := [][]byte{
+		checkpoint(f, midDialWorld(f)), checkpoint(f, midRTOWorld(f)), checkpoint(f, midSetupWorld(f)),
+		checkpointAt(f, manyRecords, straight.SimDuration*9/10),
+	}
 	for _, fw := range fenceWorlds {
 		snaps = append(snaps, fenceSnapshot(f, fw.opt))
 	}

@@ -185,8 +185,6 @@ func TestShardOptionValidation(t *testing.T) {
 		{"negative CongestionScale", Options{CongestionScale: -1}, []string{"CongestionScale", "-1"}},
 		{"NaN CongestionScale", Options{CongestionScale: nan}, []string{"CongestionScale", "NaN"}},
 		{"infinite CongestionScale", Options{CongestionScale: math.Inf(-1)}, []string{"CongestionScale", "-Inf"}},
-		{"NaN ServerUplinkKbps", Options{ServerUplinkKbps: nan}, []string{"ServerUplinkKbps", "NaN"}},
-		{"infinite ServerUplinkKbps", Options{ServerUplinkKbps: inf}, []string{"ServerUplinkKbps", "+Inf"}},
 		{"negative Shards", Options{Shards: -1}, []string{"Shards", "-1"}},
 		{"Shards on the panel", Options{Shards: 2}, []string{"Shards", "Workload"}},
 		{"Shards past MaxUsers", with(func(o *Options) { o.Shards = 17 }), []string{"Shards", "17", "16"}},
@@ -215,7 +213,6 @@ func TestShardOptionValidation(t *testing.T) {
 	}{
 		{"every zero value", Options{}},
 		{"the panel by name", Options{Workload: "panel", MaxUsers: 4}},
-		{"a negative uplink is fill's default", Options{MaxUsers: 4, ServerUplinkKbps: -1}},
 		{"Shards equal to the pool", with(func(o *Options) { o.Shards = 16 })},
 		{"Shards equal to the default pool", Options{Workload: "poisson", Shards: 63}},
 		{"sharded dynamics", with(func(o *Options) { o.Shards = 2; o.Dynamics = "outage" })},

@@ -87,14 +87,16 @@ type Options struct {
 	// lookahead-delayed load gossip instead of live counters). For a fixed
 	// seed the output is byte-identical for every Shards >= 1.
 	Shards int
-	// StaggerWindow spreads user start times (default 90 minutes). Overlap
-	// creates shared-bottleneck load at servers.
-	StaggerWindow time.Duration
-	// ServerUplinkKbps overrides the server access capacity (default 8000,
-	// the shared multi-T1/fractional-T3 uplink the figures were calibrated
-	// against).
-	ServerUplinkKbps float64
 }
+
+const (
+	// staggerWindow spreads the panel's user start times. Overlap creates
+	// shared-bottleneck load at servers.
+	staggerWindow = 90 * time.Minute
+	// serverUplinkKbps is every server's access capacity: the shared
+	// multi-T1/fractional-T3 uplink the figures were calibrated against.
+	serverUplinkKbps = 8000
+)
 
 func (o *Options) fill() {
 	if o.PlayFor <= 0 {
@@ -102,12 +104,6 @@ func (o *Options) fill() {
 	}
 	if o.CongestionScale == 0 {
 		o.CongestionScale = 1
-	}
-	if o.StaggerWindow <= 0 {
-		o.StaggerWindow = 90 * time.Minute
-	}
-	if o.ServerUplinkKbps <= 0 {
-		o.ServerUplinkKbps = 8000
 	}
 	if o.OpenLoop() && o.Arrivals == 0 {
 		o.Arrivals = 2 * o.pool()
@@ -164,18 +160,16 @@ func (o Options) validate() error {
 		return fmt.Errorf("study: Arrivals must be >= 0, got %d", o.Arrivals)
 	}
 	for _, k := range []struct {
-		name  string
-		v     float64
-		negOK bool // a negative value is fill's "use the default"
+		name string
+		v    float64
 	}{
-		{"DynamicsIntensity", o.DynamicsIntensity, false},
-		{"WorkloadIntensity", o.WorkloadIntensity, false},
-		{"CongestionScale", o.CongestionScale, false},
-		{"ServerUplinkKbps", o.ServerUplinkKbps, true},
+		{"DynamicsIntensity", o.DynamicsIntensity},
+		{"WorkloadIntensity", o.WorkloadIntensity},
+		{"CongestionScale", o.CongestionScale},
 	} {
 		// NaN passes every ordered comparison, and an infinite scale builds
 		// a world that runs and measures nothing.
-		if math.IsNaN(k.v) || math.IsInf(k.v, 0) || k.v < 0 && !k.negOK {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) || k.v < 0 {
 			return fmt.Errorf("study: %s must be a finite number >= 0, got %g", k.name, k.v)
 		}
 	}

@@ -278,8 +278,8 @@ type sitePlan struct {
 func (w *World) planServers(masterRNG *rand.Rand) ([]sitePlan, error) {
 	opt := w.Options
 	serverAccess := netsim.DefaultAccessProfile(netsim.AccessServer)
-	serverAccess.UpKbps = opt.ServerUplinkKbps
-	serverAccess.DownKbps = opt.ServerUplinkKbps
+	serverAccess.UpKbps = serverUplinkKbps
+	serverAccess.DownKbps = serverUplinkKbps
 
 	var plans []sitePlan
 	for si, site := range w.Sites {
@@ -367,7 +367,7 @@ func (w *World) launchUsers(masterRNG *rand.Rand) {
 		tr, stack := f.newTracer(u, userRNG.Rand, w.Playlist[:n], nil,
 			f.observe,
 			func() { w.remaining-- })
-		start := time.Duration(userRNG.Int63n(int64(opt.StaggerWindow)))
+		start := time.Duration(userRNG.Int63n(int64(staggerWindow)))
 		// The start event is a pooled handler (the Tracer itself), not a
 		// closure, so a checkpoint taken before the user starts can carry it.
 		w.panel = append(w.panel, panelUser{rng: userRNG, tr: tr, stack: stack, start: w.Clock.AtHandler(start, tr)})

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -103,23 +102,57 @@ func (c *Collector) Records() []*Record { return c.records }
 // SnapSection implements SnapSink.
 func (c *Collector) SnapSection() string { return "records" }
 
-// Sync implements SnapSink: the retained records as one JSON byte string.
+// Sync implements SnapSink: the retained records in observation order, each
+// walked by Record.Sync.
 func (c *Collector) Sync(sc *snap.Codec) {
-	var buf bytes.Buffer
-	if !sc.Reading() {
-		sc.Fail(WriteJSON(&buf, c.records))
-	}
-	b := buf.Bytes()
-	sc.Bytes(&b)
-	if !sc.Reading() || sc.Err() != nil {
-		return
-	}
-	recs, err := ReadJSON(bytes.NewReader(b))
-	if err != nil {
-		sc.Fail(fmt.Errorf("trace: checkpoint records: %w", err))
-		return
-	}
-	c.records = recs
+	snap.Slice(sc, &c.records, func(sc *snap.Codec, r **Record) {
+		if sc.Reading() {
+			*r = new(Record)
+		}
+		(*r).Sync(sc)
+	})
+}
+
+// Sync walks every field of the record, Ordinal included, in declaration
+// order. The strings are Interned: a snapshot's records name the same few
+// users, clips, servers and labels over and over.
+func (r *Record) Sync(c *snap.Codec) {
+	c.Interned(&r.User)
+	c.Interned(&r.Country)
+	c.Interned(&r.State)
+	c.Interned(&r.Region)
+	c.Interned(&r.Access)
+	c.Interned(&r.PCClass)
+	c.Interned(&r.ClipURL)
+	c.Interned(&r.Server)
+	c.Interned(&r.ServerCountry)
+	c.Interned(&r.ServerRegion)
+	c.Bool(&r.Unavailable)
+	c.Bool(&r.Failed)
+	c.Interned(&r.FailReason)
+	c.Interned(&r.Protocol)
+	c.F64(&r.EncodedKbps)
+	c.F64(&r.EncodedFPS)
+	c.F64(&r.MeasuredKbps)
+	c.F64(&r.MeasuredFPS)
+	c.F64(&r.JitterMs)
+	c.Int(&r.FramesPlayed)
+	c.Int(&r.FramesDroppedLate)
+	c.Int(&r.FramesDroppedCPU)
+	c.Int(&r.FramesLost)
+	c.Int(&r.FramesCorrupted)
+	c.Int(&r.Rebuffers)
+	c.Dur(&r.RebufferTime)
+	c.Dur(&r.BufferingTime)
+	c.F64(&r.CPUUtilization)
+	c.Int(&r.Switches)
+	c.Bool(&r.Rated)
+	c.F64(&r.Rating)
+	c.Interned(&r.Dynamics)
+	c.Interned(&r.Policy)
+	c.F64(&r.StartSec)
+	c.F64(&r.EndSec)
+	c.I64(&r.Ordinal)
 }
 
 // MultiSink fans every record out to each sink in order.

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"realtracer/internal/snap"
 )
@@ -140,5 +142,58 @@ func TestSyncSink(t *testing.T) {
 	dec = snap.NewDecoder(unknown.Bytes())
 	if SyncSink(dec, &sink); dec.Err() == nil || !strings.Contains(dec.Err().Error(), "nosuchsink") {
 		t.Fatalf("decoding an unregistered section: %v", dec.Err())
+	}
+}
+
+// everyFieldSet returns a record with every field set to a value no other
+// field holds, filled by reflection so a field added to Record later is set
+// too.
+func everyFieldSet() *Record {
+	r := &Record{}
+	v := reflect.ValueOf(r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(v.Type().Field(i).Name)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i+1) << 33) // past 32 bits: no field may be narrowed
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.1)
+		default:
+			panic("trace.Record has a field of kind " + f.Kind().String())
+		}
+	}
+	return r
+}
+
+// TestRecordSyncRoundTrip: a record with every field set, Ordinal included,
+// walks into a snapshot and back unchanged, and two records decoded from one
+// snapshot share the storage of every string they have in common.
+func TestRecordSyncRoundTrip(t *testing.T) {
+	src := everyFieldSet()
+	twin := *src
+	twin.Ordinal++
+	var buf bytes.Buffer
+	enc := snap.NewEncoder(&buf)
+	col := &Collector{records: []*Record{src, &twin}}
+	col.Sync(enc)
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	var got Collector
+	dec := snap.NewDecoder(buf.Bytes())
+	got.Sync(dec)
+	if err := dec.Err(); err != nil || dec.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left over", err, dec.Remaining())
+	}
+	if len(got.records) != 2 || *got.records[0] != *src || *got.records[1] != twin {
+		t.Fatalf("records restored as %+v, want %+v and %+v", got.records, src, &twin)
+	}
+	if a, b := got.records[0], got.records[1]; unsafe.StringData(a.ClipURL) != unsafe.StringData(b.ClipURL) ||
+		unsafe.StringData(a.User) != unsafe.StringData(b.User) {
+		t.Fatal("a string two records share was decoded twice")
 	}
 }

@@ -82,8 +82,9 @@ type Record struct {
 	// owning arrival cell's ordinal and the session's per-cell launch
 	// count), used by the sharded engine's record merge as a total-order
 	// tiebreak when two records agree on every sort key above. It is
-	// deliberately excluded from the CSV columns: it identifies a launch,
-	// not an observable of the study.
+	// deliberately excluded from the CSV and JSON columns: it identifies a
+	// launch, not an observable of the study. A snapshot's record walk
+	// (Record.Sync) carries it like every other field.
 	Ordinal int64 `json:"-"`
 }
 

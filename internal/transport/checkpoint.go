@@ -400,7 +400,6 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	c.F64(&tc.cwnd)
 	c.F64(&tc.ssthresh)
 	c.Int(&tc.dupAcks)
-	c.U64(&tc.lastAck)
 	c.Dur(&tc.srtt)
 	c.Dur(&tc.rttvar)
 	c.Dur(&tc.rto)

@@ -49,7 +49,6 @@ type simTCP struct {
 	cwnd     float64 // congestion window, segments
 	ssthresh float64
 	dupAcks  int
-	lastAck  uint64
 
 	// RTT estimation (Jacobson/Karels).
 	srtt, rttvar time.Duration
