@@ -106,23 +106,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"d7095c2217abd806597243f3817ce82974af89690cfb3212af77dc891af7c590"},
+		"a13a42c26cb457b807a1ec32ef70905fcddbb713cf79583654f3d3cb2c52e938"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "34bf0cbc790b224ab9f44ab12c99c44605a771f885d29458643124e2d96368bb"},
+	}, "7fb54fdd2faadaa0a0f41b52e5f92e133d25b6660d64a3f0f1c373bdae80b246"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "e98463be529eef989f7cf1859141ea009e2aaf3a05a05c43e8659b4a108020f2"},
+	}, "30e1b5add5e68802c62e57ccec2e16b1eb07608f59f3650ea66b66ba83d3c23a"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "63d8923db5efaacf1bd07e03da5a576c29d8bc47f58977f01f76cd490dbf5073"},
+	{"churnheavy", churnHeavy, "2852933260c650bdfe3efc2b79c10acafcfe4509503bbcd431dab63952dcad90"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
