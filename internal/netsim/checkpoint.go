@@ -81,7 +81,7 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool, netFork, dynFork func(s
 		if hasDyn {
 			detrand.Discard(c)
 		}
-		if c.Reading() && c.Err() == nil && n.dyn != nil && dynFork != nil {
+		if c.Reading() && n.dyn != nil && dynFork != nil {
 			n.dyn.drng.Seed(dynFork(n.dyn.drng.State()))
 		}
 	}

@@ -113,7 +113,10 @@ func forkSeed(seed int64, count uint64, name, label string) int64 {
 	b := strconv.AppendInt(make([]byte, 0, 64), seed, 10)
 	b = append(b, '|')
 	b = strconv.AppendUint(b, count, 10)
-	b = append(append(append(append(b, '|'), name...), '|'), label...)
+	b = append(b, '|')
+	b = append(b, name...)
+	b = append(b, '|')
+	b = append(b, label...)
 	if s := int64(hashBytes(b)); s != 0 {
 		return s
 	}
@@ -131,10 +134,10 @@ func (f *Fork) reseed(label string) func(seed int64, count uint64) int64 {
 	return func(seed int64, count uint64) int64 { return forkSeed(seed, count, f.Name, label) }
 }
 
-// restart is reseed for the network's two streams, which a named fork
-// restarts from base, the seed the world was built with, ignoring the
-// position the snapshot holds; the dynamics stream restarts so whether or
-// not the fork changed the schedule.
+// restart returns the fork hook of one of the network's two streams. A named
+// fork restarts each at a seed derived from base, the seed the world built the
+// stream with, not from the position the snapshot holds, and restarts the
+// dynamics stream whether or not the fork changed the schedule.
 func (f *Fork) restart(base int64, label string) func(seed int64, count uint64) int64 {
 	if f == nil || f.Name == "" {
 		return nil
