@@ -62,7 +62,7 @@ func TestForkRecordsGolden(t *testing.T) {
 // benchmark's world allocates. Until forks stopped replaying the network's
 // streams, records travelled as JSON and every server rendered every clip's
 // DESCRIBE body while NewWorld built it, a resume cost 17,555 objects; it
-// costs 11,396 now (11,791 under -race), and the budget sits ~1.15x above.
+// costs 11,396 now (11,779 under -race), and the budget sits ~1.15x above.
 const forkResumeAllocBudget = 13_000
 
 // TestForkResumeAllocBudget resumes a named fork of cmd/bench's warmfork16
