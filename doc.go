@@ -28,9 +28,10 @@
 // configuration time, and packets and clock events recycle through
 // free-lists (delivery is
 // scheduled as the Packet itself implementing simclock.EventHandler — no
-// closures on the hot path). The scheduler is a hierarchical timing wheel
-// (six levels of 64 slots at a ~131µs tick) with a small 4-ary near heap
-// preserving exact (time, sequence) firing order, so arming is O(1) and a
+// closures on the hot path). The scheduler is one ring of ~131µs tick slots
+// spanning ~4.29s, a far heap behind it and a small 4-ary near heap
+// preserving exact (time, sequence) firing order — each event is filed once
+// and moved once, nothing cascades — so arming is O(1) and a
 // recurring timer re-armed from inside Fire reuses the just-fired event
 // slot; a test-only reference scheduler is the differential oracle that CI
 // replays random traces against under -race. The per-packet state keyed by

@@ -666,9 +666,7 @@ type bufFrame struct {
 
 type frameHeap []bufFrame
 
-func (h frameHeap) Len() int           { return len(h) }
-func (h frameHeap) Less(i, j int) bool { return h[i].mediaTime < h[j].mediaTime }
-func (h frameHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h frameHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *frameHeap) push(f bufFrame) {
 	*h = append(*h, f)
 	i := len(*h) - 1

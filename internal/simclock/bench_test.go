@@ -24,9 +24,10 @@ func (h *benchTick) Fire(now time.Duration) {
 // BenchmarkSchedulerChurn measures the event queue under the workload that
 // dominates a study run: a large pending population of recurring timers
 // (steady/ arms re-arm from inside Fire) and transient arm-then-cancel
-// churn (cancel/ arms never fire). The sub-benchmark names keep the
-// "wheel" segment they had when a second engine ran beside it, so the
-// recorded trajectory stays comparable.
+// churn (cancel/ arms never fire); far/ re-arms with a period beyond the
+// ring's span, so every arm goes through the far heap. The sub-benchmark
+// names keep the "wheel" segment they had when a second engine ran beside
+// it, so the recorded trajectory stays comparable.
 func BenchmarkSchedulerChurn(b *testing.B) {
 	for _, pending := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("steady/wheel/pending=%d", pending), func(b *testing.B) {
@@ -56,4 +57,17 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 			}
 		})
 	}
+	b.Run("far/wheel/pending=1000", func(b *testing.B) {
+		const pending = 1000
+		c := New()
+		period := 2 * time.Duration(ringSlots) << wheelTickBits
+		for i := 0; i < pending; i++ {
+			c.AfterHandler(time.Duration(i)*period/pending, &benchTick{c: c, d: period})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Step()
+		}
+	})
 }

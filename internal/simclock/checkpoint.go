@@ -65,15 +65,13 @@ func (c *Clock) Pendings() []PendingEvent {
 	for _, e := range c.near {
 		add(e)
 	}
-	for _, e := range c.over {
-		add(e)
-	}
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for idx := 0; idx < wheelSlots; idx++ {
-			for e := c.slot[lvl][idx]; e != nil; e = e.nxt {
-				add(e)
-			}
+	for _, e := range c.ring[:] {
+		for ; e != nil; e = e.nxt {
+			add(e)
 		}
+	}
+	for _, e := range c.far {
+		add(e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -94,8 +92,8 @@ func (c *Clock) CheckPersistable() error {
 // Sync walks the clock's scalar state — virtual time, the scheduling
 // sequence counter, the fired-event count — under the "clock" tag. Decoding
 // wipes every pending event and positions the clock at the snapshot's
-// instant with an empty wheel; each owner then re-arms its own events
-// through SyncTimer.
+// instant with an empty queue whose near window ends at the tick boundary at
+// or below it; each owner then re-arms its own events through SyncTimer.
 func (c *Clock) Sync(sc *snap.Codec) {
 	now := c.now
 	sc.Tag("clock")
@@ -113,14 +111,12 @@ func (c *Clock) Sync(sc *snap.Codec) {
 	c.firing = nil
 	c.free = c.free[:0]
 	c.near = c.near[:0]
-	c.over = c.over[:0]
-	c.nearEnd, c.cur = 0, 0
-	for lvl := range c.slot {
-		for idx := range c.slot[lvl] {
-			c.slot[lvl][idx] = nil
-		}
-		c.occ[lvl] = 0
-	}
+	c.far = c.far[:0]
+	clear(c.ring[:])
+	clear(c.occ[:])
+	clear(c.occSum[:])
+	c.ringN = 0
+	c.nearEnd = now &^ (1<<wheelTickBits - 1)
 }
 
 // SyncTimer walks one owner-held timer as an (armed, At, seq) record.

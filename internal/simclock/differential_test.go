@@ -1,14 +1,18 @@
 package simclock
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"realtracer/internal/snap"
 )
 
-// The timing wheel's correctness contract is bit-exact equivalence with a
+// The scheduler's correctness contract is bit-exact equivalence with a
 // plain priority queue ordered by (At, seq): same firing sequence, same
 // Fired/Pending counters, same Now, for any trace of arms, cancels, re-arms
 // and run calls. refClock is that reference — an independent model that
@@ -132,7 +136,7 @@ func (r *refClock) RunBefore(h time.Duration) {
 	}
 }
 
-// tracePair drives one wheel clock and the reference with identical inputs
+// tracePair drives one Clock and the reference with identical inputs
 // and records each one's firing log as (label, time) strings.
 type tracePair struct {
 	w          *Clock
@@ -174,23 +178,27 @@ func (p *tracePair) check(t *testing.T, tag string) {
 	}
 }
 
-// randomDelay spans every wheel level and the overflow heap: most delays are
-// short (the pace-tick regime), a tail reaches hours, days, and past the
-// wheel's ~104-day top span, and exact ties are common.
+// randomDelay spans the near window, the ring, both edges of the ring's span
+// and the far heap: most delays are short (the pace-tick regime), some
+// straddle the span to the nanosecond, a tail reaches hours, days and
+// centuries, and exact ties are common.
 func randomDelay(rng *rand.Rand) time.Duration {
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
 	case 0:
 		return 0 // immediate: same-timestamp FIFO
 	case 1, 2, 3:
-		return time.Duration(rng.Intn(2000)) * 100 * time.Microsecond // sub-tick to level 1
+		return time.Duration(rng.Intn(2000)) * 100 * time.Microsecond // sub-tick to 200 ms
 	case 4, 5, 6:
-		return time.Duration(rng.Intn(5000)) * time.Millisecond // level 1-2
+		return time.Duration(rng.Intn(5000)) * time.Millisecond // across the ring
 	case 7:
-		return time.Duration(rng.Intn(100)) * time.Hour // level 4-5
+		return time.Duration(rng.Intn(100)) * time.Hour // far
 	case 8:
-		return time.Duration(rng.Intn(300)) * 24 * time.Hour // top level and beyond
+		return time.Duration(rng.Intn(300)) * 24 * time.Hour // farther
+	case 9:
+		// span-1, span or span+1 ticks, give or take a nanosecond
+		return time.Duration(ringSlots-1+rng.Intn(3))<<wheelTickBits + time.Duration(rng.Intn(3)-1)
 	default:
-		return time.Duration(rng.Int63n(int64(200 * 365 * 24 * time.Hour))) // deep overflow
+		return time.Duration(rng.Int63n(int64(200 * 365 * 24 * time.Hour))) // deep far
 	}
 }
 
@@ -286,10 +294,11 @@ func (r *rearmTick) Fire(now time.Duration) {
 	}
 }
 
-// TestWheelOverflowOrdering pins the overflow heap's interaction with the
-// wheel: events beyond the wheel's ~104-day span must interleave correctly
-// with near-term events, including events scheduled between the two ranges
-// after time has advanced.
+// TestWheelOverflowOrdering pins the far heap's interaction with the ring:
+// events beyond the ring's ~4.29s span must interleave correctly with
+// near-term events, including events scheduled between the two ranges after
+// time has advanced, and a far event must fire in (At, seq) order with ring
+// events that came to share its tick.
 func TestWheelOverflowOrdering(t *testing.T) {
 	p := newTracePair()
 	day := 24 * time.Hour
@@ -305,12 +314,94 @@ func TestWheelOverflowOrdering(t *testing.T) {
 	p.w.RunFor(104 * day)
 	p.h.RunFor(104 * day)
 	p.check(t, "mid horizon")
-	// From the advanced cursor, formerly-overflow times are now wheelable.
+	// From the advanced clock, formerly far times are now within the ring.
 	for i, d := range []time.Duration{time.Minute, 40 * day, 500 * day} {
 		wh, hh := p.handlers(100 + i)
 		p.w.AfterHandler(d, wh)
 		p.h.AfterHandler(d, hh)
 	}
+	p.w.Run()
+	p.h.Run()
+	p.check(t, "drained")
+
+	// One tick, two structures: a far event filed from one span back, then,
+	// once time has moved within the span, ring events on the same tick —
+	// one a nanosecond earlier, one at the same instant with a later seq.
+	// The event at 5/4 span keeps the window from opening on that tick early.
+	p = newTracePair()
+	span := time.Duration(ringSlots) << wheelTickBits
+	at := 3*span/2 + 100
+	arm := func(label int, at time.Duration) {
+		wh, hh := p.handlers(label)
+		p.w.AtHandler(at, wh)
+		p.h.AtHandler(at, hh)
+	}
+	arm(0, at)
+	arm(1, span)
+	arm(2, 5*span/4)
+	p.w.RunUntil(span)
+	p.h.RunFor(span - p.h.Now())
+	arm(3, at)
+	arm(4, at-1)
+	if len(p.w.far) != 1 || p.w.ringN != 2 {
+		t.Fatalf("far heap holds %d events and the ring %d, want 1 and 2", len(p.w.far), p.w.ringN)
+	}
+	p.w.Run()
+	p.h.Run()
+	p.check(t, "same tick")
+	if want := fmt.Sprintf("1@%d 2@%d 4@%d 0@%d 3@%d", span, 5*span/4, at-1, at, at); strings.Join(p.wlog, " ") != want {
+		t.Fatalf("fired %v, want %s", p.wlog, want)
+	}
+}
+
+// TestWheelRestoreMatchesHeap decodes a clock at an instant that is not
+// tick-aligned, re-arms events on both sides of the ring's span from there,
+// as a world's owners do on resume, and requires the reference's order.
+func TestWheelRestoreMatchesHeap(t *testing.T) {
+	const now = 20*time.Minute + 12345
+	src := New()
+	for i := 0; i < 64; i++ {
+		src.AfterHandler(time.Duration(i)*time.Second, &countHandler{})
+	}
+	src.RunUntil(now)
+	var buf bytes.Buffer
+	src.Sync(snap.NewEncoder(&buf))
+
+	p := newTracePair()
+	p.w.AfterHandler(time.Hour, &countHandler{}) // wiped by the decode
+	dec := snap.NewDecoder(buf.Bytes())
+	p.w.Sync(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	p.h.now, p.h.seq, p.h.fired = now, src.seq, src.fired
+	base := now &^ (1<<wheelTickBits - 1)
+	if p.w.nearEnd != base {
+		t.Fatalf("restored nearEnd %v, want the tick boundary %v below now", p.w.nearEnd, base)
+	}
+
+	// Events in now's tick, the next, and a tick either side of the span's
+	// edge, measured from that boundary, each to the nanosecond; latest
+	// first, so the near window stays where the decode put it. Seqs run
+	// backwards, so ties need them.
+	var ats []time.Duration
+	for _, k := range []time.Duration{ringSlots + 1, ringSlots, ringSlots - 1, 1, 0} {
+		for _, d := range []time.Duration{1, 0, -1} {
+			if at := base + k<<wheelTickBits + d; at >= now {
+				ats = append(ats, at, at)
+			}
+		}
+	}
+	for i, at := range ats {
+		seq := src.seq - 1 - uint64(i)
+		wh, hh := p.handlers(i)
+		p.w.Arm(at, seq, &rearmTick{log: wh, left: 3, rearm: func(h EventHandler) { p.w.AfterHandler(time.Duration(i)*time.Second, h) }})
+		p.h.pending = append(p.h.pending, &refEvent{at: at, seq: seq, h: &rearmTick{log: hh, left: 3, rearm: func(h EventHandler) { p.h.AfterHandler(time.Duration(i)*time.Second, h) }}})
+	}
+	if p.w.ringN == 0 || len(p.w.far) == 0 {
+		t.Fatalf("%d events on the ring, %d far: want both sides of the span", p.w.ringN, len(p.w.far))
+	}
+	p.check(t, "restored")
 	p.w.Run()
 	p.h.Run()
 	p.check(t, "drained")

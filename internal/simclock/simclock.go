@@ -13,14 +13,16 @@
 // closure, every pending event of a registered kind can be written into a
 // world checkpoint and re-armed from one (checkpoint.go).
 //
-// The pending-event queue is a hierarchical timing wheel (calendar-queue
-// style): insertion and re-arm are O(1) slot appends instead of heap sifts,
-// and exact (At, seq) order is restored by draining one 131µs slot at a
-// time through a tiny "near" heap. The wheel is the only scheduler compiled
-// into the package; its reference semantics live in differential_test.go as
-// an independent model, and TestWheelMatchesHeap replays random
-// arm/cancel/re-arm/Step traces through both and requires identical firing
-// sequences. Firing order is part of the determinism contract.
+// The pending-event queue is one ring of 131µs tick slots spanning ~4.29s,
+// with a far heap behind it for later events: insertion and re-arm are O(1)
+// slot appends instead of heap sifts, and exact (At, seq) order is restored
+// by moving one tick at a time into a small "near" heap. Each event is filed
+// once and moved once; nothing cascades. The ring is the only scheduler
+// compiled into the package; its reference semantics live in
+// differential_test.go as an independent model, and TestWheelMatchesHeap
+// replays random arm/cancel/re-arm/Step traces through both and requires
+// identical firing sequences. Firing order is part of the determinism
+// contract.
 package simclock
 
 import (
@@ -47,7 +49,7 @@ type EventHandler interface {
 type Event struct {
 	At  time.Duration // virtual time at which the event fires
 	h   EventHandler
-	nxt *Event // intrusive link while chained in a wheel slot
+	nxt *Event // intrusive link while chained on a ring slot
 	clk *Clock // owning clock while scheduled and live; nil once fired/reaped
 	seq uint64
 	gen uint32 // incremented on every recycle; Timer handles check it
@@ -87,18 +89,19 @@ func (t Timer) Active() bool {
 	return t.e != nil && t.e.gen == t.gen && !t.e.off
 }
 
-// Timing-wheel geometry. Level 0 slots are 2^wheelTickBits ns (~131µs) wide;
-// each level up widens slots by 2^wheelLevelBits, so six 64-slot levels cover
-// ~104 days of virtual time. Events beyond the top level's span — or whose
-// bit pattern crosses the top-level boundary — wait in a small overflow heap
-// that is consulted alongside the wheel, so no timestamp is ever mis-ordered.
+// Ring geometry. A tick is 2^wheelTickBits ns (~131µs); the ring holds the
+// ringSlots ticks from nearEnd's (2^32 ns, ~4.29s), so a slot only ever
+// chains events of one tick, and later events wait in the far heap. The span
+// is sized from the delays the study schedules: of every AtHandler delay at
+// seed 1, beyond 2^12 ticks (537 ms) lie 15.6 % on the full panel and 15.3 %,
+// 15.3 % and 9.1 % on the poisson1k, storm2x and sharded2 worlds; beyond
+// 2^15 ticks, 0.18 %, 0.34 %, 0.44 % and 0.20 %. 2^15 slots are 256 KiB of
+// pointers per Clock.
 const (
-	wheelTickBits  = 17
-	wheelLevelBits = 6
-	wheelSlots     = 1 << wheelLevelBits
-	wheelMask      = wheelSlots - 1
-	wheelLevels    = 6
-	wheelSpanBits  = wheelTickBits + wheelLevels*wheelLevelBits
+	wheelTickBits = 17
+	ringBits      = 15
+	ringSlots     = 1 << ringBits
+	ringMask      = ringSlots - 1
 )
 
 // Clock is a single-threaded discrete-event scheduler. It is not safe for
@@ -116,20 +119,22 @@ type Clock struct {
 	// of a free-list release/obtain round-trip.
 	firing *Event
 
-	// Timing wheel. Exact order within the active
-	// 131µs window comes from the near heap; everything at or beyond
-	// nearEnd lives in the wheel slots (or the overflow heap) and is
-	// strictly later than every near event.
-	near    []*Event // 4-ary min-heap of events with At < nearEnd
-	nearEnd time.Duration
-	cur     time.Duration // wheel cursor; == nearEnd whenever user code runs
-	slot    [wheelLevels][wheelSlots]*Event
-	occ     [wheelLevels]uint64 // per-level slot occupancy bitmaps
-	over    []*Event            // 4-ary min-heap of beyond-top-span events
+	// Event queue. Exact order comes from the near heap, which holds exactly
+	// the events with At < nearEnd; everything else is at or beyond nearEnd,
+	// so strictly later than every near event: on the ring slot of its tick
+	// when that tick was within ringSlots of nearEnd's as it was filed, in
+	// the far heap otherwise.
+	near    []*Event      // 4-ary min-heap of events with At < nearEnd
+	nearEnd time.Duration // tick-aligned
+	ring    [ringSlots]*Event
+	occ     [ringSlots / 64]uint64   // ring slot occupancy
+	occSum  [ringSlots / 4096]uint64 // nonzero words of occ
+	ringN   int                      // events chained on the ring, tombstones included
+	far     []*Event                 // 4-ary min-heap of events beyond the ring's span
 }
 
 // New returns a Clock positioned at virtual time zero with no pending
-// events, scheduling through the timing wheel.
+// events.
 func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time as an offset from the start of the
@@ -210,9 +215,9 @@ func (c *Clock) AfterHandler(d time.Duration, h EventHandler) Timer {
 
 // peek returns the earliest pending live event without removing it, reaping
 // cancelled tombstones on the way, or nil when nothing live is pending.
-// Inlinable fast path: a live near-heap top is the global minimum (overflow
-// events filed while the near window stood are at or beyond nearEnd), so the
-// per-event common case never leaves the caller's frame.
+// Inlinable fast path: a live near-heap top is the global minimum (ring and
+// far events are at or beyond nearEnd), so the per-event common case never
+// leaves the caller's frame.
 func (c *Clock) peek() *Event {
 	if len(c.near) > 0 && !c.near[0].off {
 		return c.near[0]
@@ -321,207 +326,156 @@ func (c *Clock) RunBefore(h time.Duration) {
 // MaxDuration is a run horizon that effectively means "forever".
 const MaxDuration = time.Duration(math.MaxInt64)
 
-// --- hierarchical timing wheel ---
+// --- tick ring and far heap ---
 //
-// Invariants, maintained by construction and checked against the reference
-// model by TestWheelMatchesHeap:
-//
-//   - near holds exactly the events with At < nearEnd; everything in the
-//     wheel slots or the overflow heap is at or beyond nearEnd, so the near
-//     heap's (At, seq) order is the global order.
-//   - cur == nearEnd whenever user code runs. Inside wheelAdvance the
-//     cursor temporarily leads nearEnd while cascading.
-//   - Slot indices are absolute functions of the timestamp; an event is
-//     placed at the level where its timestamp first differs from cur, so
-//     every occupied slot's time range lies at or beyond cur and each
-//     slot's start reconstructs as windowStart(cur) | idx<<shift without
-//     aliasing into the past.
-//   - The cursor only ever advances into time ranges whose slots have been
-//     detached, so the windowStart reconstruction below never aliases a
-//     past window.
+// Each event is filed once — into the near heap, a ring slot or the far
+// heap — and moved into the near heap at most once, when wheelAdvance opens
+// its tick. nearEnd moves forward only past ticks that hold nothing (a decode
+// resets it with the queue empty), so every ring event lies within ringSlots
+// ticks of nearEnd's and a slot never holds two ticks. TestWheelMatchesHeap
+// checks the order against the reference model.
 
-func wheelShift(lvl int) int { return wheelTickBits + lvl*wheelLevelBits }
+// wheelSparseSpan bounds the sparse fast path's near-horizon extension to 64
+// ticks. Wider would let a drained ring capture ever more of the future into
+// the near heap and degrade dense workloads to pure heap behavior; narrower
+// would miss the packet-in-flight delays (2-6 ms) that make the sparse case
+// hot.
+const wheelSparseSpan = 64 << wheelTickBits
 
-// wheelSparseSpan bounds the sparse fast path's near-horizon extension to
-// one level-0 revolution. Wider would let a drained wheel capture ever more
-// of the future into the near heap and degrade dense workloads to pure heap
-// behavior; narrower would miss the packet-in-flight delays (2-6 ms) that
-// make the sparse case hot.
-const wheelSparseSpan = time.Duration(1) << (wheelTickBits + wheelLevelBits)
-
-// wheelAdd files an event into the near heap, a wheel slot, or the overflow
-// heap. O(1) plus a (rare) small-heap sift.
+// wheelAdd files an event into the near heap, its tick's ring slot, or the
+// far heap.
 func (c *Clock) wheelAdd(e *Event) {
 	t := e.At
 	if t < c.nearEnd {
 		pushEvent(&c.near, e)
 		return
 	}
-	// Sparse fast path: when nothing at all is filed beyond the near
-	// horizon, an event due soon extends the horizon to cover itself and
-	// goes straight into the near heap. A lone packet chain (one event in
-	// flight at a time) would otherwise pay a slot insert plus a multi-level
-	// cascade per event; with few events pending, the near heap's O(log n)
-	// is far cheaper. The "due soon" bound is measured from now — never from
+	// Sparse fast path: when nothing is filed beyond the near horizon, an
+	// event due soon extends the horizon to cover itself and goes straight
+	// into the near heap, sparing a lone packet chain a slot insert and a
+	// window opening per event. "Due soon" is measured from now — never from
 	// the horizon this branch itself raises, or each recurring re-arm would
 	// land just past the previous raise, steal every insert, and degrade a
-	// dense steady-state population into one big heap. Long delays go to the
-	// wheel, occupy it, and thereby switch the short delays back too.
-	if t-c.now < wheelSparseSpan && len(c.over) == 0 &&
-		c.occ[0]|c.occ[1]|c.occ[2]|c.occ[3]|c.occ[4]|c.occ[5] == 0 {
+	// dense steady-state population into one big heap.
+	if c.ringN == 0 && len(c.far) == 0 && t-c.now < wheelSparseSpan {
 		c.nearEnd = (t>>wheelTickBits + 1) << wheelTickBits
-		c.cur = c.nearEnd
 		pushEvent(&c.near, e)
 		return
 	}
-	d := uint64(t ^ c.cur)
-	lvl := 0
-	if d>>wheelTickBits != 0 {
-		lvl = (bits.Len64(d) - 1 - wheelTickBits) / wheelLevelBits
-	}
-	if lvl >= wheelLevels {
-		pushEvent(&c.over, e)
+	tick := t >> wheelTickBits
+	if tick-c.nearEnd>>wheelTickBits >= ringSlots {
+		pushEvent(&c.far, e)
 		return
 	}
-	idx := int(t>>wheelShift(lvl)) & wheelMask
-	e.nxt = c.slot[lvl][idx]
-	c.slot[lvl][idx] = e
-	c.occ[lvl] |= 1 << idx
+	i := int(tick) & ringMask
+	e.nxt = c.ring[i]
+	c.ring[i] = e
+	c.occ[i>>6] |= 1 << (i & 63)
+	c.occSum[i>>12] |= 1 << (i >> 6 & 63)
+	c.ringN++
 }
 
-// wheelPeek returns the earliest live event, pulling boundary-crossing
-// overflow events into the near window and reaping tombstones.
+// wheelPeek returns the earliest live event, opening ticks and reaping
+// tombstones until the near heap's top is live.
 func (c *Clock) wheelPeek() *Event {
 	for {
-		if len(c.over) > 0 && c.over[0].At < c.nearEnd {
-			e := popEvent(&c.over)
-			if e.off {
-				c.release(e)
-			} else {
-				pushEvent(&c.near, e)
-			}
-			continue
-		}
 		if len(c.near) > 0 {
 			e := c.near[0]
-			if e.off {
-				popEvent(&c.near)
-				c.release(e)
-				continue
+			if !e.off {
+				return e
 			}
-			return e
-		}
-		if !c.wheelAdvance() {
+			popEvent(&c.near)
+			c.release(e)
+		} else if !c.wheelAdvance() {
 			return nil
 		}
 	}
 }
 
-// wheelAdvance moves the near window forward to the next occupied time
-// range: it dumps the earliest level-0 slot into the near heap, cascading
-// higher-level slots down as the cursor reaches them, or jumps the window
-// to the earliest overflow event when that precedes everything wheeled.
-// Returns false when the wheel and overflow heap are both empty.
-//
-// The earliest occupied slot is the minimum reconstructed slot start across
-// all levels — not simply the lowest occupied level's lowest slot. The
-// distinction matters at window boundaries: a level-0 dump can advance the
-// cursor to exactly the start of a still-occupied higher-level slot, after
-// which a fresh insert lands at a lower level inside that slot's span. Ties
-// break toward the higher level, whose span contains the lower-level slot
-// and must cascade first.
+// wheelAdvance opens the near window on the next occupied tick — the ring's
+// first occupied slot from nearEnd's on, or the far heap's top tick if that
+// comes first — and moves that tick's far events and slot chain into the near
+// heap. It returns false when the ring and the far heap are both empty.
+// Opening the ring's tick regardless would fire in the same order, since
+// every far event below the new nearEnd moves too; taking the earlier keeps
+// the near window one tick wide, so later arms still land on the ring.
 func (c *Clock) wheelAdvance() bool {
-	// Fully-empty short-circuit: in the sparse regime (everything riding the
-	// near heap) this is every call, and the level scan below would be pure
-	// overhead on the packet hot path.
-	if c.occ[0]|c.occ[1]|c.occ[2]|c.occ[3]|c.occ[4]|c.occ[5] == 0 && len(c.over) == 0 {
-		c.cur = c.nearEnd
+	var tick time.Duration
+	switch {
+	case c.ringN > 0:
+		tick = c.nextRingTick()
+		if len(c.far) > 0 {
+			tick = min(tick, c.far[0].At>>wheelTickBits)
+		}
+	case len(c.far) > 0:
+		tick = c.far[0].At >> wheelTickBits
+	default:
 		return false
 	}
-	for {
-		lvl, idx := -1, 0
-		var slotStart time.Duration
-		for l := 0; l < wheelLevels; l++ {
-			if c.occ[l] == 0 {
-				continue
-			}
-			i := bits.TrailingZeros64(c.occ[l])
-			shift := wheelShift(l)
-			window := time.Duration(1) << (shift + wheelLevelBits)
-			start := (c.cur &^ (window - 1)) | (time.Duration(i) << shift)
-			if lvl < 0 || start <= slotStart {
-				lvl, idx, slotStart = l, i, start
-			}
-		}
-		if lvl < 0 {
-			if len(c.over) == 0 {
-				// The wheel drained (possibly by cascading pure-tombstone
-				// slots, which advances cur without producing anything).
-				// Roll the cursor back to the near boundary: wheelAdd's
-				// level selection assumes t >= cur, and a cursor left ahead
-				// of nearEnd would alias future inserts into past slots.
-				// A cascade that emptied the wheel may have re-filed its
-				// events through the sparse fast path, which parks them in
-				// the near heap — that is progress, not exhaustion.
-				c.cur = c.nearEnd
-				return len(c.near) > 0
-			}
-			// Nothing wheeled: open the near window at the earliest
-			// overflow event's slot; the peek loop drains it across.
-			c.nearEnd = c.over[0].At&^(1<<wheelTickBits-1) + 1<<wheelTickBits
-			c.cur = c.nearEnd
-			return true
-		}
-		width := time.Duration(1) << wheelShift(lvl)
-		if len(c.over) > 0 && c.over[0].At < slotStart {
-			// A top-boundary-crossing overflow event precedes the earliest
-			// wheeled slot: open the window there instead. nearEnd stays at
-			// or below slotStart (both are tick-aligned), so no wheel slot
-			// is skipped.
-			c.nearEnd = c.over[0].At&^(1<<wheelTickBits-1) + 1<<wheelTickBits
-			c.cur = c.nearEnd
-			return true
-		}
-		head := c.slot[lvl][idx]
-		c.slot[lvl][idx] = nil
-		c.occ[lvl] &^= 1 << idx
-		if lvl == 0 {
-			c.cur = slotStart + width
-			c.nearEnd = c.cur
-			for e := head; e != nil; {
-				nx := e.nxt
-				e.nxt = nil
-				if e.off {
-					c.release(e)
-				} else {
-					pushEvent(&c.near, e)
-				}
-				e = nx
-			}
-			// The slot may have held only tombstones; the peek loop comes
-			// back around if the near heap is still empty.
-			return true
-		}
-		// Cascade: re-file the slot's events relative to its start. Each
-		// lands at a strictly lower level (amortized O(1) per event over
-		// its lifetime).
-		c.cur = slotStart
-		for e := head; e != nil; {
-			nx := e.nxt
-			e.nxt = nil
-			if e.off {
-				c.release(e)
-			} else {
-				c.wheelAdd(e)
-			}
-			e = nx
+	c.nearEnd = (tick + 1) << wheelTickBits
+	for len(c.far) > 0 && c.far[0].At < c.nearEnd {
+		c.toNear(popEvent(&c.far))
+	}
+	// The slot holds this tick's events or nothing: no ring tick lies between
+	// the old nearEnd and this one, and none a whole span beyond it.
+	i := int(tick) & ringMask
+	e := c.ring[i]
+	if e == nil {
+		return true
+	}
+	c.ring[i] = nil
+	if c.occ[i>>6] &^= 1 << (i & 63); c.occ[i>>6] == 0 {
+		c.occSum[i>>12] &^= 1 << (i >> 6 & 63)
+	}
+	for e != nil {
+		nx := e.nxt
+		e.nxt = nil
+		c.ringN--
+		c.toNear(e)
+		e = nx
+	}
+	return true
+}
+
+// toNear moves an event into the near heap, or releases it if cancelled.
+func (c *Clock) toNear(e *Event) {
+	if e.off {
+		c.release(e)
+	} else {
+		pushEvent(&c.near, e)
+	}
+}
+
+// nextRingTick returns the first occupied ring tick from nearEnd's on. The
+// ring must hold an event.
+func (c *Clock) nextRingTick() time.Duration {
+	base := c.nearEnd >> wheelTickBits
+	s := int(base) & ringMask
+	i := c.occupiedFrom(s)
+	if i < 0 {
+		i = c.occupiedFrom(0) // wrap around
+	}
+	return base + time.Duration((i-s)&ringMask)
+}
+
+// occupiedFrom returns the first occupied slot at or after s, or -1.
+func (c *Clock) occupiedFrom(s int) int {
+	w := s >> 6
+	if m := c.occ[w] >> (s & 63); m != 0 {
+		return s + bits.TrailingZeros64(m)
+	}
+	for w++; w < len(c.occ); w = w | 63 + 1 {
+		if m := c.occSum[w>>6] >> (w & 63); m != 0 {
+			w += bits.TrailingZeros64(m)
+			return w<<6 + bits.TrailingZeros64(c.occ[w])
 		}
 	}
+	return -1
 }
 
 // --- 4-ary min-heap ---
 //
-// Backs the wheel's near and overflow heaps. A 4-ary heap halves the tree
+// Backs the near and far heaps. A 4-ary heap halves the tree
 // depth of a binary heap and keeps the four children of a node on one cache
 // line of pointers; the concrete element type avoids `any` boxing.
 

@@ -373,7 +373,8 @@ func TestForkDeterministicAndDivergent(t *testing.T) {
 }
 
 // TestForkScenarioDeltas forks one warm snapshot into divergent scenarios
-// (changed dynamics, changed intensity) and requires each to complete.
+// (changed dynamics, changed intensity) and requires each to complete, and a
+// fork onto options NewWorld refuses to fail in Resume with NewWorld's error.
 func TestForkScenarioDeltas(t *testing.T) {
 	opt := Options{
 		Seed: 9, MaxUsers: 6, ClipCap: 2,
@@ -395,6 +396,12 @@ func TestForkScenarioDeltas(t *testing.T) {
 		if len(res.Records) == 0 {
 			t.Fatalf("fork %s produced no records", fork.Name)
 		}
+	}
+
+	bbr := "bbr"
+	want := `study: unknown Controller "bbr"`
+	if _, err := Resume(bytes.NewReader(snap), &Fork{Name: "bbr", Controller: &bbr}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a fork onto Controller %q: want an error containing %q, got %v", bbr, want, err)
 	}
 }
 

@@ -192,9 +192,8 @@ func (cw *coverage) walk(v reflect.Value) {
 			}
 		}
 	case reflect.Slice, reflect.Array:
-		// Arrays of arrays too: the clock's timing wheel is one, and every
-		// event more than a near-heap window away — a packet on a WAN hop —
-		// hangs off it.
+		// Arrays too: the clock's tick ring is one, and every event more than
+		// a near-heap window away — a packet on a WAN hop — hangs off it.
 		if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Interface || k == reflect.Struct || k == reflect.Slice || k == reflect.Array || k == reflect.Map {
 			for i := 0; i < v.Len(); i++ {
 				cw.walk(v.Index(i))
@@ -317,9 +316,10 @@ var syncExempt = map[string]string{
 
 	// Derived values: recomputed from walked state by the restore path.
 	"simclock.Clock.live":                "count of armed events, rebuilt by re-arming",
-	"simclock.Clock.cur":                 "wheel cursor, rebuilt by re-arming into an empty wheel",
-	"simclock.Clock.nearEnd":             "near-heap horizon, rebuilt by re-arming",
-	"simclock.Clock.occ":                 "wheel occupancy bitmaps, rebuilt by re-arming",
+	"simclock.Clock.nearEnd":             "near-heap horizon, set from the walked now and rebuilt by re-arming",
+	"simclock.Clock.occ":                 "ring occupancy bitmap, rebuilt by re-arming",
+	"simclock.Clock.occSum":              "summary of the ring occupancy bitmap, rebuilt by re-arming",
+	"simclock.Clock.ringN":               "count of ring-chained events, rebuilt by re-arming",
 	"netsim.Network.ids":                 "inverse of the walked names table",
 	"netsim.Network.frozen":              "sharded worlds only",
 	"netsim.Network.pathSeed":            "sharded worlds only",

@@ -179,6 +179,7 @@ func TestOptionValidation(t *testing.T) {
 		{"unknown workload", Options{Seed: 1, Workload: "tsunami"}},
 		{"unknown selection", Options{Seed: 1, Workload: "poisson", Selection: "psychic"}},
 		{"unknown dynamics", Options{Seed: 1, Dynamics: "asteroid"}},
+		{"unknown controller", Options{Seed: 1, Controller: "bbr"}},
 	}
 	for _, c := range cases {
 		if _, err := NewWorld(c.opt); err == nil {

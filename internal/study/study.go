@@ -173,6 +173,9 @@ func (o Options) validate() error {
 			return fmt.Errorf("study: %s must be a finite number >= 0, got %g", k.name, k.v)
 		}
 	}
+	if controllerFactory(o.Controller) == nil {
+		return fmt.Errorf("study: unknown Controller %q; want \"tfrc\", \"aimd\" or \"unresponsive\"", o.Controller)
+	}
 	if o.Shards < 0 {
 		return fmt.Errorf("study: Shards must be >= 0, got %d", o.Shards)
 	}
@@ -236,6 +239,8 @@ func Run(opt Options) (*Result, error) {
 	return w.Run()
 }
 
+// controllerFactory builds the named UDP rate controller, or returns nil for
+// a name validate refuses.
 func controllerFactory(name string) func(float64) ratecontrol.Controller {
 	lim := ratecontrol.DefaultLimits()
 	switch name {
@@ -245,9 +250,8 @@ func controllerFactory(name string) func(float64) ratecontrol.Controller {
 		return func(start float64) ratecontrol.Controller { return ratecontrol.NewAIMD(start, lim) }
 	case "unresponsive":
 		return func(start float64) ratecontrol.Controller { return &ratecontrol.Unresponsive{Kbps: start} }
-	default:
-		return func(start float64) ratecontrol.Controller { return ratecontrol.NewTFRC(start, 1000, lim) }
 	}
+	return nil
 }
 
 // rater implements the perceptual-rating model of Section V.C. Users anchor
