@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,21 +18,23 @@ import (
 // Checkpoint/restore for the server engine. A server's serialized state is:
 //
 //   - the availability/diagnostic counters and the session ID cursor;
-//   - every control connection (including between-session ones reachable
-//     only through the ctlConns track list), each with the ID of the session
-//     it most recently SETUP;
-//   - data connections accepted but not yet bound by a DataHello;
 //   - every streaming session: transport conns, rate controller, frame
 //     source cursor, pace/check timers as (At, seq) records, retransmit
 //     window, FEC accumulation and SureStream switching state.
+//
+// The conns the server accepted are not its to walk: the host's transport
+// stack walks its accept tables first (transport.Stack.Sync) and hands each
+// restored conn to acceptControl or acceptDataTCP, as the SYN did. A control
+// conn between sessions or a data conn waiting for its DataHello is restored
+// by that alone; a session names its open conns by reference.
 //
 // The availability RNG (cfg.Rand) is owned by whoever built the Config — in
 // a study world that is the world itself, which persists the draw count in
 // its own section and hands the restored Server an already-positioned Rand.
 //
 // Decoding overlays onto a freshly started server (Start must have run: the
-// restore re-seeds the live listeners and rebuilds UDP conn views from the
-// bound data port), building conns on the server host's stack.
+// stack's walk hands conns to its listeners, and UDP conn views are rebuilt
+// from the bound data port), building conns on the server host's stack.
 
 func init() {
 	simclock.RegisterEventKind("server.pace", (*paceArm)(nil))
@@ -52,8 +53,9 @@ func sessOrder(id string) int {
 }
 
 // Sync walks the server's full state. stack is the server host's transport
-// stack (decoding only); x carries the application-payload walk and indexes
-// restored TCP conns so in-flight wire segments can resolve against them.
+// stack (decoding only), already walked; x carries the application-payload
+// walk and indexes restored TCP conns so sessions' references and in-flight
+// wire segments can resolve against them.
 func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
 	c.Tag("server")
 	c.U64(&s.describes)
@@ -62,64 +64,9 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	c.U64(&s.tornDown)
 	c.Int(&s.nextID)
 
-	// Control connections: open ones, plus closed ones a session still
-	// references (DropClient matches on the control conn's remote address, so
-	// losing the link would change churn behavior after a resume). Each
-	// carries the ID of the session it most recently SETUP, linked once the
-	// sessions exist.
-	var ccs []*controlConn
-	if !c.Reading() {
-		s.markReferenced()
-		for _, cc := range s.ctlConns {
-			if cc.needed(s.sweep) {
-				ccs = append(ccs, cc)
-			}
-		}
-		sort.Slice(ccs, func(i, j int) bool { return ccs[i].conn.LocalAddr() < ccs[j].conn.LocalAddr() })
-	}
-	var ccSess []string
-	snap.Slice(c, &ccs, func(c *snap.Codec, ccp **controlConn) {
-		if c.Reading() {
-			*ccp = &controlConn{srv: s}
-		}
-		cc := *ccp
-		transport.SyncConn(c, &cc.conn, stack, x)
-		id := ""
-		if cc.sess != nil {
-			id = cc.sess.id
-		}
-		c.Str(&id)
-		if !c.Reading() || c.Err() != nil {
-			return
-		}
-		ccSess = append(ccSess, id)
-		s.ctlConns = append(s.ctlConns, cc)
-		if !transport.ConnClosed(cc.conn) {
-			cc.conn.SetReceiver(cc.onMessage)
-			c.Fail(stack.RestoreAccepted(s.cfg.ControlPort, cc.conn))
-		}
-	})
-
-	// Data connections still waiting for their hello.
-	var pend []transport.Conn
-	if !c.Reading() {
-		for _, w := range s.pendingData {
-			if !transport.ConnClosed(w.conn) {
-				pend = append(pend, w.conn)
-			}
-		}
-		sort.Slice(pend, func(i, j int) bool { return pend[i].LocalAddr() < pend[j].LocalAddr() })
-	}
-	snap.Slice(c, &pend, func(c *snap.Codec, conn *transport.Conn) {
-		transport.SyncConn(c, conn, stack, x)
-		if c.Reading() && c.Err() == nil {
-			s.watchPendingData(*conn)
-			c.Fail(stack.RestoreAccepted(s.cfg.DataTCPPort, *conn))
-		}
-	})
-
 	// Sessions walk in creation order, so on restore the latest SETUP for a
-	// data address wins — the same overwrite order the live run produced.
+	// data address wins — the same overwrite order the live run produced —
+	// and so does the newest session's receiver on a shared control conn.
 	var sessions []*streamSession
 	if !c.Reading() {
 		for _, sess := range s.sessions {
@@ -132,7 +79,7 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 			*sp = s.allocSession()
 		}
 		sess := *sp
-		sess.sync(c, stack, x, ccs)
+		sess.sync(c, stack, x)
 		if !c.Reading() || c.Err() != nil {
 			return
 		}
@@ -141,18 +88,10 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 			s.byDataAddr[sess.spec.ClientDataAddr] = sess
 		}
 	})
-	if c.Reading() && c.Err() == nil {
-		for i, cc := range ccs {
-			if id := ccSess[i]; id != "" {
-				cc.sess = s.sessions[id]
-			}
-		}
-	}
 }
 
-// sync walks one streaming session; ccs is the control-connection walk
-// order the session's link indexes into.
-func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx, ccs []*controlConn) {
+// sync walks one streaming session.
+func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
 	s := sess.srv
 	c.Tag("sess")
 	c.Str(&sess.id)
@@ -174,10 +113,27 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	c.Str(&sess.spec.ClientDataAddr)
 	c.Str(&sess.spec.ServerDataAddr)
 	c.F64(&sess.maxKbps)
-	idx := slices.Index(ccs, sess.cc)
-	c.Int(&idx)
-	if c.Reading() && idx >= 0 && idx < len(ccs) {
-		sess.cc = ccs[idx]
+
+	// The control conn — a reference when open, a dead shell by value when
+	// closed, which DropClient still matches on — and whether this session
+	// is its most recent SETUP. A restored session gets a controlConn of its
+	// own. Only the conn's most recent SETUP, the newest session on it, makes
+	// its controlConn the conn's receiver: requests naming no session route
+	// to it, and on a conn without one they find the receiver the accept
+	// callback installed, with no session, as they did.
+	var ctl transport.Conn
+	latest := false
+	if sess.cc != nil {
+		ctl, latest = sess.cc.conn, sess.cc.sess == sess
+	}
+	transport.SyncOptConn(c, &ctl, stack, x)
+	c.Bool(&latest)
+	if c.Reading() && c.Err() == nil && ctl != nil {
+		sess.cc = &controlConn{srv: s, conn: ctl}
+		if latest {
+			sess.cc.sess = sess
+			ctl.SetReceiver(sess.cc.onMessage)
+		}
 	}
 
 	transport.SyncOptConn(c, &sess.dataTCP, stack, x)
@@ -185,10 +141,7 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 		// bindTCPData minus maybeStart: the streaming position is overlaid
 		// below, not restarted.
 		sess.backlogProbe, _ = sess.dataTCP.(interface{ QueueDepth() int })
-		if !transport.ConnClosed(sess.dataTCP) {
-			sess.dataTCP.SetReceiver(sess.recvTCP)
-			c.Fail(stack.RestoreAccepted(s.cfg.DataTCPPort, sess.dataTCP))
-		}
+		sess.dataTCP.SetReceiver(sess.recvTCP)
 	}
 	hasCtrl := sess.ctrl != nil
 	c.Bool(&hasCtrl)

@@ -25,7 +25,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"realtracer/internal/media"
 	"realtracer/internal/ratecontrol"
@@ -54,17 +53,11 @@ type Config struct {
 	// NewController builds the UDP rate controller for a session; nil means
 	// TFRC with default limits.
 	NewController func(startKbps float64) ratecontrol.Controller
-	// BufferAhead is how much media the server tries to keep buffered ahead
-	// of the client's playout (drives the initial burst). Default 12 s.
-	BufferAhead time.Duration
 	// ControlPort etc. default to the session package's well-known ports.
 	ControlPort, DataTCPPort, DataUDPPort int
 }
 
 func (c *Config) fillDefaults() {
-	if c.BufferAhead <= 0 {
-		c.BufferAhead = 12 * time.Second
-	}
 	if c.ControlPort == 0 {
 		c.ControlPort = session.ControlPort
 	}
@@ -104,20 +97,8 @@ type Server struct {
 	// Message.Body (the player and a shard-transit copy both copy it out).
 	descBody map[*media.Clip][]byte
 
-	// ctlConns tracks every accepted control connection so a world checkpoint
-	// can enumerate them — a control connection between sessions (after a
-	// DESCRIBE, or between playlist entries) is reachable from nowhere else.
-	// Closed, unreferenced entries are swept lazily as the list grows.
-	ctlConns []*controlConn
-	// sweep is the generation markReferenced last stamped on the control
-	// connections a session references.
-	sweep uint64
-
-	// pendingData tracks accepted TCP data connections whose DataHello has
-	// not arrived yet: no session references them until the hello binds them.
-	// watchFree holds the watchers no connection is using.
-	pendingData []*dataWatcher
-	watchFree   []*dataWatcher
+	// watchFree holds the DataHello watchers no connection is using.
+	watchFree []*dataWatcher
 
 	// doomed is DropClient's scratch.
 	doomed []*streamSession
@@ -225,50 +206,12 @@ func (s *Server) Counters() (describes, unavailable, played, torndown uint64) {
 func (s *Server) acceptControl(conn transport.Conn) {
 	cc := &controlConn{srv: s, conn: conn}
 	conn.SetReceiver(cc.onMessage)
-	s.trackControl(cc)
-}
-
-// trackControl records a control connection for checkpoint enumeration,
-// sweeping closed unreferenced entries when the list has grown well past the
-// live session count. The sweep trigger depends only on simulation state, so
-// whether a checkpoint is ever taken cannot perturb the run.
-func (s *Server) trackControl(cc *controlConn) {
-	if len(s.ctlConns) >= 2*len(s.sessions)+64 {
-		s.markReferenced()
-		kept := s.ctlConns[:0]
-		for _, old := range s.ctlConns {
-			if old.needed(s.sweep) {
-				kept = append(kept, old)
-			}
-		}
-		clear(s.ctlConns[len(kept):])
-		s.ctlConns = kept
-	}
-	s.ctlConns = append(s.ctlConns, cc)
-}
-
-// markReferenced stamps every control connection a session references with
-// a fresh sweep generation, s.sweep.
-func (s *Server) markReferenced() {
-	s.sweep++
-	for _, sess := range s.sessions {
-		if sess.cc != nil {
-			sess.cc.mark = s.sweep
-		}
-	}
-}
-
-// needed reports whether a tracked control connection must stay tracked: it
-// is open, or the sweep that just marked it found a session referencing it.
-func (cc *controlConn) needed(sweep uint64) bool {
-	return !transport.ConnClosed(cc.conn) || cc.mark == sweep
 }
 
 type controlConn struct {
 	srv  *Server
 	conn transport.Conn
 	sess *streamSession // session most recently SETUP on this connection
-	mark uint64         // Server.sweep when a session last referenced it
 }
 
 func (cc *controlConn) reply(m *rtsp.Message) {
@@ -407,35 +350,18 @@ func (s *Server) removeSession(sess *streamSession) {
 	s.sessFree = append(s.sessFree, sess)
 }
 
-// acceptDataTCP waits for the DataHello that binds a data connection to its
-// session.
-func (s *Server) acceptDataTCP(conn transport.Conn) {
-	s.watchPendingData(conn)
-}
-
 // dataWatcher waits on one accepted TCP data connection for the DataHello
 // that binds it to its session. Watchers are leased from the server's
-// free-list with their receiver bound once, and go back when their
-// connection is bound, refused, or found closed.
+// free-list with their receiver bound once, and go back when the hello
+// arrives; one whose connection closes first is left to the garbage collector.
 type dataWatcher struct {
 	srv  *Server
 	conn transport.Conn
 	recv func(any, int) // w.onHello
 }
 
-// watchPendingData installs the hello-waiting receiver on a data connection
-// and tracks it until the hello binds it to a session — the shared path of
-// accept and checkpoint restore.
-func (s *Server) watchPendingData(conn transport.Conn) {
-	kept := s.pendingData[:0]
-	for _, w := range s.pendingData {
-		if transport.ConnClosed(w.conn) {
-			s.freeWatcher(w)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	clear(s.pendingData[len(kept):])
+// acceptDataTCP installs the hello-waiting receiver on a new data connection.
+func (s *Server) acceptDataTCP(conn transport.Conn) {
 	var w *dataWatcher
 	if k := len(s.watchFree) - 1; k >= 0 {
 		w, s.watchFree = s.watchFree[k], s.watchFree[:k]
@@ -444,17 +370,7 @@ func (s *Server) watchPendingData(conn transport.Conn) {
 		w.recv = w.onHello
 	}
 	w.conn = conn
-	s.pendingData = append(kept, w)
 	conn.SetReceiver(w.recv)
-}
-
-// freeWatcher returns w to the free-list. Its connection stops delivering to
-// it first: a real socket's reads already queued for the loop must find no
-// receiver, not the watcher's next connection.
-func (s *Server) freeWatcher(w *dataWatcher) {
-	w.conn.SetReceiver(nil)
-	w.conn = nil
-	s.watchFree = append(s.watchFree, w)
 }
 
 // onHello binds the watched connection to the session its hello names, or
@@ -465,11 +381,13 @@ func (w *dataWatcher) onHello(payload any, _ int) {
 	if !ok {
 		return
 	}
+	// The watcher goes back to the free-list, its connection delivering to it
+	// no more: a real socket's reads already queued for the loop must find no
+	// receiver, not the watcher's next connection.
 	s, conn := w.srv, w.conn
-	if i := slices.Index(s.pendingData, w); i >= 0 {
-		s.pendingData = slices.Delete(s.pendingData, i, i+1)
-	}
-	s.freeWatcher(w)
+	conn.SetReceiver(nil)
+	w.conn = nil
+	s.watchFree = append(s.watchFree, w)
 	sess, ok := s.sessions[m.SessionID]
 	if !ok {
 		conn.Close()

@@ -30,6 +30,9 @@ const (
 	// liveCaptureBuffer is all the lead a live feed has over realtime: the
 	// encoder's own buffering.
 	liveCaptureBuffer = 500 * time.Millisecond
+	// bufferAhead is how much media the server tries to keep buffered ahead
+	// of the client's playout (drives the initial burst).
+	bufferAhead = 12 * time.Second
 )
 
 // streamSession is the server side of one clip playout.
@@ -284,14 +287,11 @@ func (sess *streamSession) pace() {
 	}
 
 	// The ahead window ramps: a short initial allowance that grows toward
-	// BufferAhead, so the startup burst is roughly 2x the media rate rather
+	// bufferAhead, so the startup burst is roughly 2x the media rate rather
 	// than an unbounded dump that masquerades as congestion. Live content
 	// cannot be sent ahead of capture at all: only a small encoder buffer
 	// separates the camera from the wire.
-	ahead := 3*time.Second + elapsed
-	if ahead > sess.srv.cfg.BufferAhead {
-		ahead = sess.srv.cfg.BufferAhead
-	}
+	ahead := min(3*time.Second+elapsed, bufferAhead)
 	if sess.clip.Live {
 		ahead = liveCaptureBuffer
 	}
@@ -495,7 +495,7 @@ func (sess *streamSession) checkUDP() {
 		// rate on faith so a higher encoding can be tried — if the path
 		// cannot carry it, the resulting loss corrects course.
 		elapsed := sess.srv.cfg.Clock.Now() - sess.startAt
-		bufferFull := sess.mediaPos > elapsed+sess.srv.cfg.BufferAhead-time.Second
+		bufferFull := sess.mediaPos > elapsed+bufferAhead-time.Second
 		encLimited := sess.ctrl.RateKbps() > 1.2*sess.clip.Encodings[sess.encIdx].TotalKbps
 		switch {
 		case lossFrac > 0 || (!bufferFull && !encLimited):

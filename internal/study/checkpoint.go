@@ -41,7 +41,7 @@ func init() {
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
 // before misreading a single field.
-const snapMagic = "RTSNAP4"
+const snapMagic = "RTSNAP5"
 
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays
@@ -155,7 +155,6 @@ func (o *Options) sync(c *snap.Codec) {
 	c.I64(&o.Seed)
 	c.Int(&o.MaxUsers)
 	c.Int(&o.ClipCap)
-	c.Dur(&o.PlayFor)
 	c.Bool(&o.DisableSureStream)
 	c.Bool(&o.DisableFEC)
 	c.Dur(&o.Preroll)

@@ -15,6 +15,7 @@ import (
 	"realtracer/internal/netsim"
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
+	"realtracer/internal/session"
 	"realtracer/internal/trace"
 )
 
@@ -443,6 +444,75 @@ func farApartSnapshot(t testing.TB) []byte {
 	return nil
 }
 
+// doctoredAcceptTables returns snapshots of the churn-heavy fence world that
+// its servers' stacks wrote with their accept tables edited for the walk and
+// put back after it, each with what its resume must be refused for: a table
+// on a port with no listener, a closed conn in one, two conns from one peer,
+// and a session naming an open conn no table holds.
+func doctoredAcceptTables(t testing.TB) []doctoredSnapshot {
+	t.Helper()
+	w := fenceWorld(t, churnHeavy)
+	var out []doctoredSnapshot
+	doctor := func(name, want string, edit func() (undo func())) {
+		undo := edit()
+		out = append(out, doctoredSnapshot{name, checkpoint(t, w), want})
+		undo()
+	}
+	listeners := peek(reflect.ValueOf(w.serverStacks[0]), "listeners")
+	port := reflect.ValueOf(session.ControlPort)
+	doctor("conns accepted on a port with no listener", "port 1, which has no listener", func() func() {
+		l := listeners.MapIndex(port)
+		listeners.SetMapIndex(reflect.ValueOf(1), l)
+		listeners.SetMapIndex(port, reflect.Value{})
+		return func() {
+			listeners.SetMapIndex(reflect.ValueOf(1), reflect.Value{})
+			listeners.SetMapIndex(port, l)
+		}
+	})
+
+	// An open conn some live session names, and an open conn holding nothing.
+	var named, idle, seen reflect.Value
+	for i, srv := range w.Servers {
+		for it := peek(reflect.ValueOf(w.serverStacks[i]), "listeners").MapRange(); it.Next(); {
+			for ct := peek(it.Value(), "seen").MapRange(); ct.Next(); {
+				conn := ct.Value()
+				if !idle.IsValid() && peek(peek(conn, "send"), "n").Int() == 0 && peek(peek(conn, "reorder"), "n").Int() == 0 {
+					idle = conn
+				}
+				for st := peek(reflect.ValueOf(srv), "sessions").MapRange(); st.Next(); {
+					if cc := peek(st.Value(), "cc"); !named.IsValid() && !cc.IsNil() && peek(cc, "conn").Elem().Pointer() == conn.Pointer() {
+						named, seen = conn, peek(it.Value(), "seen")
+					}
+				}
+			}
+		}
+	}
+	if !named.IsValid() || !idle.IsValid() {
+		t.Fatalf("the churn-heavy fence world's cut has no open control conn a session names (%v) or no accepted conn holding nothing (%v)", named.IsValid(), idle.IsValid())
+	}
+	doctor("a closed conn in an accept table", "is closed but sits in the accept table of port", func() func() {
+		peek(idle, "closed").SetBool(true)
+		return func() { peek(idle, "closed").SetBool(false) }
+	})
+	peer := peek(peek(named, "peer"), "addr")
+	doctor("two conns accepted from one peer", "were both accepted on port", func() func() {
+		dup := reflect.ValueOf("dup:1").Convert(peer.Type())
+		seen.SetMapIndex(dup, named)
+		return func() { seen.SetMapIndex(dup, reflect.Value{}) }
+	})
+	doctor("a session naming a conn no table holds", "as an accepted conn, but no accept table restored it open", func() func() {
+		seen.SetMapIndex(peer, reflect.Value{})
+		return func() { seen.SetMapIndex(peer, named) }
+	})
+	return out
+}
+
+type doctoredSnapshot struct {
+	name string
+	snap []byte
+	want string
+}
+
 // TestResumeRejectsCorruptSnapshot pins the loud-failure contract for a
 // snapshot whose options section was tampered with (a stand-in for a
 // mismatched build).
@@ -492,12 +562,17 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 	}
 	waitAt += addrEnd
 	farApart := farApartSnapshot(t)
-	for _, tc := range []struct {
+	type corruption struct {
 		name   string
 		snap   []byte
 		mutate func(b []byte)
 		want   string
-	}{
+	}
+	var doctored []corruption
+	for _, d := range doctoredAcceptTables(t) {
+		doctored = append(doctored, corruption{d.name, d.snap, func([]byte) {}, d.want})
+	}
+	for _, tc := range append([]corruption{
 		// netsim: seed(8) then the base stream's draw count; 2^55 draws used
 		// to spin in detrand.Skip for years.
 		{"rng draw count 2^55", snap, func(b []byte) { b[field("netsim", 8)+6] = 0x80 }, "draw count"},
@@ -513,7 +588,7 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		{"far-apart seqs in one FEC window: what", farApart, func([]byte) {}, "are too far apart for one window (limit 65536)"},
 		{"dial kind out of range", mid, func(b []byte) { b[waitAt-1] = 9 }, "dial kind 9"},
 		{"waiting on a dial nobody issued", mid, func(b []byte) { b[waitAt+4] ^= 1 }, "no in-flight dial"},
-	} {
+	}, doctored...) {
 		bad := append([]byte(nil), tc.snap...)
 		tc.mutate(bad)
 		done := make(chan error, 1)
@@ -532,9 +607,10 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 	}
 
 	// A snapshot in an earlier format — before dial state, before closed conns
-	// froze their backlog, before records were walked field by field — is
-	// refused on its magic, before any field is misread.
-	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3"} {
+	// froze their backlog, before records were walked field by field, before
+	// the stacks walked the conns they accepted — is refused on its magic,
+	// before any field is misread.
+	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4"} {
 		old := append([]byte(nil), snap...)
 		copy(old[4:], magic)
 		if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {

@@ -230,10 +230,10 @@ type leasePool struct {
 // every closed simulated TCP conn reachable from w has an empty send buffer
 // and reorder buffer. A listener's accept table drops a conn as it closes, so
 // the closed ones are found where something still names them: a player's
-// control and data conn, the control conns a server tracks for its checkpoint
-// walk (Server.ctlConns), and the control and data conn of a session, live or
-// waiting on the server's free-list. It returns how many it found and how
-// many of them froze a backlog, so a caller can tell the walk was not vacuous.
+// control and data conn, and the control and data conn of a server session,
+// live or waiting on the server's free-list. It returns how many it found and
+// how many of them froze a backlog, so a caller can tell the walk was not
+// vacuous.
 func checkClosedConns(t *testing.T, w *World) (closed, backlogged int) {
 	t.Helper()
 	worldStructs(w, func(v reflect.Value, path string) bool {

@@ -338,18 +338,15 @@ var syncExempt = map[string]string{
 	"netsim.pathState.capBps":            "derived from the route",
 	"transport.Stack.host":               "static: the stack is rebuilt for the same host",
 	"transport.Stack.hostID":             "interned from host",
-	"transport.Stack.listeners":          "rebuilt by Server.Start, re-seeded by RestoreAccepted",
 	"transport.endpoint.id":              "interned from the walked addr",
 	"transport.endpoint.port":            "parsed from the walked addr",
-	"transport.simTCP.accepted":          "the listener's accept table the conn is in: set by Listen, re-seeded by RestoreAccepted",
+	"transport.simTCP.accepted":          "the listener's accept table the conn is in: set by Listen, and by the Stack.Sync walk of that table",
 	"transport.tcpSeg.transit":           "sharded worlds only",
 	"transport.tcpAck.transit":           "sharded worlds only",
 	"transport.udpPortConn":              "stateless view, rebuilt by ConnFor from the session's walked ClientDataAddr",
 	"server.Server.cfg":                  "rebuilt from Options",
 	"server.Server.byDataAddr":           "index of sessions by walked ClientDataAddr",
 	"server.Server.descBody":             "rendered on first DESCRIBE",
-	"server.Server.sweep":                "generation of the last referenced-conn mark, stamped afresh by every sweep and walk",
-	"server.controlConn.mark":            "sweep mark, stamped afresh by every sweep and walk",
 	"figures.Aggregates.psKeys":          "interned policyServer labels, rebuilt as records arrive",
 	"server.Server.udpPort":              "rebuilt by Server.Start",
 	"server.streamSession.clip":          "looked up from the walked URL",

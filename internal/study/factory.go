@@ -92,7 +92,6 @@ func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []trace
 		Net:          session.SimNet{Stack: stack},
 		User:         u,
 		Playlist:     playlist,
-		PlayFor:      f.w.Options.PlayFor,
 		Preroll:      f.w.Options.Preroll,
 		Rand:         rng,
 		Rate:         rater.rate,

@@ -72,7 +72,7 @@ var manyRecords = Options{Seed: 17, MaxUsers: 6, ClipCap: 2, Workload: "poisson"
 // mid-run snapshots of the four fence worlds, of one world with a TCP dial in
 // flight, of one with a timed-out TCP flight waiting to be sent again, of one
 // with a SETUP request on the wire and of one carrying many records, plus
-// truncations of each, and one doctored window.
+// truncations of each, one doctored window and four doctored accept tables.
 func FuzzResume(f *testing.F) {
 	straight, err := Run(manyRecords)
 	if err != nil {
@@ -85,10 +85,13 @@ func FuzzResume(f *testing.F) {
 	for _, fw := range fenceWorlds {
 		snaps = append(snaps, fenceSnapshot(f, fw.opt))
 	}
-	// One seed no mutation of the others finds quickly: a well-formed
-	// snapshot whose one defect is two sequence numbers a whole window apart
-	// in one FEC window.
+	// Seeds no mutation of the others finds quickly: well-formed snapshots
+	// whose one defect is two sequence numbers a whole window apart in one FEC
+	// window, or an accept table that does not add up.
 	f.Add(farApartSnapshot(f))
+	for _, d := range doctoredAcceptTables(f) {
+		f.Add(d.snap)
+	}
 	for _, snap := range snaps {
 		f.Add(snap)
 		f.Add(snap[:len(snap)-1])

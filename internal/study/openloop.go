@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"realtracer/internal/detrand"
+	"realtracer/internal/player"
 	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
@@ -82,12 +83,10 @@ type arrivalCell struct {
 	cands []workload.Candidate // per-pick scratch (single-owner state)
 }
 
-// sessionClipCycle is the nominal wall time one clip occupies: playout
-// plus the inter-clip think/rating pause. Arrival-rate calibration and
-// departure deadlines are placed in units of it.
-func sessionClipCycle(opt Options) time.Duration {
-	return opt.PlayFor + 8*time.Second
-}
+// sessionClipCycle is the nominal wall time one clip occupies: the tracer's
+// playout, one minute, plus the inter-clip think/rating pause. Arrival-rate
+// calibration and departure deadlines are placed in units of it.
+const sessionClipCycle = player.DefaultPlayFor + 8*time.Second
 
 // resolveWorkloadSpec resolves the options into the full-pool workload
 // spec, the selection-policy name, and the arrival-stream seed. The rate
@@ -119,7 +118,7 @@ func (w *World) resolveWorkloadSpec() (workload.Spec, string, int64, error) {
 	if opt.ClipCap > 0 && float64(opt.ClipCap) < meanClips {
 		meanClips = float64(opt.ClipCap)
 	}
-	sessDur := time.Duration(meanClips * float64(sessionClipCycle(opt)))
+	sessDur := time.Duration(meanClips * float64(sessionClipCycle))
 	rate := k * 0.4 * float64(pool) / sessDur.Seconds()
 	if !(rate > 0) || math.IsInf(rate, 1) {
 		return workload.Spec{}, "", 0, fmt.Errorf("study: workload calibration produced a degenerate arrival rate %v (pool %d, intensity %g)", rate, pool, k)
@@ -268,7 +267,7 @@ func (c *arrivalCell) launchSession(mi int) {
 	b.done, b.departed = false, false
 	b.ordinal = int64(c.ord)<<32 | int64(c.sessions)
 
-	plan := c.spec.NextPlanInto(b.rng.Rand, len(w.Playlist), sessionClipCycle(w.Options), b.clips)
+	plan := c.spec.NextPlanInto(b.rng.Rand, len(w.Playlist), sessionClipCycle, b.clips)
 	b.clips = plan.Clips // keep the grown scratch for the next arrival
 	b.playlist = b.playlist[:0]
 	for _, ci := range plan.Clips {
@@ -364,7 +363,7 @@ func (b *sessionBundle) finish() {
 // hard-stopped: once the host is removed every send from it drops at the
 // source lookup before any RNG draw, so aborting the zombie player changes
 // no record and no draw stream — it only stops the zombie from burning
-// clock events until its PlayFor would have elapsed, and it is what lets
+// clock events until its playout would have elapsed, and it is what lets
 // the bundle be relaunched without a live predecessor still holding it.
 func (b *sessionBundle) depart() {
 	if b.done {

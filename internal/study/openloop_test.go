@@ -233,7 +233,7 @@ func TestOpenLoopArrivalRateObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// rate = 0.4·pool / (1 clip · (PlayFor + 8s)) sessions/sec.
+	// rate = 0.4·pool / (1 clip · sessionClipCycle) sessions/sec.
 	wantRate := 0.4 * 60 / (68.0)
 	// The last session's tail extends past the final arrival; bound the
 	// comparison by the arrival span instead of the full run.

@@ -31,8 +31,6 @@ type Options struct {
 	// ClipCap truncates each user's playlist progress (0 = the user's own
 	// draw). Useful to shrink test runs.
 	ClipCap int
-	// PlayFor is the per-clip playout length (default 1 minute).
-	PlayFor time.Duration
 	// DisableSureStream, DisableFEC, Preroll and Controller are ablation
 	// knobs for the DESIGN.md experiments.
 	DisableSureStream bool
@@ -99,9 +97,6 @@ const (
 )
 
 func (o *Options) fill() {
-	if o.PlayFor <= 0 {
-		o.PlayFor = time.Minute
-	}
 	if o.CongestionScale == 0 {
 		o.CongestionScale = 1
 	}

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"realtracer/internal/netsim"
 	"realtracer/internal/seqwin"
@@ -38,6 +41,12 @@ import (
 //     asked for it: the stack walks the dialing conn and the dial's three
 //     timers, and the caller — if it is still waiting — persists the dial's
 //     local address and hands its continuation back with ReattachDial.
+//
+//   - An accepted conn belongs to the stack too: it sits in its listener's
+//     accept table until it closes. The stack walks every table, and decoding
+//     hands each conn to the listener's accept callback as the SYN did. Whoever
+//     the callback gave the conn to names it afterwards by local address only
+//     (SyncConn), so nobody else keeps a list of them.
 //
 // Application payloads nested in segments and datagrams are opaque here; the
 // session layer supplies the AppSync.
@@ -187,11 +196,11 @@ func (seg *tcpSeg) sync(c *snap.Codec, app AppSync) {
 	}
 }
 
-// Sync walks the stack's own state: the ephemeral port cursor and the dials
-// in flight, each as its dialing conn plus its timers. Decoded dials carry no
-// continuation until their owner calls ReattachDial. The ACK, segment and
-// conn-storage free-lists are pure allocation caches and are not part of the
-// snapshot.
+// Sync walks the stack's own state: the ephemeral port cursor, the dials in
+// flight, each as its dialing conn plus its timers, and the conns its
+// listeners accepted. Decoded dials carry no continuation until their owner
+// calls ReattachDial. The ACK, segment and conn-storage free-lists are pure
+// allocation caches and are not part of the snapshot.
 func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 	c.Tag("stack")
 	c.Int(&s.next)
@@ -218,6 +227,47 @@ func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 			s.clock.SyncTimer(c, &d.retries[i], (*dialRetryArm)(d))
 		}
 	})
+	s.syncAccepted(c, x)
+}
+
+// syncAccepted walks every listener's accept table, ports ascending and each
+// table's conns by local address. Decoding puts each conn back in its table
+// and hands it to the listener's accept callback, as the SYN that opened it
+// did, but sends no SYN-ACK and schedules nothing. A table holds only open
+// conns, each under its own peer, and only a port with a listener has one.
+func (s *Stack) syncAccepted(c *snap.Codec, x *SnapCtx) {
+	// Decoding reads the lists instead; sorting them there would cost a resume
+	// two allocations per stack.
+	var ports []int
+	if !c.Reading() {
+		ports = slices.Sorted(maps.Keys(s.listeners))
+	}
+	snap.Slice(c, &ports, func(c *snap.Codec, port *int) {
+		c.Int(port)
+		l := s.listeners[*port]
+		if l == nil { // decoding only; a failed read leaves port 0, and Fail keeps the first error
+			c.Fail(fmt.Errorf("transport: snapshot holds conns accepted on %s port %d, which has no listener", s.host, *port))
+			return
+		}
+		var conns []*simTCP
+		if !c.Reading() {
+			conns = slices.SortedFunc(maps.Values(l.seen), func(a, b *simTCP) int { return cmp.Compare(a.local.addr, b.local.addr) })
+		}
+		snap.Slice(c, &conns, func(c *snap.Codec, tp **simTCP) {
+			tc := s.syncTCP(c, *tp, x, true)
+			switch {
+			case tc == nil: // encoding, or the codec failed
+			case tc.closed:
+				c.Fail(fmt.Errorf("transport: conn %s is closed but sits in the accept table of port %d", tc.local.addr, *port))
+			case l.seen[tc.peer.addr] != nil:
+				c.Fail(fmt.Errorf("transport: conns %s and %s were both accepted on port %d from %s", l.seen[tc.peer.addr].local.addr, tc.local.addr, *port, tc.peer.addr))
+			default:
+				l.seen[tc.peer.addr] = tc
+				tc.accepted = l
+				l.accept(tc)
+			}
+		})
+	})
 }
 
 // ReattachDial gives a dial restored by Sync its continuation back: laddr is
@@ -237,43 +287,11 @@ func (s *Stack) ReattachDial(laddr string, cb func(Conn, error)) error {
 	return fmt.Errorf("transport: snapshot holds no in-flight dial from %s", laddr)
 }
 
-// RestoreAccepted re-seeds a listener's SYN-dedup map with a restored
-// server-side conn: a duplicate SYN still in flight from before the
-// checkpoint must find the existing conn, exactly as it would have in the
-// straight-through run. port is the listening port the conn was accepted on;
-// conn must have been decoded by SyncConn.
-func (s *Stack) RestoreAccepted(port int, conn Conn) error {
-	tc, ok := conn.(*simTCP)
-	if !ok {
-		return fmt.Errorf("transport: RestoreAccepted with %T", conn)
-	}
-	l := s.listeners[port]
-	if l == nil {
-		return fmt.Errorf("transport: RestoreAccepted on port %d with no listener", port)
-	}
-	l.seen[tc.peer.addr] = tc
-	tc.accepted = l
-	return nil
-}
-
-// ConnClosed reports whether a simulated conn has been closed (locally or by
-// a received FIN). Owners use it to prune dead conns from their checkpoint
-// walks; unknown conn types report open.
-func ConnClosed(c Conn) bool {
-	switch m := c.(type) {
-	case *simTCP:
-		return m.closed
-	case *simUDP:
-		return m.closed
-	default:
-		return false
-	}
-}
-
 // Conn type tags.
 const (
-	connTCP = 1
-	connUDP = 2
+	connTCP      = 1
+	connUDP      = 2
+	connAccepted = 3
 )
 
 // SyncConn walks a simulated conn owned by a session or player. Supported
@@ -281,14 +299,22 @@ const (
 // UDP). Server-side UDP conn views (UDPPort.ConnFor) carry no state and are
 // rebuilt by their owner instead.
 //
-// Decoding builds the conn on s, re-registering it with the network and (for
-// TCP) into x; the owner re-installs its receiver afterwards, exactly as it
-// did when the conn was first created. Encoding ignores s.
+// An open conn a listener accepted is its stack's to walk (Stack.Sync), so it
+// walks here as a reference: its local address, which decoding resolves
+// through x to the conn the stack walk restored. Every other conn walks by
+// value: decoding builds it on s, re-registering it with the network and (for
+// TCP) into x. Either way the owner re-installs its receiver afterwards,
+// exactly as it did when the conn was first created; a closed conn delivers
+// nothing to it. Encoding ignores s.
 func SyncConn(c *snap.Codec, conn *Conn, s *Stack, x *SnapCtx) {
 	var tag uint8
-	switch (*conn).(type) {
+	var laddr netsim.Addr // an accepted conn's, for the reference
+	switch m := (*conn).(type) {
 	case *simTCP:
 		tag = connTCP
+		if m.accepted != nil && !m.closed {
+			tag, laddr = connAccepted, m.local.addr
+		}
 	case *simUDP:
 		tag = connUDP
 	default:
@@ -297,14 +323,20 @@ func SyncConn(c *snap.Codec, conn *Conn, s *Stack, x *SnapCtx) {
 			return
 		}
 	}
-	c.U8(&tag)
-	if c.Err() != nil {
-		return
-	}
+	c.U8(&tag) // on a failed read every arm below is a no-op
 	switch tag {
 	case connTCP:
 		tc, _ := (*conn).(*simTCP)
 		if tc = s.syncTCP(c, tc, x, true); tc != nil {
+			*conn = tc
+		}
+	case connAccepted:
+		snap.StrAs(c, &laddr)
+		switch tc := x.conns[laddr]; {
+		case !c.Reading() || c.Err() != nil:
+		case tc == nil || tc.accepted == nil || tc.closed:
+			c.Fail(fmt.Errorf("transport: snapshot names %s as an accepted conn, but no accept table restored it open", laddr))
+		default:
 			*conn = tc
 		}
 	case connUDP:
@@ -331,14 +363,10 @@ func SyncOptConn(c *snap.Codec, conn *Conn, s *Stack, x *SnapCtx) {
 // its packet handler — the host must be attached — failing the codec when it
 // cannot. Register's own panic stays reserved for programmer misuse.
 func (s *Stack) registrable(c *snap.Codec, laddr netsim.Addr) bool {
-	if c.Err() != nil {
-		return false
-	}
-	if !s.net.Attached(laddr.Host()) {
+	if c.Err() == nil && !s.net.Attached(laddr.Host()) {
 		c.Fail(fmt.Errorf("transport: snapshot conn %s is open on a host that is not attached", laddr))
-		return false
 	}
-	return true
+	return c.Err() == nil
 }
 
 // syncUDP walks a client-side connected UDP conn; decoding (uc ignored)

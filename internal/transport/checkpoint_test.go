@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -83,7 +84,7 @@ func TestRestoredDialWithoutOwnerClosesOnEstablish(t *testing.T) {
 	var accepted Conn
 	sa.Listen(100, func(c Conn) { accepted = c })
 	clock.RunUntil(3 * time.Second)
-	if accepted == nil || !ConnClosed(accepted) {
+	if accepted == nil || !connClosed(accepted) {
 		t.Fatalf("server side of the abandoned dial: %v, want accepted and then closed by the dialer's FIN", accepted)
 	}
 }
@@ -113,7 +114,7 @@ func TestOrphanedDialRestoresDeaf(t *testing.T) {
 	sa.Listen(100, func(c Conn) { accepted = c })
 	sb.net.AddHost(netsim.HostConfig{Name: "b", Access: netsim.DefaultAccessProfile(netsim.AccessDSLCable)})
 	clock.RunUntil(dialTimeout + time.Second)
-	if accepted == nil || ConnClosed(accepted) {
+	if accepted == nil || connClosed(accepted) {
 		t.Fatalf("server side of the orphaned dial: accepted=%v, want accepted off a retried SYN and never closed — the dialer must not hear the SYN-ACK", accepted != nil)
 	}
 	if n := sb.DialsInFlight(); n != 0 {
@@ -130,6 +131,135 @@ func TestDialRestoreRejectsTimerOutsideClock(t *testing.T) {
 	sb.Sync(dec, NewSnapCtx(nil))
 	if err := dec.Err(); err == nil || !strings.Contains(err.Error(), "outside the restored clock") {
 		t.Fatalf("want the dial's timeout slot refused, got %v", err)
+	}
+}
+
+// acceptedSnapshot has b dial a:100 three times and a:200 once and hang up the
+// second port-100 conn, then walks a's stack into a snapshot, followed by each
+// conn a accepted as the server sessions holding them would write it — a
+// reference while it is open, by value once closed — and then extra. doctor
+// edits a's stack just before the walk.
+func acceptedSnapshot(t *testing.T, doctor func(sa *Stack), extra ...Conn) []byte {
+	t.Helper()
+	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	var accepted, dialed []Conn
+	for _, port := range []int{100, 200} {
+		sa.Listen(port, func(c Conn) { accepted = append(accepted, c) })
+	}
+	for _, raddr := range []string{"a:100", "a:100", "a:100", "a:200"} {
+		sb.DialTCP(raddr, func(c Conn, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			dialed = append(dialed, c)
+		})
+	}
+	clock.RunUntil(time.Second)
+	dialed[1].Close()
+	clock.RunUntil(2 * time.Second)
+	if len(accepted) != 4 || !connClosed(accepted[1]) {
+		t.Fatalf("set-up: %d conns accepted, the second closed=%v", len(accepted), len(accepted) > 1 && connClosed(accepted[1]))
+	}
+	if doctor != nil {
+		doctor(sa)
+	}
+	var buf bytes.Buffer
+	enc := snap.NewEncoder(&buf)
+	x := NewSnapCtx(nil)
+	sa.Sync(enc, x)
+	for _, c := range append(accepted, extra...) {
+		SyncConn(enc, &c, nil, x)
+	}
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restoreAccepted decodes an acceptedSnapshot onto a fresh a listening on
+// ports: the conns its accept callbacks were handed, in order, and the conns
+// the walks after the stack's decoded to.
+func restoreAccepted(t *testing.T, data []byte, ports ...int) (clock *simclock.Clock, sa *Stack, accepted, named []Conn, err error) {
+	t.Helper()
+	clock, sa, _ = newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
+	for _, port := range ports {
+		sa.Listen(port, func(c Conn) { accepted = append(accepted, c) })
+	}
+	dec := snap.NewDecoder(data)
+	x := NewSnapCtx(nil)
+	sa.Sync(dec, x)
+	for dec.Err() == nil && dec.Remaining() > 0 {
+		var c Conn
+		SyncConn(dec, &c, sa, x)
+		named = append(named, c)
+	}
+	return clock, sa, accepted, named, dec.Err()
+}
+
+// TestStackWalksItsAcceptTables: a stack restores the conns its listeners
+// accepted from its own walk, ports ascending and each table by local address,
+// back into the table under their peer and through the listener's accept
+// callback — with nothing sent and nothing scheduled, for the SYN-ACK went out
+// long ago. A reference to an accepted conn resolves to that same object; a
+// closed one, in no table, restores by value as a dead shell.
+func TestStackWalksItsAcceptTables(t *testing.T) {
+	clock, sa, accepted, named, err := restoreAccepted(t, acceptedSnapshot(t, nil), 100, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range accepted {
+		tc := c.(*simTCP)
+		got = append(got, tc.LocalAddr()+"<"+tc.RemoteAddr())
+		if l := tc.accepted; l == nil || l.seen[tc.peer.addr] != tc || !tc.established || connClosed(tc) {
+			t.Errorf("restored %s is not open and established in the accept table it names", tc.local.addr)
+		}
+	}
+	if want := []string{"a:10001<b:10001", "a:10003<b:10003", "a:10004<b:10004"}; !slices.Equal(got, want) {
+		t.Fatalf("accept callbacks got %v, want %v", got, want)
+	}
+	if len(named) != 4 || named[0] != accepted[0] || named[2] != accepted[1] || named[3] != accepted[2] {
+		t.Fatalf("the open conns' references resolve to %v, want the restored %v", named, accepted)
+	}
+	if shell := named[1]; shell.LocalAddr() != "a:10002" || !connClosed(shell) || shell.(*simTCP).accepted != nil {
+		t.Fatalf("the closed conn restored as %s, closed=%v, in an accept table=%v", shell.LocalAddr(), connClosed(shell), shell.(*simTCP).accepted != nil)
+	}
+	if sent, _, _ := sa.net.Stats(); sent != 0 || clock.Pending() != 0 {
+		t.Fatalf("restoring the accept tables sent %d packets and left %d events pending", sent, clock.Pending())
+	}
+	if len(sa.listeners[100].seen) != 2 || len(sa.listeners[200].seen) != 1 {
+		t.Fatalf("accept tables hold %d and %d conns, want 2 and 1", len(sa.listeners[100].seen), len(sa.listeners[200].seen))
+	}
+}
+
+// An accept table holds open conns under distinct peers, on a port that has a
+// listener, and a reference names a conn some table restored open: a snapshot
+// that says otherwise is refused on one line.
+func TestRestoreRejectsAcceptTableThatDoesNotAddUp(t *testing.T) {
+	both := []int{100, 200}
+	// A reference to a:10002, which the walk before it restored closed.
+	var closedRef Conn = &simTCP{local: endpoint{addr: "a:10002"}, accepted: &tcpListener{}}
+	for _, tt := range []struct {
+		name   string
+		doctor func(sa *Stack)
+		extra  []Conn
+		ports  []int
+		want   string
+	}{
+		{"a port with no listener", nil, nil, []int{200}, "transport: snapshot holds conns accepted on a port 100, which has no listener"},
+		{"a closed conn", func(sa *Stack) { sa.listeners[100].seen["b:10001"].closed = true }, nil, both,
+			"transport: conn a:10001 is closed but sits in the accept table of port 100"},
+		{"two conns from one peer", func(sa *Stack) { l := sa.listeners[100]; l.seen["b:1"] = l.seen["b:10003"] }, nil, both,
+			"transport: conns a:10003 and a:10003 were both accepted on port 100 from b:10003"},
+		{"a reference no table restored", func(sa *Stack) { delete(sa.listeners[200].seen, "b:10004") }, nil, both,
+			"transport: snapshot names a:10004 as an accepted conn, but no accept table restored it open"},
+		{"a reference to a closed conn", nil, []Conn{closedRef}, both,
+			"transport: snapshot names a:10002 as an accepted conn, but no accept table restored it open"},
+	} {
+		_, _, _, _, err := restoreAccepted(t, acceptedSnapshot(t, tt.doctor, tt.extra...), tt.ports...)
+		if err == nil || err.Error() != tt.want {
+			t.Errorf("%s: restore said %v, want %q", tt.name, err, tt.want)
+		}
 	}
 }
 

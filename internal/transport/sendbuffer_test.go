@@ -249,8 +249,8 @@ func TestListenerForgetsClosedConns(t *testing.T) {
 			srv[i].Close()
 		}
 		clock.Run()
-		if !ConnClosed(srv[i]) || !ConnClosed(cli) || len(seen) != 0 {
-			t.Fatalf("cycle %d: server side closed=%v, client closed=%v, %d conns left in the accept table", i, ConnClosed(srv[i]), ConnClosed(cli), len(seen))
+		if !connClosed(srv[i]) || !connClosed(cli) || len(seen) != 0 {
+			t.Fatalf("cycle %d: server side closed=%v, client closed=%v, %d conns left in the accept table", i, connClosed(srv[i]), connClosed(cli), len(seen))
 		}
 	}
 }

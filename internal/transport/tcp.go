@@ -208,10 +208,7 @@ func (c *simTCP) pump() {
 	if !c.established || c.closed {
 		return
 	}
-	limit := int(c.cwnd)
-	if limit > rwndSegs {
-		limit = rwndSegs
-	}
+	limit := min(int(c.cwnd), rwndSegs)
 	for c.sndNxt < c.nextSeq && c.flight() < limit {
 		seg := c.send.Get(c.sndNxt)
 		c.sndNxt++
@@ -279,10 +276,10 @@ func (c *simTCP) onRTO() {
 	// flight is gone, so the cursor returns to just past the oldest unacked
 	// segment, which is retransmitted now; the rest of the old flight goes out
 	// again, oldest first, as the ACK clock reopens the window.
-	c.ssthresh = maxF(c.cwnd/2, 2)
+	c.ssthresh = max(c.cwnd/2, 2)
 	c.cwnd = 1
 	c.dupAcks = 0
-	c.rto = minDur(c.rto*2, maxRTO)
+	c.rto = min(c.rto*2, maxRTO)
 	for seq := c.sendBase + 1; seq < c.sndNxt; seq++ {
 		c.send.Get(seq).rexmit = true // Karn: never RTT-sample these again
 	}
@@ -411,7 +408,7 @@ func (c *simTCP) onAck(a *tcpAck) {
 		if c.dupAcks == 3 {
 			// Fast retransmit + multiplicative decrease.
 			c.fastRexmits++
-			c.ssthresh = maxF(c.cwnd/2, 2)
+			c.ssthresh = max(c.cwnd/2, 2)
 			c.cwnd = c.ssthresh
 			c.transmit(c.send.Get(c.sendBase), true)
 		}
@@ -436,26 +433,4 @@ func (c *simTCP) sampleRTT(rtt time.Duration) {
 	c.rto = clampRTO(c.srtt + 4*c.rttvar)
 }
 
-func clampRTO(rto time.Duration) time.Duration {
-	if rto < minRTO {
-		return minRTO
-	}
-	if rto > maxRTO {
-		return maxRTO
-	}
-	return rto
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
+func clampRTO(rto time.Duration) time.Duration { return min(max(rto, minRTO), maxRTO) }

@@ -105,8 +105,9 @@ type Stack struct {
 	// connFree is the storage closed conns of this host left behind
 	// (simTCP.teardown) for the next ones to start on (newSimTCPConn).
 	connFree []tcpStore
-	// listeners tracks live TCP listeners by port so a world restore can
-	// re-seed their SYN-dedup maps with the accepted conns (checkpoint.go).
+	// listeners tracks live TCP listeners by port. Their accept tables are
+	// the one record of the conns this stack accepted, and a world checkpoint
+	// walks them (checkpoint.go).
 	listeners map[int]*tcpListener
 	// dials holds the in-flight DialTCP handshakes in issue order. The stack
 	// is their owner in a world checkpoint: the caller that asked for a dial
@@ -147,9 +148,11 @@ func peerOf(pkt *netsim.Packet) endpoint {
 // tcpListener is the per-port accept state: the SYN-dedup map that makes a
 // retried SYN from the same client reuse the existing conn instead of
 // forking a fresh server-side session. A conn leaves it when it closes
-// (simTCP.teardown): client ports never repeat, so nothing else would.
+// (simTCP.teardown): client ports never repeat, so nothing else would. accept
+// is the callback Listen was given; a restored conn is handed to it again.
 type tcpListener struct {
-	seen map[netsim.Addr]*simTCP
+	seen   map[netsim.Addr]*simTCP
+	accept func(Conn)
 }
 
 // NewStack binds a stack to a host previously added to the network.
@@ -243,9 +246,8 @@ func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
 	laddr := s.addr(port).addr
 	// Retried SYNs from the same client must reuse the existing conn, or
 	// each retry would fork a fresh server-side session.
-	l := &tcpListener{seen: make(map[netsim.Addr]*simTCP)}
+	l := &tcpListener{seen: make(map[netsim.Addr]*simTCP), accept: accept}
 	s.listeners[port] = l
-	seen := l.seen
 	s.net.Register(laddr, func(pkt *netsim.Packet) {
 		// The listener consumes everything it receives synchronously, so it
 		// is released on every exit: a SYN carries no reference but the
@@ -255,7 +257,7 @@ func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
 		if !ok || !seg.syn {
 			return
 		}
-		if c, dup := seen[pkt.From]; dup && !c.closed {
+		if c, dup := l.seen[pkt.From]; dup && !c.closed {
 			c.sendSynAck()
 			return
 		}
@@ -264,7 +266,7 @@ func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
 		c := newSimTCP(s, s.ephemeral(), peerOf(pkt))
 		c.established = true
 		c.accepted = l
-		seen[pkt.From] = c
+		l.seen[pkt.From] = c
 		accept(c)
 		c.sendSynAck()
 	})

@@ -23,6 +23,9 @@ func newPair(t *testing.T, route netsim.Route) (*simclock.Clock, *Stack, *Stack)
 	return clock, NewStack(n, "a"), NewStack(n, "b")
 }
 
+// connClosed reports whether a simulated TCP conn has closed.
+func connClosed(c Conn) bool { return c.(*simTCP).closed }
+
 // connOn opens a registered simulated TCP conn on s without a handshake.
 func connOn(s *Stack, local, peer netsim.Addr) *simTCP {
 	return newSimTCP(s, s.endpoint(local), s.endpoint(peer))
