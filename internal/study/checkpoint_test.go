@@ -107,23 +107,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"a13a42c26cb457b807a1ec32ef70905fcddbb713cf79583654f3d3cb2c52e938"},
+		"365f57ab7fce32dfbe363f2aa0756c4c030aa2b84677afa4828bcb76bb7ef6e1"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "7fb54fdd2faadaa0a0f41b52e5f92e133d25b6660d64a3f0f1c373bdae80b246"},
+	}, "6afd791af0c01b044badc94db3d71da289d2dea7d2300dfaae3d77cc8973c52e"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "30e1b5add5e68802c62e57ccec2e16b1eb07608f59f3650ea66b66ba83d3c23a"},
+	}, "e2a764b60963a0a4cdb1dbcdba667a96c70a80f79ecc8167c7cc6d2a319627ee"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "2852933260c650bdfe3efc2b79c10acafcfe4509503bbcd431dab63952dcad90"},
+	{"churnheavy", churnHeavy, "acdbe3d4b54ffb4b7e584902ffbd181be0a7c740b00a42486809e9f809b838a9"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
@@ -334,10 +334,10 @@ func midSetupWorld(t testing.TB) *World {
 
 // TestSnapshotBytesStable pins the wire format: each fence world's 55%
 // snapshot must hash to the digest recorded when the format was last
-// changed on purpose (RTSNAP4: the retained records walk field by field
-// instead of riding as one JSON string, and the Options block and a TCP conn
-// lost the fields nothing set). A refactor of the walks must leave these
-// alone; a deliberate format change bumps snapMagic and updates them here.
+// changed on purpose (RTSNAP5: a stack walks the conns its listeners
+// accepted, a session names its open conns by reference, and the Options
+// block lost PlayFor). A refactor of the walks must leave these alone; a
+// deliberate format change bumps snapMagic and updates them here.
 func TestSnapshotBytesStable(t *testing.T) {
 	for _, fw := range fenceWorlds {
 		t.Run(fw.name, func(t *testing.T) {
