@@ -152,7 +152,10 @@
 // cut at exactly the instant asked for and Checkpoint does not advance the
 // world), in-flight packets and per-path weather, TCP dials in flight and
 // connections mid-transfer with
-// segment-object sharing preserved for live senders, server sessions and
+// segment-object sharing preserved for live senders (each host's transport
+// stack walks the conns its listeners accepted and hands each back to the
+// listener's accept callback on restore; a server session names its open
+// conns by reference, and keeps no list of them), server sessions and
 // free-lists, arrival-cell cursors, and every RNG stream's draw count —
 // version-stamped with a hash of the world's Options so a mismatched
 // resume fails loudly. Each checkpointed type describes its state once, as

@@ -65,8 +65,7 @@ func (s *Server) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	c.Int(&s.nextID)
 
 	// Sessions walk in creation order, so on restore the latest SETUP for a
-	// data address wins — the same overwrite order the live run produced —
-	// and so does the newest session's receiver on a shared control conn.
+	// data address wins — the same overwrite order the live run produced.
 	var sessions []*streamSession
 	if !c.Reading() {
 		for _, sess := range s.sessions {
