@@ -37,7 +37,7 @@ var (
 func sharedTrace(b *testing.B) []*trace.Record {
 	b.Helper()
 	studyOnce.Do(func() {
-		res, err := study.Run(core.StudyOptions{Seed: 1})
+		res, err := study.Run(study.Options{Seed: 1})
 		if err != nil {
 			studyErr = err
 			return
@@ -117,7 +117,7 @@ func BenchmarkFig28QualityVsBandwidth(b *testing.B)      { benchFigure(b, "fig28
 // clips each) — the macro cost of the whole apparatus.
 func BenchmarkStudyEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := study.Run(core.StudyOptions{Seed: int64(i + 2), MaxUsers: 12, ClipCap: 10}); err != nil {
+		if _, err := study.Run(study.Options{Seed: int64(i + 2), MaxUsers: 12, ClipCap: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func BenchmarkAllFiguresShared(b *testing.B) {
 
 // streamStudy runs one study with a fresh figures.Aggregates as its world's
 // sink, so no record outlives its clip.
-func streamStudy(b *testing.B, opt core.StudyOptions) (*figures.Aggregates, *core.StudyResult) {
+func streamStudy(b *testing.B, opt study.Options) (*figures.Aggregates, *study.Result) {
 	w, err := study.NewWorld(opt)
 	if err != nil {
 		b.Fatal(err)
@@ -172,7 +172,7 @@ func benchPopulationStream(b *testing.B, users, clips int) {
 	b.ReportAllocs()
 	var records int
 	for i := 0; i < b.N; i++ {
-		agg, _ := streamStudy(b, core.StudyOptions{Seed: 1, MaxUsers: users, ClipCap: clips})
+		agg, _ := streamStudy(b, study.Options{Seed: 1, MaxUsers: users, ClipCap: clips})
 		if agg.Total() == 0 {
 			b.Fatal("no records streamed")
 		}
@@ -197,7 +197,7 @@ func BenchmarkPopulationRetain250(b *testing.B) {
 	b.ReportAllocs()
 	var records int
 	for i := 0; i < b.N; i++ {
-		res, err := study.Run(core.StudyOptions{Seed: 1, MaxUsers: 250, ClipCap: 2})
+		res, err := study.Run(study.Options{Seed: 1, MaxUsers: 250, ClipCap: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func BenchmarkWorkloadPoisson1k(b *testing.B) {
 	b.ReportAllocs()
 	var records, sessions int
 	for i := 0; i < b.N; i++ {
-		agg, res := streamStudy(b, core.StudyOptions{
+		agg, res := streamStudy(b, study.Options{
 			Seed: 1, MaxUsers: 200, ClipCap: 2,
 			Workload: "poisson", Arrivals: 1000,
 		})
@@ -240,7 +240,7 @@ func BenchmarkWorkloadChurn2x(b *testing.B) {
 	b.ReportAllocs()
 	var records, sessions, departed int
 	for i := 0; i < b.N; i++ {
-		agg, res := streamStudy(b, core.StudyOptions{
+		agg, res := streamStudy(b, study.Options{
 			Seed: 1, MaxUsers: 200, ClipCap: 2,
 			Workload: "poisson", Arrivals: 1000, WorkloadIntensity: 2,
 		})
@@ -260,8 +260,8 @@ func BenchmarkWorkloadChurn2x(b *testing.B) {
 
 // stabilityScenarios is the 20-replica multi-seed stability campaign: the
 // reduced study at 20 consecutive seeds.
-func stabilityScenarios(n int) []core.Scenario {
-	return campaign.SeedReplicas(core.StudyOptions{MaxUsers: 12, ClipCap: 10}, 2, n)
+func stabilityScenarios(n int) []campaign.Scenario {
+	return campaign.SeedReplicas(study.Options{MaxUsers: 12, ClipCap: 10}, 2, n)
 }
 
 // BenchmarkMultiSeedStability fans a 20-seed stability campaign out across
@@ -270,9 +270,9 @@ func stabilityScenarios(n int) []core.Scenario {
 // study.Run calls.
 func BenchmarkMultiSeedStability(b *testing.B) {
 	scs := stabilityScenarios(20)
-	var sum *core.CampaignSummary
+	var sum *campaign.Summary
 	for i := 0; i < b.N; i++ {
-		sum = campaign.Run(scs, core.CampaignConfig{})
+		sum = campaign.Run(scs, campaign.Config{})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -294,7 +294,7 @@ func BenchmarkMultiSeedStability(b *testing.B) {
 func benchCampaignWorkers(b *testing.B, workers int) {
 	scs := stabilityScenarios(8)
 	for i := 0; i < b.N; i++ {
-		sum := campaign.Run(scs, core.CampaignConfig{Workers: workers})
+		sum := campaign.Run(scs, campaign.Config{Workers: workers})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func benchCampaignDynamics(b *testing.B, family string) {
 	scs := sw.Scenarios(campaign.ReducedBase(9))
 	var records int
 	for i := 0; i < b.N; i++ {
-		merged, sum := core.RunCampaignAggregates(scs, core.CampaignConfig{BaseSeed: 9})
+		merged, sum := core.RunCampaignAggregates(scs, campaign.Config{BaseSeed: 9})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -345,7 +345,7 @@ var (
 
 // warmForkCalibrate measures (once) the virtual horizon of the warm-fork
 // bench base, so the warm-up instant can sit at 60% of it.
-func warmForkCalibrate(b *testing.B, base core.StudyOptions) time.Duration {
+func warmForkCalibrate(b *testing.B, base study.Options) time.Duration {
 	b.Helper()
 	warmForkOnce.Do(func() {
 		res, err := study.Run(base)
@@ -425,9 +425,9 @@ func runAblation(b *testing.B, sweepName string, report func(r campaign.Scenario
 		b.Fatalf("unknown sweep %s", sweepName)
 	}
 	scs := sw.Scenarios(campaign.ReducedBase(9))
-	var sum *core.CampaignSummary
+	var sum *campaign.Summary
 	for i := 0; i < b.N; i++ {
-		sum = campaign.Run(scs, core.CampaignConfig{})
+		sum = campaign.Run(scs, campaign.Config{})
 		if err := sum.Err(); err != nil {
 			b.Fatal(err)
 		}
@@ -585,7 +585,7 @@ func BenchmarkWorkloadSharded(b *testing.B) {
 			b.ReportAllocs()
 			var records int
 			for i := 0; i < b.N; i++ {
-				agg, res := streamStudy(b, core.StudyOptions{
+				agg, res := streamStudy(b, study.Options{
 					Seed: 1, MaxUsers: 256, ClipCap: 2,
 					Workload: "poisson", Arrivals: 1000,
 					Shards: shards,

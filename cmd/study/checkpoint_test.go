@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"realtracer/internal/core"
+	"realtracer/internal/study"
 )
 
 // TestCheckpointFlagValidation pins the dependent-flag rule for the
@@ -64,7 +65,7 @@ func TestCheckpointFlagValidation(t *testing.T) {
 // reach the same aggregates.
 func TestCheckpointResumeRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := core.StudyOptions{Seed: 11, MaxUsers: 4, ClipCap: 2}
+	opts := study.Options{Seed: 11, MaxUsers: 4, ClipCap: 2}
 	figs := func(r studyRun) []byte {
 		t.Helper()
 		agg, _, err := r.run()

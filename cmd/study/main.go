@@ -233,7 +233,7 @@ func main() {
 	}
 
 	agg, res, err := studyRun{
-		opts: core.StudyOptions{Seed: *seed, MaxUsers: *users, ClipCap: *clips,
+		opts: study.Options{Seed: *seed, MaxUsers: *users, ClipCap: *clips,
 			Dynamics: *dynamics, DynamicsIntensity: *intensity,
 			Workload: *workloadName, WorkloadIntensity: *load,
 			Arrivals: *arrivals, Selection: *selection, Shards: *shards},
@@ -260,7 +260,7 @@ func main() {
 // studyRun is one single-study invocation: the world to run (built from
 // opts, or resumed from a snapshot) and where its records go.
 type studyRun struct {
-	opts       core.StudyOptions
+	opts       study.Options
 	out        string // CSV file, streamed as clips complete
 	jsonOut    string // JSON file, written after the run
 	checkpoint string // snapshot file, written at the warmup instant
@@ -275,7 +275,7 @@ type studyRun struct {
 // snapshot carries the prefix's records so that a resume can reproduce the
 // whole trace), in which case the world keeps its default collector and
 // the records are replayed into the sinks after the run.
-func (r studyRun) run() (*figures.Aggregates, *core.StudyResult, error) {
+func (r studyRun) run() (*figures.Aggregates, *study.Result, error) {
 	agg := figures.NewAggregates()
 	sink := trace.MultiSink{agg}
 	var csvFile *os.File
@@ -344,7 +344,7 @@ func closeOutput(f *os.File, err error) error {
 }
 
 // printSummary prints the headline numbers from the aggregates.
-func printSummary(agg *figures.Aggregates, res *core.StudyResult) {
+func printSummary(agg *figures.Aggregates, res *study.Result) {
 	fmt.Printf("study complete: %d users, %d clip attempts over %v of virtual time (%d events)\n",
 		len(res.Users), agg.Total(), res.SimDuration.Round(1e9), res.Events)
 	printOpenLoopLine(res)
@@ -367,7 +367,7 @@ func printSummary(agg *figures.Aggregates, res *core.StudyResult) {
 // The two are independent: a sharded world that admitted no session still
 // ran windows. The closed panel prints nothing (it admits no sessions, and
 // Options refuses to shard it).
-func printOpenLoopLine(res *core.StudyResult) {
+func printOpenLoopLine(res *study.Result) {
 	if res.Sessions > 0 {
 		fmt.Printf("  open-loop: %d sessions admitted, %d balked, %d departed mid-stream\n",
 			res.Sessions, res.Balked, res.Departed)
@@ -403,7 +403,7 @@ func runSweep(name string, seed int64, users, clips, workers int) {
 	scenarios := sw.Scenarios(base)
 	fmt.Printf("sweep %s: base study %d users x %d clips (seed %d); -users/-clips resize it\n",
 		sw.Name, base.MaxUsers, base.ClipCap, base.Seed)
-	merged, sum := core.RunCampaignAggregates(scenarios, core.CampaignConfig{Workers: workers, BaseSeed: base.Seed})
+	merged, sum := core.RunCampaignAggregates(scenarios, campaign.Config{Workers: workers, BaseSeed: base.Seed})
 	for _, r := range sum.Results {
 		if r.Err != nil {
 			fmt.Printf("  %-16s FAILED: %v\n", r.Scenario.Name, r.Err)

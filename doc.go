@@ -51,8 +51,13 @@
 // and the release returns each cell to the free-list of
 // the arena or stack it came from, so memory follows the sessions alive, not
 // the packets ever sent (rdt.Arena, netsim/transit.go; audited per world by
-// TestConservation's lease half). The control plane costs what it models:
-// an RTSP message crosses the simulator as the *rtsp.Message and is charged
+// TestConservation's lease half). An rdt cell has that one reader and no
+// other: the server's retransmit window keeps each sent packet's header, not
+// its cell; only the TCP segment counts readers, because a retransmission
+// rewrites it. The control plane costs what it models:
+// an RTSP message crosses the simulator as the *rtsp.Message — a sharded
+// world's WAN edge copies only pooled payloads, so the message crosses as
+// itself there too — and is charged
 // its WireSize, which is arithmetic pinned equal to len(Marshal()) — the text
 // is rendered only for real sockets; a message's headers are a sorted list
 // held inline in the message, so setting one allocates nothing; a server

@@ -152,26 +152,28 @@ func runPool(n, workers int, do func(i int)) int {
 	return workers
 }
 
+// deriveSeeds fills o's zero Seed, and the DynamicsSeed and WorkloadSeed the
+// options use, from base and the run's name. Deriving them from the name (not
+// from whichever worker ran it) keeps campaign records byte-identical across
+// worker counts, and gives the weather and the arrivals tracks of their own,
+// so a seed sweep shares one of each.
+func deriveSeeds(o study.Options, base int64, name string) study.Options {
+	if o.Seed == 0 {
+		o.Seed = DeriveSeed(base, name)
+	}
+	if o.Dynamics != "" && o.DynamicsSeed == 0 {
+		o.DynamicsSeed = DeriveSeed(base, name+"|dynamics")
+	}
+	if o.OpenLoop() && o.WorkloadSeed == 0 {
+		o.WorkloadSeed = DeriveSeed(base, name+"|workload")
+	}
+	return o
+}
+
 // runScenario executes one scenario in its own private world, under its
 // own sink, so no two workers ever share mutable aggregation state.
 func runScenario(sc Scenario, cfg Config) ScenarioResult {
-	if sc.Options.Seed == 0 {
-		sc.Options.Seed = DeriveSeed(cfg.BaseSeed, sc.Name)
-	}
-	if sc.Options.Dynamics != "" && sc.Options.DynamicsSeed == 0 {
-		// The dynamics layer draws from its own seed; deriving it from the
-		// scenario name (not from whichever worker ran it) keeps campaign
-		// records byte-identical across worker counts, and decouples the
-		// weather from the base seed so seed sweeps share one weather track.
-		sc.Options.DynamicsSeed = DeriveSeed(cfg.BaseSeed, sc.Name+"|dynamics")
-	}
-	if sc.Options.OpenLoop() && sc.Options.WorkloadSeed == 0 {
-		// Same contract for the open-loop workload generator: arrivals,
-		// Zipf picks and abandonment draws come from a per-scenario seed,
-		// never from scheduling order, so open-loop sweeps are
-		// byte-identical at any worker count.
-		sc.Options.WorkloadSeed = DeriveSeed(cfg.BaseSeed, sc.Name+"|workload")
-	}
+	sc.Options = deriveSeeds(sc.Options, cfg.BaseSeed, sc.Name)
 	start := time.Now()
 	out := ScenarioResult{Scenario: sc}
 	w, err := study.NewWorld(sc.Options)

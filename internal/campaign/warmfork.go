@@ -70,15 +70,7 @@ func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, 
 	if warmup <= 0 {
 		return nil, fmt.Errorf("campaign: warm-fork warmup must be positive, got %v", warmup)
 	}
-	if base.Seed == 0 {
-		base.Seed = DeriveSeed(cfg.BaseSeed, "warmfork")
-	}
-	if base.Dynamics != "" && base.DynamicsSeed == 0 {
-		base.DynamicsSeed = DeriveSeed(cfg.BaseSeed, "warmfork|dynamics")
-	}
-	if base.OpenLoop() && base.WorkloadSeed == 0 {
-		base.WorkloadSeed = DeriveSeed(cfg.BaseSeed, "warmfork|workload")
-	}
+	base = deriveSeeds(base, cfg.BaseSeed, "warmfork")
 
 	start := time.Now()
 	w, err := study.NewWorld(base)

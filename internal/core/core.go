@@ -19,27 +19,10 @@ import (
 	"realtracer/internal/server"
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
-	"realtracer/internal/study"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
 	"realtracer/internal/vclock"
 )
-
-// StudyOptions parameterizes a campaign; see study.Options for the fields.
-type StudyOptions = study.Options
-
-// StudyResult is a completed campaign.
-type StudyResult = study.Result
-
-// Scenario is one named study configuration inside a campaign; see
-// campaign.Scenario.
-type Scenario = campaign.Scenario
-
-// CampaignConfig tunes the campaign worker pool; see campaign.Config.
-type CampaignConfig = campaign.Config
-
-// CampaignSummary is a completed multi-scenario campaign.
-type CampaignSummary = campaign.Summary
 
 // RunCampaignAggregates executes the campaign with a private
 // figures.Aggregates as each scenario's sink (no records retained
@@ -47,7 +30,7 @@ type CampaignSummary = campaign.Summary
 // scenario input order — so the merged aggregates are identical no matter
 // how many workers the campaign ran on. The per-scenario partials remain
 // available via the summary's ScenarioResult.Sink fields.
-func RunCampaignAggregates(scenarios []Scenario, cfg CampaignConfig) (*figures.Aggregates, *CampaignSummary) {
+func RunCampaignAggregates(scenarios []campaign.Scenario, cfg campaign.Config) (*figures.Aggregates, *campaign.Summary) {
 	cfg.NewSink = func() trace.Sink { return figures.NewAggregates() }
 	sum := campaign.Run(scenarios, cfg)
 	merged := figures.NewAggregates()

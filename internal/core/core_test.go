@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/campaign"
 	"realtracer/internal/figures"
 	"realtracer/internal/netsim"
 	"realtracer/internal/study"
@@ -67,7 +68,7 @@ func TestRunFigureUnknownID(t *testing.T) {
 }
 
 func TestAllFiguresFromReducedStudy(t *testing.T) {
-	res, err := study.Run(StudyOptions{Seed: 2, MaxUsers: 8, ClipCap: 6})
+	res, err := study.Run(study.Options{Seed: 2, MaxUsers: 8, ClipCap: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestRunSessionAblationsDiffer(t *testing.T) {
 
 func TestStudyRecordsFeedRealdataPath(t *testing.T) {
 	// The CSV written by the study must round-trip for the realdata tool.
-	res, err := study.Run(StudyOptions{Seed: 4, MaxUsers: 4, ClipCap: 3})
+	res, err := study.Run(study.Options{Seed: 4, MaxUsers: 4, ClipCap: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestStudyRecordsFeedRealdataPath(t *testing.T) {
 // same figures as aggregating the retained records afterwards, without
 // retaining any.
 func TestStudyIntoAggregates(t *testing.T) {
-	opt := StudyOptions{Seed: 4, MaxUsers: 4, ClipCap: 3}
+	opt := study.Options{Seed: 4, MaxUsers: 4, ClipCap: 3}
 	w, err := study.NewWorld(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -182,17 +183,17 @@ func TestStudyIntoAggregates(t *testing.T) {
 // TestRunCampaignAggregatesWorkerInvariant: the merged campaign aggregates
 // must not depend on the worker pool size.
 func TestRunCampaignAggregatesWorkerInvariant(t *testing.T) {
-	scs := []Scenario{
-		{Name: "a", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
-		{Name: "b", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
-		{Name: "c", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
-		{Name: "d", Options: StudyOptions{MaxUsers: 3, ClipCap: 2}},
+	scs := []campaign.Scenario{
+		{Name: "a", Options: study.Options{MaxUsers: 3, ClipCap: 2}},
+		{Name: "b", Options: study.Options{MaxUsers: 3, ClipCap: 2}},
+		{Name: "c", Options: study.Options{MaxUsers: 3, ClipCap: 2}},
+		{Name: "d", Options: study.Options{MaxUsers: 3, ClipCap: 2}},
 	}
-	agg1, sum1 := RunCampaignAggregates(scs, CampaignConfig{Workers: 1, BaseSeed: 8})
+	agg1, sum1 := RunCampaignAggregates(scs, campaign.Config{Workers: 1, BaseSeed: 8})
 	if err := sum1.Err(); err != nil {
 		t.Fatal(err)
 	}
-	agg4, sum4 := RunCampaignAggregates(scs, CampaignConfig{Workers: 4, BaseSeed: 8})
+	agg4, sum4 := RunCampaignAggregates(scs, campaign.Config{Workers: 4, BaseSeed: 8})
 	if err := sum4.Err(); err != nil {
 		t.Fatal(err)
 	}

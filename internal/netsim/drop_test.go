@@ -232,7 +232,7 @@ func TestEveryDropReleases(t *testing.T) {
 				for _, n := range r.nets {
 					s, d, dr := n.Stats()
 					sent, delivered, dropped = sent+s, delivered+d, dropped+dr
-					transitFree += n.transit.classLen(int(dropPayloadClass))
+					transitFree += len(*n.transit.class(dropPayloadClass))
 				}
 				if sent != delivered+dropped || dropped != uint64(row.dropped) {
 					t.Errorf("sent=%d delivered=%d dropped=%d, want sent = delivered + dropped with %d dropped", sent, delivered, dropped, row.dropped)

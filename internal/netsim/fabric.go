@@ -35,11 +35,13 @@
 //     per-path streams seeded by the frozen endpoint IDs and consumed in the
 //     source host's local event order, not from a global RNG whose
 //     interleaving would depend on the partition.
-//   - Payloads are snapshotted at the WAN edge (CopyPayload), uniformly —
-//     even for same-shard traffic — so the bytes a receiver observes are
-//     fixed at send time and no shard ever reads memory another shard may
-//     still mutate. Snapshot storage is leased from the source shard's
-//     transit pool and recycled by the receiving shard (transit.go), so
+//   - Payloads go through CopyPayload at the WAN edge, uniformly — even for
+//     same-shard traffic — so the bytes a receiver observes are fixed at
+//     send time and no shard ever reads memory another shard may still
+//     mutate: a pooled payload is snapshotted, an immutable one (an RTSP
+//     message, a data hello) crosses as itself. Snapshot storage is leased
+//     from the source shard's transit pool and recycled by the receiving
+//     shard (transit.go), so
 //     the copy semantics cost no steady-state allocation; the original is
 //     released as soon as it has been copied, on the shard that sent it.
 //   - Packet delivery is split in two phases: the source shard runs the
@@ -228,13 +230,13 @@ func (f *Fabric) SetDynamics(spec *Dynamics, seed int64) {
 // — at least OneWayDelay, and therefore at least the lookahead, after now,
 // so at or beyond the window horizon — to the shard that owns its
 // destination, which runs the downlink at that time in its own event order.
-// The payload is snapshotted here (value semantics at the wire, like real
-// serialization), uniformly, so no shard ever reads memory another shard may
-// still mutate and a send's observable content is fixed at send time for
-// every shard count. Snapshot storage is leased from this shard's transit
-// pool and recycled by the receiving side (transit.go). The network's lease
-// on the original ends here, on the shard that sent it: an original never
-// crosses a thread.
+// The payload is snapshotted here if a pool recycles it (value semantics at
+// the wire, like real serialization), uniformly, so no shard ever reads
+// memory another shard may still mutate and a send's observable content is
+// fixed at send time for every shard count. Snapshot storage is leased from
+// this shard's transit pool and recycled by the receiving side (transit.go).
+// The network's lease on the original ends here, on the shard that sent it:
+// a pooled original never crosses a thread.
 func (n *Network) forward(at time.Duration, pkt *Packet) {
 	orig := pkt.Payload
 	pkt.Payload = CopyPayload(&n.transit, orig)
@@ -329,54 +331,31 @@ func (f *Fabric) rebalancePools() {
 	if len(f.nets) < 2 {
 		return
 	}
-	// Packet free-lists.
-	rich, poor := 0, 0
-	for i, n := range f.nets {
-		if len(n.free) > len(f.nets[rich].free) {
-			rich = i
-		}
-		if len(n.free) < len(f.nets[poor].free) {
-			poor = i
+	evenOut(f.nets, func(n *Network) *[]*Packet { return &n.free })
+	for c := range TransitClass(numTransitClasses) {
+		evenOut(f.nets, func(n *Network) *[]any { return n.transit.class(c) })
+	}
+}
+
+// evenOut is one rebalancing move over the free-list list(n) of every
+// shard: when the richest holds more than poolBalanceSlack over the poorest,
+// it gives the poorest half the difference.
+func evenOut[T any](nets []*Network, list func(*Network) *[]T) {
+	rich, poor := list(nets[0]), list(nets[0])
+	for _, n := range nets[1:] {
+		if l := list(n); len(*l) > len(*rich) {
+			rich = l
+		} else if len(*l) < len(*poor) {
+			poor = l
 		}
 	}
-	if len(f.nets[rich].free)-len(f.nets[poor].free) > poolBalanceSlack {
-		r, p := f.nets[rich], f.nets[poor]
-		move := (len(r.free) - len(p.free)) / 2
-		cut := len(r.free) - move
-		p.free = append(p.free, r.free[cut:]...)
-		for i := cut; i < len(r.free); i++ {
-			r.free[i] = nil
-		}
-		r.free = r.free[:cut]
+	if len(*rich)-len(*poor) <= poolBalanceSlack {
+		return
 	}
-	// Transit free-lists, per class.
-	for c := 0; c < numTransitClasses; c++ {
-		rich, poor := -1, -1
-		for i, n := range f.nets {
-			l := n.transit.classLen(c)
-			if rich < 0 || l > f.nets[rich].transit.classLen(c) {
-				rich = i
-			}
-			if poor < 0 || l < f.nets[poor].transit.classLen(c) {
-				poor = i
-			}
-		}
-		rl, pl := f.nets[rich].transit.classLen(c), f.nets[poor].transit.classLen(c)
-		if rl-pl <= poolBalanceSlack {
-			continue
-		}
-		r, p := &f.nets[rich].transit, &f.nets[poor].transit
-		move := (rl - pl) / 2
-		cut := rl - move
-		for int(c) >= len(p.free) {
-			p.free = append(p.free, nil)
-		}
-		p.free[c] = append(p.free[c], r.free[c][cut:]...)
-		for i := cut; i < rl; i++ {
-			r.free[c][i] = nil
-		}
-		r.free[c] = r.free[c][:cut]
-	}
+	cut := len(*rich) - (len(*rich)-len(*poor))/2
+	*poor = append(*poor, (*rich)[cut:]...)
+	clear((*rich)[cut:])
+	*rich = (*rich)[:cut]
 }
 
 // Run executes the window protocol until every shard's heap and every outbox

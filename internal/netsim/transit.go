@@ -7,13 +7,16 @@ import (
 
 // Shard-transit payload pooling.
 //
-// A sharded world snapshots every packet payload at the WAN edge
-// (CopyPayload) so no shard reads memory another shard may still mutate.
-// PR 7 allocated each snapshot fresh, which put the whole payload graph of
-// every delivered packet on the garbage collector — a 22x allocation tax
-// over the classic path. This file supplies the recycle half of the
-// contract: each payload package registers a TransitClass for its wire
-// type, leases snapshot storage from the sending shard's TransitPool in
+// A sharded world hands every packet payload through CopyPayload at the WAN
+// edge so no shard reads memory another shard may still mutate. Only what a
+// pool recycles is copied — an rdt packet, a TCP segment, an ACK: the next
+// lease of its cell writes it again. A payload nothing writes after Send (an
+// rtsp.Message, a session.DataHello) crosses as itself, and its TransitCopy
+// returns the receiver. Allocating each copy fresh put the whole payload
+// graph of every delivered packet on the garbage collector — a 22x allocation
+// tax over the classic path — so this file supplies the recycle half of the
+// contract: each pooled payload package registers a TransitClass for its
+// wire type, leases snapshot storage from the sending shard's TransitPool in
 // TransitCopy, and returns it in TransitRelease once the receiving side is
 // done with the copy.
 //
@@ -37,9 +40,12 @@ import (
 // the receiver's overflows. A payload type with nothing to give back simply
 // does not implement TransitRelease.
 //
-// A sender that reads a payload after Send — to retransmit it, say — takes a
-// reference of its own BEFORE the call: a send-side drop releases
-// synchronously.
+// A send-side drop releases synchronously, so a sender that needs a pooled
+// payload after Send keeps what it needs before the call. An rdt sender keeps
+// a copy of the header (the server's retransmit window), never the cell, so
+// every rdt cell has one reader. The TCP segment is the one payload that
+// counts its readers, because a retransmission rewrites the very segment the
+// wire may still carry (transport/transit.go).
 
 // TransitClass identifies one pooled transit payload type. Payload packages
 // allocate one per wire type at init time via RegisterTransitClass.
@@ -83,30 +89,28 @@ func (tp *TransitPool) Get(c TransitClass) any {
 	return nil
 }
 
-// classLen reports the free-list length for class c.
-func (tp *TransitPool) classLen(c int) int {
-	if c < len(tp.free) {
-		return len(tp.free[c])
+// class returns class c's free-list, making room for it.
+func (tp *TransitPool) class(c TransitClass) *[]any {
+	for int(c) >= len(tp.free) {
+		tp.free = append(tp.free, nil)
 	}
-	return 0
+	return &tp.free[c]
 }
 
 // Put recycles an object of class c.
 func (tp *TransitPool) Put(c TransitClass, v any) {
-	for int(c) >= len(tp.free) {
-		tp.free = append(tp.free, nil)
-	}
-	if len(tp.free[c]) < transitFreeMax {
-		tp.free[c] = append(tp.free[c], v)
+	if free := tp.class(c); len(*free) < transitFreeMax {
+		*free = append(*free, v)
 	}
 }
 
 // Transferable is implemented by payloads that can cross a shard boundary.
-// TransitCopy returns a deep snapshot sharing no mutable memory with the
-// original — value semantics at the wire, standing in for the serialization
-// a real network would perform. Snapshot storage should be leased from tp
-// (falling back to allocation when the pool is empty) so the copy can be
-// recycled through TransitRelease.
+// TransitCopy returns a payload sharing no mutable memory with the original
+// — value semantics at the wire, standing in for the serialization a real
+// network would perform. A pooled payload returns a deep snapshot whose
+// storage is leased from tp (falling back to allocation when the pool is
+// empty) and recycled through TransitRelease; an immutable one returns
+// itself.
 type Transferable interface {
 	TransitCopy(tp *TransitPool) any
 }

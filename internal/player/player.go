@@ -978,15 +978,7 @@ func (p *Player) onRepair(r *rdt.Repair) {
 	// compiler's escape analysis agrees, and TestRepairAllocatesNothing
 	// holds it to that).
 	var rec rdt.Data
-	rec.Stream = rdt.StreamVideo
-	rec.Seq = seq
-	rec.MediaTime = m.MediaTime
-	rec.Flags = m.Flags
-	rec.EncRate = m.EncRate
-	rec.FrameIndex = m.FrameIndex
-	rec.FragIndex = m.FragIndex
-	rec.FragCount = m.FragCount
-	rec.PadLen = int(m.Size)
+	m.Fill(&rec, rdt.StreamVideo)
 	p.recovered++
 	p.onDataPacket(&rec)
 }

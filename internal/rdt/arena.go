@@ -6,27 +6,21 @@ import "realtracer/internal/lease"
 // connection mint on the hot path: media Data and its Packet wrapper,
 // receiver Reports, BufferState updates, NACKs, FEC Repair packets and the
 // end-of-stream marker. A cell is leased to whoever asks for a packet and
-// comes back when its last reader is done with it; cells are carved from
-// chunked backing arrays only while the free-lists are empty, so an arena
-// grows to the session's working set — the retransmit window plus what is in
-// flight — and stops, however many packets the session sends.
+// comes back when its reader is done with it; cells are carved from chunked
+// backing arrays only while the free-lists are empty, so an arena grows to
+// what the session has in flight and stops, however many packets it sends.
 //
-// The lifetime rule is the wire's, and it is the same for an original as for
-// a shard-transit copy (transit.go): a packet handed to a transport Send is
-// released exactly once, by TransitRelease — when the network drops it, when
-// a sharded world has snapshotted it at the WAN edge, or when the receiving
-// transport's callback has returned or its conn has closed with the packet
-// still buffered — and the release hands every cell back to the arena it was
-// leased from. Three things keep that safe:
-//
-//   - A sender that wants a packet's Data after the send takes its own
-//     reference (Hold) BEFORE Send: a send-side drop releases synchronously.
-//     A Data cell counts its holders — one per wrapper from Data or Wrap,
-//     one per Hold — and goes back when the last lets go (Drop).
-//   - A cell is cleared when it is released and releasing it again panics: a
-//     stale reader sees zeros, never a plausible neighbour.
-//   - Holder counts are not part of a snapshot; a restore rebuilds them from
-//     who holds the restored cell (the server's retransmit-window walk).
+// Every cell has exactly one reader, and the lifetime rule is the wire's, the
+// same for an original as for a shard-transit copy (transit.go): a packet
+// handed to a transport Send is released exactly once, by TransitRelease —
+// when the network drops it, when a sharded world has snapshotted it at the
+// WAN edge, or when the receiving transport's callback has returned or its
+// conn has closed with the packet still buffered — and the release hands the
+// wrapper and its variant back to the arena they were leased from. Nothing
+// reads a packet after handing it to Send: a sender that needs its header
+// again (the server's retransmit window) keeps a copy (RepairMeta), not the
+// cell. A released cell is cleared and releasing it again panics, so a stale
+// reader sees zeros, never a plausible neighbour.
 //
 // An Arena is single-threaded, like everything else behind one simulated
 // clock: a sharded world releases an original on the shard that sent it,
@@ -74,36 +68,11 @@ func (a *Arena) packet(kind Type) *Packet {
 }
 
 // Data returns a zeroed media packet: the Packet wrapper and its Data both
-// live in the arena, and the wrapper is the Data's one holder.
-func (a *Arena) Data() *Packet { return a.Wrap(a.datas.Get()) }
-
-// Wrap returns an arena Packet around an existing Data of this arena, as one
-// more holder of it — the retransmit path, which re-sends a Data the
-// sender's window still holds.
-func (a *Arena) Wrap(d *Data) *Packet {
+// live in the arena.
+func (a *Arena) Data() *Packet {
 	p := a.packet(TypeData)
-	p.Data = a.Hold(d)
+	p.Data = a.datas.Get()
 	return p
-}
-
-// NewData returns a bare zeroed Data cell (no Packet wrapper) held once, by
-// the caller — a snapshot restore refills the retransmit window with these.
-func (a *Arena) NewData() *Data { return a.Hold(a.datas.Get()) }
-
-// Hold adds a holder to d and returns it.
-func (a *Arena) Hold(d *Data) *Data {
-	d.holds++
-	return d
-}
-
-// Drop lets one holder of d go; the last one returns the cell.
-func (a *Arena) Drop(d *Data) {
-	if d.holds <= 0 {
-		panic("rdt: Data cell released twice")
-	}
-	if d.holds--; d.holds == 0 {
-		a.datas.Put(d)
-	}
 }
 
 // Report returns a zeroed receiver-report packet.
@@ -147,13 +116,13 @@ func (a *Arena) Repair() *Packet {
 	return p
 }
 
-// release takes back a wrapper this arena leased, and with it the wrapper's
-// hold on the variant cell. A released wrapper keeps nothing but its way
-// home, so releasing it again finds no Kind and says so.
+// release takes back a wrapper this arena leased, and with it the variant
+// cell. A released wrapper keeps nothing but its way home, so releasing it
+// again finds no Kind and says so.
 func (a *Arena) release(p *Packet) {
 	switch p.Kind {
 	case TypeData:
-		a.Drop(p.Data)
+		a.datas.Put(p.Data)
 	case TypeReport:
 		a.reports.Put(p.Report)
 	case TypeBufferState:

@@ -77,49 +77,15 @@ func TestArenaLeaseLifecycle(t *testing.T) {
 	}
 }
 
-// TestArenaDataOutlivesItsWrappers is the retransmit window's contract: a
-// Data held before the send keeps its fields through the release of the
-// wrapper it was sent in and of every retransmit wrapper, and goes back only
-// when the holder drops it.
-func TestArenaDataOutlivesItsWrappers(t *testing.T) {
-	var a Arena
-	p := a.Data()
-	d := a.Hold(p.Data)
-	d.Seq, d.FrameIndex = 41, 5
-	p.TransitRelease(nil) // the send was dropped, or delivered
-	for i := 0; i < 3; i++ {
-		if other := a.Data(); other.Data == d {
-			t.Fatal("a held Data cell was leased out again")
-		} else {
-			defer other.TransitRelease(nil)
-		}
-		w := a.Wrap(d)
-		if w.Data.Seq != 41 || w.Data.FrameIndex != 5 {
-			t.Fatalf("retransmit %d carries seq %d frame %d, want 41 and 5", i, w.Data.Seq, w.Data.FrameIndex)
-		}
-		w.TransitRelease(nil)
-	}
-	a.Drop(d)
-	if !reflect.DeepEqual(*d, Data{}) {
-		t.Errorf("dropped Data reads %+v, want zero", *d)
-	}
-	if got := a.Data(); got.Data != d {
-		t.Error("the dropped Data cell was not the next one leased")
-	}
-}
-
 // TestArenaSecondReleasePanics: a stale release must not hand a cell that is
 // on somebody else's lease — or on the free-list twice — back to the arena.
 func TestArenaSecondReleasePanics(t *testing.T) {
 	var a Arena
-	p := a.Report()
-	p.TransitRelease(nil)
-	mustPanic(t, "releasing a Packet twice", func() { p.TransitRelease(nil) })
-
-	q := a.Data()
-	d := q.Data
-	q.TransitRelease(nil)
-	mustPanic(t, "dropping a Data nobody holds", func() { a.Drop(d) })
+	for _, p := range []*Packet{a.Report(), a.Data()} {
+		kind := p.Kind
+		p.TransitRelease(nil)
+		mustPanic(t, "releasing a "+kind.String()+" Packet twice", func() { p.TransitRelease(nil) })
+	}
 
 	// A packet no arena leased — decoded from a socket, restored from a
 	// snapshot — is released as often as anyone likes.

@@ -93,10 +93,6 @@ type Data struct {
 	// synthetic allocation; Encode emits PadLen zero bytes in that case.
 	Payload []byte
 	PadLen  int
-
-	// holds counts who still reads an arena-backed cell (arena.go); zero on
-	// a Data no arena leased.
-	holds int32
 }
 
 // PayloadLen returns the logical payload length regardless of
@@ -135,6 +131,35 @@ type RepairMeta struct {
 	Flags      uint8
 	EncRate    uint16
 	Size       uint16
+}
+
+// MetaOf returns d's header as a repair group records it. It is never the
+// zero RepairMeta: a sent Data has FragCount ≥ 1.
+func MetaOf(d *Data) RepairMeta {
+	return RepairMeta{
+		Seq:        d.Seq,
+		FrameIndex: d.FrameIndex,
+		MediaTime:  d.MediaTime,
+		FragIndex:  d.FragIndex,
+		FragCount:  d.FragCount,
+		Flags:      d.Flags,
+		EncRate:    d.EncRate,
+		Size:       uint16(d.PayloadLen()),
+	}
+}
+
+// Fill writes the packet m describes into d, a fragment of stream whose
+// payload is Size padding bytes: the inverse of MetaOf.
+func (m RepairMeta) Fill(d *Data, stream StreamID) {
+	d.Stream = stream
+	d.Seq = m.Seq
+	d.MediaTime = m.MediaTime
+	d.Flags = m.Flags
+	d.EncRate = m.EncRate
+	d.FrameIndex = m.FrameIndex
+	d.FragIndex = m.FragIndex
+	d.FragCount = m.FragCount
+	d.PadLen = int(m.Size)
 }
 
 // Repair is an XOR parity packet covering the Group data packets

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"realtracer/internal/netsim"
 	"realtracer/internal/snap"
 )
 
@@ -220,39 +219,6 @@ func TestHeaderListMatchesMap(t *testing.T) {
 			}
 			sameHeaders(t, "parsed back", back, ref)
 		})
-	}
-}
-
-// TestTransitCopySharesNoHeaders: a shard-transit copy is a value — changing
-// its headers leaves the original's alone and the other way round, whether
-// the headers are inline or spilled, and again when the copy's pooled storage
-// serves the next message.
-func TestTransitCopySharesNoHeaders(t *testing.T) {
-	var tp netsim.TransitPool
-	for _, n := range []int{2, inlineFields, inlineFields + 2, 2} {
-		m := NewResponse(NewRequest(MethodSetup, "u", 1), StatusOK)
-		for i := range n {
-			m.Set(fmt.Sprintf("X-H%d", i), "orig")
-		}
-		before := m.Marshal()
-		cp := m.TransitCopy(&tp).(*Message)
-		if !bytes.Equal(cp.Marshal(), before) {
-			t.Fatalf("%d headers: the copy marshals as %q, the original as %q", n, cp.Marshal(), before)
-		}
-		cp.Set("X-H1", "copy")
-		cp.Set("X-H0a", "copy")
-		cp.Set("A-Copy", "copy")
-		if !bytes.Equal(m.Marshal(), before) {
-			t.Fatalf("%d headers: setting the copy's headers changed the original to %q", n, m.Marshal())
-		}
-		copied := cp.Marshal()
-		m.Set("X-H1", "again")
-		m.Set("X-H0b", "again")
-		m.Set("B-Orig", "again")
-		if !bytes.Equal(cp.Marshal(), copied) {
-			t.Fatalf("%d headers: setting the original's headers changed the copy to %q", n, cp.Marshal())
-		}
-		cp.TransitRelease(&tp)
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"realtracer/internal/netsim"
 )
 
 // Version is the protocol version emitted on the wire.
@@ -71,11 +73,13 @@ type Message struct {
 	hdr header
 	// Body is the optional payload (e.g. a clip description).
 	Body []byte
-
-	// transit points back to the pooled snapshot storage on a leased
-	// shard-transit copy; nil on every original.
-	transit *transitMessage
 }
+
+// TransitCopy implements netsim.Transferable. A message is built, sent and
+// never written again — not by its sender, its receiver or a snapshot — so it
+// crosses a shard boundary as itself: the shards share no mutable memory, and
+// no pool recycles it.
+func (m *Message) TransitCopy(*netsim.TransitPool) any { return m }
 
 // field is one header: its canonical key and its value.
 type field struct{ key, value string }
@@ -85,9 +89,8 @@ type field struct{ key, value string }
 const inlineFields = 3
 
 // header is a message's header list, sorted by key, each key at most once.
-// Up to inlineFields of them live in the fixed array, so copying a Message
-// copies its headers; past that every field moves to spill, a heap slice a
-// copy would share — TransitCopy, the package's one copy, clones it.
+// Up to inlineFields of them live in the fixed array; past that every field
+// moves to spill, a heap slice.
 type header struct {
 	inline [inlineFields]field
 	n      int // fields in inline; unused once spill holds them

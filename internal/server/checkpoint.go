@@ -19,8 +19,9 @@ import (
 //
 //   - the availability/diagnostic counters and the session ID cursor;
 //   - every streaming session: transport conns, rate controller, frame
-//     source cursor, pace/check timers as (At, seq) records, retransmit
-//     window, FEC accumulation and SureStream switching state.
+//     source cursor, pace/check timers as (At, seq) records, the
+//     retransmit window's headers, where the open FEC group starts and
+//     SureStream switching state.
 //
 // The conns the server accepted are not its to walk: the host's transport
 // stack walks its accept tables first (transport.Stack.Sync) and hands each
@@ -173,27 +174,27 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	c.U32(&sess.videoSeq)
 	c.U32(&sess.audioSeq)
 	c.F64(&sess.budget)
-	snap.Slice(c, &sess.fecMeta, func(c *snap.Codec, m *rdt.RepairMeta) { m.Sync(c) })
 	c.U32(&sess.fecBase)
 	sess.lastReport.Sync(c)
 	c.Bool(&sess.haveReport)
 	c.Int(&sess.healthyChecks)
 
-	// The retransmit window walks as its packets in seq order; the key of
-	// each is its own Seq. A restored packet's one holder is the window.
-	sess.sentVideo.Sync(c, "retransmit window", sess.id, func(c *snap.Codec, seq *uint64, d **rdt.Data) {
-		if c.Reading() {
-			*d = sess.arena.NewData()
-		}
-		(*d).Sync(c)
-		*seq = uint64((*d).Seq)
+	// The retransmit window walks as its headers in seq order; the key of
+	// each is its own Seq.
+	sess.sentVideo.Sync(c, "retransmit window", sess.id, func(c *snap.Codec, seq *uint64, m *rdt.RepairMeta) {
+		m.Sync(c)
+		*seq = uint64(m.Seq)
 	})
 	c.U32(&sess.sentFloor)
 	if c.Reading() && c.Err() == nil {
 		// Every video seq from the floor up is retained, so the window's
-		// size pins the floor.
+		// size pins the floor; the open FEC group is read from the window.
 		if n := sess.sentVideo.Len(); n > 0 && sess.videoSeq-sess.sentFloor != uint32(n) {
-			c.Fail(fmt.Errorf("server: restore: session %s retransmit window holds %d packets for seqs [%d,%d)", sess.id, n, sess.sentFloor, sess.videoSeq))
+			c.Fail(fmt.Errorf("server: restore: session %s retransmit window has %d headers for seqs [%d,%d)", sess.id, n, sess.sentFloor, sess.videoSeq))
+			return
+		}
+		if sess.spec.Protocol == "udp" && s.cfg.FEC && (sess.videoSeq-sess.fecBase >= fecGroup || sess.fecBase < sess.sentFloor) {
+			c.Fail(fmt.Errorf("server: restore: session %s has an open FEC group [%d,%d) its retransmit window [%d,%d) cannot supply", sess.id, sess.fecBase, sess.videoSeq, sess.sentFloor, sess.videoSeq))
 			return
 		}
 	}

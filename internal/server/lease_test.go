@@ -1,6 +1,8 @@
 package server
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,13 +38,13 @@ func (r *ctlRig) listenClientData(got *[]rdt.Data) *transport.UDPPort {
 	})
 }
 
-// TestRetransmitWindowHoldsBeforeSend is the hold-before-send hazard: a video
-// packet the network drops inside Send is released inside Send, so the
-// retransmit window must have taken its reference first. The client's host
+// TestRetransmitWindowHoldsBeforeSend is the record-before-send hazard: a
+// video packet the network drops inside Send is released inside Send, so the
+// retransmit window must have copied its header first. The client's host
 // vanishes for a second (every send to it is dropped at the destination
-// lookup, synchronously), comes back and NACKs what it missed: every packet
-// in the window must still carry its own sequence number, and each
-// retransmission the fields the window remembers for it.
+// lookup, synchronously), comes back and NACKs what it missed: every header
+// in the window must carry its own sequence number, and each retransmission
+// the fields the window recorded for it.
 func TestRetransmitWindowHoldsBeforeSend(t *testing.T) {
 	r := newCtlRig(t, 0)
 	var got []rdt.Data
@@ -64,8 +66,8 @@ func TestRetransmitWindowHoldsBeforeSend(t *testing.T) {
 		t.Fatalf("window holds %d packets for seqs [%d,%d)", n, sess.sentFloor, sess.videoSeq)
 	}
 	for seq := sess.sentFloor; seq != sess.videoSeq; seq++ {
-		if d := sess.sentVideo.Get(uint64(seq)); d == nil || d.Seq != seq || d.FragCount == 0 {
-			t.Fatalf("window entry for seq %d reads %+v: a packet dropped in Send was recycled under the window", seq, d)
+		if m := sess.sentVideo.Get(uint64(seq)); m.Seq != seq || m.FragCount == 0 {
+			t.Fatalf("window entry for seq %d reads %+v: the header of a packet dropped in Send was read after its release", seq, m)
 		}
 	}
 
@@ -84,33 +86,133 @@ func TestRetransmitWindowHoldsBeforeSend(t *testing.T) {
 	}
 	for i, d := range got {
 		want := sess.sentVideo.Get(uint64(first) + uint64(i))
-		if d.Seq != first+uint32(i) || d.FrameIndex != want.FrameIndex || d.MediaTime != want.MediaTime || d.PadLen != want.PadLen {
-			t.Errorf("retransmission %d reads %+v, the window holds %+v", i, d, *want)
+		if d.Seq != first+uint32(i) || rdt.MetaOf(&d) != want || d.Stream != rdt.StreamVideo {
+			t.Errorf("retransmission %d reads %+v, the window holds %+v", i, d, want)
 		}
 	}
 }
 
 // TestArenaGrowsToTheWorkingSet is the size fence: a minute of UDP streaming
 // sends thousands of data packets, and the session's arena stops growing at
-// the retransmit window plus what is in flight — a handful of chunks, not one
-// per 64 packets sent.
+// what is in flight — the retransmit window keeps headers, not cells, so a
+// few dozen cells, not one per packet of the window.
 func TestArenaGrowsToTheWorkingSet(t *testing.T) {
 	r := newCtlRig(t, 0)
 	var got []rdt.Data
 	sess, _ := r.udpSession("350", &got)
 	r.clock.RunUntil(r.clock.Now() + time.Minute)
 	sent := int(sess.videoSeq + sess.audioSeq)
-	if sent < 2000 {
-		t.Fatalf("only %d data packets in a minute", sent)
+	if sent < 2000 || sess.sentVideo.Len() < 512 {
+		t.Fatalf("only %d data packets in a minute, %d headers in the retransmit window", sent, sess.sentVideo.Len())
 	}
 	carved, leased := sess.arena.Cells()
 	t.Logf("%d data packets sent; arena carved %d cells, %d on lease", sent, carved, leased)
-	// 512 Data cells in the window, a few in flight, and their wrappers,
-	// repairs and the EOS: well under two cells per packet of the window.
-	if carved > 800 {
-		t.Errorf("arena carved %d cells for %d packets: cells are not coming back (the parent carved one Data and one wrapper per packet, %d)", carved, sent, 2*sent)
+	if carved > 32 {
+		t.Errorf("arena carved %d cells for %d packets: cells are not coming back, or something pins them (a window of cells took 524)", carved, sent)
 	}
-	if want := sess.sentVideo.Len(); leased < want || leased > want+64 {
-		t.Errorf("%d cells on lease with %d packets in the retransmit window and the wire all but idle", leased, want)
+	if leased > 8 {
+		t.Errorf("%d cells on lease with the wire all but idle", leased)
+	}
+}
+
+// tapConn records, by value, every rdt packet the server sends through it.
+type tapConn struct {
+	transport.Conn
+	datas   []rdt.Data
+	repairs []rdt.Repair
+}
+
+func (c *tapConn) Send(payload any, size int) error {
+	if p, ok := payload.(*rdt.Packet); ok {
+		switch p.Kind {
+		case rdt.TypeData:
+			c.datas = append(c.datas, *p.Data)
+		case rdt.TypeRepair:
+			r := *p.Repair
+			r.Meta = slices.Clone(r.Meta)
+			c.repairs = append(c.repairs, r)
+		}
+	}
+	return c.Conn.Send(payload, size)
+}
+
+// TestRepairsAndResendsCarryTheSentHeaders: the headers the retransmit window
+// records are the ones the wire carried. On a lossy link with FEC on, every
+// repair packet's Meta equals the headers of its group's data packets as
+// sent, and every retransmission a NACK for the video the client missed
+// brings back equals its original field for field.
+func TestRepairsAndResendsCarryTheSentHeaders(t *testing.T) {
+	r := newRig(t, netsim.Route{OneWayDelay: 10 * time.Millisecond, LossRate: 0.03}, 0)
+	r.srv.cfg.FEC = true
+	got := map[uint32]bool{}
+	port := transport.NewStack(r.net, "cli").ListenUDP(20000, func(_ string, payload any, _ int) {
+		if pkt, ok := payload.(*rdt.Packet); ok && pkt.Kind == rdt.TypeData && pkt.Data.Stream == rdt.StreamVideo {
+			got[pkt.Data.Seq] = true
+		}
+	})
+	setup := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+	setup.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
+	setup.Set("Bandwidth", "350")
+	id := r.request(setup).Get("Session")
+	sess := r.srv.sessions[id]
+	tap := &tapConn{Conn: sess.dataUDP}
+	sess.dataUDP = tap
+	play := rtsp.NewRequest(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
+	play.Set("Session", id)
+	if resp := r.request(play); resp.Status != rtsp.StatusOK {
+		t.Fatalf("play status=%d", resp.Status)
+	}
+	r.clock.RunUntil(r.clock.Now() + 10*time.Second)
+
+	sent := map[uint32]rdt.Data{}
+	for _, d := range tap.datas {
+		if d.Stream == rdt.StreamVideo {
+			sent[d.Seq] = d
+		}
+	}
+	nack := &rdt.Packet{Kind: rdt.TypeNack, Nack: &rdt.Nack{Stream: rdt.StreamVideo}}
+	for seq := sess.sentFloor; seq != sess.videoSeq && len(nack.Nack.Seqs) < rdt.MaxNackSeqs; seq++ {
+		if !got[seq] {
+			nack.Nack.Seqs = append(nack.Nack.Seqs, seq)
+		}
+	}
+	if len(tap.repairs) < 10 || len(nack.Nack.Seqs) < 4 {
+		t.Fatalf("set-up: %d repair packets sent, %d video packets lost in %d", len(tap.repairs), len(nack.Nack.Seqs), len(sent))
+	}
+	originals := len(tap.datas)
+	// Nothing but the retransmissions on the wire, and the NACK sent three
+	// times: it crosses the lossy link too.
+	sess.pause()
+	for range 3 {
+		port.SendTo("srv:6970", nack, rdt.WireSize(nack))
+		r.clock.RunUntil(r.clock.Now() + time.Second)
+	}
+
+	for _, rep := range tap.repairs {
+		if int(rep.Group) != fecGroup || len(rep.Meta) != fecGroup {
+			t.Fatalf("repair at %d covers %d packets with %d headers, want %d", rep.BaseSeq, rep.Group, len(rep.Meta), fecGroup)
+		}
+		pad := 0
+		for i, m := range rep.Meta {
+			d, ok := sent[rep.BaseSeq+uint32(i)]
+			if !ok || m != rdt.MetaOf(&d) {
+				t.Fatalf("repair at %d: member %d reads %+v, the packet sent was %+v", rep.BaseSeq, i, m, d)
+			}
+			pad = max(pad, d.PadLen)
+		}
+		if rep.PadLen != pad {
+			t.Errorf("repair at %d pads %d bytes, its longest member %d", rep.BaseSeq, rep.PadLen, pad)
+		}
+	}
+	resent := tap.datas[originals:]
+	t.Logf("%d video packets sent, %d repair packets checked, %d lost packets NACKed, %d retransmissions checked",
+		len(sent), len(tap.repairs), len(nack.Nack.Seqs), len(resent))
+	if len(resent) < len(nack.Nack.Seqs) {
+		t.Fatalf("%d retransmissions for %d NACKed packets", len(resent), len(nack.Nack.Seqs))
+	}
+	for _, d := range resent {
+		if orig, ok := sent[d.Seq]; !ok || !reflect.DeepEqual(d, orig) {
+			t.Errorf("retransmission of seq %d reads %+v, the original was %+v", d.Seq, d, orig)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 )
 
@@ -56,7 +57,7 @@ func TestSessionRecycleClearsState(t *testing.T) {
 			held, sess1.videoSeq, sess1.mediaPos)
 	}
 	lastSent := sess1.sentVideo.Get(lastSeq)
-	if lastSent == nil {
+	if lastSent == (rdt.RepairMeta{}) {
 		t.Fatalf("first session does not hold its newest video packet, seq %d", lastSeq)
 	}
 	teardown(id1)
@@ -75,9 +76,8 @@ func TestSessionRecycleClearsState(t *testing.T) {
 		t.Fatalf("recycled session kept its predecessor's ID %q", id2)
 	}
 	// At lease time — before PLAY — the recycled object must be clean.
-	if n := sess2.sentVideo.Len(); n != 0 || sess2.sentVideo.Get(lastSeq) != nil {
-		t.Fatalf("recycled session inherited %d retransmit-window packets (seq %d present: %v)",
-			n, lastSeq, sess2.sentVideo.Get(lastSeq) != nil)
+	if n, m := sess2.sentVideo.Len(), sess2.sentVideo.Get(lastSeq); n != 0 || m != (rdt.RepairMeta{}) {
+		t.Fatalf("recycled session inherited %d retransmit-window headers (seq %d reads %+v)", n, lastSeq, m)
 	}
 	// What it does inherit is the window's storage: holding as many packets
 	// as its predecessor did allocates nothing.

@@ -85,8 +85,8 @@ type Server struct {
 	nextID     int
 
 	// sessFree recycles streamSession objects: removeSession pushes,
-	// newStreamSession pops. A recycled session keeps its map storage, FEC
-	// scratch and packet arena so steady-state churn stops allocating;
+	// newStreamSession pops. A recycled session keeps its map storage,
+	// retransmit ring and packet arena so steady-state churn stops allocating;
 	// packets of its last playout still on the wire find the arena there.
 	sessFree []*streamSession
 
@@ -339,12 +339,6 @@ func (s *Server) removeSession(sess *streamSession) {
 	// session that now belongs to a different client.
 	if sess.cc != nil && sess.cc.sess == sess {
 		sess.cc.sess = nil
-	}
-	// Nothing reads the session after this — no NACK reaches it, no snapshot
-	// walks it — so the retransmit window's references on pooled packets end
-	// here.
-	for _, d := range sess.sentVideo.Each {
-		sess.arena.Drop(d)
 	}
 	sess.sentVideo.Reset()
 	s.sessFree = append(s.sessFree, sess)

@@ -28,8 +28,14 @@ type ctlRig struct {
 
 func newCtlRig(t *testing.T, unavailability float64) *ctlRig {
 	t.Helper()
+	return newRig(t, netsim.Route{OneWayDelay: 10 * time.Millisecond}, unavailability)
+}
+
+// newRig is newCtlRig over a route of the caller's choosing.
+func newRig(t *testing.T, route netsim.Route, unavailability float64) *ctlRig {
+	t.Helper()
 	clock := simclock.New()
-	n := netsim.New(clock, netsim.StaticRoute(netsim.Route{OneWayDelay: 10 * time.Millisecond}), 3)
+	n := netsim.New(clock, netsim.StaticRoute(route), 3)
 	n.AddHost(netsim.HostConfig{Name: "srv", Access: netsim.DefaultAccessProfile(netsim.AccessServer)})
 	n.AddHost(netsim.HostConfig{Name: "cli", Access: netsim.DefaultAccessProfile(netsim.AccessT1LAN)})
 	lib := media.NewLibrary([]*media.Clip{

@@ -70,11 +70,9 @@ type streamSession struct {
 	checkTimer vclock.Handle
 
 	// arena backs every packet struct this session sends (Data, Repair,
-	// EOS, retransmit wrappers). Each cell comes back when its last reader
-	// releases it (rdt.Arena), whichever session the recycled object is
-	// serving by then; the session's own references — the retransmit
-	// window's hold on every Data in it — end when the session is reaped
-	// (Server.removeSession).
+	// EOS, retransmissions). Each cell comes back when its reader releases it
+	// (rdt.Arena), whichever session the recycled object is serving by then;
+	// the session itself keeps no cell.
 	arena rdt.Arena
 
 	videoSeq uint32
@@ -83,8 +81,8 @@ type streamSession struct {
 	// UDP pacing budget (bytes), replenished at the controller rate.
 	budget float64
 
-	// FEC group accumulation.
-	fecMeta []rdt.RepairMeta
+	// fecBase opens the FEC group being sent: its members are the video
+	// packets [fecBase, videoSeq), whose headers the retransmit window records.
 	fecBase uint32
 
 	// Feedback snapshots. The report is kept by value: the *rdt.Report the
@@ -96,11 +94,11 @@ type streamSession struct {
 	haveReport    bool
 	healthyChecks int
 
-	// sentVideo retains recently sent video packets for NACK retransmission
-	// (UDP only): exactly the seqs [sentFloor, videoSeq), since video seqs
-	// are handed out monotonically and expire from the bottom. It holds a
-	// reference on each (rdt.Arena.Hold), dropped when the packet expires.
-	sentVideo seqwin.Window[*rdt.Data]
+	// sentVideo records the header of every recently sent video packet, for
+	// NACK retransmission and FEC parity (UDP only): exactly the seqs
+	// [sentFloor, videoSeq), since video seqs are handed out monotonically
+	// and expire from the bottom.
+	sentVideo seqwin.Window[rdt.RepairMeta]
 	sentFloor uint32
 
 	// Per-stream frame counters: the player relies on video FrameIndex
@@ -140,8 +138,8 @@ func (s *Server) allocSession() *streamSession {
 // newStreamSession leases a session object from the server's free-list (or
 // allocates the pool's first instances) and reinitializes it for one clip
 // playout. Recycled sessions keep their storage — the emptied retransmit
-// window's ring, the failed-rung map, FEC scratch, packet arena and bound
-// receiver; everything else is reset field-by-field through the struct
+// window's ring, the failed-rung map, packet arena and bound receiver;
+// everything else is reset field-by-field through the struct
 // literal, so a recycled session can never observe its predecessor's
 // retransmit window, feedback snapshot or timer state.
 func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.TransportSpec, maxKbps float64, cc *controlConn) *streamSession {
@@ -163,7 +161,6 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 		recvTCP:     sess.recvTCP,
 		sentVideo:   sess.sentVideo,
 		failedRungs: sess.failedRungs,
-		fecMeta:     sess.fecMeta[:0],
 		arena:       sess.arena,
 		srcStore:    sess.srcStore,
 	}
@@ -373,50 +370,36 @@ func (sess *streamSession) sendFrame(f media.Frame) {
 			d.Seq = sess.audioSeq
 			sess.audioSeq++
 		}
-		// The window takes its reference before the send: a packet dropped
-		// at the uplink is released inside Send, and d is read again below.
+		// The window copies the header before the send: a packet dropped at
+		// the uplink is released inside Send.
 		retain := f.Video && sess.spec.Protocol == "udp"
 		if retain {
-			sess.rememberVideo(d)
+			sess.rememberVideo(rdt.MetaOf(d))
 		}
 		sess.sendData(pkt)
 		if retain && sess.srv.cfg.FEC {
-			sess.accumulateFEC(d)
+			sess.sendFEC()
 		}
 	}
 }
 
-func (sess *streamSession) accumulateFEC(d *rdt.Data) {
-	if len(sess.fecMeta) == 0 {
-		sess.fecBase = d.Seq
-	}
-	sess.fecMeta = append(sess.fecMeta, rdt.RepairMeta{
-		Seq:        d.Seq,
-		FrameIndex: d.FrameIndex,
-		MediaTime:  d.MediaTime,
-		FragIndex:  d.FragIndex,
-		FragCount:  d.FragCount,
-		Flags:      d.Flags,
-		EncRate:    d.EncRate,
-		Size:       uint16(d.PayloadLen()),
-	})
-	if len(sess.fecMeta) < fecGroup {
+// sendFEC closes the open FEC group once it has fecGroup members, sending a
+// parity packet that carries their headers as the window recorded them.
+func (sess *streamSession) sendFEC() {
+	if sess.videoSeq-sess.fecBase < fecGroup {
 		return
-	}
-	maxSz := 0
-	for _, m := range sess.fecMeta {
-		if int(m.Size) > maxSz {
-			maxSz = int(m.Size)
-		}
 	}
 	pkt := sess.arena.Repair()
 	rep := pkt.Repair
 	rep.Stream = rdt.StreamVideo
 	rep.BaseSeq = sess.fecBase
-	rep.Group = uint8(len(sess.fecMeta))
-	rep.Meta = append(rep.Meta, sess.fecMeta...)
-	rep.PadLen = maxSz
-	sess.fecMeta = sess.fecMeta[:0]
+	rep.Group = fecGroup
+	for seq := sess.fecBase; seq != sess.videoSeq; seq++ {
+		m := sess.sentVideo.Get(uint64(seq))
+		rep.Meta = append(rep.Meta, m)
+		rep.PadLen = max(rep.PadLen, int(m.Size))
+	}
+	sess.fecBase = sess.videoSeq
 	sess.sendData(pkt)
 }
 
@@ -595,34 +578,31 @@ func (sess *streamSession) onFeedback(pkt *rdt.Packet) {
 	}
 }
 
-// rememberVideo retains a sent video packet for possible retransmission,
-// bounded to the recent window: once more than window packets are held,
-// everything below d.Seq-window goes — the window's hold on each with it —
-// and sentFloor follows the cut.
-func (sess *streamSession) rememberVideo(d *rdt.Data) {
+// rememberVideo records a sent video packet's header for retransmission and
+// parity, bounded to the recent window: once more than window headers are
+// held, everything below m.Seq-window goes and sentFloor follows the cut.
+func (sess *streamSession) rememberVideo(m rdt.RepairMeta) {
 	const window = 512
-	sess.sentVideo.Put(uint64(d.Seq), sess.arena.Hold(d))
-	if cut := d.Seq - window; sess.sentVideo.Len() > window && sess.sentFloor < cut {
-		for seq := sess.sentFloor; seq != cut; seq++ {
-			if old := sess.sentVideo.Get(uint64(seq)); old != nil {
-				sess.arena.Drop(old)
-			}
-		}
+	sess.sentVideo.Put(uint64(m.Seq), m)
+	if cut := m.Seq - window; sess.sentVideo.Len() > window && sess.sentFloor < cut {
 		sess.sentFloor = cut
 		sess.sentVideo.DropBelow(uint64(cut))
 	}
 }
 
-// retransmit answers a NACK by resending the requested packets. Resends are
-// exempt from the pacing budget: they are small, latency-critical, and the
-// loss they answer already freed capacity.
+// retransmit answers a NACK by resending the requested packets, each rebuilt
+// in a fresh cell from its recorded header. Resends are exempt from the
+// pacing budget: they are small, latency-critical, and the loss they answer
+// already freed capacity.
 func (sess *streamSession) retransmit(nk *rdt.Nack) {
 	if sess.stopped || nk.Stream != rdt.StreamVideo {
 		return
 	}
 	for _, seq := range nk.Seqs {
-		if d := sess.sentVideo.Get(uint64(seq)); d != nil {
-			sess.sendData(sess.arena.Wrap(d))
+		if m := sess.sentVideo.Get(uint64(seq)); m != (rdt.RepairMeta{}) {
+			pkt := sess.arena.Data()
+			m.Fill(pkt.Data, rdt.StreamVideo)
+			sess.sendData(pkt)
 		}
 	}
 }

@@ -165,36 +165,12 @@ func parseEncoding(v []byte) (e EncodingDesc, ok bool) {
 // RTSP session negotiated on the control connection.
 type DataHello struct {
 	SessionID string
-
-	transit bool // true on a leased shard-transit copy; false on originals
 }
 
-// helloTransitClass is the pool slot for DataHello transit snapshots.
-var helloTransitClass = netsim.RegisterTransitClass()
-
-// TransitCopy returns a pooled snapshot for shard transit
-// (netsim.Transferable, matched structurally). The hello is immutable in
-// practice; the copy keeps the value-semantics-at-the-wire contract uniform.
-func (h *DataHello) TransitCopy(tp *netsim.TransitPool) any {
-	var cp *DataHello
-	if v := tp.Get(helloTransitClass); v != nil {
-		cp = v.(*DataHello)
-	} else {
-		cp = &DataHello{}
-	}
-	cp.SessionID = h.SessionID
-	cp.transit = true
-	return cp
-}
-
-// TransitRelease implements netsim.TransitReleasable; a no-op on originals.
-func (h *DataHello) TransitRelease(tp *netsim.TransitPool) {
-	if !h.transit {
-		return
-	}
-	h.transit = false
-	tp.Put(helloTransitClass, h)
-}
+// TransitCopy implements netsim.Transferable (matched structurally). A hello
+// is never written after it is sent, so it crosses a shard boundary as
+// itself.
+func (h *DataHello) TransitCopy(*netsim.TransitPool) any { return h }
 
 // Codec is the combined wire codec for live-socket mode: a one-byte channel
 // tag followed by the channel's own encoding.
@@ -207,25 +183,7 @@ const (
 	chanHello = 0x03
 )
 
-// Encode implements transport.Codec.
-func (Codec) Encode(payload any) ([]byte, error) {
-	switch m := payload.(type) {
-	case *rtsp.Message:
-		return append([]byte{chanRTSP}, m.Marshal()...), nil
-	case *rdt.Packet:
-		b, err := rdt.Encode(m)
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte{chanRDT}, b...), nil
-	case *DataHello:
-		return append([]byte{chanHello}, []byte(m.SessionID)...), nil
-	default:
-		return nil, fmt.Errorf("session: cannot encode %T", payload)
-	}
-}
-
-// EncodeTo implements transport.WriterCodec: it appends the frame to a
+// EncodeTo implements transport.Codec: it appends the frame to a
 // caller-owned writer, so the live-socket send path reuses one buffer per
 // connection instead of allocating per packet. On error the writer is rolled
 // back to its length at entry.

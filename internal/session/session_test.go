@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"realtracer/internal/media"
+	"realtracer/internal/packet"
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 )
@@ -233,10 +234,17 @@ func TestControlMessageAllocBudget(t *testing.T) {
 	}
 }
 
+// encode is one frame of Codec.EncodeTo, in a writer of its own.
+func encode(payload any) ([]byte, error) {
+	w := packet.NewWriter(64)
+	err := Codec{}.EncodeTo(w, payload)
+	return w.Bytes(), err
+}
+
 func TestCodecRoundTripRTSP(t *testing.T) {
 	m := rtsp.NewRequest(rtsp.MethodPlay, "rtsp://h/c", 5)
 	m.Set("Session", "sess-9")
-	b, err := Codec{}.Encode(m)
+	b, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +260,7 @@ func TestCodecRoundTripRTSP(t *testing.T) {
 
 func TestCodecRoundTripRDT(t *testing.T) {
 	p := &rdt.Packet{Kind: rdt.TypeData, Data: &rdt.Data{Stream: rdt.StreamVideo, Seq: 3, PadLen: 50}}
-	b, err := Codec{}.Encode(p)
+	b, err := encode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +275,7 @@ func TestCodecRoundTripRDT(t *testing.T) {
 }
 
 func TestCodecRoundTripHello(t *testing.T) {
-	b, err := Codec{}.Encode(&DataHello{SessionID: "sess-42"})
+	b, err := encode(&DataHello{SessionID: "sess-42"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +289,11 @@ func TestCodecRoundTripHello(t *testing.T) {
 }
 
 func TestCodecErrors(t *testing.T) {
-	if _, err := (Codec{}).Encode(42); err == nil {
-		t.Fatal("unknown payload type accepted")
+	if b, err := encode(42); err == nil || len(b) != 0 {
+		t.Fatalf("unknown payload type accepted, or %d bytes written for it", len(b))
+	}
+	if b, err := encode(&rdt.Packet{Kind: rdt.TypeData}); err == nil || len(b) != 0 {
+		t.Fatalf("a data packet without Data accepted, or %d bytes written for it", len(b))
 	}
 	if _, err := (Codec{}).Decode(nil); err == nil {
 		t.Fatal("empty frame accepted")

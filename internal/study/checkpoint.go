@@ -41,7 +41,7 @@ func init() {
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
 // before misreading a single field.
-const snapMagic = "RTSNAP5"
+const snapMagic = "RTSNAP6"
 
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays

@@ -444,6 +444,39 @@ func farApartSnapshot(t testing.TB) []byte {
 	return nil
 }
 
+// unsuppliableFECGroup returns a fence snapshot in which one streaming UDP
+// session's open FEC group has fecGroup members (8): a group that should have
+// been sent as a repair packet, and one the decoder cannot trust the window
+// to supply. The session's fecBase is edited for the walk and put back after
+// it.
+func unsuppliableFECGroup(t testing.TB) []byte {
+	t.Helper()
+	for _, fw := range fenceWorlds {
+		w := fenceWorld(t, fw.opt)
+		var sess reflect.Value
+		for _, srv := range w.Servers {
+			for it := peek(reflect.ValueOf(srv), "sessions").MapRange(); it.Next(); {
+				s := it.Value()
+				if peek(peek(s, "spec"), "Protocol").String() == "udp" && peek(s, "videoSeq").Uint() >= 8 &&
+					(!sess.IsValid() || peek(s, "id").String() < peek(sess, "id").String()) {
+					sess = s
+				}
+			}
+		}
+		if !sess.IsValid() {
+			continue
+		}
+		base := peek(sess, "fecBase")
+		was := base.Uint()
+		base.SetUint(peek(sess, "videoSeq").Uint() - 8)
+		bad := checkpoint(t, w)
+		base.SetUint(was)
+		return bad
+	}
+	t.Fatal("no fence world's cut has a UDP session streaming")
+	return nil
+}
+
 // doctoredAcceptTables returns snapshots of the churn-heavy fence world that
 // its servers' stacks wrote with their accept tables edited for the walk and
 // put back after it, each with what its resume must be refused for: a table
@@ -586,6 +619,7 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		// apart are refused before either sizes one.
 		{"far-apart seqs in one FEC window: whose", farApart, func([]byte) {}, "seqwin: FEC window of rtsp://"},
 		{"far-apart seqs in one FEC window: what", farApart, func([]byte) {}, "are too far apart for one window (limit 65536)"},
+		{"an open FEC group the retransmit window cannot supply", unsuppliableFECGroup(t), func([]byte) {}, "its retransmit window"},
 		{"dial kind out of range", mid, func(b []byte) { b[waitAt-1] = 9 }, "dial kind 9"},
 		{"waiting on a dial nobody issued", mid, func(b []byte) { b[waitAt+4] ^= 1 }, "no in-flight dial"},
 	}, doctored...) {
@@ -608,9 +642,9 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 
 	// A snapshot in an earlier format — before dial state, before closed conns
 	// froze their backlog, before records were walked field by field, before
-	// the stacks walked the conns they accepted — is refused on its magic,
-	// before any field is misread.
-	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4"} {
+	// the stacks walked the conns they accepted, before the retransmit window
+	// kept headers — is refused on its magic, before any field is misread.
+	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4", "RTSNAP5"} {
 		old := append([]byte(nil), snap...)
 		copy(old[4:], magic)
 		if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {

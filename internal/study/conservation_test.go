@@ -258,8 +258,8 @@ func checkClosedConns(t *testing.T, w *World) (closed, backlogged int) {
 // quiescence: nothing is on the wire, so a pooled cell — a packet struct of
 // some session's rdt arena, a segment of some host's transport stack — is
 // out of its pool only if somebody still holds it. A conn that closed holds
-// nothing (checkClosedConns), so the one legitimate holder left is a live
-// server session's retransmit window: every server drops every client, the
+// nothing (checkClosedConns), and a server session keeps headers, not cells,
+// so what is left is the open conns: every server drops every client, the
 // goodbyes land, and then every pool reachable from the world must have
 // nothing on lease. A release that found a cell already released would have
 // panicked on the way here.
@@ -309,10 +309,10 @@ func checkLeases(t *testing.T, w *World) {
 
 // TestResumedWorldConservesLeases is the resume half of the lease oracle.
 // Holder counts and home pointers are not in a snapshot: a resume rebuilds
-// them from who holds each restored cell (a session's retransmit window, a
-// conn's send and reorder buffers, each segment reference on the
-// wire), and what it cannot give a home — packets restored by value off the
-// wire — it leaves to the garbage collector. Every fence world is cut at six
+// them from who holds each restored cell (a conn's send and reorder buffers,
+// each segment reference on the wire), and what it cannot give a home —
+// packets restored by value off the wire — it leaves to the garbage
+// collector. Every fence world is cut at six
 // instants, resumed, run to the end with the restored cells recycling
 // beside fresh ones, and must then pass the same audit as a world that never
 // stopped; at least one cut of each world must have landed mid-flight, with

@@ -308,7 +308,6 @@ var syncExempt = map[string]string{
 	// Lease bookkeeping: where a pooled cell goes back to and who still reads
 	// it. None of it is in a snapshot.
 	"rdt.Packet.home":         "rebuilt on restore from who holds the cell: a restored packet is in no arena and is garbage-collected",
-	"rdt.Data.holds":          "rebuilt on restore from who holds the cell: the retransmit-window walk",
 	"rdt.Nack.cell":           "rebuilt on restore from who holds the cell: a restored NACK is in no arena",
 	"rdt.Repair.cell":         "rebuilt on restore from who holds the cell: a restored repair packet is in no arena",
 	"transport.tcpSeg.holds":  "rebuilt on restore from who holds the cell: send buffer, reorder buffer, each reference on the wire",

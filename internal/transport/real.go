@@ -16,18 +16,12 @@ import (
 // Codec converts session-layer payloads to and from bytes for the real
 // socket adapters. The simulator skips serialization (payloads travel by
 // reference), so only live mode needs a Codec; internal/session provides the
-// canonical one combining RTSP control and RDT data.
+// canonical one combining RTSP control and RDT data. EncodeTo appends a frame
+// to a caller-owned packet.Writer, so each real conn keeps one encode buffer
+// for its lifetime instead of allocating per send.
 type Codec interface {
-	Encode(payload any) ([]byte, error)
-	Decode(data []byte) (any, error)
-}
-
-// WriterCodec is the recycling fast path: codecs that can append a frame to
-// a caller-owned packet.Writer let each real conn keep one encode buffer for
-// its lifetime instead of allocating per send. internal/session's Codec
-// implements it.
-type WriterCodec interface {
 	EncodeTo(w *packet.Writer, payload any) error
+	Decode(data []byte) (any, error)
 }
 
 // frameWriter is the per-connection reusable encode buffer, guarded by its
@@ -39,19 +33,8 @@ type frameWriter struct {
 
 // encodeFrame encodes payload via the codec into the recycled buffer with
 // prefix bytes reserved at the front, and passes the finished frame to emit
-// while the buffer lock is held. Falls back to the allocating Codec path
-// when the codec cannot append.
+// while the buffer lock is held.
 func (fw *frameWriter) encodeFrame(codec Codec, payload any, prefix int, emit func(frame []byte) error) error {
-	wc, ok := codec.(WriterCodec)
-	if !ok {
-		data, err := codec.Encode(payload)
-		if err != nil {
-			return err
-		}
-		frame := make([]byte, prefix+len(data))
-		copy(frame[prefix:], data)
-		return emit(frame)
-	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	if fw.w == nil {
@@ -61,7 +44,7 @@ func (fw *frameWriter) encodeFrame(codec Codec, payload any, prefix int, emit fu
 	for i := 0; i < prefix; i++ {
 		fw.w.U8(0)
 	}
-	if err := wc.EncodeTo(fw.w, payload); err != nil {
+	if err := codec.EncodeTo(fw.w, payload); err != nil {
 		return err
 	}
 	return emit(fw.w.Bytes())

@@ -5,18 +5,20 @@ import (
 	"testing"
 	"time"
 
+	"realtracer/internal/packet"
 	"realtracer/internal/vclock"
 )
 
 // byteCodec is a trivial Codec for exercising the real-socket adapters.
 type byteCodec struct{}
 
-func (byteCodec) Encode(payload any) ([]byte, error) {
+func (byteCodec) EncodeTo(w *packet.Writer, payload any) error {
 	s, ok := payload.(string)
 	if !ok {
-		return nil, fmt.Errorf("byteCodec: %T", payload)
+		return fmt.Errorf("byteCodec: %T", payload)
 	}
-	return []byte(s), nil
+	w.Raw([]byte(s))
+	return nil
 }
 
 func (byteCodec) Decode(data []byte) (any, error) { return string(data), nil }

@@ -27,7 +27,7 @@ import "realtracer/internal/netsim"
 // An original ACK has one reader and goes back to origin.ackFree; one a
 // snapshot restored has no origin and is collected.
 //
-// In a sharded world every packet payload is deep-copied at the WAN edge —
+// In a sharded world every pooled payload is deep-copied at the WAN edge —
 // value semantics standing in for real serialization — so no shard reads
 // memory another shard mutates, and the original is released there, on the
 // sending shard. The TCP wire types carry two pieces of sender-private state
