@@ -107,23 +107,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"365f57ab7fce32dfbe363f2aa0756c4c030aa2b84677afa4828bcb76bb7ef6e1"},
+		"41499bd235c76210f3aeb89f69a990f72719036fdc5591bd3089e3bb8a40ce7f"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "6afd791af0c01b044badc94db3d71da289d2dea7d2300dfaae3d77cc8973c52e"},
+	}, "1e598cc7c03ee16870de27b90e9c59ae797adf86fa15298db7596463b2f97136"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "e2a764b60963a0a4cdb1dbcdba667a96c70a80f79ecc8167c7cc6d2a319627ee"},
+	}, "d8288d30f5fea0b80dae96adca40fddfa83084a4a2678c181c43abfa8692381e"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "acdbe3d4b54ffb4b7e584902ffbd181be0a7c740b00a42486809e9f809b838a9"},
+	{"churnheavy", churnHeavy, "34b9b9d31db65ae382f1e9e16d720fe1e876ff59c906e533fa5529dae4bfe83a"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
