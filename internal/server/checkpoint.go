@@ -187,13 +187,15 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	})
 	c.U32(&sess.sentFloor)
 	if c.Reading() && c.Err() == nil {
-		// Every video seq from the floor up is retained, so the window's
-		// size pins the floor; the open FEC group is read from the window.
-		if n := sess.sentVideo.Len(); n > 0 && sess.videoSeq-sess.sentFloor != uint32(n) {
+		// A UDP session retains every video seq from the floor up, so the
+		// window's size pins the floor; the open FEC group is read from the
+		// window.
+		udp := sess.spec.Protocol == "udp"
+		if n := sess.sentVideo.Len(); (udp || n > 0) && sess.videoSeq-sess.sentFloor != uint32(n) {
 			c.Fail(fmt.Errorf("server: restore: session %s retransmit window has %d headers for seqs [%d,%d)", sess.id, n, sess.sentFloor, sess.videoSeq))
 			return
 		}
-		if sess.spec.Protocol == "udp" && s.cfg.FEC && (sess.videoSeq-sess.fecBase >= fecGroup || sess.fecBase < sess.sentFloor) {
+		if udp && s.cfg.FEC && (sess.videoSeq-sess.fecBase >= fecGroup || sess.fecBase < sess.sentFloor) {
 			c.Fail(fmt.Errorf("server: restore: session %s has an open FEC group [%d,%d) its retransmit window [%d,%d) cannot supply", sess.id, sess.fecBase, sess.videoSeq, sess.sentFloor, sess.videoSeq))
 			return
 		}
