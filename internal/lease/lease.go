@@ -5,8 +5,15 @@
 // (netsim/transit.go states it).
 package lease
 
-// Chunk is the number of cells carved per backing allocation.
-const Chunk = 64
+import "unsafe"
+
+// Chunk is the most cells carved per backing allocation, and chunkBytes the
+// most bytes: a pool of large cells carves fewer at a time, so an owner that
+// ever needs one pins a few hundred bytes, not 64 cells' worth.
+const (
+	Chunk      = 64
+	chunkBytes = 4 << 10
+)
 
 // Pool hands out zeroed cells of T: released ones first, most recent first,
 // then the uncarved remainder of the newest chunk — so a pool grows to its
@@ -26,7 +33,8 @@ func (p *Pool[T]) Get() *T {
 		return c
 	}
 	if len(p.rest) == 0 {
-		p.rest = make([]T, Chunk)
+		var zero T
+		p.rest = make([]T, min(max(chunkBytes/int(unsafe.Sizeof(zero)), 1), Chunk))
 	}
 	c := &p.rest[0]
 	p.rest = p.rest[1:]

@@ -399,6 +399,14 @@ func (p *Player) Abort() {
 	}
 }
 
+// Idle reports whether the session is over and nothing of it is armed: it
+// finished or was aborted, which closed its conns, and no timer of it is
+// pending.
+func (p *Player) Idle() bool {
+	return p.doneCalled && !p.endAt.Armed() && !p.frameTimer.Armed() && !p.graceTimer.Armed() &&
+		!p.idle.Armed() && !p.reportTick.Armed() && !p.nackTimer.Armed()
+}
+
 // Start begins the session: dial control, DESCRIBE, SETUP, PLAY.
 func (p *Player) Start() {
 	p.touchIdle()

@@ -41,7 +41,7 @@ func init() {
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
 // before misreading a single field.
-const snapMagic = "RTSNAP6"
+const snapMagic = "RTSNAP7"
 
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays
@@ -345,18 +345,36 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 	if !syncCount(c, len(cell.bundles), "templates") {
 		return
 	}
+	// Per template: busy, whether it holds a bundle, then the bundle or else
+	// the template's port counter. Idle bundles are not state: they hold
+	// nothing the clock can reach, and decoding builds bundles only for the
+	// templates that hold one.
+	busy := 0
 	for mi := range cell.bundles {
 		c.Bool(&cell.busy[mi])
-		built := cell.bundles[mi] != nil
-		c.Bool(&built)
-		if !built {
+		held := cell.bundles[mi] != nil
+		c.Bool(&held)
+		if !held {
+			c.Int(&cell.ports[mi])
+		}
+		if c.Reading() && c.Err() == nil && !held && (cell.busy[mi] || cell.ports[mi] < 0) {
+			c.Fail(fmt.Errorf("study: checkpoint template %s is busy=%v with no bundle and %d ports handed out",
+				w.Users[cell.members[mi]].Name, cell.busy[mi], cell.ports[mi]))
+		}
+		if c.Err() != nil {
+			return
+		}
+		if cell.busy[mi] {
+			busy++
+		}
+		if !held {
 			continue
 		}
 		if c.Reading() {
-			if c.Err() != nil {
-				return
+			cell.newBundle(mi)
+			if !cell.busy[mi] {
+				cell.f.draining = append(cell.f.draining, cell.bundles[mi])
 			}
-			cell.bundles[mi] = cell.newBundle(mi, 0)
 		}
 		b := cell.bundles[mi]
 		name := w.Users[b.idx].Name
@@ -375,12 +393,18 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 				}
 				b.playlist = append(b.playlist, w.Playlist[ci])
 			}
-			// Reset installs the playlist (and clears walk state) before the
-			// tracer overlay repositions the walk.
-			b.tr.Reset(b.playlist)
+			// Reset installs the user and playlist (and clears walk state)
+			// before the tracer overlay repositions the walk.
+			b.tr.Reset(w.Users[b.idx], b.playlist)
 		}
 		w.Clock.SyncTimer(c, &b.departTimer, (*departArm)(b))
 		b.tr.Sync(c, b.stack, x)
+	}
+	if c.Reading() && c.Err() == nil {
+		if busy != cell.active {
+			c.Fail(fmt.Errorf("study: checkpoint has %d busy templates but %d sessions active", busy, cell.active))
+		}
+		cell.f.live, cell.f.peak = busy, busy
 	}
 }
 

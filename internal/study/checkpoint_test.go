@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -540,6 +541,32 @@ func doctoredAcceptTables(t testing.TB) []doctoredSnapshot {
 	return out
 }
 
+// doctoredTemplates are snapshots of the churn-heavy fence world's cut whose
+// templates do not add up: one more session active than templates busy, a
+// busy template holding no bundle, and a template with a negative port
+// counter. Each used to resume and run its whole suffix before Run failed
+// with a stall, or not fail at all.
+func doctoredTemplates(t testing.TB) []doctoredSnapshot {
+	t.Helper()
+	w := fenceWorld(t, churnHeavy)
+	cell := w.open.cells[0]
+	free := slices.IndexFunc(cell.bundles, func(b *sessionBundle) bool { return b == nil })
+	if free < 0 || cell.active == 0 {
+		t.Fatalf("the churn-heavy fence world's cut has no template without a bundle (%d) or no session active (%d)", free, cell.active)
+	}
+	var out []doctoredSnapshot
+	doctor := func(name, want string, edit func()) {
+		active, busy, ports := cell.active, cell.busy[free], cell.ports[free]
+		edit()
+		out = append(out, doctoredSnapshot{name, checkpoint(t, w), want})
+		cell.active, cell.busy[free], cell.ports[free] = active, busy, ports
+	}
+	doctor("one more session active than templates busy", "busy templates but", func() { cell.active++ })
+	doctor("a busy template holding no bundle", "busy=true with no bundle", func() { cell.active, cell.busy[free] = cell.active+1, true })
+	doctor("a negative port counter", "-1 ports handed out", func() { cell.ports[free] = -1 })
+	return out
+}
+
 type doctoredSnapshot struct {
 	name string
 	snap []byte
@@ -602,7 +629,7 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 		want   string
 	}
 	var doctored []corruption
-	for _, d := range doctoredAcceptTables(t) {
+	for _, d := range append(doctoredAcceptTables(t), doctoredTemplates(t)...) {
 		doctored = append(doctored, corruption{d.name, d.snap, func([]byte) {}, d.want})
 	}
 	for _, tc := range append([]corruption{
@@ -643,8 +670,9 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 	// A snapshot in an earlier format — before dial state, before closed conns
 	// froze their backlog, before records were walked field by field, before
 	// the stacks walked the conns they accepted, before the retransmit window
-	// kept headers — is refused on its magic, before any field is misread.
-	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4", "RTSNAP5"} {
+	// kept headers, before bundles were leased per live session — is refused
+	// on its magic, before any field is misread.
+	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4", "RTSNAP5", "RTSNAP6"} {
 		old := append([]byte(nil), snap...)
 		copy(old[4:], magic)
 		if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {

@@ -3,6 +3,7 @@ package study
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"realtracer/internal/trace"
@@ -94,6 +95,39 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 	}
 }
 
+// firstPassAllocBudget bounds the allocations per session of a world whose
+// every template arrives about once: the pass the steady state above starts
+// from, where bundles are built, not reused. While every template built a
+// bundle of its own on its first arrival the 64-template world below read
+// ~173 per session; with bundles leased per live session it builds one per
+// session in flight (~40 % of the pool) and reads ~132, the other
+// first-time costs (hosts, paths, server sessions, grown scratch) included.
+// The budget sits ~1.15x above the reading, below the old one.
+const firstPassAllocBudget = 150
+
+// TestFirstPassAllocBudget bounds what a session costs on a world's first
+// pass over its templates (Arrivals == MaxUsers).
+func TestFirstPassAllocBudget(t *testing.T) {
+	w, err := NewWorld(Options{Seed: 31, MaxUsers: 64, ClipCap: 2, Workload: "poisson", Arrivals: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetSink(trace.SinkFunc(func(*trace.Record) {}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := w.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSession := float64(after.Mallocs-before.Mallocs) / float64(res.Sessions)
+	t.Logf("first-pass allocations per session: %.0f over %d sessions (budget %d)", perSession, res.Sessions, firstPassAllocBudget)
+	if perSession > firstPassAllocBudget {
+		t.Errorf("a first pass over the templates allocates %.0f objects per session, budget %d — bundles are built per template again, not per session in flight",
+			perSession, firstPassAllocBudget)
+	}
+}
+
 // shardedSessionAllocBudget bounds the steady-state allocations per session
 // under the sharded engine. On top of the classic per-session costs the
 // sharded path buffers each record until the merge (the collector retains
@@ -178,8 +212,8 @@ func TestOpenLoopChurnDeterministic(t *testing.T) {
 
 // TestOpenLoopBundlesAreReused: the free-list actually frees — a run with
 // more sessions than templates finishes with at most one bundle per
-// template, every one quiescent. One bundle serving several time-disjoint
-// sessions is the lifecycle the alloc budget above depends on.
+// template, every one quiescent. One bundle serving several time-disjoint sessions is
+// the lifecycle the alloc budget above depends on.
 func TestOpenLoopBundlesAreReused(t *testing.T) {
 	w, err := NewWorld(churnOpts())
 	if err != nil {
@@ -189,20 +223,66 @@ func TestOpenLoopBundlesAreReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built := 0
-	for _, b := range w.open.cells[0].bundles {
-		if b == nil {
-			continue
-		}
-		built++
-		if !b.done {
-			t.Fatalf("template %s bundle still live after the run ended", w.Users[b.idx].Name)
+	built := shardBundles(w, w.factories[0])
+	for _, b := range built {
+		if !b.done || !b.quiescent() {
+			t.Fatalf("a bundle last bound to %s is still live after the run ended", w.Users[b.idx].Name)
 		}
 	}
-	if built == 0 || built > len(w.Users) {
-		t.Fatalf("%d bundles built for a %d-template pool", built, len(w.Users))
+	if len(built) == 0 || len(built) > len(w.Users) {
+		t.Fatalf("%d bundles built for a %d-template pool", len(built), len(w.Users))
 	}
-	if res.Sessions <= built {
-		t.Fatalf("%d sessions over %d bundles; no bundle served more than one session", res.Sessions, built)
+	if res.Sessions <= len(built) {
+		t.Fatalf("%d sessions over %d bundles; no bundle served more than one session", res.Sessions, len(built))
+	}
+}
+
+// shardBundles returns every bundle shard factory f has built: the ones its
+// templates hold and the idle ones.
+func shardBundles(w *World, f *SessionFactory) []*sessionBundle {
+	bs := slices.Clone(f.idle)
+	for _, c := range w.open.cells {
+		for _, b := range c.bundles {
+			if b != nil && c.f == f {
+				bs = append(bs, b)
+			}
+		}
+	}
+	return bs
+}
+
+// TestBundlesFollowConcurrency: a shard builds session machinery for the
+// sessions it runs at once, not for the templates its cells have visited —
+// on the churn world, whose sessions fill every template, and on a
+// two-shard world at the calibrated ~40 % occupancy, whose round-robin
+// cursors visit every template, the bundles a shard built are at most the
+// shard's peak of busy templates; on the two-shard world that is fewer than
+// its templates.
+func TestBundlesFollowConcurrency(t *testing.T) {
+	for _, opt := range []Options{
+		churnOpts(),
+		{Seed: 7, MaxUsers: 64, ClipCap: 2, Workload: "poisson", Arrivals: 160, Shards: 2},
+	} {
+		w, err := NewWorld(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for s, f := range w.factories {
+			templates := 0
+			for _, c := range w.open.cells {
+				if c.f == f {
+					templates += len(c.members)
+				}
+			}
+			built := len(shardBundles(w, f))
+			t.Logf("%d shards, shard %d: %d bundles built, peak %d busy of %d templates", opt.Shards, s, built, f.peak, templates)
+			if built == 0 || built > f.peak || opt.Shards > 0 && built >= templates {
+				t.Errorf("%d shards, shard %d: %d bundles built for a peak of %d busy templates out of %d",
+					opt.Shards, s, built, f.peak, templates)
+			}
+		}
 	}
 }

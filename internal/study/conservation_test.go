@@ -17,19 +17,24 @@ import (
 
 // TestConservation is the first slice of the invariant oracle: every fence
 // world, on every engine that runs it (the closed panel is classic-only),
-// retaining its records and streaming them, must balance its books.
+// retaining its records and streaming them, must balance its books. The
+// orphaned-dial world joins them for its departures mid-dial: a bundle that
+// leaves one behind must not go idle before the dial resolves.
 func TestConservation(t *testing.T) {
-	for _, fw := range fenceWorlds {
+	world := func(name string, opt Options) {
 		engines := []int{0}
-		if fw.opt.OpenLoop() {
+		if opt.OpenLoop() {
 			engines = []int{0, 1, 2}
 		}
 		for _, shards := range engines {
-			opt := fw.opt
 			opt.Shards = shards
-			t.Run(fmt.Sprintf("%s/shards=%d", fw.name, shards), func(t *testing.T) { checkConservation(t, opt) })
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) { checkConservation(t, opt) })
 		}
 	}
+	for _, fw := range fenceWorlds {
+		world(fw.name, fw.opt)
+	}
+	world("orphandial", orphanDialWorld)
 }
 
 // checkConservation runs opt twice — under the default collector and
@@ -41,6 +46,9 @@ func TestConservation(t *testing.T) {
 //   - sessions: every admitted session ended, by finishing its playlist or
 //     by departing mid-stream, so the sessions that reported a record number
 //     at least finished = sessions − departed and at most sessions;
+//   - idle bundles (checkIdleBundles), mid-run and at the end, and
+//     quiescent after every event of a classic run: a bundle between
+//     sessions holds nothing the clock can reach;
 //   - leases (checkLeases): every pooled packet cell and segment is back in
 //     its pool once whoever could still read it has let go;
 //
@@ -73,16 +81,27 @@ func checkConservation(t *testing.T, opt Options) {
 			}
 		}
 		if w.fab == nil { // a sharded world cannot be partially driven
-			if err := w.RunUntil(10 * time.Minute); err != nil {
-				t.Fatal(err)
+			for midRun := true; !w.finished() && w.Clock.Step(); {
+				if midRun && w.Clock.Now() >= 10*time.Minute {
+					midRun = false
+					packets("mid-run")
+					checkIdleBundles(t, w)
+				}
+				for _, b := range w.factories[0].idle {
+					if !b.quiescent() {
+						t.Fatalf("bundles: after the event at %v an idle bundle is not quiescent", w.Clock.Now())
+					}
+				}
 			}
-			packets("mid-run")
 		}
 		res, err := w.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		packets("at the end")
+		if idle := checkIdleBundles(t, w); idle == 0 && opt.OpenLoop() {
+			t.Error("bundles: no bundle was idle at the end of the run, so the idle check judged nothing")
+		}
 		checkLeases(t, w)
 
 		if !opt.OpenLoop() {
@@ -124,27 +143,74 @@ func checkConservation(t *testing.T, opt Options) {
 	}
 }
 
-// worldTracers returns every tracer the world has built: the panel's, or one
-// per open-loop template that has arrived at least once.
+// worldTracers returns every tracer the world has built: the panel's, or
+// every open-loop bundle's, held or idle.
 func worldTracers(w *World) []*tracer.Tracer {
 	var trs []*tracer.Tracer
 	for _, p := range w.panel {
 		trs = append(trs, p.tr)
 	}
 	if w.open != nil {
-		for _, c := range w.open.cells {
-			for _, b := range c.bundles {
-				if b != nil {
-					trs = append(trs, b.tr)
-				}
+		for _, f := range w.factories {
+			for _, b := range shardBundles(w, f) {
+				trs = append(trs, b.tr)
 			}
 		}
 	}
 	return trs
 }
 
-// userStacks returns the transport stack of every tracer worldTracers
-// returns, by the user's host name.
+// checkIdleBundles asserts that every idle bundle holds nothing the clock can
+// reach: no dial in flight, no conn of its stack open, and no pending event
+// whose handler is the bundle, its tracer or player, or a dial or conn of its
+// stack. It returns how many idle bundles it judged.
+func checkIdleBundles(t *testing.T, w *World) (idle int) {
+	t.Helper()
+	if w.open == nil {
+		return 0
+	}
+	for s, f := range w.factories {
+		for i, b := range f.idle {
+			idle++
+			where := fmt.Sprintf("shard %d's idle bundle %d", s, i)
+			if n := b.stack.DialsInFlight(); n != 0 {
+				t.Errorf("bundles: %s has %d dials in flight", where, n)
+			}
+			stack := reflect.ValueOf(b.stack).Pointer()
+			owned := map[uintptr]bool{}
+			reachStructs(reflect.ValueOf(b), where, func(v reflect.Value, path string) bool {
+				switch typ := v.Type(); strings.TrimPrefix(typ.PkgPath(), "realtracer/internal/") + "." + typ.Name() {
+				case "study.sessionBundle", "tracer.Tracer", "player.Player", "transport.Stack", "transport.tcpDial":
+				case "transport.simTCP", "transport.simUDP":
+					if peek(v, "stack").Pointer() != stack {
+						return false
+					}
+					if !peek(v, "closed").Bool() {
+						t.Errorf("bundles: %s holds the open conn %s (%v)", where, path, peek(peek(v, "local"), "addr"))
+					}
+				default:
+					return false
+				}
+				owned[v.UnsafeAddr()] = true
+				return true
+			})
+			for _, pe := range f.clock.Pendings() {
+				h := reflect.ValueOf(pe.Handler)
+				if h.Kind() != reflect.Pointer {
+					continue
+				}
+				_, onStack := h.Elem().Type().FieldByName("stack")
+				if owned[h.Pointer()] || onStack && peek(h, "stack").Pointer() == stack {
+					t.Errorf("bundles: %s has a %T event pending at %v", where, pe.Handler, pe.At)
+				}
+			}
+		}
+	}
+	return idle
+}
+
+// userStacks returns the transport stack of every tracer bound to a user —
+// the panel's and the bundles templates hold — by the user's host name.
 func userStacks(w *World) map[string]*transport.Stack {
 	stacks := map[string]*transport.Stack{}
 	for i, p := range w.panel {
@@ -167,6 +233,11 @@ func userStacks(w *World) map[string]*transport.Stack {
 // exported or not, and the path it was first reached by; enter returns false
 // to keep the walk out of the struct's fields.
 func worldStructs(w *World, enter func(v reflect.Value, path string) bool) {
+	reachStructs(reflect.ValueOf(w), "World", enter)
+}
+
+// reachStructs is worldStructs from root, reached by path.
+func reachStructs(root reflect.Value, path string, enter func(v reflect.Value, path string) bool) {
 	seen := map[visit]bool{}
 	var walk func(v reflect.Value, path string)
 	walk = func(v reflect.Value, path string) {
@@ -200,7 +271,7 @@ func worldStructs(w *World, enter func(v reflect.Value, path string) bool) {
 			}
 		}
 	}
-	walk(reflect.ValueOf(w), "World")
+	walk(root, path)
 }
 
 // leasePools finds every lease.Pool reachable from w — the cell pools of every

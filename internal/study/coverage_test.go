@@ -298,6 +298,7 @@ var syncExempt = map[string]string{
 	"transport.Stack.connFree":  "recycled conn storage: cleared window rings, capacity only; a restored stack starts without any",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
+	"study.SessionFactory.idle": "bundles between sessions: bound to no template and holding nothing the clock can reach, so a resume starts without any",
 	"player.Player.nackScratch": "per-flush scratch",
 	"player.Player.descBuf":     "DESCRIBE parse scratch; the session's description is the walked desc",
 	"player.Player.waits":       "idle dial continuations; a dial in flight is walked by its stack and re-attached by the player",
@@ -335,7 +336,7 @@ var syncExempt = map[string]string{
 	"netsim.Route.LossRate":              "rederived from the route table",
 	"netsim.Route.CapacityKbps":          "rederived from the route table",
 	"netsim.pathState.capBps":            "derived from the route",
-	"transport.Stack.host":               "static: the stack is rebuilt for the same host",
+	"transport.Stack.host":               "bound by the owner: a panel user's name, or the name of the template an open-loop bundle is walked under",
 	"transport.Stack.hostID":             "interned from host",
 	"transport.endpoint.id":              "interned from the walked addr",
 	"transport.endpoint.port":            "parsed from the walked addr",
@@ -361,7 +362,7 @@ var syncExempt = map[string]string{
 	"player.Config.Arena":                "owner-supplied environment",
 	"player.Config.CPU":                  "owner-supplied environment",
 	"player.Config.DisableScalableVideo": "ablation knob the tracer never sets",
-	"tracer.Tracer.cfg":                  "template wiring, see tracer.Config",
+	"tracer.Tracer.cfg":                  "owner wiring, see tracer.Config",
 	"tracer.Tracer.arena":                "packet storage; restore starts it empty",
 	"study.World.Sites":                  "static",
 	"study.World.Users":                  "static",
@@ -375,6 +376,8 @@ var syncExempt = map[string]string{
 	"study.arrivalCell.ord":              "fixed at build",
 	"study.arrivalCell.spec":             "rebuilt from Options",
 	"study.arrivalCell.members":          "fixed at build",
-	"study.sessionBundle.mi":             "the bundle's position in the walked bundle list",
+	"study.sessionBundle.mi":             "the template the bundle is walked under",
+	"study.SessionFactory.live":          "count of the walked busy flags",
+	"study.SessionFactory.peak":          "high-water mark of live, a diagnostic; a resume restarts it at live",
 	"study.sessionBundle.playlist":       "re-derived from the walked clip indices",
 }

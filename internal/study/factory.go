@@ -38,6 +38,48 @@ type SessionFactory struct {
 	// reformatting per record).
 	dynLabel    string
 	policyLabel string
+
+	// idle are the shard's open-loop bundles between sessions: unbound from
+	// any template and holding nothing the clock can reach (quiescent), so a
+	// launch on any of the shard's cells may lease one. draining are bundles
+	// whose template was freed before they were quiescent; each stays bound
+	// to its template until a lease finds it quiescent. live counts the
+	// shard's busy templates and peak its maximum, the most bundles a run
+	// should need.
+	idle, draining []*sessionBundle
+	live, peak     int
+}
+
+// lease hands out an idle bundle, or nil when there is none. Draining bundles
+// that have gone quiescent since they were freed become idle first.
+func (f *SessionFactory) lease() *sessionBundle {
+	keep := f.draining[:0]
+	for _, b := range f.draining {
+		if b.quiescent() {
+			b.unbind()
+		} else {
+			keep = append(keep, b)
+		}
+	}
+	f.draining = keep
+	k := len(f.idle) - 1
+	if k < 0 {
+		return nil
+	}
+	b := f.idle[k]
+	f.idle = f.idle[:k]
+	return b
+}
+
+// release takes back the bundle of a template just freed: idle at once if it
+// is quiescent, else draining. It is never cancelled into quiescence: what
+// it still has armed fires as it would have.
+func (f *SessionFactory) release(b *sessionBundle) {
+	if b.quiescent() {
+		b.unbind()
+	} else {
+		f.draining = append(f.draining, b)
+	}
 }
 
 // attach brings the user's host onto the network with its access profile.
@@ -69,23 +111,22 @@ func (f *SessionFactory) observe(rec *trace.Record) {
 }
 
 // newTracer builds a RealTracer session for u over the given playlist.
-// selectServer, onRecord and onFinished let the open-loop path install its
-// per-clip mirror selection and session-lifecycle bookkeeping; the panel
-// passes nil selection and the plain observe/remaining pair. An open-loop
-// template bundle passes a nil playlist: everything bound here — the
-// template's transport stack, RNG, rater and lifecycle hooks — is created
-// once and survives every session the bundle serves, and Tracer.Reset
-// installs each arrival's playlist. The tracer comes back with the transport
-// stack built for it, which its owner keeps for the snapshot walk.
+// rate, selectServer, onRecord and onFinished let the open-loop path install
+// its per-clip mirror selection and session-lifecycle bookkeeping; the panel
+// passes its user's rater, nil selection and the plain observe/remaining
+// pair. An open-loop bundle passes a nil playlist: everything bound here —
+// the transport stack, RNG and hooks — is created once and survives every
+// session the bundle serves, whatever template it serves it for, and
+// Tracer.Reset installs each arrival's user and playlist. The tracer comes
+// back with the transport stack built for it, which its owner keeps for the
+// snapshot walk.
 //
-// The transport stack is bound to the user's host name, not to a host
-// incarnation: interned host IDs are permanent and ephemeral ports advance
-// monotonically, so the same stack serves every re-arrival of a pooled
-// template.
+// The transport stack is bound to a host name, not to a host incarnation:
+// interned host IDs are permanent and ephemeral ports advance per name, so a
+// stack rebound to a name (Stack.Rebind) serves every re-arrival under it.
 func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []tracer.Entry,
-	selectServer func(tracer.Entry) tracer.Entry,
+	rate func(*trace.Record) float64, selectServer func(tracer.Entry) tracer.Entry,
 	onRecord func(*trace.Record), onFinished func()) (*tracer.Tracer, *transport.Stack) {
-	rater := newRater(u, rng)
 	stack := transport.NewStack(f.net, u.Name)
 	return tracer.New(tracer.Config{
 		Clock:        vclock.Sim{C: f.clock},
@@ -94,7 +135,7 @@ func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []trace
 		Playlist:     playlist,
 		Preroll:      f.w.Options.Preroll,
 		Rand:         rng,
-		Rate:         rater.rate,
+		Rate:         rate,
 		SelectServer: selectServer,
 		OnRecord:     onRecord,
 		OnFinished:   onFinished,

@@ -72,8 +72,8 @@ var manyRecords = Options{Seed: 17, MaxUsers: 6, ClipCap: 2, Workload: "poisson"
 // mid-run snapshots of the four fence worlds, of one world with a TCP dial in
 // flight, of one with a timed-out TCP flight waiting to be sent again, of one
 // with a SETUP request on the wire and of one carrying many records, plus
-// truncations of each, one doctored window, one doctored FEC group and four
-// doctored accept tables.
+// truncations of each, one doctored window, one doctored FEC group, four
+// doctored accept tables and three doctored template tables.
 func FuzzResume(f *testing.F) {
 	straight, err := Run(manyRecords)
 	if err != nil {
@@ -89,10 +89,10 @@ func FuzzResume(f *testing.F) {
 	// Seeds no mutation of the others finds quickly: well-formed snapshots
 	// whose one defect is two sequence numbers a whole window apart in one FEC
 	// window, an open FEC group the retransmit window cannot supply, or an
-	// accept table that does not add up.
+	// accept table or template table that does not add up.
 	f.Add(farApartSnapshot(f))
 	f.Add(unsuppliableFECGroup(f))
-	for _, d := range doctoredAcceptTables(f) {
+	for _, d := range append(doctoredAcceptTables(f), doctoredTemplates(f)...) {
 		f.Add(d.snap)
 	}
 	for _, snap := range snaps {

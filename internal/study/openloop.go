@@ -3,6 +3,7 @@ package study
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"realtracer/internal/detrand"
@@ -74,10 +75,13 @@ type arrivalCell struct {
 	members []int  // indices into World.Users this cell owns
 	busy    []bool // template occupancy, indexed like members
 	cursor  int    // round-robin template scan position
+	// ports counts the ephemeral ports each template's host has handed out,
+	// for a template that holds no bundle; a held bundle's stack counts on.
+	ports []int
 
-	// bundles are the per-template session machinery, built on a
-	// template's first arrival and reused for every arrival after it —
-	// the free-list behind the zero-allocation session lifecycle.
+	// bundles are the session machinery each template holds, indexed like
+	// members: leased from the shard's factory when its session launches,
+	// nil again once the template is free and the bundle quiescent.
 	bundles []*sessionBundle
 
 	cands []workload.Candidate // per-pick scratch (single-owner state)
@@ -188,19 +192,20 @@ func (c *arrivalCell) arrive() {
 	c.scheduleArrival()
 }
 
-// sessionBundle is one template's reusable session machinery: the tracer
-// (with its player engine and packet arena), the transport stack the tracer
-// was built on, the session RNG, and the plan/playlist scratch. It is built
-// on the template's first arrival and leased — never rebuilt — on every
-// arrival after that: the RNG is reseeded, the tracer Reset, and the scratch
-// rewritten in place.
+// sessionBundle is one live session's machinery: the tracer (with its player
+// engine and packet arena), the transport stack the tracer was built on, the
+// session RNG, and the plan/playlist scratch. Bundles follow concurrency, not
+// the template pool: a shard's factory builds one only when a launch finds
+// none idle, and any template of the shard may lease it next. bind rewrites
+// what names the template; the RNG is reseeded, the tracer Reset, and the
+// scratch rewritten in place.
 // finish and depart both converge on endSession exactly once: finish is
 // the tracer walking off the end of its drawn playlist, depart is the
 // mid-stream hangup that tears the host out from under in-flight packets.
 type sessionBundle struct {
-	cell *arrivalCell
-	mi   int // index into cell.members/busy/bundles
-	idx  int // index into World.Users
+	cell *arrivalCell // with mi, the template the bundle is bound to
+	mi   int          // index into cell.members/busy/ports/bundles
+	idx  int          // index into World.Users
 
 	rng      *detrand.Rand
 	tr       *tracer.Tracer
@@ -225,45 +230,82 @@ type sessionBundle struct {
 	drops []*dropArm
 }
 
+// quiescent reports whether the bundle holds nothing the clock can reach: no
+// dial in flight, no timer armed, its conns closed.
+func (b *sessionBundle) quiescent() bool {
+	return b.stack.DialsInFlight() == 0 && b.tr.Idle()
+}
+
+// bind binds b to template mi of cell c. Everything of a bundle that names
+// its template is rewritten here or read through it: the stack's host, whose
+// port counter goes on from the template's; the drop arms' name, which a
+// fabric read for the last time at +L of the previous session's end, a window
+// before the bundle came free at +2L; and, through idx, the rater's user and
+// the selection hook's. Tracer.Reset installs the tracer's user at launch.
+func (b *sessionBundle) bind(c *arrivalCell, mi int) {
+	b.cell, b.mi, b.idx = c, mi, c.members[mi]
+	name := c.f.w.Users[b.idx].Name
+	b.stack.Rebind(name, c.ports[mi])
+	for _, d := range b.drops {
+		d.name = name
+	}
+	c.bundles[mi] = b
+}
+
+// unbind frees a quiescent bundle from its template, keeping the template's
+// port counter, and puts it on its factory's idle list.
+func (b *sessionBundle) unbind() {
+	c := b.cell
+	c.ports[b.mi] = b.stack.Ports()
+	c.bundles[b.mi] = nil
+	c.f.idle = append(c.f.idle, b)
+}
+
 // departArm is the pooled handler for the mid-stream departure deadline.
 type departArm sessionBundle
 
 func (x *departArm) Fire(time.Duration) { (*sessionBundle)(x).depart() }
 
-// newBundle builds a template's bundle on its first arrival. The bound
-// method values and the selection closure here are the bundle's only
-// closure allocations, paid once per template for the run's lifetime.
-func (c *arrivalCell) newBundle(mi int, seed int64) *sessionBundle {
-	w := c.f.w
-	idx := c.members[mi]
-	u := w.Users[idx]
-	b := &sessionBundle{cell: c, mi: mi, idx: idx, rng: detrand.New(seed)}
-	b.tr, b.stack = c.f.newTracer(u, b.rng.Rand, nil, c.selectFor(u.Name), b.onRecord, b.finish)
+// newBundle builds a bundle for template mi, bound to it, when the shard has
+// none idle. The bound method values here are the bundle's only closure
+// allocations, paid once for the run's lifetime.
+func (c *arrivalCell) newBundle(mi int) *sessionBundle {
+	b := &sessionBundle{rng: detrand.New(0)}
+	var selectServer func(tracer.Entry) tracer.Entry
+	if c.policy != nil {
+		selectServer = b.selectServer
+	}
+	b.tr, b.stack = c.f.newTracer(c.f.w.Users[c.members[mi]], b.rng.Rand, nil, b.rate, selectServer, b.onRecord, b.finish)
+	b.bind(c, mi)
 	return b
 }
 
 // launchSession draws the session plan (clip count, Zipf clip picks,
-// abandonment) from the template's reseeded session RNG, attaches the
-// template's host — a fresh incarnation if this template arrived before —
-// and starts the tracer now. Reseeding the pooled RNG reproduces the
-// exact draw stream a freshly-constructed RNG would give, so the records
-// are byte-identical to the unpooled lifecycle's.
+// abandonment) from the session RNG, reseeded, attaches the template's host —
+// a fresh incarnation if this template arrived before — and starts the
+// tracer now. The template takes back a bundle it still holds (one freed
+// before it was quiescent), or else leases one. Reseeding the pooled RNG
+// reproduces the exact draw stream a freshly-constructed RNG would give, so
+// the records are byte-identical to the unpooled lifecycle's.
 func (c *arrivalCell) launchSession(mi int) {
 	w := c.f.w
-	idx := c.members[mi]
-	u := w.Users[idx]
+	u := w.Users[c.members[mi]]
 	c.busy[mi] = true
 	c.active++
 	c.sessions++
+	c.f.live++
+	c.f.peak = max(c.f.peak, c.f.live)
 
-	seed := c.rng.Int63()
 	b := c.bundles[mi]
-	if b == nil {
-		b = c.newBundle(mi, seed)
-		c.bundles[mi] = b
+	if b != nil { // freed before it was quiescent: back off the draining list
+		i := slices.Index(c.f.draining, b)
+		c.f.draining = slices.Delete(c.f.draining, i, i+1)
+	} else if b = c.f.lease(); b != nil {
+		b.bind(c, mi)
 	} else {
-		b.rng.Seed(seed)
+		b = c.newBundle(mi)
 	}
+	b.rng.Seed(c.rng.Int63())
 	b.done, b.departed = false, false
 	b.ordinal = int64(c.ord)<<32 | int64(c.sessions)
 
@@ -274,7 +316,7 @@ func (c *arrivalCell) launchSession(mi int) {
 		b.playlist = append(b.playlist, w.Playlist[ci])
 	}
 	c.f.attach(u, b.rng.Rand)
-	b.tr.Reset(b.playlist)
+	b.tr.Reset(u, b.playlist)
 	b.departTimer = simclock.Timer{}
 	if plan.DepartAfter > 0 {
 		b.departTimer = c.f.clock.AfterHandler(plan.DepartAfter, (*departArm)(b))
@@ -282,43 +324,47 @@ func (c *arrivalCell) launchSession(mi int) {
 	b.tr.Run()
 }
 
-// selectFor builds the per-clip selection hook for one session: probe
-// every mirror (static RTT estimate plus the server's session count) and
-// re-home the entry to the policy's pick. Nil under pinned. The classic
-// engine probes the live ActiveSessions counter; a sharded cell reads its
-// shard's gossip-delayed load view instead (gossip.go) — nil and so probed
-// as 0 unless the policy is "leastloaded", the only one that reads load.
-func (c *arrivalCell) selectFor(userName string) func(tracer.Entry) tracer.Entry {
-	if c.policy == nil {
-		return nil
-	}
+// selectServer is the per-clip selection hook of a bundle whose cell runs a
+// selection policy: probe every mirror (static RTT estimate plus the
+// server's session count) and re-home the entry to the policy's pick for the
+// bound template's user. The classic engine probes the live ActiveSessions
+// counter; a sharded cell reads its shard's gossip-delayed load view instead
+// (gossip.go) — nil and so probed as 0 unless the policy is "leastloaded",
+// the only one that reads load.
+func (b *sessionBundle) selectServer(e tracer.Entry) tracer.Entry {
+	c := b.cell
 	w := c.f.w
-	return func(e tracer.Entry) tracer.Entry {
-		cands := c.cands[:0]
-		for i, site := range w.ActiveSites {
-			load := 0
-			if w.fab == nil {
-				load = w.Servers[i].ActiveSessions()
-			} else if w.loads != nil {
-				load = w.loads[c.shard][i]
-			}
-			cands = append(cands, workload.Candidate{
-				Host: site.Host,
-				Home: site.Host == e.Site.Host,
-				RTT:  c.f.net.BaseRTT(userName, site.Host),
-				Load: load,
-			})
+	userName := w.Users[b.idx].Name
+	cands := c.cands[:0]
+	for i, site := range w.ActiveSites {
+		load := 0
+		if w.fab == nil {
+			load = w.Servers[i].ActiveSessions()
+		} else if w.loads != nil {
+			load = w.loads[c.shard][i]
 		}
-		c.cands = cands // keep the grown scratch for the next pick
-		pick := c.policy.Pick(userName, cands)
-		site := w.ActiveSites[pick]
-		if site.Host == e.Site.Host {
-			return e
-		}
-		e.ControlAddr = replaceHost(e.ControlAddr, site.Host)
-		e.Site = site
+		cands = append(cands, workload.Candidate{
+			Host: site.Host,
+			Home: site.Host == e.Site.Host,
+			RTT:  c.f.net.BaseRTT(userName, site.Host),
+			Load: load,
+		})
+	}
+	c.cands = cands // keep the grown scratch for the next pick
+	pick := c.policy.Pick(userName, cands)
+	site := w.ActiveSites[pick]
+	if site.Host == e.Site.Host {
 		return e
 	}
+	e.ControlAddr = replaceHost(e.ControlAddr, site.Host)
+	e.Site = site
+	return e
+}
+
+// rate is the bound template's user rating a clip, on the session RNG.
+func (b *sessionBundle) rate(rec *trace.Record) float64 {
+	r := rater{user: b.cell.f.w.Users[b.idx], rng: b.rng.Rand}
+	return r.rate(rec)
 }
 
 // replaceHost swaps the host component of a "host:port" address. Every
@@ -401,7 +447,7 @@ func (c *arrivalCell) endSession(b *sessionBundle) {
 		for _, srv := range w.Servers {
 			srv.DropClient(name)
 		}
-		c.busy[b.mi] = false
+		c.free(b)
 		return
 	}
 	now := c.f.clock.Now()
@@ -418,11 +464,18 @@ func (c *arrivalCell) endSession(b *sessionBundle) {
 	c.f.clock.AfterHandler(2*L, (*freeArm)(b))
 }
 
-// freeArm is the pooled handler that returns a sharded template to the
-// idle pool at departure+2L (see endSession).
+// free returns the template b serves to the idle pool and b to its factory.
+func (c *arrivalCell) free(b *sessionBundle) {
+	c.busy[b.mi] = false
+	c.f.live--
+	c.f.release(b)
+}
+
+// freeArm is the pooled handler that frees a sharded template at
+// departure+2L (see endSession).
 type freeArm sessionBundle
 
 func (x *freeArm) Fire(time.Duration) {
 	b := (*sessionBundle)(x)
-	b.cell.busy[b.mi] = false
+	b.cell.free(b)
 }

@@ -91,6 +91,7 @@ func (w *World) buildCells() ([]*arrivalCell, error) {
 			arrivalsLeft: budgets[ci],
 			members:      members,
 			busy:         make([]bool, len(members)),
+			ports:        make([]int, len(members)),
 			bundles:      make([]*sessionBundle, len(members)),
 		})
 	}

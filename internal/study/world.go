@@ -364,7 +364,7 @@ func (w *World) launchUsers(masterRNG *rand.Rand) {
 		if opt.ClipCap > 0 && n > opt.ClipCap {
 			n = opt.ClipCap
 		}
-		tr, stack := f.newTracer(u, userRNG.Rand, w.Playlist[:n], nil,
+		tr, stack := f.newTracer(u, userRNG.Rand, w.Playlist[:n], newRater(u, userRNG.Rand).rate, nil,
 			f.observe,
 			func() { w.remaining-- })
 		start := time.Duration(userRNG.Int63n(int64(staggerWindow)))

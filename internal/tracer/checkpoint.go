@@ -19,12 +19,12 @@ func init() {
 }
 
 // Sync walks the tracer's session progress. The playlist, user and hooks
-// are template state the world rebuilds deterministically from its Options;
-// only the walk position, the in-flight clip's identity (which SelectServer
-// may have re-homed) and the player engine are in the snapshot.
+// are the owner's, which the world rebuilds deterministically from its
+// Options; only the walk position, the in-flight clip's identity (which
+// SelectServer may have re-homed) and the player engine are in the snapshot.
 //
-// Decoding overlays the walk onto a template-built Tracer (fresh from New
-// with the same Config the original had, playlist installed). The arena
+// Decoding overlays the walk onto an owner-built Tracer (fresh from New with
+// the same Config the original had, user and playlist installed). The arena
 // restores empty: checkpointed packets and frames are carried by value
 // elsewhere, so arena cells hold no restored state and refill as the session
 // proceeds.

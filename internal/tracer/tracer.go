@@ -97,14 +97,15 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Reset rewires the Tracer for a fresh playlist pass, reusing the player,
-// the arena and the session's config. Only the playlist changes between
-// the sessions a pooled Tracer serves; everything else in Config — clock,
-// net, user, RNG, hooks — is template-bound and stays. The caller must
-// have stopped the previous pass first (Abort, or natural completion).
-func (t *Tracer) Reset(playlist []Entry) {
+// Reset rewires the Tracer for a fresh playlist pass by user u, reusing the
+// player, the arena and the rest of the config. Only the user and the
+// playlist change between the sessions a pooled Tracer serves; clock, net,
+// RNG and hooks are bound to the Tracer's owner, which rebinds whatever of
+// them names a user. The caller must have stopped the previous pass first
+// (Abort, or natural completion).
+func (t *Tracer) Reset(u *geo.User, playlist []Entry) {
 	t.pause.Cancel()
-	t.cfg.Playlist = playlist
+	t.cfg.User, t.cfg.Playlist = u, playlist
 	t.idx, t.played, t.rated = 0, 0, 0
 	t.stopped = false
 }
@@ -130,6 +131,12 @@ func (t *Tracer) Abort() {
 	if t.pl != nil {
 		t.pl.Abort()
 	}
+}
+
+// Idle reports whether the session is over and holds nothing the clock can
+// reach: no think-time pause armed, and an idle player.
+func (t *Tracer) Idle() bool {
+	return !t.pause.Armed() && (t.pl == nil || t.pl.Idle())
 }
 
 // tracerArm is the pooled timer handler for the inter-clip pause: a

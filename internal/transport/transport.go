@@ -97,7 +97,7 @@ type Stack struct {
 	clock   *simclock.Clock
 	host    string
 	hostID  netsim.HostID
-	next    int       // next ephemeral port
+	next    int       // the last ephemeral port handed out
 	ackFree []*tcpAck // recycled ACKs (released by whoever reads them last)
 	// segs is the segment pool every conn of this host leases from
 	// (transit.go).
@@ -155,11 +155,28 @@ type tcpListener struct {
 	accept func(Conn)
 }
 
+// firstEphemeral is where a host's ephemeral port counter starts: its first
+// conn gets the port after it.
+const firstEphemeral = 10000
+
 // NewStack binds a stack to a host previously added to the network.
 func NewStack(n *netsim.Network, host string) *Stack {
-	return &Stack{net: n, clock: n.Clock, host: host, hostID: n.Intern(host), next: 10000,
-		listeners: make(map[int]*tcpListener)}
+	s := &Stack{net: n, clock: n.Clock, listeners: make(map[int]*tcpListener)}
+	s.Rebind(host, 0)
+	return s
 }
+
+// Rebind moves the stack to host, which has handed out ports ephemeral ports
+// before: an open-loop world leases one client stack to whichever template
+// arrives next. Ports advance per host name, so every address is the one a
+// stack of the host's own would give. The stack must hold nothing of its
+// previous host: no dial in flight, no conn open.
+func (s *Stack) Rebind(host string, ports int) {
+	s.host, s.hostID, s.next = host, s.net.Intern(host), firstEphemeral+ports
+}
+
+// Ports reports how many ephemeral ports the stack's host has handed out.
+func (s *Stack) Ports() int { return s.next - firstEphemeral }
 
 // ackFreeMax bounds a stack's ACK free-list; anything beyond it goes to the
 // garbage collector instead of pinning memory for the world's lifetime.
