@@ -108,23 +108,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"41499bd235c76210f3aeb89f69a990f72719036fdc5591bd3089e3bb8a40ce7f"},
+		"c6c4aae66499df79a010435bd159489d9a5e6c2b989b6d469a1e942dd40212c3"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "1e598cc7c03ee16870de27b90e9c59ae797adf86fa15298db7596463b2f97136"},
+	}, "59f8a9b804642fe05a5709489d1b5b2a25d0b81c43823b126a7e73eef2ec9c0d"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "d8288d30f5fea0b80dae96adca40fddfa83084a4a2678c181c43abfa8692381e"},
+	}, "9083c7e192169982ffbecf60d9d156fefc71af4fcdbc93ea628a9b488e4df2ac"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "34b9b9d31db65ae382f1e9e16d720fe1e876ff59c906e533fa5529dae4bfe83a"},
+	{"churnheavy", churnHeavy, "c7b2d31dff38b3208b4c659d3ff6a927af615b9b9cdb08a974bddab071513b9e"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
