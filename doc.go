@@ -77,11 +77,13 @@
 // allocation, so its object counts are exact); the perf trajectory is the
 // history table in README's benchmark section and cmd/bench's record.
 //
-// The session lifecycle is pooled one level above the packet path: each
-// open-loop user template owns a session bundle — tracer, player, packet
-// arena, transport stack, plan/playlist scratch — built on
-// the template's first arrival and leased on every arrival after it, with
-// Reset methods walking the contract down the stack (tracer, player,
+// The session lifecycle is pooled one level above the packet path: an
+// open-loop session runs on a session bundle — tracer, player, packet arena,
+// transport stack, plan/playlist scratch — leased from its shard's idle list
+// at launch and bound to the arriving template (the stack's host and port
+// counter, the tracer's user), so bundles follow the sessions in flight, not
+// the template pool; a bundle goes idle again only once nothing of it is
+// armed. Reset methods walk the contract down the stack (tracer, player,
 // media.FrameSource, the server's streamSession free-list, netsim's
 // recycled host slots and path states). Reset cancels timers
 // (generation-checked handles make stale ones inert), clears storage in

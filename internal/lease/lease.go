@@ -7,13 +7,13 @@ package lease
 
 import "unsafe"
 
-// Chunk is the most cells carved per backing allocation, and chunkBytes the
-// most bytes: a pool of large cells carves fewer at a time, so an owner that
-// ever needs one pins a few hundred bytes, not 64 cells' worth.
-const (
-	Chunk      = 64
-	chunkBytes = 4 << 10
-)
+// Chunk is the most cells carved per backing allocation.
+const Chunk = 64
+
+// chunkBytes is the most bytes carved per backing allocation: a pool of large
+// cells carves fewer at a time, so an owner that ever needs one pins a few
+// kilobytes, not 64 cells' worth.
+const chunkBytes = 4 << 10
 
 // Pool hands out zeroed cells of T: released ones first, most recent first,
 // then the uncarved remainder of the newest chunk — so a pool grows to its
@@ -33,8 +33,7 @@ func (p *Pool[T]) Get() *T {
 		return c
 	}
 	if len(p.rest) == 0 {
-		var zero T
-		p.rest = make([]T, min(max(chunkBytes/int(unsafe.Sizeof(zero)), 1), Chunk))
+		p.rest = make([]T, min(max(chunkBytes/int(unsafe.Sizeof(*new(T))), 1), Chunk))
 	}
 	c := &p.rest[0]
 	p.rest = p.rest[1:]

@@ -354,25 +354,22 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 		c.Bool(&cell.busy[mi])
 		held := cell.bundles[mi] != nil
 		c.Bool(&held)
-		if !held {
-			c.Int(&cell.ports[mi])
-		}
-		if c.Reading() && c.Err() == nil && !held && (cell.busy[mi] || cell.ports[mi] < 0) {
-			c.Fail(fmt.Errorf("study: checkpoint template %s is busy=%v with no bundle and %d ports handed out",
-				w.Users[cell.members[mi]].Name, cell.busy[mi], cell.ports[mi]))
-		}
-		if c.Err() != nil {
-			return
-		}
 		if cell.busy[mi] {
 			busy++
 		}
 		if !held {
+			c.Int(&cell.ports[mi])
+			if c.Reading() && c.Err() == nil && (cell.busy[mi] || cell.ports[mi] < 0) {
+				c.Fail(fmt.Errorf("study: checkpoint template %s is busy=%v with no bundle and %d ports handed out",
+					w.Users[cell.members[mi]].Name, cell.busy[mi], cell.ports[mi]))
+			}
 			continue
 		}
 		if c.Reading() {
-			cell.newBundle(mi)
-			if !cell.busy[mi] {
+			if c.Err() != nil {
+				return
+			}
+			if cell.newBundle(mi); !cell.busy[mi] {
 				cell.f.draining = append(cell.f.draining, cell.bundles[mi])
 			}
 		}

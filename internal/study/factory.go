@@ -2,6 +2,7 @@ package study
 
 import (
 	"math/rand"
+	"slices"
 
 	"realtracer/internal/geo"
 	"realtracer/internal/netsim"
@@ -53,15 +54,7 @@ type SessionFactory struct {
 // lease hands out an idle bundle, or nil when there is none. Draining bundles
 // that have gone quiescent since they were freed become idle first.
 func (f *SessionFactory) lease() *sessionBundle {
-	keep := f.draining[:0]
-	for _, b := range f.draining {
-		if b.quiescent() {
-			b.unbind()
-		} else {
-			keep = append(keep, b)
-		}
-	}
-	f.draining = keep
+	f.draining = slices.DeleteFunc(f.draining, (*sessionBundle).settle)
 	k := len(f.idle) - 1
 	if k < 0 {
 		return nil
@@ -75,9 +68,7 @@ func (f *SessionFactory) lease() *sessionBundle {
 // is quiescent, else draining. It is never cancelled into quiescence: what
 // it still has armed fires as it would have.
 func (f *SessionFactory) release(b *sessionBundle) {
-	if b.quiescent() {
-		b.unbind()
-	} else {
+	if !b.settle() {
 		f.draining = append(f.draining, b)
 	}
 }

@@ -238,27 +238,29 @@ func (b *sessionBundle) quiescent() bool {
 
 // bind binds b to template mi of cell c. Everything of a bundle that names
 // its template is rewritten here or read through it: the stack's host, whose
-// port counter goes on from the template's; the drop arms' name, which a
-// fabric read for the last time at +L of the previous session's end, a window
-// before the bundle came free at +2L; and, through idx, the rater's user and
-// the selection hook's. Tracer.Reset installs the tracer's user at launch.
+// port counter goes on from the template's, and, through idx, the user of the
+// rater, of the selection hook and of the drop arms — which a fabric's other
+// shards read for the last time at +L of the previous session's end, a window
+// before the bundle came free at +2L. Tracer.Reset installs the tracer's user
+// at launch.
 func (b *sessionBundle) bind(c *arrivalCell, mi int) {
 	b.cell, b.mi, b.idx = c, mi, c.members[mi]
-	name := c.f.w.Users[b.idx].Name
-	b.stack.Rebind(name, c.ports[mi])
-	for _, d := range b.drops {
-		d.name = name
-	}
+	b.stack.Rebind(c.f.w.Users[b.idx].Name, c.ports[mi])
 	c.bundles[mi] = b
 }
 
-// unbind frees a quiescent bundle from its template, keeping the template's
-// port counter, and puts it on its factory's idle list.
-func (b *sessionBundle) unbind() {
+// settle frees a quiescent bundle from its template, keeping the template's
+// port counter, and puts it on its factory's idle list. It reports whether
+// the bundle was quiescent.
+func (b *sessionBundle) settle() bool {
+	if !b.quiescent() {
+		return false
+	}
 	c := b.cell
 	c.ports[b.mi] = b.stack.Ports()
 	c.bundles[b.mi] = nil
 	c.f.idle = append(c.f.idle, b)
+	return true
 }
 
 // departArm is the pooled handler for the mid-stream departure deadline.
@@ -271,11 +273,7 @@ func (x *departArm) Fire(time.Duration) { (*sessionBundle)(x).depart() }
 // allocations, paid once for the run's lifetime.
 func (c *arrivalCell) newBundle(mi int) *sessionBundle {
 	b := &sessionBundle{rng: detrand.New(0)}
-	var selectServer func(tracer.Entry) tracer.Entry
-	if c.policy != nil {
-		selectServer = b.selectServer
-	}
-	b.tr, b.stack = c.f.newTracer(c.f.w.Users[c.members[mi]], b.rng.Rand, nil, b.rate, selectServer, b.onRecord, b.finish)
+	b.tr, b.stack = c.f.newTracer(c.f.w.Users[c.members[mi]], b.rng.Rand, nil, b.rate, b.selectServer, b.onRecord, b.finish)
 	b.bind(c, mi)
 	return b
 }
@@ -324,15 +322,18 @@ func (c *arrivalCell) launchSession(mi int) {
 	b.tr.Run()
 }
 
-// selectServer is the per-clip selection hook of a bundle whose cell runs a
-// selection policy: probe every mirror (static RTT estimate plus the
-// server's session count) and re-home the entry to the policy's pick for the
-// bound template's user. The classic engine probes the live ActiveSessions
-// counter; a sharded cell reads its shard's gossip-delayed load view instead
-// (gossip.go) — nil and so probed as 0 unless the policy is "leastloaded",
-// the only one that reads load.
+// selectServer is a bundle's per-clip selection hook: probe every mirror
+// (static RTT estimate plus the server's session count) and re-home the entry
+// to the policy's pick for the bound template's user; under pinned, keep it.
+// The classic engine probes the live ActiveSessions counter; a sharded cell
+// reads its shard's gossip-delayed load view instead (gossip.go) — nil and so
+// probed as 0 unless the policy is "leastloaded", the only one that reads
+// load.
 func (b *sessionBundle) selectServer(e tracer.Entry) tracer.Entry {
 	c := b.cell
+	if c.policy == nil {
+		return e
+	}
 	w := c.f.w
 	userName := w.Users[b.idx].Name
 	cands := c.cands[:0]
@@ -363,8 +364,7 @@ func (b *sessionBundle) selectServer(e tracer.Entry) tracer.Entry {
 
 // rate is the bound template's user rating a clip, on the session RNG.
 func (b *sessionBundle) rate(rec *trace.Record) float64 {
-	r := rater{user: b.cell.f.w.Users[b.idx], rng: b.rng.Rand}
-	return r.rate(rec)
+	return (&rater{user: b.cell.f.w.Users[b.idx], rng: b.rng.Rand}).rate(rec)
 }
 
 // replaceHost swaps the host component of a "host:port" address. Every
@@ -455,7 +455,7 @@ func (c *arrivalCell) endSession(b *sessionBundle) {
 	if b.drops == nil {
 		b.drops = make([]*dropArm, 0, len(w.Servers))
 		for _, srv := range w.Servers {
-			b.drops = append(b.drops, &dropArm{srv: srv, name: name})
+			b.drops = append(b.drops, &dropArm{srv: srv, b: b})
 		}
 	}
 	for si, d := range b.drops {

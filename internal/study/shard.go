@@ -163,13 +163,14 @@ func assignShards(cells []*arrivalCell, shards int) {
 }
 
 // dropArm posts a departed client's server-side teardown to the server's
-// shard (see arrivalCell.endSession).
+// shard (see arrivalCell.endSession). It fires at +L, while the bundle is
+// still bound to the departed template.
 type dropArm struct {
-	srv  *server.Server
-	name string
+	srv *server.Server
+	b   *sessionBundle
 }
 
-func (d *dropArm) Fire(time.Duration) { d.srv.DropClient(d.name) }
+func (d *dropArm) Fire(time.Duration) { d.srv.DropClient(d.b.cell.f.w.Users[d.b.idx].Name) }
 
 // mergeShardRecords sorts the concatenated per-shard record streams into
 // the partition-invariant output order: the observable keys first, then the
