@@ -54,6 +54,8 @@ type SessionFactory struct {
 // lease hands out an idle bundle, or nil when there is none. Draining bundles
 // that have gone quiescent since they were freed become idle first.
 func (f *SessionFactory) lease() *sessionBundle {
+	// DeleteFunc asks each draining bundle once, in order; settle idles the
+	// quiescent ones as it drops them.
 	f.draining = slices.DeleteFunc(f.draining, (*sessionBundle).settle)
 	k := len(f.idle) - 1
 	if k < 0 {
