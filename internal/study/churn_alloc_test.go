@@ -212,8 +212,8 @@ func TestOpenLoopChurnDeterministic(t *testing.T) {
 
 // TestOpenLoopBundlesAreReused: the free-list actually frees — a run with
 // more sessions than templates finishes with at most one bundle per
-// template, every one quiescent. One bundle serving several time-disjoint sessions is
-// the lifecycle the alloc budget above depends on.
+// template, every one quiescent. One bundle serving several time-disjoint
+// sessions is the lifecycle the alloc budget above depends on.
 func TestOpenLoopBundlesAreReused(t *testing.T) {
 	w, err := NewWorld(churnOpts())
 	if err != nil {
