@@ -105,7 +105,7 @@ type World struct {
 	// stacks, tracers and start timers NewWorld creates, kept addressable
 	// so a snapshot can persist their positions and a restore can overlay
 	// them. The server slices align with Servers/ActiveSites, panel with
-	// Users; an open-loop template's are on its sessionBundle.
+	// Users; an open-loop session's are on the sessionBundle it runs on.
 	serverRNGs   []*detrand.Rand
 	serverStacks []*transport.Stack
 	panel        []panelUser
