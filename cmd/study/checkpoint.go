@@ -39,20 +39,16 @@ func checkpointFlagError(set map[string]bool) string {
 				return fmt.Sprintf("-%s would override the snapshot's own options; -resume replays them exactly (fork via the campaign API instead)", dep)
 			}
 		}
-		for _, mode := range []string{"sweep", "timeline"} {
-			if set[mode] {
-				return fmt.Sprintf("-resume is incompatible with -%s: a snapshot replays one full study world", mode)
-			}
+		if set["sweep"] {
+			return "-resume is incompatible with -sweep: a snapshot replays one full study world"
 		}
 	}
 	if set["checkpoint"] {
 		if set["shards"] {
 			return "-checkpoint cannot snapshot a sharded world; drop -shards"
 		}
-		for _, mode := range []string{"sweep", "timeline"} {
-			if set[mode] {
-				return fmt.Sprintf("-checkpoint is incompatible with -%s: a snapshot captures one full study world", mode)
-			}
+		if set["sweep"] {
+			return "-checkpoint is incompatible with -sweep: a snapshot captures one full study world"
 		}
 	}
 	return ""

@@ -11,17 +11,18 @@ import (
 	"realtracer/internal/study"
 )
 
+func setOf(names ...string) map[string]bool {
+	m := map[string]bool{}
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
+}
+
 // TestCheckpointFlagValidation pins the dependent-flag rule for the
 // checkpoint cluster: a flag that positions or overrides another is a hard
 // error without its governing flag.
 func TestCheckpointFlagValidation(t *testing.T) {
-	setOf := func(names ...string) map[string]bool {
-		m := map[string]bool{}
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
-	}
 	cases := []struct {
 		name string
 		set  map[string]bool
@@ -53,6 +54,60 @@ func TestCheckpointFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(msg, tc.want) {
 				t.Fatalf("want error containing %q, got %q", tc.want, msg)
+			}
+		})
+	}
+}
+
+// TestModeFlagValidation pins the refusals that come before any world is
+// built: an unknown -figure, and a flag that -sites, -timeline, -figure
+// fig01 or -sweep would ignore. None of them builds the study world the
+// other flags describe; -seed is the one world flag they all read, and
+// -sweep reads -users and -clips too.
+func TestModeFlagValidation(t *testing.T) {
+	cases := []struct {
+		name   string
+		set    map[string]bool
+		figure string
+		want   string // substring of the error, "" = legal
+	}{
+		{"figure", setOf("figure", "users"), "fig05", ""},
+		{"figure with its world", setOf("figure", "workload", "arrivals", "out", "checkpoint", "warmup"), "fig28", ""},
+		{"unknown figure", setOf("figure", "workload", "users", "clips", "arrivals"), "fig99", `unknown figure "fig99"`},
+		{"sites", setOf("sites", "seed"), "", ""},
+		{"sites with users", setOf("sites", "users"), "", "-sites prints the geography of -seed, so it would ignore -users; drop it"},
+		{"sites with workload", setOf("sites", "workload"), "", "ignore -workload"},
+		{"sites with timeline", setOf("sites", "timeline"), "", "ignore -timeline"},
+		{"timeline", setOf("timeline", "seed"), "", ""},
+		{"timeline with json", setOf("timeline", "json"), "", "-timeline runs the Figure-1 session at -seed, so it would ignore -json"},
+		{"timeline with out", setOf("timeline", "out"), "", "ignore -out"},
+		{"timeline with figures", setOf("timeline", "figures"), "", "ignore -figures"},
+		{"timeline with dynamics", setOf("timeline", "dynamics"), "", "ignore -dynamics"},
+		{"timeline with checkpoint", setOf("timeline", "checkpoint", "warmup"), "", "ignore -checkpoint"},
+		{"timeline with resume", setOf("timeline", "resume"), "", "ignore -resume"},
+		{"fig01", setOf("figure", "seed"), "fig01", ""},
+		{"fig01 with out", setOf("figure", "out", "dynamics"), "fig01", "-figure fig01 runs the Figure-1 session at -seed, so it would ignore -out"},
+		{"fig01 with checkpoint", setOf("figure", "checkpoint", "warmup"), "fig01", "ignore -checkpoint"},
+		{"fig01 with shards", setOf("figure", "workload", "shards"), "fig01", "ignore -workload"},
+		{"sweep", setOf("sweep", "seed", "users", "clips", "parallel"), "", ""},
+		{"sweep with figure", setOf("sweep", "figure"), "fig05", "-sweep runs its own scenarios over -seed, -users and -clips, so it would ignore -figure"},
+		{"sweep with figures", setOf("sweep", "figures"), "", "ignore -figures"},
+		{"sweep with json", setOf("sweep", "json"), "", "ignore -json"},
+		{"sweep with dynamics", setOf("sweep", "dynamics", "intensity"), "", "ignore -dynamics"},
+		{"sweep with workload", setOf("sweep", "workload", "selection"), "", "ignore -workload"},
+		{"sweep with timeline", setOf("sweep", "timeline"), "", "-timeline runs the Figure-1 session at -seed, so it would ignore -sweep"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			msg := modeFlagError(tc.set, tc.figure)
+			if tc.want == "" {
+				if msg != "" {
+					t.Fatalf("legal combination rejected: %s", msg)
+				}
+				return
+			}
+			if !strings.Contains(msg, tc.want) || strings.Contains(msg, "\n") {
+				t.Fatalf("want one line containing %q, got %q", tc.want, msg)
 			}
 		})
 	}

@@ -16,7 +16,10 @@
 // (the stand-in for the paper's map Figures 3 and 4). -sweep runs a named
 // multi-scenario campaign (seed replicas or an ablation) through the
 // parallel campaign engine; -parallel bounds its worker pool (0 = all
-// cores). `-sweep list` enumerates the registered sweeps.
+// cores). `-sweep list` enumerates the registered sweeps. None of these
+// four modes builds the study world the other flags describe, so an output,
+// figure, snapshot or world-shaping flag a mode does not read is an error,
+// as is an unknown -figure; both are caught before anything runs.
 //
 // There is one record pipeline. Every record leaves the world through its
 // sink, and the sink here is a mergeable figure-aggregate build (plus, with
@@ -86,7 +89,9 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"realtracer/internal/campaign"
@@ -141,7 +146,10 @@ func main() {
 		}
 	}
 	if msg := checkpointFlagError(set); msg != "" {
-		fatalf("%s", msg)
+		fatalf("study: %s", msg)
+	}
+	if msg := modeFlagError(set, *figure); msg != "" {
+		fatalf("study: %s", msg)
 	}
 
 	if *cpuprofile != "" {
@@ -201,15 +209,6 @@ func main() {
 		return
 	}
 	if *sweep != "" {
-		if *out != "" || *jsonOut != "" || *figure != "" || *figuresAll || *timeline {
-			fatalf("-sweep is incompatible with -out/-json/-figure/-figures/-timeline")
-		}
-		if *dynamics != "" {
-			fatalf("-sweep is incompatible with -dynamics: the fault-injection sweep families (outage, flashcrowd, lossburst, diurnal) set their own profiles")
-		}
-		if *workloadName != "" || *selection != "" {
-			fatalf("-sweep is incompatible with -workload/-selection: the open-loop sweep families (selection, churn) set their own workloads")
-		}
 		// Unless -seed was given explicitly, sweeps run at the seed-9
 		// calibration base the ablation benches record, not the study
 		// default of 1.
@@ -255,6 +254,39 @@ func main() {
 	default:
 		printSummary(agg, res)
 	}
+}
+
+// modeFlagError refuses what the command would otherwise ignore: an unknown
+// -figure, caught before any world is built, and a flag beside a mode that
+// never reads it. -sites prints the geography of -seed, -timeline (or -figure
+// fig01) runs the Figure-1 session at -seed, and -sweep runs its own
+// scenarios over -seed, -users and -clips: none of them builds the study
+// world that the output, figure, snapshot and world-shaping flags describe.
+// Returns "" when the combination is legal.
+func modeFlagError(set map[string]bool, figure string) string {
+	if _, ok := figures.ByID(figure); figure != "" && figure != "fig01" && !ok {
+		return fmt.Sprintf("unknown figure %q (fig01..fig28; -figures renders them all)", figure)
+	}
+	var mode, own string
+	var reads []string
+	switch {
+	case set["sites"]:
+		mode, own = "-sites prints the geography of -seed", "sites"
+	case set["timeline"]:
+		mode, own = "-timeline runs the Figure-1 session at -seed", "timeline"
+	case figure == "fig01":
+		mode, own = "-figure fig01 runs the Figure-1 session at -seed", "figure"
+	case set["sweep"]:
+		mode, own, reads = "-sweep runs its own scenarios over -seed, -users and -clips", "sweep", []string{"users", "clips"}
+	default:
+		return ""
+	}
+	for _, f := range strings.Fields("sites timeline figure figures out json sweep checkpoint warmup resume users clips dynamics intensity workload load arrivals selection shards") {
+		if set[f] && f != own && !slices.Contains(reads, f) {
+			return fmt.Sprintf("%s, so it would ignore -%s; drop it", mode, f)
+		}
+	}
+	return ""
 }
 
 // studyRun is one single-study invocation: the world to run (built from

@@ -153,11 +153,12 @@
 // BenchmarkWorkloadSharded).
 //
 // A running world is also snapshottable: World.Checkpoint serializes the
-// complete simulation state — simclock time and pending timers (through a
-// typed-event registry; each registered event kind is re-armed by its one
-// owner, and every event the engine schedules is one, so the snapshot is
-// cut at exactly the instant asked for and Checkpoint does not advance the
-// world), in-flight packets and per-path weather, TCP dials in flight and
+// complete simulation state — simclock time and pending timers (each walked
+// and re-armed by its one owner, and every event the engine schedules has
+// one, so the snapshot is cut at exactly the instant asked for and
+// Checkpoint does not advance the world; the walk counts what the owners
+// persisted, and an event no owner walked, or two did, fails it by name),
+// in-flight packets and per-path weather, TCP dials in flight and
 // connections mid-transfer with
 // segment-object sharing preserved for live senders (each host's transport
 // stack walks the conns its listeners accepted and hands each back to the

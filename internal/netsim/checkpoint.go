@@ -18,10 +18,6 @@ import (
 // and the draw counts of the two RNG streams. Packet payloads are opaque to
 // netsim — the transport layer injects the payload walk.
 
-func init() {
-	simclock.RegisterEventKind("netsim.packet", &Packet{})
-}
-
 // PayloadSync walks one opaque packet payload netsim carries by reference:
 // it encodes *payload, or decodes into it. The transport layer provides the
 // implementation; netsim cannot depend on it.
@@ -260,10 +256,6 @@ func (n *Network) SyncPackets(c *snap.Codec, payload PayloadSync) {
 	if !c.Reading() {
 		for _, pe := range n.Clock.Pendings() {
 			if pkt, ok := pe.Handler.(*Packet); ok && pkt.net == n {
-				if pkt.edge {
-					c.Fail(fmt.Errorf("netsim: sharded-world packet (at the WAN edge) in classic checkpoint"))
-					return
-				}
 				pkts = append(pkts, pe)
 			}
 		}
@@ -280,8 +272,7 @@ func (n *Network) SyncPackets(c *snap.Codec, payload PayloadSync) {
 			pe = pkts[i]
 			pkt = pe.Handler.(*Packet)
 		}
-		c.Dur(&pe.At)
-		c.U64(&pe.Seq)
+		n.Clock.SyncEvent(c, &pe)
 		snap.StrAs(c, &pkt.From)
 		snap.StrAs(c, &pkt.To)
 		snap.I64As(c, &pkt.FromID)

@@ -3,23 +3,14 @@ package player
 import (
 	"fmt"
 
-	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
 	"realtracer/internal/vclock"
 )
 
 // The player's six timer handlers are converted-pointer types over Player
-// itself, so each registers as its own persistable event kind; a pending
-// timer serializes as (kind, At, seq) owned by the player record.
-func init() {
-	simclock.RegisterEventKind("player.idle", (*idleArm)(nil))
-	simclock.RegisterEventKind("player.nack", (*nackArm)(nil))
-	simclock.RegisterEventKind("player.report", (*reportArm)(nil))
-	simclock.RegisterEventKind("player.frame", (*frameArm)(nil))
-	simclock.RegisterEventKind("player.underrun", (*underrunArm)(nil))
-	simclock.RegisterEventKind("player.timeup", (*timeUpArm)(nil))
-}
+// itself; the player record walks each pending timer as (At, seq) beside
+// its own fields, and decoding re-arms it with the same handler.
 
 // Sync walks the complete mid-session player: the handshake state machine
 // (plain-data pending kinds, and which dial it is waiting on — the dial
@@ -30,7 +21,7 @@ func init() {
 // cap, durations).
 //
 // Decoding rebuilds the session onto p, which must be fresh from New or
-// Reset with the owner-supplied environment (Clock, Net, CPU, Rand, Arena,
+// Reset with the owner-supplied environment (Clock, Net, CPU, Rand,
 // OnDone, DisableScalableVideo); the snapshot supplies the session-scoped
 // Config scalars and all mutable state. Connections restore through the
 // host's stack and register in x for segment references.

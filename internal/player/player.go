@@ -88,10 +88,6 @@ type Config struct {
 	DisableScalableVideo bool
 	// Rand drives decode-time noise; a default source is used when nil.
 	Rand *rand.Rand
-	// Arena backs the packets the player sends; each comes back to it when
-	// its last reader releases it (see rdt.Arena). When nil the player owns
-	// one internally.
-	Arena *rdt.Arena
 	// OnDone receives the final statistics (always non-nil) and an error
 	// for sessions that failed outright. The *Stats is owned by the player
 	// and reused on Reset: consumers must copy what they keep.
@@ -196,10 +192,11 @@ type Player struct {
 	dialing  uint8
 	dialAddr string
 
-	// arena backs sent packets (reports, buffer state, NACKs). ownArena is
-	// the lazily-created fallback when the Config does not supply one.
-	arena    *rdt.Arena
-	ownArena *rdt.Arena
+	// arena backs sent packets (reports, buffer state, NACKs); each comes
+	// back to it when its last reader releases it (see rdt.Arena). New
+	// creates it and Reset keeps it, so a packet an earlier session minted
+	// stays valid until its last reader lets go.
+	arena *rdt.Arena
 
 	// Receive path. partials is a small linear-scan set: at most a handful
 	// of frames are mid-assembly at once (streams interleave, fragments of
@@ -293,7 +290,7 @@ func (x *timeUpArm) Fire(time.Duration)    { (*Player)(x).timeUp() }
 
 // New builds a Player; Start launches it.
 func New(cfg Config) *Player {
-	p := &Player{pending: make(map[int]uint8)}
+	p := &Player{pending: make(map[int]uint8), arena: &rdt.Arena{}}
 	p.recvControl, p.recvData = p.onControl, p.onData
 	p.descBuf.Encodings = make([]session.EncodingDesc, 0, len(media.SureStreamLadder()))
 	p.init(cfg)
@@ -304,14 +301,14 @@ func New(cfg Config) *Player {
 // grown storage: the map keeps its buckets, the emptied FEC window and NACK
 // ledger their rings, the frame heap, partial set, playout record and scratch
 // slices keep their backing arrays, the Stats record is cleared in place, and
-// the bound receivers, parse scratch and idle dial continuations stay. Stale
-// state cannot leak across the reset: timers are cancelled (and generation
-// checks make any already-recycled handle inert), the epoch bump disarms
-// in-flight dial callbacks,
-// and every other field is rebuilt through the struct literal, so a
-// recycled player can never observe its predecessor's FEC window, NACK
-// ledger or decode-chain state. The caller must not Reset a player whose
-// session is still live — finish or Abort it first.
+// the bound receivers, parse scratch, idle dial continuations and packet
+// arena stay. Stale state cannot leak across the reset: timers are cancelled
+// (and generation checks make any already-recycled handle inert), the epoch
+// bump disarms in-flight dial callbacks, and every other field is rebuilt
+// through the struct literal, so a recycled player can never observe its
+// predecessor's FEC window, NACK ledger or decode-chain state. The caller
+// must not Reset a player whose session is still live — finish or Abort it
+// first.
 func (p *Player) Reset(cfg Config) {
 	p.cancelTimers()
 	clear(p.pending)
@@ -333,7 +330,7 @@ func (p *Player) Reset(cfg Config) {
 		playTimes:       p.playTimes[:0],
 		lowSeqs:         p.lowSeqs[:0],
 		nackScratch:     p.nackScratch[:0],
-		ownArena:        p.ownArena,
+		arena:           p.arena,
 	}
 	p.stats = Stats{PlayoutGaps: gaps, Timeline: timeline}
 	p.init(cfg)
@@ -356,13 +353,6 @@ func (p *Player) init(cfg Config) {
 	p.state = "setup"
 	p.stats.URL, p.stats.Server, p.stats.Protocol = cfg.URL, cfg.ControlAddr, cfg.Protocol
 	p.st = &p.stats
-	p.arena = cfg.Arena
-	if p.arena == nil {
-		if p.ownArena == nil {
-			p.ownArena = &rdt.Arena{}
-		}
-		p.arena = p.ownArena
-	}
 }
 
 // cancelTimers disarms every pending callback. Generation checks in the

@@ -9,7 +9,6 @@ import (
 	"realtracer/internal/media"
 	"realtracer/internal/ratecontrol"
 	"realtracer/internal/rdt"
-	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
 	"realtracer/internal/vclock"
@@ -19,7 +18,7 @@ import (
 //
 //   - the availability/diagnostic counters and the session ID cursor;
 //   - every streaming session: transport conns, rate controller, frame
-//     source cursor, pace/check timers as (At, seq) records, the
+//     source cursor, its pace/check timers as (At, seq) records, the
 //     retransmit window's headers, where the open FEC group starts and
 //     SureStream switching state.
 //
@@ -36,11 +35,6 @@ import (
 // Decoding overlays onto a freshly started server (Start must have run: the
 // stack's walk hands conns to its listeners, and UDP conn views are rebuilt
 // from the bound data port), building conns on the server host's stack.
-
-func init() {
-	simclock.RegisterEventKind("server.pace", (*paceArm)(nil))
-	simclock.RegisterEventKind("server.check", (*checkArm)(nil))
-}
 
 // sessOrder extracts the numeric part of a "sess-N" ID so sessions serialize
 // in creation order — the order that makes byDataAddr's latest-wins rebuild

@@ -1,8 +1,9 @@
 package simclock
 
 import (
+	"cmp"
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -12,43 +13,30 @@ import (
 // This file is the scheduler half of the world-checkpoint seam: the clock's
 // scalar state (now, seq, fired) can be read and restored, the pending
 // queue can be enumerated as (At, seq, handler) records and re-armed with
-// the original sequence numbers, and a registry of EventHandler types
-// declares which handlers a checkpoint knows how to persist.
+// the original sequence numbers.
 //
-// The contract: every pending event at checkpoint time must have a handler
-// of a registered type. Each registered type has exactly one owner in the
-// serialized world state (a connection's RTO, a dial's timeout, a session's
-// pace tick, an in-flight packet, ...); the owner walks the event's (At, seq)
-// alongside its own fields with SyncTimer, which re-arms it on restore. A
-// handler type nobody registered — a test's func-typed handler, say — is
-// refused by CheckPersistable.
+// The contract: every pending event at checkpoint time has exactly one owner
+// in the serialized world state (a connection's RTO, a dial's timeout, a
+// session's pace tick, an in-flight packet, ...). The owner walks the event's
+// (At, seq) alongside its own fields — a held timer with SyncTimer, a packet
+// found through Pendings with SyncEvent — which re-arms it on restore. The
+// encoding walk is itself the check: both calls record the event they
+// persist, and CheckOwned, run after the walk, fails the snapshot on the
+// first pending event that no owner persisted, or that two did. An event
+// nobody owns — a test's func-typed handler, an arm nothing walks — would
+// otherwise vanish on resume.
 //
 // Restored events keep their original (At, seq) pairs and the clock's seq
 // counter resumes from the checkpointed value, so the firing order after a
 // resume — and the seq of every event scheduled later — is bit-identical to
 // the straight-through run.
 
-// eventKinds maps registered EventHandler concrete types to their stable
-// names. Registration happens in package init functions, so the map is
-// read-only by the time any clock runs.
-var eventKinds = map[reflect.Type]string{}
-
-// RegisterEventKind declares that handlers of proto's concrete type are
-// persisted by some owner in a world checkpoint. name is the stable label
-// used in diagnostics. Registering the same type twice panics.
-func RegisterEventKind(name string, proto EventHandler) {
-	t := reflect.TypeOf(proto)
-	if prev, ok := eventKinds[t]; ok {
-		panic(fmt.Sprintf("simclock: event kind %v already registered as %q", t, prev))
-	}
-	eventKinds[t] = name
-}
-
 // PendingEvent is one live scheduled event as seen by a checkpoint walk.
 type PendingEvent struct {
 	At      time.Duration
 	Seq     uint64
 	Handler EventHandler
+	e       *Event // for SyncEvent's record of what the walk persisted
 }
 
 // Pendings returns every live pending event in seq order (scheduling
@@ -60,7 +48,7 @@ func (c *Clock) Pendings() []PendingEvent {
 		if e == nil || e.off {
 			return
 		}
-		out = append(out, PendingEvent{At: e.At, Seq: e.seq, Handler: e.h})
+		out = append(out, PendingEvent{At: e.At, Seq: e.seq, Handler: e.h, e: e})
 	}
 	for _, e := range c.near {
 		add(e)
@@ -77,23 +65,12 @@ func (c *Clock) Pendings() []PendingEvent {
 	return out
 }
 
-// CheckPersistable verifies the clock is in a checkpointable state: every
-// pending handler's concrete type registered via RegisterEventKind. The
-// error names the first offender. It reads the queue and changes nothing.
-func (c *Clock) CheckPersistable() error {
-	for _, p := range c.Pendings() {
-		if _, ok := eventKinds[reflect.TypeOf(p.Handler)]; !ok {
-			return fmt.Errorf("simclock: pending event at %v (seq %d) has unregistered handler type %T", p.At, p.Seq, p.Handler)
-		}
-	}
-	return nil
-}
-
 // Sync walks the clock's scalar state — virtual time, the scheduling
 // sequence counter, the fired-event count — under the "clock" tag. Decoding
 // wipes every pending event and positions the clock at the snapshot's
 // instant with an empty queue whose near window ends at the tick boundary at
 // or below it; each owner then re-arms its own events through SyncTimer.
+// Encoding begins the walk that CheckOwned ends.
 func (c *Clock) Sync(sc *snap.Codec) {
 	now := c.now
 	sc.Tag("clock")
@@ -105,6 +82,7 @@ func (c *Clock) Sync(sc *snap.Codec) {
 	sc.U64(&c.seq)
 	sc.U64(&c.fired)
 	if !sc.Reading() {
+		c.owned = c.owned[:0]
 		return
 	}
 	c.live = 0
@@ -123,7 +101,9 @@ func (c *Clock) Sync(sc *snap.Codec) {
 // Fired, cancelled and zero timers encode as unarmed — exactly the states in
 // which re-arming would be wrong. Decoding re-arms h.Fire at the original
 // (At, seq) slot, so the restored event fires in the exact order the
-// original would have.
+// original would have. Encoding records the event as persisted, and fails sc
+// when h is not the handler the event will fire: the restore would re-arm
+// another.
 func (c *Clock) SyncTimer(sc *snap.Codec, t *Timer, h EventHandler) {
 	at, seq, armed := t.When()
 	sc.Bool(&armed)
@@ -135,8 +115,49 @@ func (c *Clock) SyncTimer(sc *snap.Codec, t *Timer, h EventHandler) {
 	}
 	sc.Dur(&at)
 	sc.U64(&seq)
-	if sc.Reading() {
+	switch {
+	case sc.Reading():
 		*t = c.Rearm(sc, at, seq, h)
+	case t.e.h != h:
+		sc.Fail(fmt.Errorf("simclock: pending event at %v (seq %d) with handler type %T is walked as a timer of %T", at, seq, t.e.h, h))
+	default:
+		c.owned = append(c.owned, t.e)
+	}
+}
+
+// SyncEvent walks the (At, seq) slot of a pending event that its owner found
+// through Pendings rather than holding a Timer, as an in-flight packet's
+// network does. Encoding records the event as persisted; decoding fills pe's
+// At and Seq, and the owner re-arms the event with Rearm once it has rebuilt
+// the handler.
+func (c *Clock) SyncEvent(sc *snap.Codec, pe *PendingEvent) {
+	sc.Dur(&pe.At)
+	sc.U64(&pe.Seq)
+	if !sc.Reading() {
+		c.owned = append(c.owned, pe.e)
+	}
+}
+
+// CheckOwned ends an encoding walk begun by Sync: it fails sc on the first
+// pending event, in seq order, that the walk persisted other than exactly
+// once, naming its handler type, At and seq. An event no owner walked would
+// be dropped on resume, and one two owners walked would be re-armed twice.
+// Decoding checks nothing: every restored event was re-armed by its owner.
+func (c *Clock) CheckOwned(sc *snap.Codec) {
+	owned := c.owned
+	c.owned = nil
+	if sc.Reading() || sc.Err() != nil {
+		return
+	}
+	slices.SortFunc(owned, func(a, b *Event) int { return cmp.Compare(a.seq, b.seq) })
+	for _, p := range c.Pendings() {
+		n := 0
+		for ; len(owned) > 0 && owned[0] == p.e; owned = owned[1:] {
+			n++
+		}
+		if n != 1 {
+			sc.Fail(fmt.Errorf("simclock: pending event at %v (seq %d) with handler type %T is persisted by %d owners, want 1", p.At, p.Seq, p.Handler, n))
+		}
 	}
 }
 

@@ -10,8 +10,8 @@
 // Fire method — scheduled on a pooled Event. Events live on a free-list and
 // are recycled after they fire or are reaped, so steady-state scheduling
 // allocates nothing, and because a handler is a typed object rather than a
-// closure, every pending event of a registered kind can be written into a
-// world checkpoint and re-armed from one (checkpoint.go).
+// closure, every pending event can be written into a world checkpoint by the
+// object that owns it and re-armed from one (checkpoint.go).
 //
 // The pending-event queue is one ring of 131µs tick slots spanning ~4.29s,
 // with a far heap behind it for later events: insertion and re-arm are O(1)
@@ -118,6 +118,9 @@ type Clock struct {
 	// checks, RTO, gossip), the schedule reuses this slot directly instead
 	// of a free-list release/obtain round-trip.
 	firing *Event
+	// owned lists the events an encoding walk has persisted so far, for
+	// CheckOwned (checkpoint.go); nil outside a walk.
+	owned []*Event
 
 	// Event queue. Exact order comes from the near heap, which holds exactly
 	// the events with At < nearEnd; everything else is at or beyond nearEnd,

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// fireFunc adapts a closure to an EventHandler. Its type is not a registered
-// event kind, so a clock holding one is not checkpointable.
+// fireFunc adapts a closure to an EventHandler. A closure is nobody's state,
+// so an owner can persist one only by finding it through Pendings.
 type fireFunc func()
 
 func (f fireFunc) Fire(time.Duration) { f() }

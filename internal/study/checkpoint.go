@@ -19,7 +19,6 @@
 package study
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"hash/fnv"
@@ -27,16 +26,10 @@ import (
 	"strconv"
 
 	"realtracer/internal/session"
-	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
 )
-
-func init() {
-	simclock.RegisterEventKind("study.arrive", (*arriveArm)(nil))
-	simclock.RegisterEventKind("study.depart", (*departArm)(nil))
-}
 
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
@@ -213,32 +206,26 @@ func hashBytes(b []byte) uint64 {
 // Checkpoint serializes the world's full simulation state into out, cut at
 // the instant the clock stands at. It fires no event and changes nothing, so
 // the world stays runnable afterwards — checkpointing mid-run and continuing
-// is exactly the warm-fork producer loop. Writes to out are buffered here.
+// is exactly the warm-fork producer loop.
 //
-// Only the classic engine is checkpointable (sharded worlds spread their
-// state across goroutines), and only under a sink that walks itself into the
-// snapshot (trace.SnapSink: a Collector its records, figures.Aggregates its
-// accumulators). A sink that cannot — a CSV writer or a SinkFunc has already
-// let the prefix's records go — is an error naming its type.
+// The walk is the only check: whatever it cannot persist fails it by name,
+// and out receives nothing unless the whole walk succeeded. Only the classic
+// engine is checkpointable (netsim refuses a sharded network), only under a
+// sink that walks itself into the snapshot (trace.SyncSink refuses the rest:
+// a CSV writer or a SinkFunc has already let the prefix's records go), and
+// only when every pending event has exactly one owner that walks it
+// (simclock.Clock.CheckOwned).
 func (w *World) Checkpoint(out io.Writer) error {
-	if w.fab != nil {
-		return fmt.Errorf("study: sharded worlds cannot be checkpointed")
-	}
-	if _, ok := w.sink.(trace.SnapSink); !ok {
-		return fmt.Errorf("study: sink of type %T cannot be snapshotted", w.sink)
-	}
-	if err := w.Clock.CheckPersistable(); err != nil {
-		return err
-	}
-
-	buf := bufio.NewWriter(out)
-	c := snap.NewEncoder(buf)
+	var buf bytes.Buffer
+	c := snap.NewEncoder(&buf)
 	syncHeader(c, &w.Options)
 	w.sync(c, nil, true)
+	w.Clock.CheckOwned(c)
 	if err := c.Err(); err != nil {
 		return err
 	}
-	return buf.Flush()
+	_, err := out.Write(buf.Bytes())
+	return err
 }
 
 // sync is the one walk of a world's simulation state, in snapshot order:

@@ -712,6 +712,64 @@ func TestCheckpointRejectsUnsupportedWorlds(t *testing.T) {
 	}
 }
 
+// fireFunc adapts a closure to an EventHandler: an event nothing in a world
+// owns.
+type fireFunc func()
+
+func (f fireFunc) Fire(time.Duration) { f() }
+
+// TestCheckpointRefusesUnownedEvents: the walk is the check. Every pending
+// event must be persisted by exactly one owner; one that no owner walks would
+// vanish on resume, and one that two owners walk would be re-armed twice.
+// Each arm plants one such event in a world that checkpoints cleanly without
+// it, and Checkpoint must fail naming the event's handler type and owner
+// count, with nothing written.
+func TestCheckpointRefusesUnownedEvents(t *testing.T) {
+	arms := []struct {
+		name  string
+		world func(t *testing.T) *World
+		want  string
+	}{
+		{"closure", func(t *testing.T) *World {
+			w := worldAt(t, fenceWorlds[0].opt, time.Minute)
+			w.Clock.AfterHandler(time.Second, fireFunc(func() {}))
+			return w
+		}, "handler type study.fireFunc is persisted by 0 owners"},
+		// A departure armed for a session's bundle, but not through the
+		// bundle's departTimer: the bundle walks a timer that is not this one.
+		{"stray departure", func(t *testing.T) *World {
+			w := fenceWorld(t, fenceWorlds[1].opt)
+			for _, b := range w.open.cells[0].bundles {
+				if b != nil {
+					w.Clock.AfterHandler(time.Minute, (*departArm)(b))
+					return w
+				}
+			}
+			t.Fatal("set-up: no template holds a bundle at the cut")
+			return nil
+		}, "handler type *study.departArm is persisted by 0 owners"},
+		// One participant reachable from two panel slots: its start timer is
+		// walked twice (and the second slot's own start by nobody).
+		{"two owners", func(t *testing.T) *World {
+			w, err := NewWorld(fenceWorlds[0].opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.panel[1] = w.panel[0]
+			return w
+		}, "handler type *tracer.Tracer is persisted by 2 owners"},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			w := arm.world(t)
+			var out bytes.Buffer
+			if err := w.Checkpoint(&out); err == nil || !strings.Contains(err.Error(), arm.want) || out.Len() != 0 {
+				t.Fatalf("want %q and nothing written, got %v and %d bytes", arm.want, err, out.Len())
+			}
+		})
+	}
+}
+
 // dialsInFlight counts the TCP dials in flight anywhere in w. Only user
 // stacks dial.
 func dialsInFlight(w *World) int {

@@ -302,7 +302,6 @@ var syncExempt = map[string]string{
 	"player.Player.nackScratch": "per-flush scratch",
 	"player.Player.descBuf":     "DESCRIBE parse scratch; the session's description is the walked desc",
 	"player.Player.waits":       "idle dial continuations; a dial in flight is walked by its stack and re-attached by the player",
-	"player.Player.ownArena":    "fallback packet storage",
 	"netsim.Packet.pooled":      "allocation provenance; restored packets come from the pool",
 	"transport.tcpAck.origin":   "free-list provenance; a restored ACK is garbage-collected instead",
 
@@ -320,10 +319,12 @@ var syncExempt = map[string]string{
 	"simclock.Clock.occ":                 "ring occupancy bitmap, rebuilt by re-arming",
 	"simclock.Clock.occSum":              "summary of the ring occupancy bitmap, rebuilt by re-arming",
 	"simclock.Clock.ringN":               "count of ring-chained events, rebuilt by re-arming",
+	"simclock.Clock.owned":               "an encoding walk's record of the events it persisted, for CheckOwned; nil outside a walk",
 	"netsim.Network.ids":                 "inverse of the walked names table",
 	"netsim.Network.frozen":              "sharded worlds only",
 	"netsim.Network.pathSeed":            "sharded worlds only",
 	"netsim.Network.shardIdx":            "sharded worlds only",
+	"netsim.Packet.edge":                 "sharded worlds only: the network's walk refuses a sharded network",
 	"netsim.Network.routes":              "static route table",
 	"netsim.HostConfig.Name":             "the walked names table at the host's walked ID",
 	"netsim.host.upBps":                  "derived from the walked access profile",
@@ -355,15 +356,13 @@ var syncExempt = map[string]string{
 	"media.FrameSource.clip":             "rebuilt by Reset from the session's clip and walked encIdx",
 	"media.FrameSource.enc":              "rebuilt by Reset",
 	"media.FrameSource.scenes":           "the clip's, laid out on its first playout; pointed at by Reset",
-	"player.Player.arena":                "packet storage supplied by the owner",
+	"player.Player.arena":                "packet storage; restore starts it empty",
 	"player.Config.Clock":                "owner-supplied environment",
 	"player.Config.Net":                  "owner-supplied environment",
 	"player.Config.Rand":                 "owner-supplied environment",
-	"player.Config.Arena":                "owner-supplied environment",
 	"player.Config.CPU":                  "owner-supplied environment",
 	"player.Config.DisableScalableVideo": "ablation knob the tracer never sets",
 	"tracer.Tracer.cfg":                  "owner wiring, see tracer.Config",
-	"tracer.Tracer.arena":                "packet storage; restore starts it empty",
 	"study.World.Sites":                  "static",
 	"study.World.Users":                  "static",
 	"study.World.Playlist":               "static",

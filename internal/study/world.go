@@ -88,8 +88,9 @@ type World struct {
 	//   - the run loop (Run): Fabric.Run's windows, or Clock.Step;
 	//   - the record merge and Result.Windows (Run): per-shard buffers
 	//     sorted into the sink, the fabric's window counters reported;
-	//   - the RunUntil and Checkpoint refusals: a sharded world can be
-	//     neither partially driven nor snapshotted yet (ROADMAP item 3b).
+	//   - the RunUntil refusal: a sharded world cannot be partially driven
+	//     yet (ROADMAP item 3b). Checkpoint has no test of its own: the
+	//     network's walk refuses a sharded world.
 	fab *netsim.Fabric
 	// factories holds one SessionFactory per shard; the classic world's
 	// only one is factories[0].

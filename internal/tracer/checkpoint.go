@@ -4,19 +4,14 @@ import (
 	"fmt"
 
 	"realtracer/internal/player"
-	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
 	"realtracer/internal/vclock"
 )
 
-// Two event kinds belong to the tracer: the not-yet-started session (the
-// world arms the Tracer itself at its start instant) and the inter-clip
-// think-time pause.
-func init() {
-	simclock.RegisterEventKind("tracer.run", (*Tracer)(nil))
-	simclock.RegisterEventKind("tracer.pause", (*tracerArm)(nil))
-}
+// Two of a session's events fire the tracer: the not-yet-started session
+// (the world arms the Tracer itself at its start instant, and walks that
+// timer) and the inter-clip think-time pause, which the tracer walks.
 
 // Sync walks the tracer's session progress. The playlist, user and hooks
 // are the owner's, which the world rebuilds deterministically from its
@@ -24,10 +19,10 @@ func init() {
 // SelectServer may have re-homed) and the player engine are in the snapshot.
 //
 // Decoding overlays the walk onto an owner-built Tracer (fresh from New with
-// the same Config the original had, user and playlist installed). The arena
-// restores empty: checkpointed packets and frames are carried by value
-// elsewhere, so arena cells hold no restored state and refill as the session
-// proceeds.
+// the same Config the original had, user and playlist installed). The
+// player's arena restores empty: checkpointed packets and frames are carried
+// by value elsewhere, so arena cells hold no restored state and refill as the
+// session proceeds.
 func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
 	c.Tag("tracer")
 	c.Int(&t.idx)
@@ -61,7 +56,6 @@ func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 			Net:    t.cfg.Net,
 			CPU:    player.PCClasses()[t.cfg.User.PCClass],
 			Rand:   t.cfg.Rand,
-			Arena:  &t.arena,
 			OnDone: t.onDone,
 		})
 	}

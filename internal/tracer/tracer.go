@@ -11,7 +11,6 @@ import (
 	"realtracer/internal/geo"
 	"realtracer/internal/netsim"
 	"realtracer/internal/player"
-	"realtracer/internal/rdt"
 	"realtracer/internal/session"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
@@ -56,8 +55,8 @@ type Config struct {
 	OnFinished func()
 }
 
-// Tracer runs one user's session. A Tracer owns a single player engine and
-// a packet arena that it recycles clip after clip — and, via
+// Tracer runs one user's session. A Tracer owns a single player engine,
+// packet arena included, that it recycles clip after clip — and, via
 // Reset, session after session — so a long churn of sessions through one
 // Tracer stops allocating once its working set has grown.
 type Tracer struct {
@@ -68,14 +67,12 @@ type Tracer struct {
 	stopped bool
 
 	// pl is the single player engine, built lazily on the first clip and
-	// Reset for every clip after that. onDone is the bound method value
-	// handed to the player once, instead of one closure per clip.
+	// Reset for every clip after that, so the packets one clip mints stay
+	// valid in its arena until their last reader releases them. onDone is
+	// the bound method value handed to the player once, instead of one
+	// closure per clip.
 	pl     *player.Player
 	onDone func(*player.Stats, error)
-
-	// arena backs the packets every clip's player mints: one minted by an
-	// earlier clip stays valid until its last reader releases it (rdt.Arena).
-	arena rdt.Arena
 
 	// pause is the armed inter-clip think-time timer; Abort cancels it so
 	// a recycled Tracer leaves nothing behind on the clock.
@@ -98,7 +95,7 @@ func New(cfg Config) *Tracer {
 }
 
 // Reset rewires the Tracer for a fresh playlist pass by user u, reusing the
-// player, the arena and the rest of the config. Only the user and the
+// player (and its arena) and the rest of the config. Only the user and the
 // playlist change between the sessions a pooled Tracer serves; clock, net,
 // RNG and hooks are bound to the Tracer's owner, which rebinds whatever of
 // them names a user. The caller must have stopped the previous pass first
@@ -204,7 +201,6 @@ func (t *Tracer) next() {
 		Preroll:          t.cfg.Preroll,
 		CPU:              player.PCClasses()[t.cfg.User.PCClass],
 		Rand:             t.cfg.Rand,
-		Arena:            &t.arena,
 		OnDone:           t.onDone,
 	}
 	if t.pl == nil {

@@ -8,7 +8,6 @@ import (
 
 	"realtracer/internal/netsim"
 	"realtracer/internal/seqwin"
-	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 )
 
@@ -50,12 +49,6 @@ import (
 //
 // Application payloads nested in segments and datagrams are opaque here; the
 // session layer supplies the AppSync.
-
-func init() {
-	simclock.RegisterEventKind("transport.tcp-rto", &simTCP{})
-	simclock.RegisterEventKind("transport.dial-timeout", (*dialTimeoutArm)(nil))
-	simclock.RegisterEventKind("transport.dial-retry", (*dialRetryArm)(nil))
-}
 
 // AppSync walks one application payload carried inside a transport frame
 // (RTSP messages, RDT packets, data hellos): it encodes *payload, or decodes

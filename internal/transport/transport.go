@@ -312,8 +312,8 @@ type tcpDial struct {
 var dialRetryAfter = [...]time.Duration{2 * time.Second, 5 * time.Second}
 
 // The dial's timer handlers are the tcpDial itself under distinct named
-// types, like the conn's RTO: arming boxes nothing, and each is its own
-// checkpointable event kind.
+// types, like the conn's RTO: arming boxes nothing, and the stack walks each
+// timer with the handler it was armed with.
 type (
 	dialTimeoutArm tcpDial
 	dialRetryArm   tcpDial

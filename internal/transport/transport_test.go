@@ -8,8 +8,8 @@ import (
 	"realtracer/internal/simclock"
 )
 
-// fireFunc adapts a closure to a simclock.EventHandler. Its type is not a
-// registered event kind, so a world holding one is not checkpointable.
+// fireFunc adapts a closure to a simclock.EventHandler. No owner walks one,
+// so a world holding one is not checkpointable.
 type fireFunc func()
 
 func (f fireFunc) Fire(time.Duration) { f() }
