@@ -18,7 +18,7 @@ import (
 //
 //   - the availability/diagnostic counters and the session ID cursor;
 //   - every streaming session: transport conns, rate controller, frame
-//     source cursor, its pace/check timers as (At, seq) records, the
+//     source cursor, pace/check timers as (At, seq) records, the
 //     retransmit window's headers, where the open FEC group starts and
 //     SureStream switching state.
 //
