@@ -8,6 +8,8 @@ package geo
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"realtracer/internal/netsim"
@@ -235,15 +237,40 @@ func PopulationN(seed int64, n int) []*User {
 	}
 	counts := apportion(n)
 	rng := rand.New(rand.NewSource(seed))
-	var users []*User
+	// One backing array for the users and one string for every name: a
+	// population costs a handful of allocations, not a few per user.
+	cells := make([]User, n)
+	users := make([]*User, n)
+	var names strings.Builder
+	names.Grow(n * 32) // "userNN." and a country, sanitized
+	num := make([]byte, 0, 20)
 	i := 0
 	for pi, plan := range plans {
 		for u := 0; u < counts[pi]; u++ {
-			user := &User{
-				Name:    fmt.Sprintf("user%02d.%s", i, sanitize(plan.country)),
-				Country: plan.country,
-				Region:  plan.region,
+			// "userNN.country": NN zero-padded to two digits, the country
+			// lower-cased with everything but letters and digits dropped. The
+			// builder never rewrites what it holds, so each name is a slice
+			// of what it has built so far.
+			from := names.Len()
+			names.WriteString("user")
+			if i < 10 {
+				names.WriteByte('0')
 			}
+			names.Write(strconv.AppendInt(num[:0], int64(i), 10))
+			names.WriteByte('.')
+			for _, r := range []byte(plan.country) {
+				switch {
+				case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
+					names.WriteByte(r)
+				case r >= 'A' && r <= 'Z':
+					names.WriteByte(r + 'a' - 'A')
+				}
+			}
+			user := &cells[i]
+			user.Name = names.String()[from:]
+			user.Country = plan.country
+			user.Region = plan.region
+			users[i] = user
 			i++
 			if plan.country == "US" {
 				user.State = pickState(rng)
@@ -258,23 +285,9 @@ func PopulationN(seed int64, n int) []*User {
 			user.ClipsToRate = pickRateCount(rng, user.ClipsToPlay)
 			user.RatingAnchor = 2.5 + rng.Float64()*5 // centres spread over 2.5-7.5
 			user.RatesAVTogether = rng.Float64() < 0.5
-			users = append(users, user)
 		}
 	}
 	return users
-}
-
-func sanitize(country string) string {
-	out := make([]rune, 0, len(country))
-	for _, r := range country {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			out = append(out, r)
-		case r >= 'A' && r <= 'Z':
-			out = append(out, r+'a'-'A')
-		}
-	}
-	return string(out)
 }
 
 func pickState(rng *rand.Rand) string {

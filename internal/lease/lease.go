@@ -1,7 +1,9 @@
-// Package lease is the free-list behind every pooled packet cell: the packet
-// structs of an rdt.Arena and the segments of a transport.Stack. A cell is
-// leased with Get and handed back, once, with Put by whoever read it last;
-// who that is, and what stops a second Put, is the owning package's rule
+// Package lease is the free-list behind every pooled cell: the packet structs
+// of an rdt.Arena and the segments of a transport.Stack lease from a Pool, and
+// the owners that keep their own free-list — the clock's events, the network's
+// packets, a shard's transit copies — carve from a Carver. A cell is leased
+// with Get and handed back, once, with Put by whoever read it last; who that
+// is, and what stops a second Put, is the owning package's rule
 // (netsim/transit.go states it).
 package lease
 
@@ -15,10 +17,35 @@ const Chunk = 64
 // kilobytes, not 64 cells' worth.
 const chunkBytes = 4 << 10
 
+// Carver hands out zeroed cells of T that nobody has had before, carved from
+// chunks of up to Chunk cells and chunkBytes bytes: one allocation per chunk,
+// not per cell. Recycling is the owner's business. The zero Carver is ready
+// to use; it is single-threaded.
+type Carver[T any] struct {
+	rest   []T // uncarved cells of the newest chunk
+	carved int // cells ever carved
+}
+
+// New carves a zeroed cell.
+func (k *Carver[T]) New() *T {
+	if len(k.rest) == 0 {
+		k.rest = make([]T, min(max(chunkBytes/int(unsafe.Sizeof(*new(T))), 1), Chunk))
+	}
+	c := &k.rest[0]
+	k.rest = k.rest[1:]
+	k.carved++
+	return c
+}
+
+// Carved reports how many cells have ever been carved: the growth audit.
+func (k *Carver[T]) Carved() int { return k.carved }
+
 // Pool hands out zeroed cells of T: released ones first, most recent first,
 // then the uncarved remainder of the newest chunk — so a pool grows to its
 // owner's working set and stops. The zero Pool is ready to use; it is
-// single-threaded, like everything else behind one simulated clock.
+// single-threaded, like everything else behind one simulated clock. It
+// carves as a Carver does, in place: a packet leases cells on every hop, and
+// Get stays within the inliner's budget only without the call.
 type Pool[T any] struct {
 	free   []*T
 	rest   []T // uncarved cells of the newest chunk

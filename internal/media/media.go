@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -70,7 +72,9 @@ type Clip struct {
 	Content ContentType
 	// Duration is the full media length.
 	Duration time.Duration
-	// Encodings is sorted ascending by TotalKbps: the SureStream set.
+	// Encodings is sorted ascending by TotalKbps: the SureStream set. A
+	// generated clip's is a capped run of the shared ladder: read it, never
+	// write it.
 	Encodings []Encoding
 	// ScalableVideo marks clips encoded with the Scalable Video Technology
 	// option, letting the player degrade frame rate gracefully on slow
@@ -329,31 +333,45 @@ func SureStreamLadder() []Encoding {
 // served its lowest (still unsustainable) encoding — a major source of the
 // slideshow-rate playouts in Figure 12.
 func GenerateClip(url, title string, content ContentType, dur time.Duration, minKbps, maxKbps float64, seed int64) *Clip {
-	var encs []Encoding
-	for _, e := range surestreamLadder {
-		if e.TotalKbps >= minKbps && e.TotalKbps <= maxKbps {
-			encs = append(encs, e)
-		}
-	}
-	if len(encs) == 0 {
-		// Degenerate range: carry the single rung closest to minKbps.
-		best := surestreamLadder[0]
-		for _, e := range surestreamLadder {
-			if e.TotalKbps <= minKbps {
-				best = e
-			}
-		}
-		encs = []Encoding{best}
-	}
-	return &Clip{
+	c := new(Clip)
+	c.generate(url, title, content, dur, minKbps, maxKbps, seed)
+	return c
+}
+
+// generate fills c as GenerateClip describes.
+func (c *Clip) generate(url, title string, content ContentType, dur time.Duration, minKbps, maxKbps float64, seed int64) {
+	*c = Clip{
 		URL:           url,
 		Title:         title,
 		Content:       content,
 		Duration:      dur,
-		Encodings:     encs,
+		Encodings:     ladderRange(minKbps, maxKbps),
 		ScalableVideo: true,
 		Seed:          seed,
 	}
+}
+
+// ladderRange returns the ladder rungs in [minKbps, maxKbps] — a contiguous
+// run, the ladder being sorted — as a sub-slice of the ladder itself, capped
+// so that nothing can append into it. A degenerate range carries the single
+// rung closest to minKbps.
+func ladderRange(minKbps, maxKbps float64) []Encoding {
+	lo, hi, best := -1, 0, 0
+	for i, e := range surestreamLadder {
+		if e.TotalKbps >= minKbps && e.TotalKbps <= maxKbps {
+			if lo < 0 {
+				lo = i
+			}
+			hi = i + 1
+		}
+		if e.TotalKbps <= minKbps {
+			best = i
+		}
+	}
+	if lo < 0 {
+		lo, hi = best, best+1
+	}
+	return surestreamLadder[lo:hi:hi]
 }
 
 // GenerateLiveClip builds a synthetic live feed: same encodings and scene
@@ -389,8 +407,14 @@ func (l *Library) Lookup(url string) *Clip { return l.byURL[url] }
 func GenerateLibrary(host string, n int, seed int64) *Library {
 	rng := rand.New(rand.NewSource(seed))
 	genres := []ContentType{ContentNews, ContentNews, ContentNews, ContentSports, ContentMusic, ContentMovie}
-	clips := make([]*Clip, 0, n)
-	for i := 0; i < n; i++ {
+	// One backing array for the clips and one string for every URL and
+	// title: a library costs a handful of allocations, not a few per clip.
+	cells := make([]Clip, n)
+	clips := make([]*Clip, n)
+	var names strings.Builder
+	names.Grow(n * (2*len(host) + 40)) // the rest of a URL and title, seven-digit numbers included
+	ord := make([]byte, 0, 20)
+	for i := range cells {
 		content := genres[rng.Intn(len(genres))]
 		// Target-audience floor: many 2001 clips carried no modem rung.
 		var minKbps float64
@@ -422,9 +446,33 @@ func GenerateLibrary(host string, n int, seed int64) *Library {
 		}
 		// Clip lengths: "even small clips lasting several minutes".
 		dur := time.Duration(60+rng.Intn(420)) * time.Second
-		url := fmt.Sprintf("rtsp://%s/clip%03d.rm", host, i)
-		title := fmt.Sprintf("%s-%s-%03d", host, content, i)
-		clips = append(clips, GenerateClip(url, title, content, dur, minKbps, maxKbps, rng.Int63()))
+		// "rtsp://HOST/clipNNN.rm" and "HOST-GENRE-NNN", NNN zero-padded
+		// to three digits. The builder never rewrites what it holds, so each
+		// name is a slice of what it has built so far.
+		ord = ord[:0]
+		if i < 100 {
+			ord = append(ord, '0')
+		}
+		if i < 10 {
+			ord = append(ord, '0')
+		}
+		ord = strconv.AppendInt(ord, int64(i), 10)
+		from := names.Len()
+		names.WriteString("rtsp://")
+		names.WriteString(host)
+		names.WriteString("/clip")
+		names.Write(ord)
+		names.WriteString(".rm")
+		url := names.String()[from:]
+		from = names.Len()
+		names.WriteString(host)
+		names.WriteByte('-')
+		names.WriteString(content.String())
+		names.WriteByte('-')
+		names.Write(ord)
+		title := names.String()[from:]
+		cells[i].generate(url, title, content, dur, minKbps, maxKbps, rng.Int63())
+		clips[i] = &cells[i]
 	}
 	return NewLibrary(clips)
 }

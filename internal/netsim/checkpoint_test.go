@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
@@ -193,5 +195,63 @@ func TestNetworkRestoreBoundsPathTable(t *testing.T) {
 	n2.Sync(c, false, nil, nil)
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "path table") {
 		t.Fatalf("restore error = %v, want the path-table budget to refuse it", err)
+	}
+}
+
+// decodedSnapSHA pins the bytes checkpointNet writes for newCkptWorld driven
+// through 40 send ticks, as written before decoding interned strings.
+const decodedSnapSHA = "ddf1e3cc62dd0aa1c4abcf8d5f93a31c92a723d8c1a410a41615ad55466492e1"
+
+// TestDecodedStringsAreShared: a decode builds each distinct string once. The
+// in-flight packets of a restored network that name one address share one
+// copy of it — not the snapshot's bytes, which the caller may reuse — and
+// interning changes no encoded byte: the snapshot is the one written before,
+// and the restored network writes it again.
+func TestDecodedStringsAreShared(t *testing.T) {
+	w1 := newCkptWorld()
+	w1.drive(0, 40)
+	snapBytes := checkpointNet(t, w1.net)
+	if got := fmt.Sprintf("%x", sha256.Sum256(snapBytes)); got != decodedSnapSHA {
+		t.Errorf("snapshot sha256 %s, want %s", got, decodedSnapSHA)
+	}
+
+	w2 := newCkptWorld()
+	c := snap.NewDecoder(snapBytes)
+	w2.clock.Sync(c)
+	w2.net.Sync(c, true, nil, nil)
+	w2.net.SyncPackets(c, syncI64)
+	if err := c.Err(); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	first := map[Addr]*byte{}
+	inSnap := func(p *byte) bool {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(snapBytes)))
+		return uintptr(unsafe.Pointer(p)) >= lo && uintptr(unsafe.Pointer(p)) < lo+uintptr(len(snapBytes))
+	}
+	shared := 0
+	for _, pe := range w2.clock.Pendings() {
+		pkt, ok := pe.Handler.(*Packet)
+		if !ok {
+			continue
+		}
+		for _, a := range []Addr{pkt.From, pkt.To} {
+			p := unsafe.StringData(string(a))
+			if inSnap(p) {
+				t.Fatalf("address %q decodes into the snapshot's own bytes", a)
+			}
+			if q, seen := first[a]; !seen {
+				first[a] = p
+			} else if p != q {
+				t.Errorf("two restored packets name %q from separate copies", a)
+			} else {
+				shared++
+			}
+		}
+	}
+	if len(first) != 2 || shared == 0 {
+		t.Fatalf("restored packets name %d addresses with %d shared occurrences; the test needs both hosts' addresses repeated", len(first), shared)
+	}
+	if again := checkpointNet(t, w2.net); !bytes.Equal(again, snapBytes) {
+		t.Error("the restored network writes a snapshot other than the one it was restored from")
 	}
 }

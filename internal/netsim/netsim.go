@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"realtracer/internal/detrand"
+	"realtracer/internal/lease"
 	"realtracer/internal/simclock"
 )
 
@@ -272,8 +273,26 @@ func (h *host) setPort(p int32, fn Handler) {
 	if idx >= maxPortSpan {
 		return
 	}
-	for idx >= len(h.ports) {
-		h.ports = append(h.ports, nil)
+	if idx >= len(h.ports) {
+		// One step to the slot needed, not a doubling per step from one
+		// slot: a server's table spans its service port to its ephemeral
+		// ones, thousands of slots from the first. Beyond that slot it grows
+		// as append would — a small table doubles, a large one by a quarter
+		// — so a run of new ephemeral ports does not copy it each time.
+		// Slots past the length are nil: nothing writes there, and
+		// RemoveHost clears the whole table before it is reused.
+		if idx >= cap(h.ports) {
+			c := cap(h.ports)
+			if c < 256 {
+				c *= 2
+			} else {
+				c += c / 4
+			}
+			grown := make([]Handler, idx+1, max(idx+1, c))
+			copy(grown, h.ports)
+			h.ports = grown
+		}
+		h.ports = h.ports[:idx+1]
 	}
 	h.ports[idx] = fn
 }
@@ -335,10 +354,11 @@ type Network struct {
 	// — so, in a sharded world, only the source's shard — writes it.
 	rows [][]*pathState
 
-	free     []*Packet    // packet free-list
-	hostFree []*host      // detached host objects recycled by AddHost
-	pathFree []*pathState // purged path states recycled by path
-	transit  TransitPool  // shard-transit payload free-lists (transit.go)
+	free     []*Packet            // packet free-list
+	cells    lease.Carver[Packet] // carves what free cannot supply, a chunk at a time
+	hostFree []*host              // detached host objects recycled by AddHost
+	pathFree []*pathState         // purged path states recycled by path
+	transit  TransitPool          // shard-transit payload free-lists (transit.go)
 
 	dyn *dynState // nil unless SetDynamics installed a schedule
 	// dynScratch backs dynApply's pointer return; single-threaded per
@@ -511,7 +531,7 @@ func (n *Network) Stats() (sent, delivered, dropped uint64) {
 	return n.sent, n.delivered, n.dropped
 }
 
-// Obtain returns a Packet from the free-list (or a fresh one). The caller
+// Obtain returns a Packet from the free-list (or a carved one). The caller
 // fills it and hands it to Send, which releases it back to the pool on
 // delivery or drop — the steady-state per-packet path allocates nothing.
 func (n *Network) Obtain() *Packet {
@@ -520,7 +540,9 @@ func (n *Network) Obtain() *Packet {
 		n.free = n.free[:k-1]
 		return p
 	}
-	return &Packet{pooled: true}
+	p := n.cells.New()
+	p.pooled = true
+	return p
 }
 
 // release returns a pooled packet to the free-list. Caller-constructed

@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"time"
+
+	"realtracer/internal/lease"
 )
 
 // Shard-transit payload pooling.
@@ -72,7 +74,8 @@ const transitFreeMax = 4096
 // owns one; it follows the single-threaded clock discipline of everything
 // else on the Network.
 type TransitPool struct {
-	free [][]any
+	free   [][]any
+	carver []any // per class: the *lease.Carver[T] TransitGet carves from
 }
 
 // Get pops a recycled object of class c, or returns nil when the class
@@ -87,6 +90,25 @@ func (tp *TransitPool) Get(c TransitClass) any {
 		}
 	}
 	return nil
+}
+
+// TransitGet leases an object of class c: a recycled one, or else a zeroed
+// one carved from the class's newest chunk on this shard, so a pool grows a
+// chunk at a time rather than an object at a time. Every lease of a class
+// must ask for the same T.
+func TransitGet[T any](tp *TransitPool, c TransitClass) *T {
+	if v := tp.Get(c); v != nil {
+		return v.(*T)
+	}
+	for int(c) >= len(tp.carver) {
+		tp.carver = append(tp.carver, nil)
+	}
+	k, _ := tp.carver[c].(*lease.Carver[T])
+	if k == nil {
+		k = new(lease.Carver[T])
+		tp.carver[c] = k
+	}
+	return k.New()
 }
 
 // class returns class c's free-list, making room for it.
@@ -108,7 +130,7 @@ func (tp *TransitPool) Put(c TransitClass, v any) {
 // TransitCopy returns a payload sharing no mutable memory with the original
 // — value semantics at the wire, standing in for the serialization a real
 // network would perform. A pooled payload returns a deep snapshot whose
-// storage is leased from tp (falling back to allocation when the pool is
+// storage is leased from tp (TransitGet carves a chunk when the pool is
 // empty) and recycled through TransitRelease; an immutable one returns
 // itself.
 type Transferable interface {

@@ -43,13 +43,8 @@ type transitPacket struct {
 
 // TransitCopy implements netsim.Transferable.
 func (p *Packet) TransitCopy(tp *netsim.TransitPool) any {
-	var t *transitPacket
-	if v := tp.Get(transitClass); v != nil {
-		t = v.(*transitPacket)
-	} else {
-		t = &transitPacket{}
-		t.pkt.transit = t
-	}
+	t := netsim.TransitGet[transitPacket](tp, transitClass)
+	t.pkt.transit = t
 	t.leased = true
 	cp := &t.pkt
 	cp.Kind = p.Kind

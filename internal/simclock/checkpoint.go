@@ -86,8 +86,24 @@ func (c *Clock) Sync(sc *snap.Codec) {
 		return
 	}
 	c.live = 0
-	c.firing = nil
-	c.free = c.free[:0]
+	if c.firing != nil {
+		c.free = append(c.free, c.firing)
+		c.firing = nil
+	}
+	// Every event the rebuilt world armed goes back to the free-list with its
+	// generation bumped, so a Timer still held for one cancels nothing.
+	for _, q := range [][]*Event{c.near, c.far} {
+		for _, e := range q {
+			c.release(e)
+		}
+	}
+	for _, e := range c.ring[:] {
+		for e != nil {
+			nxt := e.nxt
+			c.release(e)
+			e = nxt
+		}
+	}
 	c.near = c.near[:0]
 	c.far = c.far[:0]
 	clear(c.ring[:])

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -69,5 +70,52 @@ func TestCheckOwnedCountsEveryEvent(t *testing.T) {
 		if c.Pending() != 3 || c.Fired() != 0 || c.Now() != 0 {
 			t.Fatalf("%s: the walk moved the clock: %d pending, %d fired, now %v", tc.name, c.Pending(), c.Fired(), c.Now())
 		}
+	}
+}
+
+// TestDecodeRecyclesArmedEvents: decoding a clock hands every event the
+// rebuilt world armed — in the near heap, on the ring, in the far heap,
+// cancelled or not — back to the free-list with its generation bumped, so a
+// timer still held for one cancels nothing, and what the restore arms next
+// comes from those events before any is carved.
+func TestDecodeRecyclesArmedEvents(t *testing.T) {
+	var snapshot bytes.Buffer
+	enc := snap.NewEncoder(&snapshot)
+	New().Sync(enc)
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := New()
+	h := &tick{}
+	var held []Timer
+	for _, at := range []time.Duration{0, time.Microsecond, time.Second, time.Hour} {
+		held = append(held, c.AtHandler(at, h))
+	}
+	c.AtHandler(2*time.Second, h).Cancel()
+	c.NextAt() // opens the first tick: the near heap holds some of them
+	if len(c.near) == 0 || c.ringN == 0 || len(c.far) == 0 {
+		t.Fatalf("the test needs events in every structure: near %d, ring %d, far %d", len(c.near), c.ringN, len(c.far))
+	}
+
+	dec := snap.NewDecoder(snapshot.Bytes())
+	c.Sync(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Pending() != 0 || c.FreeListLen() != 5 || c.cells.Carved() != 5 {
+		t.Fatalf("decoded clock: %d pending, %d recycled of %d carved; want 0, 5, 5", c.Pending(), c.FreeListLen(), c.cells.Carved())
+	}
+	for i := range 5 {
+		c.AtHandler(time.Duration(i)*time.Second, h)
+	}
+	for _, tm := range held {
+		if tm.Active() {
+			t.Error("a timer armed before the decode still reads active")
+		}
+		tm.Cancel()
+	}
+	if c.Pending() != 5 || c.cells.Carved() != 5 {
+		t.Errorf("after re-arming five and cancelling the stale timers: %d pending, %d carved; want 5, 5", c.Pending(), c.cells.Carved())
 	}
 }

@@ -30,6 +30,8 @@ import (
 	"math"
 	"math/bits"
 	"time"
+
+	"realtracer/internal/lease"
 )
 
 // EventHandler is what the clock schedules: components implement Fire once
@@ -54,6 +56,10 @@ type Event struct {
 	seq uint64
 	gen uint32 // incremented on every recycle; Timer handles check it
 	off bool   // cancelled
+	// Events are carved contiguously, 64 to a 4 KiB chunk; the padding
+	// keeps each on one cache line of its own, as a separate 64-byte
+	// allocation would be, instead of straddling two.
+	_ [8]byte
 }
 
 // Timer is a cancellable handle to a scheduled event. It carries the
@@ -112,7 +118,11 @@ type Clock struct {
 	seq   uint64
 	fired uint64
 	live  int      // scheduled, uncancelled, not-yet-fired events
-	free  []*Event // recycled events
+	free  []*Event // recycled events, generations kept
+	// cells carves the events the free-list cannot supply, a chunk at a
+	// time. Every carved event is recycled, pending (tombstones included) or
+	// the firing slot.
+	cells lease.Carver[Event]
 	// firing holds the event currently executing its handler: if the
 	// handler re-arms (the recurring-timer pattern: pace ticks, switch
 	// checks, RTO, gossip), the schedule reuses this slot directly instead
@@ -186,14 +196,16 @@ func (c *Clock) AtHandler(t time.Duration, h EventHandler) Timer {
 	return Timer{e: e, gen: e.gen}
 }
 
-// obtain draws an event from the free-list.
+// obtain draws an event from the free-list, or carves one. Events keep
+// their generation across recycling, so they are never zeroed: a stale
+// Timer must not match a recycled event.
 func (c *Clock) obtain() *Event {
 	if k := len(c.free); k > 0 {
 		e := c.free[k-1]
 		c.free = c.free[:k-1]
 		return e
 	}
-	return &Event{}
+	return c.cells.New()
 }
 
 // release retires a reaped event to the free-list with its generation

@@ -44,7 +44,7 @@ type Codec struct {
 	w       io.Writer         // non-nil: encoding
 	in      []byte            // decoding: the unread input
 	draws   uint64            // decoding: RNG replay budget left, see DrawCount
-	strs    map[string]string // decoding: the values Interned has built
+	strs    map[string]string // decoding: every distinct string decoded so far
 	reading bool
 	buf     [8]byte
 	err     error
@@ -224,10 +224,13 @@ func (c *Codec) Bytes(b *[]byte) {
 	}
 }
 
-// Str syncs a length-prefixed string.
+// Str syncs a length-prefixed string. Decoding builds each distinct value
+// once and shares it with every later occurrence — a host address on every
+// packet and conn, a user name or clip URL on every record; the table lives
+// as long as this decoder, so nothing is shared between two decodes.
 func (c *Codec) Str(s *string) { StrAs(c, s) }
 
-// StrAs syncs any string type as a length-prefixed string.
+// StrAs syncs any string type exactly like Str.
 func StrAs[T ~string](c *Codec, s *T) {
 	n := len(*s)
 	c.Len(&n)
@@ -238,27 +241,16 @@ func StrAs[T ~string](c *Codec, s *T) {
 		c.raw([]byte(*s))
 		return
 	}
-	*s = T(c.in[:n])
+	*s = T(c.intern(c.in[:n]))
 	c.in = c.in[n:]
 }
 
-// Interned syncs a length-prefixed string exactly like Str, for values that
-// repeat across many objects of one snapshot (a user name, a clip URL on every
-// record). Decoding builds each distinct value once and shares it with every
-// later occurrence; the table lives as long as this decoder, so nothing is
-// shared between two decodes.
-func (c *Codec) Interned(s *string) {
-	if !c.reading {
-		c.Str(s)
-		return
+// intern returns the decoder's one copy of b's value, building it on first
+// sight.
+func (c *Codec) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
 	}
-	n := 0
-	c.Len(&n)
-	if c.err != nil {
-		return
-	}
-	b := c.in[:n]
-	c.in = c.in[n:]
 	v, ok := c.strs[string(b)]
 	if !ok {
 		if c.strs == nil {
@@ -267,7 +259,7 @@ func (c *Codec) Interned(s *string) {
 		v = string(b)
 		c.strs[v] = v
 	}
-	*s = v
+	return v
 }
 
 // Tag syncs a section marker: encoded as a string, and on decode compared

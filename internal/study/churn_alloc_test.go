@@ -100,10 +100,12 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 // from, where bundles are built, not reused. While every template built a
 // bundle of its own on its first arrival the 64-template world below read
 // ~173 per session; with bundles leased per live session it builds one per
-// session in flight (~40 % of the pool) and reads ~132, the other
-// first-time costs (hosts, paths, server sessions, grown scratch) included.
-// The budget sits ~1.15x above the reading, below the old one.
-const firstPassAllocBudget = 150
+// session in flight (~40 % of the pool) and read ~132, the other
+// first-time costs (hosts, paths, server sessions, grown scratch) included;
+// ~116 (~121 under -race) since events and packets are carved in chunks
+// and the world build stopped allocating per clip and per user. The budget
+// sits ~1.15x above the -race reading.
+const firstPassAllocBudget = 140
 
 // TestFirstPassAllocBudget bounds what a session costs on a world's first
 // pass over its templates (Arrivals == MaxUsers).

@@ -10,6 +10,7 @@ import (
 
 	"realtracer/internal/figures"
 	"realtracer/internal/netsim"
+	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
 	"realtracer/internal/transport"
@@ -375,6 +376,72 @@ func checkLeases(t *testing.T, w *World) {
 		w.ran && (carved[segs] == 0 || carved[packets] == 0) {
 		t.Errorf("leases: the audit reached %d segment pools (%d cells carved) and %d arenas (%d packets carved) in a world of %d servers and %d tracers",
 			found[segs], carved[segs], found[packets], carved[packets], len(w.Servers), trs)
+	}
+	checkCarved(t, w)
+}
+
+// checkCarved audits the two free-lists that carve outside a lease.Pool: a
+// clock's events and a network's packets. Every event a clock ever carved is
+// on its free-list, pending — cancelled tombstones included — or the slot of
+// the event firing now; every packet the world's networks ever carved is on
+// a free-list or in flight (pending on a clock, or in a fabric's outbox),
+// summed over a sharded world's networks, whose free-lists trade packets
+// between windows. A release that is skipped breaks the first sum, a
+// release that is doubled the second and third.
+func checkCarved(t *testing.T, w *World) {
+	t.Helper()
+	var clocks []*simclock.Clock
+	var nets []reflect.Value
+	worldStructs(w, func(v reflect.Value, path string) bool {
+		switch typ := v.Type(); typ {
+		case reflect.TypeFor[simclock.Clock]():
+			clocks = append(clocks, v.Addr().Interface().(*simclock.Clock))
+			return false
+		case reflect.TypeFor[netsim.Network]():
+			nets = append(nets, v)
+		}
+		return true
+	})
+	if len(clocks) != len(w.factories) || len(nets) != len(w.factories) {
+		t.Fatalf("leases: the audit reached %d clocks and %d networks in a world of %d shards", len(clocks), len(nets), len(w.factories))
+	}
+	inFlight := 0
+	for _, c := range clocks {
+		v := reflect.ValueOf(c)
+		events, free := int(peek(peek(v, "cells"), "carved").Int()), peek(v, "free").Len()
+		pending := peek(v, "near").Len() + int(peek(v, "ringN").Int()) + peek(v, "far").Len()
+		if !peek(v, "firing").IsNil() {
+			pending++
+		}
+		if events != free+pending || w.ran && events == 0 {
+			t.Errorf("leases: a clock carved %d events, %d recycled + %d pending or firing", events, free, pending)
+		}
+		for _, pe := range c.Pendings() {
+			if pkt, ok := pe.Handler.(*netsim.Packet); ok && peek(reflect.ValueOf(pkt), "pooled").Bool() {
+				inFlight++
+			}
+		}
+	}
+	if w.fab != nil {
+		out := peek(reflect.ValueOf(w.fab), "out")
+		for src := 0; src < out.Len(); src++ {
+			for dst := 0; dst < out.Index(src).Len(); dst++ {
+				box := out.Index(src).Index(dst)
+				for i := 0; i < box.Len(); i++ {
+					if !peek(box.Index(i), "pkt").IsNil() {
+						inFlight++
+					}
+				}
+			}
+		}
+	}
+	packets, free := 0, 0
+	for _, n := range nets {
+		packets += int(peek(peek(n, "cells"), "carved").Int())
+		free += peek(n, "free").Len()
+	}
+	if packets != free+inFlight || w.ran && packets == 0 {
+		t.Errorf("leases: the networks carved %d packets, %d free + %d in flight", packets, free, inFlight)
 	}
 }
 

@@ -289,7 +289,9 @@ var syncExempt = map[string]string{
 	// Pools, free-lists and scratch: storage, not state. Live objects are
 	// reached — and judged — through whatever references them.
 	"simclock.Clock.free":       "recycled events",
+	"simclock.Clock.cells":      "uncarved events",
 	"netsim.Network.free":       "recycled packets",
+	"netsim.Network.cells":      "uncarved packets",
 	"netsim.Network.hostFree":   "recycled host objects",
 	"netsim.Network.pathFree":   "recycled path states",
 	"netsim.Network.dynScratch": "per-call scratch",
@@ -303,6 +305,7 @@ var syncExempt = map[string]string{
 	"player.Player.descBuf":     "DESCRIBE parse scratch; the session's description is the walked desc",
 	"player.Player.waits":       "idle dial continuations; a dial in flight is walked by its stack and re-attached by the player",
 	"netsim.Packet.pooled":      "allocation provenance; restored packets come from the pool",
+	"simclock.Event._":          "cache-line padding",
 	"transport.tcpAck.origin":   "free-list provenance; a restored ACK is garbage-collected instead",
 
 	// Lease bookkeeping: where a pooled cell goes back to and who still reads

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -63,9 +64,11 @@ func TestForkRecordsGolden(t *testing.T) {
 // streams, records travelled as JSON and every server rendered every clip's
 // DESCRIBE body while NewWorld built it, a resume cost 17,555 objects; 11,396
 // until a resume built bundles only for the templates holding one, not for
-// every template ever visited; ~9,000 now (9,406 under -race). The budget
-// sits ~1.14x above, the headroom it had over 11,396.
-const forkResumeAllocBudget = 10_250
+// every template ever visited; 9,059 until decoding interned every string, the
+// clock and the network carved events and packets in chunks and NewWorld
+// stopped allocating per clip, per user and per port; ~5,400 now (~5,480
+// under -race). The budget sits ~1.14x above, the headroom it had over 11,396.
+const forkResumeAllocBudget = 6_150
 
 // TestForkResumeAllocBudget resumes a named fork of cmd/bench's warmfork16
 // world (seed 1, world 0) from its warm-up cut, where 333 records ride in the
@@ -82,5 +85,40 @@ func TestForkResumeAllocBudget(t *testing.T) {
 	t.Logf("a named-fork resume of a %d-byte snapshot allocates %.0f objects (budget %d)", len(snap), allocs, forkResumeAllocBudget)
 	if allocs > forkResumeAllocBudget {
 		t.Errorf("a named-fork resume allocates %.0f objects, budget %d: a fork replays, parses or renders again", allocs, forkResumeAllocBudget)
+	}
+}
+
+// Bounds on what NewWorld allocates for the warm-fork benchmark's world, the
+// build every fork's resume repeats. While every clip's ladder rungs, every
+// clip, user and name were allocated one by one and a server's dense port
+// table grew through every doubling from one slot, it cost 2,016 objects and
+// 2.79 MB; now ~635 objects and 1.51 MB, under -race too. The budgets sit
+// ~1.15x above.
+const (
+	newWorldAllocBudget = 730
+	newWorldBytesBudget = 1_750_000
+)
+
+// TestNewWorldAllocBudget builds cmd/bench's warmfork16 world (seed 1, world
+// 0) and bounds its objects and bytes.
+func TestNewWorldAllocBudget(t *testing.T) {
+	opt := Options{Seed: 1008, WorkloadSeed: 1013, MaxUsers: 64, ClipCap: 2, Workload: "poisson", Arrivals: 256}
+	build := func() {
+		if _, err := NewWorld(opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	objects, size := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("NewWorld allocates %d objects (budget %d) and %d bytes (budget %d)", objects, newWorldAllocBudget, size, newWorldBytesBudget)
+	if objects > newWorldAllocBudget {
+		t.Errorf("NewWorld allocates %d objects, budget %d: a library, population or playlist allocates per clip or per user again", objects, newWorldAllocBudget)
+	}
+	if size > newWorldBytesBudget {
+		t.Errorf("NewWorld allocates %d bytes, budget %d: a dense port table grows a slot at a time again", size, newWorldBytesBudget)
 	}
 }

@@ -3,6 +3,7 @@ package study
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"realtracer/internal/detrand"
@@ -283,6 +284,7 @@ func (w *World) planServers(masterRNG *rand.Rand) ([]sitePlan, error) {
 	serverAccess.DownKbps = serverUplinkKbps
 
 	var plans []sitePlan
+	w.Playlist = make([]tracer.Entry, 0, geo.PlaylistSize)
 	for si, site := range w.Sites {
 		if site.Clips == 0 {
 			continue
@@ -295,12 +297,9 @@ func (w *World) planServers(masterRNG *rand.Rand) ([]sitePlan, error) {
 		}
 		lib := media.GenerateLibrary(site.Host, site.Clips, opt.Seed+100+int64(si))
 		plans = append(plans, sitePlan{site: site, lib: lib, seed: masterRNG.Int63()})
+		ctrl := site.Host + ":" + strconv.Itoa(session.ControlPort)
 		for _, clip := range lib.Clips {
-			w.Playlist = append(w.Playlist, tracer.Entry{
-				URL:         clip.URL,
-				ControlAddr: fmt.Sprintf("%s:%d", site.Host, session.ControlPort),
-				Site:        site,
-			})
+			w.Playlist = append(w.Playlist, tracer.Entry{URL: clip.URL, ControlAddr: ctrl, Site: site})
 		}
 	}
 	if len(w.Playlist) != geo.PlaylistSize {

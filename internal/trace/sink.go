@@ -114,23 +114,24 @@ func (c *Collector) Sync(sc *snap.Codec) {
 }
 
 // Sync walks every field of the record, Ordinal included, in declaration
-// order. The strings are Interned: a snapshot's records name the same few
-// users, clips, servers and labels over and over.
+// order. A decode builds each distinct string once (snap.Codec.Str): a
+// snapshot's records name the same few users, clips, servers and labels over
+// and over.
 func (r *Record) Sync(c *snap.Codec) {
-	c.Interned(&r.User)
-	c.Interned(&r.Country)
-	c.Interned(&r.State)
-	c.Interned(&r.Region)
-	c.Interned(&r.Access)
-	c.Interned(&r.PCClass)
-	c.Interned(&r.ClipURL)
-	c.Interned(&r.Server)
-	c.Interned(&r.ServerCountry)
-	c.Interned(&r.ServerRegion)
+	c.Str(&r.User)
+	c.Str(&r.Country)
+	c.Str(&r.State)
+	c.Str(&r.Region)
+	c.Str(&r.Access)
+	c.Str(&r.PCClass)
+	c.Str(&r.ClipURL)
+	c.Str(&r.Server)
+	c.Str(&r.ServerCountry)
+	c.Str(&r.ServerRegion)
 	c.Bool(&r.Unavailable)
 	c.Bool(&r.Failed)
-	c.Interned(&r.FailReason)
-	c.Interned(&r.Protocol)
+	c.Str(&r.FailReason)
+	c.Str(&r.Protocol)
 	c.F64(&r.EncodedKbps)
 	c.F64(&r.EncodedFPS)
 	c.F64(&r.MeasuredKbps)
@@ -148,8 +149,8 @@ func (r *Record) Sync(c *snap.Codec) {
 	c.Int(&r.Switches)
 	c.Bool(&r.Rated)
 	c.F64(&r.Rating)
-	c.Interned(&r.Dynamics)
-	c.Interned(&r.Policy)
+	c.Str(&r.Dynamics)
+	c.Str(&r.Policy)
 	c.F64(&r.StartSec)
 	c.F64(&r.EndSec)
 	c.I64(&r.Ordinal)

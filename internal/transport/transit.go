@@ -44,12 +44,7 @@ var (
 // TransitCopy implements netsim.Transferable. The nested payload is
 // snapshotted recursively through the same pool.
 func (s *tcpSeg) TransitCopy(tp *netsim.TransitPool) any {
-	var cp *tcpSeg
-	if v := tp.Get(segTransitClass); v != nil {
-		cp = v.(*tcpSeg)
-	} else {
-		cp = &tcpSeg{}
-	}
+	cp := netsim.TransitGet[tcpSeg](tp, segTransitClass)
 	*cp = *s
 	cp.conn = nil
 	cp.transit = true
@@ -80,12 +75,7 @@ func (s *tcpSeg) TransitRelease(tp *netsim.TransitPool) {
 
 // TransitCopy implements netsim.Transferable.
 func (a *tcpAck) TransitCopy(tp *netsim.TransitPool) any {
-	var cp *tcpAck
-	if v := tp.Get(ackTransitClass); v != nil {
-		cp = v.(*tcpAck)
-	} else {
-		cp = &tcpAck{}
-	}
+	cp := netsim.TransitGet[tcpAck](tp, ackTransitClass)
 	*cp = *a
 	cp.origin, cp.leased = nil, false
 	cp.transit = true
