@@ -10,7 +10,6 @@ import (
 
 	"realtracer/internal/figures"
 	"realtracer/internal/netsim"
-	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
 	"realtracer/internal/transport"
@@ -386,41 +385,29 @@ func checkLeases(t *testing.T, w *World) {
 // the event firing now; every packet the world's networks ever carved is on
 // a free-list or in flight (pending on a clock, or in a fabric's outbox),
 // summed over a sharded world's networks, whose free-lists trade packets
-// between windows. A release that is skipped breaks the first sum, a
-// release that is doubled the second and third.
+// between windows. Every clock and network of a world is one of its
+// factories'. A release that is skipped or doubled breaks its sum.
 func checkCarved(t *testing.T, w *World) {
 	t.Helper()
-	var clocks []*simclock.Clock
-	var nets []reflect.Value
-	worldStructs(w, func(v reflect.Value, path string) bool {
-		switch typ := v.Type(); typ {
-		case reflect.TypeFor[simclock.Clock]():
-			clocks = append(clocks, v.Addr().Interface().(*simclock.Clock))
-			return false
-		case reflect.TypeFor[netsim.Network]():
-			nets = append(nets, v)
-		}
-		return true
-	})
-	if len(clocks) != len(w.factories) || len(nets) != len(w.factories) {
-		t.Fatalf("leases: the audit reached %d clocks and %d networks in a world of %d shards", len(clocks), len(nets), len(w.factories))
-	}
-	inFlight := 0
-	for _, c := range clocks {
-		v := reflect.ValueOf(c)
-		events, free := int(peek(peek(v, "cells"), "carved").Int()), peek(v, "free").Len()
-		pending := peek(v, "near").Len() + int(peek(v, "ringN").Int()) + peek(v, "far").Len()
-		if !peek(v, "firing").IsNil() {
+	inFlight, packets, free := 0, 0, 0
+	for _, f := range w.factories {
+		c := reflect.ValueOf(f.clock)
+		events, recycled := int(peek(peek(c, "cells"), "carved").Int()), peek(c, "free").Len()
+		pending := peek(c, "near").Len() + int(peek(c, "ringN").Int()) + peek(c, "far").Len()
+		if !peek(c, "firing").IsNil() {
 			pending++
 		}
-		if events != free+pending || w.ran && events == 0 {
-			t.Errorf("leases: a clock carved %d events, %d recycled + %d pending or firing", events, free, pending)
+		if events != recycled+pending || w.ran && events == 0 {
+			t.Errorf("leases: a clock carved %d events, %d recycled + %d pending or firing", events, recycled, pending)
 		}
-		for _, pe := range c.Pendings() {
+		for _, pe := range f.clock.Pendings() {
 			if pkt, ok := pe.Handler.(*netsim.Packet); ok && peek(reflect.ValueOf(pkt), "pooled").Bool() {
 				inFlight++
 			}
 		}
+		n := reflect.ValueOf(f.net)
+		packets += int(peek(peek(n, "cells"), "carved").Int())
+		free += peek(n, "free").Len()
 	}
 	if w.fab != nil {
 		out := peek(reflect.ValueOf(w.fab), "out")
@@ -434,11 +421,6 @@ func checkCarved(t *testing.T, w *World) {
 				}
 			}
 		}
-	}
-	packets, free := 0, 0
-	for _, n := range nets {
-		packets += int(peek(peek(n, "cells"), "carved").Int())
-		free += peek(n, "free").Len()
 	}
 	if packets != free+inFlight || w.ran && packets == 0 {
 		t.Errorf("leases: the networks carved %d packets, %d free + %d in flight", packets, free, inFlight)
