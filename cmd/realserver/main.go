@@ -6,6 +6,9 @@
 //
 //	realserver [-host 127.0.0.1] [-control 8554] [-data 8555] [-udp 8556]
 //	           [-clips 8] [-seed 7] [-unavailability 0.1]
+//
+// -clips must be at least 1 and -unavailability a probability in [0, 1];
+// anything else is refused before a port is bound.
 package main
 
 import (
@@ -18,7 +21,7 @@ import (
 	"realtracer/internal/media"
 	"realtracer/internal/server"
 	"realtracer/internal/session"
-	"realtracer/internal/vclock"
+	"realtracer/internal/simclock"
 )
 
 func main() {
@@ -30,9 +33,13 @@ func main() {
 	seed := flag.Int64("seed", 7, "clip-library seed")
 	unavailability := flag.Float64("unavailability", 0.1, "clip unavailability probability")
 	flag.Parse()
+	if msg := flagError(*clips, *unavailability); msg != "" {
+		fmt.Fprintf(os.Stderr, "realserver: %s\n", msg)
+		os.Exit(2)
+	}
 
-	loop := vclock.NewLoop()
-	clock := vclock.NewReal(loop)
+	clock := simclock.New()
+	loop := simclock.NewLoop(clock)
 	lib := media.GenerateLibrary(*host, *clips, *seed)
 	srv := server.New(server.Config{
 		Clock:          clock,
@@ -68,4 +75,16 @@ func main() {
 		})
 	}()
 	loop.Run()
+}
+
+// flagError refuses a library the server could not serve: no clips, or an
+// unavailability that is not a probability (NaN included).
+func flagError(clips int, unavailability float64) string {
+	if clips < 1 {
+		return fmt.Sprintf("-clips %d: want at least 1", clips)
+	}
+	if !(unavailability >= 0 && unavailability <= 1) {
+		return fmt.Sprintf("-unavailability %v: want a probability in [0, 1]", unavailability)
+	}
+	return ""
 }

@@ -8,6 +8,10 @@
 //
 //	realtracer [-server 127.0.0.1:8554] [-udp 127.0.0.1:8556] [-clips 3]
 //	           [-proto udp|tcp] [-playfor 20s] [-maxkbps 350] [-out trace.csv]
+//
+// -proto must be exactly udp or tcp and -clips at least 1; anything else is
+// refused before dialing. A -out file that cannot be created or written is
+// reported and the command exits non-zero.
 package main
 
 import (
@@ -19,9 +23,9 @@ import (
 
 	"realtracer/internal/player"
 	"realtracer/internal/session"
+	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 func main() {
@@ -31,31 +35,36 @@ func main() {
 	proto := flag.String("proto", "udp", "data transport: udp or tcp")
 	playFor := flag.Duration("playfor", 20*time.Second, "per-clip playout length")
 	maxKbps := flag.Float64("maxkbps", 350, "RealPlayer maximum bandwidth preference")
-	out := flag.String("out", "", "append records to this CSV file")
+	out := flag.String("out", "", "write records to this CSV file")
 	flag.Parse()
+	if msg := flagError(*proto, *clips); msg != "" {
+		fmt.Fprintf(os.Stderr, "realtracer: %s\n", msg)
+		os.Exit(2)
+	}
 
 	protocol := transport.UDP
 	if *proto == "tcp" {
 		protocol = transport.TCP
 	}
 	host := hostOf(*serverAddr)
+	var outFile *os.File
+	if *out != "" {
+		f, err := os.Create(*out)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "realtracer: %v\n", err)
+			os.Exit(1)
+		}
+		outFile = f
+	}
 
-	loop := vclock.NewLoop()
-	clock := vclock.NewReal(loop)
+	clock := simclock.New()
+	loop := simclock.NewLoop(clock)
 	net := session.RealNet{Host: "127.0.0.1", Loop: loop}
 
 	var records []*trace.Record
 	var playNext func(i int)
 	playNext = func(i int) {
 		if i >= *clips {
-			if *out != "" {
-				f, err := os.Create(*out)
-				if err == nil {
-					trace.WriteCSV(f, records)
-					f.Close()
-					fmt.Printf("wrote %d records to %s\n", len(records), *out)
-				}
-			}
 			loop.Close()
 			return
 		}
@@ -81,6 +90,30 @@ func main() {
 	}
 	loop.Post(func() { playNext(0) })
 	loop.Run()
+
+	if outFile != nil {
+		err := trace.WriteCSV(outFile, records)
+		if cerr := outFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "realtracer: write %s: %v\n", *out, err)
+			os.Exit(1)
+		}
+		fmt.Printf("wrote %d records to %s\n", len(records), *out)
+	}
+}
+
+// flagError refuses what the command would not do as asked: a transport
+// other than udp or tcp, or no clips to play.
+func flagError(proto string, clips int) string {
+	if proto != "udp" && proto != "tcp" {
+		return fmt.Sprintf("-proto %q: want udp or tcp", proto)
+	}
+	if clips < 1 {
+		return fmt.Sprintf("-clips %d: want at least 1", clips)
+	}
+	return ""
 }
 
 func report(st *player.Stats, err error) {

@@ -211,7 +211,9 @@
 // registered campaign sweep; `study -dynamics NAME` applies a weather
 // profile; `study -users N` above 63 runs a population-scale study with
 // memory bounded by aggregate size), cmd/realserver and cmd/realtracer (live
-// operation over OS sockets). bench_test.go in this directory holds one
+// operation over OS sockets: the same engines on the same simclock.Clock,
+// which a simclock.Loop advances from the wall clock while it serializes
+// socket deliveries between timers). bench_test.go in this directory holds one
 // benchmark per paper figure plus the design ablations, the
 // population-scale streaming benchmarks, and the dynamics-campaign
 // throughput benchmarks.

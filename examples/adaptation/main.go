@@ -20,7 +20,6 @@ import (
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // crossTraffic is a scheduled change of the server-to-client path's cross
@@ -53,7 +52,7 @@ func main() {
 	clip := media.GenerateClip("rtsp://server/clip.rm", "adaptation", media.ContentMovie,
 		5*time.Minute, 20, 350, 9)
 	srv := server.New(server.Config{
-		Clock:      vclock.Sim{C: clock},
+		Clock:      clock,
 		Net:        session.SimNet{Stack: transport.NewStack(n, "server")},
 		Library:    media.NewLibrary([]*media.Clip{clip}),
 		Rand:       rand.New(rand.NewSource(1)),
@@ -71,7 +70,7 @@ func main() {
 
 	var got *player.Stats
 	p := player.New(player.Config{
-		Clock:            vclock.Sim{C: clock},
+		Clock:            clock,
 		Net:              session.SimNet{Stack: transport.NewStack(n, "client")},
 		ControlAddr:      "server:554",
 		URL:              clip.URL,

@@ -22,7 +22,6 @@ import (
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 func main() {
@@ -56,7 +55,7 @@ func run(flavor string, congestion float64) *player.Stats {
 	clip := media.GenerateClip("rtsp://server/clip.rm", "congestion", media.ContentSports,
 		5*time.Minute, 20, 350, 3)
 	cfg := server.Config{
-		Clock:      vclock.Sim{C: clock},
+		Clock:      clock,
 		Net:        session.SimNet{Stack: transport.NewStack(n, "server")},
 		Library:    media.NewLibrary([]*media.Clip{clip}),
 		Rand:       rand.New(rand.NewSource(1)),
@@ -81,7 +80,7 @@ func run(flavor string, congestion float64) *player.Stats {
 	}
 	var got *player.Stats
 	p := player.New(player.Config{
-		Clock:            vclock.Sim{C: clock},
+		Clock:            clock,
 		Net:              session.SimNet{Stack: transport.NewStack(n, "client")},
 		ControlAddr:      "server:554",
 		URL:              clip.URL,

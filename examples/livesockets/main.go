@@ -16,8 +16,8 @@ import (
 	"realtracer/internal/player"
 	"realtracer/internal/server"
 	"realtracer/internal/session"
+	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 func main() {
@@ -27,8 +27,8 @@ func main() {
 		dataPort    = 18555
 		udpPort     = 18556
 	)
-	loop := vclock.NewLoop()
-	clock := vclock.NewReal(loop)
+	clock := simclock.New()
+	loop := simclock.NewLoop(clock)
 	net := session.RealNet{Host: host, Loop: loop}
 
 	lib := media.GenerateLibrary(host, 2, 5)

@@ -21,7 +21,6 @@ import (
 	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // RunCampaignAggregates executes the campaign with a private
@@ -136,7 +135,7 @@ func RunSession(opt SessionOptions) (*player.Stats, error) {
 		5*time.Minute, opt.MinKbps, opt.ClipKbps, opt.Seed+1)
 	clip.Live = opt.Live
 	srv := server.New(server.Config{
-		Clock:      vclock.Sim{C: clock},
+		Clock:      clock,
 		Net:        session.SimNet{Stack: transport.NewStack(n, "server")},
 		Library:    media.NewLibrary([]*media.Clip{clip}),
 		Rand:       rand.New(rand.NewSource(opt.Seed + 2)),
@@ -149,7 +148,7 @@ func RunSession(opt SessionOptions) (*player.Stats, error) {
 	var got *player.Stats
 	var gotErr error
 	p := player.New(player.Config{
-		Clock:                vclock.Sim{C: clock},
+		Clock:                clock,
 		Net:                  session.SimNet{Stack: transport.NewStack(n, "client")},
 		ControlAddr:          "server:554",
 		URL:                  clip.URL,

@@ -5,7 +5,6 @@ import (
 
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // The player's six timer handlers are converted-pointer types over Player
@@ -64,12 +63,12 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	c.Dur(&p.mediaBase)
 	c.Dur(&p.playPos)
 	clk := p.cfg.Clock
-	vclock.SyncHandle(c, clk, &p.endAt, (*timeUpArm)(p))
-	vclock.SyncHandle(c, clk, &p.frameTimer, (*frameArm)(p))
-	vclock.SyncHandle(c, clk, &p.graceTimer, (*underrunArm)(p))
-	vclock.SyncHandle(c, clk, &p.idle, (*idleArm)(p))
-	vclock.SyncHandle(c, clk, &p.reportTick, (*reportArm)(p))
-	vclock.SyncHandle(c, clk, &p.nackTimer, (*nackArm)(p))
+	clk.SyncTimer(c, &p.endAt, (*timeUpArm)(p))
+	clk.SyncTimer(c, &p.frameTimer, (*frameArm)(p))
+	clk.SyncTimer(c, &p.graceTimer, (*underrunArm)(p))
+	clk.SyncTimer(c, &p.idle, (*idleArm)(p))
+	clk.SyncTimer(c, &p.reportTick, (*reportArm)(p))
+	clk.SyncTimer(c, &p.nackTimer, (*nackArm)(p))
 	c.U32(&p.epoch)
 	// After the epoch: the re-attached continuation binds the restored one.
 	c.U8(&p.dialing)

@@ -6,7 +6,6 @@ import (
 	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // tcpStub is a data conn that reports TCP, so sequence gaps queue no NACKs
@@ -37,7 +36,7 @@ func fecMember(p *Player, seq uint32) bool {
 // way; duplicates of members must be ignored.
 func TestFECWindowEvictsByCount(t *testing.T) {
 	const window = 512
-	p := New(Config{Clock: vclock.Sim{C: simclock.New()}})
+	p := New(Config{Clock: simclock.New()})
 	p.data = tcpStub{}
 
 	ref := map[uint32]bool{}
@@ -145,7 +144,7 @@ func TestFECWindowEvictsByCount(t *testing.T) {
 func TestRepairAllocatesNothing(t *testing.T) {
 	const group, runs = 8, 200
 	run := func(lose bool) float64 {
-		p := New(Config{Clock: vclock.Sim{C: simclock.New()}})
+		p := New(Config{Clock: simclock.New()})
 		p.data = tcpStub{}
 		base := uint32(0)
 		allocs := testing.AllocsPerRun(runs, func() {

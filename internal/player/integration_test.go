@@ -12,7 +12,6 @@ import (
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // rig wires one server and one client host over the simulator.
@@ -34,7 +33,7 @@ func newRig(t *testing.T, clientAccess netsim.AccessClass, route netsim.Route) *
 		media.GenerateClip("rtsp://srv/clip000.rm", "test", media.ContentNews, 5*time.Minute, 20, 350, 7),
 	})
 	srv := server.New(server.Config{
-		Clock:      vclock.Sim{C: clock},
+		Clock:      clock,
 		Net:        session.SimNet{Stack: transport.NewStack(n, "srv")},
 		Library:    lib,
 		Rand:       rand.New(rand.NewSource(1)),
@@ -57,7 +56,7 @@ func (r *rig) play(t *testing.T, proto transport.Protocol, maxKbps float64) (*pl
 	var got *player.Stats
 	var gotErr error
 	p := player.New(player.Config{
-		Clock:            vclock.Sim{C: r.clock},
+		Clock:            r.clock,
 		Net:              r.cNet,
 		ControlAddr:      "srv:554",
 		URL:              "rtsp://srv/clip000.rm",

@@ -12,7 +12,6 @@ import (
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // playClip runs one clip (live or pre-recorded) through a fresh rig.
@@ -23,7 +22,7 @@ func playClip(t *testing.T, clip *media.Clip, route netsim.Route) *player.Stats 
 	n.AddHost(netsim.HostConfig{Name: "srv", Access: netsim.DefaultAccessProfile(netsim.AccessServer)})
 	n.AddHost(netsim.HostConfig{Name: "cli", Access: netsim.DefaultAccessProfile(netsim.AccessDSLCable)})
 	srv := server.New(server.Config{
-		Clock: vclock.Sim{C: clock}, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
+		Clock: clock, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
 		Library: media.NewLibrary([]*media.Clip{clip}),
 		Rand:    rand.New(rand.NewSource(1)), SureStream: true, FEC: true,
 	})
@@ -32,7 +31,7 @@ func playClip(t *testing.T, clip *media.Clip, route netsim.Route) *player.Stats 
 	}
 	var got *player.Stats
 	p := player.New(player.Config{
-		Clock: vclock.Sim{C: clock}, Net: session.SimNet{Stack: transport.NewStack(n, "cli")},
+		Clock: clock, Net: session.SimNet{Stack: transport.NewStack(n, "cli")},
 		ControlAddr: "srv:554", URL: clip.URL, Protocol: transport.UDP,
 		MaxBandwidthKbps: 300, PlayFor: time.Minute,
 		Rand:   rand.New(rand.NewSource(2)),

@@ -12,8 +12,8 @@ import (
 	"realtracer/internal/player"
 	"realtracer/internal/server"
 	"realtracer/internal/session"
+	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // ephemeralPorts reserves n distinct ports by binding 127.0.0.1:0 (the OS
@@ -57,8 +57,8 @@ func TestLiveSocketsEndToEnd(t *testing.T) {
 	ports := ephemeralPorts(t, 3)
 	controlPort, dataPort, udpPort := ports[0], ports[1], ports[2]
 
-	loop := vclock.NewLoop()
-	clock := vclock.NewReal(loop)
+	clock := simclock.New()
+	loop := simclock.NewLoop(clock)
 	netw := session.RealNet{Host: host, Loop: loop}
 
 	lib := media.GenerateLibrary(host, 2, 5)
@@ -127,8 +127,10 @@ func TestLiveSocketsEndToEnd(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		t.Errorf("live sessions stuck: %d of 2 finished", len(outcomes))
-		srv.Stop()
-		loop.Close()
+		loop.Post(func() {
+			srv.Stop()
+			loop.Close()
+		})
 	})
 	defer watchdog.Stop()
 

@@ -8,7 +8,6 @@ import (
 	"realtracer/internal/rdt"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // udpStub is a data conn that reports UDP and swallows what it is sent.
@@ -23,7 +22,7 @@ func (udpStub) Send(any, int) error          { return nil }
 // missing number, and the expiry sweep that follows the jump must not walk
 // the gap either.
 func TestHostileSequenceJumpIsBounded(t *testing.T) {
-	p := New(Config{Clock: vclock.Sim{C: simclock.New()}})
+	p := New(Config{Clock: simclock.New()})
 	p.data = udpStub{}
 	// Fill the FEC window first so the expiry sweep has something to do.
 	for seq := uint32(1); seq <= 600; seq++ {
@@ -56,7 +55,7 @@ func TestHostileSequenceJumpIsBounded(t *testing.T) {
 	// restart the window on the newcomer instead of stretching the ring
 	// across the gap — in either direction.
 	t.Run("handful held", func(t *testing.T) {
-		p := New(Config{Clock: vclock.Sim{C: simclock.New()}})
+		p := New(Config{Clock: simclock.New()})
 		p.data = udpStub{}
 		for seq := uint32(1); seq <= 5; seq++ {
 			p.onDataPacket(&rdt.Data{Stream: rdt.StreamVideo, Seq: seq, FragCount: 1})
@@ -91,7 +90,7 @@ func TestHostileSequenceJumpIsBounded(t *testing.T) {
 // empty FEC window — no predecessor seq is a member — but on the ring its
 // predecessor grew, so filling it again allocates nothing.
 func TestResetKeepsFECWindowStorageNotEntries(t *testing.T) {
-	cfg := Config{Clock: vclock.Sim{C: simclock.New()}}
+	cfg := Config{Clock: simclock.New()}
 	p := New(cfg)
 	const held = 400
 	for seq := uint32(0); seq < held; seq++ {

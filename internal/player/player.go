@@ -24,8 +24,8 @@ import (
 	"realtracer/internal/rtsp"
 	"realtracer/internal/seqwin"
 	"realtracer/internal/session"
+	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // Defaults mirroring RealPlayer 8 behaviour.
@@ -61,7 +61,7 @@ const (
 
 // Config parameterizes one clip playout.
 type Config struct {
-	Clock vclock.Clock
+	Clock *simclock.Clock
 	Net   session.Net
 	// ControlAddr is the server's RTSP endpoint ("host:554").
 	ControlAddr string
@@ -175,11 +175,11 @@ type Player struct {
 	playStart  time.Duration // wall time playout began
 	mediaBase  time.Duration // playout offset: wall = mediaBase + mediaTime
 	playPos    time.Duration // media position played so far
-	endAt      vclock.Handle
-	frameTimer vclock.Handle
-	graceTimer vclock.Handle
-	idle       vclock.Handle
-	reportTick vclock.Handle
+	endAt      simclock.Timer
+	frameTimer simclock.Timer
+	graceTimer simclock.Timer
+	idle       simclock.Timer
+	reportTick simclock.Timer
 
 	// epoch guards the dial callbacks: Reset and Abort bump it, so a
 	// handshake completing after the player moved on to another session
@@ -237,7 +237,7 @@ type Player struct {
 	// times it has been requested (up to nackMaxTries, like RDT's bounded
 	// NAKs) — the window's zero value means absent.
 	nackOutstanding seqwin.Window[int]
-	nackTimer       vclock.Handle
+	nackTimer       simclock.Timer
 	nackScratch     []uint32 // reused per-flush missing list
 
 	// Playout record.
@@ -270,8 +270,7 @@ type Player struct {
 
 // The six timer handlers are the Player itself under distinct named types:
 // converting *Player to e.g. *idleArm is free and pointer-shaped, so arming
-// a timer boxes no value and allocates nothing — the PR 4 EventHandler
-// pattern, extended through vclock so the same code runs live.
+// a timer boxes no value and allocates nothing, live or simulated.
 type (
 	idleArm     Player
 	nackArm     Player
@@ -393,8 +392,8 @@ func (p *Player) Abort() {
 // finished or was aborted, which closed its conns, and no timer of it is
 // pending.
 func (p *Player) Idle() bool {
-	return p.doneCalled && !p.endAt.Armed() && !p.frameTimer.Armed() && !p.graceTimer.Armed() &&
-		!p.idle.Armed() && !p.reportTick.Armed() && !p.nackTimer.Armed()
+	return p.doneCalled && !p.endAt.Active() && !p.frameTimer.Active() && !p.graceTimer.Active() &&
+		!p.idle.Active() && !p.reportTick.Active() && !p.nackTimer.Active()
 }
 
 // Start begins the session: dial control, DESCRIBE, SETUP, PLAY.
@@ -773,7 +772,7 @@ const (
 )
 
 func (p *Player) armNack() {
-	if p.nackTimer.Armed() {
+	if p.nackTimer.Active() {
 		return
 	}
 	p.nackTimer = p.cfg.Clock.AfterHandler(nackDelay, (*nackArm)(p))
@@ -937,7 +936,7 @@ func (p *Player) enqueueFrame(f bufFrame) {
 		return
 	}
 	p.frames.push(f)
-	if p.state == "playing" && !p.frameTimer.Armed() {
+	if p.state == "playing" && !p.frameTimer.Active() {
 		// The playout engine was waiting for data (underrun grace period);
 		// new media restarts it.
 		p.scheduleNextFrame()
@@ -1045,7 +1044,7 @@ func (p *Player) scheduleNextFrame() {
 		// Nothing to play. Wait briefly for the next frame (it may merely
 		// be late); only a sustained drought is an underrun that halts
 		// playback for rebuffering.
-		if !p.graceTimer.Armed() {
+		if !p.graceTimer.Active() {
 			p.graceTimer = p.cfg.Clock.AfterHandler(underrunGrace, (*underrunArm)(p))
 		}
 		return
@@ -1311,7 +1310,7 @@ func (p *Player) touchIdle() {
 		return
 	}
 	p.idleDeadline = p.cfg.Clock.Now() + idleTimeout
-	if !p.idle.Armed() {
+	if !p.idle.Active() {
 		p.idle = p.cfg.Clock.AfterHandler(idleTimeout, (*idleArm)(p))
 	}
 }

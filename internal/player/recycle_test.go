@@ -8,7 +8,6 @@ import (
 	"realtracer/internal/netsim"
 	"realtracer/internal/player"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // lossyRoute loses enough packets that a session exercises its loss
@@ -20,7 +19,7 @@ func lossyRoute() netsim.Route {
 
 func recycleConfig(r *rig, onDone func(*player.Stats, error)) player.Config {
 	return player.Config{
-		Clock:            vclock.Sim{C: r.clock},
+		Clock:            r.clock,
 		Net:              r.cNet,
 		ControlAddr:      "srv:554",
 		URL:              "rtsp://srv/clip000.rm",

@@ -13,7 +13,6 @@ import (
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // fireFunc adapts a closure to a simclock.EventHandler. Its type is not a
@@ -41,7 +40,7 @@ func newFullRig(t *testing.T, cfg server.Config, clientAccess netsim.AccessClass
 			media.GenerateClip("rtsp://srv/clip000.rm", "t", media.ContentNews, 4*time.Minute, 20, 350, 7),
 		})
 	}
-	cfg.Clock = vclock.Sim{C: clock}
+	cfg.Clock = clock
 	cfg.Net = session.SimNet{Stack: transport.NewStack(n, "srv")}
 	if cfg.Rand == nil {
 		cfg.Rand = rand.New(rand.NewSource(1))
@@ -57,7 +56,7 @@ func (r *fullRig) play(t *testing.T, cfg player.Config) (*player.Stats, error) {
 	t.Helper()
 	var got *player.Stats
 	var gotErr error
-	cfg.Clock = vclock.Sim{C: r.clock}
+	cfg.Clock = r.clock
 	cfg.Net = session.SimNet{Stack: transport.NewStack(r.net, "cli")}
 	if cfg.ControlAddr == "" {
 		cfg.ControlAddr = "srv:554"

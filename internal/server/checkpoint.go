@@ -11,7 +11,6 @@ import (
 	"realtracer/internal/rdt"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // Checkpoint/restore for the server engine. A server's serialized state is:
@@ -162,8 +161,8 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 		}
 		sess.src.Sync(c)
 	}
-	vclock.SyncHandle(c, s.cfg.Clock, &sess.paceTimer, (*paceArm)(sess))
-	vclock.SyncHandle(c, s.cfg.Clock, &sess.checkTimer, (*checkArm)(sess))
+	s.cfg.Clock.SyncTimer(c, &sess.paceTimer, (*paceArm)(sess))
+	s.cfg.Clock.SyncTimer(c, &sess.checkTimer, (*checkArm)(sess))
 
 	c.U32(&sess.videoSeq)
 	c.U32(&sess.audioSeq)

@@ -31,13 +31,13 @@ import (
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 	"realtracer/internal/session"
+	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // Config parameterizes a Server.
 type Config struct {
-	Clock   vclock.Clock
+	Clock   *simclock.Clock
 	Net     session.Net
 	Library *media.Library
 	// Rand drives the availability fault model. Required.

@@ -11,7 +11,6 @@ import (
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // ctlRig dials the server's control port and provides a request/response
@@ -42,7 +41,7 @@ func newRig(t *testing.T, route netsim.Route, unavailability float64) *ctlRig {
 		media.GenerateClip("rtsp://srv/clip000.rm", "t", media.ContentNews, 2*time.Minute, 20, 350, 7),
 	})
 	srv := New(Config{
-		Clock: vclock.Sim{C: clock}, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
+		Clock: clock, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
 		Library: lib, Rand: rand.New(rand.NewSource(1)),
 		Unavailability: unavailability, SureStream: true,
 	})

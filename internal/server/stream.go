@@ -8,8 +8,8 @@ import (
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 	"realtracer/internal/seqwin"
+	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // Pacing and switching parameters.
@@ -66,8 +66,8 @@ type streamSession struct {
 	startAt  time.Duration // virtual time of PLAY
 	mediaPos time.Duration // media time sent so far
 
-	paceTimer  vclock.Handle
-	checkTimer vclock.Handle
+	paceTimer  simclock.Timer
+	checkTimer simclock.Timer
 
 	// arena backs every packet struct this session sends (Data, Repair,
 	// EOS, retransmissions). Each cell comes back when its reader releases it

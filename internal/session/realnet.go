@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"net"
 
+	"realtracer/internal/simclock"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // RealNet implements Net over OS sockets for live localhost runs. All
@@ -15,7 +15,7 @@ type RealNet struct {
 	// Host is the bind/advertise address ("127.0.0.1" for the examples).
 	Host string
 	// Loop serializes callbacks.
-	Loop *vclock.Loop
+	Loop *simclock.Loop
 	// codec is fixed: the session Codec.
 }
 

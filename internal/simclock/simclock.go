@@ -4,7 +4,9 @@
 // callbacks at absolute virtual times and the scheduler runs them in
 // timestamp order (FIFO among equal timestamps). Nothing ever sleeps on the
 // wall clock, which makes an 11-day measurement study reproducible in
-// milliseconds of real time.
+// milliseconds of real time. Live sessions over OS sockets run the same
+// Clock, and the same engines on it, with a Loop (live.go) advancing it from
+// the wall clock.
 //
 // There is one kind of event: an EventHandler — a reusable object with a
 // Fire method — scheduled on a pooled Event. Events live on a free-list and

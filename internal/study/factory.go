@@ -11,7 +11,6 @@ import (
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // SessionFactory turns a user — a pre-scheduled panel participant or an
@@ -122,7 +121,7 @@ func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []trace
 	onRecord func(*trace.Record), onFinished func()) (*tracer.Tracer, *transport.Stack) {
 	stack := transport.NewStack(f.net, u.Name)
 	return tracer.New(tracer.Config{
-		Clock:        vclock.Sim{C: f.clock},
+		Clock:        f.clock,
 		Net:          session.SimNet{Stack: stack},
 		User:         u,
 		Playlist:     playlist,

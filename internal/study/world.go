@@ -16,7 +16,6 @@ import (
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // World is one fully-constructed simulated Internet: the RealServers with
@@ -328,7 +327,7 @@ func (w *World) startServers(plans []sitePlan) error {
 		drng := detrand.New(p.seed)
 		stack := transport.NewStack(f.net, p.site.Host)
 		srv := server.New(server.Config{
-			Clock:          vclock.Sim{C: f.clock},
+			Clock:          f.clock,
 			Net:            session.SimNet{Stack: stack},
 			Library:        lib,
 			Rand:           drng.Rand,

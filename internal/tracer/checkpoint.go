@@ -6,7 +6,6 @@ import (
 	"realtracer/internal/player"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // Two of a session's events fire the tracer: the not-yet-started session
@@ -44,7 +43,7 @@ func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	c.F64(&e.Site.Unavailability)
 	c.Int(&e.Site.Clips)
 	c.Dur(&t.curStarted)
-	vclock.SyncHandle(c, t.cfg.Clock, &t.pause, (*tracerArm)(t))
+	t.cfg.Clock.SyncTimer(c, &t.pause, (*tracerArm)(t))
 	engine := t.pl != nil
 	c.Bool(&engine)
 	if !engine {

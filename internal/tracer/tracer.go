@@ -12,9 +12,9 @@ import (
 	"realtracer/internal/netsim"
 	"realtracer/internal/player"
 	"realtracer/internal/session"
+	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 // Entry is one playlist item.
@@ -26,7 +26,7 @@ type Entry struct {
 
 // Config parameterizes one RealTracer run (one user, one playlist pass).
 type Config struct {
-	Clock vclock.Clock
+	Clock *simclock.Clock
 	Net   session.Net
 	User  *geo.User
 	// Playlist is walked sequentially from the top, like the real tool.
@@ -76,7 +76,7 @@ type Tracer struct {
 
 	// pause is the armed inter-clip think-time timer; Abort cancels it so
 	// a recycled Tracer leaves nothing behind on the clock.
-	pause vclock.Handle
+	pause simclock.Timer
 
 	// curEntry/curStarted carry the in-flight clip's identity to onDone
 	// (fields instead of a fresh closure environment per clip).
@@ -133,7 +133,7 @@ func (t *Tracer) Abort() {
 // Idle reports whether the session is over and holds nothing the clock can
 // reach: no think-time pause armed, and an idle player.
 func (t *Tracer) Idle() bool {
-	return !t.pause.Armed() && (t.pl == nil || t.pl.Idle())
+	return !t.pause.Active() && (t.pl == nil || t.pl.Idle())
 }
 
 // tracerArm is the pooled timer handler for the inter-clip pause: a

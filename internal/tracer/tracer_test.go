@@ -13,7 +13,6 @@ import (
 	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
 	"realtracer/internal/transport"
-	"realtracer/internal/vclock"
 )
 
 func testUser(access netsim.AccessClass, preferTCP bool, rateN int) *geo.User {
@@ -32,7 +31,7 @@ func runTracer(t *testing.T, u *geo.User, playlistLen int, unavailability float6
 	n.AddHost(netsim.HostConfig{Name: "u.test", Access: netsim.DefaultAccessProfile(u.Access)})
 	lib := media.GenerateLibrary("srv", playlistLen, 3)
 	srv := server.New(server.Config{
-		Clock: vclock.Sim{C: clock}, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
+		Clock: clock, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
 		Library: lib, Rand: rand.New(rand.NewSource(1)),
 		Unavailability: unavailability, SureStream: true, FEC: true,
 	})
@@ -47,7 +46,7 @@ func runTracer(t *testing.T, u *geo.User, playlistLen int, unavailability float6
 	var recs []*trace.Record
 	finished := false
 	tr := New(Config{
-		Clock: vclock.Sim{C: clock}, Net: session.SimNet{Stack: transport.NewStack(n, "u.test")},
+		Clock: clock, Net: session.SimNet{Stack: transport.NewStack(n, "u.test")},
 		User: u, Playlist: playlist, PlayFor: 10 * time.Second,
 		Rand:       rand.New(rand.NewSource(2)),
 		Rate:       func(rec *trace.Record) float64 { return 7 },
@@ -134,7 +133,7 @@ func TestTracerStop(t *testing.T) {
 	n.AddHost(netsim.HostConfig{Name: "u.test", Access: netsim.DefaultAccessProfile(u.Access)})
 	lib := media.GenerateLibrary("srv", 5, 3)
 	srv := server.New(server.Config{
-		Clock: vclock.Sim{C: clock}, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
+		Clock: clock, Net: session.SimNet{Stack: transport.NewStack(n, "srv")},
 		Library: lib, Rand: rand.New(rand.NewSource(1)), SureStream: true,
 	})
 	srv.Start()
@@ -147,7 +146,7 @@ func TestTracerStop(t *testing.T) {
 	finished := false
 	var tr *Tracer
 	tr = New(Config{
-		Clock: vclock.Sim{C: clock}, Net: session.SimNet{Stack: transport.NewStack(n, "u.test")},
+		Clock: clock, Net: session.SimNet{Stack: transport.NewStack(n, "u.test")},
 		User: u, Playlist: playlist, PlayFor: 10 * time.Second,
 		Rand: rand.New(rand.NewSource(2)),
 		OnRecord: func(rec *trace.Record) {

@@ -10,7 +10,7 @@ import (
 
 	"realtracer/internal/netsim"
 	"realtracer/internal/packet"
-	"realtracer/internal/vclock"
+	"realtracer/internal/simclock"
 )
 
 // Codec converts session-layer payloads to and from bytes for the real
@@ -60,7 +60,7 @@ const maxFrame = 1 << 20
 type RealTCPConn struct {
 	c     net.Conn
 	codec Codec
-	loop  *vclock.Loop
+	loop  *simclock.Loop
 	enc   frameWriter // recycled encode buffer
 
 	mu     sync.Mutex
@@ -71,7 +71,7 @@ type RealTCPConn struct {
 
 // NewRealTCPConn wraps an established net.Conn and starts its reader
 // goroutine.
-func NewRealTCPConn(c net.Conn, codec Codec, loop *vclock.Loop) *RealTCPConn {
+func NewRealTCPConn(c net.Conn, codec Codec, loop *simclock.Loop) *RealTCPConn {
 	rc := &RealTCPConn{c: c, codec: codec, loop: loop}
 	go rc.readLoop()
 	return rc
@@ -79,7 +79,7 @@ func NewRealTCPConn(c net.Conn, codec Codec, loop *vclock.Loop) *RealTCPConn {
 
 // DialRealTCP connects to addr and wraps the connection. The handshake time
 // seeds the RTT estimate.
-func DialRealTCP(addr string, codec Codec, loop *vclock.Loop) (*RealTCPConn, error) {
+func DialRealTCP(addr string, codec Codec, loop *simclock.Loop) (*RealTCPConn, error) {
 	start := time.Now()
 	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
@@ -92,7 +92,7 @@ func DialRealTCP(addr string, codec Codec, loop *vclock.Loop) (*RealTCPConn, err
 
 // ListenRealTCP accepts connections on addr, invoking accept (on the loop)
 // for each. Close the returned listener to stop.
-func ListenRealTCP(addr string, codec Codec, loop *vclock.Loop, accept func(*RealTCPConn)) (net.Listener, error) {
+func ListenRealTCP(addr string, codec Codec, loop *simclock.Loop, accept func(*RealTCPConn)) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -206,7 +206,7 @@ func (rc *RealTCPConn) RTT() time.Duration {
 type RealUDPPort struct {
 	pc    net.PacketConn
 	codec Codec
-	loop  *vclock.Loop
+	loop  *simclock.Loop
 	enc   frameWriter // recycled encode buffer
 
 	mu     sync.Mutex
@@ -215,7 +215,7 @@ type RealUDPPort struct {
 
 // ListenRealUDP binds a UDP socket on addr. recv runs on the loop for every
 // decodable datagram.
-func ListenRealUDP(addr string, codec Codec, loop *vclock.Loop, recv func(from string, payload any, size int)) (*RealUDPPort, error) {
+func ListenRealUDP(addr string, codec Codec, loop *simclock.Loop, recv func(from string, payload any, size int)) (*RealUDPPort, error) {
 	pc, err := net.ListenPacket("udp", addr)
 	if err != nil {
 		return nil, err
@@ -300,7 +300,7 @@ func (c *realUDPPortConn) RTT() time.Duration { return 0 }
 type RealUDPConn struct {
 	c     *net.UDPConn
 	codec Codec
-	loop  *vclock.Loop
+	loop  *simclock.Loop
 	enc   frameWriter // recycled encode buffer
 
 	mu     sync.Mutex
@@ -309,7 +309,7 @@ type RealUDPConn struct {
 }
 
 // DialRealUDP "connects" a UDP socket to addr and starts its reader.
-func DialRealUDP(addr string, codec Codec, loop *vclock.Loop) (*RealUDPConn, error) {
+func DialRealUDP(addr string, codec Codec, loop *simclock.Loop) (*RealUDPConn, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"realtracer/internal/packet"
-	"realtracer/internal/vclock"
+	"realtracer/internal/simclock"
 )
 
 // byteCodec is a trivial Codec for exercising the real-socket adapters.
@@ -23,7 +23,7 @@ func (byteCodec) EncodeTo(w *packet.Writer, payload any) error {
 
 func (byteCodec) Decode(data []byte) (any, error) { return string(data), nil }
 
-func runLoop(loop *vclock.Loop) func() {
+func runLoop(loop *simclock.Loop) func() {
 	done := make(chan struct{})
 	go func() {
 		loop.Run()
@@ -48,7 +48,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestRealTCPEndToEnd(t *testing.T) {
-	loop := vclock.NewLoop()
+	loop := simclock.NewLoop(simclock.New())
 	stop := runLoop(loop)
 	defer stop()
 
@@ -94,7 +94,7 @@ func TestRealTCPEndToEnd(t *testing.T) {
 }
 
 func TestRealTCPSendAfterClose(t *testing.T) {
-	loop := vclock.NewLoop()
+	loop := simclock.NewLoop(simclock.New())
 	stop := runLoop(loop)
 	defer stop()
 	ln, err := ListenRealTCP("127.0.0.1:0", byteCodec{}, loop, func(c *RealTCPConn) {})
@@ -113,7 +113,7 @@ func TestRealTCPSendAfterClose(t *testing.T) {
 }
 
 func TestRealUDPEndToEnd(t *testing.T) {
-	loop := vclock.NewLoop()
+	loop := simclock.NewLoop(simclock.New())
 	stop := runLoop(loop)
 	defer stop()
 
@@ -167,7 +167,7 @@ func TestRealUDPEndToEnd(t *testing.T) {
 }
 
 func TestRealUDPPortConnFor(t *testing.T) {
-	loop := vclock.NewLoop()
+	loop := simclock.NewLoop(simclock.New())
 	stop := runLoop(loop)
 	defer stop()
 	port, err := ListenRealUDP("127.0.0.1:0", byteCodec{}, loop, func(string, any, int) {})
