@@ -73,8 +73,20 @@ func (p *Pool[T]) Get() *T {
 func (p *Pool[T]) Put(c *T) {
 	var zero T
 	*c = zero
+	if cap(p.free) == 0 {
+		p.free = make([]*T, 0, freeMin)
+	}
 	p.free = append(p.free, c)
 }
+
+// freeMin is the free-list's first capacity. Doubling from one slot would
+// pay an allocation for each of the first few cells a pool takes back; the
+// list is still never sized to every carved cell, because a pool's cells
+// mostly stay on lease and the slots would only pin memory. The first step is
+// a make in Put's cold branch, later ones are append's own out-of-line
+// growth: a call to a helper would cost Put its place within the inliner's
+// budget.
+const freeMin = 8
 
 // Carved reports how many cells the pool has ever carved: the growth audit.
 func (p *Pool[T]) Carved() int { return p.carved }

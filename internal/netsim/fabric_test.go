@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -166,6 +168,41 @@ func TestRemoveHostPurgesLargeTable(t *testing.T) {
 				t.Fatalf("re-added host received %d packets, want 1", got)
 			}
 		})
+	}
+}
+
+// TestRecycledPathRestartsItsStream: a path state purged with its source
+// host keeps its generator for the next path that takes the state, and the
+// re-seed restarts the stream. A path re-created after its host left and
+// came back draws what a fresh source seeded for the pair draws, exactly as
+// the first path did, although its stream stopped midway.
+func TestRecycledPathRestartsItsStream(t *testing.T) {
+	fab := fabricRig(1, Route{})
+	n := fab.Net(0)
+	a, b := n.HostIDOf("a"), n.HostIDOf("b")
+	draws := func(rng *rand.Rand) []float64 {
+		var out []float64
+		for range 4 {
+			out = append(out, rng.Float64(), rng.NormFloat64(), float64(rng.Int63n(1000)))
+		}
+		return out
+	}
+	want := draws(rand.New(rand.NewSource(n.pathSeed ^ (int64(b)<<20 | int64(a)))))
+
+	p := n.path(b, a)
+	rng, _ := n.streams(p, b, a)
+	if got := draws(rng); !slices.Equal(got, want) {
+		t.Fatalf("a new path draws %v, want %v", got, want)
+	}
+	n.RemoveHost("b")
+	n.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessT1LAN)})
+	q := n.path(b, a)
+	if q != p {
+		t.Fatal("the re-created path did not take the purged state, so nothing here was recycled")
+	}
+	rng, _ = n.streams(q, b, a)
+	if got := draws(rng); !slices.Equal(got, want) {
+		t.Fatalf("a recycled path draws %v, want %v (the fresh stream's)", got, want)
 	}
 }
 

@@ -274,27 +274,33 @@ func (h *host) setPort(p int32, fn Handler) {
 		return
 	}
 	if idx >= len(h.ports) {
-		// One step to the slot needed, not a doubling per step from one
-		// slot: a server's table spans its service port to its ephemeral
-		// ones, thousands of slots from the first. Beyond that slot it grows
-		// as append would — a small table doubles, a large one by a quarter
-		// — so a run of new ephemeral ports does not copy it each time.
-		// Slots past the length are nil: nothing writes there, and
-		// RemoveHost clears the whole table before it is reused.
-		if idx >= cap(h.ports) {
-			c := cap(h.ports)
-			if c < 256 {
-				c *= 2
-			} else {
-				c += c / 4
-			}
-			grown := make([]Handler, idx+1, max(idx+1, c))
-			copy(grown, h.ports)
-			h.ports = grown
-		}
-		h.ports = h.ports[:idx+1]
+		// A server's table spans its service port to its ephemeral ones,
+		// thousands of slots from the first. Slots past the length are nil:
+		// nothing writes there, and RemoveHost clears the whole table before
+		// it is reused.
+		h.ports = growTo(h.ports, idx)
 	}
 	h.ports[idx] = fn
+}
+
+// growTo extends s to hold index idx ≥ len(s): in one step to that slot, not
+// a doubling per step from one slot, and beyond it as append would grow — a
+// small slice doubles, a large one by a quarter — so a run of rising indexes
+// does not copy it each time. Slots between the old length and idx are
+// whatever the capacity held, which is zero for a slice that never shrinks.
+func growTo[T any](s []T, idx int) []T {
+	if idx >= cap(s) {
+		c := cap(s)
+		if c < 256 {
+			c *= 2
+		} else {
+			c += c / 4
+		}
+		grown := make([]T, idx+1, max(idx+1, c))
+		copy(grown, s)
+		return grown
+	}
+	return s[:idx+1]
 }
 
 // clearPort removes a registration from the dense port table.
@@ -326,10 +332,19 @@ type pathState struct {
 	// rng is the path's private draw stream, used instead of the network's
 	// global rng in sharded mode: path draws are consumed in the source
 	// host's local event order, which is the same for every shard count, so
-	// loss/jitter/congestion outcomes cannot depend on the partition. Nil on
-	// the classic path.
-	rng *rand.Rand
+	// loss/jitter/congestion outcomes cannot depend on the partition. The
+	// zero Rand, with no generator, on the classic path. A state recycled
+	// through pathFree keeps its generator, and pathRand re-seeds it rather
+	// than building a 4.9 KB source: Seed leaves it in the state a fresh
+	// source would start in.
+	rng    rand.Rand
+	seeded bool // rng has been seeded for the pair the state now serves
 }
+
+// rowSlots is a short row's storage, carved a chunk at a time: a client row
+// reaches only the servers, which a world interns before its users, so most
+// rows never outgrow it.
+type rowSlots [16]*pathState
 
 // Network simulates packet delivery between hosts. Not safe for concurrent
 // use: it shares the single-threaded simclock discipline.
@@ -354,11 +369,13 @@ type Network struct {
 	// — so, in a sharded world, only the source's shard — writes it.
 	rows [][]*pathState
 
-	free     []*Packet            // packet free-list
-	cells    lease.Carver[Packet] // carves what free cannot supply, a chunk at a time
-	hostFree []*host              // detached host objects recycled by AddHost
-	pathFree []*pathState         // purged path states recycled by path
-	transit  TransitPool          // shard-transit payload free-lists (transit.go)
+	free     []*Packet               // packet free-list
+	cells    lease.Carver[Packet]    // carves what free cannot supply, a chunk at a time
+	hostFree []*host                 // detached host objects recycled by AddHost
+	pathFree []*pathState            // purged path states recycled by path
+	paths    lease.Carver[pathState] // carves what pathFree cannot supply
+	rowCells lease.Carver[rowSlots]  // carves the storage of short rows
+	transit  TransitPool             // shard-transit payload free-lists (transit.go)
 
 	dyn *dynState // nil unless SetDynamics installed a schedule
 	// dynScratch backs dynApply's pointer return; single-threaded per
@@ -563,22 +580,28 @@ func (n *Network) release(pkt *Packet) {
 
 // path returns (creating if needed) the ordered-pair path state, growing
 // the source's row to reach the destination. A state RemoveHost purged is
-// reused, overwritten whole with what a new one starts as.
+// reused, overwritten whole with what a new one starts as — all but its
+// draw stream's generator, which pathRand re-seeds.
 func (n *Network) path(from, to HostID) *pathState {
 	row := n.rows[from]
 	if int(to) >= len(row) {
-		row = append(row, make([]*pathState, int(to)+1-len(row))...)
+		if row == nil && int(to) < len(rowSlots{}) {
+			row = n.rowCells.New()[:0]
+		}
+		row = growTo(row, int(to))
 		n.rows[from] = row
 	}
 	p := row[to]
 	if p == nil {
+		var rng rand.Rand
 		if k := len(n.pathFree) - 1; k >= 0 {
 			p, n.pathFree = n.pathFree[k], n.pathFree[:k]
+			rng = p.rng
 		} else {
-			p = new(pathState)
+			p = n.paths.New()
 		}
 		r := n.routes.Route(n.names[from], n.names[to])
-		*p = pathState{route: r, capBps: kbpsToBitsPerSec(r.CapacityKbps), congestion: clamp01(r.CongestionMean)}
+		*p = pathState{route: r, capBps: kbpsToBitsPerSec(r.CapacityKbps), congestion: clamp01(r.CongestionMean), rng: rng}
 		row[to] = p
 	}
 	return p
@@ -648,10 +671,22 @@ func (n *Network) resampleCongestionDue(p *pathState, rng *rand.Rand) {
 // invariant — so the stream's outcomes cannot depend on how hosts were
 // split across shards.
 func (n *Network) pathRand(p *pathState, from, to HostID) *rand.Rand {
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(n.pathSeed ^ (int64(from)<<20 | int64(to))))
+	if !p.seeded {
+		n.seedPath(p, from, to)
 	}
-	return p.rng
+	return &p.rng
+}
+
+// seedPath starts p's draw stream for the pair (from, to), on the generator
+// a recycled state kept or on a new one.
+func (n *Network) seedPath(p *pathState, from, to HostID) {
+	seed := n.pathSeed ^ (int64(from)<<20 | int64(to))
+	if p.rng == (rand.Rand{}) {
+		p.rng = *rand.New(rand.NewSource(seed))
+	} else {
+		p.rng.Seed(seed)
+	}
+	p.seeded = true
 }
 
 // streams picks the two draw streams a packet on path p consumes: path draws

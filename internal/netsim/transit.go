@@ -119,9 +119,13 @@ func (tp *TransitPool) class(c TransitClass) *[]any {
 	return &tp.free[c]
 }
 
-// Put recycles an object of class c.
+// Put recycles an object of class c. A class's free-list starts at a
+// chunk's worth of slots, not one: copies come back in bursts.
 func (tp *TransitPool) Put(c TransitClass, v any) {
 	if free := tp.class(c); len(*free) < transitFreeMax {
+		if cap(*free) == 0 {
+			*free = make([]any, 0, lease.Chunk)
+		}
 		*free = append(*free, v)
 	}
 }

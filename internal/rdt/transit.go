@@ -37,8 +37,11 @@ type transitPacket struct {
 
 	payload []byte
 	parity  []byte
-	meta    []RepairMeta
-	seqs    []uint32
+	// meta and seqs back a copy's Repair.Meta and Nack.Seqs up to the
+	// bounds an arena cell holds inline (arena.go), so a recycled copy never
+	// regrows them; a longer list still appends.
+	meta [repairMetaCap]RepairMeta
+	seqs [MaxNackSeqs]uint32
 }
 
 // TransitCopy implements netsim.Transferable.
@@ -63,8 +66,7 @@ func (p *Packet) TransitCopy(tp *netsim.TransitPool) any {
 	}
 	if p.Repair != nil {
 		t.repair = *p.Repair
-		t.meta = append(t.meta[:0], p.Repair.Meta...)
-		t.repair.Meta = t.meta
+		t.repair.Meta = append(t.meta[:0], p.Repair.Meta...)
 		if p.Repair.Parity != nil {
 			t.parity = append(t.parity[:0], p.Repair.Parity...)
 			t.repair.Parity = t.parity
@@ -83,8 +85,7 @@ func (p *Packet) TransitCopy(tp *netsim.TransitPool) any {
 	}
 	if p.Nack != nil {
 		t.nack = *p.Nack
-		t.seqs = append(t.seqs[:0], p.Nack.Seqs...)
-		t.nack.Seqs = t.seqs
+		t.nack.Seqs = append(t.seqs[:0], p.Nack.Seqs...)
 		cp.Nack = &t.nack
 	}
 	return cp

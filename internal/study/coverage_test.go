@@ -294,6 +294,8 @@ var syncExempt = map[string]string{
 	"netsim.Network.cells":      "uncarved packets",
 	"netsim.Network.hostFree":   "recycled host objects",
 	"netsim.Network.pathFree":   "recycled path states",
+	"netsim.Network.paths":      "uncarved path states",
+	"netsim.Network.rowCells":   "uncarved path-row storage",
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
 	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's send and reorder buffers, and the wire",
@@ -326,6 +328,7 @@ var syncExempt = map[string]string{
 	"netsim.Network.ids":                 "inverse of the walked names table",
 	"netsim.Network.frozen":              "sharded worlds only",
 	"netsim.Network.pathSeed":            "sharded worlds only",
+	"netsim.pathState.seeded":            "sharded worlds only",
 	"netsim.Network.shardIdx":            "sharded worlds only",
 	"netsim.Packet.edge":                 "sharded worlds only: the network's walk refuses a sharded network",
 	"netsim.Network.routes":              "static route table",

@@ -226,8 +226,8 @@ type sessionBundle struct {
 	ordinal int64
 
 	// drops are the pooled cross-shard DropClient handlers, one per
-	// server, built on the bundle's first sharded departure.
-	drops []*dropArm
+	// server, carved together on the bundle's first sharded departure.
+	drops []dropArm
 }
 
 // quiescent reports whether the bundle holds nothing the clock can reach: no
@@ -453,13 +453,13 @@ func (c *arrivalCell) endSession(b *sessionBundle) {
 	now := c.f.clock.Now()
 	L := w.fab.Lookahead()
 	if b.drops == nil {
-		b.drops = make([]*dropArm, 0, len(w.Servers))
-		for _, srv := range w.Servers {
-			b.drops = append(b.drops, &dropArm{srv: srv, b: b})
+		b.drops = make([]dropArm, len(w.Servers))
+		for si, srv := range w.Servers {
+			b.drops[si] = dropArm{srv: srv, b: b}
 		}
 	}
-	for si, d := range b.drops {
-		w.fab.Post(c.shard, w.siteShard(si), now+L, d)
+	for si := range b.drops {
+		w.fab.Post(c.shard, w.siteShard(si), now+L, &b.drops[si])
 	}
 	c.f.clock.AfterHandler(2*L, (*freeArm)(b))
 }
