@@ -88,9 +88,7 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 		c.Dur(&f.arrived)
 		c.Bool(&f.video)
 		c.Bool(&f.keyframe)
-		c.F64(&f.encRate)
 		c.U32(&f.index)
-		c.Int(&f.size)
 	})
 	snap.Slice(c, &p.partials, func(c *snap.Codec, pa *partial) {
 		c.U64(&pa.key)
@@ -102,7 +100,6 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 		c.U8(&pa.count)
 		snap.U32As(c, &pa.got)
 		c.U8(&pa.need)
-		c.Int(&pa.size)
 	})
 
 	c.U32(&p.nextVideoIdx)

@@ -92,6 +92,12 @@ type Config struct {
 	// for sessions that failed outright. The *Stats is owned by the player
 	// and reused on Reset: consumers must copy what they keep.
 	OnDone func(*Stats, error)
+	// Arena backs sent packets (reports, buffer state, NACKs); each comes
+	// back to it when its last reader releases it (see rdt.Arena). A world
+	// passes its shard's. Nil means a private one, which New creates and a
+	// Reset with a nil Arena keeps, so a packet an earlier session minted
+	// stays valid until its last reader lets go.
+	Arena *rdt.Arena
 }
 
 // Stats is the per-clip record RealTracer reported back to WPI.
@@ -192,12 +198,6 @@ type Player struct {
 	dialing  uint8
 	dialAddr string
 
-	// arena backs sent packets (reports, buffer state, NACKs); each comes
-	// back to it when its last reader releases it (see rdt.Arena). New
-	// creates it and Reset keeps it, so a packet an earlier session minted
-	// stays valid until its last reader lets go.
-	arena *rdt.Arena
-
 	// Receive path. partials is a small linear-scan set: at most a handful
 	// of frames are mid-assembly at once (streams interleave, fragments of
 	// one frame arrive back to back), so a slice beats a map and its per-
@@ -289,7 +289,7 @@ func (x *timeUpArm) Fire(time.Duration)    { (*Player)(x).timeUp() }
 
 // New builds a Player; Start launches it.
 func New(cfg Config) *Player {
-	p := &Player{pending: make(map[int]uint8), arena: &rdt.Arena{}}
+	p := &Player{pending: make(map[int]uint8)}
 	p.recvControl, p.recvData = p.onControl, p.onData
 	p.descBuf.Encodings = make([]session.EncodingDesc, 0, len(media.SureStreamLadder()))
 	p.init(cfg)
@@ -300,8 +300,8 @@ func New(cfg Config) *Player {
 // grown storage: the map keeps its buckets, the emptied FEC window and NACK
 // ledger their rings, the frame heap, partial set, playout record and scratch
 // slices keep their backing arrays, the Stats record is cleared in place, and
-// the bound receivers, parse scratch, idle dial continuations and packet
-// arena stay. Stale state cannot leak across the reset: timers are cancelled
+// the bound receivers, parse scratch and idle dial continuations stay, and so
+// does a private packet arena when cfg names none. Stale state cannot leak across the reset: timers are cancelled
 // (and generation checks make any already-recycled handle inert), the epoch
 // bump disarms in-flight dial callbacks, and every other field is rebuilt
 // through the struct literal, so a recycled player can never observe its
@@ -309,6 +309,9 @@ func New(cfg Config) *Player {
 // must not Reset a player whose session is still live — finish or Abort it
 // first.
 func (p *Player) Reset(cfg Config) {
+	if cfg.Arena == nil {
+		cfg.Arena = p.cfg.Arena
+	}
 	p.cancelTimers()
 	clear(p.pending)
 	p.haveSeq.Reset()
@@ -329,7 +332,6 @@ func (p *Player) Reset(cfg Config) {
 		playTimes:       p.playTimes[:0],
 		lowSeqs:         p.lowSeqs[:0],
 		nackScratch:     p.nackScratch[:0],
-		arena:           p.arena,
 	}
 	p.stats = Stats{PlayoutGaps: gaps, Timeline: timeline}
 	p.init(cfg)
@@ -347,6 +349,9 @@ func (p *Player) init(cfg Config) {
 	}
 	if cfg.Rand == nil {
 		cfg.Rand = rand.New(rand.NewSource(1))
+	}
+	if cfg.Arena == nil {
+		cfg.Arena = new(rdt.Arena)
 	}
 	p.cfg = cfg
 	p.state = "setup"
@@ -648,56 +653,74 @@ type partial struct {
 	count     uint8
 	got       uint16 // bitmap over fragments (FragCount <= 16 in practice)
 	need      uint8
-	size      int
 }
 
+// bufFrame is an assembled frame waiting for playout: 24 bytes. The encoding
+// rate a frame arrived under is read before it is buffered (enqueueFrame),
+// so the buffer does not keep it.
 type bufFrame struct {
 	mediaTime time.Duration
 	arrived   time.Duration // wall time the frame finished assembling
+	index     uint32
 	video     bool
 	keyframe  bool
-	encRate   float64
-	index     uint32
-	size      int
 }
 
+// frameHeap is the playout buffer: a binary min-heap on mediaTime.
 type frameHeap []bufFrame
 
-func (h frameHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *frameHeap) push(f bufFrame) {
 	*h = append(*h, f)
-	i := len(*h) - 1
+	a := *h
+	i := len(a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if (*h)[parent].mediaTime <= (*h)[i].mediaTime {
+		if a[parent].mediaTime <= a[i].mediaTime {
 			break
 		}
-		h.Swap(i, parent)
+		a[i], a[parent] = a[parent], a[i]
 		i = parent
 	}
 }
+
+// pop removes the earliest frame, bottom-up (Wegener 1993): the hole the root
+// leaves walks down the min-child path to a leaf, then the displaced last
+// entry sifts up from there while its parent is ≥ it. The array ends exactly
+// as a textbook sift-down of the last entry from the root leaves it, ties
+// included — the children on the path are ordered, so the entry stops
+// below the same ones — but each level costs one comparison, not two, and a
+// near-sorted buffer's last entry seldom moves up at all.
 func (h *frameHeap) pop() bufFrame {
-	old := *h
-	top := old[0]
-	n := len(old)
-	old[0] = old[n-1]
-	*h = old[:n-1]
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	last := a[n]
+	a = a[:n]
+	*h = a
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(*h) && (*h)[l].mediaTime < (*h)[smallest].mediaTime {
-			smallest = l
-		}
-		if r < len(*h) && (*h)[r].mediaTime < (*h)[smallest].mediaTime {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.Swap(i, smallest)
-		i = smallest
+		if c+1 < n && a[c+1].mediaTime < a[c].mediaTime {
+			c++
+		}
+		a[i] = a[c]
+		i = c
 	}
+	for i > 0 {
+		parent := (i - 1) / 2
+		if a[parent].mediaTime < last.mediaTime {
+			break
+		}
+		a[i] = a[parent]
+		i = parent
+	}
+	a[i] = last
 	return top
 }
 
@@ -813,7 +836,7 @@ func (p *Player) flushNacks() {
 		if end > len(missing) {
 			end = len(missing)
 		}
-		pkt := p.arena.Nack()
+		pkt := p.cfg.Arena.Nack()
 		nk := pkt.Nack
 		nk.Stream = rdt.StreamVideo
 		nk.Seqs = append(nk.Seqs, missing[off:end]...)
@@ -859,10 +882,8 @@ func (p *Player) assemble(d *rdt.Data) {
 			arrived:   p.cfg.Clock.Now(),
 			video:     d.Stream == rdt.StreamVideo,
 			keyframe:  d.Flags&rdt.FlagKeyframe != 0,
-			encRate:   float64(d.EncRate),
 			index:     d.FrameIndex,
-			size:      d.PayloadLen(),
-		})
+		}, float64(d.EncRate))
 		return
 	}
 	key := uint64(d.Stream)<<32 | uint64(d.FrameIndex)
@@ -892,7 +913,6 @@ func (p *Player) assemble(d *rdt.Data) {
 	}
 	pt.got |= bit
 	pt.need++
-	pt.size += d.PayloadLen()
 	if pt.need >= pt.count {
 		done := *pt
 		// Swap-remove: assembly order does not depend on set order.
@@ -904,23 +924,23 @@ func (p *Player) assemble(d *rdt.Data) {
 			arrived:   p.cfg.Clock.Now(),
 			video:     done.video,
 			keyframe:  done.keyframe,
-			encRate:   done.encRate,
 			index:     done.index,
-			size:      done.size,
-		})
+		}, done.encRate)
 	}
 }
 
-func (p *Player) enqueueFrame(f bufFrame) {
-	if f.encRate > 0 && f.video {
+// enqueueFrame buffers an assembled frame, sent under the encoding rate
+// encRate.
+func (p *Player) enqueueFrame(f bufFrame, encRate float64) {
+	if encRate > 0 && f.video {
 		if p.curEncRate == 0 {
-			p.curEncRate = f.encRate
-			p.st.EncodedKbps = f.encRate
-			p.st.EncodedFPS = p.desc.FrameRateFor(f.encRate)
-		} else if f.encRate != p.curEncRate && f.index+1 >= p.nextVideoIdx {
+			p.curEncRate = encRate
+			p.st.EncodedKbps = encRate
+			p.st.EncodedFPS = p.desc.FrameRateFor(encRate)
+		} else if encRate != p.curEncRate && f.index+1 >= p.nextVideoIdx {
 			// Only in-order frames mark a SureStream switch; retransmitted
 			// frames carry the encoding they were originally sent under.
-			p.curEncRate = f.encRate
+			p.curEncRate = encRate
 			p.st.Switches++
 		}
 	}
@@ -1228,7 +1248,7 @@ func (p *Player) sendReport() {
 	if p.ctl != nil && p.ctl.RTT() > 0 {
 		rttMs = uint16(p.ctl.RTT().Milliseconds())
 	}
-	rep := p.arena.Report()
+	rep := p.cfg.Arena.Report()
 	*rep.Report = rdt.Report{
 		Expected: uint32(intExpected),
 		Lost:     uint32(intLost),
@@ -1238,7 +1258,7 @@ func (p *Player) sendReport() {
 		RTTMs:    rttMs,
 	}
 	p.data.Send(rep, rdt.WireSize(rep))
-	bs := p.arena.BufferState()
+	bs := p.cfg.Arena.BufferState()
 	*bs.BufferState = rdt.BufferState{
 		Ms:     uint32(p.bufferDepth().Milliseconds()),
 		Target: uint32(p.cfg.Preroll.Milliseconds()),
@@ -1394,7 +1414,4 @@ func (p *Player) finalizeStats(now time.Duration, err error) {
 		util = 1
 	}
 	st.CPUUtilization = util
-	// Keep the frame list from growing without bound for long sessions; the
-	// stats are final now.
-	slices.Sort(p.playTimes)
 }

@@ -2,13 +2,15 @@ package rdt
 
 import "realtracer/internal/lease"
 
-// Arena is a per-session pool of the packet structs both ends of a
-// connection mint on the hot path: media Data and its Packet wrapper,
-// receiver Reports, BufferState updates, NACKs, FEC Repair packets and the
-// end-of-stream marker. A cell is leased to whoever asks for a packet and
-// comes back when its reader is done with it; cells are carved from chunked
-// backing arrays only while the free-lists are empty, so an arena grows to
-// what the session has in flight and stops, however many packets it sends.
+// Arena is a pool of the packet structs both ends of a connection mint on
+// the hot path: media Data and its Packet wrapper, receiver Reports,
+// BufferState updates, NACKs, FEC Repair packets and the end-of-stream
+// marker. A simulated world keeps one per shard, shared by every server and
+// player on the shard; a server or player built outside a world makes its
+// own. A cell is leased to whoever asks for a packet and comes back when its
+// reader is done with it; cells are carved from chunked backing arrays only
+// while the free-lists are empty, so an arena grows to what its owners have
+// in flight at once and stops, however many packets they send.
 //
 // Every cell has exactly one reader, and the lifetime rule is the wire's, the
 // same for an original as for a shard-transit copy (transit.go): a packet

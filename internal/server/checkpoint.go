@@ -8,7 +8,6 @@ import (
 
 	"realtracer/internal/media"
 	"realtracer/internal/ratecontrol"
-	"realtracer/internal/rdt"
 	"realtracer/internal/snap"
 	"realtracer/internal/transport"
 )
@@ -172,11 +171,12 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	c.Bool(&sess.haveReport)
 	c.Int(&sess.healthyChecks)
 
-	// The retransmit window walks as its headers in seq order; the key of
-	// each is its own Seq.
-	sess.sentVideo.Sync(c, "retransmit window", sess.id, func(c *snap.Codec, seq *uint64, m *rdt.RepairMeta) {
+	// The retransmit window walks as its headers in seq order, each with its
+	// Seq rebuilt from the key; decoding takes the key back from the Seq.
+	sess.sentVideo.Sync(c, "retransmit window", sess.id, func(c *snap.Codec, seq *uint64, e *sentMeta) {
+		m := e.meta(uint32(*seq))
 		m.Sync(c)
-		*seq = uint64(m.Seq)
+		*seq, *e = uint64(m.Seq), sentOf(m)
 	})
 	c.U32(&sess.sentFloor)
 	if c.Reading() && c.Err() == nil {

@@ -66,7 +66,7 @@ func TestRetransmitWindowHoldsBeforeSend(t *testing.T) {
 		t.Fatalf("window holds %d packets for seqs [%d,%d)", n, sess.sentFloor, sess.videoSeq)
 	}
 	for seq := sess.sentFloor; seq != sess.videoSeq; seq++ {
-		if m := sess.sentVideo.Get(uint64(seq)); m.Seq != seq || m.FragCount == 0 {
+		if m := sess.sentVideo.Get(uint64(seq)).meta(seq); m.FragCount == 0 {
 			t.Fatalf("window entry for seq %d reads %+v: the header of a packet dropped in Send was read after its release", seq, m)
 		}
 	}
@@ -85,15 +85,16 @@ func TestRetransmitWindowHoldsBeforeSend(t *testing.T) {
 		t.Fatalf("%d retransmissions for 4 NACKed packets", len(got))
 	}
 	for i, d := range got {
-		want := sess.sentVideo.Get(uint64(first) + uint64(i))
-		if d.Seq != first+uint32(i) || rdt.MetaOf(&d) != want || d.Stream != rdt.StreamVideo {
+		seq := first + uint32(i)
+		want := sess.sentVideo.Get(uint64(seq)).meta(seq)
+		if d.Seq != seq || rdt.MetaOf(&d) != want || d.Stream != rdt.StreamVideo {
 			t.Errorf("retransmission %d reads %+v, the window holds %+v", i, d, want)
 		}
 	}
 }
 
 // TestArenaGrowsToTheWorkingSet is the size fence: a minute of UDP streaming
-// sends thousands of data packets, and the session's arena stops growing at
+// sends thousands of data packets, and the server's arena stops growing at
 // what is in flight — the retransmit window keeps headers, not cells, so a
 // few dozen cells, not one per packet of the window.
 func TestArenaGrowsToTheWorkingSet(t *testing.T) {
@@ -105,7 +106,7 @@ func TestArenaGrowsToTheWorkingSet(t *testing.T) {
 	if sent < 2000 || sess.sentVideo.Len() < 512 {
 		t.Fatalf("only %d data packets in a minute, %d headers in the retransmit window", sent, sess.sentVideo.Len())
 	}
-	carved, leased := sess.arena.Cells()
+	carved, leased := r.srv.cfg.Arena.Cells()
 	t.Logf("%d data packets sent; arena carved %d cells, %d on lease", sent, carved, leased)
 	if carved > 32 {
 		t.Errorf("arena carved %d cells for %d packets: cells are not coming back, or something pins them (a window of cells took 524)", carved, sent)

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 )
 
@@ -57,7 +56,7 @@ func TestSessionRecycleClearsState(t *testing.T) {
 			held, sess1.videoSeq, sess1.mediaPos)
 	}
 	lastSent := sess1.sentVideo.Get(lastSeq)
-	if lastSent == (rdt.RepairMeta{}) {
+	if lastSent == (sentMeta{}) {
 		t.Fatalf("first session does not hold its newest video packet, seq %d", lastSeq)
 	}
 	teardown(id1)
@@ -76,7 +75,7 @@ func TestSessionRecycleClearsState(t *testing.T) {
 		t.Fatalf("recycled session kept its predecessor's ID %q", id2)
 	}
 	// At lease time — before PLAY — the recycled object must be clean.
-	if n, m := sess2.sentVideo.Len(), sess2.sentVideo.Get(lastSeq); n != 0 || m != (rdt.RepairMeta{}) {
+	if n, m := sess2.sentVideo.Len(), sess2.sentVideo.Get(lastSeq); n != 0 || m != (sentMeta{}) {
 		t.Fatalf("recycled session inherited %d retransmit-window headers (seq %d reads %+v)", n, lastSeq, m)
 	}
 	// What it does inherit is the window's storage: holding as many packets

@@ -55,6 +55,11 @@ type Config struct {
 	NewController func(startKbps float64) ratecontrol.Controller
 	// ControlPort etc. default to the session package's well-known ports.
 	ControlPort, DataTCPPort, DataUDPPort int
+	// Arena backs every packet struct the server's sessions send (Data,
+	// Repair, EOS, retransmissions); each cell comes back to it when its
+	// reader releases it. A world passes its shard's; nil means a private
+	// one.
+	Arena *rdt.Arena
 }
 
 func (c *Config) fillDefaults() {
@@ -66,6 +71,9 @@ func (c *Config) fillDefaults() {
 	}
 	if c.DataUDPPort == 0 {
 		c.DataUDPPort = session.DataUDPPort
+	}
+	if c.Arena == nil {
+		c.Arena = new(rdt.Arena)
 	}
 	if c.NewController == nil {
 		c.NewController = func(startKbps float64) ratecontrol.Controller {
@@ -85,9 +93,8 @@ type Server struct {
 	nextID     int
 
 	// sessFree recycles streamSession objects: removeSession pushes,
-	// newStreamSession pops. A recycled session keeps its map storage,
-	// retransmit ring and packet arena so steady-state churn stops allocating;
-	// packets of its last playout still on the wire find the arena there.
+	// newStreamSession pops. A recycled session keeps its map storage and
+	// retransmit ring so steady-state churn stops allocating.
 	sessFree []*streamSession
 
 	// descBody is each clip's DESCRIBE body, rendered the first time the clip

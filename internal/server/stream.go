@@ -69,12 +69,6 @@ type streamSession struct {
 	paceTimer  simclock.Timer
 	checkTimer simclock.Timer
 
-	// arena backs every packet struct this session sends (Data, Repair,
-	// EOS, retransmissions). Each cell comes back when its reader releases it
-	// (rdt.Arena), whichever session the recycled object is serving by then;
-	// the session itself keeps no cell.
-	arena rdt.Arena
-
 	videoSeq uint32
 	audioSeq uint32
 
@@ -86,9 +80,9 @@ type streamSession struct {
 	fecBase uint32
 
 	// Feedback snapshots. The report is kept by value: the *rdt.Report the
-	// feedback callback sees lives in pooled storage (the player's arena
-	// packet on the classic path, a shard-transit snapshot on the sharded
-	// one) that is released as soon as the callback returns, so retaining
+	// feedback callback sees lives in pooled storage (a cell of the
+	// player's arena on the classic path, a shard-transit snapshot on the
+	// sharded one) that is released as soon as the callback returns, so retaining
 	// the pointer until the next check tick would read reused memory.
 	lastReport    rdt.Report
 	haveReport    bool
@@ -98,7 +92,7 @@ type streamSession struct {
 	// NACK retransmission and FEC parity (UDP only): exactly the seqs
 	// [sentFloor, videoSeq), since video seqs are handed out monotonically
 	// and expire from the bottom.
-	sentVideo seqwin.Window[rdt.RepairMeta]
+	sentVideo seqwin.Window[sentMeta]
 	sentFloor uint32
 
 	// Per-stream frame counters: the player relies on video FrameIndex
@@ -138,7 +132,7 @@ func (s *Server) allocSession() *streamSession {
 // newStreamSession leases a session object from the server's free-list (or
 // allocates the pool's first instances) and reinitializes it for one clip
 // playout. Recycled sessions keep their storage — the emptied retransmit
-// window's ring, the failed-rung map, packet arena and bound receiver;
+// window's ring, the failed-rung map and bound receiver;
 // everything else is reset field-by-field through the struct
 // literal, so a recycled session can never observe its predecessor's
 // retransmit window, feedback snapshot or timer state.
@@ -161,7 +155,6 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 		recvTCP:     sess.recvTCP,
 		sentVideo:   sess.sentVideo,
 		failedRungs: sess.failedRungs,
-		arena:       sess.arena,
 		srcStore:    sess.srcStore,
 	}
 	sess.encIdx = clip.EncodingIndexFor(maxKbps)
@@ -351,7 +344,7 @@ func (sess *streamSession) sendFrame(f media.Frame) {
 			sz = maxFragment
 		}
 		remaining -= sz
-		pkt := sess.arena.Data()
+		pkt := sess.srv.cfg.Arena.Data()
 		d := pkt.Data
 		d.Stream = stream
 		d.MediaTime = uint32(f.MediaTime.Milliseconds())
@@ -389,13 +382,13 @@ func (sess *streamSession) sendFEC() {
 	if sess.videoSeq-sess.fecBase < fecGroup {
 		return
 	}
-	pkt := sess.arena.Repair()
+	pkt := sess.srv.cfg.Arena.Repair()
 	rep := pkt.Repair
 	rep.Stream = rdt.StreamVideo
 	rep.BaseSeq = sess.fecBase
 	rep.Group = fecGroup
 	for seq := sess.fecBase; seq != sess.videoSeq; seq++ {
-		m := sess.sentVideo.Get(uint64(seq))
+		m := sess.sentVideo.Get(uint64(seq)).meta(seq)
 		rep.Meta = append(rep.Meta, m)
 		rep.PadLen = max(rep.PadLen, int(m.Size))
 	}
@@ -415,7 +408,7 @@ func (sess *streamSession) sendData(pkt *rdt.Packet) {
 }
 
 func (sess *streamSession) sendEOS() {
-	pkt := sess.arena.EOS()
+	pkt := sess.srv.cfg.Arena.EOS()
 	pkt.EOS.FinalSeq = sess.videoSeq
 	sess.sendData(pkt)
 	sess.playing = false
@@ -578,12 +571,40 @@ func (sess *streamSession) onFeedback(pkt *rdt.Packet) {
 	}
 }
 
+// sentMeta is a sent video packet's header as the retransmit window keeps
+// it: an rdt.RepairMeta without its Seq, which is the window's key, so a slot
+// is 16 bytes, not 20. FragCount ≥ 1 keeps every entry non-zero, and the
+// zero sentMeta still means absent.
+type sentMeta struct {
+	frameIndex, mediaTime       uint32
+	fragIndex, fragCount, flags uint8
+	encRate, size               uint16
+}
+
+func sentOf(m rdt.RepairMeta) sentMeta {
+	return sentMeta{m.FrameIndex, m.MediaTime, m.FragIndex, m.FragCount, m.Flags, m.EncRate, m.Size}
+}
+
+// meta is the header of the packet e records, sent as seq.
+func (e sentMeta) meta(seq uint32) rdt.RepairMeta {
+	return rdt.RepairMeta{
+		Seq:        seq,
+		FrameIndex: e.frameIndex,
+		MediaTime:  e.mediaTime,
+		FragIndex:  e.fragIndex,
+		FragCount:  e.fragCount,
+		Flags:      e.flags,
+		EncRate:    e.encRate,
+		Size:       e.size,
+	}
+}
+
 // rememberVideo records a sent video packet's header for retransmission and
 // parity, bounded to the recent window: once more than window headers are
 // held, everything below m.Seq-window goes and sentFloor follows the cut.
 func (sess *streamSession) rememberVideo(m rdt.RepairMeta) {
 	const window = 512
-	sess.sentVideo.Put(uint64(m.Seq), m)
+	sess.sentVideo.Put(uint64(m.Seq), sentOf(m))
 	if cut := m.Seq - window; sess.sentVideo.Len() > window && sess.sentFloor < cut {
 		sess.sentFloor = cut
 		sess.sentVideo.DropBelow(uint64(cut))
@@ -599,9 +620,9 @@ func (sess *streamSession) retransmit(nk *rdt.Nack) {
 		return
 	}
 	for _, seq := range nk.Seqs {
-		if m := sess.sentVideo.Get(uint64(seq)); m != (rdt.RepairMeta{}) {
-			pkt := sess.arena.Data()
-			m.Fill(pkt.Data, rdt.StreamVideo)
+		if e := sess.sentVideo.Get(uint64(seq)); e != (sentMeta{}) {
+			pkt := sess.srv.cfg.Arena.Data()
+			e.meta(seq).Fill(pkt.Data, rdt.StreamVideo)
 			sess.sendData(pkt)
 		}
 	}

@@ -34,7 +34,7 @@ import (
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
 // before misreading a single field.
-const snapMagic = "RTSNAP7"
+const snapMagic = "RTSNAP8"
 
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"realtracer/internal/figures"
+	"realtracer/internal/lease"
 	"realtracer/internal/netsim"
+	"realtracer/internal/rdt"
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
 	"realtracer/internal/transport"
@@ -275,9 +277,8 @@ func reachStructs(root reflect.Value, path string, enter func(v reflect.Value, p
 }
 
 // leasePools finds every lease.Pool reachable from w — the cell pools of every
-// rdt.Arena (server sessions live and pooled, every tracer's) and the segment
-// pool of every transport.Stack — keyed by its address, with the path it was
-// first reached by.
+// rdt.Arena (one per shard) and the segment pool of every transport.Stack —
+// keyed by its address, with the path it was first reached by.
 func leasePools(w *World) map[uintptr]leasePool {
 	pools := map[uintptr]leasePool{}
 	worldStructs(w, func(v reflect.Value, path string) bool {
@@ -327,7 +328,7 @@ func checkClosedConns(t *testing.T, w *World) (closed, backlogged int) {
 
 // checkLeases is the lease half of the conservation oracle, for a world at
 // quiescence: nothing is on the wire, so a pooled cell — a packet struct of
-// some session's rdt arena, a segment of some host's transport stack — is
+// some shard's rdt arena, a segment of some host's transport stack — is
 // out of its pool only if somebody still holds it. A conn that closed holds
 // nothing (checkClosedConns), and a server session keeps headers, not cells,
 // so what is left is the open conns: every server drops every client, the
@@ -357,7 +358,8 @@ func checkLeases(t *testing.T, w *World) {
 
 	// Per cell type: pools found, cells ever carved.
 	found, carved := map[string]int{}, map[string]int{}
-	for _, p := range leasePools(w) {
+	pools := leasePools(w)
+	for _, p := range pools {
 		cells, free := int(peek(p.pool, "carved").Int()), peek(p.pool, "free").Len()
 		if cells != free {
 			t.Errorf("leases: %s has %d of %d cells on lease, want none", p.path, cells-free, cells)
@@ -366,15 +368,27 @@ func checkLeases(t *testing.T, w *World) {
 		found[kind]++
 		carved[kind] += cells
 	}
-	// Every server and every tracer has a stack; every tracer has an arena,
-	// and the servers' sessions have more. Fewer pools than that, or none
-	// ever used, and the audit is not looking at what the run ran on.
+	// Every server and every tracer has a stack, and a world has exactly one
+	// arena per shard, its factory's, which every server and player on the
+	// shard leases from (an arena has one Packet pool). Fewer stacks, any
+	// other arena, or one that never carved a cell in a world that ran, and
+	// the audit is not looking at what the run ran on.
 	trs := len(worldTracers(w))
 	const segs, packets = "Pool[realtracer/internal/transport.tcpSeg]", "Pool[realtracer/internal/rdt.Packet]"
-	if found[segs] < len(w.Servers)+trs || found[packets] <= trs ||
-		w.ran && (carved[segs] == 0 || carved[packets] == 0) {
-		t.Errorf("leases: the audit reached %d segment pools (%d cells carved) and %d arenas (%d packets carved) in a world of %d servers and %d tracers",
-			found[segs], carved[segs], found[packets], carved[packets], len(w.Servers), trs)
+	if found[segs] < len(w.Servers)+trs || w.ran && carved[segs] == 0 {
+		t.Errorf("leases: the audit reached %d segment pools (%d cells carved) in a world of %d servers and %d tracers",
+			found[segs], carved[segs], len(w.Servers), trs)
+	}
+	if found[packets] != len(w.factories) {
+		t.Errorf("leases: the audit reached %d arenas in a world of %d shards", found[packets], len(w.factories))
+	}
+	for i, f := range w.factories {
+		if _, ok := pools[peek(reflect.ValueOf(&f.arena), "packets").UnsafeAddr()]; !ok {
+			t.Errorf("leases: shard %d's arena is not reachable from its servers and players", i)
+		}
+		if shardCarved, _ := f.arena.Cells(); w.ran && shardCarved == 0 {
+			t.Errorf("leases: shard %d's arena carved no cell", i)
+		}
 	}
 	checkCarved(t, w)
 }
@@ -485,4 +499,64 @@ func TestResumedWorldConservesLeases(t *testing.T) {
 		}
 		checkLeases(t, w)
 	})
+}
+
+// TestShardArenaFollowsInFlight: a shard's packet storage is as big as what
+// the shard has in flight at once. Every server and player on a shard leases
+// from the shard's one arena, so its free-lists hold the shard's high water,
+// not each pooled session object's. The open-loop fence world runs classic
+// and at two shards; each shard's cells on lease are sampled after every
+// event (classic) or window (fabric), and the shard's arena may have carved
+// no more cells than its sampled peak plus one chunk per cell class — the
+// slack a pool's last chunk and the sampling leave. While every session
+// object had an arena of its own, the arenas of one shard together carved
+// the sum of their sessions' peaks, several times the shard's.
+func TestShardArenaFollowsInFlight(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opt := fenceWorlds[1].opt
+			opt.Shards = shards
+			w, err := NewWorld(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := make([]int, len(w.factories))
+			sample := func() {
+				for i, f := range w.factories {
+					_, leased := f.arena.Cells()
+					peak[i] = max(peak[i], leased)
+				}
+			}
+			if w.fab != nil {
+				// stop runs between windows, with every shard quiescent.
+				w.fab.Run(func() bool { sample(); return w.finished() })
+			} else {
+				for !w.finished() && w.Clock.Step() {
+					sample()
+				}
+			}
+			if !w.finished() {
+				t.Fatal("the world stalled")
+			}
+			// One chunk per cell class: a pool carves at most lease.Chunk cells
+			// and 4 KiB at a time (TestChunksAreSizedInBytes).
+			chunks := 0
+			arena := reflect.TypeOf(rdt.Arena{})
+			for i := range arena.NumField() {
+				cell, _ := arena.Field(i).Type.FieldByName("rest")
+				chunks += min(max(4<<10/int(cell.Type.Elem().Size()), 1), lease.Chunk)
+			}
+			for i, f := range w.factories {
+				carved, leased := f.arena.Cells()
+				t.Logf("shard %d: arena carved %d cells, peak %d on lease, %d at the end (chunks of all classes: %d cells)", i, carved, peak[i], leased, chunks)
+				if peak[i] == 0 {
+					t.Errorf("shard %d never had a cell on lease", i)
+				}
+				if carved > peak[i]+chunks {
+					t.Errorf("shard %d's arena carved %d cells for a peak of %d on lease: more than one chunk per cell class (%d cells) above it",
+						i, carved, peak[i], chunks)
+				}
+			}
+		})
+	}
 }

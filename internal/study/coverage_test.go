@@ -358,11 +358,11 @@ var syncExempt = map[string]string{
 	"server.Server.udpPort":              "rebuilt by Server.Start",
 	"server.streamSession.clip":          "looked up from the walked URL",
 	"server.streamSession.srcStore":      "storage behind src",
-	"server.streamSession.arena":         "packet storage",
 	"media.FrameSource.clip":             "rebuilt by Reset from the session's clip and walked encIdx",
 	"media.FrameSource.enc":              "rebuilt by Reset",
 	"media.FrameSource.scenes":           "the clip's, laid out on its first playout; pointed at by Reset",
-	"player.Player.arena":                "packet storage; restore starts it empty",
+	"player.Config.Arena":                "packet storage: the shard's arena; restore starts it empty",
+	"study.SessionFactory.arena":         "packet storage; restore starts it empty",
 	"player.Config.Clock":                "owner-supplied environment",
 	"player.Config.Net":                  "owner-supplied environment",
 	"player.Config.Rand":                 "owner-supplied environment",

@@ -6,6 +6,7 @@ import (
 
 	"realtracer/internal/geo"
 	"realtracer/internal/netsim"
+	"realtracer/internal/rdt"
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
@@ -48,6 +49,12 @@ type SessionFactory struct {
 	// should need.
 	idle, draining []*sessionBundle
 	live, peak     int
+
+	// arena is the shard's packet storage: every server and player on the
+	// shard leases its packet cells here, so the free-lists hold the shard's
+	// in-flight high water, not each session object's. Only the shard's
+	// goroutine touches it (rdt.Arena); a resumed world's starts empty.
+	arena rdt.Arena
 }
 
 // lease hands out an idle bundle, or nil when there is none. Draining bundles
@@ -131,5 +138,6 @@ func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []trace
 		SelectServer: selectServer,
 		OnRecord:     onRecord,
 		OnFinished:   onFinished,
+		Arena:        &f.arena,
 	}), stack
 }

@@ -335,6 +335,7 @@ func (w *World) startServers(plans []sitePlan) error {
 			SureStream:     !opt.DisableSureStream,
 			FEC:            !opt.DisableFEC,
 			NewController:  controllerFactory(opt.Controller),
+			Arena:          &f.arena,
 		})
 		if err := srv.Start(); err != nil {
 			return fmt.Errorf("study: start %s: %w", p.site.Name, err)

@@ -19,9 +19,9 @@ import (
 //
 // Decoding overlays the walk onto an owner-built Tracer (fresh from New with
 // the same Config the original had, user and playlist installed). The
-// player's arena restores empty: checkpointed packets and frames are carried
-// by value elsewhere, so arena cells hold no restored state and refill as the
-// session proceeds.
+// arena the player leases from restores empty: checkpointed packets and
+// frames are carried by value elsewhere, so arena cells hold no restored
+// state and refill as the session proceeds.
 func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
 	c.Tag("tracer")
 	c.Int(&t.idx)
@@ -56,6 +56,7 @@ func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 			CPU:    player.PCClasses()[t.cfg.User.PCClass],
 			Rand:   t.cfg.Rand,
 			OnDone: t.onDone,
+			Arena:  t.cfg.Arena,
 		})
 	}
 	t.pl.Sync(c, stack, x)

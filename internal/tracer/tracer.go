@@ -11,6 +11,7 @@ import (
 	"realtracer/internal/geo"
 	"realtracer/internal/netsim"
 	"realtracer/internal/player"
+	"realtracer/internal/rdt"
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
@@ -53,12 +54,16 @@ type Config struct {
 	OnRecord func(rec *trace.Record)
 	// OnFinished fires after the final clip.
 	OnFinished func()
+	// Arena backs the packets the tracer's player sends (player.Config.Arena):
+	// a world passes its shard's. Nil gives the player a private one, kept
+	// clip after clip.
+	Arena *rdt.Arena
 }
 
-// Tracer runs one user's session. A Tracer owns a single player engine,
-// packet arena included, that it recycles clip after clip — and, via
-// Reset, session after session — so a long churn of sessions through one
-// Tracer stops allocating once its working set has grown.
+// Tracer runs one user's session. A Tracer owns a single player engine that
+// it recycles clip after clip — and, via Reset, session after session — so a
+// long churn of sessions through one Tracer stops allocating once its working
+// set has grown; the packets it sends lease from Config.Arena.
 type Tracer struct {
 	cfg     Config
 	idx     int
@@ -67,10 +72,9 @@ type Tracer struct {
 	stopped bool
 
 	// pl is the single player engine, built lazily on the first clip and
-	// Reset for every clip after that, so the packets one clip mints stay
-	// valid in its arena until their last reader releases them. onDone is
-	// the bound method value handed to the player once, instead of one
-	// closure per clip.
+	// Reset for every clip after that, so its grown storage serves them all.
+	// onDone is the bound method value handed to the player once, instead of
+	// one closure per clip.
 	pl     *player.Player
 	onDone func(*player.Stats, error)
 
@@ -95,7 +99,7 @@ func New(cfg Config) *Tracer {
 }
 
 // Reset rewires the Tracer for a fresh playlist pass by user u, reusing the
-// player (and its arena) and the rest of the config. Only the user and the
+// player and the rest of the config. Only the user and the
 // playlist change between the sessions a pooled Tracer serves; clock, net,
 // RNG and hooks are bound to the Tracer's owner, which rebinds whatever of
 // them names a user. The caller must have stopped the previous pass first
@@ -202,6 +206,7 @@ func (t *Tracer) next() {
 		CPU:              player.PCClasses()[t.cfg.User.PCClass],
 		Rand:             t.cfg.Rand,
 		OnDone:           t.onDone,
+		Arena:            t.cfg.Arena,
 	}
 	if t.pl == nil {
 		t.pl = player.New(cfg)
