@@ -108,23 +108,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"c6c4aae66499df79a010435bd159489d9a5e6c2b989b6d469a1e942dd40212c3"},
+		"94324d12621b1d4108797e3629699f84f7839818925c759f5537de2f1600e2af"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "59f8a9b804642fe05a5709489d1b5b2a25d0b81c43823b126a7e73eef2ec9c0d"},
+	}, "2432dafbc01377073d2b94a0b0b385302052c8cb6f248d5b522f4f97ca480bce"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "9083c7e192169982ffbecf60d9d156fefc71af4fcdbc93ea628a9b488e4df2ac"},
+	}, "96ed4a543376e65ca65b39c3f97f6e25f593983346e27751b2275845071cf5d7"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "c7b2d31dff38b3208b4c659d3ff6a927af615b9b9cdb08a974bddab071513b9e"},
+	{"churnheavy", churnHeavy, "9de0463a98d1a16394805f0a435552c7d2cb32ed74b01f19b6d4f08449ccd2f7"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
@@ -335,10 +335,11 @@ func midSetupWorld(t testing.TB) *World {
 
 // TestSnapshotBytesStable pins the wire format: each fence world's 55%
 // snapshot must hash to the digest recorded when the format was last
-// changed on purpose (RTSNAP5: a stack walks the conns its listeners
-// accepted, a session names its open conns by reference, and the Options
-// block lost PlayFor). A refactor of the walks must leave these alone; a
-// deliberate format change bumps snapMagic and updates them here.
+// changed on purpose (RTSNAP8: a buffered frame no longer carries its
+// encoding rate and size, a frame in assembly its size, and a finished
+// player's playout record stays in play order). A refactor of the walks must
+// leave these alone; a deliberate format change bumps snapMagic and updates
+// them here.
 func TestSnapshotBytesStable(t *testing.T) {
 	for _, fw := range fenceWorlds {
 		t.Run(fw.name, func(t *testing.T) {
