@@ -300,8 +300,9 @@ func New(cfg Config) *Player {
 // grown storage: the map keeps its buckets, the emptied FEC window and NACK
 // ledger their rings, the frame heap, partial set, playout record and scratch
 // slices keep their backing arrays, the Stats record is cleared in place, and
-// the bound receivers, parse scratch and idle dial continuations stay, and so
-// does a private packet arena when cfg names none. Stale state cannot leak across the reset: timers are cancelled
+// the bound receivers, parse scratch and idle dial continuations stay, as
+// does a private packet arena when cfg names none. Stale state cannot leak
+// across the reset: timers are cancelled
 // (and generation checks make any already-recycled handle inert), the epoch
 // bump disarms in-flight dial callbacks, and every other field is rebuilt
 // through the struct literal, so a recycled player can never observe its

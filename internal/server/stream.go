@@ -82,8 +82,9 @@ type streamSession struct {
 	// Feedback snapshots. The report is kept by value: the *rdt.Report the
 	// feedback callback sees lives in pooled storage (a cell of the
 	// player's arena on the classic path, a shard-transit snapshot on the
-	// sharded one) that is released as soon as the callback returns, so retaining
-	// the pointer until the next check tick would read reused memory.
+	// sharded one) that is released as soon as the callback returns, so
+	// retaining the pointer until the next check tick would read reused
+	// memory.
 	lastReport    rdt.Report
 	haveReport    bool
 	healthyChecks int
