@@ -38,12 +38,12 @@
 //   - Payloads go through CopyPayload at the WAN edge, uniformly — even for
 //     same-shard traffic — so the bytes a receiver observes are fixed at
 //     send time and no shard ever reads memory another shard may still
-//     mutate: a pooled payload is snapshotted, an immutable one (an RTSP
-//     message, a data hello) crosses as itself. Snapshot storage is leased
-//     from the source shard's transit pool and recycled by the receiving
-//     shard (transit.go), so
-//     the copy semantics cost no steady-state allocation; the original is
-//     released as soon as it has been copied, on the shard that sent it.
+//     mutate: a pooled payload (RTSP messages included) is snapshotted, an
+//     immutable one in no pool (a data hello) crosses as itself. Snapshot
+//     storage is leased from the source shard's transit pool and recycled
+//     by the receiving shard (transit.go), so the copy semantics cost no
+//     steady-state allocation; the original is released as soon as it has
+//     been copied, on the shard that sent it.
 //   - Packet delivery is split in two phases: the source shard runs the
 //     uplink and wide-area stages (Send) and timestamps the packet's
 //     WAN-edge arrival; the destination shard runs the same downlink stage

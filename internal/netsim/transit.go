@@ -11,12 +11,12 @@ import (
 //
 // A sharded world hands every packet payload through CopyPayload at the WAN
 // edge so no shard reads memory another shard may still mutate. Only what a
-// pool recycles is copied — an rdt packet, a TCP segment, an ACK: the next
-// lease of its cell writes it again. A payload nothing writes after Send (an
-// rtsp.Message, a session.DataHello) crosses as itself, and its TransitCopy
-// returns the receiver. Allocating each copy fresh put the whole payload
-// graph of every delivered packet on the garbage collector — a 22x allocation
-// tax over the classic path — so this file supplies the recycle half of the
+// pool recycles is copied — an rdt packet, an rtsp message, a TCP segment,
+// an ACK: the next lease of its cell writes it again. A payload nothing
+// writes after Send and no pool recycles (a session.DataHello) crosses as
+// itself, and its TransitCopy returns the receiver. Allocating each copy
+// fresh put the whole payload graph of every delivered packet on the garbage
+// collector — a 22x allocation tax over the classic path — so this file supplies the recycle half of the
 // contract: each pooled payload package registers a TransitClass for its
 // wire type, leases snapshot storage from the sending shard's TransitPool in
 // TransitCopy, and returns it in TransitRelease once the receiving side is
@@ -33,8 +33,8 @@ import (
 // receive path — a conn's close among them: a closed conn holds nothing —
 // once the destination handler has the packet. What a release does is the
 // payload's business: an original hands its cells back to the pool they
-// were leased from (an rdt arena, a transport stack's segment or
-// ACK free-list), a snapshot goes to the RECEIVING shard's transit pool —
+// were leased from (an rdt arena, packets and RTSP messages alike, or a
+// transport stack's segment or ACK free-list), a snapshot goes to the RECEIVING shard's transit pool —
 // only that shard's worker (or the single-threaded control loop between
 // windows) touches it, exactly like the Packet free-list — and Fabric.drain
 // rebalances the pools between windows so one-directional flows (a server
@@ -133,10 +133,11 @@ func (tp *TransitPool) Put(c TransitClass, v any) {
 // Transferable is implemented by payloads that can cross a shard boundary.
 // TransitCopy returns a payload sharing no mutable memory with the original
 // — value semantics at the wire, standing in for the serialization a real
-// network would perform. A pooled payload returns a deep snapshot whose
-// storage is leased from tp (TransitGet carves a chunk when the pool is
-// empty) and recycled through TransitRelease; an immutable one returns
-// itself.
+// network would perform. A pooled payload — an rdt packet, an rtsp message,
+// a TCP segment or ACK — returns a deep snapshot whose storage is leased from
+// tp (TransitGet carves a chunk when the pool is empty) and recycled through
+// TransitRelease; one that no pool recycles and nothing writes after Send (a
+// session.DataHello) returns itself.
 type Transferable interface {
 	TransitCopy(tp *TransitPool) any
 }

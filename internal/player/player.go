@@ -92,11 +92,11 @@ type Config struct {
 	// for sessions that failed outright. The *Stats is owned by the player
 	// and reused on Reset: consumers must copy what they keep.
 	OnDone func(*Stats, error)
-	// Arena backs sent packets (reports, buffer state, NACKs); each comes
-	// back to it when its last reader releases it (see rdt.Arena). A world
-	// passes its shard's. Nil means a private one, which New creates and a
-	// Reset with a nil Arena keeps, so a packet an earlier session minted
-	// stays valid until its last reader lets go.
+	// Arena backs sent packets (reports, buffer state, NACKs) and RTSP
+	// requests; each comes back to it when its last reader releases it (see
+	// rdt.Arena). A world passes its shard's. Nil means a private one, which
+	// New creates and a Reset with a nil Arena keeps, so a packet or message
+	// an earlier session minted stays valid until its last reader lets go.
 	Arena *rdt.Arena
 }
 
@@ -516,7 +516,7 @@ func (p *Player) onControl(payload any, _ int) {
 }
 
 func (p *Player) describe() {
-	req := rtsp.NewRequest(rtsp.MethodDescribe, p.cfg.URL, 0)
+	req := p.cfg.Arena.Messages().Request(rtsp.MethodDescribe, p.cfg.URL, 0)
 	p.request(req, pendDescribe)
 }
 
@@ -592,7 +592,7 @@ func (p *Player) setup() {
 	} else {
 		spec.Protocol = "tcp"
 	}
-	req := rtsp.NewRequest(rtsp.MethodSetup, p.cfg.URL, 0)
+	req := p.cfg.Arena.Messages().Request(rtsp.MethodSetup, p.cfg.URL, 0)
 	req.Set("Transport", spec.Format())
 	req.Set("Bandwidth", strconv.Itoa(int(p.cfg.MaxBandwidthKbps)))
 	p.request(req, pendSetup)
@@ -617,7 +617,7 @@ func (p *Player) onSetupResp(resp *rtsp.Message) {
 }
 
 func (p *Player) play() {
-	req := rtsp.NewRequest(rtsp.MethodPlay, p.cfg.URL, 0)
+	req := p.cfg.Arena.Messages().Request(rtsp.MethodPlay, p.cfg.URL, 0)
 	req.Set("Session", p.sessID)
 	p.request(req, pendPlay)
 }
@@ -1369,7 +1369,7 @@ func (p *Player) finish(err error) {
 	p.cancelTimers()
 	// Polite teardown when the control channel is up.
 	if p.ctl != nil {
-		req := rtsp.NewRequest(rtsp.MethodTeardown, p.cfg.URL, 0)
+		req := p.cfg.Arena.Messages().Request(rtsp.MethodTeardown, p.cfg.URL, 0)
 		req.Set("Session", p.sessID)
 		p.cseq++
 		req.CSeq = p.cseq

@@ -1,16 +1,21 @@
 package rdt
 
-import "realtracer/internal/lease"
+import (
+	"realtracer/internal/lease"
+	"realtracer/internal/rtsp"
+)
 
 // Arena is a pool of the packet structs both ends of a connection mint on
 // the hot path: media Data and its Packet wrapper, receiver Reports,
 // BufferState updates, NACKs, FEC Repair packets and the end-of-stream
-// marker. A simulated world keeps one per shard, shared by every server and
-// player on the shard; a server or player built outside a world makes its
-// own. A cell is leased to whoever asks for a packet and comes back when its
-// reader is done with it; cells are carved from chunked backing arrays only
-// while the free-lists are empty, so an arena grows to what its owners have
-// in flight at once and stops, however many packets they send.
+// marker; and, in Messages, of the RTSP requests and replies of the control
+// connection beside them. A simulated world keeps one per shard, shared by
+// every server and player on the shard; a server or player built outside a
+// world makes its own. A cell is leased to whoever asks for a packet or a
+// message and comes back when its reader is done with it; cells are carved
+// from chunked backing arrays only while the free-lists are empty, so an
+// arena grows to what its owners have in flight at once and stops, however
+// many packets and messages they send.
 //
 // Every cell has exactly one reader, and the lifetime rule is the wire's, the
 // same for an original as for a shard-transit copy (transit.go): a packet
@@ -22,7 +27,8 @@ import "realtracer/internal/lease"
 // reads a packet after handing it to Send: a sender that needs its header
 // again (the server's retransmit window) keeps a copy (RepairMeta), not the
 // cell. A released cell is cleared and releasing it again panics, so a stale
-// reader sees zeros, never a plausible neighbour.
+// reader sees zeros, never a plausible neighbour. A message follows the same
+// rule (rtsp.Pool); its one reader is the TCP segment that carries it.
 //
 // An Arena is single-threaded, like everything else behind one simulated
 // clock: a sharded world releases an original on the shard that sent it,
@@ -35,6 +41,7 @@ type Arena struct {
 	eoss    lease.Pool[EndOfStream]
 	nacks   lease.Pool[nackCell]
 	repairs lease.Pool[repairCell]
+	msgs    rtsp.Pool
 }
 
 // repairMetaCap bounds one repair cell's embedded metadata array. FEC
@@ -53,14 +60,19 @@ type repairCell struct {
 }
 
 // Cells reports how many cells the arena has carved over its lifetime and
-// how many of them are on lease now: the growth and conservation audits.
+// how many of them are on lease now, RTSP messages included: the growth and
+// conservation audits.
 func (a *Arena) Cells() (carved, leased int) {
-	carved = a.packets.Carved() + a.datas.Carved() + a.reports.Carved() + a.bufs.Carved() +
+	carved, leased = a.msgs.Cells()
+	carved += a.packets.Carved() + a.datas.Carved() + a.reports.Carved() + a.bufs.Carved() +
 		a.eoss.Carved() + a.nacks.Carved() + a.repairs.Carved()
-	leased = a.packets.Leased() + a.datas.Leased() + a.reports.Leased() + a.bufs.Leased() +
+	leased += a.packets.Leased() + a.datas.Leased() + a.reports.Leased() + a.bufs.Leased() +
 		a.eoss.Leased() + a.nacks.Leased() + a.repairs.Leased()
 	return carved, leased
 }
+
+// Messages returns the arena's RTSP message pool.
+func (a *Arena) Messages() *rtsp.Pool { return &a.msgs }
 
 // packet leases a wrapper of the given kind.
 func (a *Arena) packet(kind Type) *Packet {

@@ -12,31 +12,31 @@ import (
 // RealPlayer/RealTracer session sends and the responses a RealServer
 // returns, as produced by this codec on the wire.
 func corpusMessages() []*Message {
-	describe := NewRequest(MethodDescribe, "rtsp://cnn.us/clip000.rm", 1)
+	describe := msgs.Request(MethodDescribe, "rtsp://cnn.us/clip000.rm", 1)
 	describe.Set("Accept", "application/sdp")
 	describe.Set("Bandwidth", "350")
 
-	descResp := NewResponse(describe, StatusOK)
+	descResp := msgs.Response(describe, StatusOK)
 	descResp.Body = []byte("title=clip000\nduration_ms=272000\nscalable=true\nlive=false\nenc=225/16/20/320x240\nenc=80/11/15/176x132\nenc=20/8/7.5/160x120\n")
 
-	setup := NewRequest(MethodSetup, "rtsp://cnn.us/clip000.rm", 2)
+	setup := msgs.Request(MethodSetup, "rtsp://cnn.us/clip000.rm", 2)
 	setup.Set("Transport", TransportSpec{Protocol: "udp", ClientDataAddr: "user00.us:10001"}.Format())
 	setup.Set("Bandwidth", "350")
 
-	setupResp := NewResponse(setup, StatusOK)
+	setupResp := msgs.Response(setup, StatusOK)
 	setupResp.Set("Session", "sess-1")
 	setupResp.Set("Transport", TransportSpec{Protocol: "udp", ServerDataAddr: "cnn.us:6970"}.Format())
 
-	play := NewRequest(MethodPlay, "rtsp://cnn.us/clip000.rm", 3)
+	play := msgs.Request(MethodPlay, "rtsp://cnn.us/clip000.rm", 3)
 	play.Set("Session", "sess-1")
 	play.Set("Range", "npt=0-")
 
-	unavailable := NewResponse(describe, StatusUnavailable)
-	teardown := NewRequest(MethodTeardown, "rtsp://cnn.us/clip000.rm", 4)
+	unavailable := msgs.Response(describe, StatusUnavailable)
+	teardown := msgs.Request(MethodTeardown, "rtsp://cnn.us/clip000.rm", 4)
 	teardown.Set("Session", "sess-1")
 
-	options := NewRequest(MethodOptions, "*", 0)
-	setParam := NewRequest(MethodSetParameter, "rtsp://cnn.us/clip000.rm", 5)
+	options := msgs.Request(MethodOptions, "*", 0)
+	setParam := msgs.Request(MethodSetParameter, "rtsp://cnn.us/clip000.rm", 5)
 	setParam.Set("Ping", "1")
 
 	return []*Message{describe, descResp, setup, setupResp, play, unavailable, teardown, options, setParam}

@@ -206,7 +206,7 @@ func TestHeaderListMatchesMap(t *testing.T) {
 		{"replace after spill", [][2]string{{"D", "1"}, {"C", "2"}, {"B", "3"}, {"A", "4"}, {"B", "x"}, {"a", "y"}, {"E", ""}}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			m := NewRequest(MethodSetup, "rtsp://cnn.us/clip000.rm", 3)
+			m := msgs.Request(MethodSetup, "rtsp://cnn.us/clip000.rm", 3)
 			ref := &refMessage{Request: true, Method: MethodSetup, URL: "rtsp://cnn.us/clip000.rm", CSeq: 3}
 			for i, kv := range row.sets {
 				m.Set(kv[0], kv[1])
@@ -227,7 +227,7 @@ func TestHeaderListMatchesMap(t *testing.T) {
 func syncHeaders(pairs [][2]string) []byte {
 	var b bytes.Buffer
 	c := snap.NewEncoder(&b)
-	m := NewRequest(MethodPlay, "rtsp://cnn.us/clip000.rm", 4)
+	m := msgs.Request(MethodPlay, "rtsp://cnn.us/clip000.rm", 4)
 	c.Tag("rtsp")
 	c.Bool(&m.Request)
 	c.Str(&m.Method)
@@ -250,7 +250,7 @@ func syncHeaders(pairs [][2]string) []byte {
 // a list Set could have built: keys ascending, each once. Anything else is
 // refused with one rtsp error, never a panic and never a message.
 func TestSyncHeaderOrder(t *testing.T) {
-	m := NewRequest(MethodPlay, "rtsp://cnn.us/clip000.rm", 4)
+	m := msgs.Request(MethodPlay, "rtsp://cnn.us/clip000.rm", 4)
 	pairs := [][2]string{{"Range", "npt=0-"}, {"Session", "sess-1"}, {"Bandwidth", "350"}, {"X-Empty", ""}, {"Accept", "application/sdp"}}
 	for _, kv := range pairs {
 		m.Set(kv[0], kv[1])

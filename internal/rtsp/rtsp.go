@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"realtracer/internal/lease"
 	"realtracer/internal/netsim"
 )
 
@@ -36,6 +37,7 @@ const (
 // Status codes used by the session layer.
 const (
 	StatusOK            = 200
+	StatusBadRequest    = 400
 	StatusNotFound      = 404
 	StatusUnavailable   = 453 // "Not Enough Bandwidth" repurposed: clip temporarily unavailable
 	StatusInternalError = 500
@@ -46,6 +48,8 @@ func StatusText(code int) string {
 	switch code {
 	case StatusOK:
 		return "OK"
+	case StatusBadRequest:
+		return "Bad Request"
 	case StatusNotFound:
 		return "Not Found"
 	case StatusUnavailable:
@@ -69,17 +73,96 @@ type Message struct {
 	Reason string
 	// CSeq pairs responses with requests.
 	CSeq int
-	// hdr holds the remaining headers; Set, Get and GetInt reach them.
+	// hdr holds the remaining headers; Set and Get reach them.
 	hdr header
 	// Body is the optional payload (e.g. a clip description).
 	Body []byte
+
+	// home is the pool an original was leased from; it survives the
+	// release, so a second one finds it and panics. leased is set from a
+	// lease until its release, on an original and on a shard-transit copy
+	// alike. A message built any other way — decoded from a socket,
+	// restored from a snapshot, a literal — has neither and is in no pool.
+	home   *Pool
+	leased bool
 }
 
-// TransitCopy implements netsim.Transferable. A message is built, sent and
-// never written again — not by its sender, its receiver or a snapshot — so it
-// crosses a shard boundary as itself: the shards share no mutable memory, and
-// no pool recycles it.
-func (m *Message) TransitCopy(*netsim.TransitPool) any { return m }
+// Pool leases messages, so a control exchange allocates nothing per request
+// or reply once the pool holds what is in flight. A simulated world keeps one
+// per shard, in the shard's rdt.Arena. A leased message is built, handed to a
+// transport Send and never written again; its one release comes from whoever
+// reads it last (netsim/transit.go), which for a message is the TCP segment
+// carrying it (transport/transit.go): the receiver once its callback has
+// returned, or the sender's buffer once the cumulative ACK has passed. A
+// receiver therefore keeps nothing of a message past its callback but
+// strings, which are immutable, and copies of its fields. The released cell
+// reads as zero, and releasing it again panics. The zero Pool is ready to use;
+// it is single-threaded, like everything else behind one simulated clock.
+type Pool struct {
+	cells lease.Pool[Message]
+}
+
+// Request leases a request message.
+func (p *Pool) Request(method, url string, cseq int) *Message {
+	m := p.get()
+	m.Request, m.Method, m.URL, m.CSeq = true, method, url, cseq
+	return m
+}
+
+// Response leases a response to req with the given status.
+func (p *Pool) Response(req *Message, status int) *Message {
+	m := p.get()
+	m.Status, m.Reason, m.CSeq = status, StatusText(status), req.CSeq
+	return m
+}
+
+func (p *Pool) get() *Message {
+	m := p.cells.Get()
+	m.home, m.leased = p, true
+	return m
+}
+
+// put takes back a message this pool leased.
+func (p *Pool) put(m *Message) {
+	if !m.leased {
+		panic("rtsp: Message released twice")
+	}
+	p.cells.Put(m)
+	m.home = p
+}
+
+// Cells reports how many messages the pool has carved over its lifetime and
+// how many are on lease now: the growth and conservation audits.
+func (p *Pool) Cells() (carved, leased int) { return p.cells.Carved(), p.cells.Leased() }
+
+// transitClass is the pool slot for messages crossing a shard boundary.
+var transitClass = netsim.RegisterTransitClass()
+
+// TransitCopy implements netsim.Transferable: the copy is leased from the
+// sending shard's transit pool, its header list copied by value. The Body is
+// shared: the only body a simulated message carries is the server's cached
+// DESCRIBE text, which nothing writes.
+func (m *Message) TransitCopy(tp *netsim.TransitPool) any {
+	cp := netsim.TransitGet[Message](tp, transitClass)
+	*cp = *m
+	cp.hdr.spill = slices.Clone(m.hdr.spill)
+	cp.home, cp.leased = nil, true
+	return cp
+}
+
+// TransitRelease implements netsim.TransitReleasable: an original goes back
+// to the pool it was leased from, a shard-transit copy to the receiving
+// shard's transit pool. A message in no pool, or a copy released again, does
+// nothing.
+func (m *Message) TransitRelease(tp *netsim.TransitPool) {
+	switch {
+	case m.home != nil:
+		m.home.put(m)
+	case m.leased:
+		*m = Message{}
+		tp.Put(transitClass, m)
+	}
+}
 
 // field is one header: its canonical key and its value.
 type field struct{ key, value string }
@@ -123,16 +206,6 @@ func (h *header) set(key, value string) {
 	}
 }
 
-// NewRequest builds a request message.
-func NewRequest(method, url string, cseq int) *Message {
-	return &Message{Request: true, Method: method, URL: url, CSeq: cseq}
-}
-
-// NewResponse builds a response to req with the given status.
-func NewResponse(req *Message, status int) *Message {
-	return &Message{Status: status, Reason: StatusText(status), CSeq: req.CSeq}
-}
-
 // Set sets a header value; setting a key again replaces its value.
 func (m *Message) Set(key, value string) { m.hdr.set(canonical(key), value) }
 
@@ -145,20 +218,6 @@ func (m *Message) Get(key string) string {
 		}
 	}
 	return ""
-}
-
-// GetInt parses a header as an integer, returning def when absent or
-// malformed.
-func (m *Message) GetInt(key string, def int) int {
-	v := m.Get(key)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
-	}
-	return n
 }
 
 // canonical title-cases dash-separated header keys ("content-length" ->

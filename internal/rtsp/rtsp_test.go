@@ -8,8 +8,11 @@ import (
 	"testing/quick"
 )
 
+// msgs is the pool the tests lease their messages from.
+var msgs Pool
+
 func TestRequestRoundTrip(t *testing.T) {
-	req := NewRequest(MethodDescribe, "rtsp://host/clip.rm", 7)
+	req := msgs.Request(MethodDescribe, "rtsp://host/clip.rm", 7)
 	req.Set("Bandwidth", "350")
 	req.Set("transport", "proto=udp")
 	got, err := Parse(req.Marshal())
@@ -28,8 +31,8 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTripWithBody(t *testing.T) {
-	req := NewRequest(MethodDescribe, "rtsp://h/c", 3)
-	resp := NewResponse(req, StatusOK)
+	req := msgs.Request(MethodDescribe, "rtsp://h/c", 3)
+	resp := msgs.Response(req, StatusOK)
 	resp.Body = []byte("duration_ms=60000\nscalable=true\n")
 	got, err := Parse(resp.Marshal())
 	if err != nil {
@@ -45,31 +48,16 @@ func TestResponseRoundTripWithBody(t *testing.T) {
 
 func TestStatusTextAndReasons(t *testing.T) {
 	for code, want := range map[int]string{
-		StatusOK: "OK", StatusNotFound: "Not Found",
+		StatusOK: "OK", StatusBadRequest: "Bad Request", StatusNotFound: "Not Found",
 		StatusUnavailable: "Not Enough Bandwidth", StatusInternalError: "Internal Server Error",
 	} {
 		if StatusText(code) != want {
 			t.Errorf("StatusText(%d)=%q", code, StatusText(code))
 		}
 	}
-	resp := NewResponse(NewRequest(MethodPlay, "u", 1), StatusUnavailable)
+	resp := msgs.Response(msgs.Request(MethodPlay, "u", 1), StatusUnavailable)
 	if !strings.Contains(string(resp.Marshal()), "453 Not Enough Bandwidth") {
 		t.Fatal("reason phrase missing from status line")
-	}
-}
-
-func TestGetInt(t *testing.T) {
-	m := NewRequest(MethodSetup, "u", 1)
-	m.Set("Bandwidth", "128")
-	if m.GetInt("Bandwidth", 0) != 128 {
-		t.Fatal("GetInt failed")
-	}
-	if m.GetInt("Missing", 42) != 42 {
-		t.Fatal("default not applied")
-	}
-	m.Set("Bad", "xyz")
-	if m.GetInt("Bad", 9) != 9 {
-		t.Fatal("malformed int should fall back")
 	}
 }
 
@@ -104,7 +92,7 @@ func TestPropertyRequestRoundTrip(t *testing.T) {
 		if bytes.ContainsAny(body, "\x00") {
 			body = nil
 		}
-		m := NewRequest(methods[int(mIdx)%len(methods)], "rtsp://server/clip.rm", int(cseq))
+		m := msgs.Request(methods[int(mIdx)%len(methods)], "rtsp://server/clip.rm", int(cseq))
 		m.Set("Bandwidth", "100")
 		m.Body = body
 		got, err := Parse(m.Marshal())
@@ -150,9 +138,9 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 	var cases []*Message
 	for _, cseq := range []int{0, 7, -1, 99999, -12345, math.MaxInt, math.MinInt} {
 		for headers := 0; headers <= 3; headers++ {
-			req := NewRequest(MethodSetup, "rtsp://cnn.us/clip000.rm", cseq)
-			resp := NewResponse(req, StatusOK)
-			body := NewResponse(req, StatusUnavailable)
+			req := msgs.Request(MethodSetup, "rtsp://cnn.us/clip000.rm", cseq)
+			resp := msgs.Response(req, StatusOK)
+			body := msgs.Response(req, StatusUnavailable)
 			body.Body = bytes.Repeat([]byte("x"), []int{9, 10, 999, 1000}[headers]) // Content-Length of every width
 			bare := &Message{Status: StatusNotFound, CSeq: cseq}                    // no reason: Marshal writes StatusText
 			odd := &Message{Status: -40, Reason: "", CSeq: cseq, Body: []byte("x")}

@@ -18,11 +18,11 @@ import (
 func (r *ctlRig) udpSession(kbps string, got *[]rdt.Data) (*streamSession, *transport.UDPPort) {
 	r.t.Helper()
 	port := r.listenClientData(got)
-	setup := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+	setup := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
 	setup.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
 	setup.Set("Bandwidth", kbps)
 	id := r.request(setup).Get("Session")
-	play := rtsp.NewRequest(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
+	play := msgs.Request(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
 	play.Set("Session", id)
 	if resp := r.request(play); resp.Status != rtsp.StatusOK {
 		r.t.Fatalf("play status=%d", resp.Status)
@@ -151,14 +151,14 @@ func TestRepairsAndResendsCarryTheSentHeaders(t *testing.T) {
 			got[pkt.Data.Seq] = true
 		}
 	})
-	setup := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+	setup := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
 	setup.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
 	setup.Set("Bandwidth", "350")
 	id := r.request(setup).Get("Session")
 	sess := r.srv.sessions[id]
 	tap := &tapConn{Conn: sess.dataUDP}
 	sess.dataUDP = tap
-	play := rtsp.NewRequest(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
+	play := msgs.Request(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
 	play.Set("Session", id)
 	if resp := r.request(play); resp.Status != rtsp.StatusOK {
 		t.Fatalf("play status=%d", resp.Status)

@@ -15,7 +15,7 @@ func TestSessionRecycleClearsState(t *testing.T) {
 	r := newCtlRig(t, 0)
 
 	setup := func() (string, *streamSession) {
-		req := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+		req := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
 		req.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
 		req.Set("Bandwidth", "150")
 		resp := r.request(req)
@@ -30,7 +30,7 @@ func TestSessionRecycleClearsState(t *testing.T) {
 		return id, sess
 	}
 	play := func(id string) {
-		req := rtsp.NewRequest(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
+		req := msgs.Request(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
 		req.Set("Session", id)
 		if got := r.request(req); got.Status != rtsp.StatusOK {
 			t.Fatalf("play status=%d", got.Status)
@@ -38,7 +38,7 @@ func TestSessionRecycleClearsState(t *testing.T) {
 		r.clock.RunUntil(r.clock.Now() + 10*time.Second)
 	}
 	teardown := func(id string) {
-		req := rtsp.NewRequest(rtsp.MethodTeardown, "rtsp://srv/clip000.rm", 0)
+		req := msgs.Request(rtsp.MethodTeardown, "rtsp://srv/clip000.rm", 0)
 		req.Set("Session", id)
 		if got := r.request(req); got.Status != rtsp.StatusOK {
 			t.Fatalf("teardown status=%d", got.Status)

@@ -56,9 +56,9 @@ type Config struct {
 	// ControlPort etc. default to the session package's well-known ports.
 	ControlPort, DataTCPPort, DataUDPPort int
 	// Arena backs every packet struct the server's sessions send (Data,
-	// Repair, EOS, retransmissions); each cell comes back to it when its
-	// reader releases it. A world passes its shard's; nil means a private
-	// one.
+	// Repair, EOS, retransmissions) and every RTSP reply; each cell comes
+	// back to it when its reader releases it. A world passes its shard's;
+	// nil means a private one.
 	Arena *rdt.Arena
 }
 
@@ -221,10 +221,23 @@ type controlConn struct {
 	sess *streamSession // session most recently SETUP on this connection
 }
 
-func (cc *controlConn) reply(m *rtsp.Message) {
+// respond leases a reply to req from the server's arena.
+func (cc *controlConn) respond(req *rtsp.Message, status int) *rtsp.Message {
+	return cc.srv.cfg.Arena.Messages().Response(req, status)
+}
+
+func (cc *controlConn) send(m *rtsp.Message) {
 	cc.conn.Send(m, m.WireSize())
 }
 
+// reply sends a reply to req that carries nothing but its status.
+func (cc *controlConn) reply(req *rtsp.Message, status int) {
+	cc.send(cc.respond(req, status))
+}
+
+// onMessage serves one request. The request is the transport's: it may go
+// back to its pool as soon as this returns, so nothing here keeps it or a
+// slice of it.
 func (cc *controlConn) onMessage(payload any, _ int) {
 	req, ok := payload.(*rtsp.Message)
 	if !ok || !req.Request {
@@ -233,20 +246,20 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 	s := cc.srv
 	switch req.Method {
 	case rtsp.MethodOptions:
-		resp := rtsp.NewResponse(req, rtsp.StatusOK)
+		resp := cc.respond(req, rtsp.StatusOK)
 		resp.Set("Public", "DESCRIBE, SETUP, PLAY, PAUSE, TEARDOWN, SET_PARAMETER")
-		cc.reply(resp)
+		cc.send(resp)
 
 	case rtsp.MethodDescribe:
 		s.describes++
 		clip := s.cfg.Library.Lookup(req.URL)
 		if clip == nil {
-			cc.reply(rtsp.NewResponse(req, rtsp.StatusNotFound))
+			cc.reply(req, rtsp.StatusNotFound)
 			return
 		}
 		if s.cfg.Rand.Float64() < s.cfg.Unavailability {
 			s.unavailable++
-			cc.reply(rtsp.NewResponse(req, rtsp.StatusUnavailable))
+			cc.reply(req, rtsp.StatusUnavailable)
 			return
 		}
 		body, ok := s.descBody[clip]
@@ -254,31 +267,39 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 			body = session.DescFromClip(clip).Marshal()
 			s.descBody[clip] = body
 		}
-		resp := rtsp.NewResponse(req, rtsp.StatusOK)
+		resp := cc.respond(req, rtsp.StatusOK)
 		resp.Body = body
-		cc.reply(resp)
+		cc.send(resp)
 
 	case rtsp.MethodSetup:
 		clip := s.cfg.Library.Lookup(req.URL)
 		if clip == nil {
-			cc.reply(rtsp.NewResponse(req, rtsp.StatusNotFound))
+			cc.reply(req, rtsp.StatusNotFound)
 			return
 		}
 		spec, err := rtsp.ParseTransport(req.Get("Transport"))
 		if err != nil {
-			cc.reply(rtsp.NewResponse(req, rtsp.StatusInternalError))
+			cc.reply(req, rtsp.StatusInternalError)
 			return
 		}
-		maxKbps := float64(req.GetInt("Bandwidth", 300))
+		maxKbps := 300
+		if v := req.Get("Bandwidth"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n <= 0 {
+				cc.reply(req, rtsp.StatusBadRequest)
+				return
+			}
+			maxKbps = n
+		}
 		s.nextID++
 		id := "sess-" + strconv.Itoa(s.nextID)
-		sess := newStreamSession(s, id, clip, spec, maxKbps, cc)
+		sess := newStreamSession(s, id, clip, spec, float64(maxKbps), cc)
 		s.sessions[id] = sess
 		cc.sess = sess
 		if spec.Protocol == "udp" && spec.ClientDataAddr != "" {
 			s.byDataAddr[spec.ClientDataAddr] = sess
 		}
-		resp := rtsp.NewResponse(req, rtsp.StatusOK)
+		resp := cc.respond(req, rtsp.StatusOK)
 		resp.Set("Session", id)
 		out := rtsp.TransportSpec{Protocol: spec.Protocol}
 		if spec.Protocol == "udp" {
@@ -287,26 +308,26 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 			out.ServerDataAddr = s.cfg.Net.Addr(s.cfg.DataTCPPort)
 		}
 		resp.Set("Transport", out.Format())
-		cc.reply(resp)
+		cc.send(resp)
 
 	case rtsp.MethodPlay:
 		sess := s.lookupSession(req, cc)
 		if sess == nil {
-			cc.reply(rtsp.NewResponse(req, rtsp.StatusNotFound))
+			cc.reply(req, rtsp.StatusNotFound)
 			return
 		}
 		sess.play()
 		s.played++
-		cc.reply(rtsp.NewResponse(req, rtsp.StatusOK))
+		cc.reply(req, rtsp.StatusOK)
 
 	case rtsp.MethodPause:
 		sess := s.lookupSession(req, cc)
 		if sess == nil {
-			cc.reply(rtsp.NewResponse(req, rtsp.StatusNotFound))
+			cc.reply(req, rtsp.StatusNotFound)
 			return
 		}
 		sess.pause()
-		cc.reply(rtsp.NewResponse(req, rtsp.StatusOK))
+		cc.reply(req, rtsp.StatusOK)
 
 	case rtsp.MethodTeardown:
 		sess := s.lookupSession(req, cc)
@@ -315,13 +336,13 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 			s.removeSession(sess)
 			s.tornDown++
 		}
-		cc.reply(rtsp.NewResponse(req, rtsp.StatusOK))
+		cc.reply(req, rtsp.StatusOK)
 
 	case rtsp.MethodSetParameter:
-		cc.reply(rtsp.NewResponse(req, rtsp.StatusOK))
+		cc.reply(req, rtsp.StatusOK)
 
 	default:
-		cc.reply(rtsp.NewResponse(req, rtsp.StatusInternalError))
+		cc.reply(req, rtsp.StatusInternalError)
 	}
 }
 

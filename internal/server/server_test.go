@@ -13,6 +13,9 @@ import (
 	"realtracer/internal/transport"
 )
 
+// msgs is the pool the tests lease their requests from.
+var msgs rtsp.Pool
+
 // ctlRig dials the server's control port and provides a request/response
 // helper, exercising the RTSP handling without a full player.
 type ctlRig struct {
@@ -21,7 +24,7 @@ type ctlRig struct {
 	net   *netsim.Network
 	srv   *Server
 	conn  transport.Conn
-	resp  chan *rtsp.Message
+	resp  chan rtsp.Message
 	cseq  int
 }
 
@@ -48,17 +51,19 @@ func newRig(t *testing.T, route netsim.Route, unavailability float64) *ctlRig {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	r := &ctlRig{t: t, clock: clock, net: n, srv: srv, resp: make(chan *rtsp.Message, 16)}
+	r := &ctlRig{t: t, clock: clock, net: n, srv: srv, resp: make(chan rtsp.Message, 16)}
 	cli := transport.NewStack(n, "cli")
 	cli.DialTCP("srv:554", func(c transport.Conn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
 		r.conn = c
+		// A reply goes back to the server's arena once this returns: keep a
+		// copy, not the message.
 		c.SetReceiver(func(payload any, _ int) {
 			if m, ok := payload.(*rtsp.Message); ok {
 				select {
-				case r.resp <- m:
+				case r.resp <- *m:
 				default:
 				}
 			}
@@ -79,7 +84,7 @@ func (r *ctlRig) request(m *rtsp.Message) *rtsp.Message {
 	r.clock.RunUntil(r.clock.Now() + 2*time.Second)
 	select {
 	case resp := <-r.resp:
-		return resp
+		return &resp
 	default:
 		r.t.Fatalf("no response to %s", m.Method)
 		return nil
@@ -88,7 +93,7 @@ func (r *ctlRig) request(m *rtsp.Message) *rtsp.Message {
 
 func TestOptionsAdvertisesMethods(t *testing.T) {
 	r := newCtlRig(t, 0)
-	resp := r.request(rtsp.NewRequest(rtsp.MethodOptions, "*", 0))
+	resp := r.request(msgs.Request(rtsp.MethodOptions, "*", 0))
 	if resp.Status != rtsp.StatusOK || resp.Get("Public") == "" {
 		t.Fatalf("OPTIONS response: %+v", resp)
 	}
@@ -96,7 +101,7 @@ func TestOptionsAdvertisesMethods(t *testing.T) {
 
 func TestDescribeReturnsParseableBody(t *testing.T) {
 	r := newCtlRig(t, 0)
-	resp := r.request(rtsp.NewRequest(rtsp.MethodDescribe, "rtsp://srv/clip000.rm", 0))
+	resp := r.request(msgs.Request(rtsp.MethodDescribe, "rtsp://srv/clip000.rm", 0))
 	if resp.Status != rtsp.StatusOK {
 		t.Fatalf("status=%d", resp.Status)
 	}
@@ -111,7 +116,7 @@ func TestDescribeReturnsParseableBody(t *testing.T) {
 
 func TestDescribeNotFound(t *testing.T) {
 	r := newCtlRig(t, 0)
-	resp := r.request(rtsp.NewRequest(rtsp.MethodDescribe, "rtsp://srv/ghost.rm", 0))
+	resp := r.request(msgs.Request(rtsp.MethodDescribe, "rtsp://srv/ghost.rm", 0))
 	if resp.Status != rtsp.StatusNotFound {
 		t.Fatalf("status=%d want 404", resp.Status)
 	}
@@ -119,7 +124,7 @@ func TestDescribeNotFound(t *testing.T) {
 
 func TestDescribeUnavailable(t *testing.T) {
 	r := newCtlRig(t, 1.0)
-	resp := r.request(rtsp.NewRequest(rtsp.MethodDescribe, "rtsp://srv/clip000.rm", 0))
+	resp := r.request(msgs.Request(rtsp.MethodDescribe, "rtsp://srv/clip000.rm", 0))
 	if resp.Status != rtsp.StatusUnavailable {
 		t.Fatalf("status=%d want 453", resp.Status)
 	}
@@ -131,7 +136,7 @@ func TestDescribeUnavailable(t *testing.T) {
 
 func TestSetupNegotiatesTransport(t *testing.T) {
 	r := newCtlRig(t, 0)
-	req := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+	req := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
 	req.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
 	req.Set("Bandwidth", "150")
 	resp := r.request(req)
@@ -149,7 +154,7 @@ func TestSetupNegotiatesTransport(t *testing.T) {
 
 func TestSetupRejectsBadTransport(t *testing.T) {
 	r := newCtlRig(t, 0)
-	req := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+	req := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
 	req.Set("Transport", "proto=carrier-pigeon")
 	resp := r.request(req)
 	if resp.Status != rtsp.StatusInternalError {
@@ -157,9 +162,53 @@ func TestSetupRejectsBadTransport(t *testing.T) {
 	}
 }
 
+// TestSetupValidatesBandwidth: a Bandwidth header that is present must be a
+// positive integer, or the SETUP gets 400 and no session; an absent one means
+// the 300 kbps default.
+func TestSetupValidatesBandwidth(t *testing.T) {
+	for _, row := range []struct {
+		name, value string // value "" leaves the header out
+		status      int
+		kbps        float64
+	}{
+		{"stated", "150", rtsp.StatusOK, 150},
+		{"absent", "", rtsp.StatusOK, 300},
+		{"zero", "0", rtsp.StatusBadRequest, 0},
+		{"negative", "-5", rtsp.StatusBadRequest, 0},
+		{"not a number", "fast", rtsp.StatusBadRequest, 0},
+		{"fractional", "150.5", rtsp.StatusBadRequest, 0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			r := newCtlRig(t, 0)
+			req := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+			req.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
+			if row.value != "" {
+				req.Set("Bandwidth", row.value)
+			}
+			resp := r.request(req)
+			if resp.Status != row.status {
+				t.Fatalf("status=%d want %d", resp.Status, row.status)
+			}
+			if row.status != rtsp.StatusOK {
+				if n := r.srv.ActiveSessions(); n != 0 || resp.Get("Session") != "" {
+					t.Errorf("a refused SETUP left %d sessions and a Session header %q", n, resp.Get("Session"))
+				}
+				return
+			}
+			sess := r.srv.sessions[resp.Get("Session")]
+			if sess == nil {
+				t.Fatalf("no session %q", resp.Get("Session"))
+			}
+			if sess.maxKbps != row.kbps {
+				t.Errorf("session capped at %v kbps, want %v", sess.maxKbps, row.kbps)
+			}
+		})
+	}
+}
+
 func TestPlayWithoutSetupFails(t *testing.T) {
 	r := newCtlRig(t, 0)
-	resp := r.request(rtsp.NewRequest(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0))
+	resp := r.request(msgs.Request(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0))
 	if resp.Status != rtsp.StatusNotFound {
 		t.Fatalf("status=%d want 404", resp.Status)
 	}
@@ -167,7 +216,7 @@ func TestPlayWithoutSetupFails(t *testing.T) {
 
 func TestTeardownUnknownSessionIsOK(t *testing.T) {
 	r := newCtlRig(t, 0)
-	req := rtsp.NewRequest(rtsp.MethodTeardown, "rtsp://srv/clip000.rm", 0)
+	req := msgs.Request(rtsp.MethodTeardown, "rtsp://srv/clip000.rm", 0)
 	req.Set("Session", "sess-999")
 	resp := r.request(req)
 	if resp.Status != rtsp.StatusOK {
@@ -177,17 +226,17 @@ func TestTeardownUnknownSessionIsOK(t *testing.T) {
 
 func TestPauseHaltsPacing(t *testing.T) {
 	r := newCtlRig(t, 0)
-	setup := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+	setup := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
 	setup.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
 	setup.Set("Bandwidth", "80")
 	resp := r.request(setup)
 	id := resp.Get("Session")
-	play := rtsp.NewRequest(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
+	play := msgs.Request(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
 	play.Set("Session", id)
 	if got := r.request(play); got.Status != rtsp.StatusOK {
 		t.Fatalf("play status=%d", got.Status)
 	}
-	pause := rtsp.NewRequest(rtsp.MethodPause, "rtsp://srv/clip000.rm", 0)
+	pause := msgs.Request(rtsp.MethodPause, "rtsp://srv/clip000.rm", 0)
 	pause.Set("Session", id)
 	if got := r.request(pause); got.Status != rtsp.StatusOK {
 		t.Fatalf("pause status=%d", got.Status)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"realtracer/internal/media"
+	"realtracer/internal/netsim"
 	"realtracer/internal/packet"
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
@@ -205,22 +206,25 @@ func FuzzParseClipDesc(f *testing.F) {
 }
 
 // TestControlMessageAllocBudget: what a session's control exchange costs per
-// message. A SETUP request with its two headers, a Session header set on it
-// and its size cost one allocation, the *Message — the headers are inline —
-// and a library clip's DESCRIBE body parses into a ClipDesc that has parsed
-// it before with none: the body is read in place, the encodings go into the
-// storage the last parse grew, and the title equals the last.
+// message. A SETUP request leased from a warm pool, with its two headers, a
+// Session header set on it, its size and its release, costs no allocation —
+// the *Message is a recycled cell and the headers are inline — and a library
+// clip's DESCRIBE body parses into a ClipDesc that has parsed it before with
+// none: the body is read in place, the encodings go into the storage the last
+// parse grew, and the title equals the last.
 func TestControlMessageAllocBudget(t *testing.T) {
 	const transportValue = "proto=udp;client_addr=user00.us:10001"
+	var msgs rtsp.Pool
 	var size int
 	if n := testing.AllocsPerRun(100, func() {
-		req := rtsp.NewRequest(rtsp.MethodSetup, "rtsp://cnn.us/clip000.rm", 2)
+		req := msgs.Request(rtsp.MethodSetup, "rtsp://cnn.us/clip000.rm", 2)
 		req.Set("Transport", transportValue)
 		req.Set("Bandwidth", "350")
 		req.Set("Session", "sess-1")
 		size += req.WireSize()
-	}); n > 1 {
-		t.Errorf("building and sizing a SETUP request allocates %v times, want at most 1", n)
+		netsim.ReleaseTransit(nil, req)
+	}); n != 0 {
+		t.Errorf("building, sizing and releasing a SETUP request allocates %v times, want 0", n)
 	}
 	for _, clip := range media.GenerateLibrary("cnn.us", 40, 7).Clips {
 		body := DescFromClip(clip).Marshal()
@@ -242,7 +246,8 @@ func encode(payload any) ([]byte, error) {
 }
 
 func TestCodecRoundTripRTSP(t *testing.T) {
-	m := rtsp.NewRequest(rtsp.MethodPlay, "rtsp://h/c", 5)
+	var msgs rtsp.Pool
+	m := msgs.Request(rtsp.MethodPlay, "rtsp://h/c", 5)
 	m.Set("Session", "sess-9")
 	b, err := encode(m)
 	if err != nil {

@@ -11,18 +11,19 @@ import (
 
 // sessionAllocBudget bounds the steady-state allocations per open-loop
 // session. A session is not allocation-free — each clip still dials fresh
-// control/data connections and the RTSP exchange builds messages — but the
-// bundle free-list keeps the per-session object graph (tracer, player,
-// arenas, record storage, plan scratch) out of the count, and the control
-// plane sizes its messages instead of rendering them, shares each clip's
-// DESCRIBE body, recycles conn storage, keeps headers inline, parses into
-// the player's own description and binds every long-lived receiver once.
+// control/data connections — but the bundle free-list keeps the per-session
+// object graph (tracer, player, arenas, record storage, plan scratch) out of
+// the count, and the control plane leases its messages from the shard's
+// arena, sizes them instead of rendering them, shares each clip's DESCRIBE
+// body, recycles conn storage, keeps headers inline, parses into the
+// player's own description and binds every long-lived receiver once.
 // Before the free-list a session cost ~10,000 allocations; with it ~410, ~308
-// once packet cells were leased, ~99 once RTSP text was sized, and the
-// measured steady state is now 65 (65 under -race). The budget sits ~1.5x
-// above it so a regression back toward per-message or per-dial binding fails
-// loudly while dial/RTSP noise does not.
-const sessionAllocBudget = 95
+// once packet cells were leased, ~99 once RTSP text was sized, ~63 once
+// headers went inline and receivers were bound once, and the measured steady
+// state is now 49 (50 under -race) with every RTSP message leased. The budget
+// sits ~1.5x above it so a regression back toward per-message or per-dial
+// allocation fails loudly while dial noise does not.
+const sessionAllocBudget = 74
 
 // sessionBytesBudget bounds the bytes (MemStats.TotalAlloc) a steady-state
 // session allocates: the size fence beside the count fence. While packet
@@ -102,10 +103,11 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 // ~173 per session; with bundles leased per live session it builds one per
 // session in flight (~40 % of the pool) and read ~132, the other
 // first-time costs (hosts, paths, server sessions, grown scratch) included;
-// ~116 (~121 under -race) since events and packets are carved in chunks
-// and the world build stopped allocating per clip and per user. The budget
-// sits ~1.15x above the -race reading.
-const firstPassAllocBudget = 140
+// ~116 (~121 under -race) once events and packets were carved in chunks and
+// the world build stopped allocating per clip and per user, ~99 with one
+// packet arena per shard, and 87 (90 under -race) since RTSP messages are
+// leased from that arena too. The budget sits ~1.15x above the -race reading.
+const firstPassAllocBudget = 104
 
 // TestFirstPassAllocBudget bounds what a session costs on a world's first
 // pass over its templates (Arrivals == MaxUsers).
@@ -137,13 +139,15 @@ func TestFirstPassAllocBudget(t *testing.T) {
 // goroutines per measured Run call, and pays queue-growth noise on the
 // cross-shard outboxes — but the transit snapshots themselves are pooled,
 // so the per-packet copy tax that once made a sharded session cost tens of
-// thousands of allocations must stay gone. Measured steady state is 60, 61
-// under -race (62 while every server session and player had a packet arena
-// of its own, ~69 while transit copies regrew their lists and a recycled
-// path built a new generator; ~101 before headers went inline and receivers
-// were bound once, ~308 before the control plane stopped rendering what it
-// only measures); the budget sits ~1.3x above it.
-const shardedSessionAllocBudget = 78
+// thousands of allocations must stay gone. Measured steady state is 48, 48
+// under -race, since RTSP messages are leased from the shard's arena and
+// cross shards as pooled copies (60 while every message was allocated, 62
+// while every server session and player had a packet arena of its own, ~69
+// while transit copies regrew their lists and a recycled path built a new
+// generator; ~101 before headers went inline and receivers were bound once,
+// ~308 before the control plane stopped rendering what it only measures);
+// the budget sits ~1.3x above it.
+const shardedSessionAllocBudget = 63
 
 // TestShardedChurnAllocBudget is the sharded mirror of
 // TestSessionChurnAllocBudget: once the transit pools and bundle free-lists

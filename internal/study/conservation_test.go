@@ -12,6 +12,7 @@ import (
 	"realtracer/internal/lease"
 	"realtracer/internal/netsim"
 	"realtracer/internal/rdt"
+	"realtracer/internal/rtsp"
 	"realtracer/internal/trace"
 	"realtracer/internal/tracer"
 	"realtracer/internal/transport"
@@ -327,9 +328,9 @@ func checkClosedConns(t *testing.T, w *World) (closed, backlogged int) {
 }
 
 // checkLeases is the lease half of the conservation oracle, for a world at
-// quiescence: nothing is on the wire, so a pooled cell — a packet struct of
-// some shard's rdt arena, a segment of some host's transport stack — is
-// out of its pool only if somebody still holds it. A conn that closed holds
+// quiescence: nothing is on the wire, so a pooled cell — a packet struct or
+// an RTSP message of some shard's rdt arena, a segment of some host's
+// transport stack — is out of its pool only if somebody still holds it. A conn that closed holds
 // nothing (checkClosedConns), and a server session keeps headers, not cells,
 // so what is left is the open conns: every server drops every client, the
 // goodbyes land, and then every pool reachable from the world must have
@@ -370,17 +371,19 @@ func checkLeases(t *testing.T, w *World) {
 	}
 	// Every server and every tracer has a stack, and a world has exactly one
 	// arena per shard, its factory's, which every server and player on the
-	// shard leases from (an arena has one Packet pool). Fewer stacks, any
-	// other arena, or one that never carved a cell in a world that ran, and
-	// the audit is not looking at what the run ran on.
+	// shard leases from (an arena has one Packet pool and one RTSP message
+	// pool). Fewer stacks, any other arena or message pool, or one that never
+	// carved a cell in a world that ran, and the audit is not looking at what
+	// the run ran on.
 	trs := len(worldTracers(w))
-	const segs, packets = "Pool[realtracer/internal/transport.tcpSeg]", "Pool[realtracer/internal/rdt.Packet]"
+	const segs, packets, msgs = "Pool[realtracer/internal/transport.tcpSeg]", "Pool[realtracer/internal/rdt.Packet]", "Pool[realtracer/internal/rtsp.Message]"
 	if found[segs] < len(w.Servers)+trs || w.ran && carved[segs] == 0 {
 		t.Errorf("leases: the audit reached %d segment pools (%d cells carved) in a world of %d servers and %d tracers",
 			found[segs], carved[segs], len(w.Servers), trs)
 	}
-	if found[packets] != len(w.factories) {
-		t.Errorf("leases: the audit reached %d arenas in a world of %d shards", found[packets], len(w.factories))
+	if found[packets] != len(w.factories) || found[msgs] != len(w.factories) || w.ran && carved[msgs] == 0 {
+		t.Errorf("leases: the audit reached %d arenas and %d message pools (%d messages carved) in a world of %d shards",
+			found[packets], found[msgs], carved[msgs], len(w.factories))
 	}
 	for i, f := range w.factories {
 		if _, ok := pools[peek(reflect.ValueOf(&f.arena), "packets").UnsafeAddr()]; !ok {
@@ -520,11 +523,13 @@ func TestShardArenaFollowsInFlight(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			peak := make([]int, len(w.factories))
+			peak, msgPeak := make([]int, len(w.factories)), make([]int, len(w.factories))
 			sample := func() {
 				for i, f := range w.factories {
 					_, leased := f.arena.Cells()
 					peak[i] = max(peak[i], leased)
+					_, msgs := f.arena.Messages().Cells()
+					msgPeak[i] = max(msgPeak[i], msgs)
 				}
 			}
 			if w.fab != nil {
@@ -539,13 +544,22 @@ func TestShardArenaFollowsInFlight(t *testing.T) {
 				t.Fatal("the world stalled")
 			}
 			// One chunk per cell class: a pool carves at most lease.Chunk cells
-			// and 4 KiB at a time (TestChunksAreSizedInBytes).
+			// and 4 KiB at a time (TestChunksAreSizedInBytes). A field of the
+			// arena that is no lease.Pool holds pools of its own (the RTSP
+			// message pool), whose classes count the same way.
 			chunks := 0
-			arena := reflect.TypeOf(rdt.Arena{})
-			for i := range arena.NumField() {
-				cell, _ := arena.Field(i).Type.FieldByName("rest")
-				chunks += min(max(4<<10/int(cell.Type.Elem().Size()), 1), lease.Chunk)
+			var classes func(pools reflect.Type)
+			classes = func(pools reflect.Type) {
+				for i := range pools.NumField() {
+					f := pools.Field(i).Type
+					if cell, ok := f.FieldByName("rest"); ok {
+						chunks += min(max(4<<10/int(cell.Type.Elem().Size()), 1), lease.Chunk)
+					} else {
+						classes(f)
+					}
+				}
 			}
+			classes(reflect.TypeOf(rdt.Arena{}))
 			for i, f := range w.factories {
 				carved, leased := f.arena.Cells()
 				t.Logf("shard %d: arena carved %d cells, peak %d on lease, %d at the end (chunks of all classes: %d cells)", i, carved, peak[i], leased, chunks)
@@ -555,6 +569,16 @@ func TestShardArenaFollowsInFlight(t *testing.T) {
 				if carved > peak[i]+chunks {
 					t.Errorf("shard %d's arena carved %d cells for a peak of %d on lease: more than one chunk per cell class (%d cells) above it",
 						i, carved, peak[i], chunks)
+				}
+				// The message class on its own: a session's control exchange
+				// leases at most a couple of messages at once, so a pool that
+				// carved per request would overshoot its peak at once.
+				msgChunk := min(4<<10/int(reflect.TypeOf(rtsp.Message{}).Size()), lease.Chunk)
+				msgs, _ := f.arena.Messages().Cells()
+				t.Logf("shard %d: %d of those cells are messages, for a peak of %d on lease", i, msgs, msgPeak[i])
+				if msgPeak[i] == 0 || msgs > msgPeak[i]+msgChunk {
+					t.Errorf("shard %d's arena carved %d messages for a peak of %d on lease, want some, and at most one chunk (%d) above it",
+						i, msgs, msgPeak[i], msgChunk)
 				}
 			}
 		})

@@ -317,6 +317,8 @@ var syncExempt = map[string]string{
 	"rdt.Repair.cell":         "rebuilt on restore from who holds the cell: a restored repair packet is in no arena",
 	"transport.tcpSeg.holds":  "rebuilt on restore from who holds the cell: send buffer, reorder buffer, each reference on the wire",
 	"transport.tcpAck.leased": "rebuilt on restore from who holds the cell: a restored ACK is in no free-list",
+	"rtsp.Message.home":       "rebuilt on restore from who holds the cell: a restored message is in no arena and is garbage-collected",
+	"rtsp.Message.leased":     "rebuilt on restore from who holds the cell: a restored message is in no arena",
 
 	// Derived values: recomputed from walked state by the restore path.
 	"simclock.Clock.live":                "count of armed events, rebuilt by re-arming",
