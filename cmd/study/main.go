@@ -76,7 +76,9 @@
 // -cpuprofile/-memprofile write pprof profiles of the run, so hot-path work
 // (the zero-allocation discrete-event core) can keep attacking the profile.
 // -memprofile records every allocation, not a sample, so its object counts
-// are exact (and the run slower; profile CPU in a separate run):
+// are exact (and the run slower; profile CPU in a separate run) — except for
+// pointer-free objects under 16 bytes, which the runtime packs into 16-byte
+// blocks and profiles once per block:
 //
 //	study -users 1000 -clips 3 -cpuprofile cpu.out
 //	study -users 1000 -clips 3 -memprofile mem.out
@@ -126,7 +128,7 @@ func main() {
 	resumeFile := flag.String("resume", "", "replay a -checkpoint snapshot to completion under its own options (incompatible with world-shaping flags)")
 	warmup := flag.Duration("warmup", 0, "simulated-time instant at which -checkpoint snapshots the world (e.g. 10m); requires -checkpoint")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof); the run then records every allocation (runtime.MemProfileRate = 1), so it is exact and slower")
+	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof); the run then records every allocation (runtime.MemProfileRate = 1), so it is exact but for pointer-free objects under 16 bytes (one per tiny-allocator block), and slower")
 	flag.Parse()
 
 	set := map[string]bool{}

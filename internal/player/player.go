@@ -172,6 +172,10 @@ type Player struct {
 	descBuf session.ClipDesc
 	// waits are the dial continuations not in use (see dialWait).
 	waits []*dialWait
+	// bandwidths are the Bandwidth values this player has rendered, the most
+	// recently used first. A cap is its user's, and a world has a handful, so
+	// as Reset hands the player from user to user each is rendered once.
+	bandwidths [4]bandwidthValue
 	// pending maps an outstanding request's CSeq to the kind of continuation
 	// its response runs. Kinds instead of callbacks: the handshake state
 	// machine is then plain data, which a world checkpoint can serialize.
@@ -326,6 +330,7 @@ func (p *Player) Reset(cfg Config) {
 		recvData:        p.recvData,
 		descBuf:         p.descBuf,
 		waits:           p.waits,
+		bandwidths:      p.bandwidths,
 		haveSeq:         p.haveSeq,
 		nackOutstanding: p.nackOutstanding,
 		partials:        p.partials[:0],
@@ -569,10 +574,15 @@ func (p *Player) presize() {
 // ErrUnavailable marks the clip-temporarily-unavailable outcome of Fig. 10.
 var ErrUnavailable = errors.New("player: clip unavailable")
 
+// tcpTransport is the Transport value of a SETUP asking for TCP data,
+// rtsp.TransportSpec{Protocol: "tcp"}.Format(): the player dials the data conn
+// itself and names the session in its DataHello, so there is no address to
+// advertise.
+const tcpTransport = "proto=tcp"
+
 func (p *Player) setup() {
-	spec := rtsp.TransportSpec{}
+	spec := tcpTransport
 	if p.cfg.Protocol == transport.UDP {
-		spec.Protocol = "udp"
 		// Bind the data socket first so SETUP can advertise its address.
 		// Connected-UDP semantics need the server's data endpoint up front:
 		// the well-known port on the control host unless overridden.
@@ -588,14 +598,34 @@ func (p *Player) setup() {
 		p.data = conn
 		p.dataIsMe = true
 		conn.SetReceiver(p.recvData)
-		spec.ClientDataAddr = conn.LocalAddr()
-	} else {
-		spec.Protocol = "tcp"
+		spec = rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: conn.LocalAddr()}.Format()
 	}
 	req := p.cfg.Arena.Messages().Request(rtsp.MethodSetup, p.cfg.URL, 0)
-	req.Set("Transport", spec.Format())
-	req.Set("Bandwidth", strconv.Itoa(int(p.cfg.MaxBandwidthKbps)))
+	req.Set("Transport", spec)
+	req.Set("Bandwidth", p.bandwidth())
 	p.request(req, pendSetup)
+}
+
+// bandwidthValue is a Bandwidth header value: a cap in kbps and its decimal
+// text.
+type bandwidthValue struct {
+	kbps int
+	text string
+}
+
+// bandwidth returns the Bandwidth value of the player's cap, rendering it
+// only if it is not among the ones rendered before.
+func (p *Player) bandwidth() string {
+	kbps := int(p.cfg.MaxBandwidthKbps)
+	i := slices.IndexFunc(p.bandwidths[:], func(b bandwidthValue) bool { return b.text != "" && b.kbps == kbps })
+	if i < 0 {
+		i = len(p.bandwidths) - 1
+		p.bandwidths[i] = bandwidthValue{kbps, strconv.Itoa(kbps)}
+	}
+	b := p.bandwidths[i]
+	copy(p.bandwidths[1:i+1], p.bandwidths[:i])
+	p.bandwidths[0] = b
+	return b.text
 }
 
 func (p *Player) onSetupResp(resp *rtsp.Message) {

@@ -36,11 +36,12 @@ const (
 
 // Status codes used by the session layer.
 const (
-	StatusOK            = 200
-	StatusBadRequest    = 400
-	StatusNotFound      = 404
-	StatusUnavailable   = 453 // "Not Enough Bandwidth" repurposed: clip temporarily unavailable
-	StatusInternalError = 500
+	StatusOK              = 200
+	StatusBadRequest      = 400
+	StatusNotFound        = 404
+	StatusUnavailable     = 453 // "Not Enough Bandwidth" repurposed: clip temporarily unavailable
+	StatusSessionNotFound = 454 // the Session header names a session another control connection set up
+	StatusInternalError   = 500
 )
 
 // StatusText returns the reason phrase for a status code.
@@ -54,6 +55,8 @@ func StatusText(code int) string {
 		return "Not Found"
 	case StatusUnavailable:
 		return "Not Enough Bandwidth"
+	case StatusSessionNotFound:
+		return "Session Not Found"
 	case StatusInternalError:
 		return "Internal Server Error"
 	default:

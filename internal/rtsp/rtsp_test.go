@@ -49,7 +49,8 @@ func TestResponseRoundTripWithBody(t *testing.T) {
 func TestStatusTextAndReasons(t *testing.T) {
 	for code, want := range map[int]string{
 		StatusOK: "OK", StatusBadRequest: "Bad Request", StatusNotFound: "Not Found",
-		StatusUnavailable: "Not Enough Bandwidth", StatusInternalError: "Internal Server Error",
+		StatusUnavailable: "Not Enough Bandwidth", StatusSessionNotFound: "Session Not Found",
+		StatusInternalError: "Internal Server Error",
 	} {
 		if StatusText(code) != want {
 			t.Errorf("StatusText(%d)=%q", code, StatusText(code))

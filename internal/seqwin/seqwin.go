@@ -168,6 +168,24 @@ func (w *Window[V]) Yield() []V {
 	return ring
 }
 
+// Reserve gives an empty window a ring of at least n slots — the power of two
+// at or above n, at most MaxSpan — in one step, for an owner that knows the
+// span it will hold: the doublings Put would take on the way there are
+// skipped, and w holds, evicts and walks exactly what it would have. A ring
+// that is already that large is kept.
+func (w *Window[V]) Reserve(n int) {
+	if w.n != 0 {
+		panic("seqwin: Reserve on a window that holds entries")
+	}
+	size := max(len(w.ring), minRing)
+	for size < min(n, MaxSpan) {
+		size *= 2
+	}
+	if size != len(w.ring) {
+		w.ring, w.lo = make([]V, size), 0
+	}
+}
+
 // Adopt makes a ring some window yielded the storage of w, which must be
 // empty. Only the first allocations are saved: w holds, evicts and walks
 // exactly what a zero Window would.

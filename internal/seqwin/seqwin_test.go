@@ -157,11 +157,18 @@ func TestWindowMatchesMap(t *testing.T) {
 				// A ring never shrinks, so alternate a recycled window with a
 				// fresh one or every trace ends up on a wide ring. The recycled
 				// one is by turns this window Reset and a new one that Adopts
-				// the ring this one Yields: from here on the oracle must not be
-				// able to tell either from the fresh one.
+				// the ring this one Yields, and the fresh one by turns a zero
+				// window and one Reserved to up to 1,024 slots: from here on
+				// the oracle must not be able to tell any of them apart.
 				switch step % 4 {
 				case 1:
 					w.Reset()
+				case 2:
+					w = Window[int]{}
+					w.Reserve(step * 37 % 1100)
+					if len(w.ring) < min(step*37%1100, MaxSpan) {
+						t.Fatalf("seed %d step %d: Reserve(%d) made a ring of %d slots", seed, step, step*37%1100, len(w.ring))
+					}
 				case 3:
 					ring := w.Yield()
 					if w.ring != nil || w.lo != 0 || w.n != 0 || slices.ContainsFunc(ring, func(v int) bool { return v != 0 }) {
@@ -208,17 +215,26 @@ func TestWindowGrowsWhileWrapped(t *testing.T) {
 	}
 }
 
-// TestAdoptRefusesAWindowInUse: a ring laid over entries would lose them.
+// TestAdoptRefusesAWindowInUse: a ring laid over entries would lose them, and
+// so would one Reserve makes.
 func TestAdoptRefusesAWindowInUse(t *testing.T) {
-	var donor, w Window[int]
+	var donor Window[int]
 	donor.Put(3, 1)
-	w.Put(7, 1)
-	defer func() {
-		if recover() == nil || w.Get(7) != 1 {
-			t.Errorf("Adopt into a window holding an entry did not panic (Get(7) = %d)", w.Get(7))
-		}
-	}()
-	w.Adopt(donor.Yield())
+	for name, lay := range map[string]func(w *Window[int]){
+		"Adopt":   func(w *Window[int]) { w.Adopt(donor.Yield()) },
+		"Reserve": func(w *Window[int]) { w.Reserve(1024) },
+	} {
+		var w Window[int]
+		w.Put(7, 1)
+		func() {
+			defer func() {
+				if recover() == nil || w.Get(7) != 1 {
+					t.Errorf("%s into a window holding an entry did not panic (Get(7) = %d)", name, w.Get(7))
+				}
+			}()
+			lay(&w)
+		}()
+	}
 }
 
 // TestSyncRoundTripAndHostileInput: a window decodes to what was encoded, and

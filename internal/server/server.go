@@ -104,6 +104,11 @@ type Server struct {
 	// Message.Body (the player and a shard-transit copy both copy it out).
 	descBody map[*media.Clip][]byte
 
+	// setupTransport is the Transport value of every SETUP reply, by protocol
+	// (tcp, udp): the server's data addresses never change, so each is
+	// rendered on the first SETUP that asks for it.
+	setupTransport [2]string
+
 	// watchFree holds the DataHello watchers no connection is using.
 	watchFree []*dataWatcher
 
@@ -301,42 +306,11 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 		}
 		resp := cc.respond(req, rtsp.StatusOK)
 		resp.Set("Session", id)
-		out := rtsp.TransportSpec{Protocol: spec.Protocol}
-		if spec.Protocol == "udp" {
-			out.ServerDataAddr = s.udpPort.LocalAddr()
-		} else {
-			out.ServerDataAddr = s.cfg.Net.Addr(s.cfg.DataTCPPort)
-		}
-		resp.Set("Transport", out.Format())
+		resp.Set("Transport", s.transportFor(spec.Protocol))
 		cc.send(resp)
 
-	case rtsp.MethodPlay:
-		sess := s.lookupSession(req, cc)
-		if sess == nil {
-			cc.reply(req, rtsp.StatusNotFound)
-			return
-		}
-		sess.play()
-		s.played++
-		cc.reply(req, rtsp.StatusOK)
-
-	case rtsp.MethodPause:
-		sess := s.lookupSession(req, cc)
-		if sess == nil {
-			cc.reply(req, rtsp.StatusNotFound)
-			return
-		}
-		sess.pause()
-		cc.reply(req, rtsp.StatusOK)
-
-	case rtsp.MethodTeardown:
-		sess := s.lookupSession(req, cc)
-		if sess != nil {
-			sess.stop()
-			s.removeSession(sess)
-			s.tornDown++
-		}
-		cc.reply(req, rtsp.StatusOK)
+	case rtsp.MethodPlay, rtsp.MethodPause, rtsp.MethodTeardown:
+		cc.reply(req, s.control(req, cc))
 
 	case rtsp.MethodSetParameter:
 		cc.reply(req, rtsp.StatusOK)
@@ -346,11 +320,66 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 	}
 }
 
-func (s *Server) lookupSession(req *rtsp.Message, cc *controlConn) *streamSession {
-	if id := req.Get("Session"); id != "" {
-		return s.sessions[id]
+// control runs a PLAY, PAUSE or TEARDOWN and returns its reply's status. A
+// TEARDOWN of a session that is gone already succeeds.
+func (s *Server) control(req *rtsp.Message, cc *controlConn) int {
+	sess, foreign := s.lookupSession(req, cc)
+	switch {
+	case foreign:
+		return rtsp.StatusSessionNotFound
+	case sess == nil && req.Method == rtsp.MethodTeardown:
+		return rtsp.StatusOK
+	case sess == nil:
+		return rtsp.StatusNotFound
 	}
-	return cc.sess
+	switch req.Method {
+	case rtsp.MethodPlay:
+		sess.play()
+		s.played++
+	case rtsp.MethodPause:
+		sess.pause()
+	default:
+		sess.stop()
+		s.removeSession(sess)
+		s.tornDown++
+	}
+	return rtsp.StatusOK
+}
+
+// transportFor is the Transport value of a SETUP reply for proto, "tcp" or
+// "udp": the protocol and the server's data address for it.
+func (s *Server) transportFor(proto string) string {
+	i := 0
+	if proto == "udp" {
+		i = 1
+	}
+	if s.setupTransport[i] == "" {
+		out := rtsp.TransportSpec{Protocol: proto}
+		if i == 1 {
+			out.ServerDataAddr = s.udpPort.LocalAddr()
+		} else {
+			out.ServerDataAddr = s.cfg.Net.Addr(s.cfg.DataTCPPort)
+		}
+		s.setupTransport[i] = out.Format()
+	}
+	return s.setupTransport[i]
+}
+
+// lookupSession finds the session req's Session header names, or the conn's
+// most recent SETUP when it names none. A session is its own control conn's
+// to play, pause and tear down: one set up on another conn is reported
+// foreign, and not returned. The conns are compared, not their controlConns,
+// because a restored session gets a controlConn of its own.
+func (s *Server) lookupSession(req *rtsp.Message, cc *controlConn) (sess *streamSession, foreign bool) {
+	id := req.Get("Session")
+	if id == "" {
+		return cc.sess, false
+	}
+	sess = s.sessions[id]
+	if sess != nil && (sess.cc == nil || sess.cc.conn != cc.conn) {
+		return nil, true
+	}
+	return sess, false
 }
 
 func (s *Server) removeSession(sess *streamSession) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ type ctlRig struct {
 	clock *simclock.Clock
 	net   *netsim.Network
 	srv   *Server
+	cli   *transport.Stack
 	conn  transport.Conn
 	resp  chan rtsp.Message
 	cseq  int
@@ -51,11 +53,27 @@ func newRig(t *testing.T, route netsim.Route, unavailability float64) *ctlRig {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	r := &ctlRig{t: t, clock: clock, net: n, srv: srv, resp: make(chan rtsp.Message, 16)}
-	cli := transport.NewStack(n, "cli")
-	cli.DialTCP("srv:554", func(c transport.Conn, err error) {
+	r := &ctlRig{t: t, clock: clock, net: n, srv: srv, cli: transport.NewStack(n, "cli")}
+	r.dial()
+	return r
+}
+
+// another opens a second control connection from the rig's client to the
+// same server: a rig of its own over the same world.
+func (r *ctlRig) another() *ctlRig {
+	r.t.Helper()
+	o := &ctlRig{t: r.t, clock: r.clock, net: r.net, srv: r.srv, cli: r.cli}
+	o.dial()
+	return o
+}
+
+// dial opens the rig's control connection.
+func (r *ctlRig) dial() {
+	r.t.Helper()
+	r.resp = make(chan rtsp.Message, 16)
+	r.cli.DialTCP("srv:554", func(c transport.Conn, err error) {
 		if err != nil {
-			t.Fatalf("dial: %v", err)
+			r.t.Fatalf("dial: %v", err)
 		}
 		r.conn = c
 		// A reply goes back to the server's arena once this returns: keep a
@@ -69,11 +87,10 @@ func newRig(t *testing.T, route netsim.Route, unavailability float64) *ctlRig {
 			}
 		})
 	})
-	clock.RunUntil(time.Second)
+	r.clock.RunUntil(r.clock.Now() + time.Second)
 	if r.conn == nil {
-		t.Fatal("control dial failed")
+		r.t.Fatal("control dial failed")
 	}
-	return r
 }
 
 func (r *ctlRig) request(m *rtsp.Message) *rtsp.Message {
@@ -150,6 +167,16 @@ func TestSetupNegotiatesTransport(t *testing.T) {
 	if err != nil || spec.ServerDataAddr == "" {
 		t.Fatalf("transport header bad: %v %+v", err, spec)
 	}
+	// Each protocol's value is the server's data address for it, rendered
+	// once: later SETUPs reuse it.
+	for proto, addr := range map[string]string{"udp": r.srv.udpPort.LocalAddr(), "tcp": "srv:" + strconv.Itoa(session.DataTCPPort)} {
+		if got, want := r.srv.transportFor(proto), (rtsp.TransportSpec{Protocol: proto, ServerDataAddr: addr}).Format(); got != want {
+			t.Errorf("%s SETUP reply's Transport = %q, want %q", proto, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { r.srv.transportFor("udp"); r.srv.transportFor("tcp") }); n != 0 {
+		t.Errorf("a SETUP reply's Transport value costs %v allocations once rendered", n)
+	}
 }
 
 func TestSetupRejectsBadTransport(t *testing.T) {
@@ -221,6 +248,56 @@ func TestTeardownUnknownSessionIsOK(t *testing.T) {
 	resp := r.request(req)
 	if resp.Status != rtsp.StatusOK {
 		t.Fatalf("status=%d", resp.Status)
+	}
+}
+
+// TestSessionBelongsToItsControlConn: PLAY, PAUSE and TEARDOWN naming a
+// session set up on another control connection get 454 and leave it as it
+// was; naming their own, they get 200 — also when the session was restored
+// from a snapshot, where it gets a controlConn of its own over the same conn
+// (Server.Sync), not the one its conn delivers requests to.
+func TestSessionBelongsToItsControlConn(t *testing.T) {
+	for _, method := range []string{rtsp.MethodPlay, rtsp.MethodPause, rtsp.MethodTeardown} {
+		for _, whose := range []string{"own", "own restored", "foreign"} {
+			t.Run(method+"/"+whose, func(t *testing.T) {
+				owner := newCtlRig(t, 0)
+				setup := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+				setup.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: "cli:20000"}.Format())
+				setup.Set("Bandwidth", "80")
+				id := owner.request(setup).Get("Session")
+				sess := owner.srv.sessions[id]
+				if sess == nil {
+					t.Fatalf("SETUP made no session %q", id)
+				}
+				asker, own := owner, whose != "foreign"
+				switch whose {
+				case "own restored":
+					sess.cc = &controlConn{srv: owner.srv, conn: sess.cc.conn}
+				case "foreign":
+					asker = owner.another()
+				}
+				req := msgs.Request(method, "rtsp://srv/clip000.rm", 0)
+				req.Set("Session", id)
+				resp := asker.request(req)
+				want := rtsp.StatusOK
+				if !own {
+					want = rtsp.StatusSessionNotFound
+				}
+				if resp.Status != want || resp.Reason != rtsp.StatusText(want) {
+					t.Fatalf("%s of session %s: %d %s, want %d", method, id, resp.Status, resp.Reason, want)
+				}
+				_, live := owner.srv.sessions[id]
+				switch {
+				case own && method == rtsp.MethodTeardown && live:
+					t.Error("TEARDOWN on the session's own conn left it live")
+				case own && method == rtsp.MethodPlay && !sess.playing:
+					t.Error("PLAY on the session's own conn did not start it")
+				case !own && (!live || sess.playing || sess.stopped || owner.srv.played != 0 || owner.srv.tornDown != 0):
+					t.Errorf("%s from another conn touched the session: live=%v playing=%v stopped=%v, %d played, %d torn down",
+						method, live, sess.playing, sess.stopped, owner.srv.played, owner.srv.tornDown)
+				}
+			})
+		}
 	}
 }
 

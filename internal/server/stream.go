@@ -169,6 +169,10 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 		}
 		sess.ctrl = s.cfg.NewController(start)
 		sess.dataUDP = s.udpPort.ConnFor(spec.ClientDataAddr)
+		// The window spans sentWindow+1 seqs just before each cut: a ring of
+		// twice sentWindow slots, made in one step on a session's first UDP
+		// playout and kept by the pool.
+		sess.sentVideo.Reserve(2 * sentWindow)
 	}
 	return sess
 }
@@ -600,13 +604,16 @@ func (e sentMeta) meta(seq uint32) rdt.RepairMeta {
 	}
 }
 
+// sentWindow is how many recent video headers a UDP session keeps for
+// retransmission and parity.
+const sentWindow = 512
+
 // rememberVideo records a sent video packet's header for retransmission and
-// parity, bounded to the recent window: once more than window headers are
-// held, everything below m.Seq-window goes and sentFloor follows the cut.
+// parity, bounded to the recent window: once more than sentWindow headers are
+// held, everything below m.Seq-sentWindow goes and sentFloor follows the cut.
 func (sess *streamSession) rememberVideo(m rdt.RepairMeta) {
-	const window = 512
 	sess.sentVideo.Put(uint64(m.Seq), sentOf(m))
-	if cut := m.Seq - window; sess.sentVideo.Len() > window && sess.sentFloor < cut {
+	if cut := m.Seq - sentWindow; sess.sentVideo.Len() > sentWindow && sess.sentFloor < cut {
 		sess.sentFloor = cut
 		sess.sentVideo.DropBelow(uint64(cut))
 	}

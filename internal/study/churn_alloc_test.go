@@ -15,15 +15,17 @@ import (
 // object graph (tracer, player, arenas, record storage, plan scratch) out of
 // the count, and the control plane leases its messages from the shard's
 // arena, sizes them instead of rendering them, shares each clip's DESCRIBE
-// body, recycles conn storage, keeps headers inline, parses into the
-// player's own description and binds every long-lived receiver once.
-// Before the free-list a session cost ~10,000 allocations; with it ~410, ~308
-// once packet cells were leased, ~99 once RTSP text was sized, ~63 once
-// headers went inline and receivers were bound once, and the measured steady
-// state is now 49 (50 under -race) with every RTSP message leased. The budget
-// sits ~1.5x above it so a regression back toward per-message or per-dial
-// allocation fails loudly while dial noise does not.
-const sessionAllocBudget = 74
+// body, recycles conn storage and the packet handler bound to it, keeps a
+// dial's record in its conn, renders SETUP header values once, keeps headers
+// inline, parses into the player's own description and binds every
+// long-lived receiver once. Before the free-list a session cost ~10,000
+// allocations; with it ~410, ~308 once packet cells were leased, ~99 once
+// RTSP text was sized, ~63 once headers went inline and receivers were bound
+// once, 49 once every RTSP message was leased, and the measured steady state
+// is now 35 (35 under -race) with conns rebinding a recycled handler. The
+// budget sits ~1.5x above it so a regression back toward per-message or
+// per-dial allocation fails loudly while dial noise does not.
+const sessionAllocBudget = 52
 
 // sessionBytesBudget bounds the bytes (MemStats.TotalAlloc) a steady-state
 // session allocates: the size fence beside the count fence. While packet
@@ -105,9 +107,11 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 // first-time costs (hosts, paths, server sessions, grown scratch) included;
 // ~116 (~121 under -race) once events and packets were carved in chunks and
 // the world build stopped allocating per clip and per user, ~99 with one
-// packet arena per shard, and 87 (90 under -race) since RTSP messages are
-// leased from that arena too. The budget sits ~1.15x above the -race reading.
-const firstPassAllocBudget = 104
+// packet arena per shard, 87 (90 under -race) once RTSP messages were leased
+// from that arena too, and 77 (80 under -race) since conns rebind a recycled
+// packet handler, a dial lives in its conn and SETUP header values are
+// rendered once. The budget sits ~1.15x above the -race reading.
+const firstPassAllocBudget = 92
 
 // TestFirstPassAllocBudget bounds what a session costs on a world's first
 // pass over its templates (Arrivals == MaxUsers).
@@ -139,15 +143,16 @@ func TestFirstPassAllocBudget(t *testing.T) {
 // goroutines per measured Run call, and pays queue-growth noise on the
 // cross-shard outboxes — but the transit snapshots themselves are pooled,
 // so the per-packet copy tax that once made a sharded session cost tens of
-// thousands of allocations must stay gone. Measured steady state is 48, 48
-// under -race, since RTSP messages are leased from the shard's arena and
-// cross shards as pooled copies (60 while every message was allocated, 62
+// thousands of allocations must stay gone. Measured steady state is 33, 33
+// under -race, since conns rebind a recycled packet handler, a dial lives in
+// its conn and SETUP header values are rendered once (48 while each conn
+// bound a handler of its own, 60 while every RTSP message was allocated, 62
 // while every server session and player had a packet arena of its own, ~69
 // while transit copies regrew their lists and a recycled path built a new
 // generator; ~101 before headers went inline and receivers were bound once,
 // ~308 before the control plane stopped rendering what it only measures);
 // the budget sits ~1.3x above it.
-const shardedSessionAllocBudget = 63
+const shardedSessionAllocBudget = 43
 
 // TestShardedChurnAllocBudget is the sharded mirror of
 // TestSessionChurnAllocBudget: once the transit pools and bundle free-lists

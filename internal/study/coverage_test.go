@@ -299,7 +299,9 @@ var syncExempt = map[string]string{
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
 	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's send and reorder buffers, and the wire",
-	"transport.Stack.connFree":  "recycled conn storage: cleared window rings, capacity only; a restored stack starts without any",
+	"transport.Stack.connFree":  "recycled conn storage: cleared window rings and unbound ports, capacity and wiring only; a restored stack starts without any",
+	"transport.simTCP.port":     "the packet handler netsim holds for the conn, bound once to storage the host's conns pass on; a restored open conn registers one anew",
+	"transport.simTCP.dial":     "the conn's dial record: zero unless the conn dials, and then walked, timers and all, through Stack.dials, which points at it",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
 	"study.SessionFactory.idle": "bundles between sessions: bound to no template and holding nothing the clock can reach, so a resume starts without any",
@@ -356,6 +358,8 @@ var syncExempt = map[string]string{
 	"server.Server.cfg":                  "rebuilt from Options",
 	"server.Server.byDataAddr":           "index of sessions by walked ClientDataAddr",
 	"server.Server.descBody":             "rendered on first DESCRIBE",
+	"server.Server.setupTransport":       "rendered on the first SETUP of each protocol from the server's fixed data addresses",
+	"player.Player.bandwidths":           "rendered Bandwidth values, by cap",
 	"figures.Aggregates.psKeys":          "interned policyServer labels, rebuilt as records arrive",
 	"server.Server.udpPort":              "rebuilt by Server.Start",
 	"server.streamSession.clip":          "looked up from the walked URL",

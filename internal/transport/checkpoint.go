@@ -198,23 +198,24 @@ func (s *Stack) Sync(c *snap.Codec, x *SnapCtx) {
 	c.Tag("stack")
 	c.Int(&s.next)
 	snap.Slice(c, &s.dials, func(c *snap.Codec, dp **tcpDial) {
-		if c.Reading() {
-			*dp = &tcpDial{}
+		var conn *simTCP
+		if !c.Reading() {
+			conn = (*dp).conn
 		}
-		d := *dp
 		// A host that departs mid-handshake takes the dialing conn's packet
 		// handler with it, while the dial's timers tick on — through a
 		// re-arrival under the same name, if one comes. The conn restores as
 		// deaf as it was.
-		deaf := !c.Reading() && !s.net.Registered(d.conn.local.addr)
+		deaf := !c.Reading() && !s.net.Registered(conn.local.addr)
 		c.Bool(&deaf)
-		if tc := s.syncTCP(c, d.conn, x, !deaf); tc != nil {
-			d.conn = tc
-			tc.dial = d
+		if tc := s.syncTCP(c, conn, x, !deaf); tc != nil {
+			tc.dial.conn = tc
+			*dp = &tc.dial
 		}
 		if c.Err() != nil {
 			return
 		}
+		d := *dp
 		s.clock.SyncTimer(c, &d.timeout, (*dialTimeoutArm)(d))
 		for i := range d.retries {
 			s.clock.SyncTimer(c, &d.retries[i], (*dialRetryArm)(d))
@@ -392,27 +393,34 @@ func (s *Stack) syncUDP(c *snap.Codec, uc *simUDP) *simUDP {
 // re-registers its packet handler: true for every conn but a dialing one
 // whose host left (Stack.Sync).
 func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *simTCP {
-	if c.Reading() {
-		tc = &simTCP{} // scratch for the header; the real conn follows it
+	// The header is read into locals: the conn it describes is built after it.
+	var local, peer netsim.Addr
+	var established, closed bool
+	if !c.Reading() {
+		local, peer, established, closed = tc.local.addr, tc.peer.addr, tc.established, tc.closed
 	}
 	c.Tag("tcp")
-	snap.StrAs(c, &tc.local.addr)
-	snap.StrAs(c, &tc.peer.addr)
-	c.Bool(&tc.established)
-	c.Bool(&tc.closed)
+	snap.StrAs(c, &local)
+	snap.StrAs(c, &peer)
+	c.Bool(&established)
+	c.Bool(&closed)
 	if c.Reading() {
 		// A conn closed at checkpoint time was already unregistered from the
 		// network — and for a departed open-loop client the host itself is
 		// gone — so only open conns re-register their packet handler.
-		listening = listening && !tc.closed
-		if c.Err() != nil || (listening && !s.registrable(c, tc.local.addr)) {
+		listening = listening && !closed
+		if c.Err() != nil || (listening && !s.registrable(c, local)) {
 			return nil
 		}
-		hdr := tc
-		tc = newSimTCPConn(s, s.endpoint(hdr.local.addr), s.endpoint(hdr.peer.addr))
-		tc.established, tc.closed = hdr.established, hdr.closed
+		if closed {
+			// A dead shell holds no storage: teardown gave it back.
+			tc = &simTCP{stack: s, local: s.endpoint(local), peer: s.endpoint(peer)}
+		} else {
+			tc = newSimTCPConn(s, s.endpoint(local), s.endpoint(peer))
+		}
+		tc.established, tc.closed = established, closed
 		if listening {
-			s.net.Register(tc.local.addr, tc.onPacket)
+			tc.register()
 		}
 	}
 

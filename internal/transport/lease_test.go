@@ -168,8 +168,8 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 			tc.onRTO()
 		}},
 		{"failed dial", func(tc, _ *simTCP) {
-			tc.dial = &tcpDial{conn: tc}
-			tc.stack.dials = append(tc.stack.dials, tc.dial)
+			tc.dial.conn = tc
+			tc.stack.dials = append(tc.stack.dials, &tc.dial)
 			tc.dial.finish(ErrTimeout)
 		}},
 		{"Close inside the receive callback", func(tc, rc *simTCP) {
@@ -230,13 +230,23 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 	}
 }
 
-// TestTeardownRecyclesConnStorage: a conn's send and reorder rings outlive it
-// on its stack's free-list, so a host that dials, talks and hangs up over and
-// over — every open-loop client, every server — grows them once. A cycle on
-// warm stacks must cost at least the four allocations (two conns, two rings
-// each) fewer than the same cycle with the free-lists emptied first; and what
-// waits on a free-list is capacity alone: no slot of it still points at a
-// segment that has since been leased to someone else.
+// TestTeardownRecyclesConnStorage: a conn's send and reorder rings and its
+// port — the packet handler netsim holds, bound once — outlive it on its
+// stack's free-list, so a host that dials, talks and hangs up over and over —
+// every open-loop client, every server — grows them and binds the handler
+// once, and a dial's record is part of the conn. A cycle on warm stacks must
+// cost at least the four allocations (two conns, two rings each) fewer than
+// the same cycle with the free-lists emptied first, and no more than six: two
+// conns, the server conn's address and the client's, the dial's continuation
+// and what it captures — no handler closure, no dial record. What waits on a
+// free-list is capacity and wiring alone: no slot of it still points at a
+// segment that has since been leased to someone else, and no port at the conn
+// that gave it up.
+//
+// A port outlives its conn, so it is a hazard the way a leased cell is: the
+// last case closes a conn with a segment still on the wire to it, lets the
+// host's next conn take the port, and wants the segment to find no handler at
+// the old address — dropped and released, never seen by the new conn.
 func TestTeardownRecyclesConnStorage(t *testing.T) {
 	clock, sa, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
 	var srv Conn
@@ -244,13 +254,17 @@ func TestTeardownRecyclesConnStorage(t *testing.T) {
 		srv = c
 		c.SetReceiver(func(any, int) {})
 	})
-	cycle := func() {
+	dial := func() *simTCP {
 		var cli Conn
 		sb.DialTCP("a:554", func(c Conn, err error) { cli = c })
 		clock.Run()
 		if cli == nil {
 			t.Fatal("dial failed")
 		}
+		return cli.(*simTCP)
+	}
+	cycle := func() {
+		cli := dial()
 		cli.SetReceiver(func(any, int) {})
 		for i := 0; i < 24; i++ { // more than a slow-start window: a backlog queues and drains
 			cli.Send(nil, 500)
@@ -270,6 +284,9 @@ func TestTeardownRecyclesConnStorage(t *testing.T) {
 	if fresh-steady < 4 {
 		t.Errorf("a cycle allocates %.0f on recycled conn storage and %.0f without it: want both rings of both conns saved", steady, fresh)
 	}
+	if steady > 6 {
+		t.Errorf("a cycle allocates %.0f on recycled conn storage, want at most 6: a conn binds a handler or a dial allocates its record again", steady)
+	}
 	for _, s := range []*Stack{sa, sb} {
 		if len(s.connFree) != 1 || s.segs.Leased() != 0 {
 			t.Fatalf("%s: %d conns' storage on the free-list with every conn closed, %d segments on lease; want 1 and 0", s.host, len(s.connFree), s.segs.Leased())
@@ -282,6 +299,57 @@ func TestTeardownRecyclesConnStorage(t *testing.T) {
 			if i := slices.IndexFunc(arr, func(seg *tcpSeg) bool { return seg != nil }); i >= 0 {
 				t.Errorf("%s: slot %d of a recycled array still points at a segment", s.host, i)
 			}
+		}
+		if st.port == nil || st.port.conn != nil {
+			t.Errorf("%s: the recycled port %+v is missing or still points at a conn", s.host, st.port)
+		}
+	}
+
+	// The late segment: the server sends, and the client hangs up before it
+	// lands.
+	old := dial()
+	port := old.port
+	srv.Send("late", 500)
+	old.Close()
+	onWire := func(to netsim.Addr) (n int) {
+		for _, pe := range clock.Pendings() {
+			if pkt, ok := pe.Handler.(*netsim.Packet); ok && pkt.To == to {
+				if seg, ok := pkt.Payload.(*tcpSeg); ok && seg.payload == "late" {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if onWire(old.local.addr) != 1 {
+		t.Fatalf("set-up: %d copies of the late segment on the wire to %s, want 1", onWire(old.local.addr), old.local.addr)
+	}
+	if old.port != nil || port.conn != nil {
+		t.Fatalf("the closed conn keeps port %p, its port points at %p: want the port unbound and given up", old.port, port.conn)
+	}
+	// The next conn of the host takes the port and registers its handler at
+	// the conn's own address.
+	sb.DialTCP("a:554", func(Conn, error) {})
+	next := port.conn
+	if next == nil || next == old || next.port != port || len(sb.connFree) != 0 {
+		t.Fatalf("the next dial did not take the closed conn's port (it points at %p, %d stores left)", next, len(sb.connFree))
+	}
+	got := 0
+	next.SetReceiver(func(any, int) { got++ })
+	_, _, dropped := sa.net.Stats()
+	clock.Run()
+	_, _, droppedAfter := sa.net.Stats()
+	if got != 0 || next.reorder.Len() != 0 || next.rcvNext != 0 || next.segsDelivered != 0 {
+		t.Errorf("the late segment reached the conn that took its port: %d delivered, %d buffered, next expected seq %d", got, next.reorder.Len(), next.rcvNext)
+	}
+	if droppedAfter == dropped || onWire(old.local.addr) != 0 {
+		t.Errorf("the late segment was not dropped at the closed conn's address (%d drops before, %d after)", dropped, droppedAfter)
+	}
+	next.Close()
+	clock.Run()
+	for _, s := range []*Stack{sa, sb} {
+		if n := s.segs.Leased(); n != 0 {
+			t.Errorf("%s: %d segments on lease with every conn closed and the clock dry", s.host, n)
 		}
 	}
 }

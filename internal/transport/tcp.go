@@ -34,7 +34,6 @@ type simTCP struct {
 	established bool
 	closed      bool
 	depth       int          // QueueDepth as teardown froze it; read only once closed
-	dial        *tcpDial     // the DialTCP still waiting on this conn's handshake
 	accepted    *tcpListener // the accept table an accepted conn is in until it closes
 	recv        func(any, int)
 
@@ -66,6 +65,10 @@ type simTCP struct {
 	segsSent        uint64
 	segsDelivered   uint64
 	consecutiveRTOs int
+
+	// Cold wiring, kept out of the per-packet fields' cache lines.
+	dial tcpDial  // the DialTCP still waiting on this conn's handshake, if dial.conn is set
+	port *tcpPort // the storage's port, whose handler netsim reaches the conn by; nil once closed
 }
 
 // maxConsecutiveRTOs bounds retransmission attempts before the connection
@@ -74,14 +77,14 @@ const maxConsecutiveRTOs = 8
 
 func newSimTCP(s *Stack, local, peer endpoint) *simTCP {
 	c := newSimTCPConn(s, local, peer)
-	s.net.Register(local.addr, c.onPacket)
+	c.register()
 	return c
 }
 
-// newSimTCPConn builds the conn without registering its packet handler.
-// The restore path uses it directly for conns that were closed at
-// checkpoint time: a closed conn was already unregistered in the live run,
-// and its host may be detached entirely (a departed open-loop client).
+// newSimTCPConn builds the conn on storage a closed conn of the host left
+// behind, or on a new port when there is none, without registering its
+// packet handler: the restore path registers only a conn whose host is still
+// attached (a dialing client may have departed).
 func newSimTCPConn(s *Stack, local, peer endpoint) *simTCP {
 	c := &simTCP{
 		stack:    s,
@@ -97,8 +100,19 @@ func newSimTCPConn(s *Stack, local, peer endpoint) *simTCP {
 		s.connFree = s.connFree[:k]
 		c.send.Adopt(st.send)
 		c.reorder.Adopt(st.reorder)
+		c.port = st.port
+	} else {
+		c.port = new(tcpPort)
+		c.port.handle = c.port.onPacket
 	}
 	return c
+}
+
+// register points the conn's port at it and installs the port's handler on
+// the conn's address.
+func (c *simTCP) register() {
+	c.port.conn = c
+	c.stack.net.Register(c.local.addr, c.port.handle)
 }
 
 // Conn interface.
@@ -156,9 +170,10 @@ func (c *simTCP) Close() error {
 // has already left the reorder buffer: the loop releases it, teardown what is
 // still buffered behind it.
 //
-// The storage goes too: both rings, cleared of every segment pointer, are left
-// on the stack's free-list, where the host's next conn starts on them instead
-// of growing its own. Tearing down a closed conn does nothing.
+// The storage goes too: both rings, cleared of every segment pointer, and the
+// port, unregistered and pointing at no conn, are left on the stack's
+// free-list, where the host's next conn starts on them instead of growing its
+// own. Tearing down a closed conn does nothing.
 func (c *simTCP) teardown() {
 	if c.closed {
 		return
@@ -166,6 +181,7 @@ func (c *simTCP) teardown() {
 	c.rtoTimer.Cancel()
 	c.rtoTimer = simclock.Timer{}
 	c.stack.net.Unregister(c.local.addr)
+	c.port.conn = nil
 	if l := c.accepted; l != nil && l.seen[c.peer.addr] == c {
 		delete(l.seen, c.peer.addr)
 	}
@@ -176,7 +192,8 @@ func (c *simTCP) teardown() {
 			c.stack.net.ReleaseTransit(seg)
 		}
 	}
-	c.stack.connFree = append(c.stack.connFree, tcpStore{c.send.Yield(), c.reorder.Yield()})
+	c.stack.connFree = append(c.stack.connFree, tcpStore{c.send.Yield(), c.reorder.Yield(), c.port})
+	c.port = nil
 	c.sndNxt = c.sendBase // nothing of a closed conn's is in flight
 }
 
@@ -310,7 +327,7 @@ func (c *simTCP) onSegment(seg *tcpSeg, pkt *netsim.Packet) {
 		// source (the listener accepted on an ephemeral port).
 		c.peer = peerOf(pkt)
 		c.established = true
-		if c.dial != nil {
+		if c.dial.conn != nil {
 			c.dial.finish(nil)
 		}
 		c.pump()

@@ -109,17 +109,32 @@ type Stack struct {
 	// the one record of the conns this stack accepted, and a world checkpoint
 	// walks them (checkpoint.go).
 	listeners map[int]*tcpListener
-	// dials holds the in-flight DialTCP handshakes in issue order. The stack
-	// is their owner in a world checkpoint: the caller that asked for a dial
-	// may have moved on (an aborted player), but its timers still fire.
+	// dials holds the in-flight DialTCP handshakes in issue order, each the
+	// dial record inside its dialing conn. The stack is their owner in a world
+	// checkpoint: the caller that asked for a dial may have moved on (an
+	// aborted player), but its timers still fire.
 	dials []*tcpDial
 }
 
-// tcpStore is a closed conn's send and reorder rings, every slot cleared:
-// capacity, nothing else.
+// tcpStore is what a closed conn leaves its host's next conn: its send and
+// reorder rings, every slot cleared, and its port, pointing at no conn.
+// Capacity and wiring, nothing else.
 type tcpStore struct {
 	send, reorder []*tcpSeg
+	port          *tcpPort
 }
+
+// tcpPort is a conn's packet handler, bound once: netsim holds handle, which
+// delivers to whichever conn holds the port now. A conn registers its port's
+// handle on its own address and unregisters it when it closes (teardown), so
+// a segment still in flight to a closed conn finds no handler at its address,
+// and the conn that takes the port next never sees it.
+type tcpPort struct {
+	conn   *simTCP
+	handle netsim.Handler // onPacket
+}
+
+func (p *tcpPort) onPacket(pkt *netsim.Packet) { p.conn.onPacket(pkt) }
 
 // endpoint is one end of a conn, resolved once so the per-packet path hands
 // netsim IDs and ports instead of strings: the address, its host's interned ID
@@ -294,8 +309,9 @@ func (s *Stack) Listen(port int, accept func(Conn)) (stop func()) {
 }
 
 // tcpDial is one in-flight DialTCP: the dialing conn, the caller's
-// continuation, and the timers armed at dial time. It stays on the stack's
-// dial list until the handshake completes or times out.
+// continuation, and the timers armed at dial time. It lives inside the conn
+// (simTCP.dial) and is on the stack's dial list from DialTCP until the
+// handshake completes or times out; conn is nil on every other conn.
 type tcpDial struct {
 	conn *simTCP
 	// cb receives the outcome. It is nil only on a dial restored from a
@@ -328,13 +344,13 @@ func (x *dialRetryArm) Fire(time.Duration)   { x.conn.sendSyn() }
 // which names the dial to ReattachDial after a checkpoint restore.
 func (s *Stack) DialTCP(raddr string, cb func(Conn, error)) (laddr string) {
 	c := newSimTCP(s, s.ephemeral(), s.endpoint(netsim.Addr(raddr)))
-	d := &tcpDial{conn: c, cb: cb}
+	d := &c.dial
+	d.conn, d.cb = c, cb
 	// Timeout first, then the retries: the order fixes the events' seqs.
 	d.timeout = s.clock.AfterHandler(dialTimeout, (*dialTimeoutArm)(d))
 	for i, after := range dialRetryAfter {
 		d.retries[i] = s.clock.AfterHandler(after, (*dialRetryArm)(d))
 	}
-	c.dial = d
 	s.dials = append(s.dials, d)
 	c.sendSyn()
 	return string(c.local.addr)
@@ -343,23 +359,23 @@ func (s *Stack) DialTCP(raddr string, cb func(Conn, error)) (laddr string) {
 // finish resolves the dial: established when err is nil, timed out
 // otherwise. Cancelling every timer and unlisting the dial makes it final.
 func (d *tcpDial) finish(err error) {
-	c := d.conn
+	c, cb := d.conn, d.cb
 	s := c.stack
-	c.dial = nil
 	i := slices.Index(s.dials, d)
 	s.dials = slices.Delete(s.dials, i, i+1)
 	d.timeout.Cancel()
 	for _, r := range d.retries {
 		r.Cancel()
 	}
+	*d = tcpDial{}
 	switch {
 	case err != nil:
 		c.teardown()
-		if d.cb != nil {
-			d.cb(nil, err)
+		if cb != nil {
+			cb(nil, err)
 		}
-	case d.cb != nil:
-		d.cb(c, nil)
+	case cb != nil:
+		cb(c, nil)
 	default:
 		c.Close()
 	}
