@@ -14,7 +14,6 @@ import (
 	"os"
 	"strings"
 
-	"realtracer/internal/core"
 	"realtracer/internal/figures"
 	"realtracer/internal/trace"
 )
@@ -48,11 +47,11 @@ func main() {
 	agg := figures.Aggregate(recs)
 	switch {
 	case *figure != "":
-		fig, err := core.RunFigure(*figure, agg)
-		if err != nil {
-			fatalf("%v", err)
+		g, ok := figures.ByID(*figure)
+		if !ok {
+			fatalf("unknown figure %q", *figure)
 		}
-		fig.Render(os.Stdout)
+		g.Agg(agg).Render(os.Stdout)
 	case *summary:
 		s, _ := agg.FrameRate().Summary()
 		j, _ := agg.Jitter().Summary()
@@ -60,7 +59,9 @@ func main() {
 		fmt.Printf("frame rate: mean=%.1f median=%.1f\n", s.Mean, s.Median)
 		fmt.Printf("jitter: mean=%.0fms median=%.0fms\n", j.Mean, j.Median)
 	default:
-		core.RenderAll(os.Stdout, agg)
+		for _, g := range figures.All() {
+			g.Agg(agg).Render(os.Stdout)
+		}
 	}
 }
 

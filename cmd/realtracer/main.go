@@ -21,10 +21,12 @@ import (
 	"os"
 	"time"
 
+	"realtracer/internal/netsim"
 	"realtracer/internal/player"
 	"realtracer/internal/session"
 	"realtracer/internal/simclock"
 	"realtracer/internal/trace"
+	"realtracer/internal/tracer"
 	"realtracer/internal/transport"
 )
 
@@ -46,7 +48,6 @@ func main() {
 	if *proto == "tcp" {
 		protocol = transport.TCP
 	}
-	host := hostOf(*serverAddr)
 	var outFile *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -59,37 +60,15 @@ func main() {
 
 	clock := simclock.New()
 	loop := simclock.NewLoop(clock)
-	net := session.RealNet{Host: "127.0.0.1", Loop: loop}
-
-	var records []*trace.Record
-	var playNext func(i int)
-	playNext = func(i int) {
-		if i >= *clips {
-			loop.Close()
-			return
-		}
-		url := fmt.Sprintf("rtsp://%s/clip%03d.rm", host, i)
-		fmt.Printf("playing %s over %s...\n", url, protocol)
-		p := player.New(player.Config{
-			Clock:            clock,
-			Net:              net,
-			ControlAddr:      *serverAddr,
-			ServerUDPAddr:    *udpAddr,
-			URL:              url,
-			Protocol:         protocol,
-			MaxBandwidthKbps: *maxKbps,
-			PlayFor:          *playFor,
-			Rand:             rand.New(rand.NewSource(time.Now().UnixNano())),
-			OnDone: func(st *player.Stats, err error) {
-				report(st, err)
-				records = append(records, recordOf(url, *serverAddr, st))
-				playNext(i + 1)
-			},
-		})
-		p.Start()
-	}
-	loop.Post(func() { playNext(0) })
-	loop.Run()
+	records := play(loop, player.Config{
+		Clock:            clock,
+		Net:              session.RealNet{Host: "127.0.0.1", Loop: loop},
+		ControlAddr:      *serverAddr,
+		ServerUDPAddr:    *udpAddr,
+		Protocol:         protocol,
+		MaxBandwidthKbps: *maxKbps,
+		PlayFor:          *playFor,
+	}, *clips)
 
 	if outFile != nil {
 		err := trace.WriteCSV(outFile, records)
@@ -102,6 +81,39 @@ func main() {
 		}
 		fmt.Printf("wrote %d records to %s\n", len(records), *out)
 	}
+}
+
+// play plays clips clip000.rm onward from the server at cfg.ControlAddr, one
+// after another, each with a player configured as cfg; it reports each clip
+// as it ends and returns their records. It runs loop, and closes it after
+// the last clip.
+func play(loop *simclock.Loop, cfg player.Config, clips int) []*trace.Record {
+	host := netsim.Addr(cfg.ControlAddr).Host()
+	var records []*trace.Record
+	var playNext func(i int)
+	playNext = func(i int) {
+		if i >= clips {
+			loop.Close()
+			return
+		}
+		c := cfg
+		c.URL = fmt.Sprintf("rtsp://%s/clip%03d.rm", host, i)
+		c.Rand = rand.New(rand.NewSource(time.Now().UnixNano()))
+		start := cfg.Clock.Now()
+		c.OnDone = func(st *player.Stats, err error) {
+			report(st, err)
+			rec := tracer.RecordOf(st, start, cfg.Clock.Now())
+			rec.User, rec.Country, rec.Region, rec.Access = "live", "local", "local", "loopback"
+			rec.ClipURL, rec.Server = c.URL, cfg.ControlAddr
+			records = append(records, rec)
+			playNext(i + 1)
+		}
+		fmt.Printf("playing %s over %s...\n", c.URL, c.Protocol)
+		player.New(c).Start()
+	}
+	loop.Post(func() { playNext(0) })
+	loop.Run()
+	return records
 }
 
 // flagError refuses what the command would not do as asked: a transport
@@ -125,28 +137,4 @@ func report(st *player.Stats, err error) {
 	fmt.Printf("  frames: played=%d late=%d cpu=%d corrupted=%d | rebuffers=%d (%.1fs) | buffering %.1fs | switches=%d\n",
 		st.FramesPlayed, st.FramesDroppedLate, st.FramesDroppedCPU, st.FramesCorrupted,
 		st.Rebuffers, st.RebufferTime.Seconds(), st.BufferingTime.Seconds(), st.Switches)
-}
-
-func recordOf(url, server string, st *player.Stats) *trace.Record {
-	return &trace.Record{
-		User: "live", Country: "local", Region: "local", Access: "loopback",
-		ClipURL: url, Server: server,
-		Unavailable: st.Unavailable, Failed: st.Failed, Protocol: st.Protocol.String(),
-		EncodedKbps: st.EncodedKbps, EncodedFPS: st.EncodedFPS,
-		MeasuredKbps: st.MeasuredKbps, MeasuredFPS: st.MeasuredFPS, JitterMs: st.JitterMs,
-		FramesPlayed: st.FramesPlayed, FramesDroppedLate: st.FramesDroppedLate,
-		FramesDroppedCPU: st.FramesDroppedCPU, FramesLost: st.FramesLost,
-		FramesCorrupted: st.FramesCorrupted,
-		Rebuffers:       st.Rebuffers, RebufferTime: st.RebufferTime, BufferingTime: st.BufferingTime,
-		CPUUtilization: st.CPUUtilization, Switches: st.Switches,
-	}
-}
-
-func hostOf(addr string) string {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[:i]
-		}
-	}
-	return addr
 }

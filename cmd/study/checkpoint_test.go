@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"realtracer/internal/core"
+	"realtracer/internal/figures"
 	"realtracer/internal/study"
 )
 
@@ -128,7 +128,9 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		core.RenderAll(&buf, agg)
+		for _, g := range figures.All() {
+			g.Agg(agg).Render(&buf)
+		}
 		return buf.Bytes()
 	}
 	csv := func(name string) []byte {

@@ -246,13 +246,12 @@ func main() {
 	}
 	switch {
 	case *figure != "":
-		fig, err := core.RunFigure(*figure, agg)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fig.Render(os.Stdout)
+		g, _ := figures.ByID(*figure) // modeFlagError refused an unknown id
+		g.Agg(agg).Render(os.Stdout)
 	case *figuresAll:
-		core.RenderAll(os.Stdout, agg)
+		for _, g := range figures.All() {
+			g.Agg(agg).Render(os.Stdout)
+		}
 	default:
 		printSummary(agg, res)
 	}

@@ -19,9 +19,9 @@
 //     per-scenario seeds and sinks; campaign.RunWarmForks forks one warm
 //     snapshot many times.
 //   - figures.Aggregates is the mergeable build every figure and summary
-//     is computed from (figures.Aggregate for records in memory);
-//     core.RunCampaignAggregates, core.RunFigure and core.RenderAll sit on
-//     top of it.
+//     is computed from (figures.Aggregate for records in memory), and
+//     figures.All and figures.ByID the generators that draw from it;
+//     core.RunCampaignAggregates merges one from a campaign.
 //   - cmd/study is the campaign, figure and sweep CLI (go doc ./cmd/study);
 //     cmd/realdata analyses a trace; cmd/realserver and cmd/realtracer run
 //     the same server and player over OS sockets.

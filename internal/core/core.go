@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -52,24 +51,6 @@ func AllFigures(recs []*trace.Record) []figures.Figure {
 		out = append(out, g.Agg(agg))
 	}
 	return out
-}
-
-// RunFigure regenerates one figure by id ("fig05" ... "fig28") from a
-// completed aggregate build (a world's sink, or figures.Aggregate of a
-// trace file's records).
-func RunFigure(id string, agg *figures.Aggregates) (figures.Figure, error) {
-	g, ok := figures.ByID(id)
-	if !ok {
-		return figures.Figure{}, fmt.Errorf("core: unknown figure %q", id)
-	}
-	return g.Agg(agg), nil
-}
-
-// RenderAll writes every figure computed from an aggregate build to w.
-func RenderAll(w io.Writer, agg *figures.Aggregates) {
-	for _, g := range figures.All() {
-		g.Agg(agg).Render(w)
-	}
 }
 
 // SessionOptions parameterizes a single simulated streaming session between

@@ -61,10 +61,14 @@ func TestFig01TimelineShape(t *testing.T) {
 	}
 }
 
-func TestRunFigureUnknownID(t *testing.T) {
-	if _, err := RunFigure("fig99", nil); err == nil {
-		t.Fatal("unknown figure accepted")
+// render writes every figure drawn from agg, in figures.All order, as
+// cmd/study -figures does.
+func render(agg *figures.Aggregates) []byte {
+	var buf bytes.Buffer
+	for _, g := range figures.All() {
+		g.Agg(agg).Render(&buf)
 	}
+	return buf.Bytes()
 }
 
 func TestAllFiguresFromReducedStudy(t *testing.T) {
@@ -76,16 +80,16 @@ func TestAllFiguresFromReducedStudy(t *testing.T) {
 	if len(figs) != 24 {
 		t.Fatalf("figures=%d want 24", len(figs))
 	}
-	var buf, want bytes.Buffer
-	RenderAll(&buf, figures.Aggregate(res.Records))
+	var want bytes.Buffer
 	for _, f := range figs {
 		f.Render(&want)
 	}
-	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
-		t.Fatal("RenderAll differs from rendering AllFigures")
+	got := render(figures.Aggregate(res.Records))
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("rendering every generator differs from rendering AllFigures")
 	}
-	if buf.Len() < 1000 {
-		t.Fatalf("render suspiciously small: %d bytes", buf.Len())
+	if len(got) < 1000 {
+		t.Fatalf("render suspiciously small: %d bytes", len(got))
 	}
 }
 
@@ -129,8 +133,9 @@ func TestStudyRecordsFeedRealdataPath(t *testing.T) {
 	if len(got) != len(res.Records) {
 		t.Fatalf("round trip lost records: %d vs %d", len(got), len(res.Records))
 	}
-	if _, err := RunFigure("fig11", figures.Aggregate(got)); err != nil {
-		t.Fatal(err)
+	g, _ := figures.ByID("fig11")
+	if fig := g.Agg(figures.Aggregate(got)); len(fig.Series) == 0 {
+		t.Fatal("fig11 from the round-tripped records is empty")
 	}
 }
 
@@ -162,21 +167,12 @@ func TestStudyIntoAggregates(t *testing.T) {
 	if agg.Total() != len(batch.Records) {
 		t.Fatalf("aggregate total %d vs %d batch records", agg.Total(), len(batch.Records))
 	}
-	var a, b bytes.Buffer
-	RenderAll(&a, agg)
-	RenderAll(&b, figures.Aggregate(batch.Records))
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(render(agg), render(figures.Aggregate(batch.Records))) {
 		t.Fatal("streamed figures differ from batch figures")
 	}
-	fig, err := RunFigure("fig11", agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.ID != "fig11" || len(fig.Series) == 0 {
-		t.Fatal("RunFigure produced an empty figure")
-	}
-	if _, err := RunFigure("fig99", agg); err == nil {
-		t.Fatal("unknown figure id accepted")
+	g, _ := figures.ByID("fig11")
+	if fig := g.Agg(agg); fig.ID != "fig11" || len(fig.Series) == 0 {
+		t.Fatal("fig11 from the streamed aggregates is empty")
 	}
 }
 
@@ -200,10 +196,7 @@ func TestRunCampaignAggregatesWorkerInvariant(t *testing.T) {
 	if agg1.Total() == 0 || agg1.Total() != agg4.Total() {
 		t.Fatalf("totals differ: %d vs %d", agg1.Total(), agg4.Total())
 	}
-	var a, b bytes.Buffer
-	RenderAll(&a, agg1)
-	RenderAll(&b, agg4)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(render(agg1), render(agg4)) {
 		t.Fatal("merged aggregates differ across worker counts")
 	}
 }

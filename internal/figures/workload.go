@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the workload breakdown: the open-loop analogs of the
-// robustness rows. Records from open-loop runs carry a server-selection
-// policy label (Record.Policy) and the clip's virtual-time span
-// (StartSec/EndSec); panel records carry neither, so a classic study
-// produces an empty breakdown and the golden figures are untouched.
+// robustness rows. Every record carries the clip's virtual-time span
+// (StartSec/EndSec), but only records from open-loop runs carry a
+// server-selection policy label (Record.Policy); panel records carry none,
+// so a classic study produces an empty breakdown and the golden figures are
+// untouched.
 
 // WorkloadRow is one selection policy's summary.
 type WorkloadRow struct {

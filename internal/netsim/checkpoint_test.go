@@ -66,16 +66,8 @@ func newCkptWorld() *ckptWorld {
 func (w *ckptWorld) drive(from, to int) {
 	for i := from; i < to; i++ {
 		w.clock.RunUntil(time.Duration(i) * 5 * time.Millisecond)
-		a := w.net.Obtain()
-		a.From, a.To = "a:1", "b:1"
-		a.Size = 500 + (i%7)*100
-		a.Payload = int64(i)
-		w.net.Send(a)
-		b := w.net.Obtain()
-		b.From, b.To = "b:1", "a:1"
-		b.Size = 80
-		b.Payload = int64(-i)
-		w.net.Send(b)
+		w.net.Send(leased(w.net, Packet{From: "a:1", To: "b:1", Size: 500 + (i%7)*100, Payload: int64(i)}))
+		w.net.Send(leased(w.net, Packet{From: "b:1", To: "a:1", Size: 80, Payload: int64(-i)}))
 	}
 }
 

@@ -103,11 +103,8 @@ func newDropRig(sharded bool, route Route, bAccess AccessClass, dyn *Dynamics) *
 
 // offer fills one pooled packet of size bytes to be sent from n.
 func (r *dropRig) offer(n *Network, from, to Addr, size int) *Packet {
-	pkt := n.Obtain()
-	pkt.From, pkt.To, pkt.Size = from, to, size
-	pkt.Payload = &dropPayload{leased: true, books: &r.books}
 	r.books.originals++
-	return pkt
+	return leased(n, Packet{From: from, To: to, Size: size, Payload: &dropPayload{leased: true, books: &r.books}})
 }
 
 func (r *dropRig) send(n *Network, from, to Addr, size, count int) {

@@ -38,7 +38,7 @@ func ringRig(shards int) (fab *Fabric, got [][]time.Duration) {
 		for i := 0; i < 150; i++ {
 			at := time.Duration(i*(20+7*j)) * time.Millisecond
 			fab.Clock(s).AtHandler(at, fireFunc(func(time.Duration) {
-				fab.Net(s).Send(&Packet{From: from, To: to, Size: 400, Payload: "x"})
+				fab.Net(s).Send(leased(fab.Net(s), Packet{From: from, To: to, Size: 400, Payload: "x"}))
 			}))
 		}
 	}

@@ -81,7 +81,7 @@ func TestPathStateSurvivesTableGrowth(t *testing.T) {
 	delivered := 0
 	n.Register("b:1", func(*Packet) { delivered++ })
 	for i := 0; i < 20; i++ {
-		n.Send(&Packet{From: "a:9", To: "b:1", Size: 1000})
+		n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 1000}))
 	}
 	p := n.path(n.Intern("a"), n.Intern("b"))
 	if p.busyUntil == 0 {
@@ -96,8 +96,8 @@ func TestPathStateSurvivesTableGrowth(t *testing.T) {
 	}
 	n.Register("late:1", func(*Packet) { delivered++ })
 	n.Register("a:9", func(*Packet) { delivered++ })
-	n.Send(&Packet{From: "a:9", To: "late:1", Size: 500})
-	n.Send(&Packet{From: "late:1", To: "a:9", Size: 500})
+	n.Send(leased(n, Packet{From: "a:9", To: "late:1", Size: 500}))
+	n.Send(leased(n, Packet{From: "late:1", To: "a:9", Size: 500}))
 	if got := n.pathLookup(n.Intern("a"), n.Intern("b")); got != p || got.busyUntil != busy {
 		t.Fatalf("growing the table rebuilt the a->b path state (lost %v of queue)", busy)
 	}
@@ -106,7 +106,7 @@ func TestPathStateSurvivesTableGrowth(t *testing.T) {
 	if delivered != 22 {
 		t.Fatalf("delivered %d packets, want the 20 in flight across the growth and 2 after it", delivered)
 	}
-	n.Send(&Packet{From: "a:9", To: "b:1", Size: 500})
+	n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 500}))
 	clock.Run()
 	if _, del, _ := n.Stats(); del != 23 || delivered != 23 {
 		t.Fatalf("delivery count skewed after the growth: stats %d, handlers %d, want 23", del, delivered)
@@ -140,9 +140,9 @@ func TestRemoveHostPurgesLargeTable(t *testing.T) {
 			a, b := n.HostIDOf("a"), n.HostIDOf("b")
 			n.Register("b:1", func(*Packet) {})
 			for i := 0; i < 50; i++ {
-				n.Send(&Packet{From: "a:9", To: "b:1", Size: 1000})
+				n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 1000}))
 			}
-			n.Send(&Packet{From: "b:1", To: "a:9", Size: 1000})
+			n.Send(leased(n, Packet{From: "b:1", To: "a:9", Size: 1000}))
 			if p := n.pathLookup(a, b); p == nil || p.busyUntil == 0 {
 				t.Fatal("bottleneck queue did not build up")
 			}
@@ -162,7 +162,7 @@ func TestRemoveHostPurgesLargeTable(t *testing.T) {
 			}
 			got := 0
 			n.Register("b:1", func(*Packet) { got++ })
-			n.Send(&Packet{From: "a:9", To: "b:1", Size: 100})
+			n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 100}))
 			run()
 			if got != 1 {
 				t.Fatalf("re-added host received %d packets, want 1", got)
@@ -263,7 +263,7 @@ func TestFabricCrossShardDelivery(t *testing.T) {
 	for i := 0; i < sends; i++ {
 		i := i
 		fab.Clock(0).AfterHandler(time.Duration(i)*time.Millisecond, fireFunc(func(time.Duration) {
-			fab.Net(0).Send(&Packet{From: "a:9", To: "b:1", Size: 500, Payload: "ping"})
+			fab.Net(0).Send(leased(fab.Net(0), Packet{From: "a:9", To: "b:1", Size: 500, Payload: "ping"}))
 		}))
 	}
 	fab.Run(nil)
@@ -364,7 +364,7 @@ func TestFabricWorkerPanicReraised(t *testing.T) {
 			// allowed to finish.
 			other, finished := 1-tc.shard, false
 			fab.Clock(other).AtHandler(100*time.Millisecond, fireFunc(func(time.Duration) { finished = true }))
-			fab.Net(other).Send(&Packet{From: tc.from, To: tc.to, Size: 100, Payload: "x"})
+			fab.Net(other).Send(leased(fab.Net(other), Packet{From: tc.from, To: tc.to, Size: 100, Payload: "x"}))
 			done := make(chan any, 1)
 			go func() {
 				defer func() { done <- recover() }()
@@ -411,7 +411,7 @@ func TestFabricShardCountInvariance(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			i := i
 			fab.Clock(0).AfterHandler(time.Duration(i)*5*time.Millisecond, fireFunc(func(time.Duration) {
-				fab.Net(0).Send(&Packet{From: "a:9", To: "b:1", Size: 400, Payload: "x"})
+				fab.Net(0).Send(leased(fab.Net(0), Packet{From: "a:9", To: "b:1", Size: 400, Payload: "x"}))
 			}))
 		}
 		fab.Run(nil)

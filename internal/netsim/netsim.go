@@ -80,8 +80,7 @@ func (a Addr) Port() int32 {
 	return 0
 }
 
-// HostID is a dense interned host identity. The zero HostID means
-// "unresolved"; Send falls back to interning the Addr's host component.
+// HostID is a dense interned host identity. The zero HostID names no host.
 // A name keeps its HostID forever — across RemoveHost and re-AddHost — so a
 // cached ID can never deliver to the wrong host.
 type HostID int32
@@ -89,22 +88,20 @@ type HostID int32
 // Packet is a unit of transfer. Payload is carried by reference (the
 // simulation does not serialize); Size is what occupies link capacity.
 //
-// Packets obtained from Network.Obtain are pooled: the network releases them
+// Every packet is leased from Network.Obtain, and the network releases it
 // back to the free-list after the destination handler returns (or on drop),
 // so handlers must not retain a *Packet past the callback — copy the fields
-// they need. Caller-constructed Packets (struct literals, as in tests) are
-// never recycled. The Payload is on lease too, by one rule for every Send
+// they need. The Payload is on lease too, by one rule for every Send
 // (transit.go): the network releases it when it drops the packet or has
 // snapshotted it for another shard, the handler releases what it is handed.
 //
-// FromID/ToID are optional pre-resolved host identities (see Intern); the
-// transport layer fills them once per connection so the per-packet path skips
-// the name lookups. Zero means "resolve From/To by name". FromPort/ToPort
-// are the analogous pre-parsed port components of From/To: a nonzero ToPort
-// lets delivery hit the destination host's dense port table instead of the
+// The sender resolves both ends once (see Intern) and hands Send the hosts'
+// interned identities in FromID/ToID and the ports of From/To, pre-parsed,
+// in FromPort/ToPort: Send looks nothing up by name. A nonzero ToPort lets
+// delivery hit the destination host's dense port table instead of the
 // string-keyed handler map, and FromPort lets a reply path reuse the
-// sender's port without parsing. Zero means "unparsed"; delivery then falls
-// back to the map.
+// sender's port without parsing. A zero port, or one past the dense table's
+// span, is delivered through the map.
 type Packet struct {
 	From, To     Addr
 	FromID, ToID HostID
@@ -113,8 +110,7 @@ type Packet struct {
 	Size         int // bytes on the wire, including all header overhead
 	Payload      any
 
-	net    *Network // delivery context; set by Send
-	pooled bool     // came from the free-list; recycled after delivery/drop
+	net *Network // delivery context; set by Send
 	// edge marks a sharded-mode packet scheduled at its WAN-edge arrival
 	// time: the destination access downlink has not been applied yet (the
 	// shard that owns the destination host does that — see Fabric). Always
@@ -557,17 +553,11 @@ func (n *Network) Obtain() *Packet {
 		n.free = n.free[:k-1]
 		return p
 	}
-	p := n.cells.New()
-	p.pooled = true
-	return p
+	return n.cells.New()
 }
 
-// release returns a pooled packet to the free-list. Caller-constructed
-// packets are left for the garbage collector.
+// release returns a packet to the free-list.
 func (n *Network) release(pkt *Packet) {
-	if !pkt.pooled {
-		return
-	}
 	pkt.From, pkt.To = "", ""
 	pkt.FromID, pkt.ToID = 0, 0
 	pkt.FromPort, pkt.ToPort = 0, 0
@@ -804,26 +794,21 @@ func (n *Network) drop(pkt *Packet) {
 }
 
 // Send offers pkt to the network. Delivery (or silent drop) is scheduled on
-// the clock; the call itself does not advance time. Sending from or to an
-// unknown host drops the packet. Send consumes pooled packets, and the
-// payload with them: after the call the caller must not touch pkt again, nor
-// a payload it holds no reference of its own on — every Send ends in exactly
-// one release of the payload it was handed (transit.go).
+// the clock; the call itself does not advance time. pkt comes from Obtain
+// with both ends resolved (see Packet); sending from or to a host that is
+// not attached drops it. Send consumes the packet, and the payload with it:
+// after the call the caller must not touch pkt again, nor a payload it holds
+// no reference of its own on — every Send ends in exactly one release of the
+// payload it was handed (transit.go).
 //
 // The draw order — congestion resample, dynamics chains, route loss,
 // dynamics loss, jitter — is part of the byte-identity contract.
 func (n *Network) Send(pkt *Packet) {
 	n.sent++
-	if pkt.FromID == 0 {
-		pkt.FromID = n.ids[pkt.From.Host()]
-	}
 	src := n.lookup(pkt.FromID)
 	if src == nil {
 		n.drop(pkt)
 		return
-	}
-	if pkt.ToID == 0 {
-		pkt.ToID = n.ids[pkt.To.Host()]
 	}
 	// The classic engine resolves the destination at send time and prices
 	// its downlink below. In a sharded world the destination may belong to
@@ -899,9 +884,9 @@ func (n *Network) deliver(pkt *Packet) {
 		n.Clock.AtHandler(at, pkt)
 		return
 	}
-	// Fast path: conns pre-parse their ports, so the dense per-host table
+	// Fast path: senders pre-parse their ports, so the dense per-host table
 	// resolves the handler without hashing the address string. A zero or
-	// out-of-span port (test-constructed packets, portless addresses) falls
+	// out-of-span port (portless addresses, ports past the table) falls
 	// back to the map.
 	var h Handler
 	if p := pkt.ToPort; p > 0 {

@@ -15,6 +15,16 @@ func newNet(route Route) (*simclock.Clock, *Network) {
 	return clock, n
 }
 
+// leased is pkt as a sender hands it to Send: leased from n, both hosts
+// resolved to their interned IDs (zero for a name never interned, which Send
+// drops). The ports stay as given, so delivery goes through the address map.
+func leased(n *Network, pkt Packet) *Packet {
+	p := n.Obtain()
+	*p = pkt
+	p.FromID, p.ToID = n.HostIDOf(pkt.From.Host()), n.HostIDOf(pkt.To.Host())
+	return p
+}
+
 func TestDeliveryLatency(t *testing.T) {
 	clock, n := newNet(Route{OneWayDelay: 100 * time.Millisecond})
 	n.Register("b:1", func(pkt *Packet) {
@@ -25,7 +35,7 @@ func TestDeliveryLatency(t *testing.T) {
 			t.Errorf("delivery at %v", now)
 		}
 	})
-	n.Send(&Packet{From: "a:9", To: "b:1", Size: 500})
+	n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 500}))
 	clock.Run()
 	if _, delivered, _ := n.Stats(); delivered != 1 {
 		t.Fatal("packet not delivered")
@@ -40,7 +50,7 @@ func TestRandomLossRate(t *testing.T) {
 	for i := 0; i < total; i++ {
 		i := i
 		clock.AfterHandler(time.Duration(i)*10*time.Millisecond, fireFunc(func(time.Duration) {
-			n.Send(&Packet{From: "a:9", To: "b:1", Size: 200})
+			n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 200}))
 		}))
 	}
 	clock.Run()
@@ -58,7 +68,7 @@ func TestCapacityLimitsThroughput(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		i := i
 		clock.AfterHandler(time.Duration(i)*10*time.Millisecond, fireFunc(func(time.Duration) { // 1000B every 10ms = 800 Kbps
-			n.Send(&Packet{From: "a:9", To: "b:1", Size: 1000})
+			n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 1000}))
 		}))
 	}
 	clock.RunUntil(10 * time.Second)
@@ -83,7 +93,7 @@ func TestAccessLinkQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		i := i
 		clock.AfterHandler(time.Duration(i)*10*time.Millisecond, fireFunc(func(time.Duration) {
-			n.Send(&Packet{From: "a:9", To: "m:1", Size: 625})
+			n.Send(leased(n, Packet{From: "a:9", To: "m:1", Size: 625}))
 		}))
 	}
 	clock.Run()
@@ -98,8 +108,8 @@ func TestAccessLinkQueueOverflowDrops(t *testing.T) {
 
 func TestUnknownHostsDrop(t *testing.T) {
 	clock, n := newNet(Route{})
-	n.Send(&Packet{From: "nope:1", To: "b:1", Size: 100})
-	n.Send(&Packet{From: "a:1", To: "ghost:1", Size: 100})
+	n.Send(leased(n, Packet{From: "nope:1", To: "b:1", Size: 100}))
+	n.Send(leased(n, Packet{From: "a:1", To: "ghost:1", Size: 100}))
 	clock.Run()
 	if _, _, dropped := n.Stats(); dropped != 2 {
 		t.Fatalf("dropped=%d want 2", dropped)
@@ -108,7 +118,7 @@ func TestUnknownHostsDrop(t *testing.T) {
 
 func TestUnregisteredAddrDrops(t *testing.T) {
 	clock, n := newNet(Route{})
-	n.Send(&Packet{From: "a:1", To: "b:99", Size: 100})
+	n.Send(leased(n, Packet{From: "a:1", To: "b:99", Size: 100}))
 	clock.Run()
 	if _, delivered, dropped := n.Stats(); delivered != 0 || dropped != 1 {
 		t.Fatalf("delivered=%d dropped=%d", delivered, dropped)
@@ -119,10 +129,10 @@ func TestUnregisterStopsDelivery(t *testing.T) {
 	clock, n := newNet(Route{})
 	got := 0
 	n.Register("b:1", func(*Packet) { got++ })
-	n.Send(&Packet{From: "a:1", To: "b:1", Size: 10})
+	n.Send(leased(n, Packet{From: "a:1", To: "b:1", Size: 10}))
 	clock.Run()
 	n.Unregister("b:1")
-	n.Send(&Packet{From: "a:1", To: "b:1", Size: 10})
+	n.Send(leased(n, Packet{From: "a:1", To: "b:1", Size: 10}))
 	clock.Run()
 	if got != 1 {
 		t.Fatalf("got=%d want 1", got)
@@ -199,7 +209,7 @@ func TestJitterSpreadsDelivery(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		i := i
 		clock.AfterHandler(base+time.Duration(i)*100*time.Millisecond, fireFunc(func(time.Duration) {
-			n.Send(&Packet{From: "a:1", To: "b:1", Size: 100})
+			n.Send(leased(n, Packet{From: "a:1", To: "b:1", Size: 100}))
 		}))
 	}
 	clock.Run()
@@ -231,14 +241,14 @@ func TestRemoveHostPurgesPathState(t *testing.T) {
 	// Saturate the a->b bottleneck so its fluid queue extends far into the
 	// future.
 	for i := 0; i < 50; i++ {
-		n.Send(&Packet{From: "a:9", To: "b:1", Size: 1000})
+		n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 1000}))
 	}
 	p := n.path(n.Intern("a"), n.Intern("b"))
 	if p.busyUntil == 0 {
 		t.Fatal("bottleneck queue did not build up")
 	}
 	// Also touch the reverse direction so both orientations have state.
-	n.Send(&Packet{From: "b:1", To: "a:9", Size: 1000})
+	n.Send(leased(n, Packet{From: "b:1", To: "a:9", Size: 1000}))
 	clock.Run()
 
 	n.RemoveHost("b")
@@ -252,7 +262,7 @@ func TestRemoveHostPurgesPathState(t *testing.T) {
 	// The re-added host must receive traffic normally (same interned ID).
 	got := 0
 	n.Register("b:1", func(*Packet) { got++ })
-	n.Send(&Packet{From: "a:9", To: "b:1", Size: 100})
+	n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 100}))
 	clock.Run()
 	if got != 1 {
 		t.Fatalf("re-added host received %d packets, want 1", got)
@@ -266,7 +276,7 @@ func TestRemoveHostDropsInFlight(t *testing.T) {
 	clock, n := newNet(Route{OneWayDelay: 100 * time.Millisecond})
 	oldGot := 0
 	n.Register("b:1", func(*Packet) { oldGot++ })
-	n.Send(&Packet{From: "a:9", To: "b:1", Size: 100})
+	n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 100}))
 	n.RemoveHost("b")
 	clock.Run()
 	if oldGot != 0 {
@@ -277,7 +287,7 @@ func TestRemoveHostDropsInFlight(t *testing.T) {
 	}
 	// Re-add: the old registration must be gone.
 	n.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessT1LAN)})
-	n.Send(&Packet{From: "a:9", To: "b:1", Size: 100})
+	n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 100}))
 	clock.Run()
 	if oldGot != 0 {
 		t.Fatalf("stale handler fired %d times after re-add", oldGot)
@@ -292,10 +302,7 @@ func TestPooledPacketRoundTrip(t *testing.T) {
 	var sizes []int
 	n.Register("b:1", func(pkt *Packet) { sizes = append(sizes, pkt.Size) })
 	for i := 0; i < 100; i++ {
-		pkt := n.Obtain()
-		pkt.From, pkt.To = "a:9", "b:1"
-		pkt.Size = 100 + i
-		n.Send(pkt)
+		n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 100 + i}))
 		clock.Run()
 	}
 	for i, sz := range sizes {
@@ -317,10 +324,7 @@ func TestRemoveHostReleasesInFlightPooled(t *testing.T) {
 	n.Register("b:1", func(*Packet) {})
 	const inFlight = 20
 	for i := 0; i < inFlight; i++ {
-		pkt := n.Obtain()
-		pkt.From, pkt.To = "a:9", "b:1"
-		pkt.Size = 500
-		n.Send(pkt)
+		n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 500}))
 	}
 	// Mid-stream departure: the destination host leaves with every packet
 	// still on the wire.
@@ -338,10 +342,7 @@ func TestRemoveHostReleasesInFlightPooled(t *testing.T) {
 	n.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessT1LAN)})
 	got := 0
 	n.Register("b:1", func(*Packet) { got++ })
-	pkt := n.Obtain()
-	pkt.From, pkt.To = "a:9", "b:1"
-	pkt.Size = 100
-	n.Send(pkt)
+	n.Send(leased(n, Packet{From: "a:9", To: "b:1", Size: 100}))
 	clock.Run()
 	if got != 1 {
 		t.Fatalf("re-arrived host received %d packets, want 1", got)

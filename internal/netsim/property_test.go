@@ -133,7 +133,7 @@ func TestConservationAndFIFOUnderRandomDynamics(t *testing.T) {
 				clock.AtHandler(at, fireFunc(func(time.Duration) {
 					seq := nextSeq[key]
 					nextSeq[key] = seq + 1
-					n.Send(&Packet{From: Addr(from + ":1"), To: Addr(to + ":1"), Size: size, Payload: seq})
+					n.Send(leased(n, Packet{From: Addr(from + ":1"), To: Addr(to + ":1"), Size: size, Payload: seq}))
 				}))
 				sent++
 			}

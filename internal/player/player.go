@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"realtracer/internal/media"
+	"realtracer/internal/netsim"
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
 	"realtracer/internal/seqwin"
@@ -588,7 +589,7 @@ func (p *Player) setup() {
 		// the well-known port on the control host unless overridden.
 		udpAddr := p.cfg.ServerUDPAddr
 		if udpAddr == "" {
-			udpAddr = hostOf(p.cfg.ControlAddr) + ":" + strconv.Itoa(session.DataUDPPort)
+			udpAddr = netsim.Addr(p.cfg.ControlAddr).Host() + ":" + strconv.Itoa(session.DataUDPPort)
 		}
 		conn, err := p.cfg.Net.DialUDP(udpAddr)
 		if err != nil {
@@ -661,15 +662,6 @@ func (p *Player) onPlayResp(resp *rtsp.Message) {
 	p.buffStart = p.cfg.Clock.Now()
 	p.endAt = p.cfg.Clock.AfterHandler(p.cfg.PlayFor+p.cfg.Preroll+maxRebuffer, (*timeUpArm)(p))
 	p.reportTick = p.cfg.Clock.AfterHandler(reportInterval, (*reportArm)(p))
-}
-
-func hostOf(addr string) string {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[:i]
-		}
-	}
-	return addr
 }
 
 // --- receive path ---

@@ -79,7 +79,7 @@ func TestRetransmitWindowHoldsBeforeSend(t *testing.T) {
 		nack.Nack.Seqs = append(nack.Nack.Seqs, seq)
 	}
 	sess.pause() // nothing but the retransmissions on the wire
-	port.SendTo("srv:6970", nack, rdt.WireSize(nack))
+	port.ConnFor("srv:6970").Send(nack, rdt.WireSize(nack))
 	r.clock.RunUntil(r.clock.Now() + time.Second)
 	if len(got) != 4 {
 		t.Fatalf("%d retransmissions for 4 NACKed packets", len(got))
@@ -185,7 +185,7 @@ func TestRepairsAndResendsCarryTheSentHeaders(t *testing.T) {
 	// times: it crosses the lossy link too.
 	sess.pause()
 	for range 3 {
-		port.SendTo("srv:6970", nack, rdt.WireSize(nack))
+		port.ConnFor("srv:6970").Send(nack, rdt.WireSize(nack))
 		r.clock.RunUntil(r.clock.Now() + time.Second)
 	}
 

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"realtracer/internal/media"
+	"realtracer/internal/netsim"
 	"realtracer/internal/ratecontrol"
 	"realtracer/internal/rdt"
 	"realtracer/internal/rtsp"
@@ -180,8 +181,8 @@ func (s *Server) ActiveSessions() int { return len(s.sessions) }
 func (s *Server) DropClient(clientHost string) int {
 	doomed := s.doomed[:0]
 	for _, sess := range s.sessions {
-		if addrHost(sess.spec.ClientDataAddr) == clientHost ||
-			(sess.cc != nil && addrHost(sess.cc.conn.RemoteAddr()) == clientHost) {
+		if netsim.Addr(sess.spec.ClientDataAddr).Host() == clientHost ||
+			(sess.cc != nil && netsim.Addr(sess.cc.conn.RemoteAddr()).Host() == clientHost) {
 			doomed = append(doomed, sess)
 		}
 	}
@@ -195,17 +196,6 @@ func (s *Server) DropClient(clientHost string) int {
 	clear(doomed)
 	s.doomed = doomed[:0]
 	return len(doomed)
-}
-
-// addrHost returns the host component of a "host:port" address ("" in,
-// "" out).
-func addrHost(addr string) string {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[:i]
-		}
-	}
-	return addr
 }
 
 // Counters returns (describes, unavailable, played, toredown) counts.

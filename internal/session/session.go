@@ -232,9 +232,8 @@ var _ transport.Codec = Codec{}
 // DataPort is the server-side unconnected datagram endpoint, satisfied by
 // both transport.UDPPort (simulation) and transport.RealUDPPort (sockets).
 type DataPort interface {
-	SendTo(addr string, payload any, size int) error
 	// ConnFor returns a send-only Conn view of the port talking to raddr,
-	// with the destination resolved once — the per-session fast path.
+	// with the destination resolved once: the port's one way to send.
 	ConnFor(raddr string) transport.Conn
 	LocalAddr() string
 	Close() error

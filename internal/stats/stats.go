@@ -48,77 +48,8 @@ func Summarize(xs []float64) (Summary, error) {
 		ss += d * d
 	}
 	s.StdDev = math.Sqrt(ss / float64(len(xs)))
-	// The old form called Quantile, which sorts a fresh O(n log n) copy
-	// just to read one rank. Selecting the median order statistics is O(n)
-	// and returns the same interpolated value bit-for-bit (the benchmark
-	// pair in stats_bench_test.go records the win).
-	s.Median = medianOf(xs)
+	s.Median = Quantile(xs, 0.5)
 	return s, nil
-}
-
-// medianOf returns the interpolated median of xs (len > 0) by quickselect
-// instead of a full sort. It matches Quantile(xs, 0.5) exactly.
-func medianOf(xs []float64) float64 {
-	buf := append([]float64(nil), xs...)
-	pos := 0.5 * float64(len(buf)-1)
-	lo := int(pos)
-	v := selectKth(buf, lo)
-	frac := pos - float64(lo)
-	if frac == 0 {
-		return v
-	}
-	// After selection everything right of lo is >= buf[lo]; the next order
-	// statistic is the minimum of that suffix.
-	hi := buf[lo+1]
-	for _, x := range buf[lo+2:] {
-		if x < hi {
-			hi = x
-		}
-	}
-	return v*(1-frac) + hi*frac
-}
-
-// selectKth partially orders buf in place so buf[k] holds its sorted-order
-// value, with no larger element before it and no smaller element after it.
-// Iterative Hoare quickselect with median-of-three pivoting: O(n) expected.
-func selectKth(buf []float64, k int) float64 {
-	lo, hi := 0, len(buf)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if buf[mid] < buf[lo] {
-			buf[mid], buf[lo] = buf[lo], buf[mid]
-		}
-		if buf[hi] < buf[lo] {
-			buf[hi], buf[lo] = buf[lo], buf[hi]
-		}
-		if buf[hi] < buf[mid] {
-			buf[hi], buf[mid] = buf[mid], buf[hi]
-		}
-		pivot := buf[mid]
-		i, j := lo, hi
-		for i <= j {
-			for buf[i] < pivot {
-				i++
-			}
-			for buf[j] > pivot {
-				j--
-			}
-			if i <= j {
-				buf[i], buf[j] = buf[j], buf[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return buf[k]
-		}
-	}
-	return buf[k]
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

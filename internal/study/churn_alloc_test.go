@@ -2,6 +2,7 @@ package study
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -307,22 +308,30 @@ func TestBundlesFollowConcurrency(t *testing.T) {
 // below what the classic engine spends elsewhere; one lane allocating per use
 // again tips the balance (while transit copies regrew their lists and every
 // path built its own generator, the fabric read 113.5 against 100.9).
+//
+// Each arm reads its fewest allocations over three runs: the runtime's own
+// allocations (the parker's window hand-offs, which depend on timing) only
+// ever add to a run's count, so the minimum is the world's.
 func TestFabricAllocatesNoMoreThanClassic(t *testing.T) {
 	perRecord := func(shards int) float64 {
 		opt := fenceWorlds[1].opt
 		opt.Shards = shards
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		res, err := Run(opt)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		least := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res, err := Run(opt)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Records) == 0 {
+				t.Fatalf("shards %d: the world produced no records", shards)
+			}
+			least = min(least, float64(after.Mallocs-before.Mallocs)/float64(len(res.Records)))
 		}
-		if len(res.Records) == 0 {
-			t.Fatalf("shards %d: the world produced no records", shards)
-		}
-		return float64(after.Mallocs-before.Mallocs) / float64(len(res.Records))
+		return least
 	}
 	classic, fabric := perRecord(0), perRecord(2)
 	t.Logf("whole-run allocations per record: classic %.1f, fabric at 2 shards %.1f", classic, fabric)

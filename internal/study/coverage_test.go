@@ -308,7 +308,6 @@ var syncExempt = map[string]string{
 	"player.Player.nackScratch": "per-flush scratch",
 	"player.Player.descBuf":     "DESCRIBE parse scratch; the session's description is the walked desc",
 	"player.Player.waits":       "idle dial continuations; a dial in flight is walked by its stack and re-attached by the player",
-	"netsim.Packet.pooled":      "allocation provenance; restored packets come from the pool",
 	"simclock.Event._":          "cache-line padding",
 	"transport.tcpAck.origin":   "free-list provenance; a restored ACK is garbage-collected instead",
 

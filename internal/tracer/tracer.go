@@ -219,9 +219,14 @@ func (t *Tracer) next() {
 // clipDone is the player's OnDone: record the clip, maybe rate it, and
 // schedule the next one after the think-time pause.
 func (t *Tracer) clipDone(st *player.Stats, err error) {
-	rec := t.recordFor(t.curEntry, st)
-	rec.StartSec = t.curStarted.Seconds()
-	rec.EndSec = t.cfg.Clock.Now().Seconds()
+	rec := RecordOf(st, t.curStarted, t.cfg.Clock.Now())
+	u, e := t.cfg.User, t.curEntry
+	rec.User, rec.Country, rec.State = u.Name, u.Country, u.State
+	rec.Region = geo.AnalysisUserRegion(u.Region).String()
+	rec.Access = u.Access.String()
+	rec.PCClass = player.PCClasses()[u.PCClass].Name
+	rec.ClipURL, rec.Server, rec.ServerCountry = e.URL, e.Site.Name, e.Site.Country
+	rec.ServerRegion = geo.AnalysisServerRegion(e.Site.Region).String()
 	t.maybeRate(rec)
 	if t.cfg.OnRecord != nil {
 		t.cfg.OnRecord(rec)
@@ -232,21 +237,12 @@ func (t *Tracer) clipDone(st *player.Stats, err error) {
 	t.pause = t.cfg.Clock.AfterHandler(pause, (*tracerArm)(t))
 }
 
-func (t *Tracer) recordFor(entry Entry, st *player.Stats) *trace.Record {
-	u := t.cfg.User
+// RecordOf is the record of one clip attempt as its player measured it,
+// bracketed by the attempt's start and end in virtual time: every field but
+// who played the clip and from which server, which the caller fills in. The
+// record is freshly allocated.
+func RecordOf(st *player.Stats, start, end time.Duration) *trace.Record {
 	return &trace.Record{
-		User:    u.Name,
-		Country: u.Country,
-		State:   u.State,
-		Region:  geo.AnalysisUserRegion(u.Region).String(),
-		Access:  u.Access.String(),
-		PCClass: player.PCClasses()[u.PCClass].Name,
-
-		ClipURL:       entry.URL,
-		Server:        entry.Site.Name,
-		ServerCountry: entry.Site.Country,
-		ServerRegion:  geo.AnalysisServerRegion(entry.Site.Region).String(),
-
 		Unavailable: st.Unavailable,
 		Failed:      st.Failed,
 		FailReason:  st.FailReason,
@@ -270,6 +266,9 @@ func (t *Tracer) recordFor(entry Entry, st *player.Stats) *trace.Record {
 		BufferingTime:  st.BufferingTime,
 		CPUUtilization: st.CPUUtilization,
 		Switches:       st.Switches,
+
+		StartSec: start.Seconds(),
+		EndSec:   end.Seconds(),
 	}
 }
 

@@ -161,7 +161,7 @@ func TestTeardownReleasesWhatTheConnHolds(t *testing.T) {
 		{"peer FIN", func(tc, rc *simTCP) {
 			fin := rc.newSeg()
 			fin.fin, fin.holds = true, 1
-			tc.onPacket(&netsim.Packet{From: rc.local.addr, To: tc.local.addr, Payload: fin})
+			tc.onPacket(&netsim.Packet{From: rc.local.addr, To: tc.local.addr, FromID: rc.local.id, FromPort: rc.local.port, Payload: fin})
 		}},
 		{"RTO abort", func(tc, _ *simTCP) {
 			tc.consecutiveRTOs = maxConsecutiveRTOs

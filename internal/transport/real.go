@@ -17,62 +17,133 @@ import (
 // socket adapters. The simulator skips serialization (payloads travel by
 // reference), so only live mode needs a Codec; internal/session provides the
 // canonical one combining RTSP control and RDT data. EncodeTo appends a frame
-// to a caller-owned packet.Writer, so each real conn keeps one encode buffer
-// for its lifetime instead of allocating per send.
+// to a caller-owned packet.Writer, so each real socket keeps one encode
+// buffer for its lifetime instead of allocating per send.
 type Codec interface {
 	EncodeTo(w *packet.Writer, payload any) error
 	Decode(data []byte) (any, error)
 }
 
-// frameWriter is the per-connection reusable encode buffer, guarded by its
-// own mutex because live-mode Sends can race Close.
-type frameWriter struct {
-	mu sync.Mutex
-	w  *packet.Writer
+// liveSock is the core every live socket adapter embeds: the socket, its
+// codec and loop, one encode buffer for the socket's lifetime, the closed
+// flag and the receiver. It ends a payload's lease on every send and runs
+// the receiver on the loop, so the engines above stay single-threaded. An
+// adapter adds only how it frames a write and how its reader finds frames.
+type liveSock struct {
+	sock interface {
+		Close() error
+		LocalAddr() net.Addr
+	}
+	codec Codec
+	loop  *simclock.Loop
+
+	enc sync.Mutex // guards w; held across a write, which Close may race
+	w   *packet.Writer
+
+	mu     sync.Mutex
+	recv   func(from net.Addr, payload any, size int)
+	closed bool
 }
 
-// encodeFrame encodes payload via the codec into the recycled buffer with
-// prefix bytes reserved at the front, and passes the finished frame to emit
-// while the buffer lock is held.
-func (fw *frameWriter) encodeFrame(codec Codec, payload any, prefix int, emit func(frame []byte) error) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	if fw.w == nil {
-		fw.w = packet.NewWriter(2048)
+// send encodes payload behind prefix reserved bytes of the encode buffer
+// and hands the frame to write. The declared size is ignored: the encoded
+// length is authoritative on a real wire, where the encoded frame is the
+// payload's last reader, so a pooled payload's lease ends here, error or not.
+func (s *liveSock) send(payload any, prefix int, write func(frame []byte) error) error {
+	defer netsim.ReleaseTransit(nil, payload)
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return ErrClosed
 	}
-	fw.w.Reset()
-	for i := 0; i < prefix; i++ {
-		fw.w.U8(0)
+	s.enc.Lock()
+	defer s.enc.Unlock()
+	if s.w == nil {
+		s.w = packet.NewWriter(2048)
 	}
-	if err := codec.EncodeTo(fw.w, payload); err != nil {
+	s.w.Reset()
+	for range prefix {
+		s.w.U8(0)
+	}
+	if err := s.codec.EncodeTo(s.w, payload); err != nil {
 		return err
 	}
-	return emit(fw.w.Bytes())
+	return write(s.w.Bytes())
 }
+
+// post decodes one frame on the reader goroutine and runs the receiver on
+// the loop. An undecodable frame is skipped: the framing around it is intact.
+func (s *liveSock) post(from net.Addr, frame []byte) {
+	payload, err := s.codec.Decode(frame)
+	if err != nil {
+		return
+	}
+	size := len(frame)
+	s.loop.Post(func() {
+		s.mu.Lock()
+		fn := s.recv
+		s.mu.Unlock()
+		if fn != nil {
+			fn(from, payload, size)
+		}
+	})
+}
+
+// readDatagrams posts every datagram pc reads until it is closed.
+func (s *liveSock) readDatagrams(pc net.PacketConn) {
+	buf := make([]byte, 64*1024)
+	for {
+		n, from, err := pc.ReadFrom(buf)
+		if err != nil {
+			return
+		}
+		s.post(from, buf[:n])
+	}
+}
+
+// SetReceiver implements Conn.
+func (s *liveSock) SetReceiver(fn func(any, int)) {
+	var recv func(net.Addr, any, int)
+	if fn != nil {
+		recv = func(_ net.Addr, payload any, size int) { fn(payload, size) }
+	}
+	s.mu.Lock()
+	s.recv = recv
+	s.mu.Unlock()
+}
+
+// Close implements Conn.
+func (s *liveSock) Close() error {
+	s.mu.Lock()
+	closed := s.closed
+	s.closed = true
+	s.mu.Unlock()
+	if closed {
+		return nil
+	}
+	return s.sock.Close()
+}
+
+// LocalAddr implements Conn.
+func (s *liveSock) LocalAddr() string { return s.sock.LocalAddr().String() }
 
 // maxFrame bounds a length-prefixed TCP frame; anything larger indicates a
 // corrupted stream.
 const maxFrame = 1 << 20
 
 // RealTCPConn adapts a net.Conn (stream) to the message Conn interface using
-// 4-byte big-endian length-prefixed frames. Incoming messages are posted to
-// the supplied Loop so the session engines stay single-threaded.
+// 4-byte big-endian length-prefixed frames.
 type RealTCPConn struct {
-	c     net.Conn
-	codec Codec
-	loop  *simclock.Loop
-	enc   frameWriter // recycled encode buffer
-
-	mu     sync.Mutex
-	recv   func(any, int)
-	closed bool
-	rtt    time.Duration
+	liveSock
+	c   net.Conn
+	rtt time.Duration
 }
 
-// NewRealTCPConn wraps an established net.Conn and starts its reader
+// newRealTCPConn wraps an established net.Conn and starts its reader
 // goroutine.
-func NewRealTCPConn(c net.Conn, codec Codec, loop *simclock.Loop) *RealTCPConn {
-	rc := &RealTCPConn{c: c, codec: codec, loop: loop}
+func newRealTCPConn(c net.Conn, codec Codec, loop *simclock.Loop, rtt time.Duration) *RealTCPConn {
+	rc := &RealTCPConn{liveSock: liveSock{sock: c, codec: codec, loop: loop}, c: c, rtt: rtt}
 	go rc.readLoop()
 	return rc
 }
@@ -85,9 +156,7 @@ func DialRealTCP(addr string, codec Codec, loop *simclock.Loop) (*RealTCPConn, e
 	if err != nil {
 		return nil, err
 	}
-	rc := NewRealTCPConn(c, codec, loop)
-	rc.rtt = time.Since(start)
-	return rc, nil
+	return newRealTCPConn(c, codec, loop, time.Since(start)), nil
 }
 
 // ListenRealTCP accepts connections on addr, invoking accept (on the loop)
@@ -103,60 +172,39 @@ func ListenRealTCP(addr string, codec Codec, loop *simclock.Loop, accept func(*R
 			if err != nil {
 				return
 			}
-			rc := NewRealTCPConn(c, codec, loop)
+			rc := newRealTCPConn(c, codec, loop, 0)
 			loop.Post(func() { accept(rc) })
 		}
 	}()
 	return ln, nil
 }
 
+// readLoop posts every length-prefixed frame; a stream that ends, or whose
+// framing breaks, closes the conn.
 func (rc *RealTCPConn) readLoop() {
+	defer rc.Close()
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(rc.c, lenBuf[:]); err != nil {
-			rc.Close()
 			return
 		}
 		n := binary.BigEndian.Uint32(lenBuf[:])
 		if n > maxFrame {
-			rc.Close()
 			return
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(rc.c, buf); err != nil {
-			rc.Close()
 			return
 		}
-		payload, err := rc.codec.Decode(buf)
-		if err != nil {
-			continue // skip undecodable frames; stream framing is intact
-		}
-		size := len(buf)
-		rc.loop.Post(func() {
-			rc.mu.Lock()
-			fn := rc.recv
-			rc.mu.Unlock()
-			if fn != nil {
-				fn(payload, size)
-			}
-		})
+		rc.post(nil, buf)
 	}
 }
 
-// Send implements Conn. The declared size is ignored; the encoded length is
-// authoritative on a real wire — where the encoded frame is the payload's last
-// reader, so a pooled payload's lease ends when Send returns.
+// Send implements Conn. The 4-byte length prefix is reserved up front and
+// patched in, so the whole frame goes out as one Write from the encode
+// buffer.
 func (rc *RealTCPConn) Send(payload any, _ int) error {
-	defer netsim.ReleaseTransit(nil, payload)
-	rc.mu.Lock()
-	closed := rc.closed
-	rc.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	// The 4-byte length prefix is reserved up front and patched in, so the
-	// whole frame goes out as one Write from the recycled buffer.
-	return rc.enc.encodeFrame(rc.codec, payload, 4, func(frame []byte) error {
+	return rc.send(payload, 4, func(frame []byte) error {
 		n := len(frame) - 4
 		if n > maxFrame {
 			return fmt.Errorf("transport: frame too large: %d", n)
@@ -167,50 +215,19 @@ func (rc *RealTCPConn) Send(payload any, _ int) error {
 	})
 }
 
-// SetReceiver implements Conn.
-func (rc *RealTCPConn) SetReceiver(fn func(any, int)) {
-	rc.mu.Lock()
-	rc.recv = fn
-	rc.mu.Unlock()
-}
-
-// Close implements Conn.
-func (rc *RealTCPConn) Close() error {
-	rc.mu.Lock()
-	if rc.closed {
-		rc.mu.Unlock()
-		return nil
-	}
-	rc.closed = true
-	rc.mu.Unlock()
-	return rc.c.Close()
-}
-
 // Protocol implements Conn.
 func (rc *RealTCPConn) Protocol() Protocol { return TCP }
-
-// LocalAddr implements Conn.
-func (rc *RealTCPConn) LocalAddr() string { return rc.c.LocalAddr().String() }
 
 // RemoteAddr implements Conn.
 func (rc *RealTCPConn) RemoteAddr() string { return rc.c.RemoteAddr().String() }
 
 // RTT implements Conn.
-func (rc *RealTCPConn) RTT() time.Duration {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.rtt
-}
+func (rc *RealTCPConn) RTT() time.Duration { return rc.rtt }
 
 // RealUDPPort is an unconnected UDP socket usable as a server data port.
 type RealUDPPort struct {
-	pc    net.PacketConn
-	codec Codec
-	loop  *simclock.Loop
-	enc   frameWriter // recycled encode buffer
-
-	mu     sync.Mutex
-	closed bool
+	liveSock
+	pc net.PacketConn
 }
 
 // ListenRealUDP binds a UDP socket on addr. recv runs on the loop for every
@@ -220,72 +237,35 @@ func ListenRealUDP(addr string, codec Codec, loop *simclock.Loop, recv func(from
 	if err != nil {
 		return nil, err
 	}
-	p := &RealUDPPort{pc: pc, codec: codec, loop: loop}
-	go func() {
-		buf := make([]byte, 64*1024)
-		for {
-			n, from, err := pc.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			payload, derr := codec.Decode(buf[:n])
-			if derr != nil {
-				continue
-			}
-			fromStr, size := from.String(), n
-			loop.Post(func() { recv(fromStr, payload, size) })
-		}
-	}()
+	p := &RealUDPPort{liveSock: liveSock{sock: pc, codec: codec, loop: loop}, pc: pc}
+	p.recv = func(from net.Addr, payload any, size int) { recv(from.String(), payload, size) }
+	go p.readDatagrams(pc)
 	return p, nil
 }
 
-// LocalAddr returns the bound address.
-func (p *RealUDPPort) LocalAddr() string { return p.pc.LocalAddr().String() }
-
-// SendTo transmits one datagram.
-func (p *RealUDPPort) SendTo(addr string, payload any, _ int) error {
-	defer netsim.ReleaseTransit(nil, payload)
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	raddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
-	}
-	return p.enc.encodeFrame(p.codec, payload, 0, func(frame []byte) error {
-		_, err := p.pc.WriteTo(frame, raddr)
-		return err
-	})
-}
-
-// Close unbinds the socket.
-func (p *RealUDPPort) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	p.mu.Unlock()
-	return p.pc.Close()
-}
-
-// ConnFor returns a Conn view of the port talking to raddr, mirroring
-// UDPPort.ConnFor for the simulator.
+// ConnFor returns a send-only Conn view of the port talking to raddr,
+// mirroring UDPPort.ConnFor for the simulator. The address is resolved once,
+// here: if it does not resolve, every Send returns that error.
 func (p *RealUDPPort) ConnFor(raddr string) Conn {
-	return &realUDPPortConn{port: p, raddr: raddr}
+	to, err := net.ResolveUDPAddr("udp", raddr)
+	return &realUDPPortConn{port: p, raddr: raddr, to: to, err: err}
 }
 
 type realUDPPortConn struct {
 	port  *RealUDPPort
 	raddr string
+	to    *net.UDPAddr
+	err   error // from resolving raddr
 }
 
-func (c *realUDPPortConn) Send(payload any, size int) error {
-	return c.port.SendTo(c.raddr, payload, size)
+func (c *realUDPPortConn) Send(payload any, _ int) error {
+	return c.port.send(payload, 0, func(frame []byte) error {
+		if c.err != nil {
+			return c.err
+		}
+		_, err := c.port.pc.WriteTo(frame, c.to)
+		return err
+	})
 }
 func (c *realUDPPortConn) SetReceiver(func(any, int)) {
 	panic("transport: SetReceiver on server-side UDP conn; demux at the port")
@@ -298,14 +278,8 @@ func (c *realUDPPortConn) RTT() time.Duration { return 0 }
 
 // RealUDPConn is a connected client-side UDP conn.
 type RealUDPConn struct {
-	c     *net.UDPConn
-	codec Codec
-	loop  *simclock.Loop
-	enc   frameWriter // recycled encode buffer
-
-	mu     sync.Mutex
-	recv   func(any, int)
-	closed bool
+	liveSock
+	c *net.UDPConn
 }
 
 // DialRealUDP "connects" a UDP socket to addr and starts its reader.
@@ -318,71 +292,21 @@ func DialRealUDP(addr string, codec Codec, loop *simclock.Loop) (*RealUDPConn, e
 	if err != nil {
 		return nil, err
 	}
-	rc := &RealUDPConn{c: c, codec: codec, loop: loop}
-	go func() {
-		buf := make([]byte, 64*1024)
-		for {
-			n, err := c.Read(buf)
-			if err != nil {
-				return
-			}
-			payload, derr := codec.Decode(buf[:n])
-			if derr != nil {
-				continue
-			}
-			size := n
-			loop.Post(func() {
-				rc.mu.Lock()
-				fn := rc.recv
-				rc.mu.Unlock()
-				if fn != nil {
-					fn(payload, size)
-				}
-			})
-		}
-	}()
+	rc := &RealUDPConn{liveSock: liveSock{sock: c, codec: codec, loop: loop}, c: c}
+	go rc.readDatagrams(c)
 	return rc, nil
 }
 
 // Send implements Conn.
 func (rc *RealUDPConn) Send(payload any, _ int) error {
-	defer netsim.ReleaseTransit(nil, payload)
-	rc.mu.Lock()
-	closed := rc.closed
-	rc.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	return rc.enc.encodeFrame(rc.codec, payload, 0, func(frame []byte) error {
+	return rc.send(payload, 0, func(frame []byte) error {
 		_, err := rc.c.Write(frame)
 		return err
 	})
 }
 
-// SetReceiver implements Conn.
-func (rc *RealUDPConn) SetReceiver(fn func(any, int)) {
-	rc.mu.Lock()
-	rc.recv = fn
-	rc.mu.Unlock()
-}
-
-// Close implements Conn.
-func (rc *RealUDPConn) Close() error {
-	rc.mu.Lock()
-	if rc.closed {
-		rc.mu.Unlock()
-		return nil
-	}
-	rc.closed = true
-	rc.mu.Unlock()
-	return rc.c.Close()
-}
-
 // Protocol implements Conn.
 func (rc *RealUDPConn) Protocol() Protocol { return UDP }
-
-// LocalAddr implements Conn.
-func (rc *RealUDPConn) LocalAddr() string { return rc.c.LocalAddr().String() }
 
 // RemoteAddr implements Conn.
 func (rc *RealUDPConn) RemoteAddr() string { return rc.c.RemoteAddr().String() }

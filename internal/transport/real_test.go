@@ -147,7 +147,7 @@ func TestRealUDPEndToEnd(t *testing.T) {
 			t.Fatalf("got %q", fm.msg)
 		}
 		// Reply through the unconnected port to the sender's address.
-		if err := port.SendTo(fm.from, "pong", 0); err != nil {
+		if err := port.ConnFor(fm.from).Send("pong", 0); err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(3 * time.Second):
@@ -185,4 +185,29 @@ func TestRealUDPPortConnFor(t *testing.T) {
 		}
 	}()
 	c.SetReceiver(func(any, int) {})
+}
+
+// TestRealUDPPortConnForResolvesOnce: a view resolves its address when it is
+// built, and one whose address does not resolve returns that resolution
+// error — the same value, not a fresh lookup's — from every Send.
+func TestRealUDPPortConnForResolvesOnce(t *testing.T) {
+	loop := simclock.NewLoop(simclock.New())
+	port, err := ListenRealUDP("127.0.0.1:0", byteCodec{}, loop, func(string, any, int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer port.Close()
+	c := port.ConnFor("127.0.0.1") // no port: refused without a lookup
+	first := c.Send("x", 0)
+	if first == nil {
+		t.Fatal("a send to an address without a port succeeded")
+	}
+	for range 3 {
+		if err := c.Send("x", 0); err != first {
+			t.Fatalf("Send returned %v, want the view's resolution error %v", err, first)
+		}
+	}
+	if err := port.ConnFor(port.LocalAddr()).Send("x", 0); err != nil {
+		t.Fatalf("send to a resolved address: %v", err)
+	}
 }

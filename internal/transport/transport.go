@@ -138,8 +138,8 @@ func (p *tcpPort) onPacket(pkt *netsim.Packet) { p.conn.onPacket(pkt) }
 
 // endpoint is one end of a conn, resolved once so the per-packet path hands
 // netsim IDs and ports instead of strings: the address, its host's interned ID
-// (zero: netsim resolves it by name) and its port, pre-parsed (zero: delivery
-// falls back from the dense port table to the address map).
+// and its port, pre-parsed (zero for a portless address: delivery falls back
+// from the dense port table to the address map).
 type endpoint struct {
 	addr netsim.Addr
 	id   netsim.HostID
@@ -151,13 +151,10 @@ func (s *Stack) endpoint(addr netsim.Addr) endpoint {
 	return endpoint{addr, s.net.Intern(addr.Host()), addr.Port()}
 }
 
-// peerOf is the endpoint a delivered packet came from, as netsim resolved it.
+// peerOf is the endpoint a delivered packet came from, as its sender
+// resolved it.
 func peerOf(pkt *netsim.Packet) endpoint {
-	e := endpoint{pkt.From, pkt.FromID, pkt.FromPort}
-	if e.port == 0 {
-		e.port = pkt.From.Port()
-	}
-	return e
+	return endpoint{pkt.From, pkt.FromID, pkt.FromPort}
 }
 
 // tcpListener is the per-port accept state: the SYN-dedup map that makes a
@@ -431,20 +428,6 @@ type UDPPort struct {
 
 // LocalAddr returns the bound address.
 func (p *UDPPort) LocalAddr() string { return string(p.local.addr) }
-
-// SendTo transmits one datagram to addr. Senders with a stable peer should
-// prefer ConnFor, which resolves the destination host once.
-func (p *UDPPort) SendTo(addr string, payload any, size int) error {
-	if p.closed {
-		p.stack.net.ReleaseTransit(payload)
-		return ErrClosed
-	}
-	// The host ID stays zero and netsim finds the host by name: a one-off
-	// datagram does not intern it.
-	to := netsim.Addr(addr)
-	p.stack.sendPooled(p.local, endpoint{addr: to, port: to.Port()}, size+udpHeader, payload)
-	return nil
-}
 
 // Close unbinds the port.
 func (p *UDPPort) Close() error {

@@ -165,7 +165,7 @@ func TestUDPConnectedFilterIgnoresStrangers(t *testing.T) {
 	// the connected-UDP filter.
 	var aPort *UDPPort
 	aPort = sa.ListenUDP(300, func(from string, payload any, size int) {
-		aPort.SendTo(from, "reply", 100)
+		aPort.ConnFor(from).Send("reply", 100)
 	})
 	other := sa.ListenUDP(301, nil)
 	defer other.Close()
@@ -175,7 +175,7 @@ func TestUDPConnectedFilterIgnoresStrangers(t *testing.T) {
 	c.SetReceiver(func(payload any, _ int) { got = append(got, payload.(string)) })
 	c.Send("hi", 100)
 	clock.AfterHandler(10*time.Millisecond, fireFunc(func() {
-		other.SendTo(c.LocalAddr(), "stranger", 100)
+		other.ConnFor(c.LocalAddr()).Send("stranger", 100)
 	}))
 	clock.RunUntil(time.Second)
 
