@@ -498,7 +498,7 @@ func printSites(seed int64) {
 		fmt.Printf("  %-14s host=%-9s country=%-9s region=%-10s unavailability=%.0f%% clips=%d\n",
 			s.Name, s.Host, s.Country, s.Region, 100*s.Unavailability, s.Clips)
 	}
-	users := geo.Population(seed + 1)
+	users := geo.Population(study.Options{Seed: seed}.PopulationSeed())
 	byCountry := map[string]int{}
 	for _, u := range users {
 		byCountry[u.Country]++

@@ -7,10 +7,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"realtracer/internal/campaign"
+	"realtracer/internal/detrand"
 	"realtracer/internal/figures"
 	"realtracer/internal/media"
 	"realtracer/internal/netsim"
@@ -103,6 +103,7 @@ func RunSession(opt SessionOptions) (*player.Stats, error) {
 	if opt.MaxBandwidthKbps <= 0 {
 		opt.MaxBandwidthKbps = opt.ClipKbps
 	}
+	serverRng, playerRng := detrand.Plain(opt.Seed+2), detrand.Plain(opt.Seed+3)
 	clock := simclock.New()
 	n := netsim.New(clock, netsim.StaticRoute(opt.Route), opt.Seed)
 	n.AddHost(netsim.HostConfig{Name: "server", Access: netsim.DefaultAccessProfile(netsim.AccessServer)})
@@ -119,7 +120,7 @@ func RunSession(opt SessionOptions) (*player.Stats, error) {
 		Clock:      clock,
 		Net:        session.SimNet{Stack: transport.NewStack(n, "server")},
 		Library:    media.NewLibrary([]*media.Clip{clip}),
-		Rand:       rand.New(rand.NewSource(opt.Seed + 2)),
+		Rand:       &serverRng,
 		SureStream: !opt.DisableSureStream,
 		FEC:        !opt.DisableFEC,
 	})
@@ -139,7 +140,7 @@ func RunSession(opt SessionOptions) (*player.Stats, error) {
 		Preroll:              opt.Preroll,
 		CPU:                  opt.CPU,
 		DisableScalableVideo: opt.DisableScalableVideo,
-		Rand:                 rand.New(rand.NewSource(opt.Seed + 3)),
+		Rand:                 &playerRng,
 		OnDone: func(st *player.Stats, err error) {
 			got, gotErr = st, err
 		},

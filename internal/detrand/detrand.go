@@ -1,9 +1,16 @@
-// Package detrand wraps math/rand in a draw-counting source so a running
-// simulation's RNG streams can be checkpointed and replayed byte-exactly
-// without reaching into math/rand internals. A Rand records its seed and
-// counts every Int63 the underlying source serves; restoring (Sync) replays
-// that many draws from a fresh source of the same seed, leaving the stream
-// positioned exactly where the checkpoint left it.
+// Package detrand is the one constructor of the simulation's random
+// streams: no other package under internal/ calls math/rand's New or
+// NewSource (TestOnlyDetrandBuildsGenerators walks the sources). Every
+// stream draws from the bit source newSource builds, so swapping the
+// generator is a change to that one function.
+//
+// New wraps the source in a draw counter so a running simulation's streams
+// can be checkpointed and replayed byte-exactly without reaching into
+// math/rand internals. A Rand records its seed and counts every Int63 the
+// underlying source serves; restoring (Sync) replays that many draws from a
+// fresh source of the same seed, leaving the stream positioned exactly where
+// the checkpoint left it. Plain builds an uncounted generator by value, for
+// a stream no snapshot walks.
 //
 // The counting source deliberately implements only rand.Source — not
 // rand.Source64. math/rand composes Uint64 from two Int63 calls when the
@@ -49,12 +56,21 @@ type Rand struct {
 	src  *source
 }
 
+// newSource is the bit source under every stream this package builds.
+func newSource(seed int64) rand.Source { return rand.NewSource(seed) }
+
 // New returns a counting stream seeded with seed, drawing the same values
 // as rand.New(rand.NewSource(seed)).
 func New(seed int64) *Rand {
-	src := &source{src: rand.NewSource(seed)}
+	src := &source{src: newSource(seed)}
 	return &Rand{Rand: rand.New(src), seed: seed, src: src}
 }
+
+// Plain returns an uncounted generator seeded with seed, drawing the same
+// values as rand.New(rand.NewSource(seed)). It returns the generator by
+// value, so a caller that keeps it in a local or a field allocates only
+// the source.
+func Plain(seed int64) rand.Rand { return *rand.New(newSource(seed)) }
 
 // State returns the seed and the number of Int63 draws served so far.
 func (r *Rand) State() (seed int64, count uint64) { return r.seed, r.src.count }

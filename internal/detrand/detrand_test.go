@@ -2,7 +2,14 @@ package detrand
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"realtracer/internal/snap"
@@ -33,6 +40,69 @@ func TestStreamMatchesMathRand(t *testing.T) {
 				t.Fatalf("seed %d: draw %d: got %v want %v", seed, i, got[i], ref[i])
 			}
 		}
+	}
+}
+
+func TestPlainMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{1, 9, 424242} {
+		ref := drawMix(rand.New(rand.NewSource(seed)), 200)
+		r := Plain(seed)
+		got := drawMix(&r, 200)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("seed %d: draw %d: got %v want %v", seed, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
+// TestOnlyDetrandBuildsGenerators walks every non-test Go file under
+// internal/ and refuses a call to math/rand's New or NewSource outside this
+// package: a stream built anywhere else escapes the one place its bit
+// source is chosen.
+func TestOnlyDetrandBuildsGenerators(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		if filepath.Base(filepath.Dir(path)) == "detrand" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		randName := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" {
+				randName = "rand"
+				if imp.Name != nil {
+					randName = imp.Name.Name
+				}
+			}
+		}
+		if randName == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == randName && (sel.Sel.Name == "New" || sel.Sel.Name == "NewSource") {
+				t.Errorf("%s: rand.%s outside internal/detrand; build the stream with detrand.New or detrand.Plain", fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"realtracer/internal/detrand"
 	"realtracer/internal/netsim"
 )
 
@@ -236,7 +237,7 @@ func PopulationN(seed int64, n int) []*User {
 		n = PopulationSize
 	}
 	counts := apportion(n)
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.Plain(seed)
 	// One backing array for the users and one string for every name: a
 	// population costs a handful of allocations, not a few per user.
 	cells := make([]User, n)
@@ -273,16 +274,16 @@ func PopulationN(seed int64, n int) []*User {
 			users[i] = user
 			i++
 			if plan.country == "US" {
-				user.State = pickState(rng)
+				user.State = pickState(&rng)
 			}
-			user.Access = pickAccess(rng, plan.country)
+			user.Access = pickAccess(&rng, plan.country)
 			if user.Access == netsim.AccessModem {
 				user.ModemKbps = 26 + rng.Float64()*20
 			}
-			user.PCClass = pickPC(rng)
+			user.PCClass = pickPC(&rng)
 			user.PreferTCP = rng.Float64() < 0.44
-			user.ClipsToPlay = pickClipCount(rng, plan.clipBias)
-			user.ClipsToRate = pickRateCount(rng, user.ClipsToPlay)
+			user.ClipsToPlay = pickClipCount(&rng, plan.clipBias)
+			user.ClipsToRate = pickRateCount(&rng, user.ClipsToPlay)
 			user.RatingAnchor = 2.5 + rng.Float64()*5 // centres spread over 2.5-7.5
 			user.RatesAVTogether = rng.Float64() < 0.5
 		}
@@ -394,16 +395,14 @@ func pickRateCount(rng *rand.Rand, played int) int {
 // located by suffix lookup against the registered sites and users.
 type RouteTable struct {
 	regionOf map[string]Region
-	rng      *rand.Rand
 	// CongestionScale globally scales cross-traffic for ablations.
 	CongestionScale float64
 }
 
 // NewRouteTable builds the table for the given sites and users.
-func NewRouteTable(sites []ServerSite, users []*User, seed int64) *RouteTable {
+func NewRouteTable(sites []ServerSite, users []*User) *RouteTable {
 	t := &RouteTable{
 		regionOf:        make(map[string]Region),
-		rng:             rand.New(rand.NewSource(seed)),
 		CongestionScale: 1,
 	}
 	for _, s := range sites {

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -161,8 +162,8 @@ func TestRegionFolding(t *testing.T) {
 func TestRouteTableDeterministic(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	a := NewRouteTable(sites, users, 3)
-	b := NewRouteTable(sites, users, 3)
+	a := NewRouteTable(sites, users)
+	b := NewRouteTable(sites, users)
 	for _, u := range users[:10] {
 		for _, s := range sites {
 			ra := a.Route(s.Host, u.Name)
@@ -174,10 +175,27 @@ func TestRouteTableDeterministic(t *testing.T) {
 	}
 }
 
+// TestRouteTableHoldsNoGenerator keeps the route table a pure function of
+// the pair's names: routes are hashed, never drawn, so the table holds no
+// random stream for a world to seed.
+func TestRouteTableHoldsNoGenerator(t *testing.T) {
+	rt := reflect.TypeOf(RouteTable{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		ft := f.Type
+		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice || ft.Kind() == reflect.Map {
+			ft = ft.Elem()
+		}
+		if p := ft.PkgPath(); p == "math/rand" || p == "realtracer/internal/detrand" {
+			t.Errorf("RouteTable.%s is a %s: the route table holds no generator", f.Name, f.Type)
+		}
+	}
+}
+
 func TestRouteDirectionSharesFate(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	rt := NewRouteTable(sites, users, 3)
+	rt := NewRouteTable(sites, users)
 	fwd := rt.Route(sites[0].Host, users[0].Name)
 	rev := rt.Route(users[0].Name, sites[0].Host)
 	// The lemon-path draw hashes the unordered pair: both directions agree
@@ -190,7 +208,7 @@ func TestRouteDirectionSharesFate(t *testing.T) {
 func TestBadPathsExist(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	rt := NewRouteTable(sites, users, 3)
+	rt := NewRouteTable(sites, users)
 	lemons, total := 0, 0
 	for _, u := range users {
 		for _, s := range sites {
@@ -218,7 +236,7 @@ func TestInternationalWorseThanDomestic(t *testing.T) {
 }
 
 func TestUnknownHostFallbackRoute(t *testing.T) {
-	rt := NewRouteTable(nil, nil, 1)
+	rt := NewRouteTable(nil, nil)
 	r := rt.Route("mystery1", "mystery2")
 	if r.OneWayDelay <= 0 || r.OneWayDelay > time.Second {
 		t.Fatalf("fallback route odd: %+v", r)
@@ -228,7 +246,7 @@ func TestUnknownHostFallbackRoute(t *testing.T) {
 func TestCongestionScale(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	rt := NewRouteTable(sites, users, 3)
+	rt := NewRouteTable(sites, users)
 	rt.CongestionScale = 2
 	r := rt.Route(sites[0].Host, sites[1].Host)
 	if r.CongestionMean > 0.9 {

@@ -10,11 +10,12 @@ package media
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"realtracer/internal/detrand"
 )
 
 // ContentType is the rough genre mix the authors drew from news/media sites.
@@ -194,7 +195,7 @@ func (c *Clip) layScenes() {
 		ContentMusic:  0.55,
 		ContentMovie:  0.65,
 	}[c.Content]
-	rng := rand.New(rand.NewSource(c.Seed))
+	rng := detrand.Plain(c.Seed)
 	var t time.Duration
 	for t < c.Duration {
 		length := time.Duration(3+rng.Intn(10)) * time.Second
@@ -405,7 +406,7 @@ func (l *Library) Lookup(url string) *Clip { return l.byURL[url] }
 // bandwidth mix matching 2001 news/media sites: mostly modem-targeted
 // content with a broadband minority.
 func GenerateLibrary(host string, n int, seed int64) *Library {
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.Plain(seed)
 	genres := []ContentType{ContentNews, ContentNews, ContentNews, ContentSports, ContentMusic, ContentMovie}
 	// One backing array for the clips and one string for every URL and
 	// title: a library costs a handful of allocations, not a few per clip.

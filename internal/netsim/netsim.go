@@ -672,7 +672,7 @@ func (n *Network) pathRand(p *pathState, from, to HostID) *rand.Rand {
 func (n *Network) seedPath(p *pathState, from, to HostID) {
 	seed := n.pathSeed ^ (int64(from)<<20 | int64(to))
 	if p.rng == (rand.Rand{}) {
-		p.rng = *rand.New(rand.NewSource(seed))
+		p.rng = detrand.Plain(seed)
 	} else {
 		p.rng.Seed(seed)
 	}

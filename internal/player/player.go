@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"time"
 
+	"realtracer/internal/detrand"
 	"realtracer/internal/media"
 	"realtracer/internal/netsim"
 	"realtracer/internal/rdt"
@@ -355,7 +356,8 @@ func (p *Player) init(cfg Config) {
 		cfg.CPU = PCPentiumIII
 	}
 	if cfg.Rand == nil {
-		cfg.Rand = rand.New(rand.NewSource(1))
+		rng := detrand.Plain(1)
+		cfg.Rand = &rng
 	}
 	if cfg.Arena == nil {
 		cfg.Arena = new(rdt.Arena)

@@ -244,7 +244,7 @@ func (w *World) sync(c *snap.Codec, fork *Fork, keepDynamics bool) {
 	// the first arrival); each owner below re-arms its own events at their
 	// original slots.
 	w.Clock.Sync(c)
-	w.Net.Sync(c, keepDynamics, fork.restart(w.Options.Seed+3, "net"), fork.restart(w.Options.dynamicsSeed(), "dynamics"))
+	w.Net.Sync(c, keepDynamics, fork.restart(w.Options.networkSeed(), "net"), fork.restart(w.Options.dynamicsSeed(), "dynamics"))
 
 	x := transport.NewSnapCtx(session.SnapSync)
 	c.Tag("servers")

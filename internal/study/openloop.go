@@ -93,25 +93,25 @@ type arrivalCell struct {
 const sessionClipCycle = player.DefaultPlayFor + 8*time.Second
 
 // resolveWorkloadSpec resolves the options into the full-pool workload
-// spec, the selection-policy name, and the arrival-stream seed. The rate
+// spec and the selection-policy name. The rate
 // is calibrated so steady-state expected concurrency sits at ~40% of the
 // template pool at 1x intensity: rate = 0.4·pool / E[session duration].
 // Degenerate calibrations — an empty pool, a rate that is zero or
 // infinite — are hard errors here, before the first NextGap draw could
 // turn them into undefined float→int64 arithmetic.
-func (w *World) resolveWorkloadSpec() (workload.Spec, string, int64, error) {
+func (w *World) resolveWorkloadSpec() (workload.Spec, string, error) {
 	opt := w.Options
 	prof, ok := workload.ProfileByName(opt.Workload)
 	if !ok {
-		return workload.Spec{}, "", 0, fmt.Errorf("study: unknown workload profile %q", opt.Workload)
+		return workload.Spec{}, "", fmt.Errorf("study: unknown workload profile %q", opt.Workload)
 	}
 	polName := opt.PolicyLabel()
 	if _, ok := workload.PolicyByName(polName); !ok {
-		return workload.Spec{}, "", 0, fmt.Errorf("study: unknown selection policy %q", polName)
+		return workload.Spec{}, "", fmt.Errorf("study: unknown selection policy %q", polName)
 	}
 	pool := len(w.Users)
 	if pool == 0 {
-		return workload.Spec{}, "", 0, fmt.Errorf("study: open-loop workload needs a non-empty template pool")
+		return workload.Spec{}, "", fmt.Errorf("study: open-loop workload needs a non-empty template pool")
 	}
 
 	k := opt.WorkloadIntensity
@@ -125,20 +125,15 @@ func (w *World) resolveWorkloadSpec() (workload.Spec, string, int64, error) {
 	sessDur := time.Duration(meanClips * float64(sessionClipCycle))
 	rate := k * 0.4 * float64(pool) / sessDur.Seconds()
 	if !(rate > 0) || math.IsInf(rate, 1) {
-		return workload.Spec{}, "", 0, fmt.Errorf("study: workload calibration produced a degenerate arrival rate %v (pool %d, intensity %g)", rate, pool, k)
+		return workload.Spec{}, "", fmt.Errorf("study: workload calibration produced a degenerate arrival rate %v (pool %d, intensity %g)", rate, pool, k)
 	}
 	horizon := time.Duration(float64(opt.Arrivals) / rate * float64(time.Second))
 	spec := prof.Build(rate, horizon)
 	spec.MaxClips = opt.ClipCap
 	if !(spec.MaxRate > 0) || math.IsInf(spec.MaxRate, 1) {
-		return workload.Spec{}, "", 0, fmt.Errorf("study: workload profile %q resolved a degenerate MaxRate %v", opt.Workload, spec.MaxRate)
+		return workload.Spec{}, "", fmt.Errorf("study: workload profile %q resolved a degenerate MaxRate %v", opt.Workload, spec.MaxRate)
 	}
-
-	seed := opt.WorkloadSeed
-	if seed == 0 {
-		seed = opt.Seed + 5
-	}
-	return spec, polName, seed, nil
+	return spec, polName, nil
 }
 
 // policyInstance builds a fresh selection-policy instance, mapping pinned

@@ -48,19 +48,18 @@ const cellBlockSize = 8
 // by exactly 1 and apportions the whole budget to the one cell, so its draw
 // stream is the one the single-cell engine always drew.
 func (w *World) buildCells() ([]*arrivalCell, error) {
-	spec, polName, seed, err := w.resolveWorkloadSpec()
+	spec, polName, err := w.resolveWorkloadSpec()
 	if err != nil {
 		return nil, err
 	}
 	pool := len(w.Users)
 	var memberSets [][]int
-	stride := int64(100003) // cell ci draws from seed + stride·(ci+1)
 	if w.fab == nil {
 		whole := make([]int, pool)
 		for i := range whole {
 			whole[i] = i
 		}
-		memberSets, stride = [][]int{whole}, 0
+		memberSets = [][]int{whole}
 	} else {
 		groups := make(map[string][]int)
 		var order []string
@@ -87,7 +86,7 @@ func (w *World) buildCells() ([]*arrivalCell, error) {
 			ord:          ci,
 			spec:         spec.Scaled(float64(len(members)) / float64(pool)),
 			policy:       policyInstance(polName),
-			rng:          detrand.New(seed + stride*int64(ci+1)),
+			rng:          detrand.New(w.Options.cellSeed(ci, w.fab != nil)),
 			arrivalsLeft: budgets[ci],
 			members:      members,
 			busy:         make([]bool, len(members)),

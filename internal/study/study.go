@@ -9,11 +9,13 @@
 package study
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"time"
 
+	"realtracer/internal/detrand"
 	"realtracer/internal/geo"
 	"realtracer/internal/media"
 	"realtracer/internal/netsim"
@@ -97,9 +99,7 @@ const (
 )
 
 func (o *Options) fill() {
-	if o.CongestionScale == 0 {
-		o.CongestionScale = 1
-	}
+	o.CongestionScale = cmp.Or(o.CongestionScale, 1)
 	if o.OpenLoop() && o.Arrivals == 0 {
 		o.Arrivals = 2 * o.pool()
 	}
@@ -127,18 +127,74 @@ func (o Options) PolicyLabel() string {
 	if !o.OpenLoop() {
 		return ""
 	}
-	if o.Selection == "" {
-		return workload.PinnedName
-	}
-	return o.Selection
+	return cmp.Or(o.Selection, workload.PinnedName)
 }
 
+// The seed table. Every stream a world runs on is seeded here, by purpose,
+// and nowhere else: a run is a function of its options, and these methods
+// are where that function starts. The fork label names the stream in a
+// named fork (checkpoint.go), which restarts it at a seed derived from the
+// label; a stream without one is drawn only while the world is built.
+//
+//	purpose                   seed                            fork label
+//	master stream             Seed, drawn up front            —
+//	population                Seed+1                          —
+//	network                   Seed+3                          "net"
+//	dynamics schedule         DynamicsSeed, or Seed+4         "dynamics"
+//	workload                  WorkloadSeed, or Seed+5         —
+//	arrival cell ci           workload (classic engine), or   "arrivals"
+//	                          workload+cellStride·(ci+1)
+//	clip library of site si   Seed+100+si                     —
+//	server of site si         master draw                     "server:HOST"
+//	panel user u              master draw                     "user:NAME"
+//
+// Seed+2 is unused: routes are hashed, not drawn. An open-loop session's
+// stream is reseeded per launch from its cell's stream (launchSession), and
+// netsim derives each fabric path's stream from the network seed and the
+// pair's host IDs.
+
+// cellStride spaces the arrival cells' seeds on a fabric.
+const cellStride = 100003
+
+// PopulationSeed is the seed the user population is drawn from.
+func (o Options) PopulationSeed() int64 { return o.Seed + 1 }
+
+// networkSeed seeds the network's stream and a fabric's path streams.
+func (o Options) networkSeed() int64 { return o.Seed + 3 }
+
 // dynamicsSeed is the seed the dynamics schedule's own randomness runs on.
-func (o Options) dynamicsSeed() int64 {
-	if o.DynamicsSeed != 0 {
-		return o.DynamicsSeed
+func (o Options) dynamicsSeed() int64 { return cmp.Or(o.DynamicsSeed, o.Seed+4) }
+
+// cellSeed is arrival cell ci's seed: the workload seed itself for the
+// classic engine's one cell, spaced by cellStride on a fabric.
+func (o Options) cellSeed(ci int, sharded bool) int64 {
+	seed := cmp.Or(o.WorkloadSeed, o.Seed+5)
+	if sharded {
+		seed += cellStride * int64(ci+1)
 	}
-	return o.Seed + 4
+	return seed
+}
+
+// librarySeed is the clip library seed of site si (an index into sites).
+func (o Options) librarySeed(si int) int64 { return o.Seed + 100 + int64(si) }
+
+// masterSeeds draws the master stream up front, in the order the build
+// always drew it: one seed per active site in site order, then one per
+// panel user. Site si's server runs on sites[si] (0 for a site that serves
+// no clips), panel user u on panel[u]; an open-loop world has no panel.
+func (o Options) masterSeeds(sites []geo.ServerSite) (siteSeeds, panel []int64) {
+	n := len(sites)
+	if !o.OpenLoop() {
+		n += o.pool()
+	}
+	master := detrand.Plain(o.Seed)
+	seeds := make([]int64, n)
+	for i := range seeds {
+		if i >= len(sites) || sites[i].Clips > 0 {
+			seeds[i] = master.Int63()
+		}
+	}
+	return seeds[:len(sites)], seeds[len(sites):]
 }
 
 // validate rejects options that would silently build an empty or nonsense

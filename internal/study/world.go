@@ -2,7 +2,6 @@ package study
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"time"
 
@@ -89,7 +88,7 @@ type World struct {
 	//   - the record merge and Result.Windows (Run): per-shard buffers
 	//     sorted into the sink, the fabric's window counters reported;
 	//   - the RunUntil refusal: a sharded world cannot be partially driven
-	//     yet (ROADMAP item 3b). Checkpoint has no test of its own: the
+	//     yet (ROADMAP item 3). Checkpoint has no test of its own: the
 	//     network's walk refuses a sharded world.
 	fab *netsim.Fabric
 	// factories holds one SessionFactory per shard; the classic world's
@@ -147,30 +146,21 @@ func NewWorld(opt Options) (*World, error) {
 		Sites:   geo.Sites(),
 		sink:    &trace.Collector{},
 	}
-	masterRNG := rand.New(rand.NewSource(opt.Seed))
+	// Up to the paper's 63 participants, a prefix of its panel; past them, a
+	// proportionally apportioned population at the requested size.
+	w.Users = geo.PopulationN(opt.PopulationSeed(), max(opt.pool(), geo.PopulationSize))[:opt.pool()]
 
-	if opt.MaxUsers > geo.PopulationSize {
-		// Scale past the paper's 63-participant panel: a proportionally
-		// apportioned population at the requested size.
-		w.Users = geo.PopulationN(opt.Seed+1, opt.MaxUsers)
-	} else {
-		w.Users = geo.Population(opt.Seed + 1)
-		if opt.MaxUsers > 0 && opt.MaxUsers < len(w.Users) {
-			w.Users = w.Users[:opt.MaxUsers]
-		}
-	}
-
-	routes := geo.NewRouteTable(w.Sites, w.Users, opt.Seed+2)
+	routes := geo.NewRouteTable(w.Sites, w.Users)
 	routes.CongestionScale = opt.CongestionScale
 
 	if opt.Shards > 0 {
-		w.fab = netsim.NewFabric(opt.Shards, routes, opt.Seed+3)
+		w.fab = netsim.NewFabric(opt.Shards, routes, opt.networkSeed())
 		for s := 0; s < opt.Shards; s++ {
 			w.addFactory(w.fab.Clock(s), w.fab.Net(s), &trace.Collector{})
 		}
 	} else {
 		clock := simclock.New()
-		w.addFactory(clock, netsim.New(clock, routes, opt.Seed+3), nil)
+		w.addFactory(clock, netsim.New(clock, routes, opt.networkSeed()), nil)
 	}
 	w.Clock, w.Net = w.factories[0].clock, w.factories[0].net
 	if w.fab == nil {
@@ -179,7 +169,8 @@ func NewWorld(opt Options) (*World, error) {
 		}
 	}
 
-	plans, err := w.planServers(masterRNG)
+	siteSeeds, userSeeds := opt.masterSeeds(w.Sites)
+	plans, err := w.planServers(siteSeeds)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +193,7 @@ func NewWorld(opt Options) (*World, error) {
 		w.startLoadGossip()
 	}
 	if w.open == nil {
-		w.launchUsers(masterRNG)
+		w.launchUsers(userSeeds)
 	} else {
 		for _, c := range w.open.cells {
 			c.scheduleArrival()
@@ -261,7 +252,7 @@ func (w *World) freeze() error {
 }
 
 // sitePlan is one active site's build-time plan: its generated library and
-// the master-RNG seed its server will run on.
+// the seed its server will run on.
 type sitePlan struct {
 	site geo.ServerSite
 	lib  *media.Library
@@ -269,14 +260,12 @@ type sitePlan struct {
 }
 
 // planServers walks the site list in order, attaches each active site's
-// host, generates its clip library and assembles the playlist. The
-// masterRNG draw order — one Int63 per active site — is identical in every
-// mode, which is what keeps panel worlds byte-identical and sharded worlds
-// partition-invariant. In a sharded world the host is interned into the
+// host, generates its clip library and assembles the playlist; site si's
+// server runs on seeds[si]. In a sharded world the host is interned into the
 // site's owning shard; the servers themselves start only after Freeze
 // (startServers), because their transport stacks must bind to the shared
 // frozen tables.
-func (w *World) planServers(masterRNG *rand.Rand) ([]sitePlan, error) {
+func (w *World) planServers(seeds []int64) ([]sitePlan, error) {
 	opt := w.Options
 	serverAccess := netsim.DefaultAccessProfile(netsim.AccessServer)
 	serverAccess.UpKbps = serverUplinkKbps
@@ -294,8 +283,8 @@ func (w *World) planServers(masterRNG *rand.Rand) ([]sitePlan, error) {
 		} else {
 			w.Net.AddHost(cfg)
 		}
-		lib := media.GenerateLibrary(site.Host, site.Clips, opt.Seed+100+int64(si))
-		plans = append(plans, sitePlan{site: site, lib: lib, seed: masterRNG.Int63()})
+		lib := media.GenerateLibrary(site.Host, site.Clips, opt.librarySeed(si))
+		plans = append(plans, sitePlan{site: site, lib: lib, seed: seeds[si]})
 		ctrl := site.Host + ":" + strconv.Itoa(session.ControlPort)
 		for _, clip := range lib.Clips {
 			w.Playlist = append(w.Playlist, tracer.Entry{URL: clip.URL, ControlAddr: ctrl, Site: site})
@@ -350,15 +339,14 @@ func (w *World) startServers(plans []sitePlan) error {
 
 // launchUsers schedules the closed-loop panel: every user's RealTracer
 // run, staggered across the window — the paper's fixed 63-user campaign.
-// It is a thin driver over the SessionFactory; the byte-identical rule
-// pins its RNG draw order (one Int63 per user, then the modem and stagger
-// draws from the user's own RNG).
-func (w *World) launchUsers(masterRNG *rand.Rand) {
+// It is a thin driver over the SessionFactory: user u runs on seeds[u], and
+// the byte-identical rule pins the modem and stagger draws from that stream.
+func (w *World) launchUsers(seeds []int64) {
 	opt := w.Options
 	f := w.factories[0]
 	w.remaining = len(w.Users)
-	for _, u := range w.Users {
-		userRNG := detrand.New(masterRNG.Int63())
+	for ui, u := range w.Users {
+		userRNG := detrand.New(seeds[ui])
 		f.attach(u, userRNG.Rand)
 		n := u.ClipsToPlay
 		if opt.ClipCap > 0 && n > opt.ClipCap {

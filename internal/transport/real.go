@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -90,15 +91,19 @@ func (s *liveSock) post(from net.Addr, frame []byte) {
 	})
 }
 
-// readDatagrams posts every datagram pc reads until it is closed.
+// readDatagrams posts every datagram pc reads until it is closed. Any other
+// read error leaves the socket usable: on Linux a connected socket reports
+// an ICMP port-unreachable for an earlier datagram as ECONNREFUSED, and the
+// peer may bind the port later.
 func (s *liveSock) readDatagrams(pc net.PacketConn) {
 	buf := make([]byte, 64*1024)
 	for {
 		n, from, err := pc.ReadFrom(buf)
-		if err != nil {
+		if err == nil {
+			s.post(from, buf[:n])
+		} else if errors.Is(err, net.ErrClosed) {
 			return
 		}
-		s.post(from, buf[:n])
 	}
 }
 

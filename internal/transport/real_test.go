@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -163,6 +164,76 @@ func TestRealUDPEndToEnd(t *testing.T) {
 	}
 	if conn.Protocol() != UDP {
 		t.Fatal("protocol label wrong")
+	}
+}
+
+// TestRealUDPConnReceivesAfterRefusal: a datagram sent before the server
+// binds its port comes back as an ICMP port-unreachable, which a connected
+// socket's next read reports as an error. The conn must keep reading, so
+// the reply to a datagram sent once the port is bound still arrives.
+func TestRealUDPConnReceivesAfterRefusal(t *testing.T) {
+	loop := simclock.NewLoop(simclock.New())
+	stop := runLoop(loop)
+	defer stop()
+
+	spare, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := spare.LocalAddr().String()
+	spare.Close()
+
+	conn, err := DialRealUDP(addr, byteCodec{}, loop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The receivers run on the loop and must never block it, or stop would
+	// wait forever: each keeps the first value and drops the rest.
+	replies, pings := make(chan string, 1), make(chan string, 1)
+	conn.SetReceiver(func(payload any, _ int) {
+		select {
+		case replies <- payload.(string):
+		default:
+		}
+	})
+	if err := conn.Send("early", 0); err != nil {
+		t.Fatal(err)
+	}
+	// No event marks the refusal's arrival at the blocked reader; binding
+	// before it arrives would let the test pass without exercising it.
+	time.Sleep(100 * time.Millisecond)
+
+	port, err := ListenRealUDP(addr, byteCodec{}, loop, func(from string, _ any, _ int) {
+		select {
+		case pings <- from:
+		default:
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer port.Close()
+	tick := time.NewTicker(50 * time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(time.Second)
+	conn.Send("ping", 0)
+	for {
+		select {
+		case from := <-pings:
+			if err := port.ConnFor(from).Send("pong", 0); err != nil {
+				t.Fatal(err)
+			}
+		case reply := <-replies:
+			if reply != "pong" {
+				t.Fatalf("reply=%q", reply)
+			}
+			return
+		case <-tick.C:
+			conn.Send("ping", 0) // a send may itself report the pending refusal
+		case <-deadline:
+			t.Fatal("no reply within 1 s: the conn stopped reading after the refusal")
+		}
 	}
 }
 
