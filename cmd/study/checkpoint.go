@@ -15,45 +15,6 @@ import (
 // own options to completion; the record stream is byte-identical to the
 // straight-through run that wrote it.
 
-// checkpointFlagError validates the checkpoint/resume flag cluster against
-// the rest of the command line, mirroring the dependent-flag rule: a flag
-// that positions or overrides another is a hard error without its
-// governing flag, never a silent no-op. Returns "" when the combination is
-// legal.
-func checkpointFlagError(set map[string]bool) string {
-	if set["warmup"] && !set["checkpoint"] {
-		return "-warmup positions the snapshot instant of a checkpoint run; give -checkpoint FILE"
-	}
-	if set["checkpoint"] && !set["warmup"] {
-		return "-checkpoint needs its snapshot instant; give -warmup DUR (e.g. -warmup 10m of simulated time)"
-	}
-	if set["checkpoint"] && set["resume"] {
-		return "-checkpoint and -resume are incompatible: one run either writes a snapshot or replays one"
-	}
-	if set["resume"] {
-		// The snapshot carries its own Options (version-stamped by hash);
-		// a world-shaping flag alongside -resume would silently disagree
-		// with them.
-		for _, dep := range []string{"seed", "users", "clips", "dynamics", "intensity", "workload", "load", "arrivals", "selection", "shards"} {
-			if set[dep] {
-				return fmt.Sprintf("-%s would override the snapshot's own options; -resume replays them exactly (fork via the campaign API instead)", dep)
-			}
-		}
-		if set["sweep"] {
-			return "-resume is incompatible with -sweep: a snapshot replays one full study world"
-		}
-	}
-	if set["checkpoint"] {
-		if set["shards"] {
-			return "-checkpoint cannot snapshot a sharded world; drop -shards"
-		}
-		if set["sweep"] {
-			return "-checkpoint is incompatible with -sweep: a snapshot captures one full study world"
-		}
-	}
-	return ""
-}
-
 // writeCheckpoint drives w to the warm-up instant and writes its snapshot
 // to file; the caller then continues the same world to completion.
 func writeCheckpoint(w *study.World, file string, warmup time.Duration) error {
@@ -74,21 +35,24 @@ func writeCheckpoint(w *study.World, file string, warmup time.Duration) error {
 	return nil
 }
 
-// world builds the run's world: fresh from its options, or — with resume
-// set — replayed from a snapshot file under the options it was
-// checkpointed with.
-func (r studyRun) world() (*study.World, error) {
-	if r.resume == "" {
-		return study.NewWorld(r.opts)
+// world builds the run's world: fresh from the options, or — with -resume
+// — replayed from a snapshot file under the options it was checkpointed
+// with.
+func (o *options) world() (*study.World, error) {
+	if o.resume == "" {
+		return study.NewWorld(study.Options{Seed: o.seed, MaxUsers: o.users, ClipCap: o.clips,
+			Dynamics: o.dynamics, DynamicsIntensity: o.intensity,
+			Workload: o.workload, WorkloadIntensity: o.load,
+			Arrivals: o.arrivals, Selection: o.selection, Shards: o.shards})
 	}
-	f, err := os.Open(r.resume)
+	f, err := os.Open(o.resume)
 	if err != nil {
 		return nil, fmt.Errorf("study: %w", err)
 	}
 	defer f.Close()
 	w, err := study.Resume(f, nil)
 	if err != nil {
-		return nil, fmt.Errorf("study: resume %s: %w", r.resume, err)
+		return nil, fmt.Errorf("study: resume %s: %w", o.resume, err)
 	}
 	return w, nil
 }

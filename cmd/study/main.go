@@ -4,22 +4,24 @@
 // Usage:
 //
 //	study [-seed N] [-users N] [-clips N] [-out trace.csv]
-//	      [-json trace.json] [-figure figNN | -figures] [-sites] [-timeline]
+//	      [-json trace.json] [-figure figNN | -figures] [-sites]
 //	      [-sweep NAME|list] [-parallel N] [-dynamics NAME|list] [-intensity K]
 //	      [-workload NAME|list] [-load K] [-arrivals N] [-selection NAME|list]
 //	      [-shards N] [-checkpoint FILE -warmup DUR] [-resume FILE]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // With no figure flags it prints the campaign's headline numbers. -figure
-// regenerates one figure; -figures all of them; -timeline runs the single-
-// session Figure-1 experiment; -sites prints the server/user geography
+// regenerates one figure (fig01 runs the single-session Figure-1
+// experiment); -figures all of them; -sites prints the server/user geography
 // (the stand-in for the paper's map Figures 3 and 4). -sweep runs a named
 // multi-scenario campaign (seed replicas or an ablation) through the
 // parallel campaign engine; -parallel bounds its worker pool (0 = all
-// cores). `-sweep list` enumerates the registered sweeps. None of these
-// four modes builds the study world the other flags describe, so an output,
-// figure, snapshot or world-shaping flag a mode does not read is an error,
-// as is an unknown -figure; both are caught before anything runs.
+// cores). `list` as the value of -sweep, -dynamics, -workload or -selection
+// enumerates that catalog. Each of these is a mode, and one table (modes)
+// names the flags each mode reads and the flag each dependent flag needs: a
+// flag the chosen mode does not read, a dependent flag alone and an unknown
+// -figure or -sweep are each one `study: …` line, caught before anything
+// runs.
 //
 // There is one record pipeline. Every record leaves the world through its
 // sink, and the sink here is a mergeable figure-aggregate build (plus, with
@@ -36,10 +38,9 @@
 //
 // -dynamics applies a named network-dynamics profile (time-varying weather:
 // outages, flash crowds, loss bursts, diurnal cycles, route flaps) to the
-// simulated Internet; -intensity scales it. `-dynamics list` enumerates the
-// catalog. The fault-injection sweep families (outage, flashcrowd,
-// lossburst, diurnal) run the same profiles across intensity levels against
-// a dynamics-off control arm via -sweep.
+// simulated Internet; -intensity scales it. The fault-injection sweep
+// families (outage, flashcrowd, lossburst, diurnal) run the same profiles
+// across intensity levels against a dynamics-off control arm via -sweep.
 //
 // -workload switches the study from the paper's closed-loop panel (every
 // user pre-scheduled, the default) to an open-loop session engine: sessions
@@ -86,8 +87,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -105,59 +108,179 @@ import (
 	"realtracer/internal/workload"
 )
 
-func main() {
-	seed := flag.Int64("seed", 1, "study random seed (one seed = one reproducible campaign)")
-	users := flag.Int("users", 0, "number of users (0 = the paper's 63; above 63 scales the population proportionally)")
-	clips := flag.Int("clips", 0, "limit clips per user (0 = each user's own playlist progress)")
-	out := flag.String("out", "", "write the trace as CSV to this file, streamed as clips complete")
-	jsonOut := flag.String("json", "", "write the trace as JSON to this file (retains every record until the run ends)")
-	figure := flag.String("figure", "", "regenerate one figure (fig01..fig28)")
-	figuresAll := flag.Bool("figures", false, "regenerate every figure")
-	sites := flag.Bool("sites", false, "print server sites and user population, then exit")
-	timeline := flag.Bool("timeline", false, "run the Figure-1 single-session timeline, then exit")
-	sweep := flag.String("sweep", "", "run a named campaign sweep over a reduced 14-user/8-clip base study at calibration seed 9 (\"list\" to enumerate; -seed/-users/-clips resize the base)")
-	parallel := flag.Int("parallel", 0, "campaign worker pool size (0 = all cores)")
-	dynamics := flag.String("dynamics", "", "apply a named network-dynamics profile to the run (\"list\" to enumerate the catalog)")
-	intensity := flag.Float64("intensity", 0, "dynamics profile intensity (0 = the calibrated 1x); requires -dynamics")
-	workloadName := flag.String("workload", "", "run the study open-loop under a named arrival-process profile (\"list\" to enumerate the catalog; default: the closed-loop panel)")
-	load := flag.Float64("load", 0, "open-loop arrival intensity (0 = the calibrated 1x); requires -workload")
-	arrivals := flag.Int("arrivals", 0, "open-loop session budget (0 = twice the template pool); requires -workload")
-	selection := flag.String("selection", "", "open-loop server-selection policy: pinned, rtt, roundrobin, leastloaded (\"list\" to enumerate); requires -workload")
-	shards := flag.Int("shards", 0, "partition the world across N cores under conservative-lookahead synchronization (0 = classic single-threaded engine; output is byte-identical for every N); requires -workload")
-	checkpointFile := flag.String("checkpoint", "", "snapshot the warm world to this file at the -warmup instant, then continue to completion; requires -warmup")
-	resumeFile := flag.String("resume", "", "replay a -checkpoint snapshot to completion under its own options (incompatible with world-shaping flags)")
-	warmup := flag.Duration("warmup", 0, "simulated-time instant at which -checkpoint snapshots the world (e.g. 10m); requires -checkpoint")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof); the run then records every allocation (runtime.MemProfileRate = 1), so it is exact but for pointer-free objects under 16 bytes (one per tiny-allocator block), and slower")
-	flag.Parse()
+// options holds the command's flags, and in given the ones the command line
+// set (name → value).
+type options struct {
+	given                                                 map[string]string
+	seed                                                  int64
+	users, clips, parallel, arrivals, shards              int
+	out, jsonOut, figure, sweep, dynamics, workload       string
+	selection, checkpoint, resume, cpuprofile, memprofile string
+	figures, sites                                        bool
+	intensity, load                                       float64
+	warmup                                                time.Duration
+}
 
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// A dependent flag without its governing flag is a hard error, not a
-	// silent no-op: -intensity scales a dynamics profile, and the
-	// open-loop knobs parameterize a workload. ("list" requests pass —
-	// they only enumerate a catalog.)
-	if set["intensity"] && !set["dynamics"] {
-		fatalf("-intensity scales a dynamics profile; give -dynamics NAME (or -dynamics list)")
+// parse defines the command's flags on fs, parses args and checks the flags
+// given against the table, before anything runs.
+func parse(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{given: map[string]string{}}
+	fs.Int64Var(&o.seed, "seed", 1, "study random seed (one seed = one reproducible campaign)")
+	fs.IntVar(&o.users, "users", 0, "number of users (0 = the paper's 63; above 63 scales the population proportionally)")
+	fs.IntVar(&o.clips, "clips", 0, "limit clips per user (0 = each user's own playlist progress)")
+	fs.StringVar(&o.out, "out", "", "write the trace as CSV to this file, streamed as clips complete")
+	fs.StringVar(&o.jsonOut, "json", "", "write the trace as JSON to this file (retains every record until the run ends)")
+	fs.StringVar(&o.figure, "figure", "", "regenerate one figure (fig01..fig28; fig01 runs the single-session timeline)")
+	fs.BoolVar(&o.figures, "figures", false, "regenerate every figure")
+	fs.BoolVar(&o.sites, "sites", false, "print server sites and user population, then exit")
+	fs.StringVar(&o.sweep, "sweep", "", "run a named campaign sweep over a reduced 14-user/8-clip base study at calibration seed 9 (\"list\" to enumerate; -seed/-users/-clips resize the base)")
+	fs.IntVar(&o.parallel, "parallel", 0, "campaign worker pool size (0 = all cores); requires -sweep")
+	fs.StringVar(&o.dynamics, "dynamics", "", "apply a named network-dynamics profile to the run (\"list\" to enumerate the catalog)")
+	fs.Float64Var(&o.intensity, "intensity", 0, "dynamics profile intensity (0 = the calibrated 1x); requires -dynamics")
+	fs.StringVar(&o.workload, "workload", "", "run the study open-loop under a named arrival-process profile (\"list\" to enumerate the catalog; default: the closed-loop panel)")
+	fs.Float64Var(&o.load, "load", 0, "open-loop arrival intensity (0 = the calibrated 1x); requires -workload")
+	fs.IntVar(&o.arrivals, "arrivals", 0, "open-loop session budget (0 = twice the template pool); requires -workload")
+	fs.StringVar(&o.selection, "selection", "", "open-loop server-selection policy: pinned, rtt, roundrobin, leastloaded (\"list\" to enumerate); requires -workload")
+	fs.IntVar(&o.shards, "shards", 0, "partition the world across N cores under conservative-lookahead synchronization (0 = classic single-threaded engine; output is byte-identical for every N); requires -workload")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "snapshot the warm world to this file at the -warmup instant, then continue to completion; requires -warmup")
+	fs.StringVar(&o.resume, "resume", "", "replay a -checkpoint snapshot to completion under its own options (incompatible with world-shaping flags)")
+	fs.DurationVar(&o.warmup, "warmup", 0, "simulated-time instant at which -checkpoint snapshots the world (e.g. 10m); requires -checkpoint")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation profile at exit to this file (go tool pprof); the run then records every allocation (runtime.MemProfileRate = 1), so it is exact but for pointer-free objects under 16 bytes (one per tiny-allocator block), and slower")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	if *workloadName == "" && *selection != "list" {
-		for _, dep := range []string{"selection", "load", "arrivals", "shards"} {
-			if set[dep] {
-				fatalf("-%s configures the open-loop engine; give -workload NAME (or -workload list)", dep)
+	fs.Visit(func(f *flag.Flag) { o.given[f.Name] = f.Value.String() })
+	if msg := flagError(o.given); msg != "" {
+		return nil, errors.New("study: " + msg)
+	}
+	return o, nil
+}
+
+// A mode is one thing the command does. key names the flags that select it,
+// each as NAME or NAME=VALUE ("" selects the study run); reads names the
+// flags it reads besides those and the profile flags every mode reads; run
+// does it.
+type mode struct {
+	key, does, reads string
+	run              func(*options)
+}
+
+// modes is the command's one flag table, most specific mode first.
+var modes = []mode{
+	{"sites=true", "-sites prints the geography of -seed", "seed", printSites},
+	{"dynamics=list", "-dynamics list prints the dynamics catalog", "", func(*options) {
+		fmt.Println("network-dynamics profiles:")
+		for _, p := range study.DynamicsProfiles() {
+			fmt.Printf("  %-12s %s\n", p.Name, p.Description)
+		}
+	}},
+	{"workload=list", "-workload list prints the workload catalog", "", func(*options) {
+		fmt.Println("workload profiles:")
+		for _, p := range workload.Profiles() {
+			fmt.Printf("  %-12s %s\n", p.Name, p.Description)
+		}
+	}},
+	{"selection=list", "-selection list prints the selection policies", "", func(*options) {
+		fmt.Println("server-selection policies (open-loop only):")
+		for _, name := range workload.PolicyNames() {
+			fmt.Printf("  %s\n", name)
+		}
+	}},
+	{"sweep=list", "-sweep list prints the registered sweeps", "", func(*options) {
+		fmt.Println("registered sweeps:")
+		for _, sw := range campaign.Sweeps() {
+			fmt.Printf("  %-12s %s\n", sw.Name, sw.Description)
+		}
+	}},
+	{"figure=fig01", "-figure fig01 runs the Figure-1 session at -seed", "seed", func(o *options) {
+		fig, st, err := core.Fig01Timeline(o.seed)
+		if err != nil {
+			fatalf("fig01: %v", err)
+		}
+		fig.Render(os.Stdout)
+		for _, pt := range st.Timeline {
+			fmt.Printf("t=%5.1fs bandwidth=%7.1fKbps fps=%4.1f\n", pt.T.Seconds(), pt.Kbps, pt.FPS)
+		}
+	}},
+	{"sweep", "-sweep runs its own scenarios over -seed, -users and -clips", "seed users clips parallel", runSweep},
+	{"resume", "-resume replays the snapshot's own options", "out json figure figures", runStudy},
+	{"checkpoint warmup", "-checkpoint snapshots an unsharded study world", "seed users clips out json figure figures dynamics intensity workload load arrivals selection", runStudy},
+	{"", "the study run", "seed users clips out json figure figures dynamics intensity workload load arrivals selection shards", runStudy},
+}
+
+// everyMode names the flags every mode reads.
+const everyMode = "cpuprofile memprofile"
+
+// needs maps each dependent flag to the flag it needs beside it (with the
+// value to give it) and what it does.
+var needs = map[string][2]string{
+	"intensity":  {"dynamics NAME", "scales a dynamics profile"},
+	"load":       {"workload NAME", "configures the open-loop engine"},
+	"arrivals":   {"workload NAME", "configures the open-loop engine"},
+	"selection":  {"workload NAME", "configures the open-loop engine"},
+	"shards":     {"workload NAME", "configures the open-loop engine"},
+	"warmup":     {"checkpoint FILE", "positions the snapshot instant of a checkpoint run"},
+	"checkpoint": {"warmup DUR", "needs its snapshot instant (e.g. -warmup 10m of simulated time)"},
+}
+
+// modeOf returns the mode the given flags (name → value) select.
+func modeOf(given map[string]string) mode {
+	for _, m := range modes {
+		for _, k := range strings.Fields(m.key) {
+			name, value, byValue := strings.Cut(k, "=")
+			if v, ok := given[name]; ok && (!byValue || v == value) {
+				return m
 			}
 		}
 	}
-	if msg := checkpointFlagError(set); msg != "" {
-		fatalf("study: %s", msg)
+	return modes[len(modes)-1]
+}
+
+// flagError checks the given flags (name → value) against the table before
+// anything runs. It returns the one-line refusal for an unknown -figure or
+// -sweep, a flag the selected mode does not read or a dependent flag
+// without the flag it needs, in that order and the flags in name order, and
+// "" when the mode reads every flag given.
+func flagError(given map[string]string) string {
+	if f, ok := given["figure"]; ok {
+		if _, known := figures.ByID(f); !known && f != "fig01" {
+			return fmt.Sprintf("unknown figure %q (fig01..fig28; -figures renders them all)", f)
+		}
 	}
-	if msg := modeFlagError(set, *figure); msg != "" {
-		fatalf("study: %s", msg)
+	if sw, ok := given["sweep"]; ok {
+		if _, known := campaign.SweepByName(sw); !known && sw != "list" {
+			return fmt.Sprintf("unknown sweep %q (try -sweep list)", sw)
+		}
+	}
+	m := modeOf(given)
+	reads := strings.Fields(m.key + " " + m.reads + " " + everyMode)
+	names := slices.Sorted(maps.Keys(given))
+	for _, f := range names {
+		if !slices.ContainsFunc(reads, func(r string) bool { return r == f || strings.HasPrefix(r, f+"=") }) {
+			return fmt.Sprintf("%s, so it would ignore -%s; drop it", m.does, f)
+		}
+	}
+	for _, f := range names {
+		need, ok := needs[f]
+		gov, _, _ := strings.Cut(need[0], " ")
+		if ok && m.key != f+"="+given[f] && !slices.Contains(names, gov) { // a list request needs nothing
+			return fmt.Sprintf("-%s %s; give -%s", f, need[1], need[0])
+		}
+	}
+	return ""
+}
+
+func main() {
+	o, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fatalf("%v", err)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
-			fatalf("create %s: %v", *cpuprofile, err)
+			fatalf("create %s: %v", o.cpuprofile, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fatalf("cpuprofile: %v", err)
@@ -167,15 +290,15 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		// Exact, and set before any world is built: at the default one sample
 		// per 512 KiB, alloc_objects on a run of a few hundred thousand small
 		// objects misattributes by an order of magnitude.
 		runtime.MemProfileRate = 1
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
-				fatalf("create %s: %v", *memprofile, err)
+				fatalf("create %s: %v", o.memprofile, err)
 			}
 			runtime.GC() // up-to-date allocation statistics
 			if err := pprof.WriteHeapProfile(f); err != nil {
@@ -185,70 +308,21 @@ func main() {
 		}()
 	}
 
-	if *sites {
-		printSites(*seed)
-		return
-	}
-	if *dynamics == "list" {
-		fmt.Println("network-dynamics profiles:")
-		for _, p := range study.DynamicsProfiles() {
-			fmt.Printf("  %-12s %s\n", p.Name, p.Description)
-		}
-		return
-	}
-	if *workloadName == "list" {
-		fmt.Println("workload profiles:")
-		for _, p := range workload.Profiles() {
-			fmt.Printf("  %-12s %s\n", p.Name, p.Description)
-		}
-		return
-	}
-	if *selection == "list" {
-		fmt.Println("server-selection policies (open-loop only):")
-		for _, name := range workload.PolicyNames() {
-			fmt.Printf("  %s\n", name)
-		}
-		return
-	}
-	if *sweep != "" {
-		// Unless -seed was given explicitly, sweeps run at the seed-9
-		// calibration base the ablation benches record, not the study
-		// default of 1.
-		sweepSeed := int64(0)
-		if set["seed"] {
-			sweepSeed = *seed
-		}
-		runSweep(*sweep, sweepSeed, *users, *clips, *parallel)
-		return
-	}
-	if *timeline || *figure == "fig01" {
-		fig, st, err := core.Fig01Timeline(*seed)
-		if err != nil {
-			fatalf("fig01: %v", err)
-		}
-		fig.Render(os.Stdout)
-		for _, pt := range st.Timeline {
-			fmt.Printf("t=%5.1fs bandwidth=%7.1fKbps fps=%4.1f\n", pt.T.Seconds(), pt.Kbps, pt.FPS)
-		}
-		return
-	}
+	modeOf(o.given).run(o)
+}
 
-	agg, res, err := studyRun{
-		opts: study.Options{Seed: *seed, MaxUsers: *users, ClipCap: *clips,
-			Dynamics: *dynamics, DynamicsIntensity: *intensity,
-			Workload: *workloadName, WorkloadIntensity: *load,
-			Arrivals: *arrivals, Selection: *selection, Shards: *shards},
-		out: *out, jsonOut: *jsonOut,
-		checkpoint: *checkpointFile, warmup: *warmup, resume: *resumeFile,
-	}.run()
+// runStudy runs one study world, fresh, checkpointed or resumed, and prints
+// its summary or the figures asked for.
+func runStudy(o *options) {
+	agg, res, err := o.run()
 	if err != nil {
 		fatalf("%v", err)
 	}
 	switch {
-	case *figure != "":
-		g, _ := figures.ByID(*figure) // modeFlagError refused an unknown id
+	case o.figure != "":
+		g, _ := figures.ByID(o.figure) // flagError refused an unknown id
 		g.Agg(agg).Render(os.Stdout)
-	case *figuresAll:
+	case o.figures:
 		for _, g := range figures.All() {
 			g.Agg(agg).Render(os.Stdout)
 		}
@@ -257,64 +331,21 @@ func main() {
 	}
 }
 
-// modeFlagError refuses what the command would otherwise ignore: an unknown
-// -figure, caught before any world is built, and a flag beside a mode that
-// never reads it. -sites prints the geography of -seed, -timeline (or -figure
-// fig01) runs the Figure-1 session at -seed, and -sweep runs its own
-// scenarios over -seed, -users and -clips: none of them builds the study
-// world that the output, figure, snapshot and world-shaping flags describe.
-// Returns "" when the combination is legal.
-func modeFlagError(set map[string]bool, figure string) string {
-	if _, ok := figures.ByID(figure); figure != "" && figure != "fig01" && !ok {
-		return fmt.Sprintf("unknown figure %q (fig01..fig28; -figures renders them all)", figure)
-	}
-	var mode, own string
-	var reads []string
-	switch {
-	case set["sites"]:
-		mode, own = "-sites prints the geography of -seed", "sites"
-	case set["timeline"]:
-		mode, own = "-timeline runs the Figure-1 session at -seed", "timeline"
-	case figure == "fig01":
-		mode, own = "-figure fig01 runs the Figure-1 session at -seed", "figure"
-	case set["sweep"]:
-		mode, own, reads = "-sweep runs its own scenarios over -seed, -users and -clips", "sweep", []string{"users", "clips"}
-	default:
-		return ""
-	}
-	for _, f := range strings.Fields("sites timeline figure figures out json sweep checkpoint warmup resume users clips dynamics intensity workload load arrivals selection shards") {
-		if set[f] && f != own && !slices.Contains(reads, f) {
-			return fmt.Sprintf("%s, so it would ignore -%s; drop it", mode, f)
-		}
-	}
-	return ""
-}
-
-// studyRun is one single-study invocation: the world to run (built from
-// opts, or resumed from a snapshot) and where its records go.
-type studyRun struct {
-	opts       study.Options
-	out        string // CSV file, streamed as clips complete
-	jsonOut    string // JSON file, written after the run
-	checkpoint string // snapshot file, written at the warmup instant
-	warmup     time.Duration
-	resume     string // snapshot file to replay instead of building from opts
-}
-
-// run executes the study through the one record pipeline: every record
-// flows into a figure-aggregate build and, with out set, a streaming CSV
-// writer. The world streams straight into those sinks and retains nothing —
-// unless the record set itself is needed (jsonOut writes it; a checkpoint
-// snapshot carries the prefix's records so that a resume can reproduce the
-// whole trace), in which case the world keeps its default collector and
-// the records are replayed into the sinks after the run.
-func (r studyRun) run() (*figures.Aggregates, *study.Result, error) {
+// run executes the study world the options describe (or the one -resume
+// replays) through the one record pipeline: every record flows into a
+// figure-aggregate build and, with -out, a streaming CSV writer. The world
+// streams straight into those sinks and retains nothing — unless the record
+// set itself is needed (-json writes it; a checkpoint snapshot carries the
+// prefix's records so that a resume can reproduce the whole trace), in
+// which case the world keeps its default collector and the records are
+// replayed into the sinks after the run.
+func (o *options) run() (*figures.Aggregates, *study.Result, error) {
 	agg := figures.NewAggregates()
 	sink := trace.MultiSink{agg}
 	var csvFile *os.File
 	var csvSink *trace.CSVSink
-	if r.out != "" {
-		f, err := os.Create(r.out)
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -323,17 +354,17 @@ func (r studyRun) run() (*figures.Aggregates, *study.Result, error) {
 		sink = append(sink, csvSink)
 	}
 
-	w, err := r.world()
+	w, err := o.world()
 	if err != nil {
 		return nil, nil, err
 	}
-	if r.jsonOut == "" && r.checkpoint == "" && r.resume == "" {
+	if o.jsonOut == "" && o.checkpoint == "" && o.resume == "" {
 		w.SetSink(sink)
 	} else if _, ok := w.Sink().(*trace.Collector); !ok {
-		return nil, nil, fmt.Errorf("study: resume %s: snapshot carries a %T sink, not the records -checkpoint writes", r.resume, w.Sink())
+		return nil, nil, fmt.Errorf("study: resume %s: snapshot carries a %T sink, not the records -checkpoint writes", o.resume, w.Sink())
 	}
-	if r.checkpoint != "" {
-		if err := writeCheckpoint(w, r.checkpoint, r.warmup); err != nil {
+	if o.checkpoint != "" {
+		if err := writeCheckpoint(w, o.checkpoint, o.warmup); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -349,17 +380,17 @@ func (r studyRun) run() (*figures.Aggregates, *study.Result, error) {
 		if err := closeOutput(csvFile, csvSink.Flush()); err != nil {
 			return nil, nil, err
 		}
-		fmt.Printf("wrote %d records to %s\n", csvSink.Count(), r.out)
+		fmt.Printf("wrote %d records to %s\n", csvSink.Count(), o.out)
 	}
-	if r.jsonOut != "" {
-		f, err := os.Create(r.jsonOut)
+	if o.jsonOut != "" {
+		f, err := os.Create(o.jsonOut)
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := closeOutput(f, trace.WriteJSON(f, res.Records)); err != nil {
 			return nil, nil, err
 		}
-		fmt.Printf("wrote %d records to %s\n", len(res.Records), r.jsonOut)
+		fmt.Printf("wrote %d records to %s\n", len(res.Records), o.jsonOut)
 	}
 	return agg, res, nil
 }
@@ -414,29 +445,24 @@ func printOpenLoopLine(res *study.Result) {
 // and prints a per-scenario summary plus the campaign wall-clock. Each
 // scenario aggregates in place and the partials merge deterministically in
 // input order.
-func runSweep(name string, seed int64, users, clips, workers int) {
-	if name == "list" {
-		fmt.Println("registered sweeps:")
-		for _, sw := range campaign.Sweeps() {
-			fmt.Printf("  %-12s %s\n", sw.Name, sw.Description)
-		}
-		return
+func runSweep(o *options) {
+	sw, _ := campaign.SweepByName(o.sweep) // flagError refused an unknown name
+	// Unless -seed is given, sweeps run at the seed-9 calibration base the
+	// ablation benches record, not the study default of 1.
+	base := campaign.ReducedBase(0)
+	if _, ok := o.given["seed"]; ok {
+		base = campaign.ReducedBase(o.seed)
 	}
-	sw, ok := campaign.SweepByName(name)
-	if !ok {
-		fatalf("unknown sweep %q (try -sweep list)", name)
+	if o.users != 0 {
+		base.MaxUsers = o.users
 	}
-	base := campaign.ReducedBase(seed)
-	if users != 0 {
-		base.MaxUsers = users
-	}
-	if clips != 0 {
-		base.ClipCap = clips
+	if o.clips != 0 {
+		base.ClipCap = o.clips
 	}
 	scenarios := sw.Scenarios(base)
 	fmt.Printf("sweep %s: base study %d users x %d clips (seed %d); -users/-clips resize it\n",
 		sw.Name, base.MaxUsers, base.ClipCap, base.Seed)
-	merged, sum := core.RunCampaignAggregates(scenarios, campaign.Config{Workers: workers, BaseSeed: base.Seed})
+	merged, sum := core.RunCampaignAggregates(scenarios, campaign.Config{Workers: o.parallel, BaseSeed: base.Seed})
 	for _, r := range sum.Results {
 		if r.Err != nil {
 			fmt.Printf("  %-16s FAILED: %v\n", r.Scenario.Name, r.Err)
@@ -492,13 +518,13 @@ func printRobustness(agg *figures.Aggregates) {
 	}
 }
 
-func printSites(seed int64) {
+func printSites(o *options) {
 	fmt.Println("RealServer sites (Figures 3, 8, 10):")
 	for _, s := range geo.Sites() {
 		fmt.Printf("  %-14s host=%-9s country=%-9s region=%-10s unavailability=%.0f%% clips=%d\n",
 			s.Name, s.Host, s.Country, s.Region, 100*s.Unavailability, s.Clips)
 	}
-	users := geo.Population(study.Options{Seed: seed}.PopulationSeed())
+	users := geo.Population(study.Options{Seed: o.seed}.PopulationSeed())
 	byCountry := map[string]int{}
 	for _, u := range users {
 		byCountry[u.Country]++

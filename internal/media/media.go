@@ -159,13 +159,6 @@ type FrameSource struct {
 // audioPacketInterval is how often audio packets are emitted.
 const audioPacketInterval = 250 * time.Millisecond
 
-// NewFrameSource builds a source positioned at media time zero.
-func NewFrameSource(clip *Clip, enc Encoding) *FrameSource {
-	fs := &FrameSource{}
-	fs.Reset(clip, enc)
-	return fs
-}
-
 // Reset repositions the source at media time zero for clip at enc. The
 // source holds nothing of its own but the cursor: a recycled source is
 // frame-for-frame identical to a new one.
@@ -375,15 +368,6 @@ func ladderRange(minKbps, maxKbps float64) []Encoding {
 	return surestreamLadder[lo:hi:hi]
 }
 
-// GenerateLiveClip builds a synthetic live feed: same encodings and scene
-// model as a pre-recorded clip, but flagged Live so servers pace it at
-// capture rate.
-func GenerateLiveClip(url, title string, content ContentType, dur time.Duration, minKbps, maxKbps float64, seed int64) *Clip {
-	c := GenerateClip(url, title, content, dur, minKbps, maxKbps, seed)
-	c.Live = true
-	return c
-}
-
 // Library is a set of clips hosted by one server.
 type Library struct {
 	Clips []*Clip
@@ -478,21 +462,12 @@ func GenerateLibrary(host string, n int, seed int64) *Library {
 	return NewLibrary(clips)
 }
 
-// FullMotionFPS and friends: the perceptual frame-rate thresholds the paper
-// analyzes against (Section V).
+// The perceptual frame-rate thresholds the paper analyzes against (Section
+// V).
 const (
-	FullMotionFPS    = 24.0 // 24-30 fps: continuous motion
 	SmoothFPS        = 15.0 // approximates full motion
 	MinAcceptableFPS = 3.0  // below this: a slideshow
 	VeryChoppyFPS    = 7.0
-)
-
-// JitterImperceptible and JitterUnacceptable are the paper's jitter
-// thresholds: 50 ms (below human perception for streaming) and 300 ms
-// (roughly the inter-frame time at the minimum acceptable 3 fps).
-const (
-	JitterImperceptible = 50 * time.Millisecond
-	JitterUnacceptable  = 300 * time.Millisecond
 )
 
 // Ceil is a tiny helper used by packetizers: integer ceiling division.

@@ -365,7 +365,9 @@ func TestFrameSourceMatchesReseedingSource(t *testing.T) {
 	var got FrameSource
 	var want reseedingSource
 	clips := GenerateLibrary("cnn.us", 40, 7).Clips
-	clips = append(clips, GenerateLiveClip("rtsp://cnn.us/live.rm", "live", ContentSports, 90*time.Second, 20, 350, 3))
+	live := GenerateClip("rtsp://cnn.us/live.rm", "live", ContentSports, 90*time.Second, 20, 350, 3)
+	live.Live = true
+	clips = append(clips, live)
 	for _, clip := range clips {
 		for _, enc := range clip.Encodings {
 			for _, at := range []time.Duration{0, 1, 250 * time.Millisecond, 7 * time.Second, 33333 * time.Millisecond,

@@ -279,6 +279,64 @@ func TestFabricCrossShardDelivery(t *testing.T) {
 	}
 }
 
+// pairRoutes is a RouteTable with one route per ordered pair of host names.
+type pairRoutes map[[2]string]Route
+
+func (r pairRoutes) Route(from, to string) Route { return r[[2]string{from, to}] }
+
+// TestDownlinkServesInArrivalOrder: an access link serves packets in the
+// order they reach it. Two packets go to one idle host, the later-sent one
+// on a path 270 ms shorter, so it arrives first; each finds the downlink
+// idle, so neither waits beyond its own transmission time, and both are
+// delivered. A classic arm would fail: that engine prices the downlink at
+// send time, in send order, and queues the near packet behind the far one
+// that has not arrived yet (ROADMAP item 17).
+func TestDownlinkServesInArrivalOrder(t *testing.T) {
+	modem := DefaultAccessProfile(AccessModem) // 160 ms to transmit 1,000 bytes
+	lan := DefaultAccessProfile(AccessT1LAN)
+	routes := pairRoutes{
+		{"far", "dst"}:  {OneWayDelay: 300 * time.Millisecond},
+		{"near", "dst"}: {OneWayDelay: 30 * time.Millisecond},
+	}
+	fab := NewFabric(1, routes, 42)
+	for _, h := range []HostConfig{{Name: "dst", Access: modem}, {Name: "far", Access: lan}, {Name: "near", Access: lan}} {
+		fab.AddHost(0, h)
+	}
+	fab.Freeze(25 * time.Millisecond)
+	n, clock := fab.Net(0), fab.Clock(0)
+
+	const size = 1000
+	bits := float64(size * 8)
+	got := map[any]time.Duration{}
+	n.Register("dst:1", func(p *Packet) { got[p.Payload] = clock.Now() })
+	want := map[any]time.Duration{}
+	for _, s := range []struct {
+		from string
+		at   time.Duration
+	}{{"far", 0}, {"near", time.Millisecond}} {
+		// No queue anywhere: the uplink, the route and the downlink each
+		// take the packet the moment it reaches them.
+		want[s.from] = s.at + durationFromSeconds(bits/kbpsToBitsPerSec(lan.UpKbps)) + lan.BaseDelay +
+			routes.Route(s.from, "dst").OneWayDelay +
+			durationFromSeconds(bits/kbpsToBitsPerSec(modem.DownKbps)) + modem.BaseDelay
+		clock.AtHandler(s.at, fireFunc(func(time.Duration) {
+			n.Send(leased(n, Packet{From: Addr(s.from + ":9"), To: "dst:1", Size: size, Payload: s.from}))
+		}))
+	}
+	fab.Run(nil)
+	if want["near"] >= want["far"] {
+		t.Fatalf("the near packet arrives at %v, not before the far one at %v", want["near"], want["far"])
+	}
+	for from, at := range want {
+		if got[from] != at {
+			t.Errorf("packet from %s delivered at %v, want %v: it waited on the downlink beyond its own transmission time", from, got[from], at)
+		}
+	}
+	if _, delivered, dropped := fab.Stats(); delivered != 2 || dropped != 0 {
+		t.Fatalf("delivered %d, dropped %d; want both packets delivered", delivered, dropped)
+	}
+}
+
 // fireFunc adapts a func to simclock.EventHandler for control-event tests.
 type fireFunc func(time.Duration)
 

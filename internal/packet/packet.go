@@ -54,9 +54,6 @@ func (w *Writer) Bytes16(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// String16 appends s with a 16-bit length prefix.
-func (w *Writer) String16(s string) { w.Bytes16([]byte(s)) }
-
 // zeros is a shared source of zero padding for Zeros16.
 var zeros [4096]byte
 
@@ -164,9 +161,6 @@ func (r *Reader) Bytes16() []byte {
 	n := int(r.U16())
 	return r.take(n)
 }
-
-// String16 reads a 16-bit length-prefixed string.
-func (r *Reader) String16() string { return string(r.Bytes16()) }
 
 // Raw reads n bytes without a prefix.
 func (r *Reader) Raw(n int) []byte { return r.take(n) }

@@ -59,7 +59,7 @@ func TestLiveContentDiffersFromPrerecorded(t *testing.T) {
 		CongestionVar:  0.15,
 	}
 	pre := media.GenerateClip("rtsp://srv/clip000.rm", "vod", media.ContentNews, 4*time.Minute, 20, 225, 9)
-	liveClip := media.GenerateLiveClip("rtsp://srv/clip000.rm", "live", media.ContentNews, 4*time.Minute, 20, 225, 9)
+	liveClip := liveClipOf("rtsp://srv/clip000.rm", "live", media.ContentNews, 4*time.Minute, 20, 225, 9)
 
 	vod := playClip(t, pre, route)
 	live := playClip(t, liveClip, route)
@@ -76,12 +76,20 @@ func TestLiveContentDiffersFromPrerecorded(t *testing.T) {
 	}
 }
 
+// liveClipOf generates a clip and flags it Live, so servers pace it at
+// capture rate.
+func liveClipOf(url, title string, content media.ContentType, dur time.Duration, minKbps, maxKbps float64, seed int64) *media.Clip {
+	c := media.GenerateClip(url, title, content, dur, minKbps, maxKbps, seed)
+	c.Live = true
+	return c
+}
+
 // TestLivePacingNeverRunsAhead checks the structural property: a live
 // session's data cannot arrive ahead of realtime (beyond the encoder's
 // capture buffer), while VOD bursts well ahead.
 func TestLivePacingNeverRunsAhead(t *testing.T) {
 	route := netsim.Route{OneWayDelay: 20 * time.Millisecond}
-	liveClip := media.GenerateLiveClip("rtsp://srv/clip000.rm", "live", media.ContentSports, 3*time.Minute, 20, 225, 9)
+	liveClip := liveClipOf("rtsp://srv/clip000.rm", "live", media.ContentSports, 3*time.Minute, 20, 225, 9)
 	st := playClip(t, liveClip, route)
 	// With no ahead-buffering, initial buffering must take roughly the
 	// preroll duration at 1x realtime (plus handshakes) — there is no way
@@ -98,7 +106,7 @@ func TestLivePacingNeverRunsAhead(t *testing.T) {
 }
 
 func TestLiveFlagAdvertisedInDescribe(t *testing.T) {
-	liveClip := media.GenerateLiveClip("u", "live", media.ContentNews, time.Minute, 20, 80, 1)
+	liveClip := liveClipOf("u", "live", media.ContentNews, time.Minute, 20, 80, 1)
 	d := session.DescFromClip(liveClip)
 	var got session.ClipDesc
 	if err := session.ParseClipDesc(d.Marshal(), &got); err != nil {

@@ -251,23 +251,14 @@ var (
 	ErrTooLarge    = errors.New("rdt: payload exceeds MaxPayload")
 )
 
-// Encode serializes p to wire format. Layout:
+// EncodeTo appends p's wire encoding to w. Layout:
 //
 //	magic(1) version(1) type(1) reserved(1) checksum(2) body...
 //
-// The checksum covers the body with the checksum field itself zeroed.
-func Encode(p *Packet) ([]byte, error) {
-	w := packet.NewWriter(64)
-	if err := EncodeTo(w, p); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
-}
-
-// EncodeTo appends p's wire encoding to w, allocating nothing beyond buffer
-// growth — the live-socket send path keeps one Writer per connection and
-// Resets it between packets. On error the writer is rolled back to its
-// length at entry.
+// The checksum covers the body with the checksum field itself zeroed. It
+// allocates nothing beyond buffer growth — the live-socket send path keeps
+// one Writer per connection and Resets it between packets. On error the
+// writer is rolled back to its length at entry.
 func EncodeTo(w *packet.Writer, p *Packet) (err error) {
 	base := w.Len()
 	defer func() {

@@ -36,18 +36,15 @@ func (n RealNet) ListenUDP(port int, recv func(string, any, int)) (DataPort, err
 }
 
 // DialTCP implements Net. Dialing happens on a fresh goroutine; the callback
-// is posted to the loop.
+// runs on the loop, and the conn starts reading once it has.
 func (n RealNet) DialTCP(addr string, cb func(transport.Conn, error)) string {
-	go func() {
-		c, err := transport.DialRealTCP(addr, Codec{}, n.Loop)
-		n.Loop.Post(func() {
-			if err != nil {
-				cb(nil, err)
-				return
-			}
-			cb(c, nil)
-		})
-	}()
+	transport.DialRealTCP(addr, Codec{}, n.Loop, func(c *transport.RealTCPConn, err error) {
+		if err != nil {
+			cb(nil, err) // not a typed nil *RealTCPConn
+			return
+		}
+		cb(c, nil)
+	})
 	return ""
 }
 

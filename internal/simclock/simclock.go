@@ -29,7 +29,6 @@ package simclock
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"time"
 
@@ -164,9 +163,6 @@ func (c *Clock) Fired() uint64 { return c.fired }
 // Cancelled events leave the count at Cancel time, even though their
 // tombstones are reaped from the queue structures lazily.
 func (c *Clock) Pending() int { return c.live }
-
-// FreeListLen reports the size of the event free-list, for pool tests.
-func (c *Clock) FreeListLen() int { return len(c.free) }
 
 // AtHandler schedules h.Fire at absolute virtual time t (clamped to now, so
 // an event never fires before Now). The event comes from the re-arm slot or
@@ -308,9 +304,6 @@ func (c *Clock) RunUntil(t time.Duration) {
 	}
 }
 
-// RunFor executes events within the next d of virtual time.
-func (c *Clock) RunFor(d time.Duration) { c.RunUntil(c.now + d) }
-
 // NextAt returns the timestamp of the earliest pending live event, reaping
 // cancelled events on the way. ok is false when nothing (live) is pending.
 // The shard scheduler uses it to compute the global minimum next-event time
@@ -339,9 +332,6 @@ func (c *Clock) RunBefore(h time.Duration) {
 		c.Step()
 	}
 }
-
-// MaxDuration is a run horizon that effectively means "forever".
-const MaxDuration = time.Duration(math.MaxInt64)
 
 // --- tick ring and far heap ---
 //

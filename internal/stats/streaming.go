@@ -217,9 +217,6 @@ func (s *Sketch) Min() float64 { return s.min }
 // Max returns the largest sample (0 when empty).
 func (s *Sketch) Max() float64 { return s.max }
 
-// IsExact reports whether the sketch still holds its raw sample.
-func (s *Sketch) IsExact() bool { return !s.binned }
-
 // Values returns the raw sample in insertion order while the sketch is on
 // the exact path, or nil, false once it has folded into bins. The slice is
 // the sketch's backing store; callers must not modify it.

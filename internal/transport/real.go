@@ -145,27 +145,42 @@ type RealTCPConn struct {
 	rtt time.Duration
 }
 
-// newRealTCPConn wraps an established net.Conn and starts its reader
-// goroutine.
-func newRealTCPConn(c net.Conn, codec Codec, loop *simclock.Loop, rtt time.Duration) *RealTCPConn {
+// testHookHandOver, when a test sets it, runs on the goroutine that made a
+// conn just before the conn is posted to its owner.
+var testHookHandOver func()
+
+// handOver wraps an established net.Conn and runs owner on the loop, then
+// starts the conn's reader there: a frame read before its owner had bound a
+// receiver would be dropped.
+func handOver(c net.Conn, codec Codec, loop *simclock.Loop, rtt time.Duration, owner func(*RealTCPConn)) {
 	rc := &RealTCPConn{liveSock: liveSock{sock: c, codec: codec, loop: loop}, c: c, rtt: rtt}
-	go rc.readLoop()
-	return rc
+	if testHookHandOver != nil {
+		testHookHandOver()
+	}
+	loop.Post(func() {
+		owner(rc)
+		go rc.readLoop()
+	})
 }
 
-// DialRealTCP connects to addr and wraps the connection. The handshake time
-// seeds the RTT estimate.
-func DialRealTCP(addr string, codec Codec, loop *simclock.Loop) (*RealTCPConn, error) {
-	start := time.Now()
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return newRealTCPConn(c, codec, loop, time.Since(start)), nil
+// DialRealTCP connects to addr on a goroutine of its own and runs cb on the
+// loop with the conn or the dial error; the conn starts reading once cb has
+// run. The handshake time seeds the RTT estimate.
+func DialRealTCP(addr string, codec Codec, loop *simclock.Loop, cb func(*RealTCPConn, error)) {
+	go func() {
+		start := time.Now()
+		c, err := net.DialTimeout("tcp", addr, dialTimeout)
+		if err != nil {
+			loop.Post(func() { cb(nil, err) })
+			return
+		}
+		handOver(c, codec, loop, time.Since(start), func(rc *RealTCPConn) { cb(rc, nil) })
+	}()
 }
 
 // ListenRealTCP accepts connections on addr, invoking accept (on the loop)
-// for each. Close the returned listener to stop.
+// for each; a conn starts reading once accept has run. Close the returned
+// listener to stop.
 func ListenRealTCP(addr string, codec Codec, loop *simclock.Loop, accept func(*RealTCPConn)) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -177,8 +192,7 @@ func ListenRealTCP(addr string, codec Codec, loop *simclock.Loop, accept func(*R
 			if err != nil {
 				return
 			}
-			rc := newRealTCPConn(c, codec, loop, 0)
-			loop.Post(func() { accept(rc) })
+			handOver(c, codec, loop, 0, accept)
 		}
 	}()
 	return ln, nil

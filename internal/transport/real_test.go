@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -48,6 +50,31 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never became true")
 }
 
+// dial connects to addr through DialRealTCP and binds recv in the dial
+// callback, as an owner does; the loop must be running.
+func dial(t *testing.T, addr string, loop *simclock.Loop, recv func(any, int)) *RealTCPConn {
+	t.Helper()
+	var conn *RealTCPConn
+	var err error
+	done := make(chan struct{})
+	DialRealTCP(addr, byteCodec{}, loop, func(c *RealTCPConn, e error) {
+		if conn, err = c, e; err == nil {
+			c.SetReceiver(recv)
+		}
+		close(done)
+	})
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// frame is payload as RealTCPConn frames it on the wire.
+func frame(payload string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
 func TestRealTCPEndToEnd(t *testing.T) {
 	loop := simclock.NewLoop(simclock.New())
 	stop := runLoop(loop)
@@ -65,17 +92,11 @@ func TestRealTCPEndToEnd(t *testing.T) {
 	}
 	defer ln.Close()
 
-	conn, err := DialRealTCP(ln.Addr().String(), byteCodec{}, loop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
 	var echoed []string
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	conn.SetReceiver(func(payload any, _ int) {
+	conn := dial(t, ln.Addr().String(), loop, func(payload any, _ int) {
 		echoed = append(echoed, payload.(string))
 	})
+	defer conn.Close()
 	for i := 0; i < 20; i++ {
 		if err := conn.Send(fmt.Sprintf("m%d", i), 0); err != nil {
 			t.Fatal(err)
@@ -94,6 +115,95 @@ func TestRealTCPEndToEnd(t *testing.T) {
 	_ = got
 }
 
+// firstFrame returns a receiver that keeps the first payload it is given on
+// got without ever blocking the loop.
+func firstFrame(got chan string) func(any, int) {
+	return func(payload any, _ int) {
+		select {
+		case got <- payload.(string):
+		default:
+		}
+	}
+}
+
+// holdHandOver delays every conn's hand-over to its owner by d, long enough
+// for a frame already sent by the peer to reach the conn's socket, and
+// undoes that when the test ends.
+func holdHandOver(t *testing.T, d time.Duration) {
+	testHookHandOver = func() { time.Sleep(d) }
+	t.Cleanup(func() { testHookHandOver = nil })
+}
+
+// TestRealTCPAcceptedConnHearsTheFirstFrame: a client that speaks the
+// moment it connects is heard. The conn is handed to the accept callback
+// after the client's first frame has reached the server's socket, and a
+// conn that read it before the callback had bound a receiver would drop it.
+func TestRealTCPAcceptedConnHearsTheFirstFrame(t *testing.T) {
+	loop := simclock.NewLoop(simclock.New())
+	stop := runLoop(loop)
+	defer stop()
+	holdHandOver(t, 100*time.Millisecond)
+	got := make(chan string, 1)
+	ln, err := ListenRealTCP("127.0.0.1:0", byteCodec{}, loop, func(c *RealTCPConn) { c.SetReceiver(firstFrame(got)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Write(frame("hello")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if m != "hello" {
+			t.Fatalf("first frame %q, want hello", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the client's first frame was lost: the conn read it before the accept callback bound a receiver")
+	}
+}
+
+// TestRealTCPDialerHearsAServerThatSpeaksFirst is the same rule on the
+// dialing side: the server writes as soon as it accepts, and the frame
+// reaches the dialer's socket before the dial callback runs.
+func TestRealTCPDialerHearsAServerThatSpeaksFirst(t *testing.T) {
+	loop := simclock.NewLoop(simclock.New())
+	stop := runLoop(loop)
+	defer stop()
+	holdHandOver(t, 100*time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		c.Write(frame("hello"))
+		io.Copy(io.Discard, c) // hold the conn open until the dialer closes it
+	}()
+
+	got := make(chan string, 1)
+	conn := dial(t, ln.Addr().String(), loop, firstFrame(got))
+	defer conn.Close()
+	select {
+	case m := <-got:
+		if m != "hello" {
+			t.Fatalf("first frame %q, want hello", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the server's first frame was lost: the conn read it before the dial callback bound a receiver")
+	}
+}
+
 func TestRealTCPSendAfterClose(t *testing.T) {
 	loop := simclock.NewLoop(simclock.New())
 	stop := runLoop(loop)
@@ -103,10 +213,7 @@ func TestRealTCPSendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	conn, err := DialRealTCP(ln.Addr().String(), byteCodec{}, loop)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dial(t, ln.Addr().String(), loop, nil)
 	conn.Close()
 	if err := conn.Send("x", 0); err != ErrClosed {
 		t.Fatalf("want ErrClosed, got %v", err)

@@ -215,11 +215,6 @@ func (c *simTCP) QueueDepth() int {
 // flight is how many segments are on the wire or lost: [sendBase, sndNxt).
 func (c *simTCP) flight() int { return int(c.sndNxt - c.sendBase) }
 
-// Counters returns (retransmits, fastRetransmits, timeouts).
-func (c *simTCP) Counters() (uint64, uint64, uint64) {
-	return c.retransmits, c.fastRexmits, c.timeouts
-}
-
 // pump transmits from the cursor while the congestion window allows.
 func (c *simTCP) pump() {
 	if !c.established || c.closed {

@@ -80,7 +80,6 @@ const (
 	segHeader   = 40 // TCP/IP header overhead per segment
 	udpHeader   = 28 // UDP/IP header overhead per datagram
 	ackSize     = segHeader
-	maxSegment  = 1460 // MSS; callers keep messages under this
 	initialRTO  = 1 * time.Second
 	minRTO      = 200 * time.Millisecond
 	maxRTO      = 30 * time.Second
