@@ -71,8 +71,9 @@
 // mismatched build fails loudly, and world-shaping flags (-seed, -workload,
 // ...) alongside -resume are hard errors: the snapshot's options win. A
 // checkpoint needs a classic engine, so -shards refuses to combine with it.
-// Divergent-scenario forks from one snapshot are the campaign API's job
-// (campaign.RunWarmForks).
+// Forks of one snapshot are the campaign API's job (campaign.RunWarmForks):
+// a fork is a name, runs the snapshot's own options too and only restarts
+// the random streams from its name.
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, so hot-path work
 // (the zero-allocation discrete-event core) can keep attacking the profile.
@@ -239,7 +240,8 @@ func modeOf(given map[string]string) mode {
 
 // flagError checks the given flags (name → value) against the table before
 // anything runs. It returns the one-line refusal for an unknown -figure or
-// -sweep, a flag the selected mode does not read or a dependent flag
+// -sweep, a flag the selected mode does not read, -figure beside -figures
+// (one mode reads both, but renders one or the other) or a dependent flag
 // without the flag it needs, in that order and the flags in name order, and
 // "" when the mode reads every flag given.
 func flagError(given map[string]string) string {
@@ -260,6 +262,9 @@ func flagError(given map[string]string) string {
 		if !slices.ContainsFunc(reads, func(r string) bool { return r == f || strings.HasPrefix(r, f+"=") }) {
 			return fmt.Sprintf("%s, so it would ignore -%s; drop it", m.does, f)
 		}
+	}
+	if _, both := given["figures"]; both && given["figure"] != "" {
+		return "-figure renders one figure, so it would ignore -figures; drop one of them"
 	}
 	for _, f := range names {
 		need, ok := needs[f]

@@ -116,6 +116,7 @@ func TestModeFlagValidation(t *testing.T) {
 		{"fig01 with out", "figure=fig01 out", "-figure fig01 runs the Figure-1 session at -seed, so it would ignore -out"},
 		{"fig01 with json", "figure=fig01 json", "ignore -json"},
 		{"fig01 with figures", "figure=fig01 figures", "ignore -figures"},
+		{"figure with figures", "figure figures", "study: -figure renders one figure, so it would ignore -figures; drop one of them"},
 		{"fig01 with dynamics", "figure=fig01 dynamics", "ignore -dynamics"},
 		{"fig01 with checkpoint", "figure=fig01 checkpoint warmup", "ignore -checkpoint"},
 		{"fig01 with resume", "figure=fig01 resume", "ignore -resume"},

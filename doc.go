@@ -14,7 +14,8 @@
 //   - study.Run runs one study; study.NewWorld builds a simulated world,
 //     (*World).SetSink installs any trace.Sink and (*World).Run drives it.
 //     study.Resume restores a World.Checkpoint snapshot, exactly or as a
-//     named study.Fork.
+//     named study.Fork, which runs the snapshot's own options and only
+//     restarts its random streams from the name.
 //   - campaign.Run fans named scenarios across a worker pool with
 //     per-scenario seeds and sinks; campaign.RunWarmForks forks one warm
 //     snapshot many times.

@@ -16,16 +16,14 @@ import (
 // the warm path 0.6 + 8×0.4 = 3.8, a ~2.1x amortization (measured by
 // BenchmarkCampaignWarmFork; README's benchmark history has the numbers).
 //
-// Forks diverge by name (deterministic per-fork RNG re-derivation) and by
-// the scenario deltas a study.Fork can carry — dynamics profile and
-// intensity, rate controller, selection policy, workload intensity,
-// congestion scale. Knobs that reshape the built world (seed, population,
-// workload profile) cannot fork; study.Resume rejects them loudly.
+// A fork is a name: every fork runs the prefix's options, and forks diverge
+// only by deterministic per-fork RNG re-derivation from their names. A
+// scenario that changes an option is a cold Scenario.
 
 // WarmForkResult is a completed warm-started sweep. It is a Summary whose
-// ScenarioResults carry each fork's effective options (base plus the
-// fork's deltas) and whose Warmup/Snapshot fields describe the shared
-// prefix the forks were paid from.
+// ScenarioResults carry the options every fork ran (the prefix's) and
+// whose Warmup/Snapshot fields describe the shared prefix the forks were
+// paid from.
 type WarmForkResult struct {
 	Summary
 	// Base is the effective base configuration the prefix ran: the caller's
@@ -109,7 +107,7 @@ func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, 
 // sink in the result, as Run does for a scenario under Config.NewSink.
 func runFork(snap []byte, base study.Options, fork *study.Fork, streamed bool) ScenarioResult {
 	start := time.Now()
-	out := ScenarioResult{Scenario: Scenario{Name: fork.Name, Options: fork.Applied(base)}}
+	out := ScenarioResult{Scenario: Scenario{Name: fork.Name, Options: base}}
 	w, err := study.Resume(bytes.NewReader(snap), fork)
 	if err == nil {
 		if streamed {

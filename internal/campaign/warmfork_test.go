@@ -37,16 +37,11 @@ func horizonOf(t *testing.T, opt study.Options) time.Duration {
 // TestRunWarmForksDeterministicAndDivergent pins the warm-fork contract:
 // re-running the same warm sweep reproduces every fork byte-for-byte,
 // differently named forks diverge from each other, and each result is
-// labeled with the fork's effective options.
+// labeled with the fork's name.
 func TestRunWarmForksDeterministicAndDivergent(t *testing.T) {
 	base := warmForkBase()
 	warmup := horizonOf(t, base) / 2
-	k := 2.0
-	forks := []study.Fork{
-		{Name: "a"},
-		{Name: "b"},
-		{Name: "hot", WorkloadIntensity: &k},
-	}
+	forks := []study.Fork{{Name: "a"}, {Name: "b"}}
 
 	run := func(workers int) *WarmForkResult {
 		sum, err := RunWarmForks(base, warmup, forks, Config{Workers: workers})
@@ -82,9 +77,6 @@ func TestRunWarmForksDeterministicAndDivergent(t *testing.T) {
 	}
 	if bytes.Equal(csvBytes(t, first.Results[0].Result), csvBytes(t, first.Results[1].Result)) {
 		t.Error("forks a and b did not diverge")
-	}
-	if got := first.Results[2].Scenario.Options.WorkloadIntensity; got != k {
-		t.Errorf("fork hot labeled with WorkloadIntensity %v, want %v", got, k)
 	}
 	if first.SnapshotBytes == 0 || first.Warmup != warmup {
 		t.Errorf("prefix metadata missing: snapshot %d bytes, warmup %v", first.SnapshotBytes, first.Warmup)
@@ -139,8 +131,7 @@ func TestRunWarmForksSharedPrefix(t *testing.T) {
 func TestRunWarmForksStreamed(t *testing.T) {
 	base := warmForkBase()
 	warmup := horizonOf(t, base) / 2
-	dyn, k := "lossburst", 2.0
-	forks := []study.Fork{{Name: "a"}, {Name: "b"}, {Name: "hot", WorkloadIntensity: &k}, {Name: "weather", Dynamics: &dyn}}
+	forks := []study.Fork{{Name: "a"}, {Name: "b"}}
 
 	retained, err := RunWarmForks(base, warmup, forks, Config{Workers: 1})
 	if err != nil {

@@ -58,27 +58,19 @@ func AllFigures(recs []*trace.Record) []figures.Figure {
 type SessionOptions struct {
 	// Protocol for the data connection.
 	Protocol transport.Protocol
-	// ClientAccess is the end-host class; ClientDownKbps optionally
-	// overrides the class's downstream rate.
-	ClientAccess   netsim.AccessClass
-	ClientDownKbps float64
+	// ClientAccess is the end-host class.
+	ClientAccess netsim.AccessClass
 	// Route shapes the wide-area path (zero value: clean LAN-like).
 	Route netsim.Route
-	// ClipKbps selects the clip's top encoding; MinKbps its floor.
+	// ClipKbps selects the clip's top encoding (default 225), which is also
+	// the player's bandwidth preference; the floor is 20 kbps.
 	ClipKbps float64
-	MinKbps  float64
-	// MaxBandwidthKbps is the RealPlayer bandwidth preference (defaults to
-	// ClipKbps).
-	MaxBandwidthKbps float64
 	// PlayFor bounds playout (default 70 s, matching Figure 1's span).
 	PlayFor time.Duration
-	// Preroll overrides the player's initial buffer depth.
-	Preroll time.Duration
 	// CPU is the client machine class (default Pentium III).
 	CPU player.CPUProfile
-	// SureStream / FEC toggles on the server, Scalable Video on the player
-	// (all default on via RunSession).
-	DisableSureStream    bool
+	// FEC toggles on the server, Scalable Video on the player (both default
+	// on via RunSession; SureStream is always on).
 	DisableFEC           bool
 	DisableScalableVideo bool
 	// Live streams the clip as a real-time feed (no ahead-of-realtime
@@ -97,31 +89,21 @@ func RunSession(opt SessionOptions) (*player.Stats, error) {
 	if opt.ClipKbps <= 0 {
 		opt.ClipKbps = 225
 	}
-	if opt.MinKbps <= 0 {
-		opt.MinKbps = 20
-	}
-	if opt.MaxBandwidthKbps <= 0 {
-		opt.MaxBandwidthKbps = opt.ClipKbps
-	}
 	serverRng, playerRng := detrand.Plain(opt.Seed+2), detrand.Plain(opt.Seed+3)
 	clock := simclock.New()
 	n := netsim.New(clock, netsim.StaticRoute(opt.Route), opt.Seed)
 	n.AddHost(netsim.HostConfig{Name: "server", Access: netsim.DefaultAccessProfile(netsim.AccessServer)})
-	access := netsim.DefaultAccessProfile(opt.ClientAccess)
-	if opt.ClientDownKbps > 0 {
-		access.DownKbps = opt.ClientDownKbps
-	}
-	n.AddHost(netsim.HostConfig{Name: "client", Access: access})
+	n.AddHost(netsim.HostConfig{Name: "client", Access: netsim.DefaultAccessProfile(opt.ClientAccess)})
 
 	clip := media.GenerateClip("rtsp://server/clip.rm", "session-clip", media.ContentNews,
-		5*time.Minute, opt.MinKbps, opt.ClipKbps, opt.Seed+1)
+		5*time.Minute, 20, opt.ClipKbps, opt.Seed+1)
 	clip.Live = opt.Live
 	srv := server.New(server.Config{
 		Clock:      clock,
 		Net:        session.SimNet{Stack: transport.NewStack(n, "server")},
 		Library:    media.NewLibrary([]*media.Clip{clip}),
 		Rand:       &serverRng,
-		SureStream: !opt.DisableSureStream,
+		SureStream: true,
 		FEC:        !opt.DisableFEC,
 	})
 	if err := srv.Start(); err != nil {
@@ -135,9 +117,8 @@ func RunSession(opt SessionOptions) (*player.Stats, error) {
 		ControlAddr:          "server:554",
 		URL:                  clip.URL,
 		Protocol:             opt.Protocol,
-		MaxBandwidthKbps:     opt.MaxBandwidthKbps,
+		MaxBandwidthKbps:     opt.ClipKbps,
 		PlayFor:              opt.PlayFor,
-		Preroll:              opt.Preroll,
 		CPU:                  opt.CPU,
 		DisableScalableVideo: opt.DisableScalableVideo,
 		Rand:                 &playerRng,

@@ -111,13 +111,3 @@ func (r *Rand) Sync(c *snap.Codec, fork func(seed int64, count uint64) int64) {
 	r.Seed(seed)
 	r.Skip(count)
 }
-
-// Discard reads past a stream position Sync wrote, positioning no stream: a
-// decoder's way over a stream the restored world does not keep. Nothing is
-// replayed, so nothing is charged against the codec's draw budget.
-func Discard(c *snap.Codec) {
-	var seed int64
-	var count uint64
-	c.I64(&seed)
-	c.U64(&count)
-}

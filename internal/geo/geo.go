@@ -395,15 +395,17 @@ func pickRateCount(rng *rand.Rand, played int) int {
 // located by suffix lookup against the registered sites and users.
 type RouteTable struct {
 	regionOf map[string]Region
-	// CongestionScale globally scales cross-traffic for ablations.
-	CongestionScale float64
+	// congestionScale globally scales cross-traffic for ablations.
+	congestionScale float64
 }
 
-// NewRouteTable builds the table for the given sites and users.
-func NewRouteTable(sites []ServerSite, users []*User) *RouteTable {
+// NewRouteTable builds the table for the given sites and users, with
+// cross-traffic scaled by congestionScale (1 = calibrated). The table does
+// not change once built.
+func NewRouteTable(sites []ServerSite, users []*User, congestionScale float64) *RouteTable {
 	t := &RouteTable{
 		regionOf:        make(map[string]Region),
-		CongestionScale: 1,
+		congestionScale: congestionScale,
 	}
 	for _, s := range sites {
 		t.regionOf[s.Host] = s.Region
@@ -553,7 +555,7 @@ func (t *RouteTable) Route(fromHost, toHost string) netsim.Route {
 		c.loss *= 3
 		c.jitter *= 2
 	}
-	cong := c.congestion * t.CongestionScale
+	cong := c.congestion * t.congestionScale
 	if cong > 0.9 {
 		cong = 0.9
 	}
@@ -563,7 +565,7 @@ func (t *RouteTable) Route(fromHost, toHost string) netsim.Route {
 		LossRate:       c.loss,
 		CapacityKbps:   c.capKbps,
 		CongestionMean: cong,
-		CongestionVar:  c.congVar * t.CongestionScale,
+		CongestionVar:  c.congVar * t.congestionScale,
 	}
 }
 

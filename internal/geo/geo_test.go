@@ -162,8 +162,8 @@ func TestRegionFolding(t *testing.T) {
 func TestRouteTableDeterministic(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	a := NewRouteTable(sites, users)
-	b := NewRouteTable(sites, users)
+	a := NewRouteTable(sites, users, 1)
+	b := NewRouteTable(sites, users, 1)
 	for _, u := range users[:10] {
 		for _, s := range sites {
 			ra := a.Route(s.Host, u.Name)
@@ -195,7 +195,7 @@ func TestRouteTableHoldsNoGenerator(t *testing.T) {
 func TestRouteDirectionSharesFate(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	rt := NewRouteTable(sites, users)
+	rt := NewRouteTable(sites, users, 1)
 	fwd := rt.Route(sites[0].Host, users[0].Name)
 	rev := rt.Route(users[0].Name, sites[0].Host)
 	// The lemon-path draw hashes the unordered pair: both directions agree
@@ -208,7 +208,7 @@ func TestRouteDirectionSharesFate(t *testing.T) {
 func TestBadPathsExist(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	rt := NewRouteTable(sites, users)
+	rt := NewRouteTable(sites, users, 1)
 	lemons, total := 0, 0
 	for _, u := range users {
 		for _, s := range sites {
@@ -236,7 +236,7 @@ func TestInternationalWorseThanDomestic(t *testing.T) {
 }
 
 func TestUnknownHostFallbackRoute(t *testing.T) {
-	rt := NewRouteTable(nil, nil)
+	rt := NewRouteTable(nil, nil, 1)
 	r := rt.Route("mystery1", "mystery2")
 	if r.OneWayDelay <= 0 || r.OneWayDelay > time.Second {
 		t.Fatalf("fallback route odd: %+v", r)
@@ -246,8 +246,7 @@ func TestUnknownHostFallbackRoute(t *testing.T) {
 func TestCongestionScale(t *testing.T) {
 	sites := Sites()
 	users := Population(1)
-	rt := NewRouteTable(sites, users)
-	rt.CongestionScale = 2
+	rt := NewRouteTable(sites, users, 2)
 	r := rt.Route(sites[0].Host, sites[1].Host)
 	if r.CongestionMean > 0.9 {
 		t.Fatalf("scaled congestion should clamp at 0.9: %v", r.CongestionMean)

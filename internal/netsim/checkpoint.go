@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"realtracer/internal/detrand"
 	"realtracer/internal/simclock"
 	"realtracer/internal/snap"
 )
@@ -37,28 +36,22 @@ type pathEntry struct {
 // payload references can resolve against restored conns.
 //
 // Decoding overlays onto a freshly rebuilt network: the caller must already
-// have rebuilt the static world (build-time hosts attached, dynamics
-// schedule reinstalled when applicable) and restored the clock; Sync
-// re-interns the name table, re-attaches runtime hosts and overlays path and
-// queue state.
-//
-// keepDynamics matters only when decoding and must be false when the
-// restored world runs a different dynamics schedule than the checkpointed
-// one (a fork): the per-path event indices and chain state then refer to the
-// old schedule and are discarded, along with the old dynamics draw stream,
-// which is read but not replayed.
+// have rebuilt the static world (build-time hosts attached, the dynamics
+// schedule reinstalled when the snapshot's options name one) and restored
+// the clock; Sync re-interns the name table, re-attaches runtime hosts and
+// overlays path and queue state. A snapshot whose dynamics disagree with the
+// rebuilt network's fails: its per-path chain state would refer to another
+// schedule.
 //
 // netFork and dynFork are the fork hooks of the base and dynamics streams
 // (see detrand.Rand.Sync): nil replays the checkpointed position, non-nil
-// restarts the stream at the seed the hook derives. When the snapshot's
-// dynamics stream is not kept, dynFork restarts the rebuilt world's own
-// stream, from the position NewWorld left it at.
-func (n *Network) Sync(c *snap.Codec, keepDynamics bool, netFork, dynFork func(seed int64, count uint64) int64) {
+// restarts the stream at the seed the hook derives. A fork overrides no
+// option, so the streams it restarts run the snapshot's own schedule.
+func (n *Network) Sync(c *snap.Codec, netFork, dynFork func(seed int64, count uint64) int64) {
 	if n.fab != nil {
 		c.Fail(fmt.Errorf("netsim: sharded networks cannot be checkpointed"))
 		return
 	}
-	keepDynamics = n.dyn != nil && (keepDynamics || !c.Reading())
 	c.Tag("netsim")
 	// Restoring a path grows its source's row out to the destination ID: an
 	// allocation sized by a field's value, not by the input's length. Like
@@ -71,15 +64,12 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool, netFork, dynFork func(s
 	n.drng.Sync(c, netFork)
 	hasDyn := n.dyn != nil
 	c.Bool(&hasDyn)
-	if hasDyn && keepDynamics {
+	if c.Reading() && c.Err() == nil && hasDyn != (n.dyn != nil) {
+		c.Fail(fmt.Errorf("netsim: restore dynamics mismatch: checkpoint has dynamics %v, rebuilt network %v (world rebuilt differently than checkpointed)", hasDyn, n.dyn != nil))
+		return
+	}
+	if hasDyn {
 		n.dyn.drng.Sync(c, dynFork)
-	} else {
-		if hasDyn {
-			detrand.Discard(c)
-		}
-		if c.Reading() && n.dyn != nil && dynFork != nil {
-			n.dyn.drng.Seed(dynFork(n.dyn.drng.State()))
-		}
 	}
 	c.U64(&n.sent)
 	c.U64(&n.delivered)
@@ -168,7 +158,7 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool, netFork, dynFork func(s
 		c.F64(&p.congestion)
 		syncPast(c, &p.lastResample, now)
 
-		// Dynamics-layer state decodes into scratch unless it is kept.
+		// Dynamics-layer state decodes into scratch, checked before it is kept.
 		var dyn pathState
 		if !c.Reading() {
 			dyn = *p
@@ -179,7 +169,7 @@ func (n *Network) Sync(c *snap.Codec, keepDynamics bool, netFork, dynFork func(s
 			c.Bool(&g.bad)
 			syncPast(c, &g.last, now)
 		})
-		if !c.Reading() || !keepDynamics || c.Err() != nil {
+		if !c.Reading() || n.dyn == nil || c.Err() != nil {
 			return
 		}
 		for _, i := range dyn.dynEvents {

@@ -48,9 +48,7 @@ func newCkptWorld() *ckptWorld {
 		CongestionVar:  0.1,
 	}
 	w.net = New(w.clock, routes, 42)
-	w.net.SetDynamics(NewDynamics().
-		LossBurst("*", "*", 100*time.Millisecond, 2*time.Second, 0.3, 0.5, 0.4).
-		Diurnal("a", "*", 0, 0, time.Second, 0.2), 77)
+	setCkptDynamics(w.net)
 	w.net.AddHost(HostConfig{Name: "a", Access: DefaultAccessProfile(AccessServer)})
 	w.net.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessModem)})
 	record := func(pkt *Packet) {
@@ -59,6 +57,13 @@ func newCkptWorld() *ckptWorld {
 	w.net.Register("a:1", record)
 	w.net.Register("b:1", record)
 	return w
+}
+
+// setCkptDynamics installs newCkptWorld's dynamics schedule on n.
+func setCkptDynamics(n *Network) {
+	n.SetDynamics(NewDynamics().
+		LossBurst("*", "*", 100*time.Millisecond, 2*time.Second, 0.3, 0.5, 0.4).
+		Diurnal("a", "*", 0, 0, time.Second, 0.2), 77)
 }
 
 // drive advances the world through send ticks [from, to): each tick advances
@@ -76,7 +81,7 @@ func checkpointNet(t *testing.T, n *Network) []byte {
 	var buf bytes.Buffer
 	c := snap.NewEncoder(&buf)
 	n.Clock.Sync(c)
-	n.Sync(c, true, nil, nil)
+	n.Sync(c, nil, nil)
 	n.SyncPackets(c, syncI64)
 	if err := c.Err(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
@@ -102,7 +107,7 @@ func TestNetworkCheckpointRoundTrip(t *testing.T) {
 	w2 := newCkptWorld()
 	c := snap.NewDecoder(snapBytes)
 	w2.clock.Sync(c)
-	w2.net.Sync(c, true, nil, nil)
+	w2.net.Sync(c, nil, nil)
 	w2.net.SyncPackets(c, syncI64)
 	if err := c.Err(); err != nil {
 		t.Fatalf("restore: %v", err)
@@ -140,7 +145,8 @@ func TestNetworkCheckpointRoundTrip(t *testing.T) {
 
 // TestNetworkRestoreRejectsInterningMismatch pins the loud-failure contract:
 // restoring into a world whose build interned different names errors instead
-// of silently mis-wiring HostIDs.
+// of silently mis-wiring HostIDs. The world runs the snapshot's dynamics
+// schedule, so the names are what disagree.
 func TestNetworkRestoreRejectsInterningMismatch(t *testing.T) {
 	w1 := newCkptWorld()
 	w1.drive(0, 20)
@@ -148,16 +154,46 @@ func TestNetworkRestoreRejectsInterningMismatch(t *testing.T) {
 
 	clock := simclock.New()
 	n2 := New(clock, StaticRoute{}, 42)
+	setCkptDynamics(n2)
 	n2.AddHost(HostConfig{Name: "z", Access: DefaultAccessProfile(AccessServer)})
 	c := snap.NewDecoder(snapBytes)
 	clock.Sync(c)
-	n2.Sync(c, false, nil, nil)
+	n2.Sync(c, nil, nil)
 	err := c.Err()
 	if err == nil {
 		t.Fatal("restore into a mismatched world succeeded")
 	}
 	if want := "interning mismatch"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Fatalf("error %q does not mention %q", err, want)
+	}
+}
+
+// TestNetworkRestoreRejectsDynamicsMismatch: a snapshot and the network it
+// is restored into agree on whether a dynamics schedule runs, or the restore
+// fails naming dynamics. Otherwise one side's dynamics stream and per-path
+// chain state would be dropped, or the rebuilt world's left unpositioned.
+func TestNetworkRestoreRejectsDynamicsMismatch(t *testing.T) {
+	calm := func() *Network { // newCkptWorld's hosts without its schedule
+		n := New(simclock.New(), StaticRoute{}, 42)
+		n.AddHost(HostConfig{Name: "a", Access: DefaultAccessProfile(AccessServer)})
+		n.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessModem)})
+		return n
+	}
+	weather := newCkptWorld()
+	weather.drive(0, 20)
+	for _, tc := range []struct {
+		name     string
+		from, to *Network
+	}{
+		{"weather into calm", weather.net, calm()},
+		{"calm into weather", calm(), newCkptWorld().net},
+	} {
+		c := snap.NewDecoder(checkpointNet(t, tc.from))
+		tc.to.Clock.Sync(c)
+		tc.to.Sync(c, nil, nil)
+		if err := c.Err(); err == nil || !strings.Contains(err.Error(), "dynamics") {
+			t.Errorf("%s: restore error = %v, want one naming dynamics", tc.name, err)
+		}
 	}
 }
 
@@ -184,7 +220,7 @@ func TestNetworkRestoreBoundsPathTable(t *testing.T) {
 	n2 := build()
 	c := snap.NewDecoder(checkpointNet(t, n1))
 	n2.Clock.Sync(c)
-	n2.Sync(c, false, nil, nil)
+	n2.Sync(c, nil, nil)
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "path table") {
 		t.Fatalf("restore error = %v, want the path-table budget to refuse it", err)
 	}
@@ -210,7 +246,7 @@ func TestDecodedStringsAreShared(t *testing.T) {
 	w2 := newCkptWorld()
 	c := snap.NewDecoder(snapBytes)
 	w2.clock.Sync(c)
-	w2.net.Sync(c, true, nil, nil)
+	w2.net.Sync(c, nil, nil)
 	w2.net.SyncPackets(c, syncI64)
 	if err := c.Err(); err != nil {
 		t.Fatalf("restore: %v", err)

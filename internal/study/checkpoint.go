@@ -11,10 +11,9 @@
 // build path replays exactly the draws the original build made), resets
 // the clock, overlays the persisted state and re-arms every event at its
 // original (time, seq) slot, so an exact resume is byte-identical to a
-// straight-through run of the same seed. A named fork instead re-derives
-// every RNG stream from the fork name and may change the scenario knobs
-// that do not reshape the built world (dynamics, selection policy,
-// intensities, controller), so N forks of one warm snapshot diverge
+// straight-through run of the same seed. A named fork runs the snapshot's
+// own options too and overrides nothing: it only re-derives every RNG
+// stream from the fork name, so N forks of one warm snapshot diverge
 // deterministically.
 package study
 
@@ -39,63 +38,10 @@ const snapMagic = "RTSNAP8"
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays
 // its draw count and the run completes byte-identical to never having
-// stopped. A named fork re-derives every stream from Name, and the set
-// fields override the snapshot's Options. Only knobs that do not reshape
-// the built world may change; anything else (seed, population, workload
-// profile, horizon) fails NewWorld's validation or the interning check.
+// stopped. A named fork runs the same options and re-derives every stream
+// from Name; the name is the whole fork.
 type Fork struct {
 	Name string
-
-	Dynamics          *string
-	DynamicsIntensity *float64
-	DynamicsSeed      *int64
-	Controller        *string
-	Selection         *string
-	WorkloadIntensity *float64
-	CongestionScale   *float64
-}
-
-// apply overlays the fork's deltas onto opt and reports whether the
-// dynamics schedule changed (which invalidates checkpointed per-path
-// chain state).
-func (f *Fork) apply(opt *Options) (dynChanged bool) {
-	if f == nil {
-		return false
-	}
-	if f.Dynamics != nil && *f.Dynamics != opt.Dynamics {
-		opt.Dynamics = *f.Dynamics
-		dynChanged = true
-	}
-	if f.DynamicsIntensity != nil && *f.DynamicsIntensity != opt.DynamicsIntensity {
-		opt.DynamicsIntensity = *f.DynamicsIntensity
-		dynChanged = true
-	}
-	if f.DynamicsSeed != nil && *f.DynamicsSeed != opt.DynamicsSeed {
-		opt.DynamicsSeed = *f.DynamicsSeed
-		dynChanged = true
-	}
-	if f.Controller != nil {
-		opt.Controller = *f.Controller
-	}
-	if f.Selection != nil {
-		opt.Selection = *f.Selection
-	}
-	if f.WorkloadIntensity != nil {
-		opt.WorkloadIntensity = *f.WorkloadIntensity
-	}
-	if f.CongestionScale != nil {
-		opt.CongestionScale = *f.CongestionScale
-	}
-	return dynChanged
-}
-
-// Applied returns base with the fork's scenario deltas applied — the
-// options the forked world actually runs. Resume performs the same
-// application internally; Applied lets callers (the campaign layer) label
-// fork results with their effective configuration.
-func (f *Fork) Applied(base Options) Options {
-	f.apply(&base)
-	return base
 }
 
 // forkSeed derives the seed a named fork's RNG stream restarts from: the
@@ -129,8 +75,7 @@ func (f *Fork) reseed(label string) func(seed int64, count uint64) int64 {
 
 // restart returns the fork hook of one of the network's two streams. A named
 // fork restarts each at a seed derived from base, the seed the world built the
-// stream with, not from the position the snapshot holds, and restarts the
-// dynamics stream whether or not the fork changed the schedule.
+// stream with, not from the position the snapshot holds.
 func (f *Fork) restart(base int64, label string) func(seed int64, count uint64) int64 {
 	if f == nil || f.Name == "" {
 		return nil
@@ -219,7 +164,7 @@ func (w *World) Checkpoint(out io.Writer) error {
 	var buf bytes.Buffer
 	c := snap.NewEncoder(&buf)
 	syncHeader(c, &w.Options)
-	w.sync(c, nil, true)
+	w.sync(c, nil)
 	w.Clock.CheckOwned(c)
 	if err := c.Err(); err != nil {
 		return err
@@ -237,14 +182,13 @@ func (w *World) Checkpoint(out io.Writer) error {
 //
 // Decoding overlays onto a world NewWorld just rebuilt from the snapshot's
 // Options. fork (decoding only) selects exact replay or per-stream reseeding
-// of every RNG; keepDynamics is false when the fork changed the dynamics
-// schedule, which invalidates checkpointed per-path chain state.
-func (w *World) sync(c *snap.Codec, fork *Fork, keepDynamics bool) {
+// of every RNG.
+func (w *World) sync(c *snap.Codec, fork *Fork) {
 	// Restoring the clock wipes every build-time event (panel start timers,
 	// the first arrival); each owner below re-arms its own events at their
 	// original slots.
 	w.Clock.Sync(c)
-	w.Net.Sync(c, keepDynamics, fork.restart(w.Options.networkSeed(), "net"), fork.restart(w.Options.dynamicsSeed(), "dynamics"))
+	w.Net.Sync(c, fork.restart(w.Options.networkSeed(), "net"), fork.restart(w.Options.dynamicsSeed(), "dynamics"))
 
 	x := transport.NewSnapCtx(session.SnapSync)
 	c.Tag("servers")
@@ -321,7 +265,6 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 	}
 	cell.rng.Sync(c, fork.reseed("arrivals"))
 	// Only stateful selection policies walk a cursor; the rest leave a zero.
-	// A fork onto another policy reads past the old one's.
 	if p, ok := cell.policy.(interface{ Sync(*snap.Codec) }); ok {
 		p.Sync(c)
 	} else {
@@ -394,9 +337,9 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 
 // Resume rebuilds a world from a snapshot written by Checkpoint and
 // positions it to continue exactly where the checkpoint left off; drive
-// it with Run (or RunUntil) as usual. fork selects between an exact
-// resume (nil, byte-identical to never stopping) and a named divergent
-// scenario; see Fork.
+// it with Run (or RunUntil) as usual, under the snapshot's own options.
+// fork selects between an exact resume (nil, byte-identical to never
+// stopping) and a named divergent scenario; see Fork.
 func Resume(r io.Reader, fork *Fork) (*World, error) {
 	// The whole snapshot is buffered so every length and count in it can be
 	// checked against the bytes that actually remain.
@@ -410,7 +353,6 @@ func Resume(r io.Reader, fork *Fork) (*World, error) {
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("study: not a usable checkpoint: %w", err)
 	}
-	dynChanged := fork.apply(&opt)
 	// A snapshot spends bytes on every user or template it carries; options
 	// claiming a larger world — or a sharded one, which is never
 	// checkpointed — are rejected before NewWorld builds anything.
@@ -426,7 +368,7 @@ func Resume(r io.Reader, fork *Fork) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.sync(c, fork, !dynChanged)
+	w.sync(c, fork)
 	if err := c.Err(); err != nil {
 		return nil, err
 	}

@@ -375,39 +375,6 @@ func TestForkDeterministicAndDivergent(t *testing.T) {
 	}
 }
 
-// TestForkScenarioDeltas forks one warm snapshot into divergent scenarios
-// (changed dynamics, changed intensity) and requires each to complete, and a
-// fork onto options NewWorld refuses to fail in Resume with NewWorld's error.
-func TestForkScenarioDeltas(t *testing.T) {
-	opt := Options{
-		Seed: 9, MaxUsers: 6, ClipCap: 2,
-		Workload: "poisson", Arrivals: 16,
-	}
-	straight, err := Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := checkpointAt(t, opt, straight.SimDuration/2)
-
-	dyn := "lossburst"
-	k := 2.0
-	for _, fork := range []*Fork{
-		{Name: "weather", Dynamics: &dyn, DynamicsIntensity: &k},
-		{Name: "hot", WorkloadIntensity: &k},
-	} {
-		res := resumeAndRun(t, snap, fork)
-		if len(res.Records) == 0 {
-			t.Fatalf("fork %s produced no records", fork.Name)
-		}
-	}
-
-	bbr := "bbr"
-	want := `study: unknown Controller "bbr"`
-	if _, err := Resume(bytes.NewReader(snap), &Fork{Name: "bbr", Controller: &bbr}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("a fork onto Controller %q: want an error containing %q, got %v", bbr, want, err)
-	}
-}
-
 // stretchFECWindow returns a copy of snap in which one player's FEC window
 // claims two sequence numbers 2^16 apart, or nil when no player in snap holds
 // two. The window is found by its shape — the player walks highestSeq, then

@@ -127,7 +127,7 @@ func (cw *coverage) encode() (out []byte) {
 	var buf bytes.Buffer
 	c := snap.NewEncoder(&buf)
 	syncHeader(c, &cw.w.Options)
-	cw.w.sync(c, nil, true)
+	cw.w.sync(c, nil)
 	if c.Err() != nil {
 		return nil
 	}

@@ -15,42 +15,33 @@ import (
 var forkGoldens = []struct {
 	name    string
 	opt     Options
-	digests [4]string
+	digests [2]string
 }{
 	{"calm", Options{Seed: 23, MaxUsers: 8, ClipCap: 2, Workload: "poisson", Arrivals: 32},
-		[4]string{"337bc34ae1d809dc", "25ebd56a422cf63c", "ae67df860a4ae9da", "ebf6023a942fdc58"}},
+		[2]string{"337bc34ae1d809dc", "25ebd56a422cf63c"}},
 	{"lossburst", Options{Seed: 23, MaxUsers: 8, ClipCap: 2, Workload: "poisson", Arrivals: 32, Dynamics: "lossburst"},
-		[4]string{"ed6456be9e72736f", "015c19a1cd56cf6c", "015c19a1cd56cf6c", "595968f60e78fa55"}},
+		[2]string{"ed6456be9e72736f", "015c19a1cd56cf6c"}},
 }
 
 // goldenForks are the resumes forkGoldens pins, in order.
-func goldenForks() [4]struct {
+var goldenForks = [2]struct {
 	name string
 	fork *Fork
-} {
-	lossburst, outage, two := "lossburst", "outage", 2.0
-	return [4]struct {
-		name string
-		fork *Fork
-	}{
-		{"exact", nil},
-		{"name only", &Fork{Name: "golden"}},
-		{"onto lossburst", &Fork{Name: "golden", Dynamics: &lossburst}},
-		{"onto outage at 2x", &Fork{Name: "golden", Dynamics: &outage, DynamicsIntensity: &two}},
-	}
+}{
+	{"exact", nil},
+	{"name only", &Fork{Name: "golden"}},
 }
 
 // TestForkRecordsGolden pins what forks of a warm snapshot produce, not only
 // that they are deterministic: a named fork restarts the network's base
-// stream, and its dynamics stream whether or not the fork changed the
-// schedule, at seeds fixed by the fork's name and the world's options. The
-// digests were recorded while every named fork still replayed the network's
-// streams before reseeding them, so a walk that restarts a stream anywhere
-// else fails here, by world and fork.
+// stream, and its dynamics stream, at seeds fixed by the fork's name and the
+// world's options. The digests were recorded while every named fork still
+// replayed the network's streams before reseeding them, so a walk that
+// restarts a stream anywhere else fails here, by world and fork.
 func TestForkRecordsGolden(t *testing.T) {
 	for _, g := range forkGoldens {
 		snap := checkpointAt(t, g.opt, 10*time.Minute)
-		for i, f := range goldenForks() {
+		for i, f := range goldenForks {
 			res := resumeAndRun(t, snap, f.fork)
 			if got := fmt.Sprintf("%x", sha256.Sum256(recordsBytes(t, res.Records)))[:16]; got != g.digests[i] {
 				t.Errorf("%s world resumed %s: records digest %s, want %s", g.name, f.name, got, g.digests[i])

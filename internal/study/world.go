@@ -150,8 +150,7 @@ func NewWorld(opt Options) (*World, error) {
 	// proportionally apportioned population at the requested size.
 	w.Users = geo.PopulationN(opt.PopulationSeed(), max(opt.pool(), geo.PopulationSize))[:opt.pool()]
 
-	routes := geo.NewRouteTable(w.Sites, w.Users)
-	routes.CongestionScale = opt.CongestionScale
+	routes := geo.NewRouteTable(w.Sites, w.Users, opt.CongestionScale)
 
 	if opt.Shards > 0 {
 		w.fab = netsim.NewFabric(opt.Shards, routes, opt.networkSeed())

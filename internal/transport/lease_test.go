@@ -375,7 +375,7 @@ func TestRestoreRebuildsSegmentHolds(t *testing.T) {
 	walk := func(c *snap.Codec, clock *simclock.Clock, sa, sb *Stack, rc, tc *Conn) {
 		x := NewSnapCtx(intSync)
 		clock.Sync(c)
-		sa.net.Sync(c, false, nil, nil)
+		sa.net.Sync(c, nil, nil)
 		SyncConn(c, rc, sa, x)
 		SyncConn(c, tc, sb, x)
 		sa.net.SyncPackets(c, x.PayloadSync)

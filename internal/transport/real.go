@@ -301,7 +301,10 @@ type RealUDPConn struct {
 	c *net.UDPConn
 }
 
-// DialRealUDP "connects" a UDP socket to addr and starts its reader.
+// DialRealUDP "connects" a UDP socket to addr and starts its reader. The
+// reader runs the receiver on the loop, reading it when the datagram's turn
+// comes, so an owner that dials on the loop and binds its receiver before
+// returning to it hears every datagram, the ones read before it bound too.
 func DialRealUDP(addr string, codec Codec, loop *simclock.Loop) (*RealUDPConn, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

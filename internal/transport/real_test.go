@@ -274,6 +274,51 @@ func TestRealUDPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRealUDPDialerHearsAPeerThatSpeaksFirst is the hand-over rule for a
+// dialed UDP conn, whose reader starts at construction: the owner dials on
+// the loop, the peer's first datagram reaches the socket and the reader
+// before the owner binds its receiver, and the receiver still hears it.
+func TestRealUDPDialerHearsAPeerThatSpeaksFirst(t *testing.T) {
+	loop := simclock.NewLoop(simclock.New())
+	stop := runLoop(loop)
+	defer stop()
+	peer, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	got := make(chan string, 1)
+	dialed := make(chan *RealUDPConn, 1)
+	loop.Post(func() {
+		conn, err := DialRealUDP(peer.LocalAddr().String(), byteCodec{}, loop)
+		if err != nil {
+			t.Error(err)
+			close(dialed)
+			return
+		}
+		dialed <- conn
+		if _, err := peer.WriteTo([]byte("hello"), conn.c.LocalAddr()); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(100 * time.Millisecond) // the reader takes the datagram meanwhile
+		conn.SetReceiver(firstFrame(got))
+	})
+	conn := <-dialed
+	if conn == nil {
+		return
+	}
+	defer conn.Close()
+	select {
+	case m := <-got:
+		if m != "hello" {
+			t.Fatalf("first datagram %q, want hello", m)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the peer's first datagram was lost: the reader dropped it before the owner bound a receiver")
+	}
+}
+
 // TestRealUDPConnReceivesAfterRefusal: a datagram sent before the server
 // binds its port comes back as an ICMP port-unreachable, which a connected
 // socket's next read reports as an error. The conn must keep reading, so
