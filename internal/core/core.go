@@ -156,11 +156,9 @@ func Fig01Timeline(seed int64) (figures.Figure, *player.Stats, error) {
 		return figures.Figure{}, st, err
 	}
 	f := figures.Figure{
-		ID:     "fig01",
-		Title:  "Buffering and playout of a RealVideo clip",
-		XLabel: "Time (sec)",
-		YLabel: "Bandwidth (Kbps) / Frame Rate (fps)",
-		Kind:   figures.KindSeries,
+		ID:    "fig01",
+		Title: "Buffering and playout of a RealVideo clip",
+		Kind:  figures.KindSeries,
 	}
 	var bw, fps figures.Series
 	bw.Label, fps.Label = "Current Bandwidth", "Current Frame Rate"

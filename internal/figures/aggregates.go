@@ -489,8 +489,7 @@ func distN(d *stats.Dist) int {
 // Fig05ClipsPerUser: half the users played 40 clips or more.
 func (a *Aggregates) Fig05ClipsPerUser() Figure {
 	counts := a.perUserCounts(false)
-	f := Figure{ID: "fig05", Title: "CDF of video clips played per user",
-		XLabel: "Clips Per User", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig05", Title: "CDF of video clips played per user", Kind: KindCDF,
 		Series: []Series{cdfSeries("all users", counts)}}
 	if s, err := stats.Summarize(counts); err == nil {
 		note(&f, "users=%d median clips=%.0f (paper: half played 40+ of 98)", s.N, s.Median)
@@ -501,8 +500,7 @@ func (a *Aggregates) Fig05ClipsPerUser() Figure {
 // Fig06RatedPerUser: half the users rated about 3 clips.
 func (a *Aggregates) Fig06RatedPerUser() Figure {
 	counts := a.perUserCounts(true)
-	f := Figure{ID: "fig06", Title: "CDF of video clips rated per user",
-		XLabel: "Rated Clips Per User", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig06", Title: "CDF of video clips rated per user", Kind: KindCDF,
 		Series: []Series{cdfSeries("all users", counts)}}
 	if s, err := stats.Summarize(counts); err == nil {
 		note(&f, "median rated=%.0f total rated=%d (paper: median 3, total 388)", s.Median, a.rated)
@@ -512,8 +510,7 @@ func (a *Aggregates) Fig06RatedPerUser() Figure {
 
 // Fig07ByUserCountry: the paper's US-dominated country breakdown.
 func (a *Aggregates) Fig07ByUserCountry() Figure {
-	f := Figure{ID: "fig07", Title: "Clips played by users from each country",
-		XLabel: "Country", YLabel: "Number of Clips", Kind: KindBar,
+	f := Figure{ID: "fig07", Title: "Clips played by users from each country", Kind: KindBar,
 		Series: []Series{barFromCounter(&a.countryAll)}}
 	s := f.Series[0]
 	if n := len(s.Labels); n > 0 {
@@ -524,8 +521,7 @@ func (a *Aggregates) Fig07ByUserCountry() Figure {
 
 // Fig08ByServerCountry: US servers served the most clips.
 func (a *Aggregates) Fig08ByServerCountry() Figure {
-	f := Figure{ID: "fig08", Title: "Clips served by RealServers from each country",
-		XLabel: "Server Country", YLabel: "Number of Clips", Kind: KindBar,
+	f := Figure{ID: "fig08", Title: "Clips served by RealServers from each country", Kind: KindBar,
 		Series: []Series{barFromCounter(&a.serverCountryAll)}}
 	s := f.Series[0]
 	if n := len(s.Labels); n > 0 {
@@ -536,8 +532,7 @@ func (a *Aggregates) Fig08ByServerCountry() Figure {
 
 // Fig09ByUSState: Massachusetts dominates.
 func (a *Aggregates) Fig09ByUSState() Figure {
-	f := Figure{ID: "fig09", Title: "Clips played by U.S. users from each state",
-		XLabel: "State", YLabel: "Number of Clips", Kind: KindBar,
+	f := Figure{ID: "fig09", Title: "Clips played by U.S. users from each state", Kind: KindBar,
 		Series: []Series{barFromCounter(&a.usStateAll)}}
 	s := f.Series[0]
 	if n := len(s.Labels); n > 0 {
@@ -558,8 +553,7 @@ func (a *Aggregates) Fig10Unavailable() Figure {
 		totalA += att
 		totalU += un
 	}
-	f := Figure{ID: "fig10", Title: "Fraction of unavailable clips per server",
-		XLabel: "Real Server", YLabel: "Fraction Not Available", Kind: KindBar,
+	f := Figure{ID: "fig10", Title: "Fraction of unavailable clips per server", Kind: KindBar,
 		Series: []Series{s}}
 	note(&f, "overall unavailability=%.1f%% (paper: about 10%%)", 100*float64(totalU)/float64(totalA))
 	return f
@@ -568,8 +562,7 @@ func (a *Aggregates) Fig10Unavailable() Figure {
 // Fig11FrameRateAll: mean ~10 fps; ~25% under 3 fps; ~25% at 15+; <1% at
 // full motion.
 func (a *Aggregates) Fig11FrameRateAll() Figure {
-	f := Figure{ID: "fig11", Title: "CDF of frame rate for all video clips",
-		XLabel: "Frame Rate (fps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig11", Title: "CDF of frame rate for all video clips", Kind: KindCDF,
 		Series: []Series{distCDFSeries("all clips", a.fpsAll)}}
 	if c, err := a.fpsAll.CDF(); err == nil {
 		s, _ := a.fpsAll.Summary()
@@ -584,8 +577,7 @@ func (a *Aggregates) Fig11FrameRateAll() Figure {
 // Fig12FrameRateByAccess: modems far worse; DSL/Cable roughly matches
 // T1/LAN.
 func (a *Aggregates) Fig12FrameRateByAccess() Figure {
-	f := Figure{ID: "fig12", Title: "CDF of frame rate by end-host network configuration",
-		XLabel: "Frame Rate (fps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig12", Title: "CDF of frame rate by end-host network configuration", Kind: KindCDF,
 		Series: groupedCDF(&a.fpsByAccess, AccessOrder)}
 	for _, s := range f.Series {
 		if len(s.X) == 0 {
@@ -604,8 +596,7 @@ func (a *Aggregates) Fig12FrameRateByAccess() Figure {
 
 // Fig13BandwidthByAccess: DSL/Cable rarely operates near capacity.
 func (a *Aggregates) Fig13BandwidthByAccess() Figure {
-	f := Figure{ID: "fig13", Title: "CDF of bandwidth by end-host network configuration",
-		XLabel: "Average Bandwidth (Kbps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig13", Title: "CDF of bandwidth by end-host network configuration", Kind: KindCDF,
 		Series: groupedCDF(&a.kbpsByAccess, AccessOrder)}
 	if d := a.kbpsByAccess.Get("DSL/Cable"); d != nil {
 		if c, err := d.CDF(); err == nil {
@@ -617,8 +608,7 @@ func (a *Aggregates) Fig13BandwidthByAccess() Figure {
 
 // Fig14FrameRateByServerRegion: server regions differ only slightly.
 func (a *Aggregates) Fig14FrameRateByServerRegion() Figure {
-	f := Figure{ID: "fig14", Title: "CDF of frame rate by server geographic region",
-		XLabel: "Frame Rate (fps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig14", Title: "CDF of frame rate by server geographic region", Kind: KindCDF,
 		Series: groupedCDF(&a.fpsByServerRegion, ServerRegionOrder)}
 	var best, worst string
 	bestV, worstV := -1.0, 1e9
@@ -642,8 +632,7 @@ func (a *Aggregates) Fig14FrameRateByServerRegion() Figure {
 
 // Fig15FrameRateByUserRegion: user region clearly differentiates.
 func (a *Aggregates) Fig15FrameRateByUserRegion() Figure {
-	f := Figure{ID: "fig15", Title: "CDF of frame rate by user geographic region",
-		XLabel: "Frame Rate (fps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig15", Title: "CDF of frame rate by user geographic region", Kind: KindCDF,
 		Series: groupedCDF(&a.fpsByUserRegion, UserRegionOrder)}
 	for _, reg := range UserRegionOrder {
 		if d := a.fpsByUserRegion.Get(reg); d != nil {
@@ -672,8 +661,7 @@ func (a *Aggregates) Fig16ProtocolMix() Figure {
 
 // Fig17FrameRateByProtocol: distributions nearly identical.
 func (a *Aggregates) Fig17FrameRateByProtocol() Figure {
-	f := Figure{ID: "fig17", Title: "CDF of frame rate by transport protocol",
-		XLabel: "Frame Rate (fps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig17", Title: "CDF of frame rate by transport protocol", Kind: KindCDF,
 		Series: groupedCDF(&a.fpsByProtocol, ProtocolOrder)}
 	for _, proto := range ProtocolOrder {
 		if d := a.fpsByProtocol.Get(proto); d != nil {
@@ -687,8 +675,7 @@ func (a *Aggregates) Fig17FrameRateByProtocol() Figure {
 
 // Fig18BandwidthByProtocol: UDP bandwidth comparable to TCP's over a clip.
 func (a *Aggregates) Fig18BandwidthByProtocol() Figure {
-	f := Figure{ID: "fig18", Title: "CDF of bandwidth by transport protocol",
-		XLabel: "Average Bandwidth (Kbps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig18", Title: "CDF of bandwidth by transport protocol", Kind: KindCDF,
 		Series: groupedCDF(&a.kbpsByProtocol, ProtocolOrder)}
 	for _, proto := range ProtocolOrder {
 		d := a.kbpsByProtocol.Get(proto)
@@ -700,8 +687,7 @@ func (a *Aggregates) Fig18BandwidthByProtocol() Figure {
 
 // Fig19FrameRateByPC: only the oldest machines are the bottleneck.
 func (a *Aggregates) Fig19FrameRateByPC() Figure {
-	f := Figure{ID: "fig19", Title: "CDF of frame rate by user PC class",
-		XLabel: "Frame Rate (fps)", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig19", Title: "CDF of frame rate by user PC class", Kind: KindCDF,
 		Series: groupedCDF(&a.fpsByPC, nil)}
 	for _, s := range f.Series {
 		if d := a.fpsByPC.Get(s.Label); d != nil {
@@ -716,8 +702,7 @@ func (a *Aggregates) Fig19FrameRateByPC() Figure {
 
 // Fig20JitterAll: >50% play with imperceptible jitter; ~15% exceed 300 ms.
 func (a *Aggregates) Fig20JitterAll() Figure {
-	f := Figure{ID: "fig20", Title: "CDF of overall jitter",
-		XLabel: "Jitter (ms)", YLabel: "CDF (%)", Kind: KindCDF,
+	f := Figure{ID: "fig20", Title: "CDF of overall jitter", Kind: KindCDF,
 		Series: []Series{distCDFSeries("all clips", a.jitAll)}}
 	if c, err := a.jitAll.CDF(); err == nil {
 		note(&f, "at or under 50 ms: %.0f%% (paper ~52%%)", 100*c.At(50))
@@ -728,8 +713,7 @@ func (a *Aggregates) Fig20JitterAll() Figure {
 
 // Fig21JitterByAccess: modems much worse; DSL slightly beats T1.
 func (a *Aggregates) Fig21JitterByAccess() Figure {
-	f := Figure{ID: "fig21", Title: "CDF of jitter by network configuration",
-		XLabel: "Jitter (ms)", YLabel: "CDF (%)", Kind: KindCDF,
+	f := Figure{ID: "fig21", Title: "CDF of jitter by network configuration", Kind: KindCDF,
 		Series: groupedCDF(&a.jitByAccess, AccessOrder)}
 	for _, acc := range AccessOrder {
 		if d := a.jitByAccess.Get(acc); d != nil {
@@ -744,8 +728,7 @@ func (a *Aggregates) Fig21JitterByAccess() Figure {
 
 // Fig22JitterByServerRegion: Asia worst; others comparable.
 func (a *Aggregates) Fig22JitterByServerRegion() Figure {
-	f := Figure{ID: "fig22", Title: "CDF of jitter by server geographic region",
-		XLabel: "Jitter (ms)", YLabel: "CDF (%)", Kind: KindCDF,
+	f := Figure{ID: "fig22", Title: "CDF of jitter by server geographic region", Kind: KindCDF,
 		Series: groupedCDF(&a.jitByServerRegion, ServerRegionOrder)}
 	for _, reg := range ServerRegionOrder {
 		if d := a.jitByServerRegion.Get(reg); d != nil {
@@ -760,8 +743,7 @@ func (a *Aggregates) Fig22JitterByServerRegion() Figure {
 
 // Fig23JitterByUserRegion: Australia/NZ worst again.
 func (a *Aggregates) Fig23JitterByUserRegion() Figure {
-	f := Figure{ID: "fig23", Title: "CDF of jitter by user geographic region",
-		XLabel: "Jitter (ms)", YLabel: "CDF (%)", Kind: KindCDF,
+	f := Figure{ID: "fig23", Title: "CDF of jitter by user geographic region", Kind: KindCDF,
 		Series: groupedCDF(&a.jitByUserRegion, UserRegionOrder)}
 	for _, reg := range UserRegionOrder {
 		if d := a.jitByUserRegion.Get(reg); d != nil {
@@ -776,8 +758,7 @@ func (a *Aggregates) Fig23JitterByUserRegion() Figure {
 
 // Fig24JitterByProtocol: TCP and UDP nearly identical smoothness.
 func (a *Aggregates) Fig24JitterByProtocol() Figure {
-	f := Figure{ID: "fig24", Title: "CDF of jitter by transport protocol",
-		XLabel: "Jitter (ms)", YLabel: "CDF (%)", Kind: KindCDF,
+	f := Figure{ID: "fig24", Title: "CDF of jitter by transport protocol", Kind: KindCDF,
 		Series: groupedCDF(&a.jitByProtocol, ProtocolOrder)}
 	for _, proto := range ProtocolOrder {
 		if d := a.jitByProtocol.Get(proto); d != nil {
@@ -792,8 +773,7 @@ func (a *Aggregates) Fig24JitterByProtocol() Figure {
 
 // Fig25JitterByBandwidth: strong correlation between bandwidth and jitter.
 func (a *Aggregates) Fig25JitterByBandwidth() Figure {
-	f := Figure{ID: "fig25", Title: "CDF of jitter by observed bandwidth",
-		XLabel: "Jitter (ms)", YLabel: "CDF (%)", Kind: KindCDF,
+	f := Figure{ID: "fig25", Title: "CDF of jitter by observed bandwidth", Kind: KindCDF,
 		Series: groupedCDF(&a.jitByBand, BandwidthBands)}
 	for _, band := range BandwidthBands {
 		if d := a.jitByBand.Get(band); d != nil {
@@ -808,8 +788,7 @@ func (a *Aggregates) Fig25JitterByBandwidth() Figure {
 
 // Fig26QualityAll: ratings look uniform with mean ~5.
 func (a *Aggregates) Fig26QualityAll() Figure {
-	f := Figure{ID: "fig26", Title: "CDF of overall quality rating",
-		XLabel: "Quality Rating", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig26", Title: "CDF of overall quality rating", Kind: KindCDF,
 		Series: []Series{distCDFSeries("rated clips", a.ratingAll)}}
 	if s, err := a.ratingAll.Summary(); err == nil {
 		note(&f, "n=%d mean=%.1f (paper: ~388 ratings, mean ~5, near-uniform distribution)", s.N, s.Mean)
@@ -819,8 +798,7 @@ func (a *Aggregates) Fig26QualityAll() Figure {
 
 // Fig27QualityByAccess: modem quality about half of DSL; DSL beats T1.
 func (a *Aggregates) Fig27QualityByAccess() Figure {
-	f := Figure{ID: "fig27", Title: "CDF of quality by network configuration",
-		XLabel: "Quality Rating", YLabel: "CDF", Kind: KindCDF,
+	f := Figure{ID: "fig27", Title: "CDF of quality by network configuration", Kind: KindCDF,
 		Series: groupedCDF(&a.ratingByAccess, AccessOrder)}
 	for _, acc := range AccessOrder {
 		if d := a.ratingByAccess.Get(acc); distN(d) > 0 {
@@ -835,8 +813,7 @@ func (a *Aggregates) Fig27QualityByAccess() Figure {
 // bandwidth.
 func (a *Aggregates) Fig28QualityVsBandwidth() Figure {
 	xs, ys := a.ratedKbps, a.ratedRating
-	f := Figure{ID: "fig28", Title: "Quality rating vs network bandwidth",
-		XLabel: "Average Bandwidth (Kbps)", YLabel: "Quality Rating", Kind: KindScatter,
+	f := Figure{ID: "fig28", Title: "Quality rating vs network bandwidth", Kind: KindScatter,
 		Series: []Series{{Label: "clips", X: xs, Y: ys}}}
 	centers, means := stats.ScatterBin(xs, ys, 8)
 	f.Series = append(f.Series, Series{Label: "binned mean", X: centers, Y: means})

@@ -47,8 +47,6 @@ type Series struct {
 type Figure struct {
 	ID     string
 	Title  string
-	XLabel string
-	YLabel string
 	Kind   Kind
 	Series []Series
 	// Notes carries the scalar observations the paper calls out in prose.
@@ -72,8 +70,7 @@ func cdfSeries(label string, samples []float64) Series {
 
 // Generator builds a figure from a study's aggregates.
 type Generator struct {
-	ID    string
-	Title string
+	ID string
 	// Agg builds the figure from a completed single-pass aggregate build.
 	Agg func(*Aggregates) Figure
 }
@@ -82,30 +79,30 @@ type Generator struct {
 // is a single-session timeline, produced by core.Fig01Timeline.)
 func All() []Generator {
 	return []Generator{
-		{"fig05", "CDF of video clips played per user", (*Aggregates).Fig05ClipsPerUser},
-		{"fig06", "CDF of video clips rated per user", (*Aggregates).Fig06RatedPerUser},
-		{"fig07", "Clips played by users from each country", (*Aggregates).Fig07ByUserCountry},
-		{"fig08", "Clips served by RealServers from each country", (*Aggregates).Fig08ByServerCountry},
-		{"fig09", "Clips played by U.S. users from each state", (*Aggregates).Fig09ByUSState},
-		{"fig10", "Fraction of unavailable clips per server", (*Aggregates).Fig10Unavailable},
-		{"fig11", "CDF of frame rate for all video clips", (*Aggregates).Fig11FrameRateAll},
-		{"fig12", "CDF of frame rate by end-host network configuration", (*Aggregates).Fig12FrameRateByAccess},
-		{"fig13", "CDF of bandwidth by end-host network configuration", (*Aggregates).Fig13BandwidthByAccess},
-		{"fig14", "CDF of frame rate by server geographic region", (*Aggregates).Fig14FrameRateByServerRegion},
-		{"fig15", "CDF of frame rate by user geographic region", (*Aggregates).Fig15FrameRateByUserRegion},
-		{"fig16", "Fraction of transport protocols observed", (*Aggregates).Fig16ProtocolMix},
-		{"fig17", "CDF of frame rate by transport protocol", (*Aggregates).Fig17FrameRateByProtocol},
-		{"fig18", "CDF of bandwidth by transport protocol", (*Aggregates).Fig18BandwidthByProtocol},
-		{"fig19", "CDF of frame rate by user PC class", (*Aggregates).Fig19FrameRateByPC},
-		{"fig20", "CDF of overall jitter", (*Aggregates).Fig20JitterAll},
-		{"fig21", "CDF of jitter by network configuration", (*Aggregates).Fig21JitterByAccess},
-		{"fig22", "CDF of jitter by server geographic region", (*Aggregates).Fig22JitterByServerRegion},
-		{"fig23", "CDF of jitter by user geographic region", (*Aggregates).Fig23JitterByUserRegion},
-		{"fig24", "CDF of jitter by transport protocol", (*Aggregates).Fig24JitterByProtocol},
-		{"fig25", "CDF of jitter by observed bandwidth", (*Aggregates).Fig25JitterByBandwidth},
-		{"fig26", "CDF of overall quality rating", (*Aggregates).Fig26QualityAll},
-		{"fig27", "CDF of quality by network configuration", (*Aggregates).Fig27QualityByAccess},
-		{"fig28", "Quality rating vs network bandwidth", (*Aggregates).Fig28QualityVsBandwidth},
+		{"fig05", (*Aggregates).Fig05ClipsPerUser},
+		{"fig06", (*Aggregates).Fig06RatedPerUser},
+		{"fig07", (*Aggregates).Fig07ByUserCountry},
+		{"fig08", (*Aggregates).Fig08ByServerCountry},
+		{"fig09", (*Aggregates).Fig09ByUSState},
+		{"fig10", (*Aggregates).Fig10Unavailable},
+		{"fig11", (*Aggregates).Fig11FrameRateAll},
+		{"fig12", (*Aggregates).Fig12FrameRateByAccess},
+		{"fig13", (*Aggregates).Fig13BandwidthByAccess},
+		{"fig14", (*Aggregates).Fig14FrameRateByServerRegion},
+		{"fig15", (*Aggregates).Fig15FrameRateByUserRegion},
+		{"fig16", (*Aggregates).Fig16ProtocolMix},
+		{"fig17", (*Aggregates).Fig17FrameRateByProtocol},
+		{"fig18", (*Aggregates).Fig18BandwidthByProtocol},
+		{"fig19", (*Aggregates).Fig19FrameRateByPC},
+		{"fig20", (*Aggregates).Fig20JitterAll},
+		{"fig21", (*Aggregates).Fig21JitterByAccess},
+		{"fig22", (*Aggregates).Fig22JitterByServerRegion},
+		{"fig23", (*Aggregates).Fig23JitterByUserRegion},
+		{"fig24", (*Aggregates).Fig24JitterByProtocol},
+		{"fig25", (*Aggregates).Fig25JitterByBandwidth},
+		{"fig26", (*Aggregates).Fig26QualityAll},
+		{"fig27", (*Aggregates).Fig27QualityByAccess},
+		{"fig28", (*Aggregates).Fig28QualityVsBandwidth},
 	}
 }
 

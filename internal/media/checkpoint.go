@@ -16,7 +16,6 @@ func (fs *FrameSource) Sync(c *snap.Codec) {
 	c.Tag("fsrc")
 	c.Int(&fs.sceneIdx)
 	c.Int(&fs.videoIdx)
-	c.Int(&fs.audioIdx)
 	c.Dur(&fs.videoAt)
 	c.Dur(&fs.audioAt)
 	if c.Reading() && c.Err() == nil && (fs.sceneIdx < 0 || fs.sceneIdx >= len(fs.scenes)) {

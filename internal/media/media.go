@@ -125,8 +125,6 @@ func (c *Clip) MaxEncoding() Encoding { return c.Encodings[len(c.Encodings)-1] }
 type Frame struct {
 	// Video is true for video frames, false for audio packets.
 	Video bool
-	// Index is the per-track sequence.
-	Index int
 	// MediaTime is the presentation time from clip start.
 	MediaTime time.Duration
 	// Size is the encoded size in bytes.
@@ -151,7 +149,6 @@ type FrameSource struct {
 	scenes   []scene // the clip's, read-only
 	sceneIdx int
 	videoIdx int
-	audioIdx int
 	videoAt  time.Duration
 	audioAt  time.Duration
 }
@@ -241,7 +238,6 @@ func (fs *FrameSource) next(consume bool) (Frame, bool, bool) {
 	}
 	f := fs.audioFrame()
 	if consume {
-		fs.audioIdx++
 		fs.audioAt += audioPacketInterval
 	}
 	return f, true, true
@@ -269,7 +265,7 @@ func (fs *FrameSource) videoFrame() Frame {
 	if size < 60 {
 		size = 60
 	}
-	return Frame{Video: true, Index: fs.videoIdx, MediaTime: fs.videoAt, Size: size, Keyframe: key}
+	return Frame{Video: true, MediaTime: fs.videoAt, Size: size, Keyframe: key}
 }
 
 // frameInterval returns the gap to the next video frame: the encoded rate
@@ -295,7 +291,7 @@ func (fs *FrameSource) audioFrame() Frame {
 	if size < 20 {
 		size = 20
 	}
-	return Frame{Video: false, Index: fs.audioIdx, MediaTime: fs.audioAt, Size: size}
+	return Frame{Video: false, MediaTime: fs.audioAt, Size: size}
 }
 
 // Encoding returns the encoding the source is generating.

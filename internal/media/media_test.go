@@ -322,7 +322,7 @@ func (fs *reseedingSource) Reset(clip *Clip, enc Encoding) {
 		fs.rng.Seed(clip.Seed)
 	}
 	fs.scenes = fs.scenes[:0]
-	fs.sceneIdx, fs.videoIdx, fs.audioIdx = 0, 0, 0
+	fs.sceneIdx, fs.videoIdx = 0, 0
 	fs.videoAt, fs.audioAt = 0, 0
 	meanAction := map[ContentType]float64{
 		ContentNews:   0.30,

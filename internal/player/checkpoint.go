@@ -135,7 +135,6 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	snap.Slice(c, &p.playTimes, (*snap.Codec).Dur)
 	c.Int(&p.intBytes)
 	c.Int(&p.lastTickFrames)
-	c.Int(&p.decim)
 	c.Int(&p.decimCount)
 	c.F64(&p.curEncRate)
 	c.Dur(&p.buffStart)
@@ -148,8 +147,6 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 
 func (s *Stats) sync(c *snap.Codec) {
 	c.Tag("pstat")
-	c.Str(&s.URL)
-	c.Str(&s.Server)
 	snap.U8As(c, &s.Protocol)
 	c.F64(&s.EncodedKbps)
 	c.F64(&s.EncodedFPS)
@@ -170,7 +167,6 @@ func (s *Stats) sync(c *snap.Codec) {
 	c.Bool(&s.Failed)
 	c.Str(&s.FailReason)
 	c.Dur(&s.PlayDuration)
-	snap.Slice(c, &s.PlayoutGaps, (*snap.Codec).F64)
 	snap.Slice(c, &s.Timeline, func(c *snap.Codec, tp *TimePoint) {
 		c.Dur(&tp.T)
 		c.F64(&tp.Kbps)

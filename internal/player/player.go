@@ -57,8 +57,6 @@ const (
 	// FEC/NACK recoveries of slightly-older packets can land before their
 	// playout slots even when the buffer is running dry.
 	recoveryLag = 500 * time.Millisecond
-	// minPlayoutGap is the shortest inter-frame gap Stats.PlayoutGaps lists.
-	minPlayoutGap = 500 * time.Millisecond
 )
 
 // Config parameterizes one clip playout.
@@ -104,8 +102,6 @@ type Config struct {
 
 // Stats is the per-clip record RealTracer reported back to WPI.
 type Stats struct {
-	URL      string
-	Server   string
 	Protocol transport.Protocol
 
 	// Encoded values of the stream initially selected by the server.
@@ -135,10 +131,6 @@ type Stats struct {
 	FailReason  string // diagnostic detail for Failed sessions
 
 	PlayDuration time.Duration // wall time spent in playing/rebuffering
-
-	// PlayoutGaps lists the inter-frame playout gaps exceeding minPlayoutGap,
-	// in milliseconds — diagnostic detail behind the jitter number.
-	PlayoutGaps []float64
 
 	// Timeline holds one sample per second: the Figure-1 view of a session
 	// (current bandwidth and frame rate against the encoded values).
@@ -254,7 +246,6 @@ type Player struct {
 	lastTickFrames int
 
 	// CPU decimation.
-	decim      int
 	decimCount int
 
 	// Current encoding as observed from data packets.
@@ -323,7 +314,6 @@ func (p *Player) Reset(cfg Config) {
 	clear(p.pending)
 	p.haveSeq.Reset()
 	p.nackOutstanding.Reset()
-	gaps := p.stats.PlayoutGaps[:0]
 	timeline := p.stats.Timeline[:0]
 	*p = Player{
 		epoch:           p.epoch + 1,
@@ -341,7 +331,7 @@ func (p *Player) Reset(cfg Config) {
 		lowSeqs:         p.lowSeqs[:0],
 		nackScratch:     p.nackScratch[:0],
 	}
-	p.stats = Stats{PlayoutGaps: gaps, Timeline: timeline}
+	p.stats = Stats{Timeline: timeline}
 	p.init(cfg)
 }
 
@@ -364,7 +354,7 @@ func (p *Player) init(cfg Config) {
 	}
 	p.cfg = cfg
 	p.state = "setup"
-	p.stats.URL, p.stats.Server, p.stats.Protocol = cfg.URL, cfg.ControlAddr, cfg.Protocol
+	p.stats.Protocol = cfg.Protocol
 	p.st = &p.stats
 }
 
@@ -553,8 +543,8 @@ func (p *Player) onDescribeResp(resp *rtsp.Message) {
 // that needs that much, instead of doubling its way up clip after clip. The
 // bound is the frame rate of the highest rung the server may stream (it picks,
 // and switches at or below, the rung the bandwidth cap selects) over the
-// media the session can play. Stats keeps its ownership: the timeline and
-// playout gaps are the player's, reused on Reset like the rest.
+// media the session can play. Stats keeps its ownership: the timeline is the
+// player's, reused on Reset like the rest.
 func (p *Player) presize() {
 	var fps float64
 	for i, e := range p.desc.Encodings {
@@ -571,7 +561,6 @@ func (p *Player) presize() {
 	p.partials = slices.Grow(p.partials, 8) // a handful mid-assembly at once
 	st := &p.stats
 	st.Timeline = slices.Grow(st.Timeline, int((p.cfg.PlayFor+p.cfg.Preroll+maxRebuffer)/reportInterval)+1)
-	st.PlayoutGaps = slices.Grow(st.PlayoutGaps, int(span/minPlayoutGap.Seconds())+1)
 }
 
 // ErrUnavailable marks the clip-temporarily-unavailable outcome of Fig. 10.
@@ -1212,7 +1201,6 @@ func (p *Player) decimate() bool {
 	w, h := p.frameDims()
 	maxFPS := p.cfg.CPU.maxFPS(w, h)
 	if fps <= maxFPS {
-		p.decim = 0
 		return false
 	}
 	if p.cfg.DisableScalableVideo {
@@ -1224,7 +1212,6 @@ func (p *Player) decimate() bool {
 	if k < 2 {
 		k = 2
 	}
-	p.decim = k
 	p.decimCount++
 	return p.decimCount%k != 0
 }
@@ -1426,11 +1413,6 @@ func (p *Player) finalizeStats(now time.Duration, err error) {
 		st.MeasuredKbps = float64(p.bytesRecv) * 8 / 1000 / (p.lastRecvAt - p.firstRecvAt).Seconds()
 	}
 	st.JitterMs = jitterMs(p.playTimes)
-	for i := 1; i < len(p.playTimes); i++ {
-		if gap := p.playTimes[i] - p.playTimes[i-1]; gap > minPlayoutGap {
-			st.PlayoutGaps = append(st.PlayoutGaps, float64(gap.Milliseconds()))
-		}
-	}
 	st.FramesLost = p.lostPackets()
 	fps := st.MeasuredFPS
 	w, h := p.frameDims()

@@ -200,7 +200,6 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	if sess.hasPending {
 		f := &sess.pending
 		c.Bool(&f.Video)
-		c.Int(&f.Index)
 		c.Dur(&f.MediaTime)
 		c.Int(&f.Size)
 		c.Bool(&f.Keyframe)
@@ -211,7 +210,6 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	c.Dur(&sess.upswitchHold)
 	c.Int(&sess.upswitchTo)
 	snap.Map(c, &sess.failedRungs, (*snap.Codec).Int, (*snap.Codec).Int)
-	c.Int(&sess.switches)
 
 	if c.Reading() && sess.spec.Protocol == "udp" {
 		sess.dataUDP = s.udpPort.ConnFor(sess.spec.ClientDataAddr)

@@ -117,9 +117,6 @@ type streamSession struct {
 	// twice are abandoned for the rest of the session.
 	upswitchTo  int
 	failedRungs map[int]int
-
-	// Switch count for diagnostics/ablation.
-	switches int
 }
 
 // allocSession builds a session object for the pool: its map, and its
@@ -557,7 +554,6 @@ func (sess *streamSession) applySwitch(idx int) {
 		sess.healthyChecks = 0
 	}
 	sess.encIdx = idx
-	sess.switches++
 	enc := sess.clip.Encodings[idx]
 	sess.src.ResetAt(sess.clip, enc, sess.mediaPos)
 	sess.hasPending = false

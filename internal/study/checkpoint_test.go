@@ -335,9 +335,10 @@ func midSetupWorld(t testing.TB) *World {
 
 // TestSnapshotBytesStable pins the wire format: each fence world's 55%
 // snapshot must hash to the digest recorded when the format was last
-// changed on purpose (RTSNAP8: a buffered frame no longer carries its
-// encoding rate and size, a frame in assembly its size, and a finished
-// player's playout record stays in play order). A refactor of the walks must
+// changed on purpose (RTSNAP9: the walks no longer carry fields nothing
+// reads — a player's URL, server, playout gaps and decimation factor, a
+// tracer's played count, a session's switch count, a conn's sent-segment
+// count and a media source's audio index). A refactor of the walks must
 // leave these alone; a deliberate format change bumps snapMagic and updates
 // them here.
 func TestSnapshotBytesStable(t *testing.T) {

@@ -340,7 +340,6 @@ func (b *sessionBundle) selectServer(e tracer.Entry) tracer.Entry {
 			load = w.loads[c.shard][i]
 		}
 		cands = append(cands, workload.Candidate{
-			Host: site.Host,
 			Home: site.Host == e.Site.Host,
 			RTT:  c.f.net.BaseRTT(userName, site.Host),
 			Load: load,

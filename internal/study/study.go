@@ -263,7 +263,6 @@ type Result struct {
 	// trace.Collector (the default); nil under any other sink.
 	Records []*trace.Record
 	Users   []*geo.User
-	Sites   []geo.ServerSite
 	// SimDuration is how much virtual time the campaign took.
 	SimDuration time.Duration
 	// Events is the simulator event count (diagnostics).

@@ -447,7 +447,7 @@ func (w *World) Run() (*Result, error) {
 		return nil, fmt.Errorf("study: open-loop run stalled with %d arrivals pending, %d sessions active",
 			t.arrivalsLeft, t.active)
 	}
-	res := &Result{Users: w.Users, Sites: w.Sites}
+	res := &Result{Users: w.Users}
 	if w.fab != nil {
 		var all []*trace.Record
 		for _, f := range w.factories {

@@ -25,7 +25,6 @@ import (
 func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCtx) {
 	c.Tag("tracer")
 	c.Int(&t.idx)
-	c.Int(&t.played)
 	c.Int(&t.rated)
 	c.Bool(&t.stopped)
 	if c.Reading() && c.Err() == nil && (t.idx < 0 || t.idx > len(t.cfg.Playlist)) {

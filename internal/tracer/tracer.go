@@ -67,7 +67,6 @@ type Config struct {
 type Tracer struct {
 	cfg     Config
 	idx     int
-	played  int // successfully played clips (for rating budget)
 	rated   int
 	stopped bool
 
@@ -107,7 +106,7 @@ func New(cfg Config) *Tracer {
 func (t *Tracer) Reset(u *geo.User, playlist []Entry) {
 	t.pause.Cancel()
 	t.cfg.User, t.cfg.Playlist = u, playlist
-	t.idx, t.played, t.rated = 0, 0, 0
+	t.idx, t.rated = 0, 0
 	t.stopped = false
 }
 
@@ -279,7 +278,6 @@ func (t *Tracer) maybeRate(rec *trace.Record) {
 	if rec.Unavailable || rec.Failed {
 		return
 	}
-	t.played++
 	if t.rated >= t.cfg.User.ClipsToRate || t.cfg.Rate == nil {
 		return
 	}

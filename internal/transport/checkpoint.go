@@ -507,7 +507,6 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 	c.U64(&tc.retransmits)
 	c.U64(&tc.fastRexmits)
 	c.U64(&tc.timeouts)
-	c.U64(&tc.segsSent)
 	c.U64(&tc.segsDelivered)
 	c.Int(&tc.consecutiveRTOs)
 	if !c.Reading() || c.Err() != nil {

@@ -62,7 +62,6 @@ type simTCP struct {
 	retransmits     uint64
 	fastRexmits     uint64
 	timeouts        uint64
-	segsSent        uint64
 	segsDelivered   uint64
 	consecutiveRTOs int
 
@@ -231,7 +230,6 @@ func (c *simTCP) pump() {
 func (c *simTCP) transmit(seg *tcpSeg, rexmit bool) {
 	seg.ts = c.stack.clock.Now()
 	seg.rexmit = seg.rexmit || rexmit
-	c.segsSent++
 	if rexmit {
 		c.retransmits++
 	}

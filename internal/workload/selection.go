@@ -11,8 +11,6 @@ import (
 // Candidate is one mirror site offering a requested clip, as seen by a
 // selection policy at pick time.
 type Candidate struct {
-	// Host is the server's simulator host name.
-	Host string
 	// Home marks the clip's original site — the one the paper-faithful
 	// pinned mode would use.
 	Home bool

@@ -186,10 +186,10 @@ func TestPlanShapes(t *testing.T) {
 // TestPolicies pins the selection policies' deterministic choices.
 func TestPolicies(t *testing.T) {
 	cands := []Candidate{
-		{Host: "a", RTT: 80 * time.Millisecond, Load: 3},
-		{Host: "b", Home: true, RTT: 120 * time.Millisecond, Load: 0},
-		{Host: "c", RTT: 30 * time.Millisecond, Load: 1},
-		{Host: "d", RTT: 30 * time.Millisecond, Load: 0},
+		{RTT: 80 * time.Millisecond, Load: 3},
+		{Home: true, RTT: 120 * time.Millisecond, Load: 0},
+		{RTT: 30 * time.Millisecond, Load: 1},
+		{RTT: 30 * time.Millisecond, Load: 0},
 	}
 	p, _ := PolicyByName("pinned")
 	if got := p.Pick("u", cands); got != 1 {
