@@ -108,23 +108,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"94324d12621b1d4108797e3629699f84f7839818925c759f5537de2f1600e2af"},
+		"60de621393f9937f0d0f1ae962900edd1b715657ff9b970ff3fb95c5c298b0a5"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "2432dafbc01377073d2b94a0b0b385302052c8cb6f248d5b522f4f97ca480bce"},
+	}, "92320eafbe42a8989e5085c7359fe01eef2261fe76906509df84d9f4f9bfa62f"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "96ed4a543376e65ca65b39c3f97f6e25f593983346e27751b2275845071cf5d7"},
+	}, "bf13e4c1020a79e4cf266240533ca11db1eb6dd49bb1e7524be55872b606a7a4"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "9de0463a98d1a16394805f0a435552c7d2cb32ed74b01f19b6d4f08449ccd2f7"},
+	{"churnheavy", churnHeavy, "bd8f67d15ce608d96435691021b3e93dbfef6d037eea62e0947690ca16144e29"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
