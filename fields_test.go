@@ -110,23 +110,25 @@ func TestEveryFieldIsRead(t *testing.T) {
 				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
+				st, ok := n.(*ast.StructType)
 				if !ok {
 					return true
 				}
-				ast.Inspect(ts.Type, func(n ast.Node) bool {
-					if st, ok := n.(*ast.StructType); ok {
-						for _, fl := range st.Fields.List {
-							for _, id := range fl.Names {
-								if id.Name != "_" {
-									declared[fset.Position(id.Pos())] = own + "." + ts.Name.Name + "." + id.Name
-								}
-							}
+				typ := "struct" // an anonymous struct's fields are named by their package
+				for p := s.parent[n]; p != nil; p = s.parent[p] {
+					if ts, ok := p.(*ast.TypeSpec); ok {
+						typ = ts.Name.Name
+						break
+					}
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.Name != "_" {
+							declared[fset.Position(id.Pos())] = own + "." + typ + "." + id.Name
 						}
 					}
-					return true
-				})
-				return false
+				}
+				return true
 			})
 		}
 		for sel, x := range s.info.Selections {
@@ -239,50 +241,52 @@ func (s *fieldScan) onlyWrites(sel *ast.SelectorExpr) bool {
 }
 
 // carrier returns the expression whose value carries what sel reads: sel
-// itself, or the x.f[:0], slices.Grow(x.f, …) or append(x.f, …) that reuses
-// its capacity.
+// itself, or the x.f[:0], slices.Grow(x.f, …) and append(x.f, …) around it
+// that reuse its capacity, however they nest.
 func (s *fieldScan) carrier(sel *ast.SelectorExpr) ast.Expr {
-	switch p := s.parent[sel].(type) {
-	case *ast.SliceExpr:
-		zero := func(e ast.Expr) bool {
-			lit, ok := e.(*ast.BasicLit)
-			return ok && lit.Value == "0"
-		}
-		if p.X == sel && (p.Low == nil || zero(p.Low)) && zero(p.High) && p.Max == nil {
-			return p
-		}
-	case *ast.CallExpr:
-		if len(p.Args) == 0 || p.Args[0] != sel {
-			break
-		}
-		switch fn := s.callee(p).(type) {
-		case *types.Func:
-			if fn.Pkg() != nil && fn.Pkg().Path() == "slices" && fn.Name() == "Grow" {
-				return p
-			}
-		case *types.Builtin:
-			if fn.Name() == "append" {
-				return p
-			}
-		}
+	zero := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		return ok && lit.Value == "0"
 	}
-	return sel
+	var e ast.Expr = sel
+	for {
+		switch p := s.parent[e].(type) {
+		case *ast.SliceExpr:
+			if p.X == e && (p.Low == nil || zero(p.Low)) && zero(p.High) && p.Max == nil {
+				e = p
+				continue
+			}
+		case *ast.CallExpr:
+			if len(p.Args) == 0 || p.Args[0] != e {
+				break
+			}
+			switch fn := s.callee(p).(type) {
+			case *types.Func:
+				if fn.Pkg() != nil && fn.Pkg().Path() == "slices" && fn.Name() == "Grow" {
+					e = p
+					continue
+				}
+			case *types.Builtin:
+				if fn.Name() == "append" {
+					e = p
+					continue
+				}
+			}
+		}
+		return e
+	}
 }
 
 // into returns the one field the value of e goes into, if it goes only into
 // one: assigned to it, keyed to it in a composite literal, or held in a
 // variable whose every use goes into it.
 func (s *fieldScan) into(e ast.Expr, depth int) (token.Position, bool) {
-	field := func(obj types.Object) (token.Position, bool) {
-		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			return s.at(v), true
-		}
-		return token.Position{}, false
-	}
 	switch p := s.parent[e].(type) {
 	case *ast.KeyValueExpr:
 		if key, ok := p.Key.(*ast.Ident); ok && p.Value == e {
-			return field(s.info.Uses[key])
+			if v, ok := s.info.Uses[key].(*types.Var); ok && v.IsField() {
+				return s.at(v), true
+			}
 		}
 	case *ast.AssignStmt:
 		i := slices.Index(p.Rhs, e)
@@ -313,17 +317,10 @@ func (s *fieldScan) into(e ast.Expr, depth int) (token.Position, bool) {
 	return token.Position{}, false
 }
 
-// callee resolves the function a call names, through a package qualifier, a
-// method selector or an explicit instantiation.
+// callee resolves the function a call names, bare or through a package or a
+// receiver.
 func (s *fieldScan) callee(call *ast.CallExpr) types.Object {
-	fun := ast.Unparen(call.Fun)
-	switch f := fun.(type) {
-	case *ast.IndexExpr:
-		fun = f.X
-	case *ast.IndexListExpr:
-		fun = f.X
-	}
-	switch f := fun.(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return s.info.Uses[f]
 	case *ast.SelectorExpr:

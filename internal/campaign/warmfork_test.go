@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -190,8 +191,8 @@ func TestRunWarmForksValidation(t *testing.T) {
 		// A sink that cannot walk itself into the snapshot has already let the
 		// prefix's records go.
 		{"streaming sink", []study.Fork{{Name: "a"}}, time.Minute,
-			Config{NewSink: func() trace.Sink { return trace.SinkFunc(func(*trace.Record) {}) }},
-			"sink of type trace.SinkFunc cannot be snapshotted"},
+			Config{NewSink: func() trace.Sink { return trace.NewCSVSink(io.Discard) }},
+			"sink of type *trace.CSVSink cannot be snapshotted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -286,6 +286,13 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 			}
 			maxKbps = n
 		}
+		// A client streams to its own host: a data address on any other
+		// would take over the session that address already indexes.
+		if spec.Protocol == "udp" && spec.ClientDataAddr != "" &&
+			netsim.Addr(spec.ClientDataAddr).Host() != netsim.Addr(cc.conn.RemoteAddr()).Host() {
+			cc.reply(req, rtsp.StatusBadRequest)
+			return
+		}
 		s.nextID++
 		id := "sess-" + strconv.Itoa(s.nextID)
 		sess := newStreamSession(s, id, clip, spec, float64(maxKbps), cc)

@@ -67,6 +67,15 @@ func (r *ctlRig) another() *ctlRig {
 	return o
 }
 
+// from opens a control connection to the same server from a new host.
+func (r *ctlRig) from(host string) *ctlRig {
+	r.t.Helper()
+	r.net.AddHost(netsim.HostConfig{Name: host, Access: netsim.DefaultAccessProfile(netsim.AccessT1LAN)})
+	o := &ctlRig{t: r.t, clock: r.clock, net: r.net, srv: r.srv, cli: transport.NewStack(r.net, host)}
+	o.dial()
+	return o
+}
+
 // dial opens the rig's control connection.
 func (r *ctlRig) dial() {
 	r.t.Helper()
@@ -298,6 +307,36 @@ func TestSessionBelongsToItsControlConn(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSetupDataAddrIsTheSendersHost pins that a SETUP's UDP data address
+// belongs to the host of the control conn that sends it: a client naming
+// another host's address gets 400 and no session, so it cannot take over the
+// session the server finds by that address.
+func TestSetupDataAddrIsTheSendersHost(t *testing.T) {
+	setup := func(r *ctlRig, dataAddr string) *rtsp.Message {
+		m := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+		m.Set("Transport", rtsp.TransportSpec{Protocol: "udp", ClientDataAddr: dataAddr}.Format())
+		m.Set("Bandwidth", "80")
+		return r.request(m)
+	}
+	owner := newCtlRig(t, 0)
+	sess := owner.srv.sessions[setup(owner, "cli:20000").Get("Session")]
+	if sess == nil || owner.srv.byDataAddr["cli:20000"] != sess {
+		t.Fatal("a SETUP from cli for cli:20000 made no session indexed by that address")
+	}
+	rogue := owner.from("rogue")
+	for _, addr := range []string{"cli:20000", "cli:20001", "srv:20000"} {
+		if resp := setup(rogue, addr); resp.Status != rtsp.StatusBadRequest {
+			t.Errorf("SETUP from rogue for %s: %d %s, want %d", addr, resp.Status, resp.Reason, rtsp.StatusBadRequest)
+		}
+		if len(owner.srv.sessions) != 1 || len(owner.srv.byDataAddr) != 1 || owner.srv.byDataAddr["cli:20000"] != sess {
+			t.Fatalf("SETUP from rogue for %s changed the sessions: %d sessions, %d data addresses", addr, len(owner.srv.sessions), len(owner.srv.byDataAddr))
+		}
+	}
+	if resp := setup(rogue, "rogue:20000"); resp.Status != rtsp.StatusOK || owner.srv.byDataAddr["rogue:20000"] == nil {
+		t.Errorf("SETUP from rogue for its own rogue:20000: %d %s, want an indexed session", resp.Status, resp.Reason)
 	}
 }
 

@@ -177,10 +177,9 @@ func (c *Clock) CheckOwned(sc *snap.Codec) {
 	}
 }
 
-// Rearm is Arm for an (At, seq) pair decoded from a snapshot: a slot the
-// restored clock cannot hold (in the past, or a seq the clock has not
-// issued yet) fails the codec instead of reaching Arm's panics, which stay
-// reserved for programmer misuse.
+// Rearm schedules h.Fire at an (At, seq) slot decoded from a snapshot: a
+// slot the restored clock cannot hold (in the past, or a seq the clock has
+// not issued yet) fails the codec instead.
 func (c *Clock) Rearm(sc *snap.Codec, at time.Duration, seq uint64, h EventHandler) Timer {
 	if sc.Err() != nil {
 		return Timer{}
@@ -189,24 +188,15 @@ func (c *Clock) Rearm(sc *snap.Codec, at time.Duration, seq uint64, h EventHandl
 		sc.Fail(fmt.Errorf("simclock: snapshot event (at %v, seq %d) outside the restored clock (now %v, seq %d)", at, seq, c.now, c.seq))
 		return Timer{}
 	}
-	return c.Arm(at, seq, h)
+	return c.arm(at, seq, h)
 }
 
-// Arm schedules h.Fire at absolute time at with an explicit sequence number
-// — the restore-side counterpart of AtHandler. seq must come from a
-// checkpointed event of this clock (strictly below the restored Seq); the
-// clock's own counter is not advanced, so events scheduled after the
-// restore receive the same seqs they would have in a straight-through run.
-func (c *Clock) Arm(at time.Duration, seq uint64, h EventHandler) Timer {
-	if h == nil {
-		panic("simclock: Arm with nil handler")
-	}
-	if at < c.now {
-		panic(fmt.Sprintf("simclock: Arm at %v before now %v", at, c.now))
-	}
-	if seq >= c.seq {
-		panic(fmt.Sprintf("simclock: Arm seq %d not below clock seq %d", seq, c.seq))
-	}
+// arm schedules h.Fire at absolute time at with an explicit sequence number
+// — the restore-side counterpart of AtHandler. seq comes from a checkpointed
+// event of this clock (below the restored Seq, as Rearm checks); the clock's
+// own counter is not advanced, so events scheduled after the restore receive
+// the same seqs they would have in a straight-through run.
+func (c *Clock) arm(at time.Duration, seq uint64, h EventHandler) Timer {
 	e := c.obtain()
 	e.At = at
 	e.h = h

@@ -395,7 +395,7 @@ func TestWheelRestoreMatchesHeap(t *testing.T) {
 	for i, at := range ats {
 		seq := src.seq - 1 - uint64(i)
 		wh, hh := p.handlers(i)
-		p.w.Arm(at, seq, &rearmTick{log: wh, left: 3, rearm: func(h EventHandler) { p.w.AfterHandler(time.Duration(i)*time.Second, h) }})
+		p.w.arm(at, seq, &rearmTick{log: wh, left: 3, rearm: func(h EventHandler) { p.w.AfterHandler(time.Duration(i)*time.Second, h) }})
 		p.h.pending = append(p.h.pending, &refEvent{at: at, seq: seq, h: &rearmTick{log: hh, left: 3, rearm: func(h EventHandler) { p.h.AfterHandler(time.Duration(i)*time.Second, h) }}})
 	}
 	if p.w.ringN == 0 || len(p.w.far) == 0 {

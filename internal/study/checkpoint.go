@@ -157,8 +157,8 @@ func hashBytes(b []byte) uint64 {
 // and out receives nothing unless the whole walk succeeded. Only the classic
 // engine is checkpointable (netsim refuses a sharded network), only under a
 // sink that walks itself into the snapshot (trace.SyncSink refuses the rest:
-// a CSV writer or a SinkFunc has already let the prefix's records go), and
-// only when every pending event has exactly one owner that walks it
+// a CSV writer, say, has already let the prefix's records go), and only
+// when every pending event has exactly one owner that walks it
 // (simclock.Clock.CheckOwned).
 func (w *World) Checkpoint(out io.Writer) error {
 	var buf bytes.Buffer

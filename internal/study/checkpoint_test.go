@@ -639,9 +639,10 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 	// A snapshot in an earlier format — before dial state, before closed conns
 	// froze their backlog, before records were walked field by field, before
 	// the stacks walked the conns they accepted, before the retransmit window
-	// kept headers, before bundles were leased per live session — is refused
-	// on its magic, before any field is misread.
-	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4", "RTSNAP5", "RTSNAP6"} {
+	// kept headers, before bundles were leased per live session, before one
+	// packet arena per shard, before the walks dropped the fields nothing
+	// reads — is refused on its magic, before any field is misread.
+	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4", "RTSNAP5", "RTSNAP6", "RTSNAP7", "RTSNAP8"} {
 		old := append([]byte(nil), snap...)
 		copy(old[4:], magic)
 		if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {
@@ -656,7 +657,7 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 // spread across goroutines. Both fail before a byte is written.
 func TestCheckpointRejectsUnsupportedWorlds(t *testing.T) {
 	for _, sink := range []trace.Sink{
-		trace.SinkFunc(func(*trace.Record) {}),
+		new(countSink),
 		trace.NewCSVSink(&bytes.Buffer{}),
 		trace.MultiSink{figures.NewAggregates()},
 	} {

@@ -58,8 +58,8 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 	// Stream records instead of retaining them: record storage is only
 	// recycled when the sink lets go of each record, which is the shape
 	// the population-scale benchmarks run in.
-	var observed int
-	w.SetSink(trace.SinkFunc(func(*trace.Record) { observed++ }))
+	var observed countSink
+	w.SetSink(&observed)
 
 	o := w.open.cells[0] // the classic engine runs a single arrival cell
 	completed := func() int { return o.sessions - o.active }
@@ -121,7 +121,7 @@ func TestFirstPassAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetSink(trace.SinkFunc(func(*trace.Record) {}))
+	w.SetSink(new(countSink))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := w.Run()

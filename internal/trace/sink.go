@@ -81,12 +81,6 @@ func SyncSink(c *snap.Codec, s *Sink) {
 	ss.Sync(c)
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(*Record)
-
-// Observe implements Sink.
-func (f SinkFunc) Observe(r *Record) { f(r) }
-
 // Collector is the retain-everything Sink: it preserves the classic
 // records-slice API for small studies and tests.
 type Collector struct {

@@ -123,7 +123,7 @@ func TestOrphanedDialRestoresDeaf(t *testing.T) {
 }
 
 // A dial's timers restore through Clock.Rearm: a slot the clock cannot hold
-// fails the codec instead of reaching Arm's panic.
+// fails the codec.
 func TestDialRestoreRejectsTimerOutsideClock(t *testing.T) {
 	_, _, stackSnap := midDial(t)
 	_, _, sb := newPair(t, netsim.Route{OneWayDelay: 20 * time.Millisecond})
