@@ -70,8 +70,14 @@ func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, 
 	}
 	base = deriveSeeds(base, cfg.BaseSeed, "warmfork")
 
+	// One static world for the prefix and every fork: each instantiates only
+	// what its events write.
 	start := time.Now()
-	w, err := study.NewWorld(base)
+	st, err := study.NewStatic(base)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: warm-fork base: %w", err)
+	}
+	w, err := st.NewWorld()
 	if err != nil {
 		return nil, fmt.Errorf("campaign: warm-fork base: %w", err)
 	}
@@ -95,20 +101,21 @@ func RunWarmForks(base study.Options, warmup time.Duration, forks []study.Fork, 
 		SnapshotBytes: snap.Len(),
 	}
 	out.Workers = runPool(len(forks), cfg.Workers, func(i int) {
-		out.Results[i] = runFork(snap.Bytes(), base, &forks[i], cfg.NewSink != nil)
+		out.Results[i] = runFork(st, snap.Bytes(), base, &forks[i], cfg.NewSink != nil)
 	})
 	out.Elapsed = time.Since(start)
 	return out, nil
 }
 
-// runFork resumes one fork from the shared snapshot and drives it to
-// completion in its own private world; snapshot bytes are read-only, so
-// workers share them without copies. streamed reports the fork's restored
-// sink in the result, as Run does for a scenario under Config.NewSink.
-func runFork(snap []byte, base study.Options, fork *study.Fork, streamed bool) ScenarioResult {
+// runFork resumes one fork from the shared snapshot on the shared static
+// world and drives it to completion in its own private world; snapshot
+// bytes and the static world are read-only, so workers share them without
+// copies. streamed reports the fork's restored sink in the result, as Run
+// does for a scenario under Config.NewSink.
+func runFork(st *study.Static, snap []byte, base study.Options, fork *study.Fork, streamed bool) ScenarioResult {
 	start := time.Now()
 	out := ScenarioResult{Scenario: Scenario{Name: fork.Name, Options: base}}
-	w, err := study.Resume(bytes.NewReader(snap), fork)
+	w, err := st.Resume(bytes.NewReader(snap), fork)
 	if err == nil {
 		if streamed {
 			out.Sink = w.Sink()

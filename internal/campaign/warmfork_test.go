@@ -125,6 +125,63 @@ func TestRunWarmForksSharedPrefix(t *testing.T) {
 	}
 }
 
+// TestRunWarmForksShareOneStaticWorld runs one warm sweep of eight forks on
+// two and on four workers. Every world of a sweep — the prefix and each fork
+// — is instantiated from the one static world RunWarmForks builds, so under
+// -race a write one fork makes to it while another reads it is a reported
+// race. Each fork's records must be equal at both worker counts and equal to
+// the same fork resumed, alone, on a static world of its own. Round-robin
+// selection re-homes clips to every mirror, so the forks share each clip's
+// laid scenes and DESCRIBE body across servers too.
+func TestRunWarmForksShareOneStaticWorld(t *testing.T) {
+	base := warmForkBase()
+	base.Selection = "roundrobin"
+	warmup := horizonOf(t, base) / 2
+	forks := make([]study.Fork, 8)
+	for i := range forks {
+		forks[i].Name = fmt.Sprintf("fork-%d", i)
+	}
+	var sums []*WarmForkResult
+	for _, workers := range []int{2, 4} {
+		sum, err := RunWarmForks(base, warmup, forks, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sum.Err(); err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, sum)
+	}
+
+	w, err := study.NewWorld(sums[0].Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RunUntil(warmup); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := w.Checkpoint(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := range forks {
+		fw, err := study.Resume(bytes.NewReader(snap.Bytes()), &forks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fw.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := csvBytes(t, res)
+		for _, sum := range sums {
+			if !bytes.Equal(csvBytes(t, sum.Results[i].Result), want) {
+				t.Errorf("fork %s on %d workers differs from the fork resumed on a static world of its own", forks[i].Name, sum.Workers)
+			}
+		}
+	}
+}
+
 // TestRunWarmForksStreamed: a warm sweep whose worlds stream into aggregates
 // (the snapshot carries the prefix's aggregates, never a record) must hand
 // back, fork by fork and at any worker count, exactly the aggregates of the

@@ -96,12 +96,27 @@ type Clip struct {
 	// every mirror, whatever shard each runs on.
 	scenes     []scene
 	scenesOnce sync.Once
+
+	// desc is the clip's DESCRIBE body, rendered by the first server that
+	// describes the clip (Described) and shared read-only, like scenes, by
+	// every server that serves it.
+	desc     []byte
+	descOnce sync.Once
 }
 
 // layout returns the clip's scenes, laying them out on first use.
 func (c *Clip) layout() []scene {
 	c.scenesOnce.Do(c.layScenes)
 	return c.scenes
+}
+
+// Described returns the clip's DESCRIBE body, rendered by render on the
+// first call. The body is a pure function of the clip, so every server that
+// serves it — each mirror, on any shard, in any world built from one static
+// world — shares that first rendering; nothing may write through it.
+func (c *Clip) Described(render func(*Clip) []byte) []byte {
+	c.descOnce.Do(func() { c.desc = render(c) })
+	return c.desc
 }
 
 // EncodingIndexFor selects the best SureStream encoding not exceeding

@@ -30,6 +30,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"realtracer/internal/detrand"
@@ -226,14 +227,9 @@ type host struct {
 	cfg      HostConfig
 	id       HostID
 	handlers map[Addr]Handler
-	// Dense per-port handler table, the per-delivery fast path: ports[p -
-	// portBase] mirrors handlers for every registered addr with a numeric
-	// port. portBase is the lowest port seen so the slice spans only the
-	// host's actual port range (a client's handful of ephemeral ports, a
-	// server's service-to-ephemeral span). Addresses without a parseable
-	// port, or beyond maxPortSpan, live only in the map.
-	portBase int32
-	ports    []Handler
+	// ports mirrors handlers for every registered addr with a numeric port:
+	// the per-delivery fast path.
+	ports portTable
 	// Precomputed access-link rates in bits/sec — kbpsToBitsPerSec of the
 	// fixed config, hoisted out of the per-send path. The config never
 	// changes while a host is attached, and the conversion is a pure
@@ -245,38 +241,129 @@ type host struct {
 	downBusyUntil time.Duration
 }
 
+// portTable finds a host's handler by numeric port in one slice index. A
+// port at or above EphemeralPorts is at dense[p - base], base being the
+// lowest such port registered, so the slice spans only the host's own range
+// (a client's handful of ports, a server's accepted conns). A port below it
+// — a server's service ports, thousands of numbers apart — is at
+// low[p & (len(low)-1)], in a slot that names its port, so a packet to an
+// unregistered port finds nothing. Addresses without a parseable port, or
+// beyond maxPortSpan, live only in the handler map.
+type portTable struct {
+	base  int32
+	dense []Handler
+	low   []lowPort
+}
+
+// lowPort is a service port's slot in a low table: the port and its
+// handler, or the zero slot.
+type lowPort struct {
+	port int32
+	fn   Handler
+}
+
+// EphemeralPorts is where the dense port range starts: a transport hands
+// out its conns' ports from here up, and the service ports below it are few
+// and far apart.
+const EphemeralPorts = 10000
+
+// lowMin is a low table's first size, the one a server's service ports
+// (554, 5540 and 6970: 554 and 6970 share their last four bits) first fit.
+const lowMin = 32
+
 // maxPortSpan bounds the dense port table per host: a pathological address
-// span (huge or negative port numbers) falls back to the handler map rather
-// than allocating an enormous slice.
+// span (huge port numbers) falls back to the handler map rather than
+// allocating an enormous slice.
 const maxPortSpan = 1 << 16
 
-// setPort mirrors a registration into the dense port table.
-func (h *host) setPort(p int32, fn Handler) {
-	if len(h.ports) == 0 {
-		h.portBase = p
+// get returns the handler registered on port p > 0, or nil.
+func (t *portTable) get(p int32) Handler {
+	if p >= EphemeralPorts {
+		if idx := uint(p - t.base); idx < uint(len(t.dense)) {
+			return t.dense[idx]
+		}
+		return nil
 	}
-	if p < h.portBase {
-		off := int(h.portBase - p)
-		if off+len(h.ports) > maxPortSpan {
+	if n := len(t.low); n > 0 {
+		if s := t.low[int(p)&(n-1)]; s.port == p {
+			return s.fn
+		}
+	}
+	return nil
+}
+
+// set mirrors a registration on port p > 0.
+func (t *portTable) set(p int32, fn Handler) {
+	if p < EphemeralPorts {
+		t.setLow(p, fn)
+		return
+	}
+	if len(t.dense) == 0 {
+		t.base = p
+	}
+	if p < t.base {
+		off := int(t.base - p)
+		if off+len(t.dense) > maxPortSpan {
 			return
 		}
-		grown := make([]Handler, off+len(h.ports))
-		copy(grown[off:], h.ports)
-		h.ports = grown
-		h.portBase = p
+		grown := make([]Handler, off+len(t.dense))
+		copy(grown[off:], t.dense)
+		t.dense = grown
+		t.base = p
 	}
-	idx := int(p - h.portBase)
+	idx := int(p - t.base)
 	if idx >= maxPortSpan {
 		return
 	}
-	if idx >= len(h.ports) {
-		// A server's table spans its service port to its ephemeral ones,
-		// thousands of slots from the first. Slots past the length are nil:
-		// nothing writes there, and RemoveHost clears the whole table before
-		// it is reused.
-		h.ports = growTo(h.ports, idx)
+	if idx >= len(t.dense) {
+		// Slots past the length are nil: nothing writes there, and reset
+		// clears the whole table before it is reused.
+		t.dense = growTo(t.dense, idx)
 	}
-	h.ports[idx] = fn
+	t.dense[idx] = fn
+}
+
+// setLow files a port below EphemeralPorts in the low table, doubling the
+// table until the port has a slot of its own. Ports in distinct slots stay
+// in distinct slots at every larger size, so a doubling moves each one
+// once.
+func (t *portTable) setLow(p int32, fn Handler) {
+	for {
+		if len(t.low) == 0 {
+			t.low = make([]lowPort, lowMin)
+		}
+		if s := &t.low[int(p)&(len(t.low)-1)]; s.fn == nil || s.port == p {
+			*s = lowPort{p, fn}
+			return
+		}
+		grown := make([]lowPort, 2*len(t.low))
+		for _, s := range t.low {
+			if s.fn != nil {
+				grown[int(s.port)&(len(grown)-1)] = s
+			}
+		}
+		t.low = grown
+	}
+}
+
+// clear removes the registration on port p > 0.
+func (t *portTable) clear(p int32) {
+	if p < EphemeralPorts {
+		if n := len(t.low); n > 0 && t.low[int(p)&(n-1)].port == p {
+			t.low[int(p)&(n-1)] = lowPort{}
+		}
+		return
+	}
+	if idx := uint(p - t.base); idx < uint(len(t.dense)) {
+		t.dense[idx] = nil
+	}
+}
+
+// reset empties the table, keeping its storage for the next host.
+func (t *portTable) reset() {
+	clear(t.dense)
+	clear(t.low)
+	t.dense, t.base = t.dense[:0], 0
 }
 
 // growTo extends s to hold index idx ≥ len(s): in one step to that slot, not
@@ -297,13 +384,6 @@ func growTo[T any](s []T, idx int) []T {
 		return grown
 	}
 	return s[:idx+1]
-}
-
-// clearPort removes a registration from the dense port table.
-func (h *host) clearPort(p int32) {
-	if idx := int(p - h.portBase); idx >= 0 && idx < len(h.ports) {
-		h.ports[idx] = nil
-	}
 }
 
 // pathState carries the per-ordered-pair wide-area state.
@@ -412,6 +492,17 @@ func New(clock *simclock.Clock, routes RouteTable, seed int64) *Network {
 	}
 }
 
+// Reserve sizes the host tables for hosts more names, so a world that
+// knows its host count up front interns them without growing the tables.
+func (n *Network) Reserve(hosts int) {
+	if len(n.ids) == 0 {
+		n.ids = make(map[string]HostID, hosts)
+	}
+	n.hostTab = slices.Grow(n.hostTab, hosts)
+	n.names = slices.Grow(n.names, hosts)
+	n.rows = slices.Grow(n.rows, hosts)
+}
+
 // Intern returns the permanent dense ID for a host name, assigning one if
 // the name has never been seen. Interning does not attach a host; it lets
 // the transport layer resolve endpoints once per connection instead of once
@@ -450,7 +541,7 @@ func (n *Network) AddHost(cfg HostConfig) {
 	if k := len(n.hostFree); k > 0 {
 		h = n.hostFree[k-1]
 		n.hostFree = n.hostFree[:k-1]
-		*h = host{handlers: h.handlers, ports: h.ports[:0]}
+		*h = host{handlers: h.handlers, ports: h.ports}
 	} else {
 		h = &host{handlers: make(map[Addr]Handler)}
 	}
@@ -473,9 +564,7 @@ func (n *Network) RemoveHost(name string) {
 	h := n.hostTab[id]
 	n.hostTab[id] = nil
 	clear(h.handlers)
-	clear(h.ports)
-	h.ports = h.ports[:0]
-	h.portBase = 0
+	h.ports.reset()
 	n.hostFree = append(n.hostFree, h)
 	row := n.rows[id]
 	for to := range row {
@@ -517,7 +606,7 @@ func (n *Network) Register(addr Addr, h Handler) {
 	}
 	hst.handlers[addr] = h
 	if p := addr.Port(); p > 0 {
-		hst.setPort(p, h)
+		hst.ports.set(p, h)
 	}
 }
 
@@ -526,7 +615,7 @@ func (n *Network) Unregister(addr Addr) {
 	if hst := n.hostByAddr(addr); hst != nil {
 		delete(hst.handlers, addr)
 		if p := addr.Port(); p > 0 {
-			hst.clearPort(p)
+			hst.ports.clear(p)
 		}
 	}
 }
@@ -875,15 +964,13 @@ func (n *Network) deliver(pkt *Packet) {
 		n.Clock.AtHandler(at, pkt)
 		return
 	}
-	// Fast path: senders pre-parse their ports, so the dense per-host table
-	// resolves the handler without hashing the address string. A zero or
+	// Fast path: senders pre-parse their ports, so the dense per-host tables
+	// resolve the handler without hashing the address string. A zero or
 	// out-of-span port (portless addresses, ports past the table) falls
 	// back to the map.
 	var h Handler
 	if p := pkt.ToPort; p > 0 {
-		if idx := int(p - hst.portBase); idx >= 0 && idx < len(hst.ports) {
-			h = hst.ports[idx]
-		}
+		h = hst.ports.get(p)
 	}
 	if h == nil {
 		if h = hst.handlers[pkt.To]; h == nil {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -389,3 +390,58 @@ func TestBaseRTT(t *testing.T) {
 		t.Fatal("BaseRTT not deterministic")
 	}
 }
+
+// TestPortTableFindsEachPortsOwnHandler registers a server's three service
+// ports and a run of conn ports, and sends to each of them and to the
+// unregistered ports beside them — one that shares a service port's slot,
+// the ports between the two ranges, one past the run — with the ports
+// pre-parsed, as senders hand them over. Each registered port reaches its
+// own handler and nothing else is delivered, before and after one port of
+// each range is unregistered and the host is removed and attached again.
+func TestPortTableFindsEachPortsOwnHandler(t *testing.T) {
+	clock, n := newNet(Route{})
+	got := map[int32]int32{} // packets by the port whose handler took them
+	register := func(p int32) {
+		n.Register(Addr("b:"+itoa(p)), func(pkt *Packet) { got[p] = pkt.ToPort })
+	}
+	registered := []int32{554, 5540, 6970, 10001, 10002, 10003}
+	for _, p := range registered {
+		register(p)
+	}
+	send := func(p int32) {
+		pkt := leased(n, Packet{From: "a:9", To: Addr("b:" + itoa(p)), Size: 10})
+		pkt.ToPort = p
+		n.Send(pkt)
+		clock.Run()
+	}
+	check := func(live map[int32]bool) {
+		t.Helper()
+		for _, p := range []int32{554, 586, 5540, 6938, 6970, 9999, 10000, 10001, 10002, 10003, 10004} {
+			clear(got)
+			send(p)
+			switch to, ok := got[p]; {
+			case live[p] && (!ok || to != p || len(got) != 1):
+				t.Errorf("a packet to port %d reached %v, want its own handler only", p, got)
+			case !live[p] && len(got) != 0:
+				t.Errorf("a packet to unregistered port %d reached %v", p, got)
+			}
+		}
+	}
+	live := map[int32]bool{}
+	for _, p := range registered {
+		live[p] = true
+	}
+	check(live)
+	n.Unregister("b:6970")
+	n.Unregister("b:10002")
+	live[6970], live[10002] = false, false
+	check(live)
+	n.RemoveHost("b")
+	n.AddHost(HostConfig{Name: "b", Access: DefaultAccessProfile(AccessT1LAN)})
+	check(map[int32]bool{})
+	register(6970)
+	register(10002)
+	check(map[int32]bool{6970: true, 10002: true})
+}
+
+func itoa(p int32) string { return strconv.Itoa(int(p)) }

@@ -66,8 +66,14 @@ type Config struct {
 	// ControlAddr is the server's RTSP endpoint ("host:554").
 	ControlAddr string
 	// ServerUDPAddr overrides the server's UDP data endpoint; by default it
-	// is the control host at the well-known data port.
+	// is what DataAddr answers for ControlAddr, else the control host at the
+	// well-known data port.
 	ServerUDPAddr string
+	// DataAddr, when set, returns the UDP data endpoint of the server at a
+	// control address, or "" for one it does not know: a world answers with
+	// the address its static world rendered once per site, so a SETUP
+	// renders nothing.
+	DataAddr func(controlAddr string) string
 	// URL is the clip to request.
 	URL string
 	// Protocol is the transport requested for the data connection.
@@ -579,6 +585,9 @@ func (p *Player) setup() {
 		// Connected-UDP semantics need the server's data endpoint up front:
 		// the well-known port on the control host unless overridden.
 		udpAddr := p.cfg.ServerUDPAddr
+		if udpAddr == "" && p.cfg.DataAddr != nil {
+			udpAddr = p.cfg.DataAddr(p.cfg.ControlAddr)
+		}
 		if udpAddr == "" {
 			udpAddr = netsim.Addr(p.cfg.ControlAddr).Host() + ":" + strconv.Itoa(session.DataUDPPort)
 		}

@@ -132,7 +132,7 @@ func (sess *streamSession) sync(c *snap.Codec, stack *transport.Stack, x *transp
 	if c.Reading() && c.Err() == nil && sess.dataTCP != nil {
 		// bindTCPData minus maybeStart: the streaming position is overlaid
 		// below, not restarted.
-		sess.backlogProbe, _ = sess.dataTCP.(interface{ QueueDepth() int })
+		sess.backlogProbe, _ = sess.dataTCP.(backlog)
 		sess.dataTCP.SetReceiver(sess.recvTCP)
 	}
 	hasCtrl := sess.ctrl != nil

@@ -98,13 +98,6 @@ type Server struct {
 	// retransmit ring so steady-state churn stops allocating.
 	sessFree []*streamSession
 
-	// descBody is each clip's DESCRIBE body, rendered the first time the clip
-	// is described here (under pinned selection most of a replicated library
-	// never is): a clip is immutable, so every response to a DESCRIBE of it
-	// shares these bytes, and nothing downstream may write through
-	// Message.Body (the player and a shard-transit copy both copy it out).
-	descBody map[*media.Clip][]byte
-
 	// setupTransport is the Transport value of every SETUP reply, by protocol
 	// (tcp, udp): the server's data addresses never change, so each is
 	// rendered on the first SETUP that asks for it.
@@ -131,7 +124,6 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		sessions:   make(map[string]*streamSession),
 		byDataAddr: make(map[string]*streamSession),
-		descBody:   make(map[*media.Clip][]byte),
 	}
 }
 
@@ -257,13 +249,8 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 			cc.reply(req, rtsp.StatusUnavailable)
 			return
 		}
-		body, ok := s.descBody[clip]
-		if !ok {
-			body = session.DescFromClip(clip).Marshal()
-			s.descBody[clip] = body
-		}
 		resp := cc.respond(req, rtsp.StatusOK)
-		resp.Body = body
+		resp.Body = clip.Described(describe)
 		cc.send(resp)
 
 	case rtsp.MethodSetup:
@@ -316,6 +303,14 @@ func (cc *controlConn) onMessage(payload any, _ int) {
 		cc.reply(req, rtsp.StatusInternalError)
 	}
 }
+
+// describe renders a clip's DESCRIBE body. The clip keeps the first
+// rendering (media.Clip.Described), so the bytes are rendered only the first
+// time the clip is described anywhere (under pinned selection most of a
+// replicated library never is), and every response shares them: nothing
+// downstream may write through Message.Body (the player and a shard-transit
+// copy both copy it out).
+func describe(clip *media.Clip) []byte { return session.DescFromClip(clip).Marshal() }
 
 // control runs a PLAY, PAUSE or TEARDOWN and returns its reply's status. A
 // TEARDOWN of a session that is gone already succeeds.

@@ -367,3 +367,68 @@ func TestPauseHaltsPacing(t *testing.T) {
 		t.Fatalf("packets still flowing after PAUSE: %d -> %d", sentBefore, sentAfter)
 	}
 }
+
+// tcpSession SETUPs and PLAYs the rig's clip over TCP data and returns the
+// server-side session and the client's data conn, whose hello bound it.
+func (r *ctlRig) tcpSession() (*streamSession, transport.Conn) {
+	r.t.Helper()
+	setup := msgs.Request(rtsp.MethodSetup, "rtsp://srv/clip000.rm", 0)
+	setup.Set("Transport", rtsp.TransportSpec{Protocol: "tcp"}.Format())
+	setup.Set("Bandwidth", "350")
+	id := r.request(setup).Get("Session")
+	var data transport.Conn
+	r.cli.DialTCP("srv:"+strconv.Itoa(session.DataTCPPort), func(c transport.Conn, err error) {
+		if err != nil {
+			r.t.Fatalf("data dial: %v", err)
+		}
+		data = c
+		c.SetReceiver(func(any, int) {})
+		c.Send(&session.DataHello{SessionID: id}, len(id)+1)
+	})
+	play := msgs.Request(rtsp.MethodPlay, "rtsp://srv/clip000.rm", 0)
+	play.Set("Session", id)
+	if resp := r.request(play); resp.Status != rtsp.StatusOK {
+		r.t.Fatalf("play status=%d", resp.Status)
+	}
+	sess := r.srv.sessions[id]
+	if data == nil || sess.dataTCP == nil {
+		r.t.Fatal("TCP data conn not bound to its session")
+	}
+	return sess, data
+}
+
+// TestDeadDataConnStopsPacing streams two TCP sessions over a path too slow
+// for the clip, so both servers' send buffers sit above tcpBacklogHigh, then
+// closes one client's data conn. That conn's backlog is frozen above the
+// mark: its pacer stops re-arming, while its switch check runs on, and the
+// live session's pacer keeps polling its backlog.
+func TestDeadDataConnStopsPacing(t *testing.T) {
+	r := newRig(t, netsim.Route{OneWayDelay: 40 * time.Millisecond, CapacityKbps: 40}, 0)
+	r.srv.cfg.SureStream = false // stay on the top rung: frames of several segments
+	dead, deadConn := r.tcpSession()
+	live, _ := r.from("cli2").tcpSession()
+	r.clock.RunUntil(r.clock.Now() + 20*time.Second)
+	// Close the client's end on a tick that left the server's backlog above
+	// the mark; the client ACKs nothing after that.
+	for i := 0; dead.backlogProbe.QueueDepth() <= tcpBacklogHigh+1; i++ {
+		if i == 100 {
+			t.Fatalf("the server's backlog never rose above %d: the path drains too fast for this test", tcpBacklogHigh+1)
+		}
+		r.clock.RunUntil(r.clock.Now() + paceQuantum)
+	}
+	deadConn.Close()
+	r.clock.RunUntil(r.clock.Now() + 5*time.Second)
+	if !dead.backlogProbe.Closed() || dead.backlogProbe.QueueDepth() <= tcpBacklogHigh {
+		t.Fatalf("the closed data conn reads closed=%v with backlog %d; want closed above %d",
+			dead.backlogProbe.Closed(), dead.backlogProbe.QueueDepth(), tcpBacklogHigh)
+	}
+	if dead.paceTimer.Active() {
+		t.Error("a pace tick is still armed for a session whose data conn closed with its backlog above the mark")
+	}
+	if !dead.checkTimer.Active() {
+		t.Error("the dead session's switch check stopped with its pacer")
+	}
+	if d := live.backlogProbe.QueueDepth(); d <= tcpBacklogHigh/2 || !live.paceTimer.Active() {
+		t.Errorf("the live session's pacer is armed=%v with backlog %d; want it polling a backlog near %d", live.paceTimer.Active(), d, tcpBacklogHigh)
+	}
+}

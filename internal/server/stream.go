@@ -50,10 +50,10 @@ type streamSession struct {
 	// kept across recycling: the receiver of every data conn it binds.
 	recvTCP func(any, int)
 	dataUDP transport.Conn // port-backed view for UDP sends, peer resolved once
-	// backlogProbe is dataTCP's QueueDepth view, resolved once at bind time:
+	// backlogProbe is dataTCP's backlog view, resolved once at bind time:
 	// pace() consults it per frame, and an interface type assertion in that
 	// loop showed up in the campaign CPU profile.
-	backlogProbe interface{ QueueDepth() int }
+	backlogProbe backlog
 
 	src *media.FrameSource
 	// srcStore is the pooled frame-source object behind src: src doubles
@@ -174,6 +174,14 @@ func newStreamSession(s *Server, id string, clip *media.Clip, spec rtsp.Transpor
 	return sess
 }
 
+// backlog is what the pacer and the switch check read of a simulated TCP
+// data conn: its sender-side backlog, and whether the conn is closed, which
+// freezes that backlog (real sockets have no such view).
+type backlog interface {
+	QueueDepth() int
+	Closed() bool
+}
+
 // paceArm and checkArm give the session's two recurring timers distinct
 // EventHandler identities without boxing allocations: a converted pointer
 // to the session itself is the handler.
@@ -187,7 +195,7 @@ func (x *checkArm) Fire(time.Duration) { (*streamSession)(x).check() }
 
 func (sess *streamSession) bindTCPData(conn transport.Conn) {
 	sess.dataTCP = conn
-	sess.backlogProbe, _ = conn.(interface{ QueueDepth() int })
+	sess.backlogProbe, _ = conn.(backlog)
 	conn.SetReceiver(sess.recvTCP)
 	sess.maybeStart()
 }
@@ -293,6 +301,12 @@ func (sess *streamSession) pace() {
 		}
 		if sess.spec.Protocol == "tcp" && sess.backlogProbe != nil {
 			if sess.backlogProbe.QueueDepth() > tcpBacklogHigh {
+				if sess.backlogProbe.Closed() {
+					// A closed conn's backlog is frozen: it never drains, so
+					// no later quantum could send either. The pacer stops;
+					// the switch check runs on until the session is reaped.
+					return
+				}
 				break // transport saturated; try again next quantum
 			}
 		}

@@ -45,6 +45,7 @@ type Codec struct {
 	in      []byte            // decoding: the unread input
 	draws   uint64            // decoding: RNG replay budget left, see DrawCount
 	strs    map[string]string // decoding: every distinct string decoded so far
+	shared  map[string]string // decoding: strings to return instead of copies (Share)
 	reading bool
 	buf     [8]byte
 	err     error
@@ -81,6 +82,12 @@ func (c *Codec) Fail(err error) {
 		c.err = err
 	}
 }
+
+// Share makes a decoder return the strings of strs instead of building its
+// own copies of them: a resumed world then shares every name its build
+// already holds. Decoders read strs and never write it, so any number of
+// them may share one table, concurrently, as long as nothing changes it.
+func (c *Codec) Share(strs map[string]string) { c.shared = strs }
 
 // Remaining returns the number of undecoded input bytes (0 when encoding).
 func (c *Codec) Remaining() int { return len(c.in) }
@@ -224,10 +231,12 @@ func (c *Codec) Bytes(b *[]byte) {
 	}
 }
 
-// Str syncs a length-prefixed string. Decoding builds each distinct value
-// once and shares it with every later occurrence — a host address on every
-// packet and conn, a user name or clip URL on every record; the table lives
-// as long as this decoder, so nothing is shared between two decodes.
+// Str syncs a length-prefixed string. Encoding writes the string's bytes
+// without copying them. Decoding returns a string of the Share table when it
+// holds the value, and otherwise builds each distinct value once and shares
+// it with every later occurrence — a host address on every packet and conn,
+// a session ID on its conns; that table lives as long as this decoder, so
+// nothing it built is shared between two decodes.
 func (c *Codec) Str(s *string) { StrAs(c, s) }
 
 // StrAs syncs any string type exactly like Str.
@@ -238,18 +247,21 @@ func StrAs[T ~string](c *Codec, s *T) {
 		return
 	}
 	if !c.reading {
-		c.raw([]byte(*s))
+		_, c.err = io.WriteString(c.w, string(*s))
 		return
 	}
 	*s = T(c.intern(c.in[:n]))
 	c.in = c.in[n:]
 }
 
-// intern returns the decoder's one copy of b's value, building it on first
-// sight.
+// intern returns the decoder's one copy of b's value: the shared table's, or
+// its own, built on first sight.
 func (c *Codec) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
+	}
+	if v, ok := c.shared[string(b)]; ok {
+		return v
 	}
 	v, ok := c.strs[string(b)]
 	if !ok {
@@ -266,10 +278,16 @@ func (c *Codec) intern(b []byte) string {
 // against name — the format's structural checksum. A mismatch fails the
 // codec naming both sections.
 func (c *Codec) Tag(name string) {
-	got := name
-	c.Str(&got)
-	if c.err == nil && got != name {
-		c.err = fmt.Errorf("snap: section %q, want %q (snapshot and reader disagree on layout)", got, name)
+	n := len(name)
+	c.Len(&n)
+	switch {
+	case c.err != nil:
+	case !c.reading:
+		_, c.err = io.WriteString(c.w, name)
+	case string(c.in[:n]) != name:
+		c.err = fmt.Errorf("snap: section %q, want %q (snapshot and reader disagree on layout)", c.in[:n], name)
+	default:
+		c.in = c.in[n:]
 	}
 }
 

@@ -339,8 +339,17 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 // positions it to continue exactly where the checkpoint left off; drive
 // it with Run (or RunUntil) as usual, under the snapshot's own options.
 // fork selects between an exact resume (nil, byte-identical to never
-// stopping) and a named divergent scenario; see Fork.
-func Resume(r io.Reader, fork *Fork) (*World, error) {
+// stopping) and a named divergent scenario; see Fork. It builds the static
+// world the snapshot's options describe; Static.Resume shares one.
+func Resume(r io.Reader, fork *Fork) (*World, error) { return resume(r, fork, nil) }
+
+// Resume is the package-level Resume on the static world s, which must be
+// the one the snapshot's options describe: the world is instantiated from
+// s, and the decoder hands out s's names instead of copies of them.
+func (s *Static) Resume(r io.Reader, fork *Fork) (*World, error) { return resume(r, fork, s) }
+
+// resume is Resume on st, or on the static world it builds when st is nil.
+func resume(r io.Reader, fork *Fork, st *Static) (*World, error) {
 	// The whole snapshot is buffered so every length and count in it can be
 	// checked against the bytes that actually remain.
 	data, err := readAll(r)
@@ -360,14 +369,22 @@ func Resume(r io.Reader, fork *Fork) (*World, error) {
 		return nil, fmt.Errorf("study: checkpoint options (%d users, %d shards) describe a world this snapshot cannot hold", opt.MaxUsers, opt.Shards)
 	}
 
-	// Deterministic rebuild: NewWorld validates the options, then replays
-	// exactly the build-time draws the original made, so the static world
-	// (hosts, libraries, playlist, route table) matches the snapshot and the
-	// overlay only has to carry the dynamic state.
-	w, err := NewWorld(opt)
+	// Deterministic rebuild: NewStatic validates the options and builds the
+	// static world (hosts, libraries, playlist, route table) the snapshot's
+	// was, and instantiating it replays exactly the build-time draws the
+	// original made, so the overlay only has to carry the dynamic state.
+	if st == nil {
+		if st, err = NewStatic(opt); err != nil {
+			return nil, err
+		}
+	} else if opt != st.opt {
+		return nil, fmt.Errorf("study: checkpoint of a world with options %+v, not of the static world's %+v", opt, st.opt)
+	}
+	w, err := st.NewWorld()
 	if err != nil {
 		return nil, err
 	}
+	c.Share(st.names())
 	w.sync(c, fork)
 	if err := c.Err(); err != nil {
 		return nil, err

@@ -299,8 +299,8 @@ var syncExempt = map[string]string{
 	"netsim.Network.dynScratch": "per-call scratch",
 	"transport.Stack.ackFree":   "recycled ACKs",
 	"transport.Stack.segs":      "recycled and uncarved segments; live segments are walked through an open conn's send and reorder buffers, and the wire",
-	"transport.Stack.connFree":  "recycled conn storage: cleared window rings and unbound ports, capacity and wiring only; a restored stack starts without any",
-	"transport.simTCP.port":     "the packet handler netsim holds for the conn, bound once to storage the host's conns pass on; a restored open conn registers one anew",
+	"transport.Stack.connFree":  "recycled conn storage: cleared window rings and unbound ports, capacity and wiring only; a restored stack is seeded with a bound port for each open conn it restores",
+	"transport.simTCP.port":     "the packet handler netsim holds for the conn, bound once to storage the host's conns pass on; a restored open conn takes one its stack was seeded with",
 	"transport.simTCP.dial":     "the conn's dial record: zero unless the conn dials, and then walked, timers and all, through Stack.dials, which points at it",
 	"server.Server.sessFree":    "recycled sessions",
 	"study.arrivalCell.cands":   "per-pick scratch",
@@ -340,7 +340,6 @@ var syncExempt = map[string]string{
 	"netsim.host.downBps":                "derived from the walked access profile",
 	"netsim.host.handlers":               "re-registered by the restored conns and the rebuilt listeners",
 	"netsim.host.ports":                  "dense mirror of handlers",
-	"netsim.host.portBase":               "dense mirror of handlers",
 	"netsim.Route.OneWayDelay":           "rederived from the route table when the path is recreated",
 	"netsim.Route.Jitter":                "rederived from the route table",
 	"netsim.Route.LossRate":              "rederived from the route table",
@@ -356,7 +355,6 @@ var syncExempt = map[string]string{
 	"transport.udpPortConn":              "stateless view, rebuilt by ConnFor from the session's walked ClientDataAddr",
 	"server.Server.cfg":                  "rebuilt from Options",
 	"server.Server.byDataAddr":           "index of sessions by walked ClientDataAddr",
-	"server.Server.descBody":             "rendered on first DESCRIBE",
 	"server.Server.setupTransport":       "rendered on the first SETUP of each protocol from the server's fixed data addresses",
 	"player.Player.bandwidths":           "rendered Bandwidth values, by cap",
 	"figures.Aggregates.psKeys":          "interned policyServer labels, rebuilt as records arrive",

@@ -39,6 +39,9 @@ type SessionFactory struct {
 	// reformatting per record).
 	dynLabel    string
 	policyLabel string
+	// dataAddr is the static world's server data address by control
+	// address, which every player's SETUP takes instead of rendering it.
+	dataAddr func(controlAddr string) string
 
 	// idle are the shard's open-loop bundles between sessions: unbound from
 	// any template and holding nothing the clock can reach (quiescent), so a
@@ -138,6 +141,7 @@ func (f *SessionFactory) newTracer(u *geo.User, rng *rand.Rand, playlist []trace
 		SelectServer: selectServer,
 		OnRecord:     onRecord,
 		OnFinished:   onFinished,
+		DataAddr:     f.dataAddr,
 		Arena:        &f.arena,
 	}), stack
 }

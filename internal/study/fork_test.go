@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -59,62 +60,101 @@ func TestForkRecordsGolden(t *testing.T) {
 // clock and the network carved events and packets in chunks and NewWorld
 // stopped allocating per clip, per user and per port; ~5,280 until the
 // playout buffer's entries halved and the players and servers of a shard
-// shared one packet arena; ~5,250 since, under -race too: a restored conn
-// reads its header into locals instead of a scratch conn, and pays for its
-// port and the handler bound to it, the one a live conn would have found on
-// its stack's free-list. The budget sits ~1.14x above, the headroom it had
-// over 11,396.
-const forkResumeAllocBudget = 5_980
+// shared one packet arena; ~5,250 until the build was split into a static
+// world and an instantiation, tags stopped being interned and a restore
+// carved its conns and their ports in chunks. Now ~4,775 on a static world of
+// its own and ~4,460 on a shared one (Static.Resume, what each fork of a
+// warm sweep pays: no library, population or route table, and no name the
+// static world holds decoded again), under -race too. The budgets sit
+// ~1.14x above, the headroom the first had over 11,396.
+const (
+	forkResumeAllocBudget       = 5_440
+	sharedForkResumeAllocBudget = 5_090
+)
 
 // TestForkResumeAllocBudget resumes a named fork of cmd/bench's warmfork16
 // world (seed 1, world 0) from its warm-up cut, where 333 records ride in the
-// snapshot, and bounds the allocations.
+// snapshot, and bounds the allocations: on a static world of its own (Resume)
+// and on a shared one (Static.Resume).
 func TestForkResumeAllocBudget(t *testing.T) {
 	opt := Options{Seed: 1008, WorkloadSeed: 1013, MaxUsers: 64, ClipCap: 2, Workload: "poisson", Arrivals: 256}
 	snap := checkpoint(t, worldAt(t, opt, 19*time.Minute+52290*time.Millisecond))
+	st, err := NewStatic(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fork := &Fork{Name: "fork-01"}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Resume(bytes.NewReader(snap), fork); err != nil {
-			t.Fatal(err)
+	for _, arm := range []struct {
+		name   string
+		resume func(io.Reader, *Fork) (*World, error)
+		budget int
+	}{
+		{"its own static world", Resume, forkResumeAllocBudget},
+		{"a shared static world", st.Resume, sharedForkResumeAllocBudget},
+	} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := arm.resume(bytes.NewReader(snap), fork); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("a named-fork resume of a %d-byte snapshot on %s allocates %.0f objects (budget %d)", len(snap), arm.name, allocs, arm.budget)
+		if allocs > float64(arm.budget) {
+			t.Errorf("a named-fork resume on %s allocates %.0f objects, budget %d: a fork replays, parses or renders again", arm.name, allocs, arm.budget)
 		}
-	})
-	t.Logf("a named-fork resume of a %d-byte snapshot allocates %.0f objects (budget %d)", len(snap), allocs, forkResumeAllocBudget)
-	if allocs > forkResumeAllocBudget {
-		t.Errorf("a named-fork resume allocates %.0f objects, budget %d: a fork replays, parses or renders again", allocs, forkResumeAllocBudget)
 	}
 }
 
-// Bounds on what NewWorld allocates for the warm-fork benchmark's world, the
-// build every fork's resume repeats. While every clip's ladder rungs, every
-// clip, user and name were allocated one by one and a server's dense port
-// table grew through every doubling from one slot, it cost 2,016 objects and
-// 2.79 MB; now ~635 objects and 1.51 MB, under -race too. The budgets sit
-// ~1.15x above.
+// Bounds on what NewWorld allocates for the warm-fork benchmark's world, and
+// on what instantiating it from a shared static world allocates, the build
+// every fork's resume repeats. While every clip's ladder rungs, every clip,
+// user and name were allocated one by one and a server's dense port table
+// grew through every doubling from one slot, NewWorld cost 2,016 objects and
+// 2.79 MB; ~635 objects and 1.51 MB while a server's port table spanned the
+// empty ports between its service ports and its conns' (62 % of the bytes).
+// Now NewWorld costs ~575 objects and 0.51 MB, and an instantiation ~400
+// objects and 0.38 MB (the clock's ring is 256 KiB of it), under -race too.
+// The budgets sit ~1.15x above.
 const (
-	newWorldAllocBudget = 730
-	newWorldBytesBudget = 1_750_000
+	newWorldAllocBudget = 660
+	newWorldBytesBudget = 590_000
+	instanceAllocBudget = 460
+	instanceBytesBudget = 440_000
 )
 
 // TestNewWorldAllocBudget builds cmd/bench's warmfork16 world (seed 1, world
-// 0) and bounds its objects and bytes.
+// 0) and bounds its objects and bytes: whole (NewWorld), and instantiated
+// from a static world already built (Static.NewWorld).
 func TestNewWorldAllocBudget(t *testing.T) {
 	opt := Options{Seed: 1008, WorkloadSeed: 1013, MaxUsers: 64, ClipCap: 2, Workload: "poisson", Arrivals: 256}
-	build := func() {
-		if _, err := NewWorld(opt); err != nil {
-			t.Fatal(err)
+	st, err := NewStatic(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name           string
+		build          func() (*World, error)
+		objects, bytes uint64
+	}{
+		{"NewWorld", func() (*World, error) { return NewWorld(opt) }, newWorldAllocBudget, newWorldBytesBudget},
+		{"Static.NewWorld", st.NewWorld, instanceAllocBudget, instanceBytesBudget},
+	} {
+		build := func() {
+			if _, err := arm.build(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	build()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	build()
-	runtime.ReadMemStats(&after)
-	objects, size := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	t.Logf("NewWorld allocates %d objects (budget %d) and %d bytes (budget %d)", objects, newWorldAllocBudget, size, newWorldBytesBudget)
-	if objects > newWorldAllocBudget {
-		t.Errorf("NewWorld allocates %d objects, budget %d: a library, population or playlist allocates per clip or per user again", objects, newWorldAllocBudget)
-	}
-	if size > newWorldBytesBudget {
-		t.Errorf("NewWorld allocates %d bytes, budget %d: a dense port table grows a slot at a time again", size, newWorldBytesBudget)
+		build()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		objects, size := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		t.Logf("%s allocates %d objects (budget %d) and %d bytes (budget %d)", arm.name, objects, arm.objects, size, arm.bytes)
+		if objects > arm.objects {
+			t.Errorf("%s allocates %d objects, budget %d: a library, population or playlist allocates per clip or per user again, or an instantiation rebuilds what its static world holds", arm.name, objects, arm.objects)
+		}
+		if size > arm.bytes {
+			t.Errorf("%s allocates %d bytes, budget %d: a dense port table spans empty ports or grows a slot at a time again", arm.name, size, arm.bytes)
+		}
 	}
 }

@@ -351,27 +351,24 @@ func (b *sessionBundle) selectServer(e tracer.Entry) tracer.Entry {
 	if site.Host == e.Site.Host {
 		return e
 	}
-	e.ControlAddr = replaceHost(e.ControlAddr, site.Host)
-	e.Site = site
+	e.ControlAddr, e.Site = w.controlAddr(pick), site
 	return e
+}
+
+// controlAddr is the control address of active site ai's server, as the
+// static world rendered it: the playlist lists each active site's clips
+// together, in site order, so the site's first entry carries it.
+func (w *World) controlAddr(ai int) string {
+	first := 0
+	for _, site := range w.ActiveSites[:ai] {
+		first += site.Clips
+	}
+	return w.Playlist[first].ControlAddr
 }
 
 // rate is the bound template's user rating a clip, on the session RNG.
 func (b *sessionBundle) rate(rec *trace.Record) float64 {
 	return (&rater{user: b.cell.f.w.Users[b.idx], rng: b.rng.Rand}).rate(rec)
-}
-
-// replaceHost swaps the host component of a "host:port" address. Every
-// control address the study layer builds carries an explicit port; an
-// address without one would silently re-home the session to a portless —
-// undialable — string, so it is a bug in the caller, not an input.
-func replaceHost(addr, host string) string {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return host + addr[i:]
-		}
-	}
-	panic(fmt.Sprintf("study: control address %q has no port", addr))
 }
 
 // onRecord forwards a completed clip's record to the sink, unless the user

@@ -365,20 +365,36 @@ func TestApportionArrivalsProperty(t *testing.T) {
 	}
 }
 
-// TestReplaceHostPanicsWithoutPort pins the replaceHost contract: a control
-// address with no port is a study-layer bug, and silently returning the
-// bare replacement host used to hide it (the session would then dial a
-// portless address and hang in dial failure).
-func TestReplaceHostPanicsWithoutPort(t *testing.T) {
-	if got := replaceHost("a.example.com:554", "b.example.com"); got != "b.example.com:554" {
-		t.Fatalf("replaceHost = %q, want b.example.com:554", got)
+// TestRehomedEntryTakesItsSitesAddresses re-homes one playlist entry under
+// round-robin selection until every mirror has been picked: each re-homed
+// entry names the picked site, and its control address and the data address
+// a SETUP to it sends to are that site's server's, as the static world
+// rendered them. Re-homing allocates nothing.
+func TestRehomedEntryTakesItsSitesAddresses(t *testing.T) {
+	w, err := NewWorld(Options{Seed: 3, MaxUsers: 8, ClipCap: 1, Workload: "poisson", Arrivals: 8, Selection: "roundrobin"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("replaceHost accepted a portless address")
+	c := w.open.cells[0]
+	b := c.newBundle(0)
+	e := w.Playlist[0]
+	picked := map[string]bool{}
+	for range 2 * len(w.ActiveSites) {
+		got := b.selectServer(e)
+		picked[got.Site.Host] = true
+		if want := got.Site.Host + ":554"; got.ControlAddr != want {
+			t.Fatalf("entry re-homed to %s has control address %q, want %q", got.Site.Host, got.ControlAddr, want)
 		}
-	}()
-	replaceHost("a.example.com", "b.example.com")
+		if want := got.Site.Host + ":6970"; c.f.dataAddr(got.ControlAddr) != want {
+			t.Fatalf("entry re-homed to %s sets up to data address %q, want %q", got.Site.Host, c.f.dataAddr(got.ControlAddr), want)
+		}
+	}
+	if len(picked) != len(w.ActiveSites) {
+		t.Fatalf("round-robin picked %d of %d mirrors", len(picked), len(w.ActiveSites))
+	}
+	if n := testing.AllocsPerRun(20, func() { b.selectServer(e) }); n != 0 {
+		t.Fatalf("re-homing an entry allocates %.0f objects, want 0", n)
+	}
 }
 
 // TestShardedWorkloadSpeedup is the parallelism payoff fence: a sharded

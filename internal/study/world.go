@@ -2,12 +2,10 @@ package study
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"realtracer/internal/detrand"
 	"realtracer/internal/geo"
-	"realtracer/internal/media"
 	"realtracer/internal/netsim"
 	"realtracer/internal/server"
 	"realtracer/internal/session"
@@ -22,10 +20,12 @@ import (
 // engine that moves packets between them. A World is single-use: build it
 // with NewWorld, drive it with Run.
 //
-// There is one build sequence and one run loop. NewWorld draws the
-// population and the route table, brings up the engine, plans the servers,
-// cuts an open-loop world's template pool into arrival cells, starts the
-// servers and schedules the first events: every panel user's start (the
+// There is one build sequence and one run loop. NewStatic draws the
+// population, builds the route table and the servers' libraries and
+// assembles the playlist (static.go); instantiating that static world
+// brings up the engine, attaches the servers' hosts, cuts an open-loop
+// world's template pool into arrival cells, starts the servers and
+// schedules the first events: every panel user's start (the
 // paper's closed loop, Options.Workload "" or "panel"), or each cell's first
 // arrival — an open-loop generator then sustains itself through its
 // SessionFactory, attaching each arrival's host and removing it again on
@@ -52,6 +52,9 @@ type World struct {
 	// Net is the simulated wide-area network connecting servers and users
 	// (shard 0's view in a sharded world).
 	Net *netsim.Network
+	// Sites, Users, Playlist and ActiveSites are the world's static world's,
+	// shared read-only with every world instantiated from it.
+	//
 	// Sites and Users are the server/user geography for this world. In
 	// open-loop mode Users is the template pool arrivals draw from, not a
 	// set of pre-scheduled participants.
@@ -74,7 +77,7 @@ type World struct {
 	//     with a record buffer per shard, or one clock and one network;
 	//   - dynamics install point (NewWorld): before any host exists, or
 	//     after Freeze — see installDynamics;
-	//   - Fabric.AddHost (planServers): a sharded host is interned into its
+	//   - Fabric.AddHost (attachServers): a sharded host is interned into its
 	//     owning shard;
 	//   - cell partition and seed (buildCells): country blocks on derived
 	//     seeds, or one cell over the whole pool on the workload seed;
@@ -136,30 +139,39 @@ func (w *World) siteShard(ai int) int {
 // on the clock. In open-loop mode only each cell's first arrival is
 // scheduled; the generator sustains itself from there. The returned World
 // has not consumed any virtual time yet; call Run to drive it to completion.
+// It is NewStatic(opt) followed by that static world's NewWorld.
 func NewWorld(opt Options) (*World, error) {
-	if err := opt.validate(); err != nil {
+	s, err := NewStatic(opt)
+	if err != nil {
 		return nil, err
 	}
-	opt.fill()
+	return s.NewWorld()
+}
+
+// NewWorld instantiates a world on the static world s: the engine, the
+// servers and the population's first events, each allocated for this world
+// alone, around what s holds. Worlds instantiated from one Static run
+// independently, on separate goroutines too.
+func (s *Static) NewWorld() (*World, error) {
+	opt := s.opt
 	w := &World{
-		Options: opt,
-		Sites:   geo.Sites(),
-		sink:    &trace.Collector{},
+		Options:     opt,
+		Sites:       s.sites,
+		Users:       s.users,
+		Playlist:    s.playlist,
+		ActiveSites: s.active,
+		sink:        &trace.Collector{},
 	}
-	// Up to the paper's 63 participants, a prefix of its panel; past them, a
-	// proportionally apportioned population at the requested size.
-	w.Users = geo.PopulationN(opt.PopulationSeed(), max(opt.pool(), geo.PopulationSize))[:opt.pool()]
-
-	routes := geo.NewRouteTable(w.Sites, w.Users, opt.CongestionScale)
-
 	if opt.Shards > 0 {
-		w.fab = netsim.NewFabric(opt.Shards, routes, opt.networkSeed())
-		for s := 0; s < opt.Shards; s++ {
-			w.addFactory(w.fab.Clock(s), w.fab.Net(s), &trace.Collector{})
+		w.fab = netsim.NewFabric(opt.Shards, s.routes, opt.networkSeed())
+		for i := 0; i < opt.Shards; i++ {
+			w.addFactory(s, w.fab.Clock(i), w.fab.Net(i), &trace.Collector{})
 		}
 	} else {
 		clock := simclock.New()
-		w.addFactory(clock, netsim.New(clock, routes, opt.networkSeed()), nil)
+		net := netsim.New(clock, s.routes, opt.networkSeed())
+		net.Reserve(len(s.active) + len(s.users)) // a server per active site, a host per user
+		w.addFactory(s, clock, net, nil)
 	}
 	w.Clock, w.Net = w.factories[0].clock, w.factories[0].net
 	if w.fab == nil {
@@ -168,11 +180,7 @@ func NewWorld(opt Options) (*World, error) {
 		}
 	}
 
-	siteSeeds, userSeeds := opt.masterSeeds(w.Sites)
-	plans, err := w.planServers(siteSeeds)
-	if err != nil {
-		return nil, err
-	}
+	w.attachServers()
 	if opt.OpenLoop() {
 		cells, err := w.buildCells()
 		if err != nil {
@@ -185,14 +193,14 @@ func NewWorld(opt Options) (*World, error) {
 			return nil, err
 		}
 	}
-	if err := w.startServers(plans); err != nil {
+	if err := w.startServers(s.servers); err != nil {
 		return nil, err
 	}
 	if w.fab != nil && opt.Selection == "leastloaded" {
 		w.startLoadGossip()
 	}
 	if w.open == nil {
-		w.launchUsers(userSeeds)
+		w.launchUsers(s.userSeeds)
 	} else {
 		for _, c := range w.open.cells {
 			c.scheduleArrival()
@@ -202,7 +210,7 @@ func NewWorld(opt Options) (*World, error) {
 }
 
 // addFactory appends the next shard's SessionFactory.
-func (w *World) addFactory(clock *simclock.Clock, net *netsim.Network, records *trace.Collector) {
+func (w *World) addFactory(s *Static, clock *simclock.Clock, net *netsim.Network, records *trace.Collector) {
 	w.factories = append(w.factories, &SessionFactory{
 		w:           w,
 		clock:       clock,
@@ -210,6 +218,7 @@ func (w *World) addFactory(clock *simclock.Clock, net *netsim.Network, records *
 		records:     records,
 		dynLabel:    w.Options.DynamicsLabel(),
 		policyLabel: w.Options.PolicyLabel(),
+		dataAddr:    s.dataAddr,
 	})
 }
 
@@ -250,74 +259,37 @@ func (w *World) freeze() error {
 	return w.installDynamics(w.fab.SetDynamics)
 }
 
-// sitePlan is one active site's build-time plan: its generated library and
-// the seed its server will run on.
-type sitePlan struct {
-	site geo.ServerSite
-	lib  *media.Library
-	seed int64
-}
-
-// planServers walks the site list in order, attaches each active site's
-// host, generates its clip library and assembles the playlist; site si's
-// server runs on seeds[si]. In a sharded world the host is interned into the
-// site's owning shard; the servers themselves start only after Freeze
-// (startServers), because their transport stacks must bind to the shared
-// frozen tables.
-func (w *World) planServers(seeds []int64) ([]sitePlan, error) {
-	opt := w.Options
+// attachServers attaches each active site's host, in site order. In a
+// sharded world the host is interned into the site's owning shard; the
+// servers themselves start only after Freeze (startServers), because their
+// transport stacks must bind to the shared frozen tables.
+func (w *World) attachServers() {
 	serverAccess := netsim.DefaultAccessProfile(netsim.AccessServer)
 	serverAccess.UpKbps = serverUplinkKbps
 	serverAccess.DownKbps = serverUplinkKbps
-
-	var plans []sitePlan
-	w.Playlist = make([]tracer.Entry, 0, geo.PlaylistSize)
-	for si, site := range w.Sites {
-		if site.Clips == 0 {
-			continue
-		}
+	for ai, site := range w.ActiveSites {
 		cfg := netsim.HostConfig{Name: site.Host, Access: serverAccess}
 		if w.fab != nil {
-			w.fab.AddHost(w.siteShard(len(plans)), cfg)
+			w.fab.AddHost(w.siteShard(ai), cfg)
 		} else {
 			w.Net.AddHost(cfg)
 		}
-		lib := media.GenerateLibrary(site.Host, site.Clips, opt.librarySeed(si))
-		plans = append(plans, sitePlan{site: site, lib: lib, seed: seeds[si]})
-		ctrl := site.Host + ":" + strconv.Itoa(session.ControlPort)
-		for _, clip := range lib.Clips {
-			w.Playlist = append(w.Playlist, tracer.Entry{URL: clip.URL, ControlAddr: ctrl, Site: site})
-		}
 	}
-	if len(w.Playlist) != geo.PlaylistSize {
-		return nil, fmt.Errorf("study: playlist has %d entries, want %d", len(w.Playlist), geo.PlaylistSize)
-	}
-	return plans, nil
 }
 
-// startServers brings up the RealServers from their plans. In open-loop
-// mode every server carries the full clip set (clips are replicated across
-// the mirror sites so a selection policy can re-home any request); the
-// panel keeps the paper's layout, each clip only at its home site. In a
-// sharded world each server runs on its owning shard's clock and network.
-func (w *World) startServers(plans []sitePlan) error {
+// startServers brings up the RealServers, one per active site, each on its
+// site's seed and library. In a sharded world each server runs on its owning
+// shard's clock and network.
+func (w *World) startServers(servers []staticServer) error {
 	opt := w.Options
-	var allClips []*media.Clip
-	for _, p := range plans {
-		allClips = append(allClips, p.lib.Clips...)
-	}
-	for ai, p := range plans {
-		lib := p.lib
-		if opt.OpenLoop() {
-			lib = media.NewLibrary(allClips)
-		}
+	for ai, p := range servers {
 		f := w.factories[w.siteShard(ai)]
 		drng := detrand.New(p.seed)
 		stack := transport.NewStack(f.net, p.site.Host)
 		srv := server.New(server.Config{
 			Clock:          f.clock,
 			Net:            session.SimNet{Stack: stack},
-			Library:        lib,
+			Library:        p.lib,
 			Rand:           drng.Rand,
 			Unavailability: p.site.Unavailability,
 			SureStream:     !opt.DisableSureStream,
@@ -329,7 +301,6 @@ func (w *World) startServers(plans []sitePlan) error {
 			return fmt.Errorf("study: start %s: %w", p.site.Name, err)
 		}
 		w.Servers = append(w.Servers, srv)
-		w.ActiveSites = append(w.ActiveSites, p.site)
 		w.serverRNGs = append(w.serverRNGs, drng)
 		w.serverStacks = append(w.serverStacks, stack)
 	}

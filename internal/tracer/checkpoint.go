@@ -50,12 +50,13 @@ func (t *Tracer) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 	}
 	if c.Reading() {
 		t.pl = player.New(player.Config{
-			Clock:  t.cfg.Clock,
-			Net:    t.cfg.Net,
-			CPU:    player.PCClasses()[t.cfg.User.PCClass],
-			Rand:   t.cfg.Rand,
-			OnDone: t.onDone,
-			Arena:  t.cfg.Arena,
+			Clock:    t.cfg.Clock,
+			Net:      t.cfg.Net,
+			CPU:      player.PCClasses()[t.cfg.User.PCClass],
+			Rand:     t.cfg.Rand,
+			OnDone:   t.onDone,
+			DataAddr: t.cfg.DataAddr,
+			Arena:    t.cfg.Arena,
 		})
 	}
 	t.pl.Sync(c, stack, x)

@@ -54,6 +54,9 @@ type Config struct {
 	OnRecord func(rec *trace.Record)
 	// OnFinished fires after the final clip.
 	OnFinished func()
+	// DataAddr resolves a server's UDP data address for the tracer's player
+	// (player.Config.DataAddr).
+	DataAddr func(controlAddr string) string
 	// Arena backs the packets the tracer's player sends (player.Config.Arena):
 	// a world passes its shard's. Nil gives the player a private one, kept
 	// clip after clip.
@@ -205,6 +208,7 @@ func (t *Tracer) next() {
 		CPU:              player.PCClasses()[t.cfg.User.PCClass],
 		Rand:             t.cfg.Rand,
 		OnDone:           t.onDone,
+		DataAddr:         t.cfg.DataAddr,
 		Arena:            t.cfg.Arena,
 	}
 	if t.pl == nil {

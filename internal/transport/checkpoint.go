@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 
+	"realtracer/internal/lease"
 	"realtracer/internal/netsim"
 	"realtracer/internal/seqwin"
 	"realtracer/internal/snap"
@@ -64,6 +65,10 @@ type AppSync func(c *snap.Codec, payload *any)
 type SnapCtx struct {
 	app   AppSync
 	conns map[netsim.Addr]*simTCP
+	// Decoding carves the TCP conns it restores, and the ports of the open
+	// ones, a chunk at a time across every stack of the world.
+	tcpCells  lease.Carver[simTCP]
+	portCells lease.Carver[tcpPort]
 }
 
 // NewSnapCtx returns a context whose application payloads walk through app.
@@ -412,11 +417,20 @@ func (s *Stack) syncTCP(c *snap.Codec, tc *simTCP, x *SnapCtx, listening bool) *
 		if c.Err() != nil || (listening && !s.registrable(c, local)) {
 			return nil
 		}
+		tc = x.tcpCells.New()
 		if closed {
 			// A dead shell holds no storage: teardown gave it back.
-			tc = &simTCP{stack: s, local: s.endpoint(local), peer: s.endpoint(peer)}
+			*tc = simTCP{stack: s, local: s.endpoint(local), peer: s.endpoint(peer)}
 		} else {
-			tc = newSimTCPConn(s, s.endpoint(local), s.endpoint(peer))
+			if len(s.connFree) == 0 {
+				// A live stack holds the storage its closed conns left, each
+				// port bound to its handler; a restored one is seeded with
+				// a port carved beside the decode's others.
+				p := x.portCells.New()
+				p.handle = p.onPacket
+				s.connFree = append(s.connFree, tcpStore{port: p})
+			}
+			s.initConn(tc, s.endpoint(local), s.endpoint(peer))
 		}
 		tc.established, tc.closed = established, closed
 		if listening {

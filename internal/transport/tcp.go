@@ -85,7 +85,12 @@ func newSimTCP(s *Stack, local, peer endpoint) *simTCP {
 // packet handler: the restore path registers only a conn whose host is still
 // attached (a dialing client may have departed).
 func newSimTCPConn(s *Stack, local, peer endpoint) *simTCP {
-	c := &simTCP{
+	return s.initConn(new(simTCP), local, peer)
+}
+
+// initConn builds a conn as newSimTCPConn does, in the cell c.
+func (s *Stack) initConn(c *simTCP, local, peer endpoint) *simTCP {
+	*c = simTCP{
 		stack:    s,
 		local:    local,
 		peer:     peer,
@@ -163,11 +168,12 @@ func (c *simTCP) Close() error {
 // it, and the send buffer's reference on every segment in it, sent or not, and
 // the segments waiting in the reorder buffer are released here, by whoever
 // closes. All that outlives the close is the backlog QueueDepth answered at
-// that instant, frozen, because a server paces against a dead conn's
-// QueueDepth until the session is reaped. When an application callback closes
-// the conn from inside onSegment's delivery loop, the segment being delivered
-// has already left the reorder buffer: the loop releases it, teardown what is
-// still buffered behind it.
+// that instant, frozen, because a server's session reads a dead conn's
+// QueueDepth until it is reaped: its switch check on every tick, and its
+// pacer until it finds the frozen backlog above its mark. When an
+// application callback closes the conn from inside onSegment's delivery
+// loop, the segment being delivered has already left the reorder buffer:
+// the loop releases it, teardown what is still buffered behind it.
 //
 // The storage goes too: both rings, cleared of every segment pointer, and the
 // port, unregistered and pointing at no conn, are left on the stack's
@@ -210,6 +216,10 @@ func (c *simTCP) QueueDepth() int {
 	}
 	return c.send.Len()
 }
+
+// Closed reports whether the conn is closed, by either end or by an abort;
+// its QueueDepth is then frozen.
+func (c *simTCP) Closed() bool { return c.closed }
 
 // flight is how many segments are on the wire or lost: [sendBase, sndNxt).
 func (c *simTCP) flight() int { return int(c.sndNxt - c.sendBase) }

@@ -167,8 +167,8 @@ type tcpListener struct {
 }
 
 // firstEphemeral is where a host's ephemeral port counter starts: its first
-// conn gets the port after it.
-const firstEphemeral = 10000
+// conn gets the port after it, in the network's dense port range.
+const firstEphemeral = netsim.EphemeralPorts
 
 // NewStack binds a stack to a host previously added to the network.
 func NewStack(n *netsim.Network, host string) *Stack {
