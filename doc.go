@@ -15,10 +15,12 @@
 //     (*World).SetSink installs any trace.Sink and (*World).Run drives it.
 //     study.Resume restores a World.Checkpoint snapshot, exactly or as a
 //     named study.Fork, which runs the snapshot's own options and only
-//     restarts its random streams from the name.
+//     restarts its random streams from the name. study.NewStatic builds
+//     the part of a world its options fix, once, for any number of worlds
+//     (Static.NewWorld, Static.Resume) to share.
 //   - campaign.Run fans named scenarios across a worker pool with
 //     per-scenario seeds and sinks; campaign.RunWarmForks forks one warm
-//     snapshot many times.
+//     snapshot many times, every fork on the prefix's static world.
 //   - figures.Aggregates is the mergeable build every figure and summary
 //     is computed from (figures.Aggregate for records in memory), and
 //     figures.All and figures.ByID the generators that draw from it;
