@@ -37,8 +37,10 @@ type Static struct {
 	// a player's SETUP sends from a socket connected to it.
 	dataAddrs map[string]string
 
+	// strs is what names returns, built by the first Resume on the static
+	// world.
 	strsOnce sync.Once
-	strs     map[string]string // names, built for the first Resume (names)
+	strs     map[string]string
 }
 
 // staticServer is one active site's server as its options fix it.
