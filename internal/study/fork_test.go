@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// forkGoldens are two worlds cut at 10 minutes, each with the digests of the
+// forkGoldens are three worlds cut at 10 minutes, each with the digests of the
 // records it finishes with when its snapshot is resumed by each of
-// goldenForks, in order.
+// goldenForks, in order. The panel row pins the closed panel's streams, which
+// a named fork restarts under their "user:NAME" labels.
 var forkGoldens = []struct {
 	name    string
 	opt     Options
@@ -22,6 +23,8 @@ var forkGoldens = []struct {
 		[2]string{"337bc34ae1d809dc", "25ebd56a422cf63c"}},
 	{"lossburst", Options{Seed: 23, MaxUsers: 8, ClipCap: 2, Workload: "poisson", Arrivals: 32, Dynamics: "lossburst"},
 		[2]string{"ed6456be9e72736f", "015c19a1cd56cf6c"}},
+	{"panel", Options{Seed: 23, MaxUsers: 8, ClipCap: 2},
+		[2]string{"cbc8a59b155ff8d9", "a996af3bd0b5d05f"}},
 }
 
 // goldenForks are the resumes forkGoldens pins, in order.
