@@ -118,8 +118,6 @@ func (p *Player) Sync(c *snap.Codec, stack *transport.Stack, x *transport.SnapCt
 		c.U32(&s)
 		*seq, *have = uint64(s), true
 	})
-	c.U32(&p.seqFloor)
-	snap.Slice(c, &p.lowSeqs, (*snap.Codec).U32)
 	c.Int(&p.recvSeqCount)
 	c.Int(&p.recovered)
 	c.U32(&p.lastRepHighest)

@@ -87,9 +87,6 @@ func TestFECWindowEvictsByCount(t *testing.T) {
 	if !fecMember(p, 0) {
 		t.Fatalf("seq 0 evicted with %d packets held: expiry is by count, and highestSeq-%d = %d is no reason", len(ref), window, highest-window)
 	}
-	if p.seqFloor != 0 {
-		t.Fatalf("seqFloor = %d before any sweep", p.seqFloor)
-	}
 
 	// One more packet passes the count: the sweep cuts at highestSeq-512.
 	for lost(seq) {
@@ -98,8 +95,8 @@ func TestFECWindowEvictsByCount(t *testing.T) {
 	feed(seq)
 	seq++
 	agree("first sweep")
-	if fecMember(p, 0) || p.seqFloor != highest-window {
-		t.Fatalf("after the first sweep: seq 0 member=%v, seqFloor=%d, want evicted and %d", fecMember(p, 0), p.seqFloor, highest-window)
+	if fecMember(p, 0) {
+		t.Fatal("after the first sweep: seq 0 is still a member, want evicted")
 	}
 	if len(ref) >= window {
 		t.Fatalf("reference still holds %d after its sweep", len(ref))
@@ -108,8 +105,8 @@ func TestFECWindowEvictsByCount(t *testing.T) {
 	// A late retransmission below the floor joins the window, a duplicate of
 	// it is ignored (feed checks that), and the next sweep takes it.
 	feed(0)
-	if !fecMember(p, 0) || len(p.lowSeqs) != 1 || p.lowSeqs[0] != 0 {
-		t.Fatalf("late seq 0: member=%v lowSeqs=%v", fecMember(p, 0), p.lowSeqs)
+	if !fecMember(p, 0) {
+		t.Fatal("late seq 0 did not join the window")
 	}
 	feed(0)
 	feed(highest)
@@ -123,8 +120,8 @@ func TestFECWindowEvictsByCount(t *testing.T) {
 		}
 	}
 	agree("second sweep")
-	if fecMember(p, 0) || len(p.lowSeqs) != 0 {
-		t.Fatalf("after the second sweep: seq 0 member=%v lowSeqs=%v", fecMember(p, 0), p.lowSeqs)
+	if fecMember(p, 0) {
+		t.Fatal("after the second sweep: seq 0 is still a member, want evicted")
 	}
 
 	// Several more sweeps, checked at every step near each one.

@@ -224,12 +224,7 @@ type Player struct {
 	// haveSeq is the FEC window: which recent video seqs have arrived.
 	// Presence only — FEC repair, NACK retirement and duplicate
 	// suppression never look at the packet again.
-	haveSeq seqwin.Window[bool]
-	// seqFloor is the cut of the last expiry sweep, the lowest seq possibly
-	// still in haveSeq; lowSeqs lists the rare arrivals below it since (late
-	// retransmissions), which the next sweep takes with the rest.
-	seqFloor     uint32
-	lowSeqs      []uint32
+	haveSeq      seqwin.Window[bool]
 	recvSeqCount int
 	recovered    int
 	// Interval snapshots so reports carry per-interval loss, not cumulative
@@ -334,7 +329,6 @@ func (p *Player) Reset(cfg Config) {
 		partials:        p.partials[:0],
 		frames:          p.frames[:0],
 		playTimes:       p.playTimes[:0],
-		lowSeqs:         p.lowSeqs[:0],
 		nackScratch:     p.nackScratch[:0],
 	}
 	p.stats = Stats{Timeline: timeline}
@@ -794,9 +788,6 @@ func (p *Player) onDataPacket(d *rdt.Data) {
 			p.highestSeq = d.Seq
 		}
 		p.recvSeqCount++
-		if d.Seq < p.seqFloor {
-			p.lowSeqs = append(p.lowSeqs, d.Seq)
-		}
 		p.haveSeq.Put(uint64(d.Seq), true)
 		p.gcSeqs()
 	}
@@ -871,8 +862,8 @@ func (p *Player) flushNacks() {
 
 // gcSeqs bounds the FEC window. Expiry is triggered by the window's size,
 // not a packet's age: once more than window seqs are held, everything below
-// highestSeq-window goes — the low arrivals recorded since the last sweep
-// with it — and seqFloor follows the cut. Under loss the window therefore
+// highestSeq-window goes, late retransmissions that arrived below the last
+// cut with it. Under loss the window therefore
 // reaches well below highestSeq-window between sweeps, and which old seqs
 // are still members decides what onRepair can rebuild and which NACKs
 // retire.
@@ -886,10 +877,6 @@ func (p *Player) gcSeqs() {
 		cut = p.highestSeq - window
 	}
 	p.haveSeq.DropBelow(uint64(cut))
-	if p.seqFloor < cut {
-		p.seqFloor = cut
-	}
-	p.lowSeqs = p.lowSeqs[:0]
 }
 
 func (p *Player) assemble(d *rdt.Data) {

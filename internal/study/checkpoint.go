@@ -33,7 +33,7 @@ import (
 // snapMagic stamps the snapshot format. Bump the trailing digit on any
 // layout change: a resume under a mismatched build fails on the magic
 // before misreading a single field.
-const snapMagic = "RTSNAP9"
+const snapMagic = "RTSNAP10"
 
 // Fork names a divergent scenario to resume from a checkpoint. The nil
 // Fork (or the zero value) is an exact resume: every RNG stream replays
@@ -174,7 +174,7 @@ func (w *World) Checkpoint(out io.Writer) error {
 }
 
 // sync is the one walk of a world's simulation state, in snapshot order:
-// clock, network core, servers, the panel or open-loop population, the
+// clock, network core, servers, the arrival cells and their sessions, the
 // record sink (rebuilt on decode from its section tag), and last the
 // in-flight packets — their payloads may
 // reference TCP conns walked before them, and decoding resolves those
@@ -184,9 +184,9 @@ func (w *World) Checkpoint(out io.Writer) error {
 // Options. fork (decoding only) selects exact replay or per-stream reseeding
 // of every RNG.
 func (w *World) sync(c *snap.Codec, fork *Fork) {
-	// Restoring the clock wipes every build-time event (panel start timers,
-	// the first arrival); each owner below re-arms its own events at their
-	// original slots.
+	// Restoring the clock wipes every build-time event (each cell's first
+	// arrival); each owner below re-arms its own events at their original
+	// slots.
 	w.Clock.Sync(c)
 	w.Net.Sync(c, fork.restart(w.Options.networkSeed(), "net"), fork.restart(w.Options.dynamicsSeed(), "dynamics"))
 
@@ -201,19 +201,7 @@ func (w *World) sync(c *snap.Codec, fork *Fork) {
 		srv.Sync(c, w.serverStacks[i], x)
 	}
 
-	open := w.open != nil
-	c.Bool(&open)
-	switch {
-	case c.Err() != nil:
-		return
-	case open != (w.open != nil):
-		c.Fail(fmt.Errorf("study: checkpoint open-loop=%v but the rebuilt world's is %v", open, w.open != nil))
-		return
-	case open:
-		w.syncOpenLoop(c, x, fork)
-	default:
-		w.syncPanel(c, x, fork)
-	}
+	w.syncCells(c, x, fork)
 
 	trace.SyncSink(c, &w.sink)
 
@@ -222,7 +210,7 @@ func (w *World) sync(c *snap.Codec, fork *Fork) {
 }
 
 // syncCount walks the size of a population the rebuilt world must match
-// exactly (servers, panel users, templates), failing the codec when the
+// exactly (servers, arrival cells, templates), failing the codec when the
 // snapshot disagrees with what NewWorld built.
 func syncCount(c *snap.Codec, built int, what string) bool {
 	n := built
@@ -233,37 +221,55 @@ func syncCount(c *snap.Codec, built int, what string) bool {
 	return c.Err() == nil
 }
 
-func (w *World) syncPanel(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
-	c.Tag("panel")
-	c.Int(&w.remaining)
-	if !syncCount(c, len(w.Users), "panel users") {
+// syncCells walks every arrival cell — the panel's, one per user, or the
+// open loop's one — through one loop, then the factory's count of
+// outstanding work, which decoding checks against the cells it restored. A
+// snapshot is of a classic world, whose one factory owns every cell.
+func (w *World) syncCells(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
+	c.Tag("cells")
+	if !syncCount(c, len(w.cells), "arrival cells") {
 		return
 	}
-	for i, u := range w.Users {
-		p := &w.panel[i]
-		p.rng.Sync(c, fork.reseed("user:"+u.Name))
-		p.stack.Sync(c, x)
-		w.Clock.SyncTimer(c, &p.start, p.tr)
-		p.tr.Sync(c, p.stack, x)
+	for _, cell := range w.cells {
+		if cell.sync(c, x, fork); c.Err() != nil {
+			return
+		}
+	}
+	f := w.factories[0]
+	c.Int(&f.pending)
+	if t := totals(w.cells); c.Reading() && c.Err() == nil && f.pending != t.arrivalsLeft+t.active {
+		c.Fail(fmt.Errorf("study: checkpoint counts %d arrivals and sessions outstanding, but its cells hold %d", f.pending, t.arrivalsLeft+t.active))
 	}
 }
 
-func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
-	c.Tag("openloop")
-	cell := w.open.cells[0] // the classic open loop is a single cell
+// sync walks one arrival cell: its accounting, its arrival stream and
+// timer, then per template whether it is busy, whether it holds a bundle,
+// and the bundle or else the template's port counter. Idle open-loop bundles
+// are not state: they hold nothing the clock can reach, and decoding builds
+// bundles only for the templates that hold one. A panel user's bundle was
+// built with the world, so decoding overlays it instead, and its stream
+// forks under the user's label.
+func (cell *arrivalCell) sync(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
+	w := cell.f.w
+	panel := cell.panel()
+	// Decoding overlays a cell NewWorld just built, whose arrivals left are
+	// its whole budget.
+	budget := cell.arrivalsLeft
 	c.Int(&cell.arrivalsLeft)
 	c.Int(&cell.active)
 	c.Int(&cell.sessions)
 	c.Int(&cell.balked)
 	c.Int(&cell.departed)
 	c.Int(&cell.cursor)
-	if c.Reading() && c.Err() == nil && (cell.arrivalsLeft < 0 || cell.arrivalsLeft > w.Options.Arrivals ||
+	if c.Reading() && c.Err() == nil && (cell.arrivalsLeft < 0 || cell.arrivalsLeft > budget ||
 		cell.active < 0 || cell.active > len(cell.busy) || cell.cursor < 0 || cell.cursor > len(cell.busy)) {
-		c.Fail(fmt.Errorf("study: checkpoint arrival state (%d arrivals left, %d active, scan cursor %d) outside the world's %d arrivals over %d templates",
-			cell.arrivalsLeft, cell.active, cell.cursor, w.Options.Arrivals, len(cell.busy)))
+		c.Fail(fmt.Errorf("study: checkpoint arrival state (%d arrivals left, %d active, scan cursor %d) outside the cell's %d arrivals over %d templates",
+			cell.arrivalsLeft, cell.active, cell.cursor, budget, len(cell.busy)))
 		return
 	}
-	cell.rng.Sync(c, fork.reseed("arrivals"))
+	if !panel { // a panel cell's one arrival was drawn on its user's stream
+		cell.rng.Sync(c, fork.reseed("arrivals"))
+	}
 	// Only stateful selection policies walk a cursor; the rest leave a zero.
 	if p, ok := cell.policy.(interface{ Sync(*snap.Codec) }); ok {
 		p.Sync(c)
@@ -275,10 +281,10 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 	if !syncCount(c, len(cell.bundles), "templates") {
 		return
 	}
-	// Per template: busy, whether it holds a bundle, then the bundle or else
-	// the template's port counter. Idle bundles are not state: they hold
-	// nothing the clock can reach, and decoding builds bundles only for the
-	// templates that hold one.
+	label := "session:"
+	if panel {
+		label = "user:"
+	}
 	busy := 0
 	for mi := range cell.bundles {
 		c.Bool(&cell.busy[mi])
@@ -286,6 +292,9 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 		c.Bool(&held)
 		if cell.busy[mi] {
 			busy++
+		}
+		if c.Reading() && c.Err() == nil && panel && !held {
+			c.Fail(fmt.Errorf("study: checkpoint panel user %s holds no session", w.Users[cell.members[mi]].Name))
 		}
 		if !held {
 			c.Int(&cell.ports[mi])
@@ -295,7 +304,7 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 			}
 			continue
 		}
-		if c.Reading() {
+		if c.Reading() && !panel {
 			if c.Err() != nil {
 				return
 			}
@@ -304,14 +313,13 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 			}
 		}
 		b := cell.bundles[mi]
-		name := w.Users[b.idx].Name
-		b.rng.Sync(c, fork.reseed("session:"+name))
+		b.rng.Sync(c, fork.reseed(label+w.Users[b.idx].Name))
 		b.stack.Sync(c, x)
 		c.Bool(&b.done)
 		c.Bool(&b.departed)
 		c.I64(&b.ordinal)
 		snap.Slice(c, &b.clips, (*snap.Codec).Int)
-		if c.Reading() {
+		if c.Reading() && !panel {
 			b.playlist = b.playlist[:0]
 			for _, ci := range b.clips {
 				if ci < 0 || ci >= len(w.Playlist) {
@@ -331,7 +339,8 @@ func (w *World) syncOpenLoop(c *snap.Codec, x *transport.SnapCtx, fork *Fork) {
 		if busy != cell.active {
 			c.Fail(fmt.Errorf("study: checkpoint has %d busy templates but %d sessions active", busy, cell.active))
 		}
-		cell.f.live, cell.f.peak = busy, busy
+		cell.f.live += busy
+		cell.f.peak = cell.f.live
 	}
 }
 

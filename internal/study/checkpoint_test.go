@@ -514,11 +514,11 @@ func doctoredAcceptTables(t testing.TB) []doctoredSnapshot {
 // templates do not add up: one more session active than templates busy, a
 // busy template holding no bundle, and a template with a negative port
 // counter. Each used to resume and run its whole suffix before Run failed
-// with a stall, or not fail at all.
+// with a stall, or not fail at all. The panel's doctored cells follow.
 func doctoredTemplates(t testing.TB) []doctoredSnapshot {
 	t.Helper()
 	w := fenceWorld(t, churnHeavy)
-	cell := w.open.cells[0]
+	cell := w.cells[0]
 	free := slices.IndexFunc(cell.bundles, func(b *sessionBundle) bool { return b == nil })
 	if free < 0 || cell.active == 0 {
 		t.Fatalf("the churn-heavy fence world's cut has no template without a bundle (%d) or no session active (%d)", free, cell.active)
@@ -533,6 +533,47 @@ func doctoredTemplates(t testing.TB) []doctoredSnapshot {
 	doctor("one more session active than templates busy", "busy templates but", func() { cell.active++ })
 	doctor("a busy template holding no bundle", "busy=true with no bundle", func() { cell.active, cell.busy[free] = cell.active+1, true })
 	doctor("a negative port counter", "-1 ports handed out", func() { cell.ports[free] = -1 })
+	return append(out, doctoredPanel(t)...)
+}
+
+// doctoredPanel are snapshots of the panel fence world, cut a thousand events
+// into its first user's session, whose cells do not add up: a user yet to
+// start claiming a second arrival, a user mid-session whose template is not
+// busy, a user yet to start holding no session, and a count of outstanding
+// work its cells do not hold.
+func doctoredPanel(t testing.TB) []doctoredSnapshot {
+	t.Helper()
+	w, err := NewWorld(fenceWorlds[0].opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := func(c *arrivalCell) bool { return c.active == 1 }
+	for !slices.ContainsFunc(w.cells, started) && w.Clock.Step() {
+	}
+	for range 1000 {
+		w.Clock.Step()
+	}
+	waiting := slices.IndexFunc(w.cells, func(c *arrivalCell) bool { return c.arrivalsLeft == 1 })
+	playing := slices.IndexFunc(w.cells, started)
+	if waiting < 0 || playing < 0 {
+		t.Fatalf("the panel fence world's cut has no user yet to start (%d) or none mid-session (%d)", waiting, playing)
+	}
+	idle, busy, f := w.cells[waiting], w.cells[playing], w.factories[0]
+	var out []doctoredSnapshot
+	doctor := func(name, want string, edit func(), undo func()) {
+		edit()
+		out = append(out, doctoredSnapshot{name, checkpoint(t, w), want})
+		undo()
+	}
+	doctor("a panel user claiming a second arrival", "outside the cell's 1 arrivals",
+		func() { idle.arrivalsLeft++ }, func() { idle.arrivalsLeft-- })
+	doctor("a panel session active on a template that is not busy", "0 busy templates but 1 sessions active",
+		func() { busy.busy[0] = false }, func() { busy.busy[0] = true })
+	b := idle.bundles[0]
+	doctor("a panel user holding no session", "holds no session",
+		func() { idle.bundles[0] = nil }, func() { idle.bundles[0] = b })
+	doctor("outstanding work the cells do not hold", "outstanding, but its cells hold",
+		func() { f.pending++ }, func() { f.pending-- })
 	return out
 }
 
@@ -641,10 +682,12 @@ func TestResumeRejectsCorruptSnapshot(t *testing.T) {
 	// the stacks walked the conns they accepted, before the retransmit window
 	// kept headers, before bundles were leased per live session, before one
 	// packet arena per shard, before the walks dropped the fields nothing
-	// reads — is refused on its magic, before any field is misread.
-	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4", "RTSNAP5", "RTSNAP6", "RTSNAP7", "RTSNAP8"} {
-		old := append([]byte(nil), snap...)
-		copy(old[4:], magic)
+	// reads, before the panel was a cell per user — is refused on its magic,
+	// before any field is misread. Each header is written as its build wrote
+	// it: the magic's length, then the magic.
+	for _, magic := range []string{"RTSNAP1", "RTSNAP2", "RTSNAP3", "RTSNAP4", "RTSNAP5", "RTSNAP6", "RTSNAP7", "RTSNAP8", "RTSNAP9"} {
+		old := binary.LittleEndian.AppendUint32(nil, uint32(len(magic)))
+		old = append(append(old, magic...), snap[4+len(snapMagic):]...)
 		if _, err := Resume(bytes.NewReader(old), nil); err == nil || !strings.Contains(err.Error(), "incompatible build") {
 			t.Errorf("want an %s header refused as an incompatible build, got %v", magic, err)
 		}
@@ -709,7 +752,7 @@ func TestCheckpointRefusesUnownedEvents(t *testing.T) {
 		// bundle's departTimer: the bundle walks a timer that is not this one.
 		{"stray departure", func(t *testing.T) *World {
 			w := fenceWorld(t, fenceWorlds[1].opt)
-			for _, b := range w.open.cells[0].bundles {
+			for _, b := range w.cells[0].bundles {
 				if b != nil {
 					w.Clock.AfterHandler(time.Minute, (*departArm)(b))
 					return w
@@ -718,16 +761,16 @@ func TestCheckpointRefusesUnownedEvents(t *testing.T) {
 			t.Fatal("set-up: no template holds a bundle at the cut")
 			return nil
 		}, "handler type *study.departArm is persisted by 0 owners"},
-		// One participant reachable from two panel slots: its start timer is
+		// One panel user's cell reachable from two slots: its start timer is
 		// walked twice (and the second slot's own start by nobody).
 		{"two owners", func(t *testing.T) *World {
 			w, err := NewWorld(fenceWorlds[0].opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.panel[1] = w.panel[0]
+			w.cells[1] = w.cells[0]
 			return w
-		}, "handler type *tracer.Tracer is persisted by 2 owners"},
+		}, "handler type *study.arriveArm is persisted by 2 owners"},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {

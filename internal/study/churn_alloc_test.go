@@ -61,7 +61,7 @@ func TestSessionChurnAllocBudget(t *testing.T) {
 	var observed countSink
 	w.SetSink(&observed)
 
-	o := w.open.cells[0] // the classic engine runs a single arrival cell
+	o := w.cells[0] // the classic engine runs a single arrival cell
 	completed := func() int { return o.sessions - o.active }
 	runSessions := func(n int) {
 		for target := completed() + n; completed() < target; {
@@ -166,8 +166,7 @@ func TestShardedChurnAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := w.open
-	completed := func() int { n := o.totals(); return n.sessions - n.active }
+	completed := func() int { n := totals(w.cells); return n.sessions - n.active }
 	runSessions := func(n int) {
 		target := completed() + n
 		w.fab.Run(func() bool { return completed() >= target })
@@ -254,7 +253,7 @@ func TestOpenLoopBundlesAreReused(t *testing.T) {
 // templates hold and the idle ones.
 func shardBundles(w *World, f *SessionFactory) []*sessionBundle {
 	bs := slices.Clone(f.idle)
-	for _, c := range w.open.cells {
+	for _, c := range w.cells {
 		for _, b := range c.bundles {
 			if b != nil && c.f == f {
 				bs = append(bs, b)
@@ -285,7 +284,7 @@ func TestBundlesFollowConcurrency(t *testing.T) {
 		}
 		for s, f := range w.factories {
 			templates := 0
-			for _, c := range w.open.cells {
+			for _, c := range w.cells {
 				if c.f == f {
 					templates += len(c.members)
 				}

@@ -116,7 +116,7 @@ func checkConservation(t *testing.T, opt Options) {
 		if res.Sessions+res.Balked != w.Options.Arrivals {
 			t.Errorf("arrivals: %d sessions + %d balked != %d arrivals", res.Sessions, res.Balked, w.Options.Arrivals)
 		}
-		if active := w.open.totals().active; active != 0 || res.Departed > res.Sessions {
+		if active := totals(w.cells).active; active != 0 || res.Departed > res.Sessions {
 			t.Errorf("sessions: %d admitted, %d departed, %d still active at the end", res.Sessions, res.Departed, active)
 		}
 		return res
@@ -146,18 +146,13 @@ func checkConservation(t *testing.T, opt Options) {
 	}
 }
 
-// worldTracers returns every tracer the world has built: the panel's, or
-// every open-loop bundle's, held or idle.
+// worldTracers returns every tracer the world has built: every bundle's,
+// held or idle.
 func worldTracers(w *World) []*tracer.Tracer {
 	var trs []*tracer.Tracer
-	for _, p := range w.panel {
-		trs = append(trs, p.tr)
-	}
-	if w.open != nil {
-		for _, f := range w.factories {
-			for _, b := range shardBundles(w, f) {
-				trs = append(trs, b.tr)
-			}
+	for _, f := range w.factories {
+		for _, b := range shardBundles(w, f) {
+			trs = append(trs, b.tr)
 		}
 	}
 	return trs
@@ -169,9 +164,6 @@ func worldTracers(w *World) []*tracer.Tracer {
 // stack. It returns how many idle bundles it judged.
 func checkIdleBundles(t *testing.T, w *World) (idle int) {
 	t.Helper()
-	if w.open == nil {
-		return 0
-	}
 	for s, f := range w.factories {
 		for i, b := range f.idle {
 			idle++
@@ -213,18 +205,13 @@ func checkIdleBundles(t *testing.T, w *World) (idle int) {
 }
 
 // userStacks returns the transport stack of every tracer bound to a user —
-// the panel's and the bundles templates hold — by the user's host name.
+// the bundles templates hold — by the user's host name.
 func userStacks(w *World) map[string]*transport.Stack {
 	stacks := map[string]*transport.Stack{}
-	for i, p := range w.panel {
-		stacks[w.Users[i].Name] = p.stack
-	}
-	if w.open != nil {
-		for _, c := range w.open.cells {
-			for _, b := range c.bundles {
-				if b != nil {
-					stacks[w.Users[b.idx].Name] = b.stack
-				}
+	for _, c := range w.cells {
+		for _, b := range c.bundles {
+			if b != nil {
+				stacks[w.Users[b.idx].Name] = b.stack
 			}
 		}
 	}

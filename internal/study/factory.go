@@ -14,12 +14,12 @@ import (
 	"realtracer/internal/transport"
 )
 
-// SessionFactory turns a user — a pre-scheduled panel participant or an
-// open-loop arrival — into an attached host and a configured RealTracer on
-// one shard's clock and network. The closed panel drives it once per user
-// at build time, an arrival cell drives its shard's once per arrival on the
-// simclock. Both paths share the same attach / tracer construction, so a
-// clip played under either mode is measured identically.
+// SessionFactory turns an arrival cell's session into an attached host and a
+// configured RealTracer on one shard's clock and network. A panel user's
+// cell drives it once, while the world is built; an open-loop cell drives its
+// shard's once per arrival on the simclock. Both share the same attach /
+// tracer construction and the same sessionBundle hooks, so a clip played
+// under either mode is measured identically.
 //
 // A world has one factory per shard (World.factories; the classic world is
 // one shard), and everything that runs on a shard reaches the shard's clock,
@@ -53,6 +53,10 @@ type SessionFactory struct {
 	idle, draining []*sessionBundle
 	live, peak     int
 
+	// pending is the shard's outstanding work: its cells' arrivals left plus
+	// their sessions active. The run is finished when every shard's is zero.
+	pending int
+
 	// arena is the shard's packet storage: every server and player on the
 	// shard leases its packet cells here, so the free-lists hold the shard's
 	// in-flight high water, not each session object's. Only the shard's
@@ -85,8 +89,8 @@ func (f *SessionFactory) release(b *sessionBundle) {
 }
 
 // attach brings the user's host onto the network with its access profile.
-// Modem users draw their uplink characteristics from rng — the same draws,
-// in the same order, as the classic launchUsers body.
+// Modem users draw their uplink characteristics from rng: a panel user's
+// stream before its stagger draw, an open-loop session's after its plan.
 func (f *SessionFactory) attach(u *geo.User, rng *rand.Rand) {
 	access := netsim.DefaultAccessProfile(u.Access)
 	if u.Access == netsim.AccessModem {
@@ -113,10 +117,11 @@ func (f *SessionFactory) observe(rec *trace.Record) {
 }
 
 // newTracer builds a RealTracer session for u over the given playlist.
-// rate, selectServer, onRecord and onFinished let the open-loop path install
-// its per-clip mirror selection and session-lifecycle bookkeeping; the panel
-// passes its user's rater, nil selection and the plain observe/remaining
-// pair. An open-loop bundle passes a nil playlist: everything bound here —
+// rate, selectServer, onRecord and onFinished are the session bundle's hooks:
+// its rater, its per-clip mirror selection (nil on the panel, which plays
+// every clip from its home site) and its session-lifecycle bookkeeping. A
+// panel bundle passes its user's playlist prefix; an open-loop bundle passes
+// a nil playlist: everything bound here —
 // the transport stack, RNG and hooks — is created once and survives every
 // session the bundle serves, whatever template it serves it for, and
 // Tracer.Reset installs each arrival's user and playlist. The tracer comes

@@ -44,22 +44,12 @@ func resumeHostileAs(t *testing.T, data []byte, fork *Fork) {
 	if err != nil {
 		return
 	}
-	for n := 0; !finished(w) && w.Clock.Step(); n++ {
+	for n := 0; !w.finished() && w.Clock.Step(); n++ {
 		if n == eventBudget {
 			return
 		}
 	}
 	w.Run() // result or stall error; must not panic
-}
-
-// finished mirrors Run's stopping condition for a classic world: every
-// panel user done, or the arrival budget spent and the last session gone.
-func finished(w *World) bool {
-	if w.open != nil {
-		c := w.open.cells[0]
-		return c.arrivalsLeft <= 0 && c.active <= 0
-	}
-	return w.remaining <= 0
 }
 
 // manyRecords is an open-loop world that has retained 195 records by 90% of
@@ -71,7 +61,8 @@ var manyRecords = Options{Seed: 17, MaxUsers: 6, ClipCap: 2, Workload: "poisson"
 // flight, of one with a timed-out TCP flight waiting to be sent again, of one
 // with a SETUP request on the wire and of one carrying many records, plus
 // truncations of each, one doctored window, one doctored FEC group, four
-// doctored accept tables and three doctored template tables.
+// doctored accept tables, three doctored template tables and four doctored
+// panel cells.
 func FuzzResume(f *testing.F) {
 	straight, err := Run(manyRecords)
 	if err != nil {
@@ -87,7 +78,7 @@ func FuzzResume(f *testing.F) {
 	// Seeds no mutation of the others finds quickly: well-formed snapshots
 	// whose one defect is two sequence numbers a whole window apart in one FEC
 	// window, an open FEC group the retransmit window cannot supply, or an
-	// accept table or template table that does not add up.
+	// accept table, template table or panel cell that does not add up.
 	f.Add(farApartSnapshot(f))
 	f.Add(unsuppliableFECGroup(f))
 	for _, d := range append(doctoredAcceptTables(f), doctoredTemplates(f)...) {

@@ -15,24 +15,14 @@ import (
 	"realtracer/internal/workload"
 )
 
-// openLoop is the workload generator's run state: the arrival cells, each
-// owning a disjoint slice of the template pool and a private arrival
-// stream. A sharded world runs one cell per user block, pinned to the shard
-// that owns the block's hosts, and relies on Poisson splitting to keep the
-// aggregate arrival process identical in distribution; the classic world
-// runs exactly one cell over the whole pool (buildCells).
-type openLoop struct {
-	cells []*arrivalCell
-}
-
-// cellTotals is the session accounting summed over the cells: what the
-// run's termination condition and its Result read.
+// cellTotals is the session accounting summed over the cells: what Run's
+// Result and its stall error report.
 type cellTotals struct {
 	arrivalsLeft, active, sessions, balked, departed int
 }
 
-func (o *openLoop) totals() (t cellTotals) {
-	for _, c := range o.cells {
+func totals(cells []*arrivalCell) (t cellTotals) {
+	for _, c := range cells {
 		t.arrivalsLeft += c.arrivalsLeft
 		t.active += c.active
 		t.sessions += c.sessions
@@ -45,10 +35,15 @@ func (o *openLoop) totals() (t cellTotals) {
 // arrivalCell is one arrival stream over a disjoint slice of the template
 // pool: the (possibly split) arrival spec, the selection policy instance,
 // the cell's private RNG, the occupancy of its members, and the session
-// accounting the run's termination condition sums. A cell runs on one shard
-// and reaches that shard's clock, network and record path through the
-// shard's factory; everything a cell mutates at runtime belongs to its
-// shard, so cells never race.
+// accounting Run reports. A sharded world runs one cell per user block,
+// pinned to the shard that owns the block's hosts, and relies on Poisson
+// splitting to keep the aggregate arrival process identical in
+// distribution; the classic world runs exactly one cell over the whole pool
+// (buildCells). The closed panel is a cell per user (panelCells): one
+// member, one arrival at the user's start, no spec, policy or stream of its
+// own. A cell runs on one shard and reaches that shard's clock, network and
+// record path through the shard's factory; everything a cell mutates at
+// runtime belongs to its shard, so cells never race.
 type arrivalCell struct {
 	shard int             // the owning shard, an index into World.factories
 	f     *SessionFactory // that shard's factory; f.w is the world
@@ -58,14 +53,17 @@ type arrivalCell struct {
 	// policies like round-robin advance per cell); nil = pinned, no
 	// per-clip selection step.
 	policy workload.Policy
-	// rng is the cell's private arrival/plan stream. The counting source
-	// lets a checkpoint persist the stream position as (seed, draw count).
+	// rng is the cell's private arrival/plan stream, nil on a panel cell.
+	// The counting source lets a checkpoint persist the stream position as
+	// (seed, draw count).
 	rng *detrand.Rand
 
 	// arrivalTimer is the armed next-arrival event, tracked so a restore
 	// can re-arm it at its original (time, seq) slot.
 	arrivalTimer simclock.Timer
 
+	// arrivalsLeft and active are the cell's share of its factory's pending
+	// count: every change to either changes that by the same amount.
 	arrivalsLeft int
 	active       int
 	sessions     int
@@ -164,12 +162,16 @@ func (c *arrivalCell) scheduleArrival() {
 	c.arrivalTimer = c.f.clock.AfterHandler(gap, (*arriveArm)(c))
 }
 
+// panel reports whether c is a panel user's cell (panelCells).
+func (c *arrivalCell) panel() bool { return !c.f.w.Options.OpenLoop() }
+
 // arrive admits one session: pick an idle member template (round-robin
 // scan, so re-arrivals rotate through the cell), launch it, and schedule
 // the next arrival. When every template is busy the arrival balks — the
 // open population turned someone away.
 func (c *arrivalCell) arrive() {
 	c.arrivalsLeft--
+	c.f.pending--
 	mi := -1
 	for i := 0; i < len(c.busy); i++ {
 		j := (c.cursor + i) % len(c.busy)
@@ -189,11 +191,13 @@ func (c *arrivalCell) arrive() {
 
 // sessionBundle is one live session's machinery: the tracer (with its player
 // engine and packet arena), the transport stack the tracer was built on, the
-// session RNG, and the plan/playlist scratch. Bundles follow concurrency, not
-// the template pool: a shard's factory builds one only when a launch finds
-// none idle, and any template of the shard may lease it next. bind rewrites
-// what names the template; the RNG is reseeded, the tracer Reset, and the
-// scratch rewritten in place.
+// session RNG, and the plan/playlist scratch. Open-loop bundles follow
+// concurrency, not the template pool: a shard's factory builds one only when
+// a launch finds none idle, and any template of the shard may lease it next.
+// bind rewrites what names the template; the RNG is reseeded, the tracer
+// Reset, and the scratch rewritten in place. A panel user's bundle is built
+// with the world on the user's own stream, walks a prefix of the playlist
+// (no plan), and stays bound to its cell.
 // finish and depart both converge on endSession exactly once: finish is
 // the tracer walking off the end of its drawn playlist, depart is the
 // mid-stream hangup that tears the host out from under in-flight packets.
@@ -273,23 +277,30 @@ func (c *arrivalCell) newBundle(mi int) *sessionBundle {
 	return b
 }
 
-// launchSession draws the session plan (clip count, Zipf clip picks,
-// abandonment) from the session RNG, reseeded, attaches the template's host —
-// a fresh incarnation if this template arrived before — and starts the
-// tracer now. The template takes back a bundle it still holds (one freed
-// before it was quiescent), or else leases one. Reseeding the pooled RNG
-// reproduces the exact draw stream a freshly-constructed RNG would give, so
-// the records are byte-identical to the unpooled lifecycle's.
+// launchSession starts template mi's session now. A panel user's was drawn,
+// its host attached and its bundle bound when the world was built, so it
+// only starts; it counts as no session in Result. An open-loop session draws
+// its plan (clip count, Zipf clip picks, abandonment) from the session RNG,
+// reseeded, and attaches the template's host — a fresh incarnation if this
+// template arrived before. The template takes back a bundle it still holds
+// (one freed before it was quiescent), or else leases one. Reseeding the
+// pooled RNG reproduces the exact draw stream a freshly-constructed RNG would
+// give, so the records are byte-identical to the unpooled lifecycle's.
 func (c *arrivalCell) launchSession(mi int) {
-	w := c.f.w
-	u := w.Users[c.members[mi]]
 	c.busy[mi] = true
 	c.active++
-	c.sessions++
+	c.f.pending++
 	c.f.live++
 	c.f.peak = max(c.f.peak, c.f.live)
-
 	b := c.bundles[mi]
+	if c.panel() {
+		b.tr.Run()
+		return
+	}
+	w := c.f.w
+	u := w.Users[c.members[mi]]
+	c.sessions++
+
 	if b != nil { // freed before it was quiescent: back off the draining list
 		i := slices.Index(c.f.draining, b)
 		c.f.draining = slices.Delete(c.f.draining, i, i+1)
@@ -419,6 +430,12 @@ func (b *sessionBundle) depart() {
 // least-loaded policy's ActiveSessions probe), and frees the template for
 // the next arrival under the same name.
 //
+// A panel user has no next arrival and tears nothing down: the host stays
+// attached, as the paper's participants' machines did, no DropClient runs,
+// and the bundle stays bound. Removing the host would make the network drop
+// packets still addressed to it before any draw, which moves every later
+// draw on the network's shared stream.
+//
 // On the classic engine all of that is synchronous. A sharded cell owns
 // only its own shard: the host is removed locally, but each server's
 // DropClient is posted to the server's shard at now+L (the soonest a
@@ -430,10 +447,16 @@ func (b *sessionBundle) depart() {
 // timestamps are partition-invariant because L is computed from the route
 // table, never from the partition.
 func (c *arrivalCell) endSession(b *sessionBundle) {
+	c.active--
+	c.f.pending--
+	if c.panel() {
+		c.busy[b.mi] = false
+		c.f.live--
+		return
+	}
 	w := c.f.w
 	name := w.Users[b.idx].Name
 	c.f.net.RemoveHost(name)
-	c.active--
 	if w.fab == nil {
 		for _, srv := range w.Servers {
 			srv.DropClient(name)

@@ -137,7 +137,7 @@ func TestCheckpointAtServerConnStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for left, n := len(at), 1; left > 0 && !finished(scout) && scout.Clock.Step(); n++ {
+	for left, n := len(at), 1; left > 0 && !scout.finished() && scout.Clock.Step(); n++ {
 		for i, cut := range serverConnCuts {
 			if at[i] == 0 && cut.find(scout) != "" {
 				at[i], left = n, left-1

@@ -97,6 +97,7 @@ func (w *World) buildCells() ([]*arrivalCell, error) {
 	assignShards(cells, len(w.factories))
 	for _, c := range cells {
 		c.f = w.factories[c.shard]
+		c.f.pending += c.arrivalsLeft
 	}
 	return cells, nil
 }

@@ -375,7 +375,7 @@ func TestRehomedEntryTakesItsSitesAddresses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := w.open.cells[0]
+	c := w.cells[0]
 	b := c.newBundle(0)
 	e := w.Playlist[0]
 	picked := map[string]bool{}

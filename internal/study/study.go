@@ -56,11 +56,12 @@ type Options struct {
 	DynamicsSeed int64
 	// Workload names an arrival-process profile from the open-loop
 	// catalog (internal/workload: "poisson", "diurnal", "flashcrowd").
-	// "" or "panel" keeps the paper's closed-loop panel — every user
-	// pre-scheduled at build time — byte-identical to a build without the
-	// workload layer. Any other profile switches the world to open-loop
-	// mode: sessions arrive over time, draw clips by Zipf popularity,
-	// attach their host on arrival and remove it on departure.
+	// "" or "panel" keeps the paper's closed-loop panel — one arrival per
+	// user at its stagger instant, its session drawn at build time —
+	// byte-identical to a build without the workload layer. Any other
+	// profile switches the world to open-loop mode: sessions arrive over
+	// time, draw clips by Zipf popularity, attach their host on arrival and
+	// remove it on departure.
 	Workload string
 	// WorkloadIntensity scales the arrival rate (0 = the calibrated 1x,
 	// which targets ~40% steady-state occupancy of the template pool).
@@ -148,10 +149,11 @@ func (o Options) PolicyLabel() string {
 //	server of site si         master draw                     "server:HOST"
 //	panel user u              master draw                     "user:NAME"
 //
-// Seed+2 is unused: routes are hashed, not drawn. An open-loop session's
-// stream is reseeded per launch from its cell's stream (launchSession), and
-// netsim derives each fabric path's stream from the network seed and the
-// pair's host IDs.
+// Seed+2 is unused: routes are hashed, not drawn. A panel user's stream is
+// its cell's session stream, built by panelCells; an open-loop session's
+// stream is reseeded per launch from its cell's stream (launchSession) and
+// forks as "session:NAME", and netsim derives each fabric path's stream from
+// the network seed and the pair's host IDs.
 
 // cellStride spaces the arrival cells' seeds on a fabric.
 const cellStride = 100003
@@ -269,7 +271,8 @@ type Result struct {
 	Events uint64
 	// Sessions, Balked and Departed describe an open-loop run: sessions
 	// launched, arrivals turned away because every template was busy, and
-	// sessions that hung up mid-stream. All zero for the closed panel.
+	// sessions that hung up mid-stream. All zero for the closed panel, whose
+	// users' sessions were drawn with the world, not launched by arrivals.
 	Sessions int
 	Balked   int
 	Departed int
@@ -314,8 +317,6 @@ type rater struct {
 	user *geo.User
 	rng  *rand.Rand
 }
-
-func newRater(u *geo.User, rng *rand.Rand) *rater { return &rater{user: u, rng: rng} }
 
 // rate maps a clip record to the user's 0-10 score.
 func (r *rater) rate(rec *trace.Record) float64 {

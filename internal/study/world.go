@@ -23,13 +23,16 @@ import (
 // There is one build sequence and one run loop. NewStatic draws the
 // population, builds the route table and the servers' libraries and
 // assembles the playlist (static.go); instantiating that static world
-// brings up the engine, attaches the servers' hosts, cuts an open-loop
-// world's template pool into arrival cells, starts the servers and
-// schedules the first events: every panel user's start (the
-// paper's closed loop, Options.Workload "" or "panel"), or each cell's first
-// arrival — an open-loop generator then sustains itself through its
-// SessionFactory, attaching each arrival's host and removing it again on
-// departure. Run steps the engine until finished reports the work done.
+// brings up the engine, attaches the servers' hosts, cuts the population
+// into arrival cells, starts the servers and arms each cell's first arrival.
+// The paper's closed panel (Options.Workload "" or "panel") is a cell per
+// user with a budget of one arrival, at the user's stagger instant, whose
+// session is drawn and its host attached while the world is built
+// (panelCells). An open-loop cell is an arrival stream over a slice of the
+// template pool that sustains itself through its SessionFactory, attaching
+// each arrival's host and removing it again on departure. Run steps the
+// engine until finished reports the work done: every arrival made and every
+// session ended.
 //
 // The engine is the one thing that comes in two kinds. Options.Shards > 0
 // partitions the hosts across the per-shard clocks and networks of a
@@ -56,8 +59,8 @@ type World struct {
 	// shared read-only with every world instantiated from it.
 	//
 	// Sites and Users are the server/user geography for this world. In
-	// open-loop mode Users is the template pool arrivals draw from, not a
-	// set of pre-scheduled participants.
+	// open-loop mode Users is the template pool arrivals draw from; on the
+	// panel, each user is a cell of its own.
 	Sites []geo.ServerSite
 	Users []*geo.User
 	// Playlist is the assembled 98-entry clip list. The closed panel walks
@@ -79,8 +82,9 @@ type World struct {
 	//     after Freeze — see installDynamics;
 	//   - Fabric.AddHost (attachServers): a sharded host is interned into its
 	//     owning shard;
-	//   - cell partition and seed (buildCells): country blocks on derived
-	//     seeds, or one cell over the whole pool on the workload seed;
+	//   - open-loop cell partition and seed (buildCells): country blocks on
+	//     derived seeds, or one cell over the whole pool on the workload seed
+	//     (the panel, a cell per user, runs on the classic engine only);
 	//   - freeze (NewWorld): template hosts interned up front, then the
 	//     tables frozen and shared;
 	//   - load gossip (NewWorld) and selectFor's load source: a cell reads
@@ -97,34 +101,27 @@ type World struct {
 	// factories holds one SessionFactory per shard; the classic world's
 	// only one is factories[0].
 	factories []*SessionFactory
-	open      *openLoop // nil in closed-loop panel mode
+	// cells are the world's arrival cells, in build order: a panel user's
+	// each (panelCells), or an open-loop world's over its template pool
+	// (buildCells). A session's RNG, stack and tracer are on the
+	// sessionBundle it runs on.
+	cells []*arrivalCell
 	// sink is the only way a record leaves the world: a trace.Collector
 	// unless SetSink (or a resumed snapshot's sink section) replaced it.
-	sink      trace.Sink
-	remaining int // panel users still to finish
-	ran       bool
+	sink trace.Sink
+	ran  bool
 
-	// Checkpoint wiring (checkpoint.go): the counting RNGs, transport
-	// stacks, tracers and start timers NewWorld creates, kept addressable
+	// Checkpoint wiring (checkpoint.go): the servers' counting RNGs and
+	// transport stacks, aligned with Servers/ActiveSites, kept addressable
 	// so a snapshot can persist their positions and a restore can overlay
-	// them. The server slices align with Servers/ActiveSites, panel with
-	// Users; an open-loop session's are on the sessionBundle it runs on.
+	// them.
 	serverRNGs   []*detrand.Rand
 	serverStacks []*transport.Stack
-	panel        []panelUser
 
 	// loads[s][ai] is shard s's gossip-delayed view of server ai's session
 	// count (gossip.go); nil unless a sharded world's selection policy
 	// reads load.
 	loads [][]int
-}
-
-// panelUser is one closed-panel participant's checkpoint wiring.
-type panelUser struct {
-	rng   *detrand.Rand
-	tr    *tracer.Tracer
-	stack *transport.Stack
-	start simclock.Timer
 }
 
 // siteShard maps an active-site ordinal (an index into ActiveSites /
@@ -135,9 +132,9 @@ func (w *World) siteShard(ai int) int {
 }
 
 // NewWorld builds the simulated Internet for opt: servers brought up, the
-// playlist assembled, and — in panel mode — every user's tracer scheduled
-// on the clock. In open-loop mode only each cell's first arrival is
-// scheduled; the generator sustains itself from there. The returned World
+// playlist assembled and each arrival cell's first arrival scheduled — a
+// panel user's start, or an open-loop stream's first arrival, after which
+// the generator sustains itself. The returned World
 // has not consumed any virtual time yet; call Run to drive it to completion.
 // It is NewStatic(opt) followed by that static world's NewWorld.
 func NewWorld(opt Options) (*World, error) {
@@ -186,7 +183,7 @@ func (s *Static) NewWorld() (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.open = &openLoop{cells: cells}
+		w.cells = cells
 	}
 	if w.fab != nil {
 		if err := w.freeze(); err != nil {
@@ -199,12 +196,12 @@ func (s *Static) NewWorld() (*World, error) {
 	if w.fab != nil && opt.Selection == "leastloaded" {
 		w.startLoadGossip()
 	}
-	if w.open == nil {
-		w.launchUsers(s.userSeeds)
-	} else {
-		for _, c := range w.open.cells {
+	if opt.OpenLoop() {
+		for _, c := range w.cells {
 			c.scheduleArrival()
 		}
+	} else {
+		w.cells = w.panelCells(s.userSeeds)
 	}
 	return w, nil
 }
@@ -247,7 +244,7 @@ func (w *World) installDynamics(set func(*netsim.Dynamics, int64)) error {
 // arrival order — freezes the fabric's tables and installs the dynamics.
 func (w *World) freeze() error {
 	shardOf := make([]int, len(w.Users))
-	for _, c := range w.open.cells {
+	for _, c := range w.cells {
 		for _, ui := range c.members {
 			shardOf[ui] = c.shard
 		}
@@ -307,29 +304,34 @@ func (w *World) startServers(servers []staticServer) error {
 	return nil
 }
 
-// launchUsers schedules the closed-loop panel: every user's RealTracer
-// run, staggered across the window — the paper's fixed 63-user campaign.
-// It is a thin driver over the SessionFactory: user u runs on seeds[u], and
-// the byte-identical rule pins the modem and stagger draws from that stream.
-func (w *World) launchUsers(seeds []int64) {
-	opt := w.Options
+// panelCells builds the closed panel — the paper's fixed 63-user campaign —
+// as one arrival cell per user, in user order: one member, a budget of one
+// arrival, and that arrival armed at the user's start, staggered across the
+// window. The user's session is built here, on the user's own stream
+// seeds[u]: the host attached (a modem's uplink draw), a tracer over the
+// first min(ClipsToPlay, ClipCap) playlist entries, then the stagger draw.
+// The byte-identical rule pins those draws and their order, and the start
+// events' (time, seq) slots pin the order the cells are built in.
+func (w *World) panelCells(seeds []int64) []*arrivalCell {
 	f := w.factories[0]
-	w.remaining = len(w.Users)
+	cells := make([]*arrivalCell, len(w.Users))
 	for ui, u := range w.Users {
-		userRNG := detrand.New(seeds[ui])
-		f.attach(u, userRNG.Rand)
+		c := &arrivalCell{f: f, ord: ui, arrivalsLeft: 1, members: []int{ui},
+			busy: make([]bool, 1), ports: make([]int, 1), bundles: make([]*sessionBundle, 1)}
+		b := &sessionBundle{cell: c, idx: ui, rng: detrand.New(seeds[ui])}
+		f.attach(u, b.rng.Rand)
 		n := u.ClipsToPlay
-		if opt.ClipCap > 0 && n > opt.ClipCap {
-			n = opt.ClipCap
+		if w.Options.ClipCap > 0 {
+			n = min(n, w.Options.ClipCap)
 		}
-		tr, stack := f.newTracer(u, userRNG.Rand, w.Playlist[:n], newRater(u, userRNG.Rand).rate, nil,
-			f.observe,
-			func() { w.remaining-- })
-		start := time.Duration(userRNG.Int63n(int64(staggerWindow)))
-		// The start event is a pooled handler (the Tracer itself), not a
-		// closure, so a checkpoint taken before the user starts can carry it.
-		w.panel = append(w.panel, panelUser{rng: userRNG, tr: tr, stack: stack, start: w.Clock.AtHandler(start, tr)})
+		b.playlist = w.Playlist[:n:n]
+		b.tr, b.stack = f.newTracer(u, b.rng.Rand, b.playlist, b.rate, nil, b.onRecord, b.finish)
+		c.bundles[0] = b
+		c.arrivalTimer = f.clock.AtHandler(time.Duration(b.rng.Int63n(int64(staggerWindow))), (*arriveArm)(c))
+		f.pending++
+		cells[ui] = c
 	}
+	return cells
 }
 
 // RunUntil drives the world's clock to virtual time t without completing
@@ -373,27 +375,25 @@ func (w *World) records() []*trace.Record {
 	return nil
 }
 
-// finished reports whether the run's work is done: every panel user has
-// finished, or the arrival budget is spent and the last session has
-// departed. On a fabric it runs on the control goroutine between windows,
-// with every shard quiescent behind the barrier — the cell counters are
-// stable and the check happens at the same (partition-invariant) window
-// boundaries for every shard count.
+// finished reports whether the run's work is done: every cell's arrival
+// budget spent and its last session ended, which is every factory's count
+// of outstanding work at zero — at most one number per shard, read before
+// every event on the classic engine. On a fabric it runs on the control
+// goroutine between windows, with every shard quiescent behind the barrier
+// — the counts are stable and the check happens at the same
+// (partition-invariant) window boundaries for every shard count.
 func (w *World) finished() bool {
-	if w.open == nil {
-		return w.remaining == 0
-	}
-	for _, c := range w.open.cells {
-		if c.arrivalsLeft != 0 || c.active != 0 {
+	for _, f := range w.factories {
+		if f.pending != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Run drives the engine to completion and returns the study result. The
-// panel stops when every user finishes; an open-loop run stops when the
-// arrival budget is spent and the last session has departed. Stopping on
+// Run drives the engine to completion and returns the study result. A run
+// stops when every cell's arrival budget is spent and its last session has
+// ended: on the panel, when every user has walked their playlist. Stopping on
 // completion (rather than on queue exhaustion) keeps lingering per-session
 // timers from extending the run; an engine that runs dry first has stalled,
 // which is an error, not a hang. A sharded world's records, buffered per
@@ -410,12 +410,9 @@ func (w *World) Run() (*Result, error) {
 		for !w.finished() && w.Clock.Step() {
 		}
 	}
+	t := totals(w.cells)
 	if !w.finished() {
-		if w.open == nil {
-			return nil, fmt.Errorf("study: %d users never finished", w.remaining)
-		}
-		t := w.open.totals()
-		return nil, fmt.Errorf("study: open-loop run stalled with %d arrivals pending, %d sessions active",
+		return nil, fmt.Errorf("study: run stalled with %d arrivals pending, %d sessions active",
 			t.arrivalsLeft, t.active)
 	}
 	res := &Result{Users: w.Users}
@@ -431,10 +428,7 @@ func (w *World) Run() (*Result, error) {
 		res.Windows = w.fab.WindowStats()
 	}
 	res.Records = w.records()
-	if w.open != nil {
-		t := w.open.totals()
-		res.Sessions, res.Balked, res.Departed = t.sessions, t.balked, t.departed
-	}
+	res.Sessions, res.Balked, res.Departed = t.sessions, t.balked, t.departed
 	for _, f := range w.factories {
 		res.SimDuration = max(res.SimDuration, f.clock.Now())
 		res.Events += f.clock.Fired()

@@ -73,13 +73,14 @@ func TestWorldMatchesRun(t *testing.T) {
 // world whose work can never finish — every cell's arrival timer cancelled
 // with the whole budget pending, a panel user whose start never fires —
 // runs its engine dry and must come back with the stall error, not hang and
-// not report a finished study.
+// not report a finished study. The panel is a cell per user, so it stalls
+// with the one message too.
 func TestRunReportsAStall(t *testing.T) {
 	open := func(shards int) Options {
 		return Options{Seed: 17, MaxUsers: 24, ClipCap: 1, Workload: "poisson", Arrivals: 30, Shards: shards}
 	}
 	cancelArrivals := func(w *World) {
-		for _, c := range w.open.cells {
+		for _, c := range w.cells {
 			c.arrivalTimer.Cancel()
 		}
 	}
@@ -94,7 +95,7 @@ func TestRunReportsAStall(t *testing.T) {
 	}{
 		{"classic", open(0), cancelArrivals, stalled},
 		{"shards=2", open(2), cancelArrivals, stalled},
-		{"panel", Options{Seed: 2, MaxUsers: 3, ClipCap: 1}, func(w *World) { w.panel[1].start.Cancel() }, "1 users never finished"},
+		{"panel", Options{Seed: 2, MaxUsers: 3, ClipCap: 1}, func(w *World) { w.cells[1].arrivalTimer.Cancel() }, "stalled with 1 arrivals pending, 0 sessions active"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -116,11 +116,6 @@ func (t *Tracer) Reset(u *geo.User, playlist []Entry) {
 // Run starts walking the playlist.
 func (t *Tracer) Run() { t.next() }
 
-// Fire implements simclock.EventHandler: a Tracer armed directly on the
-// clock starts its playlist walk. The world schedules session starts this
-// way so the start events are plain data a checkpoint can carry.
-func (t *Tracer) Fire(time.Duration) { t.next() }
-
 // Stop abandons the playlist after the in-flight clip.
 func (t *Tracer) Stop() { t.stopped = true }
 

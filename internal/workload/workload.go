@@ -187,7 +187,8 @@ func (z *Zipf) Draw(rng *rand.Rand) int {
 // Profile is one catalog entry: a named arrival-process family, built into
 // a concrete Spec from the calibrated base rate, the intensity knob, and
 // the run's expected horizon. PanelName is not in this catalog — the
-// closed-loop panel short-circuits before any workload draw.
+// closed-loop panel draws no arrival process: each user arrives once, at a
+// start the study layer draws on the user's own stream.
 type Profile struct {
 	Name        string
 	Description string
@@ -197,9 +198,9 @@ type Profile struct {
 }
 
 // PanelName names the closed-loop mode: the paper's fixed panel, where
-// every user is scheduled at world construction and no arrival process
-// runs. It is the default and must stay byte-identical to a build without
-// the workload layer.
+// every user's one session is drawn and its start scheduled at world
+// construction and no arrival process runs. It is the default and must stay
+// byte-identical to a build without the workload layer.
 const PanelName = "panel"
 
 // sessionDefaults fills the non-arrival knobs shared by every open-loop
