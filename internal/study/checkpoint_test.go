@@ -108,23 +108,23 @@ var fenceWorlds = []struct {
 	snapSHA string
 }{
 	{"panel", Options{Seed: 11, MaxUsers: 6, ClipCap: 2},
-		"60de621393f9937f0d0f1ae962900edd1b715657ff9b970ff3fb95c5c298b0a5"},
+		"1f029dcc95f3047bfa3366e25f572e7452957af07b136b5e9df052d48cd63ba1"},
 	// The open-loop churn arm: arrivals, departures and balks mid-flight,
 	// plus a stateful selection policy rotating through the mirrors.
 	{"openloop", Options{
 		Seed: 17, MaxUsers: 8, ClipCap: 2,
 		Workload: "poisson", Arrivals: 24, WorkloadIntensity: 2,
 		Selection: "roundrobin",
-	}, "92320eafbe42a8989e5085c7359fe01eef2261fe76906509df84d9f4f9bfa62f"},
+	}, "efbf5afe66c4f3c17b0aaf5faa53f9e5f341332454afaa266afceabc26a4d028"},
 	{"dynamics", Options{
 		Seed: 5, MaxUsers: 4, ClipCap: 2,
 		Dynamics: "lossburst", DynamicsIntensity: 2,
-	}, "bf13e4c1020a79e4cf266240533ca11db1eb6dd49bb1e7524be55872b606a7a4"},
+	}, "9c66e7e06136950727063e0e96ff337d6ee155ec3fd80e2ea3260c6d8c972d48"},
 	// Heavy churn over a small pool: sessions tear down with segments
 	// still mid-flight, so cuts land on wire copies whose owning conn is
 	// closed (or gone from the snapshot entirely) — those serialize by
 	// value, not by reference.
-	{"churnheavy", churnHeavy, "bd8f67d15ce608d96435691021b3e93dbfef6d037eea62e0947690ca16144e29"},
+	{"churnheavy", churnHeavy, "72b9fd38b58e676c58e82c8172b20cd89f0fc9f0567ae8d04d632aaec873b88e"},
 }
 
 // churnHeavy is the heavy-churn fence world; midDialWorld cuts it too.
@@ -335,10 +335,9 @@ func midSetupWorld(t testing.TB) *World {
 
 // TestSnapshotBytesStable pins the wire format: each fence world's 55%
 // snapshot must hash to the digest recorded when the format was last
-// changed on purpose (RTSNAP9: the walks no longer carry fields nothing
-// reads — a player's URL, server, playout gaps and decimation factor, a
-// tracer's played count, a session's switch count, a conn's sent-segment
-// count and a media source's audio index). A refactor of the walks must
+// changed on purpose (RTSNAP10: one walk over every arrival cell, the
+// panel's a cell per user, with each factory's count of outstanding work,
+// and no player seqFloor or lowSeqs). A refactor of the walks must
 // leave these alone; a deliberate format change bumps snapMagic and updates
 // them here.
 func TestSnapshotBytesStable(t *testing.T) {
