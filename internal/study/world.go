@@ -311,20 +311,22 @@ func (w *World) startServers(servers []staticServer) error {
 // seeds[u]: the host attached (a modem's uplink draw), a tracer over the
 // first min(ClipsToPlay, ClipCap) playlist entries, then the stagger draw.
 // The byte-identical rule pins those draws and their order, and the start
-// events' (time, seq) slots pin the order the cells are built in.
+// events' (time, seq) slots pin the order the cells are built in. Each
+// cell's one-template slices view arrays shared by the panel.
 func (w *World) panelCells(seeds []int64) []*arrivalCell {
-	f := w.factories[0]
-	cells := make([]*arrivalCell, len(w.Users))
+	f, n := w.factories[0], len(w.Users)
+	cells, members, ports, busy, held := make([]*arrivalCell, n), make([]int, n), make([]int, n), make([]bool, n), make([]*sessionBundle, n)
 	for ui, u := range w.Users {
-		c := &arrivalCell{f: f, ord: ui, arrivalsLeft: 1, members: []int{ui},
-			busy: make([]bool, 1), ports: make([]int, 1), bundles: make([]*sessionBundle, 1)}
+		members[ui] = ui
+		c := &arrivalCell{f: f, ord: ui, arrivalsLeft: 1, members: members[ui : ui+1 : ui+1],
+			busy: busy[ui : ui+1 : ui+1], ports: ports[ui : ui+1 : ui+1], bundles: held[ui : ui+1 : ui+1]}
 		b := &sessionBundle{cell: c, idx: ui, rng: detrand.New(seeds[ui])}
 		f.attach(u, b.rng.Rand)
-		n := u.ClipsToPlay
+		clips := u.ClipsToPlay
 		if w.Options.ClipCap > 0 {
-			n = min(n, w.Options.ClipCap)
+			clips = min(clips, w.Options.ClipCap)
 		}
-		b.playlist = w.Playlist[:n:n]
+		b.playlist = w.Playlist[:clips:clips]
 		b.tr, b.stack = f.newTracer(u, b.rng.Rand, b.playlist, b.rate, nil, b.onRecord, b.finish)
 		c.bundles[0] = b
 		c.arrivalTimer = f.clock.AtHandler(time.Duration(b.rng.Int63n(int64(staggerWindow))), (*arriveArm)(c))
