@@ -43,8 +43,7 @@
 // across intensity levels against a dynamics-off control arm via -sweep.
 //
 // -workload switches the study from the paper's closed-loop panel (every
-// user arriving once at a start drawn with the world, the default) to an
-// open-loop session engine: sessions
+// user pre-scheduled, the default) to an open-loop session engine: sessions
 // arrive under a named arrival process (poisson, diurnal, flashcrowd),
 // draw clips by Zipf popularity, and leave — attaching and removing their
 // hosts as they churn. -load scales the arrival rate, -arrivals bounds the
